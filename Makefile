@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race verify bench snapshot experiments fuzz-smoke qos-smoke batch-smoke governor-smoke analyze-smoke cache-smoke gateway-smoke bench-check
+.PHONY: all build vet test race verify bench bench-e2e bench-layers snapshot experiments fuzz-smoke qos-smoke batch-smoke governor-smoke analyze-smoke cache-smoke gateway-smoke bench-check
 
 all: verify
 
@@ -22,6 +22,19 @@ verify: build vet test race
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# bench-e2e runs BENCHMARK.json's four workloads exactly as the driver does
+# (bench/run.sh builds into .bench_build/ and runs ~10 s per workload):
+# the ten end-to-end metrics on both clocks, seed 1.
+bench-e2e:
+	for w in block-mixed block-read-hot pfs-stream object-mixed; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
+	done
+
+# bench-layers runs the per-layer drivers alone (kernel, fabric, cache,
+# coherence, disk, RAID, virt, controller, pfs, QoS, gateway, telemetry).
+bench-layers:
+	$(GO) run ./bench -layers
 
 # snapshot writes the per-PR perf record: the canonical workload run
 # unbatched and on the batched fabric plane (per-phase p50/p99 +

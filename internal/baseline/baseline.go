@@ -276,7 +276,7 @@ func (a *Array) destage(p *sim.Proc, c *controller, ent *cache.Entry) error {
 		return err
 	}
 	if ent.Version == ver {
-		ent.Dirty = false
+		c.cache.SetDirty(ent, false)
 		delete(a.ctrls[1-c.id].mirror, ent.Key)
 	}
 	return nil

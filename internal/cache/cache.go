@@ -7,6 +7,7 @@ package cache
 import (
 	"container/list"
 	"fmt"
+	"sort"
 
 	"repro/internal/telemetry"
 )
@@ -47,9 +48,11 @@ const NumPriorities = 4
 
 // Entry is one cached block.
 type Entry struct {
-	Key      Key
-	Data     []byte
-	State    State
+	Key   Key
+	Data  []byte
+	State State
+	// Dirty is read-only outside this package: the cache indexes its dirty
+	// entries, so every change goes through Put or SetDirty.
 	Dirty    bool
 	Priority int
 	// Pinned entries are immune to eviction (e.g. mid-writeback).
@@ -58,8 +61,13 @@ type Entry struct {
 	// detect concurrent modification before clearing Dirty.
 	Version uint64
 
-	elem *list.Element
+	elem *list.Element // nil once the entry has left the cache
 	lane int
+	// age is the recency stamp taken whenever the entry moves to the back of
+	// its lane, so ascending age is exactly the lane's LRU order.
+	age uint64
+	// dirtyIdx is the entry's slot in Cache.dirty, -1 when not indexed.
+	dirtyIdx int
 }
 
 // Stats counts cache activity. Inserts counts new entries only; replacing
@@ -75,6 +83,8 @@ type Cache struct {
 	capacity int
 	entries  map[Key]*Entry
 	lanes    [NumPriorities]*list.List // front = LRU victim end
+	clock    uint64                    // source of Entry.age
+	dirty    []*Entry                  // every resident dirty entry, unordered
 	stats    Stats
 }
 
@@ -120,6 +130,7 @@ func (c *Cache) Get(key Key) (*Entry, bool) {
 	}
 	c.stats.Hits++
 	c.lanes[e.lane].MoveToBack(e.elem)
+	c.touch(e)
 	return e, true
 }
 
@@ -140,7 +151,8 @@ func (c *Cache) Put(key Key, data []byte, state State, dirty bool, priority int)
 	}
 	if e, ok := c.entries[key]; ok {
 		c.lanes[e.lane].Remove(e.elem)
-		e.Data, e.State, e.Dirty, e.Priority = data, state, dirty, priority
+		e.Data, e.State, e.Priority = data, state, priority
+		c.SetDirty(e, dirty)
 		// The replace path rewrites Data, so it must bump Version like
 		// every other data update: writeback paths compare Version before
 		// clearing Dirty, and a silent replace would let a concurrent
@@ -148,21 +160,63 @@ func (c *Cache) Put(key Key, data []byte, state State, dirty bool, priority int)
 		e.Version++
 		e.lane = priority
 		e.elem = c.lanes[priority].PushBack(e)
+		c.touch(e)
 		c.stats.Replaces++
 		return e
 	}
-	e := &Entry{Key: key, Data: data, State: state, Dirty: dirty, Priority: priority, lane: priority}
+	e := &Entry{Key: key, Data: data, State: state, Priority: priority, lane: priority, dirtyIdx: -1}
 	e.elem = c.lanes[priority].PushBack(e)
+	c.touch(e)
 	c.entries[key] = e
+	c.SetDirty(e, dirty)
 	c.stats.Inserts++
 	return e
+}
+
+func (c *Cache) touch(e *Entry) {
+	c.clock++
+	e.age = c.clock
+}
+
+// SetDirty marks e dirty or clean, keeping the dirty index in step. An
+// entry that has already left the cache (a destage finishing after its
+// block was invalidated) only has its flag updated.
+func (c *Cache) SetDirty(e *Entry, dirty bool) {
+	e.Dirty = dirty
+	switch {
+	case dirty && e.dirtyIdx < 0 && e.elem != nil:
+		e.dirtyIdx = len(c.dirty)
+		c.dirty = append(c.dirty, e)
+	case !dirty && e.dirtyIdx >= 0:
+		c.untrack(e)
+	}
+}
+
+// untrack swap-removes e from the dirty index.
+func (c *Cache) untrack(e *Entry) {
+	last := len(c.dirty) - 1
+	moved := c.dirty[last]
+	c.dirty[e.dirtyIdx] = moved
+	moved.dirtyIdx = e.dirtyIdx
+	c.dirty[last] = nil
+	c.dirty = c.dirty[:last]
+	e.dirtyIdx = -1
+}
+
+// drop unlinks a resident entry from the lanes, the map and the dirty index.
+func (c *Cache) drop(e *Entry) {
+	c.lanes[e.lane].Remove(e.elem)
+	e.elem = nil
+	delete(c.entries, e.Key)
+	if e.dirtyIdx >= 0 {
+		c.untrack(e)
+	}
 }
 
 // Remove drops key from the cache (no writeback — caller's job).
 func (c *Cache) Remove(key Key) {
 	if e, ok := c.entries[key]; ok {
-		c.lanes[e.lane].Remove(e.elem)
-		delete(c.entries, key)
+		c.drop(e)
 	}
 }
 
@@ -200,25 +254,38 @@ func (c *Cache) Evict(e *Entry) {
 	if _, ok := c.entries[e.Key]; !ok {
 		return
 	}
-	c.lanes[e.lane].Remove(e.elem)
-	delete(c.entries, e.Key)
+	c.drop(e)
 	c.stats.Evictions++
 }
 
 // DirtyEntries returns all dirty entries (oldest first per lane), for the
-// background flusher and for flush-on-failure recovery.
+// background flusher and for flush-on-failure recovery. The cost depends on
+// the number of dirty entries only, not on the cache's size: a flusher tick
+// over a clean cache is free.
 func (c *Cache) DirtyEntries() []*Entry {
-	var out []*Entry
-	for lane := 0; lane < NumPriorities; lane++ {
-		for el := c.lanes[lane].Front(); el != nil; el = el.Next() {
-			e := el.Value.(*Entry)
-			if e.Dirty {
-				out = append(out, e)
-			}
-		}
+	if len(c.dirty) == 0 {
+		return nil
 	}
+	out := append([]*Entry(nil), c.dirty...)
+	sort.Sort(byLaneAge(out))
 	return out
 }
+
+// byLaneAge orders entries as a walk of the lanes would meet them: lowest
+// lane first, least recently used first within a lane.
+type byLaneAge []*Entry
+
+func (s byLaneAge) Len() int      { return len(s) }
+func (s byLaneAge) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+func (s byLaneAge) Less(i, j int) bool {
+	if s[i].lane != s[j].lane {
+		return s[i].lane < s[j].lane
+	}
+	return s[i].age < s[j].age
+}
+
+// DirtyCount reports how many dirty entries the cache holds.
+func (c *Cache) DirtyCount() int { return len(c.dirty) }
 
 // Keys returns all cached keys (unspecified order).
 func (c *Cache) Keys() []Key {
@@ -232,6 +299,10 @@ func (c *Cache) Keys() []Key {
 // Clear drops every entry without writeback (cold restart after a
 // membership change; dirty data must have been flushed by the caller).
 func (c *Cache) Clear() {
+	for _, e := range c.entries {
+		e.elem, e.dirtyIdx = nil, -1
+	}
+	c.dirty = nil
 	c.entries = make(map[Key]*Entry)
 	for i := range c.lanes {
 		c.lanes[i] = list.New()

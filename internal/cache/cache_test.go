@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -274,5 +275,79 @@ func TestPutCountsInsertsAndReplacesSeparately(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
+	}
+}
+
+// scanDirty is DirtyEntries as it was before the cache indexed its dirty
+// entries: a walk of every lane, front (LRU) to back.
+func scanDirty(c *Cache) []*Entry {
+	var out []*Entry
+	for lane := 0; lane < NumPriorities; lane++ {
+		for el := c.lanes[lane].Front(); el != nil; el = el.Next() {
+			if e := el.Value.(*Entry); e.Dirty {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
+// The dirty index must be invisible: after any sequence of operations
+// DirtyEntries returns exactly what the full scan would, in its order
+// (lane, then LRU age) — the flusher picks its batch from the front of it —
+// and the count never drifts from the truth.
+func TestDirtyIndexMatchesFullScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := New(64)
+		var held []*Entry // entries handed out earlier, some no longer resident
+		check := func(op string, i int) {
+			t.Helper()
+			got, want := c.DirtyEntries(), scanDirty(c)
+			if len(got) != len(want) || c.DirtyCount() != len(want) {
+				t.Fatalf("seed %d op %d (%s): DirtyEntries %d, DirtyCount %d, full scan %d",
+					seed, i, op, len(got), c.DirtyCount(), len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("seed %d op %d (%s): position %d is %v, full scan has %v",
+						seed, i, op, j, got[j].Key, want[j].Key)
+				}
+			}
+		}
+		for i := 0; i < 4000; i++ {
+			k := key(int64(rng.Intn(96)))
+			var op string
+			switch r := rng.Intn(100); {
+			case r < 30:
+				op = "put"
+				for c.NeedsRoom(1) {
+					c.Evict(c.Victim())
+				}
+				held = append(held, c.Put(k, nil, Modified, rng.Intn(2) == 0, rng.Intn(NumPriorities)))
+			case r < 55:
+				op = "get"
+				c.Get(k)
+			case r < 80:
+				op = "setdirty"
+				if len(held) > 0 {
+					// Any entry ever handed out, resident or not: a destage
+					// may finish after its block was invalidated.
+					c.SetDirty(held[rng.Intn(len(held))], rng.Intn(2) == 0)
+				}
+			case r < 88:
+				op = "evict"
+				if v := c.Victim(); v != nil {
+					c.Evict(v)
+				}
+			case r < 99:
+				op = "remove"
+				c.Remove(k)
+			default:
+				op = "clear"
+				c.Clear()
+			}
+			check(op, i)
+		}
 	}
 }

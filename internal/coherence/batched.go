@@ -23,7 +23,7 @@ import (
 // Two deliberate semantic differences from the per-key plane, both safe:
 //
 //   - coh.downgradeb forwards a dirty owner's data immediately instead of
-//     poll-waiting out a pinned (mid-destage) entry. The forwarded bytes
+//     waiting out a pinned (mid-destage) entry. The forwarded bytes
 //     are the latest acknowledged write, the reader does not install them
 //     (NoCache), and the owner keeps exclusive ownership, so no invariant
 //     moves; the per-key path's wait was purely conservative. coh.invmb
@@ -368,36 +368,14 @@ func (e *Engine) handleInvBatch(p *sim.Proc, from simnet.Addr, args any) (any, i
 	return invBatchResp{}, ctrlSize
 }
 
-// handleInvMBatch surrenders Modified ownership for a vector of keys. The
-// per-key pinned wait is preserved: a mid-flight destage here must finish
-// before the new owner may issue its own, or the two backing writes could
-// interleave. Dirty payloads are destaged before dropping, exactly like
-// the per-key handler: until the new owner installs, this blade's copy is
-// the only one carrying the last acked write (see handleInvM).
+// handleInvMBatch surrenders Modified ownership for a vector of keys, each
+// exactly as the per-key handler does (see surrender): the pinned wait and
+// the destage-before-drop are per key.
 func (e *Engine) handleInvMBatch(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(invMBatchReq)
 	for _, key := range req.Keys {
-		e.stats.Invalidations++
 		trace(key, "t=%v blade%d INVMB", e.k.Now(), e.self)
-		e.invEpoch[key]++
-		ent, ok := e.cache.Peek(key)
-		if !ok {
-			continue
-		}
-		for ent.Pinned {
-			p.Sleep(50 * sim.Microsecond)
-		}
-		if ent, ok := e.cache.Peek(key); ok && ent.Dirty {
-			ent.Pinned = true
-			err := e.backing.WriteBlock(p, key, ent.Data)
-			ent.Pinned = false
-			if err != nil {
-				e.stats.WritebackErrors++
-			} else {
-				e.stats.Writebacks++
-			}
-		}
-		e.cache.Remove(key)
+		e.surrender(p, key)
 	}
 	return invMBatchResp{}, ctrlSize
 }
@@ -734,7 +712,7 @@ func (e *Engine) finishWrite(p *sim.Proc, g pendingMiss, data []byte, priority, 
 	if ex, ok := e.cache.Peek(key); ok {
 		ex.Data = stored
 		ex.State = cache.Modified
-		ex.Dirty = true
+		e.cache.SetDirty(ex, true)
 		ex.Version++
 		entry = ex
 		trace(key, "t=%v blade%d writeb in-place M d0=%d v=%d", p.Now(), e.self, d0(stored), ex.Version)

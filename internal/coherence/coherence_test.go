@@ -3,6 +3,7 @@ package coherence
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -510,4 +511,94 @@ func TestRetentionPriorityHonored(t *testing.T) {
 			t.Error("high-retention block evicted before low-priority blocks")
 		}
 	})
+}
+
+// Waiting out a pinned entry is event-driven: every waiter resumes at the
+// unpin instant, in the order it arrived, and the wait itself costs the
+// kernel nothing — a handful of events per waiter, where polling spent one
+// per waiter every 50 µs for as long as the writeback took.
+func TestPinnedWaitersWakeAtUnpinInArrivalOrder(t *testing.T) {
+	const (
+		waiters = 8
+		held    = 100 * sim.Millisecond // 2,000 polling ticks per waiter
+	)
+	h := newHarness(1, 2, 64)
+	e := h.engines[0]
+	var order []int
+	var wokeAt []sim.Time
+	var unpinAt sim.Time
+	var before uint64
+	h.run(func(p *sim.Proc) {
+		if err := e.WriteBlock(p, kb(1), blk(1), 0); err != nil {
+			t.Errorf("write: %v", err)
+			return
+		}
+		ent, _ := e.cache.Peek(kb(1))
+		e.pin(ent)
+		for i := 0; i < waiters; i++ {
+			i := i
+			h.k.Go("waiter", func(q *sim.Proc) {
+				// Arrive in the reverse of spawn order, a microsecond apart.
+				q.Sleep(sim.Duration(waiters-i) * sim.Microsecond)
+				e.waitUnpinned(q, ent)
+				order = append(order, i)
+				wokeAt = append(wokeAt, q.Now())
+			})
+		}
+		before = h.k.Events()
+		p.Sleep(held)
+		unpinAt = p.Now()
+		e.unpin(ent)
+	})
+	if len(order) != waiters {
+		t.Fatalf("%d of %d waiters woke", len(order), waiters)
+	}
+	for j, i := range order {
+		if want := waiters - 1 - j; i != want {
+			t.Fatalf("wake order %v: position %d is waiter %d, want arrival order (waiter %d)", order, j, i, want)
+		}
+		if wokeAt[j] != unpinAt {
+			t.Errorf("waiter %d woke at %v, unpin was at %v", i, wokeAt[j], unpinAt)
+		}
+	}
+	// Each waiter: its arrival sleep and its wake-up; plus the holder's sleep.
+	if n := h.k.Events() - before; n > 4*waiters {
+		t.Errorf("%d kernel events for %d waiters over %v pinned, want O(waiters): no polling", n, waiters, held)
+	}
+	if len(e.unpinned) != 0 {
+		t.Errorf("%d pin-wait futures left behind", len(e.unpinned))
+	}
+}
+
+// A local hit read into the caller's buffer copies the block once and
+// allocates no payload — neither a clone for the caller nor a staging copy.
+func TestLocalHitReadIntoAllocatesNoPayload(t *testing.T) {
+	h := newHarness(1, 2, 64)
+	defer h.k.Close()
+	h.backing.data[kb(1)] = blk(7)
+	dst := make([]byte, blockSize)
+	h.k.Go("reader", func(p *sim.Proc) {
+		for { // one hit per OpDelay (10 µs) after the first miss
+			if err := h.engines[0].ReadBlockInto(p, kb(1), 0, dst); err != nil {
+				t.Errorf("read: %v", err)
+				return
+			}
+		}
+	})
+	h.k.RunFor(10 * sim.Millisecond)
+	hits := h.engines[0].Stats().LocalHits
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const reads = 1000
+	h.k.RunFor(reads * 10 * sim.Microsecond)
+	runtime.ReadMemStats(&m1)
+	if got := h.engines[0].Stats().LocalHits - hits; got != reads {
+		t.Fatalf("%d local hits in the measured window, want %d", got, reads)
+	}
+	if dst[0] != 7 || dst[blockSize-1] != 7 {
+		t.Fatalf("caller buffer not filled: %d..%d", dst[0], dst[blockSize-1])
+	}
+	if perRead := (m1.TotalAlloc - m0.TotalAlloc) / reads; perRead >= blockSize/2 {
+		t.Errorf("%d bytes allocated per %d-byte local hit: the payload is still being copied to the heap", perRead, blockSize)
+	}
 }

@@ -215,6 +215,10 @@ type Engine struct {
 	replicate func(p *sim.Proc, key cache.Key, data []byte, version uint64, factor int) error
 	onClean   func(p *sim.Proc, key cache.Key, version uint64)
 
+	// unpinned holds one future per pinned entry somebody is waiting on
+	// (see waitUnpinned); unpin completes and removes it.
+	unpinned map[*cache.Entry]*sim.Future[struct{}]
+
 	stats Stats
 	// down mirrors the cluster's view of this blade; a down engine
 	// rejects client operations.
@@ -389,6 +393,7 @@ func New(k *sim.Kernel, cfg Config) *Engine {
 		heat:         newHeatTracker(k, cfg.HeatHalfLife),
 		replicate:    cfg.ReplicateDirty,
 		onClean:      cfg.OnClean,
+		unpinned:     make(map[*cache.Entry]*sim.Future[struct{}]),
 		noPeerFetch:  cfg.NoPeerFetch,
 		readAhead:    cfg.ReadAhead,
 		lastSeq:      make(map[string]int64),
@@ -576,16 +581,28 @@ func (e *Engine) entry(key cache.Key) *dirEntry {
 // readahead is configured, a detected sequential run asynchronously pulls
 // the following blocks into the cache (§4: "storage prefetch operations").
 func (e *Engine) ReadBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, error) {
-	data, err := e.readBlock(p, key, priority)
+	dst := make([]byte, e.blockSize)
+	if err := e.ReadBlockInto(p, key, priority, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// ReadBlockInto is ReadBlock filling the caller's block-sized dst: the one
+// copy between the cache entry (or the fetched payload) and the op buffer.
+func (e *Engine) ReadBlockInto(p *sim.Proc, key cache.Key, priority int, dst []byte) error {
+	err := e.readBlock(p, key, priority, dst)
 	if err == nil {
 		e.maybeReadAhead(key, priority)
 	}
-	return data, err
+	return err
 }
 
-func (e *Engine) readBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, error) {
+// readBlock resolves key and copies its content into dst; a nil dst (the
+// readahead path) only warms the cache.
+func (e *Engine) readBlock(p *sim.Proc, key cache.Key, priority int, dst []byte) error {
 	if e.down {
-		return nil, fmt.Errorf("coherence: blade %d down", e.self)
+		return fmt.Errorf("coherence: blade %d down", e.self)
 	}
 	e.stats.Reads++
 	e.busy(p, e.opDelay)
@@ -603,18 +620,19 @@ func (e *Engine) readBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, er
 			ctx.Child("hit", tr.CacheHit, e.label).End()
 		}
 		trace(key, "t=%v blade%d read HIT state=%v dirty=%v v=%d d0=%d", p.Now(), e.self, ent.State, ent.Dirty, ent.Version, d0(ent.Data))
-		return append([]byte(nil), ent.Data...), nil
+		copy(dst, ent.Data)
+		return nil
 	}
 	homeID, err := e.home(key)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	epoch := e.invEpoch[key]
 	var resp getSResp
 	for hops := 0; ; hops++ {
 		raw, err := e.call(p, homeID, "coh.gets", getSReq{Key: key, Epoch: epoch}, ctrlSize)
 		if err != nil {
-			return nil, fmt.Errorf("coherence: gets to blade %d: %w", homeID, err)
+			return fmt.Errorf("coherence: gets to blade %d: %w", homeID, err)
 		}
 		resp = raw.(getSResp)
 		if !resp.Redirect {
@@ -627,11 +645,11 @@ func (e *Engine) readBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, er
 		e.setHomeOverride(key, resp.NewHome)
 		homeID = resp.NewHome
 		if hops > len(e.peers)+8 {
-			return nil, fmt.Errorf("coherence: gets for %v: redirect loop", key)
+			return fmt.Errorf("coherence: gets for %v: redirect loop", key)
 		}
 	}
 	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
+		return errors.New(resp.Err)
 	}
 	var data []byte
 	if resp.Data != nil {
@@ -641,12 +659,13 @@ func (e *Engine) readBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, er
 		e.stats.DiskReads++
 		data, err = e.backing.ReadBlock(p, key)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if resp.NoCache {
 		// Forwarded from a dirty owner: serve without installing.
-		return data, nil
+		copy(dst, data)
+		return nil
 	}
 	if e.invEpoch[key] == epoch {
 		// A failed makeRoom (backing store refusing writebacks) degrades
@@ -666,7 +685,8 @@ func (e *Engine) readBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, er
 			}
 		}
 	}
-	return append([]byte(nil), data...), nil
+	copy(dst, data)
+	return nil
 }
 
 // FetchBlock returns the key's current bytes without joining the
@@ -786,7 +806,7 @@ func (e *Engine) WriteBlockR(p *sim.Proc, key cache.Key, data []byte, priority, 
 		if ex, ok := e.cache.Peek(key); ok {
 			ex.Data = stored
 			ex.State = cache.Modified
-			ex.Dirty = true
+			e.cache.SetDirty(ex, true)
 			ex.Version++
 			entry = ex
 			trace(key, "t=%v blade%d write in-place M d0=%d v=%d", p.Now(), e.self, d0(stored), ex.Version)
@@ -837,25 +857,17 @@ func (e *Engine) makeRoom(p *sim.Proc) error {
 			return nil
 		}
 		if v.Dirty {
-			v.Pinned = true
-			ver := v.Version
-			err := e.backing.WriteBlock(p, v.Key, v.Data)
-			v.Pinned = false
+			e.pin(v)
+			clean, err := e.writeback(p, v, v.Version)
 			if err != nil {
-				e.stats.WritebackErrors++
 				failures++
 				if failures >= maxWritebackFailures {
 					return fmt.Errorf("coherence: makeRoom: writeback of %v failed %d times: %w", v.Key, failures, err)
 				}
 				continue // bounded retry (Victim reselects the same entry)
 			}
-			if v.Version != ver {
+			if !clean {
 				continue // updated mid-writeback: reselect
-			}
-			v.Dirty = false
-			e.stats.Writebacks++
-			if e.onClean != nil {
-				e.onClean(p, v.Key, ver)
 			}
 		}
 		wasOwner := v.State == cache.Modified
@@ -911,7 +923,7 @@ func (e *Engine) maybeReadAhead(key cache.Key, priority int) {
 				return
 			}
 			e.stats.Prefetches++
-			e.readBlock(q, next, priority)
+			e.readBlock(q, next, priority, nil)
 		})
 	}
 }

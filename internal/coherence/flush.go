@@ -13,6 +13,9 @@ import (
 // drain rate tracks the disk array, not a single operation's latency.
 func (e *Engine) FlushOnce(p *sim.Proc, max int) int {
 	dirty := e.cache.DirtyEntries()
+	if len(dirty) == 0 {
+		return 0
+	}
 	n := 0
 	grp := sim.NewGroup(e.k)
 	inFlight := sim.NewSemaphore(e.k, 16)
@@ -24,7 +27,7 @@ func (e *Engine) FlushOnce(p *sim.Proc, max int) int {
 			continue
 		}
 		ent := ent
-		ent.Pinned = true
+		e.pin(ent)
 		ver := ent.Version
 		n++
 		grp.Add(1)
@@ -32,23 +35,61 @@ func (e *Engine) FlushOnce(p *sim.Proc, max int) int {
 			defer grp.Done()
 			inFlight.Acquire(q, 1)
 			defer inFlight.Release(1)
-			err := e.backing.WriteBlock(q, ent.Key, ent.Data)
-			ent.Pinned = false
-			if err != nil {
-				e.stats.WritebackErrors++
-				return
-			}
-			if ent.Version == ver {
-				ent.Dirty = false
-				e.stats.Writebacks++
-				if e.onClean != nil {
-					e.onClean(p, ent.Key, ver)
-				}
-			}
+			e.writeback(q, ent, ver)
 		})
 	}
 	grp.Wait(p)
 	return n
+}
+
+// pin marks ent as mid-writeback: the cache will not evict it, and a handler
+// that must not overlap the writeback parks in waitUnpinned. Every site that
+// pins goes through pin/unpin so that no waiter can be left behind.
+func (e *Engine) pin(ent *cache.Entry) { ent.Pinned = true }
+
+// unpin ends ent's writeback and wakes the procs parked on it, in arrival
+// order, at this instant.
+func (e *Engine) unpin(ent *cache.Entry) {
+	ent.Pinned = false
+	if f, ok := e.unpinned[ent]; ok {
+		delete(e.unpinned, ent)
+		f.Set(struct{}{})
+	}
+}
+
+// waitUnpinned parks p until no writeback of ent is in flight. The future
+// exists only while somebody waits; a waiter that finds the entry pinned
+// again when it runs (the flusher re-picked it) simply waits again.
+func (e *Engine) waitUnpinned(p *sim.Proc, ent *cache.Entry) {
+	for ent.Pinned {
+		f, ok := e.unpinned[ent]
+		if !ok {
+			f = sim.NewFuture[struct{}](e.k)
+			e.unpinned[ent] = f
+		}
+		f.Wait(p)
+	}
+}
+
+// writeback destages ent, which the caller pinned when it sampled ver, and
+// unpins it. clean reports that the store took the block and nobody rewrote
+// it meanwhile: the entry is then marked clean and its replicas released.
+func (e *Engine) writeback(p *sim.Proc, ent *cache.Entry, ver uint64) (clean bool, err error) {
+	err = e.backing.WriteBlock(p, ent.Key, ent.Data)
+	e.unpin(ent)
+	if err != nil {
+		e.stats.WritebackErrors++
+		return false, err
+	}
+	if ent.Version != ver {
+		return false, nil
+	}
+	e.cache.SetDirty(ent, false)
+	e.stats.Writebacks++
+	if e.onClean != nil {
+		e.onClean(p, ent.Key, ver)
+	}
+	return true, nil
 }
 
 // StartFlusher launches the background write-back process: every interval
@@ -96,4 +137,4 @@ func (e *Engine) Recover(p *sim.Proc, alive []int) {
 }
 
 // DirtyBlocks reports how many dirty blocks the cache currently holds.
-func (e *Engine) DirtyBlocks() int { return len(e.cache.DirtyEntries()) }
+func (e *Engine) DirtyBlocks() int { return e.cache.DirtyCount() }

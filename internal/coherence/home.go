@@ -283,33 +283,35 @@ func (e *Engine) handleInv(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 // break that invariant and serve pre-ack data to concurrent readers.
 func (e *Engine) handleInvM(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(invMReq)
-	e.stats.Invalidations++
 	trace(req.Key, "t=%v blade%d INVM", e.k.Now(), e.self)
-	e.invEpoch[req.Key]++
-	ent, ok := e.cache.Peek(req.Key)
+	return invMResp{Gone: e.surrender(p, req.Key)}, ctrlSize
+}
+
+// surrender gives up this blade's Modified copy of key (both InvM planes).
+// A destage that succeeds releases the block's replicas exactly as the
+// flusher and makeRoom do: a replica left at the buddy would outlive the
+// copy it protects, and when this blade later died recovery would replay it
+// over whatever the new owner had destaged since. gone reports that there
+// was no copy to give up.
+func (e *Engine) surrender(p *sim.Proc, key cache.Key) (gone bool) {
+	e.stats.Invalidations++
+	e.invEpoch[key]++
+	ent, ok := e.cache.Peek(key)
 	if !ok {
-		return invMResp{Gone: true}, ctrlSize
+		return true
 	}
 	// A writeback may be mid-flight for this entry; wait it out so the
 	// backing-store writes of old and new owner cannot interleave.
-	for ent.Pinned {
-		p.Sleep(50 * sim.Microsecond)
+	e.waitUnpinned(p, ent)
+	if ent, ok := e.cache.Peek(key); ok && ent.Dirty {
+		e.pin(ent)
+		// A store that refuses the destage (counted by writeback) leaves the
+		// pre-drop behavior and its staleness window; the write path stays
+		// available either way.
+		e.writeback(p, ent, ent.Version)
 	}
-	if ent, ok := e.cache.Peek(req.Key); ok && ent.Dirty {
-		ent.Pinned = true
-		err := e.backing.WriteBlock(p, req.Key, ent.Data)
-		ent.Pinned = false
-		if err != nil {
-			// A store that refuses the destage leaves the pre-drop
-			// behavior (and its staleness window); the write path stays
-			// available either way.
-			e.stats.WritebackErrors++
-		} else {
-			e.stats.Writebacks++
-		}
-	}
-	e.cache.Remove(req.Key)
-	return invMResp{}, ctrlSize
+	e.cache.Remove(key)
+	return false
 }
 
 // handleDowngrade resolves a read of this blade's Modified copy. A clean
@@ -333,9 +335,7 @@ func (e *Engine) handleDowngrade(p *sim.Proc, from simnet.Addr, args any) (any, 
 		e.invEpoch[req.Key]++
 		return downgradeResp{Gone: true}, ctrlSize
 	}
-	for ent.Pinned {
-		p.Sleep(50 * sim.Microsecond)
-	}
+	e.waitUnpinned(p, ent)
 	if _, still := e.cache.Peek(req.Key); !still {
 		e.invEpoch[req.Key]++
 		return downgradeResp{Gone: true}, ctrlSize

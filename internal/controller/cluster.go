@@ -518,14 +518,10 @@ func (c *Cluster) Read(p *sim.Proc, b *Blade, vol string, lba int64, count int, 
 			grp.Add(1)
 			c.K.Go("read", func(q *sim.Proc) {
 				defer grp.Done()
-				d, err := b.Engine.ReadBlock(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, priority)
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
+				err := b.Engine.ReadBlockInto(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, priority, buf[i*bs:(i+1)*bs])
+				if err != nil && firstErr == nil {
+					firstErr = err
 				}
-				copy(buf[i*bs:], d)
 			})
 		}
 		pop()

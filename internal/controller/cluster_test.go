@@ -2,6 +2,7 @@ package controller
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -134,6 +135,53 @@ func TestBladeFailureLosesNothingWithReplication(t *testing.T) {
 			t.Error("acknowledged write lost after single blade failure with N=2")
 		}
 	})
+}
+
+// An ownership transfer destages the old owner's dirty block and drops it;
+// the replica protecting that block must go with it. Left at the buddy, it
+// is replayed by recovery when the old owner later dies — over the newer
+// data the new owner has destaged since.
+func TestStaleReplicaNotReplayedAfterOwnershipTransfer(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		c, k := newTestCluster(t, 1, func(cfg *Config) {
+			cfg.ReplicationN = 2
+			cfg.FlushInterval = 10 * sim.Second // only FlushAll destages
+			cfg.FabricBatch = batched
+		})
+		c.Pool.CreateDMSD("vol", 64)
+		v1, v2 := pattern(512, 1), pattern(512, 2)
+		run(k, func(p *sim.Proc) {
+			if err := c.Write(p, c.Blade(0), "vol", 7, v1, 0); err != nil {
+				t.Errorf("batched=%v: write v1: %v", batched, err)
+				return
+			}
+			if err := c.Write(p, c.Blade(2), "vol", 7, v2, 0); err != nil {
+				t.Errorf("batched=%v: write v2: %v", batched, err)
+				return
+			}
+			c.FlushAll(p)
+			// Replica drops are fire-and-forget: let them land.
+			p.Sleep(sim.Millisecond)
+			for _, b := range c.Blades {
+				if n := b.Repl.HeldBlocks(); n != 0 {
+					t.Errorf("batched=%v: blade %d still holds %d replicas of fully destaged data", batched, b.ID, n)
+				}
+			}
+			if err := c.FailBlade(p, 0); err != nil {
+				t.Errorf("batched=%v: fail blade: %v", batched, err)
+				return
+			}
+			got, err := c.Read(p, c.Blade(1), "vol", 7, 1, 0)
+			if err != nil {
+				t.Errorf("batched=%v: read after failure: %v", batched, err)
+				return
+			}
+			if !bytes.Equal(got, v2) {
+				t.Errorf("batched=%v: acknowledged write lost: recovery replayed the old owner's stale replica", batched)
+			}
+		})
+		c.Stop()
+	}
 }
 
 func TestBladeFailureWithoutReplicationLosesDirtyData(t *testing.T) {
@@ -319,6 +367,59 @@ func TestNoLossUnderSingleFailureProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The same property on the coherence suites' twelve replayable seeds, with
+// the schedule that hides stale replicas: writes that move dirty ownership
+// between blades, full flushes in between, then the kill. Whatever the
+// order, recovery must never replay a replica older than what is on disk.
+func TestPropertyNoLossAcrossTransferFlushKill(t *testing.T) {
+	seeds := []int64{1, 2, 3, 5, 7, 11, 42, 99, 1234, 2024, 31337, 98765}
+	for _, seed := range seeds {
+		for _, batched := range []bool{false, true} {
+			c, k := newTestCluster(t, seed, func(cfg *Config) {
+				cfg.ReplicationN = 2
+				cfg.FlushInterval = 10 * sim.Second // only the schedule's FlushAll destages
+				cfg.FabricBatch = batched
+			})
+			c.Pool.CreateDMSD("vol", 64)
+			rng := rand.New(rand.NewSource(seed * 7919))
+			shadow := make(map[int64]byte)
+			run(k, func(p *sim.Proc) {
+				for i := 0; i < 48; i++ {
+					if rng.Intn(6) == 0 {
+						c.FlushAll(p)
+						continue
+					}
+					// Eight blocks under four blades: most writes take
+					// ownership away from another blade's dirty copy.
+					lba, val := int64(rng.Intn(8)), byte(i+1)
+					if err := c.Write(p, c.Blade(rng.Intn(4)), "vol", lba, bytes.Repeat([]byte{val}, 512), 0); err != nil {
+						t.Errorf("seed %d batched=%v: write %d: %v", seed, batched, i, err)
+						return
+					}
+					shadow[lba] = val
+				}
+				dead := rng.Intn(4)
+				if err := c.FailBlade(p, dead); err != nil {
+					t.Errorf("seed %d batched=%v: fail blade %d: %v", seed, batched, dead, err)
+					return
+				}
+				for lba := int64(0); lba < 8; lba++ {
+					val, written := shadow[lba]
+					if !written {
+						continue
+					}
+					got, err := c.Read(p, c.PickBlade(), "vol", lba, 1, 0)
+					if err != nil || got[0] != val {
+						t.Errorf("seed %d batched=%v: block %d after killing blade %d = %d (%v), want last acked %d",
+							seed, batched, lba, dead, got[0], err, val)
+					}
+				}
+			})
+			c.Stop()
+		}
 	}
 }
 

@@ -68,8 +68,25 @@ type Gateway struct {
 	meta *Meta
 	cfg  Config
 
+	// reading tracks the object versions GETs are reading right now, so that
+	// a replaced version's part files outlive its last reader (see free).
+	reading map[verKey]*verReaders
+
 	puts, gets, lists, deletes, multiparts int64
 	bytesIn, bytesOut                      int64
+}
+
+// verKey names one stored version: sequence numbers are unique per bucket.
+type verKey struct {
+	bucket string
+	seq    uint64
+}
+
+// verReaders is one version's in-flight GET count, plus the part files an
+// index op unlinked while they were reading.
+type verReaders struct {
+	n      int
+	doomed []Part
 }
 
 // New builds a gateway over fs and auth.
@@ -90,6 +107,8 @@ func New(k *sim.Kernel, cfg Config) (*Gateway, error) {
 		iam:  newIAM(cfg.Auth, cfg.IAMLatency),
 		meta: newMeta(k, cfg.MetaShards, cfg.MetaOpTime),
 		cfg:  cfg,
+
+		reading: make(map[verKey]*verReaders),
 	}, nil
 }
 
@@ -248,7 +267,7 @@ func (g *Gateway) PutObject(p *sim.Proc, token, bucket, key string, data []byte)
 	if err := g.writeParts(p, owner, prio, ver.Layout, data); err != nil {
 		return Version{}, err
 	}
-	var oldParts []Part
+	var replaced []Version
 	err = g.meta.do(p, bucket, 1, func(s *metaShard) error {
 		b, err := s.bucket(bucket)
 		if err != nil {
@@ -265,28 +284,18 @@ func (g *Gateway) PutObject(p *sim.Proc, token, bucket, key string, data []byte)
 		} else {
 			b.objN++
 		}
-		if b.versioning {
-			o.versions = append(o.versions, ver)
-		} else {
-			for _, v := range o.versions {
-				if !v.Layout.Segment {
-					oldParts = append(oldParts, v.Layout.Parts...)
-				}
-			}
+		if !b.versioning {
+			replaced = append(replaced, o.versions...)
 			o.versions = o.versions[:0]
-			o.versions = append(o.versions, ver)
 		}
+		o.versions = append(o.versions, ver)
 		b.bytes += size
 		return nil
 	})
 	if err != nil {
 		return Version{}, err
 	}
-	// Replaced part files go back to the allocator; segment slices stay
-	// until segment compaction (future work) reclaims them.
-	for _, part := range oldParts {
-		_ = g.fs.Remove(part.Path)
-	}
+	g.free(bucket, replaced)
 	g.puts++
 	g.bytesIn += size
 	return ver, nil
@@ -354,39 +363,94 @@ func (g *Gateway) readVersion(p *sim.Proc, owner string, prio int, ver Version) 
 	return buf, nil
 }
 
+// free returns the part files of versions an index op just unlinked to the
+// allocator; segment slices stay until segment compaction (future work)
+// reclaims them. A version some GET resolved before the unlink and is still
+// reading keeps its files until that GET finishes: freed at once, their
+// extents would be handed to the next PUT and the GET would return a mix of
+// both objects.
+func (g *Gateway) free(bucket string, versions []Version) {
+	for _, v := range versions {
+		if v.Layout.Segment {
+			continue
+		}
+		if r := g.reading[verKey{bucket, v.Seq}]; r != nil {
+			r.doomed = v.Layout.Parts
+			continue
+		}
+		g.removeParts(v.Layout.Parts)
+	}
+}
+
+func (g *Gateway) removeParts(parts []Part) {
+	for _, part := range parts {
+		_ = g.fs.Remove(part.Path)
+	}
+}
+
+// startReading registers one GET of vk; it must run inside the index op
+// that resolved the version, so that no unlink can slip in between.
+func (g *Gateway) startReading(vk verKey) {
+	r := g.reading[vk]
+	if r == nil {
+		r = &verReaders{}
+		g.reading[vk] = r
+	}
+	r.n++
+}
+
+// doneReading ends one GET of vk, begun by lookup; the last reader out
+// reclaims a version unlinked meanwhile.
+func (g *Gateway) doneReading(vk verKey) {
+	r := g.reading[vk]
+	if r.n--; r.n > 0 {
+		return
+	}
+	delete(g.reading, vk)
+	g.removeParts(r.doomed)
+}
+
 // lookup runs one index op resolving bucket/key to a version: the latest
-// live one (seq == 0) or an exact version.
+// live one (seq == 0) or an exact version. It registers the caller as a
+// reader of that version; the caller owes a doneReading.
 func (g *Gateway) lookup(p *sim.Proc, bucket, key string, seq uint64) (ver Version, prio int, err error) {
 	err = g.meta.do(p, bucket, 1, func(s *metaShard) error {
-		b, err := s.bucket(bucket)
-		if err != nil {
+		var err error
+		if ver, prio, err = s.resolve(bucket, key, seq); err != nil {
 			return err
 		}
-		prio = b.priority
-		o := b.objects[key]
-		if o == nil {
-			return fmt.Errorf("%w: %s/%s", ErrNoObject, bucket, key)
-		}
-		if seq == 0 {
-			v := o.latest()
-			if v == nil || v.Deleted {
-				return fmt.Errorf("%w: %s/%s", ErrNoObject, bucket, key)
-			}
-			ver = *v
-			return nil
-		}
-		for i := range o.versions {
-			if o.versions[i].Seq == seq {
-				if o.versions[i].Deleted {
-					return fmt.Errorf("%w: %s/%s@%d (delete marker)", ErrNoObject, bucket, key, seq)
-				}
-				ver = o.versions[i]
-				return nil
-			}
-		}
-		return fmt.Errorf("%w: %s/%s@%d", ErrNoObject, bucket, key, seq)
+		g.startReading(verKey{bucket, ver.Seq})
+		return nil
 	})
 	return ver, prio, err
+}
+
+// resolve is lookup's index search.
+func (s *metaShard) resolve(bucket, key string, seq uint64) (Version, int, error) {
+	b, err := s.bucket(bucket)
+	if err != nil {
+		return Version{}, 0, err
+	}
+	o := b.objects[key]
+	if o == nil {
+		return Version{}, 0, fmt.Errorf("%w: %s/%s", ErrNoObject, bucket, key)
+	}
+	if seq == 0 {
+		v := o.latest()
+		if v == nil || v.Deleted {
+			return Version{}, 0, fmt.Errorf("%w: %s/%s", ErrNoObject, bucket, key)
+		}
+		return *v, b.priority, nil
+	}
+	for i := range o.versions {
+		if o.versions[i].Seq == seq {
+			if o.versions[i].Deleted {
+				return Version{}, 0, fmt.Errorf("%w: %s/%s@%d (delete marker)", ErrNoObject, bucket, key, seq)
+			}
+			return o.versions[i], b.priority, nil
+		}
+	}
+	return Version{}, 0, fmt.Errorf("%w: %s/%s@%d", ErrNoObject, bucket, key, seq)
 }
 
 // GetObject returns the latest live version of bucket/key.
@@ -411,6 +475,7 @@ func (g *Gateway) get(p *sim.Proc, token, bucket, key string, seq uint64) ([]byt
 	if err != nil {
 		return nil, Version{}, err
 	}
+	defer g.doneReading(verKey{bucket, ver.Seq})
 	data, err := g.readVersion(p, owner, prio, ver)
 	if err != nil {
 		return nil, Version{}, err
@@ -452,7 +517,7 @@ func (g *Gateway) DeleteObject(p *sim.Proc, token, bucket, key string) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
-	var oldParts []Part
+	var replaced []Version
 	err = g.meta.do(p, bucket, 1, func(s *metaShard) error {
 		b, err := s.bucket(bucket)
 		if err != nil {
@@ -474,11 +539,7 @@ func (g *Gateway) DeleteObject(p *sim.Proc, token, bucket, key string) error {
 			o.versions = append(o.versions, marker)
 			return nil
 		}
-		for _, v := range o.versions {
-			if !v.Layout.Segment {
-				oldParts = append(oldParts, v.Layout.Parts...)
-			}
-		}
+		replaced = o.versions
 		delete(b.objects, key)
 		b.removeKey(key)
 		return nil
@@ -486,9 +547,7 @@ func (g *Gateway) DeleteObject(p *sim.Proc, token, bucket, key string) error {
 	if err != nil {
 		return err
 	}
-	for _, part := range oldParts {
-		_ = g.fs.Remove(part.Path)
-	}
+	g.free(bucket, replaced)
 	g.deletes++
 	return nil
 }
@@ -599,7 +658,7 @@ func (g *Gateway) CompleteMultipart(p *sim.Proc, token, bucket, uploadID string)
 		return Version{}, err
 	}
 	var ver Version
-	var oldParts []Part
+	var replaced []Version
 	err = g.meta.do(p, bucket, 1, func(s *metaShard) error {
 		b, err := s.bucket(bucket)
 		if err != nil {
@@ -638,11 +697,7 @@ func (g *Gateway) CompleteMultipart(p *sim.Proc, token, bucket, uploadID string)
 			b.objN++
 		}
 		if !b.versioning {
-			for _, v := range o.versions {
-				if !v.Layout.Segment {
-					oldParts = append(oldParts, v.Layout.Parts...)
-				}
-			}
+			replaced = append(replaced, o.versions...)
 			o.versions = o.versions[:0]
 		}
 		o.versions = append(o.versions, ver)
@@ -653,9 +708,7 @@ func (g *Gateway) CompleteMultipart(p *sim.Proc, token, bucket, uploadID string)
 	if err != nil {
 		return Version{}, err
 	}
-	for _, part := range oldParts {
-		_ = g.fs.Remove(part.Path)
-	}
+	g.free(bucket, replaced)
 	g.multiparts++
 	g.bytesIn += ver.Size
 	return ver, nil

@@ -19,10 +19,11 @@ type testIO struct {
 	bs            int
 	vols          map[string]map[int64][]byte
 	reads, writes int64
+	readDelay     sim.Duration
 }
 
 func newTestIO(vols ...string) *testIO {
-	io := &testIO{bs: 4096, vols: make(map[string]map[int64][]byte)}
+	io := &testIO{bs: 4096, vols: make(map[string]map[int64][]byte), readDelay: 100 * sim.Microsecond}
 	for _, v := range vols {
 		io.vols[v] = make(map[int64][]byte)
 	}
@@ -37,7 +38,7 @@ func (f *testIO) ReadBlocks(p *sim.Proc, vol string, lba int64, count, prio int)
 		return nil, fmt.Errorf("testio: no volume %q", vol)
 	}
 	f.reads++
-	p.Sleep(100 * sim.Microsecond)
+	p.Sleep(f.readDelay)
 	buf := make([]byte, count*f.bs)
 	for i := 0; i < count; i++ {
 		if b, ok := store[lba+int64(i)]; ok {
@@ -596,6 +597,75 @@ func TestBucketNamespaceAndStatus(t *testing.T) {
 		}
 		if r := e.gw.Report(); !strings.Contains(r, "shard 3:") || !strings.Contains(r, "aaa") {
 			return fmt.Errorf("Report() missing content:\n%s", r)
+		}
+		return nil
+	})
+}
+
+// A GET that resolved a version keeps reading its part files while a PUT
+// replaces the object; a second PUT then allocates. Freed at the index
+// flip, the old version's extents went to that second PUT and the GET
+// returned its bytes (or a mix) under the old version's header. The part
+// files must outlive their last reader — and not a moment longer.
+func TestGetSurvivesReplacingPuts(t *testing.T) {
+	e := newEnv(t, Config{Layout: LayoutConfig{PartBytes: 64 << 10, SegmentBytes: 256 << 10, SmallMax: 16 << 10}})
+	tok := e.token(t, "alpha")
+	const size = 256 << 10
+	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, size) }
+	e.run(t, func(p *sim.Proc) error {
+		if err := e.gw.CreateBucket(p, tok, "data", BucketOptions{Priority: -1}); err != nil {
+			return err
+		}
+		v1, err := e.gw.PutObject(p, tok, "data", "obj", fill(1))
+		if err != nil {
+			return err
+		}
+		// Reads now outlast two whole PUTs (each ~1 ms of index ops and
+		// 100 µs writes), so the GET below is mid-read through both.
+		e.io.readDelay = 5 * sim.Millisecond
+		var got []byte
+		var gotVer Version
+		var getErr error
+		grp := sim.NewGroup(e.k)
+		grp.Add(1)
+		e.k.Go("get", func(q *sim.Proc) {
+			defer grp.Done()
+			got, gotVer, getErr = e.gw.GetObject(q, tok, "data", "obj")
+		})
+		// The GET was spawned first, so its lookup is ahead of these PUTs'
+		// index ops in the shard's FIFO: it resolves v1.
+		for b := byte(2); b <= 3; b++ {
+			if _, err := e.gw.PutObject(p, tok, "data", "obj", fill(b)); err != nil {
+				return err
+			}
+		}
+		if _, err := e.fs.Stat(v1.Layout.Parts[0].Path); err != nil {
+			return fmt.Errorf("v1's part files freed under a GET still reading them: %v", err)
+		}
+		grp.Wait(p)
+		if getErr != nil {
+			return getErr
+		}
+		if gotVer.Seq != v1.Seq {
+			return fmt.Errorf("GET resolved seq %d, want v1 (%d): the schedule no longer overlaps", gotVer.Seq, v1.Seq)
+		}
+		if !bytes.Equal(got, fill(1)) {
+			return fmt.Errorf("GET of v1 torn: first byte %d, last byte %d, want 1 throughout", got[0], got[size-1])
+		}
+		for _, part := range v1.Layout.Parts {
+			if _, err := e.fs.Stat(part.Path); err == nil {
+				return fmt.Errorf("v1 part %s never reclaimed after its last reader left", part.Path)
+			}
+		}
+		if n := len(e.gw.reading); n != 0 {
+			return fmt.Errorf("%d versions still tracked as being read", n)
+		}
+		latest, _, err := e.gw.GetObject(p, tok, "data", "obj")
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(latest, fill(3)) {
+			return fmt.Errorf("latest version corrupted")
 		}
 		return nil
 	})

@@ -14,6 +14,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 			k.After(Microsecond, schedule)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	k.After(Microsecond, schedule)
 	k.Run()
@@ -28,6 +29,7 @@ func BenchmarkProcSwitch(b *testing.B) {
 			p.Sleep(Microsecond)
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run()
 }
@@ -47,6 +49,7 @@ func BenchmarkMailboxSendRecv(b *testing.B) {
 			p.Yield()
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run()
 }

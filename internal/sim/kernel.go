@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -59,32 +58,86 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Add returns t shifted by d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
+// event is one scheduled occurrence, ordered by the total key (at, seq).
+// It is either a callback (fn non-nil, from At/After) or a wake-up of proc
+// valid only for the blocking period gen names: Sleep, Mailbox, Future,
+// Semaphore, Group and the start of Go schedule the latter, so none of them
+// allocates an event or a closure.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at   Time
+	seq  uint64
+	fn   func()
+	proc *Proc
+	gen  uint64
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether key (at, seq) sorts ahead of key (at2, seq2). It
+// takes the fields rather than events so that a comparison copies nothing.
+func before(at Time, seq uint64, at2 Time, seq2 uint64) bool {
+	if at != at2 {
+		return at < at2
 	}
-	return h[i].seq < h[j].seq
+	return seq < seq2
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventHeap is a value-typed 4-ary min-heap on (at, seq). seq is unique, so
+// the key is a total order and pop order does not depend on the heap's shape
+// or arity: events at equal times fire in scheduling order.
+type eventHeap []event
+
+const heapArity = 4
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !before(e.at, e.seq, s[parent].at, s[parent].seq) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = e
 }
-func (h eventHeap) peek() *event { return h[0] }
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = event{} // drop the slot's fn/proc references
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		first := i*heapArity + 1
+		if first >= n {
+			break
+		}
+		min := first
+		end := first + heapArity
+		if end > n {
+			end = n
+		}
+		for c := first + 1; c < end; c++ {
+			if before(s[c].at, s[c].seq, s[min].at, s[min].seq) {
+				min = c
+			}
+		}
+		if !before(s[min].at, s[min].seq, last.at, last.seq) {
+			break
+		}
+		s[i] = s[min]
+		i = min
+	}
+	s[i] = last
+	return top
+}
 
 // Kernel is a discrete-event scheduler with a virtual clock.
 //
@@ -126,15 +179,24 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // At schedules fn to run at absolute time t. Times in the past run "now"
 // (the kernel clock never moves backward).
-func (k *Kernel) At(t Time, fn func()) {
+func (k *Kernel) At(t Time, fn func()) { k.schedule(event{at: t, fn: fn}) }
+
+// wakeAt schedules a wake-up of p at t, valid only for p's current blocking
+// period: if p has already been woken by something else when the event
+// fires, it is a no-op. Primitives schedule this instead of waking directly
+// so equal-time events keep FIFO order.
+func (k *Kernel) wakeAt(t Time, p *Proc) { k.schedule(event{at: t, proc: p, gen: p.gen}) }
+
+func (k *Kernel) schedule(e event) {
 	if k.closed {
 		return
 	}
-	if t < k.now {
-		t = k.now
+	if e.at < k.now {
+		e.at = k.now
 	}
 	k.seq++
-	heap.Push(&k.events, &event{at: t, seq: k.seq, fn: fn})
+	e.seq = k.seq
+	k.events.push(e)
 }
 
 // After schedules fn to run d from now.
@@ -142,6 +204,10 @@ func (k *Kernel) After(d Duration, fn func()) { k.At(k.now.Add(d), fn) }
 
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return len(k.events) }
+
+// Events reports how many events have been scheduled since the kernel was
+// created — the simulator's own unit of work.
+func (k *Kernel) Events() uint64 { return k.seq }
 
 // Run executes events until the queue is empty.
 func (k *Kernel) Run() { k.run(0) }
@@ -155,14 +221,18 @@ func (k *Kernel) RunFor(d Duration) { k.run(k.now.Add(d)) }
 
 func (k *Kernel) run(until Time) {
 	for len(k.events) > 0 {
-		if until != 0 && k.events.peek().at > until {
+		if until != 0 && k.events[0].at > until {
 			break
 		}
-		e := heap.Pop(&k.events).(*event)
+		e := k.events.pop()
 		if e.at > k.now {
 			k.now = e.at
 		}
-		e.fn()
+		if e.fn != nil {
+			e.fn()
+		} else if p := e.proc; !p.done && p.blocked && p.gen == e.gen {
+			k.wake(p)
+		}
 	}
 	if until > k.now {
 		k.now = until

@@ -64,7 +64,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 		fn(p)
 	}()
 	p.blocked = true
-	k.At(k.now, func() { k.wake(p) })
+	k.wakeAt(k.now, p)
 	return p
 }
 
@@ -89,19 +89,6 @@ func (p *Proc) park() {
 	p.gen++
 	if p.killed {
 		panic(killedPanic{p.name})
-	}
-}
-
-// wakeEvent returns a callback that wakes p, valid only for p's current
-// blocking period: if p has already been woken by something else when the
-// callback fires, it is a no-op. Primitives schedule this (via Kernel.At)
-// instead of waking directly so equal-time events keep FIFO order.
-func (p *Proc) wakeEvent() func() {
-	g := p.gen
-	return func() {
-		if !p.done && p.blocked && p.gen == g {
-			p.k.wake(p)
-		}
 	}
 }
 
@@ -136,8 +123,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	k := p.k
-	k.At(k.now.Add(d), p.wakeEvent())
+	p.k.wakeAt(p.k.now.Add(d), p)
 	p.park()
 }
 

@@ -21,7 +21,7 @@ func (m *Mailbox[T]) Send(v T) {
 	if len(m.waiters) > 0 {
 		w := m.waiters[0]
 		m.waiters = m.waiters[1:]
-		m.k.At(m.k.now, w.wakeEvent())
+		m.k.wakeAt(m.k.now, w)
 	}
 }
 
@@ -77,7 +77,7 @@ func (f *Future[T]) Set(v T) {
 	f.set = true
 	f.v = v
 	for _, w := range f.waiters {
-		f.k.At(f.k.now, w.wakeEvent())
+		f.k.wakeAt(f.k.now, w)
 	}
 	f.waiters = nil
 	for _, cb := range f.callbacks {
@@ -162,7 +162,7 @@ func (s *Semaphore) Release(n int) {
 func (s *Semaphore) kick() {
 	if len(s.waiters) > 0 && s.avail >= s.waiters[0].n {
 		w := s.waiters[0].p
-		s.k.At(s.k.now, w.wakeEvent())
+		s.k.wakeAt(s.k.now, w)
 	}
 }
 
@@ -191,7 +191,7 @@ func (g *Group) Done() {
 	}
 	if g.n == 0 {
 		for _, w := range g.waiters {
-			g.k.At(g.k.now, w.wakeEvent())
+			g.k.wakeAt(g.k.now, w)
 		}
 		g.waiters = nil
 	}
