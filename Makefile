@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race verify bench bench-e2e bench-layers snapshot experiments fuzz-smoke qos-smoke batch-smoke governor-smoke analyze-smoke cache-smoke gateway-smoke bench-check
+.PHONY: all build vet test race verify bench bench-e2e bench-layers bench-pair snapshot experiments fuzz-smoke qos-smoke batch-smoke governor-smoke analyze-smoke cache-smoke gateway-smoke bench-check
 
 all: verify
 
@@ -105,3 +105,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReconstruct$$' -fuzztime $(FUZZTIME) ./internal/raid
 	$(GO) test -run '^$$' -fuzz '^FuzzHotcacheRouting$$' -fuzztime $(FUZZTIME) ./internal/hotcache
 	$(GO) test -run '^$$' -fuzz '^FuzzObjectLayout$$' -fuzztime $(FUZZTIME) ./internal/gateway
+
+# bench-pair runs N alternating base/change pairs of one BENCHMARK.json
+# workload (BASE is any git revision, the working tree is the change) and
+# prints each side's median and quartiles and the pairs won, per metric:
+#   make bench-pair BASE=HEAD~1 WORKLOAD=pfs-stream N=10
+N ?= 10
+bench-pair:
+	bash scripts/benchpair.sh $(BASE) $(WORKLOAD) $(N)

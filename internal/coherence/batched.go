@@ -160,8 +160,10 @@ func (e *Engine) handleGetSBatch(p *sim.Proc, from simnet.Addr, args any) (any, 
 			continue
 		}
 		e.heat.Touch(w.key)
-		trace(w.key, "t=%v home%d GETSB from %d state=%d owner=%d sharers=%v",
-			e.k.Now(), e.self, requester, w.ent.state, w.ent.owner, w.ent.sharers)
+		if tracing(w.key) {
+			traceFn("t=%v home%d GETSB from %d state=%d owner=%d sharers=%v",
+				e.k.Now(), e.self, requester, w.ent.state, w.ent.owner, w.ent.sharers)
+		}
 		switch w.ent.state {
 		case dirInvalid:
 			w.ent.state = dirShared
@@ -308,8 +310,10 @@ func (e *Engine) handleGetXBatch(p *sim.Proc, from simnet.Addr, args any) (any, 
 			continue
 		}
 		e.heat.Touch(w.key)
-		trace(w.key, "t=%v home%d GETXB from %d state=%d owner=%d sharers=%v",
-			e.k.Now(), e.self, requester, w.ent.state, w.ent.owner, w.ent.sharers)
+		if tracing(w.key) {
+			traceFn("t=%v home%d GETXB from %d state=%d owner=%d sharers=%v",
+				e.k.Now(), e.self, requester, w.ent.state, w.ent.owner, w.ent.sharers)
+		}
 		switch w.ent.state {
 		case dirShared:
 			for _, s := range sortedSharers(w.ent.sharers) {
@@ -359,7 +363,9 @@ func (e *Engine) handleInvBatch(p *sim.Proc, from simnet.Addr, args any) (any, i
 	req := args.(invBatchReq)
 	for _, key := range req.Keys {
 		e.stats.Invalidations++
-		trace(key, "t=%v blade%d INVB", e.k.Now(), e.self)
+		if tracing(key) {
+			traceFn("t=%v blade%d INVB", e.k.Now(), e.self)
+		}
 		e.invEpoch[key]++
 		if ent, ok := e.cache.Peek(key); ok {
 			e.cache.Remove(ent.Key)
@@ -374,7 +380,9 @@ func (e *Engine) handleInvBatch(p *sim.Proc, from simnet.Addr, args any) (any, i
 func (e *Engine) handleInvMBatch(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(invMBatchReq)
 	for _, key := range req.Keys {
-		trace(key, "t=%v blade%d INVMB", e.k.Now(), e.self)
+		if tracing(key) {
+			traceFn("t=%v blade%d INVMB", e.k.Now(), e.self)
+		}
 		e.surrender(p, key)
 	}
 	return invMBatchResp{}, ctrlSize
@@ -394,7 +402,9 @@ func (e *Engine) handleDowngradeBatch(p *sim.Proc, from simnet.Addr, args any) (
 	size := batchSize(len(req.Keys))
 	for i, key := range req.Keys {
 		e.stats.Downgrades++
-		trace(key, "t=%v blade%d DOWNGRADEB", e.k.Now(), e.self)
+		if tracing(key) {
+			traceFn("t=%v blade%d DOWNGRADEB", e.k.Now(), e.self)
+		}
 		ent, ok := e.cache.Peek(key)
 		if !ok {
 			e.invEpoch[key]++
@@ -431,7 +441,9 @@ func (e *Engine) handleFetchBatch(p *sim.Proc, from simnet.Addr, args any) (any,
 	for i, key := range req.Keys {
 		ent, ok := e.cache.Peek(key)
 		if !ok || ent.State == cache.Invalid {
-			trace(key, "t=%v blade%d FETCHB gone", e.k.Now(), e.self)
+			if tracing(key) {
+				traceFn("t=%v blade%d FETCHB gone", e.k.Now(), e.self)
+			}
 			items[i] = fetchResp{Gone: true}
 			continue
 		}
@@ -571,14 +583,13 @@ func (e *Engine) ReadBlocksBatched(p *sim.Proc, keys []cache.Key, priority int) 
 // Shared copy under the same epoch/presence guards as the per-key path.
 func (e *Engine) finishRead(p *sim.Proc, key cache.Key, epoch uint64, resp getSResp, priority int) ([]byte, error) {
 	var data []byte
-	var err error
 	if resp.Data != nil {
 		e.stats.PeerFetches++
 		data = resp.Data
 	} else {
 		e.stats.DiskReads++
-		data, err = e.backing.ReadBlock(p, key)
-		if err != nil {
+		data = make([]byte, e.blockSize)
+		if err := e.backing.ReadBlockInto(p, key, data); err != nil {
 			return nil, err
 		}
 	}
@@ -589,7 +600,9 @@ func (e *Engine) finishRead(p *sim.Proc, key cache.Key, epoch uint64, resp getSR
 		if err := e.makeRoom(p); err == nil {
 			if _, present := e.cache.Peek(key); !present && e.invEpoch[key] == epoch {
 				e.cache.Put(key, data, cache.Shared, false, priority)
-				trace(key, "t=%v blade%d readb MISS install S d0=%d (peer=%v)", p.Now(), e.self, d0(data), resp.Data != nil)
+				if tracing(key) {
+					traceFn("t=%v blade%d readb MISS install S d0=%d (peer=%v)", p.Now(), e.self, d0(data), resp.Data != nil)
+				}
 			}
 		}
 	}
@@ -715,7 +728,9 @@ func (e *Engine) finishWrite(p *sim.Proc, g pendingMiss, data []byte, priority, 
 		e.cache.SetDirty(ex, true)
 		ex.Version++
 		entry = ex
-		trace(key, "t=%v blade%d writeb in-place M d0=%d v=%d", p.Now(), e.self, d0(stored), ex.Version)
+		if tracing(key) {
+			traceFn("t=%v blade%d writeb in-place M d0=%d v=%d", p.Now(), e.self, d0(stored), ex.Version)
+		}
 	} else {
 		if err := e.makeRoom(p); err != nil {
 			return fmt.Errorf("coherence: write to %v: %w", key, err)
@@ -727,7 +742,9 @@ func (e *Engine) finishWrite(p *sim.Proc, g pendingMiss, data []byte, priority, 
 		}
 		entry = e.cache.Put(key, stored, cache.Modified, true, priority)
 		entry.Version++
-		trace(key, "t=%v blade%d writeb install M d0=%d", p.Now(), e.self, d0(stored))
+		if tracing(key) {
+			traceFn("t=%v blade%d writeb install M d0=%d", p.Now(), e.self, d0(stored))
+		}
 	}
 	if e.replicate != nil {
 		if err := e.replicate(p, key, stored, entry.Version, replFactor); err != nil {

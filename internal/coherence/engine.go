@@ -34,7 +34,10 @@ import (
 // Backing is the stable store beneath the coherent cache — in the full
 // system, virtual volumes striped over RAID groups.
 type Backing interface {
-	ReadBlock(p *sim.Proc, key cache.Key) ([]byte, error)
+	// ReadBlockInto fills dst — one block the engine allocated, about to
+	// become the cache entry — in place; what was never written reads as
+	// zeros.
+	ReadBlockInto(p *sim.Proc, key cache.Key, dst []byte) error
 	WriteBlock(p *sim.Proc, key cache.Key, data []byte) error
 }
 
@@ -619,7 +622,9 @@ func (e *Engine) readBlock(p *sim.Proc, key cache.Key, priority int, dst []byte)
 			// the local cache so breakdowns can count hit vs miss paths.
 			ctx.Child("hit", tr.CacheHit, e.label).End()
 		}
-		trace(key, "t=%v blade%d read HIT state=%v dirty=%v v=%d d0=%d", p.Now(), e.self, ent.State, ent.Dirty, ent.Version, d0(ent.Data))
+		if tracing(key) {
+			traceFn("t=%v blade%d read HIT state=%v dirty=%v v=%d d0=%d", p.Now(), e.self, ent.State, ent.Dirty, ent.Version, d0(ent.Data))
+		}
 		copy(dst, ent.Data)
 		return nil
 	}
@@ -657,8 +662,8 @@ func (e *Engine) readBlock(p *sim.Proc, key cache.Key, priority int, dst []byte)
 		data = resp.Data
 	} else {
 		e.stats.DiskReads++
-		data, err = e.backing.ReadBlock(p, key)
-		if err != nil {
+		data = make([]byte, e.blockSize)
+		if err := e.backing.ReadBlockInto(p, key, data); err != nil {
 			return err
 		}
 	}
@@ -681,7 +686,9 @@ func (e *Engine) readBlock(p *sim.Proc, key cache.Key, priority int, dst []byte)
 			// older backing data would lose an acknowledged write.
 			if _, present := e.cache.Peek(key); !present && e.invEpoch[key] == epoch {
 				e.cache.Put(key, data, cache.Shared, false, priority)
-				trace(key, "t=%v blade%d read MISS install S d0=%d (peer=%v)", p.Now(), e.self, d0(data), resp.Data != nil)
+				if tracing(key) {
+					traceFn("t=%v blade%d read MISS install S d0=%d (peer=%v)", p.Now(), e.self, d0(data), resp.Data != nil)
+				}
 			}
 		}
 	}
@@ -737,7 +744,11 @@ func (e *Engine) FetchBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, e
 		return resp.Data, nil
 	}
 	e.stats.DiskReads++
-	return e.backing.ReadBlock(p, key)
+	data := make([]byte, e.blockSize)
+	if err := e.backing.ReadBlockInto(p, key, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // WriteBlock stores a full block, acquiring exclusive ownership first.
@@ -809,7 +820,9 @@ func (e *Engine) WriteBlockR(p *sim.Proc, key cache.Key, data []byte, priority, 
 			e.cache.SetDirty(ex, true)
 			ex.Version++
 			entry = ex
-			trace(key, "t=%v blade%d write in-place M d0=%d v=%d", p.Now(), e.self, d0(stored), ex.Version)
+			if tracing(key) {
+				traceFn("t=%v blade%d write in-place M d0=%d v=%d", p.Now(), e.self, d0(stored), ex.Version)
+			}
 		} else {
 			if err := e.makeRoom(p); err != nil {
 				// No room and the backing store refuses writebacks:
@@ -825,7 +838,9 @@ func (e *Engine) WriteBlockR(p *sim.Proc, key cache.Key, data []byte, priority, 
 			}
 			entry = e.cache.Put(key, stored, cache.Modified, true, priority)
 			entry.Version++
-			trace(key, "t=%v blade%d write install M d0=%d", p.Now(), e.self, d0(stored))
+			if tracing(key) {
+				traceFn("t=%v blade%d write install M d0=%d", p.Now(), e.self, d0(stored))
+			}
 		}
 		if e.replicate != nil {
 			if err := e.replicate(p, key, stored, entry.Version, replFactor); err != nil {
@@ -876,7 +891,9 @@ func (e *Engine) makeRoom(p *sim.Proc) error {
 		// that arrives after this blade re-registers cannot deregister
 		// the fresh copy.
 		noteEpoch := e.invEpoch[v.Key]
-		trace(v.Key, "t=%v blade%d evict state=%v", e.k.Now(), e.self, v.State)
+		if tracing(v.Key) {
+			traceFn("t=%v blade%d evict state=%v", e.k.Now(), e.self, v.State)
+		}
 		e.cache.Evict(v)
 		// An eviction invalidates this blade's copy, so it must also age the
 		// local install epoch: a sibling proc between a directory grant and

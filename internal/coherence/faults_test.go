@@ -19,9 +19,10 @@ type failingBacking struct {
 	writes int64
 }
 
-func (f *failingBacking) ReadBlock(p *sim.Proc, key cache.Key) ([]byte, error) {
+func (f *failingBacking) ReadBlockInto(p *sim.Proc, key cache.Key, dst []byte) error {
 	p.Sleep(f.delay)
-	return make([]byte, blockSize), nil
+	clear(dst)
+	return nil
 }
 
 func (f *failingBacking) WriteBlock(p *sim.Proc, key cache.Key, data []byte) error {

@@ -50,7 +50,9 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	}
 	e.heat.Touch(req.Key)
 
-	trace(req.Key, "t=%v home%d GETS from %d state=%d owner=%d sharers=%v", e.k.Now(), e.self, requester, ent.state, ent.owner, ent.sharers)
+	if tracing(req.Key) {
+		traceFn("t=%v home%d GETS from %d state=%d owner=%d sharers=%v", e.k.Now(), e.self, requester, ent.state, ent.owner, ent.sharers)
+	}
 	switch ent.state {
 	case dirInvalid:
 		ent.state = dirShared
@@ -156,7 +158,9 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	}
 	e.heat.Touch(req.Key)
 
-	trace(req.Key, "t=%v home%d GETX from %d state=%d owner=%d sharers=%v", e.k.Now(), e.self, requester, ent.state, ent.owner, ent.sharers)
+	if tracing(req.Key) {
+		traceFn("t=%v home%d GETX from %d state=%d owner=%d sharers=%v", e.k.Now(), e.self, requester, ent.state, ent.owner, ent.sharers)
+	}
 	switch ent.state {
 	case dirShared:
 		// Invalidate every other sharer in parallel. A dropped Inv would
@@ -209,7 +213,9 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	e.busy(p, e.hdlDelay)
 	e.heat.Touch(req.Key)
 	if ent, ok := e.cache.Get(req.Key); ok && ent.State != cache.Invalid {
-		trace(req.Key, "t=%v home%d GETV local state=%v dirty=%v d0=%d", e.k.Now(), e.self, ent.State, ent.Dirty, d0(ent.Data))
+		if tracing(req.Key) {
+			traceFn("t=%v home%d GETV local state=%v dirty=%v d0=%d", e.k.Now(), e.self, ent.State, ent.Dirty, d0(ent.Data))
+		}
 		return getVResp{Data: append([]byte(nil), ent.Data...)}, ctrlSize + len(ent.Data)
 	}
 	ent := e.entry(req.Key)
@@ -219,7 +225,9 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 		e.stats.RedirectsServed++
 		return getVResp{Redirect: true, NewHome: to}, ctrlSize
 	}
-	trace(req.Key, "t=%v home%d GETV state=%d owner=%d sharers=%v", e.k.Now(), e.self, ent.state, ent.owner, ent.sharers)
+	if tracing(req.Key) {
+		traceFn("t=%v home%d GETV state=%d owner=%d sharers=%v", e.k.Now(), e.self, ent.state, ent.owner, ent.sharers)
+	}
 	switch ent.state {
 	case dirModified:
 		// A plain fetch, not a downgrade: the owner keeps its Modified
@@ -264,7 +272,9 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 func (e *Engine) handleInv(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(invReq)
 	e.stats.Invalidations++
-	trace(req.Key, "t=%v blade%d INV", e.k.Now(), e.self)
+	if tracing(req.Key) {
+		traceFn("t=%v blade%d INV", e.k.Now(), e.self)
+	}
 	e.invEpoch[req.Key]++
 	if ent, ok := e.cache.Peek(req.Key); ok {
 		e.cache.Remove(ent.Key)
@@ -283,7 +293,9 @@ func (e *Engine) handleInv(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 // break that invariant and serve pre-ack data to concurrent readers.
 func (e *Engine) handleInvM(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(invMReq)
-	trace(req.Key, "t=%v blade%d INVM", e.k.Now(), e.self)
+	if tracing(req.Key) {
+		traceFn("t=%v blade%d INVM", e.k.Now(), e.self)
+	}
 	return invMResp{Gone: e.surrender(p, req.Key)}, ctrlSize
 }
 
@@ -329,7 +341,9 @@ func (e *Engine) surrender(p *sim.Proc, key cache.Key) (gone bool) {
 func (e *Engine) handleDowngrade(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(downgradeReq)
 	e.stats.Downgrades++
-	trace(req.Key, "t=%v blade%d DOWNGRADE", e.k.Now(), e.self)
+	if tracing(req.Key) {
+		traceFn("t=%v blade%d DOWNGRADE", e.k.Now(), e.self)
+	}
 	ent, ok := e.cache.Peek(req.Key)
 	if !ok {
 		e.invEpoch[req.Key]++
@@ -355,7 +369,9 @@ func (e *Engine) handleFetch(p *sim.Proc, from simnet.Addr, args any) (any, int)
 	req := args.(fetchReq)
 	ent, ok := e.cache.Peek(req.Key)
 	if !ok || ent.State == cache.Invalid {
-		trace(req.Key, "t=%v blade%d FETCH gone", e.k.Now(), e.self)
+		if tracing(req.Key) {
+			traceFn("t=%v blade%d FETCH gone", e.k.Now(), e.self)
+		}
 		return fetchResp{Gone: true}, ctrlSize
 	}
 	e.busy(p, e.hdlDelay)

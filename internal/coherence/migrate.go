@@ -69,8 +69,10 @@ func (e *Engine) handleMigrate(p *sim.Proc, from simnet.Addr, args any) (any, in
 	if _, ok := e.forward[req.Key]; ok {
 		return migrateResp{Err: "already migrated"}, ctrlSize
 	}
-	trace(req.Key, "t=%v home%d MIGRATE -> %d state=%d owner=%d sharers=%v",
-		e.k.Now(), e.self, req.To, ent.state, ent.owner, ent.sharers)
+	if tracing(req.Key) {
+		traceFn("t=%v home%d MIGRATE -> %d state=%d owner=%d sharers=%v",
+			e.k.Now(), e.self, req.To, ent.state, ent.owner, ent.sharers)
+	}
 	heat := e.heat.Take(req.Key)
 	sharers := sortedSharers(ent.sharers)
 	epochs := make([]uint64, len(sharers))
@@ -123,8 +125,10 @@ func (e *Engine) handleAdopt(p *sim.Proc, from simnet.Addr, args any) (any, int)
 	}
 	e.heat.Seed(req.Key, req.Heat)
 	e.stats.HomeAdoptions++
-	trace(req.Key, "t=%v blade%d ADOPT state=%d owner=%d sharers=%v",
-		e.k.Now(), e.self, ent.state, ent.owner, ent.sharers)
+	if tracing(req.Key) {
+		traceFn("t=%v blade%d ADOPT state=%d owner=%d sharers=%v",
+			e.k.Now(), e.self, ent.state, ent.owner, ent.sharers)
+	}
 	return adoptResp{}, ctrlSize
 }
 

@@ -8,11 +8,10 @@ import "repro/internal/cache"
 var traceFn func(format string, args ...any)
 var traceKey cache.Key
 
-func trace(key cache.Key, format string, args ...any) {
-	if traceFn != nil && key == traceKey {
-		traceFn(format, args...)
-	}
-}
+// tracing reports whether events on key go to traceFn. Call sites test it
+// before they call traceFn, so an untraced run — every production run —
+// never boxes a trace line's arguments.
+func tracing(key cache.Key) bool { return traceFn != nil && key == traceKey }
 
 // SetTrace installs (or, with a nil fn, removes) a protocol trace sink for
 // one key, for tests outside this package debugging an interleaving. Not

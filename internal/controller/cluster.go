@@ -164,12 +164,12 @@ func (b poolBacking) volume(name string) (*virt.Volume, error) {
 	return nil, fmt.Errorf("controller: no volume %q", name)
 }
 
-func (b poolBacking) ReadBlock(p *sim.Proc, key cache.Key) ([]byte, error) {
+func (b poolBacking) ReadBlockInto(p *sim.Proc, key cache.Key, dst []byte) error {
 	v, err := b.volume(key.Vol)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return v.Read(p, key.LBA, 1)
+	return v.ReadInto(p, key.LBA, dst)
 }
 
 func (b poolBacking) WriteBlock(p *sim.Proc, key cache.Key, data []byte) error {

@@ -212,31 +212,51 @@ func (d *Disk) release(lane int) {
 // Read returns count blocks starting at lba. Unwritten blocks read as
 // zeros. The calling process blocks for queueing plus service time.
 func (d *Disk) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
+	if count < 0 {
+		return nil, d.check(lba, count)
+	}
+	buf := make([]byte, count*d.spec.BlockSize)
+	if err := d.ReadInto(p, lba, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// ReadInto is Read filling dst, a whole number of blocks, straight out of
+// the sparse store: the one copy a block makes on its way up. dst may hold
+// anything; blocks the store does not have are zeroed.
+func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
+	if len(dst)%d.spec.BlockSize != 0 {
+		return fmt.Errorf("disk %s: read of %d bytes is not block-aligned", d.id, len(dst))
+	}
+	count := len(dst) / d.spec.BlockSize
 	qs := trace.FromProc(p).Child("disk-queue", trace.Queue, d.id)
 	lane := d.acquire(p, count)
 	qs.End()
 	defer d.release(lane)
 	if err := d.check(lba, count); err != nil {
-		return nil, err
+		return err
 	}
 	st := d.serviceTime(lba, count)
 	sp := trace.FromProc(p).Child("disk-read", trace.Disk, d.id)
 	p.Sleep(st)
 	sp.End()
 	if d.failed { // failed while waiting
-		return nil, ErrFailed
+		return ErrFailed
 	}
 	d.lastEnd = lba + int64(count)
 	d.stats.Reads++
 	d.stats.BytesRead += int64(count) * int64(d.spec.BlockSize)
 	d.stats.Busy += st
-	buf := make([]byte, count*d.spec.BlockSize)
 	for i := 0; i < count; i++ {
-		if blk, ok := d.store[lba+int64(i)]; ok {
-			copy(buf[i*d.spec.BlockSize:], blk)
+		blk := dst[i*d.spec.BlockSize : (i+1)*d.spec.BlockSize]
+		if stored, ok := d.store[lba+int64(i)]; ok {
+			copy(blk, stored)
+		} else {
+			clear(blk)
 		}
 	}
-	return buf, nil
+	return nil
 }
 
 // Write stores data (a whole number of blocks) starting at lba.

@@ -43,6 +43,34 @@ func TestReadUnwrittenIsZero(t *testing.T) {
 	}
 }
 
+// ReadInto owes nothing to what dst held: stored blocks overwrite it, blocks
+// the sparse store never held (or dropped as all-zero) come back zeroed.
+func TestReadIntoOverwritesStaleDestination(t *testing.T) {
+	k := sim.NewKernel(1)
+	d := New(k, "d0", testSpec())
+	want := make([]byte, 4*4096)
+	copy(want[4096:], bytes.Repeat([]byte{7}, 4096)) // blocks 20, 22, 23 stay holes
+	k.Go("t", func(p *sim.Proc) {
+		if err := d.Write(p, 21, want[4096:2*4096]); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		dst := bytes.Repeat([]byte{0xFF}, 4*4096)
+		if err := d.ReadInto(p, 20, dst); err != nil {
+			t.Errorf("ReadInto: %v", err)
+		}
+		if !bytes.Equal(dst, want) {
+			t.Error("ReadInto left stale bytes in a hole or missed the stored block")
+		}
+		if got, err := d.Read(p, 20, 4); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("Read disagrees with ReadInto (err %v)", err)
+		}
+		if err := d.ReadInto(p, 20, dst[:100]); err == nil {
+			t.Error("ReadInto accepted a destination that is not whole blocks")
+		}
+	})
+	k.Run()
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := New(k, "d0", testSpec())

@@ -180,14 +180,13 @@ func newRAMDevice(bs int, blocks int64) *ramDevice {
 func (d *ramDevice) BlockSize() int  { return d.bs }
 func (d *ramDevice) Capacity() int64 { return d.blocks }
 
-func (d *ramDevice) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
-	buf := make([]byte, count*d.bs)
-	for i := 0; i < count; i++ {
-		if b, ok := d.data[lba+int64(i)]; ok {
-			copy(buf[i*d.bs:], b)
-		}
+func (d *ramDevice) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
+	for i := 0; i < len(dst)/d.bs; i++ {
+		blk := dst[i*d.bs : (i+1)*d.bs]
+		clear(blk)
+		copy(blk, d.data[lba+int64(i)])
 	}
-	return buf, nil
+	return nil
 }
 
 func (d *ramDevice) Write(p *sim.Proc, lba int64, data []byte) error {

@@ -26,13 +26,12 @@ func newMemBacking(delay sim.Duration) *memBacking {
 	return &memBacking{delay: delay, data: make(map[cache.Key][]byte)}
 }
 
-func (m *memBacking) ReadBlock(p *sim.Proc, key cache.Key) ([]byte, error) {
+func (m *memBacking) ReadBlockInto(p *sim.Proc, key cache.Key, dst []byte) error {
 	p.Sleep(m.delay)
 	m.reads++
-	if d, ok := m.data[key]; ok {
-		return append([]byte(nil), d...), nil
-	}
-	return make([]byte, blockSize), nil
+	clear(dst)
+	copy(dst, m.data[key])
+	return nil
 }
 
 func (m *memBacking) WriteBlock(p *sim.Proc, key cache.Key, data []byte) error {

@@ -169,12 +169,19 @@ func (g *Group) locate(l int64) (diskIdx int, lba int64) {
 
 // available reports whether disk i can serve stripe s: it must be healthy
 // and, if mid-rebuild, already reconstructed past s.
-func (g *Group) available(i int, s int64) bool {
+func (g *Group) available(i int, s int64) bool { return g.availableRange(i, s, 1) }
+
+// availableRange reports whether disk i can serve all of stripes [s, s+n).
+func (g *Group) availableRange(i int, s, n int64) bool {
 	if g.disks[i].Failed() {
 		return false
 	}
-	if st, ok := g.rebuilding[i]; ok && !st.done[s/st.chunk] {
-		return false
+	if st, ok := g.rebuilding[i]; ok {
+		for c := s / st.chunk; c <= (s+n-1)/st.chunk; c++ {
+			if !st.done[c] {
+				return false
+			}
+		}
 	}
 	return true
 }
@@ -191,7 +198,7 @@ func parallel(p *sim.Proc, fns ...func(q *sim.Proc) error) error {
 	for _, fn := range fns {
 		fn := fn
 		grp.Add(1)
-		k.Go(p.Name()+"/par", func(q *sim.Proc) {
+		k.Go("par", func(q *sim.Proc) {
 			defer grp.Done()
 			if err := fn(q); err != nil && firstErr == nil {
 				firstErr = err

@@ -9,19 +9,45 @@ import (
 // Read returns count logical blocks starting at lba, reconstructing any
 // blocks that live on failed or not-yet-rebuilt disks (degraded read).
 func (g *Group) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
-	if lba < 0 || count < 0 || lba+int64(count) > g.Capacity() {
+	if count < 0 {
 		return nil, fmt.Errorf("raid: read out of range lba=%d count=%d cap=%d", lba, count, g.Capacity())
 	}
 	buf := make([]byte, count*g.blockSize)
+	if err := g.ReadInto(p, lba, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// ReadInto is Read filling dst, a whole number of blocks that may hold
+// anything. A block on an available disk is read straight into its place
+// in dst; only a run of several stripe rows on one disk (one sequential
+// disk I/O whose blocks lie apart in dst) and a reconstructed stripe pass
+// through a buffer of their own.
+func (g *Group) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
+	bs := g.blockSize
+	if len(dst)%bs != 0 {
+		return fmt.Errorf("raid: read of %d bytes not block-aligned", len(dst))
+	}
+	count := len(dst) / bs
+	if lba < 0 || lba+int64(count) > g.Capacity() {
+		return fmt.Errorf("raid: read out of range lba=%d count=%d cap=%d", lba, count, g.Capacity())
+	}
 	if count == 0 {
-		return buf, nil
+		return nil
 	}
 	if g.level == RAID1 {
-		return buf, g.readMirrored(p, lba, count, buf)
+		return g.readMirrored(p, lba, dst)
+	}
+	if count == 1 {
+		// The coherence miss path: one block, one disk, nothing to gather.
+		if diskIdx, dlba := g.locate(lba); g.available(diskIdx, dlba) {
+			return g.disks[diskIdx].ReadInto(p, dlba, dst)
+		}
 	}
 
 	var items []extent
-	degradedStripes := make(map[int64][]int64) // stripe → logical blocks needing reconstruction
+	var degradedStripes map[int64][]int64 // stripe → logical blocks needing reconstruction
 	for i := 0; i < count; i++ {
 		l := lba + int64(i)
 		diskIdx, dlba := g.locate(l)
@@ -29,7 +55,10 @@ func (g *Group) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
 			items = append(items, extent{diskIdx: diskIdx, lba: dlba, positions: []int64{int64(i)}})
 		} else {
 			if g.level == RAID0 {
-				return nil, ErrUnrecoverable
+				return ErrUnrecoverable
+			}
+			if degradedStripes == nil {
+				degradedStripes = make(map[int64][]int64)
 			}
 			s := dlba // for RAID5/6 the on-disk LBA is the stripe number
 			degradedStripes[s] = append(degradedStripes[s], l)
@@ -40,12 +69,17 @@ func (g *Group) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
 	for _, ext := range coalesce(items) {
 		ext := ext
 		fns = append(fns, func(q *sim.Proc) error {
-			data, err := g.disks[ext.diskIdx].Read(q, ext.lba, len(ext.positions))
+			d := g.disks[ext.diskIdx]
+			if len(ext.positions) == 1 {
+				pos := int(ext.positions[0])
+				return d.ReadInto(q, ext.lba, dst[pos*bs:(pos+1)*bs])
+			}
+			data, err := d.Read(q, ext.lba, len(ext.positions))
 			if err != nil {
 				return err
 			}
 			for j, pos := range ext.positions {
-				copy(buf[pos*int64(g.blockSize):], data[j*g.blockSize:(j+1)*g.blockSize])
+				copy(dst[pos*int64(bs):], data[j*bs:(j+1)*bs])
 			}
 			return nil
 		})
@@ -60,22 +94,24 @@ func (g *Group) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
 			dps := int64(g.dataPerStripe())
 			for _, l := range logicals {
 				idx := l % dps
-				copy(buf[(l-lba)*int64(g.blockSize):], stripe[idx])
+				copy(dst[(l-lba)*int64(bs):], stripe[idx])
 			}
 			return nil
 		})
 	}
-	return buf, parallel(p, fns...)
+	return parallel(p, fns...)
 }
 
-// readMirrored serves a RAID-1 read from the least-recently-used healthy
-// mirror, falling back if the chosen mirror fails mid-flight.
-func (g *Group) readMirrored(p *sim.Proc, lba int64, count int, buf []byte) error {
+// readMirrored serves a RAID-1 read from the least-recently-used mirror
+// that holds the whole range (a replacement mid-rebuild holds only its
+// reconstructed chunks), falling back if the chosen mirror fails mid-flight.
+func (g *Group) readMirrored(p *sim.Proc, lba int64, dst []byte) error {
+	count := int64(len(dst) / g.blockSize)
 	for attempt := 0; attempt < len(g.disks); attempt++ {
 		idx := -1
 		for off := 0; off < len(g.disks); off++ {
 			i := (int(lba) + attempt + off) % len(g.disks)
-			if g.available(i, lba) {
+			if g.availableRange(i, lba, count) {
 				idx = i
 				break
 			}
@@ -83,9 +119,7 @@ func (g *Group) readMirrored(p *sim.Proc, lba int64, count int, buf []byte) erro
 		if idx < 0 {
 			return ErrUnrecoverable
 		}
-		data, err := g.disks[idx].Read(p, lba, count)
-		if err == nil {
-			copy(buf, data)
+		if g.disks[idx].ReadInto(p, lba, dst) == nil {
 			return nil
 		}
 	}

@@ -21,7 +21,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 }
 
 // BenchmarkProcSwitch measures a process sleep/wake round trip (two
-// goroutine handoffs).
+// coroutine switches).
 func BenchmarkProcSwitch(b *testing.B) {
 	k := NewKernel(1)
 	k.Go("bench", func(p *Proc) {
@@ -52,4 +52,51 @@ func BenchmarkMailboxSendRecv(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run()
+}
+
+// spawnBench times b.N spawn-run-exit cycles of body in fan-outs of 64 — the
+// controller's per-op shape — from a parent that stays parked meanwhile.
+func spawnBench(b *testing.B, body func(p *Proc)) {
+	k := NewKernel(1)
+	defer k.Close()
+	k.Go("parent", func(p *Proc) {
+		for done := 0; done < b.N; done += 64 {
+			g := NewGroup(k)
+			for i := 0; i < 64; i++ {
+				g.Add(1)
+				k.Go("child", func(q *Proc) {
+					body(q)
+					g.Done()
+				})
+			}
+			g.Wait(p)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkSpawn measures starting and finishing a process with an empty
+// body: the Proc, its start event, and a switch to a runner and back.
+func BenchmarkSpawn(b *testing.B) { spawnBench(b, func(p *Proc) {}) }
+
+// BenchmarkSpawnDeepCall is BenchmarkSpawn with a body 40 frames deep, the
+// depth of a missed block's way down to the disk: on a fresh goroutine that
+// depth is grown by copying the stack several times over, on a reused runner
+// it is already there.
+func BenchmarkSpawnDeepCall(b *testing.B) {
+	spawnBench(b, func(p *Proc) { sink += deepCall(40) })
+}
+
+var sink int
+
+//go:noinline
+func deepCall(n int) int {
+	var pad [128]byte // a frame the size of a typical I/O method's
+	pad[n] = byte(n)
+	if n == 0 {
+		return int(pad[0])
+	}
+	return deepCall(n-1) + int(pad[n])
 }

@@ -149,26 +149,28 @@ type Kernel struct {
 	events eventHeap
 	seq    uint64
 	rng    *rand.Rand
-	parked chan parkSignal
-	procs  map[*Proc]struct{}
-	closed bool
+	// procs lists the live processes, each at its Proc.idx, for Close.
+	procs []*Proc
+	// idle is the LIFO free list of runners whose body has returned;
+	// runners counts all coroutines, idle or running a body. exits counts
+	// the process exits of the current shedding window and lowIdle is the
+	// shortest the list has been within it (see wake).
+	idle    []*runner
+	runners int
+	lowIdle int
+	exits   int
+	closed  bool
 	// stopAt, when nonzero, bounds Run: events after it stay queued.
 	stopAt Time
 	// cur is the process currently executing, nil while the kernel itself
 	// (or a plain callback) runs. Go uses it to inherit trace context into
-	// child processes. All access is ordered by the resume/parked handoff.
+	// child processes. All access is ordered by the coroutine switches.
 	cur *Proc
 }
 
-type parkSignal struct{}
-
 // NewKernel returns a kernel whose random source is seeded with seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		rng:    rand.New(rand.NewSource(seed)),
-		parked: make(chan parkSignal),
-		procs:  make(map[*Proc]struct{}),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -237,23 +239,36 @@ func (k *Kernel) run(until Time) {
 	if until > k.now {
 		k.now = until
 	}
+	if len(k.events) == 0 {
+		// Quiescent: nothing starts until the caller schedules more. Keep
+		// no more idle runners than there are parked processes.
+		k.shed(2*len(k.idle) - k.runners)
+	}
 }
 
 // Close terminates every blocked process (their stack frames unwind via an
-// internal panic recovered by the kernel) and drops all queued events. It is
-// safe to call Close more than once. After Close the kernel is inert.
+// internal panic recovered by the kernel), drops processes that have not
+// started yet without running them, ends the idle runners and drops all
+// queued events. It is safe to call Close more than once. After Close the
+// kernel is inert.
 func (k *Kernel) Close() {
 	if k.closed {
 		return
 	}
 	k.closed = true
 	k.events = nil
-	for p := range k.procs {
-		if p.blocked {
-			p.killed = true
-			p.resume <- parkSignal{}
-			<-k.parked
+	procs := k.procs
+	k.procs = nil // forget is a no-op from here on
+	for _, p := range procs {
+		switch {
+		case p.r == nil:
+			p.done = true
+		case p.blocked:
+			p.r.stop() // park panics killedPanic; the runner ends after the unwinding
 		}
 	}
-	k.procs = nil
+	for _, r := range k.idle {
+		r.stop()
+	}
+	k.idle = nil
 }

@@ -1,13 +1,47 @@
 package sim
 
+// fifo is a queue that reuses its backing array: pop advances a head index
+// where re-slicing (q = q[1:]) would walk the slice off the array's end and
+// make append reallocate every few pushes.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) && q.head >= len(q.buf)/2 {
+		// A queue that never drains would otherwise grow by its dead
+		// prefix; at half the array the move is amortised over the pops.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) front() T { return q.buf[q.head] }
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
+}
+
 // Mailbox is an unbounded FIFO queue connecting processes (and plain
 // callbacks) on the same kernel. Send never blocks; Recv blocks the calling
 // process until a value is available. Values are delivered in send order,
 // and blocked receivers are served in arrival order.
 type Mailbox[T any] struct {
 	k       *Kernel
-	q       []T
-	waiters []*Proc
+	q       fifo[T]
+	waiters fifo[*Proc]
 }
 
 // NewMailbox returns an empty mailbox bound to k.
@@ -17,41 +51,31 @@ func NewMailbox[T any](k *Kernel) *Mailbox[T] {
 
 // Send enqueues v and wakes one blocked receiver, if any.
 func (m *Mailbox[T]) Send(v T) {
-	m.q = append(m.q, v)
-	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		m.k.wakeAt(m.k.now, w)
+	m.q.push(v)
+	if m.waiters.len() > 0 {
+		m.k.wakeAt(m.k.now, m.waiters.pop())
 	}
 }
 
 // Recv blocks p until a value is available and returns it.
 func (m *Mailbox[T]) Recv(p *Proc) T {
-	for len(m.q) == 0 {
-		m.waiters = append(m.waiters, p)
+	for m.q.len() == 0 {
+		m.waiters.push(p)
 		p.park()
 	}
-	v := m.q[0]
-	var zero T
-	m.q[0] = zero
-	m.q = m.q[1:]
-	return v
+	return m.q.pop()
 }
 
 // TryRecv returns the next value without blocking; ok is false if empty.
 func (m *Mailbox[T]) TryRecv() (v T, ok bool) {
-	if len(m.q) == 0 {
+	if m.q.len() == 0 {
 		return v, false
 	}
-	v = m.q[0]
-	var zero T
-	m.q[0] = zero
-	m.q = m.q[1:]
-	return v, true
+	return m.q.pop(), true
 }
 
 // Len reports the number of queued values.
-func (m *Mailbox[T]) Len() int { return len(m.q) }
+func (m *Mailbox[T]) Len() int { return m.q.len() }
 
 // Future is a single-assignment value that processes can wait on.
 // The zero Future is not usable; construct with NewFuture.
@@ -122,7 +146,7 @@ func WaitAll[T any](p *Proc, fs ...*Future[T]) {
 type Semaphore struct {
 	k       *Kernel
 	avail   int
-	waiters []semWaiter
+	waiters fifo[semWaiter]
 }
 
 type semWaiter struct {
@@ -137,15 +161,15 @@ func NewSemaphore(k *Kernel, n int) *Semaphore {
 
 // Acquire blocks p until n permits are available, then takes them.
 func (s *Semaphore) Acquire(p *Proc, n int) {
-	if len(s.waiters) == 0 && s.avail >= n {
+	if s.waiters.len() == 0 && s.avail >= n {
 		s.avail -= n
 		return
 	}
-	s.waiters = append(s.waiters, semWaiter{p, n})
+	s.waiters.push(semWaiter{p, n})
 	for {
 		p.park()
-		if len(s.waiters) > 0 && s.waiters[0].p == p && s.avail >= n {
-			s.waiters = s.waiters[1:]
+		if s.waiters.len() > 0 && s.waiters.front().p == p && s.avail >= n {
+			s.waiters.pop()
 			s.avail -= n
 			s.kick()
 			return
@@ -160,9 +184,8 @@ func (s *Semaphore) Release(n int) {
 }
 
 func (s *Semaphore) kick() {
-	if len(s.waiters) > 0 && s.avail >= s.waiters[0].n {
-		w := s.waiters[0].p
-		s.k.wakeAt(s.k.now, w)
+	if s.waiters.len() > 0 && s.avail >= s.waiters.front().n {
+		s.k.wakeAt(s.k.now, s.waiters.front().p)
 	}
 }
 

@@ -64,8 +64,8 @@ func (v *Volume) MigrateExtent(p *sim.Proc, ext int64, toDev int) error {
 	if err != nil {
 		return err
 	}
-	data, err := v.pool.devices[old.dev].Read(p, old.start, int(v.pool.extentBlocks))
-	if err != nil {
+	data := make([]byte, v.pool.ExtentBytes())
+	if err := v.pool.devices[old.dev].ReadInto(p, old.start, data); err != nil {
 		v.pool.unref(ne)
 		return err
 	}

@@ -17,7 +17,9 @@ import (
 type BlockDevice interface {
 	BlockSize() int
 	Capacity() int64
-	Read(p *sim.Proc, lba int64, count int) ([]byte, error)
+	// ReadInto fills dst, a whole number of blocks that may hold anything,
+	// from lba on; what the device never stored reads as zeros.
+	ReadInto(p *sim.Proc, lba int64, dst []byte) error
 	Write(p *sim.Proc, lba int64, data []byte) error
 }
 

@@ -26,17 +26,17 @@ func newMemDev(blocks int64) *memDev {
 func (m *memDev) BlockSize() int  { return m.blockSize }
 func (m *memDev) Capacity() int64 { return m.blocks }
 
-func (m *memDev) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
+func (m *memDev) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
+	count := len(dst) / m.blockSize
 	if lba < 0 || lba+int64(count) > m.blocks {
-		return nil, fmt.Errorf("memdev: out of range")
+		return fmt.Errorf("memdev: out of range")
 	}
-	buf := make([]byte, count*m.blockSize)
 	for i := 0; i < count; i++ {
-		if b, ok := m.data[lba+int64(i)]; ok {
-			copy(buf[i*m.blockSize:], b)
-		}
+		blk := dst[i*m.blockSize : (i+1)*m.blockSize]
+		clear(blk)
+		copy(blk, m.data[lba+int64(i)])
 	}
-	return buf, nil
+	return nil
 }
 
 func (m *memDev) Write(p *sim.Proc, lba int64, data []byte) error {

@@ -100,7 +100,7 @@ func parDo(p *sim.Proc, fns ...func(q *sim.Proc) error) error {
 	for _, fn := range fns {
 		fn := fn
 		grp.Add(1)
-		k.Go(p.Name()+"/vpar", func(q *sim.Proc) {
+		k.Go("vpar", func(q *sim.Proc) {
 			defer grp.Done()
 			if err := fn(q); err != nil && firstErr == nil {
 				firstErr = err
@@ -114,35 +114,58 @@ func parDo(p *sim.Proc, fns ...func(q *sim.Proc) error) error {
 // Read returns count blocks from virtual address lba. Unmapped ranges read
 // as zeros without touching any device.
 func (v *Volume) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
-	if v.deleted {
-		return nil, fmt.Errorf("virt: volume %q deleted", v.name)
-	}
-	if !v.inRange(lba, count) {
+	if count < 0 {
 		return nil, fmt.Errorf("%w: lba=%d count=%d", ErrOutOfRange, lba, count)
 	}
+	buf := make([]byte, int64(count)*int64(v.pool.blockSize))
+	if err := v.ReadInto(p, lba, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// ReadInto is Read filling dst, a whole number of blocks that may hold
+// anything: each mapped extent's device reads straight into its part of
+// dst, and the parts no extent backs are zeroed here.
+func (v *Volume) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
+	if v.deleted {
+		return fmt.Errorf("virt: volume %q deleted", v.name)
+	}
 	bs := int64(v.pool.blockSize)
-	buf := make([]byte, int64(count)*bs)
+	if int64(len(dst))%bs != 0 {
+		return fmt.Errorf("virt: read of %d bytes not block-aligned", len(dst))
+	}
+	count := int(int64(len(dst)) / bs)
+	if !v.inRange(lba, count) {
+		return fmt.Errorf("%w: lba=%d count=%d", ErrOutOfRange, lba, count)
+	}
+	eb := v.pool.extentBlocks
+	if in := lba % eb; in+int64(count) <= eb {
+		// Within one extent — every single-block read: nothing to fan out.
+		e, ok := v.mapping[lba/eb]
+		if !ok {
+			clear(dst)
+			return nil
+		}
+		return v.pool.devices[e.dev].ReadInto(p, e.start+in, dst)
+	}
 	var fns []func(q *sim.Proc) error
 	for _, sp := range v.spans(lba, count) {
+		part := dst[sp.bufStart*bs : (sp.bufStart+sp.blocks)*bs]
 		e, ok := v.mapping[sp.ext]
 		if !ok {
-			continue // zeros
+			clear(part)
+			continue
 		}
 		sp, e := sp, e
 		fns = append(fns, func(q *sim.Proc) error {
-			dev := v.pool.devices[e.dev]
-			data, err := dev.Read(q, e.start+sp.inExt, int(sp.blocks))
-			if err != nil {
-				return err
-			}
-			copy(buf[sp.bufStart*bs:], data)
-			return nil
+			return v.pool.devices[e.dev].ReadInto(q, e.start+sp.inExt, part)
 		})
 	}
 	if len(fns) == 0 {
-		return buf, nil
+		return nil
 	}
-	return buf, parDo(p, fns...)
+	return parDo(p, fns...)
 }
 
 // Write stores block-aligned data at virtual address lba, allocating
@@ -225,9 +248,8 @@ func (v *Volume) writeExtent(p *sim.Proc, sp extSpan, chunk []byte) error {
 			return err
 		}
 		v.allocations++
-		oldDev := v.pool.devices[e.dev]
-		old, err := oldDev.Read(p, e.start, int(v.pool.extentBlocks))
-		if err != nil {
+		old := make([]byte, v.pool.ExtentBytes())
+		if err := v.pool.devices[e.dev].ReadInto(p, e.start, old); err != nil {
 			v.pool.unref(ne)
 			return err
 		}

@@ -1,0 +1,80 @@
+#!/usr/bin/env bash
+# Paired benchmark runs of a base revision against this checkout: the recipe
+# of the choosing-metrics method (alternate the sides, medians and quartiles,
+# wins per pair) that every performance PR needs.
+#
+#   scripts/benchpair.sh BASE WORKLOAD [N]     (make bench-pair BASE=… WORKLOAD=… N=…)
+#
+# BASE is any git revision; it is exported into a temporary directory and
+# built there by its own bench/run.sh, so both sides run the driver's exact
+# command on seeds 1..N, ~25 s a pair. The checkout's working tree is the
+# "change" side, uncommitted edits included. Needs only git, tar, awk, sort.
+set -euo pipefail
+base=${1:?usage: scripts/benchpair.sh BASE WORKLOAD [N]}
+workload=${2:?usage: scripts/benchpair.sh BASE WORKLOAD [N]}
+n=${3:-10}
+
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base"
+git -C "$root" archive "$base" | tar -x -C "$tmp/base"
+
+# one SIDE DIR SEED: run the workload once, print "SIDE SEED METRIC VALUE" lines.
+one() {
+	local out
+	out=$(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$3" --seconds 10 --trace 0 | tail -n 1)
+	case $out in
+	*'"failed":0,'*) ;;
+	*) echo "benchpair: $1 seed $3 did not finish clean: $out" >&2; exit 1 ;;
+	esac
+	grep -o '"[a-z_0-9]*":{"value":[^,]*' <<<"$out" |
+		sed -e 's/^"//' -e 's/":{"value":/ /' -e "s/^/$1 $3 /"
+}
+
+for seed in $(seq 1 "$n"); do
+	echo "pair $seed/$n" >&2
+	if ((seed % 2)); then
+		one base "$tmp/base" "$seed"
+		one change "$root" "$seed"
+	else
+		one change "$root" "$seed"
+		one base "$tmp/base" "$seed"
+	fi
+done >"$tmp/runs"
+
+# Which way is better, per metric, from the benchmark's own declaration.
+awk '/"name":/ { gsub(/[",]/, ""); name = $2 }
+     /"better":/ { gsub(/[",]/, ""); print name, $2 }' "$root/BENCHMARK.json" >"$tmp/better"
+
+sort -k3,3 -k1,1 -k4,4g "$tmp/runs" | awk -v workload="$workload" -v base="$base" '
+function quantile(v, n, q,    h, i) { h = (n - 1) * q + 1; i = int(h); return i >= n ? v[n] : v[i] + (h - i) * (v[i + 1] - v[i]) }
+function flush() {
+	if (cnt == 0) return
+	med[metric, curside] = quantile(vals, cnt, 0.5)
+	lo[metric, curside] = quantile(vals, cnt, 0.25); hi[metric, curside] = quantile(vals, cnt, 0.75)
+	cnt = 0
+}
+FNR == NR { better[$1] = $2; next }
+{
+	if ($3 != metric || $1 != curside) { flush(); metric = $3; curside = $1; if (!(metric in seen)) { seen[metric] = 1; order[++nm] = metric } }
+	vals[++cnt] = $4; val[$3, $1, $2] = $4
+	if (!($2 in seeds)) { seeds[$2] = 1; pairs++ }
+}
+END {
+	flush()
+	printf "%s, base %s: median [q1, q3] over %d pairs; wins = pairs the change is better in\n", workload, base, pairs
+	printf "%-22s %34s %34s %8s %6s\n", "metric", "base", "change", "delta", "wins"
+	for (i = 1; i <= nm; i++) {
+		m = order[i]; wins = 0; ties = 0
+		for (s in seeds) {
+			b = val[m, "base", s]; c = val[m, "change", s]
+			if (b == c) ties++
+			else if ((better[m] == "higher") == (c > b)) wins++
+		}
+		delta = med[m, "base"] != 0 ? sprintf("%+.1f%%", 100 * (med[m, "change"] / med[m, "base"] - 1)) : "n/a"
+		printf "%-22s %12.6g [%9.6g,%9.6g] %12.6g [%9.6g,%9.6g] %8s %3d/%d%s\n", m,
+			med[m, "base"], lo[m, "base"], hi[m, "base"], med[m, "change"], lo[m, "change"], hi[m, "change"],
+			delta, wins, pairs, ties ? sprintf(" (%d ties)", ties) : ""
+	}
+}' "$tmp/better" -
