@@ -107,9 +107,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzObjectLayout$$' -fuzztime $(FUZZTIME) ./internal/gateway
 
 # bench-pair runs N alternating base/change pairs of one BENCHMARK.json
-# workload (BASE is any git revision, the working tree is the change) and
-# prints each side's median and quartiles and the pairs won, per metric:
+# workload, or of each in turn with WORKLOAD=all (BASE is any git revision,
+# the working tree is the change), and prints each side's median and
+# quartiles and the pairs won, per metric. It fails, naming the metric,
+# when an end-to-end median is worse than the base's by more than its
+# BENCHMARK.json bound, or the change's quartiles lie further apart than
+# that bound of the base's median — the pipeline's acceptance rules:
 #   make bench-pair BASE=HEAD~1 WORKLOAD=pfs-stream N=10
+#   make bench-pair BASE=HEAD~1 WORKLOAD=all
 N ?= 10
 bench-pair:
 	bash scripts/benchpair.sh $(BASE) $(WORKLOAD) $(N)

@@ -459,19 +459,23 @@ type pendingMiss struct {
 	epoch uint64
 }
 
-// ReadBlocksBatched reads a vector of blocks, serving local hits inline
-// and resolving all misses through per-home coh.getsb calls; backing reads
-// and installs then fan out in parallel so disk concurrency matches the
-// per-key plane. Results are positional; keys must be distinct.
-func (e *Engine) ReadBlocksBatched(p *sim.Proc, keys []cache.Key, priority int) ([][]byte, error) {
+// resolveBatched is a run's phase 1 on the batched plane: one CPU charge for
+// the whole vector, local hits served inline, every miss resolved through
+// one coh.getsb per home blade. The answers are then settled concurrently
+// (installing a peer's copy may wait on a writeback), exactly as on the
+// per-key plane: the blocks the backing store must supply join op's gather.
+func (e *Engine) resolveBatched(p *sim.Proc, op *runRead, vol string, lba int64, priority int, dst []byte) error {
 	if e.down {
-		return nil, fmt.Errorf("coherence: blade %d down", e.self)
+		return fmt.Errorf("coherence: blade %d down", e.self)
 	}
-	e.stats.Reads += int64(len(keys))
+	bs := e.blockSize
+	count := len(dst) / bs
+	block := func(i int) []byte { return dst[i*bs : (i+1)*bs] }
+	e.stats.Reads += int64(count)
 	e.busy(p, e.opDelay) // one op charge for the whole vector
-	out := make([][]byte, len(keys))
-	var misses []pendingMiss
-	for i, key := range keys {
+	var pending []pendingMiss
+	for i := 0; i < count; i++ {
+		key := cache.Key{Vol: vol, LBA: lba + int64(i)}
 		if ent, ok := e.cache.Get(key); ok && ent.State != cache.Invalid {
 			e.stats.LocalHits++
 			if h, err := e.home(key); err == nil && h == e.self {
@@ -480,10 +484,10 @@ func (e *Engine) ReadBlocksBatched(p *sim.Proc, keys []cache.Key, priority int) 
 			if ctx := tr.FromProc(p); ctx.Valid() {
 				ctx.Child("hit", tr.CacheHit, e.label).End()
 			}
-			out[i] = append([]byte(nil), ent.Data...)
+			copy(block(i), ent.Data)
 			continue
 		}
-		misses = append(misses, pendingMiss{idx: i, key: key, epoch: e.invEpoch[key]})
+		pending = append(pending, pendingMiss{idx: i, key: key, epoch: e.invEpoch[key]})
 	}
 
 	type grant struct {
@@ -491,16 +495,15 @@ func (e *Engine) ReadBlocksBatched(p *sim.Proc, keys []cache.Key, priority int) 
 		resp getSResp
 	}
 	var grants []grant
-	pending := misses
 	for hops := 0; len(pending) > 0; hops++ {
 		if hops > len(e.peers)+8 {
-			return nil, fmt.Errorf("coherence: getsb: redirect loop")
+			return fmt.Errorf("coherence: getsb: redirect loop")
 		}
 		groups := make(map[int][]pendingMiss)
 		for _, m := range pending {
 			h, err := e.home(m.key)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			groups[h] = append(groups[h], m)
 		}
@@ -531,7 +534,7 @@ func (e *Engine) ReadBlocksBatched(p *sim.Proc, keys []cache.Key, priority int) 
 		var next []pendingMiss
 		for gi, h := range homes {
 			if errs[gi] != nil {
-				return nil, fmt.Errorf("coherence: getsb to blade %d: %w", h, errs[gi])
+				return fmt.Errorf("coherence: getsb to blade %d: %w", h, errs[gi])
 			}
 			for j, m := range groups[h] {
 				r := resps[gi].Items[j]
@@ -542,7 +545,7 @@ func (e *Engine) ReadBlocksBatched(p *sim.Proc, keys []cache.Key, priority int) 
 					continue
 				}
 				if r.Err != "" {
-					return nil, errors.New(r.Err)
+					return errors.New(r.Err)
 				}
 				grants = append(grants, grant{m: m, resp: r})
 			}
@@ -550,63 +553,18 @@ func (e *Engine) ReadBlocksBatched(p *sim.Proc, keys []cache.Key, priority int) 
 		pending = next
 	}
 
-	// Serve grants in parallel: peer data is used directly, the rest read
-	// the backing store, installs re-check epochs exactly like readBlock.
 	grp := sim.NewGroup(e.k)
-	var firstErr error
 	for _, g := range grants {
-		g := g
 		grp.Add(1)
 		e.k.Go("readb", func(q *sim.Proc) {
 			defer grp.Done()
-			data, err := e.finishRead(q, g.m.key, g.m.epoch, g.resp, priority)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
+			if e.settle(q, g.m.key, g.m.epoch, g.resp, priority, block(g.m.idx)) {
+				op.gather(g.m.idx, count, g.m.epoch)
 			}
-			out[g.m.idx] = data
 		})
 	}
 	grp.Wait(p)
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	for _, key := range keys {
-		e.maybeReadAhead(key, priority)
-	}
-	return out, nil
-}
-
-// finishRead completes one granted read: source the data, then install a
-// Shared copy under the same epoch/presence guards as the per-key path.
-func (e *Engine) finishRead(p *sim.Proc, key cache.Key, epoch uint64, resp getSResp, priority int) ([]byte, error) {
-	var data []byte
-	if resp.Data != nil {
-		e.stats.PeerFetches++
-		data = resp.Data
-	} else {
-		e.stats.DiskReads++
-		data = make([]byte, e.blockSize)
-		if err := e.backing.ReadBlockInto(p, key, data); err != nil {
-			return nil, err
-		}
-	}
-	if resp.NoCache {
-		return data, nil
-	}
-	if e.invEpoch[key] == epoch {
-		if err := e.makeRoom(p); err == nil {
-			if _, present := e.cache.Peek(key); !present && e.invEpoch[key] == epoch {
-				e.cache.Put(key, data, cache.Shared, false, priority)
-				if tracing(key) {
-					traceFn("t=%v blade%d readb MISS install S d0=%d (peer=%v)", p.Now(), e.self, d0(data), resp.Data != nil)
-				}
-			}
-		}
-	}
-	return append([]byte(nil), data...), nil
+	return nil
 }
 
 // WriteBlocksBatched stores a vector of full blocks, acquiring exclusive

@@ -18,9 +18,10 @@ func TestBatchedReadVector(t *testing.T) {
 		keys[i] = kb(int64(10 + i))
 		h.backing.data[keys[i]] = blk(byte(100 + i))
 	}
+	h.setBatched(true)
 	h.run(func(p *sim.Proc) {
 		e := h.engines[0]
-		out, err := e.ReadBlocksBatched(p, keys, 0)
+		out, err := readRun(p, e, keys[0].LBA, len(keys))
 		if err != nil {
 			t.Fatalf("cold read: %v", err)
 		}
@@ -29,7 +30,7 @@ func TestBatchedReadVector(t *testing.T) {
 				t.Fatalf("cold read key %d = %d, want %d", i, out[i][0], 100+i)
 			}
 		}
-		out, err = e.ReadBlocksBatched(p, keys, 0)
+		out, err = readRun(p, e, keys[0].LBA, len(keys))
 		if err != nil {
 			t.Fatalf("warm read: %v", err)
 		}
@@ -56,11 +57,12 @@ func TestBatchedDirtyForwarding(t *testing.T) {
 		keys[i] = kb(int64(20 + i))
 		vals[i] = blk(byte(50 + i))
 	}
+	h.setBatched(true)
 	h.run(func(p *sim.Proc) {
 		if err := h.engines[1].WriteBlocksBatched(p, keys, vals, 0, 0); err != nil {
 			t.Fatalf("write vector: %v", err)
 		}
-		out, err := h.engines[2].ReadBlocksBatched(p, keys, 0)
+		out, err := readRun(p, h.engines[2], keys[0].LBA, len(keys))
 		if err != nil {
 			t.Fatalf("read vector: %v", err)
 		}
@@ -94,9 +96,10 @@ func TestBatchedWriteInvalidatesSharers(t *testing.T) {
 		h.backing.data[keys[i]] = blk(1)
 		newVals[i] = blk(byte(200 + i))
 	}
+	h.setBatched(true)
 	h.run(func(p *sim.Proc) {
 		for _, r := range []int{0, 2} {
-			if _, err := h.engines[r].ReadBlocksBatched(p, keys, 0); err != nil {
+			if _, err := readRun(p, h.engines[r], keys[0].LBA, len(keys)); err != nil {
 				t.Fatalf("share read blade %d: %v", r, err)
 			}
 		}
@@ -104,7 +107,7 @@ func TestBatchedWriteInvalidatesSharers(t *testing.T) {
 			t.Fatalf("write vector: %v", err)
 		}
 		for _, r := range []int{0, 2, 3} {
-			out, err := h.engines[r].ReadBlocksBatched(p, keys, 0)
+			out, err := readRun(p, h.engines[r], keys[0].LBA, len(keys))
 			if err != nil {
 				t.Fatalf("post-write read blade %d: %v", r, err)
 			}
@@ -142,7 +145,8 @@ func TestBatchedUnbatchedConverge(t *testing.T) {
 	}
 }
 
-// vecOp is one step of the shared schedule.
+// vecOp is one step of the shared schedule: a write of a vector of distinct
+// keys, or a read of the run of len(keys) blocks that starts at keys[0].
 type vecOp struct {
 	blade int
 	write bool
@@ -150,14 +154,27 @@ type vecOp struct {
 	vals  [][]byte // writes only
 }
 
+// readRunLens are the run lengths the schedules' reads draw from: short
+// ones, the block workloads' 4 and the stream's 64.
+var readRunLens = []int{1, 2, 3, 4, 4, 5, 6, 64}
+
 func makeSchedule(seed int64, blades, keyspace, steps int) []vecOp {
 	rng := rand.New(rand.NewSource(seed * 13))
 	seq := make(map[int64]int)
 	ops := make([]vecOp, steps)
 	for s := range ops {
+		op := vecOp{blade: rng.Intn(blades), write: rng.Intn(10) < 4}
+		if !op.write {
+			n := readRunLens[rng.Intn(len(readRunLens))]
+			start := int64(rng.Intn(keyspace - n + 1))
+			for i := 0; i < n; i++ {
+				op.keys = append(op.keys, start+int64(i))
+			}
+			ops[s] = op
+			continue
+		}
 		n := 1 + rng.Intn(6)
 		picked := make(map[int64]bool, n)
-		op := vecOp{blade: rng.Intn(blades), write: rng.Intn(10) < 4}
 		for len(op.keys) < n {
 			k := int64(rng.Intn(keyspace))
 			if picked[k] {
@@ -165,10 +182,8 @@ func makeSchedule(seed int64, blades, keyspace, steps int) []vecOp {
 			}
 			picked[k] = true
 			op.keys = append(op.keys, k)
-			if op.write {
-				seq[k]++
-				op.vals = append(op.vals, wval(int(k), seq[k]))
-			}
+			seq[k]++
+			op.vals = append(op.vals, wval(int(k), seq[k]))
 		}
 		ops[s] = op
 	}
@@ -180,6 +195,7 @@ func makeSchedule(seed int64, blades, keyspace, steps int) []vecOp {
 func runSchedule(t *testing.T, seed int64, ops []vecOp, blades, keyspace, cacheBlocks int, batched bool) map[int64][]byte {
 	t.Helper()
 	h := newHarness(seed, blades, cacheBlocks)
+	h.setBatched(batched)
 	model := make(map[int64][]byte)
 	final := make(map[int64][]byte)
 	plane := "per-key"
@@ -210,19 +226,7 @@ func runSchedule(t *testing.T, seed int64, ops []vecOp, blades, keyspace, cacheB
 				}
 				continue
 			}
-			var out [][]byte
-			var err error
-			if batched {
-				out, err = e.ReadBlocksBatched(p, keys, 0)
-			} else {
-				out = make([][]byte, len(keys))
-				for i, key := range keys {
-					out[i], err = e.ReadBlock(p, key, 0)
-					if err != nil {
-						break
-					}
-				}
-			}
+			out, err := readRun(p, e, op.keys[0], len(op.keys))
 			if err != nil {
 				t.Fatalf("%s step %d read: %v", plane, s, err)
 			}
@@ -255,7 +259,7 @@ func runSchedule(t *testing.T, seed int64, ops []vecOp, blades, keyspace, cacheB
 func runConvergenceProperty(t *testing.T, seed int64) {
 	const (
 		blades      = 4
-		keyspace    = 40
+		keyspace    = 80 // room for the 64-block reads
 		steps       = 80
 		cacheBlocks = 8 // tiny: evictions and writebacks mid-schedule
 	)
@@ -294,13 +298,14 @@ func runBatchedConcurrent(t *testing.T, seed int64) {
 	const (
 		blades      = 4
 		cacheBlocks = 8
-		keys        = 24
+		keys        = 72 // room for the 64-block reads
 		writers     = 3
 		readers     = 3
 		writerOps   = 30
 		readerOps   = 30
 	)
 	h := newHarness(seed, blades, cacheBlocks)
+	h.setBatched(true)
 	expected := make(map[int][]byte)
 	seq := make(map[int]int)
 
@@ -349,19 +354,10 @@ func runBatchedConcurrent(t *testing.T, seed int64) {
 			h.k.Go(fmt.Sprintf("reader%d", r), func(p *sim.Proc) {
 				defer g.Done()
 				for i := 0; i < readerOps; i++ {
-					n := 1 + rrng.Intn(4)
-					picked := make(map[int]bool, n)
-					var ks []cache.Key
-					for len(ks) < n {
-						k := rrng.Intn(keys)
-						if picked[k] {
-							continue
-						}
-						picked[k] = true
-						ks = append(ks, kb(int64(k)))
-					}
+					n := readRunLens[rrng.Intn(len(readRunLens))]
+					start := int64(rrng.Intn(keys - n + 1))
 					e := h.engines[rrng.Intn(blades)]
-					if _, err := e.ReadBlocksBatched(p, ks, 0); err != nil {
+					if _, err := readRun(p, e, start, n); err != nil {
 						t.Errorf("reader%d op %d: %v", r, i, err)
 						return
 					}

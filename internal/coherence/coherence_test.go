@@ -12,11 +12,14 @@ import (
 	"repro/internal/simnet"
 )
 
-// memBacking is a shared stable store with a fixed access delay.
+// memBacking is a shared stable store with a fixed access delay per call,
+// whatever the length of the run read.
 type memBacking struct {
 	delay         sim.Duration
 	data          map[cache.Key][]byte
 	reads, writes int64
+	runs          [][2]int64         // every read served: first LBA, blocks
+	bad           map[cache.Key]bool // a read that touches one of these fails
 }
 
 func newMemBacking(delay sim.Duration) *memBacking {
@@ -26,8 +29,15 @@ func newMemBacking(delay sim.Duration) *memBacking {
 func (m *memBacking) ReadBlockInto(p *sim.Proc, key cache.Key, dst []byte) error {
 	p.Sleep(m.delay)
 	m.reads++
+	m.runs = append(m.runs, [2]int64{key.LBA, int64(len(dst) / blockSize)})
 	clear(dst)
-	copy(dst, m.data[key])
+	for i := 0; i*blockSize < len(dst); i++ {
+		k := cache.Key{Vol: key.Vol, LBA: key.LBA + int64(i)}
+		if m.bad[k] {
+			return fmt.Errorf("backing: unreadable block %v", k)
+		}
+		copy(dst[i*blockSize:(i+1)*blockSize], m.data[k])
+	}
 	return nil
 }
 
@@ -76,6 +86,27 @@ func newHarness(seed int64, blades, cacheBlocks int) *harness {
 func (h *harness) run(body func(p *sim.Proc)) {
 	h.k.Go("test", body)
 	h.k.Run()
+}
+
+// setBatched puts every engine's client paths on the batched plane or off it.
+func (h *harness) setBatched(on bool) {
+	for _, e := range h.engines {
+		e.SetBatched(on)
+	}
+}
+
+// readRun reads blocks [lba, lba+n) of the test volume through e as one op
+// and returns them one slice per block.
+func readRun(p *sim.Proc, e *Engine, lba int64, n int) ([][]byte, error) {
+	dst := make([]byte, n*blockSize)
+	if err := e.ReadRun(p, kb(lba).Vol, lba, 0, dst); err != nil {
+		return nil, err
+	}
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = dst[i*blockSize : (i+1)*blockSize]
+	}
+	return out, nil
 }
 
 func blk(v byte) []byte { return bytes.Repeat([]byte{v}, blockSize) }

@@ -34,9 +34,9 @@ import (
 // Backing is the stable store beneath the coherent cache — in the full
 // system, virtual volumes striped over RAID groups.
 type Backing interface {
-	// ReadBlockInto fills dst — one block the engine allocated, about to
-	// become the cache entry — in place; what was never written reads as
-	// zeros.
+	// ReadBlockInto fills dst, a whole number of blocks, with the run of
+	// consecutive blocks that starts at key; what was never written reads
+	// as zeros.
 	ReadBlockInto(p *sim.Proc, key cache.Key, dst []byte) error
 	WriteBlock(p *sim.Proc, key cache.Key, data []byte) error
 }
@@ -579,10 +579,17 @@ func (e *Engine) entry(key cache.Key) *dirEntry {
 	return ent
 }
 
+// Reads are run-granular. A read resolves in two phases. Phase 1 is per
+// block and is the MSI protocol: the CPU charge, the local hit, the
+// directory exchange, a peer's copy. A block whose directory answer carries
+// no data — the backing store is current — does not read the store itself:
+// it joins the op's gather. Phase 2 runs once every block has its answer:
+// one backing read per maximal run of gathered blocks, straight into the
+// op's buffer, then one install per block under that block's own guards. A
+// single block is the run of length one.
+
 // ReadBlock returns the content of key's block, serving from the local
-// cache when possible and running the coherence protocol otherwise. When
-// readahead is configured, a detected sequential run asynchronously pulls
-// the following blocks into the cache (§4: "storage prefetch operations").
+// cache when possible and running the coherence protocol otherwise.
 func (e *Engine) ReadBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, error) {
 	dst := make([]byte, e.blockSize)
 	if err := e.ReadBlockInto(p, key, priority, dst); err != nil {
@@ -591,21 +598,100 @@ func (e *Engine) ReadBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, er
 	return dst, nil
 }
 
-// ReadBlockInto is ReadBlock filling the caller's block-sized dst: the one
-// copy between the cache entry (or the fetched payload) and the op buffer.
+// ReadBlockInto is ReadBlock filling the caller's block-sized dst, on the
+// caller's own process.
 func (e *Engine) ReadBlockInto(p *sim.Proc, key cache.Key, priority int, dst []byte) error {
-	err := e.readBlock(p, key, priority, dst)
-	if err == nil {
-		e.maybeReadAhead(key, priority)
+	e.noteRun(key.Vol, key.LBA, key.LBA, priority)
+	epoch, fill, err := e.resolve(p, key, priority, dst)
+	if err == nil && fill {
+		err = e.fillRun(p, key, []gathered{{fill: true, epoch: epoch}}, priority, dst)
 	}
 	return err
 }
 
-// readBlock resolves key and copies its content into dst; a nil dst (the
-// readahead path) only warms the cache.
-func (e *Engine) readBlock(p *sim.Proc, key cache.Key, priority int, dst []byte) error {
+// ReadRun reads the run of consecutive blocks of vol that starts at lba
+// into dst, a whole number of blocks: a client op. Phase 1 gives every
+// block a process of its own (the batched plane: one vector exchange per
+// home blade); phase 2 reads what the backing store must supply in as few
+// I/Os as the gathered blocks allow.
+func (e *Engine) ReadRun(p *sim.Proc, vol string, lba int64, priority int, dst []byte) error {
+	if len(dst)%e.blockSize != 0 {
+		return fmt.Errorf("coherence: read of %d bytes, block size %d", len(dst), e.blockSize)
+	}
+	if len(dst) > 0 {
+		e.noteRun(vol, lba, lba+int64(len(dst)/e.blockSize)-1, priority)
+	}
+	return e.readRun(p, vol, lba, priority, dst)
+}
+
+// readRun is ReadRun without the sequential detector, which the prefetcher
+// must not feed with its own reads.
+func (e *Engine) readRun(p *sim.Proc, vol string, lba int64, priority int, dst []byte) error {
+	bs := e.blockSize
+	count := len(dst) / bs
+	op := &runRead{}
+	if e.batched {
+		op.err = e.resolveBatched(p, op, vol, lba, priority, dst)
+	} else {
+		grp := sim.NewGroup(e.k)
+		for i := 0; i < count; i++ {
+			grp.Add(1)
+			e.k.Go("read", func(q *sim.Proc) {
+				defer grp.Done()
+				epoch, fill, err := e.resolve(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, priority, dst[i*bs:(i+1)*bs])
+				switch {
+				case err != nil:
+					op.fail(err)
+				case fill:
+					op.gather(i, count, epoch)
+				}
+			})
+		}
+		grp.Wait(p)
+	}
+	if op.err != nil {
+		return op.err
+	}
+	return e.fillGathered(p, op.blocks, vol, lba, priority, dst)
+}
+
+// gathered is one block's slot in an op's gather: whether the backing store
+// must supply the block, and the install epoch its directory answer was
+// requested under.
+type gathered struct {
+	fill  bool
+	epoch uint64
+}
+
+// runRead is the state the blocks of one ReadRun share.
+type runRead struct {
+	err    error      // the first block to fail fails the op
+	blocks []gathered // nil until a block joins the gather
+}
+
+func (op *runRead) fail(err error) {
+	if op.err == nil {
+		op.err = err
+	}
+}
+
+// gather records that block i of the op's count must come from the backing
+// store. An op that never misses allocates nothing here.
+func (op *runRead) gather(i, count int, epoch uint64) {
+	if op.blocks == nil {
+		op.blocks = make([]gathered, count)
+	}
+	op.blocks[i] = gathered{fill: true, epoch: epoch}
+}
+
+// resolve is phase 1 for one block: it charges the CPU, then serves the
+// block into dst from the local cache or from the copy a peer holds
+// (installing that copy here). fill reports that neither had it: the
+// directory registered this blade as a sharer under epoch and the backing
+// store is current, so the block is the caller's to read and install.
+func (e *Engine) resolve(p *sim.Proc, key cache.Key, priority int, dst []byte) (epoch uint64, fill bool, err error) {
 	if e.down {
-		return fmt.Errorf("coherence: blade %d down", e.self)
+		return 0, false, fmt.Errorf("coherence: blade %d down", e.self)
 	}
 	e.stats.Reads++
 	e.busy(p, e.opDelay)
@@ -626,18 +712,18 @@ func (e *Engine) readBlock(p *sim.Proc, key cache.Key, priority int, dst []byte)
 			traceFn("t=%v blade%d read HIT state=%v dirty=%v v=%d d0=%d", p.Now(), e.self, ent.State, ent.Dirty, ent.Version, d0(ent.Data))
 		}
 		copy(dst, ent.Data)
-		return nil
+		return 0, false, nil
 	}
 	homeID, err := e.home(key)
 	if err != nil {
-		return err
+		return 0, false, err
 	}
-	epoch := e.invEpoch[key]
+	epoch = e.invEpoch[key]
 	var resp getSResp
 	for hops := 0; ; hops++ {
 		raw, err := e.call(p, homeID, "coh.gets", getSReq{Key: key, Epoch: epoch}, ctrlSize)
 		if err != nil {
-			return fmt.Errorf("coherence: gets to blade %d: %w", homeID, err)
+			return 0, false, fmt.Errorf("coherence: gets to blade %d: %w", homeID, err)
 		}
 		resp = raw.(getSResp)
 		if !resp.Redirect {
@@ -650,49 +736,103 @@ func (e *Engine) readBlock(p *sim.Proc, key cache.Key, priority int, dst []byte)
 		e.setHomeOverride(key, resp.NewHome)
 		homeID = resp.NewHome
 		if hops > len(e.peers)+8 {
-			return fmt.Errorf("coherence: gets for %v: redirect loop", key)
+			return 0, false, fmt.Errorf("coherence: gets for %v: redirect loop", key)
 		}
 	}
 	if resp.Err != "" {
-		return errors.New(resp.Err)
+		return 0, false, errors.New(resp.Err)
 	}
-	var data []byte
-	if resp.Data != nil {
-		e.stats.PeerFetches++
-		data = resp.Data
-	} else {
+	return epoch, e.settle(p, key, epoch, resp, priority, dst), nil
+}
+
+// settle applies one block's directory answer. An answer that carries a
+// peer's copy is served into dst and, unless a dirty owner forwarded it
+// (NoCache), installed; an answer without data means the backing store is
+// current, and settle reports true: the block joins the op's gather.
+func (e *Engine) settle(p *sim.Proc, key cache.Key, epoch uint64, resp getSResp, priority int, dst []byte) (fill bool) {
+	if resp.Data == nil {
 		e.stats.DiskReads++
-		data = make([]byte, e.blockSize)
-		if err := e.backing.ReadBlockInto(p, key, data); err != nil {
-			return err
-		}
+		return true
 	}
-	if resp.NoCache {
-		// Forwarded from a dirty owner: serve without installing.
-		copy(dst, data)
+	e.stats.PeerFetches++
+	if !resp.NoCache {
+		e.install(p, key, epoch, resp.Data, priority)
+	}
+	copy(dst, resp.Data)
+	return false
+}
+
+// install caches data, which the cache keeps, as key's Shared copy — unless
+// the copy it would be is no longer this blade's to hold. The entry must
+// have seen no invalidation since the directory answered (epoch), before
+// and after makeRoom, which may block on a writeback. It must also still be
+// absent: a writer proc on this same blade may have installed a Modified
+// copy while the data was being fetched (GetX does not invalidate the
+// requester's own blade, so the epoch alone cannot see it), and overwriting
+// that dirty block with older data would lose an acknowledged write. A
+// failed makeRoom (backing store refusing writebacks) degrades to serving
+// the read uncached rather than failing it.
+func (e *Engine) install(p *sim.Proc, key cache.Key, epoch uint64, data []byte, priority int) {
+	if e.invEpoch[key] != epoch || e.makeRoom(p) != nil {
+		return
+	}
+	if _, present := e.cache.Peek(key); present || e.invEpoch[key] != epoch {
+		return
+	}
+	e.cache.Put(key, data, cache.Shared, false, priority)
+	if tracing(key) {
+		traceFn("t=%v blade%d read MISS install S d0=%d", p.Now(), e.self, d0(data))
+	}
+}
+
+// fillGathered is phase 2: one fillRun per maximal run of gathered blocks,
+// concurrently when the blocks found elsewhere split the op into several.
+func (e *Engine) fillGathered(p *sim.Proc, blocks []gathered, vol string, lba int64, priority int, dst []byte) error {
+	bs := e.blockSize
+	// next returns the first maximal run blocks[a:b] at or after from;
+	// a == len(blocks) when there is none.
+	next := func(from int) (a, b int) {
+		for a = from; a < len(blocks) && !blocks[a].fill; a++ {
+		}
+		for b = a; b < len(blocks) && blocks[b].fill; b++ {
+		}
+		return a, b
+	}
+	a, b := next(0)
+	if a == len(blocks) {
 		return nil
 	}
-	if e.invEpoch[key] == epoch {
-		// A failed makeRoom (backing store refusing writebacks) degrades
-		// to serving the read uncached rather than failing it.
-		if err := e.makeRoom(p); err == nil {
-			// makeRoom may block on writeback; re-check that no
-			// invalidation arrived meanwhile before installing the
-			// Shared copy. The entry must also still be absent: a writer
-			// proc on this same blade may have installed a Modified copy
-			// while our backing read was in flight (GetX does not
-			// invalidate the requester's own blade, so the epoch alone
-			// cannot see it), and overwriting that dirty block with the
-			// older backing data would lose an acknowledged write.
-			if _, present := e.cache.Peek(key); !present && e.invEpoch[key] == epoch {
-				e.cache.Put(key, data, cache.Shared, false, priority)
-				if tracing(key) {
-					traceFn("t=%v blade%d read MISS install S d0=%d (peer=%v)", p.Now(), e.self, d0(data), resp.Data != nil)
-				}
-			}
-		}
+	if more, _ := next(b); more == len(blocks) { // one run: nothing to fan out
+		return e.fillRun(p, cache.Key{Vol: vol, LBA: lba + int64(a)}, blocks[a:b], priority, dst[a*bs:b*bs])
 	}
-	copy(dst, data)
+	grp := sim.NewGroup(e.k)
+	var firstErr error
+	for a, b := a, b; a < len(blocks); a, b = next(b) { // per-iteration copies for the closure
+		grp.Add(1)
+		e.k.Go("fill", func(q *sim.Proc) {
+			defer grp.Done()
+			err := e.fillRun(q, cache.Key{Vol: vol, LBA: lba + int64(a)}, blocks[a:b], priority, dst[a*bs:b*bs])
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+		})
+	}
+	grp.Wait(p)
+	return firstErr
+}
+
+// fillRun reads the run of gathered blocks that starts at key from the
+// backing store into dst in one call, then installs a copy of each block. A
+// failed read installs nothing.
+func (e *Engine) fillRun(p *sim.Proc, key cache.Key, run []gathered, priority int, dst []byte) error {
+	if err := e.backing.ReadBlockInto(p, key, dst); err != nil {
+		return err
+	}
+	bs := e.blockSize
+	for i, g := range run {
+		k := cache.Key{Vol: key.Vol, LBA: key.LBA + int64(i)}
+		e.install(p, k, g.epoch, append([]byte(nil), dst[i*bs:(i+1)*bs]...), priority)
+	}
 	return nil
 }
 
@@ -910,37 +1050,50 @@ func (e *Engine) makeRoom(p *sim.Proc) error {
 	return nil
 }
 
-// maybeReadAhead detects sequential read runs per volume and pulls the
-// next ReadAhead blocks into the cache in the background.
-func (e *Engine) maybeReadAhead(key cache.Key, priority int) {
+// noteRun feeds the per-volume sequential detector with the blocks [first,
+// last] of an op that is about to start and, once the stream has run
+// sequentially for three blocks, prefetches the ReadAhead blocks that follow
+// as one run of their own (§4: "storage prefetch operations") — issued
+// before the op's own misses, so the disks work on both at once. Blocks
+// already cached or on their way at the head of that window are skipped,
+// and the run stops at the next such block.
+func (e *Engine) noteRun(vol string, first, last int64, priority int) {
 	if e.readAhead <= 0 {
 		return
 	}
-	if key.LBA == e.lastSeq[key.Vol]+1 {
-		e.seqStreak[key.Vol]++
+	if first == e.lastSeq[vol]+1 {
+		e.seqStreak[vol] += int(last - first + 1)
 	} else {
-		e.seqStreak[key.Vol] = 0
+		e.seqStreak[vol] = int(last - first)
 	}
-	e.lastSeq[key.Vol] = key.LBA
-	if e.seqStreak[key.Vol] < 2 {
+	e.lastSeq[vol] = last
+	if e.seqStreak[vol] < 2 {
 		return
 	}
-	for i := int64(1); i <= int64(e.readAhead); i++ {
-		next := cache.Key{Vol: key.Vol, LBA: key.LBA + i}
-		if _, ok := e.cache.Peek(next); ok {
-			continue
-		}
-		if e.prefetching[next] {
-			continue
-		}
-		e.prefetching[next] = true
-		e.k.Go("readahead", func(q *sim.Proc) {
-			defer delete(e.prefetching, next)
-			if e.down {
-				return
-			}
-			e.stats.Prefetches++
-			e.readBlock(q, next, priority, nil)
-		})
+	wanted := func(lba int64) bool {
+		k := cache.Key{Vol: vol, LBA: lba}
+		_, cached := e.cache.Peek(k)
+		return !cached && !e.prefetching[k]
 	}
+	from, end := last+1, last+1+int64(e.readAhead)
+	for from < end && !wanted(from) {
+		from++
+	}
+	to := from
+	for to < end && wanted(to) {
+		e.prefetching[cache.Key{Vol: vol, LBA: to}] = true
+		to++
+	}
+	if from == to {
+		return
+	}
+	e.k.Go("readahead", func(q *sim.Proc) {
+		if !e.down {
+			e.stats.Prefetches += to - from
+			e.readRun(q, vol, from, priority, make([]byte, int(to-from)*e.blockSize))
+		}
+		for lba := from; lba < to; lba++ {
+			delete(e.prefetching, cache.Key{Vol: vol, LBA: lba})
+		}
+	})
 }

@@ -46,8 +46,8 @@ func TestPropertyMixedSchedulesWithMigration(t *testing.T) {
 func runMixedScheduleProperty(t *testing.T, seed int64) {
 	const (
 		blades      = 4
-		cacheBlocks = 8 // tiny: forces evictions mid-schedule
-		keys        = 24
+		cacheBlocks = 8  // tiny: forces evictions mid-schedule
+		keys        = 72 // room for the readers' 64-block runs
 		writers     = 3
 		readers     = 3
 		writerOps   = 60
@@ -102,10 +102,11 @@ func runMixedScheduleProperty(t *testing.T, seed int64) {
 			h.k.Go(fmt.Sprintf("reader%d", r), func(p *sim.Proc) {
 				defer g.Done()
 				for i := 0; i < readerOps; i++ {
-					k := rrng.Intn(keys)
+					n := readRunLens[rrng.Intn(len(readRunLens))]
+					k := rrng.Intn(keys - n + 1)
 					e := h.engines[rrng.Intn(blades)]
-					if _, err := e.ReadBlock(p, kb(int64(k)), 0); err != nil {
-						t.Errorf("reader%d op %d key %d: %v", r, i, k, err)
+					if _, err := readRun(p, e, int64(k), n); err != nil {
+						t.Errorf("reader%d op %d keys %d+%d: %v", r, i, k, n, err)
 						return
 					}
 				}

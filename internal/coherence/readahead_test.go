@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -123,6 +124,44 @@ func TestReadAheadCoherent(t *testing.T) {
 		d, err := h.engines[0].ReadBlock(p, kb(5), 0)
 		if err != nil || d[0] != 99 {
 			t.Errorf("prefetched block served stale after write: %v err=%v", d[0], err)
+		}
+	})
+}
+
+// The prefetch window is one run: one backing read however many blocks, not
+// a seek per block. The detector sees an op once, with its first and last
+// block, so a 4-block op is a sequential run of its own; the next window
+// skips what the previous one already brought in.
+func TestReadAheadWindowIsOneRun(t *testing.T) {
+	h := newReadAheadHarness(1, 256, 8)
+	for i := int64(0); i < 64; i++ {
+		h.backing.data[kb(i)] = blk(byte(i))
+	}
+	e := h.engines[0]
+	h.run(func(p *sim.Proc) {
+		if _, err := readRun(p, e, 0, 4); err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		p.Sleep(100 * sim.Millisecond)
+		got := slices.Clone(h.backing.runs) // the op and its window run side by side
+		slices.SortFunc(got, func(a, b [2]int64) int { return int(a[0] - b[0]) })
+		if want := [][2]int64{{0, 4}, {4, 8}}; !slices.Equal(got, want) {
+			t.Fatalf("backing served runs %v, want the op and one 8-block window: %v", got, want)
+		}
+		if n := e.Stats().Prefetches; n != 8 {
+			t.Fatalf("%d prefetches, want 8", n)
+		}
+		hits := e.Cache().Stats().Hits
+		out, err := readRun(p, e, 4, 4)
+		if err != nil || out[3][0] != 7 {
+			t.Fatalf("second op: %v", err)
+		}
+		if got := e.Cache().Stats().Hits - hits; got != 4 {
+			t.Errorf("second op hit %d of its 4 blocks", got)
+		}
+		p.Sleep(100 * sim.Millisecond)
+		if got, want := h.backing.runs[2:], [][2]int64{{12, 4}}; !slices.Equal(got, want) {
+			t.Fatalf("second window read %v, want only the blocks the first left: %v", got, want)
 		}
 	})
 }

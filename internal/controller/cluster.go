@@ -475,8 +475,8 @@ func (c *Cluster) observeOp(p *sim.Proc, d sim.Duration, traceID uint64) {
 	}
 }
 
-// Read reads count blocks of volume vol at lba through blade b, running
-// per-block coherence operations in parallel.
+// Read reads count blocks of volume vol at lba through blade b as one
+// run-granular coherence op (see coherence.Engine.ReadRun).
 func (c *Cluster) Read(p *sim.Proc, b *Blade, vol string, lba int64, count int, priority int) ([]byte, error) {
 	if b == nil || b.Down {
 		c.Errors++
@@ -492,47 +492,15 @@ func (c *Cluster) Read(p *sim.Proc, b *Blade, vol string, lba int64, count int, 
 	}
 	t0 := p.Now()
 	pop := root.Push(p)
-	bs := c.BlockSize()
-	buf := make([]byte, count*bs)
-	var firstErr error
-	if b.Engine.Batched() {
-		// Batched plane: one vectorized coherence op resolves every block;
-		// the engine fans misses out per home and keeps disk parallelism.
-		keys := make([]cache.Key, count)
-		for i := range keys {
-			keys[i] = cache.Key{Vol: vol, LBA: lba + int64(i)}
-		}
-		out, err := b.Engine.ReadBlocksBatched(p, keys, priority)
-		if err != nil {
-			firstErr = err
-		} else {
-			for i, d := range out {
-				copy(buf[i*bs:], d)
-			}
-		}
-		pop()
-	} else {
-		grp := sim.NewGroup(c.K)
-		for i := 0; i < count; i++ {
-			i := i
-			grp.Add(1)
-			c.K.Go("read", func(q *sim.Proc) {
-				defer grp.Done()
-				err := b.Engine.ReadBlockInto(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, priority, buf[i*bs:(i+1)*bs])
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-			})
-		}
-		pop()
-		grp.Wait(p)
-	}
+	buf := make([]byte, count*c.BlockSize())
+	err := b.Engine.ReadRun(p, vol, lba, priority, buf)
+	pop()
 	root.End()
 	c.observeOp(p, p.Now().Sub(t0), root.TraceID())
 	b.Ops += int64(count)
-	if firstErr != nil {
+	if err != nil {
 		c.Errors++
-		return nil, firstErr
+		return nil, err
 	}
 	return buf, nil
 }

@@ -387,9 +387,27 @@ func TestPropertyNoLossAcrossTransferFlushKill(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed * 7919))
 			shadow := make(map[int64]byte)
 			run(k, func(p *sim.Proc) {
-				for i := 0; i < 48; i++ {
+				for i := 0; i < 80; i++ {
 					if rng.Intn(6) == 0 {
 						c.FlushAll(p)
+						continue
+					}
+					if n := []int{0, 0, 0, 4, 64}[rng.Intn(5)]; n > 0 {
+						// A run read over the contended blocks (and, at 64,
+						// the never-written ones after them): dirty owners
+						// forward, the rest comes off the disks in one run.
+						at := int64(rng.Intn(8 - n%8))
+						got, err := c.Read(p, c.Blade(rng.Intn(4)), "vol", at, n, 0)
+						if err != nil {
+							t.Errorf("seed %d batched=%v: read %d+%d: %v", seed, batched, at, n, err)
+							return
+						}
+						for j := 0; j < n; j++ {
+							if want := shadow[at+int64(j)]; got[j*512] != want {
+								t.Errorf("seed %d batched=%v: op %d read block %d = %d, want last acked %d",
+									seed, batched, i, at+int64(j), got[j*512], want)
+							}
+						}
 						continue
 					}
 					// Eight blocks under four blades: most writes take
@@ -420,6 +438,54 @@ func TestPropertyNoLossAcrossTransferFlushKill(t *testing.T) {
 			})
 			c.Stop()
 		}
+	}
+}
+
+// A cold, stripe-aligned 64-block read is 64 blocks to every layer that
+// works per block — 64 directory requests, 64 blocks the coherence layer
+// has the backing store supply, no cache hit — and one I/O to each member
+// disk of the one RAID group under its extents.
+func TestCold64BlockReadIsOneIOPerMemberDisk(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		c, k := newTestCluster(t, 1, func(cfg *Config) {
+			cfg.ExtentBlocks = 64
+			cfg.FabricBatch = batched
+		})
+		vol, err := c.Pool.CreateDMSD("vol", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := func(pattern string) (n int64) {
+			for _, name := range c.Reg.Match(pattern) {
+				v, _ := c.Reg.Value(name)
+				n += int64(v)
+			}
+			return n
+		}
+		data := pattern(64*512, 9)
+		run(k, func(p *sim.Proc) {
+			if err := vol.Write(p, 64, data); err != nil { // below the caches: they stay cold
+				t.Fatalf("prefill: %v", err)
+			}
+			diskReads, cohDisk, dirReqs, hits := sum("disk/*/reads"), sum("blade/*/coh/disk_reads"), sum("blade/*/coh/dir_requests"), sum("blade/*/cache/hits")
+			got, err := c.Read(p, c.Blade(1), "vol", 64, 64, 0)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("batched=%v: cold read: err %v, data equal %v", batched, err, bytes.Equal(got, data))
+			}
+			if n := sum("disk/*/reads") - diskReads; n != int64(c.Cfg.DisksPerGroup) {
+				t.Errorf("batched=%v: %d disk reads, want one per member disk = %d", batched, n, c.Cfg.DisksPerGroup)
+			}
+			if n := sum("blade/*/coh/disk_reads") - cohDisk; n != 64 {
+				t.Errorf("batched=%v: coh/disk_reads moved by %d, want 64", batched, n)
+			}
+			if n := sum("blade/*/coh/dir_requests") - dirReqs; n != 64 {
+				t.Errorf("batched=%v: coh/dir_requests moved by %d, want 64", batched, n)
+			}
+			if n := sum("blade/*/cache/hits") - hits; n != 0 {
+				t.Errorf("batched=%v: %d cache hits on a cold read", batched, n)
+			}
+		})
+		c.Stop()
 	}
 }
 

@@ -49,6 +49,23 @@ func DefaultSpec() Spec {
 // Bytes returns the drive capacity in bytes.
 func (s Spec) Bytes() int64 { return s.Blocks * int64(s.BlockSize) }
 
+// TransferTime returns the media time of count consecutive blocks.
+func (s Spec) TransferTime(count int) sim.Duration {
+	if s.TransferBps <= 0 {
+		return 0
+	}
+	bits := int64(count) * int64(s.BlockSize) * 8
+	return sim.Duration(float64(bits) / float64(s.TransferBps) * float64(sim.Second))
+}
+
+// ReadThrough reports whether one access that reads and discards gap
+// unwanted blocks lying between two wanted ones is cheaper than two
+// accesses: the gap's transfer time against the seek and rotation the second
+// access would pay.
+func (s Spec) ReadThrough(gap int) bool {
+	return s.TransferTime(gap) < s.Seek+s.Rotation
+}
+
 // Stats accumulates per-drive activity counters.
 type Stats struct {
 	Reads, Writes int64
@@ -166,13 +183,9 @@ func (d *Disk) check(lba int64, count int) error {
 // starting at lba: a seek+rotation unless it continues the previous access,
 // plus media transfer time.
 func (d *Disk) serviceTime(lba int64, count int) sim.Duration {
-	var t sim.Duration
+	t := d.spec.TransferTime(count)
 	if lba != d.lastEnd {
 		t += d.spec.Seek + d.spec.Rotation
-	}
-	bits := int64(count) * int64(d.spec.BlockSize) * 8
-	if d.spec.TransferBps > 0 {
-		t += sim.Duration(float64(bits) / float64(d.spec.TransferBps) * float64(sim.Second))
 	}
 	return t
 }
@@ -226,10 +239,32 @@ func (d *Disk) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
 // the sparse store: the one copy a block makes on its way up. dst may hold
 // anything; blocks the store does not have are zeroed.
 func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
-	if len(dst)%d.spec.BlockSize != 0 {
+	bs := d.spec.BlockSize
+	if len(dst)%bs != 0 {
 		return fmt.Errorf("disk %s: read of %d bytes is not block-aligned", d.id, len(dst))
 	}
-	count := len(dst) / d.spec.BlockSize
+	return d.read(p, lba, len(dst)/bs, func(i int) []byte { return dst[i*bs : (i+1)*bs] })
+}
+
+// ReadScatter is one access over the len(pos) blocks from lba on that
+// scatters them over dst: block lba+i fills block pos[i] of dst, and a
+// negative pos[i] reads past the block and discards it. It is how a RAID
+// member serves the rows of a multi-stripe read in one I/O: its data blocks
+// lie apart in the caller's buffer and the parity rows between them belong
+// nowhere. The rest of dst is left alone.
+func (d *Disk) ReadScatter(p *sim.Proc, lba int64, dst []byte, pos []int) error {
+	bs := d.spec.BlockSize
+	return d.read(p, lba, len(pos), func(i int) []byte {
+		if pos[i] < 0 {
+			return nil
+		}
+		return dst[pos[i]*bs : (pos[i]+1)*bs]
+	})
+}
+
+// read is one read access of count blocks from lba on: block lba+i is
+// copied (or, absent from the store, zeroed) into into(i), unless that is nil.
+func (d *Disk) read(p *sim.Proc, lba int64, count int, into func(i int) []byte) error {
 	qs := trace.FromProc(p).Child("disk-queue", trace.Queue, d.id)
 	lane := d.acquire(p, count)
 	qs.End()
@@ -249,7 +284,10 @@ func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 	d.stats.BytesRead += int64(count) * int64(d.spec.BlockSize)
 	d.stats.Busy += st
 	for i := 0; i < count; i++ {
-		blk := dst[i*d.spec.BlockSize : (i+1)*d.spec.BlockSize]
+		blk := into(i)
+		if blk == nil {
+			continue
+		}
 		if stored, ok := d.store[lba+int64(i)]; ok {
 			copy(blk, stored)
 		} else {

@@ -71,6 +71,50 @@ func TestReadIntoOverwritesStaleDestination(t *testing.T) {
 	k.Run()
 }
 
+// A scattered read is one access: one seek, one transfer of every block it
+// spans — the ones it discards included — and one count in Stats. Stored
+// blocks overwrite their stale destinations, absent ones zero theirs, and
+// the blocks of dst no position names keep what they held.
+func TestReadScatterIsOneAccess(t *testing.T) {
+	k := sim.NewKernel(1)
+	spec := testSpec()
+	d := New(k, "d0", spec)
+	bs := spec.BlockSize
+	k.Go("t", func(p *sim.Proc) {
+		for _, lba := range []int64{30, 31, 33} { // 32 and 34 stay holes
+			if err := d.Write(p, lba, bytes.Repeat([]byte{byte(lba)}, bs)); err != nil {
+				t.Errorf("write %d: %v", lba, err)
+			}
+		}
+		if err := d.Write(p, 500, make([]byte, bs)); err != nil { // move the head away
+			t.Errorf("write: %v", err)
+		}
+		before, t0 := d.Stats(), p.Now()
+		// Blocks 30..34 into dst blocks 4, -, 0, 2, 5: 31 is read through.
+		dst := bytes.Repeat([]byte{0xFF}, 6*bs)
+		if err := d.ReadScatter(p, 30, dst, []int{4, -1, 0, 2, 5}); err != nil {
+			t.Errorf("ReadScatter: %v", err)
+		}
+		if took, want := p.Now().Sub(t0), spec.Seek+spec.Rotation+spec.TransferTime(5); took != want {
+			t.Errorf("scattered read of 5 blocks took %v, want one seek and 5 transfers = %v", took, want)
+		}
+		after := d.Stats()
+		if after.Reads != before.Reads+1 || after.BytesRead != before.BytesRead+int64(5*bs) {
+			t.Errorf("scattered read counted %d reads, %d bytes; want 1 read, %d bytes",
+				after.Reads-before.Reads, after.BytesRead-before.BytesRead, 5*bs)
+		}
+		for i, want := range []byte{0, 0xFF, 33, 0xFF, 30, 0} { // per block of dst
+			if !bytes.Equal(dst[i*bs:(i+1)*bs], bytes.Repeat([]byte{want}, bs)) {
+				t.Errorf("dst block %d holds %#x, want %#x throughout", i, dst[i*bs], want)
+			}
+		}
+		if err := d.ReadScatter(p, spec.Blocks-2, dst, []int{0, 1, 2}); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("scattered read past the end: %v, want ErrOutOfRange", err)
+		}
+	})
+	k.Run()
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := New(k, "d0", testSpec())

@@ -30,7 +30,9 @@ func (m *memBacking) ReadBlockInto(p *sim.Proc, key cache.Key, dst []byte) error
 	p.Sleep(m.delay)
 	m.reads++
 	clear(dst)
-	copy(dst, m.data[key])
+	for i := 0; i*blockSize < len(dst); i++ {
+		copy(dst[i*blockSize:(i+1)*blockSize], m.data[cache.Key{Vol: key.Vol, LBA: key.LBA + int64(i)}])
+	}
 	return nil
 }
 

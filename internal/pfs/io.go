@@ -211,11 +211,16 @@ func (fs *FS) WriteAt(p *sim.Proc, path string, off int64, data []byte) (int, er
 
 // readBlocks reads file blocks [start, start+count) into a byte slice.
 func (fs *FS) readBlocks(p *sim.Proc, ino *Inode, start, count int64, prio int) ([]byte, error) {
-	bs := int64(fs.io.BlockSize())
 	runs, err := ino.runs(start, count)
 	if err != nil {
 		return nil, err
 	}
+	if len(runs) == 1 {
+		// One backing run — every read inside an extent: the block path's
+		// own slice is the result, nothing to fan out or to assemble.
+		return fs.io.ReadBlocks(p, runs[0].vol, runs[0].lba, int(count), prio)
+	}
+	bs := int64(fs.io.BlockSize())
 	buf := make([]byte, count*bs)
 	grp := sim.NewGroup(fs.k)
 	var firstErr error

@@ -2,6 +2,8 @@ package raid
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -20,10 +22,13 @@ func (g *Group) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
 }
 
 // ReadInto is Read filling dst, a whole number of blocks that may hold
-// anything. A block on an available disk is read straight into its place
-// in dst; only a run of several stripe rows on one disk (one sequential
-// disk I/O whose blocks lie apart in dst) and a reconstructed stripe pass
-// through a buffer of their own.
+// anything, with one I/O per member disk wherever the disk's own cost model
+// allows it. A run of several stripe rows puts a disk's data blocks apart
+// both in dst and, where parity rotates onto the disk, on the disk itself;
+// the disk scatters the first kind straight into dst (disk.ReadScatter) and
+// reads through the second kind whenever that is cheaper than seeking over
+// it (disk.Spec.ReadThrough) and the disk can serve the rows in between.
+// Only a reconstructed stripe passes through a buffer of its own.
 func (g *Group) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 	bs := g.blockSize
 	if len(dst)%bs != 0 {
@@ -39,65 +44,81 @@ func (g *Group) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 	if g.level == RAID1 {
 		return g.readMirrored(p, lba, dst)
 	}
-	if count == 1 {
-		// The coherence miss path: one block, one disk, nothing to gather.
-		if diskIdx, dlba := g.locate(lba); g.available(diskIdx, dlba) {
-			return g.disks[diskIdx].ReadInto(p, dlba, dst)
-		}
-	}
 
-	var items []extent
-	var degradedStripes map[int64][]int64 // stripe → logical blocks needing reconstruction
-	for i := 0; i < count; i++ {
-		l := lba + int64(i)
-		diskIdx, dlba := g.locate(l)
-		if g.available(diskIdx, dlba) {
-			items = append(items, extent{diskIdx: diskIdx, lba: dlba, positions: []int64{int64(i)}})
-		} else {
-			if g.level == RAID0 {
+	// pos is one row of cells per member disk, one cell per stripe row of
+	// the run: the block of dst the disk's block in that row fills, or -1
+	// for a row that holds nothing this read wants from the disk (parity,
+	// a block outside the run, a block the disk cannot serve).
+	dps := int64(g.dataPerStripe())
+	first, end := lba/dps, lba+int64(count)
+	rows := int((end-1)/dps - first + 1)
+	pos := make([]int, len(g.disks)*rows)
+	for i := range pos {
+		pos[i] = -1
+	}
+	var degraded []int64 // logical blocks needing reconstruction, ascending
+	for r := 0; r < rows; r++ {
+		s := first + int64(r)
+		for idx, di := range g.dataDisks(s) {
+			l := s*dps + int64(idx)
+			switch {
+			case l < lba || l >= end:
+			case g.available(di, s):
+				pos[di*rows+r] = int(l - lba)
+			case g.level == RAID0:
 				return ErrUnrecoverable
+			default:
+				degraded = append(degraded, l)
 			}
-			if degradedStripes == nil {
-				degradedStripes = make(map[int64][]int64)
-			}
-			s := dlba // for RAID5/6 the on-disk LBA is the stripe number
-			degradedStripes[s] = append(degradedStripes[s], l)
 		}
 	}
 
 	var fns []func(q *sim.Proc) error
-	for _, ext := range coalesce(items) {
-		ext := ext
-		fns = append(fns, func(q *sim.Proc) error {
-			d := g.disks[ext.diskIdx]
-			if len(ext.positions) == 1 {
-				pos := int(ext.positions[0])
-				return d.ReadInto(q, ext.lba, dst[pos*bs:(pos+1)*bs])
+	for di, d := range g.disks {
+		cells := pos[di*rows : (di+1)*rows]
+		for a := 0; a < rows; {
+			if cells[a] < 0 {
+				a++
+				continue
 			}
-			data, err := d.Read(q, ext.lba, len(ext.positions))
-			if err != nil {
-				return err
+			// One I/O covers cells[a:b]: it grows over every wanted row
+			// that is adjacent or worth reading through to.
+			b := a + 1
+			for next := b; next < rows; next++ {
+				if cells[next] < 0 {
+					continue
+				}
+				if gap := next - b; gap > 0 &&
+					!(d.Spec().ReadThrough(gap) && g.availableRange(di, first+int64(b), int64(gap))) {
+					break
+				}
+				b = next + 1
 			}
-			for j, pos := range ext.positions {
-				copy(dst[pos*int64(bs):], data[j*bs:(j+1)*bs])
-			}
-			return nil
-		})
+			at, io := first+int64(a), cells[a:b]
+			fns = append(fns, func(q *sim.Proc) error { return d.ReadScatter(q, at, dst, io) })
+			a = b
+		}
 	}
-	for s, logicals := range degradedStripes {
-		s, logicals := s, logicals
+	// One reconstruction per degraded stripe, in stripe order: the order
+	// the procs spawn in is the order they queue at the surviving disks.
+	for a := 0; a < len(degraded); {
+		s := degraded[a] / dps
+		b := a + 1
+		for b < len(degraded) && degraded[b]/dps == s {
+			b++
+		}
+		logicals := degraded[a:b]
 		fns = append(fns, func(q *sim.Proc) error {
 			stripe, err := g.stripeData(q, s, nil)
 			if err != nil {
 				return err
 			}
-			dps := int64(g.dataPerStripe())
 			for _, l := range logicals {
-				idx := l % dps
-				copy(dst[(l-lba)*int64(bs):], stripe[idx])
+				copy(dst[(l-lba)*int64(bs):], stripe[l%dps])
 			}
 			return nil
 		})
+		a = b
 	}
 	return parallel(p, fns...)
 }
@@ -320,8 +341,10 @@ func (g *Group) rmwStripe(p *sim.Proc, s int64, newData map[int64][]byte, dataDi
 	oldData := make(map[int64][]byte)
 	var oldP, oldQ []byte
 	var readFns []func(q *sim.Proc) error
-	for idx := range newData {
-		idx := idx
+	// In index order, not Go's map order: the order the procs spawn in is
+	// the order same-time events break ties in.
+	idxs := slices.Sorted(maps.Keys(newData))
+	for _, idx := range idxs {
 		readFns = append(readFns, func(q *sim.Proc) error {
 			d, err := g.disks[dataDisks[idx]].Read(q, s, 1)
 			if err == nil {
@@ -357,7 +380,8 @@ func (g *Group) rmwStripe(p *sim.Proc, s int64, newData map[int64][]byte, dataDi
 		newQ = make([]byte, g.blockSize)
 		copy(newQ, oldQ)
 	}
-	for idx, nd := range newData {
+	for _, idx := range idxs {
+		nd := newData[idx]
 		delta := make([]byte, g.blockSize)
 		copy(delta, oldData[idx])
 		xorInto(delta, nd)
@@ -368,8 +392,8 @@ func (g *Group) rmwStripe(p *sim.Proc, s int64, newData map[int64][]byte, dataDi
 	}
 
 	var writeFns []func(q *sim.Proc) error
-	for idx, nd := range newData {
-		idx, nd := idx, nd
+	for _, idx := range idxs {
+		nd := newData[idx]
 		writeFns = append(writeFns, func(q *sim.Proc) error {
 			return g.disks[dataDisks[idx]].Write(q, s, nd)
 		})

@@ -29,15 +29,21 @@ func TestReadIntoMatchesReadProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := sim.NewKernel(seed)
 		var devs []BlockDevice
+		var groups []*raid.Group
 		for i := 0; i < 2; i++ {
 			g, err := raid.NewGroup(k, raid.RAID5, disk.NewFarm(k, fmt.Sprintf("g%d-", i), 5, spec).Disks)
 			if err != nil {
 				t.Fatal(err)
 			}
-			devs = append(devs, g)
+			devs, groups = append(devs, g), append(groups, g)
 		}
 		pool, err := NewPool(k, extentBlocks, devs...)
 		if err != nil {
+			t.Fatal(err)
+		}
+		// Each group's first rebuild chunk ends after 256 rows x 4 data
+		// blocks = 64 extents; the ballast takes the first 58 of each.
+		if _, err := pool.CreateVolume("ballast", 2*58*extentBlocks); err != nil {
 			t.Fatal(err)
 		}
 		vol, err := pool.CreateDMSD("v", volExtents)
@@ -92,6 +98,22 @@ func TestReadIntoMatchesReadProperty(t *testing.T) {
 			write(p, 12) // copy-on-write away from the snapshot's extents
 			if vol.MappedExtents() == volExtents || snap.MappedExtents() == 0 {
 				t.Fatalf("seed %d: no unmapped or no shared extent: the test exercises nothing", seed)
+			}
+			check(p, vol, live)
+			check(p, snap, frozen)
+
+			victim := rng.Intn(5)
+			groups[0].Disks()[victim].Fail()
+			check(p, vol, live)
+			check(p, snap, frozen)
+			if _, err := groups[0].StartRebuild(victim); err != nil {
+				t.Fatalf("seed %d: start rebuild: %v", seed, err)
+			}
+			if err := groups[0].RebuildChunk(p, victim, 0); err != nil {
+				t.Fatalf("seed %d: rebuild chunk 0: %v", seed, err)
+			}
+			if !groups[0].Rebuilding(victim) || pool.AllocatedExtents() <= 2*64 {
+				t.Fatalf("seed %d: no extent beyond the rebuilt chunk: the test exercises nothing", seed)
 			}
 			check(p, vol, live)
 			check(p, snap, frozen)

@@ -503,3 +503,65 @@ func TestExtentsInterleaveAcrossDevices(t *testing.T) {
 		t.Fatalf("allocations used %d devices, want 2 (interleaving)", len(devs))
 	}
 }
+
+// A demand-mapped volume's extents rotate over the devices by address, not
+// by the order they were first written in: written tail first, interleaved
+// with a second volume, and rewritten after a snapshot, extent i+1 still
+// lives one device on from extent i. (Placed in order of arrival, the tail
+// extent takes the device the head was due and the rotation has a kink.)
+func TestDemandPlacementFollowsAddress(t *testing.T) {
+	const nDev, extents = 4, 24
+	k := sim.NewKernel(1)
+	pl := newTestPool(t, k, 8*64, nDev)
+	a, _ := pl.CreateDMSD("a", 100)
+	b, _ := pl.CreateDMSD("b", 100)
+	rotates := func(v *Volume) {
+		t.Helper()
+		for i := int64(0); i < extents; i++ {
+			if got, want := v.ExtentDevice(i), (v.ExtentDevice(0)+int(i))%nDev; got != want {
+				t.Fatalf("%s: extent %d on device %d, want %d", v.Name(), i, got, want)
+			}
+		}
+	}
+	run(k, func(p *sim.Proc) {
+		first := pl.free[len(pl.free)-1]
+		a.Write(p, (extents-1)*8, pattern(512, 1)) // the tail first
+		if got := a.mapping[extents-1]; got != first {
+			t.Fatalf("first extent placed at %+v, want the pool's next %+v", got, first)
+		}
+		for i := int64(0); i < extents-1; i++ {
+			a.Write(p, i*8, pattern(512, byte(i)))
+			b.Write(p, (extents-1-i)*8, pattern(512, byte(i))) // b backwards, between a's
+		}
+		b.Write(p, 0, pattern(512, 9))
+		rotates(a)
+		rotates(b)
+		if _, err := a.SnapshotAs("s"); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int64{5, 2, 17, 3} { // copy-on-write, out of order
+			a.Write(p, i*8, pattern(512, 7))
+		}
+		rotates(a)
+	})
+}
+
+// With its device full an extent takes the pool's next free one.
+func TestDemandPlacementFallsBackWhenDeviceFull(t *testing.T) {
+	k := sim.NewKernel(1)
+	pl := newTestPool(t, k, 8*2, 2) // two extents a device
+	v, _ := pl.CreateDMSD("v", 100)
+	run(k, func(p *sim.Proc) {
+		for _, i := range []int64{0, 2, 4, 6} { // all due on one device
+			if err := v.Write(p, i*8, pattern(512, byte(i))); err != nil {
+				t.Fatalf("extent %d: %v", i, err)
+			}
+		}
+		if err := v.Write(p, 8*8, pattern(512, 8)); !errors.Is(err, ErrPoolExhausted) {
+			t.Fatalf("fifth extent in a four-extent pool: %v", err)
+		}
+	})
+	if d0, d2, d4 := v.ExtentDevice(0), v.ExtentDevice(2), v.ExtentDevice(4); d0 != d2 || d4 == d0 {
+		t.Fatalf("devices %d %d %d: want the first two together and the third spilled", d0, d2, d4)
+	}
+}

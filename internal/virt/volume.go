@@ -18,6 +18,10 @@ type Volume struct {
 	mapping     map[int64]extentRef
 	cowMu       *sim.Mutex
 	deleted     bool
+	// stripe is the device virtual extent 0 belongs on, once the first
+	// extent placed has fixed it (see place).
+	stripe  int
+	striped bool
 	// writesSinceAlloc counts extent allocations, for charge-back (§3:
 	// "charge back can reflect actual storage usage").
 	allocations int64
@@ -218,7 +222,7 @@ func (v *Volume) writeExtent(p *sim.Proc, sp extSpan, chunk []byte) error {
 	case !mapped:
 		// First write to a DMSD extent: allocate and, if partially
 		// covered, surround with zeros (fresh extents must read as zero).
-		ne, err := v.pool.alloc()
+		ne, err := v.place(sp.ext)
 		if err != nil {
 			return err
 		}
@@ -243,7 +247,7 @@ func (v *Volume) writeExtent(p *sim.Proc, sp extSpan, chunk []byte) error {
 
 	default:
 		// Shared with a snapshot: copy the old extent, then overwrite.
-		ne, err := v.pool.alloc()
+		ne, err := v.place(sp.ext)
 		if err != nil {
 			return err
 		}
@@ -264,6 +268,29 @@ func (v *Volume) writeExtent(p *sim.Proc, sp extSpan, chunk []byte) error {
 		v.mapping[sp.ext] = ne
 		return nil
 	}
+}
+
+// place allocates the physical extent for virtual extent ext of a volume
+// that maps on demand. The first extent a volume maps takes the pool's next
+// free one; every later one goes to the device its address says, one device
+// on per extent from that first. Placed by address, not by order of arrival,
+// a sequential range rotates over all the spindle groups however its extents
+// came to be written — tail first, interleaved with another volume's, after a
+// snapshot — and sequential streams over one pool, all rotating alike, fall
+// into step rather than collide (§2's pool-wide load spreading; DESIGN.md
+// §16). A device with nothing free falls back to the pool's next extent.
+func (v *Volume) place(ext int64) (extentRef, error) {
+	n := int64(len(v.pool.devices))
+	if v.striped {
+		if e, err := v.pool.allocOn(int((int64(v.stripe) + ext) % n)); err == nil {
+			return e, nil
+		}
+	}
+	e, err := v.pool.alloc()
+	if err == nil && !v.striped {
+		v.striped, v.stripe = true, int(((int64(e.dev)-ext)%n+n)%n)
+	}
+	return e, err
 }
 
 // Trim declares [lba, lba+count) unused. Extents entirely inside the range

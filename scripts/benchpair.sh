@@ -1,17 +1,23 @@
 #!/usr/bin/env bash
 # Paired benchmark runs of a base revision against this checkout: the recipe
 # of the choosing-metrics method (alternate the sides, medians and quartiles,
-# wins per pair) that every performance PR needs.
+# wins per pair) that every performance PR needs, and the pipeline's
+# acceptance rule as one local command.
 #
 #   scripts/benchpair.sh BASE WORKLOAD [N]     (make bench-pair BASE=… WORKLOAD=… N=…)
 #
 # BASE is any git revision; it is exported into a temporary directory and
 # built there by its own bench/run.sh, so both sides run the driver's exact
 # command on seeds 1..N, ~25 s a pair. The checkout's working tree is the
-# "change" side, uncommitted edits included. Needs only git, tar, awk, sort.
+# "change" side, uncommitted edits included. WORKLOAD is one of
+# BENCHMARK.json's workloads, or "all" for each of them in turn. The exit
+# status is 1, and the metric is named, when any end-to-end median of the
+# change is worse than the base's by more than the metric's BENCHMARK.json
+# bound, or the change's own runs spread wider than that bound of the base's
+# median. Needs only git, tar, awk, sort.
 set -euo pipefail
-base=${1:?usage: scripts/benchpair.sh BASE WORKLOAD [N]}
-workload=${2:?usage: scripts/benchpair.sh BASE WORKLOAD [N]}
+base=${1:?usage: scripts/benchpair.sh BASE WORKLOAD|all [N]}
+workloads=${2:?usage: scripts/benchpair.sh BASE WORKLOAD|all [N]}
 n=${3:-10}
 
 root=$(git rev-parse --show-toplevel)
@@ -19,6 +25,17 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/base"
 git -C "$root" archive "$base" | tar -x -C "$tmp/base"
+
+# From the benchmark's own declaration: "METRIC BETTER BOUND" per metric
+# (BOUND is - where none is declared), and the workloads in order.
+awk '/"name":/ { gsub(/[",]/, ""); name = $2 }
+     /"better":/ { gsub(/[",]/, ""); better[name] = $2; order[++nm] = name }
+     /"bound":/ { gsub(/[",]/, ""); bound[name] = $2 }
+     END { for (i = 1; i <= nm; i++) print order[i], better[order[i]], (order[i] in bound) ? bound[order[i]] : "-" }
+' "$root/BENCHMARK.json" >"$tmp/declared"
+if [ "$workloads" = all ]; then
+	workloads=$(awk '/"workloads":/ { on = 1 } on && /"name":/ { gsub(/[",]/, ""); print $2 } on && /\]/ { exit }' "$root/BENCHMARK.json")
+fi
 
 # one SIDE DIR SEED: run the workload once, print "SIDE SEED METRIC VALUE" lines.
 one() {
@@ -32,22 +49,20 @@ one() {
 		sed -e 's/^"//' -e 's/":{"value":/ /' -e "s/^/$1 $3 /"
 }
 
-for seed in $(seq 1 "$n"); do
-	echo "pair $seed/$n" >&2
-	if ((seed % 2)); then
-		one base "$tmp/base" "$seed"
-		one change "$root" "$seed"
-	else
-		one change "$root" "$seed"
-		one base "$tmp/base" "$seed"
-	fi
-done >"$tmp/runs"
+status=0
+for workload in $workloads; do
+	for seed in $(seq 1 "$n"); do
+		echo "$workload: pair $seed/$n" >&2
+		if ((seed % 2)); then
+			one base "$tmp/base" "$seed"
+			one change "$root" "$seed"
+		else
+			one change "$root" "$seed"
+			one base "$tmp/base" "$seed"
+		fi
+	done >"$tmp/runs"
 
-# Which way is better, per metric, from the benchmark's own declaration.
-awk '/"name":/ { gsub(/[",]/, ""); name = $2 }
-     /"better":/ { gsub(/[",]/, ""); print name, $2 }' "$root/BENCHMARK.json" >"$tmp/better"
-
-sort -k3,3 -k1,1 -k4,4g "$tmp/runs" | awk -v workload="$workload" -v base="$base" '
+	sort -k3,3 -k1,1 -k4,4g "$tmp/runs" | awk -v workload="$workload" -v base="$base" '
 function quantile(v, n, q,    h, i) { h = (n - 1) * q + 1; i = int(h); return i >= n ? v[n] : v[i] + (h - i) * (v[i + 1] - v[i]) }
 function flush() {
 	if (cnt == 0) return
@@ -55,7 +70,7 @@ function flush() {
 	lo[metric, curside] = quantile(vals, cnt, 0.25); hi[metric, curside] = quantile(vals, cnt, 0.75)
 	cnt = 0
 }
-FNR == NR { better[$1] = $2; next }
+FNR == NR { better[$1] = $2; bound[$1] = $3; next }
 {
 	if ($3 != metric || $1 != curside) { flush(); metric = $3; curside = $1; if (!(metric in seen)) { seen[metric] = 1; order[++nm] = metric } }
 	vals[++cnt] = $4; val[$3, $1, $2] = $4
@@ -77,4 +92,24 @@ END {
 			med[m, "base"], lo[m, "base"], hi[m, "base"], med[m, "change"], lo[m, "change"], hi[m, "change"],
 			delta, wins, pairs, ties ? sprintf(" (%d ties)", ties) : ""
 	}
-}' "$tmp/better" -
+	# The acceptance rule: no median worse than the base by more than its
+	# bound, and no metric of the change spread wider (q3 - q1) than that same
+	# bound of the base median - an absolute width, which a metric that
+	# improves n-fold has to be n times steadier to stay inside.
+	for (i = 1; i <= nm; i++) {
+		m = order[i]
+		if (bound[m] == "-" || bound[m] == "") continue
+		worse = better[m] == "higher" ? med[m, "change"] < med[m, "base"] * (1 - bound[m]) : med[m, "change"] > med[m, "base"] * (1 + bound[m])
+		if (worse) {
+			printf "REGRESSION %s %s: median %g -> %g is worse by more than its bound of %g%%\n", workload, m, med[m, "base"], med[m, "change"], 100 * bound[m]
+			bad = 1
+		}
+		if (hi[m, "change"] - lo[m, "change"] > bound[m] * med[m, "base"]) {
+			printf "UNSTEADY %s %s: the quartiles of the change are %g apart, over %g (%g%% of the base median %g)\n", workload, m, hi[m, "change"] - lo[m, "change"], bound[m] * med[m, "base"], 100 * bound[m], med[m, "base"]
+			bad = 1
+		}
+	}
+	exit bad
+}' "$tmp/declared" - || status=1
+done
+exit $status
