@@ -91,7 +91,7 @@ analyze-smoke:
 # coalescing semantics, the batched/unbatched convergence property, and
 # the yottactl batch toggle.
 batch-smoke:
-	$(GO) test -count=1 -run 'TestFrame|TestBatch|TestSetBatchingOffFlushes|TestGoPropagates|TestDup|TestRetryCounter' ./internal/simnet ./internal/coherence ./cmd/yottactl
+	$(GO) test -count=1 -run 'TestFrame|TestBatch|TestSetBatchingOffFlushes|TestCastPropagates|TestDup|TestRetryCounter' ./internal/simnet ./internal/coherence ./cmd/yottactl
 
 # experiments regenerates every table in EXPERIMENTS.md on stdout.
 experiments:
@@ -115,6 +115,9 @@ fuzz-smoke:
 # that bound of the base's median — the pipeline's acceptance rules:
 #   make bench-pair BASE=HEAD~1 WORKLOAD=pfs-stream N=10
 #   make bench-pair BASE=HEAD~1 WORKLOAD=all
+# SIM=identical adds the contract of a host-only change: it also fails,
+# naming the first (workload, seed, metric), when any sim_* value of the
+# change differs from the base's as printed.
 N ?= 10
 bench-pair:
-	bash scripts/benchpair.sh $(BASE) $(WORKLOAD) $(N)
+	SIM=$(SIM) bash scripts/benchpair.sh $(BASE) $(WORKLOAD) $(N)

@@ -167,24 +167,21 @@ func (e *Engine) handleGetSBatch(p *sim.Proc, from simnet.Addr, args any) (any, 
 		switch w.ent.state {
 		case dirInvalid:
 			w.ent.state = dirShared
-			w.ent.sharers = map[int]bool{requester: true}
-			w.ent.epochs = map[int]uint64{requester: w.epoch}
+			w.ent.sharers.only(requester, w.epoch)
 		case dirShared:
 			if e.noPeerFetch {
-				w.ent.sharers[requester] = true
-				w.ent.epochs[requester] = w.epoch
+				w.ent.sharers.add(requester, w.epoch)
 				continue
 			}
 			src := -1
-			for _, s := range sortedSharers(w.ent.sharers) {
-				if s != requester {
-					src = s
+			for _, sh := range w.ent.sharers {
+				if sh.blade != requester {
+					src = sh.blade
 					break
 				}
 			}
 			if src < 0 {
-				w.ent.sharers[requester] = true
-				w.ent.epochs[requester] = w.epoch
+				w.ent.sharers.add(requester, w.epoch)
 				continue
 			}
 			fetchGroups[src] = append(fetchGroups[src], w)
@@ -208,10 +205,8 @@ func (e *Engine) handleGetSBatch(p *sim.Proc, from simnet.Addr, args any) (any, 
 				// Dead sharer: unregister it so invalidations don't stall
 				// on it later; readers fall back to the backing store.
 				for _, w := range ws {
-					delete(w.ent.sharers, src)
-					delete(w.ent.epochs, src)
-					w.ent.sharers[requester] = true
-					w.ent.epochs[requester] = w.epoch
+					w.ent.sharers.remove(src)
+					w.ent.sharers.add(requester, w.epoch)
 				}
 				return
 			}
@@ -222,8 +217,7 @@ func (e *Engine) handleGetSBatch(p *sim.Proc, from simnet.Addr, args any) (any, 
 				}
 				// A Gone sharer stays registered (it may be mid-install);
 				// the reader falls back to backing, current for Shared.
-				w.ent.sharers[requester] = true
-				w.ent.epochs[requester] = w.epoch
+				w.ent.sharers.add(requester, w.epoch)
 			}
 		})
 	}
@@ -241,8 +235,7 @@ func (e *Engine) handleGetSBatch(p *sim.Proc, from simnet.Addr, args any) (any, 
 				// Dead owner: per invariant 3 the backing store is current.
 				for _, w := range ws {
 					w.ent.state = dirShared
-					w.ent.sharers = map[int]bool{requester: true}
-					w.ent.epochs = map[int]uint64{requester: w.epoch}
+					w.ent.sharers.only(requester, w.epoch)
 				}
 				return
 			}
@@ -256,13 +249,12 @@ func (e *Engine) handleGetSBatch(p *sim.Proc, from simnet.Addr, args any) (any, 
 					items[w.idx] = getSResp{Data: it.Data, NoCache: true}
 				case !it.Gone:
 					w.ent.state = dirShared
-					w.ent.sharers = map[int]bool{requester: true, owner: true}
-					w.ent.epochs = map[int]uint64{requester: w.epoch, owner: w.ent.ownerEpoch}
+					w.ent.sharers.only(requester, w.epoch)
+					w.ent.sharers.add(owner, w.ent.ownerEpoch)
 					items[w.idx].Data = it.Data
 				default:
 					w.ent.state = dirShared
-					w.ent.sharers = map[int]bool{requester: true}
-					w.ent.epochs = map[int]uint64{requester: w.epoch}
+					w.ent.sharers.only(requester, w.epoch)
 				}
 			}
 		})
@@ -316,9 +308,9 @@ func (e *Engine) handleGetXBatch(p *sim.Proc, from simnet.Addr, args any) (any, 
 		}
 		switch w.ent.state {
 		case dirShared:
-			for _, s := range sortedSharers(w.ent.sharers) {
-				if s != requester {
-					invGroups[s] = append(invGroups[s], w.key)
+			for _, sh := range w.ent.sharers {
+				if sh.blade != requester {
+					invGroups[sh.blade] = append(invGroups[sh.blade], w.key)
 				}
 			}
 		case dirModified:
@@ -352,8 +344,7 @@ func (e *Engine) handleGetXBatch(p *sim.Proc, from simnet.Addr, args any) (any, 
 		w.ent.state = dirModified
 		w.ent.owner = requester
 		w.ent.ownerEpoch = w.epoch
-		w.ent.sharers = make(map[int]bool)
-		w.ent.epochs = make(map[int]uint64)
+		w.ent.sharers.reset()
 	}
 	return getXBatchResp{Items: items}, batchSize(len(items))
 }

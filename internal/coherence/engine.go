@@ -22,6 +22,7 @@ package coherence
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/qos"
@@ -147,10 +148,9 @@ const (
 )
 
 type dirEntry struct {
-	state   dirState
-	sharers map[int]bool
-	owner   int
-	// epochs records, per registered sharer, the install epoch its copy
+	state dirState
+	owner int
+	// sharers holds, per registered sharer, the install epoch its copy
 	// lives under (the requester's invEpoch, carried in the GetS/GetX);
 	// ownerEpoch is the same for the Modified owner. Asynchronous evict
 	// notices carry the epoch the evicted copy lived under, and only a
@@ -159,9 +159,80 @@ type dirEntry struct {
 	// (notably via the ex-home relay path after a migration), and an
 	// unconditional removal would strand the fresh copy outside the
 	// sharer set — unreachable by invalidations, serving stale data.
-	epochs     map[int]uint64
+	sharers    sharerSet
 	ownerEpoch uint64
 	mu         *sim.Mutex
+}
+
+// sharer is one registered Shared copy: the blade that holds it and the
+// install epoch it was registered under.
+type sharer struct {
+	blade int
+	epoch uint64
+}
+
+// sharerSet is a directory entry's sharers, sorted by blade ID, so that
+// protocol fan-out walks them in an order that does not depend on how the
+// set came about: the event sequence (and with it the whole run) has to be
+// identical for a given seed. An entry keeps the one backing array through
+// every state change; a set is a handful of blades, so lookups scan it.
+type sharerSet []sharer
+
+// find returns blade's position in the set, or where it would be inserted.
+func (s sharerSet) find(blade int) (i int, ok bool) {
+	for i = range s {
+		if s[i].blade >= blade {
+			return i, s[i].blade == blade
+		}
+	}
+	return len(s), false
+}
+
+func (s sharerSet) has(blade int) bool {
+	_, ok := s.find(blade)
+	return ok
+}
+
+// epoch returns the epoch blade is registered under; ok is false if it is
+// not a sharer.
+func (s sharerSet) epoch(blade int) (epoch uint64, ok bool) {
+	if i, ok := s.find(blade); ok {
+		return s[i].epoch, true
+	}
+	return 0, false
+}
+
+// add registers blade under epoch, replacing an earlier registration.
+func (s *sharerSet) add(blade int, epoch uint64) {
+	i, ok := s.find(blade)
+	if !ok {
+		*s = slices.Insert(*s, i, sharer{blade: blade})
+	}
+	(*s)[i].epoch = epoch
+}
+
+func (s *sharerSet) remove(blade int) {
+	if i, ok := s.find(blade); ok {
+		*s = slices.Delete(*s, i, i+1)
+	}
+}
+
+// reset empties the set, keeping its array.
+func (s *sharerSet) reset() { *s = (*s)[:0] }
+
+// only makes blade, registered under epoch, the set's one member.
+func (s *sharerSet) only(blade int, epoch uint64) {
+	*s = append((*s)[:0], sharer{blade, epoch})
+}
+
+// blades appends the sharers' blade IDs, ascending, to dst: a copy for a
+// walk that blocks between sharers, during which an evict notice (which
+// takes no entry mutex) may shrink the set.
+func (s sharerSet) blades(dst []int) []int {
+	for _, sh := range s {
+		dst = append(dst, sh.blade)
+	}
+	return dst
 }
 
 // Engine runs the coherence protocol for one blade.
@@ -573,7 +644,7 @@ func (e *Engine) RegisterTelemetry(s telemetry.Scope) {
 func (e *Engine) entry(key cache.Key) *dirEntry {
 	ent, ok := e.dir[key]
 	if !ok {
-		ent = &dirEntry{sharers: make(map[int]bool), epochs: make(map[int]uint64), mu: sim.NewMutex(e.k)}
+		ent = &dirEntry{mu: sim.NewMutex(e.k)}
 		e.dir[key] = ent
 	}
 	return ent
@@ -1043,8 +1114,8 @@ func (e *Engine) makeRoom(p *sim.Proc) error {
 		e.invEpoch[v.Key]++
 		// Fire-and-forget directory notice; staleness is tolerated.
 		if homeID, err := e.home(v.Key); err == nil {
-			e.conn.Go(p, e.peers[homeID], "coh.evict",
-				evictNote{Key: v.Key, From: e.self, WasOwner: wasOwner, Epoch: noteEpoch}, ctrlSize, 0)
+			e.conn.Cast(p, e.peers[homeID], "coh.evict",
+				evictNote{Key: v.Key, From: e.self, WasOwner: wasOwner, Epoch: noteEpoch}, ctrlSize)
 		}
 	}
 	return nil

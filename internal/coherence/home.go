@@ -1,8 +1,6 @@
 package coherence
 
 import (
-	"sort"
-
 	"repro/internal/cache"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -15,18 +13,6 @@ func bladeID(peers []simnet.Addr, addr simnet.Addr) int {
 		}
 	}
 	return -1
-}
-
-// sortedSharers returns the sharer set as a sorted slice. Protocol fan-out
-// must not follow Go's randomized map order: the event sequence (and with
-// it the whole run) has to be identical for a given seed.
-func sortedSharers(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // handleGetS serves a read-share request as the home blade.
@@ -56,8 +42,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	switch ent.state {
 	case dirInvalid:
 		ent.state = dirShared
-		ent.sharers = map[int]bool{requester: true}
-		ent.epochs = map[int]uint64{requester: req.Epoch}
+		ent.sharers.only(requester, req.Epoch)
 		return getSResp{}, ctrlSize // backing store is current
 
 	case dirShared:
@@ -66,11 +51,11 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 		// most needed", §6.3).
 		var data []byte
 		if e.noPeerFetch {
-			ent.sharers[requester] = true
-			ent.epochs[requester] = req.Epoch
+			ent.sharers.add(requester, req.Epoch)
 			return getSResp{}, ctrlSize
 		}
-		for _, s := range sortedSharers(ent.sharers) {
+		var buf [8]int
+		for _, s := range ent.sharers.blades(buf[:0]) {
 			if s == requester {
 				continue
 			}
@@ -78,8 +63,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 			if err != nil {
 				// Unreachable (dead) sharer: drop it so GetX invalidations
 				// don't stall on it later.
-				delete(ent.sharers, s)
-				delete(ent.epochs, s)
+				ent.sharers.remove(s)
 				continue
 			}
 			if fr := raw.(fetchResp); !fr.Gone {
@@ -92,8 +76,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 			// installed after this fetch, out of reach of invalidations.
 			break
 		}
-		ent.sharers[requester] = true
-		ent.epochs[requester] = req.Epoch
+		ent.sharers.add(requester, req.Epoch)
 		return getSResp{Data: data}, ctrlSize + len(data)
 
 	default: // dirModified
@@ -124,16 +107,15 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 				// current (the copy was clean). The owner's copy keeps
 				// living under the epoch recorded at its GetX.
 				ent.state = dirShared
-				ent.sharers = map[int]bool{requester: true, owner: true}
-				ent.epochs = map[int]uint64{requester: req.Epoch, owner: ent.ownerEpoch}
+				ent.sharers.only(requester, req.Epoch)
+				ent.sharers.add(owner, ent.ownerEpoch)
 				return getSResp{Data: dr.Data}, ctrlSize + len(dr.Data)
 			}
 		}
 		// Gone or dead owner: per invariant 3 the backing store is
 		// current.
 		ent.state = dirShared
-		ent.sharers = map[int]bool{requester: true}
-		ent.epochs = map[int]uint64{requester: req.Epoch}
+		ent.sharers.only(requester, req.Epoch)
 		return getSResp{}, ctrlSize
 	}
 }
@@ -167,11 +149,11 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 		// leave a stale Shared copy serving old data, so each one retries
 		// under the engine policy before the sharer is written off as dead.
 		grp := sim.NewGroup(e.k)
-		for _, s := range sortedSharers(ent.sharers) {
+		for _, sh := range ent.sharers {
+			s := sh.blade
 			if s == requester {
 				continue
 			}
-			s := s
 			grp.Add(1)
 			e.k.Go("inv", func(q *sim.Proc) {
 				defer grp.Done()
@@ -188,8 +170,7 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	ent.state = dirModified
 	ent.owner = requester
 	ent.ownerEpoch = req.Epoch
-	ent.sharers = make(map[int]bool)
-	ent.epochs = make(map[int]uint64)
+	ent.sharers.reset()
 	return getXResp{}, ctrlSize
 }
 
@@ -247,11 +228,11 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 		if e.noPeerFetch {
 			return getVResp{}, ctrlSize
 		}
-		for _, s := range sortedSharers(ent.sharers) {
+		var buf [8]int
+		for _, s := range ent.sharers.blades(buf[:0]) {
 			raw, err := e.conn.CallRetry(p, e.peers[s], "coh.fetch", fetchReq{Key: req.Key}, ctrlSize, e.retry)
 			if err != nil {
-				delete(ent.sharers, s)
-				delete(ent.epochs, s)
+				ent.sharers.remove(s)
 				if len(ent.sharers) == 0 {
 					ent.state = dirInvalid
 				}
@@ -384,7 +365,7 @@ func (e *Engine) handleEvictNote(p *sim.Proc, from simnet.Addr, args any) (any, 
 	if to, ok := e.forward[note.Key]; ok {
 		// The key's home migrated away; relay the notice so the new home's
 		// sharer set does not go stale.
-		e.conn.Go(p, e.peers[to], "coh.evict", note, ctrlSize, 0)
+		e.conn.Cast(p, e.peers[to], "coh.evict", note, ctrlSize)
 		return nil, 0
 	}
 	ent, ok := e.dir[note.Key]
@@ -400,9 +381,8 @@ func (e *Engine) handleEvictNote(p *sim.Proc, from simnet.Addr, args any) (any, 
 	// reach it and local hits would serve stale data indefinitely.
 	switch ent.state {
 	case dirShared:
-		if ent.sharers[note.From] && note.Epoch >= ent.epochs[note.From] {
-			delete(ent.sharers, note.From)
-			delete(ent.epochs, note.From)
+		if epoch, ok := ent.sharers.epoch(note.From); ok && note.Epoch >= epoch {
+			ent.sharers.remove(note.From)
 			if len(ent.sharers) == 0 {
 				ent.state = dirInvalid
 			}

@@ -74,10 +74,10 @@ func (e *Engine) handleMigrate(p *sim.Proc, from simnet.Addr, args any) (any, in
 			e.k.Now(), e.self, req.To, ent.state, ent.owner, ent.sharers)
 	}
 	heat := e.heat.Take(req.Key)
-	sharers := sortedSharers(ent.sharers)
-	epochs := make([]uint64, len(sharers))
-	for i, s := range sharers {
-		epochs[i] = ent.epochs[s]
+	sharers := ent.sharers.blades(nil)
+	epochs := make([]uint64, len(ent.sharers))
+	for i, sh := range ent.sharers {
+		epochs[i] = sh.epoch
 	}
 	areq := adoptReq{
 		Key:          req.Key,
@@ -117,11 +117,9 @@ func (e *Engine) handleAdopt(p *sim.Proc, from simnet.Addr, args any) (any, int)
 	ent.state = dirState(req.State)
 	ent.owner = req.Owner
 	ent.ownerEpoch = req.OwnerEpoch
-	ent.sharers = make(map[int]bool, len(req.Sharers))
-	ent.epochs = make(map[int]uint64, len(req.Sharers))
+	ent.sharers.reset()
 	for i, s := range req.Sharers {
-		ent.sharers[s] = true
-		ent.epochs[s] = req.SharerEpochs[i]
+		ent.sharers.add(s, req.SharerEpochs[i])
 	}
 	e.heat.Seed(req.Key, req.Heat)
 	e.stats.HomeAdoptions++

@@ -92,7 +92,7 @@ func CheckInvariants(engines []*Engine, keys []cache.Key) error {
 					return fmt.Errorf("key %v: dir Shared but blade%d holds state=%v dirty=%v",
 						key, c.blade, c.ent.State, c.ent.Dirty)
 				}
-				if !dirEnt.sharers[c.blade] {
+				if !dirEnt.sharers.has(c.blade) {
 					return fmt.Errorf("key %v: blade%d caches S copy but is not in sharer set %v",
 						key, c.blade, dirEnt.sharers)
 				}

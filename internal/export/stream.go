@@ -124,10 +124,10 @@ func (g *StreamGateway) pump(p *sim.Proc, id int64, s *streamSession) {
 			break
 		}
 		last := s.off+int64(n) >= s.size
-		g.conn.Go(p, s.client, "rtsp.chunk", StreamChunk{
+		g.conn.Cast(p, s.client, "rtsp.chunk", StreamChunk{
 			Session: id, Seq: s.seq, Off: s.off,
 			Data: append([]byte(nil), buf[:n]...), Last: last,
-		}, ctrlSize+n, 0)
+		}, ctrlSize+n)
 		g.Served++
 		s.seq++
 		s.off += int64(n)

@@ -205,7 +205,7 @@ func (s *Site) writeAsHome(p *sim.Proc, path string, m *fileMeta, off int64, dat
 	// Cache replicas at other sites are now stale: invalidate them
 	// (fire-and-forget; the sites drop their copies).
 	for site := range m.cacheReplicas {
-		s.conn.Go(p, simnet.Addr(site), "geo.invalidate", invalidateReq{Path: path}, ctrlSize, 0)
+		s.conn.Cast(p, simnet.Addr(site), "geo.invalidate", invalidateReq{Path: path}, ctrlSize)
 		delete(m.cacheReplicas, site)
 		s.Stats.Invalidations++
 	}

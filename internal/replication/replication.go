@@ -193,8 +193,8 @@ func (m *Manager) OnClean(p *sim.Proc, key cache.Key, version uint64) {
 		targets = m.buddies(key, 0)
 	}
 	for _, b := range targets {
-		m.conn.Go(p, m.peers[b], "repl.drop",
-			dropReq{Key: key, Owner: m.self, Version: version}, ctrlSize, 0)
+		m.conn.Cast(p, m.peers[b], "repl.drop",
+			dropReq{Key: key, Owner: m.self, Version: version}, ctrlSize)
 	}
 	m.Drops++
 }

@@ -142,6 +142,66 @@ func (s *refSemaphore) kick() {
 	}
 }
 
+// call is an RPC-shaped wait as simnet had it while a deadline was a
+// callback: the reply (a callback setDelay from now, scheduled ahead of the
+// deadline or, through a trampoline that runs once p has parked, behind it)
+// and the deadline race for the pending flag, the winner sets the future,
+// and p resumes through the wake-up that Set schedules. It reports whether
+// the reply won.
+func (r *refKernel) call(p *Proc, replyFirst bool, setDelay, deadline Duration) bool {
+	set, pending, timedOut := false, true, false
+	resolve := func() {
+		set = true
+		r.At(r.k.now, r.wakeEvent(p))
+	}
+	reply := func() {
+		if pending {
+			pending = false
+			resolve()
+		}
+	}
+	if replyFirst {
+		r.At(r.k.now.Add(setDelay), reply)
+	} else {
+		r.At(r.k.now, func() { r.At(r.k.now.Add(setDelay), reply) })
+	}
+	r.At(r.k.now.Add(deadline), func() {
+		if pending {
+			pending, timedOut = false, true
+			resolve()
+		}
+	})
+	for !set {
+		p.park()
+	}
+	return !timedOut
+}
+
+// realCall is the same exchange as simnet.Conn.CallTimeout now runs it: the
+// deadline is the caller's own wake-up, and a caller that timed out yields
+// once.
+func realCall(k *Kernel, p *Proc, replyFirst bool, setDelay, deadline Duration) bool {
+	f := NewFuture[struct{}](k)
+	pending := true
+	reply := func() {
+		if pending {
+			pending = false
+			f.Set(struct{}{})
+		}
+	}
+	if replyFirst {
+		k.After(setDelay, reply)
+	} else {
+		k.After(0, func() { k.After(setDelay, reply) })
+	}
+	_, ok := f.WaitTimeout(p, deadline)
+	if !ok {
+		pending = false
+		p.Yield()
+	}
+	return ok
+}
+
 // machine is what a random schedule drives: the kernel under test or the
 // reference.
 type machine struct {
@@ -153,6 +213,7 @@ type machine struct {
 	recv    func(p *Proc, mb int) int
 	acquire func(p *Proc, sem, n int)
 	release func(sem, n int)
+	call    func(p *Proc, replyFirst bool, setDelay, deadline Duration) bool
 	run     func()
 	close   func()
 }
@@ -164,6 +225,12 @@ const (
 )
 
 func realMachine(seed int64) machine {
+	m, _ := realMachineOn(seed)
+	return m
+}
+
+// realMachineOn also returns the kernel, for tests that steer its sweep.
+func realMachineOn(seed int64) (machine, *Kernel) {
 	k := NewKernel(seed)
 	var mbs [equivMailboxes]*Mailbox[int]
 	var sems [equivSemaphores]*Semaphore
@@ -182,9 +249,12 @@ func realMachine(seed int64) machine {
 		recv:    func(p *Proc, mb int) int { return mbs[mb].Recv(p) },
 		acquire: func(p *Proc, sem, n int) { sems[sem].Acquire(p, n) },
 		release: func(sem, n int) { sems[sem].Release(n) },
-		run:     k.Run,
-		close:   k.Close,
-	}
+		call: func(p *Proc, replyFirst bool, setDelay, deadline Duration) bool {
+			return realCall(k, p, replyFirst, setDelay, deadline)
+		},
+		run:   k.Run,
+		close: k.Close,
+	}, k
 }
 
 func refMachine(seed int64) machine {
@@ -206,6 +276,7 @@ func refMachine(seed int64) machine {
 		recv:    func(p *Proc, mb int) int { return mbs[mb].Recv(p) },
 		acquire: func(p *Proc, sem, n int) { sems[sem].Acquire(p, n) },
 		release: func(sem, n int) { sems[sem].Release(n) },
+		call:    r.call,
 		run:     r.Run,
 		close:   r.k.Close,
 	}
@@ -220,14 +291,18 @@ const (
 	stepSend
 	stepRecv
 	stepHold // acquire n permits, sleep d, release
+	stepCall // wait up to d for a reply due d2 from now
 )
 
 type step struct {
 	kind stepKind
 	d    Duration
+	d2   Duration
 	t    Time
 	id   int // mailbox or semaphore
 	n    int
+	// first: the reply is scheduled ahead of the deadline, not behind it.
+	first bool
 }
 
 // randomSchedule draws every proc's steps up front, so both machines run
@@ -235,7 +310,13 @@ type step struct {
 // {0..3} µs: most events collide with others at the same instant, which is
 // where FIFO order is decided by seq alone. Even procs send and odd procs
 // receive, each mailbox exactly as often as it is sent to, so every run
-// drains: a receiver only ever waits for procs that cannot wait for it.
+// drains: a receiver only ever waits for procs that cannot wait for it. A
+// call's reply and deadline come from the same four delays, so one in four
+// is a tie, which the deadline wins: it was scheduled first. (The reply to
+// an RPC is scheduled after its request was sent and so after its deadline.
+// A reply scheduled first that lands on the deadline's very instant sets
+// the future in both designs, but WaitTimeout then resumes the waiter in the
+// deadline's place and the callback design in Set's: no schedule has one.)
 func randomSchedule(rng *rand.Rand, procs, steps int) [][]step {
 	prog := make([][]step, procs)
 	var sends [equivMailboxes]int
@@ -243,7 +324,7 @@ func randomSchedule(rng *rand.Rand, procs, steps int) [][]step {
 	for i := range prog {
 		for j := 0; j < steps; j++ {
 			var s step
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0, 1:
 				s = step{kind: stepSleep, d: delay()}
 			case 2:
@@ -258,6 +339,9 @@ func randomSchedule(rng *rand.Rand, procs, steps int) [][]step {
 				sends[s.id]++
 			case 5:
 				s = step{kind: stepHold, id: rng.Intn(equivSemaphores), n: 1 + rng.Intn(equivPermits), d: delay()}
+			case 6:
+				s = step{kind: stepCall, d: Microsecond + delay(), d2: Microsecond + delay()}
+				s.first = s.d != s.d2 && rng.Intn(2) == 0
 			}
 			prog[i] = append(prog[i], s)
 		}
@@ -300,6 +384,8 @@ func execute(m machine, prog [][]step) []string {
 					note("p%d.%d holds %d of sem%d", i, j, s.n, s.id)
 					m.sleep(p, s.d)
 					m.release(s.id, s.n)
+				case stepCall:
+					note("p%d.%d replied=%v", i, j, m.call(p, s.first, s.d2, s.d))
 				}
 				note("p%d.%d done", i, j)
 			}
@@ -309,10 +395,11 @@ func execute(m machine, prog [][]step) []string {
 	return log
 }
 
-// TestSchedulesMatchReferenceHeap is the tentpole's ordering guarantee: the
-// value-typed heap and the closure-free wake events fire every random
-// At/After/Sleep/Mailbox/Semaphore schedule in exactly the order the
-// container/heap kernel did, equal-time FIFO included.
+// TestSchedulesMatchReferenceHeap is the ordering guarantee: the value-typed
+// heap and the closure-free wake events — a WaitTimeout's deadline among
+// them — fire every random At/After/Sleep/Mailbox/Semaphore/call schedule in
+// exactly the order the container/heap kernel and its callback deadlines
+// did, equal-time FIFO included.
 func TestSchedulesMatchReferenceHeap(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		prog := randomSchedule(rand.New(rand.NewSource(seed)), 2+int(seed%7), 30)

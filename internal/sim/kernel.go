@@ -71,6 +71,13 @@ type event struct {
 	gen  uint64
 }
 
+// stale reports whether e is a wake-up that can no longer fire: its process
+// has exited, or has been woken since e was scheduled (gen only grows), so
+// popping e would do nothing. A callback is never stale.
+func (e *event) stale() bool {
+	return e.fn == nil && (e.proc.done || e.proc.gen != e.gen)
+}
+
 // before reports whether key (at, seq) sorts ahead of key (at2, seq2). It
 // takes the fields rather than events so that a comparison copies nothing.
 func before(at Time, seq uint64, at2 Time, seq2 uint64) bool {
@@ -110,10 +117,16 @@ func (h *eventHeap) pop() event {
 	s[n] = event{} // drop the slot's fn/proc references
 	s = s[:n]
 	*h = s
-	if n == 0 {
-		return top
+	if n > 0 {
+		s.siftDown(0, last)
 	}
-	i := 0
+	return top
+}
+
+// siftDown stores e at the hole i or, while a child sorts ahead of e, moves
+// that child up and the hole down.
+func (s eventHeap) siftDown(i int, e event) {
+	n := len(s)
 	for {
 		first := i*heapArity + 1
 		if first >= n {
@@ -129,14 +142,13 @@ func (h *eventHeap) pop() event {
 				min = c
 			}
 		}
-		if !before(s[min].at, s[min].seq, last.at, last.seq) {
+		if !before(s[min].at, s[min].seq, e.at, e.seq) {
 			break
 		}
 		s[i] = s[min]
 		i = min
 	}
-	s[i] = last
-	return top
+	s[i] = e
 }
 
 // Kernel is a discrete-event scheduler with a virtual clock.
@@ -162,6 +174,11 @@ type Kernel struct {
 	closed  bool
 	// stopAt, when nonzero, bounds Run: events after it stay queued.
 	stopAt Time
+	// sweepAt is the heap length at which schedule next sweeps the stale
+	// wake-ups out (see sweep); horizon is the latest time of any event a
+	// sweep removed, which Run still advances the clock to.
+	sweepAt int
+	horizon Time
 	// cur is the process currently executing, nil while the kernel itself
 	// (or a plain callback) runs. Go uses it to inherit trace context into
 	// child processes. All access is ordered by the coroutine switches.
@@ -170,7 +187,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{rng: rand.New(rand.NewSource(seed)), sweepAt: sweepMin}
 }
 
 // Now returns the current virtual time.
@@ -199,6 +216,40 @@ func (k *Kernel) schedule(e event) {
 	k.seq++
 	e.seq = k.seq
 	k.events.push(e)
+	if len(k.events) >= k.sweepAt {
+		k.sweep()
+	}
+}
+
+// sweepMin is the heap length below which a sweep is not worth its pass.
+const sweepMin = 1024
+
+// sweep removes the stale wake-ups from the heap. A wake-up that lost its
+// race — above all the deadline of a WaitTimeout whose future was set in
+// time — would otherwise sit in the heap until its time came: at a 2 s RPC
+// deadline, two seconds' worth of completed calls. Removing one changes
+// nothing a run can observe: it would have popped as a no-op, the events
+// that remain keep their (at, seq) keys and so their pop order, and Run
+// still ends at the time of the last one removed (horizon). A sweep runs
+// when the heap has doubled since the last one left it, which keeps the
+// heap within twice its live events at an amortised O(1) per schedule.
+func (k *Kernel) sweep() {
+	live := k.events[:0]
+	for i := range k.events {
+		if e := &k.events[i]; e.stale() {
+			k.horizon = max(k.horizon, e.at)
+		} else {
+			live = append(live, *e)
+		}
+	}
+	clear(k.events[len(live):]) // drop the vacated slots' proc references
+	k.events = live
+	if n := len(live); n > 1 {
+		for i := (n - 2) / heapArity; i >= 0; i-- {
+			live.siftDown(i, live[i])
+		}
+	}
+	k.sweepAt = max(2*len(live), sweepMin)
 }
 
 // After schedules fn to run d from now.
@@ -235,6 +286,9 @@ func (k *Kernel) run(until Time) {
 		} else if p := e.proc; !p.done && p.blocked && p.gen == e.gen {
 			k.wake(p)
 		}
+	}
+	if until == 0 && k.horizon > k.now {
+		k.now = k.horizon // the queue drained through the swept wake-ups too
 	}
 	if until > k.now {
 		k.now = until

@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // fifo is a queue that reuses its backing array: pop advances a head index
 // where re-slicing (q = q[1:]) would walk the slice off the array's end and
 // make append reallocate every few pushes.
@@ -121,6 +123,28 @@ func (f *Future[T]) Wait(p *Proc) T {
 		p.park()
 	}
 	return f.v
+}
+
+// WaitTimeout is Wait with a deadline d from now (d ≤ 0: none): ok reports
+// that the future was set in time. The deadline is a wake-up of p's own,
+// valid for this blocking period only, so arming it allocates nothing, a
+// future set first leaves it stale (see Kernel.sweep), and a deadline that
+// fires resumes p at that event's own place among the events of its instant.
+// A waiter that timed out is off the future's waiter list.
+func (f *Future[T]) WaitTimeout(p *Proc, d Duration) (v T, ok bool) {
+	if d <= 0 {
+		return f.Wait(p), true
+	}
+	if !f.set {
+		f.waiters = append(f.waiters, p)
+		f.k.wakeAt(f.k.now.Add(d), p)
+		p.park()
+	}
+	if f.set {
+		return f.v, true
+	}
+	f.waiters = slices.DeleteFunc(f.waiters, func(w *Proc) bool { return w == p })
+	return v, false
 }
 
 // OnDone registers fn to be scheduled when the future is set. If the future

@@ -18,9 +18,20 @@ func rpcPair(k *sim.Kernel, spec LinkSpec) (*Network, *Conn, *Conn) {
 	return n, cli, srv
 }
 
-// Satellite 1: async calls must carry the caller's trace and QoS contexts
-// exactly as synchronous calls do.
-func TestGoPropagatesTraceAndQoS(t *testing.T) {
+// goCall issues cli.Call(dst, method) on a process of its own, started at
+// the current instant, and returns the future of its reply.
+func goCall(k *sim.Kernel, cli *Conn, dst Addr, method string) *sim.Future[any] {
+	f := sim.NewFuture[any](k)
+	k.Go("call", func(p *sim.Proc) {
+		r, _ := cli.Call(p, dst, method, nil, 0)
+		f.Set(r)
+	})
+	return f
+}
+
+// Casts must carry the caller's trace and QoS contexts exactly as
+// synchronous calls do.
+func TestCastPropagatesTraceAndQoS(t *testing.T) {
 	k := sim.NewKernel(1)
 	_, cli, srv := rpcPair(k, LinkSpec{Latency: sim.Millisecond})
 	tr := trace.NewTracer(k)
@@ -40,7 +51,7 @@ func TestGoPropagatesTraceAndQoS(t *testing.T) {
 		if _, err := cli.Call(p, "s", "work", "sync", 0); err != nil {
 			t.Error(err)
 		}
-		cli.Go(p, "s", "work", "async", 0, 0).Wait(p)
+		cli.Cast(p, "s", "work", "async", 0)
 	})
 	k.Run()
 	root.End()
@@ -189,8 +200,8 @@ func TestFrameCoalescing(t *testing.T) {
 	srv.SetBatching(true, BatchPolicy{})
 	var sum int
 	k.Go("caller", func(p *sim.Proc) {
-		f1 := cli.Go(p, "s", "one", nil, 0, 0)
-		f2 := cli.Go(p, "s", "one", nil, 0, 0)
+		f1 := goCall(k, cli, "s", "one")
+		f2 := goCall(k, cli, "s", "one")
 		sum = f1.Wait(p).(int) + f2.Wait(p).(int)
 	})
 	k.Run()
@@ -246,8 +257,8 @@ func TestFrameMaxMsgsFlush(t *testing.T) {
 	cli.SetBatching(true, BatchPolicy{Window: sim.Second, MaxMsgs: 2})
 	var end sim.Time
 	k.Go("caller", func(p *sim.Proc) {
-		f1 := cli.Go(p, "s", "one", nil, 0, 0)
-		f2 := cli.Go(p, "s", "one", nil, 0, 0)
+		f1 := goCall(k, cli, "s", "one")
+		f2 := goCall(k, cli, "s", "one")
 		sim.WaitAll(p, f1, f2)
 		end = p.Now()
 	})
@@ -269,7 +280,7 @@ func TestSetBatchingOffFlushes(t *testing.T) {
 	var got any
 	var end sim.Time
 	k.Go("caller", func(p *sim.Proc) {
-		f := cli.Go(p, "s", "one", nil, 0, 0)
+		f := goCall(k, cli, "s", "one")
 		p.Yield() // let the enqueue land, then turn batching off
 		cli.SetBatching(false, BatchPolicy{})
 		got = f.Wait(p)

@@ -107,8 +107,10 @@ type Network struct {
 	links map[[2]Addr]*link
 	adj   map[Addr][]Addr
 	down  map[Addr]bool
-	// routes caches next-hop tables, invalidated on topology change.
+	// routes caches next-hop tables and paths the hop sequences walked from
+	// them, nil for no route; a topology change drops both.
 	routes map[Addr]map[Addr]Addr
+	paths  map[[2]Addr][]Addr
 	// Dropped counts messages discarded because an endpoint was down.
 	Dropped int64
 	// Faults counts injected fault events (see FaultPlan).
@@ -153,7 +155,7 @@ func (n *Network) Connect(a, b Addr, spec LinkSpec) {
 		}
 		n.links[pair] = &link{spec: spec}
 	}
-	n.routes = nil
+	n.routes, n.paths = nil, nil
 }
 
 // SetFaults installs plan on the duplex link between a and b (both
@@ -250,11 +252,26 @@ func (n *Network) RegisterTelemetry(s telemetry.Scope) {
 }
 
 // path returns the hop sequence from src to dst (excluding src), or nil if
-// unreachable. Routing is minimum-hop, computed by BFS and cached.
+// unreachable. Routing is minimum-hop, computed by BFS and cached; the
+// sequence is shared by every message on the route and must not be modified.
 func (n *Network) path(src, dst Addr) []Addr {
 	if src == dst {
 		return []Addr{}
 	}
+	key := [2]Addr{src, dst}
+	hops, ok := n.paths[key]
+	if !ok {
+		if n.paths == nil {
+			n.paths = make(map[[2]Addr][]Addr)
+		}
+		hops = n.walk(src, dst)
+		n.paths[key] = hops
+	}
+	return hops
+}
+
+// walk follows the next-hop tables from src to dst.
+func (n *Network) walk(src, dst Addr) []Addr {
 	if n.routes == nil {
 		n.routes = make(map[Addr]map[Addr]Addr)
 	}

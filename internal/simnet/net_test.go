@@ -329,21 +329,34 @@ func TestRPCConcurrentCalls(t *testing.T) {
 	}
 }
 
-func TestRPCAsyncGo(t *testing.T) {
+// A cast runs the handler and its reply crosses the wire, but the caller's
+// connection holds nothing for it before or after.
+func TestRPCCast(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k)
 	n.Connect("c", "s", LinkSpec{})
 	srv := NewConn(n, "s")
-	srv.Register("one", func(p *sim.Proc, from Addr, args any) (any, int) { return 1, 0 })
+	var got []any
+	srv.Register("note", func(p *sim.Proc, from Addr, args any) (any, int) {
+		got = append(got, args)
+		return nil, 48
+	})
 	cli := NewConn(n, "c")
-	var sum int
 	k.Go("caller", func(p *sim.Proc) {
-		f1 := cli.Go(p, "s", "one", nil, 0, 0)
-		f2 := cli.Go(p, "s", "one", nil, 0, 0)
-		sum = f1.Wait(p).(int) + f2.Wait(p).(int)
+		cli.Cast(p, "s", "note", "a", 16)
+		cli.Cast(p, "s", "note", "b", 16)
+		if len(cli.pending) != 0 {
+			t.Errorf("pending = %d right after two casts, want 0", len(cli.pending))
+		}
 	})
 	k.Run()
-	if sum != 2 {
-		t.Fatalf("sum = %d, want 2", sum)
+	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("handler saw %v, want [a b]", got)
+	}
+	if out, back := n.LinkBytes("c", "s"), n.LinkBytes("s", "c"); out != 32 || back != 96 {
+		t.Fatalf("link bytes out=%d back=%d, want 32 and 96 (the replies still travel)", out, back)
+	}
+	if len(cli.pending) != 0 || cli.Stats().Calls != 0 {
+		t.Fatalf("pending = %d, stats = %+v after the replies landed, want nothing", len(cli.pending), cli.Stats())
 	}
 }

@@ -111,7 +111,7 @@ type rpcReply struct {
 // methods on peers. One Conn owns its node's message delivery.
 type Conn struct {
 	ep       *Endpoint
-	handlers map[string]Handler
+	handlers map[string]registered
 	pending  map[uint64]*sim.Future[any]
 	nextID   uint64
 	// DefaultTimeout bounds Call when no explicit timeout is given.
@@ -137,6 +137,13 @@ type Conn struct {
 	bstats     BatchStats
 	occupancy  *metrics.Histogram
 	batchDelay *metrics.Histogram
+}
+
+// registered is a served method: its handler and the name its handler
+// processes run under, built once at Register rather than on every request.
+type registered struct {
+	h    Handler
+	proc string
 }
 
 // seenGenCap bounds each duplicate-suppression generation; the window
@@ -175,7 +182,7 @@ type reqKey struct {
 func NewConn(net *Network, addr Addr) *Conn {
 	c := &Conn{
 		ep:       net.Node(addr),
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]registered),
 		pending:  make(map[uint64]*sim.Future[any]),
 	}
 	c.ep.Handle(c.onMessage)
@@ -196,7 +203,9 @@ func (c *Conn) Stats() RPCStats { return c.stats }
 
 // Register installs a handler for method. Registering a method twice
 // replaces the earlier handler.
-func (c *Conn) Register(method string, h Handler) { c.handlers[method] = h }
+func (c *Conn) Register(method string, h Handler) {
+	c.handlers[method] = registered{h: h, proc: string(c.Addr()) + "/" + method}
+}
 
 func (c *Conn) onMessage(msg Message) {
 	if fr, ok := msg.Payload.(rpcFrame); ok {
@@ -212,7 +221,7 @@ func (c *Conn) dispatch(from Addr, payload any) {
 	k := c.ep.Network().Kernel()
 	switch m := payload.(type) {
 	case rpcRequest:
-		h, ok := c.handlers[m.method]
+		reg, ok := c.handlers[m.method]
 		if !ok {
 			panic(fmt.Sprintf("simnet: %s has no handler for %q", c.Addr(), m.method))
 		}
@@ -229,7 +238,7 @@ func (c *Conn) dispatch(from Addr, payload any) {
 			c.noteSeen(rk)
 		}
 		c.served++
-		k.Go(string(c.Addr())+"/"+m.method, func(p *sim.Proc) {
+		k.Go(reg.proc, func(p *sim.Proc) {
 			if m.tctx.Valid() {
 				// Adopt the caller's trace so handler-side spans (disk
 				// service, nested coherence calls) attribute correctly.
@@ -238,7 +247,7 @@ func (c *Conn) dispatch(from Addr, payload any) {
 			if m.qctx != (qos.Ctx{}) {
 				qos.SetCtx(p, m.qctx)
 			}
-			result, size := h(p, from, m.args)
+			result, size := reg.h(p, from, m.args)
 			c.send(from, rpcReply{id: m.id, result: result}, size)
 		})
 	case rpcReply:
@@ -260,36 +269,43 @@ func (c *Conn) Call(p *sim.Proc, dst Addr, method string, args any, argSize int)
 
 // CallTimeout is Call with an explicit timeout (zero = wait forever).
 func (c *Conn) CallTimeout(p *sim.Proc, dst Addr, method string, args any, argSize int, timeout sim.Duration) (any, error) {
-	k := c.ep.Network().Kernel()
 	c.nextID++
 	id := c.nextID
 	c.stats.Calls++
-	sp := trace.FromProc(p).Child("rpc:"+method, trace.Fabric, string(dst))
-	f := sim.NewFuture[any](k)
+	sp := rpcSpan(p, method, dst)
+	f := sim.NewFuture[any](c.ep.Network().Kernel())
 	c.pending[id] = f
 	if !c.send(dst, rpcRequest{id: id, method: method, args: args, tctx: sp.Ctx(), qctx: qos.FromProc(p)}, argSize) {
 		delete(c.pending, id)
 		sp.Detail("unreachable").End()
 		return nil, ErrUnreachable
 	}
-	timedOut := false
-	if timeout > 0 {
-		k.After(timeout, func() {
-			if pf, ok := c.pending[id]; ok && pf == f {
-				delete(c.pending, id)
-				timedOut = true
-				f.Set(nil)
-			}
-		})
-	}
-	result := f.Wait(p)
-	if timedOut {
+	result, ok := f.WaitTimeout(p, timeout)
+	if !ok {
+		// A late reply now finds no pending call and is dropped. The
+		// deadline resumed p in the deadline event's own place; a reply
+		// resumes it through a wake-up scheduled on delivery, behind the
+		// events already queued for that instant. Yield once, so that a
+		// timeout gives way to them as well.
+		delete(c.pending, id)
+		p.Yield()
 		c.stats.Timeouts++
 		sp.Detail("timeout").End()
 		return nil, ErrTimeout
 	}
 	sp.End()
 	return result, nil
+}
+
+// rpcSpan opens the caller's fabric span for a request to dst, or returns
+// nil — without building the span's name — when p carries no trace; p may be
+// nil for a caller outside any process.
+func rpcSpan(p *sim.Proc, method string, dst Addr) *trace.Active {
+	ctx := trace.FromProc(p)
+	if !ctx.Valid() {
+		return nil
+	}
+	return ctx.Child("rpc:"+method, trace.Fabric, string(dst))
 }
 
 // CallRetry is Call wrapped in a bounded retry loop per pol: every attempt
@@ -335,43 +351,20 @@ func (c *Conn) CallRetry(p *sim.Proc, dst Addr, method string, args any, argSize
 	return nil, fmt.Errorf("simnet: %s to %s gave up after %d attempts: %w", method, dst, attempts, lastErr)
 }
 
-// Go starts an asynchronous call, returning a future that yields the reply
-// payload (nil on unreachable/timeout paths — use Call for error detail).
-// The caller's trace and QoS contexts propagate exactly as CallTimeout's
-// do, so async pushes stay inside the caller's trace and remote handler
-// time is charged to the caller's lane; p may be nil for callers running
-// outside any process (the span is then simply absent).
-func (c *Conn) Go(p *sim.Proc, dst Addr, method string, args any, argSize int, timeout sim.Duration) *sim.Future[any] {
-	k := c.ep.Network().Kernel()
+// Cast sends a request nobody waits for — an eviction notice, a replica
+// drop — and registers nothing for it: the handler runs and its reply
+// travels back like any other (same messages, same link occupancy), and on
+// arrival matches no pending call and is dropped. A lost request or reply
+// therefore leaves nothing behind on this connection. The caller's trace and
+// QoS contexts propagate exactly as Call's do, so the handler's work stays
+// inside the caller's trace and is charged to the caller's lane; the fabric
+// span is an instant that marks the dispatch, since the reply may land after
+// the enclosing op's root span has closed.
+func (c *Conn) Cast(p *sim.Proc, dst Addr, method string, args any, argSize int) {
 	c.nextID++
-	id := c.nextID
-	f := sim.NewFuture[any](k)
-	sp := trace.FromProc(p).Child("rpc:"+method, trace.Fabric, string(dst))
-	if !c.send(dst, rpcRequest{id: id, method: method, args: args, tctx: sp.Ctx(), qctx: qos.FromProc(p)}, argSize) {
-		sp.Detail("unreachable").End()
-		f.Set(nil)
-		return f
+	sp := rpcSpan(p, method, dst)
+	if !c.send(dst, rpcRequest{id: c.nextID, method: method, args: args, tctx: sp.Ctx(), qctx: qos.FromProc(p)}, argSize) {
+		sp.Detail("unreachable")
 	}
-	c.pending[id] = f
-	if timeout > 0 {
-		k.After(timeout, func() {
-			if pf, ok := c.pending[id]; ok && pf == f {
-				delete(c.pending, id)
-				f.Set(nil)
-			}
-		})
-	}
-	if sp != nil {
-		if timeout > 0 {
-			f.OnDone(func(any) { sp.End() })
-		} else {
-			// Fire-and-forget: no deadline means no caller observes the
-			// completion, and the reply may land after the enclosing op's
-			// root span has closed. An instant span marks the dispatch
-			// (keeping child spans nested inside their parents); the
-			// handler still adopts the propagated context.
-			sp.End()
-		}
-	}
-	return f
+	sp.End()
 }

@@ -5,6 +5,7 @@
 # acceptance rule as one local command.
 #
 #   scripts/benchpair.sh BASE WORKLOAD [N]     (make bench-pair BASE=… WORKLOAD=… N=…)
+#   SIM=identical scripts/benchpair.sh …        (make bench-pair … SIM=identical)
 #
 # BASE is any git revision; it is exported into a temporary directory and
 # built there by its own bench/run.sh, so both sides run the driver's exact
@@ -14,7 +15,10 @@
 # status is 1, and the metric is named, when any end-to-end median of the
 # change is worse than the base's by more than the metric's BENCHMARK.json
 # bound, or the change's own runs spread wider than that bound of the base's
-# median. Needs only git, tar, awk, sort.
+# median. With SIM=identical it is also 1, naming the first (workload, seed,
+# metric), when a sim_* value of the change differs from the base's as
+# printed: the contract of a host-only change, which moves no simulated event
+# and which medians and bounds cannot check. Needs only git, tar, awk, sort.
 set -euo pipefail
 base=${1:?usage: scripts/benchpair.sh BASE WORKLOAD|all [N]}
 workloads=${2:?usage: scripts/benchpair.sh BASE WORKLOAD|all [N]}
@@ -61,6 +65,19 @@ for workload in $workloads; do
 			one base "$tmp/base" "$seed"
 		fi
 	done >"$tmp/runs"
+
+	if [ "${SIM:-}" = identical ]; then
+		awk -v workload="$workload" '
+$3 !~ /^sim_/ { next }
+$1 == "base" { base[$2, $3] = $4 }
+$1 == "change" { change[$2, $3] = $4; if (!(($2, $3) in seen)) { seen[$2, $3] = 1; seed[++n] = $2; metric[n] = $3 } }
+END {
+	for (i = 1; i <= n; i++) {
+		b = base[seed[i], metric[i]]; c = change[seed[i], metric[i]]
+		if ((b "") != (c "")) { printf "SIM DIFFERS %s seed %s %s: base %s, change %s\n", workload, seed[i], metric[i], b, c; exit 1 }
+	}
+}' "$tmp/runs" || status=1
+	fi
 
 	sort -k3,3 -k1,1 -k4,4g "$tmp/runs" | awk -v workload="$workload" -v base="$base" '
 function quantile(v, n, q,    h, i) { h = (n - 1) * q + 1; i = int(h); return i >= n ? v[n] : v[i] + (h - i) * (v[i + 1] - v[i]) }
