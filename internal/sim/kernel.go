@@ -283,8 +283,8 @@ func (k *Kernel) run(until Time) {
 		}
 		if e.fn != nil {
 			e.fn()
-		} else if p := e.proc; !p.done && p.blocked && p.gen == e.gen {
-			k.wake(p)
+		} else if !e.stale() {
+			k.wake(e.proc)
 		}
 	}
 	if until == 0 && k.horizon > k.now {

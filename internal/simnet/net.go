@@ -107,8 +107,9 @@ type Network struct {
 	links map[[2]Addr]*link
 	adj   map[Addr][]Addr
 	down  map[Addr]bool
-	// routes caches next-hop tables and paths the hop sequences walked from
-	// them, nil for no route; a topology change drops both.
+	// routes caches the next-hop tables, and paths the hop sequence of each
+	// (src, dst) walked from them (nil: no route); a topology change drops
+	// both.
 	routes map[Addr]map[Addr]Addr
 	paths  map[[2]Addr][]Addr
 	// Dropped counts messages discarded because an endpoint was down.
