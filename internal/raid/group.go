@@ -69,6 +69,48 @@ type Group struct {
 	// rebuilding maps disk index → rebuild bookkeeping. A replaced disk
 	// serves I/O only for chunks already reconstructed.
 	rebuilding map[int]*rebuildState
+	// rowLocks holds the stripe rows of a RAID-5/6 group that a writer holds
+	// or waits for (see lockRows).
+	rowLocks map[int64]*rowLock
+}
+
+// rowLock is one stripe row's writer lock; refs counts its holder and the
+// processes waiting for it.
+type rowLock struct {
+	mu   *sim.Mutex
+	refs int
+}
+
+// lockRows blocks p until it is the only writer of every stripe row in
+// [lo, hi). Whoever writes parity derived from what it read of a row — a
+// small write's read-modify-write, a degraded write's reconstruction, a
+// scrub's repair, a rebuild's chunk — holds the row from that read to its
+// last write: two that overlapped would both start from the old parity, and
+// the later parity write would drop the other's change, leaving a row that
+// reads back fine until a degraded read or a rebuild needs its parity. Reads
+// take no lock. Rows lock in ascending order, and a record exists only while
+// its row is held or awaited, so the map does not grow with rows ever
+// written and an uncontended lock costs no simulated event.
+func (g *Group) lockRows(p *sim.Proc, lo, hi int64) {
+	for s := lo; s < hi; s++ {
+		l := g.rowLocks[s]
+		if l == nil {
+			l = &rowLock{mu: sim.NewMutex(g.k)}
+			g.rowLocks[s] = l
+		}
+		l.refs++
+		l.mu.Lock(p)
+	}
+}
+
+func (g *Group) unlockRows(lo, hi int64) {
+	for s := lo; s < hi; s++ {
+		l := g.rowLocks[s]
+		l.mu.Unlock()
+		if l.refs--; l.refs == 0 {
+			delete(g.rowLocks, s)
+		}
+	}
 }
 
 // NewGroup builds a RAID group over disks, which must share a spec.
@@ -90,6 +132,7 @@ func NewGroup(k *sim.Kernel, level Level, disks []*disk.Disk) (*Group, error) {
 		k: k, level: level, disks: disks,
 		blockSize: bs, stripes: stripes,
 		rebuilding: make(map[int]*rebuildState),
+		rowLocks:   make(map[int64]*rowLock),
 	}, nil
 }
 

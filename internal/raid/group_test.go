@@ -500,3 +500,81 @@ func TestScrubCleanGroupFindsNothing(t *testing.T) {
 		}
 	})
 }
+
+// Two small writes to different blocks of one stripe row, in flight together,
+// must both reach the row's parity: each is a read-modify-write of it.
+func TestConcurrentSmallWritesKeepParity(t *testing.T) {
+	for _, level := range []Level{RAID5, RAID6} {
+		k := sim.NewKernel(1)
+		g := newTestGroup(t, k, level, 6)
+		row := fillPattern(512*g.dataPerStripe(), 1)
+		run(k, func(p *sim.Proc) {
+			if err := g.Write(p, 0, row); err != nil {
+				t.Fatal(err)
+			}
+			grp := sim.NewGroup(k)
+			for i := 0; i < 2; i++ {
+				block := fillPattern(512, byte(40+i))
+				copy(row[i*512:], block)
+				grp.Add(1)
+				k.Go("writer", func(q *sim.Proc) {
+					defer grp.Done()
+					if err := g.Write(q, int64(i), block); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			grp.Wait(p)
+			if bad, err := g.ScrubRange(p, 0, 1); err != nil || bad != 0 {
+				t.Errorf("%v: scrub after two concurrent small writes: %d inconsistent rows, err %v", level, bad, err)
+			}
+			if len(g.rowLocks) != 0 {
+				t.Errorf("%v: %d row lock records left with no writer in flight", level, len(g.rowLocks))
+			}
+			// What the parity is for: the row reads back right without a disk.
+			g.Disks()[g.dataDisks(0)[0]].Fail()
+			got, err := g.Read(p, 0, g.dataPerStripe())
+			if err != nil || !bytes.Equal(got, row) {
+				t.Errorf("%v: degraded read of the row: err %v, content match %v", level, err, bytes.Equal(got, row))
+			}
+		})
+	}
+}
+
+// A scrub that finds a row's parity corrupt while a small write to the row
+// is in flight must repair the row as it is once that write has landed, not
+// as the scrub first read it: parity recomputed from the old data and
+// written behind the writer's would be wrong for the new.
+func TestScrubRepairRacesSmallWrite(t *testing.T) {
+	k := sim.NewKernel(1)
+	g := newTestGroup(t, k, RAID5, 6)
+	row := fillPattern(512*5, 1)
+	run(k, func(p *sim.Proc) {
+		g.Write(p, 0, row)
+		pd, _ := g.parityDisks(0)
+		g.Disks()[pd].CorruptBlock(0, fillPattern(512, 0xEE))
+		block := fillPattern(512, 77)
+		copy(row[512:], block)
+		grp := sim.NewGroup(k)
+		grp.Add(1)
+		k.Go("writer", func(q *sim.Proc) {
+			defer grp.Done()
+			g.Write(q, 1, block)
+		})
+		// The scrub's reads queue behind the writer's reads of old data and
+		// parity and ahead of its writes: the scrub sees the row as it was.
+		p.Sleep(sim.Millisecond)
+		if bad, err := g.ScrubRange(p, 0, 1); err != nil || bad != 1 {
+			t.Errorf("scrub of the corrupt row: %d inconsistent rows, err %v, want 1", bad, err)
+		}
+		grp.Wait(p)
+		if bad, err := g.ScrubRange(p, 0, 1); err != nil || bad != 0 {
+			t.Errorf("scrub after the repair and the write: %d inconsistent rows, err %v", bad, err)
+		}
+		g.Disks()[g.dataDisks(0)[1]].Fail()
+		got, err := g.Read(p, 0, 5)
+		if err != nil || !bytes.Equal(got, row) {
+			t.Errorf("degraded read of the row: err %v, content match %v", err, bytes.Equal(got, row))
+		}
+	})
+}

@@ -244,8 +244,11 @@ func (g *Group) writeParity(p *sim.Proc, lba int64, count int, data []byte) erro
 }
 
 // writeStripe updates one RAID-5/6 stripe row with the given new data
-// blocks (indexed by stripe-local data position).
+// blocks (indexed by stripe-local data position), as the row's only writer
+// from its reads of the old content to its last write.
 func (g *Group) writeStripe(p *sim.Proc, s int64, newData map[int64][]byte) error {
+	g.lockRows(p, s, s+1)
+	defer g.unlockRows(s, s+1)
 	dps := g.dataPerStripe()
 	pd, qd := g.parityDisks(s)
 	dataDisks := g.dataDisks(s)

@@ -92,6 +92,13 @@ func (g *Group) RebuildChunk(p *sim.Proc, idx int, c int64) error {
 	if hi > g.stripes {
 		hi = g.stripes
 	}
+	if g.level != RAID1 {
+		// No write to the chunk's rows between reading the survivors and
+		// marking the chunk done: a writer that waited finds the disk whole.
+		// (The epoch below then never moves; a mirror's writers take no lock.)
+		g.lockRows(p, lo, hi)
+		defer g.unlockRows(lo, hi)
+	}
 	for {
 		e := st.epoch[c]
 		var err error
@@ -259,7 +266,10 @@ func (g *Group) Rebuild(p *sim.Proc, idx int, workers int) error {
 // Q) is recomputed from data and compared with what the disks hold — the
 // §2.4 maintenance function that catches latent corruption before a disk
 // failure turns it into data loss. Inconsistent stripes are repaired by
-// rewriting parity from data, and their count is returned.
+// rewriting parity from data, and their count is returned. The range is read
+// in one pass that takes no lock; a stripe that pass finds inconsistent is
+// read again, judged and repaired as its only writer, because a write in
+// flight may have changed it since.
 func (g *Group) ScrubRange(p *sim.Proc, lo, hi int64) (bad int64, err error) {
 	if g.level != RAID5 && g.level != RAID6 {
 		return 0, nil // mirror scrub is a plain compare; not modeled
@@ -270,16 +280,36 @@ func (g *Group) ScrubRange(p *sim.Proc, lo, hi int64) (bad int64, err error) {
 	if hi > g.stripes {
 		hi = g.stripes
 	}
-	n := int(hi - lo)
-	if n <= 0 {
+	if hi <= lo {
 		return 0, nil
 	}
+	suspects, err := g.scrub(p, lo, hi, false)
+	if err != nil {
+		return 0, err
+	}
+	for _, s := range suspects {
+		g.lockRows(p, s, s+1)
+		still, err := g.scrub(p, s, s+1, true)
+		g.unlockRows(s, s+1)
+		if err != nil {
+			return bad, err
+		}
+		bad += int64(len(still))
+	}
+	return bad, nil
+}
+
+// scrub reads stripes [lo, hi) off every member disk and returns those whose
+// P or Q does not match their data. With repair set it rewrites the parity of
+// each, which only the holder of those rows may ask for.
+func (g *Group) scrub(p *sim.Proc, lo, hi int64, repair bool) (bad []int64, err error) {
+	n := int(hi - lo)
 	raw := make([][]byte, len(g.disks))
 	var fns []func(q *sim.Proc) error
 	for i := range g.disks {
 		i := i
 		if !g.available(i, lo) {
-			return 0, ErrUnrecoverable
+			return nil, ErrUnrecoverable
 		}
 		fns = append(fns, func(q *sim.Proc) error {
 			d, err := g.disks[i].Read(q, lo, n)
@@ -290,7 +320,7 @@ func (g *Group) ScrubRange(p *sim.Proc, lo, hi int64) (bad int64, err error) {
 		})
 	}
 	if err := parallel(p, fns...); err != nil {
-		return 0, err
+		return nil, err
 	}
 	for s := lo; s < hi; s++ {
 		off := int(s-lo) * g.blockSize
@@ -300,24 +330,29 @@ func (g *Group) ScrubRange(p *sim.Proc, lo, hi int64) (bad int64, err error) {
 			data = append(data, raw[di][off:off+g.blockSize])
 		}
 		wantP := XORParity(data)
-		stripeBad := false
-		if !bytesEqual(raw[pd][off:off+g.blockSize], wantP) {
-			stripeBad = true
+		okP := bytesEqual(raw[pd][off:off+g.blockSize], wantP)
+		var wantQ []byte
+		okQ := true
+		if qd >= 0 {
+			wantQ = RSParity(data)
+			okQ = bytesEqual(raw[qd][off:off+g.blockSize], wantQ)
+		}
+		if okP && okQ {
+			continue
+		}
+		bad = append(bad, s)
+		if !repair {
+			continue
+		}
+		if !okP {
 			if err := g.disks[pd].Write(p, s, wantP); err != nil {
 				return bad, err
 			}
 		}
-		if qd >= 0 {
-			wantQ := RSParity(data)
-			if !bytesEqual(raw[qd][off:off+g.blockSize], wantQ) {
-				stripeBad = true
-				if err := g.disks[qd].Write(p, s, wantQ); err != nil {
-					return bad, err
-				}
+		if !okQ {
+			if err := g.disks[qd].Write(p, s, wantQ); err != nil {
+				return bad, err
 			}
-		}
-		if stripeBad {
-			bad++
 		}
 	}
 	return bad, nil
