@@ -1,30 +1,17 @@
 // Command benchrunner regenerates every table and figure of the
-// reproduction (E1–E13 in DESIGN.md/EXPERIMENTS.md) and prints them as
-// plain-text tables.
+// reproduction (E1–E16, CP1–CP2, B6 and the A1–A4 ablations in
+// DESIGN.md/EXPERIMENTS.md) and prints them as plain-text tables. Its
+// runners table is the one list of experiments.
 //
 // Usage:
 //
-//	benchrunner [-seed N] [-only E4] [-list] [-snapshot FILE]
-//
-// -snapshot runs the canonical traced workload — unbatched, then again on
-// the batched fabric plane — and writes a JSON comparison record instead
-// of the tables, so each PR can commit a comparable BENCH_PRn.json.
-// -baseline diffs the fresh record against a committed one and exits
-// non-zero if the fabric p99 regressed more than 10% on either plane, if
-// the E14 PI governor's victim p99 (loaded phase, reduced scale) regressed
-// more than 10%, if the E15Q hot-cache arm's op p99 regressed more than
-// 10%, if the E16Q object gateway's sharded throughput ceiling dropped
-// more than 10%, or if any phase's share of the tail (p99+) ops' critical
-// path grew more than 5 percentage points over the baseline's
-// critical-path latency budget.
+//	benchrunner [-seed N] [-only E4,E13Q] [-list]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/experiments"
@@ -58,6 +45,7 @@ var runners = []struct {
 	{"E16Q", "reduced-scale gateway shard-scaling smoke (CI)", experiments.E16Quick},
 	{"CP1", "critical-path tail diagnosis: canonical workload", experiments.CP1},
 	{"CP2", "critical-path tail diagnosis: E14 PI arm under scrub load", experiments.CP2},
+	{"B6", "canonical workload: unbatched vs batched fabric plane", experiments.B6},
 	{"A1", "ablation: remote-read prefetch on/off", experiments.A1Prefetch},
 	{"A2", "ablation: cache-to-cache transfers on/off", experiments.A2PeerFetch},
 	{"A3", "ablation: write latency vs replication factor", experiments.A3ReplicationCost},
@@ -68,39 +56,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,E4); empty = all")
 	list := flag.Bool("list", false, "list experiments and exit")
-	snapshot := flag.String("snapshot", "", "write a JSON perf snapshot (unbatched + batched planes, per-phase p50/p99 + throughput) to this file and exit")
-	baseline := flag.String("baseline", "", "with -snapshot: committed BENCH_PRn.json to diff against; fabric p99 regressions over 10% on either plane fail loudly")
 	flag.Parse()
-
-	if *snapshot != "" {
-		cmp := experiments.RunBatchComparison(*seed)
-		// MarshalIndent sorts map keys, so the file is deterministic and
-		// diffs cleanly across PRs.
-		out, err := json.MarshalIndent(cmp, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*snapshot, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *snapshot)
-		if *baseline != "" {
-			if err := diffBaseline(*baseline, cmp); err != nil {
-				fmt.Fprintf(os.Stderr, "baseline check FAILED: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("baseline check ok against %s\n", *baseline)
-		}
-		return
-	}
-
-	if *baseline != "" {
-		fmt.Fprintln(os.Stderr, "-baseline requires -snapshot")
-		os.Exit(1)
-	}
 
 	if *list {
 		for _, r := range runners {
@@ -109,170 +65,38 @@ func main() {
 		return
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
+	want, err := selectRunners(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-
-	ran := 0
 	for _, r := range runners {
 		if len(want) > 0 && !want[r.name] {
 			continue
 		}
 		fmt.Printf("\n# %s — %s\n", r.name, r.desc)
 		r.fn(*seed).Render(os.Stdout)
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiments matched %q\n", *only)
-		os.Exit(1)
 	}
 }
 
-// maxFabricRegressPct is how much the fabric-phase p99 may grow over the
-// committed baseline before the -baseline check fails the run.
-const maxFabricRegressPct = 10.0
-
-// diffBaseline compares the fresh comparison record against a committed
-// one. Baselines in the pre-PR6 single-snapshot format are accepted and
-// checked against the fresh unbatched plane only.
-func diffBaseline(path string, fresh experiments.BatchComparison) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
+// selectRunners parses -only into the set of experiment ids to run (empty
+// = all) and rejects any id the runners table does not hold, before
+// anything runs.
+func selectRunners(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if only == "" {
+		return want, nil
 	}
-	var base experiments.BatchComparison
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parse %s: %w", path, err)
+	known := map[string]bool{}
+	for _, r := range runners {
+		known[r.name] = true
 	}
-	if len(base.Unbatched.Phases) == 0 {
-		// Old format: the whole file is one unbatched Snapshot.
-		if err := json.Unmarshal(raw, &base.Unbatched); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
+	for _, id := range strings.Split(only, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if !known[id] {
+			return nil, fmt.Errorf("unknown experiment %q (see -list)", id)
 		}
+		want[id] = true
 	}
-	check := func(plane string, base, fresh experiments.Snapshot) error {
-		b, ok := base.Phases["fabric"]
-		if !ok || b.P99Ms <= 0 {
-			return nil
-		}
-		f := fresh.Phases["fabric"]
-		growth := 100 * (f.P99Ms - b.P99Ms) / b.P99Ms
-		fmt.Printf("  %s fabric p99: baseline %.3f ms, now %.3f ms (%+.1f%%)\n",
-			plane, b.P99Ms, f.P99Ms, growth)
-		if growth > maxFabricRegressPct {
-			return fmt.Errorf("%s fabric p99 regressed %.1f%% (baseline %.3f ms → %.3f ms, limit +%.0f%%)",
-				plane, growth, b.P99Ms, f.P99Ms, maxFabricRegressPct)
-		}
-		return nil
-	}
-	if err := check("unbatched", base.Unbatched, fresh.Unbatched); err != nil {
-		return err
-	}
-	if len(base.Batched.Phases) > 0 {
-		if err := check("batched", base.Batched, fresh.Batched); err != nil {
-			return err
-		}
-	}
-	if err := checkCritPath(base.Unbatched.CritPath, fresh.Unbatched.CritPath); err != nil {
-		return err
-	}
-	if err := checkGovernor(base.Unbatched.Governor, fresh.Unbatched.Governor); err != nil {
-		return err
-	}
-	if err := checkHotCache(base.Unbatched.HotCache, fresh.Unbatched.HotCache); err != nil {
-		return err
-	}
-	return checkGateway(base.Unbatched.Gateway, fresh.Unbatched.Gateway)
-}
-
-// maxTailSharePts is how many percentage points a phase's share of the
-// tail (p99+) cohort's critical path may grow over the baseline before
-// the -baseline check fails. Shares tile 100%, so a phase newly eating
-// the tail must take its points from the others — absolute-latency noise
-// cancels out of the signal.
-const maxTailSharePts = 5.0
-
-// checkCritPath guards the tail latency budget: for each phase present in
-// the baseline's critical-path summary, its share of the tail cohort's
-// wall must not grow more than maxTailSharePts points. Pre-PR8 baselines
-// carry no critpath summary and are skipped.
-func checkCritPath(base, fresh experiments.CritPathSummary) error {
-	if base.Ops == 0 || fresh.Ops == 0 {
-		return nil
-	}
-	for _, name := range sortedPhaseNames(base.Phases) {
-		b := base.Phases[name]
-		f := fresh.Phases[name]
-		growth := f.TailSharePct - b.TailSharePct
-		fmt.Printf("  critpath tail share %-10s baseline %5.1f%%, now %5.1f%% (%+.1f pts)\n",
-			name+":", b.TailSharePct, f.TailSharePct, growth)
-		if growth > maxTailSharePts {
-			return fmt.Errorf("critpath: phase %q tail share regressed %.1f pts (baseline %.1f%% → %.1f%%, limit +%.0f pts)",
-				name, growth, b.TailSharePct, f.TailSharePct, maxTailSharePts)
-		}
-	}
-	return nil
-}
-
-func sortedPhaseNames(m map[string]experiments.PhaseBudget) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// checkHotCache guards the cache tier's op tail on fast-shifting skew
-// (E15Q hotcache arm): pre-PR9 baselines carry no hotcache summary and
-// are skipped.
-func checkHotCache(base, fresh experiments.HotCacheSummary) error {
-	if base.ShiftHotP99Ms <= 0 || fresh.ShiftHotP99Ms <= 0 {
-		return nil
-	}
-	growth := 100 * (fresh.ShiftHotP99Ms - base.ShiftHotP99Ms) / base.ShiftHotP99Ms
-	fmt.Printf("  E15Q shifting hotcache p99: baseline %.3f ms, now %.3f ms (%+.1f%%)\n",
-		base.ShiftHotP99Ms, fresh.ShiftHotP99Ms, growth)
-	if growth > maxFabricRegressPct {
-		return fmt.Errorf("E15Q shifting hotcache p99 regressed %.1f%% (baseline %.3f ms → %.3f ms, limit +%.0f%%)",
-			growth, base.ShiftHotP99Ms, fresh.ShiftHotP99Ms, maxFabricRegressPct)
-	}
-	return nil
-}
-
-// checkGateway guards the object gateway's sharded throughput ceiling
-// (E16Q, four metadata shards): unlike the latency gates this one fails
-// on a DROP — the ceiling is the capacity claim. Pre-PR10 baselines
-// carry no gateway summary and are skipped.
-func checkGateway(base, fresh experiments.GatewaySummary) error {
-	if base.ShardedCeilingOpsPerSec <= 0 || fresh.ShardedCeilingOpsPerSec <= 0 {
-		return nil
-	}
-	drop := 100 * (base.ShardedCeilingOpsPerSec - fresh.ShardedCeilingOpsPerSec) / base.ShardedCeilingOpsPerSec
-	fmt.Printf("  E16Q sharded gateway ceiling: baseline %.0f ops/s, now %.0f ops/s (%+.1f%%)\n",
-		base.ShardedCeilingOpsPerSec, fresh.ShardedCeilingOpsPerSec, -drop)
-	if drop > maxFabricRegressPct {
-		return fmt.Errorf("E16Q sharded gateway ceiling regressed %.1f%% (baseline %.0f ops/s → %.0f ops/s, limit -%.0f%%)",
-			drop, base.ShardedCeilingOpsPerSec, fresh.ShardedCeilingOpsPerSec, maxFabricRegressPct)
-	}
-	return nil
-}
-
-// checkGovernor guards the PI governor's victim tail: pre-PR7 baselines
-// carry no governor summary and are skipped.
-func checkGovernor(base, fresh experiments.GovernorSummary) error {
-	if base.PIVictimP99Ms <= 0 || fresh.PIVictimP99Ms <= 0 {
-		return nil
-	}
-	growth := 100 * (fresh.PIVictimP99Ms - base.PIVictimP99Ms) / base.PIVictimP99Ms
-	fmt.Printf("  E14 PI victim p99: baseline %.3f ms, now %.3f ms (%+.1f%%)\n",
-		base.PIVictimP99Ms, fresh.PIVictimP99Ms, growth)
-	if growth > maxFabricRegressPct {
-		return fmt.Errorf("E14 PI victim p99 regressed %.1f%% (baseline %.3f ms → %.3f ms, limit +%.0f%%)",
-			growth, base.PIVictimP99Ms, fresh.PIVictimP99Ms, maxFabricRegressPct)
-	}
-	return nil
+	return want, nil
 }

@@ -1,72 +1,30 @@
 package main
 
 import (
+	"strings"
 	"testing"
-
-	"repro/internal/experiments"
 )
 
-// The -baseline governor gate: regressions of the E14 PI arm's victim
-// p99 beyond the limit must fail, anything at or under it must pass,
-// and pre-PR7 baselines (no governor summary) are skipped.
-func TestCheckGovernorGate(t *testing.T) {
-	base := experiments.GovernorSummary{PIVictimP99Ms: 50}
-	if err := checkGovernor(base, experiments.GovernorSummary{PIVictimP99Ms: 50 * 1.09}); err != nil {
-		t.Fatalf("9%% growth should pass: %v", err)
+// -only must name experiments the runners table holds: one unknown id in
+// an otherwise valid list is an error naming it, not a silent skip.
+func TestSelectRunnersRejectsUnknownID(t *testing.T) {
+	want, err := selectRunners(" e4, E13q")
+	if err != nil {
+		t.Fatalf("known ids rejected: %v", err)
 	}
-	if err := checkGovernor(base, experiments.GovernorSummary{PIVictimP99Ms: 50 * 1.12}); err == nil {
-		t.Fatal("12% growth should fail the gate")
+	if len(want) != 2 || !want["E4"] || !want["E13Q"] {
+		t.Fatalf("want {E4, E13Q}, got %v", want)
 	}
-	if err := checkGovernor(base, experiments.GovernorSummary{PIVictimP99Ms: 40}); err != nil {
-		t.Fatalf("improvement should pass: %v", err)
+	if want, err := selectRunners(""); err != nil || len(want) != 0 {
+		t.Fatalf("empty -only means all: got %v, %v", want, err)
 	}
-	if err := checkGovernor(experiments.GovernorSummary{}, experiments.GovernorSummary{PIVictimP99Ms: 50}); err != nil {
-		t.Fatalf("old baseline without governor summary must be skipped: %v", err)
-	}
-	if err := checkGovernor(base, experiments.GovernorSummary{}); err != nil {
-		t.Fatalf("fresh run without governor summary must be skipped: %v", err)
-	}
-}
-
-// The -baseline critical-path gate: a phase whose share of the tail
-// cohort's critical path grows beyond the points limit must fail; smaller
-// moves, improvements, and summary-less (pre-PR8) baselines pass.
-func TestCheckCritPathGate(t *testing.T) {
-	summary := func(diskTail float64) experiments.CritPathSummary {
-		return experiments.CritPathSummary{
-			Ops: 1000,
-			Phases: map[string]experiments.PhaseBudget{
-				"disk":   {TailSharePct: diskTail},
-				"fabric": {TailSharePct: 100 - diskTail},
-			},
+	for _, only := range []string{"E4,E99", "E99", "E4,"} {
+		_, err := selectRunners(only)
+		if err == nil {
+			t.Fatalf("-only %q: unknown id accepted", only)
 		}
-	}
-	base := summary(60)
-	if err := checkCritPath(base, summary(64)); err != nil {
-		t.Fatalf("+4 pts should pass: %v", err)
-	}
-	if err := checkCritPath(base, summary(66)); err == nil {
-		t.Fatal("+6 pts should fail the gate")
-	}
-	// The shares tile 100%, so disk shrinking means fabric grew — a +6 pt
-	// fabric regression must trip even though disk improved.
-	if err := checkCritPath(base, summary(54)); err == nil {
-		t.Fatal("fabric share +6 pts should fail the gate")
-	}
-	if err := checkCritPath(base, summary(58)); err != nil {
-		t.Fatalf("small shifts under the limit should pass: %v", err)
-	}
-	// A phase absent from the fresh summary reads as share 0 — an
-	// improvement, never a failure.
-	fresh := summary(64)
-	delete(fresh.Phases, "disk")
-	if err := checkCritPath(base, fresh); err != nil {
-		t.Fatalf("phase vanishing from fresh run should pass: %v", err)
-	}
-	if err := checkCritPath(experiments.CritPathSummary{}, summary(90)); err != nil {
-		t.Fatalf("pre-PR8 baseline without critpath summary must be skipped: %v", err)
-	}
-	if err := checkCritPath(base, experiments.CritPathSummary{}); err != nil {
-		t.Fatalf("fresh run without critpath summary must be skipped: %v", err)
+		if bad := strings.TrimPrefix(only, "E4,"); !strings.Contains(err.Error(), `"`+bad+`"`) {
+			t.Fatalf("-only %q: error does not name %q: %v", only, bad, err)
+		}
 	}
 }

@@ -182,7 +182,7 @@ func main() {
 		Trace:      true,
 		Telemetry:  100 * sim.Millisecond,
 		SLOReadP99: 50 * sim.Millisecond,
-		Balance:    true,
+		Rebalance:  core.RebalanceMigrate,
 		// QoS plumbing is installed but disabled until a script says
 		// `qos on`. The demo tenant's bucket is sized small enough that a
 		// busy script can see delays in `qos report`, and its SLOP99 gives
@@ -556,7 +556,7 @@ func execute(p *sim.Proc, sys *core.System, line string) error {
 			return fmt.Errorf("usage: balance on|off|status|report")
 		}
 		if sys.Balancer == nil {
-			return fmt.Errorf("rebalancer off (system built without Options.Balance)")
+			return fmt.Errorf("rebalancer off (system built without Rebalance=%q)", core.RebalanceMigrate)
 		}
 		switch args[0] {
 		case "on":

@@ -6,10 +6,11 @@
 // replication, a security ring for many user groups on one pool, and
 // geographically federated sites presenting a single data image.
 //
-// The root package holds the benchmark harness (bench_test.go), one
-// testing.B benchmark per reproduced experiment. The system itself lives
-// under internal/ — start with internal/core, the assembled façade — and
-// runnable examples live under examples/. See DESIGN.md for the system
-// inventory and per-experiment index, and EXPERIMENTS.md for measured
-// results against the paper's claims.
+// The root package holds only this comment. The system lives under
+// internal/ — start with internal/core, the assembled façade — runnable
+// examples under examples/, the experiment tables come from
+// cmd/benchrunner, and bench/ is the two-clock benchmark BENCHMARK.json
+// holds every change to. See DESIGN.md for the system inventory and
+// per-experiment index, and EXPERIMENTS.md for measured results against
+// the paper's claims.
 package repro

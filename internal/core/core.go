@@ -98,11 +98,8 @@ type Options struct {
 	//	             layers, write-through invalidation. Starts DISABLED
 	//	             (arm with System.HotCache.SetEnabled or yottactl
 	//	             `rebalance on`).
-	//	"off" / "" — no scheme (unless the legacy Balance flag is set).
+	//	"off" / "" — no scheme.
 	Rebalance string
-	// Balance is the legacy spelling of Rebalance: "migrate". Setting
-	// both (with Rebalance not "migrate") is a configuration error.
-	Balance bool
 	// BalanceConfig overrides the migration balancer's thresholds and
 	// pacing (zero fields mirror the hot-spot watchdog defaults).
 	BalanceConfig balance.Config
@@ -305,18 +302,11 @@ func NewSystemOn(k *sim.Kernel, opts Options) (*System, error) {
 		}
 		sys.stopScrape = sys.Scraper.Start()
 	}
-	scheme := opts.Rebalance
-	if opts.Balance {
-		if scheme != "" && scheme != RebalanceMigrate {
-			return nil, fmt.Errorf("core: Balance (legacy migrate flag) conflicts with Rebalance=%q", scheme)
-		}
-		scheme = RebalanceMigrate
-	}
-	switch scheme {
+	switch opts.Rebalance {
 	case "", RebalanceOff:
 	case RebalanceMigrate:
 		if sys.Scraper == nil {
-			return nil, fmt.Errorf("core: Balance requires Telemetry (the scraper is the rebalancer's feedback signal)")
+			return nil, fmt.Errorf("core: Rebalance=%q requires Telemetry (the scraper is the rebalancer's feedback signal)", RebalanceMigrate)
 		}
 		sys.Balancer = cluster.NewBalancer(sys.Scraper, opts.BalanceConfig)
 		sys.Rebalancer = sys.Balancer
@@ -325,7 +315,7 @@ func NewSystemOn(k *sim.Kernel, opts Options) (*System, error) {
 		sys.HotCache = cluster.NewHotCache(opts.HotCacheConfig)
 		sys.Rebalancer = sys.HotCache
 	default:
-		return nil, fmt.Errorf("core: unknown Rebalance scheme %q (want migrate, hotcache, or off)", scheme)
+		return nil, fmt.Errorf("core: unknown Rebalance scheme %q (want migrate, hotcache, or off)", opts.Rebalance)
 	}
 	return sys, nil
 }

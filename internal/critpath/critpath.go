@@ -22,7 +22,7 @@
 //
 // So for every span, duration = critical + delegated + overlapped, and for
 // every op, wall = Σ critical over the trace — the two identities
-// Analysis.Check verifies and `make analyze-smoke` gates.
+// Analysis.Check verifies.
 //
 // Like the tracer it reads, the analyzer is deterministic: same spans in,
 // byte-identical tables, folded stacks and renders out.

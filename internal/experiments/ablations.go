@@ -55,7 +55,7 @@ func A1Prefetch(seed int64) *metrics.Table {
 		}
 		tab.AddRow(label, fmtDur(lat[0]), fmtDur(lat[1]), fmtDur(lat[2]),
 			gs.Site("B").Stats.RemoteReads)
-		gs.Stop()
+		gs.K.Close()
 	}
 	tab.AddNote("without prefetch every 16 KiB read pays the WAN; with it only the first does")
 	return tab
@@ -89,7 +89,6 @@ func A2PeerFetch(seed int64) *metrics.Table {
 		r := runWorkload(k, clients, dur, target, func(int) workload.Pattern {
 			return &workload.Zipf{Range: ws, S: 1.3, Blocks: 1}
 		})
-		c.Stop()
 		var diskReads, peer int64
 		for _, b := range c.Blades {
 			st := b.Engine.Stats()
@@ -101,6 +100,7 @@ func A2PeerFetch(seed int64) *metrics.Table {
 			label = "off"
 		}
 		tab.AddRow(label, int64(float64(r.Ops)/dur.Seconds()), diskReads, peer, fmtDur(r.Latency.P99()))
+		k.Close()
 	}
 	tab.AddNote("transfers let a block read from disk once serve all blades' caches")
 	return tab
@@ -136,7 +136,7 @@ func A3ReplicationCost(seed int64) *metrics.Table {
 		for i := 0; !done && i < 1200; i++ {
 			k.RunFor(100 * sim.Millisecond)
 		}
-		c.Stop()
+		k.Close()
 		if !done {
 			panic("A3 did not finish")
 		}
@@ -190,7 +190,6 @@ func A4ReadAhead(seed int64) *metrics.Table {
 		for i := 0; !done && i < 6000; i++ {
 			k.RunFor(100 * sim.Millisecond)
 		}
-		c.Stop()
 		if !done {
 			panic("A4 scan did not finish")
 		}
@@ -200,6 +199,7 @@ func A4ReadAhead(seed int64) *metrics.Table {
 		}
 		mbps := float64(scanBlocks*4096) / elapsed.Seconds() / 1e6
 		tab.AddRow(ra, fmtF(mbps), fmtDur(hist.Mean()), prefetches)
+		k.Close()
 	}
 	tab.AddNote("prefetch overlaps disk time with the host's consumption of earlier blocks")
 	return tab

@@ -6,6 +6,9 @@ import (
 	"repro/internal/critpath"
 	"repro/internal/metrics"
 	"repro/internal/qos"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // CP1/CP2 — critical-path tail attribution. Where the phase histograms
@@ -15,15 +18,59 @@ import (
 // collapse into overlap instead of double-counting, and the ops are split
 // into median (≤p50) and tail (≥p99) cohorts so the table shows which
 // phase's share grows when an op lands in the tail. CP1 runs the canonical
-// snapshot workload (the same run -snapshot records); CP2 re-runs the E14
+// workload on the unbatched plane (B6 runs it on both); CP2 re-runs the E14
 // PI-governor arm with tracing on during the loaded phase only, so the
 // attribution isolates behavior under the scrub aggressor. Same seed →
 // byte-identical tables.
 
-// RunCritPath analyzes the canonical snapshot workload's span DAG under
-// one seed. Deterministic per seed.
+// Canonical workload shape, shared by CP1 and B6 so their numbers
+// describe the same run.
+const (
+	snapBlades  = 8
+	snapClients = 32
+	snapWS      = 4 << 10
+	snapDur     = 2 * sim.Second
+)
+
+// canonicalTraced runs the canonical workload — an 8-blade cluster under
+// a mixed read/write closed loop, warmed 2s untraced then measured 2s
+// traced — and returns the traced window's workload result plus the
+// tracer holding its span log. Deterministic per seed. The caller closes
+// the kernel once it has read the tracer: Close unwinds the ops still in
+// flight, and their deferred span ends would land in the span log.
+func canonicalTraced(seed int64, batched bool) (*sim.Kernel, *workload.Runner, *trace.Tracer) {
+	k := sim.NewKernel(seed)
+	cfg := clusterConfig(snapBlades)
+	cfg.FabricBatch = batched
+	tracer := trace.NewTracer(k)
+	cfg.Tracer = tracer
+	c, err := controllerNew(k, cfg)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := c.Pool.CreateDMSD("snap", 1<<20); err != nil {
+		panic(err)
+	}
+	target := &clusterTarget{c: c, vol: "snap"}
+	if err := prefillVolume(k, c, "snap", snapWS); err != nil {
+		panic(err)
+	}
+	pat := func(int) workload.Pattern {
+		return workload.Uniform{Range: snapWS, Blocks: 4, WriteFrac: 0.25}
+	}
+	// Warm untraced, then measure traced.
+	runWorkload(k, snapClients, 2*sim.Second, target, pat)
+	tracer.SetEnabled(true)
+	r := runWorkload(k, snapClients, snapDur, target, pat)
+	tracer.SetEnabled(false)
+	return k, r, tracer
+}
+
+// RunCritPath analyzes the canonical workload's span DAG under one seed.
+// Deterministic per seed.
 func RunCritPath(seed int64) *critpath.Analysis {
-	_, tracer := canonicalTraced(seed, false)
+	k, _, tracer := canonicalTraced(seed, false)
+	defer k.Close()
 	return critpath.FromTracer(tracer)
 }
 
@@ -33,8 +80,7 @@ func RunCritPath(seed int64) *critpath.Analysis {
 func RunCritPathE14(seed int64) *critpath.Analysis {
 	sc := e14Quick()
 	sc.traced = true
-	arm := e14Arm(seed, sc, qos.GovPI, false)
-	return critpath.FromTracer(arm.Tracer)
+	return e14Arm(seed, sc, qos.GovPI, false).CritPath
 }
 
 // cpTable renders one analysis as its tail-diagnosis table with the
@@ -60,4 +106,20 @@ func CP1(seed int64) *metrics.Table {
 func CP2(seed int64) *metrics.Table {
 	return cpTable("CP2 — critical-path tail diagnosis: E14 PI arm under scrub aggressor (loaded phase)",
 		RunCritPathE14(seed))
+}
+
+// B6 runs the canonical workload on the unbatched fabric plane and again
+// with FabricBatch on — the comparison ROADMAP item 3 needs to pick one.
+func B6(seed int64) *metrics.Table {
+	tab := metrics.NewTable("B6 — canonical workload: unbatched vs batched fabric plane",
+		"plane", "ops", "op p99 ms", "fabric p99 ms")
+	for _, plane := range []string{"unbatched", "batched"} {
+		k, r, tracer := canonicalTraced(seed, plane == "batched")
+		tab.AddRow(plane, r.Ops, fmtDur(r.Latency.P99()),
+			fmtDur(tracer.PhaseHistogram(trace.Fabric).P99()))
+		k.Close()
+	}
+	tab.AddNote("%d blades, %d closed-loop clients, uniform 4-block ops, 25%% writes, 2 s warm + 2 s traced",
+		snapBlades, snapClients)
+	return tab
 }

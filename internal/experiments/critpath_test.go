@@ -11,7 +11,7 @@ import (
 	"repro/internal/workload"
 )
 
-// TestCritPathReconciles is the analyze-smoke property on the canonical
+// TestCritPathReconciles is the attribution property on the canonical
 // same-seed workload: the span-DAG attribution must reconcile exactly with
 // the tracer's own accounting. Wall time tiles into critical segments
 // (Check), and the analyzer's per-phase inclusive totals — recomputed here
@@ -20,7 +20,8 @@ import (
 // analyzer saw.
 func TestCritPathReconciles(t *testing.T) {
 	skipIfShort(t)
-	_, tracer := canonicalTraced(3, false)
+	k, _, tracer := canonicalTraced(3, false)
+	defer k.Close()
 	a := critpath.FromTracer(tracer)
 	if err := a.Check(); err != nil {
 		t.Fatal(err)
@@ -87,7 +88,7 @@ func TestCritPathReconciles(t *testing.T) {
 }
 
 // TestCritPathDeterministic: same seed, byte-identical analyzer output at
-// cluster scale — tables and folded stacks both, since BENCH diffs and
+// cluster scale — tables and folded stacks both, since EXPERIMENTS.md and
 // flame graphs each consume one of them.
 func TestCritPathDeterministic(t *testing.T) {
 	skipIfShort(t)
@@ -120,19 +121,19 @@ func TestCritPathE14TracedArm(t *testing.T) {
 	skipIfShort(t)
 	sc := e14Quick()
 	plain := e14Arm(11, sc, qos.GovPI, false)
-	if plain.Tracer != nil {
-		t.Fatal("untraced arm should carry no tracer")
+	if plain.CritPath != nil {
+		t.Fatal("untraced arm should carry no analysis")
 	}
 	sc.traced = true
 	traced := e14Arm(11, sc, qos.GovPI, false)
-	if traced.Tracer == nil {
-		t.Fatal("traced arm lost its tracer")
+	a := traced.CritPath
+	if a == nil {
+		t.Fatal("traced arm lost its analysis")
 	}
 	if plain.VictimP99 != traced.VictimP99 || plain.ScrubChunks != traced.ScrubChunks ||
 		plain.ViolationWindows != traced.ViolationWindows || plain.Reversals != traced.Reversals {
 		t.Fatalf("tracing perturbed the arm: %+v vs %+v", plain, traced)
 	}
-	a := critpath.FromTracer(traced.Tracer)
 	if err := a.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +165,7 @@ func TestCritPathScaleTraced(t *testing.T) {
 		dur     = 30 * sim.Millisecond
 	)
 	k := sim.NewKernel(8)
+	defer k.Close()
 	cfg := clusterConfig(blades)
 	cfg.FabricBatch = true
 	tracer := trace.NewTracer(k)
@@ -173,7 +175,6 @@ func TestCritPathScaleTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Stop()
 	if _, err := c.Pool.CreateDMSD("scale", 1<<22); err != nil {
 		t.Fatal(err)
 	}

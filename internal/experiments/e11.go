@@ -30,6 +30,7 @@ func E11(seed int64) *metrics.Table {
 		nAck = 96
 	)
 	k := sim.NewKernel(seed)
+	defer k.Close() // after the notes below have read the tracer and the registry
 	cfg := clusterConfig(blades)
 	// Three cache copies per dirty block: the experiment kills two blades,
 	// and the write-durability claim (E6) requires N-1 ≥ kills.
@@ -174,7 +175,6 @@ func E11(seed int64) *metrics.Table {
 	}); err != nil {
 		panic(err)
 	}
-	c.Stop()
 
 	tot := c.FabricTotals()
 	f := c.Net.Faults

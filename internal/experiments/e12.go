@@ -75,8 +75,7 @@ type E12Run struct {
 	Ratio     float64 // max/mean per-blade load
 }
 
-// E12Result carries everything the E12 table, tests and the perf snapshot
-// need.
+// E12Result carries everything the E12 table and tests need.
 type E12Result struct {
 	Uniform  E12Run // uniform workload, balancing off (the baseline)
 	Static   E12Run // Zipf workload, balancing off (the hot-spot)
@@ -143,9 +142,8 @@ func e12Scenario(seed int64, zipf, balanced bool) (E12Run, *balance.Controller, 
 
 	scr := telemetry.NewScraper(k, c.Reg, 100*sim.Millisecond)
 	scr.AddWatchdog(&telemetry.HotSpot{Pattern: "blade/*/ops", CVMax: e12CVMax, RatioMax: e12RatioMax})
-	stopScrape := scr.Start()
+	scr.Start()
 	var bal *balance.Controller
-	var stopBal func()
 	if balanced {
 		bal = c.NewBalancer(scr, balance.Config{
 			CVMax:    e12CVMax,
@@ -156,7 +154,7 @@ func e12Scenario(seed int64, zipf, balanced bool) (E12Run, *balance.Controller, 
 			// around one dominant one; reach deep into the movable tail.
 			MinMoveFrac: 0.005,
 		})
-		stopBal = bal.Start()
+		bal.Start()
 	}
 
 	// Warm-up: caches fill and, in the balanced scenario, the feedback
@@ -181,11 +179,7 @@ func e12Scenario(seed int64, zipf, balanced bool) (E12Run, *balance.Controller, 
 	if st.Mean > 0 {
 		run.Ratio = st.Max / st.Mean
 	}
-	if stopBal != nil {
-		stopBal()
-	}
-	stopScrape()
-	c.Stop()
+	k.Close()
 	return run, bal, scr
 }
 

@@ -146,12 +146,11 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 	}
 
 	var scr *telemetry.Scraper
-	var stopScrape func()
 	if qosOn {
 		c.QoS.SetEnabled(true)
 		scr = telemetry.NewScraper(k, c.Reg, 100*sim.Millisecond)
 		scr.AddWatchdog(c.QoS.AttachGovernor(cfg.QoS.Governor))
-		stopScrape = scr.Start()
+		scr.Start()
 	}
 
 	victim := &e13Target{c: c, vol: "v", tenant: "victim", prio: 3}
@@ -234,9 +233,8 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 		g := c.QoS.Governor()
 		arm.Narrows, arm.Widens = g.Narrows, g.Widens
 		events = scr.Events()
-		stopScrape()
 	}
-	c.Stop()
+	k.Close()
 	return arm, events
 }
 
@@ -318,7 +316,7 @@ func E13(seed int64) *metrics.Table {
 		RunE13(seed))
 }
 
-// E13Q renders the reduced-scale table (CI smoke; not part of All).
+// E13Q renders the reduced-scale table (CI smoke).
 func E13Q(seed int64) *metrics.Table {
 	return e13Table("E13Q — multi-tenant isolation, reduced scale (CI smoke)",
 		RunE13Quick(seed))

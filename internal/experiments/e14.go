@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/controller"
+	"repro/internal/critpath"
 	"repro/internal/metrics"
 	"repro/internal/qos"
 	"repro/internal/sim"
@@ -234,9 +235,10 @@ type E14Arm struct {
 	ScrubChunks      int64
 	Trace            []float64 // per-window background weight (loaded phase)
 
-	// Tracer holds the loaded-phase span log when e14Scale.traced is set
-	// (nil otherwise); critical-path analysis consumes it.
-	Tracer *trace.Tracer
+	// CritPath is the critical-path analysis of the loaded-phase span log
+	// when e14Scale.traced is set (nil otherwise), taken before the arm's
+	// kernel is closed.
+	CritPath *critpath.Analysis
 
 	// wins is the raw loaded-phase window series (tests poke at it).
 	wins []e14Window
@@ -277,7 +279,7 @@ func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
 	scr.AddWatchdog(c.QoS.AttachGovernor(cfg.QoS.Governor))
 	rec := &e14Recorder{mgr: c.QoS}
 	scr.AddWatchdog(rec)
-	stopScrape := scr.Start()
+	scr.Start()
 
 	victim := &e13Target{c: c, vol: "v", tenant: "victim", prio: 3}
 	pat := workload.Uniform{Range: sc.victimWS, Blocks: 4}
@@ -313,7 +315,6 @@ func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
 
 	// Post phase: aggressor off, weight free to recover.
 	newRunner(sc.post).Run()
-	stopScrape()
 
 	arm := E14Arm{
 		Mode:            mode,
@@ -323,7 +324,9 @@ func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
 		VictimOpsPerSec: float64(vr.Ops) / sc.load.Seconds(),
 		FinalWeight:     c.QoS.BackgroundWeight(),
 		ScrubChunks:     agg.Chunks,
-		Tracer:          tr,
+	}
+	if tr != nil {
+		arm.CritPath = critpath.FromTracer(tr)
 	}
 	g := c.QoS.Governor()
 	arm.Narrows, arm.Widens = g.Narrows, g.Widens
@@ -360,7 +363,7 @@ func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
 		}
 		prevW = w.w
 	}
-	c.Stop()
+	k.Close()
 	return arm
 }
 
@@ -419,7 +422,7 @@ func E14(seed int64) *metrics.Table {
 		RunE14(seed))
 }
 
-// E14Q renders the reduced-scale table (CI smoke; not part of All).
+// E14Q renders the reduced-scale table (CI smoke).
 func E14Q(seed int64) *metrics.Table {
 	return e14Table("E14Q — governor step response, reduced scale (CI smoke)",
 		RunE14Quick(seed))

@@ -211,7 +211,7 @@ func e15Scenario(seed int64, sc e15Scale, wl e15Workload, scheme string) E15Run 
 	}
 
 	scr := telemetry.NewScraper(k, c.Reg, 100*sim.Millisecond)
-	stopScrape := scr.Start()
+	scr.Start()
 
 	var target workload.Target = &affinityTarget{c: c, vol: "v"}
 	// Every arm warms for the same duration. The warm length is sized for
@@ -221,7 +221,6 @@ func e15Scenario(seed int64, sc e15Scale, wl e15Workload, scheme string) E15Run 
 	// alone inflates an arm's cache hit rate regardless of scheme.
 	warm := sc.warm
 	var bal *balance.Controller
-	var stopBal func()
 	var tier *hotcache.Tier
 	switch scheme {
 	case "migrate":
@@ -232,7 +231,7 @@ func e15Scenario(seed int64, sc e15Scale, wl e15Workload, scheme string) E15Run 
 			MaxMoves:    16,
 			MinMoveFrac: 0.005,
 		})
-		stopBal = bal.Start()
+		bal.Start()
 	case "hotcache":
 		// Tuned for fast rotation. Half-life below the default: with
 		// ~200ms hot phases, a 250ms half-life keeps last phase's keys
@@ -328,11 +327,7 @@ func e15Scenario(seed int64, sc e15Scale, wl e15Workload, scheme string) E15Run 
 		}
 		run.Invals = tier.Stats().InvalKeys
 	}
-	if stopBal != nil {
-		stopBal()
-	}
-	stopScrape()
-	c.Stop()
+	k.Close()
 	return run
 }
 

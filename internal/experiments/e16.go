@@ -41,8 +41,8 @@ import (
 //     which is the reason the tiers are split at all.
 //
 // The E16 tests assert each of these plus byte-identical same-seed
-// reruns; the quick variant is the CI smoke gate (benchrunner -only
-// E16Q) and feeds the BENCH baseline snapshot.
+// reruns; the quick variant (benchrunner -only E16Q) is the scale
+// TestE16QuickDeterministic regenerates.
 
 // e16Scale sizes one E16 evaluation; E16 and E16Q share the code path.
 type e16Scale struct {
@@ -162,7 +162,7 @@ func e16Arm(seed int64, sc e16Scale, shards int) []E16Point {
 	if err != nil {
 		panic(err)
 	}
-	defer sys.Stop()
+	defer sys.K.Close()
 	gw := sys.Gateway
 
 	// IAM population: every simulated user is a real tenant in the

@@ -17,6 +17,7 @@ import (
 // saturate the 10 Gb/s port.
 func E1(seed int64) *metrics.Table {
 	k := sim.NewKernel(seed)
+	defer k.Close()
 	counts := []int{1, 2, 4, 8}
 	results, err := stripe.Sweep(k, stripe.Config{}, counts, 256<<20)
 	if err != nil {
@@ -69,7 +70,7 @@ func E2(seed int64) *metrics.Table {
 		}
 		runWorkload(k, clients, 2*sim.Second, target, pat) // warm caches
 		r := runWorkload(k, clients, dur, target, pat)
-		c.Stop()
+		k.Close()
 		tab.AddRow("yotta", blades, fmtF(r.Bytes.MBps()), int64(float64(r.Ops)/dur.Seconds()),
 			fmtDur(r.Latency.Mean()), fmtDur(r.Latency.P99()))
 	}
@@ -99,7 +100,7 @@ func E2(seed int64) *metrics.Table {
 	}
 	runWorkload(k, clients, 2*sim.Second, tgt, bpat) // warm caches
 	r := runWorkload(k, clients, dur, tgt, bpat)
-	arr.Stop()
+	k.Close()
 	tab.AddRow("baseline", 2, fmtF(r.Bytes.MBps()), int64(float64(r.Ops)/dur.Seconds()),
 		fmtDur(r.Latency.Mean()), fmtDur(r.Latency.P99()))
 	tab.AddNote("yotta scales by adding blades to one shared pool; the array is capped at its controller pair")
@@ -203,11 +204,11 @@ func E3(seed int64) *metrics.Table {
 	}
 	runWorkload(k, clients, 4*sim.Second, target, pat) // warm the pooled cache
 	r := runWorkload(k, clients, dur, target, pat)
-	c.Stop()
 	hits, misses := c.CacheStats()
 	cv := metrics.Summarize(c.LoadPerBlade()).CV()
 	tab.AddRow("yotta (4 blades)", int64(float64(r.Ops)/dur.Seconds()),
 		fmtDur(r.Latency.P99()), fmtF(cv), fmtF(100*float64(hits)/float64(hits+misses)))
+	k.Close()
 
 	// Baseline: the hot data lives in one volume owned by controller 0.
 	k2 := sim.NewKernel(seed)
@@ -229,8 +230,8 @@ func E3(seed int64) *metrics.Table {
 		panic(err)
 	}
 	r2 := runWorkload(k2, clients, dur, tgt, pat)
-	arr.Stop()
 	ops := arr.ControllerOps()
+	k2.Close()
 	bcv := metrics.Summarize([]float64{float64(ops[0]), float64(ops[1])}).CV()
 	tab.AddRow("baseline (hot volume)", int64(float64(r2.Ops)/dur.Seconds()),
 		fmtDur(r2.Latency.P99()), fmtF(bcv), "n/a")
@@ -285,7 +286,7 @@ func E4(seed int64) *metrics.Table {
 		for !done {
 			k.RunFor(100 * sim.Millisecond)
 		}
-		c.Stop()
+		k.Close()
 		tab.AddRow(blades, fmtF(rebuildTime.Seconds()),
 			fmtDur(during.Latency.P99()), fmtDur(ref.Latency.P99()))
 	}
@@ -300,6 +301,7 @@ func E5(seed int64) *metrics.Table {
 	tab := metrics.NewTable("E5 — §3: DMSD thin provisioning vs fixed partitions",
 		"model", "tenants fit", "provisioned", "physical used", "pool util %")
 	k := sim.NewKernel(seed)
+	defer k.Close()
 	devs := []virt.BlockDevice{}
 	for i := 0; i < 4; i++ {
 		devs = append(devs, newRAMDevice(4096, 64<<10)) // 4 × 256 MiB

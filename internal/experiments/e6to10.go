@@ -83,7 +83,7 @@ func E6(seed int64) *metrics.Table {
 			for i := 0; !done && i < 3000; i++ {
 				k.RunFor(100 * sim.Millisecond)
 			}
-			c.Stop()
+			k.Close()
 			if !done {
 				panic("E6 run did not finish")
 			}
@@ -115,7 +115,6 @@ func E6(seed int64) *metrics.Table {
 		for i := 0; !doneLat && i < 3000; i++ {
 			k.RunFor(100 * sim.Millisecond)
 		}
-		c.Stop()
 		if !doneLat {
 			panic("E6 latency run did not finish")
 		}
@@ -124,6 +123,7 @@ func E6(seed int64) *metrics.Table {
 			replSkew = telemetry.SkewTable(c.Reg, "E6 — per-blade client ops at N=3", "blade/*/ops").String() +
 				telemetry.SkewTable(c.Reg, "E6 — per-blade replica pushes held at N=3", "blade/*/repl/puts").String()
 		}
+		k.Close()
 		tab.AddRow(n, fmtDur(hist.Mean()), lost(n-1), lost(n))
 	}
 	tab.AddNote("N-1 failures: zero loss (every dirty block still has a live copy); N failures can lose blocks whose entire copy set died")
@@ -148,7 +148,7 @@ func E7(seed int64) *metrics.Table {
 	if err != nil {
 		panic(err)
 	}
-	defer gs.Stop()
+	defer gs.K.Close()
 	data := make([]byte, 512<<10)
 	for i := range data {
 		data[i] = byte(i)
@@ -239,7 +239,7 @@ func E8(seed int64) *metrics.Table {
 			if err != nil {
 				panic(err)
 			}
-			gs.Stop()
+			gs.K.Close()
 			tab.AddRow(fmtF(oneWay.Millis()), mode.String(), fmtDur(hist.Mean()), lost)
 		}
 	}
@@ -255,11 +255,13 @@ func E9(seed int64) *metrics.Table {
 		"blades", "plaintext Gb/s", "encrypted Gb/s", "enc/plain %")
 	counts := []int{1, 2, 4, 8}
 	k1 := sim.NewKernel(seed)
+	defer k1.Close()
 	plain, err := stripe.Sweep(k1, stripe.Config{}, counts, 128<<20)
 	if err != nil {
 		panic(err)
 	}
 	k2 := sim.NewKernel(seed)
+	defer k2.Close()
 	enc, err := stripe.Sweep(k2, stripe.Config{EncBps: 2_000_000_000}, counts, 128<<20)
 	if err != nil {
 		panic(err)
@@ -288,6 +290,7 @@ func E10(seed int64) *metrics.Table {
 		ws = 4 << 10
 	)
 	k := sim.NewKernel(seed)
+	defer k.Close()
 	c, err := controllerNew(k, clusterConfig(blades))
 	if err != nil {
 		panic(err)
@@ -348,7 +351,6 @@ func E10(seed int64) *metrics.Table {
 	// simulated seconds — the cold-cache cost a real recovery also pays.
 	runWorkload(k, clients, 8*sim.Second, target, pat)
 	measure("after recovery", sim.Second)
-	c.Stop()
 	tab.AddNote("both failures detected and recovered in %s ms of virtual time", fmtF(recoveryTook.Millis()))
 	tab.AddNote("%s", series.Spark("throughput over time"))
 

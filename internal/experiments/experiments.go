@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction of every quantitative
-// claim in the paper, one function per experiment (E1–E11 in DESIGN.md).
-// Each function builds its own simulated system(s), runs the workload, and
-// returns the result table the benchmark harness prints; bench_test.go and
-// cmd/benchrunner both call into here.
+// claim in the paper, one function per experiment (E1–E16, CP1–CP2, B6 and
+// A1–A4 in DESIGN.md). Each function builds its own simulated system(s),
+// runs the workload, closes every kernel it made, and returns the result
+// table; cmd/benchrunner's table is the one list of them.
 package experiments
 
 import (
@@ -11,7 +11,6 @@ import (
 	"repro/internal/controller"
 	"repro/internal/disk"
 	"repro/internal/georepl"
-	"repro/internal/metrics"
 	"repro/internal/raid"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -137,28 +136,6 @@ func fmtDur(d sim.Duration) string { return fmt.Sprintf("%.2f", d.Millis()) }
 
 // fmtF renders a float with two decimals.
 func fmtF(v float64) string { return fmt.Sprintf("%.2f", v) }
-
-// All runs every experiment and returns the tables in order.
-func All(seed int64) []*metrics.Table {
-	return []*metrics.Table{
-		E1(seed),
-		E2(seed),
-		E3(seed),
-		E4(seed),
-		E5(seed),
-		E6(seed),
-		E7(seed),
-		E8(seed),
-		E9(seed),
-		E10(seed),
-		E11(seed),
-		E12(seed),
-		E13(seed),
-		E14(seed),
-		E15(seed),
-		E16(seed),
-	}
-}
 
 // controllerNew is a local alias keeping experiment code compact.
 func controllerNew(k *sim.Kernel, cfg controller.Config) (*controller.Cluster, error) {

@@ -22,6 +22,7 @@ func TestBatchedScale64Blades(t *testing.T) {
 		dur     = 30 * sim.Millisecond
 	)
 	k := sim.NewKernel(64)
+	defer k.Close()
 	cfg := clusterConfig(blades)
 	cfg.Disks = 96
 	cfg.DisksPerGroup = 6
@@ -31,7 +32,6 @@ func TestBatchedScale64Blades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Stop()
 	if _, err := c.Pool.CreateDMSD("scale", 1<<22); err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 // exports — asserted by TestE1TraceDeterministic.
 func tracedE1Stream(seed int64) (*trace.Tracer, *telemetry.Registry) {
 	k := sim.NewKernel(seed)
+	defer k.Close() // the stream has finished: k.Run drained the queue
 	tr := trace.NewTracer(k)
 	tr.SetEnabled(true)
 	reg := telemetry.NewRegistry()

@@ -25,6 +25,7 @@ func goldenTraceJSONL(seed int64) []byte {
 		ws      = 256
 	)
 	k := sim.NewKernel(seed)
+	defer k.Close() // after the span log is written: Close ends the ops in flight
 	cfg := clusterConfig(blades)
 	tracer := trace.NewTracer(k)
 	cfg.Tracer = tracer
@@ -46,7 +47,6 @@ func goldenTraceJSONL(seed int64) []byte {
 	tracer.SetEnabled(true)
 	runWorkload(k, clients, 200*sim.Millisecond, target, pat)
 	tracer.SetEnabled(false)
-	c.Stop()
 	var buf bytes.Buffer
 	if err := tracer.WriteJSONL(&buf); err != nil {
 		panic(err)

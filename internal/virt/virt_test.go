@@ -300,7 +300,7 @@ func TestSnapshotCOW(t *testing.T) {
 	run(k, func(p *sim.Proc) {
 		// Overwrite part of the shared extent: must COW.
 		if err := v.Write(p, 2, newData); err != nil {
-			t.Errorf("post-snapshot write: %v", err)
+			t.Errorf("write after snapshot: %v", err)
 		}
 		// Snapshot still sees the original.
 		got, err := snap.Read(p, 0, 8)
