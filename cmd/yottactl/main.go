@@ -86,7 +86,8 @@
 //	gateway put <tenant> <bkt> <key> <text...>   write an object
 //	gateway get <tenant> <bkt> <key>             print an object
 //	gateway ls <tenant> <bkt> [prefix]           list objects
-//	status                          print system status
+//	status                          print system status (with destage blocks
+//	                                per run and the RAID row-write mix)
 package main
 
 import (
@@ -1078,6 +1079,18 @@ func printStatus(sys *core.System) {
 	}
 	fmt.Printf("  disks: %d/%d healthy across %d RAID groups\n",
 		healthy, len(c.Farm.Disks), len(c.Groups))
+	sum := func(pattern string) (tot float64) {
+		for _, name := range c.Reg.Match(pattern) {
+			v, _ := c.Reg.Value(name)
+			tot += v
+		}
+		return tot
+	}
+	if runs := sum("blade/*/coh/writeback_runs"); runs > 0 {
+		blocks := sum("blade/*/coh/writebacks")
+		fmt.Printf("  destage: %.0f blocks in %.0f runs (%.2f blocks/run); row writes: %.0f full-stripe, %.0f reconstruct, %.0f read-modify-write\n",
+			blocks, runs, blocks/runs, sum("raid/*/row_writes_full"), sum("raid/*/row_writes_reconstruct"), sum("raid/*/row_writes_rmw"))
+	}
 	pool := c.Pool
 	fmt.Printf("  pool: %s allocated of %s (%d volumes)\n",
 		metrics.FormatBytes(pool.AllocatedBytes()),

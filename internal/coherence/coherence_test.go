@@ -20,6 +20,16 @@ type memBacking struct {
 	reads, writes int64
 	runs          [][2]int64         // every read served: first LBA, blocks
 	bad           map[cache.Key]bool // a read that touches one of these fails
+	wruns         []writeRun         // every write served, in arrival order
+	// midWrite, when set, runs while a write is in flight (after the delay,
+	// before the store takes the data); an error it returns fails the write.
+	midWrite func(p *sim.Proc, w writeRun) error
+}
+
+// writeRun is one backing write: its first block and how many it carried.
+type writeRun struct {
+	key    cache.Key
+	blocks int
 }
 
 func newMemBacking(delay sim.Duration) *memBacking {
@@ -41,10 +51,19 @@ func (m *memBacking) ReadBlockInto(p *sim.Proc, key cache.Key, dst []byte) error
 	return nil
 }
 
-func (m *memBacking) WriteBlock(p *sim.Proc, key cache.Key, data []byte) error {
+func (m *memBacking) WriteBlocks(p *sim.Proc, key cache.Key, data []byte) error {
+	w := writeRun{key, len(data) / blockSize}
+	m.wruns = append(m.wruns, w)
 	p.Sleep(m.delay)
+	if m.midWrite != nil {
+		if err := m.midWrite(p, w); err != nil {
+			return err
+		}
+	}
 	m.writes++
-	m.data[key] = append([]byte(nil), data...)
+	for i := 0; i < w.blocks; i++ {
+		m.data[cache.Key{Vol: key.Vol, LBA: key.LBA + int64(i)}] = append([]byte(nil), data[i*blockSize:(i+1)*blockSize]...)
+	}
 	return nil
 }
 

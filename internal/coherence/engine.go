@@ -39,7 +39,9 @@ type Backing interface {
 	// consecutive blocks that starts at key; what was never written reads
 	// as zeros.
 	ReadBlockInto(p *sim.Proc, key cache.Key, dst []byte) error
-	WriteBlock(p *sim.Proc, key cache.Key, data []byte) error
+	// WriteBlocks stores data, a whole number of blocks, as the run of
+	// consecutive blocks that starts at key.
+	WriteBlocks(p *sim.Proc, key cache.Key, data []byte) error
 }
 
 // ErrNoQuorum is returned when no live blade can home a block.
@@ -114,6 +116,7 @@ type Stats struct {
 	PeerFetches   int64 // data served from another blade's cache
 	DiskReads     int64
 	Writebacks    int64 // dirty blocks destaged
+	WritebackRuns int64 // backing writes issued for them (a run of adjacent blocks is one)
 	Invalidations int64 // Inv/InvM messages handled
 	Downgrades    int64
 	DirRequests   int64 // GetS/GetX handled as home
@@ -625,6 +628,7 @@ func (e *Engine) RegisterTelemetry(s telemetry.Scope) {
 	coh.Int("peer_fetches", func() int64 { return e.stats.PeerFetches })
 	coh.Int("disk_reads", func() int64 { return e.stats.DiskReads })
 	coh.Int("writebacks", func() int64 { return e.stats.Writebacks })
+	coh.Int("writeback_runs", func() int64 { return e.stats.WritebackRuns })
 	coh.Int("value_fetches", func() int64 { return e.stats.ValueFetches })
 	coh.Int("invalidations", func() int64 { return e.stats.Invalidations })
 	coh.Int("downgrades", func() int64 { return e.stats.Downgrades })
@@ -1083,8 +1087,7 @@ func (e *Engine) makeRoom(p *sim.Proc) error {
 			return nil
 		}
 		if v.Dirty {
-			e.pin(v)
-			clean, err := e.writeback(p, v, v.Version)
+			clean, err := e.writebackOne(p, v)
 			if err != nil {
 				failures++
 				if failures >= maxWritebackFailures {

@@ -25,7 +25,7 @@ func (f *failingBacking) ReadBlockInto(p *sim.Proc, key cache.Key, dst []byte) e
 	return nil
 }
 
-func (f *failingBacking) WriteBlock(p *sim.Proc, key cache.Key, data []byte) error {
+func (f *failingBacking) WriteBlocks(p *sim.Proc, key cache.Key, data []byte) error {
 	p.Sleep(f.delay)
 	f.writes++
 	if f.writes > int64(f.allow) {

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/cache"
@@ -8,38 +10,56 @@ import (
 	"repro/internal/sim"
 )
 
+// destage is one pinned dirty entry of a writeback run and the version
+// sampled when it was pinned.
+type destage struct {
+	ent *cache.Entry
+	ver uint64
+}
+
 // FlushOnce destages up to max dirty blocks (all if max ≤ 0), returning the
-// number written back. Destages are issued concurrently (bounded) so the
-// drain rate tracks the disk array, not a single operation's latency.
+// number written back. It chooses the batch oldest first per lane and pins
+// it, then issues it by address: every maximal run of adjacent blocks of a
+// volume is one backing write, so the store below sees a stripe row's blocks
+// together. Runs are issued concurrently (bounded) so the drain rate tracks
+// the disk array, not a single operation's latency.
 func (e *Engine) FlushOnce(p *sim.Proc, max int) int {
-	dirty := e.cache.DirtyEntries()
-	if len(dirty) == 0 {
-		return 0
-	}
-	n := 0
-	grp := sim.NewGroup(e.k)
-	inFlight := sim.NewSemaphore(e.k, 16)
-	for _, ent := range dirty {
-		if max > 0 && n >= max {
+	var batch []destage
+	for _, ent := range e.cache.DirtyEntries() {
+		if max > 0 && len(batch) >= max {
 			break
 		}
 		if ent.Pinned || !ent.Dirty {
 			continue
 		}
-		ent := ent
 		e.pin(ent)
-		ver := ent.Version
-		n++
+		batch = append(batch, destage{ent, ent.Version})
+	}
+	if len(batch) == 0 {
+		return 0
+	}
+	slices.SortFunc(batch, func(a, b destage) int {
+		return cmp.Or(cmp.Compare(a.ent.Key.Vol, b.ent.Key.Vol), cmp.Compare(a.ent.Key.LBA, b.ent.Key.LBA))
+	})
+	grp := sim.NewGroup(e.k)
+	inFlight := sim.NewSemaphore(e.k, 16)
+	for a, b := 0, 0; a < len(batch); a = b {
+		for b = a + 1; b < len(batch); b++ {
+			if prev, k := batch[b-1].ent.Key, batch[b].ent.Key; k.Vol != prev.Vol || k.LBA != prev.LBA+1 {
+				break
+			}
+		}
+		run := batch[a:b]
 		grp.Add(1)
 		e.k.Go("destage", func(q *sim.Proc) {
 			defer grp.Done()
 			inFlight.Acquire(q, 1)
 			defer inFlight.Release(1)
-			e.writeback(q, ent, ver)
+			e.writeback(q, run)
 		})
 	}
 	grp.Wait(p)
-	return n
+	return len(batch)
 }
 
 // pin marks ent as mid-writeback: the cache will not evict it, and a handler
@@ -71,25 +91,43 @@ func (e *Engine) waitUnpinned(p *sim.Proc, ent *cache.Entry) {
 	}
 }
 
-// writeback destages ent, which the caller pinned when it sampled ver, and
-// unpins it. clean reports that the store took the block and nobody rewrote
-// it meanwhile: the entry is then marked clean and its replicas released.
-func (e *Engine) writeback(p *sim.Proc, ent *cache.Entry, ver uint64) (clean bool, err error) {
-	err = e.backing.WriteBlock(p, ent.Key, ent.Data)
-	e.unpin(ent)
-	if err != nil {
-		e.stats.WritebackErrors++
-		return false, err
+// writeback destages run — adjacent blocks of one volume, each pinned by the
+// caller when it sampled the entry's version — as one backing write, and
+// unpins them. An entry the store took and nobody rewrote meanwhile is marked
+// clean and its replicas released; clean reports that every entry was.
+func (e *Engine) writeback(p *sim.Proc, run []destage) (clean bool, err error) {
+	data := run[0].ent.Data
+	if len(run) > 1 {
+		data = make([]byte, 0, len(run)*e.blockSize)
+		for _, d := range run {
+			data = append(data, d.ent.Data...)
+		}
 	}
-	if ent.Version != ver {
-		return false, nil
+	err = e.backing.WriteBlocks(p, run[0].ent.Key, data)
+	e.stats.WritebackRuns++
+	clean = err == nil
+	for _, d := range run {
+		e.unpin(d.ent)
+		switch {
+		case err != nil:
+			e.stats.WritebackErrors++
+		case d.ent.Version != d.ver:
+			clean = false
+		default:
+			e.cache.SetDirty(d.ent, false)
+			e.stats.Writebacks++
+			if e.onClean != nil {
+				e.onClean(p, d.ent.Key, d.ver)
+			}
+		}
 	}
-	e.cache.SetDirty(ent, false)
-	e.stats.Writebacks++
-	if e.onClean != nil {
-		e.onClean(p, ent.Key, ver)
-	}
-	return true, nil
+	return clean, err
+}
+
+// writebackOne pins ent and destages it alone, on the caller's critical path.
+func (e *Engine) writebackOne(p *sim.Proc, ent *cache.Entry) (clean bool, err error) {
+	e.pin(ent)
+	return e.writeback(p, []destage{{ent, ent.Version}})
 }
 
 // StartFlusher launches the background write-back process: every interval

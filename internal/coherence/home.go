@@ -297,11 +297,10 @@ func (e *Engine) surrender(p *sim.Proc, key cache.Key) (gone bool) {
 	// backing-store writes of old and new owner cannot interleave.
 	e.waitUnpinned(p, ent)
 	if ent, ok := e.cache.Peek(key); ok && ent.Dirty {
-		e.pin(ent)
 		// A store that refuses the destage (counted by writeback) leaves the
 		// pre-drop behavior and its staleness window; the write path stays
 		// available either way.
-		e.writeback(p, ent, ent.Version)
+		e.writebackOne(p, ent)
 	}
 	e.cache.Remove(key)
 	return false

@@ -172,7 +172,7 @@ func (b poolBacking) ReadBlockInto(p *sim.Proc, key cache.Key, dst []byte) error
 	return v.ReadInto(p, key.LBA, dst)
 }
 
-func (b poolBacking) WriteBlock(p *sim.Proc, key cache.Key, data []byte) error {
+func (b poolBacking) WriteBlocks(p *sim.Proc, key cache.Key, data []byte) error {
 	v, err := b.volume(key.Vol)
 	if err != nil {
 		return err
@@ -332,6 +332,9 @@ func (c *Cluster) registerTelemetry() {
 	}
 	for i, d := range c.Farm.Disks {
 		d.RegisterTelemetry(r.Sub(fmt.Sprintf("disk/%d", i)))
+	}
+	for i, g := range c.Groups {
+		g.RegisterTelemetry(r.Sub(fmt.Sprintf("raid/%d", i)))
 	}
 	c.Net.RegisterTelemetry(r.Sub("net"))
 	if c.QoS != nil {

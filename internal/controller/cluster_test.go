@@ -659,11 +659,14 @@ func TestFaultPlanCountersSurface(t *testing.T) {
 	}
 }
 
-// Eight blades each own dirty blocks in the same stripe rows (block i is
-// blade i%8's) and destage them at once: every destage is a small write, a
-// read-modify-write of its row's parity, and the writers of a row must not
-// lose each other's update. Afterwards no row may be inconsistent, and with
-// a disk of each group gone every block must read back through the parity.
+// Eight blades each own dirty blocks in the same stripe rows (the four-block
+// write at 4j+1 is blade j%8's: three blocks of row j and the first of row
+// j+1) and destage them at once. A flusher issues each write's blocks as one
+// run, which the group cuts at the row, so every row takes a reconstruct-
+// write from one blade and a read-modify-write from the next, and the
+// writers of a row must not lose each other's update. Afterwards no row may
+// be inconsistent, and with a disk of each group gone every block must read
+// back through the parity.
 func TestConcurrentDestageKeepsParity(t *testing.T) {
 	c, k := newTestCluster(t, 1, func(cfg *Config) {
 		cfg.Blades = 8
@@ -674,19 +677,20 @@ func TestConcurrentDestageKeepsParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const blocks = 128
-	want := make([]byte, 0, blocks*512)
+	const blocks, writes = 128, 31
+	want := pattern(blocks*512, 0)
 	run(k, func(p *sim.Proc) {
 		// Map the extents first: a first write to one fills the whole extent
 		// under the volume's allocation lock, not block by block.
-		if err := vol.Write(p, 0, pattern(blocks*512, 0)); err != nil {
+		if err := vol.Write(p, 0, want); err != nil {
 			t.Errorf("prefill: %v", err)
 			return
 		}
-		for lba := int64(0); lba < blocks; lba++ {
-			block := pattern(512, byte(lba+1))
-			want = append(want, block...)
-			if err := c.Write(p, c.Blade(int(lba%8)), "vol", lba, block, 0); err != nil {
+		for j := int64(0); j < writes; j++ {
+			lba := 4*j + 1
+			run := pattern(4*512, byte(lba))
+			copy(want[lba*512:], run)
+			if err := c.Write(p, c.Blade(int(j%8)), "vol", lba, run, 0); err != nil {
 				t.Errorf("write %d: %v", lba, err)
 				return
 			}
@@ -700,6 +704,14 @@ func TestConcurrentDestageKeepsParity(t *testing.T) {
 			})
 		}
 		grp.Wait(p)
+		var destaged, runs int64
+		for _, b := range c.Blades {
+			st := b.Engine.Stats()
+			destaged, runs = destaged+st.Writebacks, runs+st.WritebackRuns
+		}
+		if destaged != 4*writes || runs != writes {
+			t.Errorf("%d blocks destaged in %d runs, want %d in %d", destaged, runs, 4*writes, writes)
+		}
 		for gi, g := range c.Groups {
 			if bad, err := g.ScrubRange(p, 0, g.Stripes()); err != nil || bad != 0 {
 				t.Errorf("group %d after concurrent destage: %d inconsistent rows, err %v", gi, bad, err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/qos"
 	"repro/internal/sim"
 )
@@ -55,9 +54,7 @@ func (c *Cluster) recoverMembership(p *sim.Proc, dead []int) error {
 	for _, id := range alive {
 		sb := c.Blades[id]
 		for _, d := range dead {
-			if _, err := sb.Repl.RecoverFor(p, d, func(q *sim.Proc, key cache.Key, data []byte) error {
-				return backing.WriteBlock(q, key, data)
-			}); err != nil {
+			if _, err := sb.Repl.RecoverFor(p, d, backing.WriteBlocks); err != nil {
 				return err
 			}
 		}

@@ -36,10 +36,12 @@ func (m *memBacking) ReadBlockInto(p *sim.Proc, key cache.Key, dst []byte) error
 	return nil
 }
 
-func (m *memBacking) WriteBlock(p *sim.Proc, key cache.Key, data []byte) error {
+func (m *memBacking) WriteBlocks(p *sim.Proc, key cache.Key, data []byte) error {
 	p.Sleep(m.delay)
 	m.writes++
-	m.data[key] = append([]byte(nil), data...)
+	for i := 0; i*blockSize < len(data); i++ {
+		m.data[cache.Key{Vol: key.Vol, LBA: key.LBA + int64(i)}] = append([]byte(nil), data[i*blockSize:(i+1)*blockSize]...)
+	}
 	return nil
 }
 

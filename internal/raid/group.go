@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // Level identifies a RAID layout.
@@ -72,6 +73,17 @@ type Group struct {
 	// rowLocks holds the stripe rows of a RAID-5/6 group that a writer holds
 	// or waits for (see lockRows).
 	rowLocks map[int64]*rowLock
+	// rowWrites counts RAID-5/6 stripe-row writes by how parity was made:
+	// from new data alone, from the row completed by reads (every degraded
+	// row included), or by read-modify-write.
+	rowWrites struct{ full, reconstruct, rmw int64 }
+}
+
+// RegisterTelemetry publishes the group's row-write mix under s.
+func (g *Group) RegisterTelemetry(s telemetry.Scope) {
+	s.Int("row_writes_full", func() int64 { return g.rowWrites.full })
+	s.Int("row_writes_reconstruct", func() int64 { return g.rowWrites.reconstruct })
+	s.Int("row_writes_rmw", func() int64 { return g.rowWrites.rmw })
 }
 
 // rowLock is one stripe row's writer lock; refs counts its holder and the

@@ -260,51 +260,56 @@ func (g *Group) writeStripe(p *sim.Proc, s int64, newData map[int64][]byte) erro
 			break
 		}
 	}
-	fullStripe := len(newData) == dps
-
+	parities := len(g.disks) - dps
+	// row becomes the whole row in hand: what stays of the old content, then
+	// the new blocks over it.
+	row := make([][]byte, dps)
 	switch {
-	case !degraded && fullStripe:
-		// Reconstruct-write: parity from new data alone, no reads.
-		blocks := make([][]byte, dps)
-		for i := range blocks {
-			blocks[i] = newData[int64(i)]
-		}
-		return g.writeStripeBlocks(p, s, blocks, dataDisks, pd, qd, nil)
-
-	case !degraded:
-		// Read-modify-write: read old target blocks and parity, apply deltas.
-		return g.rmwStripe(p, s, newData, dataDisks, pd, qd)
-
-	default:
-		// Degraded: recover the full old stripe, merge, rewrite what we can.
-		old, err := g.stripeData(p, s, nil)
-		if err != nil {
+	case degraded:
+		// Recover the full old stripe, merge, rewrite what we can.
+		g.rowWrites.reconstruct++
+		var err error
+		if row, err = g.stripeData(p, s, nil); err != nil {
 			return err
 		}
-		blocks := make([][]byte, dps)
-		for i := range blocks {
-			if nd, ok := newData[int64(i)]; ok {
-				blocks[i] = nd
-			} else {
-				blocks[i] = old[i]
+	case len(newData) == dps:
+		// Full stripe: parity from new data alone, no reads.
+		g.rowWrites.full++
+	case dps-len(newData) < len(newData)+parities:
+		// Reconstruct-write: reading the data blocks that stay is fewer I/Os
+		// than read-modify-write's old targets and parity.
+		g.rowWrites.reconstruct++
+		var fns []func(q *sim.Proc) error
+		for i, di := range dataDisks {
+			if _, ok := newData[int64(i)]; !ok {
+				fns = append(fns, func(q *sim.Proc) (err error) {
+					row[i], err = g.disks[di].Read(q, s, 1)
+					return err
+				})
 			}
 		}
-		only := make(map[int64]bool, len(newData))
-		for idx := range newData {
-			only[idx] = true
+		if err := parallel(p, fns...); err != nil {
+			return err
 		}
-		return g.writeStripeBlocks(p, s, blocks, dataDisks, pd, qd, only)
+	default:
+		// Read-modify-write: read old target blocks and parity, apply deltas.
+		g.rowWrites.rmw++
+		return g.rmwStripe(p, s, newData, dataDisks, pd, qd)
 	}
+	for idx, nd := range newData {
+		row[idx] = nd
+	}
+	return g.writeStripeBlocks(p, s, row, dataDisks, pd, qd, newData)
 }
 
-// writeStripeBlocks writes the given full logical stripe content: data
-// blocks whose stripe-local index is in writeIdx (nil = all), plus parity,
-// skipping unavailable disks (their content is encoded in the parity).
-func (g *Group) writeStripeBlocks(p *sim.Proc, s int64, blocks [][]byte, dataDisks []int, pd, qd int, writeIdx map[int64]bool) error {
+// writeStripeBlocks writes the given full logical stripe content: the data
+// blocks whose stripe-local index is in only, plus parity, skipping
+// unavailable disks (their content is encoded in the parity).
+func (g *Group) writeStripeBlocks(p *sim.Proc, s int64, blocks [][]byte, dataDisks []int, pd, qd int, only map[int64][]byte) error {
 	var fns []func(q *sim.Proc) error
 	for i, di := range dataDisks {
 		i, di := i, di
-		if writeIdx != nil && !writeIdx[int64(i)] {
+		if _, ok := only[int64(i)]; !ok {
 			continue
 		}
 		if !g.available(di, s) {
