@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race verify bench-e2e bench-layers bench-pair experiments fuzz-smoke
+.PHONY: all build vet test race verify loc bench-e2e bench-layers bench-pair experiments fuzz-smoke
 
 all: verify
 
@@ -19,6 +19,11 @@ race:
 
 # verify is the tier-1 gate: everything a PR must keep green.
 verify: build vet test race
+
+# loc prints non-test Go lines per package and in total — the number ROADMAP
+# item 9 gates on — of the working tree, or of a revision with REV=<rev>.
+loc:
+	bash scripts/loc.sh $(REV)
 
 # bench-e2e runs BENCHMARK.json's four workloads exactly as the driver does
 # (bench/run.sh builds into .bench_build/ and runs ~10 s per workload):

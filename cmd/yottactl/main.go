@@ -53,11 +53,9 @@
 //	evacuate <device>               migrate all extents off a device
 //	rebalance                       even extent load across devices
 //	rebalance on|off                toggle the installed load-spreading scheme
-//	rebalance status                scheme name + counters
+//	rebalance status                scheme name, thresholds + counters
 //	rebalance report                scheme name + full per-scheme report
-//	balance on|off                  toggle the adaptive hot-spot rebalancer
-//	balance status                  rebalancer thresholds + counters
-//	balance report                  counters plus the home-migration log
+//	                                (migrate: the home-migration log)
 //	qos on|off                      toggle admission control + fair queueing
 //	qos status                      switch state, lane weights, bucket count
 //	qos report                      tenants, governor, per-lane occupancy
@@ -137,7 +135,6 @@ revive 2
 status
 top
 telemetry status
-balance status
 rebalance status
 rebalance report
 qos on
@@ -203,7 +200,7 @@ func main() {
 	}
 	sys.Tracer.SetEnabled(false)
 	// The rebalancer is attached but parked until a script says
-	// `balance on` — admin scripts opt in to home migrations.
+	// `rebalance on` — admin scripts opt in to home migrations.
 	sys.Balancer.SetEnabled(false)
 	defer sys.Stop()
 
@@ -552,36 +549,6 @@ func execute(p *sim.Proc, sys *core.System, line string) error {
 		}
 		fmt.Printf("  %s\n", strings.ReplaceAll(strings.TrimRight(buf.String(), "\n"), "\n", "\n  "))
 		return nil
-	case "balance":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: balance on|off|status|report")
-		}
-		if sys.Balancer == nil {
-			return fmt.Errorf("rebalancer off (system built without Rebalance=%q)", core.RebalanceMigrate)
-		}
-		switch args[0] {
-		case "on":
-			sys.Balancer.SetEnabled(true)
-			fmt.Println("  rebalancer on")
-			return nil
-		case "off":
-			sys.Balancer.SetEnabled(false)
-			fmt.Println("  rebalancer off")
-			return nil
-		case "status":
-			cfg := sys.Balancer.Config()
-			st := sys.Balancer.Stats()
-			fmt.Printf("  rebalancer: enabled=%v interval=%v thresholds CV>%.2f max/mean>%.2f for %d intervals\n",
-				sys.Balancer.Enabled(), cfg.Interval, cfg.CVMax, cfg.RatioMax, cfg.For)
-			fmt.Printf("  ticks %d, bursts %d, migrations %d, skipped %d\n",
-				st.Ticks, st.Bursts, st.Migrations, st.Skipped)
-			return nil
-		case "report":
-			fmt.Printf("  %s\n", strings.ReplaceAll(sys.Balancer.Report(), "\n", "\n  "))
-			return nil
-		default:
-			return fmt.Errorf("usage: balance on|off|status|report")
-		}
 	case "qos":
 		if len(args) != 1 {
 			return fmt.Errorf("usage: qos on|off|status|report")

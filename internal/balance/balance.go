@@ -185,9 +185,6 @@ func (c *Controller) Decisions() []Decision {
 	return append([]Decision(nil), c.decisions...)
 }
 
-// Config returns the controller's effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // RegisterTelemetry publishes the controller's counters under s.
 func (c *Controller) RegisterTelemetry(s telemetry.Scope) {
 	s.Int("ticks", func() int64 { return c.stats.Ticks })
@@ -444,10 +441,11 @@ func (c *Controller) migrate(p *sim.Proc, cand coherence.KeyHeat, from, to int) 
 // core.Rebalancer interface; the hotcache tier answers "hotcache").
 func (c *Controller) Scheme() string { return "migrate" }
 
-// Status is the one-line state summary yottactl prints.
+// Status is the one-line state summary yottactl prints: the switch, the
+// thresholds it acts on, the counters.
 func (c *Controller) Status() string {
-	return fmt.Sprintf("balance: enabled=%v ticks=%d bursts=%d migrations=%d skipped=%d",
-		c.enabled, c.stats.Ticks, c.stats.Bursts, c.stats.Migrations, c.stats.Skipped)
+	return fmt.Sprintf("balance: enabled=%v interval=%v thresholds CV>%.2f max/mean>%.2f for %d intervals, ticks=%d bursts=%d migrations=%d skipped=%d",
+		c.enabled, c.cfg.Interval, c.cfg.CVMax, c.cfg.RatioMax, c.cfg.For, c.stats.Ticks, c.stats.Bursts, c.stats.Migrations, c.stats.Skipped)
 }
 
 // Report renders the decision log plus counters for CLI status output.

@@ -1,7 +1,6 @@
 package coherence
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -42,19 +41,15 @@ import (
 // kernel's deterministic primitives.
 
 // Batched protocol payloads. Req/resp item slices are parallel arrays.
-// Epochs mirror the per-key plane's getSReq/getXReq Epoch field: one
-// requester install epoch per key, recorded with each registration so
-// stale evict notices cannot deregister a re-installed copy.
-type getSBatchReq struct {
+// dirBatchReq is coh.getsb's and coh.getxb's request; Epochs mirror the
+// per-key plane's dirReq.Epoch: one requester install epoch per key,
+// recorded with each registration so stale evict notices cannot deregister
+// a re-installed copy.
+type dirBatchReq struct {
 	Keys   []cache.Key
 	Epochs []uint64
 }
-type getSBatchResp struct{ Items []getSResp }
-type getXBatchReq struct {
-	Keys   []cache.Key
-	Epochs []uint64
-}
-type getXBatchResp struct{ Items []getXResp }
+type dirBatchResp struct{ Items []dirResp }
 type invBatchReq struct{ Keys []cache.Key }
 type invBatchResp struct{}
 type invMBatchReq struct{ Keys []cache.Key }
@@ -129,22 +124,22 @@ func unlockAll(work []batchWork) {
 
 // handleGetSBatch serves a vector of read-share requests as the home blade.
 func (e *Engine) handleGetSBatch(p *sim.Proc, from simnet.Addr, args any) (any, int) {
-	req := args.(getSBatchReq)
+	req := args.(dirBatchReq)
 	requester := bladeID(e.peers, from)
-	items := make([]getSResp, len(req.Keys))
+	items := make([]dirResp, len(req.Keys))
 	e.stats.DirRequests += int64(len(req.Keys))
 
 	var work []batchWork
 	for i, key := range req.Keys {
 		if to, ok := e.forward[key]; ok {
 			e.stats.RedirectsServed++
-			items[i] = getSResp{Redirect: true, NewHome: to}
+			items[i] = dirResp{Redirect: true, NewHome: to}
 			continue
 		}
 		work = append(work, batchWork{idx: i, key: key, epoch: req.Epochs[i]})
 	}
 	if len(work) == 0 {
-		return getSBatchResp{Items: items}, batchSize(len(items))
+		return dirBatchResp{Items: items}, batchSize(len(items))
 	}
 	e.busy(p, e.hdlDelay) // one CPU charge for the whole batch
 	work = e.lockSorted(p, work)
@@ -156,7 +151,7 @@ func (e *Engine) handleGetSBatch(p *sim.Proc, from simnet.Addr, args any) (any, 
 	for _, w := range work {
 		if to, ok := e.forward[w.key]; ok {
 			e.stats.RedirectsServed++
-			items[w.idx] = getSResp{Redirect: true, NewHome: to}
+			items[w.idx] = dirResp{Redirect: true, NewHome: to}
 			continue
 		}
 		e.heat.Touch(w.key)
@@ -246,7 +241,7 @@ func (e *Engine) handleGetSBatch(p *sim.Proc, from simnet.Addr, args any) (any, 
 				case it.StillDirty:
 					// Owner-forwarding: home stays Modified; reader must
 					// not cache.
-					items[w.idx] = getSResp{Data: it.Data, NoCache: true}
+					items[w.idx] = dirResp{Data: it.Data, NoCache: true}
 				case !it.Gone:
 					w.ent.state = dirShared
 					w.ent.sharers.only(requester, w.epoch)
@@ -265,28 +260,28 @@ func (e *Engine) handleGetSBatch(p *sim.Proc, from simnet.Addr, args any) (any, 
 	for i := range items {
 		size += len(items[i].Data)
 	}
-	return getSBatchResp{Items: items}, size
+	return dirBatchResp{Items: items}, size
 }
 
 // handleGetXBatch serves a vector of exclusive-ownership requests as the
 // home blade, with the sharer-invalidation fan-out vectorized per peer.
 func (e *Engine) handleGetXBatch(p *sim.Proc, from simnet.Addr, args any) (any, int) {
-	req := args.(getXBatchReq)
+	req := args.(dirBatchReq)
 	requester := bladeID(e.peers, from)
-	items := make([]getXResp, len(req.Keys))
+	items := make([]dirResp, len(req.Keys))
 	e.stats.DirRequests += int64(len(req.Keys))
 
 	var work []batchWork
 	for i, key := range req.Keys {
 		if to, ok := e.forward[key]; ok {
 			e.stats.RedirectsServed++
-			items[i] = getXResp{Redirect: true, NewHome: to}
+			items[i] = dirResp{Redirect: true, NewHome: to}
 			continue
 		}
 		work = append(work, batchWork{idx: i, key: key, epoch: req.Epochs[i]})
 	}
 	if len(work) == 0 {
-		return getXBatchResp{Items: items}, batchSize(len(items))
+		return dirBatchResp{Items: items}, batchSize(len(items))
 	}
 	e.busy(p, e.hdlDelay)
 	work = e.lockSorted(p, work)
@@ -298,7 +293,7 @@ func (e *Engine) handleGetXBatch(p *sim.Proc, from simnet.Addr, args any) (any, 
 	for _, w := range work {
 		if to, ok := e.forward[w.key]; ok {
 			e.stats.RedirectsServed++
-			items[w.idx] = getXResp{Redirect: true, NewHome: to}
+			items[w.idx] = dirResp{Redirect: true, NewHome: to}
 			continue
 		}
 		e.heat.Touch(w.key)
@@ -346,7 +341,7 @@ func (e *Engine) handleGetXBatch(p *sim.Proc, from simnet.Addr, args any) (any, 
 		w.ent.ownerEpoch = w.epoch
 		w.ent.sharers.reset()
 	}
-	return getXBatchResp{Items: items}, batchSize(len(items))
+	return dirBatchResp{Items: items}, batchSize(len(items))
 }
 
 // handleInvBatch drops a vector of Shared copies.
@@ -444,10 +439,76 @@ func (e *Engine) handleFetchBatch(p *sim.Proc, from simnet.Addr, args any) (any,
 	return fetchBatchResp{Items: items}, size
 }
 
+// pendingMiss is one key of a vector op on its way through the directory:
+// its position in the op, the install epoch its request carries and, once
+// askVector has it, the home's answer.
 type pendingMiss struct {
 	idx   int
 	key   cache.Key
 	epoch uint64
+	resp  dirResp
+}
+
+// askVector is ask for a vector of keys: one method call (coh.getsb or
+// coh.getxb) per home blade, all homes at once in ascending order, and the
+// keys a home redirected go round again under the address they learned. It
+// returns the keys with their answers in the order the answers arrived —
+// by round, then home, then position in the request.
+func (e *Engine) askVector(p *sim.Proc, method string, pending []pendingMiss) ([]pendingMiss, error) {
+	var granted []pendingMiss
+	for hops := 0; len(pending) > 0; hops++ {
+		if hops > len(e.peers)+8 {
+			return nil, fmt.Errorf("coherence: %s: redirect loop", method)
+		}
+		groups := make(map[int][]pendingMiss)
+		for _, m := range pending {
+			h, err := e.home(m.key)
+			if err != nil {
+				return nil, err
+			}
+			groups[h] = append(groups[h], m)
+		}
+		homes := sortedPeerIDs(groups)
+		resps := make([]dirBatchResp, len(homes))
+		errs := make([]error, len(homes))
+		grp := sim.NewGroup(e.k)
+		for gi, h := range homes {
+			grp.Add(1)
+			e.k.Go(method[len("coh."):], func(q *sim.Proc) {
+				defer grp.Done()
+				ks := make([]cache.Key, len(groups[h]))
+				eps := make([]uint64, len(groups[h]))
+				for i, m := range groups[h] {
+					ks[i] = m.key
+					eps[i] = m.epoch
+				}
+				raw, err := e.call(q, h, method, dirBatchReq{Keys: ks, Epochs: eps}, batchSize(len(ks)))
+				if err != nil {
+					errs[gi] = err
+					return
+				}
+				resps[gi] = raw.(dirBatchResp)
+			})
+		}
+		grp.Wait(p)
+		pending = nil
+		for gi, h := range homes {
+			if errs[gi] != nil {
+				return nil, fmt.Errorf("coherence: %s to blade %d: %w", method, h, errs[gi])
+			}
+			for j, m := range groups[h] {
+				m.resp = resps[gi].Items[j]
+				if m.resp.Redirect {
+					e.stats.RedirectsFollowed++
+					e.setHomeOverride(m.key, m.resp.NewHome)
+					pending = append(pending, m)
+					continue
+				}
+				granted = append(granted, m)
+			}
+		}
+	}
+	return granted, nil
 }
 
 // resolveBatched is a run's phase 1 on the batched plane: one CPU charge for
@@ -480,77 +541,17 @@ func (e *Engine) resolveBatched(p *sim.Proc, op *runRead, vol string, lba int64,
 		}
 		pending = append(pending, pendingMiss{idx: i, key: key, epoch: e.invEpoch[key]})
 	}
-
-	type grant struct {
-		m    pendingMiss
-		resp getSResp
+	grants, err := e.askVector(p, "coh.getsb", pending)
+	if err != nil {
+		return err
 	}
-	var grants []grant
-	for hops := 0; len(pending) > 0; hops++ {
-		if hops > len(e.peers)+8 {
-			return fmt.Errorf("coherence: getsb: redirect loop")
-		}
-		groups := make(map[int][]pendingMiss)
-		for _, m := range pending {
-			h, err := e.home(m.key)
-			if err != nil {
-				return err
-			}
-			groups[h] = append(groups[h], m)
-		}
-		homes := sortedPeerIDs(groups)
-		resps := make([]getSBatchResp, len(homes))
-		errs := make([]error, len(homes))
-		grp := sim.NewGroup(e.k)
-		for gi, h := range homes {
-			gi, h := gi, h
-			grp.Add(1)
-			e.k.Go("getsb", func(q *sim.Proc) {
-				defer grp.Done()
-				ks := make([]cache.Key, len(groups[h]))
-				eps := make([]uint64, len(groups[h]))
-				for i, m := range groups[h] {
-					ks[i] = m.key
-					eps[i] = m.epoch
-				}
-				raw, err := e.call(q, h, "coh.getsb", getSBatchReq{Keys: ks, Epochs: eps}, batchSize(len(ks)))
-				if err != nil {
-					errs[gi] = err
-					return
-				}
-				resps[gi] = raw.(getSBatchResp)
-			})
-		}
-		grp.Wait(p)
-		var next []pendingMiss
-		for gi, h := range homes {
-			if errs[gi] != nil {
-				return fmt.Errorf("coherence: getsb to blade %d: %w", h, errs[gi])
-			}
-			for j, m := range groups[h] {
-				r := resps[gi].Items[j]
-				if r.Redirect {
-					e.stats.RedirectsFollowed++
-					e.setHomeOverride(m.key, r.NewHome)
-					next = append(next, m)
-					continue
-				}
-				if r.Err != "" {
-					return errors.New(r.Err)
-				}
-				grants = append(grants, grant{m: m, resp: r})
-			}
-		}
-		pending = next
-	}
-
 	grp := sim.NewGroup(e.k)
 	for _, g := range grants {
 		grp.Add(1)
 		e.k.Go("readb", func(q *sim.Proc) {
 			defer grp.Done()
-			if e.settle(q, g.m.key, g.m.epoch, g.resp, priority, block(g.m.idx)) {
-				op.gather(g.m.idx, count, g.m.epoch)
+			if e.settle(q, g.key, g.epoch, g.resp, priority, block(g.idx)) {
+				op.gather(g.idx, count, g.epoch)
 			}
 		})
 	}
@@ -558,12 +559,10 @@ func (e *Engine) resolveBatched(p *sim.Proc, op *runRead, vol string, lba int64,
 	return nil
 }
 
-// WriteBlocksBatched stores a vector of full blocks, acquiring exclusive
+// writeVector stores a vector of full blocks, acquiring exclusive
 // ownership through per-home coh.getxb calls; installs and replication
 // pushes fan out in parallel. Keys must be distinct and blocks positional.
-// A key whose ownership is stolen between grant and install falls back to
-// the per-key WriteBlockR retry loop.
-func (e *Engine) WriteBlocksBatched(p *sim.Proc, keys []cache.Key, blocks [][]byte, priority, replFactor int) error {
+func (e *Engine) writeVector(p *sim.Proc, keys []cache.Key, blocks [][]byte, priority, replFactor int) error {
 	if e.down {
 		return fmt.Errorf("coherence: blade %d down", e.self)
 	}
@@ -577,131 +576,39 @@ func (e *Engine) WriteBlocksBatched(p *sim.Proc, keys []cache.Key, blocks [][]by
 	}
 	e.stats.Writes += int64(len(keys))
 	e.busy(p, e.opDelay)
-
-	var granted []pendingMiss
 	pending := make([]pendingMiss, len(keys))
 	for i, key := range keys {
 		pending[i] = pendingMiss{idx: i, key: key, epoch: e.invEpoch[key]}
 	}
-	for hops := 0; len(pending) > 0; hops++ {
-		if hops > len(e.peers)+8 {
-			return fmt.Errorf("coherence: getxb: redirect loop")
-		}
-		groups := make(map[int][]pendingMiss)
-		for _, m := range pending {
-			h, err := e.home(m.key)
-			if err != nil {
-				return err
-			}
-			groups[h] = append(groups[h], m)
-		}
-		homes := sortedPeerIDs(groups)
-		resps := make([]getXBatchResp, len(homes))
-		errs := make([]error, len(homes))
-		grp := sim.NewGroup(e.k)
-		for gi, h := range homes {
-			gi, h := gi, h
-			grp.Add(1)
-			e.k.Go("getxb", func(q *sim.Proc) {
-				defer grp.Done()
-				ks := make([]cache.Key, len(groups[h]))
-				eps := make([]uint64, len(groups[h]))
-				for i, m := range groups[h] {
-					ks[i] = m.key
-					eps[i] = m.epoch
-				}
-				raw, err := e.call(q, h, "coh.getxb", getXBatchReq{Keys: ks, Epochs: eps}, batchSize(len(ks)))
-				if err != nil {
-					errs[gi] = err
-					return
-				}
-				resps[gi] = raw.(getXBatchResp)
-			})
-		}
-		grp.Wait(p)
-		var next []pendingMiss
-		for gi, h := range homes {
-			if errs[gi] != nil {
-				return fmt.Errorf("coherence: getxb to blade %d: %w", h, errs[gi])
-			}
-			for j, m := range groups[h] {
-				r := resps[gi].Items[j]
-				if r.Redirect {
-					e.stats.RedirectsFollowed++
-					e.setHomeOverride(m.key, r.NewHome)
-					next = append(next, m)
-					continue
-				}
-				if r.Err != "" {
-					return errors.New(r.Err)
-				}
-				granted = append(granted, m)
-			}
-		}
-		pending = next
+	granted, err := e.askVector(p, "coh.getxb", pending)
+	if err != nil {
+		return err
 	}
-
 	grp := sim.NewGroup(e.k)
 	var firstErr error
 	for _, g := range granted {
-		g := g
 		grp.Add(1)
 		e.k.Go("writeb", func(q *sim.Proc) {
 			defer grp.Done()
-			if err := e.finishWrite(q, g, blocks[g.idx], priority, replFactor); err != nil && firstErr == nil {
+			// Ownership stolen between the vector grant and this install, or
+			// while it made room: the per-key retry loop takes the block over
+			// and counts the op again, so undo the vector's count first.
+			stolen := e.invEpoch[g.key] != g.epoch
+			var err error
+			if stolen {
+				e.stats.WriteRetries++
+			} else {
+				stolen, err = e.installModified(q, g.key, g.epoch, blocks[g.idx], priority, replFactor)
+			}
+			if stolen {
+				e.stats.Writes--
+				err = e.WriteBlockR(q, g.key, blocks[g.idx], priority, replFactor)
+			}
+			if err != nil && firstErr == nil {
 				firstErr = err
 			}
 		})
 	}
 	grp.Wait(p)
 	return firstErr
-}
-
-// finishWrite installs one granted write (or falls back to the per-key
-// retry loop when ownership was stolen mid-flight) and replicates.
-func (e *Engine) finishWrite(p *sim.Proc, g pendingMiss, data []byte, priority, replFactor int) error {
-	key := g.key
-	if e.invEpoch[key] != g.epoch {
-		// Ownership stolen between grant and install: hand the key to the
-		// per-key retry loop. Undo the batch's Writes count first — the
-		// fallback recounts the op.
-		e.stats.WriteRetries++
-		e.stats.Writes--
-		return e.WriteBlockR(p, key, data, priority, replFactor)
-	}
-	stored := append([]byte(nil), data...)
-	var entry *cache.Entry
-	if ex, ok := e.cache.Peek(key); ok {
-		ex.Data = stored
-		ex.State = cache.Modified
-		e.cache.SetDirty(ex, true)
-		ex.Version++
-		entry = ex
-		if tracing(key) {
-			traceFn("t=%v blade%d writeb in-place M d0=%d v=%d", p.Now(), e.self, d0(stored), ex.Version)
-		}
-	} else {
-		if err := e.makeRoom(p); err != nil {
-			return fmt.Errorf("coherence: write to %v: %w", key, err)
-		}
-		if e.invEpoch[key] != g.epoch {
-			e.stats.WriteRetries++
-			e.stats.Writes--
-			return e.WriteBlockR(p, key, data, priority, replFactor)
-		}
-		entry = e.cache.Put(key, stored, cache.Modified, true, priority)
-		entry.Version++
-		if tracing(key) {
-			traceFn("t=%v blade%d writeb install M d0=%d", p.Now(), e.self, d0(stored))
-		}
-	}
-	if e.replicate != nil {
-		if err := e.replicate(p, key, stored, entry.Version, replFactor); err != nil {
-			return fmt.Errorf("coherence: replication: %w", err)
-		}
-	}
-	if e.onWriteThrough != nil {
-		e.onWriteThrough(p, []cache.Key{key})
-	}
-	return nil
 }

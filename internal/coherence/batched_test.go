@@ -59,7 +59,7 @@ func TestBatchedDirtyForwarding(t *testing.T) {
 	}
 	h.setBatched(true)
 	h.run(func(p *sim.Proc) {
-		if err := h.engines[1].WriteBlocksBatched(p, keys, vals, 0, 0); err != nil {
+		if err := h.engines[1].writeVector(p, keys, vals, 0, 0); err != nil {
 			t.Fatalf("write vector: %v", err)
 		}
 		out, err := readRun(p, h.engines[2], keys[0].LBA, len(keys))
@@ -103,7 +103,7 @@ func TestBatchedWriteInvalidatesSharers(t *testing.T) {
 				t.Fatalf("share read blade %d: %v", r, err)
 			}
 		}
-		if err := h.engines[1].WriteBlocksBatched(p, keys, newVals, 0, 0); err != nil {
+		if err := h.engines[1].writeVector(p, keys, newVals, 0, 0); err != nil {
 			t.Fatalf("write vector: %v", err)
 		}
 		for _, r := range []int{0, 2, 3} {
@@ -211,7 +211,7 @@ func runSchedule(t *testing.T, seed int64, ops []vecOp, blades, keyspace, cacheB
 			}
 			if op.write {
 				if batched {
-					if err := e.WriteBlocksBatched(p, keys, op.vals, 0, 0); err != nil {
+					if err := e.writeVector(p, keys, op.vals, 0, 0); err != nil {
 						t.Fatalf("%s step %d write: %v", plane, s, err)
 					}
 				} else {
@@ -337,7 +337,7 @@ func runBatchedConcurrent(t *testing.T, seed int64) {
 						ids = append(ids, k)
 					}
 					e := h.engines[wrng.Intn(blades)]
-					if err := e.WriteBlocksBatched(p, ks, vs, 0, 0); err != nil {
+					if err := e.writeVector(p, ks, vs, 0, 0); err != nil {
 						t.Errorf("writer%d op %d: %v", w, i, err)
 						return
 					}

@@ -314,15 +314,19 @@ type Engine struct {
 // Message and reply payloads. Wire sizes: control ~64 B, data adds the block.
 const ctrlSize = 64
 
-// Epoch in getSReq/getXReq is the requester's local install epoch for the
-// key; the home records it with the registration so late evict notices
-// (which carry the epoch the evicted copy lived under) can be told apart
-// from a re-registration that happened after the eviction.
-type getSReq struct {
+// dirReq is a request to a key's home: coh.gets (read-share), coh.getx
+// (exclusive ownership) or coh.getv (a value read outside the coherence
+// domain, see handleGetV). Epoch is the requester's local install epoch for
+// the key; gets and getx record it with the registration so late evict
+// notices (which carry the epoch the evicted copy lived under) can be told
+// apart from a re-registration that happened after the eviction.
+type dirReq struct {
 	Key   cache.Key
 	Epoch uint64
 }
-type getSResp struct {
+
+// dirResp is the home's answer to a dirReq.
+type dirResp struct {
 	Data []byte // non-nil: serve from this payload (peer cache transfer)
 	// NoCache marks data forwarded from a dirty owner: the requester
 	// serves it but must not install a Shared copy (the owner retains
@@ -332,16 +336,6 @@ type getSResp struct {
 	// requester must retry at NewHome (and may cache the new address).
 	Redirect bool
 	NewHome  int
-	Err      string
-}
-type getXReq struct {
-	Key   cache.Key
-	Epoch uint64
-}
-type getXResp struct {
-	Redirect bool
-	NewHome  int
-	Err      string
 }
 type invReq struct{ Key cache.Key }
 type invResp struct{}
@@ -362,22 +356,6 @@ type fetchResp struct {
 	Data []byte
 }
 
-// getVReq/getVResp implement the hot-key cache tier's fill path
-// ("coh.getv"): a read of the key's current bytes that does NOT join the
-// coherence domain. The requester is never registered as a sharer, the
-// directory state never transitions, and the requester installs nothing
-// into its coherence cache — the tier's freshness comes from the
-// write-through hook (see onWriteThrough), not from MSI bookkeeping.
-// Skipping the registration is what keeps hot keys cheap under mixed
-// traffic: a registered fill copy would make every subsequent write pay
-// an invalidation round trip inside the grant, and a GetS to a dirty hot
-// key would serialize behind the downgrade probe on the entry mutex.
-type getVReq struct{ Key cache.Key }
-type getVResp struct {
-	Data     []byte // nil: the backing store is current — read it locally
-	Redirect bool
-	NewHome  int
-}
 type evictNote struct {
 	Key      cache.Key
 	From     int
@@ -789,42 +767,47 @@ func (e *Engine) resolve(p *sim.Proc, key cache.Key, priority int, dst []byte) (
 		copy(dst, ent.Data)
 		return 0, false, nil
 	}
-	homeID, err := e.home(key)
+	epoch = e.invEpoch[key]
+	resp, err := e.ask(p, "coh.gets", key, epoch)
 	if err != nil {
 		return 0, false, err
 	}
-	epoch = e.invEpoch[key]
-	var resp getSResp
+	return epoch, e.settle(p, key, epoch, resp, priority, dst), nil
+}
+
+// ask sends key's directory request (method is coh.gets, coh.getx or
+// coh.getv) to the key's home and returns the home's answer. A home that
+// migrated while the request was in flight answers with a Redirect: ask
+// learns the new address and retries there. Chained redirects are bounded
+// by the blade count plus in-flight migrations.
+func (e *Engine) ask(p *sim.Proc, method string, key cache.Key, epoch uint64) (dirResp, error) {
+	homeID, err := e.home(key)
+	if err != nil {
+		return dirResp{}, err
+	}
 	for hops := 0; ; hops++ {
-		raw, err := e.call(p, homeID, "coh.gets", getSReq{Key: key, Epoch: epoch}, ctrlSize)
+		raw, err := e.call(p, homeID, method, dirReq{Key: key, Epoch: epoch}, ctrlSize)
 		if err != nil {
-			return 0, false, fmt.Errorf("coherence: gets to blade %d: %w", homeID, err)
+			return dirResp{}, fmt.Errorf("coherence: %s to blade %d: %w", method, homeID, err)
 		}
-		resp = raw.(getSResp)
+		resp := raw.(dirResp)
 		if !resp.Redirect {
-			break
+			return resp, nil
 		}
-		// The home migrated while this request was in flight: learn the
-		// new address and retry there. Chained redirects are bounded by
-		// the blade count plus in-flight migrations.
 		e.stats.RedirectsFollowed++
 		e.setHomeOverride(key, resp.NewHome)
 		homeID = resp.NewHome
 		if hops > len(e.peers)+8 {
-			return 0, false, fmt.Errorf("coherence: gets for %v: redirect loop", key)
+			return dirResp{}, fmt.Errorf("coherence: %s for %v: redirect loop", method, key)
 		}
 	}
-	if resp.Err != "" {
-		return 0, false, errors.New(resp.Err)
-	}
-	return epoch, e.settle(p, key, epoch, resp, priority, dst), nil
 }
 
 // settle applies one block's directory answer. An answer that carries a
 // peer's copy is served into dst and, unless a dirty owner forwarded it
 // (NoCache), installed; an answer without data means the backing store is
 // current, and settle reports true: the block joins the op's gather.
-func (e *Engine) settle(p *sim.Proc, key cache.Key, epoch uint64, resp getSResp, priority int, dst []byte) (fill bool) {
+func (e *Engine) settle(p *sim.Proc, key cache.Key, epoch uint64, resp dirResp, priority int, dst []byte) (fill bool) {
 	if resp.Data == nil {
 		e.stats.DiskReads++
 		return true
@@ -933,26 +916,9 @@ func (e *Engine) FetchBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, e
 		e.stats.LocalHits++
 		return append([]byte(nil), ent.Data...), nil
 	}
-	homeID, err := e.home(key)
+	resp, err := e.ask(p, "coh.getv", key, 0)
 	if err != nil {
 		return nil, err
-	}
-	var resp getVResp
-	for hops := 0; ; hops++ {
-		raw, err := e.call(p, homeID, "coh.getv", getVReq{Key: key}, ctrlSize)
-		if err != nil {
-			return nil, fmt.Errorf("coherence: getv to blade %d: %w", homeID, err)
-		}
-		resp = raw.(getVResp)
-		if !resp.Redirect {
-			break
-		}
-		e.stats.RedirectsFollowed++
-		e.setHomeOverride(key, resp.NewHome)
-		homeID = resp.NewHome
-		if hops > len(e.peers)+8 {
-			return nil, fmt.Errorf("coherence: getv for %v: redirect loop", key)
-		}
 	}
 	if resp.Data != nil {
 		e.stats.PeerFetches++
@@ -966,17 +932,58 @@ func (e *Engine) FetchBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, e
 	return data, nil
 }
 
-// WriteBlock stores a full block, acquiring exclusive ownership first.
-// The write is acknowledged once the data is in this blade's cache (and
-// replicated, if a replication hook is installed); destage to the backing
-// store is asynchronous (§6.1).
+// Writes are run-granular too. WriteRun is the one client entry point: on
+// the per-key plane every block of the run takes the exclusive grant and
+// installs on a process of its own (WriteBlockR); on the batched plane the
+// run is one vector (writeVector, batched.go). Either way a block's
+// Modified copy is installed by installModified and nowhere else.
+
+// WriteRun stores data, a whole number of blocks, as the run of consecutive
+// blocks of vol that starts at lba: a client op. The write is acknowledged
+// once every block is in this blade's cache (and replicated, if a
+// replication hook is installed); destage to the backing store is
+// asynchronous (§6.1). replFactor is the per-write replication factor
+// (0 = the replication manager's default) — the per-file "controller level
+// fault tolerance for write-back I/O operations" override of §4.
+func (e *Engine) WriteRun(p *sim.Proc, vol string, lba int64, data []byte, priority, replFactor int) error {
+	bs := e.blockSize
+	if len(data)%bs != 0 {
+		return fmt.Errorf("coherence: write of %d bytes, block size %d", len(data), bs)
+	}
+	count := len(data) / bs
+	if e.batched {
+		keys := make([]cache.Key, count)
+		blocks := make([][]byte, count)
+		for i := range keys {
+			keys[i] = cache.Key{Vol: vol, LBA: lba + int64(i)}
+			blocks[i] = data[i*bs : (i+1)*bs]
+		}
+		return e.writeVector(p, keys, blocks, priority, replFactor)
+	}
+	grp := sim.NewGroup(e.k)
+	var firstErr error
+	for i := 0; i < count; i++ {
+		grp.Add(1)
+		e.k.Go("write", func(q *sim.Proc) {
+			defer grp.Done()
+			err := e.WriteBlockR(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, data[i*bs:(i+1)*bs], priority, replFactor)
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+		})
+	}
+	grp.Wait(p)
+	return firstErr
+}
+
+// WriteBlock stores one full block on the caller's own process: the run of
+// one, at the default replication factor.
 func (e *Engine) WriteBlock(p *sim.Proc, key cache.Key, data []byte, priority int) error {
 	return e.WriteBlockR(p, key, data, priority, 0)
 }
 
-// WriteBlockR is WriteBlock with an explicit replication factor
-// (0 = the replication manager's default) — the per-file "controller level
-// fault tolerance for write-back I/O operations" override of §4.
+// WriteBlockR is WriteBlock with an explicit replication factor. It is the
+// per-key plane's write of one block: take the exclusive grant, install.
 func (e *Engine) WriteBlockR(p *sim.Proc, key cache.Key, data []byte, priority, replFactor int) error {
 	if e.down {
 		return fmt.Errorf("coherence: blade %d down", e.self)
@@ -987,32 +994,11 @@ func (e *Engine) WriteBlockR(p *sim.Proc, key cache.Key, data []byte, priority, 
 	e.stats.Writes++
 	e.busy(p, e.opDelay)
 	for attempt := 0; ; attempt++ {
-		// Re-resolve the home each attempt: a migration can land between
-		// retries, and a Redirect answer teaches us the new address.
-		homeID, err := e.home(key)
-		if err != nil {
-			return err
-		}
+		// Every attempt asks afresh: a migration can land between retries,
+		// and a Redirect answer teaches us the new address.
 		epoch := e.invEpoch[key]
-		var resp getXResp
-		for hops := 0; ; hops++ {
-			raw, err := e.call(p, homeID, "coh.getx", getXReq{Key: key, Epoch: epoch}, ctrlSize)
-			if err != nil {
-				return fmt.Errorf("coherence: getx to blade %d: %w", homeID, err)
-			}
-			resp = raw.(getXResp)
-			if !resp.Redirect {
-				break
-			}
-			e.stats.RedirectsFollowed++
-			e.setHomeOverride(key, resp.NewHome)
-			homeID = resp.NewHome
-			if hops > len(e.peers)+8 {
-				return fmt.Errorf("coherence: getx for %v: redirect loop", key)
-			}
-		}
-		if resp.Err != "" {
-			return errors.New(resp.Err)
+		if _, err := e.ask(p, "coh.getx", key, epoch); err != nil {
+			return err
 		}
 		if e.invEpoch[key] != epoch {
 			// Someone took ownership between our grant and install. Retry
@@ -1027,46 +1013,51 @@ func (e *Engine) WriteBlockR(p *sim.Proc, key cache.Key, data []byte, priority, 
 			p.Sleep(backoff)
 			continue
 		}
-		stored := append([]byte(nil), data...)
-		var entry *cache.Entry
-		if ex, ok := e.cache.Peek(key); ok {
-			ex.Data = stored
-			ex.State = cache.Modified
-			e.cache.SetDirty(ex, true)
-			ex.Version++
-			entry = ex
-			if tracing(key) {
-				traceFn("t=%v blade%d write in-place M d0=%d v=%d", p.Now(), e.self, d0(stored), ex.Version)
-			}
-		} else {
-			if err := e.makeRoom(p); err != nil {
-				// No room and the backing store refuses writebacks:
-				// fail the write rather than pile dirty data past
-				// capacity on a store that cannot drain it.
-				return fmt.Errorf("coherence: write to %v: %w", key, err)
-			}
-			// makeRoom may block on writeback; if ownership was stolen
-			// meanwhile, installing M now would create a second owner.
-			if e.invEpoch[key] != epoch {
-				e.stats.WriteRetries++
-				continue
-			}
-			entry = e.cache.Put(key, stored, cache.Modified, true, priority)
-			entry.Version++
-			if tracing(key) {
-				traceFn("t=%v blade%d write install M d0=%d", p.Now(), e.self, d0(stored))
-			}
+		if stolen, err := e.installModified(p, key, epoch, data, priority, replFactor); !stolen {
+			return err
 		}
-		if e.replicate != nil {
-			if err := e.replicate(p, key, stored, entry.Version, replFactor); err != nil {
-				return fmt.Errorf("coherence: replication: %w", err)
-			}
-		}
-		if e.onWriteThrough != nil {
-			e.onWriteThrough(p, []cache.Key{key})
-		}
-		return nil
 	}
+}
+
+// installModified makes a copy of data key's Modified, dirty block on this
+// blade, under the exclusive grant requested at epoch, then replicates it
+// and runs the write-through hook: the one place a client write enters the
+// cache. stolen reports that nothing was installed because making room
+// blocked on a writeback and ownership moved on meanwhile (installing then
+// would create a second owner); the caller takes a fresh grant.
+func (e *Engine) installModified(p *sim.Proc, key cache.Key, epoch uint64, data []byte, priority, replFactor int) (stolen bool, err error) {
+	stored := append([]byte(nil), data...)
+	entry, ok := e.cache.Peek(key)
+	if ok {
+		entry.Data = stored
+		entry.State = cache.Modified
+		e.cache.SetDirty(entry, true)
+	} else {
+		if err := e.makeRoom(p); err != nil {
+			// No room and the backing store refuses writebacks: fail the
+			// write rather than pile dirty data past capacity on a store
+			// that cannot drain it.
+			return false, fmt.Errorf("coherence: write to %v: %w", key, err)
+		}
+		if e.invEpoch[key] != epoch {
+			e.stats.WriteRetries++
+			return true, nil
+		}
+		entry = e.cache.Put(key, stored, cache.Modified, true, priority)
+	}
+	entry.Version++
+	if tracing(key) {
+		traceFn("t=%v blade%d write install M in-place=%v d0=%d v=%d", p.Now(), e.self, ok, d0(stored), entry.Version)
+	}
+	if e.replicate != nil {
+		if err := e.replicate(p, key, stored, entry.Version, replFactor); err != nil {
+			return false, fmt.Errorf("coherence: replication: %w", err)
+		}
+	}
+	if e.onWriteThrough != nil {
+		e.onWriteThrough(p, []cache.Key{key})
+	}
+	return false, nil
 }
 
 // maxWritebackFailures bounds how many failed destages one makeRoom call

@@ -17,10 +17,10 @@ func bladeID(peers []simnet.Addr, addr simnet.Addr) int {
 
 // handleGetS serves a read-share request as the home blade.
 func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) {
-	req := args.(getSReq)
+	req := args.(dirReq)
 	if to, ok := e.forward[req.Key]; ok {
 		e.stats.RedirectsServed++
-		return getSResp{Redirect: true, NewHome: to}, ctrlSize
+		return dirResp{Redirect: true, NewHome: to}, ctrlSize
 	}
 	requester := bladeID(e.peers, from)
 	e.stats.DirRequests++
@@ -32,7 +32,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	// or the entry mutex (the migration handler holds the same mutex).
 	if to, ok := e.forward[req.Key]; ok {
 		e.stats.RedirectsServed++
-		return getSResp{Redirect: true, NewHome: to}, ctrlSize
+		return dirResp{Redirect: true, NewHome: to}, ctrlSize
 	}
 	e.heat.Touch(req.Key)
 
@@ -43,7 +43,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	case dirInvalid:
 		ent.state = dirShared
 		ent.sharers.only(requester, req.Epoch)
-		return getSResp{}, ctrlSize // backing store is current
+		return dirResp{}, ctrlSize // backing store is current
 
 	case dirShared:
 		// Peer-cache transfer: try to serve from an existing sharer's
@@ -52,7 +52,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 		var data []byte
 		if e.noPeerFetch {
 			ent.sharers.add(requester, req.Epoch)
-			return getSResp{}, ctrlSize
+			return dirResp{}, ctrlSize
 		}
 		var buf [8]int
 		for _, s := range ent.sharers.blades(buf[:0]) {
@@ -77,7 +77,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 			break
 		}
 		ent.sharers.add(requester, req.Epoch)
-		return getSResp{Data: data}, ctrlSize + len(data)
+		return dirResp{Data: data}, ctrlSize + len(data)
 
 	default: // dirModified
 		owner := ent.owner
@@ -100,7 +100,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 				// directly and keeps exclusive ownership; the reader
 				// must not cache. Once the owner's flusher destages,
 				// the next GetS downgrades cheaply to Shared.
-				return getSResp{Data: dr.Data, NoCache: true}, ctrlSize + len(dr.Data)
+				return dirResp{Data: dr.Data, NoCache: true}, ctrlSize + len(dr.Data)
 			}
 			if !dr.Gone {
 				// Clean owner downgraded to Shared; backing store is
@@ -109,24 +109,24 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 				ent.state = dirShared
 				ent.sharers.only(requester, req.Epoch)
 				ent.sharers.add(owner, ent.ownerEpoch)
-				return getSResp{Data: dr.Data}, ctrlSize + len(dr.Data)
+				return dirResp{Data: dr.Data}, ctrlSize + len(dr.Data)
 			}
 		}
 		// Gone or dead owner: per invariant 3 the backing store is
 		// current.
 		ent.state = dirShared
 		ent.sharers.only(requester, req.Epoch)
-		return getSResp{}, ctrlSize
+		return dirResp{}, ctrlSize
 	}
 }
 
 // handleGetX serves an exclusive-ownership request as the home blade.
 // The requester is about to overwrite the whole block, so no data flows.
 func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) {
-	req := args.(getXReq)
+	req := args.(dirReq)
 	if to, ok := e.forward[req.Key]; ok {
 		e.stats.RedirectsServed++
-		return getXResp{Redirect: true, NewHome: to}, ctrlSize
+		return dirResp{Redirect: true, NewHome: to}, ctrlSize
 	}
 	requester := bladeID(e.peers, from)
 	e.stats.DirRequests++
@@ -136,7 +136,7 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	defer ent.mu.Unlock()
 	if to, ok := e.forward[req.Key]; ok {
 		e.stats.RedirectsServed++
-		return getXResp{Redirect: true, NewHome: to}, ctrlSize
+		return dirResp{Redirect: true, NewHome: to}, ctrlSize
 	}
 	e.heat.Touch(req.Key)
 
@@ -171,12 +171,15 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	ent.owner = requester
 	ent.ownerEpoch = req.Epoch
 	ent.sharers.reset()
-	return getXResp{}, ctrlSize
+	return dirResp{}, ctrlSize
 }
 
 // handleGetV serves a hot-key cache tier value fetch as the home blade:
 // the key's current bytes, with no sharer registration and no directory
-// state transition (see getVReq). The home's own coherent copy — any
+// state transition — the tier's freshness comes from the write-through hook
+// (see onWriteThrough), not from MSI bookkeeping, and a registered fill copy
+// would make every later write pay an invalidation round trip inside the
+// grant. The home's own coherent copy — any
 // non-Invalid state, dirty or clean — satisfies it without touching the
 // directory entry or its mutex, so tier fills of a write-hot key do not
 // convoy behind the GetS downgrade path. Only when the home holds no
@@ -185,10 +188,10 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 // ownership), a sharer serves a peer transfer, and an Invalid entry
 // means the backing store is current (invariant 3).
 func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) {
-	req := args.(getVReq)
+	req := args.(dirReq)
 	if to, ok := e.forward[req.Key]; ok {
 		e.stats.RedirectsServed++
-		return getVResp{Redirect: true, NewHome: to}, ctrlSize
+		return dirResp{Redirect: true, NewHome: to}, ctrlSize
 	}
 	e.stats.ValueFetches++
 	e.busy(p, e.hdlDelay)
@@ -197,14 +200,14 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 		if tracing(req.Key) {
 			traceFn("t=%v home%d GETV local state=%v dirty=%v d0=%d", e.k.Now(), e.self, ent.State, ent.Dirty, d0(ent.Data))
 		}
-		return getVResp{Data: append([]byte(nil), ent.Data...)}, ctrlSize + len(ent.Data)
+		return dirResp{Data: append([]byte(nil), ent.Data...)}, ctrlSize + len(ent.Data)
 	}
 	ent := e.entry(req.Key)
 	ent.mu.Lock(p)
 	defer ent.mu.Unlock()
 	if to, ok := e.forward[req.Key]; ok {
 		e.stats.RedirectsServed++
-		return getVResp{Redirect: true, NewHome: to}, ctrlSize
+		return dirResp{Redirect: true, NewHome: to}, ctrlSize
 	}
 	if tracing(req.Key) {
 		traceFn("t=%v home%d GETV state=%d owner=%d sharers=%v", e.k.Now(), e.self, ent.state, ent.owner, ent.sharers)
@@ -220,13 +223,13 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 		raw, err := e.conn.CallRetry(p, e.peers[ent.owner], "coh.fetch", fetchReq{Key: req.Key}, ctrlSize, e.retry)
 		if err == nil {
 			if fr := raw.(fetchResp); !fr.Gone {
-				return getVResp{Data: fr.Data}, ctrlSize + len(fr.Data)
+				return dirResp{Data: fr.Data}, ctrlSize + len(fr.Data)
 			}
 		}
-		return getVResp{}, ctrlSize
+		return dirResp{}, ctrlSize
 	case dirShared:
 		if e.noPeerFetch {
-			return getVResp{}, ctrlSize
+			return dirResp{}, ctrlSize
 		}
 		var buf [8]int
 		for _, s := range ent.sharers.blades(buf[:0]) {
@@ -239,13 +242,13 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 				continue
 			}
 			if fr := raw.(fetchResp); !fr.Gone {
-				return getVResp{Data: fr.Data}, ctrlSize + len(fr.Data)
+				return dirResp{Data: fr.Data}, ctrlSize + len(fr.Data)
 			}
 			break
 		}
-		return getVResp{}, ctrlSize
+		return dirResp{}, ctrlSize
 	default: // dirInvalid: no copies anywhere, backing store current
-		return getVResp{}, ctrlSize
+		return dirResp{}, ctrlSize
 	}
 }
 

@@ -8,20 +8,25 @@ import (
 	"repro/internal/telemetry"
 )
 
-// HomeBlade returns the blade currently homing block lba of vol — the
+// HomeBlade returns the live blade currently homing block lba of vol — the
 // routing a SAN host with a static path to "its" controller would use
-// (§2.2). Migration overrides are visible through any live engine's view.
-func (c *Cluster) HomeBlade(vol string, lba int64) int {
+// (§2.2) — and a round-robin blade when there is none. Migration overrides
+// are visible through any live engine's view, so migrated homes pull their
+// traffic with them.
+func (c *Cluster) HomeBlade(vol string, lba int64) *Blade {
 	key := cache.Key{Vol: vol, LBA: lba}
 	for _, b := range c.Blades {
 		if b.Down {
 			continue
 		}
 		if h, err := b.Engine.Home(key); err == nil {
-			return h
+			if hb := c.Blades[h]; !hb.Down {
+				return hb
+			}
+			break
 		}
 	}
-	return -1
+	return c.PickBlade()
 }
 
 // NewBalancer wires a hot-spot rebalance controller to this cluster: it
@@ -32,7 +37,7 @@ func (c *Cluster) HomeBlade(vol string, lba int64) int {
 // and stops the returned controller.
 func (c *Cluster) NewBalancer(scr *telemetry.Scraper, cfg balance.Config) *balance.Controller {
 	const addr = simnet.Addr("balancer")
-	c.Net.Connect(addr, "fabric", c.Cfg.FabricLink)
+	c.Net.Connect(addr, "fabric", simnet.FC2G)
 	conn := simnet.NewConn(c.Net, addr)
 	engines := make([]*coherence.Engine, len(c.Blades))
 	peers := make([]simnet.Addr, len(c.Blades))

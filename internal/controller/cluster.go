@@ -53,8 +53,6 @@ type Config struct {
 	HandlerDelay sim.Duration
 	// CPUSlots bounds a blade's concurrent operations.
 	CPUSlots int
-	// FabricLink is the blade interconnect; zero value = simnet.FC2G.
-	FabricLink simnet.LinkSpec
 	// FlushInterval drives the background destager (0 = 20 ms).
 	FlushInterval sim.Duration
 	// NoPeerFetch disables cache-to-cache transfers (ablation).
@@ -78,13 +76,11 @@ type Config struct {
 	// flip it with Cluster.QoS.SetEnabled (yottactl `qos on`).
 	QoS *qos.Config
 	// FabricBatch enables the batched fabric plane at construction:
-	// frame coalescing on every blade's RPC connection plus the
-	// vectorized coherence protocol for client ops. Toggle at runtime
-	// with Cluster.SetFabricBatch (yottactl `batch on|off`).
+	// frame coalescing on every blade's RPC connection (the simnet default
+	// policy: 10 µs window, 16 messages, 64 KiB) plus the vectorized
+	// coherence protocol for client ops. Toggle at runtime with
+	// Cluster.SetFabricBatch (yottactl `batch on|off`).
 	FabricBatch bool
-	// FabricBatchPolicy tunes frame coalescing; zero fields select the
-	// simnet defaults (10 µs window, 16 messages, 64 KiB).
-	FabricBatchPolicy simnet.BatchPolicy
 }
 
 // DefaultConfig returns a mid-size lab configuration: 4 blades, RAID-5
@@ -188,9 +184,6 @@ func New(k *sim.Kernel, cfg Config) (*Cluster, error) {
 	if cfg.DiskSpec.BlockSize == 0 {
 		cfg.DiskSpec = disk.DefaultSpec()
 	}
-	if cfg.FabricLink == (simnet.LinkSpec{}) {
-		cfg.FabricLink = simnet.FC2G
-	}
 	if cfg.FlushInterval == 0 {
 		cfg.FlushInterval = 20 * sim.Millisecond
 	}
@@ -235,7 +228,7 @@ func New(k *sim.Kernel, cfg Config) (*Cluster, error) {
 	peers := make([]simnet.Addr, cfg.Blades)
 	for i := range peers {
 		peers[i] = simnet.Addr(fmt.Sprintf("blade%d", i))
-		net.Connect(peers[i], "fabric", cfg.FabricLink)
+		net.Connect(peers[i], "fabric", simnet.FC2G)
 	}
 	backing := poolBacking{c: c}
 	for i := 0; i < cfg.Blades; i++ {
@@ -288,7 +281,7 @@ func New(k *sim.Kernel, cfg Config) (*Cluster, error) {
 // the toggle is safe mid-run (yottactl `batch on|off`).
 func (c *Cluster) SetFabricBatch(on bool) {
 	for _, b := range c.Blades {
-		b.Conn.SetBatching(on, c.Cfg.FabricBatchPolicy)
+		b.Conn.SetBatching(on, simnet.BatchPolicy{})
 		b.Engine.SetBatched(on)
 	}
 }
@@ -478,31 +471,55 @@ func (c *Cluster) observeOp(p *sim.Proc, d sim.Duration, traceID uint64) {
 	}
 }
 
-// Read reads count blocks of volume vol at lba through blade b as one
-// run-granular coherence op (see coherence.Engine.ReadRun).
-func (c *Cluster) Read(p *sim.Proc, b *Blade, vol string, lba int64, count int, priority int) ([]byte, error) {
+// op is the skeleton of every client op: bytes of volume vol at lba through
+// blade b, the op itself being body. It rejects an op on an unavailable
+// blade or of a length that is not whole blocks (counted in Errors), admits
+// it through the QoS front door, opens the op's trace root — named name —
+// over body, and accounts the outcome: latency, the blade's Ops, Errors.
+func (c *Cluster) op(p *sim.Proc, b *Blade, name, vol string, lba int64, bytes, priority int, body func() error) error {
+	var err error
+	bs := c.BlockSize()
 	if b == nil || b.Down {
-		c.Errors++
-		return nil, errors.New("controller: blade unavailable")
+		err = errors.New("controller: blade unavailable")
+	} else if bytes%bs != 0 {
+		err = fmt.Errorf("controller: %s of %d bytes not block-aligned", name, bytes)
 	}
+	if err != nil {
+		c.Errors++
+		return err
+	}
+	count := bytes / bs
 	if err := c.admit(p, priority, count); err != nil {
-		return nil, err
+		return err
 	}
 	var root *trace.Active
 	if c.Cfg.Tracer.Enabled() {
-		root = c.Cfg.Tracer.StartTrace("read", trace.Op, fmt.Sprintf("blade%d", b.ID))
+		root = c.Cfg.Tracer.StartTrace(name, trace.Op, fmt.Sprintf("blade%d", b.ID))
 		root.Detail("%s@%d+%d", vol, lba, count)
 	}
 	t0 := p.Now()
 	pop := root.Push(p)
-	buf := make([]byte, count*c.BlockSize())
-	err := b.Engine.ReadRun(p, vol, lba, priority, buf)
+	err = body()
 	pop()
 	root.End()
 	c.observeOp(p, p.Now().Sub(t0), root.TraceID())
 	b.Ops += int64(count)
 	if err != nil {
 		c.Errors++
+	}
+	return err
+}
+
+// Read reads count blocks of volume vol at lba through blade b as one
+// run-granular coherence op (see coherence.Engine.ReadRun).
+func (c *Cluster) Read(p *sim.Proc, b *Blade, vol string, lba int64, count int, priority int) ([]byte, error) {
+	var buf []byte
+	bytes := count * c.BlockSize()
+	err := c.op(p, b, "read", vol, lba, bytes, priority, func() error {
+		buf = make([]byte, bytes)
+		return b.Engine.ReadRun(p, vol, lba, priority, buf)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -516,59 +533,9 @@ func (c *Cluster) Write(p *sim.Proc, b *Blade, vol string, lba int64, data []byt
 // WriteR is Write with an explicit per-write replication factor
 // (0 = cluster default), used by the PFS per-file policies (§4).
 func (c *Cluster) WriteR(p *sim.Proc, b *Blade, vol string, lba int64, data []byte, priority, replFactor int) error {
-	if b == nil || b.Down {
-		c.Errors++
-		return errors.New("controller: blade unavailable")
-	}
-	bs := c.BlockSize()
-	if len(data)%bs != 0 {
-		return fmt.Errorf("controller: write of %d bytes not block-aligned", len(data))
-	}
-	count := len(data) / bs
-	if err := c.admit(p, priority, count); err != nil {
-		return err
-	}
-	var root *trace.Active
-	if c.Cfg.Tracer.Enabled() {
-		root = c.Cfg.Tracer.StartTrace("write", trace.Op, fmt.Sprintf("blade%d", b.ID))
-		root.Detail("%s@%d+%d", vol, lba, count)
-	}
-	t0 := p.Now()
-	pop := root.Push(p)
-	var firstErr error
-	if b.Engine.Batched() {
-		keys := make([]cache.Key, count)
-		blocks := make([][]byte, count)
-		for i := range keys {
-			keys[i] = cache.Key{Vol: vol, LBA: lba + int64(i)}
-			blocks[i] = data[i*bs : (i+1)*bs]
-		}
-		firstErr = b.Engine.WriteBlocksBatched(p, keys, blocks, priority, replFactor)
-		pop()
-	} else {
-		grp := sim.NewGroup(c.K)
-		for i := 0; i < count; i++ {
-			i := i
-			grp.Add(1)
-			c.K.Go("write", func(q *sim.Proc) {
-				defer grp.Done()
-				err := b.Engine.WriteBlockR(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, data[i*bs:(i+1)*bs], priority, replFactor)
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-			})
-		}
-		pop()
-		grp.Wait(p)
-	}
-	root.End()
-	c.observeOp(p, p.Now().Sub(t0), root.TraceID())
-	b.Ops += int64(count)
-	if firstErr != nil {
-		c.Errors++
-		return firstErr
-	}
-	return nil
+	return c.op(p, b, "write", vol, lba, len(data), priority, func() error {
+		return b.Engine.WriteRun(p, vol, lba, data, priority, replFactor)
+	})
 }
 
 // FlushAll synchronously destages every blade's dirty blocks.

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/disk"
+	"repro/internal/hotcache"
 	"repro/internal/raid"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -729,4 +730,47 @@ func TestConcurrentDestageKeepsParity(t *testing.T) {
 			}
 		}
 	})
+}
+
+// Every client op runs under one skeleton, so an op it rejects — a write
+// whose length is not whole blocks, any op on a blade that is down — is
+// counted once in cluster/errors, whichever entry point it came through, and
+// leaves the blade's Ops and the latency histogram alone.
+func TestRejectedOpsCountOnceInClusterErrors(t *testing.T) {
+	c, k := newTestCluster(t, 1, nil)
+	defer c.Stop()
+	if _, err := c.Pool.CreateDMSD("vol", 64); err != nil {
+		t.Fatal(err)
+	}
+	tier := c.NewHotCache(hotcache.Config{})
+	errors := func() int64 {
+		v, _ := c.Reg.Value("cluster/errors")
+		return int64(v)
+	}
+	run(k, func(p *sim.Proc) {
+		if err := c.Write(p, c.Blade(0), "vol", 0, make([]byte, 512+7), 0); err == nil {
+			t.Error("a write of 519 bytes was accepted")
+		}
+		if got := errors(); got != 1 {
+			t.Errorf("cluster/errors = %d after a misaligned write, want 1", got)
+		}
+		c.Blade(1).Down = true
+		_, rerr := c.Read(p, c.Blade(1), "vol", 0, 1, 0)
+		werr := c.Write(p, c.Blade(1), "vol", 0, make([]byte, 512), 0)
+		_, cerr := c.ReadCached(p, tier, c.Blade(1), "vol", 0, 1, 0)
+		for _, err := range []error{rerr, werr, cerr} {
+			if err == nil || err.Error() != "controller: blade unavailable" {
+				t.Errorf("op on a down blade: %v, want \"controller: blade unavailable\"", err)
+			}
+		}
+		if got := errors(); got != 4 {
+			t.Errorf("cluster/errors = %d after three more rejected ops, want 4", got)
+		}
+	})
+	if ops := c.Blade(0).Ops + c.Blade(1).Ops; ops != 0 {
+		t.Errorf("rejected ops counted %d blocks in blade Ops", ops)
+	}
+	if n := c.opLatency.Count(); n != 0 {
+		t.Errorf("rejected ops left %d latency observations", n)
+	}
 }

@@ -1,15 +1,11 @@
 package controller
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/hotcache"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // NewHotCache wires the DistCache-style upper cache tier to this cluster:
@@ -46,62 +42,38 @@ func (c *Cluster) NewHotCache(cfg hotcache.Config) *hotcache.Tier {
 // ReadCached reads count blocks through blade b's cache node in tier —
 // the upper-layer counterpart of Read. Hits are served from the node's
 // store; misses read through the blade's coherence engine and fill the
-// node. Accounting (admission, op latency, per-blade Ops) matches Read,
-// so the load-balance metrics compare the two paths fairly.
+// node. It runs under the same op skeleton as Read, so the load-balance
+// metrics compare the two paths fairly.
 func (c *Cluster) ReadCached(p *sim.Proc, tier *hotcache.Tier, b *Blade, vol string, lba int64, count int, priority int) ([]byte, error) {
-	if b == nil || b.Down {
-		c.Errors++
-		return nil, errors.New("controller: blade unavailable")
-	}
-	if err := c.admit(p, priority, count); err != nil {
-		return nil, err
-	}
-	var root *trace.Active
-	if c.Cfg.Tracer.Enabled() {
-		root = c.Cfg.Tracer.StartTrace("read-cached", trace.Op, fmt.Sprintf("blade%d", b.ID))
-		root.Detail("%s@%d+%d", vol, lba, count)
-	}
-	t0 := p.Now()
-	pop := root.Push(p)
-	node := tier.Node(b.ID)
 	bs := c.BlockSize()
-	buf := make([]byte, count*bs)
-	var firstErr error
-	if count == 1 {
-		// The hot path: single-block hot-key reads. No fan-out process.
-		d, err := node.Read(p, cache.Key{Vol: vol, LBA: lba}, priority)
-		if err != nil {
-			firstErr = err
-		} else {
+	var buf []byte
+	err := c.op(p, b, "read-cached", vol, lba, count*bs, priority, func() error {
+		node := tier.Node(b.ID)
+		buf = make([]byte, count*bs)
+		if count == 1 {
+			// The hot path: single-block hot-key reads. No fan-out process.
+			d, err := node.Read(p, cache.Key{Vol: vol, LBA: lba}, priority)
 			copy(buf, d)
+			return err
 		}
-		pop()
-	} else {
 		grp := sim.NewGroup(c.K)
+		var firstErr error
 		for i := 0; i < count; i++ {
-			i := i
 			grp.Add(1)
 			c.K.Go("read-cached", func(q *sim.Proc) {
 				defer grp.Done()
 				d, err := node.Read(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, priority)
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
+				if err != nil && firstErr == nil {
+					firstErr = err
 				}
 				copy(buf[i*bs:], d)
 			})
 		}
-		pop()
 		grp.Wait(p)
-	}
-	root.End()
-	c.observeOp(p, p.Now().Sub(t0), root.TraceID())
-	b.Ops += int64(count)
-	if firstErr != nil {
-		c.Errors++
-		return nil, firstErr
+		return firstErr
+	})
+	if err != nil {
+		return nil, err
 	}
 	return buf, nil
 }

@@ -10,9 +10,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/balance"
+	"repro/internal/cache"
 	"repro/internal/controller"
 	"repro/internal/disk"
 	"repro/internal/gateway"
@@ -30,14 +32,10 @@ import (
 
 // Class describes one storage class beyond the default (§4: per-file RAID
 // type selection maps files onto classes).
-type Class struct {
-	Name          string
-	Level         raid.Level
-	Disks         int
-	DisksPerGroup int
-}
+type Class = controller.StorageClass
 
-// Options sizes a System. Zero values select the defaults noted per field.
+// Options sizes a System. Zero values select the defaults noted per field
+// (the cluster's are controller.DefaultConfig's).
 type Options struct {
 	// Seed drives all randomness (default 1).
 	Seed int64
@@ -48,7 +46,8 @@ type Options struct {
 	// ReplicationN is the default write-cache copies (default 2).
 	ReplicationN int
 	// Disks/DisksPerGroup/RAIDLevel shape the default class
-	// (defaults 20/5/RAID5).
+	// (defaults 20/5/RAID5; the zero Level is RAID0, so a RAID0 tier is an
+	// extra class).
 	Disks         int
 	DisksPerGroup int
 	RAIDLevel     raid.Level
@@ -58,11 +57,6 @@ type Options struct {
 	ExtraClasses []Class
 	// EncryptAtRest enables §5.1 storage-level encryption at the gateway.
 	EncryptAtRest bool
-	// EncThroughputBps models each encryption engine (0 = free).
-	EncThroughputBps int64
-	// FSVirtExtents sizes each class's backing DMSD (default 1<<20
-	// extents — far larger than physical, per §3).
-	FSVirtExtents int64
 	// FabricRetry tunes the blade fabric's timeout/retry/backoff loop
 	// (zero fields = coherence defaults).
 	FabricRetry simnet.RetryPolicy
@@ -89,23 +83,21 @@ type Options struct {
 	//	"migrate"  — the adaptive hot-spot balancer (System.Balancer):
 	//	             watches the scraper's per-blade load series and
 	//	             migrates directory homes of the hottest blocks off
-	//	             sustained hot blades. Requires Telemetry (the
-	//	             scraper is its feedback signal). Starts enabled.
+	//	             sustained hot blades, at the balance package's
+	//	             defaults (the hot-spot watchdog's thresholds).
+	//	             Requires Telemetry (the scraper is its feedback
+	//	             signal). Starts enabled.
 	//	"hotcache" — the DistCache-style hot-key cache tier
 	//	             (System.HotCache): one small cache node per blade,
 	//	             keys partitioned by a hash independent of the
 	//	             directory-home hash, two-choice routing between the
-	//	             layers, write-through invalidation. Starts DISABLED
+	//	             layers, write-through invalidation, at the hotcache
+	//	             package's defaults (512 blocks/node, heat threshold
+	//	             8, half-life 250ms). Starts DISABLED
 	//	             (arm with System.HotCache.SetEnabled or yottactl
 	//	             `rebalance on`).
 	//	"off" / "" — no scheme.
 	Rebalance string
-	// BalanceConfig overrides the migration balancer's thresholds and
-	// pacing (zero fields mirror the hot-spot watchdog defaults).
-	BalanceConfig balance.Config
-	// HotCacheConfig sizes the cache tier (zero fields = hotcache
-	// defaults: 512 blocks/node, heat threshold 8, half-life 250ms).
-	HotCacheConfig hotcache.Config
 	// QoS, when non-nil, builds the multi-tenant admission-control and
 	// weighted-fair scheduling subsystem (System.QoS): per-tenant token
 	// buckets at the controller front door and priority lanes at every
@@ -124,8 +116,6 @@ type Options struct {
 	// with prior builds; toggle at runtime with Cluster.SetFabricBatch
 	// (yottactl `batch on|off`).
 	FabricBatch bool
-	// FabricBatchPolicy tunes coalescing (zero fields = simnet defaults).
-	FabricBatchPolicy simnet.BatchPolicy
 	// Gateway, when non-nil, builds the S3-style object plane
 	// (System.Gateway): an object API over the file system with yig's
 	// three-tier split — in-memory IAM over System.Auth, a shardable
@@ -135,34 +125,9 @@ type Options struct {
 	Gateway *gateway.Config
 }
 
-func (o *Options) fillDefaults() {
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Blades == 0 {
-		o.Blades = 4
-	}
-	if o.CacheBlocksPerBlade == 0 {
-		o.CacheBlocksPerBlade = 4096
-	}
-	if o.ReplicationN == 0 {
-		o.ReplicationN = 2
-	}
-	if o.Disks == 0 {
-		o.Disks = 20
-	}
-	if o.DisksPerGroup == 0 {
-		o.DisksPerGroup = 5
-	}
-	if o.RAIDLevel == 0 {
-		// The zero Level is RAID0; the system default is RAID5. Use an
-		// extra class for a RAID0 tier.
-		o.RAIDLevel = raid.RAID5
-	}
-	if o.FSVirtExtents == 0 {
-		o.FSVirtExtents = 1 << 20
-	}
-}
+// fsVirtExtents sizes each class's backing DMSD — far larger than physical,
+// per §3.
+const fsVirtExtents = 1 << 20
 
 // System is one data center: cluster + file system + security ring.
 type System struct {
@@ -202,28 +167,24 @@ type System struct {
 
 // NewSystem builds a system on its own kernel.
 func NewSystem(opts Options) (*System, error) {
-	opts.fillDefaults()
-	k := sim.NewKernel(opts.Seed)
-	return NewSystemOn(k, opts)
+	return NewSystemOn(sim.NewKernel(cmp.Or(opts.Seed, 1)), opts)
 }
 
 // NewSystemOn builds a system on an existing kernel (multi-site setups
 // share one kernel).
 func NewSystemOn(k *sim.Kernel, opts Options) (*System, error) {
-	opts.fillDefaults()
 	cfg := controller.DefaultConfig()
-	cfg.Blades = opts.Blades
-	cfg.CacheBlocksPerBlade = opts.CacheBlocksPerBlade
-	cfg.ReplicationN = opts.ReplicationN
-	cfg.Disks = opts.Disks
-	cfg.DisksPerGroup = opts.DisksPerGroup
-	cfg.RAIDLevel = opts.RAIDLevel
+	cfg.Blades = cmp.Or(opts.Blades, cfg.Blades)
+	cfg.CacheBlocksPerBlade = cmp.Or(opts.CacheBlocksPerBlade, cfg.CacheBlocksPerBlade)
+	cfg.ReplicationN = cmp.Or(opts.ReplicationN, cfg.ReplicationN)
+	cfg.Disks = cmp.Or(opts.Disks, cfg.Disks)
+	cfg.DisksPerGroup = cmp.Or(opts.DisksPerGroup, cfg.DisksPerGroup)
+	cfg.RAIDLevel = cmp.Or(opts.RAIDLevel, cfg.RAIDLevel)
 	cfg.DiskSpec = opts.DiskSpec
 	cfg.FabricRetry = opts.FabricRetry
 	cfg.FabricFaults = opts.FabricFaults
 	cfg.QoS = opts.QoS
 	cfg.FabricBatch = opts.FabricBatch
-	cfg.FabricBatchPolicy = opts.FabricBatchPolicy
 	var tracer *trace.Tracer
 	if opts.Trace {
 		tracer = trace.NewTracer(k)
@@ -235,17 +196,15 @@ func NewSystemOn(k *sim.Kernel, opts Options) (*System, error) {
 		return nil, err
 	}
 	classes := map[string]string{"default": "fs.default"}
-	if _, err := cluster.CreateDMSD("default", "fs.default", opts.FSVirtExtents); err != nil {
+	if _, err := cluster.CreateDMSD("default", "fs.default", fsVirtExtents); err != nil {
 		return nil, err
 	}
 	for _, cl := range opts.ExtraClasses {
-		if err := cluster.AddClass(controller.StorageClass{
-			Name: cl.Name, Level: cl.Level, Disks: cl.Disks, DisksPerGroup: cl.DisksPerGroup,
-		}); err != nil {
+		if err := cluster.AddClass(cl); err != nil {
 			return nil, err
 		}
 		vol := "fs." + cl.Name
-		if _, err := cluster.CreateDMSD(cl.Name, vol, opts.FSVirtExtents); err != nil {
+		if _, err := cluster.CreateDMSD(cl.Name, vol, fsVirtExtents); err != nil {
 			return nil, err
 		}
 		classes[cl.Name] = vol
@@ -261,11 +220,10 @@ func NewSystemOn(k *sim.Kernel, opts Options) (*System, error) {
 	auth := security.NewAuthority(k)
 	mask := security.NewLUNMask()
 	gw := security.NewGateway(security.GatewayConfig{
-		Authority:        auth,
-		Mask:             mask,
-		Store:            cluster,
-		EncryptAtRest:    opts.EncryptAtRest,
-		EncThroughputBps: opts.EncThroughputBps,
+		Authority:     auth,
+		Mask:          mask,
+		Store:         cluster,
+		EncryptAtRest: opts.EncryptAtRest,
 	})
 	sys := &System{K: k, Cluster: cluster, FS: fs, Auth: auth, Mask: mask, BlockGateway: gw,
 		Tracer: tracer, Registry: cluster.Reg, QoS: cluster.QoS}
@@ -308,11 +266,11 @@ func NewSystemOn(k *sim.Kernel, opts Options) (*System, error) {
 		if sys.Scraper == nil {
 			return nil, fmt.Errorf("core: Rebalance=%q requires Telemetry (the scraper is the rebalancer's feedback signal)", RebalanceMigrate)
 		}
-		sys.Balancer = cluster.NewBalancer(sys.Scraper, opts.BalanceConfig)
+		sys.Balancer = cluster.NewBalancer(sys.Scraper, balance.Config{})
 		sys.Rebalancer = sys.Balancer
 		sys.stopBalance = sys.Balancer.Start()
 	case RebalanceHotCache:
-		sys.HotCache = cluster.NewHotCache(opts.HotCacheConfig)
+		sys.HotCache = cluster.NewHotCache(hotcache.Config{})
 		sys.Rebalancer = sys.HotCache
 	default:
 		return nil, fmt.Errorf("core: unknown Rebalance scheme %q (want migrate, hotcache, or off)", opts.Rebalance)
@@ -336,18 +294,25 @@ func (s *System) Stop() {
 // Run executes the body as a simulation process and advances virtual time
 // until it completes (bounded by horizon; 0 = 1 hour of virtual time).
 func (s *System) Run(horizon sim.Duration, body func(p *sim.Proc) error) error {
+	return RunBody(s.K, horizon, body)
+}
+
+// RunBody executes body as a simulation process on k and advances virtual
+// time in 100 ms steps until it completes or horizon (0 = 1 hour) has
+// passed. The clock rests on the step boundary after the body's last event.
+func RunBody(k *sim.Kernel, horizon sim.Duration, body func(p *sim.Proc) error) error {
 	if horizon <= 0 {
 		horizon = 3600 * sim.Second
 	}
 	var err error
 	done := false
-	s.K.Go("main", func(p *sim.Proc) {
+	k.Go("main", func(p *sim.Proc) {
 		err = body(p)
 		done = true
 	})
-	deadline := s.K.Now().Add(horizon)
-	for !done && s.K.Now() < deadline {
-		s.K.RunFor(100 * sim.Millisecond)
+	deadline := k.Now().Add(horizon)
+	for !done && k.Now() < deadline {
+		k.RunFor(100 * sim.Millisecond)
 	}
 	if !done {
 		return fmt.Errorf("core: body did not complete within %v of virtual time", horizon)
@@ -355,15 +320,43 @@ func (s *System) Run(horizon sim.Duration, body func(p *sim.Proc) error) error {
 	return err
 }
 
-// VolumeTarget adapts one cluster volume to the workload Target shape.
+// VolumeTarget adapts one cluster volume to the workload Target shape: the
+// one way a closed-loop client population drives a cluster.
 type VolumeTarget struct {
 	Cluster *controller.Cluster
 	Vol     string
+	// Pick chooses the blade the op at lba goes through; nil is the
+	// host-side round-robin of Cluster.PickBlade (Cluster.HomeBlade is the
+	// static-path host's choice).
+	Pick func(lba int64) *controller.Blade
+	// Tenant, when set, tags every op's process so the QoS admission bucket
+	// and the scheduling lanes bill it.
+	Tenant string
 	// Priority is the cache/QoS priority every op carries (0..3); the QoS
 	// front door maps it onto the foreground scheduling lane.
 	Priority int
-	// data reused for writes (content is irrelevant to the workload).
-	scratch []byte
+	// Offset shifts every op's LBA: a tenant's own region of a shared volume.
+	Offset int64
+	// ReadVia, when set, is the hot-key cache tier (E15) reads go through:
+	// its power-of-two-choices routing sends each to the key's cache node
+	// or to the picked blade — writes always go to the picked blade, where
+	// write-through invalidation rides the exclusive grant — and every op
+	// reports its blade to the tier so the load signal sees the full picture.
+	ReadVia *hotcache.Tier
+	// buf is reused for writes (content is irrelevant to the workload).
+	buf []byte
+}
+
+// blade tags p with the tenant and returns the op's shifted LBA and blade.
+func (t *VolumeTarget) blade(p *sim.Proc, lba int64) (int64, *controller.Blade) {
+	if t.Tenant != "" {
+		qos.SetCtx(p, qos.Ctx{Tenant: t.Tenant})
+	}
+	lba += t.Offset
+	if t.Pick != nil {
+		return lba, t.Pick(lba)
+	}
+	return lba, t.Cluster.PickBlade()
 }
 
 // BlockSize implements workload.Target.
@@ -371,20 +364,31 @@ func (t *VolumeTarget) BlockSize() int { return t.Cluster.BlockSize() }
 
 // Read implements workload.Target.
 func (t *VolumeTarget) Read(p *sim.Proc, lba int64, blocks int) error {
-	_, err := t.Cluster.ReadBlocks(p, t.Vol, lba, blocks, t.Priority)
+	lba, b := t.blade(p, lba)
+	if tier := t.ReadVia; tier != nil && b != nil {
+		id, viaCache := tier.Route(cache.Key{Vol: t.Vol, LBA: lba}, b.ID)
+		defer tier.OpStart(id)()
+		b = t.Cluster.Blade(id)
+		if viaCache {
+			_, err := t.Cluster.ReadCached(p, tier, b, t.Vol, lba, blocks, t.Priority)
+			return err
+		}
+	}
+	_, err := t.Cluster.Read(p, b, t.Vol, lba, blocks, t.Priority)
 	return err
 }
 
 // Write implements workload.Target.
 func (t *VolumeTarget) Write(p *sim.Proc, lba int64, blocks int) error {
-	need := blocks * t.Cluster.BlockSize()
-	if len(t.scratch) < need {
-		t.scratch = make([]byte, need)
-		for i := range t.scratch {
-			t.scratch[i] = byte(i)
-		}
+	lba, b := t.blade(p, lba)
+	if t.ReadVia != nil && b != nil {
+		defer t.ReadVia.OpStart(b.ID)()
 	}
-	return t.Cluster.WriteBlocks(p, t.Vol, lba, t.scratch[:need], t.Priority, 0)
+	need := blocks * t.Cluster.BlockSize()
+	if len(t.buf) < need {
+		t.buf = make([]byte, need)
+	}
+	return t.Cluster.Write(p, b, t.Vol, lba, t.buf[:need], t.Priority)
 }
 
 // GeoOptions describes a multi-site federation of Systems.
@@ -460,21 +464,5 @@ func (g *GeoSystem) Stop() {
 
 // Run is System.Run for a federation.
 func (g *GeoSystem) Run(horizon sim.Duration, body func(p *sim.Proc) error) error {
-	if horizon <= 0 {
-		horizon = 3600 * sim.Second
-	}
-	var err error
-	done := false
-	g.K.Go("main", func(p *sim.Proc) {
-		err = body(p)
-		done = true
-	})
-	deadline := g.K.Now().Add(horizon)
-	for !done && g.K.Now() < deadline {
-		g.K.RunFor(100 * sim.Millisecond)
-	}
-	if !done {
-		return fmt.Errorf("core: body did not complete within %v of virtual time", horizon)
-	}
-	return err
+	return RunBody(g.K, horizon, body)
 }

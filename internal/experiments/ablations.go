@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"repro/internal/controller"
 	"repro/internal/core"
+	"repro/internal/georepl"
 	"repro/internal/metrics"
 	"repro/internal/pfs"
 	"repro/internal/sim"
@@ -21,7 +23,7 @@ func A1Prefetch(seed int64) *metrics.Table {
 			SiteOptions: func(string) core.Options {
 				return core.Options{DiskSpec: labDisk(), Disks: 12, DisksPerGroup: 6}
 			},
-			Geo: geoCfg(max64Local(prefetch, 1), 1000), // 1 byte ≈ off
+			Geo: georepl.Config{PrefetchBytes: max(prefetch, 1), HotThreshold: 1000}, // 1 byte ≈ off
 		})
 		if err != nil {
 			panic(err)
@@ -77,12 +79,12 @@ func A2PeerFetch(seed int64) *metrics.Table {
 		k := sim.NewKernel(seed)
 		cfg := clusterConfig(4)
 		cfg.NoPeerFetch = off
-		c, err := controllerNew(k, cfg)
+		c, err := controller.New(k, cfg)
 		if err != nil {
 			panic(err)
 		}
 		c.Pool.CreateDMSD("hot", 1<<20)
-		target := &clusterTarget{c: c, vol: "hot"}
+		target := &core.VolumeTarget{Cluster: c, Vol: "hot"}
 		if err := prefillVolume(k, c, "hot", ws); err != nil {
 			panic(err)
 		}
@@ -115,7 +117,7 @@ func A3ReplicationCost(seed int64) *metrics.Table {
 		k := sim.NewKernel(seed)
 		cfg := clusterConfig(6)
 		cfg.ReplicationN = n
-		c, err := controllerNew(k, cfg)
+		c, err := controller.New(k, cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -146,13 +148,6 @@ func A3ReplicationCost(seed int64) *metrics.Table {
 	return tab
 }
 
-func max64Local(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // A4 — ablation: controller readahead (§4 "storage prefetch operations").
 // A sequential scan through the coherent cache with and without prefetch.
 func A4ReadAhead(seed int64) *metrics.Table {
@@ -163,7 +158,7 @@ func A4ReadAhead(seed int64) *metrics.Table {
 		k := sim.NewKernel(seed)
 		cfg := clusterConfig(4)
 		cfg.ReadAhead = ra
-		c, err := controllerNew(k, cfg)
+		c, err := controller.New(k, cfg)
 		if err != nil {
 			panic(err)
 		}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/critpath"
 	"repro/internal/metrics"
 	"repro/internal/qos"
@@ -44,14 +46,14 @@ func canonicalTraced(seed int64, batched bool) (*sim.Kernel, *workload.Runner, *
 	cfg.FabricBatch = batched
 	tracer := trace.NewTracer(k)
 	cfg.Tracer = tracer
-	c, err := controllerNew(k, cfg)
+	c, err := controller.New(k, cfg)
 	if err != nil {
 		panic(err)
 	}
 	if _, err := c.Pool.CreateDMSD("snap", 1<<20); err != nil {
 		panic(err)
 	}
-	target := &clusterTarget{c: c, vol: "snap"}
+	target := &core.VolumeTarget{Cluster: c, Vol: "snap"}
 	if err := prefillVolume(k, c, "snap", snapWS); err != nil {
 		panic(err)
 	}

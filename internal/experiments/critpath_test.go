@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/critpath"
 	"repro/internal/qos"
 	"repro/internal/sim"
@@ -171,14 +173,14 @@ func TestCritPathScaleTraced(t *testing.T) {
 	tracer := trace.NewTracer(k)
 	tracer.SetCap(1 << 12)
 	cfg.Tracer = tracer
-	c, err := controllerNew(k, cfg)
+	c, err := controller.New(k, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Pool.CreateDMSD("scale", 1<<22); err != nil {
 		t.Fatal(err)
 	}
-	target := &clusterTarget{c: c, vol: "scale"}
+	target := &core.VolumeTarget{Cluster: c, Vol: "scale"}
 	tracer.SetEnabled(true)
 	r := runWorkload(k, clients, dur, target, func(int) workload.Pattern {
 		return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0.25}

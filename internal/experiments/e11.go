@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -56,12 +58,12 @@ func E11(seed int64) *metrics.Table {
 	// without retaining millions of warm-up spans.
 	tracer := trace.NewTracer(k)
 	cfg.Tracer = tracer
-	c, err := controllerNew(k, cfg)
+	c, err := controller.New(k, cfg)
 	if err != nil {
 		panic(err)
 	}
 	c.Pool.CreateDMSD("v", 1<<20)
-	target := &clusterTarget{c: c, vol: "v"}
+	target := &core.VolumeTarget{Cluster: c, Vol: "v"}
 	if err := prefillVolume(k, c, "v", ws); err != nil {
 		panic(err)
 	}
@@ -83,7 +85,7 @@ func E11(seed int64) *metrics.Table {
 	}
 	var acked []ack
 	attempted, ackErrs := 0, 0
-	if err := prefill(k, func(p *sim.Proc) error {
+	if err := core.RunBody(k, prefillHorizon, func(p *sim.Proc) error {
 		blk := make([]byte, c.BlockSize())
 		for i := 0; i < nAck; i++ {
 			lba := int64(ws + i*3) // outside the read working set
@@ -164,7 +166,7 @@ func E11(seed int64) *metrics.Table {
 	// Zero-lost-acknowledged-writes check: read back every acked write
 	// through the survivors, over the still-lossy fabric.
 	lost := 0
-	if err := prefill(k, func(p *sim.Proc) error {
+	if err := core.RunBody(k, prefillHorizon, func(p *sim.Proc) error {
 		for _, a := range acked {
 			got, err := c.Read(p, c.PickBlade(), "v", a.lba, 1, 0)
 			if err != nil || got[0] != a.val || got[len(got)-1] != a.val {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -33,39 +34,6 @@ const (
 	e12CVMax    = 0.35
 	e12RatioMax = 1.3
 )
-
-// affinityTarget routes every op to the blade currently homing its first
-// block — the static-path host pattern. Routing consults the live home
-// map, so migrated homes pull their traffic with them.
-type affinityTarget struct {
-	c   *controller.Cluster
-	vol string
-	buf []byte
-}
-
-func (t *affinityTarget) BlockSize() int { return t.c.BlockSize() }
-
-func (t *affinityTarget) blade(lba int64) *controller.Blade {
-	if id := t.c.HomeBlade(t.vol, lba); id >= 0 {
-		if b := t.c.Blade(id); b != nil && !b.Down {
-			return b
-		}
-	}
-	return t.c.PickBlade()
-}
-
-func (t *affinityTarget) Read(p *sim.Proc, lba int64, blocks int) error {
-	_, err := t.c.Read(p, t.blade(lba), t.vol, lba, blocks, 0)
-	return err
-}
-
-func (t *affinityTarget) Write(p *sim.Proc, lba int64, blocks int) error {
-	need := blocks * t.c.BlockSize()
-	if len(t.buf) < need {
-		t.buf = make([]byte, need)
-	}
-	return t.c.Write(p, t.blade(lba), t.vol, lba, t.buf[:need], 0)
-}
 
 // E12Run is one scenario's measured window.
 type E12Run struct {
@@ -113,7 +81,7 @@ func e12Scenario(seed int64, zipf, balanced bool) (E12Run, *balance.Controller, 
 	// balanced run — the dominant key's fair-share-plus (~15%) on one
 	// blade — fits with headroom, so throughput can actually recover.
 	cfg.CPUSlots = 6
-	c, err := controllerNew(k, cfg)
+	c, err := controller.New(k, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -121,7 +89,7 @@ func e12Scenario(seed int64, zipf, balanced bool) (E12Run, *balance.Controller, 
 	if err := prefillVolume(k, c, "v", ws); err != nil {
 		panic(err)
 	}
-	target := &affinityTarget{c: c, vol: "v"}
+	target := &core.VolumeTarget{Cluster: c, Vol: "v", Pick: func(lba int64) *controller.Blade { return c.HomeBlade("v", lba) }}
 	var pat func(int) workload.Pattern
 	// Single-block ops: one op == one block == one directory key, so the
 	// per-key heat the balancer plans with is exactly the per-blade load

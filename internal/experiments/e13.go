@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/qos"
 	"repro/internal/sim"
@@ -81,35 +82,6 @@ func e13Quick() e13Scale {
 	}
 }
 
-// e13Target drives one tenant's ops at a fixed priority into its own LBA
-// region, tagging every op's process with the tenant so the admission
-// bucket and the scheduling lanes see it.
-type e13Target struct {
-	c      *controller.Cluster
-	vol    string
-	tenant string
-	prio   int
-	offset int64
-	buf    []byte
-}
-
-func (t *e13Target) BlockSize() int { return t.c.BlockSize() }
-
-func (t *e13Target) Read(p *sim.Proc, lba int64, blocks int) error {
-	qos.SetCtx(p, qos.Ctx{Tenant: t.tenant})
-	_, err := t.c.Read(p, t.c.PickBlade(), t.vol, t.offset+lba, blocks, t.prio)
-	return err
-}
-
-func (t *e13Target) Write(p *sim.Proc, lba int64, blocks int) error {
-	qos.SetCtx(p, qos.Ctx{Tenant: t.tenant})
-	need := blocks * t.c.BlockSize()
-	if len(t.buf) < need {
-		t.buf = make([]byte, need)
-	}
-	return t.c.WriteR(p, t.c.PickBlade(), t.vol, t.offset+lba, t.buf[:need], t.prio, 0)
-}
-
 // E13Arm is one scenario's measured window.
 type E13Arm struct {
 	VictimOpsPerSec float64
@@ -136,7 +108,7 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 			P99Target: 50 * sim.Millisecond,
 		},
 	}
-	c, err := controllerNew(k, cfg)
+	c, err := controller.New(k, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -153,7 +125,7 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 		scr.Start()
 	}
 
-	victim := &e13Target{c: c, vol: "v", tenant: "victim", prio: 3}
+	victim := &core.VolumeTarget{Cluster: c, Vol: "v", Tenant: "victim", Priority: 3}
 	newRunner := func(clients int, t workload.Target, pat workload.Pattern, d sim.Duration) *workload.Runner {
 		return &workload.Runner{
 			K:        k,
@@ -164,7 +136,7 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 		}
 	}
 	victimPat := workload.Uniform{Range: sc.victimWS, Blocks: 4}
-	aggressor := &e13Target{c: c, vol: "v", tenant: "agg", prio: 0, offset: sc.victimWS}
+	aggressor := &core.VolumeTarget{Cluster: c, Vol: "v", Tenant: "agg", Offset: sc.victimWS}
 	aggPat := workload.Uniform{Range: sc.aggWS, Blocks: 8, WriteFrac: 0.5}
 
 	// Warm-up: caches fill under the arm's contention mix (no rebuild yet).

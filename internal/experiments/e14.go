@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/critpath"
 	"repro/internal/metrics"
 	"repro/internal/qos"
@@ -265,7 +266,7 @@ func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
 		tr = trace.NewTracer(k)
 		cfg.Tracer = tr
 	}
-	c, err := controllerNew(k, cfg)
+	c, err := controller.New(k, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -281,7 +282,7 @@ func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
 	scr.AddWatchdog(rec)
 	scr.Start()
 
-	victim := &e13Target{c: c, vol: "v", tenant: "victim", prio: 3}
+	victim := &core.VolumeTarget{Cluster: c, Vol: "v", Tenant: "victim", Priority: 3}
 	pat := workload.Uniform{Range: sc.victimWS, Blocks: 4}
 	newRunner := func(d sim.Duration) *workload.Runner {
 		return &workload.Runner{

@@ -4,8 +4,8 @@ import (
 	"math/rand"
 
 	"repro/internal/balance"
-	"repro/internal/cache"
 	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/hotcache"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -107,51 +107,6 @@ func e15QuickScale() e15Scale {
 	return e15Scale{blades: 4, clients: 12, ws: 2 << 10, warm: 2 * sim.Second, dur: 1 * sim.Second}
 }
 
-// hotTarget routes reads per the cache tier's power-of-two-choices
-// decision — cache node or directory home — and writes to the home
-// (write-through invalidation rides the home's exclusive grant). Every op
-// reports its chosen blade to the tier so the two-choice load signal sees
-// the full picture.
-type hotTarget struct {
-	c    *controller.Cluster
-	tier *hotcache.Tier
-	vol  string
-	buf  []byte
-}
-
-func (t *hotTarget) BlockSize() int { return t.c.BlockSize() }
-
-func (t *hotTarget) home(lba int64) int {
-	if id := t.c.HomeBlade(t.vol, lba); id >= 0 {
-		return id
-	}
-	return t.c.PickBlade().ID
-}
-
-func (t *hotTarget) Read(p *sim.Proc, lba int64, blocks int) error {
-	home := t.home(lba)
-	blade, via := t.tier.Route(cache.Key{Vol: t.vol, LBA: lba}, home)
-	done := t.tier.OpStart(blade)
-	defer done()
-	if via {
-		_, err := t.c.ReadCached(p, t.tier, t.c.Blade(blade), t.vol, lba, blocks, 0)
-		return err
-	}
-	_, err := t.c.Read(p, t.c.Blade(blade), t.vol, lba, blocks, 0)
-	return err
-}
-
-func (t *hotTarget) Write(p *sim.Proc, lba int64, blocks int) error {
-	home := t.home(lba)
-	done := t.tier.OpStart(home)
-	defer done()
-	need := blocks * t.c.BlockSize()
-	if len(t.buf) < need {
-		t.buf = make([]byte, need)
-	}
-	return t.c.Write(p, t.c.Blade(home), t.vol, lba, t.buf[:need], 0)
-}
-
 // E15Run is one arm's measured window.
 type E15Run struct {
 	OpsPerSec float64
@@ -197,7 +152,7 @@ func e15Scenario(seed int64, sc e15Scale, wl e15Workload, scheme string) E15Run 
 	k := sim.NewKernel(seed)
 	cfg := clusterConfig(sc.blades)
 	cfg.CPUSlots = 6 // same headroom rationale as E12
-	c, err := controllerNew(k, cfg)
+	c, err := controller.New(k, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -223,7 +178,7 @@ func e15Scenario(seed int64, sc e15Scale, wl e15Workload, scheme string) E15Run 
 	scr := telemetry.NewScraper(k, c.Reg, 100*sim.Millisecond)
 	scr.Start()
 
-	var target workload.Target = &affinityTarget{c: c, vol: "v"}
+	target := &core.VolumeTarget{Cluster: c, Vol: "v", Pick: func(lba int64) *controller.Blade { return c.HomeBlade("v", lba) }}
 	// Every arm warms for the same duration. The warm length is sized for
 	// the slowest-converging scheme (migration's observe-plan-drain loop)
 	// but giving only that arm extra warm would confound the comparison:
@@ -253,7 +208,7 @@ func e15Scenario(seed int64, sc e15Scale, wl e15Workload, scheme string) E15Run 
 		// leave the queue-burst tail to the homes.
 		tier = c.NewHotCache(hotcache.Config{HeatHalfLife: 100 * sim.Millisecond})
 		tier.SetEnabled(true)
-		target = &hotTarget{c: c, tier: tier, vol: "v"}
+		target.ReadVia = tier
 	}
 
 	runWorkload(k, sc.clients, warm, target, pat)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/baseline"
+	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stripe"
@@ -57,14 +59,14 @@ func E2(seed int64) *metrics.Table {
 	for _, blades := range []int{1, 2, 4, 8, 16} {
 		k := sim.NewKernel(seed)
 		cfg := clusterConfig(blades)
-		c, err := controllerNew(k, cfg)
+		c, err := controller.New(k, cfg)
 		if err != nil {
 			panic(err)
 		}
 		if _, err := c.Pool.CreateDMSD("bench", 1<<20); err != nil {
 			panic(err)
 		}
-		target := &clusterTarget{c: c, vol: "bench"}
+		target := &core.VolumeTarget{Cluster: c, Vol: "bench"}
 		if err := prefillVolume(k, c, "bench", wsBlocks); err != nil {
 			panic(err)
 		}
@@ -92,7 +94,7 @@ func E2(seed int64) *metrics.Table {
 	arr.CreateVolume("v0", wsBlocks/2)
 	arr.CreateVolume("v1", wsBlocks/2)
 	tgt := &arrayTarget{a: arr, vols: []string{"v0", "v1"}, span: wsBlocks / 2}
-	if err := prefill(k, func(p *sim.Proc) error { return seqFill(p, tgt, wsBlocks/2) }); err != nil {
+	if err := core.RunBody(k, prefillHorizon, func(p *sim.Proc) error { return seqFill(p, tgt, wsBlocks/2) }); err != nil {
 		panic(err)
 	}
 	bpat := func(int) workload.Pattern {
@@ -193,12 +195,12 @@ func E3(seed int64) *metrics.Table {
 
 	// Cluster: 4 blades, one shared volume, any blade serves any block.
 	k := sim.NewKernel(seed)
-	c, err := controllerNew(k, clusterConfig(4))
+	c, err := controller.New(k, clusterConfig(4))
 	if err != nil {
 		panic(err)
 	}
 	c.Pool.CreateDMSD("hot", 1<<20)
-	target := &clusterTarget{c: c, vol: "hot"}
+	target := &core.VolumeTarget{Cluster: c, Vol: "hot"}
 	if err := prefillVolume(k, c, "hot", ws); err != nil {
 		panic(err)
 	}
@@ -226,7 +228,7 @@ func E3(seed int64) *metrics.Table {
 	arr.CreateVolume("hot", ws)
 	arr.SetOwner("hot", 0)
 	tgt := &singleVolArrayTarget{a: arr, vol: "hot"}
-	if err := prefill(k2, func(p *sim.Proc) error { return seqFill(p, tgt, ws) }); err != nil {
+	if err := core.RunBody(k2, prefillHorizon, func(p *sim.Proc) error { return seqFill(p, tgt, ws) }); err != nil {
 		panic(err)
 	}
 	r2 := runWorkload(k2, clients, dur, tgt, pat)
@@ -254,12 +256,12 @@ func E4(seed int64) *metrics.Table {
 	}
 	for _, blades := range []int{1, 2, 4, 8} {
 		k := sim.NewKernel(seed)
-		c, err := controllerNew(k, clusterConfig(blades))
+		c, err := controller.New(k, clusterConfig(blades))
 		if err != nil {
 			panic(err)
 		}
 		c.Pool.CreateDMSD("data", 1<<20)
-		target := &clusterTarget{c: c, vol: "data"}
+		target := &core.VolumeTarget{Cluster: c, Vol: "data"}
 		if err := prefillVolume(k, c, "data", ws); err != nil {
 			panic(err)
 		}
@@ -355,7 +357,7 @@ func E5(seed int64) *metrics.Table {
 			}
 		}
 	}
-	if err := prefill(k, fill); err != nil {
+	if err := core.RunBody(k, prefillHorizon, fill); err != nil {
 		panic(err)
 	}
 	usedThin := pool.AllocatedExtents()

@@ -5,14 +5,15 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/controller"
+	"repro/internal/core"
+	"repro/internal/georepl"
 	"repro/internal/metrics"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 	"repro/internal/stripe"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
-
-	"repro/internal/core"
 )
 
 // E6 — §6.1: N-way replication of write data across controller caches.
@@ -32,7 +33,7 @@ func E6(seed int64) *metrics.Table {
 			cfg := clusterConfig(blades)
 			cfg.ReplicationN = n
 			cfg.FlushInterval = 60 * sim.Second // rely on replication alone
-			c, err := controllerNew(k, cfg)
+			c, err := controller.New(k, cfg)
 			if err != nil {
 				panic(err)
 			}
@@ -94,7 +95,7 @@ func E6(seed int64) *metrics.Table {
 		k := sim.NewKernel(seed)
 		cfg := clusterConfig(blades)
 		cfg.ReplicationN = n
-		c, err := controllerNew(k, cfg)
+		c, err := controller.New(k, cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -143,7 +144,7 @@ func E7(seed int64) *metrics.Table {
 		SiteOptions: func(string) core.Options {
 			return core.Options{DiskSpec: labDisk(), Disks: 12, DisksPerGroup: 6}
 		},
-		Geo: geoCfg(256<<10, 4),
+		Geo: georepl.Config{PrefetchBytes: 256 << 10, HotThreshold: 4},
 	})
 	if err != nil {
 		panic(err)
@@ -202,7 +203,7 @@ func E8(seed int64) *metrics.Table {
 				SiteOptions: func(string) core.Options {
 					return core.Options{DiskSpec: labDisk(), Disks: 12, DisksPerGroup: 6}
 				},
-				Geo: geoCfgShip(200 * sim.Millisecond),
+				Geo: georepl.Config{ShipInterval: 200 * sim.Millisecond},
 			})
 			if err != nil {
 				panic(err)
@@ -291,12 +292,12 @@ func E10(seed int64) *metrics.Table {
 	)
 	k := sim.NewKernel(seed)
 	defer k.Close()
-	c, err := controllerNew(k, clusterConfig(blades))
+	c, err := controller.New(k, clusterConfig(blades))
 	if err != nil {
 		panic(err)
 	}
 	c.Pool.CreateDMSD("v", 1<<20)
-	target := &clusterTarget{c: c, vol: "v"}
+	target := &core.VolumeTarget{Cluster: c, Vol: "v"}
 	if err := prefillVolume(k, c, "v", ws); err != nil {
 		panic(err)
 	}

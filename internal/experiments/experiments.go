@@ -9,8 +9,8 @@ import (
 	"fmt"
 
 	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/disk"
-	"repro/internal/georepl"
 	"repro/internal/raid"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -58,28 +58,6 @@ func runWorkload(k *sim.Kernel, clients int, dur sim.Duration, target workload.T
 	return r
 }
 
-// clusterTarget adapts a cluster volume with round-robin blade selection.
-type clusterTarget struct {
-	c   *controller.Cluster
-	vol string
-	buf []byte
-}
-
-func (t *clusterTarget) BlockSize() int { return t.c.BlockSize() }
-
-func (t *clusterTarget) Read(p *sim.Proc, lba int64, blocks int) error {
-	_, err := t.c.Read(p, t.c.PickBlade(), t.vol, lba, blocks, 0)
-	return err
-}
-
-func (t *clusterTarget) Write(p *sim.Proc, lba int64, blocks int) error {
-	need := blocks * t.c.BlockSize()
-	if len(t.buf) < need {
-		t.buf = make([]byte, need)
-	}
-	return t.c.Write(p, t.c.PickBlade(), t.vol, lba, t.buf[:need], 0)
-}
-
 // prefillVolume writes [0, blocks) of a cluster volume directly through
 // the pool — large sequential full-stripe writes that bypass the blade
 // caches, so experiments start with clean caches over allocated,
@@ -93,7 +71,7 @@ func prefillVolume(k *sim.Kernel, c *controller.Cluster, vol string, blocks int6
 	if !ok {
 		return fmt.Errorf("experiments: no volume %q", vol)
 	}
-	return prefill(k, func(p *sim.Proc) error {
+	return core.RunBody(k, prefillHorizon, func(p *sim.Proc) error {
 		bs := int64(c.BlockSize())
 		const chunk = int64(256)
 		buf := make([]byte, chunk*bs)
@@ -113,34 +91,15 @@ func prefillVolume(k *sim.Kernel, c *controller.Cluster, vol string, blocks int6
 	})
 }
 
-// prefill writes the working set so reads hit allocated, parity-consistent
-// storage rather than DMSD zero-fill.
-func prefill(k *sim.Kernel, w func(p *sim.Proc) error) error {
-	var err error
-	done := false
-	k.Go("prefill", func(p *sim.Proc) {
-		err = w(p)
-		done = true
-	})
-	for i := 0; !done && i < 6000; i++ {
-		k.RunFor(100 * sim.Millisecond)
-	}
-	if !done {
-		return fmt.Errorf("experiments: prefill did not finish")
-	}
-	return err
-}
+// prefillHorizon bounds a prefill — writing the working set so reads hit
+// allocated, parity-consistent storage rather than DMSD zero-fill.
+const prefillHorizon = 600 * sim.Second
 
 // fmtDur renders a duration in ms with two decimals for tables.
 func fmtDur(d sim.Duration) string { return fmt.Sprintf("%.2f", d.Millis()) }
 
 // fmtF renders a float with two decimals.
 func fmtF(v float64) string { return fmt.Sprintf("%.2f", v) }
-
-// controllerNew is a local alias keeping experiment code compact.
-func controllerNew(k *sim.Kernel, cfg controller.Config) (*controller.Cluster, error) {
-	return controller.New(k, cfg)
-}
 
 // ramDevice is an instant block device for capacity-accounting experiments
 // (E5), where service time is irrelevant.
@@ -173,15 +132,4 @@ func (d *ramDevice) Write(p *sim.Proc, lba int64, data []byte) error {
 		d.data[lba+int64(i)] = b
 	}
 	return nil
-}
-
-// geoCfg builds a georepl config with the given prefetch window and hot
-// threshold.
-func geoCfg(prefetchBytes int64, hotThreshold int) georepl.Config {
-	return georepl.Config{PrefetchBytes: prefetchBytes, HotThreshold: hotThreshold}
-}
-
-// geoCfgShip builds a georepl config with the given async ship interval.
-func geoCfgShip(interval sim.Duration) georepl.Config {
-	return georepl.Config{ShipInterval: interval}
 }

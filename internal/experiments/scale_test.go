@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -28,7 +30,7 @@ func TestBatchedScale64Blades(t *testing.T) {
 	cfg.DisksPerGroup = 6
 	cfg.CacheBlocksPerBlade = 2048
 	cfg.FabricBatch = true
-	c, err := controllerNew(k, cfg)
+	c, err := controller.New(k, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func TestBatchedScale64Blades(t *testing.T) {
 	if !c.FabricBatched() {
 		t.Fatal("FabricBatch config did not enable the batched plane")
 	}
-	target := &clusterTarget{c: c, vol: "scale"}
+	target := &core.VolumeTarget{Cluster: c, Vol: "scale"}
 	r := runWorkload(k, clients, dur, target, func(int) workload.Pattern {
 		return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0.25}
 	})

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -29,14 +31,14 @@ func goldenTraceJSONL(seed int64) []byte {
 	cfg := clusterConfig(blades)
 	tracer := trace.NewTracer(k)
 	cfg.Tracer = tracer
-	c, err := controllerNew(k, cfg)
+	c, err := controller.New(k, cfg)
 	if err != nil {
 		panic(err)
 	}
 	if _, err := c.Pool.CreateDMSD("golden", 1<<20); err != nil {
 		panic(err)
 	}
-	target := &clusterTarget{c: c, vol: "golden"}
+	target := &core.VolumeTarget{Cluster: c, Vol: "golden"}
 	if err := prefillVolume(k, c, "golden", ws); err != nil {
 		panic(err)
 	}
