@@ -1,5 +1,5 @@
 // Command benchrunner regenerates every table and figure of the
-// reproduction (E1–E16, CP1–CP2, B6 and the A1–A4 ablations in
+// reproduction (E1–E16, CP1–CP2 and the A1–A4 ablations in
 // DESIGN.md/EXPERIMENTS.md) and prints them as plain-text tables. Its
 // runners table is the one list of experiments.
 //
@@ -45,7 +45,6 @@ var runners = []struct {
 	{"E16Q", "reduced-scale gateway shard-scaling smoke (CI)", experiments.E16Quick},
 	{"CP1", "critical-path tail diagnosis: canonical workload", experiments.CP1},
 	{"CP2", "critical-path tail diagnosis: E14 PI arm under scrub load", experiments.CP2},
-	{"B6", "canonical workload: unbatched vs batched fabric plane", experiments.B6},
 	{"A1", "ablation: remote-read prefetch on/off", experiments.A1Prefetch},
 	{"A2", "ablation: cache-to-cache transfers on/off", experiments.A2PeerFetch},
 	{"A3", "ablation: write latency vs replication factor", experiments.A3ReplicationCost},

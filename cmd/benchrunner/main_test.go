@@ -18,7 +18,7 @@ func TestSelectRunnersRejectsUnknownID(t *testing.T) {
 	if want, err := selectRunners(""); err != nil || len(want) != 0 {
 		t.Fatalf("empty -only means all: got %v, %v", want, err)
 	}
-	for _, only := range []string{"E4,E99", "E99", "E4,"} {
+	for _, only := range []string{"E4,E99", "E99", "E4,", "B6"} {
 		_, err := selectRunners(only)
 		if err == nil {
 			t.Fatalf("-only %q: unknown id accepted", only)

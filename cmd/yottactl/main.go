@@ -59,8 +59,6 @@
 //	qos on|off                      toggle admission control + fair queueing
 //	qos status                      switch state, lane weights, bucket count
 //	qos report                      tenants, governor, per-lane occupancy
-//	batch on|off                    toggle fabric frame coalescing + vector ops
-//	batch status                    frame/message counts, occupancy, delay p99
 //	trace on|off                    toggle per-op tracing
 //	trace status                    span counts per phase so far
 //	trace export chrome <file>      write Chrome trace_event JSON
@@ -579,52 +577,6 @@ func execute(p *sim.Proc, sys *core.System, line string) error {
 			return nil
 		default:
 			return fmt.Errorf("usage: qos on|off|status|report")
-		}
-	case "batch":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: batch on|off|status")
-		}
-		switch args[0] {
-		case "on":
-			sys.Cluster.SetFabricBatch(true)
-			fmt.Println("  fabric batching on")
-			return nil
-		case "off":
-			sys.Cluster.SetFabricBatch(false)
-			fmt.Println("  fabric batching off")
-			return nil
-		case "status":
-			state := "off"
-			if sys.Cluster.FabricBatched() {
-				state = "on"
-			}
-			var bs simnet.BatchStats
-			var occMean, occP99, delayP99 float64
-			for _, b := range sys.Cluster.Blades {
-				st := b.Conn.BatchStats()
-				bs.Frames += st.Frames
-				bs.Messages += st.Messages
-				bs.Piggybacked += st.Piggybacked
-				if h := b.Conn.OccupancyHistogram(); h != nil && h.Count() > 0 {
-					occMean += float64(h.Mean())
-					occP99 += float64(h.Quantile(0.99))
-				}
-				if h := b.Conn.BatchDelayHistogram(); h != nil && h.Count() > 0 {
-					if d := float64(h.Quantile(0.99)) / float64(sim.Millisecond); d > delayP99 {
-						delayP99 = d
-					}
-				}
-			}
-			n := float64(len(sys.Cluster.Blades))
-			fmt.Printf("  fabric batching: %s, %d frames carrying %d messages (%d piggybacked)\n",
-				state, bs.Frames, bs.Messages, bs.Piggybacked)
-			if bs.Frames > 0 {
-				fmt.Printf("  occupancy mean %.2f p99 %.1f msgs/frame, batching delay p99 %.3f ms\n",
-					occMean/n, occP99/n, delayP99)
-			}
-			return nil
-		default:
-			return fmt.Errorf("usage: batch on|off|status")
 		}
 	case "gateway":
 		if sys.Gateway == nil {

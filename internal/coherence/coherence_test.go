@@ -107,13 +107,6 @@ func (h *harness) run(body func(p *sim.Proc)) {
 	h.k.Run()
 }
 
-// setBatched puts every engine's client paths on the batched plane or off it.
-func (h *harness) setBatched(on bool) {
-	for _, e := range h.engines {
-		e.SetBatched(on)
-	}
-}
-
 // readRun reads blocks [lba, lba+n) of the test volume through e as one op
 // and returns them one slice per block.
 func readRun(p *sim.Proc, e *Engine, lba int64, n int) ([][]byte, error) {

@@ -301,9 +301,6 @@ type Engine struct {
 	// rejects client operations.
 	down        bool
 	noPeerFetch bool
-	// batched selects the vectorized protocol plane (batched.go) for
-	// client reads/writes issued through the controller.
-	batched bool
 
 	readAhead   int
 	lastSeq     map[string]int64
@@ -470,7 +467,6 @@ func New(k *sim.Kernel, cfg Config) *Engine {
 	e.conn.Register("coh.migrate", e.handleMigrate)
 	e.conn.Register("coh.adopt", e.handleAdopt)
 	e.conn.Register("coh.sethome", e.handleSetHome)
-	e.registerBatched()
 	return e
 }
 
@@ -664,9 +660,8 @@ func (e *Engine) ReadBlockInto(p *sim.Proc, key cache.Key, priority int, dst []b
 
 // ReadRun reads the run of consecutive blocks of vol that starts at lba
 // into dst, a whole number of blocks: a client op. Phase 1 gives every
-// block a process of its own (the batched plane: one vector exchange per
-// home blade); phase 2 reads what the backing store must supply in as few
-// I/Os as the gathered blocks allow.
+// block a process of its own; phase 2 reads what the backing store must
+// supply in as few I/Os as the gathered blocks allow.
 func (e *Engine) ReadRun(p *sim.Proc, vol string, lba int64, priority int, dst []byte) error {
 	if len(dst)%e.blockSize != 0 {
 		return fmt.Errorf("coherence: read of %d bytes, block size %d", len(dst), e.blockSize)
@@ -683,25 +678,21 @@ func (e *Engine) readRun(p *sim.Proc, vol string, lba int64, priority int, dst [
 	bs := e.blockSize
 	count := len(dst) / bs
 	op := &runRead{}
-	if e.batched {
-		op.err = e.resolveBatched(p, op, vol, lba, priority, dst)
-	} else {
-		grp := sim.NewGroup(e.k)
-		for i := 0; i < count; i++ {
-			grp.Add(1)
-			e.k.Go("read", func(q *sim.Proc) {
-				defer grp.Done()
-				epoch, fill, err := e.resolve(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, priority, dst[i*bs:(i+1)*bs])
-				switch {
-				case err != nil:
-					op.fail(err)
-				case fill:
-					op.gather(i, count, epoch)
-				}
-			})
-		}
-		grp.Wait(p)
+	grp := sim.NewGroup(e.k)
+	for i := 0; i < count; i++ {
+		grp.Add(1)
+		e.k.Go("read", func(q *sim.Proc) {
+			defer grp.Done()
+			epoch, fill, err := e.resolve(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, priority, dst[i*bs:(i+1)*bs])
+			switch {
+			case err != nil:
+				op.fail(err)
+			case fill:
+				op.gather(i, count, epoch)
+			}
+		})
 	}
+	grp.Wait(p)
 	if op.err != nil {
 		return op.err
 	}
@@ -772,7 +763,16 @@ func (e *Engine) resolve(p *sim.Proc, key cache.Key, priority int, dst []byte) (
 	if err != nil {
 		return 0, false, err
 	}
-	return epoch, e.settle(p, key, epoch, resp, priority, dst), nil
+	if resp.Data == nil {
+		e.stats.DiskReads++
+		return epoch, true, nil
+	}
+	e.stats.PeerFetches++
+	if !resp.NoCache { // a dirty owner forwarded it: serve, do not install
+		e.install(p, key, epoch, resp.Data, priority)
+	}
+	copy(dst, resp.Data)
+	return epoch, false, nil
 }
 
 // ask sends key's directory request (method is coh.gets, coh.getx or
@@ -801,23 +801,6 @@ func (e *Engine) ask(p *sim.Proc, method string, key cache.Key, epoch uint64) (d
 			return dirResp{}, fmt.Errorf("coherence: %s for %v: redirect loop", method, key)
 		}
 	}
-}
-
-// settle applies one block's directory answer. An answer that carries a
-// peer's copy is served into dst and, unless a dirty owner forwarded it
-// (NoCache), installed; an answer without data means the backing store is
-// current, and settle reports true: the block joins the op's gather.
-func (e *Engine) settle(p *sim.Proc, key cache.Key, epoch uint64, resp dirResp, priority int, dst []byte) (fill bool) {
-	if resp.Data == nil {
-		e.stats.DiskReads++
-		return true
-	}
-	e.stats.PeerFetches++
-	if !resp.NoCache {
-		e.install(p, key, epoch, resp.Data, priority)
-	}
-	copy(dst, resp.Data)
-	return false
 }
 
 // install caches data, which the cache keeps, as key's Shared copy — unless
@@ -932,11 +915,10 @@ func (e *Engine) FetchBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, e
 	return data, nil
 }
 
-// Writes are run-granular too. WriteRun is the one client entry point: on
-// the per-key plane every block of the run takes the exclusive grant and
-// installs on a process of its own (WriteBlockR); on the batched plane the
-// run is one vector (writeVector, batched.go). Either way a block's
-// Modified copy is installed by installModified and nowhere else.
+// Writes are run-granular too. WriteRun is the one client entry point:
+// every block of the run takes the exclusive grant and installs on a
+// process of its own (WriteBlockR). A block's Modified copy is installed by
+// installModified and nowhere else.
 
 // WriteRun stores data, a whole number of blocks, as the run of consecutive
 // blocks of vol that starts at lba: a client op. The write is acknowledged
@@ -951,15 +933,6 @@ func (e *Engine) WriteRun(p *sim.Proc, vol string, lba int64, data []byte, prior
 		return fmt.Errorf("coherence: write of %d bytes, block size %d", len(data), bs)
 	}
 	count := len(data) / bs
-	if e.batched {
-		keys := make([]cache.Key, count)
-		blocks := make([][]byte, count)
-		for i := range keys {
-			keys[i] = cache.Key{Vol: vol, LBA: lba + int64(i)}
-			blocks[i] = data[i*bs : (i+1)*bs]
-		}
-		return e.writeVector(p, keys, blocks, priority, replFactor)
-	}
 	grp := sim.NewGroup(e.k)
 	var firstErr error
 	for i := 0; i < count; i++ {
@@ -982,8 +955,8 @@ func (e *Engine) WriteBlock(p *sim.Proc, key cache.Key, data []byte, priority in
 	return e.WriteBlockR(p, key, data, priority, 0)
 }
 
-// WriteBlockR is WriteBlock with an explicit replication factor. It is the
-// per-key plane's write of one block: take the exclusive grant, install.
+// WriteBlockR is WriteBlock with an explicit replication factor: take the
+// exclusive grant, install.
 func (e *Engine) WriteBlockR(p *sim.Proc, key cache.Key, data []byte, priority, replFactor int) error {
 	if e.down {
 		return fmt.Errorf("coherence: blade %d down", e.self)

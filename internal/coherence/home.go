@@ -283,7 +283,7 @@ func (e *Engine) handleInvM(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	return invMResp{Gone: e.surrender(p, req.Key)}, ctrlSize
 }
 
-// surrender gives up this blade's Modified copy of key (both InvM planes).
+// surrender gives up this blade's Modified copy of key.
 // A destage that succeeds releases the block's replicas exactly as the
 // flusher and makeRoom do: a replica left at the buddy would outlive the
 // copy it protects, and when this blade later died recovery would replay it

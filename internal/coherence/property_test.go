@@ -33,6 +33,10 @@ func wval(key, seq int) []byte {
 	return b
 }
 
+// readRunLens are the run lengths the schedules' reads draw from: short
+// ones, the block workloads' 4 and the stream's 64.
+var readRunLens = []int{1, 2, 3, 4, 4, 5, 6, 64}
+
 func TestPropertyMixedSchedulesWithMigration(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 7, 11, 42, 99, 1234, 2024, 31337, 98765}
 	for _, seed := range seeds {

@@ -12,12 +12,8 @@ import (
 // maximal run of blocks the backing store must supply, then one install per
 // block under that block's own guards. These tests drive the window between
 // a block's directory answer and its install — 2 ms wide here, the backing
-// store's delay — on both protocol planes.
-
-func onBothPlanes(t *testing.T, body func(t *testing.T, batched bool)) {
-	t.Run("per-key", func(t *testing.T) { body(t, false) })
-	t.Run("batched", func(t *testing.T) { body(t, true) })
-}
+// store's delay. Each body runs as the "per-key" subtest, named for the
+// protocol: the directory grants and the cache installs one key at a time.
 
 // A writer on the reader's own blade installs Modified while the run's
 // backing read is in flight. The home sends the requester's own blade no
@@ -25,9 +21,8 @@ func onBothPlanes(t *testing.T, body func(t *testing.T, batched bool)) {
 // present and leave it, or the older disk data would replace an
 // acknowledged write. The rest of the run installs.
 func TestRunReadKeepsLocalWriterInstalledMidRead(t *testing.T) {
-	onBothPlanes(t, func(t *testing.T, batched bool) {
+	t.Run("per-key", func(t *testing.T) {
 		h := newHarness(1, 2, 64)
-		h.setBatched(batched)
 		for i := int64(0); i < 8; i++ {
 			h.backing.data[kb(i)] = blk(byte(10 + i))
 		}
@@ -69,9 +64,8 @@ func TestRunReadKeepsLocalWriterInstalledMidRead(t *testing.T) {
 // back to the directory and finds the new data — while the rest of the run
 // installs.
 func TestRunReadSkipsBlockInvalidatedMidRead(t *testing.T) {
-	onBothPlanes(t, func(t *testing.T, batched bool) {
+	t.Run("per-key", func(t *testing.T) {
 		h := newHarness(1, 2, 64)
-		h.setBatched(batched)
 		for i := int64(0); i < 8; i++ {
 			h.backing.data[kb(i)] = blk(byte(10 + i))
 		}
@@ -109,9 +103,8 @@ func TestRunReadSkipsBlockInvalidatedMidRead(t *testing.T) {
 // Blocks already cached split a run: with every 8th of 64 blocks resident,
 // the backing store sees the eight 7-block runs between them, each once.
 func TestRunReadSplitsAroundCachedBlocks(t *testing.T) {
-	onBothPlanes(t, func(t *testing.T, batched bool) {
+	t.Run("per-key", func(t *testing.T) {
 		h := newHarness(1, 2, 128)
-		h.setBatched(batched)
 		for i := int64(0); i < 64; i++ {
 			h.backing.data[kb(i)] = blk(byte(100 + i))
 		}
@@ -155,9 +148,8 @@ func TestRunReadSplitsAroundCachedBlocks(t *testing.T) {
 // A backing error on one run fails the op, and nothing of that run is
 // installed: its buffer holds no data anyone may serve.
 func TestRunReadBackingErrorInstallsNothingOfThatRun(t *testing.T) {
-	onBothPlanes(t, func(t *testing.T, batched bool) {
+	t.Run("per-key", func(t *testing.T) {
 		h := newHarness(1, 2, 64)
-		h.setBatched(batched)
 		for i := int64(0); i < 16; i++ {
 			h.backing.data[kb(i)] = blk(byte(1 + i))
 		}

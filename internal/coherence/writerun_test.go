@@ -11,7 +11,7 @@ import (
 )
 
 // putRun stores vals as the run of blocks that starts at lba through e as
-// one op — WriteRun is the client write entry point of both planes.
+// one op — WriteRun is the client write entry point.
 func putRun(p *sim.Proc, e *Engine, lba int64, vals [][]byte) error {
 	data := make([]byte, 0, len(vals)*blockSize)
 	for _, v := range vals {
@@ -20,22 +20,21 @@ func putRun(p *sim.Proc, e *Engine, lba int64, vals [][]byte) error {
 	return e.WriteRun(p, kb(lba).Vol, lba, data, 0, 0)
 }
 
-// TestWriteRunBothPlanes drives the same seeded script of overlapping
-// WriteRun / ReadRun ops from three engines through each plane, with a home
-// migration (one engine then forgets the new address, so it has to follow a
-// Redirect) and an ownership steal between a grant and its install forced
-// mid-run. Every read and the final read-back match a model map, and each
-// engine's Stats().Writes equals the blocks it wrote: the steal fallback of
-// the batched plane hands the block to the per-key loop, which counts it
-// again, so the vector's count has to be taken back first.
+// TestWriteRunBothPlanes drives a seeded script of overlapping WriteRun /
+// ReadRun ops from three engines, with a home migration (one engine then
+// forgets the new address, so it has to follow a Redirect) and an ownership
+// steal between a grant and its install forced mid-run. Every read and the
+// final read-back match a model map, and each engine's Stats().Writes equals
+// the blocks it wrote. The cases run under the "per-key" subtest, as in
+// runread_test.go.
 func TestWriteRunBothPlanes(t *testing.T) {
-	onBothPlanes(t, func(t *testing.T, batched bool) {
-		t.Run("script", func(t *testing.T) { runWriteRunScript(t, batched) })
-		t.Run("redirect-loop", func(t *testing.T) { runRedirectLoop(t, batched) })
+	t.Run("per-key", func(t *testing.T) {
+		t.Run("script", runWriteRunScript)
+		t.Run("redirect-loop", runRedirectLoop)
 	})
 }
 
-func runWriteRunScript(t *testing.T, batched bool) {
+func runWriteRunScript(t *testing.T) {
 	const (
 		blades      = 3
 		cacheBlocks = 8
@@ -44,7 +43,6 @@ func runWriteRunScript(t *testing.T, batched bool) {
 		far         = 100 // the steal's cache filler lives away from the script's keys
 	)
 	h := newHarness(7, blades, cacheBlocks)
-	h.setBatched(batched)
 	h.net.Connect("ctl", "fabric", simnet.FC2G)
 	ctl := simnet.NewConn(h.net, "ctl")
 	rng := rand.New(rand.NewSource(7 * 31))
@@ -148,11 +146,10 @@ func runWriteRunScript(t *testing.T, batched bool) {
 }
 
 // A key whose homes forward to each other in a ring can never be granted:
-// after len(peers)+8 redirects the shared helper of each plane gives up, and
-// both entry points surface its error.
-func runRedirectLoop(t *testing.T, batched bool) {
+// after len(peers)+8 redirects ask gives up, and both entry points surface
+// its error.
+func runRedirectLoop(t *testing.T) {
 	h := newHarness(1, 3, 8)
-	h.setBatched(batched)
 	for i, e := range h.engines {
 		e.forward[kb(5)] = (i + 1) % len(h.engines)
 	}

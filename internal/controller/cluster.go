@@ -75,12 +75,6 @@ type Config struct {
 	// every disk and every blade's CPU. The subsystem starts disabled;
 	// flip it with Cluster.QoS.SetEnabled (yottactl `qos on`).
 	QoS *qos.Config
-	// FabricBatch enables the batched fabric plane at construction:
-	// frame coalescing on every blade's RPC connection (the simnet default
-	// policy: 10 µs window, 16 messages, 64 KiB) plus the vectorized
-	// coherence protocol for client ops. Toggle at runtime with
-	// Cluster.SetFabricBatch (yottactl `batch on|off`).
-	FabricBatch bool
 }
 
 // DefaultConfig returns a mid-size lab configuration: 4 blades, RAID-5
@@ -268,28 +262,8 @@ func New(k *sim.Kernel, cfg Config) (*Cluster, error) {
 	if cfg.FabricFaults != nil {
 		c.SetFaultPlan(*cfg.FabricFaults)
 	}
-	if cfg.FabricBatch {
-		c.SetFabricBatch(true)
-	}
 	c.registerTelemetry()
 	return c, nil
-}
-
-// SetFabricBatch flips the batched fabric plane on every blade: frame
-// coalescing on the RPC connection and the vectorized coherence protocol
-// for client reads/writes. Turning it off flushes any queued frames, so
-// the toggle is safe mid-run (yottactl `batch on|off`).
-func (c *Cluster) SetFabricBatch(on bool) {
-	for _, b := range c.Blades {
-		b.Conn.SetBatching(on, simnet.BatchPolicy{})
-		b.Engine.SetBatched(on)
-	}
-}
-
-// FabricBatched reports whether the batched fabric plane is active (the
-// blades toggle together, so blade 0 speaks for the cluster).
-func (c *Cluster) FabricBatched() bool {
-	return len(c.Blades) > 0 && c.Blades[0].Engine.Batched()
 }
 
 // registerTelemetry builds the cluster's named registry: cluster-level

@@ -143,46 +143,43 @@ func TestBladeFailureLosesNothingWithReplication(t *testing.T) {
 // is replayed by recovery when the old owner later dies — over the newer
 // data the new owner has destaged since.
 func TestStaleReplicaNotReplayedAfterOwnershipTransfer(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		c, k := newTestCluster(t, 1, func(cfg *Config) {
-			cfg.ReplicationN = 2
-			cfg.FlushInterval = 10 * sim.Second // only FlushAll destages
-			cfg.FabricBatch = batched
-		})
-		c.Pool.CreateDMSD("vol", 64)
-		v1, v2 := pattern(512, 1), pattern(512, 2)
-		run(k, func(p *sim.Proc) {
-			if err := c.Write(p, c.Blade(0), "vol", 7, v1, 0); err != nil {
-				t.Errorf("batched=%v: write v1: %v", batched, err)
-				return
+	c, k := newTestCluster(t, 1, func(cfg *Config) {
+		cfg.ReplicationN = 2
+		cfg.FlushInterval = 10 * sim.Second // only FlushAll destages
+	})
+	defer c.Stop()
+	c.Pool.CreateDMSD("vol", 64)
+	v1, v2 := pattern(512, 1), pattern(512, 2)
+	run(k, func(p *sim.Proc) {
+		if err := c.Write(p, c.Blade(0), "vol", 7, v1, 0); err != nil {
+			t.Errorf("write v1: %v", err)
+			return
+		}
+		if err := c.Write(p, c.Blade(2), "vol", 7, v2, 0); err != nil {
+			t.Errorf("write v2: %v", err)
+			return
+		}
+		c.FlushAll(p)
+		// Replica drops are fire-and-forget: let them land.
+		p.Sleep(sim.Millisecond)
+		for _, b := range c.Blades {
+			if n := b.Repl.HeldBlocks(); n != 0 {
+				t.Errorf("blade %d still holds %d replicas of fully destaged data", b.ID, n)
 			}
-			if err := c.Write(p, c.Blade(2), "vol", 7, v2, 0); err != nil {
-				t.Errorf("batched=%v: write v2: %v", batched, err)
-				return
-			}
-			c.FlushAll(p)
-			// Replica drops are fire-and-forget: let them land.
-			p.Sleep(sim.Millisecond)
-			for _, b := range c.Blades {
-				if n := b.Repl.HeldBlocks(); n != 0 {
-					t.Errorf("batched=%v: blade %d still holds %d replicas of fully destaged data", batched, b.ID, n)
-				}
-			}
-			if err := c.FailBlade(p, 0); err != nil {
-				t.Errorf("batched=%v: fail blade: %v", batched, err)
-				return
-			}
-			got, err := c.Read(p, c.Blade(1), "vol", 7, 1, 0)
-			if err != nil {
-				t.Errorf("batched=%v: read after failure: %v", batched, err)
-				return
-			}
-			if !bytes.Equal(got, v2) {
-				t.Errorf("batched=%v: acknowledged write lost: recovery replayed the old owner's stale replica", batched)
-			}
-		})
-		c.Stop()
-	}
+		}
+		if err := c.FailBlade(p, 0); err != nil {
+			t.Errorf("fail blade: %v", err)
+			return
+		}
+		got, err := c.Read(p, c.Blade(1), "vol", 7, 1, 0)
+		if err != nil {
+			t.Errorf("read after failure: %v", err)
+			return
+		}
+		if !bytes.Equal(got, v2) {
+			t.Error("acknowledged write lost: recovery replayed the old owner's stale replica")
+		}
+	})
 }
 
 func TestBladeFailureWithoutReplicationLosesDirtyData(t *testing.T) {
@@ -378,67 +375,64 @@ func TestNoLossUnderSingleFailureProperty(t *testing.T) {
 func TestPropertyNoLossAcrossTransferFlushKill(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 7, 11, 42, 99, 1234, 2024, 31337, 98765}
 	for _, seed := range seeds {
-		for _, batched := range []bool{false, true} {
-			c, k := newTestCluster(t, seed, func(cfg *Config) {
-				cfg.ReplicationN = 2
-				cfg.FlushInterval = 10 * sim.Second // only the schedule's FlushAll destages
-				cfg.FabricBatch = batched
-			})
-			c.Pool.CreateDMSD("vol", 64)
-			rng := rand.New(rand.NewSource(seed * 7919))
-			shadow := make(map[int64]byte)
-			run(k, func(p *sim.Proc) {
-				for i := 0; i < 80; i++ {
-					if rng.Intn(6) == 0 {
-						c.FlushAll(p)
-						continue
-					}
-					if n := []int{0, 0, 0, 4, 64}[rng.Intn(5)]; n > 0 {
-						// A run read over the contended blocks (and, at 64,
-						// the never-written ones after them): dirty owners
-						// forward, the rest comes off the disks in one run.
-						at := int64(rng.Intn(8 - n%8))
-						got, err := c.Read(p, c.Blade(rng.Intn(4)), "vol", at, n, 0)
-						if err != nil {
-							t.Errorf("seed %d batched=%v: read %d+%d: %v", seed, batched, at, n, err)
-							return
-						}
-						for j := 0; j < n; j++ {
-							if want := shadow[at+int64(j)]; got[j*512] != want {
-								t.Errorf("seed %d batched=%v: op %d read block %d = %d, want last acked %d",
-									seed, batched, i, at+int64(j), got[j*512], want)
-							}
-						}
-						continue
-					}
-					// Eight blocks under four blades: most writes take
-					// ownership away from another blade's dirty copy.
-					lba, val := int64(rng.Intn(8)), byte(i+1)
-					if err := c.Write(p, c.Blade(rng.Intn(4)), "vol", lba, bytes.Repeat([]byte{val}, 512), 0); err != nil {
-						t.Errorf("seed %d batched=%v: write %d: %v", seed, batched, i, err)
+		c, k := newTestCluster(t, seed, func(cfg *Config) {
+			cfg.ReplicationN = 2
+			cfg.FlushInterval = 10 * sim.Second // only the schedule's FlushAll destages
+		})
+		c.Pool.CreateDMSD("vol", 64)
+		rng := rand.New(rand.NewSource(seed * 7919))
+		shadow := make(map[int64]byte)
+		run(k, func(p *sim.Proc) {
+			for i := 0; i < 80; i++ {
+				if rng.Intn(6) == 0 {
+					c.FlushAll(p)
+					continue
+				}
+				if n := []int{0, 0, 0, 4, 64}[rng.Intn(5)]; n > 0 {
+					// A run read over the contended blocks (and, at 64,
+					// the never-written ones after them): dirty owners
+					// forward, the rest comes off the disks in one run.
+					at := int64(rng.Intn(8 - n%8))
+					got, err := c.Read(p, c.Blade(rng.Intn(4)), "vol", at, n, 0)
+					if err != nil {
+						t.Errorf("seed %d: read %d+%d: %v", seed, at, n, err)
 						return
 					}
-					shadow[lba] = val
+					for j := 0; j < n; j++ {
+						if want := shadow[at+int64(j)]; got[j*512] != want {
+							t.Errorf("seed %d: op %d read block %d = %d, want last acked %d",
+								seed, i, at+int64(j), got[j*512], want)
+						}
+					}
+					continue
 				}
-				dead := rng.Intn(4)
-				if err := c.FailBlade(p, dead); err != nil {
-					t.Errorf("seed %d batched=%v: fail blade %d: %v", seed, batched, dead, err)
+				// Eight blocks under four blades: most writes take
+				// ownership away from another blade's dirty copy.
+				lba, val := int64(rng.Intn(8)), byte(i+1)
+				if err := c.Write(p, c.Blade(rng.Intn(4)), "vol", lba, bytes.Repeat([]byte{val}, 512), 0); err != nil {
+					t.Errorf("seed %d: write %d: %v", seed, i, err)
 					return
 				}
-				for lba := int64(0); lba < 8; lba++ {
-					val, written := shadow[lba]
-					if !written {
-						continue
-					}
-					got, err := c.Read(p, c.PickBlade(), "vol", lba, 1, 0)
-					if err != nil || got[0] != val {
-						t.Errorf("seed %d batched=%v: block %d after killing blade %d = %d (%v), want last acked %d",
-							seed, batched, lba, dead, got[0], err, val)
-					}
+				shadow[lba] = val
+			}
+			dead := rng.Intn(4)
+			if err := c.FailBlade(p, dead); err != nil {
+				t.Errorf("seed %d: fail blade %d: %v", seed, dead, err)
+				return
+			}
+			for lba := int64(0); lba < 8; lba++ {
+				val, written := shadow[lba]
+				if !written {
+					continue
 				}
-			})
-			c.Stop()
-		}
+				got, err := c.Read(p, c.PickBlade(), "vol", lba, 1, 0)
+				if err != nil || got[0] != val {
+					t.Errorf("seed %d: block %d after killing blade %d = %d (%v), want last acked %d",
+						seed, lba, dead, got[0], err, val)
+				}
+			}
+		})
+		c.Stop()
 	}
 }
 
@@ -447,47 +441,44 @@ func TestPropertyNoLossAcrossTransferFlushKill(t *testing.T) {
 // has the backing store supply, no cache hit — and one I/O to each member
 // disk of the one RAID group under its extents.
 func TestCold64BlockReadIsOneIOPerMemberDisk(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		c, k := newTestCluster(t, 1, func(cfg *Config) {
-			cfg.ExtentBlocks = 64
-			cfg.FabricBatch = batched
-		})
-		vol, err := c.Pool.CreateDMSD("vol", 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := func(pattern string) (n int64) {
-			for _, name := range c.Reg.Match(pattern) {
-				v, _ := c.Reg.Value(name)
-				n += int64(v)
-			}
-			return n
-		}
-		data := pattern(64*512, 9)
-		run(k, func(p *sim.Proc) {
-			if err := vol.Write(p, 64, data); err != nil { // below the caches: they stay cold
-				t.Fatalf("prefill: %v", err)
-			}
-			diskReads, cohDisk, dirReqs, hits := sum("disk/*/reads"), sum("blade/*/coh/disk_reads"), sum("blade/*/coh/dir_requests"), sum("blade/*/cache/hits")
-			got, err := c.Read(p, c.Blade(1), "vol", 64, 64, 0)
-			if err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("batched=%v: cold read: err %v, data equal %v", batched, err, bytes.Equal(got, data))
-			}
-			if n := sum("disk/*/reads") - diskReads; n != int64(c.Cfg.DisksPerGroup) {
-				t.Errorf("batched=%v: %d disk reads, want one per member disk = %d", batched, n, c.Cfg.DisksPerGroup)
-			}
-			if n := sum("blade/*/coh/disk_reads") - cohDisk; n != 64 {
-				t.Errorf("batched=%v: coh/disk_reads moved by %d, want 64", batched, n)
-			}
-			if n := sum("blade/*/coh/dir_requests") - dirReqs; n != 64 {
-				t.Errorf("batched=%v: coh/dir_requests moved by %d, want 64", batched, n)
-			}
-			if n := sum("blade/*/cache/hits") - hits; n != 0 {
-				t.Errorf("batched=%v: %d cache hits on a cold read", batched, n)
-			}
-		})
-		c.Stop()
+	c, k := newTestCluster(t, 1, func(cfg *Config) {
+		cfg.ExtentBlocks = 64
+	})
+	defer c.Stop()
+	vol, err := c.Pool.CreateDMSD("vol", 8)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sum := func(pattern string) (n int64) {
+		for _, name := range c.Reg.Match(pattern) {
+			v, _ := c.Reg.Value(name)
+			n += int64(v)
+		}
+		return n
+	}
+	data := pattern(64*512, 9)
+	run(k, func(p *sim.Proc) {
+		if err := vol.Write(p, 64, data); err != nil { // below the caches: they stay cold
+			t.Fatalf("prefill: %v", err)
+		}
+		diskReads, cohDisk, dirReqs, hits := sum("disk/*/reads"), sum("blade/*/coh/disk_reads"), sum("blade/*/coh/dir_requests"), sum("blade/*/cache/hits")
+		got, err := c.Read(p, c.Blade(1), "vol", 64, 64, 0)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("cold read: err %v, data equal %v", err, bytes.Equal(got, data))
+		}
+		if n := sum("disk/*/reads") - diskReads; n != int64(c.Cfg.DisksPerGroup) {
+			t.Errorf("%d disk reads, want one per member disk = %d", n, c.Cfg.DisksPerGroup)
+		}
+		if n := sum("blade/*/coh/disk_reads") - cohDisk; n != 64 {
+			t.Errorf("coh/disk_reads moved by %d, want 64", n)
+		}
+		if n := sum("blade/*/coh/dir_requests") - dirReqs; n != 64 {
+			t.Errorf("coh/dir_requests moved by %d, want 64", n)
+		}
+		if n := sum("blade/*/cache/hits") - hits; n != 0 {
+			t.Errorf("%d cache hits on a cold read", n)
+		}
+	})
 }
 
 func TestRAID6ClusterConfig(t *testing.T) {

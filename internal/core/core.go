@@ -110,12 +110,6 @@ type Options struct {
 	// subsystem starts disabled; System.QoS.SetEnabled (yottactl `qos on`)
 	// flips it.
 	QoS *qos.Config
-	// FabricBatch enables the batched fabric plane from construction:
-	// frame coalescing on every blade's RPC connection plus vectorized
-	// coherence ops. Off by default — the unbatched plane is bit-exact
-	// with prior builds; toggle at runtime with Cluster.SetFabricBatch
-	// (yottactl `batch on|off`).
-	FabricBatch bool
 	// Gateway, when non-nil, builds the S3-style object plane
 	// (System.Gateway): an object API over the file system with yig's
 	// three-tier split — in-memory IAM over System.Auth, a shardable
@@ -184,7 +178,6 @@ func NewSystemOn(k *sim.Kernel, opts Options) (*System, error) {
 	cfg.FabricRetry = opts.FabricRetry
 	cfg.FabricFaults = opts.FabricFaults
 	cfg.QoS = opts.QoS
-	cfg.FabricBatch = opts.FabricBatch
 	var tracer *trace.Tracer
 	if opts.Trace {
 		tracer = trace.NewTracer(k)

@@ -20,13 +20,11 @@ import (
 // collapse into overlap instead of double-counting, and the ops are split
 // into median (≤p50) and tail (≥p99) cohorts so the table shows which
 // phase's share grows when an op lands in the tail. CP1 runs the canonical
-// workload on the unbatched plane (B6 runs it on both); CP2 re-runs the E14
-// PI-governor arm with tracing on during the loaded phase only, so the
-// attribution isolates behavior under the scrub aggressor. Same seed →
-// byte-identical tables.
+// workload; CP2 re-runs the E14 PI-governor arm with tracing on during the
+// loaded phase only, so the attribution isolates behavior under the scrub
+// aggressor. Same seed → byte-identical tables.
 
-// Canonical workload shape, shared by CP1 and B6 so their numbers
-// describe the same run.
+// Canonical workload shape.
 const (
 	snapBlades  = 8
 	snapClients = 32
@@ -36,14 +34,13 @@ const (
 
 // canonicalTraced runs the canonical workload — an 8-blade cluster under
 // a mixed read/write closed loop, warmed 2s untraced then measured 2s
-// traced — and returns the traced window's workload result plus the
-// tracer holding its span log. Deterministic per seed. The caller closes
-// the kernel once it has read the tracer: Close unwinds the ops still in
-// flight, and their deferred span ends would land in the span log.
-func canonicalTraced(seed int64, batched bool) (*sim.Kernel, *workload.Runner, *trace.Tracer) {
+// traced — and returns the tracer holding the traced window's span log.
+// Deterministic per seed. The caller closes the kernel once it has read
+// the tracer: Close unwinds the ops still in flight, and their deferred
+// span ends would land in the span log.
+func canonicalTraced(seed int64) (*sim.Kernel, *trace.Tracer) {
 	k := sim.NewKernel(seed)
 	cfg := clusterConfig(snapBlades)
-	cfg.FabricBatch = batched
 	tracer := trace.NewTracer(k)
 	cfg.Tracer = tracer
 	c, err := controller.New(k, cfg)
@@ -63,15 +60,15 @@ func canonicalTraced(seed int64, batched bool) (*sim.Kernel, *workload.Runner, *
 	// Warm untraced, then measure traced.
 	runWorkload(k, snapClients, 2*sim.Second, target, pat)
 	tracer.SetEnabled(true)
-	r := runWorkload(k, snapClients, snapDur, target, pat)
+	runWorkload(k, snapClients, snapDur, target, pat)
 	tracer.SetEnabled(false)
-	return k, r, tracer
+	return k, tracer
 }
 
 // RunCritPath analyzes the canonical workload's span DAG under one seed.
 // Deterministic per seed.
 func RunCritPath(seed int64) *critpath.Analysis {
-	k, _, tracer := canonicalTraced(seed, false)
+	k, tracer := canonicalTraced(seed)
 	defer k.Close()
 	return critpath.FromTracer(tracer)
 }
@@ -108,20 +105,4 @@ func CP1(seed int64) *metrics.Table {
 func CP2(seed int64) *metrics.Table {
 	return cpTable("CP2 — critical-path tail diagnosis: E14 PI arm under scrub aggressor (loaded phase)",
 		RunCritPathE14(seed))
-}
-
-// B6 runs the canonical workload on the unbatched fabric plane and again
-// with FabricBatch on — the comparison ROADMAP item 3 needs to pick one.
-func B6(seed int64) *metrics.Table {
-	tab := metrics.NewTable("B6 — canonical workload: unbatched vs batched fabric plane",
-		"plane", "ops", "op p99 ms", "fabric p99 ms")
-	for _, plane := range []string{"unbatched", "batched"} {
-		k, r, tracer := canonicalTraced(seed, plane == "batched")
-		tab.AddRow(plane, r.Ops, fmtDur(r.Latency.P99()),
-			fmtDur(tracer.PhaseHistogram(trace.Fabric).P99()))
-		k.Close()
-	}
-	tab.AddNote("%d blades, %d closed-loop clients, uniform 4-block ops, 25%% writes, 2 s warm + 2 s traced",
-		snapBlades, snapClients)
-	return tab
 }

@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction of every quantitative
-// claim in the paper, one function per experiment (E1–E16, CP1–CP2, B6 and
+// claim in the paper, one function per experiment (E1–E16, CP1–CP2 and
 // A1–A4 in DESIGN.md). Each function builds its own simulated system(s),
 // runs the workload, closes every kernel it made, and returns the result
 // table; cmd/benchrunner's table is the one list of them.

@@ -14,12 +14,10 @@ import (
 )
 
 // goldenTraceJSONL runs a small deterministic mixed workload on a 4-blade
-// cluster with frame batching left off and returns the traced span log as
-// JSONL bytes. The working set (256 blocks) fits far inside each blade's
-// cache (4096 blocks), so no capacity evictions occur and the traced window
-// exercises the synchronous RPC surface (gets/getx/inv/invm/downgrade/fetch
-// plus replication pushes) whose timing the batching-off path must leave
-// untouched.
+// cluster and returns the traced span log as JSONL bytes. The working set
+// (256 blocks) fits far inside each blade's cache (4096 blocks), so no
+// capacity evictions occur and the traced window exercises the synchronous
+// RPC surface: gets/getx/inv/invm/downgrade/fetch plus replication pushes.
 func goldenTraceJSONL(seed int64) []byte {
 	const (
 		blades  = 4
@@ -56,13 +54,13 @@ func goldenTraceJSONL(seed int64) []byte {
 	return buf.Bytes()
 }
 
-// TestTraceGoldenUnbatched pins the batching-off trace to a golden file
-// generated before frame coalescing existed: with FabricBatch disabled the
-// fabric must stay byte-identical to the per-message build, same-seed.
-// Regenerate (only when intentionally changing pre-batching behavior) with
+// TestTraceGolden pins the seed-42 trace to a golden file: any change to
+// the simulated event order of the protocol, the fabric, replication or
+// the disks shows up here, span by span. Regenerate (only when a change
+// moves simulated time on purpose, with the reason recorded) with
 //
-//	GOLDEN=rewrite go test ./internal/experiments -run TestTraceGoldenUnbatched
-func TestTraceGoldenUnbatched(t *testing.T) {
+//	GOLDEN=rewrite go test ./internal/experiments -run TestTraceGolden
+func TestTraceGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden trace run exceeds -short budget")
 	}
