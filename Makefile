@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race verify loc bench-e2e bench-layers bench-pair experiments fuzz-smoke
+.PHONY: all build vet test race verify loc bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
 
 all: verify
 
@@ -41,6 +41,13 @@ bench-layers:
 # experiments regenerates every table in EXPERIMENTS.md on stdout.
 experiments:
 	$(GO) run ./cmd/benchrunner
+
+# experiments-diff runs benchrunner on BASE (any git revision) and on the
+# working tree and fails, printing diff -u, unless the tables are
+# byte-identical; ONLY restricts both runs to a list of ids:
+#   make experiments-diff BASE=HEAD~1 ONLY=E5,E13Q,A1
+experiments-diff:
+	bash scripts/tables.sh $(BASE) $(ONLY)
 
 # fuzz-smoke runs each native fuzz target briefly (FUZZTIME per target) —
 # a coverage-guided shakeout of the erasure-code math and the cache

@@ -40,9 +40,9 @@ var runners = []struct {
 	{"E14", "governor step response: halve/double vs per-tenant PI control", experiments.E14},
 	{"E14Q", "reduced-scale governor step-response smoke (CI)", experiments.E14Q},
 	{"E15", "hot-key cache tier vs home migration under shifting Zipf skew", experiments.E15},
-	{"E15Q", "reduced-scale cache-tier crossover smoke (CI)", experiments.E15Quick},
+	{"E15Q", "reduced-scale cache-tier crossover smoke (CI)", experiments.E15Q},
 	{"E16", "object gateway: metadata sharding moves the saturation ceiling", experiments.E16},
-	{"E16Q", "reduced-scale gateway shard-scaling smoke (CI)", experiments.E16Quick},
+	{"E16Q", "reduced-scale gateway shard-scaling smoke (CI)", experiments.E16Q},
 	{"CP1", "critical-path tail diagnosis: canonical workload", experiments.CP1},
 	{"CP2", "critical-path tail diagnosis: E14 PI arm under scrub load", experiments.CP2},
 	{"A1", "ablation: remote-read prefetch on/off", experiments.A1Prefetch},

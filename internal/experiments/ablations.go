@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/georepl"
 	"repro/internal/metrics"
 	"repro/internal/pfs"
@@ -17,20 +15,11 @@ func A1Prefetch(seed int64) *metrics.Table {
 	tab := metrics.NewTable("A1 — ablation: remote-read prefetch (40 ms one-way WAN)",
 		"prefetch", "read 1 ms", "read 2 ms", "read 3 ms", "WAN fetches")
 	for _, prefetch := range []int64{0, 256 << 10} {
-		gs, err := core.NewGeoSystem(seed, core.GeoOptions{
-			Sites:     []string{"A", "B"},
-			WANOneWay: 40 * sim.Millisecond,
-			SiteOptions: func(string) core.Options {
-				return core.Options{DiskSpec: labDisk(), Disks: 12, DisksPerGroup: 6}
-			},
-			Geo: georepl.Config{PrefetchBytes: max(prefetch, 1), HotThreshold: 1000}, // 1 byte ≈ off
-		})
-		if err != nil {
-			panic(err)
-		}
+		gs := twoSites(seed, 40*sim.Millisecond,
+			georepl.Config{PrefetchBytes: max(prefetch, 1), HotThreshold: 1000}) // 1 byte ≈ off
 		data := make([]byte, 128<<10)
 		var lat [3]sim.Duration
-		err = gs.Run(0, func(p *sim.Proc) error {
+		err := gs.Run(0, func(p *sim.Proc) error {
 			a, b := gs.Site("A"), gs.Site("B")
 			if err := a.Create(p, "/f", pfs.Policy{}); err != nil {
 				return err
@@ -76,23 +65,14 @@ func A2PeerFetch(seed int64) *metrics.Table {
 		ws      = 2 << 10
 	)
 	for _, off := range []bool{true, false} {
-		k := sim.NewKernel(seed)
 		cfg := clusterConfig(4)
 		cfg.NoPeerFetch = off
-		c, err := controller.New(k, cfg)
-		if err != nil {
-			panic(err)
-		}
-		c.Pool.CreateDMSD("hot", 1<<20)
-		target := &core.VolumeTarget{Cluster: c, Vol: "hot"}
-		if err := prefillVolume(k, c, "hot", ws); err != nil {
-			panic(err)
-		}
-		r := runWorkload(k, clients, dur, target, func(int) workload.Pattern {
+		l := newLab(seed, cfg, "hot", ws)
+		r := l.run(clients, dur, func(int) workload.Pattern {
 			return &workload.Zipf{Range: ws, S: 1.3, Blocks: 1}
 		})
 		var diskReads, peer int64
-		for _, b := range c.Blades {
+		for _, b := range l.c.Blades {
 			st := b.Engine.Stats()
 			diskReads += st.DiskReads
 			peer += st.PeerFetches
@@ -102,7 +82,7 @@ func A2PeerFetch(seed int64) *metrics.Table {
 			label = "off"
 		}
 		tab.AddRow(label, int64(float64(r.Ops)/dur.Seconds()), diskReads, peer, fmtDur(r.Latency.P99()))
-		k.Close()
+		l.close()
 	}
 	tab.AddNote("transfers let a block read from disk once serve all blades' caches")
 	return tab
@@ -114,34 +94,11 @@ func A3ReplicationCost(seed int64) *metrics.Table {
 	tab := metrics.NewTable("A3 — ablation: write latency vs cache-replication factor",
 		"N (copies)", "mean write ms", "p99 write ms")
 	for _, n := range []int{1, 2, 3, 4, 5} {
-		k := sim.NewKernel(seed)
 		cfg := clusterConfig(6)
 		cfg.ReplicationN = n
-		c, err := controller.New(k, cfg)
-		if err != nil {
-			panic(err)
-		}
-		c.Pool.CreateDMSD("v", 1<<20)
-		hist := metrics.NewHistogram()
-		done := false
-		k.Go("w", func(p *sim.Proc) {
-			blk := make([]byte, c.BlockSize())
-			for i := 0; i < 200; i++ {
-				t0 := p.Now()
-				if err := c.Write(p, c.Blade(i%6), "v", int64(i), blk, 0); err != nil {
-					panic(err)
-				}
-				hist.Observe(p.Now().Sub(t0))
-			}
-			done = true
-		})
-		for i := 0; !done && i < 1200; i++ {
-			k.RunFor(100 * sim.Millisecond)
-		}
-		k.Close()
-		if !done {
-			panic("A3 did not finish")
-		}
+		l := newLab(seed, cfg, "v", 0)
+		hist := writeLatency(l, "A3", 200, 1)
+		l.close()
 		tab.AddRow(n, fmtDur(hist.Mean()), fmtDur(hist.P99()))
 	}
 	tab.AddNote("each extra copy adds one more parallel fabric push before the ack (§6.1)")
@@ -155,46 +112,32 @@ func A4ReadAhead(seed int64) *metrics.Table {
 		"readahead", "scan MB/s", "mean ms/op", "prefetches")
 	const scanBlocks = 2048
 	for _, ra := range []int{0, 16} {
-		k := sim.NewKernel(seed)
 		cfg := clusterConfig(4)
 		cfg.ReadAhead = ra
-		c, err := controller.New(k, cfg)
-		if err != nil {
-			panic(err)
-		}
-		c.Pool.CreateDMSD("seq", 1<<20)
-		if err := prefillVolume(k, c, "seq", scanBlocks); err != nil {
-			panic(err)
-		}
+		l := newLab(seed, cfg, "seq", scanBlocks)
+		c := l.c
 		hist := metrics.NewHistogram()
 		var elapsed sim.Duration
-		done := false
-		k.Go("scan", func(p *sim.Proc) {
+		l.do("A4 scan", func(p *sim.Proc) error {
 			t0 := p.Now()
 			b := c.Blade(0)
 			for lba := int64(0); lba < scanBlocks; lba += 4 {
 				s0 := p.Now()
 				if _, err := c.Read(p, b, "seq", lba, 4, 0); err != nil {
-					panic(err)
+					return err
 				}
 				hist.Observe(p.Now().Sub(s0))
 			}
 			elapsed = p.Now().Sub(t0)
-			done = true
+			return nil
 		})
-		for i := 0; !done && i < 6000; i++ {
-			k.RunFor(100 * sim.Millisecond)
-		}
-		if !done {
-			panic("A4 scan did not finish")
-		}
 		var prefetches int64
 		for _, b := range c.Blades {
 			prefetches += b.Engine.Stats().Prefetches
 		}
 		mbps := float64(scanBlocks*4096) / elapsed.Seconds() / 1e6
 		tab.AddRow(ra, fmtF(mbps), fmtDur(hist.Mean()), prefetches)
-		k.Close()
+		l.close()
 	}
 	tab.AddNote("prefetch overlaps disk time with the host's consumption of earlier blocks")
 	return tab

@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/critpath"
 	"repro/internal/metrics"
 	"repro/internal/qos"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -34,52 +31,28 @@ const (
 
 // canonicalTraced runs the canonical workload — an 8-blade cluster under
 // a mixed read/write closed loop, warmed 2s untraced then measured 2s
-// traced — and returns the tracer holding the traced window's span log.
-// Deterministic per seed. The caller closes the kernel once it has read
-// the tracer: Close unwinds the ops still in flight, and their deferred
-// span ends would land in the span log.
-func canonicalTraced(seed int64) (*sim.Kernel, *trace.Tracer) {
-	k := sim.NewKernel(seed)
-	cfg := clusterConfig(snapBlades)
-	tracer := trace.NewTracer(k)
-	cfg.Tracer = tracer
-	c, err := controller.New(k, cfg)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := c.Pool.CreateDMSD("snap", 1<<20); err != nil {
-		panic(err)
-	}
-	target := &core.VolumeTarget{Cluster: c, Vol: "snap"}
-	if err := prefillVolume(k, c, "snap", snapWS); err != nil {
-		panic(err)
-	}
+// traced — and returns the lab whose tracer holds the traced window's
+// span log. Deterministic per seed. The caller closes the lab once it has
+// read the tracer.
+func canonicalTraced(seed int64) *lab {
+	l := newLab(seed, clusterConfig(snapBlades), "snap", snapWS)
 	pat := func(int) workload.Pattern {
 		return workload.Uniform{Range: snapWS, Blocks: 4, WriteFrac: 0.25}
 	}
 	// Warm untraced, then measure traced.
-	runWorkload(k, snapClients, 2*sim.Second, target, pat)
-	tracer.SetEnabled(true)
-	runWorkload(k, snapClients, snapDur, target, pat)
-	tracer.SetEnabled(false)
-	return k, tracer
+	l.run(snapClients, 2*sim.Second, pat)
+	l.tr.SetEnabled(true)
+	l.run(snapClients, snapDur, pat)
+	l.tr.SetEnabled(false)
+	return l
 }
 
-// RunCritPath analyzes the canonical workload's span DAG under one seed.
+// runCritPath analyzes the canonical workload's span DAG under one seed.
 // Deterministic per seed.
-func RunCritPath(seed int64) *critpath.Analysis {
-	k, tracer := canonicalTraced(seed)
-	defer k.Close()
-	return critpath.FromTracer(tracer)
-}
-
-// RunCritPathE14 re-runs the E14 PI arm (reduced scale, step aggressor)
-// with tracing enabled during the loaded phase and returns its analysis:
-// tail attribution for victim ops contended by the background scrub.
-func RunCritPathE14(seed int64) *critpath.Analysis {
-	sc := e14Quick()
-	sc.traced = true
-	return e14Arm(seed, sc, qos.GovPI, false).CritPath
+func runCritPath(seed int64) *critpath.Analysis {
+	l := canonicalTraced(seed)
+	defer l.close()
+	return critpath.FromTracer(l.tr)
 }
 
 // cpTable renders one analysis as its tail-diagnosis table with the
@@ -98,11 +71,15 @@ func cpTable(title string, a *critpath.Analysis) *metrics.Table {
 // CP1 renders the canonical-workload tail diagnosis.
 func CP1(seed int64) *metrics.Table {
 	return cpTable("CP1 — critical-path tail diagnosis: canonical workload, median vs p99+ ops",
-		RunCritPath(seed))
+		runCritPath(seed))
 }
 
-// CP2 renders the E14 loaded-phase tail diagnosis.
+// CP2 renders the E14 loaded-phase tail diagnosis: the E14 PI arm
+// (reduced scale, step aggressor) traced during the loaded phase, so the
+// tail attribution is for victim ops contended by the background scrub.
 func CP2(seed int64) *metrics.Table {
+	sc := e14Quick()
+	sc.traced = true
 	return cpTable("CP2 — critical-path tail diagnosis: E14 PI arm under scrub aggressor (loaded phase)",
-		RunCritPathE14(seed))
+		e14Arm(seed, sc, qos.GovPI, false).CritPath)
 }

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/critpath"
 	"repro/internal/qos"
 	"repro/internal/sim"
@@ -22,8 +20,9 @@ import (
 // analyzer saw.
 func TestCritPathReconciles(t *testing.T) {
 	skipIfShort(t)
-	k, tracer := canonicalTraced(3)
-	defer k.Close()
+	l := canonicalTraced(3)
+	defer l.close()
+	tracer := l.tr
 	a := critpath.FromTracer(tracer)
 	if err := a.Check(); err != nil {
 		t.Fatal(err)
@@ -95,7 +94,7 @@ func TestCritPathReconciles(t *testing.T) {
 func TestCritPathDeterministic(t *testing.T) {
 	skipIfShort(t)
 	render := func() (string, string) {
-		a := RunCritPath(7)
+		a := runCritPath(7)
 		var folded strings.Builder
 		if err := a.WriteFolded(&folded); err != nil {
 			t.Fatal(err)
@@ -168,22 +167,12 @@ func TestCritPathScaleTraced(t *testing.T) {
 		ws      = 64 << 10
 		dur     = 60 * sim.Millisecond
 	)
-	k := sim.NewKernel(8)
-	defer k.Close()
-	cfg := clusterConfig(blades)
-	tracer := trace.NewTracer(k)
+	l := newLab(8, clusterConfig(blades), "scale", 0)
+	defer l.close()
+	c, tracer := l.c, l.tr
 	tracer.SetCap(1 << 12)
-	cfg.Tracer = tracer
-	c, err := controller.New(k, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Pool.CreateDMSD("scale", 1<<22); err != nil {
-		t.Fatal(err)
-	}
-	target := &core.VolumeTarget{Cluster: c, Vol: "scale"}
 	tracer.SetEnabled(true)
-	r := runWorkload(k, clients, dur, target, func(int) workload.Pattern {
+	r := l.run(clients, dur, func(int) workload.Pattern {
 		return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0.25}
 	})
 	tracer.SetEnabled(false)

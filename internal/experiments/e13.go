@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/qos"
@@ -98,9 +97,8 @@ type E13Arm struct {
 	Lanes           [qos.NumLanes]qos.LaneStats
 }
 
-// e13Arm runs one (contended?, QoS?) combination on a fresh kernel.
+// e13Arm runs one (contended?, QoS?) combination on a fresh lab.
 func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry.Event) {
-	k := sim.NewKernel(seed)
 	cfg := clusterConfig(sc.blades)
 	cfg.QoS = &qos.Config{
 		Tenants: map[string]qos.TenantSpec{"agg": sc.agg},
@@ -108,14 +106,9 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 			P99Target: 50 * sim.Millisecond,
 		},
 	}
-	c, err := controller.New(k, cfg)
-	if err != nil {
-		panic(err)
-	}
-	c.Pool.CreateDMSD("v", 1<<20)
-	if err := prefillVolume(k, c, "v", sc.victimWS+sc.aggWS); err != nil {
-		panic(err)
-	}
+	l := newLab(seed, cfg, "v", sc.victimWS+sc.aggWS)
+	defer l.close()
+	k, c := l.k, l.c
 
 	var scr *telemetry.Scraper
 	if qosOn {
@@ -125,46 +118,44 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 		scr.Start()
 	}
 
-	victim := &core.VolumeTarget{Cluster: c, Vol: "v", Tenant: "victim", Priority: 3}
-	newRunner := func(clients int, t workload.Target, pat workload.Pattern, d sim.Duration) *workload.Runner {
-		return &workload.Runner{
-			K:        k,
-			Clients:  clients,
-			Target:   t,
-			Pattern:  func(int) workload.Pattern { return pat },
-			Duration: d,
-		}
-	}
-	victimPat := workload.Uniform{Range: sc.victimWS, Blocks: 4}
+	l.target.Tenant, l.target.Priority = "victim", 3
+	victimPat := func(int) workload.Pattern { return workload.Uniform{Range: sc.victimWS, Blocks: 4} }
 	aggressor := &core.VolumeTarget{Cluster: c, Vol: "v", Tenant: "agg", Offset: sc.victimWS}
-	aggPat := workload.Uniform{Range: sc.aggWS, Blocks: 8, WriteFrac: 0.5}
+	aggLoop := func(d sim.Duration) *workload.Runner {
+		r := l.loop(sc.aggressors, d, func(int) workload.Pattern {
+			return workload.Uniform{Range: sc.aggWS, Blocks: 8, WriteFrac: 0.5}
+		})
+		r.Target = aggressor
+		return r
+	}
 
 	// Warm-up: caches fill under the arm's contention mix (no rebuild yet).
-	newRunner(sc.victims, victim, victimPat, sc.warm).Run()
+	l.run(sc.victims, sc.warm, victimPat)
 	if contended {
-		newRunner(sc.aggressors, aggressor, aggPat, sc.warm).Run()
+		aggLoop(sc.warm).Run()
 	}
 
 	// Contended arms lose a drive at the window edge; the rebuild runs
 	// through the measured window as the §2.4 background service.
-	rebuildDone := false
+	rebuilt := sim.NewGroup(k)
 	var rebuildTime sim.Duration
 	if contended {
 		c.Groups[0].Disks()[1].Fail()
 	}
-	vr := newRunner(sc.victims, victim, victimPat, sc.dur)
+	vr := l.loop(sc.victims, sc.dur, victimPat)
 	var ar *workload.Runner
 	vr.Start()
 	if contended {
-		ar = newRunner(sc.aggressors, aggressor, aggPat, sc.dur)
+		ar = aggLoop(sc.dur)
 		ar.Start()
+		rebuilt.Add(1)
 		k.Go("e13-rebuild", func(p *sim.Proc) {
 			t0 := p.Now()
 			if err := c.DistributedRebuild(p, 0, 1); err != nil {
 				panic(fmt.Sprintf("e13 rebuild: %v", err))
 			}
 			rebuildTime = p.Now().Sub(t0)
-			rebuildDone = true
+			rebuilt.Done()
 		})
 	}
 	k.RunFor(sc.dur)
@@ -172,13 +163,8 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 	if ar != nil {
 		ar.Bytes.CloseAt(k.Now())
 	}
-	// Clients have stopped; let a straggling rebuild drain (bounded).
-	for i := 0; contended && !rebuildDone && i < 1200; i++ {
-		k.RunFor(100 * sim.Millisecond)
-	}
-	if contended && !rebuildDone {
-		panic("e13: rebuild did not complete")
-	}
+	// Clients have stopped; let a straggling rebuild drain.
+	l.await("E13 rebuild", rebuilt)
 
 	arm := E13Arm{
 		VictimOpsPerSec: float64(vr.Ops) / sc.dur.Seconds(),
@@ -206,7 +192,6 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 		arm.Narrows, arm.Widens = g.Narrows, g.Widens
 		events = scr.Events()
 	}
-	k.Close()
 	return arm, events
 }
 
@@ -228,7 +213,8 @@ type E13Result struct {
 	Events []telemetry.Event
 }
 
-func runE13Scaled(seed int64, sc e13Scale) E13Result {
+// runE13 executes the three arms at the given scale under one seed.
+func runE13(seed int64, sc e13Scale) E13Result {
 	res := E13Result{RatioMax: e13VictimRatioMax, AggregateMin: e13AggregateMin, AggRate: sc.agg.Rate}
 	res.Solo, _ = e13Arm(seed, sc, false, false)
 	res.On, res.Events = e13Arm(seed, sc, true, true)
@@ -242,12 +228,6 @@ func runE13Scaled(seed int64, sc e13Scale) E13Result {
 	}
 	return res
 }
-
-// RunE13 executes the three full-scale arms under one seed.
-func RunE13(seed int64) E13Result { return runE13Scaled(seed, e13Full()) }
-
-// RunE13Quick is the reduced-scale variant for CI smoke and -short tests.
-func RunE13Quick(seed int64) E13Result { return runE13Scaled(seed, e13Quick()) }
 
 func e13Table(title string, r E13Result) *metrics.Table {
 	tab := metrics.NewTable(title,
@@ -285,11 +265,11 @@ func e13Table(title string, r E13Result) *metrics.Table {
 // E13 renders the experiment table.
 func E13(seed int64) *metrics.Table {
 	return e13Table("E13 — §2.4/§4: multi-tenant isolation (admission control + weighted-fair scheduling)",
-		RunE13(seed))
+		runE13(seed, e13Full()))
 }
 
 // E13Q renders the reduced-scale table (CI smoke).
 func E13Q(seed int64) *metrics.Table {
 	return e13Table("E13Q — multi-tenant isolation, reduced scale (CI smoke)",
-		RunE13Quick(seed))
+		runE13(seed, e13Quick()))
 }

@@ -4,13 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/critpath"
 	"repro/internal/metrics"
 	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -72,8 +70,8 @@ type e14Scale struct {
 	// burst pulse geometry (burst shape only).
 	burstOn  sim.Duration
 	burstOff sim.Duration
-	// traced attaches a per-op tracer enabled only during the loaded
-	// phase, so the arm's span log isolates behavior under contention.
+	// traced enables the arm's tracer during the loaded phase only, so
+	// the span log isolates behavior under contention.
 	traced bool
 }
 
@@ -245,9 +243,8 @@ type E14Arm struct {
 	wins []e14Window
 }
 
-// e14Arm runs one governor mode under one load shape on a fresh kernel.
+// e14Arm runs one governor mode under one load shape on a fresh lab.
 func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
-	k := sim.NewKernel(seed)
 	cfg := clusterConfig(sc.blades)
 	cfg.QoS = &qos.Config{
 		Tenants: map[string]qos.TenantSpec{
@@ -261,19 +258,9 @@ func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
 			BGMax:     e14BGMax,
 		},
 	}
-	var tr *trace.Tracer
-	if sc.traced {
-		tr = trace.NewTracer(k)
-		cfg.Tracer = tr
-	}
-	c, err := controller.New(k, cfg)
-	if err != nil {
-		panic(err)
-	}
-	c.Pool.CreateDMSD("v", 1<<20)
-	if err := prefillVolume(k, c, "v", sc.victimWS); err != nil {
-		panic(err)
-	}
+	l := newLab(seed, cfg, "v", sc.victimWS)
+	defer l.close()
+	k, c := l.k, l.c
 	c.QoS.SetEnabled(true)
 	c.QoS.SetBackgroundWeight(e14BGMax) // both arms start parked at the ceiling
 	scr := telemetry.NewScraper(k, c.Reg, e14Interval)
@@ -282,27 +269,18 @@ func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
 	scr.AddWatchdog(rec)
 	scr.Start()
 
-	victim := &core.VolumeTarget{Cluster: c, Vol: "v", Tenant: "victim", Priority: 3}
-	pat := workload.Uniform{Range: sc.victimWS, Blocks: 4}
-	newRunner := func(d sim.Duration) *workload.Runner {
-		return &workload.Runner{
-			K:        k,
-			Clients:  sc.victims,
-			Target:   victim,
-			Pattern:  func(int) workload.Pattern { return pat },
-			Duration: d,
-		}
-	}
+	l.target.Tenant, l.target.Priority = "victim", 3
+	pat := func(int) workload.Pattern { return workload.Uniform{Range: sc.victimWS, Blocks: 4} }
 
 	// Pre phase: victim alone, governor parked at BGMax.
-	newRunner(sc.pre).Run()
+	l.run(sc.victims, sc.pre, pat)
 
 	// Onset: the aggressor switches on; the measured victim runner rides
 	// through the whole loaded phase.
 	onset := len(rec.wins)
-	tr.SetEnabled(true) // nil-safe; trace only the loaded phase
+	l.tr.SetEnabled(sc.traced)
 	agg := &e14Aggressor{c: c}
-	vr := newRunner(sc.load)
+	vr := l.loop(sc.victims, sc.load, pat)
 	vr.Start()
 	agg.start(k, sc, burst)
 	half := sc.load / 2
@@ -311,11 +289,11 @@ func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
 	k.RunFor(sc.load - half)
 	vr.Bytes.CloseAt(k.Now())
 	agg.stopped = true
-	tr.SetEnabled(false)
+	l.tr.SetEnabled(false)
 	loadEnd := len(rec.wins)
 
 	// Post phase: aggressor off, weight free to recover.
-	newRunner(sc.post).Run()
+	l.run(sc.victims, sc.post, pat)
 
 	arm := E14Arm{
 		Mode:            mode,
@@ -326,8 +304,8 @@ func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
 		FinalWeight:     c.QoS.BackgroundWeight(),
 		ScrubChunks:     agg.Chunks,
 	}
-	if tr != nil {
-		arm.CritPath = critpath.FromTracer(tr)
+	if sc.traced {
+		arm.CritPath = critpath.FromTracer(l.tr)
 	}
 	g := c.QoS.Governor()
 	arm.Narrows, arm.Widens = g.Narrows, g.Widens
@@ -364,7 +342,6 @@ func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
 		}
 		prevW = w.w
 	}
-	k.Close()
 	return arm
 }
 
@@ -375,7 +352,8 @@ type E14Result struct {
 	BurstStep, BurstPI E14Arm // pulsed aggressor
 }
 
-func runE14Scaled(seed int64, sc e14Scale) E14Result {
+// runE14 executes the four arms at the given scale under one seed.
+func runE14(seed int64, sc e14Scale) E14Result {
 	return E14Result{
 		Target:    sc.target,
 		Step:      e14Arm(seed, sc, qos.GovStep, false),
@@ -384,12 +362,6 @@ func runE14Scaled(seed int64, sc e14Scale) E14Result {
 		BurstPI:   e14Arm(seed, sc, qos.GovPI, true),
 	}
 }
-
-// RunE14 executes the four full-scale arms under one seed.
-func RunE14(seed int64) E14Result { return runE14Scaled(seed, e14Full()) }
-
-// RunE14Quick is the reduced-scale variant for CI smoke and -short tests.
-func RunE14Quick(seed int64) E14Result { return runE14Scaled(seed, e14Quick()) }
 
 func e14Table(title string, r E14Result) *metrics.Table {
 	tab := metrics.NewTable(title,
@@ -420,11 +392,11 @@ func e14Table(title string, r E14Result) *metrics.Table {
 // E14 renders the experiment table.
 func E14(seed int64) *metrics.Table {
 	return e14Table("E14 — governor step response: halve/double vs per-tenant PI control",
-		RunE14(seed))
+		runE14(seed, e14Full()))
 }
 
 // E14Q renders the reduced-scale table (CI smoke).
 func E14Q(seed int64) *metrics.Table {
 	return e14Table("E14Q — governor step response, reduced scale (CI smoke)",
-		RunE14Quick(seed))
+		runE14(seed, e14Quick()))
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/hotcache"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -90,12 +89,13 @@ const (
 	e15Stride = 2999
 )
 
-// e15Scale sizes one E15 evaluation; E15 and E15Q share the code path.
+// e15Scale sizes one E15 evaluation; E15 and E15Q share the code path,
+// and E12 runs at the full scale.
 type e15Scale struct {
 	blades  int
 	clients int
 	ws      int64
-	warm    sim.Duration // identical for every arm — see e15Scenario
+	warm    sim.Duration // identical for every arm — see e15Arm
 	dur     sim.Duration
 }
 
@@ -114,7 +114,7 @@ type E15Run struct {
 	CV        float64
 	Ratio     float64
 	// WinCV is the mean of windowed load CVs, one window per rotation
-	// period of ops (see the sampler in e15Scenario for why windows are
+	// period of ops (see the sampler in e15Arm for why windows are
 	// op-counted, not wall-time). Under fast-moving heat it is the honest
 	// balance metric: over the whole measured window every blade hosts
 	// hot phases about equally often, so the aggregate CV washes out
@@ -125,6 +125,8 @@ type E15Run struct {
 
 	// Scheme-specific activity, zero for arms without that scheme.
 	Migrations int64 // migrate: homes moved during the whole run
+	Skipped    int64 // migrate: moves the balancer declined
+	Decisions  []balance.Decision
 	CacheHits  int64 // hotcache: upper-layer hits in the whole run
 	CacheFills int64
 	Invals     int64 // hotcache: write-through key invalidations
@@ -147,53 +149,56 @@ const (
 	e15ShiftZipf
 )
 
-// e15Scenario runs one (workload, scheme) arm on a fresh kernel.
-func e15Scenario(seed int64, sc e15Scale, wl e15Workload, scheme string) E15Run {
-	k := sim.NewKernel(seed)
+// e15Arm runs one (workload, scheme) arm at write fraction writeFrac on a
+// fresh lab and returns its measured window and its scraper, whose
+// hot-spot watchdog warns on the skew thresholds the balancer acts on.
+// E12 is this arm at write fraction 0.
+func e15Arm(seed int64, sc e15Scale, wl e15Workload, scheme string, writeFrac float64) (E15Run, *telemetry.Scraper) {
 	cfg := clusterConfig(sc.blades)
-	cfg.CPUSlots = 6 // same headroom rationale as E12
-	c, err := controller.New(k, cfg)
-	if err != nil {
-		panic(err)
-	}
-	c.Pool.CreateDMSD("v", 1<<20)
-	if err := prefillVolume(k, c, "v", sc.ws); err != nil {
-		panic(err)
-	}
+	// Two extra CPU slots per blade over the shared shape: the static-path
+	// hot blade (~26% of the load) still saturates, but a converged
+	// balanced run — the dominant key's fair-share-plus (~15%) on one
+	// blade — fits with headroom, so throughput can actually recover.
+	cfg.CPUSlots = 6
+	l := newLab(seed, cfg, "v", sc.ws)
+	defer l.close()
+	c := l.c
 
-	// Single-block ops for the same reason as E12: one op == one key, so
-	// per-key heat and per-blade load line up for both schemes.
+	// Single-block ops: one op == one block == one directory key, so the
+	// per-key heat the balancer plans with is exactly the per-blade load
+	// the ops land (multi-block ops would smear one op's load across keys
+	// homed on other blades), for both schemes.
 	pat := func(cl int) workload.Pattern {
+		// Each client's value stream is bound at construction to its own
+		// deterministic source (see workload.NewZipf).
 		src := rand.New(rand.NewSource(seed*1009 + int64(cl) + 1))
 		switch wl {
 		case e15StaticZipf:
-			return workload.NewZipf(src, sc.ws, 1.1, 1, e15WriteFrac)
+			return workload.NewZipf(src, sc.ws, 1.1, 1, writeFrac)
 		case e15ShiftZipf:
-			return workload.NewShiftingZipf(src, sc.ws, 1.1, 1, e15WriteFrac, e15Rotate, e15Stride)
+			return workload.NewShiftingZipf(src, sc.ws, 1.1, 1, writeFrac, e15Rotate, e15Stride)
 		default:
-			return workload.Uniform{Range: sc.ws, Blocks: 1, WriteFrac: e15WriteFrac}
+			return workload.Uniform{Range: sc.ws, Blocks: 1, WriteFrac: writeFrac}
 		}
 	}
 
-	scr := telemetry.NewScraper(k, c.Reg, 100*sim.Millisecond)
+	scr := telemetry.NewScraper(l.k, c.Reg, 100*sim.Millisecond)
+	scr.AddWatchdog(&telemetry.HotSpot{Pattern: "blade/*/ops", CVMax: e12CVMax, RatioMax: e12RatioMax})
 	scr.Start()
 
-	target := &core.VolumeTarget{Cluster: c, Vol: "v", Pick: func(lba int64) *controller.Blade { return c.HomeBlade("v", lba) }}
-	// Every arm warms for the same duration. The warm length is sized for
-	// the slowest-converging scheme (migration's observe-plan-drain loop)
-	// but giving only that arm extra warm would confound the comparison:
-	// the measured window replays the same seeded sequence, so extra warm
-	// alone inflates an arm's cache hit rate regardless of scheme.
-	warm := sc.warm
+	// SAN hosts with static paths: each op goes to the blade that homes it.
+	l.target.Pick = func(lba int64) *controller.Blade { return c.HomeBlade("v", lba) }
 	var bal *balance.Controller
 	var tier *hotcache.Tier
 	switch scheme {
 	case "migrate":
 		bal = c.NewBalancer(scr, balance.Config{
-			CVMax:       e12CVMax,
-			RatioMax:    e12RatioMax,
-			For:         2,
-			MaxMoves:    16,
+			CVMax:    e12CVMax,
+			RatioMax: e12RatioMax,
+			For:      2,
+			MaxMoves: 16,
+			// The Zipf skew is built from dozens of medium-heat keys
+			// around one dominant one; reach deep into the movable tail.
 			MinMoveFrac: 0.005,
 		})
 		bal.Start()
@@ -208,10 +213,15 @@ func e15Scenario(seed int64, sc e15Scale, wl e15Workload, scheme string) E15Run 
 		// leave the queue-burst tail to the homes.
 		tier = c.NewHotCache(hotcache.Config{HeatHalfLife: 100 * sim.Millisecond})
 		tier.SetEnabled(true)
-		target.ReadVia = tier
+		l.target.ReadVia = tier
 	}
 
-	runWorkload(k, sc.clients, warm, target, pat)
+	// Every arm warms for the same duration. The warm length is sized for
+	// the slowest-converging scheme (migration's observe-plan-drain loop)
+	// but giving only that arm extra warm would confound the comparison:
+	// the measured window replays the same seeded sequence, so extra warm
+	// alone inflates an arm's cache hit rate regardless of scheme.
+	l.run(sc.clients, sc.warm, pat)
 
 	snapshot := func() []float64 {
 		cur := make([]float64, sc.blades)
@@ -232,13 +242,13 @@ func e15Scenario(seed int64, sc e15Scale, wl e15Workload, scheme string) E15Run 
 	// has completed since the last boundary.
 	const samplerTick = 5 * sim.Millisecond
 	var snaps [][]float64
-	k.Go("e15-sampler", func(p *sim.Proc) {
+	l.k.Go("e15-sampler", func(p *sim.Proc) {
 		for i := 0; i < int(sc.dur/samplerTick)-1; i++ {
 			p.Sleep(samplerTick)
 			snaps = append(snaps, snapshot())
 		}
 	})
-	r := runWorkload(k, sc.clients, sc.dur, target, pat)
+	r := l.run(sc.clients, sc.dur, pat)
 	snaps = append(snaps, snapshot())
 
 	deltas := make([]float64, sc.blades)
@@ -283,6 +293,8 @@ func e15Scenario(seed int64, sc e15Scale, wl e15Workload, scheme string) E15Run 
 	}
 	if bal != nil {
 		run.Migrations = bal.Stats().Migrations
+		run.Skipped = bal.Stats().Skipped
+		run.Decisions = bal.Decisions()
 	}
 	if tier != nil {
 		for i := 0; i < sc.blades; i++ {
@@ -292,34 +304,31 @@ func e15Scenario(seed int64, sc e15Scale, wl e15Workload, scheme string) E15Run 
 		}
 		run.Invals = tier.Stats().InvalKeys
 	}
-	k.Close()
-	return run
+	return run, scr
 }
 
 // runE15 executes the seven arms at the given scale under one seed.
 func runE15(seed int64, sc e15Scale) E15Result {
-	var res E15Result
-	res.Uniform = e15Scenario(seed, sc, e15Uniform, "off")
-	res.StaticOff = e15Scenario(seed, sc, e15StaticZipf, "off")
-	res.StaticMigrate = e15Scenario(seed, sc, e15StaticZipf, "migrate")
-	res.StaticHotCache = e15Scenario(seed, sc, e15StaticZipf, "hotcache")
-	res.ShiftOff = e15Scenario(seed, sc, e15ShiftZipf, "off")
-	res.ShiftMigrate = e15Scenario(seed, sc, e15ShiftZipf, "migrate")
-	res.ShiftHotCache = e15Scenario(seed, sc, e15ShiftZipf, "hotcache")
-	return res
+	arm := func(wl e15Workload, scheme string) E15Run {
+		run, _ := e15Arm(seed, sc, wl, scheme, e15WriteFrac)
+		return run
+	}
+	return E15Result{
+		Uniform:        arm(e15Uniform, "off"),
+		StaticOff:      arm(e15StaticZipf, "off"),
+		StaticMigrate:  arm(e15StaticZipf, "migrate"),
+		StaticHotCache: arm(e15StaticZipf, "hotcache"),
+		ShiftOff:       arm(e15ShiftZipf, "off"),
+		ShiftMigrate:   arm(e15ShiftZipf, "migrate"),
+		ShiftHotCache:  arm(e15ShiftZipf, "hotcache"),
+	}
 }
 
-// RunE15 executes the full-scale experiment.
-func RunE15(seed int64) E15Result { return runE15(seed, e15FullScale()) }
-
-// RunE15Quick executes the reduced-scale arms the CI smoke gate uses.
-func RunE15Quick(seed int64) E15Result { return runE15(seed, e15QuickScale()) }
-
 // E15 renders the experiment table.
-func E15(seed int64) *metrics.Table { return e15Table(RunE15(seed), "E15") }
+func E15(seed int64) *metrics.Table { return e15Table(runE15(seed, e15FullScale()), "E15") }
 
-// E15Quick renders the reduced-scale table (benchrunner -only E15Q).
-func E15Quick(seed int64) *metrics.Table { return e15Table(RunE15Quick(seed), "E15Q") }
+// E15Q renders the reduced-scale table (CI smoke).
+func E15Q(seed int64) *metrics.Table { return e15Table(runE15(seed, e15QuickScale()), "E15Q") }
 
 func e15Table(r E15Result, name string) *metrics.Table {
 	tab := metrics.NewTable(name+" — hot-key cache tier vs home migration under shifting Zipf skew",

@@ -7,7 +7,7 @@ import (
 
 // One full E15 run shared by every assertion below (seven arms are
 // expensive; the assertions all inspect different facets of one result).
-var e15Shared = sync.OnceValue(func() E15Result { return RunE15(1) })
+var e15Shared = sync.OnceValue(func() E15Result { return runE15(1, e15FullScale()) })
 
 // TestE15CrossoverStaticSkew: on a stationary hot set the migration
 // scheme wins sustained balance — it converges to a stable home
@@ -103,7 +103,7 @@ func TestE15SkewHurtsWithoutRebalancing(t *testing.T) {
 func TestE15Deterministic(t *testing.T) {
 	skipIfShort(t)
 	a := e15Table(e15Shared(), "E15").String()
-	b := e15Table(RunE15(1), "E15").String()
+	b := E15(1).String()
 	if a != b {
 		t.Fatalf("same-seed E15 runs differ:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
@@ -113,8 +113,8 @@ func TestE15Deterministic(t *testing.T) {
 // (it is the arm the benchrunner baseline gate diffs against).
 func TestE15QuickDeterministic(t *testing.T) {
 	skipIfShort(t)
-	a := e15Table(RunE15Quick(7), "E15Q").String()
-	b := e15Table(RunE15Quick(7), "E15Q").String()
+	a := E15Q(7).String()
+	b := E15Q(7).String()
 	if a != b {
 		t.Fatalf("same-seed E15Q runs differ:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}

@@ -180,31 +180,31 @@ func e16Arm(seed int64, sc e16Scale, shards int) []E16Point {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	prefilled := 0
-	for b := 0; b < sc.buckets; b++ {
-		b := b
-		sys.K.Go(fmt.Sprintf("e16-prefill-%d", b), func(p *sim.Proc) {
-			defer func() { prefilled++ }()
-			tok := tokens[b%len(tokens)]
-			opts := gateway.BucketOptions{
-				ACL:      gateway.ACL{Public: security.ReadWrite},
-				Priority: -1,
-			}
-			if err := gw.CreateBucket(p, tok, e16Bucket(b), opts); err != nil {
-				panic(err)
-			}
-			for o := 0; o < sc.objects; o++ {
-				if _, err := gw.PutObject(p, tok, e16Bucket(b), e16Key(o), payload); err != nil {
-					panic(err)
+	if err := core.RunBody(sys.K, bodyHorizon, func(p *sim.Proc) error {
+		prefilled := sim.NewGroup(sys.K)
+		var failed error
+		for b := 0; b < sc.buckets; b++ {
+			prefilled.Add(1)
+			sys.K.Go(fmt.Sprintf("e16-prefill-%d", b), func(q *sim.Proc) {
+				defer prefilled.Done()
+				tok := tokens[b%len(tokens)]
+				opts := gateway.BucketOptions{
+					ACL:      gateway.ACL{Public: security.ReadWrite},
+					Priority: -1,
 				}
-			}
-		})
-	}
-	for i := 0; prefilled < sc.buckets && i < 6000; i++ {
-		sys.K.RunFor(100 * sim.Millisecond)
-	}
-	if prefilled < sc.buckets {
-		panic("e16: prefill did not finish")
+				err := gw.CreateBucket(q, tok, e16Bucket(b), opts)
+				for o := 0; err == nil && o < sc.objects; o++ {
+					_, err = gw.PutObject(q, tok, e16Bucket(b), e16Key(o), payload)
+				}
+				if err != nil && failed == nil {
+					failed = err
+				}
+			})
+		}
+		prefilled.Wait(p)
+		return failed
+	}); err != nil {
+		panic(fmt.Sprintf("e16 prefill: %v", err))
 	}
 	sys.K.RunFor(sc.settle)
 
@@ -280,17 +280,11 @@ func runE16(seed int64, sc e16Scale) E16Result {
 	return res
 }
 
-// RunE16 executes the full-scale experiment.
-func RunE16(seed int64) E16Result { return runE16(seed, e16FullScale()) }
-
-// RunE16Quick executes the reduced-scale sweep the CI smoke gate uses.
-func RunE16Quick(seed int64) E16Result { return runE16(seed, e16QuickScale()) }
-
 // E16 renders the experiment table.
-func E16(seed int64) *metrics.Table { return e16Table(RunE16(seed), "E16") }
+func E16(seed int64) *metrics.Table { return e16Table(runE16(seed, e16FullScale()), "E16") }
 
-// E16Quick renders the reduced-scale table (benchrunner -only E16Q).
-func E16Quick(seed int64) *metrics.Table { return e16Table(RunE16Quick(seed), "E16Q") }
+// E16Q renders the reduced-scale table (CI smoke).
+func E16Q(seed int64) *metrics.Table { return e16Table(runE16(seed, e16QuickScale()), "E16Q") }
 
 func e16Table(r E16Result, name string) *metrics.Table {
 	tab := metrics.NewTable(name+" — object gateway: metadata sharding moves the saturation ceiling",

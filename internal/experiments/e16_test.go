@@ -10,7 +10,7 @@ import (
 // One full E16 run shared by every assertion below (two sweep arms over a
 // seven-point client ladder are expensive; the assertions all inspect
 // different facets of one result).
-var e16Shared = sync.OnceValue(func() E16Result { return RunE16(1) })
+var e16Shared = sync.OnceValue(func() E16Result { return runE16(1, e16FullScale()) })
 
 // TestE16LinearUntilSaturation: below the metadata knee, doubling the
 // closed-loop population doubles throughput — each op pays think time
@@ -106,7 +106,7 @@ func TestE16IAMTierFlat(t *testing.T) {
 func TestE16Deterministic(t *testing.T) {
 	skipIfShort(t)
 	a := e16Table(e16Shared(), "E16").String()
-	b := e16Table(RunE16(1), "E16").String()
+	b := E16(1).String()
 	if a != b {
 		t.Fatalf("same-seed E16 runs differ:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
@@ -116,8 +116,8 @@ func TestE16Deterministic(t *testing.T) {
 // (it is the arm the benchrunner baseline gate diffs against).
 func TestE16QuickDeterministic(t *testing.T) {
 	skipIfShort(t)
-	a := e16Table(RunE16Quick(7), "E16Q").String()
-	b := e16Table(RunE16Quick(7), "E16Q").String()
+	a := E16Q(7).String()
+	b := E16Q(7).String()
 	if a != b {
 		t.Fatalf("same-seed E16Q runs differ:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}

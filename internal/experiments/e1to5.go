@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/baseline"
-	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -57,56 +56,53 @@ func E2(seed int64) *metrics.Table {
 	}
 
 	for _, blades := range []int{1, 2, 4, 8, 16} {
-		k := sim.NewKernel(seed)
-		cfg := clusterConfig(blades)
-		c, err := controller.New(k, cfg)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := c.Pool.CreateDMSD("bench", 1<<20); err != nil {
-			panic(err)
-		}
-		target := &core.VolumeTarget{Cluster: c, Vol: "bench"}
-		if err := prefillVolume(k, c, "bench", wsBlocks); err != nil {
-			panic(err)
-		}
-		runWorkload(k, clients, 2*sim.Second, target, pat) // warm caches
-		r := runWorkload(k, clients, dur, target, pat)
-		k.Close()
+		l := newLab(seed, clusterConfig(blades), "bench", wsBlocks)
+		l.run(clients, 2*sim.Second, pat) // warm caches
+		r := l.run(clients, dur, pat)
+		l.close()
 		tab.AddRow("yotta", blades, fmtF(r.Bytes.MBps()), int64(float64(r.Ops)/dur.Seconds()),
 			fmtDur(r.Latency.Mean()), fmtDur(r.Latency.P99()))
 	}
 
 	// Baseline: the same disks behind a fixed dual-controller array.
-	k := sim.NewKernel(seed)
-	bcfg := baseline.DefaultConfig()
-	bcfg.DiskSpec = labDisk()
-	bcfg.Disks = 24
-	bcfg.DisksPerGroup = 6
-	bcfg.ExtentBlocks = 64
-	bcfg.CacheBlocksPerController = 4096
-	bcfg.OpDelay = 50 * sim.Microsecond
-	arr, err := baseline.New(k, bcfg)
-	if err != nil {
-		panic(err)
-	}
+	k, arr := baselineArray(seed)
 	// Two volumes, one per controller — the best static split.
 	arr.CreateVolume("v0", wsBlocks/2)
 	arr.CreateVolume("v1", wsBlocks/2)
 	tgt := &arrayTarget{a: arr, vols: []string{"v0", "v1"}, span: wsBlocks / 2}
-	if err := core.RunBody(k, prefillHorizon, func(p *sim.Proc) error { return seqFill(p, tgt, wsBlocks/2) }); err != nil {
+	if err := core.RunBody(k, bodyHorizon, func(p *sim.Proc) error { return seqFill(p, tgt, wsBlocks/2) }); err != nil {
 		panic(err)
 	}
 	bpat := func(int) workload.Pattern {
 		return workload.Uniform{Range: wsBlocks / 2, Blocks: opBlocks, WriteFrac: 0}
 	}
-	runWorkload(k, clients, 2*sim.Second, tgt, bpat) // warm caches
-	r := runWorkload(k, clients, dur, tgt, bpat)
+	(&workload.Runner{K: k, Clients: clients, Pattern: bpat, Target: tgt, Duration: 2 * sim.Second}).Run() // warm caches
+	r := &workload.Runner{K: k, Clients: clients, Pattern: bpat, Target: tgt, Duration: dur}
+	r.Run()
 	k.Close()
 	tab.AddRow("baseline", 2, fmtF(r.Bytes.MBps()), int64(float64(r.Ops)/dur.Seconds()),
 		fmtDur(r.Latency.Mean()), fmtDur(r.Latency.P99()))
 	tab.AddNote("yotta scales by adding blades to one shared pool; the array is capped at its controller pair")
 	return tab
+}
+
+// baselineArray builds the comparator E2 and E3 put beside the cluster:
+// the same 24 lab disks in 6-disk groups behind a dual-controller array,
+// each controller with one blade's cache and CPU cost, on a fresh kernel.
+func baselineArray(seed int64) (*sim.Kernel, *baseline.Array) {
+	k := sim.NewKernel(seed)
+	cfg := baseline.DefaultConfig()
+	cfg.DiskSpec = labDisk()
+	cfg.Disks = 24
+	cfg.DisksPerGroup = 6
+	cfg.ExtentBlocks = 64
+	cfg.CacheBlocksPerController = 4096
+	cfg.OpDelay = 50 * sim.Microsecond
+	arr, err := baseline.New(k, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return k, arr
 }
 
 // seqFill writes the first n blocks of a target sequentially (prefill).
@@ -124,7 +120,8 @@ func seqFill(p *sim.Proc, t workload.Target, n int64) error {
 	return nil
 }
 
-// arrayTarget spreads accesses over the baseline array's volumes.
+// arrayTarget spreads accesses over the baseline array's volumes in turn;
+// with one volume it pins every access to it (E3's hot volume).
 type arrayTarget struct {
 	a    *baseline.Array
 	vols []string
@@ -154,29 +151,6 @@ func (t *arrayTarget) Write(p *sim.Proc, lba int64, blocks int) error {
 	return t.a.Write(p, t.pick(), lba%t.span, t.buf[:need])
 }
 
-// singleVolArrayTarget pins every access to one volume — the hot-volume
-// case of E3.
-type singleVolArrayTarget struct {
-	a   *baseline.Array
-	vol string
-	buf []byte
-}
-
-func (t *singleVolArrayTarget) BlockSize() int { return t.a.Pool.BlockSize() }
-
-func (t *singleVolArrayTarget) Read(p *sim.Proc, lba int64, blocks int) error {
-	_, err := t.a.Read(p, t.vol, lba, blocks)
-	return err
-}
-
-func (t *singleVolArrayTarget) Write(p *sim.Proc, lba int64, blocks int) error {
-	need := blocks * t.BlockSize()
-	if len(t.buf) < need {
-		t.buf = make([]byte, need)
-	}
-	return t.a.Write(p, t.vol, lba, t.buf[:need])
-}
-
 // E3 — §2.2/§6.3: Zipf-skewed "hot data" reads (the web-farm pattern the
 // paper opens §2 with) drive one controller of the traditional array to
 // saturation, while the cluster spreads the same load across every blade
@@ -194,46 +168,27 @@ func E3(seed int64) *metrics.Table {
 	}
 
 	// Cluster: 4 blades, one shared volume, any blade serves any block.
-	k := sim.NewKernel(seed)
-	c, err := controller.New(k, clusterConfig(4))
-	if err != nil {
-		panic(err)
-	}
-	c.Pool.CreateDMSD("hot", 1<<20)
-	target := &core.VolumeTarget{Cluster: c, Vol: "hot"}
-	if err := prefillVolume(k, c, "hot", ws); err != nil {
-		panic(err)
-	}
-	runWorkload(k, clients, 4*sim.Second, target, pat) // warm the pooled cache
-	r := runWorkload(k, clients, dur, target, pat)
-	hits, misses := c.CacheStats()
-	cv := metrics.Summarize(c.LoadPerBlade()).CV()
+	l := newLab(seed, clusterConfig(4), "hot", ws)
+	l.run(clients, 4*sim.Second, pat) // warm the pooled cache
+	r := l.run(clients, dur, pat)
+	hits, misses := l.c.CacheStats()
+	cv := metrics.Summarize(l.c.LoadPerBlade()).CV()
 	tab.AddRow("yotta (4 blades)", int64(float64(r.Ops)/dur.Seconds()),
 		fmtDur(r.Latency.P99()), fmtF(cv), fmtF(100*float64(hits)/float64(hits+misses)))
-	k.Close()
+	l.close()
 
 	// Baseline: the hot data lives in one volume owned by controller 0.
-	k2 := sim.NewKernel(seed)
-	bcfg := baseline.DefaultConfig()
-	bcfg.DiskSpec = labDisk()
-	bcfg.Disks = 24
-	bcfg.DisksPerGroup = 6
-	bcfg.ExtentBlocks = 64
-	bcfg.CacheBlocksPerController = 4096
-	bcfg.OpDelay = 50 * sim.Microsecond
-	arr, err := baseline.New(k2, bcfg)
-	if err != nil {
-		panic(err)
-	}
+	k, arr := baselineArray(seed)
 	arr.CreateVolume("hot", ws)
 	arr.SetOwner("hot", 0)
-	tgt := &singleVolArrayTarget{a: arr, vol: "hot"}
-	if err := core.RunBody(k2, prefillHorizon, func(p *sim.Proc) error { return seqFill(p, tgt, ws) }); err != nil {
+	tgt := &arrayTarget{a: arr, vols: []string{"hot"}, span: ws}
+	if err := core.RunBody(k, bodyHorizon, func(p *sim.Proc) error { return seqFill(p, tgt, ws) }); err != nil {
 		panic(err)
 	}
-	r2 := runWorkload(k2, clients, dur, tgt, pat)
+	r2 := &workload.Runner{K: k, Clients: clients, Pattern: pat, Target: tgt, Duration: dur}
+	r2.Run()
 	ops := arr.ControllerOps()
-	k2.Close()
+	k.Close()
 	bcv := metrics.Summarize([]float64{float64(ops[0]), float64(ops[1])}).CV()
 	tab.AddRow("baseline (hot volume)", int64(float64(r2.Ops)/dur.Seconds()),
 		fmtDur(r2.Latency.P99()), fmtF(bcv), "n/a")
@@ -242,8 +197,7 @@ func E3(seed int64) *metrics.Table {
 }
 
 // E4 — §2.4: distributed rebuild. Time to reconstruct a failed drive vs
-// blade count, with foreground I/O degradation; plus rebuild completion
-// despite a blade dying mid-rebuild.
+// blade count, and the foreground p99 while the rebuild runs.
 func E4(seed int64) *metrics.Table {
 	tab := metrics.NewTable("E4 — §2.4: distributed rebuild",
 		"blades", "rebuild s", "foreground p99 ms (during)", "baseline p99 ms (no rebuild)")
@@ -255,40 +209,22 @@ func E4(seed int64) *metrics.Table {
 		return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0.1}
 	}
 	for _, blades := range []int{1, 2, 4, 8} {
-		k := sim.NewKernel(seed)
-		c, err := controller.New(k, clusterConfig(blades))
-		if err != nil {
-			panic(err)
-		}
-		c.Pool.CreateDMSD("data", 1<<20)
-		target := &core.VolumeTarget{Cluster: c, Vol: "data"}
-		if err := prefillVolume(k, c, "data", ws); err != nil {
-			panic(err)
-		}
+		l := newLab(seed, clusterConfig(blades), "data", ws)
 		// Reference run without rebuild.
-		ref := runWorkload(k, clients, sim.Second, target, pat)
+		ref := l.run(clients, sim.Second, pat)
 
 		// Fail a disk and rebuild while foreground load continues.
-		c.Groups[0].Disks()[1].Fail()
-		var rebuildTime sim.Duration
-		during := &workload.Runner{
-			K: k, Clients: clients, Pattern: pat, Target: target,
-			Duration: 120 * sim.Second, // bounded by rebuild completion below
-		}
+		l.c.Groups[0].Disks()[1].Fail()
+		during := l.loop(clients, 120*sim.Second, pat) // outlives the rebuild
 		during.Start()
-		done := false
-		k.Go("rebuild", func(p *sim.Proc) {
+		var rebuildTime sim.Duration
+		l.do("E4 rebuild", func(p *sim.Proc) error {
 			t0 := p.Now()
-			if err := c.DistributedRebuild(p, 0, 1); err != nil {
-				panic(err)
-			}
+			err := l.c.DistributedRebuild(p, 0, 1)
 			rebuildTime = p.Now().Sub(t0)
-			done = true
+			return err
 		})
-		for !done {
-			k.RunFor(100 * sim.Millisecond)
-		}
-		k.Close()
+		l.close()
 		tab.AddRow(blades, fmtF(rebuildTime.Seconds()),
 			fmtDur(during.Latency.P99()), fmtDur(ref.Latency.P99()))
 	}
@@ -357,7 +293,7 @@ func E5(seed int64) *metrics.Table {
 			}
 		}
 	}
-	if err := core.RunBody(k, prefillHorizon, fill); err != nil {
+	if err := core.RunBody(k, bodyHorizon, fill); err != nil {
 		panic(err)
 	}
 	usedThin := pool.AllocatedExtents()

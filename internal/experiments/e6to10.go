@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"repro/internal/controller"
 	"repro/internal/core"
@@ -29,31 +28,17 @@ func E6(seed int64) *metrics.Table {
 	var replSkew string
 	for _, n := range []int{1, 2, 3, 4} {
 		lost := func(kills int) int {
-			k := sim.NewKernel(seed)
 			cfg := clusterConfig(blades)
 			cfg.ReplicationN = n
 			cfg.FlushInterval = 60 * sim.Second // rely on replication alone
-			c, err := controller.New(k, cfg)
-			if err != nil {
-				panic(err)
-			}
-			c.Pool.CreateDMSD("v", 1<<20)
-			want := make(map[int64]byte)
+			l := newLab(seed, cfg, "v", 0)
+			defer l.close()
+			c := l.c
 			missing := 0
-			done := false
-			k.Go("body", func(p *sim.Proc) {
-				defer func() { done = true }()
-				blk := make([]byte, c.BlockSize())
-				for i := 0; i < nWrites; i++ {
-					lba := int64(i * 3)
-					val := byte(i + 1)
-					for j := range blk {
-						blk[j] = val
-					}
-					if err := c.Write(p, c.Blade(i%blades), "v", lba, blk, 0); err != nil {
-						panic(err)
-					}
-					want[lba] = val
+			l.do("E6", func(p *sim.Proc) error {
+				acked := writeAcks(p, c, "v", 0, nWrites)
+				if len(acked) < nWrites {
+					return fmt.Errorf("%d of %d writes failed", nWrites-len(acked), nWrites)
 				}
 				// Fail the first `kills` blades at the same instant: the
 				// correlated failure N-way replication is sized against.
@@ -63,73 +48,104 @@ func E6(seed int64) *metrics.Table {
 						ids[f] = f
 					}
 					if err := c.FailBlades(p, ids...); err != nil {
-						panic(err)
+						return err
 					}
 				}
 				b := c.PickBlade()
-				// Read back in LBA order, not map order: the readback I/O
-				// sequence must be identical across runs with the same seed.
-				lbas := make([]int64, 0, len(want))
-				for lba := range want {
-					lbas = append(lbas, lba)
-				}
-				sort.Slice(lbas, func(i, j int) bool { return lbas[i] < lbas[j] })
-				for _, lba := range lbas {
-					got, err := c.Read(p, b, "v", lba, 1, 0)
-					if err != nil || got[0] != want[lba] {
-						missing++
-					}
-				}
+				missing = lostAcks(p, c, "v", acked, func() *controller.Blade { return b })
+				return nil
 			})
-			for i := 0; !done && i < 3000; i++ {
-				k.RunFor(100 * sim.Millisecond)
-			}
-			k.Close()
-			if !done {
-				panic("E6 run did not finish")
-			}
 			return missing
 		}
 
 		// Measure write latency with this factor.
-		k := sim.NewKernel(seed)
 		cfg := clusterConfig(blades)
 		cfg.ReplicationN = n
-		c, err := controller.New(k, cfg)
-		if err != nil {
-			panic(err)
-		}
-		c.Pool.CreateDMSD("v", 1<<20)
-		hist := metrics.NewHistogram()
-		doneLat := false
-		k.Go("lat", func(p *sim.Proc) {
-			blk := make([]byte, c.BlockSize())
-			for i := 0; i < nWrites; i++ {
-				t0 := p.Now()
-				if err := c.Write(p, c.Blade(i%blades), "v", int64(i*5), blk, 0); err != nil {
-					panic(err)
-				}
-				hist.Observe(p.Now().Sub(t0))
-			}
-			doneLat = true
-		})
-		for i := 0; !doneLat && i < 3000; i++ {
-			k.RunFor(100 * sim.Millisecond)
-		}
-		if !doneLat {
-			panic("E6 latency run did not finish")
-		}
-
+		l := newLab(seed, cfg, "v", 0)
+		hist := writeLatency(l, "E6 latency", nWrites, 5)
 		if n == 3 {
-			replSkew = telemetry.SkewTable(c.Reg, "E6 — per-blade client ops at N=3", "blade/*/ops").String() +
-				telemetry.SkewTable(c.Reg, "E6 — per-blade replica pushes held at N=3", "blade/*/repl/puts").String()
+			replSkew = telemetry.SkewTable(l.c.Reg, "E6 — per-blade client ops at N=3", "blade/*/ops").String() +
+				telemetry.SkewTable(l.c.Reg, "E6 — per-blade replica pushes held at N=3", "blade/*/repl/puts").String()
 		}
-		k.Close()
+		l.close()
 		tab.AddRow(n, fmtDur(hist.Mean()), lost(n-1), lost(n))
 	}
 	tab.AddNote("N-1 failures: zero loss (every dirty block still has a live copy); N failures can lose blocks whose entire copy set died")
 	tab.AddNote("replication fan-out balance (telemetry registry, N=3 latency run):\n%s", replSkew)
 	return tab
+}
+
+// writeLatency times count one-block writes on the arm's volume, write i
+// at block stride·i through blade i mod blades, one after another.
+func writeLatency(l *lab, name string, count int, stride int64) *metrics.Histogram {
+	hist := metrics.NewHistogram()
+	l.do(name, func(p *sim.Proc) error {
+		blk := make([]byte, l.c.BlockSize())
+		for i := 0; i < count; i++ {
+			t0 := p.Now()
+			if err := l.c.Write(p, l.c.Blade(i%len(l.c.Blades)), l.target.Vol, int64(i)*stride, blk, 0); err != nil {
+				return err
+			}
+			hist.Observe(p.Now().Sub(t0))
+		}
+		return nil
+	})
+	return hist
+}
+
+// ack is one acknowledged write: every byte of block lba holds val.
+type ack struct {
+	lba int64
+	val byte
+}
+
+// writeAcks writes n blocks through the blades in turn, block base+3i
+// filled with byte i+1, and returns the writes the cluster acknowledged in
+// issue order — a slice, not a map, so a read-back's I/O sequence is the
+// same on every run of a seed.
+func writeAcks(p *sim.Proc, c *controller.Cluster, vol string, base int64, n int) []ack {
+	blk := make([]byte, c.BlockSize())
+	var acked []ack
+	for i := 0; i < n; i++ {
+		a := ack{base + int64(i*3), byte(i + 1)}
+		for j := range blk {
+			blk[j] = a.val
+		}
+		if err := c.Write(p, c.Blade(i%len(c.Blades)), vol, a.lba, blk, 0); err == nil {
+			acked = append(acked, a)
+		}
+	}
+	return acked
+}
+
+// lostAcks reads every acknowledged write back through the blade pick
+// returns and counts those that fail or differ anywhere in the block.
+func lostAcks(p *sim.Proc, c *controller.Cluster, vol string, acked []ack, pick func() *controller.Blade) int {
+	lost := 0
+	for _, a := range acked {
+		got, err := c.Read(p, pick(), vol, a.lba, 1, 0)
+		if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{a.val}, c.BlockSize())) {
+			lost++
+		}
+	}
+	return lost
+}
+
+// twoSites builds the federation E7, E8 and A1 run on: sites A and B, each
+// 12 lab disks in 6-disk groups, oneWay apart.
+func twoSites(seed int64, oneWay sim.Duration, geo georepl.Config) *core.GeoSystem {
+	gs, err := core.NewGeoSystem(seed, core.GeoOptions{
+		Sites:     []string{"A", "B"},
+		WANOneWay: oneWay,
+		SiteOptions: func(string) core.Options {
+			return core.Options{DiskSpec: labDisk(), Disks: 12, DisksPerGroup: 6}
+		},
+		Geo: geo,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return gs
 }
 
 // E7 — §7.1 / Figure 3: distributed data access. The first block read at a
@@ -138,23 +154,13 @@ func E6(seed int64) *metrics.Table {
 func E7(seed int64) *metrics.Table {
 	tab := metrics.NewTable("E7 — §7.1: remote access latency by read number (40 ms one-way WAN)",
 		"read#", "offset KiB", "latency ms", "served")
-	gs, err := core.NewGeoSystem(seed, core.GeoOptions{
-		Sites:     []string{"A", "B"},
-		WANOneWay: 40 * sim.Millisecond,
-		SiteOptions: func(string) core.Options {
-			return core.Options{DiskSpec: labDisk(), Disks: 12, DisksPerGroup: 6}
-		},
-		Geo: georepl.Config{PrefetchBytes: 256 << 10, HotThreshold: 4},
-	})
-	if err != nil {
-		panic(err)
-	}
+	gs := twoSites(seed, 40*sim.Millisecond, georepl.Config{PrefetchBytes: 256 << 10, HotThreshold: 4})
 	defer gs.K.Close()
 	data := make([]byte, 512<<10)
 	for i := range data {
 		data[i] = byte(i)
 	}
-	err = gs.Run(0, func(p *sim.Proc) error {
+	err := gs.Run(0, func(p *sim.Proc) error {
 		a, b := gs.Site("A"), gs.Site("B")
 		if err := a.Create(p, "/shared/results.dat", pfs.Policy{}); err != nil {
 			return err
@@ -197,21 +203,11 @@ func E8(seed int64) *metrics.Table {
 		"one-way ms", "mode", "write mean ms", "writes lost on site disaster")
 	for _, oneWay := range []sim.Duration{1 * sim.Millisecond, 10 * sim.Millisecond, 40 * sim.Millisecond, 100 * sim.Millisecond} {
 		for _, mode := range []pfs.GeoMode{pfs.GeoSync, pfs.GeoAsync} {
-			gs, err := core.NewGeoSystem(seed, core.GeoOptions{
-				Sites:     []string{"A", "B"},
-				WANOneWay: oneWay,
-				SiteOptions: func(string) core.Options {
-					return core.Options{DiskSpec: labDisk(), Disks: 12, DisksPerGroup: 6}
-				},
-				Geo: georepl.Config{ShipInterval: 200 * sim.Millisecond},
-			})
-			if err != nil {
-				panic(err)
-			}
+			gs := twoSites(seed, oneWay, georepl.Config{ShipInterval: 200 * sim.Millisecond})
 			const nWrites = 16
 			hist := metrics.NewHistogram()
 			lost := 0
-			err = gs.Run(0, func(p *sim.Proc) error {
+			err := gs.Run(0, func(p *sim.Proc) error {
 				a := gs.Site("A")
 				pol := pfs.Policy{Geo: pfs.GeoPolicy{Mode: mode, Sites: []string{"B"}}}
 				if err := a.Create(p, "/db/log", pol); err != nil {
@@ -290,73 +286,76 @@ func E10(seed int64) *metrics.Table {
 		// cache — that effect is §2.2's subject, shown in E2/E3).
 		ws = 4 << 10
 	)
-	k := sim.NewKernel(seed)
-	defer k.Close()
-	c, err := controller.New(k, clusterConfig(blades))
-	if err != nil {
-		panic(err)
-	}
-	c.Pool.CreateDMSD("v", 1<<20)
-	target := &core.VolumeTarget{Cluster: c, Vol: "v"}
-	if err := prefillVolume(k, c, "v", ws); err != nil {
-		panic(err)
-	}
+	l := newLab(seed, clusterConfig(blades), "v", ws)
+	defer l.close()
 	// Read workload: E10 is about availability of data access through
 	// failures (write-durability under failures is E6's subject).
 	pat := func(int) workload.Pattern {
 		return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0}
 	}
-	runWorkload(k, clients, 2*sim.Second, target, pat) // warm caches
+	l.run(clients, 2*sim.Second, pat) // warm caches
+	recoveryTook, series := l.failover("E10", tab, clients, pat, false)
+	tab.AddNote("both failures detected and recovered in %s ms of virtual time", fmtF(recoveryTook.Millis()))
+	tab.AddNote("%s", series.Spark("throughput over time"))
 
+	load := l.c.LoadPerBlade()[2:] // survivors only
+	tab.AddNote("surviving blades' load CV after failures: %s (≈0 = evenly redistributed)",
+		fmtF(metrics.Summarize(load).CV()))
+	return tab
+}
+
+// failover runs the blade-failure scenario E10 and E11 share, one table
+// row per phase: a measured second before the failures; a second in which
+// blades 0 and 1 die 200 ms in, with the clients running so in-flight ops
+// can fail; and, once the recovery protocol has finished and an unmeasured
+// 8 s re-warm has refilled the caches it cold-starts (the cost a real
+// recovery also pays, so the after row compares like-for-like with the
+// warm before row), a measured second after recovery. With traced set the
+// tracer records the three measured phases only, so the breakdown carries
+// no warm-up spans. It returns the recovery's duration and the throughput
+// series over the phases.
+func (l *lab) failover(name string, tab *metrics.Table, clients int, pat func(int) workload.Pattern, traced bool) (sim.Duration, *metrics.TimeSeries) {
+	k, c := l.k, l.c
 	series := metrics.NewTimeSeries(0, 250*sim.Millisecond)
-	measure := func(name string, dur sim.Duration) {
-		before := c.Errors
-		r := &workload.Runner{
-			K: k, Clients: clients, Pattern: pat, Target: target,
-			Duration: dur, Series: series,
-		}
+	row := func(phase string, r *workload.Runner, errs int64) {
+		tab.AddRow(phase, fmtF(r.Bytes.MBps()), int64(float64(r.Ops)/r.Duration.Seconds()),
+			c.Errors-errs, len(c.Alive()))
+	}
+	measure := func(phase string) {
+		errs := c.Errors
+		r := l.loop(clients, sim.Second, pat)
+		r.Series = series
 		r.Run()
-		tab.AddRow(name, fmtF(r.Bytes.MBps()), int64(float64(r.Ops)/dur.Seconds()),
-			c.Errors-before, len(c.Alive()))
+		row(phase, r, errs)
 	}
 
-	measure("before failures", sim.Second)
-	// Kill two blades (with a workload running so in-flight ops can fail).
-	// Recovery — survivors destaging the dead blades' replicated dirty
-	// data and cold-starting under the new membership — takes real
-	// (virtual) time; we measure the clean post-recovery regime after it
-	// completes and report the recovery duration.
-	killErr := c.Errors
-	during := &workload.Runner{K: k, Clients: clients, Pattern: pat, Target: target, Duration: sim.Second, Series: series}
+	l.tr.SetEnabled(traced)
+	measure("before failures")
+	errs := c.Errors
+	during := l.loop(clients, sim.Second, pat)
+	during.Series = series
 	during.Start()
-	recovered := false
-	var recoveryTook sim.Duration
+	// The killer is spawned from a timer, not from a body that sleeps
+	// 200 ms: the two order the events of that instant differently.
+	var took sim.Duration
+	recovered := sim.NewGroup(k)
+	recovered.Add(1)
 	k.After(200*sim.Millisecond, func() {
 		k.Go("killer", func(p *sim.Proc) {
 			t0 := p.Now()
 			c.FailBlade(p, 0)
 			c.FailBlade(p, 1)
-			recoveryTook = p.Now().Sub(t0)
-			recovered = true
+			took = p.Now().Sub(t0)
+			recovered.Done()
 		})
 	})
 	k.RunFor(sim.Second)
-	tab.AddRow("failure window", fmtF(during.Bytes.MBps()),
-		int64(float64(during.Ops)/1.0), c.Errors-killErr, len(c.Alive()))
-	for !recovered {
-		k.RunFor(100 * sim.Millisecond)
-	}
-	// Recovery cold-starts every cache; warm back up (unmeasured) so the
-	// post-recovery row compares like-for-like with the warm before row.
-	// Re-warming the whole working set from 24 spindles takes several
-	// simulated seconds — the cold-cache cost a real recovery also pays.
-	runWorkload(k, clients, 8*sim.Second, target, pat)
-	measure("after recovery", sim.Second)
-	tab.AddNote("both failures detected and recovered in %s ms of virtual time", fmtF(recoveryTook.Millis()))
-	tab.AddNote("%s", series.Spark("throughput over time"))
-
-	load := c.LoadPerBlade()[2:] // survivors only
-	tab.AddNote("surviving blades' load CV after failures: %s (≈0 = evenly redistributed)",
-		fmtF(metrics.Summarize(load).CV()))
-	return tab
+	row("failure window", during, errs)
+	l.await(name+" recovery", recovered)
+	l.tr.SetEnabled(false)
+	l.run(clients, 8*sim.Second, pat) // re-warm (unmeasured)
+	l.tr.SetEnabled(traced)
+	measure("after recovery")
+	l.tr.SetEnabled(false)
+	return took, series
 }

@@ -31,14 +31,11 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// runE12Shared memoizes one full seed-1 E12 evaluation: the shape test
-// and the determinism test both need it, and RunE12 is deterministic per
-// seed, so re-simulating its three cluster arms per test only burns the
+// e12Shared memoizes one full seed-1 E12 evaluation: the shape test and
+// the determinism test both need it, and runE12 is deterministic per seed,
+// so re-simulating its three cluster arms per test only burns the
 // package's go-test timeout budget.
-var e12Shared = sync.OnceValue(func() E12Result { return RunE12(1) })
-
-// row helpers for asserting on table contents.
-func cell(tab interface{ String() string }, _ int) string { return tab.String() }
+var e12Shared = sync.OnceValue(func() E12Result { return runE12(1, e15FullScale()) })
 
 func parseF(t *testing.T, s string) float64 {
 	t.Helper()
@@ -254,15 +251,15 @@ func skipIfShort(t *testing.T) {
 func TestE12RebalanceRecovers(t *testing.T) {
 	skipIfShort(t)
 	r := e12Shared()
-	if r.Static.CV <= r.CVMax || r.Static.Ratio <= r.RatioMax {
+	if r.Static.CV <= e12CVMax || r.Static.Ratio <= e12RatioMax {
 		t.Fatalf("static-path Zipf run shows no hot-spot (CV %.2f, max/mean %.2f vs thresholds %.2f/%.2f); premise broken",
-			r.Static.CV, r.Static.Ratio, r.CVMax, r.RatioMax)
+			r.Static.CV, r.Static.Ratio, e12CVMax, e12RatioMax)
 	}
-	if r.Migrations == 0 {
+	if r.Balanced.Migrations == 0 {
 		t.Fatalf("balanced run migrated no homes: %+v", r)
 	}
-	if r.Balanced.CV >= r.CVMax {
-		t.Fatalf("balanced load CV %.2f did not fall below the watchdog threshold %.2f", r.Balanced.CV, r.CVMax)
+	if r.Balanced.CV >= e12CVMax {
+		t.Fatalf("balanced load CV %.2f did not fall below the watchdog threshold %.2f", r.Balanced.CV, e12CVMax)
 	}
 	if got := r.Balanced.OpsPerSec / r.Uniform.OpsPerSec; got < 0.90 {
 		t.Fatalf("balanced throughput %.1f%% of uniform baseline, want ≥ 90%%", 100*got)
@@ -345,7 +342,7 @@ func TestE11LossyFabricDeterministic(t *testing.T) {
 // and the rebuild still completes in both contended arms.
 func TestE13Isolation(t *testing.T) {
 	skipIfShort(t)
-	r := RunE13(1)
+	r := runE13(1, e13Full())
 	if r.VictimRatioOff <= r.RatioMax {
 		t.Fatalf("QoS-off ablation shows no interference (victim p99 ratio %.2f vs bound %.2f); premise broken",
 			r.VictimRatioOff, r.RatioMax)
@@ -397,7 +394,7 @@ func TestE13Deterministic(t *testing.T) {
 // without starving the scrub.
 func TestE14Quick(t *testing.T) {
 	skipIfShort(t)
-	r := RunE14Quick(1)
+	r := runE14(1, e14Quick())
 
 	// Premise: the aggressor genuinely breaches the SLO under both
 	// governors (otherwise there is nothing to regulate).

@@ -3,8 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -21,25 +19,17 @@ func TestScale64Blades(t *testing.T) {
 		ws      = 64 << 10
 		dur     = 30 * sim.Millisecond
 	)
-	k := sim.NewKernel(64)
-	defer k.Close()
 	cfg := clusterConfig(blades)
 	cfg.Disks = 96
 	cfg.DisksPerGroup = 6
 	cfg.CacheBlocksPerBlade = 2048
-	c, err := controller.New(k, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Pool.CreateDMSD("scale", 1<<22); err != nil {
-		t.Fatal(err)
-	}
-	target := &core.VolumeTarget{Cluster: c, Vol: "scale"}
-	r := runWorkload(k, clients, dur, target, func(int) workload.Pattern {
+	l := newLab(64, cfg, "scale", 0)
+	defer l.close()
+	r := l.run(clients, dur, func(int) workload.Pattern {
 		return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0.25}
 	})
-	if c.Errors != 0 {
-		t.Fatalf("cluster reported %d op errors", c.Errors)
+	if l.c.Errors != 0 {
+		t.Fatalf("cluster reported %d op errors", l.c.Errors)
 	}
 	// 10k closed-loop clients for 30 ms must land well over one op each
 	// on average; a collapsed fabric would stall far below this floor.

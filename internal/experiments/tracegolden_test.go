@@ -6,10 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -24,31 +21,17 @@ func goldenTraceJSONL(seed int64) []byte {
 		clients = 8
 		ws      = 256
 	)
-	k := sim.NewKernel(seed)
-	defer k.Close() // after the span log is written: Close ends the ops in flight
-	cfg := clusterConfig(blades)
-	tracer := trace.NewTracer(k)
-	cfg.Tracer = tracer
-	c, err := controller.New(k, cfg)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := c.Pool.CreateDMSD("golden", 1<<20); err != nil {
-		panic(err)
-	}
-	target := &core.VolumeTarget{Cluster: c, Vol: "golden"}
-	if err := prefillVolume(k, c, "golden", ws); err != nil {
-		panic(err)
-	}
+	l := newLab(seed, clusterConfig(blades), "golden", ws)
+	defer l.close() // after the span log is written: Close ends the ops in flight
 	pat := func(int) workload.Pattern {
 		return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0.25}
 	}
-	runWorkload(k, clients, 200*sim.Millisecond, target, pat)
-	tracer.SetEnabled(true)
-	runWorkload(k, clients, 200*sim.Millisecond, target, pat)
-	tracer.SetEnabled(false)
+	l.run(clients, 200*sim.Millisecond, pat)
+	l.tr.SetEnabled(true)
+	l.run(clients, 200*sim.Millisecond, pat)
+	l.tr.SetEnabled(false)
 	var buf bytes.Buffer
-	if err := tracer.WriteJSONL(&buf); err != nil {
+	if err := l.tr.WriteJSONL(&buf); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
