@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -69,12 +70,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	render(os.Stdout, *seed, want)
+}
+
+// render runs the experiments in want (all when empty), in the runners
+// table's order, and writes each one's heading and table to w.
+func render(w io.Writer, seed int64, want map[string]bool) {
 	for _, r := range runners {
 		if len(want) > 0 && !want[r.name] {
 			continue
 		}
-		fmt.Printf("\n# %s — %s\n", r.name, r.desc)
-		r.fn(*seed).Render(os.Stdout)
+		fmt.Fprintf(w, "\n# %s — %s\n", r.name, r.desc)
+		r.fn(seed).Render(w)
 	}
 }
 

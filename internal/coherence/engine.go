@@ -313,10 +313,11 @@ const ctrlSize = 64
 
 // dirReq is a request to a key's home: coh.gets (read-share), coh.getx
 // (exclusive ownership) or coh.getv (a value read outside the coherence
-// domain, see handleGetV). Epoch is the requester's local install epoch for
-// the key; gets and getx record it with the registration so late evict
-// notices (which carry the epoch the evicted copy lived under) can be told
-// apart from a re-registration that happened after the eviction.
+// domain, see handleGetV); a coh.gets carries a slice of them, answered in
+// order. Epoch is the requester's local install epoch for the key; gets and
+// getx record it with the registration so late evict notices (which carry
+// the epoch the evicted copy lived under) can be told apart from a
+// re-registration that happened after the eviction.
 type dirReq struct {
 	Key   cache.Key
 	Epoch uint64
@@ -630,12 +631,13 @@ func (e *Engine) entry(key cache.Key) *dirEntry {
 
 // Reads are run-granular. A read resolves in two phases. Phase 1 is per
 // block and is the MSI protocol: the CPU charge, the local hit, the
-// directory exchange, a peer's copy. A block whose directory answer carries
-// no data — the backing store is current — does not read the store itself:
-// it joins the op's gather. Phase 2 runs once every block has its answer:
-// one backing read per maximal run of gathered blocks, straight into the
-// op's buffer, then one install per block under that block's own guards. A
-// single block is the run of length one.
+// directory exchange (one coh.gets per home for the op's misses), a peer's
+// copy. A block whose directory answer carries no data — the backing store
+// is current — does not read the store itself: it joins the op's gather.
+// Phase 2 runs once every block has its answer: one backing read per
+// maximal run of gathered blocks, straight into the op's buffer, then one
+// install per block under that block's own guards, their evictions told as
+// one coh.evict per home. A single block is the run of length one.
 
 // ReadBlock returns the content of key's block, serving from the local
 // cache when possible and running the coherence protocol otherwise.
@@ -651,8 +653,12 @@ func (e *Engine) ReadBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, er
 // caller's own process.
 func (e *Engine) ReadBlockInto(p *sim.Proc, key cache.Key, priority int, dst []byte) error {
 	e.noteRun(key.Vol, key.LBA, key.LBA, priority)
-	epoch, fill, err := e.resolve(p, key, priority, dst)
-	if err == nil && fill {
+	epoch, miss, err := e.lookup(p, key, dst)
+	if err != nil || !miss {
+		return err
+	}
+	resp, err := e.ask(p, "coh.gets", key, epoch)
+	if err == nil && e.settle(p, key, epoch, resp, priority, dst) {
 		err = e.fillRun(p, key, []gathered{{fill: true, epoch: epoch}}, priority, dst)
 	}
 	return err
@@ -677,17 +683,32 @@ func (e *Engine) ReadRun(p *sim.Proc, vol string, lba int64, priority int, dst [
 func (e *Engine) readRun(p *sim.Proc, vol string, lba int64, priority int, dst []byte) error {
 	bs := e.blockSize
 	count := len(dst) / bs
-	op := &runRead{}
+	op := &runRead{left: count}
 	grp := sim.NewGroup(e.k)
 	for i := 0; i < count; i++ {
 		grp.Add(1)
 		e.k.Go("read", func(q *sim.Proc) {
 			defer grp.Done()
-			epoch, fill, err := e.resolve(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, priority, dst[i*bs:(i+1)*bs])
-			switch {
-			case err != nil:
-				op.fail(err)
-			case fill:
+			key, d := cache.Key{Vol: vol, LBA: lba + int64(i)}, dst[i*bs:(i+1)*bs]
+			epoch, miss, err := e.lookup(q, key, d)
+			home, pos := -1, 0
+			if miss {
+				home, pos, err = op.request(e, key, epoch)
+			}
+			op.fail(err)
+			if op.left--; op.left == 0 && op.vecs != nil {
+				op.ready.Set(struct{}{}) // phase 1 is over: the vectors may go
+			}
+			if home < 0 {
+				return
+			}
+			resp, err := op.answer(q, e, home, pos)
+			if err == nil && resp.Redirect { // this key alone moved: follow it
+				e.stats.RedirectsFollowed++
+				e.setHomeOverride(key, resp.NewHome)
+				resp, err = e.ask(q, "coh.gets", key, epoch)
+			}
+			if op.fail(err); err == nil && e.settle(q, key, epoch, resp, priority, d) {
 				op.gather(i, count, epoch)
 			}
 		})
@@ -711,12 +732,63 @@ type gathered struct {
 type runRead struct {
 	err    error      // the first block to fail fails the op
 	blocks []gathered // nil until a block joins the gather
+	left   int        // blocks still in phase 1; ready is set when it reaches 0
+	// The op's coh.gets by home blade, and how many are out; set at its first
+	// miss, and held by value so that an op allocates them once, with itself.
+	vecs     []vector
+	ready    sim.Future[struct{}]
+	answered sim.Group
+}
+
+// vector is an op's coh.gets to one home: its requests and answers, in order.
+type vector struct {
+	reqs  []dirReq
+	resps []dirResp
 }
 
 func (op *runRead) fail(err error) {
 	if op.err == nil {
 		op.err = err
 	}
+}
+
+// request adds key's request to its home's vector: which home, what place.
+func (op *runRead) request(e *Engine, key cache.Key, epoch uint64) (home, pos int, err error) {
+	if home, err = e.home(key); err != nil {
+		return -1, 0, err
+	}
+	if op.vecs == nil {
+		op.vecs = make([]vector, len(e.peers))
+		op.ready, op.answered = *sim.NewFuture[struct{}](e.k), *sim.NewGroup(e.k)
+	}
+	v := &op.vecs[home]
+	if len(v.reqs) == 0 {
+		op.answered.Add(1)
+	}
+	v.reqs = append(v.reqs, dirReq{Key: key, Epoch: epoch})
+	return home, len(v.reqs) - 1, nil
+}
+
+// answer returns home's answer to request pos of its vector, or the op's
+// error. A vector's first request sends it once phase 1 is over, with all the
+// op's misses at that home in it; the misses go on when all are answered.
+func (op *runRead) answer(q *sim.Proc, e *Engine, home, pos int) (dirResp, error) {
+	v := &op.vecs[home]
+	if pos == 0 {
+		op.ready.Wait(q)
+		if op.err == nil {
+			raw, err := e.call(q, home, "coh.gets", v.reqs, ctrlSize)
+			if v.resps, _ = raw.([]dirResp); err != nil {
+				op.fail(fmt.Errorf("coherence: coh.gets to blade %d: %w", home, err))
+			}
+		}
+		op.answered.Done()
+	}
+	op.answered.Wait(q)
+	if v.resps == nil { // the op failed
+		return dirResp{}, op.err
+	}
+	return v.resps[pos], nil
 }
 
 // gather records that block i of the op's count must come from the backing
@@ -728,12 +800,9 @@ func (op *runRead) gather(i, count int, epoch uint64) {
 	op.blocks[i] = gathered{fill: true, epoch: epoch}
 }
 
-// resolve is phase 1 for one block: it charges the CPU, then serves the
-// block into dst from the local cache or from the copy a peer holds
-// (installing that copy here). fill reports that neither had it: the
-// directory registered this blade as a sharer under epoch and the backing
-// store is current, so the block is the caller's to read and install.
-func (e *Engine) resolve(p *sim.Proc, key cache.Key, priority int, dst []byte) (epoch uint64, fill bool, err error) {
+// lookup is phase 1's local half for one block: the CPU charge and a local
+// hit into dst. On a miss the block's home must answer a request under epoch.
+func (e *Engine) lookup(p *sim.Proc, key cache.Key, dst []byte) (epoch uint64, miss bool, err error) {
 	if e.down {
 		return 0, false, fmt.Errorf("coherence: blade %d down", e.self)
 	}
@@ -758,39 +827,48 @@ func (e *Engine) resolve(p *sim.Proc, key cache.Key, priority int, dst []byte) (
 		copy(dst, ent.Data)
 		return 0, false, nil
 	}
-	epoch = e.invEpoch[key]
-	resp, err := e.ask(p, "coh.gets", key, epoch)
-	if err != nil {
-		return 0, false, err
-	}
+	return e.invEpoch[key], true, nil
+}
+
+// settle serves the home's answer into dst, installing a peer's copy here.
+// fill reports that there was no data: this blade is a sharer under epoch,
+// the backing store is current, and the block is the caller's to read.
+func (e *Engine) settle(p *sim.Proc, key cache.Key, epoch uint64, resp dirResp, priority int, dst []byte) (fill bool) {
 	if resp.Data == nil {
 		e.stats.DiskReads++
-		return epoch, true, nil
+		return true
 	}
 	e.stats.PeerFetches++
 	if !resp.NoCache { // a dirty owner forwarded it: serve, do not install
-		e.install(p, key, epoch, resp.Data, priority)
+		e.install(p, key, epoch, resp.Data, priority, nil)
 	}
 	copy(dst, resp.Data)
-	return epoch, false, nil
+	return false
 }
 
 // ask sends key's directory request (method is coh.gets, coh.getx or
-// coh.getv) to the key's home and returns the home's answer. A home that
-// migrated while the request was in flight answers with a Redirect: ask
-// learns the new address and retries there. Chained redirects are bounded
-// by the blade count plus in-flight migrations.
+// coh.getv; a coh.gets vector of one) to the key's home and returns the
+// home's answer. A home that migrated while the request was in flight
+// answers with a Redirect: ask learns the new address and retries there.
+// Chained redirects are bounded by the blade count plus in-flight migrations.
 func (e *Engine) ask(p *sim.Proc, method string, key cache.Key, epoch uint64) (dirResp, error) {
 	homeID, err := e.home(key)
 	if err != nil {
 		return dirResp{}, err
 	}
 	for hops := 0; ; hops++ {
-		raw, err := e.call(p, homeID, method, dirReq{Key: key, Epoch: epoch}, ctrlSize)
+		var args any = dirReq{Key: key, Epoch: epoch}
+		if method == "coh.gets" {
+			args = []dirReq{{Key: key, Epoch: epoch}}
+		}
+		raw, err := e.call(p, homeID, method, args, ctrlSize)
 		if err != nil {
 			return dirResp{}, fmt.Errorf("coherence: %s to blade %d: %w", method, homeID, err)
 		}
-		resp := raw.(dirResp)
+		resp, ok := raw.(dirResp)
+		if !ok {
+			resp = raw.([]dirResp)[0]
+		}
 		if !resp.Redirect {
 			return resp, nil
 		}
@@ -813,8 +891,8 @@ func (e *Engine) ask(p *sim.Proc, method string, key cache.Key, epoch uint64) (d
 // that dirty block with older data would lose an acknowledged write. A
 // failed makeRoom (backing store refusing writebacks) degrades to serving
 // the read uncached rather than failing it.
-func (e *Engine) install(p *sim.Proc, key cache.Key, epoch uint64, data []byte, priority int) {
-	if e.invEpoch[key] != epoch || e.makeRoom(p) != nil {
+func (e *Engine) install(p *sim.Proc, key cache.Key, epoch uint64, data []byte, priority int, notes *[]evictNote) {
+	if e.invEpoch[key] != epoch || e.makeRoom(p, notes) != nil {
 		return
 	}
 	if _, present := e.cache.Peek(key); present || e.invEpoch[key] != epoch {
@@ -863,17 +941,20 @@ func (e *Engine) fillGathered(p *sim.Proc, blocks []gathered, vol string, lba in
 }
 
 // fillRun reads the run of gathered blocks that starts at key from the
-// backing store into dst in one call, then installs a copy of each block. A
+// backing store into dst in one call, then installs a copy of each block
+// and sends the evictions the installs caused as one notice per home. A
 // failed read installs nothing.
 func (e *Engine) fillRun(p *sim.Proc, key cache.Key, run []gathered, priority int, dst []byte) error {
 	if err := e.backing.ReadBlockInto(p, key, dst); err != nil {
 		return err
 	}
 	bs := e.blockSize
+	var notes []evictNote
 	for i, g := range run {
 		k := cache.Key{Vol: key.Vol, LBA: key.LBA + int64(i)}
-		e.install(p, k, g.epoch, append([]byte(nil), dst[i*bs:(i+1)*bs]...), priority)
+		e.install(p, k, g.epoch, append([]byte(nil), dst[i*bs:(i+1)*bs]...), priority, &notes)
 	}
+	e.notify(p, notes)
 	return nil
 }
 
@@ -1006,7 +1087,7 @@ func (e *Engine) installModified(p *sim.Proc, key cache.Key, epoch uint64, data 
 		entry.State = cache.Modified
 		e.cache.SetDirty(entry, true)
 	} else {
-		if err := e.makeRoom(p); err != nil {
+		if err := e.makeRoom(p, nil); err != nil {
 			// No room and the backing store refuses writebacks: fail the
 			// write rather than pile dirty data past capacity on a store
 			// that cannot drain it.
@@ -1042,8 +1123,9 @@ const maxWritebackFailures = 4
 // makeRoom evicts until one insertion fits, writing dirty victims back.
 // It returns a non-nil error only when room could not be made because the
 // backing store kept refusing writebacks; the caller decides whether the
-// operation can proceed uncached or must fail.
-func (e *Engine) makeRoom(p *sim.Proc) error {
+// operation can proceed uncached or must fail. Directory notices join notes
+// for the caller to send, or, with notes nil, go at once.
+func (e *Engine) makeRoom(p *sim.Proc, notes *[]evictNote) error {
 	failures := 0
 	for e.cache.NeedsRoom(1) {
 		v := e.cache.Victim()
@@ -1063,12 +1145,11 @@ func (e *Engine) makeRoom(p *sim.Proc) error {
 				continue // updated mid-writeback: reselect
 			}
 		}
-		wasOwner := v.State == cache.Modified
 		// The notice carries the epoch the copy lived under (pre-bump):
 		// the home matches it against the registration epoch so a notice
 		// that arrives after this blade re-registers cannot deregister
 		// the fresh copy.
-		noteEpoch := e.invEpoch[v.Key]
+		note := evictNote{Key: v.Key, From: e.self, WasOwner: v.State == cache.Modified, Epoch: e.invEpoch[v.Key]}
 		if tracing(v.Key) {
 			traceFn("t=%v blade%d evict state=%v", e.k.Now(), e.self, v.State)
 		}
@@ -1079,13 +1160,32 @@ func (e *Engine) makeRoom(p *sim.Proc) error {
 		// otherwise resurrect the key here while the directory forgets it —
 		// a dirty copy under an Invalid entry once the note lands.
 		e.invEpoch[v.Key]++
-		// Fire-and-forget directory notice; staleness is tolerated.
-		if homeID, err := e.home(v.Key); err == nil {
-			e.conn.Cast(p, e.peers[homeID], "coh.evict",
-				evictNote{Key: v.Key, From: e.self, WasOwner: wasOwner, Epoch: noteEpoch}, ctrlSize)
+		if notes != nil {
+			*notes = append(*notes, note)
+		} else {
+			e.notify(p, []evictNote{note})
 		}
 	}
 	return nil
+}
+
+// notify casts notes, fire and forget (staleness is tolerated), as one
+// coh.evict per home, grouped in place: the casts share notes' array.
+func (e *Engine) notify(p *sim.Proc, notes []evictNote) {
+	for len(notes) > 0 {
+		home, err := e.home(notes[0].Key)
+		n := 1
+		for i := 1; i < len(notes); i++ {
+			if h, _ := e.home(notes[i].Key); h == home {
+				notes[n], notes[i] = notes[i], notes[n]
+				n++
+			}
+		}
+		if err == nil {
+			e.conn.Cast(p, e.peers[home], "coh.evict", notes[:n:n], ctrlSize)
+		}
+		notes = notes[n:]
+	}
 }
 
 // noteRun feeds the per-volume sequential detector with the blocks [first,

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"slices"
+
 	"repro/internal/cache"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -15,16 +17,60 @@ func bladeID(peers []simnet.Addr, addr simnet.Addr) int {
 	return -1
 }
 
-// handleGetS serves a read-share request as the home blade.
+// handleGetS serves a vector of read-share requests as the home blade: one
+// CPU charge, HandlerDelay per key, then each key under its own mutex, in
+// order — but concurrently for the keys that need a peer, if more than one.
 func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) {
-	req := args.(dirReq)
+	reqs := args.([]dirReq)
+	requester := bladeID(e.peers, from)
+	resps := make([]dirResp, len(reqs))
+	e.busy(p, sim.Duration(len(reqs))*e.hdlDelay)
+	var buf [8]int
+	probing := buf[:0] // keys whose directory state needs a sharer's fetch or the owner's downgrade
+	for i, req := range reqs {
+		ent, ok := e.dir[req.Key] // read without the mutex: it only schedules
+		if len(reqs) > 1 && ok && (ent.state == dirModified || ent.state == dirShared && !e.noPeerFetch &&
+			slices.ContainsFunc(ent.sharers, func(s sharer) bool { return s.blade != requester })) {
+			probing = append(probing, i)
+		}
+	}
+	if len(probing) < 2 {
+		probing = nil
+	}
+	var grp *sim.Group // only when keys run concurrently; the procs capture g, so grp stays off the heap
+	for _, i := range probing {
+		if grp == nil {
+			grp = sim.NewGroup(e.k)
+		}
+		g := grp
+		g.Add(1)
+		e.k.Go("gets", func(q *sim.Proc) {
+			defer g.Done()
+			resps[i] = e.getS(q, requester, reqs[i])
+		})
+	}
+	for i, req := range reqs {
+		if !slices.Contains(probing, i) {
+			resps[i] = e.getS(p, requester, req)
+		}
+	}
+	if grp != nil {
+		grp.Wait(p)
+	}
+	size := ctrlSize
+	for _, r := range resps {
+		size += len(r.Data)
+	}
+	return resps, size
+}
+
+// getS serves one read-share request of requester as the home blade.
+func (e *Engine) getS(p *sim.Proc, requester int, req dirReq) dirResp {
 	if to, ok := e.forward[req.Key]; ok {
 		e.stats.RedirectsServed++
-		return dirResp{Redirect: true, NewHome: to}, ctrlSize
+		return dirResp{Redirect: true, NewHome: to}
 	}
-	requester := bladeID(e.peers, from)
 	e.stats.DirRequests++
-	e.busy(p, e.hdlDelay)
 	ent := e.entry(req.Key)
 	ent.mu.Lock(p)
 	defer ent.mu.Unlock()
@@ -32,7 +78,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	// or the entry mutex (the migration handler holds the same mutex).
 	if to, ok := e.forward[req.Key]; ok {
 		e.stats.RedirectsServed++
-		return dirResp{Redirect: true, NewHome: to}, ctrlSize
+		return dirResp{Redirect: true, NewHome: to}
 	}
 	e.heat.Touch(req.Key)
 
@@ -43,7 +89,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	case dirInvalid:
 		ent.state = dirShared
 		ent.sharers.only(requester, req.Epoch)
-		return dirResp{}, ctrlSize // backing store is current
+		return dirResp{} // backing store is current
 
 	case dirShared:
 		// Peer-cache transfer: try to serve from an existing sharer's
@@ -52,7 +98,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 		var data []byte
 		if e.noPeerFetch {
 			ent.sharers.add(requester, req.Epoch)
-			return dirResp{}, ctrlSize
+			return dirResp{}
 		}
 		var buf [8]int
 		for _, s := range ent.sharers.blades(buf[:0]) {
@@ -77,7 +123,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 			break
 		}
 		ent.sharers.add(requester, req.Epoch)
-		return dirResp{Data: data}, ctrlSize + len(data)
+		return dirResp{Data: data}
 
 	default: // dirModified
 		owner := ent.owner
@@ -100,7 +146,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 				// directly and keeps exclusive ownership; the reader
 				// must not cache. Once the owner's flusher destages,
 				// the next GetS downgrades cheaply to Shared.
-				return dirResp{Data: dr.Data, NoCache: true}, ctrlSize + len(dr.Data)
+				return dirResp{Data: dr.Data, NoCache: true}
 			}
 			if !dr.Gone {
 				// Clean owner downgraded to Shared; backing store is
@@ -109,14 +155,14 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 				ent.state = dirShared
 				ent.sharers.only(requester, req.Epoch)
 				ent.sharers.add(owner, ent.ownerEpoch)
-				return dirResp{Data: dr.Data}, ctrlSize + len(dr.Data)
+				return dirResp{Data: dr.Data}
 			}
 		}
 		// Gone or dead owner: per invariant 3 the backing store is
 		// current.
 		ent.state = dirShared
 		ent.sharers.only(requester, req.Epoch)
-		return dirResp{}, ctrlSize
+		return dirResp{}
 	}
 }
 
@@ -361,38 +407,41 @@ func (e *Engine) handleFetch(p *sim.Proc, from simnet.Addr, args any) (any, int)
 	return fetchResp{Data: append([]byte(nil), ent.Data...)}, ctrlSize + len(ent.Data)
 }
 
-// handleEvictNote processes an asynchronous eviction notice.
+// handleEvictNote processes a vector of asynchronous eviction notices.
 func (e *Engine) handleEvictNote(p *sim.Proc, from simnet.Addr, args any) (any, int) {
-	note := args.(evictNote)
-	if to, ok := e.forward[note.Key]; ok {
-		// The key's home migrated away; relay the notice so the new home's
-		// sharer set does not go stale.
-		e.conn.Cast(p, e.peers[to], "coh.evict", note, ctrlSize)
-		return nil, 0
-	}
-	ent, ok := e.dir[note.Key]
-	if !ok {
-		return nil, 0
-	}
-	// Only deregister if the notice matches the recorded registration
-	// epoch. A stale notice — the blade evicted, then re-requested and
-	// re-registered under a newer epoch before the notice arrived (the
-	// ex-home relay above adds a whole extra hop for it to lose) — must
-	// be dropped: removing the re-registered sharer would strand its
-	// live copy outside the sharer set, where GetX invalidations cannot
-	// reach it and local hits would serve stale data indefinitely.
-	switch ent.state {
-	case dirShared:
-		if epoch, ok := ent.sharers.epoch(note.From); ok && note.Epoch >= epoch {
-			ent.sharers.remove(note.From)
-			if len(ent.sharers) == 0 {
-				ent.state = dirInvalid
+	var relay []evictNote
+	for _, note := range args.([]evictNote) {
+		if _, ok := e.forward[note.Key]; ok {
+			// The key's home migrated away (home() now names the new one);
+			// relay the notice so the new home's sharer set does not go stale.
+			relay = append(relay, note)
+			continue
+		}
+		ent, ok := e.dir[note.Key]
+		if !ok {
+			continue
+		}
+		// Only deregister if the notice matches the recorded registration
+		// epoch. A stale notice — the blade evicted, then re-requested and
+		// re-registered under a newer epoch before the notice arrived (the
+		// ex-home relay adds a whole extra hop for it to lose) — must be
+		// dropped: removing the re-registered sharer would strand its live
+		// copy outside the sharer set, where GetX invalidations cannot reach
+		// it and local hits would serve stale data indefinitely.
+		switch ent.state {
+		case dirShared:
+			if epoch, ok := ent.sharers.epoch(note.From); ok && note.Epoch >= epoch {
+				ent.sharers.remove(note.From)
+				if len(ent.sharers) == 0 {
+					ent.state = dirInvalid
+				}
+			}
+		case dirModified:
+			if note.WasOwner && ent.owner == note.From && note.Epoch >= ent.ownerEpoch {
+				ent.state = dirInvalid // backing store current, invariant 3
 			}
 		}
-	case dirModified:
-		if note.WasOwner && ent.owner == note.From && note.Epoch >= ent.ownerEpoch {
-			ent.state = dirInvalid // backing store current, invariant 3
-		}
 	}
+	e.notify(p, relay)
 	return nil, 0
 }

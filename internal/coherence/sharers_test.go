@@ -105,8 +105,7 @@ func TestAdoptKeepsSharerEpochs(t *testing.T) {
 		t.Fatalf("sharers after adopt = %v, want blade %d under epoch 0", ent.sharers, b)
 	}
 	h.run(func(p *sim.Proc) {
-		h.engines[to].handleEvictNote(p, "", evictNote{Key: key, From: a, Epoch: 4})
-		h.engines[to].handleEvictNote(p, "", evictNote{Key: key, From: b, Epoch: 0})
+		h.engines[to].handleEvictNote(p, "", []evictNote{{Key: key, From: a, Epoch: 4}, {Key: key, From: b, Epoch: 0}})
 	})
 	if !ent.sharers.has(a) || ent.sharers.has(b) {
 		t.Fatalf("sharers after a stale and a current notice = %v, want only blade %d", ent.sharers, a)

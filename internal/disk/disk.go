@@ -5,6 +5,7 @@
 package disk
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -330,9 +331,13 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte) error {
 			delete(d.store, lba+int64(i))
 			continue
 		}
-		blk := make([]byte, d.spec.BlockSize)
-		copy(blk, src)
-		d.store[lba+int64(i)] = blk
+		// A block already stored is overwritten in place: reads and Peek
+		// copy out, so nothing outside the store holds its bytes.
+		if blk, ok := d.store[lba+int64(i)]; ok {
+			copy(blk, src)
+			continue
+		}
+		d.store[lba+int64(i)] = bytes.Clone(src)
 	}
 	return nil
 }

@@ -152,6 +152,36 @@ func TestWriteDoesNotAliasCaller(t *testing.T) {
 	k.Run()
 }
 
+// An overwrite of a stored block reuses its storage, so what was handed out
+// before — a Peek, a read — and the writer's buffer after must stay apart
+// from it; an all-zero overwrite still frees the block.
+func TestOverwriteInPlaceDoesNotAlias(t *testing.T) {
+	k := sim.NewKernel(1)
+	d := New(k, "d0", testSpec())
+	first, second := bytes.Repeat([]byte{1}, 4096), bytes.Repeat([]byte{2}, 4096)
+	k.Go("t", func(p *sim.Proc) {
+		d.Write(p, 7, first)
+		peeked := d.Peek(7)
+		read, _ := d.Read(p, 7, 1)
+		d.Write(p, 7, second)
+		second[0] = 99 // the writer reuses its buffer
+		if peeked[0] != 1 || read[0] != 1 {
+			t.Errorf("overwrite reached a copy handed out before it: peek %d, read %d", peeked[0], read[0])
+		}
+		if got, _ := d.Read(p, 7, 1); got[0] != 2 || got[1] != 2 {
+			t.Errorf("read after overwrite = %d, %d, want 2, 2", got[0], got[1])
+		}
+		if n := d.AllocatedBlocks(); n != 1 {
+			t.Errorf("%d blocks allocated after an overwrite, want 1", n)
+		}
+		d.Write(p, 7, make([]byte, 4096))
+		if n := d.AllocatedBlocks(); n != 0 {
+			t.Errorf("%d blocks allocated after a zero overwrite, want 0", n)
+		}
+	})
+	k.Run()
+}
+
 func TestSequentialSkipsSeek(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := New(k, "d0", testSpec())
