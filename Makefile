@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race verify loc bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
+.PHONY: all build vet test race verify loc knobs bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
 
 all: verify
 
@@ -24,6 +24,12 @@ verify: build vet test race
 # item 9 gates on — of the working tree, or of a revision with REV=<rev>.
 loc:
 	bash scripts/loc.sh $(REV)
+
+# knobs prints the exported fields of every *Config/*Options struct (and of
+# telemetry's watchdogs) per struct, per package and in total — the values
+# a caller can set — of the working tree, or of a revision with REV=<rev>.
+knobs:
+	bash scripts/knobs.sh $(REV)
 
 # bench-e2e runs BENCHMARK.json's four workloads exactly as the driver does
 # (bench/run.sh builds into .bench_build/ and runs ~10 s per workload):

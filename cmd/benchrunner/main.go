@@ -38,7 +38,7 @@ var runners = []struct {
 	{"E12", "§2.2/§6.3: adaptive hot-spot rebalancing", experiments.E12},
 	{"E13", "§2.4/§4: multi-tenant QoS isolation under rebuild", experiments.E13},
 	{"E13Q", "reduced-scale QoS isolation smoke (CI)", experiments.E13Q},
-	{"E14", "governor step response: halve/double vs per-tenant PI control", experiments.E14},
+	{"E14", "governor step response: per-tenant PI control under step and burst load", experiments.E14},
 	{"E14Q", "reduced-scale governor step-response smoke (CI)", experiments.E14Q},
 	{"E15", "hot-key cache tier vs home migration under shifting Zipf skew", experiments.E15},
 	{"E15Q", "reduced-scale cache-tier crossover smoke (CI)", experiments.E15Q},

@@ -274,6 +274,9 @@ func execute(p *sim.Proc, sys *core.System, line string) error {
 		_, err := v.SnapshotAs(args[1])
 		return err
 	case "mkdir":
+		if len(args) != 1 {
+			return fmt.Errorf("usage: mkdir <path>")
+		}
 		return sys.FS.MkdirAll(args[0])
 	case "put":
 		if len(args) < 2 {
@@ -281,6 +284,9 @@ func execute(p *sim.Proc, sys *core.System, line string) error {
 		}
 		return sys.FS.WriteFile(p, args[0], []byte(strings.Join(args[1:], " ")), pfs.Policy{})
 	case "get":
+		if len(args) != 1 {
+			return fmt.Errorf("usage: get <path>")
+		}
 		data, err := sys.FS.ReadFile(p, args[0])
 		if err != nil {
 			return err
@@ -311,6 +317,9 @@ func execute(p *sim.Proc, sys *core.System, line string) error {
 		}
 		return sys.FS.SetPolicy(args[0], pol)
 	case "tenant":
+		if len(args) != 1 {
+			return fmt.Errorf("usage: tenant <name>")
+		}
 		if _, err := sys.Auth.CreateTenant(args[0]); err != nil {
 			return err
 		}
@@ -373,15 +382,28 @@ func execute(p *sim.Proc, sys *core.System, line string) error {
 			args[0], args[1], args[2], plan.MaxExtraDelay)
 		return nil
 	case "failblade":
+		if len(args) != 1 {
+			return fmt.Errorf("usage: failblade <id>")
+		}
 		return sys.Cluster.FailBlade(p, int(atoi(args[0])))
 	case "revive":
+		if len(args) != 1 {
+			return fmt.Errorf("usage: revive <id>")
+		}
 		return sys.Cluster.ReviveBlade(p, int(atoi(args[0])))
 	case "faildisk":
+		if len(args) != 2 {
+			return fmt.Errorf("usage: faildisk <group> <idx>")
+		}
 		g, d := int(atoi(args[0])), int(atoi(args[1]))
 		if g < 0 || g >= len(sys.Cluster.Groups) {
 			return fmt.Errorf("no group %d", g)
 		}
-		sys.Cluster.Groups[g].Disks()[d].Fail()
+		disks := sys.Cluster.Groups[g].Disks()
+		if d < 0 || d >= len(disks) {
+			return fmt.Errorf("usage: faildisk <group> <idx>, idx in 0..%d", len(disks)-1)
+		}
+		disks[d].Fail()
 		return nil
 	case "clone":
 		if len(args) != 2 {
@@ -442,6 +464,9 @@ func execute(p *sim.Proc, sys *core.System, line string) error {
 			return fmt.Errorf("usage: rebalance [on|off|status|report]")
 		}
 	case "rebuild":
+		if len(args) != 2 {
+			return fmt.Errorf("usage: rebuild <group> <idx>")
+		}
 		g, d := int(atoi(args[0])), int(atoi(args[1]))
 		t0 := p.Now()
 		if err := sys.Cluster.DistributedRebuild(p, g, d); err != nil {
@@ -796,63 +821,16 @@ func runTrace(argv []string) {
 	jsonl := fs.String("jsonl", "", "also write one span per line as JSONL")
 	fs.Parse(argv)
 
-	sys, err := core.NewSystem(core.Options{Seed: *seed, Blades: *blades, Trace: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Trace only the measurement window, not prefill/warm-up.
-	sys.Tracer.SetEnabled(false)
-
-	const ws = 4 << 10 // working set, blocks
-	target := &core.VolumeTarget{Cluster: sys.Cluster, Vol: "fs.default"}
-	err = sys.Run(0, func(p *sim.Proc) error {
-		for lba := int64(0); lba < ws; lba += 256 {
-			if err := target.Write(p, lba, 256); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	run := func(d sim.Duration) *workload.Runner {
-		r := &workload.Runner{
-			K:       sys.K,
-			Clients: *clients,
-			Target:  target,
-			Pattern: func(int) workload.Pattern {
-				return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0.25}
-			},
-			Duration: d,
-		}
-		r.Run()
-		return r
-	}
-	run(sim.Second) // warm caches untraced
+	sys, target := prepSystem(core.Options{Seed: *seed, Blades: *blades, Trace: true})
+	mixedLoad(sys, target, *clients, sim.Second).Run() // warm caches untraced
 	sys.Tracer.SetEnabled(true)
-	r := run(sim.Duration(*window) * sim.Millisecond)
+	r := mixedLoad(sys, target, *clients, sim.Duration(*window)*sim.Millisecond)
+	r.Run()
 	sys.Tracer.SetEnabled(false)
 	sys.Stop()
 
-	write := func(path string, fn func(io.Writer) error) {
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := fn(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	write(*out, sys.Tracer.WriteChrome)
-	if *jsonl != "" {
-		write(*jsonl, sys.Tracer.WriteJSONL)
-	}
+	writeFile(*out, sys.Tracer.WriteChrome)
+	writeFile(*jsonl, sys.Tracer.WriteJSONL)
 
 	fmt.Printf("%d ops, %.1f MB/s, mean %.3f ms, p99 %.3f ms over %d ms traced\n",
 		r.Ops, r.Bytes.MBps(), r.Latency.Mean().Millis(), r.Latency.P99().Millis(), *window)
@@ -860,22 +838,24 @@ func runTrace(argv []string) {
 	sys.Tracer.BreakdownTable("per-phase latency").Render(os.Stdout)
 }
 
-// prepSystem builds a system with the telemetry scraper on and prefills
-// the default volume — the shared setup of the top and telemetry
-// subcommands.
-func prepSystem(seed int64, blades int, interval sim.Duration) (*core.System, *core.VolumeTarget, int64) {
-	sys, err := core.NewSystem(core.Options{
-		Seed: seed, Blades: blades,
-		Telemetry:  interval,
-		SLOReadP99: 50 * sim.Millisecond,
-	})
+// subcommandWS is the working set, in blocks, of the trace, top and
+// telemetry subcommands.
+const subcommandWS = 4 << 10
+
+// prepSystem builds a system from opts, parks its tracer (if any) so the
+// prefill is not traced, and prefills the default volume's working set —
+// the shared setup of the trace, top and telemetry subcommands.
+func prepSystem(opts core.Options) (*core.System, *core.VolumeTarget) {
+	sys, err := core.NewSystem(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	const ws = 4 << 10 // working set, blocks
+	if sys.Tracer != nil {
+		sys.Tracer.SetEnabled(false)
+	}
 	target := &core.VolumeTarget{Cluster: sys.Cluster, Vol: "fs.default"}
 	err = sys.Run(0, func(p *sim.Proc) error {
-		for lba := int64(0); lba < ws; lba += 256 {
+		for lba := int64(0); lba < subcommandWS; lba += 256 {
 			if err := target.Write(p, lba, 256); err != nil {
 				return err
 			}
@@ -885,7 +865,50 @@ func prepSystem(seed int64, blades int, interval sim.Duration) (*core.System, *c
 	if err != nil {
 		log.Fatal(err)
 	}
-	return sys, target, ws
+	return sys, target
+}
+
+// mixedLoad is the subcommands' closed-loop workload for d of virtual
+// time: 4-block ops over the working set, a quarter of them writes.
+func mixedLoad(sys *core.System, target *core.VolumeTarget, clients int, d sim.Duration) *workload.Runner {
+	return &workload.Runner{
+		K:       sys.K,
+		Clients: clients,
+		Target:  target,
+		Pattern: func(int) workload.Pattern {
+			return workload.Uniform{Range: subcommandWS, Blocks: 4, WriteFrac: 0.25}
+		},
+		Duration: d,
+	}
+}
+
+// writeFile creates path, fills it with fn and reports it; an empty path
+// writes nothing.
+func writeFile(path string, fn func(io.Writer) error) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := fn(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("wrote %s\n", path)
+}
+
+// prepScraped is prepSystem with the telemetry scraper on, for the top and
+// telemetry subcommands.
+func prepScraped(seed int64, blades int, interval sim.Duration) (*core.System, *core.VolumeTarget) {
+	return prepSystem(core.Options{
+		Seed: seed, Blades: blades,
+		Telemetry:  interval,
+		SLOReadP99: 50 * sim.Millisecond,
+	})
 }
 
 // runTop implements `yottactl top`: a live per-blade dashboard refreshed
@@ -903,17 +926,8 @@ func runTop(argv []string) {
 	}
 
 	interval := sim.Duration(*refresh) * sim.Millisecond
-	sys, target, ws := prepSystem(*seed, *blades, interval)
-	r := &workload.Runner{
-		K:       sys.K,
-		Clients: *clients,
-		Target:  target,
-		Pattern: func(int) workload.Pattern {
-			return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0.25}
-		},
-		Duration: sim.Duration(*total) * sim.Millisecond,
-	}
-	r.Start()
+	sys, target := prepScraped(*seed, *blades, interval)
+	mixedLoad(sys, target, *clients, sim.Duration(*total)*sim.Millisecond).Start()
 	seen := 0
 	for f := int64(0); f < *total / *refresh; f++ {
 		sys.K.RunFor(interval)
@@ -941,38 +955,14 @@ func runTelemetry(argv []string) {
 		log.Fatal("ms and interval-ms must be positive")
 	}
 
-	sys, target, ws := prepSystem(*seed, *blades, sim.Duration(*intervalMs)*sim.Millisecond)
-	r := &workload.Runner{
-		K:       sys.K,
-		Clients: *clients,
-		Target:  target,
-		Pattern: func(int) workload.Pattern {
-			return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0.25}
-		},
-		Duration: sim.Duration(*total) * sim.Millisecond,
-	}
+	sys, target := prepScraped(*seed, *blades, sim.Duration(*intervalMs)*sim.Millisecond)
+	r := mixedLoad(sys, target, *clients, sim.Duration(*total)*sim.Millisecond)
 	r.Run()
 	sys.Stop()
 
-	write := func(path string, fn func(io.Writer) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := fn(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	write(*jsonl, sys.Scraper.WriteJSONL)
-	write(*events, sys.Scraper.WriteEventsJSONL)
-	write(*prom, sys.Registry.WriteProm)
+	writeFile(*jsonl, sys.Scraper.WriteJSONL)
+	writeFile(*events, sys.Scraper.WriteEventsJSONL)
+	writeFile(*prom, sys.Registry.WriteProm)
 
 	fmt.Printf("%d ops, %.1f MB/s over %d ms\n", r.Ops, r.Bytes.MBps(), *total)
 	fmt.Printf("%s\n", sys.Scraper.Report())

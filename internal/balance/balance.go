@@ -2,11 +2,14 @@
 // blade caches pool into one coherent cache, and "load balancing removes
 // the per-controller hot-spot". PR-3's telemetry watchdog only *detects*
 // per-blade load skew; this package *acts* on it. A virtual-time
-// controller watches the scraper's per-blade load series and, when skew
-// stays above the hot-spot thresholds for a configured number of
-// intervals, migrates the directory homes of the hottest blocks from the
-// hottest blade to underloaded blades via the coherence layer's
-// migrate/adopt/sethome exchange.
+// controller watches the scraper's per-blade load series and, when
+// telemetry's skew test (the hot-spot watchdog's) holds for
+// telemetry.DefaultSkewFor consecutive intervals, migrates the directory
+// homes of the hottest blocks from the hottest blade to underloaded blades
+// via the coherence layer's migrate/adopt/sethome exchange. It acts on
+// exactly the intervals the watchdog's streak arms on, except that an
+// idle interval resets the balancer's streak where the watchdog holds
+// its own.
 //
 // Everything the controller reads (scrape deltas, per-key heat) and every
 // order it iterates in (sorted blade IDs, heat-ranked keys with
@@ -31,41 +34,32 @@ import (
 	"repro/internal/trace"
 )
 
-// Config tunes the rebalance controller. Zero values select defaults that
-// mirror the telemetry hot-spot watchdog, so "the watchdog would fire"
-// and "the balancer acts" describe the same condition.
+// loadPattern selects the per-blade load series; its '*' segment is the
+// blade ID.
+const loadPattern = "blade/*/ops"
+
+// cooldownIntervals is how many ticks a migrated key is exempt from
+// further moves. A single dominant key can overload whichever blade homes
+// it; without a cooldown the controller ping-pongs it between blades
+// forever instead of spreading the movable warm keys around it.
+const cooldownIntervals = 20
+
+// Config tunes the rebalance controller. It ticks once per scrape
+// interval; ticks with no fresh scrape are no-ops.
 type Config struct {
-	// Interval is the controller's tick period (default: the scraper's
-	// interval). Ticks with no fresh scrape are no-ops.
-	Interval sim.Duration
-	// Pattern selects the per-blade load series (default "blade/*/ops";
-	// the '*' segment must be the blade ID).
-	Pattern string
-	// CVMax / RatioMax / MinTotal / For mirror telemetry.HotSpot: the
-	// per-interval deltas must show CV > CVMax AND max/mean > RatioMax
-	// with at least MinTotal total load for For consecutive ticks before
-	// the controller migrates anything.
+	// CVMax / RatioMax are the skew thresholds (defaults: see
+	// telemetry.SkewThresholds): the per-interval deltas must be
+	// telemetry.Skewed for telemetry.DefaultSkewFor consecutive ticks
+	// before the controller migrates anything.
 	CVMax    float64
 	RatioMax float64
-	MinTotal float64
-	For      int
 	// MaxMoves bounds home migrations per burst (default 4).
 	MaxMoves int
-	// KeyCooldown is how long a migrated key is exempt from further
-	// moves (default 20 intervals). A single dominant key can overload
-	// whichever blade homes it; without a cooldown the controller
-	// ping-pongs it between blades forever instead of spreading the
-	// movable warm keys around it.
-	KeyCooldown sim.Duration
 	// MinMoveFrac is the churn floor: candidates whose estimated load is
 	// below this fraction of the per-blade mean are not worth a
 	// migration RPC (default 0.02). Lower it to drain skew built from
 	// many medium-heat keys.
 	MinMoveFrac float64
-	// HeatHalfLife must match the engines' heat decay half-life (default
-	// 250 ms, the coherence default); it converts a key's decayed heat
-	// into an estimated per-interval load when planning a burst.
-	HeatHalfLife sim.Duration
 }
 
 // Deps wires the controller into a cluster.
@@ -112,9 +106,10 @@ type Stats struct {
 
 // Controller is the rebalance feedback loop.
 type Controller struct {
-	k    *sim.Kernel
-	cfg  Config
-	deps Deps
+	k        *sim.Kernel
+	cfg      Config
+	deps     Deps
+	interval sim.Duration // the scraper's
 
 	enabled bool
 	started bool
@@ -131,38 +126,15 @@ type Controller struct {
 // New builds a controller. It starts enabled; SetEnabled(false) parks it
 // (ticks still fire but evaluate nothing).
 func New(cfg Config, deps Deps) *Controller {
-	if cfg.Interval <= 0 {
-		cfg.Interval = deps.Scraper.Interval()
-	}
-	if cfg.Pattern == "" {
-		cfg.Pattern = "blade/*/ops"
-	}
-	if cfg.CVMax <= 0 {
-		cfg.CVMax = 0.5
-	}
-	if cfg.RatioMax <= 0 {
-		cfg.RatioMax = 2
-	}
-	if cfg.MinTotal <= 0 {
-		cfg.MinTotal = 1
-	}
-	if cfg.For <= 0 {
-		cfg.For = 2
-	}
+	cfg.CVMax, cfg.RatioMax = telemetry.SkewThresholds(cfg.CVMax, cfg.RatioMax)
 	if cfg.MaxMoves <= 0 {
 		cfg.MaxMoves = 4
-	}
-	if cfg.KeyCooldown <= 0 {
-		cfg.KeyCooldown = 20 * cfg.Interval
-	}
-	if cfg.HeatHalfLife <= 0 {
-		cfg.HeatHalfLife = 250 * sim.Millisecond
 	}
 	if cfg.MinMoveFrac <= 0 {
 		cfg.MinMoveFrac = 0.02
 	}
-	return &Controller{k: deps.K, cfg: cfg, deps: deps, enabled: true,
-		lastMoved: make(map[cache.Key]sim.Time)}
+	return &Controller{k: deps.K, cfg: cfg, deps: deps, interval: deps.Scraper.Interval(),
+		enabled: true, lastMoved: make(map[cache.Key]sim.Time)}
 }
 
 // SetEnabled turns the feedback loop on or off; disabling also resets the
@@ -212,20 +184,20 @@ func (c *Controller) Start() (stop func()) {
 			qos.TagBackground(p)
 			c.tick(p)
 		})
-		c.k.After(c.cfg.Interval, tick)
+		c.k.After(c.interval, tick)
 	}
-	c.k.After(c.cfg.Interval, tick)
+	c.k.After(c.interval, tick)
 	return func() {
 		c.stopped = true
 		c.started = false
 	}
 }
 
-// bladeFromName extracts the blade ID occupying pattern's '*' segment
-// (e.g. "blade/*/ops" matches "blade/3/ops" → 3). Returns -1 when the
-// name does not carry an ID there.
-func bladeFromName(pattern, name string) int {
-	ps := strings.Split(pattern, "/")
+// bladeFromName extracts the blade ID occupying loadPattern's '*' segment
+// ("blade/3/ops" → 3). Returns -1 when the name does not carry an ID
+// there.
+func bladeFromName(name string) int {
+	ps := strings.Split(loadPattern, "/")
 	ns := strings.Split(name, "/")
 	if len(ps) != len(ns) {
 		return -1
@@ -250,8 +222,8 @@ func (c *Controller) loads() (ids []int, deltas []float64) {
 		aliveSet[b] = true
 	}
 	byBlade := make(map[int]float64)
-	for _, name := range scr.Registry().Match(c.cfg.Pattern) {
-		id := bladeFromName(c.cfg.Pattern, name)
+	for _, name := range scr.Registry().Match(loadPattern) {
+		id := bladeFromName(name)
 		if id < 0 || !aliveSet[id] {
 			continue
 		}
@@ -290,14 +262,7 @@ func (c *Controller) tick(p *sim.Proc) {
 		return // one blade cannot be imbalanced
 	}
 	st := metrics.Summarize(deltas)
-	total := st.Mean * float64(st.N)
-	skewed := total >= c.cfg.MinTotal && st.CV() > c.cfg.CVMax && st.Max/st.Mean > c.cfg.RatioMax
-	if !skewed {
-		c.streak = 0
-		return
-	}
-	c.streak++
-	if c.streak < c.cfg.For {
+	if !c.skewStep(st) {
 		return
 	}
 	// Sustained skew: pick the hottest blade as the source and spread its
@@ -327,7 +292,7 @@ func (c *Controller) tick(p *sim.Proc) {
 	now := c.k.Now()
 	c.pruneCooldowns(now)
 	cands := c.deps.Engines[src].HottestHomes(c.cfg.MaxMoves * 4)
-	plan := planMoves(c.cfg, now, c.lastMoved, cands, targets, st.Mean, srcLoad)
+	plan := planMoves(c.cfg, c.interval, now, c.lastMoved, cands, targets, st.Mean, srcLoad)
 	if len(plan) == 0 {
 		c.streak = 0
 		return
@@ -339,10 +304,24 @@ func (c *Controller) tick(p *sim.Proc) {
 		for _, m := range plan {
 			c.migrate(q, m.cand, src, m.to)
 		}
-		// Re-arm only after For more skewed intervals: the moves need a
-		// full interval to show up in the load series.
+		// Re-arm only after DefaultSkewFor more skewed intervals: the
+		// moves need a full interval to show up in the load series.
 		c.streak = 0
 	})
+}
+
+// skewStep feeds one judged interval's load summary to the balancer's
+// streak and reports whether it arms a burst: telemetry.Skewed for
+// telemetry.DefaultSkewFor consecutive intervals. Unlike the hot-spot
+// watchdog, which holds its streak over an idle interval, the balancer
+// resets it there: an idle cluster has nothing to move.
+func (c *Controller) skewStep(st metrics.Stats) bool {
+	if idle, skewed := telemetry.Skewed(st, c.cfg.CVMax, c.cfg.RatioMax); idle || !skewed {
+		c.streak = 0
+		return false
+	}
+	c.streak++
+	return c.streak >= telemetry.DefaultSkewFor
 }
 
 // coldBlade is a migration target with its projected load.
@@ -363,18 +342,19 @@ type move struct {
 // would not measurably shift load. It is a pure function of its inputs —
 // no engine, clock, or fabric access — so regression tests can pin an
 // exact schedule. targets' projected loads are updated in place.
-func planMoves(cfg Config, now sim.Time, lastMoved map[cache.Key]sim.Time,
+func planMoves(cfg Config, interval sim.Duration, now sim.Time, lastMoved map[cache.Key]sim.Time,
 	cands []coherence.KeyHeat, targets []coldBlade, mean, srcLoad float64) []move {
-	// A key's decayed heat, scaled to the scrape interval, estimates the
-	// load its home carries per interval.
-	scale := math.Ln2 * float64(cfg.Interval) / float64(cfg.HeatHalfLife)
+	// A key's decayed heat (coherence.HeatHalfLife), scaled to the scrape
+	// interval, estimates the load its home carries per interval.
+	scale := math.Ln2 * float64(interval) / float64(coherence.HeatHalfLife)
+	cooldown := cooldownIntervals * interval
 	srcProj := srcLoad
 	var plan []move
 	for _, cand := range cands {
 		if len(plan) >= cfg.MaxMoves || srcProj <= mean {
 			break
 		}
-		if t, ok := lastMoved[cand.Key]; ok && now.Sub(t) < cfg.KeyCooldown {
+		if t, ok := lastMoved[cand.Key]; ok && now.Sub(t) < cooldown {
 			continue // recently moved: spread the movable keys around it
 		}
 		est := cand.Heat * scale
@@ -411,7 +391,7 @@ func planMoves(cfg Config, now sim.Time, lastMoved map[cache.Key]sim.Time,
 // map grows with every key ever migrated.
 func (c *Controller) pruneCooldowns(now sim.Time) {
 	for k, t := range c.lastMoved {
-		if now.Sub(t) >= c.cfg.KeyCooldown {
+		if now.Sub(t) >= cooldownIntervals*c.interval {
 			delete(c.lastMoved, k)
 		}
 	}
@@ -445,7 +425,7 @@ func (c *Controller) Scheme() string { return "migrate" }
 // thresholds it acts on, the counters.
 func (c *Controller) Status() string {
 	return fmt.Sprintf("balance: enabled=%v interval=%v thresholds CV>%.2f max/mean>%.2f for %d intervals, ticks=%d bursts=%d migrations=%d skipped=%d",
-		c.enabled, c.cfg.Interval, c.cfg.CVMax, c.cfg.RatioMax, c.cfg.For, c.stats.Ticks, c.stats.Bursts, c.stats.Migrations, c.stats.Skipped)
+		c.enabled, c.interval, c.cfg.CVMax, c.cfg.RatioMax, telemetry.DefaultSkewFor, c.stats.Ticks, c.stats.Bursts, c.stats.Migrations, c.stats.Skipped)
 }
 
 // Report renders the decision log plus counters for CLI status output.

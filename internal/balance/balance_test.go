@@ -16,23 +16,24 @@ func kh(lba int64, heat float64) coherence.KeyHeat {
 	return coherence.KeyHeat{Key: cache.Key{Vol: "v", LBA: lba}, Heat: heat}
 }
 
+// planInterval is the tick the planning tests run at, and planCooldown the
+// key cooldown it implies.
+const (
+	planInterval = 250 * sim.Millisecond
+	planCooldown = cooldownIntervals * planInterval
+)
+
 func planCfg() Config {
 	// MinMoveFrac is a power of two and the test heats are scaled so that
 	// "exactly at the churn floor" is exact in float64: with mean = 40·s
 	// and MinMoveFrac = 1/4, the floor 0.25·(40·s) equals 10·s bit-for-bit
 	// (scaling by powers of two is exact), which is the estimated load of
 	// a key with heat 10.
-	return Config{
-		Interval:     250 * sim.Millisecond,
-		HeatHalfLife: 250 * sim.Millisecond,
-		MaxMoves:     4,
-		MinMoveFrac:  0.25,
-		KeyCooldown:  sim.Duration(20) * 250 * sim.Millisecond,
-	}
+	return Config{MaxMoves: 4, MinMoveFrac: 0.25}
 }
 
-func heatScale(cfg Config) float64 {
-	return math.Ln2 * float64(cfg.Interval) / float64(cfg.HeatHalfLife)
+func heatScale() float64 {
+	return math.Ln2 * float64(planInterval) / float64(coherence.HeatHalfLife)
 }
 
 // A key whose heat has decayed to EXACTLY the churn floor must not be
@@ -41,7 +42,7 @@ func heatScale(cfg Config) float64 {
 // every tick, ping-ponging a cold home between blades.
 func TestPlanMovesChurnFloorExclusive(t *testing.T) {
 	cfg := planCfg()
-	s := heatScale(cfg)
+	s := heatScale()
 	mean := 40 * s
 	srcLoad := 100 * s
 
@@ -52,7 +53,7 @@ func TestPlanMovesChurnFloorExclusive(t *testing.T) {
 	}
 	targets := []coldBlade{{id: 2, load: 0}, {id: 3, load: 5 * s}}
 
-	plan := planMoves(cfg, sim.Time(0), map[cache.Key]sim.Time{}, cands, targets, mean, srcLoad)
+	plan := planMoves(cfg, planInterval, sim.Time(0), map[cache.Key]sim.Time{}, cands, targets, mean, srcLoad)
 	if len(plan) != 1 {
 		t.Fatalf("planned %d moves, want 1 (at-floor key must break the burst): %+v", len(plan), plan)
 	}
@@ -66,12 +67,12 @@ func TestPlanMovesChurnFloorExclusive(t *testing.T) {
 // widened the exclusion.
 func TestPlanMovesJustAboveFloorStillMoves(t *testing.T) {
 	cfg := planCfg()
-	s := heatScale(cfg)
+	s := heatScale()
 	mean := 40 * s
 
 	cands := []coherence.KeyHeat{kh(1, 11)} // est 11·s > floor 10·s
 	targets := []coldBlade{{id: 2, load: 0}}
-	plan := planMoves(cfg, sim.Time(0), map[cache.Key]sim.Time{}, cands, targets, mean, 100*s)
+	plan := planMoves(cfg, planInterval, sim.Time(0), map[cache.Key]sim.Time{}, cands, targets, mean, 100*s)
 	if len(plan) != 1 || plan[0].cand.Key.LBA != 1 {
 		t.Fatalf("planned %+v, want the above-floor key moved", plan)
 	}
@@ -82,12 +83,12 @@ func TestPlanMovesJustAboveFloorStillMoves(t *testing.T) {
 // targets whose projected loads update in place.
 func TestPlanMovesCooldownSkipsNotBreaks(t *testing.T) {
 	cfg := planCfg()
-	s := heatScale(cfg)
+	s := heatScale()
 	mean := 40 * s
-	now := sim.Time(cfg.KeyCooldown) // one full cooldown into the run
+	now := sim.Time(planCooldown) // one full cooldown into the run
 
 	lastMoved := map[cache.Key]sim.Time{
-		{Vol: "v", LBA: 1}: now - sim.Time(cfg.KeyCooldown)/2, // still cooling
+		{Vol: "v", LBA: 1}: now - sim.Time(planCooldown)/2, // still cooling
 	}
 	cands := []coherence.KeyHeat{
 		kh(1, 60), // hottest, but cooling down: skipped
@@ -96,7 +97,7 @@ func TestPlanMovesCooldownSkipsNotBreaks(t *testing.T) {
 	}
 	targets := []coldBlade{{id: 2, load: 0}, {id: 3, load: 20 * s}}
 
-	plan := planMoves(cfg, now, lastMoved, cands, targets, mean, 200*s)
+	plan := planMoves(cfg, planInterval, now, lastMoved, cands, targets, mean, 200*s)
 	if len(plan) != 2 {
 		t.Fatalf("planned %d moves, want 2: %+v", len(plan), plan)
 	}
@@ -115,7 +116,7 @@ func TestPlanMovesCooldownSkipsNotBreaks(t *testing.T) {
 // the burst stops once the source is projected at the mean.
 func TestPlanMovesDominantKeyPinnedAndMeanStop(t *testing.T) {
 	cfg := planCfg()
-	s := heatScale(cfg)
+	s := heatScale()
 	mean := 40 * s
 
 	cands := []coherence.KeyHeat{
@@ -124,7 +125,7 @@ func TestPlanMovesDominantKeyPinnedAndMeanStop(t *testing.T) {
 		kh(3, 45), // never reached: source hits the mean after key 2
 	}
 	targets := []coldBlade{{id: 2, load: 0}}
-	plan := planMoves(cfg, sim.Time(0), map[cache.Key]sim.Time{}, cands, targets, mean, 90*s)
+	plan := planMoves(cfg, planInterval, sim.Time(0), map[cache.Key]sim.Time{}, cands, targets, mean, 90*s)
 	if len(plan) != 1 || plan[0].cand.Key.LBA != 2 {
 		t.Fatalf("planned %+v, want only v/2 (dominant pinned, then mean stop)", plan)
 	}
@@ -133,11 +134,11 @@ func TestPlanMovesDominantKeyPinnedAndMeanStop(t *testing.T) {
 // pruneCooldowns drops exactly the entries whose cooldown has elapsed.
 func TestPruneCooldowns(t *testing.T) {
 	cfg := planCfg()
-	now := sim.Time(10 * cfg.KeyCooldown)
-	c := &Controller{cfg: cfg, lastMoved: map[cache.Key]sim.Time{
-		{Vol: "v", LBA: 1}: now - sim.Time(cfg.KeyCooldown),     // exactly elapsed: dropped
-		{Vol: "v", LBA: 2}: now - sim.Time(cfg.KeyCooldown) + 1, // one tick left: kept
-		{Vol: "v", LBA: 3}: now - 2*sim.Time(cfg.KeyCooldown),   // long gone: dropped
+	now := sim.Time(10 * planCooldown)
+	c := &Controller{cfg: cfg, interval: planInterval, lastMoved: map[cache.Key]sim.Time{
+		{Vol: "v", LBA: 1}: now - sim.Time(planCooldown),     // exactly elapsed: dropped
+		{Vol: "v", LBA: 2}: now - sim.Time(planCooldown) + 1, // one tick left: kept
+		{Vol: "v", LBA: 3}: now - 2*sim.Time(planCooldown),   // long gone: dropped
 	}}
 	c.pruneCooldowns(now)
 	if len(c.lastMoved) != 1 {

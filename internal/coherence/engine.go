@@ -99,9 +99,6 @@ type Config struct {
 	// call (GetS/GetX/Inv/Downgrade/Fetch). Zero fields select defaults:
 	// 2 s per-attempt deadline, 3 attempts, 500 µs jittered backoff.
 	Retry simnet.RetryPolicy
-	// HeatHalfLife sets the decay half-life of the per-key demand
-	// counters feeding the hot-spot rebalancer (0 = 250 ms).
-	HeatHalfLife sim.Duration
 	// CPUQueue, if non-nil, replaces the FIFO CPU semaphore with a QoS
 	// weighted-fair queue of the same slot count, so background services
 	// (rebuild compute, destage) queue behind foreground ops per lane
@@ -443,7 +440,7 @@ func New(k *sim.Kernel, cfg Config) *Engine {
 		invEpoch:     make(map[cache.Key]uint64),
 		homeOverride: make(map[cache.Key]int),
 		forward:      make(map[cache.Key]int),
-		heat:         newHeatTracker(k, cfg.HeatHalfLife),
+		heat:         newHeatTracker(k),
 		replicate:    cfg.ReplicateDirty,
 		onClean:      cfg.OnClean,
 		unpinned:     make(map[*cache.Entry]*sim.Future[struct{}]),

@@ -8,11 +8,12 @@ import (
 	"repro/internal/sim"
 )
 
-// defaultHeatHalfLife is the decay half-life of the per-key demand
-// counters: a key that stops being requested loses half its heat every
-// half-life of virtual time, so the hottest-key ranking tracks *current*
-// demand, not lifetime popularity.
-const defaultHeatHalfLife = 250 * sim.Millisecond
+// HeatHalfLife is the decay half-life of the per-key demand counters: a
+// key that stops being requested loses half its heat every half-life of
+// virtual time, so the hottest-key ranking tracks *current* demand, not
+// lifetime popularity. The home-migration balancer converts heat into
+// per-interval load with it.
+const HeatHalfLife = 250 * sim.Millisecond
 
 // heatSweepEvery bounds the heat map's memory: every this many touches the
 // tracker sweeps out keys whose decayed count has fallen below ~half a
@@ -36,23 +37,19 @@ type heatCell struct {
 // runs produce bit-identical heat values and therefore identical
 // migration choices.
 type heatTracker struct {
-	k        *sim.Kernel
-	halfLife sim.Duration
-	m        map[cache.Key]*heatCell
-	touches  int
+	k       *sim.Kernel
+	m       map[cache.Key]*heatCell
+	touches int
 }
 
-func newHeatTracker(k *sim.Kernel, halfLife sim.Duration) *heatTracker {
-	if halfLife <= 0 {
-		halfLife = defaultHeatHalfLife
-	}
-	return &heatTracker{k: k, halfLife: halfLife, m: make(map[cache.Key]*heatCell)}
+func newHeatTracker(k *sim.Kernel) *heatTracker {
+	return &heatTracker{k: k, m: make(map[cache.Key]*heatCell)}
 }
 
 // decayTo folds the elapsed virtual time into the cell's counter.
 func (h *heatTracker) decayTo(c *heatCell, now sim.Time) {
 	if dt := now.Sub(c.t); dt > 0 {
-		c.v *= math.Exp2(-float64(dt) / float64(h.halfLife))
+		c.v *= math.Exp2(-float64(dt) / float64(HeatHalfLife))
 		c.t = now
 	}
 }

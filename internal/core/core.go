@@ -102,11 +102,10 @@ type Options struct {
 	// weighted-fair scheduling subsystem (System.QoS): per-tenant token
 	// buckets at the controller front door and priority lanes at every
 	// disk and blade CPU, with a feedback governor attached when Telemetry
-	// is also on. The governor defaults to a PI controller driving the
-	// background lane's weight continuously from one loop per latency
-	// objective: the cluster-wide target (Governor.P99Target, defaulting
-	// to SLOReadP99) plus one loop per tenant whose TenantSpec sets
-	// SLOP99; qos.GovStep selects the legacy halve/double law. The
+	// is also on. The governor's PI loops drive the background lane's
+	// weight continuously, one loop per latency objective: the
+	// cluster-wide target (Governor.P99Target, defaulting to SLOReadP99)
+	// plus one loop per tenant whose TenantSpec sets SLOP99. The
 	// subsystem starts disabled; System.QoS.SetEnabled (yottactl `qos on`)
 	// flips it.
 	QoS *qos.Config
@@ -243,8 +242,8 @@ func NewSystemOn(k *sim.Kernel, opts Options) (*System, error) {
 		})
 		if sys.QoS != nil {
 			// The governor defends the same objective the SLO watchdog
-			// enforces, regulating to NearFrac of the threshold so the
-			// watchdog stays quiet; per-tenant SLOP99 loops ride along.
+			// enforces, regulating below the threshold so the watchdog
+			// stays quiet; per-tenant SLOP99 loops ride along.
 			gcfg := opts.QoS.Governor
 			if gcfg.P99Target == 0 {
 				gcfg.P99Target = opts.SLOReadP99

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/critpath"
 	"repro/internal/metrics"
-	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -17,7 +16,7 @@ import (
 // collapse into overlap instead of double-counting, and the ops are split
 // into median (≤p50) and tail (≥p99) cohorts so the table shows which
 // phase's share grows when an op lands in the tail. CP1 runs the canonical
-// workload; CP2 re-runs the E14 PI-governor arm with tracing on during the
+// workload; CP2 re-runs E14's step-load arm with tracing on during the
 // loaded phase only, so the attribution isolates behavior under the scrub
 // aggressor. Same seed → byte-identical tables.
 
@@ -81,5 +80,5 @@ func CP2(seed int64) *metrics.Table {
 	sc := e14Quick()
 	sc.traced = true
 	return cpTable("CP2 — critical-path tail diagnosis: E14 PI arm under scrub aggressor (loaded phase)",
-		e14Arm(seed, sc, qos.GovPI, false).CritPath)
+		e14Arm(seed, sc, false).CritPath)
 }

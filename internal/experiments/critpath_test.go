@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/critpath"
-	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -121,12 +120,12 @@ func TestCritPathDeterministic(t *testing.T) {
 func TestCritPathE14TracedArm(t *testing.T) {
 	skipIfShort(t)
 	sc := e14Quick()
-	plain := e14Arm(11, sc, qos.GovPI, false)
+	plain := e14Arm(11, sc, false)
 	if plain.CritPath != nil {
 		t.Fatal("untraced arm should carry no analysis")
 	}
 	sc.traced = true
-	traced := e14Arm(11, sc, qos.GovPI, false)
+	traced := e14Arm(11, sc, false)
 	a := traced.CritPath
 	if a == nil {
 		t.Fatal("traced arm lost its analysis")

@@ -12,32 +12,27 @@ import (
 	"repro/internal/workload"
 )
 
-// E14 — governor step response: the PR5 halve/double governor (qos.GovStep)
-// against the PI controller (qos.GovPI) on identical seeds and identical
-// aggressor loads. A victim tenant with a per-tenant SLO runs throughout;
-// at onset a background scrub aggressor (blade CPU burn + parity reads on
-// the background lane, the §2.4 maintenance mix) either switches on and
-// stays on (step load) or pulses (burst load). A recorder watchdog behind
-// the governor captures every scrape window's victim p99 and the
-// post-decision background weight, giving an actuation trace per arm.
+// E14 — governor step response: the per-tenant PI governor under two
+// aggressor loads on identical seeds. A victim tenant with a per-tenant
+// SLO runs throughout; at onset a background scrub aggressor (blade CPU
+// burn + parity reads on the background lane, the §2.4 maintenance mix)
+// either switches on and stays on (step load) or pulses (burst load). A
+// recorder watchdog behind the governor captures every scrape window's
+// victim p99 and the post-decision background weight, giving an
+// actuation trace per arm.
 //
-// Acceptance (checked by TestE14Quick): under the step aggressor the PI
-// arm settles onto the SLO in strictly fewer windows than the step arm,
-// breaches it in fewer windows overall, oscillates no more (actuation
-// reversals), and keeps the victim's steady-state p99 — the second half
-// of the loaded phase, after both governors have had ample time to
-// converge — within the SLO; the burst aggressor must not make the PI
-// arm oscillate or breach more than the step arm either. The scrub must
-// not starve: a regulator that converges onto the setpoint harvests
-// background bandwidth the halve/double law strands by over-squeezing
-// after every breach (at full scale the PI arm completes ~14% more
-// chunks; the CI-scale smoke only requires it stay within 20% of the
-// step arm, since the peak-hold filter trades a little harvest for
-// burst immunity on short runs). Loaded-phase-wide p99 is reported too,
-// but it is dominated by the onset transient, which the settle and
-// violation columns already measure. Same seed → byte-identical tables.
+// Acceptance (checked by TestE14Quick against the numbers the retired
+// halve/double law last recorded on the same arms, kept in EXPERIMENTS.md's
+// E14 history note): on both loads the governor settles onto the SLO no
+// later than that law (strictly sooner on the step load), breaches it in
+// no more windows, oscillates no more (actuation reversals), and keeps the victim's steady-state p99 —
+// the second half of the loaded phase, after the governor has had ample
+// time to converge — within the SLO, without starving the scrub.
+// Loaded-phase-wide p99 is reported too, but it is dominated by the onset
+// transient, which the settle and violation columns already measure. Same
+// seed → byte-identical tables.
 const (
-	// e14Interval is the scrape window both governors act on.
+	// e14Interval is the scrape window the governor acts on.
 	e14Interval = 100 * sim.Millisecond
 	// e14MinCount mirrors GovernorConfig.MinCount for window judging.
 	e14MinCount = 8
@@ -46,14 +41,14 @@ const (
 	// per-cost tag spacing matches the victim lane's (weight 8, typical
 	// op cost 1 vs scrub cost 4), so an ungoverned scrub storm genuinely
 	// tramples the victim — and it is the governor, not a static weight,
-	// that has to take that bandwidth away. The floor (default BGMin
-	// 0.05) all but starves the scrub.
+	// that has to take that bandwidth away. The governor's floor (0.05)
+	// all but starves the scrub.
 	e14BGMax = 32.0
 	// e14ReversalRatio is the weight move below which a window-to-window
-	// change is jitter, not actuation. Both governors act geometrically
-	// (halve/double; the PI law interpolates in log space), so the
-	// threshold is a ratio: a move counts only if the weight changed by
-	// at least ×1.25 in either direction.
+	// change is jitter, not actuation. The governor acts geometrically
+	// (it interpolates in log space), so the threshold is a ratio: a move
+	// counts only if the weight changed by at least ×1.25 in either
+	// direction.
 	e14ReversalRatio = 1.25
 )
 
@@ -206,12 +201,10 @@ func (a *e14Aggressor) start(k *sim.Kernel, sc e14Scale, burst bool) {
 	}
 }
 
-// E14Arm is one (mode, load shape) run's measurements.
+// E14Arm is one load shape's measurements.
 type E14Arm struct {
-	Mode string
-
 	// Loaded-phase victim latency and throughput. SteadyP99 covers only
-	// the second half of the loaded phase, after both governors have had
+	// the second half of the loaded phase, after the governor has had
 	// ample time to converge — the whole-phase p99 is dominated by the
 	// onset transient, which the settle/violation columns measure.
 	VictimP50, VictimP99 sim.Duration
@@ -222,8 +215,8 @@ type E14Arm struct {
 	// ConvergeWindows is the settling time: the 1-based index just past
 	// the last judged window whose p99 still violated the target — i.e.
 	// how many windows until the SLO held for the rest of the load. A
-	// governor that squeezes fast but relapses (halve, calm, double,
-	// breach again) keeps pushing this out; 0 means never violated.
+	// governor that squeezes fast but relapses keeps pushing this out; 0
+	// means never violated.
 	ConvergeWindows  int
 	ViolationWindows int // judged windows with p99 > target
 	Reversals        int // direction flips of significant weight moves
@@ -243,15 +236,14 @@ type E14Arm struct {
 	wins []e14Window
 }
 
-// e14Arm runs one governor mode under one load shape on a fresh lab.
-func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
+// e14Arm runs the governor under one load shape on a fresh lab.
+func e14Arm(seed int64, sc e14Scale, burst bool) E14Arm {
 	cfg := clusterConfig(sc.blades)
 	cfg.QoS = &qos.Config{
 		Tenants: map[string]qos.TenantSpec{
 			"victim": {SLOP99: sc.target},
 		},
 		Governor: qos.GovernorConfig{
-			Mode:      mode,
 			P99Target: sc.target,
 			MinCount:  e14MinCount,
 			QueueHigh: -1, // isolate the latency loops: identical signal per arm
@@ -262,7 +254,7 @@ func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
 	defer l.close()
 	k, c := l.k, l.c
 	c.QoS.SetEnabled(true)
-	c.QoS.SetBackgroundWeight(e14BGMax) // both arms start parked at the ceiling
+	c.QoS.SetBackgroundWeight(e14BGMax) // every arm starts parked at the ceiling
 	scr := telemetry.NewScraper(k, c.Reg, e14Interval)
 	scr.AddWatchdog(c.QoS.AttachGovernor(cfg.QoS.Governor))
 	rec := &e14Recorder{mgr: c.QoS}
@@ -296,7 +288,6 @@ func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
 	l.run(sc.victims, sc.post, pat)
 
 	arm := E14Arm{
-		Mode:            mode,
 		VictimP50:       vr.Latency.P50(),
 		VictimP99:       vr.Latency.P99(),
 		SteadyP99:       vr.Latency.QuantileSince(steadySnap, 0.99),
@@ -345,21 +336,19 @@ func e14Arm(seed int64, sc e14Scale, mode string, burst bool) E14Arm {
 	return arm
 }
 
-// E14Result carries both load shapes' mode pairs.
+// E14Result carries both load shapes' arms.
 type E14Result struct {
-	Target             sim.Duration
-	Step, PI           E14Arm // step aggressor (on and stays on)
-	BurstStep, BurstPI E14Arm // pulsed aggressor
+	Target sim.Duration
+	Step   E14Arm // step aggressor (on and stays on)
+	Burst  E14Arm // pulsed aggressor
 }
 
-// runE14 executes the four arms at the given scale under one seed.
+// runE14 executes both arms at the given scale under one seed.
 func runE14(seed int64, sc e14Scale) E14Result {
 	return E14Result{
-		Target:    sc.target,
-		Step:      e14Arm(seed, sc, qos.GovStep, false),
-		PI:        e14Arm(seed, sc, qos.GovPI, false),
-		BurstStep: e14Arm(seed, sc, qos.GovStep, true),
-		BurstPI:   e14Arm(seed, sc, qos.GovPI, true),
+		Target: sc.target,
+		Step:   e14Arm(seed, sc, false),
+		Burst:  e14Arm(seed, sc, true),
 	}
 }
 
@@ -372,26 +361,22 @@ func e14Table(title string, r E14Result) *metrics.Table {
 			int64(a.VictimOpsPerSec), int64(a.ConvergeWindows), int64(a.ViolationWindows),
 			int64(a.Reversals), fmt.Sprintf("[%s..%s]", fmtF(a.WeightLo), fmtF(a.WeightHi)))
 	}
-	row("step load, step governor", r.Step)
-	row("step load, PI governor", r.PI)
-	row("burst load, step governor", r.BurstStep)
-	row("burst load, PI governor", r.BurstPI)
+	row("step load, PI governor", r.Step)
+	row("burst load, PI governor", r.Burst)
 	tab.AddNote("victim SLO p99 %s ms, judged per %d ms scrape window (min %d ops); steady p99 covers the second half of the loaded phase",
 		fmtDur(r.Target), int64(e14Interval.Millis()), int64(e14MinCount))
 	note := func(name string, a E14Arm) {
 		tab.AddNote("%s: %d narrows %d widens, final bg weight %s, scrub chunks %d, weight trace %s",
 			name, a.Narrows, a.Widens, fmtF(a.FinalWeight), a.ScrubChunks, metrics.Sparkline(a.Trace))
 	}
-	note("step/step", r.Step)
-	note("step/PI", r.PI)
-	note("burst/step", r.BurstStep)
-	note("burst/PI", r.BurstPI)
+	note("step/PI", r.Step)
+	note("burst/PI", r.Burst)
 	return tab
 }
 
 // E14 renders the experiment table.
 func E14(seed int64) *metrics.Table {
-	return e14Table("E14 — governor step response: halve/double vs per-tenant PI control",
+	return e14Table("E14 — governor step response: per-tenant PI control under step and burst load",
 		runE14(seed, e14Full()))
 }
 

@@ -195,7 +195,6 @@ func e15Arm(seed int64, sc e15Scale, wl e15Workload, scheme string, writeFrac fl
 		bal = c.NewBalancer(scr, balance.Config{
 			CVMax:    e12CVMax,
 			RatioMax: e12RatioMax,
-			For:      2,
 			MaxMoves: 16,
 			// The Zipf skew is built from dozens of medium-heat keys
 			// around one dominant one; reach deep into the movable tail.
@@ -203,14 +202,13 @@ func e15Arm(seed int64, sc e15Scale, wl e15Workload, scheme string, writeFrac fl
 		})
 		bal.Start()
 	case "hotcache":
-		// Tuned for fast rotation. Half-life below the default: with
-		// ~200ms hot phases, a 250ms half-life keeps last phase's keys
-		// "hot" (and their reads routed at a cache node that can only
-		// miss) for most of the next phase. HotMin below the default:
-		// at this half-life a key needs a sustained read rate of
-		// ~HotMin×7/s to stay eligible, so HotMin 8 would restrict the
-		// tier to the top ~16 keys (~1/3 of the Zipf 1.1 traffic) and
-		// leave the queue-burst tail to the homes.
+		// Tuned for fast rotation: the half-life is below the default.
+		// With ~200ms hot phases, a 250ms half-life keeps last phase's
+		// keys "hot" (and their reads routed at a cache node that can
+		// only miss) for most of the next phase. HotMin stays at its
+		// default 8, so at this half-life a key must sustain a read rate
+		// of ~HotMin×7 ≈ 55/s to stay eligible: the tier takes the Zipf
+		// head and leaves the queue-burst tail to the homes.
 		tier = c.NewHotCache(hotcache.Config{HeatHalfLife: 100 * sim.Millisecond})
 		tier.SetEnabled(true)
 		l.target.ReadVia = tier

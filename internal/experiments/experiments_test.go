@@ -385,71 +385,57 @@ func TestE13Deterministic(t *testing.T) {
 	}
 }
 
-// TestE14Quick checks the governor A/B acceptance claims at the reduced
-// scale (the same arms CI smokes via benchrunner -only E14Q). The step
-// arm must actually exhibit the halve/double pathology — SLO breaches
-// after onset — and the PI arm must settle strictly faster, breach in no
-// more windows, reverse actuation direction no more often, and hold the
-// victim's steady-state p99 within the SLO under both load shapes,
-// without starving the scrub.
+// TestE14Quick checks the governor's acceptance claims at the reduced
+// scale (the same arms CI smokes via benchrunner -only E14Q). The scrub
+// aggressor must actually breach the SLO, and the PI governor must then
+// beat the halve/double law's last recorded E14Q numbers on both load
+// shapes: settle strictly faster on the step load (no slower on the
+// burst load), breach and reverse direction no more often, hold the
+// victim's steady-state p99 within the SLO, and keep at least 80% of
+// that law's scrub harvest.
 func TestE14Quick(t *testing.T) {
 	skipIfShort(t)
 	r := runE14(1, e14Quick())
 
-	// Premise: the aggressor genuinely breaches the SLO under both
-	// governors (otherwise there is nothing to regulate).
-	if r.Step.ViolationWindows == 0 || r.PI.ViolationWindows == 0 {
-		t.Fatalf("step aggressor never breached the SLO (step %d, pi %d violation windows); premise broken",
-			r.Step.ViolationWindows, r.PI.ViolationWindows)
+	// Premise: the aggressor genuinely breaches the SLO (otherwise there
+	// is nothing to regulate), and the governor, parked at the ceiling,
+	// actually actuates under both loads.
+	if r.Step.ViolationWindows == 0 {
+		t.Fatal("step aggressor never breached the SLO; premise broken")
 	}
-	// Both arms start parked at the ceiling and must actually actuate.
-	for _, a := range []E14Arm{r.Step, r.PI, r.BurstStep, r.BurstPI} {
+	for name, a := range map[string]E14Arm{"step": r.Step, "burst": r.Burst} {
 		if a.Narrows == 0 {
-			t.Fatalf("%s arm never narrowed the background lane", a.Mode)
+			t.Fatalf("%s-load arm never narrowed the background lane", name)
 		}
 	}
 
-	// Step aggressor: faster settling, no more breaches, no more
-	// oscillation, steady state within the SLO.
-	if r.PI.ConvergeWindows >= r.Step.ConvergeWindows {
-		t.Fatalf("PI settled in %d windows, step in %d; want strictly faster",
-			r.PI.ConvergeWindows, r.Step.ConvergeWindows)
+	// The bar is the halve/double law's last E14Q record at seed 1
+	// (EXPERIMENTS.md keeps its table): settle 14 and 12 windows, 4 and 5
+	// violations, 2 and 3 reversals on the step and burst load, a steady
+	// p99 of 49.95 ms on both, 113 scrub chunks on the step load.
+	check := func(name string, a E14Arm, settleMax, violMax, revMax int) {
+		t.Helper()
+		if a.ConvergeWindows > settleMax {
+			t.Errorf("%s load: PI settled in %d windows, want <= %d", name, a.ConvergeWindows, settleMax)
+		}
+		if a.ViolationWindows > violMax {
+			t.Errorf("%s load: PI breached %d windows, want <= %d", name, a.ViolationWindows, violMax)
+		}
+		if a.Reversals > revMax {
+			t.Errorf("%s load: PI reversed actuation %d times, want <= %d", name, a.Reversals, revMax)
+		}
+		if a.SteadyP99 > r.Target {
+			t.Errorf("%s load: PI steady-state p99 %.2fms exceeds SLO %.2fms",
+				name, a.SteadyP99.Millis(), r.Target.Millis())
+		}
 	}
-	if r.PI.ViolationWindows > r.Step.ViolationWindows {
-		t.Fatalf("PI breached %d windows, step %d", r.PI.ViolationWindows, r.Step.ViolationWindows)
-	}
-	if r.PI.Reversals > r.Step.Reversals {
-		t.Fatalf("PI reversed actuation %d times, step %d", r.PI.Reversals, r.Step.Reversals)
-	}
-	if r.PI.SteadyP99 > r.Target {
-		t.Fatalf("PI steady-state p99 %.2fms exceeds SLO %.2fms",
-			r.PI.SteadyP99.Millis(), r.Target.Millis())
-	}
-
-	// Burst aggressor: pulses must not make the PI loop oscillate or
-	// breach more than the step governor.
-	if r.BurstPI.ConvergeWindows > r.BurstStep.ConvergeWindows {
-		t.Fatalf("burst PI settled in %d windows, step in %d",
-			r.BurstPI.ConvergeWindows, r.BurstStep.ConvergeWindows)
-	}
-	if r.BurstPI.ViolationWindows > r.BurstStep.ViolationWindows {
-		t.Fatalf("burst PI breached %d windows, step %d",
-			r.BurstPI.ViolationWindows, r.BurstStep.ViolationWindows)
-	}
-	if r.BurstPI.Reversals > r.BurstStep.Reversals {
-		t.Fatalf("burst PI reversed actuation %d times, step %d",
-			r.BurstPI.Reversals, r.BurstStep.Reversals)
-	}
-	if r.BurstPI.SteadyP99 > r.Target {
-		t.Fatalf("burst PI steady-state p99 %.2fms exceeds SLO %.2fms",
-			r.BurstPI.SteadyP99.Millis(), r.Target.Millis())
-	}
+	check("step", r.Step, 14-1, 4, 2) // strictly faster than 14
+	check("burst", r.Burst, 12, 5, 3)
 
 	// The scrub must keep flowing: converging onto the setpoint should
-	// not cost more than a fifth of the step governor's harvest.
-	if float64(r.PI.ScrubChunks) < 0.8*float64(r.Step.ScrubChunks) {
-		t.Fatalf("PI scrub harvest %d chunks vs step %d; background starved",
-			r.PI.ScrubChunks, r.Step.ScrubChunks)
+	// not cost more than a fifth of the step law's harvest.
+	if float64(r.Step.ScrubChunks) < 0.8*113 {
+		t.Fatalf("PI scrub harvest %d chunks vs the step law's 113; background starved", r.Step.ScrubChunks)
 	}
 }
 

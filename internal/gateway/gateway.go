@@ -46,17 +46,18 @@ type Config struct {
 	IAMLatency sim.Duration
 	// Layout shapes part splitting and segment aggregation.
 	Layout LayoutConfig
-	// DefaultPriority is the cache/QoS priority of bucket data when a
-	// bucket does not choose its own (0..3, default 1).
-	DefaultPriority int
 }
+
+// defaultPriority is the cache/QoS priority of bucket data when a bucket
+// does not choose its own.
+const defaultPriority = 0
 
 // BucketOptions configures CreateBucket.
 type BucketOptions struct {
 	ACL        ACL
 	Versioning bool
-	// Priority overrides Config.DefaultPriority for this bucket's data
-	// (-1 = inherit).
+	// Priority sets this bucket's data priority, 0..3 (-1 = inherit
+	// defaultPriority, 0).
 	Priority int
 }
 
@@ -96,9 +97,6 @@ func New(k *sim.Kernel, cfg Config) (*Gateway, error) {
 	}
 	if cfg.MetaShards < 1 {
 		cfg.MetaShards = 1
-	}
-	if cfg.DefaultPriority < 0 || cfg.DefaultPriority > 3 {
-		cfg.DefaultPriority = 1
 	}
 	cfg.Layout = cfg.Layout.withDefaults()
 	return &Gateway{
@@ -144,7 +142,7 @@ func (g *Gateway) CreateBucket(p *sim.Proc, token, bucket string, opts BucketOpt
 	}
 	prio := opts.Priority
 	if prio < 0 || prio > 3 {
-		prio = g.cfg.DefaultPriority
+		prio = defaultPriority
 	}
 	err = g.meta.do(p, bucket, 1, func(s *metaShard) error {
 		if _, exists := s.buckets[bucket]; exists {

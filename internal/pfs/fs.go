@@ -128,25 +128,26 @@ type Config struct {
 	Classes map[string]string
 	// DefaultClass is used when a file's policy names no class.
 	DefaultClass string
-	// AllocChunkBlocks is the allocation granularity (default 16).
-	AllocChunkBlocks int64
-	// VolumeBlocks bounds each class volume's address space
-	// (default 1<<40 blocks — effectively unbounded over a DMSD).
-	VolumeBlocks int64
 }
+
+const (
+	// allocChunkBlocks is the allocation granularity.
+	allocChunkBlocks = 16
+	// volumeBlocks bounds each class volume's address space: 1<<40
+	// blocks, effectively unbounded over a DMSD.
+	volumeBlocks = 1 << 40
+)
 
 // FS is the file system.
 type FS struct {
-	k         *sim.Kernel
-	io        BlockIO
-	classes   map[string]string
-	defClass  string
-	chunk     int64
-	root      *Inode
-	nextIno   uint64
-	allocs    map[string]*allocator
-	volBlocks int64
-	hook      WriteHook
+	k        *sim.Kernel
+	io       BlockIO
+	classes  map[string]string
+	defClass string
+	root     *Inode
+	nextIno  uint64
+	allocs   map[string]*allocator
+	hook     WriteHook
 
 	// Stats
 	FilesCreated, FilesRemoved int64
@@ -164,26 +165,18 @@ func New(k *sim.Kernel, cfg Config) (*FS, error) {
 	if cfg.DefaultClass == "" || cfg.Classes[cfg.DefaultClass] == "" {
 		return nil, fmt.Errorf("pfs: default class %q not in Classes", cfg.DefaultClass)
 	}
-	if cfg.AllocChunkBlocks <= 0 {
-		cfg.AllocChunkBlocks = 16
-	}
-	if cfg.VolumeBlocks <= 0 {
-		cfg.VolumeBlocks = 1 << 40
-	}
 	fs := &FS{
-		k:         k,
-		io:        cfg.IO,
-		classes:   cfg.Classes,
-		defClass:  cfg.DefaultClass,
-		chunk:     cfg.AllocChunkBlocks,
-		allocs:    make(map[string]*allocator),
-		volBlocks: cfg.VolumeBlocks,
+		k:        k,
+		io:       cfg.IO,
+		classes:  cfg.Classes,
+		defClass: cfg.DefaultClass,
+		allocs:   make(map[string]*allocator),
 	}
 	fs.root = &Inode{Ino: 1, name: "/", Dir: true, children: make(map[string]*Inode), Ctime: k.Now()}
 	fs.nextIno = 2
 	for _, vol := range cfg.Classes {
 		if _, ok := fs.allocs[vol]; !ok {
-			fs.allocs[vol] = &allocator{limit: cfg.VolumeBlocks}
+			fs.allocs[vol] = &allocator{limit: volumeBlocks}
 		}
 	}
 	return fs, nil

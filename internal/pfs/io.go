@@ -49,7 +49,7 @@ func (fs *FS) ensureCapacity(ino *Inode, blocks int64) error {
 	}
 	need := blocks - cur
 	// Round to the allocation chunk.
-	need = (need + fs.chunk - 1) / fs.chunk * fs.chunk
+	need = (need + allocChunkBlocks - 1) / allocChunkBlocks * allocChunkBlocks
 	vol := fs.classVolume(ino.Policy)
 	if vol == "" {
 		return ErrNoClass

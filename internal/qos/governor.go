@@ -14,14 +14,6 @@ import (
 // only slows it.
 const minBackgroundWeight = 0.05
 
-// Governor modes. GovPI (the default) drives the background weight
-// continuously from PI loops; GovStep is the PR5 halve/double threshold
-// governor, kept for A/B comparison (experiment E14).
-const (
-	GovPI   = "pi"
-	GovStep = "step"
-)
-
 // weightEps is the smallest background-weight move worth applying;
 // below it the actuation is noise (and would churn WFQ retagging).
 const weightEps = 0.0005
@@ -48,100 +40,55 @@ const (
 
 // piDeadband is the filtered-error hold band: within ±piDeadband of the
 // setpoint the loop freezes its output instead of dithering the weight.
-// The halve/double governor's lack of exactly this hysteresis is what
-// makes it oscillate when the steady-state p99 lands near the threshold
-// (see E14).
+// A law without exactly this hysteresis oscillates when the steady-state
+// p99 lands near its threshold (see E14's history note).
 const piDeadband = 0.15
+
+// The PI loops' fixed tuning. Gains are dimensionless (the error is
+// normalized against the setpoint), so one tuning serves every loop.
+const (
+	// piSetpointFrac places the setpoint below the objective: the loops
+	// regulate the windowed p99 to 0.8×target, keeping headroom under the
+	// SLO rather than riding it.
+	piSetpointFrac = 0.8
+	// piKP is the proportional gain: squeeze fraction per unit of
+	// filtered normalized error. The error carries the ±piDeadband hold
+	// band before the gains see it, so piKP acts on trend, not on
+	// per-window p99 quantization noise.
+	piKP = 0.6
+	// piKI is the integral gain per window; the integral is clamped to
+	// [0,1] (anti-windup) and bleeds off by piKI on thin windows so the
+	// lane recovers when load stops.
+	piKI = 0.2
+)
+
+// The signals the governor reads from the registry.
+const (
+	// clusterLatencyHist is the cluster-wide objective's histogram.
+	clusterLatencyHist = "cluster/op_latency"
+	// queueDepthPattern matches the per-disk queue-depth gauges.
+	queueDepthPattern = "disk/*/queue_depth"
+)
 
 // GovernorConfig tunes the feedback loop between the telemetry scraper
 // and the background lane's WFQ weight.
 type GovernorConfig struct {
-	// Mode selects the control law: GovPI (default) or GovStep (the
-	// legacy halve/double governor, kept as the E14 comparison arm).
-	Mode string
-	// Hist names the latency histogram to watch for the cluster-wide
-	// objective (default "cluster/op_latency").
-	Hist string
 	// P99Target is the cluster-wide foreground latency objective
 	// (typically the SLO watchdog's own threshold). 0 disables the
 	// cluster-wide latency loop; per-tenant TenantSpec.SLOP99 loops run
 	// regardless.
 	P99Target sim.Duration
-	// NearFrac scales the setpoint below the objective: the governor
-	// regulates the windowed p99 to NearFrac×target, keeping headroom
-	// under the SLO rather than riding it (default 0.8). In step mode
-	// this is the narrow threshold, as in PR5.
-	NearFrac float64
-	// KP is the proportional gain of the PI loops: squeeze fraction per
-	// unit of normalized error (default 0.6). The error is EWMA-filtered
-	// and carries a ±10% hold band before the gains see it, so KP acts
-	// on trend, not on per-window p99 quantization noise. Ignored in
-	// step mode.
-	KP float64
-	// KI is the integral gain per window (default 0.2); the integral
-	// term is clamped to [0,1] (anti-windup) and bleeds off on thin
-	// windows so the lane recovers when load stops. Ignored in step mode.
-	KI float64
-	// QueuePattern matches per-disk queue-depth gauges (default
-	// "disk/*/queue_depth").
-	QueuePattern string
+	// MinCount is the fewest window samples needed to judge a p99
+	// (default 16).
+	MinCount int64
 	// QueueHigh is the mean per-disk queue depth treated as full-scale
 	// pressure (default 6; 0 keeps the default, negative disables the
 	// queue loop).
 	QueueHigh float64
-	// MinCount is the fewest window samples needed to judge a p99
-	// (default 16).
-	MinCount int64
-	// CalmWindows is how many consecutive unpressured windows earn a
-	// widen step in step mode (default 2). Unused in PI mode.
-	CalmWindows int
 	// BGMax is the widest background weight — the actuation ceiling,
-	// held when no loop sees pressure (default 1).
+	// held when no loop sees pressure (default 1). The floor is
+	// minBackgroundWeight.
 	BGMax float64
-	// BGMin is the narrowest it squeezes to (default 0.05).
-	BGMin float64
-}
-
-func (c GovernorConfig) mode() string {
-	if c.Mode == "" {
-		return GovPI
-	}
-	return c.Mode
-}
-
-func (c GovernorConfig) hist() string {
-	if c.Hist == "" {
-		return "cluster/op_latency"
-	}
-	return c.Hist
-}
-
-func (c GovernorConfig) nearFrac() float64 {
-	if c.NearFrac <= 0 {
-		return 0.8
-	}
-	return c.NearFrac
-}
-
-func (c GovernorConfig) kp() float64 {
-	if c.KP <= 0 {
-		return 0.6
-	}
-	return c.KP
-}
-
-func (c GovernorConfig) ki() float64 {
-	if c.KI <= 0 {
-		return 0.2
-	}
-	return c.KI
-}
-
-func (c GovernorConfig) queuePattern() string {
-	if c.QueuePattern == "" {
-		return "disk/*/queue_depth"
-	}
-	return c.QueuePattern
 }
 
 func (c GovernorConfig) queueHigh() float64 {
@@ -158,25 +105,11 @@ func (c GovernorConfig) minCount() int64 {
 	return c.MinCount
 }
 
-func (c GovernorConfig) calmWindows() int {
-	if c.CalmWindows <= 0 {
-		return 2
-	}
-	return c.CalmWindows
-}
-
 func (c GovernorConfig) bgMax() float64 {
 	if c.BGMax <= 0 {
 		return 1
 	}
 	return c.BGMax
-}
-
-func (c GovernorConfig) bgMin() float64 {
-	if c.BGMin <= 0 {
-		return minBackgroundWeight
-	}
-	return c.BGMin
 }
 
 // piLoop is one PI control loop: a latency objective (cluster-wide or one
@@ -185,11 +118,11 @@ func (c GovernorConfig) bgMin() float64 {
 // and shared across loops with very different targets:
 //
 //	e    = (window p99 − setpoint) / setpoint
-//	integ = clamp(integ + KI·e, 0, 1)        // anti-windup clamp
-//	out   = clamp(KP·e + integ, 0, 1)        // squeeze fraction
+//	integ = clamp(integ + piKI·e, 0, 1)      // anti-windup clamp
+//	out   = clamp(piKP·e + integ, 0, 1)      // squeeze fraction
 //
 // A thin window (fewer than MinCount samples) is not judged; instead the
-// integral bleeds off by KI so the background lane recovers toward BGMax
+// integral bleeds off by piKI so the background lane recovers toward BGMax
 // once foreground load stops, without ever acting on a noisy p99.
 type piLoop struct {
 	tenant string // "" for the cluster-wide objective
@@ -205,26 +138,21 @@ type piLoop struct {
 // Governor is a telemetry.Watchdog that adaptively trades background
 // bandwidth for foreground latency.
 //
-// In PI mode (the default) it runs one PI loop per latency objective —
-// the cluster-wide P99Target plus one loop per tenant with a SLOP99 —
-// and a proportional loop on mean disk queue depth. Each loop outputs a
-// squeeze fraction in [0,1]; the most-constrained loop wins (max), and
-// the background lane's weight is set continuously to
+// It runs one PI loop per latency objective — the cluster-wide P99Target
+// plus one loop per tenant with a SLOP99 — and a proportional loop on
+// mean disk queue depth. Each loop outputs a squeeze fraction in [0,1];
+// the most-constrained loop wins (max), and the background lane's weight
+// is set continuously to
 //
-//	w = BGMax · (BGMin/BGMax)^u
+//	w = BGMax · (minBackgroundWeight/BGMax)^u
 //
-// so actuation is bounded to [BGMin, BGMax] by construction. The
-// interpolation is geometric, not linear: queueing latency responds to
-// weight ratios, so equal control steps should multiply the weight by
-// equal factors — the same reasoning behind the step governor's halving
-// — or the loop gain would vary wildly across the actuation range. Unlike the
-// PR5 halve/double governor it has no hysteresis counter to wind up and
-// no 2× steps to oscillate between: near the setpoint the moves shrink
-// toward zero.
-//
-// In step mode it is the PR5 governor: pressure halves the weight, calm
-// windows double it back — kept verbatim (minus two bug fixes) as the
-// comparison arm for experiment E14.
+// so actuation is bounded to [minBackgroundWeight, BGMax] by
+// construction. The interpolation is geometric, not linear: queueing
+// latency responds to weight ratios, so equal control steps should
+// multiply the weight by equal factors, or the loop gain would vary
+// wildly across the actuation range. There is no hysteresis counter to
+// wind up and no fixed-size step to oscillate between: near the setpoint
+// the moves shrink toward zero.
 //
 // Weight moves larger than eventFrac of the actuation range are emitted
 // as watchdog events, which the scraper mirrors into the trace stream —
@@ -238,19 +166,11 @@ type Governor struct {
 	cfg GovernorConfig
 	mgr *Manager
 
-	// PI state.
-	loops    []*piLoop
-	queueErr float64 // last queue-loop normalized error
-	queueOut float64 // last queue-loop squeeze fraction
-	lastU    float64 // last winning squeeze fraction
-
-	// Step-mode state.
-	prevSnap metrics.HistogramSnapshot
-	calm     int
+	loops []*piLoop
+	lastU float64 // last winning squeeze fraction
 
 	// Narrows and Widens count weight moves down/up, for telemetry and
-	// experiment notes. In PI mode a "move" is any applied adjustment
-	// beyond weightEps.
+	// experiment notes: any applied adjustment beyond weightEps.
 	Narrows int64
 	Widens  int64
 }
@@ -272,10 +192,7 @@ func NewGovernor(cfg GovernorConfig, mgr *Manager) *Governor {
 // Rule implements telemetry.Watchdog.
 func (g *Governor) Rule() string { return "qos-governor" }
 
-// Mode reports the active control law (GovPI or GovStep).
-func (g *Governor) Mode() string { return g.cfg.mode() }
-
-// Output reports the last winning squeeze fraction in [0,1] (PI mode).
+// Output reports the last winning squeeze fraction in [0,1].
 func (g *Governor) Output() float64 { return g.lastU }
 
 // LoopState reports one PI loop's last normalized error and squeeze
@@ -290,17 +207,6 @@ func (g *Governor) LoopState(tenant string) (err, out float64, ok bool) {
 	return 0, 0, false
 }
 
-// Check implements telemetry.Watchdog.
-func (g *Governor) Check(v *telemetry.View) []telemetry.Event {
-	if !g.mgr.Enabled() {
-		return nil
-	}
-	if g.cfg.mode() == GovStep {
-		return g.checkStep(v)
-	}
-	return g.checkPI(v)
-}
-
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0
@@ -312,18 +218,23 @@ func clamp01(x float64) float64 {
 }
 
 // histFor resolves the histogram one loop watches: the cluster loop reads
-// the configured registry histogram; tenant loops read the manager's own
-// per-tenant op-latency histograms (fed by controller.observeOp), which
-// exist independent of any telemetry scope naming.
+// the registry's cluster latency histogram; tenant loops read the
+// manager's own per-tenant op-latency histograms (fed by
+// controller.observeOp), which exist independent of any telemetry scope
+// naming.
 func (g *Governor) histFor(v *telemetry.View, lp *piLoop) *metrics.Histogram {
 	if lp.tenant == "" {
-		return v.Reg.HistogramFor(g.cfg.hist())
+		return v.Reg.HistogramFor(clusterLatencyHist)
 	}
 	return g.mgr.TenantHistogram(lp.tenant)
 }
 
-// checkPI runs every loop over the window and applies the winning squeeze.
-func (g *Governor) checkPI(v *telemetry.View) []telemetry.Event {
+// Check implements telemetry.Watchdog: it runs every loop over the window
+// and applies the winning squeeze.
+func (g *Governor) Check(v *telemetry.View) []telemetry.Event {
+	if !g.mgr.Enabled() {
+		return nil
+	}
 	u := 0.0
 	why := "no pressure"
 	for _, lp := range g.loops {
@@ -339,14 +250,14 @@ func (g *Governor) checkPI(v *telemetry.View) []telemetry.Event {
 			continue
 		}
 		n := h.CountSince(lp.prevSnap)
-		setpoint := float64(lp.target) * g.cfg.nearFrac()
+		setpoint := float64(lp.target) * piSetpointFrac
 		if n < g.cfg.minCount() {
 			// Thin window: no judgement, bleed the integral and the
 			// error filter toward rest so the lane recovers when the
 			// foreground goes quiet.
 			lp.filt *= 1 - piFiltAlpha
 			lp.err = 0
-			lp.integ = clamp01(lp.integ - g.cfg.ki())
+			lp.integ = clamp01(lp.integ - piKI)
 			lp.out = lp.integ
 		} else {
 			p99 := h.QuantileSince(lp.prevSnap, 0.99)
@@ -362,8 +273,8 @@ func (g *Governor) checkPI(v *telemetry.View) []telemetry.Event {
 				// dither the weight against p99 quantization noise.
 				lp.out = lp.integ
 			} else {
-				lp.integ = clamp01(lp.integ + g.cfg.ki()*lp.filt)
-				lp.out = clamp01(g.cfg.kp()*lp.filt + lp.integ)
+				lp.integ = clamp01(lp.integ + piKI*lp.filt)
+				lp.out = clamp01(piKP*lp.filt + lp.integ)
 			}
 		}
 		lp.prevSnap = h.Snapshot()
@@ -380,26 +291,24 @@ func (g *Governor) checkPI(v *telemetry.View) []telemetry.Event {
 	// so depth at QueueHigh is full squeeze. Purely proportional — queue
 	// depth is already an integral of over-admission, integrating it
 	// again double-counts.
-	g.queueErr, g.queueOut = 0, 0
 	if high := g.cfg.queueHigh(); high > 0 {
-		if names := v.Reg.Match(g.cfg.queuePattern()); len(names) > 0 {
+		if names := v.Reg.Match(queueDepthPattern); len(names) > 0 {
 			sum := 0.0
 			for _, n := range names {
 				sum += v.Value(n)
 			}
 			mean := sum / float64(len(names))
-			g.queueErr = (mean - high) / high
-			g.queueOut = clamp01(1 + g.queueErr) // full squeeze at mean == high
-			if g.queueOut > u {
-				u = g.queueOut
+			out := clamp01(1 + (mean-high)/high) // full squeeze at mean == high
+			if out > u {
+				u = out
 				why = fmt.Sprintf("queue loop: mean depth %.1f vs %.1f", mean, high)
 			}
 		}
 	}
 	g.lastU = u
 
-	bgMax, bgMin := g.cfg.bgMax(), g.cfg.bgMin()
-	next := bgMax * math.Pow(bgMin/bgMax, u)
+	bgMax := g.cfg.bgMax()
+	next := bgMax * math.Pow(minBackgroundWeight/bgMax, u)
 	cur := g.mgr.BackgroundWeight()
 	delta := next - cur
 	if delta > -weightEps && delta < weightEps {
@@ -415,81 +324,10 @@ func (g *Governor) checkPI(v *telemetry.View) []telemetry.Event {
 	} else {
 		g.Widens++
 	}
-	if mag < eventFrac*(bgMax-bgMin) {
+	if mag < eventFrac*(bgMax-minBackgroundWeight) {
 		// Micro-adjustment: applied, but not worth a traced event.
 		return nil
 	}
 	return []telemetry.Event{{Rule: g.Rule(), Severity: sev,
 		Detail: fmt.Sprintf("%s background lane %.3g -> %.3g (u=%.2f): %s", verb, cur, next, u, why)}}
-}
-
-// checkStep is the PR5 halve/double governor, kept as the E14 comparison
-// arm. Two fixes relative to PR5: the first window after the latency
-// histogram appears is judged against a zero baseline instead of being
-// silently skipped, and the calm counter clamps at CalmWindows instead
-// of growing without bound while the lane sits at BGMax.
-func (g *Governor) checkStep(v *telemetry.View) []telemetry.Event {
-	// Latency signal: windowed p99 against the near-threshold.
-	pressured := false
-	detail := ""
-	if g.cfg.P99Target > 0 {
-		if h := v.Reg.HistogramFor(g.cfg.hist()); h != nil {
-			if !v.First {
-				n := h.CountSince(g.prevSnap)
-				p99 := h.QuantileSince(g.prevSnap, 0.99)
-				limit := sim.Duration(float64(g.cfg.P99Target) * g.cfg.nearFrac())
-				if n >= g.cfg.minCount() && p99 > limit {
-					pressured = true
-					detail = fmt.Sprintf("window p99 %.3fms > %.3fms (%.0f%% of SLO, %d ops)",
-						p99.Millis(), limit.Millis(), g.cfg.nearFrac()*100, n)
-				}
-			}
-			g.prevSnap = h.Snapshot()
-		}
-	}
-	// Queue signal: mean per-disk queue depth.
-	if !pressured && g.cfg.queueHigh() > 0 {
-		if names := v.Reg.Match(g.cfg.queuePattern()); len(names) > 0 {
-			sum := 0.0
-			for _, n := range names {
-				sum += v.Value(n)
-			}
-			mean := sum / float64(len(names))
-			if mean >= g.cfg.queueHigh() {
-				pressured = true
-				detail = fmt.Sprintf("mean disk queue depth %.1f >= %.1f", mean, g.cfg.queueHigh())
-			}
-		}
-	}
-
-	cur := g.mgr.BackgroundWeight()
-	if pressured {
-		g.calm = 0
-		if cur > g.cfg.bgMin() {
-			next := cur / 2
-			if next < g.cfg.bgMin() {
-				next = g.cfg.bgMin()
-			}
-			g.mgr.SetBackgroundWeight(next)
-			g.Narrows++
-			return []telemetry.Event{{Rule: g.Rule(), Severity: "warn",
-				Detail: fmt.Sprintf("narrow background lane %.3g -> %.3g: %s", cur, next, detail)}}
-		}
-		return nil
-	}
-	if g.calm < g.cfg.calmWindows() {
-		g.calm++
-	}
-	if g.calm >= g.cfg.calmWindows() && cur < g.cfg.bgMax() {
-		g.calm = 0
-		next := cur * 2
-		if next > g.cfg.bgMax() {
-			next = g.cfg.bgMax()
-		}
-		g.mgr.SetBackgroundWeight(next)
-		g.Widens++
-		return []telemetry.Event{{Rule: g.Rule(), Severity: "info",
-			Detail: fmt.Sprintf("widen background lane %.3g -> %.3g after %d calm windows", cur, next, g.cfg.calmWindows())}}
-	}
-	return nil
 }

@@ -12,9 +12,10 @@
 //     FIFO disk gate and the coherence CPU semaphore. Lanes 0..3 are
 //     foreground (from pfs.Policy.CachePriority); lane 4 is background
 //     (rebuild, scrub, replication destage, migration).
-//   - Governor: a telemetry watchdog that narrows the background lane's
-//     weight when the windowed foreground p99 nears the SLO or disk
-//     queues run deep, and widens it again in calm windows.
+//   - Governor: a telemetry watchdog whose PI loops set the background
+//     lane's weight continuously from the windowed foreground p99 against
+//     each SLO and from disk queue depth: squeezed under pressure,
+//     released back toward its ceiling as the pressure subsides.
 //
 // Every op carries a Ctx (tenant + lane) on its sim.Proc; children inherit
 // it and simnet carries it across RPC boundaries, so remote coherence CPU
@@ -119,30 +120,20 @@ type TenantSpec struct {
 }
 
 // Config configures the whole subsystem. The zero value is usable: no
-// tenant buckets, default lane weights, default governor bounds.
+// tenant buckets, default governor bounds. Lanes always start at
+// DefaultWeights.
 type Config struct {
 	// Tenants maps tenant name to its admission contract.
 	Tenants map[string]TenantSpec
-	// Weights are the per-lane WFQ weights; zero entries take defaults
-	// (foreground 1,2,4,8 for lanes 0..3; background 1).
-	Weights [NumLanes]float64
 	// Governor tunes the feedback loop; see GovernorConfig.
 	Governor GovernorConfig
 }
 
-// DefaultWeights returns the default per-lane WFQ weights.
+// DefaultWeights returns the per-lane WFQ weights every manager starts
+// with: foreground 1,2,4,8 for lanes 0..3, background 1 (the governor's
+// to move).
 func DefaultWeights() [NumLanes]float64 {
 	return [NumLanes]float64{1, 2, 4, 8, 1}
-}
-
-func (c Config) weights() [NumLanes]float64 {
-	w := DefaultWeights()
-	for i, v := range c.Weights {
-		if v > 0 {
-			w[i] = v
-		}
-	}
-	return w
 }
 
 // Manager bundles the subsystem for one cluster: the admission stage, every
@@ -166,7 +157,7 @@ type Manager struct {
 
 // NewManager builds a manager (initially disabled) from cfg.
 func NewManager(k *sim.Kernel, cfg Config) *Manager {
-	w := cfg.weights()
+	w := DefaultWeights()
 	m := &Manager{
 		k:          k,
 		cfg:        cfg,
@@ -254,7 +245,7 @@ func (m *Manager) SetBackgroundWeight(w float64) {
 // BackgroundWeight returns the background lane's current weight.
 func (m *Manager) BackgroundWeight() float64 { return m.bgWeight }
 
-// Weights returns the configured per-lane weights (background reflects the
+// Weights returns the per-lane weights (background reflects the
 // governor's current setting).
 func (m *Manager) Weights() [NumLanes]float64 {
 	w := m.weights
@@ -379,18 +370,16 @@ func (m *Manager) Report() string {
 	w := m.Weights()
 	fmt.Fprintf(&b, "lane weights: fg %.3g/%.3g/%.3g/%.3g bg %.3g\n", w[0], w[1], w[2], w[3], w[4])
 	if m.gov != nil {
-		fmt.Fprintf(&b, "governor: %s, target p99 %.3fms, bg share [%.3g..%.3g], %d narrows, %d widens\n",
-			m.gov.Mode(), m.gov.cfg.P99Target.Millis(), m.gov.cfg.bgMin(), m.gov.cfg.bgMax(), m.gov.Narrows, m.gov.Widens)
-		if m.gov.Mode() == GovPI {
-			fmt.Fprintf(&b, "governor output: u %.3f (bg weight %.3g)\n", m.gov.Output(), m.bgWeight)
-			for _, lp := range m.gov.loops {
-				name := lp.tenant
-				if name == "" {
-					name = "(cluster)"
-				}
-				fmt.Fprintf(&b, "governor loop %-10s target p99 %.3fms: err %+.3f integ %.3f out %.3f\n",
-					name, lp.target.Millis(), lp.err, lp.integ, lp.out)
+		fmt.Fprintf(&b, "governor: target p99 %.3fms, bg share [%.3g..%.3g], %d narrows, %d widens\n",
+			m.gov.cfg.P99Target.Millis(), minBackgroundWeight, m.gov.cfg.bgMax(), m.gov.Narrows, m.gov.Widens)
+		fmt.Fprintf(&b, "governor output: u %.3f (bg weight %.3g)\n", m.gov.Output(), m.bgWeight)
+		for _, lp := range m.gov.loops {
+			name := lp.tenant
+			if name == "" {
+				name = "(cluster)"
 			}
+			fmt.Fprintf(&b, "governor loop %-10s target p99 %.3fms: err %+.3f integ %.3f out %.3f\n",
+				name, lp.target.Millis(), lp.err, lp.integ, lp.out)
 		}
 	} else {
 		fmt.Fprintf(&b, "governor: detached (telemetry off)\n")

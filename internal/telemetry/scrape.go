@@ -163,15 +163,6 @@ func (s *Scraper) Scrapes() int64 { return s.scrapes }
 // Events returns every watchdog event emitted so far, in order.
 func (s *Scraper) Events() []Event { return append([]Event(nil), s.events...) }
 
-// Times returns the retained scrape timestamps, oldest first.
-func (s *Scraper) Times() []sim.Time {
-	out := make([]sim.Time, s.n)
-	for i := 0; i < s.n; i++ {
-		out[i] = s.times[(s.head+i)%s.cap]
-	}
-	return out
-}
-
 // Window returns the virtual-time span covered by the retained scrapes.
 func (s *Scraper) Window() sim.Duration {
 	if s.n < 2 {

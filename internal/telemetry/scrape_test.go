@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/metrics"
@@ -72,19 +71,9 @@ func TestScraperRingWrap(t *testing.T) {
 	if s.Scrapes() != 10 {
 		t.Fatalf("Scrapes() = %d, want 10 (wrapping must not lose count)", s.Scrapes())
 	}
-	times := s.Times()
-	if len(times) != 4 {
-		t.Fatalf("len(Times) = %d, want cap 4", len(times))
-	}
-	// Oldest-first, and only the last 4 scrape instants survive.
-	want := []sim.Time{
-		sim.Time(70 * sim.Millisecond),
-		sim.Time(80 * sim.Millisecond),
-		sim.Time(90 * sim.Millisecond),
-		sim.Time(100 * sim.Millisecond),
-	}
-	if !reflect.DeepEqual(times, want) {
-		t.Fatalf("Times() = %v, want %v", times, want)
+	// Only the last 4 scrape instants survive, 70..100 ms.
+	if got := s.Window(); got != 30*sim.Millisecond {
+		t.Fatalf("Window() = %v, want the 30ms the last 4 scrapes span", got)
 	}
 	// At each scrape instant the tick scheduled for that exact time has
 	// not yet run (the scrape event was enqueued earlier), so the counter

@@ -94,26 +94,46 @@ type Watchdog interface {
 	Check(v *View) []Event
 }
 
+// DefaultSkewFor is how many consecutive skewed intervals arm a hot-spot
+// response, the watchdog's alarm or the balancer's burst, by default.
+const DefaultSkewFor = 2
+
+// SkewThresholds resolves skew thresholds: a zero or negative one takes
+// its default, CV 0.5 or max/mean 2 (0 and 1 are perfectly balanced).
+func SkewThresholds(cvMax, ratioMax float64) (float64, float64) {
+	if cvMax <= 0 {
+		cvMax = 0.5
+	}
+	if ratioMax <= 0 {
+		ratioMax = 2
+	}
+	return cvMax, ratioMax
+}
+
+// Skewed is the hot-spot test HotSpot and the balancer (internal/balance)
+// share, each with its own streak rule over it. An interval under 1 of
+// total load is idle (an idle cluster is not a skewed one); any other is
+// skewed when CV > cvMax and max/mean > ratioMax.
+func Skewed(st metrics.Stats, cvMax, ratioMax float64) (idle, skewed bool) {
+	if st.Mean*float64(st.N) < 1 {
+		return true, false
+	}
+	return false, st.CV() > cvMax && st.Max/st.Mean > ratioMax
+}
+
 // HotSpot alarms when load concentrates on few members of a group — the
 // failure mode the paper's pooled cache is designed out of (§2.2) and the
 // one DistCache identifies as the killer of distributed caching tiers. It
 // summarizes the per-interval increments of the metrics matching Pattern
-// (e.g. "blade/*/ops") and fires when both the coefficient of variation and
-// the max/mean ratio exceed their thresholds for For consecutive intervals.
+// (e.g. "blade/*/ops") and fires when they are Skewed for For consecutive
+// judged intervals; an idle interval holds the streak.
 type HotSpot struct {
 	// Pattern selects the load metric per group member.
 	Pattern string
-	// CVMax is the coefficient-of-variation threshold (default 0.5;
-	// 0 = perfectly balanced).
-	CVMax float64
-	// RatioMax is the max/mean threshold (default 2; 1 = perfectly
-	// balanced).
-	RatioMax float64
-	// MinTotal ignores intervals with less total load than this
-	// (default 1): an idle cluster is not a skewed one.
-	MinTotal float64
+	// CVMax and RatioMax are the skew thresholds (see SkewThresholds).
+	CVMax, RatioMax float64
 	// For is how many consecutive skewed intervals arm the alarm
-	// (default 2).
+	// (default DefaultSkewFor).
 	For int
 
 	streak int
@@ -125,18 +145,10 @@ func (h *HotSpot) Rule() string { return "hot-spot" }
 
 // Check implements Watchdog.
 func (h *HotSpot) Check(v *View) []Event {
-	cvMax, ratioMax, minTotal, arm := h.CVMax, h.RatioMax, h.MinTotal, h.For
-	if cvMax <= 0 {
-		cvMax = 0.5
-	}
-	if ratioMax <= 0 {
-		ratioMax = 2
-	}
-	if minTotal <= 0 {
-		minTotal = 1
-	}
+	cvMax, ratioMax := SkewThresholds(h.CVMax, h.RatioMax)
+	arm := h.For
 	if arm <= 0 {
-		arm = 2
+		arm = DefaultSkewFor
 	}
 	if v.First {
 		return nil
@@ -146,16 +158,12 @@ func (h *HotSpot) Check(v *View) []Event {
 		return nil
 	}
 	st := metrics.Summarize(deltas)
-	total := st.Mean * float64(st.N)
-	if total < minTotal {
-		// Idle interval: evidence of nothing; hold state.
+	idle, skewed := Skewed(st, cvMax, ratioMax)
+	if idle {
+		// Evidence of nothing; hold state.
 		return nil
 	}
-	ratio := 0.0
-	if st.Mean > 0 {
-		ratio = st.Max / st.Mean
-	}
-	skewed := st.CV() > cvMax && ratio > ratioMax
+	ratio := st.Max / st.Mean
 	if !skewed {
 		h.streak = 0
 		if h.firing {

@@ -181,7 +181,7 @@ func TestHotSpotSingleWarnThenClear(t *testing.T) {
 	}
 }
 
-// TestHotSpotIdleHoldsState: intervals below MinTotal are evidence of
+// TestHotSpotIdleHoldsState: intervals below 1 of total load are evidence of
 // nothing — they must neither advance nor reset the streak, so
 // skewed, idle, skewed arms a For=2 alarm.
 func TestHotSpotIdleHoldsState(t *testing.T) {
@@ -189,7 +189,7 @@ func TestHotSpotIdleHoldsState(t *testing.T) {
 	if ev := h.Check(deltaView(1, bladeNames, skewedDeltas)); ev != nil {
 		t.Fatalf("streak 1 emitted %v", ev)
 	}
-	idle := []float64{0.2, 0, 0, 0} // total 0.2 < default MinTotal 1
+	idle := []float64{0.2, 0, 0, 0} // total 0.2 < 1
 	if ev := h.Check(deltaView(2, bladeNames, idle)); ev != nil {
 		t.Fatalf("idle interval emitted %v, want nil", ev)
 	}
