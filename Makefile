@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race verify loc knobs bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
+.PHONY: all build vet test race verify loc knobs orphans bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
 
 all: verify
 
@@ -30,6 +30,11 @@ loc:
 # a caller can set — of the working tree, or of a revision with REV=<rev>.
 knobs:
 	bash scripts/knobs.sh $(REV)
+
+# orphans prints every internal/ package that no command, example or
+# benchmark builds, and fails if there is one.
+orphans:
+	bash scripts/orphans.sh
 
 # bench-e2e runs BENCHMARK.json's four workloads exactly as the driver does
 # (bench/run.sh builds into .bench_build/ and runs ~10 s per workload):

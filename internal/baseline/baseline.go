@@ -4,12 +4,10 @@
 // caches with no inter-controller coherence, and volumes statically owned
 // by one controller. Hot volumes therefore saturate one controller while
 // the other idles (§2: "hot spots in cache and processors on controllers"),
-// aggregate performance stops scaling at two controllers, and rebuilds run
-// on a single controller in competition with foreground I/O (§2.4).
+// and aggregate performance stops scaling at two controllers.
 package baseline
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/cache"
@@ -34,9 +32,6 @@ type Config struct {
 	CPUSlots int
 	// FlushInterval drives write-back destaging (0 = 20 ms).
 	FlushInterval sim.Duration
-	// MirrorWrites enables active-active write-cache mirroring: dirty
-	// data is copied to the partner, surviving one controller failure.
-	MirrorWrites bool
 }
 
 // DefaultConfig mirrors the cluster's default disk complement.
@@ -49,7 +44,6 @@ func DefaultConfig() Config {
 		ExtentBlocks:             256,
 		OpDelay:                  10 * sim.Microsecond,
 		CPUSlots:                 4,
-		MirrorWrites:             true,
 	}
 }
 
@@ -57,11 +51,8 @@ func DefaultConfig() Config {
 type controller struct {
 	id    int
 	cache *cache.Cache
-	// mirror holds partner dirty data (key → data) when MirrorWrites.
-	mirror map[cache.Key][]byte
-	cpu    *sim.Semaphore
-	down   bool
-	Ops    int64
+	cpu   *sim.Semaphore
+	Ops   int64
 }
 
 // Array is the traditional dual-controller system.
@@ -114,10 +105,9 @@ func New(k *sim.Kernel, cfg Config) (*Array, error) {
 	a.Pool = pool
 	for i := 0; i < 2; i++ {
 		a.ctrls[i] = &controller{
-			id:     i,
-			cache:  cache.New(cfg.CacheBlocksPerController),
-			mirror: make(map[cache.Key][]byte),
-			cpu:    sim.NewSemaphore(k, cfg.CPUSlots),
+			id:    i,
+			cache: cache.New(cfg.CacheBlocksPerController),
+			cpu:   sim.NewSemaphore(k, cfg.CPUSlots),
 		}
 	}
 	a.startFlusher()
@@ -145,21 +135,13 @@ func (a *Array) ControllerOps() [2]int64 {
 	return [2]int64{a.ctrls[0].Ops, a.ctrls[1].Ops}
 }
 
-// owner resolves the serving controller, failing over to the partner when
-// the owner is down.
+// owner resolves the volume's serving controller.
 func (a *Array) owner(vol string) (*controller, error) {
 	id, ok := a.volOwner[vol]
 	if !ok {
 		return nil, fmt.Errorf("baseline: no volume %q", vol)
 	}
-	c := a.ctrls[id]
-	if c.down {
-		c = a.ctrls[1-id]
-	}
-	if c.down {
-		return nil, errors.New("baseline: both controllers down")
-	}
-	return c, nil
+	return a.ctrls[id], nil
 }
 
 func (a *Array) volume(vol string) (*virt.Volume, error) {
@@ -211,7 +193,7 @@ func (a *Array) Read(p *sim.Proc, vol string, lba int64, count int) ([]byte, err
 }
 
 // Write stores block-aligned data through the owning controller,
-// write-back with optional partner mirroring.
+// write-back with every dirty block mirrored to the partner.
 func (a *Array) Write(p *sim.Proc, vol string, lba int64, data []byte) error {
 	c, err := a.owner(vol)
 	if err != nil {
@@ -235,12 +217,9 @@ func (a *Array) Write(p *sim.Proc, vol string, lba int64, data []byte) error {
 		a.makeRoom(p, c, v)
 		ent := c.cache.Put(key, blk, cache.Modified, true, 0)
 		ent.Version++
-		if a.Cfg.MirrorWrites && !partner.down {
-			// Cache-mirror copy over the controllers' internal bus;
-			// modeled as a CPU charge on the partner.
-			partner.busy(p, a.Cfg.OpDelay/2)
-			partner.mirror[key] = blk
-		}
+		// Cache-mirror copy over the controllers' internal bus;
+		// modeled as a CPU charge on the partner.
+		partner.busy(p, a.Cfg.OpDelay/2)
 	}
 	c.Ops += int64(len(data) / bs)
 	return nil
@@ -262,7 +241,7 @@ func (a *Array) makeRoom(p *sim.Proc, c *controller, v *virt.Volume) {
 	}
 }
 
-// destage writes one dirty block to its volume and releases the mirror.
+// destage writes one dirty block to its volume.
 func (a *Array) destage(p *sim.Proc, c *controller, ent *cache.Entry) error {
 	v, err := a.volume(ent.Key.Vol)
 	if err != nil {
@@ -277,7 +256,6 @@ func (a *Array) destage(p *sim.Proc, c *controller, ent *cache.Entry) error {
 	}
 	if ent.Version == ver {
 		c.cache.SetDirty(ent, false)
-		delete(a.ctrls[1-c.id].mirror, ent.Key)
 	}
 	return nil
 }
@@ -291,7 +269,7 @@ func (a *Array) startFlusher() {
 		a.K.Go(fmt.Sprintf("baseline.flusher%d", i), func(p *sim.Proc) {
 			for {
 				p.Sleep(a.Cfg.FlushInterval)
-				if stopped || c.down {
+				if stopped {
 					return
 				}
 				flushed := 0
@@ -316,49 +294,4 @@ func (a *Array) Stop() {
 	if a.stopFlush != nil {
 		a.stopFlush()
 	}
-}
-
-// FailController kills controller id. With mirroring, the partner destages
-// the dead controller's dirty data from its mirror copy; without, that
-// data is simply gone — the single-point-of-failure exposure of §6.1.
-func (a *Array) FailController(p *sim.Proc, id int) error {
-	c := a.ctrls[id%2]
-	if c.down {
-		return nil
-	}
-	c.down = true
-	c.cache.Clear()
-	partner := a.ctrls[1-id%2]
-	if partner.down {
-		return errors.New("baseline: both controllers down")
-	}
-	if a.Cfg.MirrorWrites {
-		for key, blk := range partner.mirror {
-			v, err := a.volume(key.Vol)
-			if err != nil {
-				continue
-			}
-			if err := v.Write(p, key.LBA, blk); err != nil {
-				return err
-			}
-			delete(partner.mirror, key)
-		}
-	} else {
-		partner.mirror = make(map[cache.Key][]byte)
-	}
-	return nil
-}
-
-// Rebuild runs a single-controller rebuild of group g's disk idx — the
-// whole reconstruction competes with foreground I/O through one brain.
-func (a *Array) Rebuild(p *sim.Proc, g, idx int) error {
-	if g < 0 || g >= len(a.Groups) {
-		return fmt.Errorf("baseline: no group %d", g)
-	}
-	group := a.Groups[g]
-	if _, err := group.StartRebuild(idx); err != nil {
-		return err
-	}
-	// One controller, one rebuild worker.
-	return group.Rebuild(p, idx, 1)
 }

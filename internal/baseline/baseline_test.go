@@ -96,100 +96,6 @@ func TestStaticOwnershipConcentratesLoad(t *testing.T) {
 	}
 }
 
-func TestFailoverToPartner(t *testing.T) {
-	a, k := newArray(t, nil)
-	defer a.Stop()
-	a.CreateVolume("v", 256)
-	a.SetOwner("v", 0)
-	data := pat(512*2, 3)
-	run(k, func(p *sim.Proc) {
-		if err := a.Write(p, "v", 0, data); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		// Owner dies; mirrored dirty data must survive via the partner.
-		if err := a.FailController(p, 0); err != nil {
-			t.Errorf("fail: %v", err)
-			return
-		}
-		got, err := a.Read(p, "v", 0, 2)
-		if err != nil {
-			t.Errorf("read after failover: %v", err)
-			return
-		}
-		if !bytes.Equal(got, data) {
-			t.Error("mirrored write lost on single controller failure")
-		}
-	})
-}
-
-func TestNoMirrorLosesDirtyData(t *testing.T) {
-	a, k := newArray(t, func(cfg *Config) {
-		cfg.MirrorWrites = false
-		cfg.FlushInterval = 10 * sim.Second
-	})
-	defer a.Stop()
-	a.CreateVolume("v", 256)
-	a.SetOwner("v", 0)
-	data := pat(512, 5)
-	run(k, func(p *sim.Proc) {
-		a.Write(p, "v", 0, data)
-		a.FailController(p, 0)
-		got, err := a.Read(p, "v", 0, 1)
-		if err != nil {
-			t.Errorf("read: %v", err)
-			return
-		}
-		if bytes.Equal(got, data) {
-			t.Error("unmirrored dirty data survived controller loss — premise broken")
-		}
-	})
-}
-
-func TestBothControllersDown(t *testing.T) {
-	a, k := newArray(t, nil)
-	defer a.Stop()
-	a.CreateVolume("v", 256)
-	run(k, func(p *sim.Proc) {
-		a.FailController(p, 0)
-		if err := a.FailController(p, 1); err == nil {
-			t.Error("second controller failure not reported")
-		}
-		if _, err := a.Read(p, "v", 0, 1); err == nil {
-			t.Error("read served with both controllers down")
-		}
-	})
-}
-
-func TestRebuildSingleController(t *testing.T) {
-	a, k := newArray(t, nil)
-	defer a.Stop()
-	a.CreateVolume("v", 512)
-	data := pat(512*64, 7)
-	run(k, func(p *sim.Proc) {
-		a.Write(p, "v", 0, data)
-		// Force destage so the RAID group holds the data.
-		for _, c := range a.ctrls {
-			for _, ent := range c.cache.DirtyEntries() {
-				a.destage(p, c, ent)
-			}
-		}
-		a.Groups[0].Disks()[1].Fail()
-		if err := a.Rebuild(p, 0, 1); err != nil {
-			t.Errorf("rebuild: %v", err)
-			return
-		}
-		got, err := a.Read(p, "v", 0, 64)
-		if err != nil {
-			t.Errorf("read after rebuild: %v", err)
-			return
-		}
-		if !bytes.Equal(got, data) {
-			t.Error("data wrong after rebuild")
-		}
-	})
-}
-
 func TestCacheHitsServeFromController(t *testing.T) {
 	a, k := newArray(t, nil)
 	defer a.Stop()

@@ -262,7 +262,7 @@ type Engine struct {
 	// instead of misrouting. heat feeds the rebalancer.
 	homeOverride map[cache.Key]int
 	forward      map[cache.Key]int
-	heat         *heatTracker
+	heat         *HeatTracker
 
 	// idx is the fixed-stride home-lookup cache (see homeidx.go).
 	idx *homeIndex
@@ -440,7 +440,7 @@ func New(k *sim.Kernel, cfg Config) *Engine {
 		invEpoch:     make(map[cache.Key]uint64),
 		homeOverride: make(map[cache.Key]int),
 		forward:      make(map[cache.Key]int),
-		heat:         newHeatTracker(k),
+		heat:         NewHeatTracker(k, HeatHalfLife),
 		replicate:    cfg.ReplicateDirty,
 		onClean:      cfg.OnClean,
 		unpinned:     make(map[*cache.Entry]*sim.Future[struct{}]),

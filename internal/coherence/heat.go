@@ -8,11 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
-// HeatHalfLife is the decay half-life of the per-key demand counters: a
-// key that stops being requested loses half its heat every half-life of
-// virtual time, so the hottest-key ranking tracks *current* demand, not
-// lifetime popularity. The home-migration balancer converts heat into
-// per-interval load with it.
+// HeatHalfLife is the decay half-life of the engine's per-key demand
+// counters: a key that stops being requested loses half its heat every
+// half-life of virtual time, so the hottest-key ranking tracks *current*
+// demand, not lifetime popularity. The home-migration balancer converts
+// heat into per-interval load with it.
 const HeatHalfLife = 250 * sim.Millisecond
 
 // heatSweepEvery bounds the heat map's memory: every this many touches the
@@ -32,30 +32,31 @@ type heatCell struct {
 	t sim.Time // last decay instant
 }
 
-// heatTracker maintains exponentially decayed per-key request counters in
-// virtual time. All arithmetic is on virtual-time ratios, so two same-seed
-// runs produce bit-identical heat values and therefore identical
-// migration choices.
-type heatTracker struct {
-	k       *sim.Kernel
-	m       map[cache.Key]*heatCell
-	touches int
+// HeatTracker keeps exponentially decayed per-key request counters in
+// virtual time, bit-identical across same-seed runs. The engine counts the
+// requests reaching each home; the hot-key cache tier counts client reads.
+type HeatTracker struct {
+	k        *sim.Kernel
+	halfLife sim.Duration
+	m        map[cache.Key]*heatCell
+	touches  int
 }
 
-func newHeatTracker(k *sim.Kernel) *heatTracker {
-	return &heatTracker{k: k, m: make(map[cache.Key]*heatCell)}
+// NewHeatTracker returns a tracker whose counts halve every halfLife.
+func NewHeatTracker(k *sim.Kernel, halfLife sim.Duration) *HeatTracker {
+	return &HeatTracker{k: k, halfLife: halfLife, m: make(map[cache.Key]*heatCell)}
 }
 
 // decayTo folds the elapsed virtual time into the cell's counter.
-func (h *heatTracker) decayTo(c *heatCell, now sim.Time) {
+func (h *HeatTracker) decayTo(c *heatCell, now sim.Time) {
 	if dt := now.Sub(c.t); dt > 0 {
-		c.v *= math.Exp2(-float64(dt) / float64(HeatHalfLife))
+		c.v *= math.Exp2(-float64(dt) / float64(h.halfLife))
 		c.t = now
 	}
 }
 
-// Touch records one request for key at the current virtual time.
-func (h *heatTracker) Touch(key cache.Key) {
+// Touch records one request for key now and returns its decayed count.
+func (h *HeatTracker) Touch(key cache.Key) float64 {
 	now := h.k.Now()
 	c, ok := h.m[key]
 	if !ok {
@@ -69,9 +70,10 @@ func (h *heatTracker) Touch(key cache.Key) {
 		h.touches = 0
 		h.sweep(now)
 	}
+	return c.v
 }
 
-func (h *heatTracker) sweep(now sim.Time) {
+func (h *HeatTracker) sweep(now sim.Time) {
 	for k, c := range h.m {
 		h.decayTo(c, now)
 		if c.v < 0.5 {
@@ -82,7 +84,7 @@ func (h *heatTracker) sweep(now sim.Time) {
 
 // Take removes key's counter and returns its decayed value — used when a
 // home migrates so the heat travels with the directory entry.
-func (h *heatTracker) Take(key cache.Key) float64 {
+func (h *HeatTracker) Take(key cache.Key) float64 {
 	c, ok := h.m[key]
 	if !ok {
 		return 0
@@ -93,7 +95,7 @@ func (h *heatTracker) Take(key cache.Key) float64 {
 }
 
 // Seed installs (or restores) a counter for key at value v.
-func (h *heatTracker) Seed(key cache.Key, v float64) {
+func (h *HeatTracker) Seed(key cache.Key, v float64) {
 	if v <= 0 {
 		return
 	}
@@ -102,7 +104,7 @@ func (h *heatTracker) Seed(key cache.Key, v float64) {
 
 // Hottest returns up to n keys ordered by decayed heat (hottest first; ties
 // broken by Vol then LBA so the ranking is deterministic).
-func (h *heatTracker) Hottest(n int) []KeyHeat {
+func (h *HeatTracker) Hottest(n int) []KeyHeat {
 	now := h.k.Now()
 	out := make([]KeyHeat, 0, len(h.m))
 	for k, c := range h.m {
@@ -128,5 +130,18 @@ func (h *heatTracker) Hottest(n int) []KeyHeat {
 	return out
 }
 
+// Hot counts the keys whose decayed count is at least min.
+func (h *HeatTracker) Hot(min float64) int {
+	now := h.k.Now()
+	n := 0
+	for _, c := range h.m {
+		h.decayTo(c, now)
+		if c.v >= min {
+			n++
+		}
+	}
+	return n
+}
+
 // Reset drops every counter (membership change: homes were rehashed).
-func (h *heatTracker) Reset() { h.m = make(map[cache.Key]*heatCell); h.touches = 0 }
+func (h *HeatTracker) Reset() { h.m = make(map[cache.Key]*heatCell); h.touches = 0 }

@@ -95,11 +95,7 @@ func (s *Site) ReadAt(p *sim.Proc, path string, off int64, buf []byte) (int, err
 		end = m.size
 	}
 	s.accesses[path]++
-	rs, ok := s.ranges[path]
-	if !ok {
-		rs = &rangeSet{}
-		s.ranges[path] = rs
-	}
+	rs := s.rangesOf(path)
 	if rs.contains(off, end) {
 		// Previously fetched/prefetched: local performance.
 		s.Stats.PrefetchHits++
@@ -116,28 +112,14 @@ func (s *Site) ReadAt(p *sim.Proc, path string, off int64, buf []byte) (int, err
 	if fetchHi > m.size {
 		fetchHi = m.size
 	}
-	raw, err := s.conn.CallTimeout(p, simnet.Addr(m.home), "geo.read",
-		readReq{Path: path, Off: off, N: fetchHi - off}, ctrlSize, 60*sim.Second)
+	resp, err := s.fetch(p, path, m, off, fetchHi-off)
 	if err != nil {
-		return 0, fmt.Errorf("georepl: fetch from home %s: %w", m.home, err)
-	}
-	resp := raw.(readResp)
-	if resp.Err != "" {
-		return 0, fmt.Errorf("georepl: %s", resp.Err)
+		return 0, err
 	}
 	s.Stats.RemoteReads++
 
-	// Install the fetched bytes into the local partial replica.
-	if _, err := s.fs.Stat(path); err != nil {
-		if cerr := createLocal(s.fs, path, m.policy); cerr != nil {
-			return 0, cerr
-		}
-	}
-	if len(resp.Data) > 0 {
-		if _, err := s.fs.WriteAt(p, path, off, resp.Data); err != nil {
-			return 0, err
-		}
-		rs.add(off, off+int64(len(resp.Data)))
+	if err := s.install(p, path, m, rs, off, resp.Data); err != nil {
+		return 0, err
 	}
 	n := copy(buf, resp.Data)
 	if int64(n) > end-off {
@@ -147,9 +129,9 @@ func (s *Site) ReadAt(p *sim.Proc, path string, off int64, buf []byte) (int, err
 	return n, nil
 }
 
-// maybePromote pulls a full replica once the file is hot at this site.
-// The pull itself runs in the background — the read that crossed the
-// threshold is not delayed by the bulk transfer.
+// maybePromote fetches a full replica once the file is hot at this site.
+// The fetch runs in the background — the read that crossed the threshold
+// is not delayed by the bulk transfer.
 func (s *Site) maybePromote(p *sim.Proc, path string, m *fileMeta) {
 	if s.accesses[path] < s.fed.cfg.HotThreshold || m.cacheReplicas[s.Name] || m.home == s.Name {
 		return
@@ -170,32 +152,56 @@ func (s *Site) maybePromote(p *sim.Proc, path string, m *fileMeta) {
 		if s.Down || m.cacheReplicas[s.Name] {
 			return
 		}
-		raw, err := s.conn.CallTimeout(q, simnet.Addr(m.home), "geo.pull",
-			pullReq{Path: path}, ctrlSize, 60*sim.Second)
-		if err != nil {
+		resp, err := s.fetch(q, path, m, 0, m.size)
+		if err != nil || s.install(q, path, m, s.rangesOf(path), 0, resp.Data) != nil {
 			return
 		}
-		resp := raw.(pullResp)
-		if resp.Err != "" {
-			return
-		}
-		if _, err := s.fs.Stat(path); err != nil {
-			if cerr := createLocal(s.fs, path, m.policy); cerr != nil {
-				return
-			}
-		}
-		if _, err := s.fs.WriteAt(q, path, 0, resp.Data); err != nil {
-			return
-		}
-		rs := s.ranges[path]
-		if rs == nil {
-			rs = &rangeSet{}
-			s.ranges[path] = rs
-		}
-		rs.add(0, int64(len(resp.Data)))
 		m.cacheReplicas[s.Name] = true
 		s.Stats.Promotions++
 	})
+}
+
+// fetch reads [off, off+n) of path from its home over the WAN: the one
+// fetch verb, used by remote reads and by hot promotion alike.
+func (s *Site) fetch(p *sim.Proc, path string, m *fileMeta, off, n int64) (readResp, error) {
+	raw, err := s.conn.CallTimeout(p, simnet.Addr(m.home), "geo.read",
+		readReq{Path: path, Off: off, N: n}, ctrlSize, 60*sim.Second)
+	if err != nil {
+		return readResp{}, fmt.Errorf("georepl: fetch from home %s: %w", m.home, err)
+	}
+	resp := raw.(readResp)
+	if resp.Err != "" {
+		return readResp{}, fmt.Errorf("georepl: %s", resp.Err)
+	}
+	return resp, nil
+}
+
+// install writes fetched bytes at off into the local partial replica,
+// creating it if missing, and records the range in rs.
+func (s *Site) install(p *sim.Proc, path string, m *fileMeta, rs *rangeSet, off int64, data []byte) error {
+	if _, err := s.fs.Stat(path); err != nil {
+		if err := createLocal(s.fs, path, m.policy); err != nil {
+			return err
+		}
+	}
+	if len(data) == 0 {
+		return nil
+	}
+	if _, err := s.fs.WriteAt(p, path, off, data); err != nil {
+		return err
+	}
+	rs.add(off, off+int64(len(data)))
+	return nil
+}
+
+// rangesOf returns the set of locally present ranges of path, creating it.
+func (s *Site) rangesOf(path string) *rangeSet {
+	rs, ok := s.ranges[path]
+	if !ok {
+		rs = &rangeSet{}
+		s.ranges[path] = rs
+	}
+	return rs
 }
 
 // ReadFile reads a whole file through the single system image.

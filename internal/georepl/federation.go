@@ -107,7 +107,6 @@ func (f *Federation) AddSite(name string, fs *pfs.FS) *Site {
 	s.conn.Register("geo.write", s.handleWrite)
 	s.conn.Register("geo.ship", s.handleShip)
 	s.conn.Register("geo.invalidate", s.handleInvalidate)
-	s.conn.Register("geo.pull", s.handlePull)
 	f.sites[name] = s
 	s.startShipper()
 	return s

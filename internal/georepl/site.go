@@ -41,7 +41,7 @@ type Site struct {
 	// journals hold pending async shipments per destination site (§7.2:
 	// writes ship "in the order of the writes").
 	journals map[string]*journal
-	// promoting guards against duplicate in-flight promotion pulls.
+	// promoting guards against duplicate in-flight promotion fetches.
 	promoting map[string]bool
 
 	stopShip func()
@@ -96,11 +96,6 @@ type shipReq struct {
 type shipResp struct{ Err string }
 type invalidateReq struct{ Path string }
 type invalidateResp struct{}
-type pullReq struct{ Path string }
-type pullResp struct {
-	Data []byte
-	Err  string
-}
 
 // createLocal makes path (and parent directories) on fs.
 func createLocal(fs *pfs.FS, path string, policy pfs.Policy) error {
@@ -344,14 +339,4 @@ func (s *Site) handleInvalidate(p *sim.Proc, from simnet.Addr, args any) (any, i
 		s.fs.Remove(req.Path)
 	}
 	return invalidateResp{}, ctrlSize
-}
-
-// handlePull serves a full-file copy for hot promotion.
-func (s *Site) handlePull(p *sim.Proc, from simnet.Addr, args any) (any, int) {
-	req := args.(pullReq)
-	data, err := s.fs.ReadFile(p, req.Path)
-	if err != nil {
-		return pullResp{Err: err.Error()}, ctrlSize
-	}
-	return pullResp{Data: data}, ctrlSize + len(data)
 }

@@ -2,7 +2,6 @@ package hotcache
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -90,7 +89,7 @@ type Tier struct {
 	nodes []*Node
 
 	enabled bool
-	heat    *tierHeat
+	heat    *coherence.HeatTracker
 
 	// inflight[b] counts ops currently dispatched to blade b by this
 	// tier's clients — the load signal for the two-choice routing.
@@ -117,7 +116,7 @@ func New(cfg Config, deps Deps) *Tier {
 		cfg:      cfg,
 		deps:     deps,
 		nodes:    make([]*Node, len(deps.Engines)),
-		heat:     newTierHeat(deps.K, cfg.HeatHalfLife),
+		heat:     coherence.NewHeatTracker(deps.K, cfg.HeatHalfLife),
 		inflight: make([]int, len(deps.Engines)),
 		mayCache: make(map[cache.Key]struct{}),
 	}
@@ -154,7 +153,7 @@ func (t *Tier) Route(key cache.Key, home int) (blade int, viaCache bool) {
 	if !t.enabled {
 		return home, false
 	}
-	if t.heat.TouchVal(key) < t.cfg.HotMin {
+	if t.heat.Touch(key) < t.cfg.HotMin {
 		t.stats.RoutedCold++
 		return home, false
 	}
@@ -338,74 +337,3 @@ func (t *Tier) RegisterTelemetry(s telemetry.Scope) {
 		ns.Func("occupancy", n.Occupancy)
 	}
 }
-
-// ---- heat tracking ----
-
-// tierHeat is an exponentially decayed per-key read counter in virtual
-// time, the same construction as the coherence engine's heat tracker but
-// owned by the tier (the tier sees client-side reads before routing; the
-// engine sees only what reaches each home).
-type tierHeat struct {
-	k        *sim.Kernel
-	halfLife sim.Duration
-	m        map[cache.Key]*heatCell
-	touches  int
-}
-
-type heatCell struct {
-	v float64
-	t sim.Time
-}
-
-// heatSweepEvery bounds the heat map under a shifting working set.
-const heatSweepEvery = 4096
-
-func newTierHeat(k *sim.Kernel, halfLife sim.Duration) *tierHeat {
-	return &tierHeat{k: k, halfLife: halfLife, m: make(map[cache.Key]*heatCell)}
-}
-
-func (h *tierHeat) decayTo(c *heatCell, now sim.Time) {
-	if dt := now.Sub(c.t); dt > 0 {
-		c.v *= math.Exp2(-float64(dt) / float64(h.halfLife))
-		c.t = now
-	}
-}
-
-// TouchVal records one read of key and returns its decayed rate.
-func (h *tierHeat) TouchVal(key cache.Key) float64 {
-	now := h.k.Now()
-	c, ok := h.m[key]
-	if !ok {
-		c = &heatCell{t: now}
-		h.m[key] = c
-	}
-	h.decayTo(c, now)
-	c.v++
-	h.touches++
-	if h.touches >= heatSweepEvery {
-		h.touches = 0
-		for k, cell := range h.m {
-			h.decayTo(cell, now)
-			if cell.v < 0.5 {
-				delete(h.m, k)
-			}
-		}
-	}
-	return c.v
-}
-
-// Hot counts keys currently at or above the threshold.
-func (h *tierHeat) Hot(min float64) int {
-	now := h.k.Now()
-	n := 0
-	for _, c := range h.m {
-		h.decayTo(c, now)
-		if c.v >= min {
-			n++
-		}
-	}
-	return n
-}
-
-// Reset drops every counter.
-func (h *tierHeat) Reset() { h.m = make(map[cache.Key]*heatCell); h.touches = 0 }
