@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race verify loc knobs orphans bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
+.PHONY: all build vet test race verify loc knobs orphans deadcode bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
 
 all: verify
 
@@ -35,6 +35,12 @@ knobs:
 # benchmark builds, and fails if there is one.
 orphans:
 	bash scripts/orphans.sh
+
+# deadcode prints every function or method declared in a non-test internal/
+# file that no command, example or benchmark binary links (built with
+# inlining off), and fails if one is not named in scripts/deadcode.allow.
+deadcode:
+	bash scripts/deadcode.sh
 
 # bench-e2e runs BENCHMARK.json's four workloads exactly as the driver does
 # (bench/run.sh builds into .bench_build/ and runs ~10 s per workload):

@@ -57,7 +57,9 @@ func TestGatewayCommandRoundTrip(t *testing.T) {
 		"first shot data",
 		"run/001.txt",
 		"gateway: 1 buckets, 1 objects",
+		"ops put=1 get=1 list=1 | iam",
 		"owner=fusion",
+		"data: put=1 get=1 list=1 in=15",
 		"object gateway (three-tier)",
 		"iam:  auths=",
 		"meta: 2 shard(s)",

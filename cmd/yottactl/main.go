@@ -628,12 +628,8 @@ func execute(p *sim.Proc, sys *core.System, line string) error {
 				return nil
 			}
 			for _, b := range buckets {
-				ver := ""
-				if b.Versioning {
-					ver = " versioned"
-				}
-				fmt.Printf("  %-20s owner=%-12s shard=%d objects=%d bytes=%d%s\n",
-					b.Name, b.Owner, b.Shard, b.Objects, b.Bytes, ver)
+				fmt.Printf("  %-20s owner=%-12s shard=%d objects=%d bytes=%d\n",
+					b.Name, b.Owner, b.Shard, b.Objects, b.Bytes)
 			}
 			return nil
 		case "report":

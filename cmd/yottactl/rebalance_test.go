@@ -39,7 +39,7 @@ func TestRebalanceCommandRoundTrip(t *testing.T) {
 	if sys.Rebalancer == nil {
 		t.Fatal("hotcache scheme did not install a Rebalancer")
 	}
-	if sys.Rebalancer.Enabled() {
+	if !strings.Contains(sys.Rebalancer.Status(), "enabled=false") {
 		t.Fatal("hotcache tier should start disabled")
 	}
 	out, errs := runScript(t, sys,
@@ -54,7 +54,7 @@ func TestRebalanceCommandRoundTrip(t *testing.T) {
 			t.Fatalf("line %d: %v", i, err)
 		}
 	}
-	if sys.Rebalancer.Enabled() {
+	if !strings.Contains(sys.Rebalancer.Status(), "enabled=false") {
 		t.Fatal("rebalance off left the tier enabled")
 	}
 	for _, want := range []string{
@@ -106,7 +106,7 @@ func TestRebalanceCommandMigrateScheme(t *testing.T) {
 	if !strings.Contains(out, "scheme=migrate") {
 		t.Errorf("output missing scheme=migrate:\n%s", out)
 	}
-	if !sys.Rebalancer.Enabled() {
+	if !strings.Contains(sys.Rebalancer.Status(), "enabled=true") {
 		t.Error("rebalance on left the migration balancer disabled")
 	}
 }

@@ -146,9 +146,6 @@ func (c *Controller) SetEnabled(on bool) {
 	}
 }
 
-// Enabled reports whether the loop acts on skew.
-func (c *Controller) Enabled() bool { return c.enabled }
-
 // Stats returns a copy of the counters.
 func (c *Controller) Stats() Stats { return c.stats }
 

@@ -66,8 +66,6 @@ type Array struct {
 	ctrls    [2]*controller
 	volOwner map[string]int
 	Errors   int64
-
-	stopFlush func()
 }
 
 // New builds the array.
@@ -126,9 +124,6 @@ func (a *Array) CreateVolume(name string, blocks int64) error {
 
 // SetOwner pins a volume to a controller (for experiments).
 func (a *Array) SetOwner(vol string, ctrl int) { a.volOwner[vol] = ctrl % 2 }
-
-// Owner reports which controller serves vol.
-func (a *Array) Owner(vol string) int { return a.volOwner[vol] }
 
 // ControllerOps returns per-controller served operation counts.
 func (a *Array) ControllerOps() [2]int64 {
@@ -262,16 +257,11 @@ func (a *Array) destage(p *sim.Proc, c *controller, ent *cache.Entry) error {
 
 // startFlusher runs one destager per controller.
 func (a *Array) startFlusher() {
-	stopped := false
-	a.stopFlush = func() { stopped = true }
 	for i := 0; i < 2; i++ {
 		c := a.ctrls[i]
 		a.K.Go(fmt.Sprintf("baseline.flusher%d", i), func(p *sim.Proc) {
 			for {
 				p.Sleep(a.Cfg.FlushInterval)
-				if stopped {
-					return
-				}
 				flushed := 0
 				for _, ent := range c.cache.DirtyEntries() {
 					if flushed >= 64 {
@@ -286,12 +276,5 @@ func (a *Array) startFlusher() {
 				}
 			}
 		})
-	}
-}
-
-// Stop halts background flushers.
-func (a *Array) Stop() {
-	if a.stopFlush != nil {
-		a.stopFlush()
 	}
 }

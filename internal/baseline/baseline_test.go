@@ -57,7 +57,6 @@ func pat(n int, seed byte) []byte {
 
 func TestRoundTrip(t *testing.T) {
 	a, k := newArray(t, nil)
-	defer a.Stop()
 	if err := a.CreateVolume("v", 256); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,6 @@ func TestStaticOwnershipConcentratesLoad(t *testing.T) {
 	// The §2 hot-spot defect: all traffic to one volume lands on one
 	// controller regardless of load.
 	a, k := newArray(t, nil)
-	defer a.Stop()
 	a.CreateVolume("hot", 256)
 	a.SetOwner("hot", 0)
 	run(k, func(p *sim.Proc) {
@@ -98,7 +96,6 @@ func TestStaticOwnershipConcentratesLoad(t *testing.T) {
 
 func TestCacheHitsServeFromController(t *testing.T) {
 	a, k := newArray(t, nil)
-	defer a.Stop()
 	a.CreateVolume("v", 256)
 	var cold, warm sim.Duration
 	run(k, func(p *sim.Proc) {

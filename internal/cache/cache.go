@@ -100,9 +100,6 @@ func New(capacity int) *Cache {
 // Capacity returns the configured block capacity.
 func (c *Cache) Capacity() int { return c.capacity }
 
-// SetCapacity adjusts capacity (the caller evicts the overflow).
-func (c *Cache) SetCapacity(n int) { c.capacity = n }
-
 // Len returns the number of cached blocks.
 func (c *Cache) Len() int { return len(c.entries) }
 
@@ -284,18 +281,6 @@ func (s byLaneAge) Less(i, j int) bool {
 	return s[i].age < s[j].age
 }
 
-// DirtyCount reports how many dirty entries the cache holds.
-func (c *Cache) DirtyCount() int { return len(c.dirty) }
-
-// Keys returns all cached keys (unspecified order).
-func (c *Cache) Keys() []Key {
-	out := make([]Key, 0, len(c.entries))
-	for k := range c.entries {
-		out = append(out, k)
-	}
-	return out
-}
-
 // Clear drops every entry without writeback (cold restart after a
 // membership change; dirty data must have been flushed by the caller).
 func (c *Cache) Clear() {
@@ -307,13 +292,4 @@ func (c *Cache) Clear() {
 	for i := range c.lanes {
 		c.lanes[i] = list.New()
 	}
-}
-
-// HitRate returns hits/(hits+misses), 0 when no accesses.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }

@@ -166,11 +166,8 @@ func TestHitRate(t *testing.T) {
 	c.Get(key(1))
 	c.Get(key(2))
 	c.Get(key(1))
-	if hr := c.Stats().HitRate(); hr < 0.66 || hr > 0.67 {
-		t.Fatalf("hit rate = %v, want 2/3", hr)
-	}
-	if (Stats{}).HitRate() != 0 {
-		t.Fatal("empty hit rate not 0")
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 2/1", st.Hits, st.Misses)
 	}
 }
 
@@ -304,9 +301,9 @@ func TestDirtyIndexMatchesFullScan(t *testing.T) {
 		check := func(op string, i int) {
 			t.Helper()
 			got, want := c.DirtyEntries(), scanDirty(c)
-			if len(got) != len(want) || c.DirtyCount() != len(want) {
-				t.Fatalf("seed %d op %d (%s): DirtyEntries %d, DirtyCount %d, full scan %d",
-					seed, i, op, len(got), c.DirtyCount(), len(want))
+			if len(got) != len(want) || len(c.dirty) != len(want) {
+				t.Fatalf("seed %d op %d (%s): DirtyEntries %d, dirty index %d, full scan %d",
+					seed, i, op, len(got), len(c.dirty), len(want))
 			}
 			for j := range want {
 				if got[j] != want[j] {

@@ -276,7 +276,7 @@ func TestFlusherDestages(t *testing.T) {
 	h.run(func(p *sim.Proc) {
 		h.engines[0].WriteBlock(p, kb(2), blk(5), 0)
 		p.Sleep(50 * sim.Millisecond)
-		if h.engines[0].DirtyBlocks() != 0 {
+		if len(h.engines[0].cache.DirtyEntries()) != 0 {
 			t.Error("flusher left dirty blocks")
 		}
 		stop()
@@ -297,8 +297,8 @@ func TestFlushOnceRespectsBatch(t *testing.T) {
 		if n != 2 {
 			t.Errorf("flushed %d, want 2", n)
 		}
-		if h.engines[0].DirtyBlocks() != 4 {
-			t.Errorf("dirty = %d, want 4", h.engines[0].DirtyBlocks())
+		if len(h.engines[0].cache.DirtyEntries()) != 4 {
+			t.Errorf("dirty = %d, want 4", len(h.engines[0].cache.DirtyEntries()))
 		}
 	})
 }

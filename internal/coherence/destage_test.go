@@ -70,8 +70,8 @@ func TestRunWritebackEpilogueIsPerEntry(t *testing.T) {
 		}
 		// The next round takes the rewritten block alone.
 		e.FlushOnce(p, 0)
-		if got := h.backing.data[kb(11)]; e.DirtyBlocks() != 0 || got[0] != 99 || len(log) != 4 {
-			t.Errorf("after the second round: %d dirty, block 11 holds %d, %d onClean calls", e.DirtyBlocks(), got[0], len(log))
+		if got := h.backing.data[kb(11)]; len(e.cache.DirtyEntries()) != 0 || got[0] != 99 || len(log) != 4 {
+			t.Errorf("after the second round: %d dirty, block 11 holds %d, %d onClean calls", len(e.cache.DirtyEntries()), got[0], len(log))
 		}
 	})
 }

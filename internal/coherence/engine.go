@@ -188,11 +188,6 @@ func (s sharerSet) find(blade int) (i int, ok bool) {
 	return len(s), false
 }
 
-func (s sharerSet) has(blade int) bool {
-	_, ok := s.find(blade)
-	return ok
-}
-
 // epoch returns the epoch blade is registered under; ok is false if it is
 // not a sharer.
 func (s sharerSet) epoch(blade int) (epoch uint64, ok bool) {
@@ -473,12 +468,6 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // Cache returns the blade's cache (for inspection).
 func (e *Engine) Cache() *cache.Cache { return e.cache }
-
-// Self returns this blade's ID.
-func (e *Engine) Self() int { return e.self }
-
-// Alive returns the engine's current membership view.
-func (e *Engine) Alive() []int { return append([]int(nil), e.alive...) }
 
 // SetDown marks the engine up or down; down engines refuse client I/O.
 func (e *Engine) SetDown(down bool) { e.down = down }
@@ -818,9 +807,6 @@ func (e *Engine) lookup(p *sim.Proc, key cache.Key, dst []byte) (epoch uint64, m
 			// the local cache so breakdowns can count hit vs miss paths.
 			ctx.Child("hit", tr.CacheHit, e.label).End()
 		}
-		if tracing(key) {
-			traceFn("t=%v blade%d read HIT state=%v dirty=%v v=%d d0=%d", p.Now(), e.self, ent.State, ent.Dirty, ent.Version, d0(ent.Data))
-		}
 		copy(dst, ent.Data)
 		return 0, false, nil
 	}
@@ -896,9 +882,6 @@ func (e *Engine) install(p *sim.Proc, key cache.Key, epoch uint64, data []byte, 
 		return
 	}
 	e.cache.Put(key, data, cache.Shared, false, priority)
-	if tracing(key) {
-		traceFn("t=%v blade%d read MISS install S d0=%d", p.Now(), e.self, d0(data))
-	}
 }
 
 // fillGathered is phase 2: one fillRun per maximal run of gathered blocks,
@@ -1097,9 +1080,6 @@ func (e *Engine) installModified(p *sim.Proc, key cache.Key, epoch uint64, data 
 		entry = e.cache.Put(key, stored, cache.Modified, true, priority)
 	}
 	entry.Version++
-	if tracing(key) {
-		traceFn("t=%v blade%d write install M in-place=%v d0=%d v=%d", p.Now(), e.self, ok, d0(stored), entry.Version)
-	}
 	if e.replicate != nil {
 		if err := e.replicate(p, key, stored, entry.Version, replFactor); err != nil {
 			return false, fmt.Errorf("coherence: replication: %w", err)
@@ -1147,9 +1127,6 @@ func (e *Engine) makeRoom(p *sim.Proc, notes *[]evictNote) error {
 		// that arrives after this blade re-registers cannot deregister
 		// the fresh copy.
 		note := evictNote{Key: v.Key, From: e.self, WasOwner: v.State == cache.Modified, Epoch: e.invEpoch[v.Key]}
-		if tracing(v.Key) {
-			traceFn("t=%v blade%d evict state=%v", e.k.Now(), e.self, v.State)
-		}
 		e.cache.Evict(v)
 		// An eviction invalidates this blade's copy, so it must also age the
 		// local install epoch: a sibling proc between a directory grant and

@@ -173,6 +173,3 @@ func (e *Engine) Recover(p *sim.Proc, alive []int) {
 	e.alive = append([]int(nil), alive...)
 	sort.Ints(e.alive)
 }
-
-// DirtyBlocks reports how many dirty blocks the cache currently holds.
-func (e *Engine) DirtyBlocks() int { return e.cache.DirtyCount() }

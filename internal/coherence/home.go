@@ -82,9 +82,6 @@ func (e *Engine) getS(p *sim.Proc, requester int, req dirReq) dirResp {
 	}
 	e.heat.Touch(req.Key)
 
-	if tracing(req.Key) {
-		traceFn("t=%v home%d GETS from %d state=%d owner=%d sharers=%v", e.k.Now(), e.self, requester, ent.state, ent.owner, ent.sharers)
-	}
 	switch ent.state {
 	case dirInvalid:
 		ent.state = dirShared
@@ -186,9 +183,6 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	}
 	e.heat.Touch(req.Key)
 
-	if tracing(req.Key) {
-		traceFn("t=%v home%d GETX from %d state=%d owner=%d sharers=%v", e.k.Now(), e.self, requester, ent.state, ent.owner, ent.sharers)
-	}
 	switch ent.state {
 	case dirShared:
 		// Invalidate every other sharer in parallel. A dropped Inv would
@@ -243,9 +237,6 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	e.busy(p, e.hdlDelay)
 	e.heat.Touch(req.Key)
 	if ent, ok := e.cache.Get(req.Key); ok && ent.State != cache.Invalid {
-		if tracing(req.Key) {
-			traceFn("t=%v home%d GETV local state=%v dirty=%v d0=%d", e.k.Now(), e.self, ent.State, ent.Dirty, d0(ent.Data))
-		}
 		return dirResp{Data: append([]byte(nil), ent.Data...)}, ctrlSize + len(ent.Data)
 	}
 	ent := e.entry(req.Key)
@@ -254,9 +245,6 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	if to, ok := e.forward[req.Key]; ok {
 		e.stats.RedirectsServed++
 		return dirResp{Redirect: true, NewHome: to}, ctrlSize
-	}
-	if tracing(req.Key) {
-		traceFn("t=%v home%d GETV state=%d owner=%d sharers=%v", e.k.Now(), e.self, ent.state, ent.owner, ent.sharers)
 	}
 	switch ent.state {
 	case dirModified:
@@ -302,9 +290,6 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 func (e *Engine) handleInv(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(invReq)
 	e.stats.Invalidations++
-	if tracing(req.Key) {
-		traceFn("t=%v blade%d INV", e.k.Now(), e.self)
-	}
 	e.invEpoch[req.Key]++
 	if ent, ok := e.cache.Peek(req.Key); ok {
 		e.cache.Remove(ent.Key)
@@ -323,9 +308,6 @@ func (e *Engine) handleInv(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 // break that invariant and serve pre-ack data to concurrent readers.
 func (e *Engine) handleInvM(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(invMReq)
-	if tracing(req.Key) {
-		traceFn("t=%v blade%d INVM", e.k.Now(), e.self)
-	}
 	return invMResp{Gone: e.surrender(p, req.Key)}, ctrlSize
 }
 
@@ -370,9 +352,6 @@ func (e *Engine) surrender(p *sim.Proc, key cache.Key) (gone bool) {
 func (e *Engine) handleDowngrade(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(downgradeReq)
 	e.stats.Downgrades++
-	if tracing(req.Key) {
-		traceFn("t=%v blade%d DOWNGRADE", e.k.Now(), e.self)
-	}
 	ent, ok := e.cache.Peek(req.Key)
 	if !ok {
 		e.invEpoch[req.Key]++
@@ -398,9 +377,6 @@ func (e *Engine) handleFetch(p *sim.Proc, from simnet.Addr, args any) (any, int)
 	req := args.(fetchReq)
 	ent, ok := e.cache.Peek(req.Key)
 	if !ok || ent.State == cache.Invalid {
-		if tracing(req.Key) {
-			traceFn("t=%v blade%d FETCH gone", e.k.Now(), e.self)
-		}
 		return fetchResp{Gone: true}, ctrlSize
 	}
 	e.busy(p, e.hdlDelay)

@@ -69,10 +69,6 @@ func (e *Engine) handleMigrate(p *sim.Proc, from simnet.Addr, args any) (any, in
 	if _, ok := e.forward[req.Key]; ok {
 		return migrateResp{Err: "already migrated"}, ctrlSize
 	}
-	if tracing(req.Key) {
-		traceFn("t=%v home%d MIGRATE -> %d state=%d owner=%d sharers=%v",
-			e.k.Now(), e.self, req.To, ent.state, ent.owner, ent.sharers)
-	}
 	heat := e.heat.Take(req.Key)
 	sharers := ent.sharers.blades(nil)
 	epochs := make([]uint64, len(ent.sharers))
@@ -123,10 +119,6 @@ func (e *Engine) handleAdopt(p *sim.Proc, from simnet.Addr, args any) (any, int)
 	}
 	e.heat.Seed(req.Key, req.Heat)
 	e.stats.HomeAdoptions++
-	if tracing(req.Key) {
-		traceFn("t=%v blade%d ADOPT state=%d owner=%d sharers=%v",
-			e.k.Now(), e.self, ent.state, ent.owner, ent.sharers)
-	}
 	return adoptResp{}, ctrlSize
 }
 

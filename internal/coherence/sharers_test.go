@@ -8,6 +8,11 @@ import (
 	"repro/internal/simnet"
 )
 
+func (s sharerSet) has(blade int) bool {
+	_, ok := s.find(blade)
+	return ok
+}
+
 // The sharer set against the two maps it replaced, under random
 // registrations, removals and resets: same members, same epochs, ascending
 // iteration, and one backing array for as long as it is big enough.

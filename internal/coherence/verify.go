@@ -35,11 +35,11 @@ func CheckInvariants(engines []*Engine, keys []cache.Key) error {
 			got, err := e.Home(key)
 			if err != nil || got != home {
 				return fmt.Errorf("key %v: blade%d says home=%d (err %v), blade%d says %d",
-					key, e.Self(), got, err, engines[0].Self(), home)
+					key, e.self, got, err, engines[0].self, home)
 			}
 		}
 		alive := false
-		for _, b := range engines[home].Alive() {
+		for _, b := range engines[home].alive {
 			if b == home {
 				alive = true
 			}
@@ -48,12 +48,12 @@ func CheckInvariants(engines []*Engine, keys []cache.Key) error {
 			return fmt.Errorf("key %v: home %d not in membership", key, home)
 		}
 		for _, e := range engines {
-			if e.Self() == home {
+			if e.self == home {
 				continue
 			}
 			if ent, ok := e.dir[key]; ok && ent.state != dirInvalid {
 				return fmt.Errorf("key %v: non-home blade%d holds active dir entry state=%d",
-					key, e.Self(), ent.state)
+					key, e.self, ent.state)
 			}
 		}
 
@@ -61,7 +61,7 @@ func CheckInvariants(engines []*Engine, keys []cache.Key) error {
 		var copies []copyAt
 		for _, e := range engines {
 			if ent, ok := e.cache.Peek(key); ok && ent.State != cache.Invalid {
-				copies = append(copies, copyAt{e.Self(), ent})
+				copies = append(copies, copyAt{e.self, ent})
 			}
 		}
 		var mCopies []copyAt
@@ -92,7 +92,7 @@ func CheckInvariants(engines []*Engine, keys []cache.Key) error {
 					return fmt.Errorf("key %v: dir Shared but blade%d holds state=%v dirty=%v",
 						key, c.blade, c.ent.State, c.ent.Dirty)
 				}
-				if !dirEnt.sharers.has(c.blade) {
+				if _, ok := dirEnt.sharers.find(c.blade); !ok {
 					return fmt.Errorf("key %v: blade%d caches S copy but is not in sharer set %v",
 						key, c.blade, dirEnt.sharers)
 				}

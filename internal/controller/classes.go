@@ -61,15 +61,6 @@ func (c *Cluster) PoolFor(class string) (*virt.Pool, error) {
 	return p, nil
 }
 
-// Classes lists the extra storage classes (beyond "default").
-func (c *Cluster) Classes() []string {
-	out := make([]string, 0, len(c.classPools))
-	for name := range c.classPools {
-		out = append(out, name)
-	}
-	return out
-}
-
 // CreateDMSD creates a demand-mapped device in the named class.
 func (c *Cluster) CreateDMSD(class, name string, virtExtents int64) (*virt.Volume, error) {
 	pool, err := c.PoolFor(class)
@@ -121,7 +112,7 @@ func (c *Cluster) WriteBlocks(p *sim.Proc, vol string, lba int64, data []byte, p
 // CloneComputePerExtent is the per-extent copy CPU charged to the blade
 // performing it (checksum + move engine), the §2.4 "mirror creation" cost
 // that distributing over blades parallelizes.
-var CloneComputePerExtent = 2 * sim.Millisecond
+const CloneComputePerExtent = 2 * sim.Millisecond
 
 // DistributedClone creates dstName in the named class as a full physical
 // copy of srcVol (§2.4: mirror creation and point-in-time copy run as

@@ -139,8 +139,6 @@ type Cluster struct {
 	// opLatency records every client Read/Write's virtual-time latency
 	// (registered as cluster/op_latency — the SLO watchdog's p99 source).
 	opLatency *metrics.Histogram
-	// fabricBuf is FabricStats's reused result slice.
-	fabricBuf []BladeFabricStats
 }
 
 // poolBacking adapts the cluster's pools to the coherence Backing
@@ -336,20 +334,6 @@ func (b *Blade) fabricStats() BladeFabricStats {
 		DegradedOps:     st.DegradedOps,
 		WritebackErrors: st.WritebackErrors,
 	}
-}
-
-// FabricStats reports each blade's fault-handling counters (dead blades
-// included — their counters simply stop moving), ordered by blade ID. The
-// returned slice is reused across calls to avoid re-allocating it on every
-// status poll; copy it if you need to retain a snapshot.
-func (c *Cluster) FabricStats() []BladeFabricStats {
-	if c.fabricBuf == nil {
-		c.fabricBuf = make([]BladeFabricStats, len(c.Blades))
-	}
-	for i, b := range c.Blades {
-		c.fabricBuf[i] = b.fabricStats()
-	}
-	return c.fabricBuf
 }
 
 // FabricTotals sums the per-blade fabric counters. It reads the blades

@@ -574,32 +574,6 @@ func TestDistributedCloneFasterWithMoreBlades(t *testing.T) {
 	}
 }
 
-func TestDistributedScrub(t *testing.T) {
-	c, k := newTestCluster(t, 1, nil)
-	defer c.Stop()
-	c.Pool.CreateDMSD("vol", 64)
-	run(k, func(p *sim.Proc) {
-		c.Write(p, c.Blade(0), "vol", 0, pattern(512*64, 7), 0)
-		c.FlushAll(p)
-		// Corrupt one block on each group behind the system's back.
-		for _, g := range c.Groups {
-			g.Disks()[0].CorruptBlock(1, pattern(512, 0xBB))
-		}
-		bad, err := c.DistributedScrub(p)
-		if err != nil {
-			t.Errorf("scrub: %v", err)
-			return
-		}
-		if bad == 0 {
-			t.Error("scrub missed injected corruption")
-		}
-		again, err := c.DistributedScrub(p)
-		if err != nil || again != 0 {
-			t.Errorf("second scrub: bad=%d err=%v", again, err)
-		}
-	})
-}
-
 func TestFaultPlanCountersSurface(t *testing.T) {
 	c, k := newTestCluster(t, 1, func(cfg *Config) {
 		cfg.FabricRetry = simnet.RetryPolicy{
@@ -638,8 +612,8 @@ func TestFaultPlanCountersSurface(t *testing.T) {
 	}
 	// Per-blade stats must sum to the totals.
 	var retries int64
-	for _, bs := range c.FabricStats() {
-		retries += bs.RPC.Retries
+	for _, b := range c.Blades {
+		retries += b.fabricStats().RPC.Retries
 	}
 	if retries != tot.RPC.Retries {
 		t.Fatalf("per-blade retries %d != total %d", retries, tot.RPC.Retries)

@@ -28,32 +28,14 @@ func workCluster(t *testing.T, c *Cluster, k *sim.Kernel) {
 	})
 }
 
-func TestFabricStatsReusesBuffer(t *testing.T) {
-	c, k := newTestCluster(t, 1, nil)
-	workCluster(t, c, k)
-
-	a := c.FabricStats()
-	b := c.FabricStats()
-	if &a[0] != &b[0] {
-		t.Fatal("FabricStats allocated a fresh slice on the second call")
-	}
-	if len(a) != len(c.Blades) {
-		t.Fatalf("FabricStats returned %d entries for %d blades", len(a), len(c.Blades))
-	}
-	for i, s := range a {
-		if s.Blade != i {
-			t.Fatalf("FabricStats[%d].Blade = %d, want %d (must be ordered by ID)", i, s.Blade, i)
-		}
-	}
-}
-
 func TestFabricTotalsMatchesPerBladeSum(t *testing.T) {
 	c, k := newTestCluster(t, 2, nil)
 	workCluster(t, c, k)
 
 	var want BladeFabricStats
 	want.Blade = -1
-	for _, s := range c.FabricStats() {
+	for _, b := range c.Blades {
+		s := b.fabricStats()
 		want.RPC.Calls += s.RPC.Calls
 		want.RPC.Timeouts += s.RPC.Timeouts
 		want.RPC.Retries += s.RPC.Retries

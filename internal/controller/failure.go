@@ -98,7 +98,7 @@ func (c *Cluster) ReviveBlade(p *sim.Proc, id int) error {
 // the disk I/O; spread over many blades it overlaps, which is why
 // distributed rebuilds finish sooner (§2.4) until the disks themselves
 // become the limit.
-var RebuildComputePerChunk = 12 * sim.Millisecond
+const RebuildComputePerChunk = 12 * sim.Millisecond
 
 // DistributedRebuild reconstructs a failed disk of group g across the live
 // blades (§2.4): rebuild chunks are a shared work queue; each live blade
@@ -176,59 +176,4 @@ func (c *Cluster) CacheStats() (hits, misses int64) {
 		misses += st.Misses
 	}
 	return
-}
-
-// DistributedScrub verifies (and repairs) parity across every RAID group,
-// sharding stripe ranges over the live blades — the background maintenance
-// service of §2.4 that "goes faster and does not impede active I/O rates"
-// as blades are added. Returns the number of inconsistent stripes repaired.
-func (c *Cluster) DistributedScrub(p *sim.Proc) (int64, error) {
-	var total int64
-	var firstErr error
-	grp := sim.NewGroup(c.K)
-	type job struct {
-		g      int
-		lo, hi int64
-	}
-	var jobs []job
-	const shard = 512
-	for gi, g := range c.Groups {
-		for lo := int64(0); lo < g.Stripes(); lo += shard {
-			hi := lo + shard
-			if hi > g.Stripes() {
-				hi = g.Stripes()
-			}
-			jobs = append(jobs, job{g: gi, lo: lo, hi: hi})
-		}
-	}
-	next := 0
-	for _, b := range c.Blades {
-		b := b
-		if b.Down {
-			continue
-		}
-		grp.Add(1)
-		c.K.Go(fmt.Sprintf("scrub/blade%d", b.ID), func(q *sim.Proc) {
-			defer grp.Done()
-			qos.TagBackground(q)
-			for {
-				if b.Down || next >= len(jobs) || firstErr != nil {
-					return
-				}
-				j := jobs[next]
-				next++
-				b.Engine.Busy(q, RebuildComputePerChunk)
-				bad, err := c.Groups[j.g].ScrubRange(q, j.lo, j.hi)
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				total += bad
-			}
-		})
-	}
-	grp.Wait(p)
-	return total, firstErr
 }

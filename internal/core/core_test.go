@@ -164,8 +164,8 @@ func TestGeoSystem(t *testing.T) {
 		if err := east.WriteAt(p, "/shared/data.bin", 0, data); err != nil {
 			return err
 		}
-		got, err := west.ReadFile(p, "/shared/data.bin")
-		if err != nil {
+		got := make([]byte, len(data))
+		if _, err := west.ReadAt(p, "/shared/data.bin", 0, got); err != nil {
 			return err
 		}
 		if !bytes.Equal(got, data) {

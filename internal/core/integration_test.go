@@ -179,8 +179,8 @@ func TestGeoSiteDisasterEndToEnd(t *testing.T) {
 			t.Errorf("failover recovered=%d lost=%d, want 1/1", recovered, lost)
 		}
 		west := gs.Site("west")
-		got, err := west.ReadFile(p, "/critical")
-		if err != nil {
+		got := make([]byte, len(key))
+		if _, err := west.ReadAt(p, "/critical", 0, got); err != nil {
 			return err
 		}
 		if !bytes.Equal(got, key) {

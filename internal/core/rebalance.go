@@ -14,8 +14,6 @@ type Rebalancer interface {
 	// drops its cached copies; parking the balancer resets its skew
 	// streak.
 	SetEnabled(on bool)
-	// Enabled reports whether the scheme is armed.
-	Enabled() bool
 	// Status is a one-line state summary.
 	Status() string
 	// Report is the full activity breakdown (decision log or per-node

@@ -171,16 +171,6 @@ func (a *Analysis) WriteFolded(w io.Writer) error {
 	return bw.Flush()
 }
 
-// FoldedStacks returns the folded-stack weights (nanoseconds of critical
-// time per stack), for tests and programmatic consumers.
-func (a *Analysis) FoldedStacks() map[string]int64 {
-	out := make(map[string]int64, len(a.folded))
-	for k, v := range a.folded {
-		out[k] = v
-	}
-	return out
-}
-
 // Summary returns a one-line description of the analysis for status
 // output.
 func (a *Analysis) Summary() string {

@@ -72,16 +72,6 @@ type OpPath struct {
 	Crit []sim.Duration
 }
 
-// CritFor returns the op's critical time attributed to phase ph.
-func (o *OpPath) CritFor(ph trace.Phase) sim.Duration {
-	for i, p := range trace.Phases {
-		if p == ph {
-			return o.Crit[i]
-		}
-	}
-	return 0
-}
-
 // PhaseTotals aggregates one phase's accounting across all analyzed ops.
 type PhaseTotals struct {
 	Spans     int64        // completed spans in analyzed op traces

@@ -9,6 +9,16 @@ import (
 	"repro/internal/trace"
 )
 
+// CritFor returns the op's critical time attributed to phase ph.
+func (o *OpPath) CritFor(ph trace.Phase) sim.Duration {
+	for i, p := range trace.Phases {
+		if p == ph {
+			return o.Crit[i]
+		}
+	}
+	return 0
+}
+
 // span is a test shorthand for building span logs by hand. Spans must be
 // appended in end order (the tracer's log order).
 func span(traceID, id, parent uint64, name string, ph trace.Phase, start, end int64) trace.Span {
@@ -240,7 +250,7 @@ func TestFoldedStacks(t *testing.T) {
 		span(1, 1, 0, "write", trace.Op, 0, 100),
 	}
 	a := Analyze(spans, nil)
-	folded := a.FoldedStacks()
+	folded := a.folded
 	want := map[string]int64{
 		"write":          40,
 		"write;getx":     15,

@@ -111,9 +111,6 @@ func New(k *sim.Kernel, id string, spec Spec) *Disk {
 	}
 }
 
-// ID returns the drive's name.
-func (d *Disk) ID() string { return d.id }
-
 // Spec returns the drive's geometry.
 func (d *Disk) Spec() Spec { return d.spec }
 
@@ -363,9 +360,6 @@ func (d *Disk) Peek(lba int64) []byte {
 	return out
 }
 
-// AllocatedBlocks reports how many blocks hold written data.
-func (d *Disk) AllocatedBlocks() int64 { return int64(len(d.store)) }
-
 // Farm is a named collection of drives — the paper's "disk farm".
 type Farm struct {
 	Disks []*Disk
@@ -387,17 +381,6 @@ func (f *Farm) TotalBytes() int64 {
 		total += d.Spec().Bytes()
 	}
 	return total
-}
-
-// Healthy returns the drives not currently failed.
-func (f *Farm) Healthy() []*Disk {
-	var out []*Disk
-	for _, d := range f.Disks {
-		if !d.Failed() {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // CorruptBlock silently overwrites one block's stored content without any

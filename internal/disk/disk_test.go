@@ -171,11 +171,11 @@ func TestOverwriteInPlaceDoesNotAlias(t *testing.T) {
 		if got, _ := d.Read(p, 7, 1); got[0] != 2 || got[1] != 2 {
 			t.Errorf("read after overwrite = %d, %d, want 2, 2", got[0], got[1])
 		}
-		if n := d.AllocatedBlocks(); n != 1 {
+		if n := len(d.store); n != 1 {
 			t.Errorf("%d blocks allocated after an overwrite, want 1", n)
 		}
 		d.Write(p, 7, make([]byte, 4096))
-		if n := d.AllocatedBlocks(); n != 0 {
+		if n := len(d.store); n != 0 {
 			t.Errorf("%d blocks allocated after a zero overwrite, want 0", n)
 		}
 	})
@@ -376,15 +376,15 @@ func TestFarm(t *testing.T) {
 	if len(f.Disks) != 8 {
 		t.Fatalf("farm size = %d", len(f.Disks))
 	}
-	if f.Disks[3].ID() != "disk3" {
-		t.Fatalf("id = %q", f.Disks[3].ID())
+	if f.Disks[3].id != "disk3" {
+		t.Fatalf("id = %q", f.Disks[3].id)
 	}
 	if f.TotalBytes() != 8*1024*4096 {
 		t.Fatalf("total = %d", f.TotalBytes())
 	}
 	f.Disks[2].Fail()
-	if got := len(f.Healthy()); got != 7 {
-		t.Fatalf("healthy = %d, want 7", got)
+	if !f.Disks[2].Failed() || f.Disks[3].Failed() {
+		t.Fatal("Fail did not fail exactly the one drive")
 	}
 }
 

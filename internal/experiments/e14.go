@@ -118,8 +118,6 @@ type e14Recorder struct {
 	wins []e14Window
 }
 
-func (r *e14Recorder) Rule() string { return "e14-recorder" }
-
 func (r *e14Recorder) Check(v *telemetry.View) []telemetry.Event {
 	h := v.Reg.HistogramFor("cluster/op_latency")
 	if h == nil {

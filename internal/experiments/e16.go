@@ -108,16 +108,6 @@ type E16Result struct {
 	Points         []E16Point
 }
 
-// Point returns the measurement for one (shards, clients) pair.
-func (r E16Result) Point(shards, clients int) E16Point {
-	for _, pt := range r.Points {
-		if pt.Shards == shards && pt.Clients == clients {
-			return pt
-		}
-	}
-	return E16Point{}
-}
-
 // Ceiling returns the best throughput an arm reached anywhere in its
 // sweep — the measured capacity of that shard count.
 func (r E16Result) Ceiling(shards int) float64 {

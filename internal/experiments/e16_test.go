@@ -122,3 +122,13 @@ func TestE16QuickDeterministic(t *testing.T) {
 		t.Fatalf("same-seed E16Q runs differ:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
 }
+
+// Point returns the measurement for one (shards, clients) pair.
+func (r E16Result) Point(shards, clients int) E16Point {
+	for _, pt := range r.Points {
+		if pt.Shards == shards && pt.Clients == clients {
+			return pt
+		}
+	}
+	return E16Point{}
+}

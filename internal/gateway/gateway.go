@@ -54,8 +54,7 @@ const defaultPriority = 0
 
 // BucketOptions configures CreateBucket.
 type BucketOptions struct {
-	ACL        ACL
-	Versioning bool
+	ACL ACL
 	// Priority sets this bucket's data priority, 0..3 (-1 = inherit
 	// defaultPriority, 0).
 	Priority int
@@ -73,8 +72,8 @@ type Gateway struct {
 	// a replaced version's part files outlive its last reader (see free).
 	reading map[verKey]*verReaders
 
-	puts, gets, lists, deletes, multiparts int64
-	bytesIn, bytesOut                      int64
+	puts, gets, lists int64
+	bytesIn, bytesOut int64
 }
 
 // verKey names one stored version: sequence numbers are unique per bucket.
@@ -109,9 +108,6 @@ func New(k *sim.Kernel, cfg Config) (*Gateway, error) {
 		reading: make(map[verKey]*verReaders),
 	}, nil
 }
-
-// MetaShards returns the index-shard count.
-func (g *Gateway) MetaShards() int { return len(g.meta.shards) }
 
 // withTenant tags p with the bucket owner's QoS identity for the
 // duration of a data-path operation, restoring the previous context
@@ -149,11 +145,8 @@ func (g *Gateway) CreateBucket(p *sim.Proc, token, bucket string, opts BucketOpt
 			return fmt.Errorf("%w: %q", ErrBucketExists, bucket)
 		}
 		s.buckets[bucket] = &bucketMeta{
-			name: bucket, owner: tenant, versioning: opts.Versioning, priority: prio,
-			objects: make(map[string]*objectMeta),
-			uploads: make(map[string]*upload),
-			// Sequences start at 1: seq 0 is the "latest version" sentinel
-			// in lookups.
+			name: bucket, owner: tenant, priority: prio,
+			objects: make(map[string]Version),
 			nextSeq: 1,
 		}
 		return nil
@@ -173,54 +166,6 @@ func (g *Gateway) CreateBucket(p *sim.Proc, token, bucket string, opts BucketOpt
 	return nil
 }
 
-// SetBucketACL replaces a bucket's ACL (owner only). The authoritative
-// record and the IAM mirror update together, synchronously — the cache
-// is never stale.
-func (g *Gateway) SetBucketACL(p *sim.Proc, token, bucket string, acl ACL) error {
-	tenant, err := g.iam.authenticate(p, token)
-	if err != nil {
-		return err
-	}
-	err = g.meta.do(p, bucket, 1, func(s *metaShard) error {
-		b, err := s.bucket(bucket)
-		if err != nil {
-			return err
-		}
-		if b.owner != tenant {
-			g.cfg.Auth.Record(tenant, "gateway.setacl", bucket, false, "not owner")
-			g.iam.denials++
-			return fmt.Errorf("%w: tenant %q on bucket %q", security.ErrDenied, tenant, bucket)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	g.iam.put(bucket, tenant, acl)
-	return nil
-}
-
-// SetVersioning flips a bucket's versioning mode (owner only).
-func (g *Gateway) SetVersioning(p *sim.Proc, token, bucket string, on bool) error {
-	tenant, err := g.iam.authenticate(p, token)
-	if err != nil {
-		return err
-	}
-	return g.meta.do(p, bucket, 1, func(s *metaShard) error {
-		b, err := s.bucket(bucket)
-		if err != nil {
-			return err
-		}
-		if b.owner != tenant {
-			g.cfg.Auth.Record(tenant, "gateway.versioning", bucket, false, "not owner")
-			g.iam.denials++
-			return fmt.Errorf("%w: tenant %q on bucket %q", security.ErrDenied, tenant, bucket)
-		}
-		b.versioning = on
-		return nil
-	})
-}
-
 func validKey(key string) error {
 	if key == "" || len(key) > 1024 {
 		return fmt.Errorf("%w: key length %d", ErrBadName, len(key))
@@ -230,8 +175,8 @@ func validKey(key string) error {
 
 // PutObject stores data as a new version of bucket/key: one index op to
 // assign the version and plan the layout, the data writes on the owner's
-// QoS identity, then one index op to commit the version. Unversioned
-// buckets replace (and free) the previous version's part files.
+// QoS identity, then one index op to commit the version, which replaces
+// (and frees) the previous version's part files.
 func (g *Gateway) PutObject(p *sim.Proc, token, bucket, key string, data []byte) (Version, error) {
 	_, owner, err := g.iam.authorize(p, token, bucket, true, "put")
 	if err != nil {
@@ -265,28 +210,20 @@ func (g *Gateway) PutObject(p *sim.Proc, token, bucket, key string, data []byte)
 	if err := g.writeParts(p, owner, prio, ver.Layout, data); err != nil {
 		return Version{}, err
 	}
-	var replaced []Version
+	var replaced Version
 	err = g.meta.do(p, bucket, 1, func(s *metaShard) error {
 		b, err := s.bucket(bucket)
 		if err != nil {
 			return err
 		}
-		o := b.objects[key]
-		if o == nil {
-			o = &objectMeta{}
-			b.objects[key] = o
-			b.insertKey(key)
-		}
-		if prev := o.latest(); prev != nil && !prev.Deleted {
+		if prev, ok := b.objects[key]; ok {
 			b.bytes -= prev.Size
+			replaced = prev
 		} else {
+			b.insertKey(key)
 			b.objN++
 		}
-		if !b.versioning {
-			replaced = append(replaced, o.versions...)
-			o.versions = o.versions[:0]
-		}
-		o.versions = append(o.versions, ver)
+		b.objects[key] = ver
 		b.bytes += size
 		return nil
 	})
@@ -361,23 +298,21 @@ func (g *Gateway) readVersion(p *sim.Proc, owner string, prio int, ver Version) 
 	return buf, nil
 }
 
-// free returns the part files of versions an index op just unlinked to the
-// allocator; segment slices stay until segment compaction (future work)
+// free returns the part files of a version an index op just unlinked to
+// the allocator; segment slices stay until segment compaction (future work)
 // reclaims them. A version some GET resolved before the unlink and is still
 // reading keeps its files until that GET finishes: freed at once, their
 // extents would be handed to the next PUT and the GET would return a mix of
 // both objects.
-func (g *Gateway) free(bucket string, versions []Version) {
-	for _, v := range versions {
-		if v.Layout.Segment {
-			continue
-		}
-		if r := g.reading[verKey{bucket, v.Seq}]; r != nil {
-			r.doomed = v.Layout.Parts
-			continue
-		}
-		g.removeParts(v.Layout.Parts)
+func (g *Gateway) free(bucket string, v Version) {
+	if v.Layout.Segment {
+		return
 	}
+	if r := g.reading[verKey{bucket, v.Seq}]; r != nil {
+		r.doomed = v.Layout.Parts
+		return
+	}
+	g.removeParts(v.Layout.Parts)
 }
 
 func (g *Gateway) removeParts(parts []Part) {
@@ -408,60 +343,28 @@ func (g *Gateway) doneReading(vk verKey) {
 	g.removeParts(r.doomed)
 }
 
-// lookup runs one index op resolving bucket/key to a version: the latest
-// live one (seq == 0) or an exact version. It registers the caller as a
-// reader of that version; the caller owes a doneReading.
-func (g *Gateway) lookup(p *sim.Proc, bucket, key string, seq uint64) (ver Version, prio int, err error) {
+// lookup runs one index op resolving bucket/key to its version. It
+// registers the caller as a reader of that version; the caller owes a
+// doneReading.
+func (g *Gateway) lookup(p *sim.Proc, bucket, key string) (ver Version, prio int, err error) {
 	err = g.meta.do(p, bucket, 1, func(s *metaShard) error {
-		var err error
-		if ver, prio, err = s.resolve(bucket, key, seq); err != nil {
+		b, err := s.bucket(bucket)
+		if err != nil {
 			return err
 		}
+		v, ok := b.objects[key]
+		if !ok {
+			return fmt.Errorf("%w: %s/%s", ErrNoObject, bucket, key)
+		}
+		ver, prio = v, b.priority
 		g.startReading(verKey{bucket, ver.Seq})
 		return nil
 	})
 	return ver, prio, err
 }
 
-// resolve is lookup's index search.
-func (s *metaShard) resolve(bucket, key string, seq uint64) (Version, int, error) {
-	b, err := s.bucket(bucket)
-	if err != nil {
-		return Version{}, 0, err
-	}
-	o := b.objects[key]
-	if o == nil {
-		return Version{}, 0, fmt.Errorf("%w: %s/%s", ErrNoObject, bucket, key)
-	}
-	if seq == 0 {
-		v := o.latest()
-		if v == nil || v.Deleted {
-			return Version{}, 0, fmt.Errorf("%w: %s/%s", ErrNoObject, bucket, key)
-		}
-		return *v, b.priority, nil
-	}
-	for i := range o.versions {
-		if o.versions[i].Seq == seq {
-			if o.versions[i].Deleted {
-				return Version{}, 0, fmt.Errorf("%w: %s/%s@%d (delete marker)", ErrNoObject, bucket, key, seq)
-			}
-			return o.versions[i], b.priority, nil
-		}
-	}
-	return Version{}, 0, fmt.Errorf("%w: %s/%s@%d", ErrNoObject, bucket, key, seq)
-}
-
-// GetObject returns the latest live version of bucket/key.
+// GetObject returns the stored version of bucket/key.
 func (g *Gateway) GetObject(p *sim.Proc, token, bucket, key string) ([]byte, Version, error) {
-	return g.get(p, token, bucket, key, 0)
-}
-
-// GetObjectVersion returns one specific version of bucket/key.
-func (g *Gateway) GetObjectVersion(p *sim.Proc, token, bucket, key string, seq uint64) ([]byte, Version, error) {
-	return g.get(p, token, bucket, key, seq)
-}
-
-func (g *Gateway) get(p *sim.Proc, token, bucket, key string, seq uint64) ([]byte, Version, error) {
 	_, owner, err := g.iam.authorize(p, token, bucket, false, "get")
 	if err != nil {
 		return nil, Version{}, err
@@ -469,7 +372,7 @@ func (g *Gateway) get(p *sim.Proc, token, bucket, key string, seq uint64) ([]byt
 	if err := validKey(key); err != nil {
 		return nil, Version{}, err
 	}
-	ver, prio, err := g.lookup(p, bucket, key, seq)
+	ver, prio, err := g.lookup(p, bucket, key)
 	if err != nil {
 		return nil, Version{}, err
 	}
@@ -481,73 +384,6 @@ func (g *Gateway) get(p *sim.Proc, token, bucket, key string, seq uint64) ([]byt
 	g.gets++
 	g.bytesOut += ver.Size
 	return data, ver, nil
-}
-
-// Versions lists every stored version of bucket/key, oldest first
-// (delete markers included).
-func (g *Gateway) Versions(p *sim.Proc, token, bucket, key string) ([]Version, error) {
-	if _, _, err := g.iam.authorize(p, token, bucket, false, "versions"); err != nil {
-		return nil, err
-	}
-	var out []Version
-	err := g.meta.do(p, bucket, 1, func(s *metaShard) error {
-		b, err := s.bucket(bucket)
-		if err != nil {
-			return err
-		}
-		o := b.objects[key]
-		if o == nil {
-			return fmt.Errorf("%w: %s/%s", ErrNoObject, bucket, key)
-		}
-		out = append(out, o.versions...)
-		return nil
-	})
-	return out, err
-}
-
-// DeleteObject removes bucket/key: versioned buckets gain a delete
-// marker, unversioned buckets drop the object and free its part files.
-func (g *Gateway) DeleteObject(p *sim.Proc, token, bucket, key string) error {
-	_, _, err := g.iam.authorize(p, token, bucket, true, "delete")
-	if err != nil {
-		return err
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	var replaced []Version
-	err = g.meta.do(p, bucket, 1, func(s *metaShard) error {
-		b, err := s.bucket(bucket)
-		if err != nil {
-			return err
-		}
-		o := b.objects[key]
-		if o == nil {
-			return fmt.Errorf("%w: %s/%s", ErrNoObject, bucket, key)
-		}
-		live := o.latest()
-		if live == nil || live.Deleted {
-			return fmt.Errorf("%w: %s/%s", ErrNoObject, bucket, key)
-		}
-		b.objN--
-		b.bytes -= live.Size
-		if b.versioning {
-			marker := Version{Seq: b.nextSeq, Deleted: true, Mtime: p.Now()}
-			b.nextSeq++
-			o.versions = append(o.versions, marker)
-			return nil
-		}
-		replaced = o.versions
-		delete(b.objects, key)
-		b.removeKey(key)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	g.free(bucket, replaced)
-	g.deletes++
-	return nil
 }
 
 // ListObjects pages through a bucket's live keys with prefix, strictly
@@ -572,178 +408,6 @@ func (g *Gateway) ListObjects(p *sim.Proc, token, bucket, prefix, startAfter str
 	return rows, truncated, nil
 }
 
-// InitMultipart opens a multipart upload for bucket/key and returns its
-// upload ID. Parts upload independently (any order, any sizes); nothing
-// is visible until CompleteMultipart commits the assembled version.
-func (g *Gateway) InitMultipart(p *sim.Proc, token, bucket, key string) (string, error) {
-	_, _, err := g.iam.authorize(p, token, bucket, true, "multipart")
-	if err != nil {
-		return "", err
-	}
-	if err := validKey(key); err != nil {
-		return "", err
-	}
-	var id string
-	err = g.meta.do(p, bucket, 1, func(s *metaShard) error {
-		b, err := s.bucket(bucket)
-		if err != nil {
-			return err
-		}
-		seq := b.nextSeq
-		b.nextSeq++
-		id = fmt.Sprintf("up-%08d", seq)
-		b.uploads[id] = &upload{key: key, seq: seq, parts: make(map[int]Part), sizes: make(map[int]int64)}
-		return nil
-	})
-	return id, err
-}
-
-// UploadPart stores one part of an open upload. Part numbers start at 1;
-// re-uploading a number replaces that part.
-func (g *Gateway) UploadPart(p *sim.Proc, token, bucket, uploadID string, partNum int, data []byte) error {
-	_, owner, err := g.iam.authorize(p, token, bucket, true, "multipart")
-	if err != nil {
-		return err
-	}
-	if partNum < 1 || partNum > 10000 {
-		return fmt.Errorf("%w: part number %d", ErrBadName, partNum)
-	}
-	var path string
-	var prio int
-	err = g.meta.do(p, bucket, 1, func(s *metaShard) error {
-		b, err := s.bucket(bucket)
-		if err != nil {
-			return err
-		}
-		up, ok := b.uploads[uploadID]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNoUpload, uploadID)
-		}
-		prio = b.priority
-		path = fmt.Sprintf("%s/p/%08d.%04d", bucketRoot(b.owner, bucket), up.seq, partNum)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	lay := Layout{Parts: []Part{{Path: path, Off: 0, Len: int64(len(data))}}}
-	if len(data) == 0 {
-		lay = Layout{}
-	}
-	if err := g.writeParts(p, owner, prio, lay, data); err != nil {
-		return err
-	}
-	return g.meta.do(p, bucket, 1, func(s *metaShard) error {
-		b, err := s.bucket(bucket)
-		if err != nil {
-			return err
-		}
-		up, ok := b.uploads[uploadID]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNoUpload, uploadID)
-		}
-		up.parts[partNum] = Part{Path: path, Off: 0, Len: int64(len(data))}
-		up.sizes[partNum] = int64(len(data))
-		return nil
-	})
-}
-
-// CompleteMultipart assembles the uploaded parts (in part-number order)
-// into one committed version of the upload's key.
-func (g *Gateway) CompleteMultipart(p *sim.Proc, token, bucket, uploadID string) (Version, error) {
-	_, _, err := g.iam.authorize(p, token, bucket, true, "multipart")
-	if err != nil {
-		return Version{}, err
-	}
-	var ver Version
-	var replaced []Version
-	err = g.meta.do(p, bucket, 1, func(s *metaShard) error {
-		b, err := s.bucket(bucket)
-		if err != nil {
-			return err
-		}
-		up, ok := b.uploads[uploadID]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNoUpload, uploadID)
-		}
-		nums := make([]int, 0, len(up.parts))
-		for n := range up.parts {
-			nums = append(nums, n)
-		}
-		sort.Ints(nums)
-		var lay Layout
-		var size int64
-		for _, n := range nums {
-			part := up.parts[n]
-			if part.Len == 0 {
-				continue
-			}
-			lay.Parts = append(lay.Parts, part)
-			size += part.Len
-		}
-		ver = Version{Seq: up.seq, Size: size, Layout: lay, Mtime: p.Now()}
-		key := up.key
-		o := b.objects[key]
-		if o == nil {
-			o = &objectMeta{}
-			b.objects[key] = o
-			b.insertKey(key)
-		}
-		if prev := o.latest(); prev != nil && !prev.Deleted {
-			b.bytes -= prev.Size
-		} else {
-			b.objN++
-		}
-		if !b.versioning {
-			replaced = append(replaced, o.versions...)
-			o.versions = o.versions[:0]
-		}
-		o.versions = append(o.versions, ver)
-		b.bytes += size
-		delete(b.uploads, uploadID)
-		return nil
-	})
-	if err != nil {
-		return Version{}, err
-	}
-	g.free(bucket, replaced)
-	g.multiparts++
-	g.bytesIn += ver.Size
-	return ver, nil
-}
-
-// AbortMultipart discards an open upload and frees its part files.
-func (g *Gateway) AbortMultipart(p *sim.Proc, token, bucket, uploadID string) error {
-	_, _, err := g.iam.authorize(p, token, bucket, true, "multipart")
-	if err != nil {
-		return err
-	}
-	var paths []string
-	err = g.meta.do(p, bucket, 1, func(s *metaShard) error {
-		b, err := s.bucket(bucket)
-		if err != nil {
-			return err
-		}
-		up, ok := b.uploads[uploadID]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNoUpload, uploadID)
-		}
-		for _, part := range up.parts {
-			paths = append(paths, part.Path)
-		}
-		delete(b.uploads, uploadID)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		_ = g.fs.Remove(path)
-	}
-	return nil
-}
-
 // Buckets lists every bucket across all shards, sorted by name — admin
 // introspection for yottactl and the experiments, off the service path.
 func (g *Gateway) Buckets() []BucketInfo {
@@ -751,7 +415,7 @@ func (g *Gateway) Buckets() []BucketInfo {
 	for i, s := range g.meta.shards {
 		for _, b := range s.buckets {
 			out = append(out, BucketInfo{
-				Name: b.name, Owner: b.owner, Versioning: b.versioning,
+				Name: b.name, Owner: b.owner,
 				Shard: i, Objects: b.objN, Bytes: b.bytes,
 			})
 		}
@@ -762,21 +426,21 @@ func (g *Gateway) Buckets() []BucketInfo {
 
 // Stats is a point-in-time counter snapshot for experiments and reports.
 type Stats struct {
-	Auths, Denials                         int64
-	Puts, Gets, Lists, Deletes, Multiparts int64
-	BytesIn, BytesOut                      int64
-	ShardOps                               []int64
-	IAMHitP50, IAMHitP99                   sim.Duration
+	Auths, Denials       int64
+	Puts, Gets, Lists    int64
+	BytesIn, BytesOut    int64
+	ShardOps             []int64
+	IAMHitP50, IAMHitP99 sim.Duration
 }
 
 // Ops sums the object-API operation counters.
-func (s Stats) Ops() int64 { return s.Puts + s.Gets + s.Lists + s.Deletes + s.Multiparts }
+func (s Stats) Ops() int64 { return s.Puts + s.Gets + s.Lists }
 
 // Stats snapshots the gateway's counters.
 func (g *Gateway) Stats() Stats {
 	return Stats{
 		Auths: g.iam.auths, Denials: g.iam.denials,
-		Puts: g.puts, Gets: g.gets, Lists: g.lists, Deletes: g.deletes, Multiparts: g.multiparts,
+		Puts: g.puts, Gets: g.gets, Lists: g.lists,
 		BytesIn: g.bytesIn, BytesOut: g.bytesOut,
 		ShardOps:  g.meta.ShardLoads(),
 		IAMHitP50: g.iam.hitLat.P50(), IAMHitP99: g.iam.hitLat.P99(),
@@ -790,8 +454,6 @@ func (g *Gateway) RegisterTelemetry(s telemetry.Scope) {
 	s.Int("ops/put", func() int64 { return g.puts })
 	s.Int("ops/get", func() int64 { return g.gets })
 	s.Int("ops/list", func() int64 { return g.lists })
-	s.Int("ops/delete", func() int64 { return g.deletes })
-	s.Int("ops/multipart", func() int64 { return g.multiparts })
 	s.Int("bytes/in", func() int64 { return g.bytesIn })
 	s.Int("bytes/out", func() int64 { return g.bytesOut })
 	s.Int("iam/auths", func() int64 { return g.iam.auths })
@@ -817,8 +479,8 @@ func (g *Gateway) Status() string {
 			n++
 		}
 	}
-	return fmt.Sprintf("gateway: %d buckets, %d objects, %d bytes | shards %d | ops put=%d get=%d list=%d del=%d multi=%d | iam auths=%d denials=%d p99=%v",
-		n, objs, bytes, len(g.meta.shards), st.Puts, st.Gets, st.Lists, st.Deletes, st.Multiparts, st.Auths, st.Denials, st.IAMHitP99)
+	return fmt.Sprintf("gateway: %d buckets, %d objects, %d bytes | shards %d | ops put=%d get=%d list=%d | iam auths=%d denials=%d p99=%v",
+		n, objs, bytes, len(g.meta.shards), st.Puts, st.Gets, st.Lists, st.Auths, st.Denials, st.IAMHitP99)
 }
 
 // Report renders the full three-tier picture for yottactl `gateway
@@ -833,18 +495,14 @@ func (g *Gateway) Report() string {
 	for i, s := range g.meta.shards {
 		fmt.Fprintf(&sb, "    shard %d: %d index ops, busy %v, %d bucket(s)\n", i, s.ops, s.busy, len(s.buckets))
 	}
-	fmt.Fprintf(&sb, "  data: put=%d get=%d list=%d del=%d multi=%d in=%d out=%d bytes\n",
-		st.Puts, st.Gets, st.Lists, st.Deletes, st.Multiparts, st.BytesIn, st.BytesOut)
+	fmt.Fprintf(&sb, "  data: put=%d get=%d list=%d in=%d out=%d bytes\n",
+		st.Puts, st.Gets, st.Lists, st.BytesIn, st.BytesOut)
 	buckets := g.Buckets()
 	if len(buckets) > 0 {
 		fmt.Fprintf(&sb, "  buckets:\n")
 		for _, b := range buckets {
-			ver := ""
-			if b.Versioning {
-				ver = " versioned"
-			}
-			fmt.Fprintf(&sb, "    %-20s owner=%-12s shard=%d objects=%d bytes=%d%s\n",
-				b.Name, b.Owner, b.Shard, b.Objects, b.Bytes, ver)
+			fmt.Fprintf(&sb, "    %-20s owner=%-12s shard=%d objects=%d bytes=%d\n",
+				b.Name, b.Owner, b.Shard, b.Objects, b.Bytes)
 		}
 	}
 	return sb.String()

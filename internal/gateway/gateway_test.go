@@ -14,12 +14,14 @@ import (
 )
 
 // testIO is an in-memory BlockIO counting every data-path touch — the
-// instrument behind the zero-pfs-I/O auth assertion.
+// instrument behind the zero-pfs-I/O auth assertion — and recording the
+// QoS tenant each block write runs as.
 type testIO struct {
 	bs            int
 	vols          map[string]map[int64][]byte
 	reads, writes int64
 	readDelay     sim.Duration
+	writeTenants  []string
 }
 
 func newTestIO(vols ...string) *testIO {
@@ -54,6 +56,7 @@ func (f *testIO) WriteBlocks(p *sim.Proc, vol string, lba int64, data []byte, pr
 		return fmt.Errorf("testio: no volume %q", vol)
 	}
 	f.writes++
+	f.writeTenants = append(f.writeTenants, qos.FromProc(p).Tenant)
 	p.Sleep(100 * sim.Microsecond)
 	for i := 0; i*f.bs < len(data); i++ {
 		store[lba+int64(i)] = append([]byte(nil), data[i*f.bs:(i+1)*f.bs]...)
@@ -290,58 +293,12 @@ func TestListObjectsPrefixPagination(t *testing.T) {
 	})
 }
 
-func TestVersioningAndDelete(t *testing.T) {
+// TestReplaceFreesOldParts: a PUT over an existing key frees the replaced
+// version's part files.
+func TestReplaceFreesOldParts(t *testing.T) {
 	e := newEnv(t, Config{})
 	tok := e.token(t, "alpha")
 	e.run(t, func(p *sim.Proc) error {
-		if err := e.gw.CreateBucket(p, tok, "ver", BucketOptions{Versioning: true, Priority: -1}); err != nil {
-			return err
-		}
-		var seqs []uint64
-		for i := 1; i <= 3; i++ {
-			v, err := e.gw.PutObject(p, tok, "ver", "doc", patternedData(100*i))
-			if err != nil {
-				return err
-			}
-			seqs = append(seqs, v.Seq)
-		}
-		got, ver, err := e.gw.GetObject(p, tok, "ver", "doc")
-		if err != nil {
-			return err
-		}
-		if len(got) != 300 || ver.Seq != seqs[2] {
-			return fmt.Errorf("latest version: %d bytes seq %d", len(got), ver.Seq)
-		}
-		if got, _, err = e.gw.GetObjectVersion(p, tok, "ver", "doc", seqs[0]); err != nil || len(got) != 100 {
-			return fmt.Errorf("old version: %d bytes, %v", len(got), err)
-		}
-		// Delete adds a marker: latest get fails, old versions survive.
-		if err := e.gw.DeleteObject(p, tok, "ver", "doc"); err != nil {
-			return err
-		}
-		if _, _, err := e.gw.GetObject(p, tok, "ver", "doc"); !errors.Is(err, ErrNoObject) {
-			return fmt.Errorf("get after delete: %v", err)
-		}
-		if _, _, err := e.gw.GetObjectVersion(p, tok, "ver", "doc", seqs[1]); err != nil {
-			return fmt.Errorf("versioned data lost after delete: %v", err)
-		}
-		vers, err := e.gw.Versions(p, tok, "ver", "doc")
-		if err != nil {
-			return err
-		}
-		if len(vers) != 4 || !vers[3].Deleted {
-			return fmt.Errorf("version chain: %d entries, last deleted=%v", len(vers), vers[len(vers)-1].Deleted)
-		}
-		// Deleted keys disappear from listings.
-		rows, _, err := e.gw.ListObjects(p, tok, "ver", "", "", 100)
-		if err != nil {
-			return err
-		}
-		if len(rows) != 0 {
-			return fmt.Errorf("deleted key still listed: %v", rows)
-		}
-
-		// Unversioned bucket: replace frees the old version's part files.
 		if err := e.gw.CreateBucket(p, tok, "flat", BucketOptions{Priority: -1}); err != nil {
 			return err
 		}
@@ -358,74 +315,12 @@ func TestVersioningAndDelete(t *testing.T) {
 				return fmt.Errorf("replaced part %q not freed: %v", part.Path, err)
 			}
 		}
-		vers, err = e.gw.Versions(p, tok, "flat", "blob")
+		got, _, err := e.gw.GetObject(p, tok, "flat", "blob")
 		if err != nil {
 			return err
 		}
-		if len(vers) != 1 {
-			return fmt.Errorf("unversioned bucket kept %d versions", len(vers))
-		}
-		return nil
-	})
-}
-
-func TestMultipartUpload(t *testing.T) {
-	e := newEnv(t, Config{})
-	tok := e.token(t, "alpha")
-	e.run(t, func(p *sim.Proc) error {
-		if err := e.gw.CreateBucket(p, tok, "mp", BucketOptions{Priority: -1}); err != nil {
-			return err
-		}
-		id, err := e.gw.InitMultipart(p, tok, "mp", "video")
-		if err != nil {
-			return err
-		}
-		p1, p2, p3 := patternedData(100<<10), patternedData(50<<10), patternedData(75<<10)
-		// Upload out of order; re-upload part 2 (the replacement wins).
-		if err := e.gw.UploadPart(p, tok, "mp", id, 3, p3); err != nil {
-			return err
-		}
-		if err := e.gw.UploadPart(p, tok, "mp", id, 1, p1); err != nil {
-			return err
-		}
-		if err := e.gw.UploadPart(p, tok, "mp", id, 2, patternedData(10)); err != nil {
-			return err
-		}
-		if err := e.gw.UploadPart(p, tok, "mp", id, 2, p2); err != nil {
-			return err
-		}
-		ver, err := e.gw.CompleteMultipart(p, tok, "mp", id)
-		if err != nil {
-			return err
-		}
-		want := append(append(append([]byte(nil), p1...), p2...), p3...)
-		if ver.Size != int64(len(want)) {
-			return fmt.Errorf("assembled size %d, want %d", ver.Size, len(want))
-		}
-		got, _, err := e.gw.GetObject(p, tok, "mp", "video")
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("multipart object corrupted")
-		}
-		// Completed uploads are gone.
-		if err := e.gw.UploadPart(p, tok, "mp", id, 4, p1); !errors.Is(err, ErrNoUpload) {
-			return fmt.Errorf("upload still open after complete: %v", err)
-		}
-		// Abort frees uploaded part files.
-		id2, err := e.gw.InitMultipart(p, tok, "mp", "scrap")
-		if err != nil {
-			return err
-		}
-		if err := e.gw.UploadPart(p, tok, "mp", id2, 1, p1); err != nil {
-			return err
-		}
-		if err := e.gw.AbortMultipart(p, tok, "mp", id2); err != nil {
-			return err
-		}
-		if _, _, err := e.gw.GetObject(p, tok, "mp", "scrap"); !errors.Is(err, ErrNoObject) {
-			return fmt.Errorf("aborted upload visible: %v", err)
+		if !bytes.Equal(got, patternedData(2<<20)) {
+			return fmt.Errorf("replacing version corrupted: %d bytes", len(got))
 		}
 		return nil
 	})
@@ -457,19 +352,19 @@ func TestCrossTenantDeniedAndAudited(t *testing.T) {
 		if !found {
 			return fmt.Errorf("denied cross-tenant get not audited: %+v", e.auth.Denials())
 		}
-		// Grants flow through SetBucketACL synchronously, read ≠ write.
-		if err := e.gw.SetBucketACL(p, alice, "private", ACL{Grants: map[string]security.Access{"mallory": security.ReadOnly}}); err != nil {
+		// A per-tenant grant lets its tenant read, not write.
+		grant := ACL{Grants: map[string]security.Access{"mallory": security.ReadOnly}}
+		if err := e.gw.CreateBucket(p, alice, "shared", BucketOptions{ACL: grant, Priority: -1}); err != nil {
 			return err
 		}
-		if _, _, err := e.gw.GetObject(p, mallory, "private", "secret"); err != nil {
+		if _, err := e.gw.PutObject(p, alice, "shared", "notes", patternedData(128)); err != nil {
+			return err
+		}
+		if _, _, err := e.gw.GetObject(p, mallory, "shared", "notes"); err != nil {
 			return fmt.Errorf("granted read denied: %v", err)
 		}
-		if _, err := e.gw.PutObject(p, mallory, "private", "sneak", patternedData(10)); !errors.Is(err, security.ErrDenied) {
+		if _, err := e.gw.PutObject(p, mallory, "shared", "sneak", patternedData(10)); !errors.Is(err, security.ErrDenied) {
 			return fmt.Errorf("read-only grant allowed write: %v", err)
-		}
-		// Non-owners cannot rewrite the ACL, and the attempt is audited.
-		if err := e.gw.SetBucketACL(p, mallory, "private", ACL{Public: security.ReadWrite}); !errors.Is(err, security.ErrDenied) {
-			return fmt.Errorf("non-owner ACL change: %v", err)
 		}
 		// Bad token: rejected through the Authority (no parallel path).
 		if _, _, err := e.gw.GetObject(p, "forged-token", "private", "secret"); !errors.Is(err, security.ErrBadToken) {
@@ -537,11 +432,6 @@ func TestDataPathBilledToBucketOwner(t *testing.T) {
 	e := newEnv(t, Config{})
 	alice := e.token(t, "alice")
 	bob := e.token(t, "bob")
-	var seen []string
-	e.fs.SetWriteHook(func(p *sim.Proc, path string, ino *pfs.Inode, off int64, data []byte) error {
-		seen = append(seen, qos.FromProc(p).Tenant)
-		return nil
-	})
 	e.run(t, func(p *sim.Proc) error {
 		if err := e.gw.CreateBucket(p, alice, "shared", BucketOptions{ACL: ACL{Public: security.ReadWrite}, Priority: -1}); err != nil {
 			return err
@@ -550,10 +440,10 @@ func TestDataPathBilledToBucketOwner(t *testing.T) {
 		if _, err := e.gw.PutObject(p, bob, "shared", "from-bob", patternedData(4096)); err != nil {
 			return err
 		}
-		if len(seen) == 0 {
-			return fmt.Errorf("write hook never fired")
+		if len(e.io.writeTenants) == 0 {
+			return fmt.Errorf("no block write reached the data path")
 		}
-		for _, tenant := range seen {
+		for _, tenant := range e.io.writeTenants {
 			if tenant != "alice" {
 				return fmt.Errorf("data write billed to %q, want bucket owner alice", tenant)
 			}

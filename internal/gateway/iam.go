@@ -14,7 +14,6 @@ var (
 	ErrNoBucket     = errors.New("gateway: no such bucket")
 	ErrBucketExists = errors.New("gateway: bucket exists")
 	ErrNoObject     = errors.New("gateway: no such object")
-	ErrNoUpload     = errors.New("gateway: no such multipart upload")
 )
 
 // ACL is a bucket's access policy. The owner always has full access;
@@ -94,8 +93,6 @@ func newIAM(auth *security.Authority, latency sim.Duration) *IAM {
 func (i *IAM) put(bucket, owner string, acl ACL) {
 	i.entries[bucket] = iamEntry{owner: owner, acl: acl.clone()}
 }
-
-func (i *IAM) drop(bucket string) { delete(i.entries, bucket) }
 
 // authenticate resolves a token to a tenant through the Authority,
 // charging the in-memory lookup latency.

@@ -12,11 +12,10 @@ import (
 // Version is one stored object version: its bucket-unique sequence
 // number, size, and the layout mapping its bytes onto pfs files.
 type Version struct {
-	Seq     uint64
-	Size    int64
-	Layout  Layout
-	Mtime   sim.Time
-	Deleted bool // delete marker (versioned buckets)
+	Seq    uint64
+	Size   int64
+	Layout Layout
+	Mtime  sim.Time
 }
 
 // ObjectInfo is one ListObjects row.
@@ -29,41 +28,20 @@ type ObjectInfo struct {
 
 // BucketInfo summarizes one bucket for status displays.
 type BucketInfo struct {
-	Name       string
-	Owner      string
-	Versioning bool
-	Shard      int
-	Objects    int64
-	Bytes      int64
-}
-
-type objectMeta struct {
-	versions []Version // ascending by Seq
-}
-
-func (o *objectMeta) latest() *Version {
-	if len(o.versions) == 0 {
-		return nil
-	}
-	return &o.versions[len(o.versions)-1]
-}
-
-type upload struct {
-	key   string
-	seq   uint64
-	parts map[int]Part // part number → written slice
-	sizes map[int]int64
+	Name    string
+	Owner   string
+	Shard   int
+	Objects int64
+	Bytes   int64
 }
 
 type bucketMeta struct {
-	name       string
-	owner      string
-	versioning bool
-	priority   int // cache/QoS priority of the bucket's data (0..3)
+	name     string
+	owner    string
+	priority int // cache/QoS priority of the bucket's data (0..3)
 
 	keys    []string // sorted; the ListObjects pagination index
-	objects map[string]*objectMeta
-	uploads map[string]*upload
+	objects map[string]Version
 
 	nextSeq uint64
 	seg     SegCursor
@@ -84,7 +62,7 @@ type metaShard struct {
 }
 
 // Meta is the bucket-metadata index tier (yig tier 2): bucket records,
-// per-key version chains and segment cursors, sharded by bucket name.
+// each key's version and segment cursors, sharded by bucket name.
 type Meta struct {
 	k      *sim.Kernel
 	shards []*metaShard
@@ -147,16 +125,8 @@ func (b *bucketMeta) insertKey(key string) {
 	b.keys[i] = key
 }
 
-func (b *bucketMeta) removeKey(key string) {
-	i := sort.SearchStrings(b.keys, key)
-	if i < len(b.keys) && b.keys[i] == key {
-		b.keys = append(b.keys[:i], b.keys[i+1:]...)
-	}
-}
-
 // list pages through keys with prefix, strictly after startAfter,
-// returning at most max rows plus whether more remain. Delete markers
-// are invisible here, like S3's latest-version listing.
+// returning at most max rows plus whether more remain.
 func (b *bucketMeta) list(prefix, startAfter string, max int) (rows []ObjectInfo, truncated bool) {
 	if max <= 0 {
 		max = 1000
@@ -176,10 +146,7 @@ func (b *bucketMeta) list(prefix, startAfter string, max int) (rows []ObjectInfo
 		if !strings.HasPrefix(key, prefix) {
 			break
 		}
-		v := b.objects[key].latest()
-		if v == nil || v.Deleted {
-			continue
-		}
+		v := b.objects[key]
 		if len(rows) == max {
 			return rows, true
 		}

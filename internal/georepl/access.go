@@ -203,14 +203,3 @@ func (s *Site) rangesOf(path string) *rangeSet {
 	}
 	return rs
 }
-
-// ReadFile reads a whole file through the single system image.
-func (s *Site) ReadFile(p *sim.Proc, path string) ([]byte, error) {
-	m, ok := s.fed.meta[path]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoFile, path)
-	}
-	buf := make([]byte, m.size)
-	n, err := s.ReadAt(p, path, 0, buf)
-	return buf[:n], err
-}

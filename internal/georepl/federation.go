@@ -87,9 +87,6 @@ func NewFederation(k *sim.Kernel, cfg Config) *Federation {
 	}
 }
 
-// WAN returns the inter-site network (for link inspection in tests).
-func (f *Federation) WAN() *simnet.Network { return f.wan }
-
 // AddSite registers a site backed by its own file system (over its own
 // cluster).
 func (f *Federation) AddSite(name string, fs *pfs.FS) *Site {
@@ -177,13 +174,4 @@ func (f *Federation) Failover(dead string) (recovered, lost int) {
 		recovered++
 	}
 	return recovered, lost
-}
-
-// Meta returns (home, size) for a path — the single-system image view.
-func (f *Federation) Meta(path string) (home string, size int64, err error) {
-	m, ok := f.meta[path]
-	if !ok {
-		return "", 0, ErrNoFile
-	}
-	return m.home, m.size, nil
 }

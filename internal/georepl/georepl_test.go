@@ -3,6 +3,7 @@ package georepl
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -467,4 +468,25 @@ func TestRangeSetProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ReadFile reads a whole file through the single system image.
+func (s *Site) ReadFile(p *sim.Proc, path string) ([]byte, error) {
+	m, ok := s.fed.meta[path]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoFile, path)
+	}
+	buf := make([]byte, m.size)
+	n, err := s.ReadAt(p, path, 0, buf)
+	return buf[:n], err
+}
+
+// JournalDepth returns the number of writes not yet shipped to dst — the
+// measurable RPO exposure of async mode.
+func (s *Site) JournalDepth(dst string) int {
+	j, ok := s.journals[dst]
+	if !ok {
+		return 0
+	}
+	return len(j.pending)
 }

@@ -61,16 +61,6 @@ type journal struct {
 	pending []shipment
 }
 
-// JournalDepth returns the number of writes not yet shipped to dst — the
-// measurable RPO exposure of async mode.
-func (s *Site) JournalDepth(dst string) int {
-	j, ok := s.journals[dst]
-	if !ok {
-		return 0
-	}
-	return len(j.pending)
-}
-
 // Wire payloads.
 type readReq struct {
 	Path string
@@ -126,18 +116,6 @@ func (s *Site) Create(p *sim.Proc, path string, policy pfs.Policy) error {
 		policy:        policy,
 	}
 	return nil
-}
-
-// SetPolicy updates a file's geographic policy at the metadata center and
-// the home site's inode.
-func (s *Site) SetPolicy(path string, policy pfs.Policy) error {
-	m, ok := s.fed.meta[path]
-	if !ok {
-		return ErrNoFile
-	}
-	m.policy = policy
-	home := s.fed.sites[m.home]
-	return home.fs.SetPolicy(path, policy)
 }
 
 // duraTargets resolves the durability sites for a file per its policy.

@@ -323,11 +323,11 @@ func TestRebalancerSurface(t *testing.T) {
 	if h.tier.Scheme() != "hotcache" {
 		t.Fatalf("scheme = %q", h.tier.Scheme())
 	}
-	if h.tier.Enabled() {
+	if h.tier.enabled {
 		t.Fatal("tier must start disabled")
 	}
 	h.tier.SetEnabled(true)
-	if !h.tier.Enabled() {
+	if !h.tier.enabled {
 		t.Fatal("SetEnabled(true) did not arm")
 	}
 	if s := h.tier.Status(); !strings.Contains(s, "hotcache") || !strings.Contains(s, "enabled=true") {

@@ -264,9 +264,6 @@ func (t *Tier) writeThrough(p *sim.Proc, self int, keys []cache.Key) {
 // Scheme identifies the tier's rebalancing strategy.
 func (t *Tier) Scheme() string { return "hotcache" }
 
-// Enabled reports whether cache routing is armed.
-func (t *Tier) Enabled() bool { return t.enabled }
-
 // SetEnabled arms or disarms the tier. Disabling clears every node (the
 // generation bump aborts in-flight fills), drops the heat state, and
 // forgets the mark set — the cluster reverts to plain home routing with

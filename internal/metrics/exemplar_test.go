@@ -10,11 +10,11 @@ import (
 func TestExemplarBasics(t *testing.T) {
 	h := NewHistogram()
 	h.ObserveTraced(100, 1)
-	h.ObserveTraced(105, 2)  // same bucket, larger → replaces
-	h.ObserveTraced(105, 3)  // tie → first writer wins (strictly greater only)
-	h.ObserveTraced(1e6, 4)  // distinct bucket
-	h.Observe(2e6)           // untraced: no exemplar
-	h.ObserveTraced(3e6, 0)  // trace 0 = untraced
+	h.ObserveTraced(105, 2) // same bucket, larger → replaces
+	h.ObserveTraced(105, 3) // tie → first writer wins (strictly greater only)
+	h.ObserveTraced(1e6, 4) // distinct bucket
+	h.Observe(2e6)          // untraced: no exemplar
+	h.ObserveTraced(3e6, 0) // trace 0 = untraced
 	exs := h.Exemplars()
 	if len(exs) != 2 {
 		t.Fatalf("exemplars = %+v, want 2", exs)

@@ -58,33 +58,33 @@ func TestTimeSeriesGrowthCap(t *testing.T) {
 	ts.Record(0, 1)
 	// ~31 years in the future at 1 s windows: far past the cap.
 	ts.Record(sim.Time(1_000_000_000)*sim.Time(sim.Second), 1)
-	if n := len(ts.Values()); n > maxTimeSeriesWindows {
+	if n := len(ts.vals); n > maxTimeSeriesWindows {
 		t.Fatalf("vals grew to %d windows", n)
 	}
-	if ts.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", ts.Dropped())
+	if ts.dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", ts.dropped)
 	}
 	// The last in-range window still records.
 	edge := sim.Time(maxTimeSeriesWindows-1) * sim.Time(sim.Second)
 	ts.Record(edge, 2)
-	if ts.Dropped() != 1 {
+	if ts.dropped != 1 {
 		t.Fatalf("in-range edge sample dropped")
 	}
-	if vals := ts.Values(); vals[maxTimeSeriesWindows-1] != 2 {
+	if vals := ts.vals; vals[maxTimeSeriesWindows-1] != 2 {
 		t.Fatalf("edge window = %v, want 2", vals[maxTimeSeriesWindows-1])
 	}
 	// First out-of-range index drops.
 	ts.Record(edge+sim.Time(sim.Second), 3)
-	if ts.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", ts.Dropped())
+	if ts.dropped != 2 {
+		t.Fatalf("dropped = %d, want 2", ts.dropped)
 	}
 }
 
 func TestTimeSeriesZeroWindow(t *testing.T) {
 	ts := &TimeSeries{} // zero window must not divide by zero
 	ts.Record(sim.Time(sim.Second), 1)
-	if len(ts.Values()) != 0 {
-		t.Fatalf("zero-window series recorded %v", ts.Values())
+	if len(ts.vals) != 0 {
+		t.Fatalf("zero-window series recorded %v", ts.vals)
 	}
 }
 
@@ -109,15 +109,15 @@ func TestHistogramQuantileClamped(t *testing.T) {
 	}
 	for _, q := range []float64{0, 0.001, 0.25, 0.5, 0.75, 0.99, 1} {
 		got := h2.Quantile(q)
-		if got < h2.Min() || got > h2.Max() {
-			t.Fatalf("Quantile(%v) = %v outside [%v, %v]", q, got, h2.Min(), h2.Max())
+		if got < h2.Min() || got > h2.max {
+			t.Fatalf("Quantile(%v) = %v outside [%v, %v]", q, got, h2.Min(), h2.max)
 		}
 	}
 	if h2.Quantile(0) != h2.Min() {
 		t.Fatalf("Quantile(0) = %v, want Min %v", h2.Quantile(0), h2.Min())
 	}
-	if h2.Quantile(1) != h2.Max() {
-		t.Fatalf("Quantile(1) = %v, want Max %v", h2.Quantile(1), h2.Max())
+	if h2.Quantile(1) != h2.max {
+		t.Fatalf("Quantile(1) = %v, want Max %v", h2.Quantile(1), h2.max)
 	}
 
 	// Wide spread: the invariant holds across many buckets too.
@@ -127,8 +127,8 @@ func TestHistogramQuantileClamped(t *testing.T) {
 	}
 	for q := 0.0; q <= 1.0; q += 0.05 {
 		got := h3.Quantile(q)
-		if got < h3.Min() || got > h3.Max() {
-			t.Fatalf("Quantile(%v) = %v outside [%v, %v]", q, got, h3.Min(), h3.Max())
+		if got < h3.Min() || got > h3.max {
+			t.Fatalf("Quantile(%v) = %v outside [%v, %v]", q, got, h3.Min(), h3.max)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package metrics provides the measurement instruments used by every
-// experiment in this repository: counters, latency histograms, throughput
-// meters and small statistical helpers, plus plain-text table rendering for
+// experiment in this repository: latency histograms, throughput meters
+// and small statistical helpers, plus plain-text table rendering for
 // the benchmark harness.
 package metrics
 
@@ -11,70 +11,6 @@ import (
 
 	"repro/internal/sim"
 )
-
-// Counter is a monotonically increasing count.
-type Counter struct{ n int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta (which must be non-negative).
-func (c *Counter) Add(delta int64) {
-	if delta < 0 {
-		panic("metrics: negative Counter.Add")
-	}
-	c.n += delta
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
-// Gauge is a value that can move in both directions, tracking high and low
-// watermarks. The zero Gauge is ready to use and starts its watermarks at 0,
-// so Max/Min cover the implicit initial value too; Reset re-arms both
-// watermarks at the current value for per-window peak reporting.
-type Gauge struct {
-	v, max, min int64
-}
-
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	g.v += delta
-	if g.v > g.max {
-		g.max = g.v
-	}
-	if g.v < g.min {
-		g.min = g.v
-	}
-}
-
-// Set sets the gauge to v.
-func (g *Gauge) Set(v int64) {
-	g.v = v
-	if v > g.max {
-		g.max = v
-	}
-	if v < g.min {
-		g.min = v
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v }
-
-// Max returns the maximum observed since construction or the last Reset.
-func (g *Gauge) Max() int64 { return g.max }
-
-// Min returns the minimum observed since construction or the last Reset.
-func (g *Gauge) Min() int64 { return g.min }
-
-// Reset re-arms both watermarks at the current value, opening a new
-// observation window (the telemetry scraper does this after every scrape so
-// Max/Min report per-interval peaks).
-func (g *Gauge) Reset() {
-	g.max = g.v
-	g.min = g.v
-}
 
 // Histogram records sim.Duration samples in logarithmic buckets
 // (~7% relative width), supporting quantile queries without storing
@@ -207,9 +143,6 @@ func (h *Histogram) Min() sim.Duration {
 	return h.min
 }
 
-// Max returns the largest sample.
-func (h *Histogram) Max() sim.Duration { return h.max }
-
 // Quantile returns an upper bound on the q-quantile (0 ≤ q ≤ 1), accurate to
 // the bucket width (~7%). Exact min/max are returned at the extremes.
 func (h *Histogram) Quantile(q float64) sim.Duration {
@@ -276,16 +209,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // CountSince returns the number of samples observed since prev was taken.
 func (h *Histogram) CountSince(prev HistogramSnapshot) int64 { return h.count - prev.count }
 
-// MeanSince returns the mean of the samples observed since prev was taken
-// (0 if none).
-func (h *Histogram) MeanSince(prev HistogramSnapshot) sim.Duration {
-	n := h.count - prev.count
-	if n <= 0 {
-		return 0
-	}
-	return sim.Duration((h.sum - prev.sum) / float64(n))
-}
-
 // QuantileSince returns an upper bound on the q-quantile of only the samples
 // observed since prev was taken (0 if none), accurate to the bucket width.
 // The result is clamped to the histogram's lifetime max; the per-window
@@ -350,9 +273,6 @@ func (m *Meter) CloseAt(t sim.Time) {
 	}
 }
 
-// Total returns total bytes/ops recorded.
-func (m *Meter) Total() int64 { return m.bytes }
-
 // Window returns the elapsed window.
 func (m *Meter) Window() sim.Duration { return m.end.Sub(m.start) }
 
@@ -365,39 +285,8 @@ func (m *Meter) PerSecond() float64 {
 	return float64(m.bytes) / w
 }
 
-// Gbps returns the average rate in gigabits per second.
-func (m *Meter) Gbps() float64 { return m.PerSecond() * 8 / 1e9 }
-
 // MBps returns the average rate in megabytes (1e6) per second.
 func (m *Meter) MBps() float64 { return m.PerSecond() / 1e6 }
-
-// Series is an ordered list of (time, value) points, used for
-// throughput-over-time and latency-over-offset plots.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Point is a single sample in a Series.
-type Point struct {
-	T sim.Time
-	V float64
-}
-
-// Add appends a point.
-func (s *Series) Add(t sim.Time, v float64) { s.Points = append(s.Points, Point{t, v}) }
-
-// Mean returns the mean of point values (0 if empty).
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, pt := range s.Points {
-		sum += pt.V
-	}
-	return sum / float64(len(s.Points))
-}
 
 // Stats summarizes a plain slice of float64 observations.
 type Stats struct {

@@ -93,13 +93,6 @@ func (ts *TimeSeries) Record(t sim.Time, v float64) {
 	ts.vals[idx] += v
 }
 
-// Dropped reports samples discarded because their window index exceeded
-// the growth cap.
-func (ts *TimeSeries) Dropped() int64 { return ts.dropped }
-
-// Values returns the per-window totals.
-func (ts *TimeSeries) Values() []float64 { return append([]float64(nil), ts.vals...) }
-
 // Spark renders the series as a sparkline with a caption.
 func (ts *TimeSeries) Spark(caption string) string {
 	return fmt.Sprintf("%s [%s] (%d windows of %v)", caption, Sparkline(ts.vals), len(ts.vals), ts.window)

@@ -6,61 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestGaugeMinWatermark(t *testing.T) {
-	var g Gauge
-	g.Add(5)
-	g.Add(-8)
-	g.Add(10)
-	if g.Value() != 7 {
-		t.Fatalf("Value = %d, want 7", g.Value())
-	}
-	if g.Max() != 7 {
-		t.Fatalf("Max = %d, want 7", g.Max())
-	}
-	if g.Min() != -3 {
-		t.Fatalf("Min = %d, want -3", g.Min())
-	}
-}
-
-func TestGaugeZeroValueWatermarks(t *testing.T) {
-	// The zero Gauge has observed the value 0, so both watermarks start
-	// there: a gauge that only ever rises keeps Min = 0.
-	var g Gauge
-	g.Add(3)
-	if g.Min() != 0 {
-		t.Fatalf("Min = %d, want 0", g.Min())
-	}
-	if g.Max() != 3 {
-		t.Fatalf("Max = %d, want 3", g.Max())
-	}
-}
-
-func TestGaugeSetMovesWatermarks(t *testing.T) {
-	var g Gauge
-	g.Set(-4)
-	g.Set(9)
-	if g.Min() != -4 || g.Max() != 9 {
-		t.Fatalf("watermarks = [%d, %d], want [-4, 9]", g.Min(), g.Max())
-	}
-}
-
-func TestGaugeReset(t *testing.T) {
-	var g Gauge
-	g.Add(5)
-	g.Add(-8)
-	g.Reset()
-	if g.Value() != -3 {
-		t.Fatalf("Reset changed the value: %d", g.Value())
-	}
-	if g.Max() != -3 || g.Min() != -3 {
-		t.Fatalf("watermarks after Reset = [%d, %d], want [-3, -3]", g.Min(), g.Max())
-	}
-	g.Add(1)
-	if g.Max() != -2 || g.Min() != -3 {
-		t.Fatalf("watermarks after Reset+Add = [%d, %d], want [-3, -2]", g.Min(), g.Max())
-	}
-}
-
 func TestMeterClosedAtStart(t *testing.T) {
 	// A meter created and closed at the same instant must report zero
 	// rates, not Inf/NaN — the empty measurement window a scraper can
@@ -68,9 +13,9 @@ func TestMeterClosedAtStart(t *testing.T) {
 	start := sim.Time(3 * sim.Second)
 	m := NewMeter(start)
 	m.CloseAt(start)
-	if m.PerSecond() != 0 || m.Gbps() != 0 || m.MBps() != 0 {
-		t.Fatalf("zero-window rates = %v B/s, %v Gb/s, %v MB/s, want all 0",
-			m.PerSecond(), m.Gbps(), m.MBps())
+	if m.PerSecond() != 0 || m.MBps() != 0 {
+		t.Fatalf("zero-window rates = %v B/s, %v MB/s, want both 0",
+			m.PerSecond(), m.MBps())
 	}
 }
 
@@ -91,9 +36,6 @@ func TestHistogramSnapshotWindow(t *testing.T) {
 	if p50 := h.QuantileSince(snap, 0.50); p50 < 15*sim.Millisecond {
 		t.Fatalf("windowed p50 = %v, want ≈20ms", p50)
 	}
-	if mean := h.MeanSince(snap); mean < 15*sim.Millisecond {
-		t.Fatalf("windowed mean = %v, want ≈20ms", mean)
-	}
 	if lifetime := h.P50(); lifetime > 5*sim.Millisecond {
 		t.Fatalf("lifetime p50 = %v, want ≈1ms (both batches pooled)", lifetime)
 	}
@@ -108,9 +50,6 @@ func TestHistogramSnapshotEmptyWindow(t *testing.T) {
 	}
 	if q := h.QuantileSince(snap, 0.99); q != 0 {
 		t.Fatalf("QuantileSince on empty window = %v, want 0", q)
-	}
-	if m := h.MeanSince(snap); m != 0 {
-		t.Fatalf("MeanSince on empty window = %v, want 0", m)
 	}
 }
 

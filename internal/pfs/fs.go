@@ -101,9 +101,6 @@ type Inode struct {
 	children map[string]*Inode
 }
 
-// Name returns the inode's name within its directory.
-func (ino *Inode) Name() string { return ino.name }
-
 // Errors returned by path operations.
 var (
 	ErrNotFound = errors.New("pfs: no such file or directory")
@@ -113,11 +110,6 @@ var (
 	ErrBadPath  = errors.New("pfs: invalid path")
 	ErrNoClass  = errors.New("pfs: unknown storage class")
 )
-
-// WriteHook observes every file write; the geo-replication layer installs
-// one to implement per-file sync/async inter-site replication. A sync-mode
-// hook blocks the write until remote sites acknowledge.
-type WriteHook func(p *sim.Proc, path string, ino *Inode, off int64, data []byte) error
 
 // Config assembles a file system.
 type Config struct {
@@ -147,7 +139,6 @@ type FS struct {
 	root     *Inode
 	nextIno  uint64
 	allocs   map[string]*allocator
-	hook     WriteHook
 
 	// Stats
 	FilesCreated, FilesRemoved int64
@@ -181,9 +172,6 @@ func New(k *sim.Kernel, cfg Config) (*FS, error) {
 	}
 	return fs, nil
 }
-
-// SetWriteHook installs the inter-site replication hook.
-func (fs *FS) SetWriteHook(h WriteHook) { fs.hook = h }
 
 // BlockSize returns the data-path block size.
 func (fs *FS) BlockSize() int { return fs.io.BlockSize() }
@@ -400,37 +388,6 @@ func (fs *FS) Policy(path string) (Policy, error) {
 		return Policy{}, err
 	}
 	return ino.Policy, nil
-}
-
-// Walk visits every inode under path (depth-first, children in lexical
-// order — the same determinism contract as List), calling fn with the
-// full path of each.
-func (fs *FS) Walk(path string, fn func(p string, ino *Inode) error) error {
-	ino, err := fs.lookup(path)
-	if err != nil {
-		return err
-	}
-	return fs.walk(path, ino, fn)
-}
-
-func (fs *FS) walk(path string, ino *Inode, fn func(string, *Inode) error) error {
-	if err := fn(path, ino); err != nil {
-		return err
-	}
-	if !ino.Dir {
-		return nil
-	}
-	names := make([]string, 0, len(ino.children))
-	for name := range ino.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := fs.walk(joinPath(path, name), ino.children[name], fn); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // classVolume resolves a file's backing volume from its policy.

@@ -301,47 +301,6 @@ func TestPathValidation(t *testing.T) {
 	}
 }
 
-func TestWriteHookInvoked(t *testing.T) {
-	fs, _, k := newTestFS(t)
-	var hookPath string
-	var hookOff int64
-	var hookLen int
-	fs.SetWriteHook(func(p *sim.Proc, path string, ino *Inode, off int64, data []byte) error {
-		hookPath, hookOff, hookLen = path, off, len(data)
-		return nil
-	})
-	runFS(k, func(p *sim.Proc) {
-		fs.WriteFile(p, "/geo", []byte("hello"), Policy{Geo: GeoPolicy{Mode: GeoAsync}})
-	})
-	if hookPath != "/geo" || hookOff != 0 || hookLen != 5 {
-		t.Fatalf("hook saw %q %d %d", hookPath, hookOff, hookLen)
-	}
-}
-
-func TestWalk(t *testing.T) {
-	fs, _, k := newTestFS(t)
-	runFS(k, func(p *sim.Proc) {
-		fs.MkdirAll("/a/b")
-		fs.Create("/a/b/f", Policy{})
-		fs.Create("/top", Policy{})
-	})
-	var visited []string
-	fs.Walk("/", func(path string, ino *Inode) error {
-		visited = append(visited, path)
-		return nil
-	})
-	sort.Strings(visited)
-	want := []string{"/", "/a", "/a/b", "/a/b/f", "/top"}
-	if len(visited) != len(want) {
-		t.Fatalf("visited = %v", visited)
-	}
-	for i := range want {
-		if visited[i] != want[i] {
-			t.Fatalf("visited = %v, want %v", visited, want)
-		}
-	}
-}
-
 // Property: arbitrary sequences of writes at arbitrary offsets produce the
 // same final content as an in-memory shadow buffer.
 func TestWriteReadEquivalenceProperty(t *testing.T) {

@@ -115,8 +115,7 @@ func (ino *Inode) runs(start, count int64) ([]run, error) {
 
 // WriteAt writes data at byte offset off, extending the file as needed.
 // Partial blocks use read-modify-write through the coherent cache; the
-// file's policy supplies cache priority and replication factor, and the
-// installed WriteHook (geo layer) runs before WriteAt returns.
+// file's policy supplies cache priority and replication factor.
 func (fs *FS) WriteAt(p *sim.Proc, path string, off int64, data []byte) (int, error) {
 	ino, err := fs.lookup(path)
 	if err != nil {
@@ -201,11 +200,6 @@ func (fs *FS) WriteAt(p *sim.Proc, path string, off int64, data []byte) (int, er
 	}
 	ino.Mtime = fs.k.Now()
 	fs.BytesWritten += int64(len(data))
-	if fs.hook != nil {
-		if err := fs.hook(p, path, ino, off, data); err != nil {
-			return len(data), err
-		}
-	}
 	return len(data), nil
 }
 

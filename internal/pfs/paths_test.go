@@ -161,94 +161,3 @@ func TestSetPolicyRoundTrip(t *testing.T) {
 		t.Fatalf("Policy(missing) err = %v, want ErrNotFound", err)
 	}
 }
-
-func TestWalkDeepTreeOrderAndCoverage(t *testing.T) {
-	fs := newPathFS(t)
-	// A deep, branchy tree: 3 tenants × 3 buckets × 4 objects, plus a
-	// deep chain of single directories.
-	var want []string
-	want = append(want, "/gw")
-	for ti := 0; ti < 3; ti++ {
-		tdir := fmt.Sprintf("/gw/t%d", ti)
-		want = append(want, tdir)
-		for bi := 0; bi < 3; bi++ {
-			bdir := fmt.Sprintf("%s/b%d", tdir, bi)
-			want = append(want, bdir)
-			if err := fs.MkdirAll(bdir); err != nil {
-				t.Fatalf("MkdirAll: %v", err)
-			}
-			for oi := 0; oi < 4; oi++ {
-				obj := fmt.Sprintf("%s/o%d", bdir, oi)
-				want = append(want, obj)
-				if _, err := fs.Create(obj, Policy{}); err != nil {
-					t.Fatalf("Create: %v", err)
-				}
-			}
-		}
-	}
-	chain := "/gw/deep"
-	for d := 0; d < 12; d++ {
-		chain += fmt.Sprintf("/d%02d", d)
-	}
-	if err := fs.MkdirAll(chain); err != nil {
-		t.Fatalf("MkdirAll(chain): %v", err)
-	}
-
-	var got []string
-	if err := fs.Walk("/gw", func(p string, ino *Inode) error {
-		got = append(got, p)
-		return nil
-	}); err != nil {
-		t.Fatalf("Walk: %v", err)
-	}
-	// Walk visits parents before children, children in lexical order —
-	// so the full visit sequence is exactly the DFS of the sorted tree.
-	var want2 []string
-	want2 = append(want2, "/gw")
-	want2 = append(want2, chainPrefixes("/gw/deep", 12)...)
-	for ti := 0; ti < 3; ti++ {
-		tdir := fmt.Sprintf("/gw/t%d", ti)
-		want2 = append(want2, tdir)
-		for bi := 0; bi < 3; bi++ {
-			bdir := fmt.Sprintf("%s/b%d", tdir, bi)
-			want2 = append(want2, bdir)
-			for oi := 0; oi < 4; oi++ {
-				want2 = append(want2, fmt.Sprintf("%s/o%d", bdir, oi))
-			}
-		}
-	}
-	if len(got) != len(want2) {
-		t.Fatalf("Walk visited %d inodes, want %d", len(got), len(want2))
-	}
-	for i := range got {
-		if got[i] != want2[i] {
-			t.Fatalf("Walk order diverges at %d: got %q want %q\nfull: %v", i, got[i], want2[i], got)
-		}
-	}
-	// Errors from fn abort the walk.
-	boom := errors.New("boom")
-	calls := 0
-	err := fs.Walk("/gw", func(p string, ino *Inode) error {
-		calls++
-		if calls == 3 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("Walk error propagation: %v", err)
-	}
-	if calls != 3 {
-		t.Fatalf("Walk continued after error: %d calls", calls)
-	}
-}
-
-func chainPrefixes(base string, n int) []string {
-	out := []string{base}
-	cur := base
-	for d := 0; d < n; d++ {
-		cur += fmt.Sprintf("/d%02d", d)
-		out = append(out, cur)
-	}
-	return out
-}

@@ -152,14 +152,6 @@ func (a *Admission) Stats() []TenantStats {
 	return out
 }
 
-// Throttled returns tenant's shed count (0 for unknown tenants).
-func (a *Admission) Throttled(tenant string) int64 {
-	if b, ok := a.buckets[tenant]; ok {
-		return b.throttled
-	}
-	return 0
-}
-
 // registerTelemetry publishes per-tenant counters under s
 // (<tenant>/{admitted,delayed,throttled,waiting}).
 func (a *Admission) registerTelemetry(s telemetry.Scope) {

@@ -232,3 +232,11 @@ func TestBucketDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Throttled returns tenant's shed count (0 for unknown tenants).
+func (a *Admission) Throttled(tenant string) int64 {
+	if b, ok := a.buckets[tenant]; ok {
+		return b.throttled
+	}
+	return 0
+}

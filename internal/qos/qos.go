@@ -191,9 +191,6 @@ func (m *Manager) TenantHistogram(tenant string) *metrics.Histogram {
 	return m.tenantHist[tenant]
 }
 
-// SLOTenants returns the tenants with a per-tenant p99 objective, sorted.
-func (m *Manager) SLOTenants() []string { return m.sloTenants }
-
 // NewFairQueue creates a FairQueue with capacity slots, registers it with
 // the manager (so enable/disable and governor decisions reach it), and
 // returns it.

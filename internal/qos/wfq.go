@@ -66,9 +66,6 @@ func NewFairQueue(k *sim.Kernel, capacity int, weights [NumLanes]float64) *FairQ
 // waiters keep the order they arrived under.
 func (q *FairQueue) SetEnabled(on bool) { q.enabled = on }
 
-// Enabled reports the dispatch mode.
-func (q *FairQueue) Enabled() bool { return q.enabled }
-
 // SetWeight updates one lane's weight, effective immediately: waiters
 // already stamped under the old weight are re-tagged at the new rate from
 // the current virtual time (intra-lane order preserved), because tags
@@ -196,9 +193,6 @@ func (q *FairQueue) before(a, b fqWaiter) bool {
 	return a.seq < b.seq
 }
 
-// Available reports the current number of free service slots.
-func (q *FairQueue) Available() int { return q.avail }
-
 // Stats returns per-lane occupancy counters.
 func (q *FairQueue) Stats() [NumLanes]LaneStats {
 	var out [NumLanes]LaneStats
@@ -207,6 +201,3 @@ func (q *FairQueue) Stats() [NumLanes]LaneStats {
 	}
 	return out
 }
-
-// Depth reports how many ops are waiting in lane.
-func (q *FairQueue) Depth(lane int) int { return q.depth[ClampLane(lane)] }

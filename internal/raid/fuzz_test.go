@@ -71,7 +71,7 @@ func FuzzReconstruct(f *testing.F) {
 	f.Add(byte(5), byte(63), byte(0), byte(4), byte(6), int64(1009))
 	f.Add(byte(2), byte(8), byte(1), byte(1), byte(12), int64(-5))
 	f.Fuzz(func(t *testing.T, nSel, lenSel, m1, m2, mode byte, seed int64) {
-		n := 2 + int(nSel%6)        // 2..7 data disks
+		n := 2 + int(nSel%6)           // 2..7 data disks
 		blockLen := 1 + int(lenSel%64) // 1..64 bytes per block
 		// Deterministic stripe content from the fuzzed seed.
 		rng := uint64(seed)

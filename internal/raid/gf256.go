@@ -38,14 +38,6 @@ func gfMulNoTable(a, b byte) byte {
 	return p
 }
 
-// gfMul multiplies a and b in GF(2⁸).
-func gfMul(a, b byte) byte {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return gfExp[int(gfLog[a])+int(gfLog[b])]
-}
-
 // gfDiv divides a by b in GF(2⁸); b must be nonzero.
 func gfDiv(a, b byte) byte {
 	if b == 0 {

@@ -109,3 +109,11 @@ func TestGFScale(t *testing.T) {
 		}
 	}
 }
+
+// gfMul multiplies a and b in GF(2⁸).
+func gfMul(a, b byte) byte {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	return gfExp[int(gfLog[a])+int(gfLog[b])]
+}

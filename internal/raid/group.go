@@ -148,9 +148,6 @@ func NewGroup(k *sim.Kernel, level Level, disks []*disk.Disk) (*Group, error) {
 	}, nil
 }
 
-// Level returns the group's RAID level.
-func (g *Group) Level() Level { return g.level }
-
 // BlockSize returns the logical block size in bytes.
 func (g *Group) BlockSize() int { return g.blockSize }
 

@@ -8,19 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Read returns count logical blocks starting at lba, reconstructing any
-// blocks that live on failed or not-yet-rebuilt disks (degraded read).
-func (g *Group) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
-	if count < 0 {
-		return nil, fmt.Errorf("raid: read out of range lba=%d count=%d cap=%d", lba, count, g.Capacity())
-	}
-	buf := make([]byte, count*g.blockSize)
-	if err := g.ReadInto(p, lba, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // ReadInto is Read filling dst, a whole number of blocks that may hold
 // anything, with one I/O per member disk wherever the disk's own cost model
 // allows it. A run of several stripe rows puts a disk's data blocks apart

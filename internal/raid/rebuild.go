@@ -63,16 +63,6 @@ func (g *Group) StartRebuild(idx int) (chunks int64, err error) {
 // Rebuilding reports whether disk idx is mid-rebuild.
 func (g *Group) Rebuilding(idx int) bool { return g.rebuilding[idx] != nil }
 
-// RebuildProgress returns the fraction of chunks completed for disk idx
-// (1.0 if not rebuilding).
-func (g *Group) RebuildProgress(idx int) float64 {
-	st := g.rebuilding[idx]
-	if st == nil {
-		return 1
-	}
-	return float64(len(st.done)) / float64(st.total)
-}
-
 // RebuildChunk reconstructs chunk c of disk idx's rebuild. It may be called
 // from any simulation process; disjoint chunks may be rebuilt concurrently
 // by different workers. Completing the final chunk closes the rebuild.
@@ -221,45 +211,6 @@ func (g *Group) rebuildParityRange(p *sim.Proc, idx int, lo, hi int64) error {
 		copy(out[off:], target)
 	}
 	return g.disks[idx].Write(p, lo, out)
-}
-
-// Rebuild runs a complete rebuild of disk idx with the given number of
-// concurrent workers, blocking p until done. The cluster layer distributes
-// chunks across blades instead; this is the single-controller path the
-// baseline uses.
-func (g *Group) Rebuild(p *sim.Proc, idx int, workers int) error {
-	st := g.rebuilding[idx]
-	if st == nil {
-		return errors.New("raid: disk not rebuilding (call StartRebuild)")
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	total := st.total
-	next := int64(0)
-	var fns []func(q *sim.Proc) error
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		fns = append(fns, func(q *sim.Proc) error {
-			for {
-				if next >= total {
-					return nil
-				}
-				c := next
-				next++
-				if err := g.RebuildChunk(q, idx, c); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return err
-				}
-			}
-		})
-	}
-	if err := parallel(p, fns...); err != nil {
-		return err
-	}
-	return firstErr
 }
 
 // ScrubRange verifies parity for stripes [lo, hi): every stripe's P (and

@@ -196,7 +196,7 @@ func TestInterleavedRunWritesKeepParityProperty(t *testing.T) {
 					if _, err := g.StartRebuild(di); err != nil {
 						t.Fatal(err)
 					}
-					if err := g.Rebuild(p, di, 2); err != nil {
+					if err := rebuild(p, g, di, 2); err != nil {
 						t.Fatal(err)
 					}
 				}

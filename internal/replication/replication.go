@@ -86,9 +86,6 @@ func (m *Manager) SetAlive(alive []int) {
 	m.alive = append([]int(nil), alive...)
 }
 
-// Factor returns the replication factor N.
-func (m *Manager) Factor() int { return m.n }
-
 // RegisterTelemetry publishes the manager's counters under s: replica
 // pushes/releases, recoveries replayed, and replicas currently held for
 // peers.
@@ -98,11 +95,6 @@ func (m *Manager) RegisterTelemetry(s telemetry.Scope) {
 	s.Int("recovered", func() int64 { return m.Recovered })
 	s.Int("held_blocks", func() int64 { return int64(m.HeldBlocks()) })
 }
-
-// SetFactor changes N for subsequent writes. The paper allows the level to
-// be "dynamically specified on a file-by-file basis"; the per-write factor
-// is plumbed through the PFS policy layer via managers configured per class.
-func (m *Manager) SetFactor(n int) { m.n = n }
 
 // buddies returns the factor−1 blades (≠ self) that replicate key for
 // this blade, chosen deterministically so recovery can be audited.
@@ -220,16 +212,6 @@ func (m *Manager) handleDrop(p *sim.Proc, from simnet.Addr, args any) (any, int)
 		}
 	}
 	return dropResp{}, ctrlSize
-}
-
-// HeldFor returns the replicas this blade stores for owner (for recovery
-// and tests).
-func (m *Manager) HeldFor(owner int) map[cache.Key]Replica {
-	out := make(map[cache.Key]Replica, len(m.held[owner]))
-	for k, v := range m.held[owner] {
-		out[k] = v
-	}
-	return out
 }
 
 // HeldBlocks returns the total replica count stored on this blade.

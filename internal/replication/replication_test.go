@@ -51,7 +51,7 @@ func TestReplicatePlacesNMinus1Copies(t *testing.T) {
 	})
 	total := 0
 	for i := 1; i < 5; i++ {
-		total += len(r.mgrs[i].HeldFor(0))
+		total += len(r.mgrs[i].held[0])
 	}
 	if total != 2 {
 		t.Fatalf("replica copies = %d, want 2 (N-1)", total)
@@ -105,7 +105,7 @@ func TestFactorClampedToLiveBlades(t *testing.T) {
 	})
 	total := 0
 	for i := 1; i < 3; i++ {
-		total += len(r.mgrs[i].HeldFor(0))
+		total += len(r.mgrs[i].held[0])
 	}
 	if total != 2 {
 		t.Fatalf("copies = %d, want 2 (all other blades)", total)
@@ -120,7 +120,7 @@ func TestDropReleasesReplicas(t *testing.T) {
 		p.Sleep(sim.Millisecond) // let async drops land
 	})
 	for i := 1; i < 4; i++ {
-		if len(r.mgrs[i].HeldFor(0)) != 0 {
+		if len(r.mgrs[i].held[0]) != 0 {
 			t.Fatalf("blade %d still holds replica after drop", i)
 		}
 	}
@@ -135,7 +135,7 @@ func TestStaleDropIgnored(t *testing.T) {
 	})
 	total := 0
 	for i := 1; i < 4; i++ {
-		total += len(r.mgrs[i].HeldFor(0))
+		total += len(r.mgrs[i].held[0])
 	}
 	if total != 1 {
 		t.Fatalf("replicas = %d after stale drop, want 1", total)
@@ -149,7 +149,7 @@ func TestNewerPutSupersedes(t *testing.T) {
 		r.mgrs[0].ReplicateDirty(p, key(5), data(2), 2, 0)
 	})
 	for i := 1; i < 4; i++ {
-		for _, rep := range r.mgrs[i].HeldFor(0) {
+		for _, rep := range r.mgrs[i].held[0] {
 			if rep.Data[0] != 2 || rep.Version != 2 {
 				t.Fatalf("replica = v%d d=%d, want v2 d=2", rep.Version, rep.Data[0])
 			}
@@ -177,7 +177,7 @@ func TestRecoverForDestagesDeadOwnersBlocks(t *testing.T) {
 		t.Fatal("recovery did not destage dead owner's writes")
 	}
 	for i := 1; i < 4; i++ {
-		if len(r.mgrs[i].HeldFor(0)) != 0 {
+		if len(r.mgrs[i].held[0]) != 0 {
 			t.Fatal("replicas not released after recovery")
 		}
 	}
@@ -215,7 +215,7 @@ func TestSurvivabilityProperty(t *testing.T) {
 			copies++ // owner's own dirty cache copy survives
 		}
 		for b := 0; b < blades; b++ {
-			if !isFailed(b) && len(r.mgrs[b].HeldFor(owner)) > 0 {
+			if !isFailed(b) && len(r.mgrs[b].held[owner]) > 0 {
 				copies++
 			}
 		}

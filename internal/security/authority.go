@@ -130,14 +130,6 @@ func (a *Authority) Issue(tenantID string, ttl sim.Duration) (string, error) {
 	return tok, nil
 }
 
-// Revoke invalidates a token immediately.
-func (a *Authority) Revoke(token string) {
-	if info, ok := a.tokens[token]; ok {
-		delete(a.tokens, token)
-		a.log(info.tenant, "token.revoke", "", true, "")
-	}
-}
-
 // Authenticate resolves a token to its tenant, rejecting unknown or
 // expired tokens. Failures are audited.
 func (a *Authority) Authenticate(token string) (string, error) {
@@ -166,9 +158,6 @@ func (a *Authority) log(tenant, action, target string, ok bool, detail string) {
 func (a *Authority) Record(tenant, action, target string, ok bool, detail string) {
 	a.log(tenant, action, target, ok, detail)
 }
-
-// Audit returns the security log.
-func (a *Authority) Audit() []AuditEvent { return a.audit }
 
 // Denials returns the audited failures — what an operator reviews after an
 // intrusion attempt.

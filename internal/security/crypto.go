@@ -63,14 +63,3 @@ func (c *Cryptor) EncryptBlock(p *sim.Proc, vol string, lba int64, data []byte) 
 func (c *Cryptor) DecryptBlock(p *sim.Proc, vol string, lba int64, data []byte) []byte {
 	return c.EncryptBlock(p, vol, lba, data)
 }
-
-// EncryptStream encrypts a transport payload (in-flight protection for
-// non-secure media, §5.1) with a message-index IV.
-func (c *Cryptor) EncryptStream(p *sim.Proc, streamID string, seq int64, data []byte) []byte {
-	return c.EncryptBlock(p, "stream/"+streamID, seq, data)
-}
-
-// DecryptStream reverses EncryptStream.
-func (c *Cryptor) DecryptStream(p *sim.Proc, streamID string, seq int64, data []byte) []byte {
-	return c.EncryptBlock(p, "stream/"+streamID, seq, data)
-}

@@ -68,9 +68,6 @@ func (g *Gateway) ExportLUN(lun, vol string) { g.lunVolume[lun] = vol }
 // data path; out-of-band (management network) invocation remains possible.
 func (g *Gateway) DisableInBand(command string) { g.inbandDisabled[command] = true }
 
-// EnableInBand re-enables an in-band control command.
-func (g *Gateway) EnableInBand(command string) { delete(g.inbandDisabled, command) }
-
 // Visible lists the LUNs the token's tenant can see.
 func (g *Gateway) Visible(token string) ([]string, error) {
 	tenant, err := g.auth.Authenticate(token)

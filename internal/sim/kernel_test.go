@@ -227,7 +227,7 @@ func TestFutureWaitBeforeAndAfterSet(t *testing.T) {
 	if before != 99 || after != 99 {
 		t.Fatalf("before=%d after=%d, want 99/99", before, after)
 	}
-	if !f.Done() {
+	if !f.set {
 		t.Fatal("future not done")
 	}
 }
@@ -242,20 +242,6 @@ func TestFutureSetTwicePanics(t *testing.T) {
 		}
 	}()
 	f.Set(2)
-}
-
-func TestFutureOnDone(t *testing.T) {
-	k := NewKernel(1)
-	f := NewFuture[int](k)
-	var got []int
-	f.OnDone(func(v int) { got = append(got, v) })
-	k.After(Millisecond, func() { f.Set(7) })
-	k.Run()
-	f.OnDone(func(v int) { got = append(got, v*10) })
-	k.Run()
-	if len(got) != 2 || got[0] != 7 || got[1] != 70 {
-		t.Fatalf("got %v, want [7 70]", got)
-	}
 }
 
 func TestSemaphoreLimitsConcurrency(t *testing.T) {

@@ -68,25 +68,16 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 	return m.q.pop()
 }
 
-// TryRecv returns the next value without blocking; ok is false if empty.
-func (m *Mailbox[T]) TryRecv() (v T, ok bool) {
-	if m.q.len() == 0 {
-		return v, false
-	}
-	return m.q.pop(), true
-}
-
 // Len reports the number of queued values.
 func (m *Mailbox[T]) Len() int { return m.q.len() }
 
 // Future is a single-assignment value that processes can wait on.
 // The zero Future is not usable; construct with NewFuture.
 type Future[T any] struct {
-	k         *Kernel
-	set       bool
-	v         T
-	waiters   []*Proc
-	callbacks []func(T)
+	k       *Kernel
+	set     bool
+	v       T
+	waiters []*Proc
 }
 
 // NewFuture returns an unset future bound to k.
@@ -106,15 +97,7 @@ func (f *Future[T]) Set(v T) {
 		f.k.wakeAt(f.k.now, w)
 	}
 	f.waiters = nil
-	for _, cb := range f.callbacks {
-		cb := cb
-		f.k.At(f.k.now, func() { cb(v) })
-	}
-	f.callbacks = nil
 }
-
-// Done reports whether the future has been set.
-func (f *Future[T]) Done() bool { return f.set }
 
 // Wait blocks p until the future is set, then returns the value.
 func (f *Future[T]) Wait(p *Proc) T {
@@ -145,24 +128,6 @@ func (f *Future[T]) WaitTimeout(p *Proc, d Duration) (v T, ok bool) {
 	}
 	f.waiters = slices.DeleteFunc(f.waiters, func(w *Proc) bool { return w == p })
 	return v, false
-}
-
-// OnDone registers fn to be scheduled when the future is set. If the future
-// is already set, fn is scheduled immediately.
-func (f *Future[T]) OnDone(fn func(T)) {
-	if f.set {
-		v := f.v
-		f.k.At(f.k.now, func() { fn(v) })
-		return
-	}
-	f.callbacks = append(f.callbacks, fn)
-}
-
-// WaitAll blocks p until every future in fs is set.
-func WaitAll[T any](p *Proc, fs ...*Future[T]) {
-	for _, f := range fs {
-		f.Wait(p)
-	}
 }
 
 // Semaphore is a counting semaphore for modeling limited resources

@@ -98,22 +98,6 @@ func (c *Conn) SetBatching(on bool, pol BatchPolicy) {
 	}
 }
 
-// Batching reports whether frame coalescing is on.
-func (c *Conn) Batching() bool { return c.batching }
-
-// BatchStats returns a copy of the coalescing counters.
-func (c *Conn) BatchStats() BatchStats { return c.bstats }
-
-// OccupancyHistogram returns the per-frame occupancy histogram (samples are
-// message counts, recorded in sim.Duration units of 1), or nil before
-// batching is first enabled.
-func (c *Conn) OccupancyHistogram() *metrics.Histogram { return c.occupancy }
-
-// BatchDelayHistogram returns the histogram of per-frame coalescing delay
-// (flush time minus the oldest payload's enqueue time), or nil before
-// batching is first enabled.
-func (c *Conn) BatchDelayHistogram() *metrics.Histogram { return c.batchDelay }
-
 // send is the single egress point for every payload the Conn emits. With
 // batching off it is exactly Endpoint.Send; with batching on the payload
 // joins (or opens) the destination's pending frame.

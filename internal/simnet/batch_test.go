@@ -106,18 +106,18 @@ func TestDupSuppressionBounded(t *testing.T) {
 	if got := len(srv.seenCur) + len(srv.seenPrev); got > 2*seenGenCap {
 		t.Fatalf("suppression window holds %d ids, want <= %d", got, 2*seenGenCap)
 	}
-	if srv.Served() != int64(total) {
-		t.Fatalf("served = %d, want %d", srv.Served(), total)
+	if srv.served != int64(total) {
+		t.Fatalf("served = %d, want %d", srv.served, total)
 	}
 	// A duplicate of a recent id is still suppressed...
 	srv.dispatch("c", rpcRequest{id: uint64(total), method: "noop"})
-	if srv.Served() != int64(total) {
+	if srv.served != int64(total) {
 		t.Fatal("recent duplicate executed twice")
 	}
 	// ...while one past the window has aged out and re-executes (bounded
 	// memory necessarily forgets ancient ids).
 	srv.dispatch("c", rpcRequest{id: 1, method: "noop"})
-	if srv.Served() != int64(total)+1 {
+	if srv.served != int64(total)+1 {
 		t.Fatal("aged-out id should no longer be suppressed")
 	}
 }
@@ -131,14 +131,14 @@ func TestDupSuppressedAfterFaultsClear(t *testing.T) {
 	n.SetFaultsAll(FaultPlan{DelayProb: 1e-12})
 	srv.dispatch("c", rpcRequest{id: 7, method: "noop"})
 	k.Run()
-	if srv.Served() != 1 {
-		t.Fatalf("served = %d, want 1", srv.Served())
+	if srv.served != 1 {
+		t.Fatalf("served = %d, want 1", srv.served)
 	}
 	n.SetFaultsAll(FaultPlan{}) // plan cleared; the dup is already in flight
 	srv.dispatch("c", rpcRequest{id: 7, method: "noop"})
 	k.Run()
-	if srv.Served() != 1 {
-		t.Fatalf("served = %d after late duplicate, want 1 (executed twice)", srv.Served())
+	if srv.served != 1 {
+		t.Fatalf("served = %d after late duplicate, want 1 (executed twice)", srv.served)
 	}
 }
 
@@ -208,16 +208,16 @@ func TestFrameCoalescing(t *testing.T) {
 	if sum != 2 {
 		t.Fatalf("sum = %d, want 2", sum)
 	}
-	cs, ss := cli.BatchStats(), srv.BatchStats()
+	cs, ss := cli.bstats, srv.bstats
 	if cs.Frames != 1 || cs.Messages != 2 {
 		t.Fatalf("client stats = %+v, want 2 messages in 1 frame", cs)
 	}
 	if ss.Frames != 1 || ss.Messages != 2 || ss.Piggybacked != 1 {
 		t.Fatalf("server stats = %+v, want both replies in 1 frame, 1 piggybacked", ss)
 	}
-	if cli.OccupancyHistogram().Count() != 1 || cli.OccupancyHistogram().Mean() != 2 {
+	if cli.occupancy.Count() != 1 || cli.occupancy.Mean() != 2 {
 		t.Fatalf("occupancy count=%d mean=%v, want one sample of 2",
-			cli.OccupancyHistogram().Count(), cli.OccupancyHistogram().Mean())
+			cli.occupancy.Count(), cli.occupancy.Mean())
 	}
 }
 
@@ -243,7 +243,7 @@ func TestFrameWindowFlush(t *testing.T) {
 	if want := 2*sim.Millisecond + win; rtt != want {
 		t.Fatalf("rtt = %v, want %v", rtt, want)
 	}
-	h := cli.BatchDelayHistogram()
+	h := cli.batchDelay
 	if h.Count() != 1 || h.Mean() != win {
 		t.Fatalf("delay count=%d mean=%v, want one sample of %v", h.Count(), h.Mean(), win)
 	}
@@ -259,14 +259,15 @@ func TestFrameMaxMsgsFlush(t *testing.T) {
 	k.Go("caller", func(p *sim.Proc) {
 		f1 := goCall(k, cli, "s", "one")
 		f2 := goCall(k, cli, "s", "one")
-		sim.WaitAll(p, f1, f2)
+		f1.Wait(p)
+		f2.Wait(p)
 		end = p.Now()
 	})
 	k.Run()
 	if end != sim.Time(2*sim.Millisecond) {
 		t.Fatalf("completed at %v, want 2ms (bound flush must not wait for the window)", end)
 	}
-	if d := cli.BatchDelayHistogram().Mean(); d != 0 {
+	if d := cli.batchDelay.Mean(); d != 0 {
 		t.Fatalf("batch delay = %v, want 0", d)
 	}
 }
@@ -313,10 +314,10 @@ func TestBatchingOffIsPerMessage(t *testing.T) {
 	if rtt != 10*sim.Millisecond {
 		t.Fatalf("rtt = %v, want 10ms", rtt)
 	}
-	if cli.BatchStats() != (BatchStats{}) || srv.BatchStats() != (BatchStats{}) {
+	if cli.bstats != (BatchStats{}) || srv.bstats != (BatchStats{}) {
 		t.Fatal("batch counters moved with batching off")
 	}
-	if cli.OccupancyHistogram() != nil {
+	if cli.occupancy != nil {
 		t.Fatal("occupancy histogram allocated with batching off")
 	}
 }
@@ -336,7 +337,7 @@ func TestBatchedUnreachableFailsFast(t *testing.T) {
 	if err != ErrUnreachable {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
-	if cli.BatchStats().Frames != 0 {
+	if cli.bstats.Frames != 0 {
 		t.Fatal("frame emitted toward a down peer")
 	}
 }

@@ -109,7 +109,7 @@ func TestCastsLeaveNothingPendingUnderLoss(t *testing.T) {
 	if n.Faults.Dropped == 0 || n.Faults.Duplicated == 0 {
 		t.Fatalf("fault plan injected %+v: the test needs lost and duplicated messages", n.Faults)
 	}
-	if served := srv.Served(); served == 0 || served >= casts {
+	if served := srv.served; served == 0 || served >= casts {
 		t.Fatalf("served %d of %d notices, want some lost and every duplicate suppressed", served, casts)
 	}
 	if len(cli.pending) != 0 || len(srv.pending) != 0 {

@@ -172,8 +172,8 @@ func TestCallRetryGivesUpBounded(t *testing.T) {
 	if now := k.Now(); now > sim.Time(sim.Second) {
 		t.Fatalf("gave up only after %v; retry budget unbounded?", now)
 	}
-	if srv.Served() != 0 {
-		t.Fatalf("server served %d requests across a drop-everything link", srv.Served())
+	if srv.served != 0 {
+		t.Fatalf("server served %d requests across a drop-everything link", srv.served)
 	}
 }
 

@@ -140,7 +140,7 @@ func (n *Network) Node(addr Addr) *Endpoint {
 	if ep, ok := n.nodes[addr]; ok {
 		return ep
 	}
-	ep := &Endpoint{net: n, addr: addr, inbox: sim.NewMailbox[Message](n.k)}
+	ep := &Endpoint{net: n, addr: addr}
 	n.nodes[addr] = ep
 	return ep
 }
@@ -197,9 +197,6 @@ func (n *Network) refreshFaultsActive() {
 // down node tries to send are dropped at origin.
 func (n *Network) SetDown(addr Addr, down bool) { n.down[addr] = down }
 
-// Down reports whether addr is marked down.
-func (n *Network) Down(addr Addr) bool { return n.down[addr] }
-
 // Reachable reports whether a message from→to would be accepted right now:
 // both endpoints up and a route between them. It mirrors Send's admission
 // check without transmitting anything (used by frame coalescing to fail
@@ -209,14 +206,6 @@ func (n *Network) Reachable(from, to Addr) bool {
 		return false
 	}
 	return n.path(from, to) != nil
-}
-
-// LinkBytes reports the bytes carried so far on the a→b link.
-func (n *Network) LinkBytes(a, b Addr) int64 {
-	if l, ok := n.links[[2]Addr{a, b}]; ok {
-		return l.bytes
-	}
-	return 0
 }
 
 // Links returns every directed link's (from, to) pair in sorted order —
@@ -406,12 +395,11 @@ func (n *Network) scheduleDelivery(msg Message, t sim.Time) {
 	})
 }
 
-// Endpoint is a node's attachment point: incoming messages go either to a
-// registered handler or to the endpoint's inbox mailbox.
+// Endpoint is a node's attachment point: incoming messages go to its
+// registered handler; an endpoint with none drops them.
 type Endpoint struct {
 	net     *Network
 	addr    Addr
-	inbox   *sim.Mailbox[Message]
 	handler func(Message)
 }
 
@@ -421,11 +409,8 @@ func (e *Endpoint) Addr() Addr { return e.addr }
 // Network returns the network this endpoint belongs to.
 func (e *Endpoint) Network() *Network { return e.net }
 
-// Handle registers fn to receive messages, replacing inbox delivery.
+// Handle registers fn to receive messages.
 func (e *Endpoint) Handle(fn func(Message)) { e.handler = fn }
-
-// Inbox returns the endpoint's mailbox (used when no handler is set).
-func (e *Endpoint) Inbox() *sim.Mailbox[Message] { return e.inbox }
 
 // Send transmits a payload of the given wire size to dst.
 func (e *Endpoint) Send(dst Addr, payload any, size int) bool {
@@ -436,7 +421,5 @@ func (e *Endpoint) Send(dst Addr, payload any, size int) bool {
 func (e *Endpoint) deliver(msg Message) {
 	if e.handler != nil {
 		e.handler(msg)
-		return
 	}
-	e.inbox.Send(msg)
 }

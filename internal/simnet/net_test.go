@@ -213,8 +213,8 @@ func TestRPCBasic(t *testing.T) {
 	if got != 5 {
 		t.Fatalf("rpc result = %v, want 5", got)
 	}
-	if srv.Served() != 1 {
-		t.Fatalf("served = %d, want 1", srv.Served())
+	if srv.served != 1 {
+		t.Fatalf("served = %d, want 1", srv.served)
 	}
 }
 
@@ -359,4 +359,12 @@ func TestRPCCast(t *testing.T) {
 	if len(cli.pending) != 0 || cli.Stats().Calls != 0 {
 		t.Fatalf("pending = %d, stats = %+v after the replies landed, want nothing", len(cli.pending), cli.Stats())
 	}
+}
+
+// LinkBytes reports the bytes carried so far on the a→b link.
+func (n *Network) LinkBytes(a, b Addr) int64 {
+	if l, ok := n.links[[2]Addr{a, b}]; ok {
+		return l.bytes
+	}
+	return 0
 }

@@ -192,12 +192,6 @@ func NewConn(net *Network, addr Addr) *Conn {
 // Addr returns the connection's network address.
 func (c *Conn) Addr() Addr { return c.ep.Addr() }
 
-// Network returns the underlying network.
-func (c *Conn) Network() *Network { return c.ep.Network() }
-
-// Served reports how many requests this connection has handled.
-func (c *Conn) Served() int64 { return c.served }
-
 // Stats returns a copy of the connection's client-side RPC counters.
 func (c *Conn) Stats() RPCStats { return c.stats }
 

@@ -34,7 +34,6 @@ import (
 type Registry struct {
 	samplers map[string]func() float64
 	hists    map[string]*metrics.Histogram
-	gauges   []*metrics.Gauge
 	names    []string
 	sorted   bool
 }
@@ -67,22 +66,6 @@ func (r *Registry) Int(name string, fn func() int64) {
 	r.Func(name, func() float64 { return float64(fn()) })
 }
 
-// Counter registers a metrics.Counter's current value.
-func (r *Registry) Counter(name string, c *metrics.Counter) {
-	r.Int(name, c.Value)
-}
-
-// Gauge registers a metrics.Gauge as three series: the current value plus
-// its high and low watermarks (name, name/max, name/min). The gauge is also
-// remembered for ResetWatermarks, so under a scraper the watermarks report
-// per-interval peaks rather than lifetime extremes.
-func (r *Registry) Gauge(name string, g *metrics.Gauge) {
-	r.Int(name, g.Value)
-	r.Int(name+"/max", g.Max)
-	r.Int(name+"/min", g.Min)
-	r.gauges = append(r.gauges, g)
-}
-
 // Histogram registers a metrics.Histogram as derived series (name/count,
 // name/mean_ms, name/p50_ms, name/p99_ms) and keeps the histogram itself
 // retrievable via HistogramFor, so watchdogs can compute windowed quantiles.
@@ -111,14 +94,6 @@ func (r *Registry) ExemplarFor(name string, q float64) (metrics.Exemplar, bool) 
 		return metrics.Exemplar{}, false
 	}
 	return h.ExemplarNear(q)
-}
-
-// ResetWatermarks re-arms every registered gauge's high/low watermarks at
-// its current value. The scraper calls this after each scrape.
-func (r *Registry) ResetWatermarks() {
-	for _, g := range r.gauges {
-		g.Reset()
-	}
 }
 
 // Len reports the number of registered series.
@@ -259,9 +234,6 @@ func (s Scope) Sub(prefix string) Scope {
 	return Scope{r: s.r, prefix: s.prefix + "/" + prefix}
 }
 
-// Registry returns the underlying registry.
-func (s Scope) Registry() *Registry { return s.r }
-
 func (s Scope) name(n string) string {
 	if s.prefix == "" {
 		return n
@@ -269,10 +241,8 @@ func (s Scope) name(n string) string {
 	return s.prefix + "/" + n
 }
 
-// Func, Int, Counter, Gauge and Histogram mirror the Registry methods under
-// the scope's prefix.
-func (s Scope) Func(n string, fn func() float64)        { s.r.Func(s.name(n), fn) }
-func (s Scope) Int(n string, fn func() int64)           { s.r.Int(s.name(n), fn) }
-func (s Scope) Counter(n string, c *metrics.Counter)    { s.r.Counter(s.name(n), c) }
-func (s Scope) Gauge(n string, g *metrics.Gauge)        { s.r.Gauge(s.name(n), g) }
+// Func, Int and Histogram mirror the Registry methods under the scope's
+// prefix.
+func (s Scope) Func(n string, fn func() float64)         { s.r.Func(s.name(n), fn) }
+func (s Scope) Int(n string, fn func() int64)            { s.r.Int(s.name(n), fn) }
 func (s Scope) Histogram(n string, h *metrics.Histogram) { s.r.Histogram(s.name(n), h) }

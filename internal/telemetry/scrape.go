@@ -57,15 +57,6 @@ func NewScraper(k *sim.Kernel, reg *Registry, interval sim.Duration) *Scraper {
 	return &Scraper{k: k, reg: reg, interval: interval, cap: DefaultScrapeCap}
 }
 
-// SetCap resizes the retained-scrape ring (existing scrapes are dropped).
-func (s *Scraper) SetCap(n int) {
-	if n <= 0 {
-		panic("telemetry: scrape cap must be positive")
-	}
-	s.cap = n
-	s.times, s.rows, s.head, s.n = nil, nil, 0, 0
-}
-
 // AddWatchdog attaches w; it is evaluated on every scrape, in attach order.
 func (s *Scraper) AddWatchdog(w Watchdog) { s.watchdogs = append(s.watchdogs, w) }
 
@@ -143,7 +134,6 @@ func (s *Scraper) ScrapeNow() {
 	s.prev = cur
 	s.prevT = now
 	s.scrapes++
-	s.reg.ResetWatermarks()
 }
 
 func (s *Scraper) emit(ev Event) {

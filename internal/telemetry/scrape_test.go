@@ -11,22 +11,22 @@ import (
 
 // tickingCounter builds a registry over a counter a sim process increments
 // once per virtual millisecond — the minimal scrapeable workload.
-func tickingCounter(k *sim.Kernel) (*Registry, *metrics.Counter) {
+func tickingCounter(k *sim.Kernel) *Registry {
 	r := NewRegistry()
-	var c metrics.Counter
-	r.Counter("ticks", &c)
+	var c int64
+	r.Int("ticks", func() int64 { return c })
 	k.Go("ticker", func(p *sim.Proc) {
 		for {
 			p.Sleep(sim.Millisecond)
-			c.Inc()
+			c++
 		}
 	})
-	return r, &c
+	return r
 }
 
 func TestScraperSeriesAndDeltas(t *testing.T) {
 	k := sim.NewKernel(1)
-	reg, _ := tickingCounter(k)
+	reg := tickingCounter(k)
 	s := NewScraper(k, reg, 10*sim.Millisecond)
 	stop := s.Start()
 	k.RunFor(100 * sim.Millisecond)
@@ -61,9 +61,9 @@ func TestScraperSeriesAndDeltas(t *testing.T) {
 
 func TestScraperRingWrap(t *testing.T) {
 	k := sim.NewKernel(1)
-	reg, _ := tickingCounter(k)
+	reg := tickingCounter(k)
 	s := NewScraper(k, reg, 10*sim.Millisecond)
-	s.SetCap(4)
+	s.cap = 4
 	stop := s.Start()
 	k.RunFor(100 * sim.Millisecond)
 	stop()
@@ -102,14 +102,14 @@ func TestScraperStopMovesNoEvents(t *testing.T) {
 // scrapeRun runs the same seeded scrape workload and returns its exports.
 func scrapeRun(seed int64) (timeline, events string, scrapes int64) {
 	k := sim.NewKernel(seed)
-	reg, _ := tickingCounter(k)
+	reg := tickingCounter(k)
 	// A second, seeded-random counter exercises value formatting.
-	var noisy metrics.Counter
-	reg.Counter("noisy", &noisy)
+	var noisy int64
+	reg.Int("noisy", func() int64 { return noisy })
 	k.Go("noise", func(p *sim.Proc) {
 		for {
-			p.Sleep(sim.Duration(1+k.Rand().Int63n(int64(2*sim.Millisecond))))
-			noisy.Add(k.Rand().Int63n(5))
+			p.Sleep(sim.Duration(1 + k.Rand().Int63n(int64(2*sim.Millisecond))))
+			noisy += k.Rand().Int63n(5)
 		}
 	})
 	s := NewScraper(k, reg, 5*sim.Millisecond)

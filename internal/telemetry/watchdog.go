@@ -88,8 +88,6 @@ func (v *View) MatchDeltas(pattern string) (names []string, deltas []float64) {
 // function of the view plus the watchdog's own state — no randomness, no
 // virtual time — so event sequences are deterministic.
 type Watchdog interface {
-	// Rule names the watchdog in events and traces.
-	Rule() string
 	// Check inspects one scrape and returns any events to emit.
 	Check(v *View) []Event
 }

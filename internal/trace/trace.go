@@ -247,10 +247,9 @@ func (t *Tracer) Spans() []Span {
 	return t.spans
 }
 
-// Started and Ended count spans opened and completed; Dropped counts
-// spans that ended past the retention cap (still counted in histograms).
+// Started counts spans opened; Dropped counts spans that ended past the
+// retention cap (still counted in histograms).
 func (t *Tracer) Started() int64 { return t.started }
-func (t *Tracer) Ended() int64   { return t.ended }
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
@@ -278,14 +277,6 @@ type Ctx struct {
 
 // Valid reports whether c belongs to a live trace.
 func (c Ctx) Valid() bool { return c.t != nil }
-
-// TraceID returns the trace this context belongs to (0 if invalid).
-func (c Ctx) TraceID() uint64 {
-	if !c.Valid() {
-		return 0
-	}
-	return c.trace
-}
 
 // Child opens a span under c, or returns nil for an invalid Ctx.
 func (c Ctx) Child(name string, phase Phase, where string) *Active {

@@ -395,8 +395,8 @@ func TestTraceIDAccessors(t *testing.T) {
 	if sp.TraceID() == 0 {
 		t.Fatal("live span TraceID = 0")
 	}
-	if sp.Ctx().TraceID() != sp.TraceID() {
-		t.Error("Ctx.TraceID mismatch")
+	if sp.Ctx().trace != sp.TraceID() {
+		t.Error("Ctx trace mismatch")
 	}
 	child := sp.Child("c", Disk, "x")
 	if child.TraceID() != sp.TraceID() {
@@ -407,9 +407,6 @@ func TestTraceIDAccessors(t *testing.T) {
 	var nilA *Active
 	if nilA.TraceID() != 0 {
 		t.Error("nil Active TraceID != 0")
-	}
-	if (Ctx{}).TraceID() != 0 {
-		t.Error("zero Ctx TraceID != 0")
 	}
 	var nilT *Tracer
 	if nilT.TraceDropped(1) || nilT.DroppedTraceOverflow() || nilT.DroppedTraces() != nil {

@@ -23,15 +23,6 @@ func (pl *Pool) allocOn(dev int) (extentRef, error) {
 	return extentRef{}, fmt.Errorf("%w: device %d", ErrNoSpaceOn, dev)
 }
 
-// ExtentDevice reports which backing device holds virtual extent ext
-// (-1 when unmapped) — the observability side of §3's virtualization.
-func (v *Volume) ExtentDevice(ext int64) int {
-	if e, ok := v.mapping[ext]; ok {
-		return e.dev
-	}
-	return -1
-}
-
 // MigrateExtent moves one mapped virtual extent onto device toDev: the
 // data is copied and only the virtual-to-real mapping changes — hosts
 // keep addressing the same virtual blocks throughout ("changes in the

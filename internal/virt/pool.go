@@ -114,9 +114,6 @@ func (pl *Pool) ExtentBytes() int64 { return pl.extentBlocks * int64(pl.blockSiz
 // TotalExtents returns the pool's physical extent count.
 func (pl *Pool) TotalExtents() int64 { return pl.totalExtents }
 
-// FreeExtents returns the number of unallocated extents.
-func (pl *Pool) FreeExtents() int64 { return int64(len(pl.free)) }
-
 // AllocatedExtents returns extents currently referenced by volumes or
 // snapshots.
 func (pl *Pool) AllocatedExtents() int64 { return pl.totalExtents - int64(len(pl.free)) }

@@ -22,9 +22,6 @@ type Volume struct {
 	// extent placed has fixed it (see place).
 	stripe  int
 	striped bool
-	// writesSinceAlloc counts extent allocations, for charge-back (§3:
-	// "charge back can reflect actual storage usage").
-	allocations int64
 }
 
 // Name returns the volume's name.
@@ -49,10 +46,6 @@ func (v *Volume) MappedExtents() int64 { return int64(len(v.mapping)) }
 
 // PhysicalBytes returns the physically consumed bytes.
 func (v *Volume) PhysicalBytes() int64 { return v.MappedExtents() * v.pool.ExtentBytes() }
-
-// Allocations returns how many extent allocations this volume has caused —
-// the charge-back counter of §3.
-func (v *Volume) Allocations() int64 { return v.allocations }
 
 // inRange reports whether [lba, lba+count) fits the virtual size without
 // overflowing (virtual sizes can exceed int64 blocks).
@@ -226,7 +219,6 @@ func (v *Volume) writeExtent(p *sim.Proc, sp extSpan, chunk []byte) error {
 		if err != nil {
 			return err
 		}
-		v.allocations++
 		dev := v.pool.devices[ne.dev]
 		full := sp.blocks == v.pool.extentBlocks
 		var werr error
@@ -251,7 +243,6 @@ func (v *Volume) writeExtent(p *sim.Proc, sp extSpan, chunk []byte) error {
 		if err != nil {
 			return err
 		}
-		v.allocations++
 		old := make([]byte, v.pool.ExtentBytes())
 		if err := v.pool.devices[e.dev].ReadInto(p, e.start, old); err != nil {
 			v.pool.unref(ne)
@@ -342,43 +333,6 @@ func (v *Volume) SnapshotAs(name string) (*Volume, error) {
 	}
 	v.pool.volumes[name] = s
 	return s, nil
-}
-
-// Resize changes the virtual size to newExtents extents. Thick volumes
-// allocate or free accordingly; DMSDs adjust bounds only ("host
-// applications never have to deal with volume resizing", §3 — growth is
-// free until written).
-func (v *Volume) Resize(newExtents int64) error {
-	if v.kind == Snapshot {
-		return ErrReadOnly
-	}
-	if newExtents <= 0 {
-		return fmt.Errorf("virt: invalid size %d", newExtents)
-	}
-	if v.kind == Thick {
-		for e := v.virtExtents; e < newExtents; e++ {
-			ne, err := v.pool.alloc()
-			if err != nil {
-				return err
-			}
-			v.mapping[e] = ne
-		}
-		for e := newExtents; e < v.virtExtents; e++ {
-			if old, ok := v.mapping[e]; ok {
-				v.pool.unref(old)
-				delete(v.mapping, e)
-			}
-		}
-	} else {
-		for ext, e := range v.mapping {
-			if ext >= newExtents {
-				v.pool.unref(e)
-				delete(v.mapping, ext)
-			}
-		}
-	}
-	v.virtExtents = newExtents
-	return nil
 }
 
 // release returns all of the volume's extents to the pool.

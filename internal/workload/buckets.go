@@ -53,9 +53,6 @@ func NewBucketZipf(rng *rand.Rand, users, buckets, objectsPerBucket int, s, writ
 	}
 }
 
-// Buckets returns the bucket population size.
-func (b *BucketZipf) Buckets() int { return int(b.ranks.Range) }
-
 // Next draws one operation. The rng consumption order is fixed: bucket
 // rank (from the bound generator), inner write draw, user, object, write.
 func (b *BucketZipf) Next(rng *rand.Rand) BucketOp {

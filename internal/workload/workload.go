@@ -25,28 +25,6 @@ type Pattern interface {
 	Next(rng *rand.Rand) Op
 }
 
-// Sequential streams forward from Start, wrapping at Limit.
-type Sequential struct {
-	Start  int64
-	Limit  int64
-	Blocks int
-	cursor int64
-}
-
-// Next returns the next sequential run.
-func (s *Sequential) Next(rng *rand.Rand) Op {
-	if s.Blocks <= 0 {
-		s.Blocks = 16
-	}
-	lba := s.Start + s.cursor
-	if lba+int64(s.Blocks) > s.Limit {
-		s.cursor = 0
-		lba = s.Start
-	}
-	s.cursor += int64(s.Blocks)
-	return Op{LBA: lba, Blocks: s.Blocks}
-}
-
 // Uniform picks block addresses uniformly over [0, Range).
 type Uniform struct {
 	Range     int64

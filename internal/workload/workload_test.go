@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -48,21 +49,6 @@ var errTest = errString("test failure")
 type errString string
 
 func (e errString) Error() string { return string(e) }
-
-func TestSequentialWraps(t *testing.T) {
-	s := &Sequential{Start: 0, Limit: 64, Blocks: 16}
-	rng := rand.New(rand.NewSource(1))
-	var lbas []int64
-	for i := 0; i < 6; i++ {
-		lbas = append(lbas, s.Next(rng).LBA)
-	}
-	want := []int64{0, 16, 32, 48, 0, 16}
-	for i := range want {
-		if lbas[i] != want[i] {
-			t.Fatalf("lbas = %v, want %v", lbas, want)
-		}
-	}
-}
 
 func TestUniformInRange(t *testing.T) {
 	u := Uniform{Range: 1000, Blocks: 4, WriteFrac: 0.3}
@@ -141,8 +127,8 @@ func TestRunnerClosedLoop(t *testing.T) {
 	if got := r.Latency.Mean(); got < sim.Millisecond || got > 2*sim.Millisecond {
 		t.Fatalf("mean latency %v, want ~1ms", got)
 	}
-	if r.Bytes.Total() != r.Ops*512 {
-		t.Fatalf("bytes = %d", r.Bytes.Total())
+	if got, want := r.Bytes.PerSecond()*r.Bytes.Window().Seconds(), float64(r.Ops*512); math.Abs(got-want) > 0.5 {
+		t.Fatalf("bytes = %v, want %v", got, want)
 	}
 }
 
@@ -313,7 +299,7 @@ func TestMeterIntegration(t *testing.T) {
 	r := &Runner{
 		K:        k,
 		Clients:  1,
-		Pattern:  func(int) Pattern { return &Sequential{Limit: 1 << 20, Blocks: 8} },
+		Pattern:  func(int) Pattern { return Uniform{Range: 1 << 20, Blocks: 8} },
 		Target:   target,
 		Duration: sim.Second,
 		Bytes:    m,
