@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race verify loc knobs orphans deadcode bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
+.PHONY: all build vet test race verify loc knobs orphans deadcode unrun bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
 
 all: verify
 
@@ -41,6 +41,12 @@ orphans:
 # inlining off), and fails if one is not named in scripts/deadcode.allow.
 deadcode:
 	bash scripts/deadcode.sh
+
+# unrun prints every function declared in a non-test internal/ file that no
+# run of the commands, examples and benchmark executes (each binary built
+# with coverage and run as a user runs it). Report-only; a few minutes.
+unrun:
+	bash scripts/unrun.sh
 
 # bench-e2e runs BENCHMARK.json's four workloads exactly as the driver does
 # (bench/run.sh builds into .bench_build/ and runs ~10 s per workload):

@@ -7,40 +7,24 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/disk"
-	"repro/internal/sim"
 )
 
-// newTracedScriptSystem is newScriptSystem with per-op tracing attached
-// (off until a script says `trace on`), the shape the analyze/critpath
-// commands need.
-func newTracedScriptSystem(t *testing.T) *core.System {
+// newTracedSession is a script session with per-op tracing attached (off
+// until a script says `trace on`), the shape the analyze/critpath commands
+// need.
+func newTracedSession(t *testing.T) *session {
 	t.Helper()
-	sys, err := core.NewSystem(core.Options{
-		Blades: 2,
-		Trace:  true,
-		DiskSpec: disk.Spec{
-			BlockSize:   4096,
-			Blocks:      1 << 12,
-			Seek:        5 * sim.Millisecond,
-			Rotation:    3 * sim.Millisecond,
-			TransferBps: 400_000_000,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Tracer.SetEnabled(false)
-	t.Cleanup(sys.Stop)
-	return sys
+	s := newScriptSession(t, core.Options{Trace: true})
+	s.sys.Tracer.SetEnabled(false)
+	return s
 }
 
 // TestAnalyzeCommand: traced ops → analyze renders the budget and tail
 // tables, and the folded export writes flame-graph input.
 func TestAnalyzeCommand(t *testing.T) {
-	sys := newTracedScriptSystem(t)
+	s := newTracedSession(t)
 	folded := filepath.Join(t.TempDir(), "stacks.folded")
-	out, errs := runScript(t, sys,
+	out, errs := runScript(t, s,
 		"analyze", // before any traces: friendly empty output, no error
 		"trace on",
 		"mkdir /t",
@@ -80,8 +64,8 @@ func TestAnalyzeCommand(t *testing.T) {
 
 // TestCritpathCommand: renders a named trace and the p99 exemplar path.
 func TestCritpathCommand(t *testing.T) {
-	sys := newTracedScriptSystem(t)
-	out, errs := runScript(t, sys,
+	s := newTracedSession(t)
+	out, errs := runScript(t, s,
 		"trace on",
 		"mkdir /t",
 		"put /t/f exemplar path data",
@@ -113,8 +97,8 @@ func TestCritpathCommand(t *testing.T) {
 // TestCritpathExemplarWithoutTraces: the exemplar lookup fails cleanly on
 // an untraced system.
 func TestCritpathExemplarWithoutTraces(t *testing.T) {
-	sys := newScriptSystem(t, false)
-	_, errs := runScript(t, sys, "critpath")
+	s := newScriptSession(t, core.Options{})
+	_, errs := runScript(t, s, "critpath")
 	if errs[0] == nil || !strings.Contains(errs[0].Error(), "exemplar") {
 		t.Errorf("want exemplar error, got %v", errs[0])
 	}

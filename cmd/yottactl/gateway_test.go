@@ -5,39 +5,21 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/gateway"
-	"repro/internal/sim"
 )
 
-// newGatewaySystem is newScriptSystem plus an object gateway, matching
+// newGatewaySession is a script session with an object gateway, matching
 // the configuration the yottactl demo scenario builds.
-func newGatewaySystem(t *testing.T) *core.System {
-	t.Helper()
-	sys, err := core.NewSystem(core.Options{
-		Blades: 2,
-		DiskSpec: disk.Spec{
-			BlockSize:   4096,
-			Blocks:      1 << 12,
-			Seek:        5 * sim.Millisecond,
-			Rotation:    3 * sim.Millisecond,
-			TransferBps: 400_000_000,
-		},
-		Gateway: &gateway.Config{MetaShards: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sys.Stop)
-	return sys
+func newGatewaySession(t *testing.T) *session {
+	return newScriptSession(t, core.Options{Gateway: &gateway.Config{MetaShards: 2}})
 }
 
 // TestGatewayCommandRoundTrip drives the object gateway end to end
 // through the script interface: mkbucket → put → get → ls, then the
 // status/buckets/report views.
 func TestGatewayCommandRoundTrip(t *testing.T) {
-	sys := newGatewaySystem(t)
-	out, errs := runScript(t, sys,
+	s := newGatewaySession(t)
+	out, errs := runScript(t, s,
 		"tenant fusion",
 		"gateway mkbucket fusion results",
 		"gateway put fusion results run/001.txt first shot data",
@@ -68,7 +50,7 @@ func TestGatewayCommandRoundTrip(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if got := sys.Gateway.Stats(); got.Puts != 1 || got.Gets != 1 || got.Lists != 1 {
+	if got := s.sys.Gateway.Stats(); got.Puts != 1 || got.Gets != 1 || got.Lists != 1 {
 		t.Errorf("gateway stats after script: %+v", got)
 	}
 }
@@ -76,8 +58,8 @@ func TestGatewayCommandRoundTrip(t *testing.T) {
 // TestGatewayCommandErrors: bad usage, unknown tenants, and systems
 // built without a gateway all fail cleanly.
 func TestGatewayCommandErrors(t *testing.T) {
-	sys := newGatewaySystem(t)
-	_, errs := runScript(t, sys,
+	s := newGatewaySession(t)
+	_, errs := runScript(t, s,
 		"gateway",
 		"gateway bogus",
 		"gateway mkbucket ghost b1", // tenant never created
@@ -89,7 +71,7 @@ func TestGatewayCommandErrors(t *testing.T) {
 		}
 	}
 
-	plain := newScriptSystem(t, false)
+	plain := newScriptSession(t, core.Options{})
 	_, errs = runScript(t, plain, "gateway status")
 	if len(errs) != 1 || errs[0] == nil || !strings.Contains(errs[0].Error(), "Options.Gateway") {
 		t.Errorf("gateway command on gateway-less system: %v", errs)

@@ -1,80 +1,33 @@
 package main
 
 import (
-	"io"
-	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/qos"
 	"repro/internal/sim"
 )
 
-// newScriptSystem builds the same kind of in-memory system the yottactl
-// script path uses, small enough for unit tests.
-func newScriptSystem(t *testing.T, withQoS bool) *core.System {
-	t.Helper()
-	opts := core.Options{
-		Blades: 2,
-		DiskSpec: disk.Spec{
-			BlockSize:   4096,
-			Blocks:      1 << 12,
-			Seek:        5 * sim.Millisecond,
-			Rotation:    3 * sim.Millisecond,
-			TransferBps: 400_000_000,
-		},
-	}
-	if withQoS {
-		opts.QoS = &qos.Config{
+// qosOptions builds the QoS subsystem with one tenant, fusion.
+func qosOptions() core.Options {
+	return core.Options{
+		QoS: &qos.Config{
 			Tenants: map[string]qos.TenantSpec{
 				"fusion": {Rate: 2000, Burst: 256, MaxQueue: 64},
 			},
-		}
+		},
 	}
-	sys, err := core.NewSystem(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sys.Stop)
-	return sys
-}
-
-// runScript executes command lines against sys from a simulation process,
-// capturing stdout, and returns the output plus any per-line errors.
-func runScript(t *testing.T, sys *core.System, lines ...string) (string, []error) {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	var errs []error
-	runErr := sys.Run(0, func(p *sim.Proc) error {
-		for _, line := range lines {
-			errs = append(errs, execute(p, sys, line))
-		}
-		return nil
-	})
-	w.Close()
-	os.Stdout = old
-	out, _ := io.ReadAll(r)
-	if runErr != nil {
-		t.Fatalf("run: %v", runErr)
-	}
-	return string(out), errs
 }
 
 // TestQoSCommandRoundTrip: on → status → report → off through the script
 // interface, checking both the printed output and the manager state.
 func TestQoSCommandRoundTrip(t *testing.T) {
-	sys := newScriptSystem(t, true)
-	if sys.QoS.Enabled() {
+	s := newScriptSession(t, qosOptions())
+	if s.sys.QoS.Enabled() {
 		t.Fatal("qos should start disabled")
 	}
-	out, errs := runScript(t, sys,
+	out, errs := runScript(t, s,
 		"qos status",
 		"qos on",
 		"qos status",
@@ -87,7 +40,7 @@ func TestQoSCommandRoundTrip(t *testing.T) {
 			t.Fatalf("command %d: %v", i, err)
 		}
 	}
-	if sys.QoS.Enabled() {
+	if s.sys.QoS.Enabled() {
 		t.Error("qos left enabled after `qos off`")
 	}
 	for _, want := range []string{
@@ -108,16 +61,16 @@ func TestQoSCommandRoundTrip(t *testing.T) {
 // TestQoSCommandReportAfterTraffic: with QoS on, front-door traffic shows
 // up in the report's tenant and lane accounting.
 func TestQoSCommandReportAfterTraffic(t *testing.T) {
-	sys := newScriptSystem(t, true)
-	_, errs := runScript(t, sys, "qos on", "mkthick vols 512")
+	s := newScriptSession(t, qosOptions())
+	_, errs := runScript(t, s, "qos on", "mkthick vols 512")
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := sys.Run(0, func(p *sim.Proc) error {
+	err := s.sys.Run(0, func(p *sim.Proc) error {
 		qos.SetCtx(p, qos.Ctx{Tenant: "fusion"})
-		tgt := &core.VolumeTarget{Cluster: sys.Cluster, Vol: "vols", Priority: 2}
+		tgt := &core.VolumeTarget{Cluster: s.sys.Cluster, Vol: "vols", Priority: 2}
 		for i := int64(0); i < 8; i++ {
 			if err := tgt.Write(p, i*4, 4); err != nil {
 				return err
@@ -128,7 +81,7 @@ func TestQoSCommandReportAfterTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, errs := runScript(t, sys, "qos report")
+	out, errs := runScript(t, s, "qos report")
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
@@ -153,15 +106,15 @@ func TestQoSCommandReportAfterTraffic(t *testing.T) {
 // TestQoSCommandErrors: the command degrades cleanly — usage errors for
 // bad arguments, a pointed error when the system was built without QoS.
 func TestQoSCommandErrors(t *testing.T) {
-	sys := newScriptSystem(t, true)
-	_, errs := runScript(t, sys, "qos", "qos bogus")
+	s := newScriptSession(t, qosOptions())
+	_, errs := runScript(t, s, "qos", "qos bogus")
 	for i, err := range errs {
 		if err == nil || !strings.Contains(err.Error(), "usage: qos on|off|status|report") {
 			t.Errorf("command %d: err = %v, want usage error", i, err)
 		}
 	}
 
-	bare := newScriptSystem(t, false)
+	bare := newScriptSession(t, core.Options{})
 	_, errs = runScript(t, bare, "qos on")
 	if errs[0] == nil || !strings.Contains(errs[0].Error(), "Options.QoS") {
 		t.Errorf("err = %v, want missing-Options.QoS error", errs[0])

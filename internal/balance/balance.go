@@ -414,10 +414,6 @@ func (c *Controller) migrate(p *sim.Proc, cand coherence.KeyHeat, from, to int) 
 	c.decisions = append(c.decisions, Decision{T: p.Now(), Key: cand.Key, From: from, To: to, Heat: cand.Heat})
 }
 
-// Scheme identifies the controller's rebalancing strategy (the
-// core.Rebalancer interface; the hotcache tier answers "hotcache").
-func (c *Controller) Scheme() string { return "migrate" }
-
 // Status is the one-line state summary yottactl prints: the switch, the
 // thresholds it acts on, the counters.
 func (c *Controller) Status() string {

@@ -130,18 +130,5 @@ func (h *HeatTracker) Hottest(n int) []KeyHeat {
 	return out
 }
 
-// Hot counts the keys whose decayed count is at least min.
-func (h *HeatTracker) Hot(min float64) int {
-	now := h.k.Now()
-	n := 0
-	for _, c := range h.m {
-		h.decayTo(c, now)
-		if c.v >= min {
-			n++
-		}
-	}
-	return n
-}
-
 // Reset drops every counter (membership change: homes were rehashed).
 func (h *HeatTracker) Reset() { h.m = make(map[cache.Key]*heatCell); h.touches = 0 }

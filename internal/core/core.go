@@ -13,7 +13,6 @@ import (
 	"cmp"
 	"fmt"
 
-	"repro/internal/balance"
 	"repro/internal/cache"
 	"repro/internal/controller"
 	"repro/internal/disk"
@@ -22,7 +21,6 @@ import (
 	"repro/internal/hotcache"
 	"repro/internal/pfs"
 	"repro/internal/qos"
-	"repro/internal/raid"
 	"repro/internal/security"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -45,24 +43,15 @@ type Options struct {
 	CacheBlocksPerBlade int
 	// ReplicationN is the default write-cache copies (default 2).
 	ReplicationN int
-	// Disks/DisksPerGroup/RAIDLevel shape the default class
-	// (defaults 20/5/RAID5; the zero Level is RAID0, so a RAID0 tier is an
-	// extra class).
+	// Disks/DisksPerGroup shape the default RAID-5 class (defaults 20/5).
 	Disks         int
 	DisksPerGroup int
-	RAIDLevel     raid.Level
 	// DiskSpec overrides the drive model (default disk.DefaultSpec()).
 	DiskSpec disk.Spec
 	// ExtraClasses adds storage classes with their own drives and level.
 	ExtraClasses []Class
 	// EncryptAtRest enables §5.1 storage-level encryption at the gateway.
 	EncryptAtRest bool
-	// FabricRetry tunes the blade fabric's timeout/retry/backoff loop
-	// (zero fields = coherence defaults).
-	FabricRetry simnet.RetryPolicy
-	// FabricFaults, when non-nil, injects seeded drop/duplicate/delay
-	// faults on every fabric link from construction.
-	FabricFaults *simnet.FaultPlan
 	// Trace attaches a per-operation tracer (System.Tracer), enabled from
 	// construction. Spans are stamped from virtual time, so traced runs
 	// are deterministic per seed and timing is unaffected.
@@ -77,27 +66,6 @@ type Options struct {
 	// whose p99 op latency exceeds this emits an slo event, as do client
 	// errors and degraded-mode entry/exit. Zero leaves latency unwatched.
 	SLOReadP99 sim.Duration
-	// Rebalance selects the load-spreading scheme behind the uniform
-	// Rebalancer interface (System.Rebalancer):
-	//
-	//	"migrate"  — the adaptive hot-spot balancer (System.Balancer):
-	//	             watches the scraper's per-blade load series and
-	//	             migrates directory homes of the hottest blocks off
-	//	             sustained hot blades, at the balance package's
-	//	             defaults (the hot-spot watchdog's thresholds).
-	//	             Requires Telemetry (the scraper is its feedback
-	//	             signal). Starts enabled.
-	//	"hotcache" — the DistCache-style hot-key cache tier
-	//	             (System.HotCache): one small cache node per blade,
-	//	             keys partitioned by a hash independent of the
-	//	             directory-home hash, two-choice routing between the
-	//	             layers, write-through invalidation, at the hotcache
-	//	             package's defaults (512 blocks/node, heat threshold
-	//	             8, half-life 250ms). Starts DISABLED
-	//	             (arm with System.HotCache.SetEnabled or yottactl
-	//	             `rebalance on`).
-	//	"off" / "" — no scheme.
-	Rebalance string
 	// QoS, when non-nil, builds the multi-tenant admission-control and
 	// weighted-fair scheduling subsystem (System.QoS): per-tenant token
 	// buckets at the controller front door and priority lanes at every
@@ -142,20 +110,10 @@ type System struct {
 	// Scraper is non-nil when Options.Telemetry was set; it is already
 	// started and is stopped by System.Stop.
 	Scraper *telemetry.Scraper
-	// Balancer is non-nil when the "migrate" scheme was selected; it is
-	// already started and is stopped by System.Stop.
-	Balancer *balance.Controller
-	// HotCache is non-nil when the "hotcache" scheme was selected; it
-	// starts disabled.
-	HotCache *hotcache.Tier
-	// Rebalancer is the scheme-independent handle over whichever of
-	// Balancer/HotCache was built (nil with Rebalance off).
-	Rebalancer Rebalancer
 	// QoS is non-nil when Options.QoS was set; it starts disabled.
 	QoS *qos.Manager
 
-	stopScrape  func()
-	stopBalance func()
+	stopScrape func()
 }
 
 // NewSystem builds a system on its own kernel.
@@ -172,10 +130,7 @@ func NewSystemOn(k *sim.Kernel, opts Options) (*System, error) {
 	cfg.ReplicationN = cmp.Or(opts.ReplicationN, cfg.ReplicationN)
 	cfg.Disks = cmp.Or(opts.Disks, cfg.Disks)
 	cfg.DisksPerGroup = cmp.Or(opts.DisksPerGroup, cfg.DisksPerGroup)
-	cfg.RAIDLevel = cmp.Or(opts.RAIDLevel, cfg.RAIDLevel)
 	cfg.DiskSpec = opts.DiskSpec
-	cfg.FabricRetry = opts.FabricRetry
-	cfg.FabricFaults = opts.FabricFaults
 	cfg.QoS = opts.QoS
 	var tracer *trace.Tracer
 	if opts.Trace {
@@ -252,30 +207,11 @@ func NewSystemOn(k *sim.Kernel, opts Options) (*System, error) {
 		}
 		sys.stopScrape = sys.Scraper.Start()
 	}
-	switch opts.Rebalance {
-	case "", RebalanceOff:
-	case RebalanceMigrate:
-		if sys.Scraper == nil {
-			return nil, fmt.Errorf("core: Rebalance=%q requires Telemetry (the scraper is the rebalancer's feedback signal)", RebalanceMigrate)
-		}
-		sys.Balancer = cluster.NewBalancer(sys.Scraper, balance.Config{})
-		sys.Rebalancer = sys.Balancer
-		sys.stopBalance = sys.Balancer.Start()
-	case RebalanceHotCache:
-		sys.HotCache = cluster.NewHotCache(hotcache.Config{})
-		sys.Rebalancer = sys.HotCache
-	default:
-		return nil, fmt.Errorf("core: unknown Rebalance scheme %q (want migrate, hotcache, or off)", opts.Rebalance)
-	}
 	return sys, nil
 }
 
 // Stop halts the system's background processes so the simulation drains.
 func (s *System) Stop() {
-	if s.stopBalance != nil {
-		s.stopBalance()
-		s.stopBalance = nil
-	}
 	if s.stopScrape != nil {
 		s.stopScrape()
 		s.stopScrape = nil

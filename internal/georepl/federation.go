@@ -17,6 +17,8 @@ package georepl
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/pfs"
 	"repro/internal/sim"
@@ -149,12 +151,13 @@ func (f *Federation) FailSite(name string) error {
 // Files with no surviving durability replica become unavailable (their
 // count is returned as lost).
 func (f *Federation) Failover(dead string) (recovered, lost int) {
-	for path, m := range f.meta {
+	for _, path := range slices.Sorted(maps.Keys(f.meta)) {
+		m := f.meta[path]
 		if m.home != dead {
 			continue
 		}
 		promoted := ""
-		for site := range m.duraReplicas {
+		for _, site := range slices.Sorted(maps.Keys(m.duraReplicas)) {
 			if s, ok := f.sites[site]; ok && !s.Down {
 				promoted = site
 				break

@@ -2,6 +2,8 @@ package georepl
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/pfs"
@@ -177,7 +179,7 @@ func (s *Site) writeAsHome(p *sim.Proc, path string, m *fileMeta, off int64, dat
 	}
 	// Cache replicas at other sites are now stale: invalidate them
 	// (fire-and-forget; the sites drop their copies).
-	for site := range m.cacheReplicas {
+	for _, site := range slices.Sorted(maps.Keys(m.cacheReplicas)) {
 		s.conn.Cast(p, simnet.Addr(site), "geo.invalidate", invalidateReq{Path: path}, ctrlSize)
 		delete(m.cacheReplicas, site)
 		s.Stats.Invalidations++
@@ -235,7 +237,8 @@ func (s *Site) startShipper() {
 			if stopped || s.Down {
 				return
 			}
-			for dst, j := range s.journals {
+			for _, dst := range slices.Sorted(maps.Keys(s.journals)) {
+				j := s.journals[dst]
 				for len(j.pending) > 0 {
 					sh := j.pending[0]
 					raw, err := s.conn.CallTimeout(p, simnet.Addr(dst), "geo.ship",

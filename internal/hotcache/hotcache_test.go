@@ -3,7 +3,6 @@ package hotcache
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -99,6 +98,9 @@ func (h *harness) run(body func(p *sim.Proc)) {
 func blk(v byte) []byte { return bytes.Repeat([]byte{v}, blockSize) }
 
 func kb(i int64) cache.Key { return cache.Key{Vol: "v", LBA: i} }
+
+// Len reports the number of cached blocks.
+func (n *Node) Len() int { return n.store.Len() }
 
 // readVia routes one read through the tier exactly as a client would:
 // resolve the home, ask the tier, dispatch to the cache node or the home
@@ -318,11 +320,10 @@ func TestNodeEvictionUnderPressure(t *testing.T) {
 	}
 }
 
+// TestRebalancerSurface checks what a caller arming the tier relies on: it
+// starts disabled, SetEnabled arms it, and every blade has an empty node.
 func TestRebalancerSurface(t *testing.T) {
 	h := newHarness(1, 4, 64, Config{})
-	if h.tier.Scheme() != "hotcache" {
-		t.Fatalf("scheme = %q", h.tier.Scheme())
-	}
 	if h.tier.enabled {
 		t.Fatal("tier must start disabled")
 	}
@@ -330,11 +331,13 @@ func TestRebalancerSurface(t *testing.T) {
 	if !h.tier.enabled {
 		t.Fatal("SetEnabled(true) did not arm")
 	}
-	if s := h.tier.Status(); !strings.Contains(s, "hotcache") || !strings.Contains(s, "enabled=true") {
-		t.Fatalf("status = %q", s)
+	for i := 0; i < 4; i++ {
+		if n := h.tier.Node(i); n == nil || n.Len() != 0 || n.Occupancy() != 0 {
+			t.Fatalf("node%d is missing or not empty", i)
+		}
 	}
-	if r := h.tier.Report(); !strings.Contains(r, "node0") || !strings.Contains(r, "node3") {
-		t.Fatalf("report missing per-node lines:\n%s", r)
+	if st := h.tier.Stats(); st != (TierStats{}) {
+		t.Fatalf("fresh tier has nonzero stats: %+v", st)
 	}
 }
 

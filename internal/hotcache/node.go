@@ -140,6 +140,3 @@ func (n *Node) Occupancy() float64 {
 	}
 	return float64(n.store.Len()) / float64(n.store.Capacity())
 }
-
-// Len reports the number of cached blocks.
-func (n *Node) Len() int { return n.store.Len() }

@@ -3,7 +3,6 @@ package hotcache
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
@@ -80,9 +79,7 @@ type hcInvReq struct{ Keys []cache.Key }
 type hcInvResp struct{}
 
 // Tier is the upper cache layer: one Node per blade plus the routing and
-// invalidation logic that ties them to the coherence plane. It satisfies
-// the core.Rebalancer interface, so the controller, telemetry, and
-// yottactl drive it exactly as they drive the migration balancer.
+// invalidation logic that ties them to the coherence plane.
 type Tier struct {
 	cfg   Config
 	deps  Deps
@@ -259,11 +256,6 @@ func (t *Tier) writeThrough(p *sim.Proc, self int, keys []cache.Key) {
 	grp.Wait(p)
 }
 
-// ---- Rebalancer interface ----
-
-// Scheme identifies the tier's rebalancing strategy.
-func (t *Tier) Scheme() string { return "hotcache" }
-
 // SetEnabled arms or disarms the tier. Disabling clears every node (the
 // generation bump aborts in-flight fills), drops the heat state, and
 // forgets the mark set — the cluster reverts to plain home routing with
@@ -280,33 +272,6 @@ func (t *Tier) SetEnabled(on bool) {
 		t.heat.Reset()
 		t.mayCache = make(map[cache.Key]struct{})
 	}
-}
-
-// Status is the one-line state summary yottactl prints.
-func (t *Tier) Status() string {
-	cached := 0
-	for _, n := range t.nodes {
-		cached += n.Len()
-	}
-	return fmt.Sprintf("hotcache: enabled=%v nodes=%d cached=%d hot=%d routed cache/home/cold=%d/%d/%d invals=%d",
-		t.enabled, len(t.nodes), cached, t.heat.Hot(t.cfg.HotMin),
-		t.stats.RoutedCache, t.stats.RoutedHome, t.stats.RoutedCold, t.stats.Invals)
-}
-
-// Report renders the per-node breakdown.
-func (t *Tier) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", t.Status())
-	for i, n := range t.nodes {
-		s := n.Stats()
-		hitRate := 0.0
-		if s.Hits+s.Misses > 0 {
-			hitRate = float64(s.Hits) / float64(s.Hits+s.Misses)
-		}
-		fmt.Fprintf(&b, "  node%d: hits=%d misses=%d (%.0f%%) fills=%d aborts=%d invals=%d occ=%.0f%%\n",
-			i, s.Hits, s.Misses, 100*hitRate, s.Fills, s.FillAborts, s.Invalidations, 100*n.Occupancy())
-	}
-	return b.String()
 }
 
 // RegisterTelemetry publishes the tier's gauges under s: per-layer

@@ -3,6 +3,8 @@ package virt
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -90,12 +92,9 @@ func (pl *Pool) Evacuate(p *sim.Proc, dev int) (int, error) {
 		return 0, fmt.Errorf("virt: no device %d", dev)
 	}
 	moved := 0
-	for _, v := range pl.volumes {
-		if v.kind == Snapshot {
-			continue
-		}
-		for ext, e := range v.mapping {
-			if e.dev != dev {
+	for _, v := range pl.writable() {
+		for _, ext := range v.MappedExtentIndexes() {
+			if v.mapping[ext].dev != dev {
 				continue
 			}
 			target := pl.pickTargetAvoiding(dev)
@@ -109,6 +108,18 @@ func (pl *Pool) Evacuate(p *sim.Proc, dev int) (int, error) {
 		}
 	}
 	return moved, nil
+}
+
+// writable returns the pool's non-snapshot volumes in name order, so a
+// migration walk issues its I/O in the same order on every run.
+func (pl *Pool) writable() []*Volume {
+	var out []*Volume
+	for _, name := range slices.Sorted(maps.Keys(pl.volumes)) {
+		if v := pl.volumes[name]; v.kind != Snapshot {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // pickTargetAvoiding returns the least-loaded device with free space,
@@ -155,12 +166,9 @@ func (pl *Pool) Rebalance(p *sim.Proc, tolerance int64) (int, error) {
 		}
 		// Find one migratable extent on maxD.
 		migrated := false
-		for _, v := range pl.volumes {
-			if v.kind == Snapshot {
-				continue
-			}
-			for ext, e := range v.mapping {
-				if e.dev != maxD {
+		for _, v := range pl.writable() {
+			for _, ext := range v.MappedExtentIndexes() {
+				if v.mapping[ext].dev != maxD {
 					continue
 				}
 				if err := v.MigrateExtent(p, ext, minD); err != nil {

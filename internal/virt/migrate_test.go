@@ -3,6 +3,9 @@ package virt
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -146,7 +149,7 @@ func TestRebalanceEvensLoad(t *testing.T) {
 		}
 	})
 	load := pl.DeviceLoad()
-	if diff := load[0] - load[1]; diff > 2 && diff < -2 {
+	if diff := load[0] - load[1]; diff > 2 || diff < -2 {
 		t.Fatalf("unbalanced after rebalance: %v", load)
 	}
 }
@@ -161,4 +164,57 @@ func TestEvacuateFullPoolFails(t *testing.T) {
 			t.Errorf("err = %v, want ErrPoolExhausted", err)
 		}
 	})
+}
+
+// migrationLayout builds a pool of three devices holding two thick
+// volumes, runs migrate on it, and returns the device of every extent.
+func migrationLayout(t *testing.T, migrate func(p *sim.Proc, pl *Pool) error) string {
+	t.Helper()
+	k := sim.NewKernel(1)
+	pl := newTestPool(t, k, 256, 3)
+	for _, name := range []string{"a", "b"} {
+		if _, err := pl.CreateVolume(name, 8*8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(k, func(p *sim.Proc) {
+		if err := migrate(p, pl); err != nil {
+			t.Errorf("migrate: %v", err)
+		}
+	})
+	var layout []byte
+	for _, name := range slices.Sorted(maps.Keys(pl.Volumes())) {
+		v := pl.Volumes()[name]
+		layout = fmt.Appendf(layout, "%s:", name)
+		for ext := int64(0); ext < v.VirtExtents(); ext++ {
+			layout = fmt.Appendf(layout, " %d", v.ExtentDevice(ext))
+		}
+		layout = append(layout, '\n')
+	}
+	return fmt.Sprintf("%s%v", layout, pl.DeviceLoad())
+}
+
+// TestMigrationSameSeedSameLayout: evacuating a device and rebalancing
+// the pool place every extent on the same device on every same-seed run.
+func TestMigrationSameSeedSameLayout(t *testing.T) {
+	for name, migrate := range map[string]func(p *sim.Proc, pl *Pool) error{
+		"evacuate": func(p *sim.Proc, pl *Pool) error {
+			_, err := pl.Evacuate(p, 0)
+			return err
+		},
+		"rebalance": func(p *sim.Proc, pl *Pool) error {
+			if _, err := pl.Evacuate(p, 0); err != nil {
+				return err
+			}
+			_, err := pl.Rebalance(p, 1)
+			return err
+		},
+	} {
+		first := migrationLayout(t, migrate)
+		for run := 1; run < 30; run++ {
+			if got := migrationLayout(t, migrate); got != first {
+				t.Fatalf("%s: run %d layout differs from run 0:\n%s\nvs\n%s", name, run, got, first)
+			}
+		}
+	}
 }

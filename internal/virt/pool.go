@@ -179,6 +179,9 @@ func (pl *Pool) CreateVolume(name string, sizeBlocks int64) (*Volume, error) {
 	if _, exists := pl.volumes[name]; exists {
 		return nil, fmt.Errorf("virt: volume %q exists", name)
 	}
+	if sizeBlocks <= 0 {
+		return nil, errors.New("virt: thick volume size must be positive")
+	}
 	extents := (sizeBlocks + pl.extentBlocks - 1) / pl.extentBlocks
 	if extents > int64(len(pl.free)) {
 		return nil, fmt.Errorf("%w: need %d extents, %d free", ErrPoolExhausted, extents, len(pl.free))

@@ -130,6 +130,19 @@ func TestThickVolumeExhaustsPool(t *testing.T) {
 	}
 }
 
+func TestThickVolumeRejectsEmptySize(t *testing.T) {
+	k := sim.NewKernel(1)
+	pl := newTestPool(t, k, 64, 2)
+	for _, size := range []int64{0, -1} {
+		if _, err := pl.CreateVolume("empty", size); err == nil {
+			t.Fatalf("CreateVolume(size %d) succeeded", size)
+		}
+	}
+	if len(pl.Volumes()) != 0 {
+		t.Fatal("a rejected volume was created")
+	}
+}
+
 func TestDMSDAllocatesOnWriteOnly(t *testing.T) {
 	k := sim.NewKernel(1)
 	pl := newTestPool(t, k, 64, 2)

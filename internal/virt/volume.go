@@ -2,6 +2,8 @@ package virt
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -337,19 +339,15 @@ func (v *Volume) SnapshotAs(name string) (*Volume, error) {
 
 // release returns all of the volume's extents to the pool.
 func (v *Volume) release() {
-	for ext, e := range v.mapping {
-		v.pool.unref(e)
-		delete(v.mapping, ext)
+	for _, ext := range v.MappedExtentIndexes() {
+		v.pool.unref(v.mapping[ext])
 	}
+	clear(v.mapping)
 	v.deleted = true
 }
 
 // MappedExtentIndexes returns the virtual extent indexes currently mapped,
-// in unspecified order (used by distributed copy services).
+// in ascending order (used by migration and distributed copy services).
 func (v *Volume) MappedExtentIndexes() []int64 {
-	out := make([]int64, 0, len(v.mapping))
-	for ext := range v.mapping {
-		out = append(out, ext)
-	}
-	return out
+	return slices.Sorted(maps.Keys(v.mapping))
 }
