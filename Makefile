@@ -21,7 +21,7 @@ race:
 verify: build vet test race
 
 # loc prints non-test Go lines per package and in total — the number ROADMAP
-# item 9 gates on — of the working tree, or of a revision with REV=<rev>.
+# item 11 gates on — of the working tree, or of a revision with REV=<rev>.
 loc:
 	bash scripts/loc.sh $(REV)
 

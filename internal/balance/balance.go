@@ -113,7 +113,6 @@ type Controller struct {
 
 	enabled bool
 	started bool
-	stopped bool
 	busy    bool // a migration burst is in flight; ticks skip until done
 
 	streak      int
@@ -169,10 +168,10 @@ func (c *Controller) Start() (stop func()) {
 		panic("balance: controller already started")
 	}
 	c.started = true
-	c.stopped = false
+	stopped := false // this Start's own: a restart must not revive its chain
 	var tick func()
 	tick = func() {
-		if c.stopped {
+		if stopped {
 			return
 		}
 		c.k.Go("balance", func(p *sim.Proc) {
@@ -185,7 +184,7 @@ func (c *Controller) Start() (stop func()) {
 	}
 	c.k.After(c.interval, tick)
 	return func() {
-		c.stopped = true
+		stopped = true
 		c.started = false
 	}
 }

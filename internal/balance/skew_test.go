@@ -80,3 +80,30 @@ func TestBalancerArmsWithHotSpot(t *testing.T) {
 		t.Fatalf("script exercised %d jointly armed and %d idle-gap intervals, want both > 0", both, gap)
 	}
 }
+
+// A stop followed by a Start before the pending tick fires must leave one
+// tick chain. Scrapes land every half interval, a quarter interval off
+// either chain's ticks, so every tick finds a fresh one and counts.
+func TestControllerRestartKeepsOneTickChain(t *testing.T) {
+	const interval = 100 * sim.Millisecond
+	k := sim.NewKernel(1)
+	scr := telemetry.NewScraper(k, telemetry.NewRegistry(), interval)
+	c := New(Config{}, Deps{K: k, Scraper: scr, Alive: func() []int { return nil }})
+	scr.ScrapeNow()
+	scr.ScrapeNow()
+	var scrape func()
+	scrape = func() {
+		scr.ScrapeNow()
+		k.After(interval/2, scrape)
+	}
+	k.After(interval/4, scrape)
+	stop := c.Start()
+	k.RunFor(interval / 2)
+	stop()
+	stop = c.Start()
+	k.RunFor(10 * interval)
+	stop()
+	if got := c.Stats().Ticks; got != 10 {
+		t.Fatalf("%d ticks over 10 intervals after a restart, want 10", got)
+	}
+}

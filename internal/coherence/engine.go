@@ -670,7 +670,7 @@ func (e *Engine) readRun(p *sim.Proc, vol string, lba int64, priority int, dst [
 	bs := e.blockSize
 	count := len(dst) / bs
 	op := &runRead{left: count}
-	grp := sim.NewGroup(e.k)
+	grp := sim.NewGroup(e.k) // not sim.Fork: its closure would add an allocation to every read
 	for i := 0; i < count; i++ {
 		grp.Add(1)
 		e.k.Go("read", func(q *sim.Proc) {
@@ -745,6 +745,7 @@ func (op *runRead) request(e *Engine, key cache.Key, epoch uint64) (home, pos in
 	}
 	if op.vecs == nil {
 		op.vecs = make([]vector, len(e.peers))
+		// answered counts vectors, not processes, and every block waits on it: not a sim.Fork
 		op.ready, op.answered = *sim.NewFuture[struct{}](e.k), *sim.NewGroup(e.k)
 	}
 	v := &op.vecs[home]
@@ -904,20 +905,14 @@ func (e *Engine) fillGathered(p *sim.Proc, blocks []gathered, vol string, lba in
 	if more, _ := next(b); more == len(blocks) { // one run: nothing to fan out
 		return e.fillRun(p, cache.Key{Vol: vol, LBA: lba + int64(a)}, blocks[a:b], priority, dst[a*bs:b*bs])
 	}
-	grp := sim.NewGroup(e.k)
-	var firstErr error
-	for a, b := a, b; a < len(blocks); a, b = next(b) { // per-iteration copies for the closure
-		grp.Add(1)
-		e.k.Go("fill", func(q *sim.Proc) {
-			defer grp.Done()
-			err := e.fillRun(q, cache.Key{Vol: vol, LBA: lba + int64(a)}, blocks[a:b], priority, dst[a*bs:b*bs])
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
+	var runs [][2]int
+	for ; a < len(blocks); a, b = next(b) {
+		runs = append(runs, [2]int{a, b})
 	}
-	grp.Wait(p)
-	return firstErr
+	return sim.Fork(p, "fill", len(runs), func(q *sim.Proc, i int) error {
+		a, b := runs[i][0], runs[i][1]
+		return e.fillRun(q, cache.Key{Vol: vol, LBA: lba + int64(a)}, blocks[a:b], priority, dst[a*bs:b*bs])
+	})
 }
 
 // fillRun reads the run of gathered blocks that starts at key from the
@@ -993,21 +988,9 @@ func (e *Engine) WriteRun(p *sim.Proc, vol string, lba int64, data []byte, prior
 	if len(data)%bs != 0 {
 		return fmt.Errorf("coherence: write of %d bytes, block size %d", len(data), bs)
 	}
-	count := len(data) / bs
-	grp := sim.NewGroup(e.k)
-	var firstErr error
-	for i := 0; i < count; i++ {
-		grp.Add(1)
-		e.k.Go("write", func(q *sim.Proc) {
-			defer grp.Done()
-			err := e.WriteBlockR(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, data[i*bs:(i+1)*bs], priority, replFactor)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	grp.Wait(p)
-	return firstErr
+	return sim.Fork(p, "write", len(data)/bs, func(q *sim.Proc, i int) error {
+		return e.WriteBlockR(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, data[i*bs:(i+1)*bs], priority, replFactor)
+	})
 }
 
 // WriteBlock stores one full block on the caller's own process: the run of

@@ -41,24 +41,22 @@ func (e *Engine) FlushOnce(p *sim.Proc, max int) int {
 	slices.SortFunc(batch, func(a, b destage) int {
 		return cmp.Or(cmp.Compare(a.ent.Key.Vol, b.ent.Key.Vol), cmp.Compare(a.ent.Key.LBA, b.ent.Key.LBA))
 	})
-	grp := sim.NewGroup(e.k)
-	inFlight := sim.NewSemaphore(e.k, 16)
+	var runs [][]destage
 	for a, b := 0, 0; a < len(batch); a = b {
 		for b = a + 1; b < len(batch); b++ {
 			if prev, k := batch[b-1].ent.Key, batch[b].ent.Key; k.Vol != prev.Vol || k.LBA != prev.LBA+1 {
 				break
 			}
 		}
-		run := batch[a:b]
-		grp.Add(1)
-		e.k.Go("destage", func(q *sim.Proc) {
-			defer grp.Done()
-			inFlight.Acquire(q, 1)
-			defer inFlight.Release(1)
-			e.writeback(q, run)
-		})
+		runs = append(runs, batch[a:b])
 	}
-	grp.Wait(p)
+	inFlight := sim.NewSemaphore(e.k, 16)
+	sim.Fork(p, "destage", len(runs), func(q *sim.Proc, i int) error {
+		inFlight.Acquire(q, 1)
+		defer inFlight.Release(1)
+		e.writeback(q, runs[i])
+		return nil
+	})
 	return len(batch)
 }
 

@@ -37,7 +37,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	if len(probing) < 2 {
 		probing = nil
 	}
-	var grp *sim.Group // only when keys run concurrently; the procs capture g, so grp stays off the heap
+	var grp *sim.Group // not sim.Fork: p serves the other keys while these run; the procs capture g, so grp stays off the heap
 	for _, i := range probing {
 		if grp == nil {
 			grp = sim.NewGroup(e.k)
@@ -188,19 +188,16 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 		// Invalidate every other sharer in parallel. A dropped Inv would
 		// leave a stale Shared copy serving old data, so each one retries
 		// under the engine policy before the sharer is written off as dead.
-		grp := sim.NewGroup(e.k)
+		var others []int
 		for _, sh := range ent.sharers {
-			s := sh.blade
-			if s == requester {
-				continue
+			if sh.blade != requester {
+				others = append(others, sh.blade)
 			}
-			grp.Add(1)
-			e.k.Go("inv", func(q *sim.Proc) {
-				defer grp.Done()
-				e.conn.CallRetry(q, e.peers[s], "coh.inv", invReq{Key: req.Key}, ctrlSize, e.retry)
-			})
 		}
-		grp.Wait(p)
+		sim.Fork(p, "inv", len(others), func(q *sim.Proc, i int) error {
+			e.conn.CallRetry(q, e.peers[others[i]], "coh.inv", invReq{Key: req.Key}, ctrlSize, e.retry)
+			return nil
+		})
 
 	case dirModified:
 		if ent.owner != requester {

@@ -136,44 +136,29 @@ func (c *Cluster) DistributedClone(p *sim.Proc, class, srcVol, dstName string) (
 	extents := src.MappedExtentIndexes()
 	eb := pool.ExtentBlocks()
 	next := 0
-	var firstErr error
-	grp := sim.NewGroup(c.K)
-	for _, b := range c.Blades {
-		b := b
-		if b.Down {
-			continue
-		}
-		grp.Add(1)
-		c.K.Go(fmt.Sprintf("clone/blade%d", b.ID), func(q *sim.Proc) {
-			defer grp.Done()
-			// Point-in-time copy is background service traffic (§2.4).
-			qos.TagBackground(q)
-			for {
-				if b.Down || next >= len(extents) || firstErr != nil {
-					return
-				}
-				ext := extents[next]
-				next++
-				b.Engine.Busy(q, CloneComputePerExtent)
-				data, err := src.Read(q, ext*eb, int(eb))
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				if err := dst.Write(q, ext*eb, data); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
+	failed := false
+	live := c.Alive()
+	err = sim.Fork(p, "clone", len(live), func(q *sim.Proc, i int) error {
+		b := c.Blades[live[i]]
+		// Point-in-time copy is background service traffic (§2.4).
+		qos.TagBackground(q)
+		for !b.Down && next < len(extents) && !failed {
+			ext := extents[next]
+			next++
+			b.Engine.Busy(q, CloneComputePerExtent)
+			data, err := src.Read(q, ext*eb, int(eb))
+			if err == nil {
+				err = dst.Write(q, ext*eb, data)
 			}
-		})
-	}
-	grp.Wait(p)
-	if firstErr != nil {
-		return 0, firstErr
+			if err != nil {
+				failed = true
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	return len(extents), nil
 }

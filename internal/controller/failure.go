@@ -115,38 +115,24 @@ func (c *Cluster) DistributedRebuild(p *sim.Proc, g int, diskIdx int) error {
 		return err
 	}
 	next := int64(0)
-	var firstErr error
-	grp := sim.NewGroup(c.K)
-	for _, b := range c.Blades {
-		b := b
-		if b.Down {
-			continue
-		}
-		grp.Add(1)
-		c.K.Go(fmt.Sprintf("rebuild/blade%d", b.ID), func(q *sim.Proc) {
-			defer grp.Done()
-			// Rebuild is the canonical §2.4 background service: its CPU
-			// charges and disk I/O compete in the background lane.
-			qos.TagBackground(q)
-			for {
-				if b.Down || next >= chunks {
-					return
-				}
-				chunk := next
-				next++
-				b.Engine.Busy(q, RebuildComputePerChunk)
-				if err := group.RebuildChunk(q, diskIdx, chunk); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
+	live := c.Alive()
+	err = sim.Fork(p, "rebuild", len(live), func(q *sim.Proc, i int) error {
+		b := c.Blades[live[i]]
+		// Rebuild is the canonical §2.4 background service: its CPU
+		// charges and disk I/O compete in the background lane.
+		qos.TagBackground(q)
+		for !b.Down && next < chunks {
+			chunk := next
+			next++
+			b.Engine.Busy(q, RebuildComputePerChunk)
+			if err := group.RebuildChunk(q, diskIdx, chunk); err != nil {
+				return err
 			}
-		})
-	}
-	grp.Wait(p)
-	if firstErr != nil {
-		return firstErr
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// Chunks abandoned by blades that died mid-queue: finish them inline
 	// (completed chunks return immediately).

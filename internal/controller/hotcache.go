@@ -56,21 +56,11 @@ func (c *Cluster) ReadCached(p *sim.Proc, tier *hotcache.Tier, b *Blade, vol str
 			copy(buf, d)
 			return err
 		}
-		grp := sim.NewGroup(c.K)
-		var firstErr error
-		for i := 0; i < count; i++ {
-			grp.Add(1)
-			c.K.Go("read-cached", func(q *sim.Proc) {
-				defer grp.Done()
-				d, err := node.Read(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, priority)
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				copy(buf[i*bs:], d)
-			})
-		}
-		grp.Wait(p)
-		return firstErr
+		return sim.Fork(p, "read-cached", count, func(q *sim.Proc, i int) error {
+			d, err := node.Read(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, priority)
+			copy(buf[i*bs:], d)
+			return err
+		})
 	})
 	if err != nil {
 		return nil, err

@@ -137,7 +137,7 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 
 	// Contended arms lose a drive at the window edge; the rebuild runs
 	// through the measured window as the §2.4 background service.
-	rebuilt := sim.NewGroup(k)
+	rebuilt := sim.NewGroup(k) // not sim.Fork: the rebuild is awaited after the measured window
 	var rebuildTime sim.Duration
 	if contended {
 		c.Groups[0].Disks()[1].Fail()

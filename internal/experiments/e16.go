@@ -171,28 +171,18 @@ func e16Arm(seed int64, sc e16Scale, shards int) []E16Point {
 		payload[i] = byte(i)
 	}
 	if err := core.RunBody(sys.K, bodyHorizon, func(p *sim.Proc) error {
-		prefilled := sim.NewGroup(sys.K)
-		var failed error
-		for b := 0; b < sc.buckets; b++ {
-			prefilled.Add(1)
-			sys.K.Go(fmt.Sprintf("e16-prefill-%d", b), func(q *sim.Proc) {
-				defer prefilled.Done()
-				tok := tokens[b%len(tokens)]
-				opts := gateway.BucketOptions{
-					ACL:      gateway.ACL{Public: security.ReadWrite},
-					Priority: -1,
-				}
-				err := gw.CreateBucket(q, tok, e16Bucket(b), opts)
-				for o := 0; err == nil && o < sc.objects; o++ {
-					_, err = gw.PutObject(q, tok, e16Bucket(b), e16Key(o), payload)
-				}
-				if err != nil && failed == nil {
-					failed = err
-				}
-			})
-		}
-		prefilled.Wait(p)
-		return failed
+		return sim.Fork(p, "e16-prefill", sc.buckets, func(q *sim.Proc, b int) error {
+			tok := tokens[b%len(tokens)]
+			opts := gateway.BucketOptions{
+				ACL:      gateway.ACL{Public: security.ReadWrite},
+				Priority: -1,
+			}
+			err := gw.CreateBucket(q, tok, e16Bucket(b), opts)
+			for o := 0; err == nil && o < sc.objects; o++ {
+				_, err = gw.PutObject(q, tok, e16Bucket(b), e16Key(o), payload)
+			}
+			return err
+		})
 	}); err != nil {
 		panic(fmt.Sprintf("e16 prefill: %v", err))
 	}

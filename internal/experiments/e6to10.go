@@ -338,7 +338,7 @@ func (l *lab) failover(name string, tab *metrics.Table, clients int, pat func(in
 	// The killer is spawned from a timer, not from a body that sleeps
 	// 200 ms: the two order the events of that instant differently.
 	var took sim.Duration
-	recovered := sim.NewGroup(k)
+	recovered := sim.NewGroup(k) // not sim.Fork: the failure is awaited after the measured window
 	recovered.Add(1)
 	k.After(200*sim.Millisecond, func() {
 		k.Go("killer", func(p *sim.Proc) {

@@ -69,7 +69,8 @@ func TestTraceGolden(t *testing.T) {
 		for i < len(got) && i < len(want) && got[i] == want[i] {
 			i++
 		}
-		t.Fatalf("batching-off trace diverged from pre-batching build: %d vs %d spans, first byte diff at offset %d",
-			gl, wl, i)
+		t.Fatalf("trace diverged from %s: %d vs %d spans, first byte diff at offset %d "+
+			"(if the move is meant: GOLDEN=rewrite go test ./internal/experiments -run TestTraceGolden)",
+			path, gl, wl, i)
 	}
 }

@@ -62,7 +62,6 @@ type BucketOptions struct {
 
 // Gateway is the object API front end.
 type Gateway struct {
-	k    *sim.Kernel
 	fs   *pfs.FS
 	iam  *IAM
 	meta *Meta
@@ -99,7 +98,6 @@ func New(k *sim.Kernel, cfg Config) (*Gateway, error) {
 	}
 	cfg.Layout = cfg.Layout.withDefaults()
 	return &Gateway{
-		k:    k,
 		fs:   cfg.FS,
 		iam:  newIAM(cfg.Auth, cfg.IAMLatency),
 		meta: newMeta(k, cfg.MetaShards, cfg.MetaOpTime),
@@ -238,35 +236,30 @@ func (g *Gateway) PutObject(p *sim.Proc, token, bucket, key string, data []byte)
 
 // writeParts lands an object version's bytes, parts in parallel like the
 // pfs extent groups beneath them. Segment files are created on first
-// touch; part files are version-unique and must not pre-exist.
+// touch; part files are version-unique and must not pre-exist. Every file
+// is created before any part is written, so a failed create leaves no
+// writer running and removes the files it made.
 func (g *Gateway) writeParts(p *sim.Proc, owner string, prio int, lay Layout, data []byte) error {
 	restore := withTenant(p, owner, prio)
 	defer restore()
-	var off int64
-	var firstErr error
-	grp := sim.NewGroup(g.k)
+	var created []Part
 	for _, part := range lay.Parts {
-		part := part
-		slice := data[off : off+part.Len]
-		off += part.Len
-		policy := pfs.Policy{CachePriority: prio, Class: part.Class}
-		if _, err := g.fs.Stat(part.Path); err != nil {
-			if _, err := g.fs.Create(part.Path, policy); err != nil {
-				return err
-			}
+		if _, err := g.fs.Stat(part.Path); err == nil {
+			continue
 		}
-		grp.Add(1)
-		g.k.Go("gw.write", func(q *sim.Proc) {
-			defer grp.Done()
-			restoreQ := withTenant(q, owner, prio)
-			defer restoreQ()
-			if _, err := g.fs.WriteAt(q, part.Path, part.Off, slice); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
+		if _, err := g.fs.Create(part.Path, pfs.Policy{CachePriority: prio, Class: part.Class}); err != nil {
+			g.removeParts(created)
+			return err
+		}
+		created = append(created, part)
 	}
-	grp.Wait(p)
-	return firstErr
+	return sim.Fork(p, "gw.write", len(lay.Parts), func(q *sim.Proc, i int) error {
+		restoreQ := withTenant(q, owner, prio)
+		defer restoreQ()
+		part, off := lay.Parts[i], lay.start(i)
+		_, err := g.fs.WriteAt(q, part.Path, part.Off, data[off:off+part.Len])
+		return err
+	})
 }
 
 // readVersion fetches one version's bytes, parts in parallel.
@@ -274,26 +267,15 @@ func (g *Gateway) readVersion(p *sim.Proc, owner string, prio int, ver Version) 
 	restore := withTenant(p, owner, prio)
 	defer restore()
 	buf := make([]byte, ver.Size)
-	var off int64
-	var firstErr error
-	grp := sim.NewGroup(g.k)
-	for _, part := range ver.Layout.Parts {
-		part := part
-		slice := buf[off : off+part.Len]
-		off += part.Len
-		grp.Add(1)
-		g.k.Go("gw.read", func(q *sim.Proc) {
-			defer grp.Done()
-			restoreQ := withTenant(q, owner, prio)
-			defer restoreQ()
-			if _, err := g.fs.ReadAt(q, part.Path, part.Off, slice); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	grp.Wait(p)
-	if firstErr != nil {
-		return nil, firstErr
+	err := sim.Fork(p, "gw.read", len(ver.Layout.Parts), func(q *sim.Proc, i int) error {
+		restoreQ := withTenant(q, owner, prio)
+		defer restoreQ()
+		part, off := ver.Layout.Parts[i], ver.Layout.start(i)
+		_, err := g.fs.ReadAt(q, part.Path, part.Off, buf[off:off+part.Len])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return buf, nil
 }

@@ -560,3 +560,28 @@ func TestGetSurvivesReplacingPuts(t *testing.T) {
 		return nil
 	})
 }
+
+// A PUT whose second part cannot be created fails before any part is
+// written: no writer outlives it, and the part file made before the failure
+// is removed.
+func TestFailedPutLeavesNoWriterOrPartFile(t *testing.T) {
+	e := newEnv(t, Config{Layout: LayoutConfig{Classes: []string{"default", "nope"}}})
+	tok := e.token(t, "alpha")
+	e.run(t, func(p *sim.Proc) error {
+		if err := e.gw.CreateBucket(p, tok, "data", BucketOptions{Priority: -1}); err != nil {
+			return err
+		}
+		_, err := e.gw.PutObject(p, tok, "data", "big", patternedData(3<<20))
+		if !errors.Is(err, pfs.ErrNoClass) {
+			return fmt.Errorf("PUT over an unknown class: err = %v, want %v", err, pfs.ErrNoClass)
+		}
+		return nil
+	})
+	e.k.RunFor(10 * sim.Second)
+	if e.io.writes != 0 {
+		t.Errorf("%d block writes after the failed PUT, want 0", e.io.writes)
+	}
+	if names, err := e.fs.List("/gateway/t/alpha/b/data/p"); err != nil || len(names) != 0 {
+		t.Errorf("part files after the failed PUT: %v (err %v), want none", names, err)
+	}
+}

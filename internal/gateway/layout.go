@@ -71,6 +71,15 @@ type Layout struct {
 	Segment bool
 }
 
+// start returns the offset of part i within the object's bytes.
+func (l Layout) start(i int) int64 {
+	var off int64
+	for _, part := range l.Parts[:i] {
+		off += part.Len
+	}
+	return off
+}
+
 // SegCursor is a bucket's small-object aggregation point: the next free
 // offset in its current segment file. It lives in the bucket's metadata
 // record and only ever advances.

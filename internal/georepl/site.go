@@ -187,30 +187,22 @@ func (s *Site) writeAsHome(p *sim.Proc, path string, m *fileMeta, off int64, dat
 	// Durability replication per policy.
 	switch m.policy.Geo.Mode {
 	case pfs.GeoSync:
-		grp := sim.NewGroup(s.fed.k)
-		var firstErr error
-		for _, dst := range s.duraTargets(m) {
-			dst := dst
+		targets := s.duraTargets(m)
+		for _, dst := range targets {
 			m.duraReplicas[dst] = true
-			grp.Add(1)
-			s.fed.k.Go("geo.sync", func(q *sim.Proc) {
-				defer grp.Done()
-				raw, err := s.conn.CallTimeout(q, simnet.Addr(dst), "geo.ship",
-					shipReq{Path: path, Off: off, Data: data}, ctrlSize+len(data), 30*sim.Second)
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				if resp := raw.(shipResp); resp.Err != "" && firstErr == nil {
-					firstErr = fmt.Errorf("georepl: %s", resp.Err)
-				}
-			})
 			s.Stats.SyncShips++
 		}
-		grp.Wait(p)
-		return firstErr
+		return sim.Fork(p, "geo.sync", len(targets), func(q *sim.Proc, i int) error {
+			raw, err := s.conn.CallTimeout(q, simnet.Addr(targets[i]), "geo.ship",
+				shipReq{Path: path, Off: off, Data: data}, ctrlSize+len(data), 30*sim.Second)
+			if err != nil {
+				return err
+			}
+			if resp := raw.(shipResp); resp.Err != "" {
+				return fmt.Errorf("georepl: %s", resp.Err)
+			}
+			return nil
+		})
 	case pfs.GeoAsync:
 		for _, dst := range s.duraTargets(m) {
 			m.duraReplicas[dst] = true

@@ -244,16 +244,11 @@ func (t *Tier) writeThrough(p *sim.Proc, self int, keys []cache.Key) {
 		conn.CallRetry(p, t.deps.Peers[b], "hc.invb", hcInvReq{Keys: groups[b]}, batchSize(len(groups[b])), t.deps.Retry)
 		return
 	}
-	grp := sim.NewGroup(t.deps.K)
-	for _, b := range blades {
-		b := b
-		grp.Add(1)
-		t.deps.K.Go("hcinv", func(q *sim.Proc) {
-			defer grp.Done()
-			conn.CallRetry(q, t.deps.Peers[b], "hc.invb", hcInvReq{Keys: groups[b]}, batchSize(len(groups[b])), t.deps.Retry)
-		})
-	}
-	grp.Wait(p)
+	sim.Fork(p, "hcinv", len(blades), func(q *sim.Proc, i int) error {
+		b := blades[i]
+		conn.CallRetry(q, t.deps.Peers[b], "hc.invb", hcInvReq{Keys: groups[b]}, batchSize(len(groups[b])), t.deps.Retry)
+		return nil
+	})
 }
 
 // SetEnabled arms or disarms the tier. Disabling clears every node (the

@@ -177,23 +177,13 @@ func (fs *FS) WriteAt(p *sim.Proc, path string, off int64, data []byte) (int, er
 	if err != nil {
 		return 0, err
 	}
-	grp := sim.NewGroup(fs.k)
-	var firstErr error
-	for _, r := range runs {
-		r := r
-		grp.Add(1)
-		fs.k.Go("pfs.write", func(q *sim.Proc) {
-			defer grp.Done()
-			o := (r.fileBlock - firstBlock) * bs
-			err := fs.io.WriteBlocks(q, r.vol, r.lba, buf[o:o+r.blocks*bs], prio, repl)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	grp.Wait(p)
-	if firstErr != nil {
-		return 0, firstErr
+	err = sim.Fork(p, "pfs.write", len(runs), func(q *sim.Proc, i int) error {
+		r := runs[i]
+		o := (r.fileBlock - firstBlock) * bs
+		return fs.io.WriteBlocks(q, r.vol, r.lba, buf[o:o+r.blocks*bs], prio, repl)
+	})
+	if err != nil {
+		return 0, err
 	}
 	if end > ino.Size {
 		ino.Size = end
@@ -216,26 +206,14 @@ func (fs *FS) readBlocks(p *sim.Proc, ino *Inode, start, count int64, prio int) 
 	}
 	bs := int64(fs.io.BlockSize())
 	buf := make([]byte, count*bs)
-	grp := sim.NewGroup(fs.k)
-	var firstErr error
-	for _, r := range runs {
-		r := r
-		grp.Add(1)
-		fs.k.Go("pfs.read", func(q *sim.Proc) {
-			defer grp.Done()
-			d, err := fs.io.ReadBlocks(q, r.vol, r.lba, int(r.blocks), prio)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			copy(buf[(r.fileBlock-start)*bs:], d)
-		})
-	}
-	grp.Wait(p)
-	if firstErr != nil {
-		return nil, firstErr
+	err = sim.Fork(p, "pfs.read", len(runs), func(q *sim.Proc, i int) error {
+		r := runs[i]
+		d, err := fs.io.ReadBlocks(q, r.vol, r.lba, int(r.blocks), prio)
+		copy(buf[(r.fileBlock-start)*bs:], d)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return buf, nil
 }

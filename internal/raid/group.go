@@ -239,26 +239,12 @@ func (g *Group) availableRange(i int, s, n int64) bool {
 }
 
 // parallel runs fns as concurrent simulation processes, blocking p until
-// all complete; the first non-nil error is returned.
+// all complete; the first non-nil error is returned. A lone fn runs on p.
 func parallel(p *sim.Proc, fns ...func(q *sim.Proc) error) error {
 	if len(fns) == 1 {
 		return fns[0](p)
 	}
-	k := p.Kernel()
-	grp := sim.NewGroup(k)
-	var firstErr error
-	for _, fn := range fns {
-		fn := fn
-		grp.Add(1)
-		k.Go("par", func(q *sim.Proc) {
-			defer grp.Done()
-			if err := fn(q); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	grp.Wait(p)
-	return firstErr
+	return sim.Fork(p, "par", len(fns), func(q *sim.Proc, i int) error { return fns[i](q) })
 }
 
 // extent is a contiguous run of blocks on one disk, used to coalesce I/O.

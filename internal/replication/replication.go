@@ -43,7 +43,6 @@ type dropResp struct{}
 // Manager runs replication for one blade: it pushes this blade's dirty
 // blocks to buddies and stores replicas for peers.
 type Manager struct {
-	k     *sim.Kernel
 	conn  *simnet.Conn
 	peers []simnet.Addr
 	self  int
@@ -66,10 +65,11 @@ type Manager struct {
 }
 
 // New builds a manager and registers its handlers on conn (which may be
-// shared with the coherence engine — method names do not collide).
-func New(k *sim.Kernel, conn *simnet.Conn, peers []simnet.Addr, self, n int) *Manager {
+// shared with the coherence engine — method names do not collide). The
+// manager runs on its callers' processes, so it keeps no kernel.
+func New(_ *sim.Kernel, conn *simnet.Conn, peers []simnet.Addr, self, n int) *Manager {
 	m := &Manager{
-		k: k, conn: conn, peers: peers, self: self, n: n,
+		conn: conn, peers: peers, self: self, n: n,
 		held:   make(map[int]map[cache.Key]Replica),
 		placed: make(map[cache.Key][]int),
 	}
@@ -153,28 +153,22 @@ func (m *Manager) ReplicateDirty(p *sim.Proc, key cache.Key, data []byte, versio
 		sp = ctx.Child("replicate", trace.Repl, fmt.Sprintf("blade%d", m.self))
 	}
 	// The per-buddy push processes must parent under the replicate span,
-	// not the op root, so push its context while spawning.
+	// not the op root, so its context is pushed around the fork.
 	pop := sp.Push(p)
-	grp := sim.NewGroup(m.k)
-	var firstErr error
-	for _, b := range buddies {
-		b := b
-		grp.Add(1)
-		m.k.Go("repl.put", func(q *sim.Proc) {
-			defer grp.Done()
-			_, err := m.conn.CallRetry(q, m.peers[b], "repl.put",
-				putReq{Key: key, Owner: m.self, Version: version, Data: data},
-				ctrlSize+len(data), pol)
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("replication: put to blade %d: %w", b, err)
-			}
-		})
-	}
+	err := sim.Fork(p, "repl.put", len(buddies), func(q *sim.Proc, i int) error {
+		b := buddies[i]
+		_, err := m.conn.CallRetry(q, m.peers[b], "repl.put",
+			putReq{Key: key, Owner: m.self, Version: version, Data: data},
+			ctrlSize+len(data), pol)
+		if err != nil {
+			return fmt.Errorf("replication: put to blade %d: %w", b, err)
+		}
+		return nil
+	})
 	pop()
-	grp.Wait(p)
 	sp.End()
 	m.Puts++
-	return firstErr
+	return err
 }
 
 // OnClean releases replicas after the owner destaged version. It has the

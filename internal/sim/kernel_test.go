@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -309,6 +311,109 @@ func TestGroupWait(t *testing.T) {
 	k.Run()
 	if doneAt != Time(3*Millisecond) {
 		t.Fatalf("group completed at %v, want 3ms", doneAt)
+	}
+}
+
+// forkIn runs body as the one process on a fresh kernel, to completion.
+func forkIn(body func(k *Kernel, p *Proc)) {
+	k := NewKernel(1)
+	k.Go("parent", func(p *Proc) { body(k, p) })
+	k.Run()
+}
+
+func TestForkStartsItemsInIndexOrder(t *testing.T) {
+	var started []int
+	forkIn(func(_ *Kernel, p *Proc) {
+		Fork(p, "item", 5, func(q *Proc, i int) error {
+			started = append(started, i)
+			return nil
+		})
+	})
+	if fmt.Sprint(started) != "[0 1 2 3 4]" {
+		t.Fatalf("items started in order %v, want index order", started)
+	}
+}
+
+func TestForkOfNoItemsSchedulesNoEvent(t *testing.T) {
+	forkIn(func(k *Kernel, p *Proc) {
+		before := k.Events()
+		err := Fork(p, "item", 0, func(q *Proc, i int) error {
+			t.Errorf("item %d ran", i)
+			return nil
+		})
+		if err != nil || k.Events() != before {
+			t.Errorf("Fork of 0 items: err %v, %d events scheduled, want nil and 0", err, k.Events()-before)
+		}
+	})
+}
+
+func TestForkRunsALoneItemOnANewProc(t *testing.T) {
+	forkIn(func(_ *Kernel, p *Proc) {
+		Fork(p, "item", 1, func(q *Proc, i int) error {
+			if q == p {
+				t.Error("the lone item ran on the forking proc")
+			}
+			return nil
+		})
+	})
+}
+
+func TestForkReturnsTheFirstErrorToComplete(t *testing.T) {
+	errs := []error{errors.New("item 0"), errors.New("item 1")}
+	var got error
+	forkIn(func(_ *Kernel, p *Proc) {
+		got = Fork(p, "item", 2, func(q *Proc, i int) error {
+			q.Sleep(Duration(2-i) * Millisecond) // item 1 fails at 1 ms, item 0 at 2 ms
+			return errs[i]
+		})
+	})
+	if got != errs[1] {
+		t.Fatalf("Fork returned %v, want item 1's error", got)
+	}
+}
+
+func TestForkResumesAfterEveryItem(t *testing.T) {
+	returned := 0
+	forkIn(func(_ *Kernel, p *Proc) {
+		Fork(p, "item", 3, func(q *Proc, i int) error {
+			q.Sleep(Duration(3-i) * Millisecond)
+			returned++
+			return nil
+		})
+		if returned != 3 || p.Now() != Time(3*Millisecond) {
+			t.Errorf("resumed at %v with %d of 3 items returned, want 3ms and 3", p.Now(), returned)
+		}
+	})
+}
+
+// Fork schedules exactly the events of the Group block it stands for.
+func TestForkSchedulesTheEventsOfAGroupBlock(t *testing.T) {
+	item := func(q *Proc, i int) { q.Sleep(Duration(i%2+1) * Millisecond) }
+	events := func(fanOut func(k *Kernel, p *Proc)) (uint64, Time) {
+		k := NewKernel(1)
+		k.Go("parent", func(p *Proc) { fanOut(k, p) })
+		k.Run()
+		return k.Events(), k.Now()
+	}
+	for n := 0; n <= 3; n++ {
+		forked, forkEnd := events(func(_ *Kernel, p *Proc) {
+			Fork(p, "item", n, func(q *Proc, i int) error { item(q, i); return nil })
+		})
+		grouped, groupEnd := events(func(k *Kernel, p *Proc) {
+			g := NewGroup(k)
+			for i := range n {
+				g.Add(1)
+				k.Go("item", func(q *Proc) {
+					defer g.Done()
+					item(q, i)
+				})
+			}
+			g.Wait(p)
+		})
+		if forked != grouped || forkEnd != groupEnd {
+			t.Errorf("n=%d: Fork scheduled %d events ending at %v, the Group block %d ending at %v",
+				n, forked, forkEnd, grouped, groupEnd)
+		}
 	}
 }
 

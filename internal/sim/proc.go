@@ -215,9 +215,6 @@ func (p *Proc) QoSCtx() any { return p.qctx }
 // ops at the front door; RPC handlers adopt the caller's tag over the wire.
 func (p *Proc) SetQoSCtx(v any) { p.qctx = v }
 
-// Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.Now() }
 

@@ -220,6 +220,40 @@ func (g *Group) Wait(p *Proc) {
 // Pending reports the current counter value.
 func (g *Group) Pending() int { return g.n }
 
+// Fork runs fn(q, i) for every i in [0, n), each on a process of its own
+// named name, and blocks p until all of them have returned; it returns the
+// first non-nil error in completion order. The processes are spawned in
+// index order at p's instant, so they start in that order after the events
+// already queued there. A lone item gets a process too: running it on p
+// would start it one event sooner and move every later event.
+func Fork(p *Proc, name string, n int, fn func(q *Proc, i int) error) error {
+	j := &join{p: p, left: n, fn: fn}
+	for i := range n {
+		p.k.Go(name, func(q *Proc) { j.run(q, i) })
+	}
+	for j.left > 0 {
+		p.park()
+	}
+	return j.err
+}
+
+// join is one Fork's state, shared by its items.
+type join struct {
+	p    *Proc
+	left int
+	err  error
+	fn   func(q *Proc, i int) error
+}
+
+func (j *join) run(q *Proc, i int) {
+	if err := j.fn(q, i); err != nil && j.err == nil {
+		j.err = err
+	}
+	if j.left--; j.left == 0 {
+		j.p.k.wakeAt(j.p.k.now, j.p)
+	}
+}
+
 // Mutex serializes processes over a critical section in FIFO order.
 type Mutex struct {
 	sem *Semaphore

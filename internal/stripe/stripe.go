@@ -215,10 +215,7 @@ func Sweep(k *sim.Kernel, base Config, counts []int, totalBytes int64) ([]Result
 		}
 		var res Result
 		var serr error
-		grp := sim.NewGroup(k)
-		grp.Add(1)
 		k.Go(fmt.Sprintf("stream%d", n), func(p *sim.Proc) {
-			defer grp.Done()
 			res, serr = s.Stream(p, totalBytes)
 		})
 		k.Run()

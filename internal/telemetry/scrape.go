@@ -45,7 +45,6 @@ type Scraper struct {
 	prevT   sim.Time
 	scrapes int64
 	events  []Event
-	stopped bool
 	started bool
 }
 
@@ -74,10 +73,10 @@ func (s *Scraper) Start() (stop func()) {
 		panic("telemetry: scraper already started")
 	}
 	s.started = true
-	s.stopped = false
+	stopped := false // this Start's own: a restart must not revive its chain
 	var tick func()
 	tick = func() {
-		if s.stopped {
+		if stopped {
 			return
 		}
 		s.ScrapeNow()
@@ -85,7 +84,7 @@ func (s *Scraper) Start() (stop func()) {
 	}
 	s.k.After(s.interval, tick)
 	return func() {
-		s.stopped = true
+		stopped = true
 		s.started = false
 	}
 }

@@ -99,6 +99,22 @@ func TestScraperStopMovesNoEvents(t *testing.T) {
 	}
 }
 
+// A stop followed by a Start before the pending tick fires must leave one
+// tick chain: the old chain's tick finds its own stop flag still set.
+func TestScraperRestartKeepsOneTickChain(t *testing.T) {
+	k := sim.NewKernel(1)
+	s := NewScraper(k, tickingCounter(k), 10*sim.Millisecond)
+	stop := s.Start()
+	k.RunFor(5 * sim.Millisecond)
+	stop()
+	stop = s.Start()
+	k.RunFor(100 * sim.Millisecond)
+	stop()
+	if s.Scrapes() != 10 {
+		t.Fatalf("Scrapes() = %d over 10 intervals after a restart, want 10", s.Scrapes())
+	}
+}
+
 // scrapeRun runs the same seeded scrape workload and returns its exports.
 func scrapeRun(seed int64) (timeline, events string, scrapes int64) {
 	k := sim.NewKernel(seed)

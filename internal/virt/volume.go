@@ -93,21 +93,7 @@ func parDo(p *sim.Proc, fns ...func(q *sim.Proc) error) error {
 	if len(fns) == 1 {
 		return fns[0](p)
 	}
-	k := p.Kernel()
-	grp := sim.NewGroup(k)
-	var firstErr error
-	for _, fn := range fns {
-		fn := fn
-		grp.Add(1)
-		k.Go("vpar", func(q *sim.Proc) {
-			defer grp.Done()
-			if err := fn(q); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	grp.Wait(p)
-	return firstErr
+	return sim.Fork(p, "vpar", len(fns), func(q *sim.Proc, i int) error { return fns[i](q) })
 }
 
 // Read returns count blocks from virtual address lba. Unmapped ranges read

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # loc.sh [rev] — non-test Go lines per package and in total, of the working
-# tree or of a git revision: the number ROADMAP item 9 gates on.
+# tree or of a git revision: the number ROADMAP item 11 gates on.
 #   make loc            the working tree
 #   make loc REV=HEAD~1 a revision, for the before/after line in CHANGES.md
 set -euo pipefail
