@@ -5,7 +5,6 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 
@@ -61,8 +60,11 @@ type Entry struct {
 	// detect concurrent modification before clearing Dirty.
 	Version uint64
 
-	elem *list.Element // nil once the entry has left the cache
-	lane int
+	// prev and next link the entry into its lane (see lane); resident is
+	// false once the entry has left the cache.
+	prev, next *Entry
+	resident   bool
+	lane       int
 	// age is the recency stamp taken whenever the entry moves to the back of
 	// its lane, so ascending age is exactly the lane's LRU order.
 	age uint64
@@ -82,19 +84,44 @@ type Stats struct {
 type Cache struct {
 	capacity int
 	entries  map[Key]*Entry
-	lanes    [NumPriorities]*list.List // front = LRU victim end
-	clock    uint64                    // source of Entry.age
-	dirty    []*Entry                  // every resident dirty entry, unordered
+	lanes    [NumPriorities]lane
+	clock    uint64   // source of Entry.age
+	dirty    []*Entry // every resident dirty entry, unordered
 	stats    Stats
+}
+
+// lane is one retention lane: a doubly linked list of resident entries,
+// threaded through their own prev/next fields so that an insert allocates
+// nothing beyond the entry. head is the LRU victim end.
+type lane struct{ head, tail *Entry }
+
+func (l *lane) pushBack(e *Entry) {
+	e.prev, e.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.next = e
+	} else {
+		l.head = e
+	}
+	l.tail = e
+}
+
+func (l *lane) remove(e *Entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
 }
 
 // New returns a cache holding up to capacity blocks.
 func New(capacity int) *Cache {
-	c := &Cache{capacity: capacity, entries: make(map[Key]*Entry)}
-	for i := range c.lanes {
-		c.lanes[i] = list.New()
-	}
-	return c
+	return &Cache{capacity: capacity, entries: make(map[Key]*Entry)}
 }
 
 // Capacity returns the configured block capacity.
@@ -126,7 +153,10 @@ func (c *Cache) Get(key Key) (*Entry, bool) {
 		return nil, false
 	}
 	c.stats.Hits++
-	c.lanes[e.lane].MoveToBack(e.elem)
+	if l := &c.lanes[e.lane]; l.tail != e {
+		l.remove(e)
+		l.pushBack(e)
+	}
 	c.touch(e)
 	return e, true
 }
@@ -138,7 +168,14 @@ func (c *Cache) Peek(key Key) (*Entry, bool) {
 }
 
 // Put inserts or replaces an entry. The caller must have made room first
-// (Put never evicts; see Victim). Data is stored by reference.
+// (Put never evicts; see Victim). Data is stored by reference, neither
+// copied nor freed: whoever puts a buffer answers for who else holds it.
+// The coherence engine puts only buffers of its own free list, and recycles
+// one when its entry leaves (setting Data to nil) if nobody else can hold
+// it: readers copy out of Data before they yield, and a rewritten entry
+// (Version > 0) is never recycled, because a write's buffer is held by its
+// replicas too. A peer's reply is copied into a free-list buffer rather than
+// installed, so no buffer that came in a message reaches the free list.
 func (c *Cache) Put(key Key, data []byte, state State, dirty bool, priority int) *Entry {
 	if priority < 0 {
 		priority = 0
@@ -147,7 +184,7 @@ func (c *Cache) Put(key Key, data []byte, state State, dirty bool, priority int)
 		priority = NumPriorities - 1
 	}
 	if e, ok := c.entries[key]; ok {
-		c.lanes[e.lane].Remove(e.elem)
+		c.lanes[e.lane].remove(e)
 		e.Data, e.State, e.Priority = data, state, priority
 		c.SetDirty(e, dirty)
 		// The replace path rewrites Data, so it must bump Version like
@@ -156,13 +193,13 @@ func (c *Cache) Put(key Key, data []byte, state State, dirty bool, priority int)
 		// destage mark the new content clean without persisting it.
 		e.Version++
 		e.lane = priority
-		e.elem = c.lanes[priority].PushBack(e)
+		c.lanes[priority].pushBack(e)
 		c.touch(e)
 		c.stats.Replaces++
 		return e
 	}
-	e := &Entry{Key: key, Data: data, State: state, Priority: priority, lane: priority, dirtyIdx: -1}
-	e.elem = c.lanes[priority].PushBack(e)
+	e := &Entry{Key: key, Data: data, State: state, Priority: priority, resident: true, lane: priority, dirtyIdx: -1}
+	c.lanes[priority].pushBack(e)
 	c.touch(e)
 	c.entries[key] = e
 	c.SetDirty(e, dirty)
@@ -181,7 +218,7 @@ func (c *Cache) touch(e *Entry) {
 func (c *Cache) SetDirty(e *Entry, dirty bool) {
 	e.Dirty = dirty
 	switch {
-	case dirty && e.dirtyIdx < 0 && e.elem != nil:
+	case dirty && e.dirtyIdx < 0 && e.resident:
 		e.dirtyIdx = len(c.dirty)
 		c.dirty = append(c.dirty, e)
 	case !dirty && e.dirtyIdx >= 0:
@@ -202,8 +239,8 @@ func (c *Cache) untrack(e *Entry) {
 
 // drop unlinks a resident entry from the lanes, the map and the dirty index.
 func (c *Cache) drop(e *Entry) {
-	c.lanes[e.lane].Remove(e.elem)
-	e.elem = nil
+	c.lanes[e.lane].remove(e)
+	e.resident = false
 	delete(c.entries, e.Key)
 	if e.dirtyIdx >= 0 {
 		c.untrack(e)
@@ -226,18 +263,16 @@ func (c *Cache) NeedsRoom(n int) bool { return len(c.entries)+n > c.capacity }
 // candidate exists.
 func (c *Cache) Victim() *Entry {
 	// First pass: clean entries, lowest lane first.
-	for lane := 0; lane < NumPriorities; lane++ {
-		for el := c.lanes[lane].Front(); el != nil; el = el.Next() {
-			e := el.Value.(*Entry)
+	for i := range c.lanes {
+		for e := c.lanes[i].head; e != nil; e = e.next {
 			if !e.Pinned && !e.Dirty {
 				return e
 			}
 		}
 	}
 	// Second pass: accept a dirty victim.
-	for lane := 0; lane < NumPriorities; lane++ {
-		for el := c.lanes[lane].Front(); el != nil; el = el.Next() {
-			e := el.Value.(*Entry)
+	for i := range c.lanes {
+		for e := c.lanes[i].head; e != nil; e = e.next {
 			if !e.Pinned {
 				return e
 			}
@@ -246,9 +281,10 @@ func (c *Cache) Victim() *Entry {
 	return nil
 }
 
-// Evict removes e and counts the eviction.
+// Evict removes e and counts the eviction; an entry that has already left
+// the cache is ignored.
 func (c *Cache) Evict(e *Entry) {
-	if _, ok := c.entries[e.Key]; !ok {
+	if !e.resident {
 		return
 	}
 	c.drop(e)
@@ -285,11 +321,9 @@ func (s byLaneAge) Less(i, j int) bool {
 // membership change; dirty data must have been flushed by the caller).
 func (c *Cache) Clear() {
 	for _, e := range c.entries {
-		e.elem, e.dirtyIdx = nil, -1
+		e.prev, e.next, e.resident, e.dirtyIdx = nil, nil, false, -1
 	}
 	c.dirty = nil
 	c.entries = make(map[Key]*Entry)
-	for i := range c.lanes {
-		c.lanes[i] = list.New()
-	}
+	c.lanes = [NumPriorities]lane{}
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -280,8 +281,8 @@ func TestPutCountsInsertsAndReplacesSeparately(t *testing.T) {
 func scanDirty(c *Cache) []*Entry {
 	var out []*Entry
 	for lane := 0; lane < NumPriorities; lane++ {
-		for el := c.lanes[lane].Front(); el != nil; el = el.Next() {
-			if e := el.Value.(*Entry); e.Dirty {
+		for e := c.lanes[lane].head; e != nil; e = e.next {
+			if e.Dirty {
 				out = append(out, e)
 			}
 		}
@@ -289,10 +290,47 @@ func scanDirty(c *Cache) []*Entry {
 	return out
 }
 
+// checkLanes reports the first way the intrusive lanes disagree with the
+// map: every lane walks head to tail in ascending age, a backward walk from
+// tail meets the same entries in reverse, and together the lanes hold
+// exactly the resident entries, each in the lane it records.
+func checkLanes(c *Cache) error {
+	n := 0
+	for i := range c.lanes {
+		l := &c.lanes[i]
+		var fwd []*Entry
+		for e := l.head; e != nil; e = e.next {
+			if len(fwd) > 0 && e.age <= fwd[len(fwd)-1].age {
+				return fmt.Errorf("lane %d: %v (age %d) follows %v (age %d)", i, e.Key, e.age, fwd[len(fwd)-1].Key, fwd[len(fwd)-1].age)
+			}
+			if e.lane != i || !e.resident || c.entries[e.Key] != e {
+				return fmt.Errorf("lane %d holds %v (lane %d, resident %v), not the map's entry", i, e.Key, e.lane, e.resident)
+			}
+			fwd = append(fwd, e)
+		}
+		j := len(fwd)
+		for e := l.tail; e != nil; e = e.prev {
+			if j--; j < 0 || fwd[j] != e {
+				return fmt.Errorf("lane %d: backward walk from tail disagrees with the forward walk at %v", i, e.Key)
+			}
+		}
+		if j != 0 {
+			return fmt.Errorf("lane %d: backward walk met %d of %d entries", i, len(fwd)-j, len(fwd))
+		}
+		n += len(fwd)
+	}
+	if n != len(c.entries) {
+		return fmt.Errorf("lanes hold %d entries, map %d", n, len(c.entries))
+	}
+	return nil
+}
+
 // The dirty index must be invisible: after any sequence of operations
 // DirtyEntries returns exactly what the full scan would, in its order
 // (lane, then LRU age) — the flusher picks its batch from the front of it —
-// and the count never drifts from the truth.
+// and the count never drifts from the truth. The same sequence holds the
+// intrusive lanes to their invariants (checkLanes), and Clear to leaving
+// every lane empty.
 func TestDirtyIndexMatchesFullScan(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -310,6 +348,9 @@ func TestDirtyIndexMatchesFullScan(t *testing.T) {
 					t.Fatalf("seed %d op %d (%s): position %d is %v, full scan has %v",
 						seed, i, op, j, got[j].Key, want[j].Key)
 				}
+			}
+			if err := checkLanes(c); err != nil {
+				t.Fatalf("seed %d op %d (%s): %v", seed, i, op, err)
 			}
 		}
 		for i := 0; i < 4000; i++ {
@@ -343,6 +384,11 @@ func TestDirtyIndexMatchesFullScan(t *testing.T) {
 			default:
 				op = "clear"
 				c.Clear()
+				for l := range c.lanes {
+					if c.lanes[l] != (lane{}) || c.Len() != 0 {
+						t.Fatalf("seed %d op %d: lane %d not empty after Clear (len %d)", seed, i, l, c.Len())
+					}
+				}
 			}
 			check(op, i)
 		}

@@ -1,9 +1,11 @@
 package coherence
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 // benchOps times b.N coherence operations issued by one proc of a 4-blade
@@ -91,4 +93,70 @@ func BenchmarkFlushTickClean(b *testing.B) {
 	}, func(h *harness, p *sim.Proc, i int) {
 		h.engines[0].FlushOnce(p, 64)
 	})
+}
+
+// evictingReader returns a 4-blade harness of bs-byte blocks whose blades
+// cache 1024 blocks each, over a zero-filled store that is never written,
+// and read, which makes blade 0 read the i-th 64-block run of a set twice
+// the cache: once the set has been read through, every block of a run
+// misses, comes from the store and evicts the least recently used block —
+// the stream's miss path.
+func evictingReader(bs int) (h *harness, read func(p *sim.Proc, i int) error) {
+	const cacheBlocks, run = 1024, 64
+	h = newHarnessSized(1, 4, cacheBlocks, bs, &failingBacking{delay: 2 * sim.Millisecond}, simnet.RetryPolicy{})
+	dst := make([]byte, run*bs)
+	return h, func(p *sim.Proc, i int) error {
+		lba := int64(i*run) % (2 * cacheBlocks)
+		return h.engines[0].ReadRun(p, "v", lba, 0, dst)
+	}
+}
+
+// BenchmarkReadRunEvicting: 64-block miss runs of 4 KiB blocks, each block
+// evicting one (see evictingReader).
+func BenchmarkReadRunEvicting(b *testing.B) {
+	h, read := evictingReader(4096)
+	defer h.k.Close()
+	b.ReportAllocs()
+	h.run(func(p *sim.Proc) {
+		for i := 0; i < 2*1024/64; i++ { // fill the cache: the runs below evict
+			read(p, i)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := read(p, i); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+		b.StopTimer()
+	})
+}
+
+// A block that misses and evicts costs less than a block-sized allocation:
+// its cache entry reuses the buffer of the block it evicted.
+func TestReadRunEvictingReusesBuffers(t *testing.T) {
+	const bs, runs = 4096, 100
+	h, read := evictingReader(bs)
+	defer h.k.Close()
+	var before, after runtime.MemStats
+	h.run(func(p *sim.Proc) {
+		for i := 0; i < 2*1024/64; i++ {
+			read(p, i)
+		}
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := read(p, i); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		runtime.ReadMemStats(&after)
+	})
+	blocks := uint64(runs * 64)
+	if perBlock := (after.TotalAlloc - before.TotalAlloc) / blocks; perBlock >= bs {
+		t.Fatalf("a missed block allocates %d bytes, want < %d (one block buffer)", perBlock, bs)
+	}
+	if ev := h.engines[0].Cache().Stats().Evictions; ev < int64(blocks) {
+		t.Fatalf("%d evictions over %d missed blocks: the runs did not evict", ev, blocks)
+	}
 }

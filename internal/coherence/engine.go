@@ -288,6 +288,10 @@ type Engine struct {
 	// (see waitUnpinned); unpin completes and removes it.
 	unpinned map[*cache.Entry]*sim.Future[struct{}]
 
+	// free holds block buffers that clean entries left behind (see buffer
+	// and recycle), never more than the cache has empty slots.
+	free [][]byte
+
 	stats Stats
 	// down mirrors the cluster's view of this blade; a down engine
 	// rejects client operations.
@@ -814,9 +818,11 @@ func (e *Engine) lookup(p *sim.Proc, key cache.Key, dst []byte) (epoch uint64, m
 	return e.invEpoch[key], true, nil
 }
 
-// settle serves the home's answer into dst, installing a peer's copy here.
-// fill reports that there was no data: this blade is a sharer under epoch,
-// the backing store is current, and the block is the caller's to read.
+// settle serves the home's answer into dst, installing a copy of a peer's
+// data here (install copies it into a buffer of the free list, so the
+// reply's own buffer is never recycled). fill reports that there was no
+// data: this blade is a sharer under epoch, the backing store is current,
+// and the block is the caller's to read.
 func (e *Engine) settle(p *sim.Proc, key cache.Key, epoch uint64, resp dirResp, priority int, dst []byte) (fill bool) {
 	if resp.Data == nil {
 		e.stats.DiskReads++
@@ -865,24 +871,59 @@ func (e *Engine) ask(p *sim.Proc, method string, key cache.Key, epoch uint64) (d
 	}
 }
 
-// install caches data, which the cache keeps, as key's Shared copy — unless
-// the copy it would be is no longer this blade's to hold. The entry must
-// have seen no invalidation since the directory answered (epoch), before
-// and after makeRoom, which may block on a writeback. It must also still be
-// absent: a writer proc on this same blade may have installed a Modified
-// copy while the data was being fetched (GetX does not invalidate the
-// requester's own blade, so the epoch alone cannot see it), and overwriting
-// that dirty block with older data would lose an acknowledged write. A
-// failed makeRoom (backing store refusing writebacks) degrades to serving
-// the read uncached rather than failing it.
-func (e *Engine) install(p *sim.Proc, key cache.Key, epoch uint64, data []byte, priority int, notes *[]evictNote) {
+// install caches a copy of src, in a buffer from the free list, as key's
+// Shared copy — unless the copy it would be is no longer this blade's to
+// hold. The entry must have seen no invalidation since the directory
+// answered (epoch), before and after makeRoom, which may block on a
+// writeback. It must also still be absent: a writer proc on this same blade
+// may have installed a Modified copy while the data was being fetched (GetX
+// does not invalidate the requester's own blade, so the epoch alone cannot
+// see it), and overwriting that dirty block with older data would lose an
+// acknowledged write. A failed makeRoom (backing store refusing writebacks)
+// degrades to serving the read uncached rather than failing it.
+func (e *Engine) install(p *sim.Proc, key cache.Key, epoch uint64, src []byte, priority int, notes *[]evictNote) {
 	if e.invEpoch[key] != epoch || e.makeRoom(p, notes) != nil {
 		return
 	}
 	if _, present := e.cache.Peek(key); present || e.invEpoch[key] != epoch {
 		return
 	}
-	e.cache.Put(key, data, cache.Shared, false, priority)
+	buf := e.buffer()
+	copy(buf, src)
+	e.cache.Put(key, buf, cache.Shared, false, priority)
+}
+
+// buffer returns a block buffer for a new cache entry: the one a clean
+// entry left most recently (see recycle), or a new one.
+func (e *Engine) buffer() []byte {
+	n := len(e.free)
+	if n == 0 {
+		return make([]byte, e.blockSize)
+	}
+	buf := e.free[n-1]
+	e.free[n-1] = nil
+	e.free = e.free[:n-1]
+	return buf
+}
+
+// owned reports that nobody but the cache holds ent's buffer: ent is clean
+// and unpinned, and its Version is 0, so install put the buffer in and
+// nobody rewrote it (every data update bumps Version; a write's buffer goes
+// to the replicas, a destage's to the store). Every reader copies out of an
+// entry before it yields, so no reader holds it either.
+func owned(ent *cache.Entry) bool { return !ent.Dirty && !ent.Pinned && ent.Version == 0 }
+
+// recycle takes back the buffer of ent, which has just left the cache, if
+// the cache owned it. The entry's Data becomes nil, so a stale *cache.Entry
+// fails loudly instead of reading another block's bytes. The free list
+// never holds more buffers than the cache has empty slots: a blade holds no
+// more block memory than a full cache.
+func (e *Engine) recycle(ent *cache.Entry) {
+	if !owned(ent) || len(e.free) >= e.cache.Capacity()-e.cache.Len() {
+		return
+	}
+	e.free = append(e.free, ent.Data)
+	ent.Data = nil
 }
 
 // fillGathered is phase 2: one fillRun per maximal run of gathered blocks,
@@ -925,9 +966,12 @@ func (e *Engine) fillRun(p *sim.Proc, key cache.Key, run []gathered, priority in
 	}
 	bs := e.blockSize
 	var notes []evictNote
+	if e.cache.NeedsRoom(len(run)) { // the installs will evict, at most once each
+		notes = make([]evictNote, 0, len(run))
+	}
 	for i, g := range run {
 		k := cache.Key{Vol: key.Vol, LBA: key.LBA + int64(i)}
-		e.install(p, k, g.epoch, append([]byte(nil), dst[i*bs:(i+1)*bs]...), priority, &notes)
+		e.install(p, k, g.epoch, dst[i*bs:(i+1)*bs], priority, &notes)
 	}
 	e.notify(p, notes)
 	return nil
@@ -1041,15 +1085,14 @@ func (e *Engine) WriteBlockR(p *sim.Proc, key cache.Key, data []byte, priority, 
 // and runs the write-through hook: the one place a client write enters the
 // cache. stolen reports that nothing was installed because making room
 // blocked on a writeback and ownership moved on meanwhile (installing then
-// would create a second owner); the caller takes a fresh grant.
+// would create a second owner); the caller takes a fresh grant. The copy
+// goes into the buffer of the Shared copy it replaces, if the cache owns
+// that, or into one from the free list; either way the buffer is the
+// cache's no longer: the replicas keep it, and the bumped Version keeps
+// recycle off it.
 func (e *Engine) installModified(p *sim.Proc, key cache.Key, epoch uint64, data []byte, priority, replFactor int) (stolen bool, err error) {
-	stored := append([]byte(nil), data...)
 	entry, ok := e.cache.Peek(key)
-	if ok {
-		entry.Data = stored
-		entry.State = cache.Modified
-		e.cache.SetDirty(entry, true)
-	} else {
+	if !ok {
 		if err := e.makeRoom(p, nil); err != nil {
 			// No room and the backing store refuses writebacks: fail the
 			// write rather than pile dirty data past capacity on a store
@@ -1060,6 +1103,19 @@ func (e *Engine) installModified(p *sim.Proc, key cache.Key, epoch uint64, data 
 			e.stats.WriteRetries++
 			return true, nil
 		}
+	}
+	var stored []byte
+	if ok && owned(entry) {
+		stored = entry.Data
+	} else {
+		stored = e.buffer()
+	}
+	copy(stored, data)
+	if ok {
+		entry.Data = stored
+		entry.State = cache.Modified
+		e.cache.SetDirty(entry, true)
+	} else {
 		entry = e.cache.Put(key, stored, cache.Modified, true, priority)
 	}
 	entry.Version++
@@ -1111,6 +1167,7 @@ func (e *Engine) makeRoom(p *sim.Proc, notes *[]evictNote) error {
 		// the fresh copy.
 		note := evictNote{Key: v.Key, From: e.self, WasOwner: v.State == cache.Modified, Epoch: e.invEpoch[v.Key]}
 		e.cache.Evict(v)
+		e.recycle(v)
 		// An eviction invalidates this blade's copy, so it must also age the
 		// local install epoch: a sibling proc between a directory grant and
 		// its install (the evict-note may already have reset the home) would

@@ -37,6 +37,11 @@ func (f *failingBacking) WriteBlocks(p *sim.Proc, key cache.Key, data []byte) er
 // newHarnessFull is newHarness with a caller-supplied backing store and
 // fabric retry policy.
 func newHarnessFull(seed int64, blades, cacheBlocks int, backing Backing, retry simnet.RetryPolicy) *harness {
+	return newHarnessSized(seed, blades, cacheBlocks, blockSize, backing, retry)
+}
+
+// newHarnessSized is newHarnessFull with blocks of bs bytes.
+func newHarnessSized(seed int64, blades, cacheBlocks, bs int, backing Backing, retry simnet.RetryPolicy) *harness {
 	k := sim.NewKernel(seed)
 	net := simnet.New(k)
 	peers := make([]simnet.Addr, blades)
@@ -53,7 +58,7 @@ func newHarnessFull(seed int64, blades, cacheBlocks int, backing Backing, retry 
 			Self:         i,
 			Cache:        cache.New(cacheBlocks),
 			Backing:      backing,
-			BlockSize:    blockSize,
+			BlockSize:    bs,
 			OpDelay:      10 * sim.Microsecond,
 			HandlerDelay: 5 * sim.Microsecond,
 			Retry:        retry,

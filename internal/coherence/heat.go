@@ -38,13 +38,13 @@ type heatCell struct {
 type HeatTracker struct {
 	k        *sim.Kernel
 	halfLife sim.Duration
-	m        map[cache.Key]*heatCell
+	m        map[cache.Key]heatCell // by value: a new key allocates no cell
 	touches  int
 }
 
 // NewHeatTracker returns a tracker whose counts halve every halfLife.
 func NewHeatTracker(k *sim.Kernel, halfLife sim.Duration) *HeatTracker {
-	return &HeatTracker{k: k, halfLife: halfLife, m: make(map[cache.Key]*heatCell)}
+	return &HeatTracker{k: k, halfLife: halfLife, m: make(map[cache.Key]heatCell)}
 }
 
 // decayTo folds the elapsed virtual time into the cell's counter.
@@ -60,11 +60,11 @@ func (h *HeatTracker) Touch(key cache.Key) float64 {
 	now := h.k.Now()
 	c, ok := h.m[key]
 	if !ok {
-		c = &heatCell{t: now}
-		h.m[key] = c
+		c.t = now
 	}
-	h.decayTo(c, now)
+	h.decayTo(&c, now)
 	c.v++
+	h.m[key] = c
 	h.touches++
 	if h.touches >= heatSweepEvery {
 		h.touches = 0
@@ -75,9 +75,11 @@ func (h *HeatTracker) Touch(key cache.Key) float64 {
 
 func (h *HeatTracker) sweep(now sim.Time) {
 	for k, c := range h.m {
-		h.decayTo(c, now)
+		h.decayTo(&c, now)
 		if c.v < 0.5 {
 			delete(h.m, k)
+		} else {
+			h.m[k] = c
 		}
 	}
 }
@@ -89,7 +91,7 @@ func (h *HeatTracker) Take(key cache.Key) float64 {
 	if !ok {
 		return 0
 	}
-	h.decayTo(c, h.k.Now())
+	h.decayTo(&c, h.k.Now())
 	delete(h.m, key)
 	return c.v
 }
@@ -99,7 +101,7 @@ func (h *HeatTracker) Seed(key cache.Key, v float64) {
 	if v <= 0 {
 		return
 	}
-	h.m[key] = &heatCell{v: v, t: h.k.Now()}
+	h.m[key] = heatCell{v: v, t: h.k.Now()}
 }
 
 // Hottest returns up to n keys ordered by decayed heat (hottest first; ties
@@ -108,7 +110,8 @@ func (h *HeatTracker) Hottest(n int) []KeyHeat {
 	now := h.k.Now()
 	out := make([]KeyHeat, 0, len(h.m))
 	for k, c := range h.m {
-		h.decayTo(c, now)
+		h.decayTo(&c, now)
+		h.m[k] = c
 		if c.v < 0.5 {
 			continue
 		}
@@ -131,4 +134,4 @@ func (h *HeatTracker) Hottest(n int) []KeyHeat {
 }
 
 // Reset drops every counter (membership change: homes were rehashed).
-func (h *HeatTracker) Reset() { h.m = make(map[cache.Key]*heatCell); h.touches = 0 }
+func (h *HeatTracker) Reset() { h.m = make(map[cache.Key]heatCell); h.touches = 0 }

@@ -290,6 +290,7 @@ func (e *Engine) handleInv(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	e.invEpoch[req.Key]++
 	if ent, ok := e.cache.Peek(req.Key); ok {
 		e.cache.Remove(ent.Key)
+		e.recycle(ent)
 	}
 	return invResp{}, ctrlSize
 }
@@ -355,7 +356,9 @@ func (e *Engine) handleDowngrade(p *sim.Proc, from simnet.Addr, args any) (any, 
 		return downgradeResp{Gone: true}, ctrlSize
 	}
 	e.waitUnpinned(p, ent)
-	if _, still := e.cache.Peek(req.Key); !still {
+	// The wait may have outlived ent: answer from whatever entry holds the
+	// key now (ent's buffer may be recycled, its Data nil).
+	if ent, ok = e.cache.Peek(req.Key); !ok {
 		e.invEpoch[req.Key]++
 		return downgradeResp{Gone: true}, ctrlSize
 	}
@@ -376,8 +379,11 @@ func (e *Engine) handleFetch(p *sim.Proc, from simnet.Addr, args any) (any, int)
 	if !ok || ent.State == cache.Invalid {
 		return fetchResp{Gone: true}, ctrlSize
 	}
+	// Copy before the CPU charge yields: the entry may leave the cache
+	// meanwhile and its buffer go to another block.
+	data := append([]byte(nil), ent.Data...)
 	e.busy(p, e.hdlDelay)
-	return fetchResp{Data: append([]byte(nil), ent.Data...)}, ctrlSize + len(ent.Data)
+	return fetchResp{Data: data}, ctrlSize + len(data)
 }
 
 // handleEvictNote processes a vector of asynchronous eviction notices.

@@ -125,14 +125,8 @@ func (f *Federation) Site(name string) (*Site, error) {
 	return s, nil
 }
 
-// Sites lists site names.
-func (f *Federation) Sites() []string {
-	out := make([]string, 0, len(f.sites))
-	for n := range f.sites {
-		out = append(out, n)
-	}
-	return out
-}
+// Sites lists site names, sorted.
+func (f *Federation) Sites() []string { return slices.Sorted(maps.Keys(f.sites)) }
 
 // FailSite takes a site dark: its WAN port drops and its local state is
 // considered lost to the federation.

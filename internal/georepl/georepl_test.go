@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -489,4 +490,21 @@ func (s *Site) JournalDepth(dst string) int {
 		return 0
 	}
 	return len(j.pending)
+}
+
+// A policy that limits copies but names no sites picks them by name: the
+// same file must replicate to the same sites, in the same order, every time
+// the targets are resolved (they used to follow the site map's order).
+func TestDuraTargetsAreSortedByName(t *testing.T) {
+	r := newGeoRig(t, 10*sim.Millisecond, Config{})
+	defer r.stop()
+	defer r.fed.AddSite("D", nil).StopShipper()
+	for copies, want := range map[int]string{1: "B", 2: "B,C", 0: "B,C,D"} {
+		m := &fileMeta{home: "A", policy: pfs.Policy{Geo: pfs.GeoPolicy{Mode: pfs.GeoSync, Copies: copies}}}
+		for i := 0; i < 50; i++ {
+			if got := strings.Join(r.a.duraTargets(m), ","); got != want {
+				t.Fatalf("Copies %d, call %d: targets %s, want %s", copies, i, got, want)
+			}
+		}
+	}
 }

@@ -130,7 +130,9 @@ func (s *Site) duraTargets(m *fileMeta) []string {
 	}
 	var out []string
 	copies := m.policy.Geo.Copies
-	for name := range s.fed.sites {
+	// By name, not map order: which sites a Copies-limited file replicates
+	// to, and the order of its sync ships, must repeat run to run.
+	for _, name := range slices.Sorted(maps.Keys(s.fed.sites)) {
 		if name == m.home {
 			continue
 		}
