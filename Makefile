@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race verify loc knobs orphans deadcode unrun bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
+.PHONY: all build vet test race verify loc knobs orphans deadcode examples unrun bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
 
 all: verify
 
@@ -41,6 +41,11 @@ orphans:
 # inlining off), and fails if one is not named in scripts/deadcode.allow.
 deadcode:
 	bash scripts/deadcode.sh
+
+# examples builds every example, runs each twice, and fails on a non-zero
+# exit or when the two runs print different output.
+examples:
+	bash scripts/examples.sh
 
 # unrun prints every function declared in a non-test internal/ file that no
 # run of the commands, examples and benchmark executes (each binary built

@@ -259,9 +259,6 @@ type Engine struct {
 	forward      map[cache.Key]int
 	heat         *HeatTracker
 
-	// idx is the fixed-stride home-lookup cache (see homeidx.go).
-	idx *homeIndex
-
 	// onWriteThrough, when installed, runs synchronously on the WRITER
 	// blade after a write's Modified copy is installed (and replicated)
 	// and before the write is acknowledged to the client. The hot-key
@@ -448,7 +445,6 @@ func New(k *sim.Kernel, cfg Config) *Engine {
 		lastSeq:      make(map[string]int64),
 		seqStreak:    make(map[string]int),
 		prefetching:  make(map[cache.Key]bool),
-		idx:          newHomeIndex(),
 	}
 	for i := range cfg.Peers {
 		e.alive = append(e.alive, i)
@@ -486,30 +482,15 @@ func (e *Engine) SetWriteThroughHook(fn func(p *sim.Proc, keys []cache.Key)) {
 }
 
 // home returns the blade ID that homes key: a migration override if one is
-// installed, the rendezvous hash over the live membership otherwise. The
-// fixed-stride index short-circuits repeats; its result is always exactly
-// what the slow path below would compute (overrides and membership changes
-// invalidate it wholesale).
+// installed, the rendezvous hash over the live membership otherwise.
 func (e *Engine) home(key cache.Key) (int, error) {
 	if len(e.alive) == 0 {
 		return -1, ErrNoQuorum
 	}
-	if h, ok := e.idx.lookup(key); ok {
-		return h, nil
+	if hid, ok := e.homeOverride[key]; ok {
+		return hid, nil
 	}
-	hid, ok := e.homeOverride[key]
-	if !ok {
-		hid = e.alive[keyHash(key)%uint64(len(e.alive))]
-	}
-	e.idx.install(key, hid)
-	return hid, nil
-}
-
-// setHomeOverride records a migrated key's home and invalidates the home
-// index — every cached mapping may now be stale.
-func (e *Engine) setHomeOverride(key cache.Key, home int) {
-	e.homeOverride[key] = home
-	e.idx.invalidate()
+	return e.alive[keyHash(key)%uint64(len(e.alive))], nil
 }
 
 // Home exposes this blade's view of key's home blade — used by affinity
@@ -539,8 +520,10 @@ func (e *Engine) HottestHomes(n int) []KeyHeat {
 func (e *Engine) Busy(p *sim.Proc, d sim.Duration) { e.busy(p, d) }
 
 // busy charges CPU for one operation of duration d. With a QoS queue
-// installed the caller competes in its lane; otherwise the plain FIFO
-// semaphore preserves the pre-QoS event order exactly.
+// installed the caller competes in its lane; otherwise it waits its turn
+// at the plain FIFO semaphore. A disabled queue grants in the same FIFO
+// order but, with several slots, not at the same event positions (see
+// qos.FairQueue).
 func (e *Engine) busy(p *sim.Proc, d sim.Duration) {
 	qs := tr.FromProc(p).Child("cpu-queue", tr.Queue, e.label)
 	if e.cpuq != nil {
@@ -605,8 +588,6 @@ func (e *Engine) RegisterTelemetry(s telemetry.Scope) {
 	coh.Int("migrated_out", func() int64 { return e.stats.HomeMigrations })
 	coh.Int("migrated_in", func() int64 { return e.stats.HomeAdoptions })
 	coh.Int("redirects", func() int64 { return e.stats.RedirectsServed })
-	coh.Int("home_idx_hits", func() int64 { return e.idx.hits })
-	coh.Int("home_idx_misses", func() int64 { return e.idx.miss })
 	s.Int("cpu_free", func() int64 { return int64(e.cpu.Available()) })
 }
 
@@ -695,7 +676,7 @@ func (e *Engine) readRun(p *sim.Proc, vol string, lba int64, priority int, dst [
 			resp, err := op.answer(q, e, home, pos)
 			if err == nil && resp.Redirect { // this key alone moved: follow it
 				e.stats.RedirectsFollowed++
-				e.setHomeOverride(key, resp.NewHome)
+				e.homeOverride[key] = resp.NewHome
 				resp, err = e.ask(q, "coh.gets", key, epoch)
 			}
 			if op.fail(err); err == nil && e.settle(q, key, epoch, resp, priority, d) {
@@ -863,7 +844,7 @@ func (e *Engine) ask(p *sim.Proc, method string, key cache.Key, epoch uint64) (d
 			return resp, nil
 		}
 		e.stats.RedirectsFollowed++
-		e.setHomeOverride(key, resp.NewHome)
+		e.homeOverride[key] = resp.NewHome
 		homeID = resp.NewHome
 		if hops > len(e.peers)+8 {
 			return dirResp{}, fmt.Errorf("coherence: %s for %v: redirect loop", method, key)

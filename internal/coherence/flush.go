@@ -166,7 +166,6 @@ func (e *Engine) Recover(p *sim.Proc, alive []int) {
 	// every home, so overrides, forwarders and heat all restart from zero.
 	e.homeOverride = make(map[cache.Key]int)
 	e.forward = make(map[cache.Key]int)
-	e.idx.invalidate()
 	e.heat.Reset()
 	e.alive = append([]int(nil), alive...)
 	sort.Ints(e.alive)

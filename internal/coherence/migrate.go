@@ -97,7 +97,7 @@ func (e *Engine) handleMigrate(p *sim.Proc, from simnet.Addr, args any) (any, in
 		e.call(p, b, "coh.sethome", setHomeReq{Key: req.Key, Home: req.To}, ctrlSize)
 	}
 	e.forward[req.Key] = req.To
-	e.setHomeOverride(req.Key, req.To)
+	e.homeOverride[req.Key] = req.To
 	delete(e.dir, req.Key)
 	e.stats.HomeMigrations++
 	return migrateResp{Moved: true}, ctrlSize
@@ -108,7 +108,7 @@ func (e *Engine) handleAdopt(p *sim.Proc, from simnet.Addr, args any) (any, int)
 	req := args.(adoptReq)
 	e.busy(p, e.hdlDelay)
 	delete(e.forward, req.Key)
-	e.setHomeOverride(req.Key, e.self)
+	e.homeOverride[req.Key] = e.self
 	ent := e.entry(req.Key)
 	ent.state = dirState(req.State)
 	ent.owner = req.Owner
@@ -130,6 +130,6 @@ func (e *Engine) handleSetHome(p *sim.Proc, from simnet.Addr, args any) (any, in
 		// at the latest address so redirect chains stay one hop.
 		e.forward[req.Key] = req.Home
 	}
-	e.setHomeOverride(req.Key, req.Home)
+	e.homeOverride[req.Key] = req.Home
 	return setHomeResp{}, ctrlSize
 }

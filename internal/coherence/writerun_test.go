@@ -98,7 +98,6 @@ func runWriteRunScript(t *testing.T) {
 				}
 				lost := h.engines[(home+2)%blades]
 				delete(lost.homeOverride, kb(5))
-				lost.idx.invalidate()
 				write(p, lost.self, 4, vals(4, 3))
 				if lost.Stats().RedirectsFollowed == 0 {
 					t.Fatalf("blade %d reached key 5's new home without a redirect", lost.self)

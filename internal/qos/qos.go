@@ -203,9 +203,9 @@ func (m *Manager) NewFairQueue(capacity int) *FairQueue {
 }
 
 // SetEnabled flips the whole subsystem: admission buckets and every
-// registered queue. Disabled, every queue degrades to the global-FIFO
-// order the plain semaphores had, and Admit is a no-op — so QoS off is
-// behaviourally the pre-QoS cluster.
+// registered queue. Disabled, every queue grants in global arrival order,
+// as the plain semaphores did, and Admit is a no-op. A disabled queue's
+// event order equals the semaphore's only at capacity 1 (see FairQueue).
 func (m *Manager) SetEnabled(on bool) {
 	m.enabled = on
 	m.adm.SetEnabled(on)

@@ -12,8 +12,11 @@ import "repro/internal/sim"
 // real arrivals.
 //
 // Disabled, tags are ignored and waiters dispatch in global arrival
-// order — exactly the plain sim.Semaphore the queue replaces, so QoS off
-// reproduces the pre-QoS cluster's event order.
+// order, as the plain sim.Semaphore the queue replaces does. At capacity 1
+// the two grant the same waiter at the same time; with more slots they
+// can interleave same-time events differently, because a release hands
+// the freed slot to the next waiter at once where the semaphore wakes its
+// head to take it.
 type FairQueue struct {
 	k        *sim.Kernel
 	capacity int

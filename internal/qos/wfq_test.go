@@ -362,3 +362,60 @@ func TestWFQDisabledIsFIFO(t *testing.T) {
 		}
 	}
 }
+
+// TestWFQDisabledMatchesSemaphoreAtCapacityOne: a disabled capacity-1
+// queue grants the same op at the same virtual time as a plain
+// sim.Semaphore of one permit, over random schedules full of same-time
+// arrivals, releases and zero-length holds. Only capacity 1 matches: at
+// release the queue hands the freed slot to the next waiter at once, where
+// the semaphore wakes its head to take it, so with several slots the two
+// can interleave other same-time events differently.
+func TestWFQDisabledMatchesSemaphoreAtCapacityOne(t *testing.T) {
+	type slot struct {
+		acquire func(p *sim.Proc, op wfqOp)
+		release func()
+	}
+	replay := func(seed int64, ops []wfqOp, mk func(k *sim.Kernel) slot) []string {
+		k := sim.NewKernel(seed)
+		s := mk(k)
+		var log []string
+		for i, op := range ops {
+			k.Go(fmt.Sprintf("op%d", i), func(p *sim.Proc) {
+				p.Sleep(op.arrive)
+				for round := 0; round < 2; round++ {
+					log = append(log, fmt.Sprintf("op%d arrives@%v", i, k.Now()))
+					s.acquire(p, op)
+					log = append(log, fmt.Sprintf("op%d granted@%v", i, k.Now()))
+					p.Sleep(op.service)
+					s.release()
+					p.Yield()
+				}
+			})
+		}
+		k.Run()
+		return log
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]wfqOp, 60)
+		for i := range ops {
+			ops[i] = wfqOp{
+				lane:    rng.Intn(NumLanes),
+				arrive:  sim.Duration(rng.Intn(20)) * 50 * sim.Microsecond,
+				cost:    float64(1 + rng.Intn(4)),
+				service: sim.Duration(rng.Intn(4)) * 100 * sim.Microsecond,
+			}
+		}
+		fq := replay(seed, ops, func(k *sim.Kernel) slot {
+			q := NewFairQueue(k, 1, DefaultWeights())
+			return slot{func(p *sim.Proc, op wfqOp) { q.Acquire(p, op.lane, op.cost) }, q.Release}
+		})
+		sem := replay(seed, ops, func(k *sim.Kernel) slot {
+			s := sim.NewSemaphore(k, 1)
+			return slot{func(p *sim.Proc, _ wfqOp) { s.Acquire(p, 1) }, func() { s.Release(1) }}
+		})
+		if fmt.Sprint(fq) != fmt.Sprint(sem) {
+			t.Fatalf("seed %d: grants differ:\nqueue     %v\nsemaphore %v", seed, fq, sem)
+		}
+	}
+}

@@ -45,7 +45,7 @@ func BenchmarkReconstructSingle(b *testing.B) {
 		work := make([][]byte, len(data))
 		copy(work, data)
 		work[2] = nil
-		if err := Reconstruct(work, p, nil, []int{2}, false, true); err != nil {
+		if err := Reconstruct(work, p, nil, []int{2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -61,7 +61,7 @@ func BenchmarkReconstructDouble(b *testing.B) {
 		work := make([][]byte, len(data))
 		copy(work, data)
 		work[1], work[4] = nil, nil
-		if err := Reconstruct(work, p, q, []int{1, 4}, false, false); err != nil {
+		if err := Reconstruct(work, p, q, []int{1, 4}); err != nil {
 			b.Fatal(err)
 		}
 	}

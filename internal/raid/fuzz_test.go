@@ -101,12 +101,12 @@ func FuzzReconstruct(f *testing.F) {
 		}
 		pLost := mode&4 != 0
 		qLost := mode&8 != 0
-		// Exercise both "lost" encodings: the explicit flag and a nil slice.
+		// A lost parity is a nil slice.
 		pIn, qIn := append([]byte(nil), p...), append([]byte(nil), q...)
-		if pLost && mode&16 != 0 {
+		if pLost {
 			pIn = nil
 		}
-		if qLost && mode&32 != 0 {
+		if qLost {
 			qIn = nil
 		}
 
@@ -125,7 +125,7 @@ func FuzzReconstruct(f *testing.F) {
 		if !qLost {
 			parityAvail++
 		}
-		err := Reconstruct(data, pIn, qIn, missing, pLost, qLost)
+		err := Reconstruct(data, pIn, qIn, missing)
 		if len(missing) > parityAvail {
 			if !errors.Is(err, ErrTooManyFailures) {
 				t.Fatalf("%d missing with %d parity available: err = %v, want ErrTooManyFailures", len(missing), parityAvail, err)

@@ -2,8 +2,6 @@ package raid
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"repro/internal/sim"
 )
@@ -96,7 +94,7 @@ func (g *Group) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 		}
 		logicals := degraded[a:b]
 		fns = append(fns, func(q *sim.Proc) error {
-			stripe, err := g.stripeData(q, s, nil)
+			stripe, err := g.stripeData(q, s)
 			if err != nil {
 				return err
 			}
@@ -203,43 +201,33 @@ func (g *Group) writeMirrored(p *sim.Proc, lba int64, count int, data []byte) er
 
 // writeParity handles RAID-5/6, stripe row by stripe row.
 func (g *Group) writeParity(p *sim.Proc, lba int64, count int, data []byte) error {
-	dps := int64(g.dataPerStripe())
-	first := lba / dps
-	last := (lba + int64(count) - 1) / dps
+	dps, bs := int64(g.dataPerStripe()), int64(g.blockSize)
+	end := lba + int64(count)
 	var fns []func(q *sim.Proc) error
-	for s := first; s <= last; s++ {
-		s := s
-		// logical block range of this stripe intersected with the write
-		lo := s * dps
-		if lo < lba {
-			lo = lba
+	for s := lba / dps; s <= (end-1)/dps; s++ {
+		// newData[i] is the row's i-th data block where the write covers it.
+		newData := make([][]byte, dps)
+		for l := max(s*dps, lba); l < min((s+1)*dps, end); l++ {
+			newData[l%dps] = data[(l-lba)*bs : (l-lba+1)*bs]
 		}
-		hi := (s + 1) * dps
-		if hi > lba+int64(count) {
-			hi = lba + int64(count)
-		}
-		newData := make(map[int64][]byte) // stripe-local data index → block
-		for l := lo; l < hi; l++ {
-			off := (l - lba) * int64(g.blockSize)
-			newData[l%dps] = data[off : off+int64(g.blockSize)]
-		}
-		fns = append(fns, func(q *sim.Proc) error {
-			return g.writeStripe(q, s, newData)
-		})
+		fns = append(fns, func(q *sim.Proc) error { return g.writeStripe(q, s, newData) })
 	}
 	return parallel(p, fns...)
 }
 
-// writeStripe updates one RAID-5/6 stripe row with the given new data
-// blocks (indexed by stripe-local data position), as the row's only writer
-// from its reads of the old content to its last write.
-func (g *Group) writeStripe(p *sim.Proc, s int64, newData map[int64][]byte) error {
+// writeStripe updates one RAID-5/6 stripe row with newData, its data blocks
+// by stripe-local position (nil: unchanged), as the row's only writer from
+// its reads of the old content to its last write.
+func (g *Group) writeStripe(p *sim.Proc, s int64, newData [][]byte) error {
 	g.lockRows(p, s, s+1)
 	defer g.unlockRows(s, s+1)
-	dps := g.dataPerStripe()
-	pd, qd := g.parityDisks(s)
 	dataDisks := g.dataDisks(s)
-
+	var keep []int // the data members whose blocks stay
+	for i, di := range dataDisks {
+		if newData[i] == nil {
+			keep = append(keep, di)
+		}
+	}
 	degraded := false
 	for i := range g.disks {
 		if !g.available(i, s) {
@@ -247,223 +235,179 @@ func (g *Group) writeStripe(p *sim.Proc, s int64, newData map[int64][]byte) erro
 			break
 		}
 	}
-	parities := len(g.disks) - dps
+	parities := len(g.disks) - len(dataDisks)
 	// row becomes the whole row in hand: what stays of the old content, then
 	// the new blocks over it.
-	row := make([][]byte, dps)
+	row := make([][]byte, len(dataDisks))
 	switch {
 	case degraded:
 		// Recover the full old stripe, merge, rewrite what we can.
 		g.rowWrites.reconstruct++
 		var err error
-		if row, err = g.stripeData(p, s, nil); err != nil {
+		if row, err = g.stripeData(p, s); err != nil {
 			return err
 		}
-	case len(newData) == dps:
+	case len(keep) == 0:
 		// Full stripe: parity from new data alone, no reads.
 		g.rowWrites.full++
-	case dps-len(newData) < len(newData)+parities:
+	case len(keep) < len(dataDisks)-len(keep)+parities:
 		// Reconstruct-write: reading the data blocks that stay is fewer I/Os
 		// than read-modify-write's old targets and parity.
 		g.rowWrites.reconstruct++
-		var fns []func(q *sim.Proc) error
-		for i, di := range dataDisks {
-			if _, ok := newData[int64(i)]; !ok {
-				fns = append(fns, func(q *sim.Proc) (err error) {
-					row[i], err = g.disks[di].Read(q, s, 1)
-					return err
-				})
-			}
-		}
-		if err := parallel(p, fns...); err != nil {
+		rows, err := g.readRows(p, s, 1, keep)
+		if err != nil {
 			return err
+		}
+		for i, di := range dataDisks {
+			row[i] = rows[di]
 		}
 	default:
 		// Read-modify-write: read old target blocks and parity, apply deltas.
 		g.rowWrites.rmw++
-		return g.rmwStripe(p, s, newData, dataDisks, pd, qd)
+		return g.rmwStripe(p, s, newData)
 	}
-	for idx, nd := range newData {
-		row[idx] = nd
+	for i, nd := range newData {
+		if nd != nil {
+			row[i] = nd
+		}
 	}
-	return g.writeStripeBlocks(p, s, row, dataDisks, pd, qd, newData)
+	var q []byte
+	if g.level == RAID6 {
+		q = RSParity(row)
+	}
+	return g.writeRow(p, s, newData, XORParity(row), q)
 }
 
-// writeStripeBlocks writes the given full logical stripe content: the data
-// blocks whose stripe-local index is in only, plus parity, skipping
-// unavailable disks (their content is encoded in the parity).
-func (g *Group) writeStripeBlocks(p *sim.Proc, s int64, blocks [][]byte, dataDisks []int, pd, qd int, only map[int64][]byte) error {
+// writeRow writes row s's new data blocks (nil: unchanged) and its parity
+// P and Q (nil without one), skipping a member that cannot take its block:
+// the parity encodes it, and a rebuild in progress of that member is told
+// its reconstruction is stale.
+func (g *Group) writeRow(p *sim.Proc, s int64, newData [][]byte, P, Q []byte) error {
 	var fns []func(q *sim.Proc) error
-	for i, di := range dataDisks {
-		i, di := i, di
-		if _, ok := only[int64(i)]; !ok {
-			continue
-		}
+	put := func(di int, b []byte) {
 		if !g.available(di, s) {
 			g.markDirty(di, s, 1)
-			continue
+			return
 		}
-		fns = append(fns, func(q *sim.Proc) error {
-			return g.disks[di].Write(q, s, blocks[i])
-		})
+		fns = append(fns, func(q *sim.Proc) error { return g.disks[di].Write(q, s, b) })
 	}
-	if pd >= 0 {
-		pp := XORParity(blocks)
-		if g.available(pd, s) {
-			fns = append(fns, func(q *sim.Proc) error {
-				return g.disks[pd].Write(q, s, pp)
-			})
-		} else {
-			g.markDirty(pd, s, 1)
+	for i, di := range g.dataDisks(s) {
+		if newData[i] != nil {
+			put(di, newData[i])
 		}
 	}
+	pd, qd := g.parityDisks(s)
+	put(pd, P)
 	if qd >= 0 {
-		qq := RSParity(blocks)
-		if g.available(qd, s) {
-			fns = append(fns, func(q *sim.Proc) error {
-				return g.disks[qd].Write(q, s, qq)
-			})
-		} else {
-			g.markDirty(qd, s, 1)
-		}
+		put(qd, Q)
 	}
 	return parallel(p, fns...)
 }
 
-// rmwStripe performs the classic small-write read-modify-write on a
-// healthy stripe: read old data + parity, XOR deltas in, write back.
-func (g *Group) rmwStripe(p *sim.Proc, s int64, newData map[int64][]byte, dataDisks []int, pd, qd int) error {
-	oldData := make(map[int64][]byte)
-	var oldP, oldQ []byte
-	var readFns []func(q *sim.Proc) error
-	// In index order, not Go's map order: the order the procs spawn in is
-	// the order same-time events break ties in.
-	idxs := slices.Sorted(maps.Keys(newData))
-	for _, idx := range idxs {
-		readFns = append(readFns, func(q *sim.Proc) error {
-			d, err := g.disks[dataDisks[idx]].Read(q, s, 1)
-			if err == nil {
-				oldData[idx] = d
-			}
-			return err
-		})
-	}
-	readFns = append(readFns, func(q *sim.Proc) error {
-		d, err := g.disks[pd].Read(q, s, 1)
-		if err == nil {
-			oldP = d
-		}
-		return err
-	})
-	if qd >= 0 {
-		readFns = append(readFns, func(q *sim.Proc) error {
-			d, err := g.disks[qd].Read(q, s, 1)
-			if err == nil {
-				oldQ = d
-			}
-			return err
-		})
-	}
-	if err := parallel(p, readFns...); err != nil {
-		return err
-	}
-
-	newP := make([]byte, g.blockSize)
-	copy(newP, oldP)
-	var newQ []byte
-	if qd >= 0 {
-		newQ = make([]byte, g.blockSize)
-		copy(newQ, oldQ)
-	}
-	for _, idx := range idxs {
-		nd := newData[idx]
-		delta := make([]byte, g.blockSize)
-		copy(delta, oldData[idx])
-		xorInto(delta, nd)
-		xorInto(newP, delta)
-		if newQ != nil {
-			gfMulInto(newQ, delta, gfPow2(int(idx)))
-		}
-	}
-
-	var writeFns []func(q *sim.Proc) error
-	for _, idx := range idxs {
-		nd := newData[idx]
-		writeFns = append(writeFns, func(q *sim.Proc) error {
-			return g.disks[dataDisks[idx]].Write(q, s, nd)
-		})
-	}
-	writeFns = append(writeFns, func(q *sim.Proc) error {
-		return g.disks[pd].Write(q, s, newP)
-	})
-	if qd >= 0 {
-		writeFns = append(writeFns, func(q *sim.Proc) error {
-			return g.disks[qd].Write(q, s, newQ)
-		})
-	}
-	return parallel(p, writeFns...)
-}
-
-// stripeData returns the full data content of stripe s, reading what is
-// available and reconstructing the rest from parity. Disks in exclude are
-// treated as unavailable (used by rebuild).
-func (g *Group) stripeData(p *sim.Proc, s int64, exclude map[int]bool) ([][]byte, error) {
+// rmwStripe performs the classic small-write read-modify-write on a healthy
+// stripe: it reads the old blocks it replaces and the parity, XORs each
+// block's delta into the parity, and writes blocks and parity back to the
+// members it read. Those writes are unconditional: a member that failed
+// since the reads fails the row write.
+func (g *Group) rmwStripe(p *sim.Proc, s int64, newData [][]byte) error {
 	pd, qd := g.parityDisks(s)
 	dataDisks := g.dataDisks(s)
-	avail := func(i int) bool { return !exclude[i] && g.available(i, s) }
-
-	data := make([][]byte, len(dataDisks))
-	var pBuf, qBuf []byte
-	var missing []int
-	pLost, qLost := pd < 0, qd < 0
-
-	var fns []func(q *sim.Proc) error
+	var members []int
 	for i, di := range dataDisks {
-		i, di := i, di
-		if !avail(di) {
-			missing = append(missing, i)
+		if newData[i] != nil {
+			members = append(members, di)
+		}
+	}
+	members = append(members, pd)
+	if qd >= 0 {
+		members = append(members, qd)
+	}
+	rows, err := g.readRows(p, s, 1, members)
+	if err != nil {
+		return err
+	}
+	for i, di := range dataDisks {
+		if newData[i] == nil {
 			continue
 		}
-		fns = append(fns, func(q *sim.Proc) error {
-			d, err := g.disks[di].Read(q, s, 1)
-			if err == nil {
-				data[i] = d
+		delta := rows[di] // the old block, read for this write alone
+		xorInto(delta, newData[i])
+		xorInto(rows[pd], delta)
+		if qd >= 0 {
+			gfMulInto(rows[qd], delta, gfPow2(i))
+		}
+		rows[di] = newData[i]
+	}
+	fns := make([]func(q *sim.Proc) error, len(members))
+	for j, di := range members {
+		fns[j] = func(q *sim.Proc) error { return g.disks[di].Write(q, s, rows[di]) }
+	}
+	return parallel(p, fns...)
+}
+
+// stripeData returns the data blocks of stripe s: it reads the available
+// data members, and the available parity too when one of them is missing,
+// and solves the row.
+func (g *Group) stripeData(p *sim.Proc, s int64) ([][]byte, error) {
+	var disks []int
+	for _, di := range g.dataDisks(s) {
+		if g.available(di, s) {
+			disks = append(disks, di)
+		}
+	}
+	if len(disks) < g.dataPerStripe() {
+		pd, qd := g.parityDisks(s)
+		for _, di := range []int{pd, qd} {
+			if di >= 0 && g.available(di, s) {
+				disks = append(disks, di)
 			}
-			return err
-		})
-	}
-	needParity := len(missing) > 0
-	if pd >= 0 {
-		if !avail(pd) {
-			pLost = true
-		} else if needParity {
-			fns = append(fns, func(q *sim.Proc) error {
-				d, err := g.disks[pd].Read(q, s, 1)
-				if err == nil {
-					pBuf = d
-				}
-				return err
-			})
 		}
 	}
-	if qd >= 0 {
-		if !avail(qd) {
-			qLost = true
-		} else if needParity {
-			fns = append(fns, func(q *sim.Proc) error {
-				d, err := g.disks[qd].Read(q, s, 1)
-				if err == nil {
-					qBuf = d
-				}
-				return err
-			})
-		}
-	}
-	if err := parallel(p, fns...); err != nil {
+	rows, err := g.readRows(p, s, 1, disks)
+	if err != nil {
 		return nil, err
 	}
+	return g.solveRow(s, rows, 0)
+}
+
+// readRows reads rows [s, s+n) off each listed member disk at once and
+// returns them by disk index, nil for a disk not listed. The reads spawn in
+// the order given, which is the order same-time events break ties in; a
+// lone read runs on p.
+func (g *Group) readRows(p *sim.Proc, s int64, n int, disks []int) ([][]byte, error) {
+	rows := make([][]byte, len(g.disks))
+	read := func(q *sim.Proc, j int) (err error) {
+		rows[disks[j]], err = g.disks[disks[j]].Read(q, s, n)
+		return err
+	}
+	if len(disks) == 1 {
+		return rows, read(p, 0)
+	}
+	return rows, sim.Fork(p, "par", len(disks), read)
+}
+
+// solveRow returns the data blocks of stripe s, the off-th row of the
+// member reads in rows (by disk index, as readRows returns them), and
+// rebuilds from parity the block of any data member whose rows are nil. A
+// nil parity member counts as lost.
+func (g *Group) solveRow(s int64, rows [][]byte, off int) ([][]byte, error) {
+	block := func(di int) []byte {
+		if di < 0 || rows[di] == nil {
+			return nil
+		}
+		return rows[di][off*g.blockSize : (off+1)*g.blockSize]
+	}
+	dataDisks := g.dataDisks(s)
+	data := make([][]byte, len(dataDisks))
+	var missing []int
+	for i, di := range dataDisks {
+		if data[i] = block(di); data[i] == nil {
+			missing = append(missing, i)
+		}
+	}
 	if len(missing) > 0 {
-		if err := Reconstruct(data, pBuf, qBuf, missing, pLost || pBuf == nil, qLost || qBuf == nil); err != nil {
+		pd, qd := g.parityDisks(s)
+		if err := Reconstruct(data, block(pd), block(qd), missing); err != nil {
 			return nil, err
 		}
 	}

@@ -39,21 +39,21 @@ func RSParity(data [][]byte) []byte {
 
 // Reconstruct fills in the missing entries of data (marked by nil slices at
 // the indices listed in missing) from the surviving data plus P and/or Q
-// parity. p may be nil if lost (counts as a failure); q likewise. RAID-5
+// parity. A nil p or q is a lost parity and counts as a failure; RAID-5
 // callers pass q == nil with at most one missing block total.
 //
 // The supported cases follow the standard RAID-6 equations:
 //
 //	P = Σ dᵢ            Q = Σ gⁱ·dᵢ
-func Reconstruct(data [][]byte, p, q []byte, missing []int, pLost, qLost bool) error {
+func Reconstruct(data [][]byte, p, q []byte, missing []int) error {
 	// Classify unrecoverable loss before probing for a block length: a
 	// stripe that lost everything is "too many failures", not a malformed
 	// call.
 	parityAvail := 0
-	if !pLost && p != nil {
+	if p != nil {
 		parityAvail++
 	}
-	if !qLost && q != nil {
+	if q != nil {
 		parityAvail++
 	}
 	if len(missing) > parityAvail {
@@ -83,7 +83,7 @@ func Reconstruct(data [][]byte, p, q []byte, missing []int, pLost, qLost bool) e
 
 	case 1:
 		x := missing[0]
-		if !pLost && p != nil {
+		if p != nil {
 			// d_x = P ⊕ Σ_{i≠x} d_i
 			buf := make([]byte, blockLen)
 			copy(buf, p)
@@ -108,9 +108,6 @@ func Reconstruct(data [][]byte, p, q []byte, missing []int, pLost, qLost bool) e
 		return nil
 
 	case 2:
-		if pLost || qLost || p == nil || q == nil {
-			return fmt.Errorf("%w: two data blocks lost with parity missing", ErrTooManyFailures)
-		}
 		x, y := missing[0], missing[1]
 		if x == y {
 			return errors.New("raid: duplicate missing index")

@@ -34,7 +34,7 @@ func TestReconstructSingleFromP(t *testing.T) {
 		p := XORParity(data)
 		work := cloneStripe(data)
 		work[lost] = nil
-		if err := Reconstruct(work, p, nil, []int{lost}, false, true); err != nil {
+		if err := Reconstruct(work, p, nil, []int{lost}); err != nil {
 			return false
 		}
 		return bytes.Equal(work[lost], data[lost])
@@ -55,7 +55,7 @@ func TestReconstructSingleFromQ(t *testing.T) {
 		q := RSParity(data)
 		work := cloneStripe(data)
 		work[lost] = nil
-		if err := Reconstruct(work, nil, q, []int{lost}, true, false); err != nil {
+		if err := Reconstruct(work, nil, q, []int{lost}); err != nil {
 			return false
 		}
 		return bytes.Equal(work[lost], data[lost])
@@ -79,7 +79,7 @@ func TestReconstructDoubleFromPQ(t *testing.T) {
 		q := RSParity(data)
 		work := cloneStripe(data)
 		work[a], work[b] = nil, nil
-		if err := Reconstruct(work, p, q, []int{a, b}, false, false); err != nil {
+		if err := Reconstruct(work, p, q, []int{a, b}); err != nil {
 			return false
 		}
 		return bytes.Equal(work[a], data[a]) && bytes.Equal(work[b], data[b])
@@ -96,14 +96,14 @@ func TestReconstructTooManyFailures(t *testing.T) {
 	work := cloneStripe(data)
 	work[0], work[1] = nil, nil
 	// Two data losses with only P: unrecoverable.
-	if err := Reconstruct(work, p, nil, []int{0, 1}, false, true); err == nil {
+	if err := Reconstruct(work, p, nil, []int{0, 1}); err == nil {
 		t.Fatal("expected failure with 2 losses and P only")
 	}
 	// Three losses: unrecoverable even with P+Q.
 	q := RSParity(data)
 	work = cloneStripe(data)
 	work[0], work[1], work[2] = nil, nil, nil
-	if err := Reconstruct(work, p, q, []int{0, 1, 2}, false, false); err == nil {
+	if err := Reconstruct(work, p, q, []int{0, 1, 2}); err == nil {
 		t.Fatal("expected failure with 3 losses")
 	}
 }

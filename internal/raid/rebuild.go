@@ -1,8 +1,10 @@
 package raid
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -135,80 +137,32 @@ func (g *Group) rebuildMirrorRange(p *sim.Proc, idx int, lo, hi int64) error {
 // one sequential write — the access pattern real rebuilds use.
 func (g *Group) rebuildParityRange(p *sim.Proc, idx int, lo, hi int64) error {
 	n := int(hi - lo)
-	raw := make([][]byte, len(g.disks))
-	var fns []func(q *sim.Proc) error
+	var survivors []int
 	for i := range g.disks {
-		i := i
-		if i == idx || !g.available(i, lo) {
-			continue
+		if i != idx && g.available(i, lo) {
+			survivors = append(survivors, i)
 		}
-		fns = append(fns, func(q *sim.Proc) error {
-			d, err := g.disks[i].Read(q, lo, n)
-			if err == nil {
-				raw[i] = d
-			}
-			return err
-		})
 	}
-	if err := parallel(p, fns...); err != nil {
+	rows, err := g.readRows(p, lo, n, survivors)
+	if err != nil {
 		return err
 	}
-
 	out := make([]byte, n*g.blockSize)
 	for s := lo; s < hi; s++ {
-		off := int(s-lo) * g.blockSize
-		blockOf := func(di int) []byte {
-			if raw[di] == nil {
-				return nil
-			}
-			return raw[di][off : off+g.blockSize]
-		}
-		pd, qd := g.parityDisks(s)
-		dataDisks := g.dataDisks(s)
-		data := make([][]byte, len(dataDisks))
-		var missing []int
-		targetDataIdx := -1
-		for i, di := range dataDisks {
-			if di == idx {
-				missing = append(missing, i)
-				targetDataIdx = i
-				continue
-			}
-			if b := blockOf(di); b != nil {
-				data[i] = b
-			} else {
-				missing = append(missing, i)
-			}
-		}
-		var pBuf, qBuf []byte
-		pLost, qLost := true, true
-		if pd >= 0 && pd != idx {
-			if b := blockOf(pd); b != nil {
-				pBuf, pLost = b, false
-			}
-		}
-		if qd >= 0 && qd != idx {
-			if b := blockOf(qd); b != nil {
-				qBuf, qLost = b, false
-			}
-		}
-		if len(missing) > 0 {
-			if err := Reconstruct(data, pBuf, qBuf, missing, pLost, qLost); err != nil {
-				return err
-			}
+		data, err := g.solveRow(s, rows, int(s-lo))
+		if err != nil {
+			return err
 		}
 		var target []byte
-		switch {
-		case targetDataIdx >= 0:
-			target = data[targetDataIdx]
-		case pd == idx:
+		switch pd, qd := g.parityDisks(s); idx {
+		case pd:
 			target = XORParity(data)
-		case qd == idx:
+		case qd:
 			target = RSParity(data)
 		default:
-			return fmt.Errorf("raid: disk %d holds no block in stripe %d", idx, s)
+			target = data[slices.Index(g.dataDisks(s), idx)]
 		}
-		copy(out[off:], target)
+		copy(out[int(s-lo)*g.blockSize:], target)
 	}
 	return g.disks[idx].Write(p, lo, out)
 }
@@ -254,39 +208,31 @@ func (g *Group) ScrubRange(p *sim.Proc, lo, hi int64) (bad int64, err error) {
 // P or Q does not match their data. With repair set it rewrites the parity of
 // each, which only the holder of those rows may ask for.
 func (g *Group) scrub(p *sim.Proc, lo, hi int64, repair bool) (bad []int64, err error) {
-	n := int(hi - lo)
-	raw := make([][]byte, len(g.disks))
-	var fns []func(q *sim.Proc) error
+	members := make([]int, len(g.disks))
 	for i := range g.disks {
-		i := i
 		if !g.available(i, lo) {
 			return nil, ErrUnrecoverable
 		}
-		fns = append(fns, func(q *sim.Proc) error {
-			d, err := g.disks[i].Read(q, lo, n)
-			if err == nil {
-				raw[i] = d
-			}
-			return err
-		})
+		members[i] = i
 	}
-	if err := parallel(p, fns...); err != nil {
+	rows, err := g.readRows(p, lo, int(hi-lo), members)
+	if err != nil {
 		return nil, err
 	}
 	for s := lo; s < hi; s++ {
+		data, err := g.solveRow(s, rows, int(s-lo))
+		if err != nil {
+			return bad, err
+		}
 		off := int(s-lo) * g.blockSize
 		pd, qd := g.parityDisks(s)
-		data := make([][]byte, 0, g.dataPerStripe())
-		for _, di := range g.dataDisks(s) {
-			data = append(data, raw[di][off:off+g.blockSize])
-		}
 		wantP := XORParity(data)
-		okP := bytesEqual(raw[pd][off:off+g.blockSize], wantP)
+		okP := bytes.Equal(rows[pd][off:off+g.blockSize], wantP)
 		var wantQ []byte
 		okQ := true
 		if qd >= 0 {
 			wantQ = RSParity(data)
-			okQ = bytesEqual(raw[qd][off:off+g.blockSize], wantQ)
+			okQ = bytes.Equal(rows[qd][off:off+g.blockSize], wantQ)
 		}
 		if okP && okQ {
 			continue
@@ -307,16 +253,4 @@ func (g *Group) scrub(p *sim.Proc, lo, hi int64, repair bool) (bad []int64, err 
 		}
 	}
 	return bad, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

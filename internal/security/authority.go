@@ -10,6 +10,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -215,8 +216,8 @@ func (m *LUNMask) Check(lun, tenant string, write bool) error {
 	return nil
 }
 
-// Visible lists the LUNs tenant can see — masked LUNs simply do not appear
-// (the concealment property of LUN masking).
+// Visible lists, sorted, the LUNs tenant can see — masked LUNs simply do
+// not appear (the concealment property of LUN masking).
 func (m *LUNMask) Visible(tenant string) []string {
 	var out []string
 	for lun, byTenant := range m.acl {
@@ -224,5 +225,6 @@ func (m *LUNMask) Visible(tenant string) []string {
 			out = append(out, lun)
 		}
 	}
+	slices.Sort(out)
 	return out
 }

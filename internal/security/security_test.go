@@ -3,6 +3,8 @@ package security
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -187,6 +189,25 @@ func TestMaskedLUNsInvisible(t *testing.T) {
 	}
 	if len(vis) != 1 || vis[0] != "lunA" {
 		t.Fatalf("visible = %v, want [lunA] only", vis)
+	}
+}
+
+// A tenant granted several LUNs sees them in sorted order on every call,
+// not in the mask's map order.
+func TestVisibleLUNsSorted(t *testing.T) {
+	r := newRig(t, false)
+	tok := r.token(t, "alice")
+	for i := 7; i >= 0; i-- {
+		r.mask.Allow(fmt.Sprintf("lun%d", i), "alice", ReadOnly)
+	}
+	for call := 0; call < 20; call++ {
+		vis, err := r.gw.Visible(tok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vis) != 8 || !slices.IsSorted(vis) {
+			t.Fatalf("call %d: visible = %v, want 8 LUNs in sorted order", call, vis)
+		}
 	}
 }
 
