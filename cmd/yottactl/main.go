@@ -113,13 +113,7 @@ func main() {
 // `telemetry` commands have a window to show.
 func newDemoSession(out io.Writer) (*session, error) {
 	sys, err := core.NewSystem(core.Options{
-		DiskSpec: disk.Spec{
-			BlockSize:   4096,
-			Blocks:      1 << 16,
-			Seek:        5 * sim.Millisecond,
-			Rotation:    3 * sim.Millisecond,
-			TransferBps: 400_000_000,
-		},
+		DiskSpec:   disk.LabSpec(),
 		Trace:      true,
 		Telemetry:  100 * sim.Millisecond,
 		SLOReadP99: 50 * sim.Millisecond,

@@ -11,44 +11,15 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/controller"
 	"repro/internal/disk"
 	"repro/internal/raid"
 	"repro/internal/sim"
 	"repro/internal/virt"
 )
 
-// Config sizes the array.
-type Config struct {
-	// CacheBlocksPerController sizes each private cache.
-	CacheBlocksPerController int
-	// Disks and DisksPerGroup shape the RAID groups.
-	Disks         int
-	DisksPerGroup int
-	RAIDLevel     raid.Level
-	DiskSpec      disk.Spec
-	ExtentBlocks  int64
-	// OpDelay and CPUSlots model each controller's processor.
-	OpDelay  sim.Duration
-	CPUSlots int
-	// FlushInterval drives write-back destaging (0 = 20 ms).
-	FlushInterval sim.Duration
-}
-
-// DefaultConfig mirrors the cluster's default disk complement.
-func DefaultConfig() Config {
-	return Config{
-		CacheBlocksPerController: 4096,
-		Disks:                    20,
-		DisksPerGroup:            5,
-		RAIDLevel:                raid.RAID5,
-		ExtentBlocks:             256,
-		OpDelay:                  10 * sim.Microsecond,
-		CPUSlots:                 4,
-	}
-}
-
-// controller is one of the array's two brains.
-type controller struct {
+// head is one of the array's two controllers.
+type head struct {
 	id    int
 	cache *cache.Cache
 	cpu   *sim.Semaphore
@@ -58,59 +29,42 @@ type controller struct {
 // Array is the traditional dual-controller system.
 type Array struct {
 	K      *sim.Kernel
-	Cfg    Config
+	Cfg    controller.Config
 	Farm   *disk.Farm
 	Groups []*raid.Group
 	Pool   *virt.Pool
 
-	ctrls    [2]*controller
+	heads    [2]*head
 	volOwner map[string]int
 	Errors   int64
 }
 
-// New builds the array.
-func New(k *sim.Kernel, cfg Config) (*Array, error) {
-	if cfg.DiskSpec.BlockSize == 0 {
-		cfg.DiskSpec = disk.DefaultSpec()
-	}
-	if cfg.FlushInterval == 0 {
-		cfg.FlushInterval = 20 * sim.Millisecond
-	}
-	if cfg.ExtentBlocks == 0 {
-		cfg.ExtentBlocks = 256
-	}
-	if cfg.CPUSlots == 0 {
-		cfg.CPUSlots = 4
-	}
-	if cfg.DisksPerGroup <= 0 || cfg.Disks%cfg.DisksPerGroup != 0 {
-		return nil, fmt.Errorf("baseline: %d disks not divisible by group width %d", cfg.Disks, cfg.DisksPerGroup)
-	}
-	a := &Array{K: k, Cfg: cfg, volOwner: make(map[string]int)}
-	a.Farm = disk.NewFarm(k, "bdisk", cfg.Disks, cfg.DiskSpec)
-	var devices []virt.BlockDevice
-	for g := 0; g < cfg.Disks/cfg.DisksPerGroup; g++ {
-		grp, err := raid.NewGroup(k, cfg.RAIDLevel, a.Farm.Disks[g*cfg.DisksPerGroup:(g+1)*cfg.DisksPerGroup])
-		if err != nil {
-			return nil, err
-		}
-		a.Groups = append(a.Groups, grp)
-		devices = append(devices, grp)
-	}
-	pool, err := virt.NewPool(k, cfg.ExtentBlocks, devices...)
+// New builds the array from the blade cluster's Config, so the two are
+// compared on the same drives, groups, extents and per-controller costs.
+// It reads Disks, DisksPerGroup, RAIDLevel, DiskSpec and ExtentBlocks for
+// the storage, and CacheBlocksPerBlade, OpDelay, CPUSlots and
+// FlushInterval for each of its two controllers.
+func New(k *sim.Kernel, cfg controller.Config) (*Array, error) {
+	cfg = cfg.WithDefaults()
+	farm, groups, pool, err := controller.BuildPool(k, cfg, "bdisk", cfg.RAIDLevel, cfg.Disks, cfg.DisksPerGroup)
 	if err != nil {
 		return nil, err
 	}
-	a.Pool = pool
-	for i := 0; i < 2; i++ {
-		a.ctrls[i] = &controller{
+	a := &Array{K: k, Cfg: cfg, Farm: farm, Groups: groups, Pool: pool, volOwner: make(map[string]int)}
+	for i := range a.heads {
+		a.heads[i] = &head{
 			id:    i,
-			cache: cache.New(cfg.CacheBlocksPerController),
+			cache: cache.New(cfg.CacheBlocksPerBlade),
 			cpu:   sim.NewSemaphore(k, cfg.CPUSlots),
 		}
 	}
 	a.startFlusher()
 	return a, nil
 }
+
+// MirrorCharge is the CPU time the partner controller spends on one
+// block's cache-mirror copy: half the owner's per-block charge.
+func (a *Array) MirrorCharge() sim.Duration { return a.Cfg.OpDelay / 2 }
 
 // CreateVolume provisions a thick volume and assigns it a controller owner
 // (round-robin by count — the static partitioning of traditional arrays).
@@ -127,16 +81,16 @@ func (a *Array) SetOwner(vol string, ctrl int) { a.volOwner[vol] = ctrl % 2 }
 
 // ControllerOps returns per-controller served operation counts.
 func (a *Array) ControllerOps() [2]int64 {
-	return [2]int64{a.ctrls[0].Ops, a.ctrls[1].Ops}
+	return [2]int64{a.heads[0].Ops, a.heads[1].Ops}
 }
 
 // owner resolves the volume's serving controller.
-func (a *Array) owner(vol string) (*controller, error) {
+func (a *Array) owner(vol string) (*head, error) {
 	id, ok := a.volOwner[vol]
 	if !ok {
 		return nil, fmt.Errorf("baseline: no volume %q", vol)
 	}
-	return a.ctrls[id], nil
+	return a.heads[id], nil
 }
 
 func (a *Array) volume(vol string) (*virt.Volume, error) {
@@ -147,7 +101,7 @@ func (a *Array) volume(vol string) (*virt.Volume, error) {
 	return v, nil
 }
 
-func (c *controller) busy(p *sim.Proc, d sim.Duration) {
+func (c *head) busy(p *sim.Proc, d sim.Duration) {
 	c.cpu.Acquire(p, 1)
 	p.Sleep(d)
 	c.cpu.Release(1)
@@ -204,7 +158,7 @@ func (a *Array) Write(p *sim.Proc, vol string, lba int64, data []byte) error {
 	if len(data)%bs != 0 {
 		return fmt.Errorf("baseline: unaligned write of %d bytes", len(data))
 	}
-	partner := a.ctrls[1-c.id]
+	partner := a.heads[1-c.id]
 	for i := 0; i < len(data)/bs; i++ {
 		c.busy(p, a.Cfg.OpDelay)
 		key := cache.Key{Vol: vol, LBA: lba + int64(i)}
@@ -214,14 +168,14 @@ func (a *Array) Write(p *sim.Proc, vol string, lba int64, data []byte) error {
 		ent.Version++
 		// Cache-mirror copy over the controllers' internal bus;
 		// modeled as a CPU charge on the partner.
-		partner.busy(p, a.Cfg.OpDelay/2)
+		partner.busy(p, a.MirrorCharge())
 	}
 	c.Ops += int64(len(data) / bs)
 	return nil
 }
 
 // makeRoom evicts from c's cache, destaging dirty victims.
-func (a *Array) makeRoom(p *sim.Proc, c *controller, v *virt.Volume) {
+func (a *Array) makeRoom(p *sim.Proc, c *head, v *virt.Volume) {
 	for c.cache.NeedsRoom(1) {
 		victim := c.cache.Victim()
 		if victim == nil {
@@ -237,7 +191,7 @@ func (a *Array) makeRoom(p *sim.Proc, c *controller, v *virt.Volume) {
 }
 
 // destage writes one dirty block to its volume.
-func (a *Array) destage(p *sim.Proc, c *controller, ent *cache.Entry) error {
+func (a *Array) destage(p *sim.Proc, c *head, ent *cache.Entry) error {
 	v, err := a.volume(ent.Key.Vol)
 	if err != nil {
 		return err
@@ -258,7 +212,7 @@ func (a *Array) destage(p *sim.Proc, c *controller, ent *cache.Entry) error {
 // startFlusher runs one destager per controller.
 func (a *Array) startFlusher() {
 	for i := 0; i < 2; i++ {
-		c := a.ctrls[i]
+		c := a.heads[i]
 		a.K.Go(fmt.Sprintf("baseline.flusher%d", i), func(p *sim.Proc) {
 			for {
 				p.Sleep(a.Cfg.FlushInterval)

@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/disk"
 	"repro/internal/sim"
 )
 
-func smallConfig() Config {
-	cfg := DefaultConfig()
+func smallConfig() controller.Config {
+	cfg := controller.DefaultConfig()
 	cfg.DiskSpec = disk.Spec{
 		BlockSize:   512,
 		Blocks:      4096,
@@ -20,11 +21,11 @@ func smallConfig() Config {
 	cfg.Disks = 10
 	cfg.DisksPerGroup = 5
 	cfg.ExtentBlocks = 16
-	cfg.CacheBlocksPerController = 256
+	cfg.CacheBlocksPerBlade = 256
 	return cfg
 }
 
-func newArray(t *testing.T, mutate func(*Config)) (*Array, *sim.Kernel) {
+func newArray(t *testing.T, mutate func(*controller.Config)) (*Array, *sim.Kernel) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	cfg := smallConfig()

@@ -519,6 +519,9 @@ func (e *Engine) HottestHomes(n int) []KeyHeat {
 // with the I/O path.
 func (e *Engine) Busy(p *sim.Proc, d sim.Duration) { e.busy(p, d) }
 
+// OpDelay is the CPU time the blade charges per block operation.
+func (e *Engine) OpDelay() sim.Duration { return e.opDelay }
+
 // busy charges CPU for one operation of duration d. With a QoS queue
 // installed the caller competes in its lane; otherwise it waits its turn
 // at the plain FIFO semaphore. A disabled queue grants in the same FIFO

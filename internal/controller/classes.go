@@ -3,7 +3,6 @@ package controller
 import (
 	"fmt"
 
-	"repro/internal/disk"
 	"repro/internal/qos"
 	"repro/internal/raid"
 	"repro/internal/sim"
@@ -23,24 +22,10 @@ type StorageClass struct {
 // AddClass carves a new storage class out of additional drives: it builds
 // the class's RAID groups and pool and registers them with the cluster.
 func (c *Cluster) AddClass(sc StorageClass) error {
-	if sc.DisksPerGroup <= 0 || sc.Disks%sc.DisksPerGroup != 0 {
-		return fmt.Errorf("controller: class %q: %d disks not divisible by %d", sc.Name, sc.Disks, sc.DisksPerGroup)
-	}
 	if _, exists := c.classPools[sc.Name]; exists {
 		return fmt.Errorf("controller: class %q exists", sc.Name)
 	}
-	farm := disk.NewFarm(c.K, "disk."+sc.Name, sc.Disks, c.Cfg.DiskSpec)
-	c.Farm.Disks = append(c.Farm.Disks, farm.Disks...)
-	var devices []virt.BlockDevice
-	for g := 0; g < sc.Disks/sc.DisksPerGroup; g++ {
-		grp, err := raid.NewGroup(c.K, sc.Level, farm.Disks[g*sc.DisksPerGroup:(g+1)*sc.DisksPerGroup])
-		if err != nil {
-			return err
-		}
-		c.Groups = append(c.Groups, grp)
-		devices = append(devices, grp)
-	}
-	pool, err := virt.NewPool(c.K, c.Cfg.ExtentBlocks, devices...)
+	pool, err := c.addFarm("disk."+sc.Name, sc.Level, sc.Disks, sc.DisksPerGroup)
 	if err != nil {
 		return err
 	}

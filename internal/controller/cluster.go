@@ -44,14 +44,12 @@ type Config struct {
 	RAIDLevel raid.Level
 	// DiskSpec describes each drive; zero value = disk.DefaultSpec().
 	DiskSpec disk.Spec
-	// ExtentBlocks is the virtualization extent size in blocks.
+	// ExtentBlocks is the virtualization extent size in blocks (0 = 256).
 	ExtentBlocks int64
 
 	// OpDelay is CPU time per block operation on a blade.
 	OpDelay sim.Duration
-	// HandlerDelay is CPU time per coherence message handled.
-	HandlerDelay sim.Duration
-	// CPUSlots bounds a blade's concurrent operations.
+	// CPUSlots bounds a blade's concurrent operations (0 = 4).
 	CPUSlots int
 	// FlushInterval drives the background destager (0 = 20 ms).
 	FlushInterval sim.Duration
@@ -77,6 +75,10 @@ type Config struct {
 	QoS *qos.Config
 }
 
+// HandlerDelay is the CPU time a blade charges per coherence message
+// handled, and per key of a vector message.
+const HandlerDelay = 5 * sim.Microsecond
+
 // DefaultConfig returns a mid-size lab configuration: 4 blades, RAID-5
 // groups of 5 over 20 disks.
 func DefaultConfig() Config {
@@ -87,11 +89,52 @@ func DefaultConfig() Config {
 		Disks:               20,
 		DisksPerGroup:       5,
 		RAIDLevel:           raid.RAID5,
-		ExtentBlocks:        256,
 		OpDelay:             10 * sim.Microsecond,
-		HandlerDelay:        5 * sim.Microsecond,
-		CPUSlots:            4,
+	}.WithDefaults()
+}
+
+// WithDefaults fills in the zero fields that have a default: the drive
+// model, the destage interval, the extent size and the CPU slots.
+func (cfg Config) WithDefaults() Config {
+	if cfg.DiskSpec.BlockSize == 0 {
+		cfg.DiskSpec = disk.DefaultSpec()
 	}
+	if cfg.FlushInterval == 0 {
+		cfg.FlushInterval = 20 * sim.Millisecond
+	}
+	if cfg.ExtentBlocks == 0 {
+		cfg.ExtentBlocks = 256
+	}
+	if cfg.CPUSlots <= 0 {
+		cfg.CPUSlots = 4
+	}
+	return cfg
+}
+
+// BuildPool builds n drives of cfg.DiskSpec named prefix0..prefix(n-1),
+// cuts them into RAID groups of width at level, and pools the groups in
+// cfg.ExtentBlocks extents — the storage under a cluster, one of its
+// classes, or the dual-controller array.
+func BuildPool(k *sim.Kernel, cfg Config, prefix string, level raid.Level, n, width int) (*disk.Farm, []*raid.Group, *virt.Pool, error) {
+	if width <= 0 || n%width != 0 {
+		return nil, nil, nil, fmt.Errorf("controller: %s: %d disks not divisible into groups of %d", prefix, n, width)
+	}
+	farm := disk.NewFarm(k, prefix, n, cfg.DiskSpec)
+	var groups []*raid.Group
+	var devices []virt.BlockDevice
+	for g := 0; g < n/width; g++ {
+		grp, err := raid.NewGroup(k, level, farm.Disks[g*width:(g+1)*width])
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		groups = append(groups, grp)
+		devices = append(devices, grp)
+	}
+	pool, err := virt.NewPool(k, cfg.ExtentBlocks, devices...)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return farm, groups, pool, nil
 }
 
 // Blade is one controller blade.
@@ -173,44 +216,14 @@ func New(k *sim.Kernel, cfg Config) (*Cluster, error) {
 	if cfg.Blades <= 0 {
 		return nil, errors.New("controller: need at least one blade")
 	}
-	if cfg.DiskSpec.BlockSize == 0 {
-		cfg.DiskSpec = disk.DefaultSpec()
-	}
-	if cfg.FlushInterval == 0 {
-		cfg.FlushInterval = 20 * sim.Millisecond
-	}
-	if cfg.ExtentBlocks == 0 {
-		cfg.ExtentBlocks = 256
-	}
-	if cfg.DisksPerGroup <= 0 || cfg.Disks%cfg.DisksPerGroup != 0 {
-		return nil, fmt.Errorf("controller: %d disks not divisible into groups of %d", cfg.Disks, cfg.DisksPerGroup)
-	}
-
+	cfg = cfg.WithDefaults()
 	net := simnet.New(k)
-	c := &Cluster{K: k, Net: net, Cfg: cfg, classPools: make(map[string]*virt.Pool)}
+	c := &Cluster{K: k, Net: net, Cfg: cfg, Farm: &disk.Farm{}, Reg: telemetry.NewRegistry(),
+		classPools: make(map[string]*virt.Pool)}
 	if cfg.QoS != nil {
 		c.QoS = qos.NewManager(k, *cfg.QoS)
 	}
-
-	// Disk farm and RAID groups.
-	c.Farm = disk.NewFarm(k, "disk", cfg.Disks, cfg.DiskSpec)
-	if c.QoS != nil {
-		// Each drive serves one I/O at a time; the fair queue arbitrates
-		// which lane's head goes next.
-		for _, d := range c.Farm.Disks {
-			d.SetScheduler(c.QoS.NewFairQueue(1))
-		}
-	}
-	var devices []virt.BlockDevice
-	for g := 0; g < cfg.Disks/cfg.DisksPerGroup; g++ {
-		grp, err := raid.NewGroup(k, cfg.RAIDLevel, c.Farm.Disks[g*cfg.DisksPerGroup:(g+1)*cfg.DisksPerGroup])
-		if err != nil {
-			return nil, err
-		}
-		c.Groups = append(c.Groups, grp)
-		devices = append(devices, grp)
-	}
-	pool, err := virt.NewPool(k, cfg.ExtentBlocks, devices...)
+	pool, err := c.addFarm("disk", cfg.RAIDLevel, cfg.Disks, cfg.DisksPerGroup)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +248,7 @@ func New(k *sim.Kernel, cfg Config) (*Cluster, error) {
 			Backing:      backing,
 			BlockSize:    cfg.DiskSpec.BlockSize,
 			OpDelay:      cfg.OpDelay,
-			HandlerDelay: cfg.HandlerDelay,
+			HandlerDelay: HandlerDelay,
 			CPUSlots:     cfg.CPUSlots,
 			NoPeerFetch:  cfg.NoPeerFetch,
 			ReadAhead:    cfg.ReadAhead,
@@ -246,11 +259,7 @@ func New(k *sim.Kernel, cfg Config) (*Cluster, error) {
 			engCfg.OnClean = repl.OnClean
 		}
 		if c.QoS != nil {
-			slots := cfg.CPUSlots
-			if slots <= 0 {
-				slots = 4
-			}
-			engCfg.CPUQueue = c.QoS.NewFairQueue(slots)
+			engCfg.CPUQueue = c.QoS.NewFairQueue(cfg.CPUSlots)
 		}
 		eng := coherence.New(k, engCfg)
 		b := &Blade{ID: i, Addr: peers[i], Conn: conn, Engine: eng, Repl: repl}
@@ -264,11 +273,35 @@ func New(k *sim.Kernel, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// registerTelemetry builds the cluster's named registry: cluster-level
-// aggregates plus every blade's engine/cache/rpc/replication counters,
-// every disk, and the fabric's per-link byte counts.
+// addFarm builds n drives named prefix<i> in RAID groups of width at level
+// under one new pool (BuildPool), puts each drive behind a QoS fair queue
+// when QoS is configured, and adds every drive and group to the cluster's
+// lists and registry.
+func (c *Cluster) addFarm(prefix string, level raid.Level, n, width int) (*virt.Pool, error) {
+	farm, groups, pool, err := BuildPool(c.K, c.Cfg, prefix, level, n, width)
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range farm.Disks {
+		if c.QoS != nil {
+			// Each drive serves one I/O at a time; the fair queue
+			// arbitrates which lane's head goes next.
+			d.SetScheduler(c.QoS.NewFairQueue(1))
+		}
+		d.RegisterTelemetry(c.Reg.Sub(fmt.Sprintf("disk/%d", len(c.Farm.Disks))))
+		c.Farm.Disks = append(c.Farm.Disks, d)
+	}
+	for _, g := range groups {
+		g.RegisterTelemetry(c.Reg.Sub(fmt.Sprintf("raid/%d", len(c.Groups))))
+		c.Groups = append(c.Groups, g)
+	}
+	return pool, nil
+}
+
+// registerTelemetry adds to the cluster's named registry the cluster-level
+// aggregates, every blade's engine/cache/rpc/replication counters and the
+// fabric's per-link byte counts (addFarm registers the drives and groups).
 func (c *Cluster) registerTelemetry() {
-	c.Reg = telemetry.NewRegistry()
 	c.opLatency = metrics.NewHistogram()
 	r := c.Reg
 	r.Histogram("cluster/op_latency", c.opLatency)
@@ -294,12 +327,6 @@ func (c *Cluster) registerTelemetry() {
 		})
 		b.Engine.RegisterTelemetry(s)
 		b.Repl.RegisterTelemetry(s.Sub("repl"))
-	}
-	for i, d := range c.Farm.Disks {
-		d.RegisterTelemetry(r.Sub(fmt.Sprintf("disk/%d", i)))
-	}
-	for i, g := range c.Groups {
-		g.RegisterTelemetry(r.Sub(fmt.Sprintf("raid/%d", i)))
 	}
 	c.Net.RegisterTelemetry(r.Sub("net"))
 	if c.QoS != nil {

@@ -16,9 +16,6 @@ import (
 // SetEnabled (or yottactl `rebalance on` with the hotcache scheme) arms
 // it.
 func (c *Cluster) NewHotCache(cfg hotcache.Config) *hotcache.Tier {
-	if cfg.OpDelay <= 0 {
-		cfg.OpDelay = c.Cfg.OpDelay
-	}
 	engines := make([]*coherence.Engine, len(c.Blades))
 	conns := make([]*simnet.Conn, len(c.Blades))
 	peers := make([]simnet.Addr, len(c.Blades))

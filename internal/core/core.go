@@ -327,11 +327,12 @@ type GeoOptions struct {
 	SiteOptions func(name string) Options
 	// WANOneWay is the inter-site propagation delay.
 	WANOneWay sim.Duration
-	// WANBps is the inter-site bandwidth.
-	WANBps int64
 	// Geo tunes prefetch/promotion/shipping.
 	Geo georepl.Config
 }
+
+// WANBps is the bandwidth of every inter-site link (1 Gb/s).
+const WANBps = 1_000_000_000
 
 // GeoSystem is a federation of full Systems on one kernel.
 type GeoSystem struct {
@@ -345,9 +346,6 @@ type GeoSystem struct {
 func NewGeoSystem(seed int64, g GeoOptions) (*GeoSystem, error) {
 	if len(g.Sites) < 2 {
 		return nil, fmt.Errorf("core: federation needs ≥2 sites")
-	}
-	if g.WANBps == 0 {
-		g.WANBps = 1_000_000_000
 	}
 	k := sim.NewKernel(seed)
 	fed := georepl.NewFederation(k, g.Geo)
@@ -366,7 +364,7 @@ func NewGeoSystem(seed int64, g GeoOptions) (*GeoSystem, error) {
 	}
 	for i, a := range g.Sites {
 		for _, b := range g.Sites[i+1:] {
-			fed.Connect(a, b, simnet.WAN(g.WANOneWay, g.WANBps))
+			fed.Connect(a, b, simnet.WAN(g.WANOneWay, WANBps))
 		}
 	}
 	return gs, nil

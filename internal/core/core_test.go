@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
 	"repro/internal/pfs"
+	"repro/internal/qos"
 	"repro/internal/raid"
 	"repro/internal/sim"
 )
@@ -86,6 +89,35 @@ func TestSystemExtraClassesEndToEnd(t *testing.T) {
 	}
 	if pool.AllocatedExtents() == 0 {
 		t.Fatal("mirror class pool untouched; class routing broken")
+	}
+}
+
+func TestExtraClassDrivesJoinQoSAndTelemetry(t *testing.T) {
+	// An extra class's drives and groups are the cluster's like any other:
+	// each drive is registered and sits behind a QoS fair queue, and each
+	// group is registered.
+	sys, err := NewSystem(Options{
+		DiskSpec: fastDisks(),
+		Blades:   2,
+		QoS:      &qos.Config{},
+		ExtraClasses: []Class{
+			{Name: "mirror", Level: raid.RAID1, Disks: 4, DisksPerGroup: 2},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Stop()
+	c := sys.Cluster
+	if got, want := len(sys.Registry.Match("disk/*/queue_depth")), len(c.Farm.Disks); got != want {
+		t.Errorf("%d drives registered, want %d", got, want)
+	}
+	if got, want := len(sys.Registry.Match("raid/*/row_writes_full")), len(c.Groups); got != want {
+		t.Errorf("%d groups registered, want %d", got, want)
+	}
+	want := fmt.Sprintf("queues: %d installed\n", len(c.Farm.Disks)+len(c.Blades))
+	if rep := sys.QoS.Report(); !strings.Contains(rep, want) {
+		t.Errorf("QoS report lacks %q:\n%s", want, rep)
 	}
 }
 

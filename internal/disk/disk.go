@@ -47,6 +47,14 @@ func DefaultSpec() Spec {
 	}
 }
 
+// LabSpec is DefaultSpec's drive shrunk to 256 MiB (64 Ki blocks), so
+// rebuild experiments and interactive demos finish quickly.
+func LabSpec() Spec {
+	s := DefaultSpec()
+	s.Blocks = 1 << 16
+	return s
+}
+
 // Bytes returns the drive capacity in bytes.
 func (s Spec) Bytes() int64 { return s.Blocks * int64(s.BlockSize) }
 

@@ -87,7 +87,6 @@ func e16QuickScale() e16Scale {
 // assert on).
 const (
 	e16MetaOpTime = 500 * sim.Microsecond
-	e16IAMLatency = 100 * sim.Microsecond
 	e16Think      = 4 * sim.Millisecond
 	e16WriteFrac  = 0.1
 	e16ZipfS      = 1.2
@@ -146,7 +145,6 @@ func e16Arm(seed int64, sc e16Scale, shards int) []E16Point {
 		Gateway: &gateway.Config{
 			MetaShards: shards,
 			MetaOpTime: e16MetaOpTime,
-			IAMLatency: e16IAMLatency,
 		},
 	})
 	if err != nil {

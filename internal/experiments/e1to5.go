@@ -87,18 +87,12 @@ func E2(seed int64) *metrics.Table {
 }
 
 // baselineArray builds the comparator E2 and E3 put beside the cluster:
-// the same 24 lab disks in 6-disk groups behind a dual-controller array,
-// each controller with one blade's cache and CPU cost, on a fresh kernel.
+// the two-blade lab Config behind a dual-controller array — the same 24
+// lab disks in 6-disk groups, each controller with one blade's cache and
+// CPU cost — on a fresh kernel.
 func baselineArray(seed int64) (*sim.Kernel, *baseline.Array) {
 	k := sim.NewKernel(seed)
-	cfg := baseline.DefaultConfig()
-	cfg.DiskSpec = labDisk()
-	cfg.Disks = 24
-	cfg.DisksPerGroup = 6
-	cfg.ExtentBlocks = 64
-	cfg.CacheBlocksPerController = 4096
-	cfg.OpDelay = 50 * sim.Microsecond
-	arr, err := baseline.New(k, cfg)
+	arr, err := baseline.New(k, clusterConfig(2))
 	if err != nil {
 		panic(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/controller"
 	"repro/internal/core"
+	"repro/internal/disk"
 	"repro/internal/georepl"
 	"repro/internal/metrics"
 	"repro/internal/pfs"
@@ -138,7 +139,7 @@ func twoSites(seed int64, oneWay sim.Duration, geo georepl.Config) *core.GeoSyst
 		Sites:     []string{"A", "B"},
 		WANOneWay: oneWay,
 		SiteOptions: func(string) core.Options {
-			return core.Options{DiskSpec: labDisk(), Disks: 12, DisksPerGroup: 6}
+			return core.Options{DiskSpec: disk.LabSpec(), Disks: 12, DisksPerGroup: 6}
 		},
 		Geo: geo,
 	})

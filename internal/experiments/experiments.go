@@ -18,24 +18,11 @@ import (
 	"repro/internal/workload"
 )
 
-// labDisk is the drive model used across experiments: 4 KiB blocks,
-// 256 MiB per drive (kept small so rebuild experiments finish quickly),
-// 5 ms seek + 3 ms rotation, 50 MB/s media.
-func labDisk() disk.Spec {
-	return disk.Spec{
-		BlockSize:   4096,
-		Blocks:      1 << 16,
-		Seek:        5 * sim.Millisecond,
-		Rotation:    3 * sim.Millisecond,
-		TransferBps: 400_000_000,
-	}
-}
-
 // clusterConfig is the shared blade-cluster shape.
 func clusterConfig(blades int) controller.Config {
 	cfg := controller.DefaultConfig()
 	cfg.Blades = blades
-	cfg.DiskSpec = labDisk()
+	cfg.DiskSpec = disk.LabSpec()
 	cfg.Disks = 24
 	cfg.DisksPerGroup = 6
 	cfg.RAIDLevel = raid.RAID5

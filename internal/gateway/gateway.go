@@ -40,10 +40,8 @@ type Config struct {
 	// MetaShards is the index-server count (default 1).
 	MetaShards int
 	// MetaOpTime is the modeled service time per index op
-	// (default 250µs).
+	// (default DefaultMetaOpTime).
 	MetaOpTime sim.Duration
-	// IAMLatency is the in-memory auth lookup cost (default 100µs).
-	IAMLatency sim.Duration
 	// Layout shapes part splitting and segment aggregation.
 	Layout LayoutConfig
 }
@@ -99,7 +97,7 @@ func New(k *sim.Kernel, cfg Config) (*Gateway, error) {
 	cfg.Layout = cfg.Layout.withDefaults()
 	return &Gateway{
 		fs:   cfg.FS,
-		iam:  newIAM(cfg.Auth, cfg.IAMLatency),
+		iam:  newIAM(cfg.Auth),
 		meta: newMeta(k, cfg.MetaShards, cfg.MetaOpTime),
 		cfg:  cfg,
 

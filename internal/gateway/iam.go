@@ -66,9 +66,6 @@ type iamEntry struct {
 // path: Authorize performs zero pfs I/O, asserted by test.
 type IAM struct {
 	auth *security.Authority
-	// Latency models the in-memory credential lookup cost; well under
-	// yig's <10ms bound, surfaced in the hit-latency histogram.
-	Latency sim.Duration
 
 	entries map[string]iamEntry // bucket → owner/ACL
 
@@ -77,13 +74,13 @@ type IAM struct {
 	denials int64
 }
 
-func newIAM(auth *security.Authority, latency sim.Duration) *IAM {
-	if latency <= 0 {
-		latency = 100 * sim.Microsecond
-	}
+// IAMLatency models the in-memory credential lookup cost; well under
+// yig's <10ms bound, surfaced in the hit-latency histogram.
+const IAMLatency = 100 * sim.Microsecond
+
+func newIAM(auth *security.Authority) *IAM {
 	return &IAM{
 		auth:    auth,
-		Latency: latency,
 		entries: make(map[string]iamEntry),
 		hitLat:  metrics.NewHistogram(),
 	}
@@ -99,7 +96,7 @@ func (i *IAM) put(bucket, owner string, acl ACL) {
 func (i *IAM) authenticate(p *sim.Proc, token string) (string, error) {
 	start := p.Now()
 	tenant, err := i.auth.Authenticate(token)
-	p.Sleep(i.Latency)
+	p.Sleep(IAMLatency)
 	if err != nil {
 		i.denials++
 		return "", err // Authority already audited the bad token
@@ -116,7 +113,7 @@ func (i *IAM) authenticate(p *sim.Proc, token string) (string, error) {
 func (i *IAM) authorize(p *sim.Proc, token, bucket string, write bool, action string) (tenant, owner string, err error) {
 	start := p.Now()
 	tenant, err = i.auth.Authenticate(token)
-	p.Sleep(i.Latency)
+	p.Sleep(IAMLatency)
 	if err != nil {
 		i.denials++
 		return "", "", err

@@ -67,16 +67,20 @@ type Meta struct {
 	k      *sim.Kernel
 	shards []*metaShard
 	// OpTime is the modeled service time of one index operation
-	// (default 250µs).
+	// (default DefaultMetaOpTime).
 	OpTime sim.Duration
 }
+
+// DefaultMetaOpTime is the service time of one index operation when
+// Config.MetaOpTime is zero.
+const DefaultMetaOpTime = 250 * sim.Microsecond
 
 func newMeta(k *sim.Kernel, shards int, opTime sim.Duration) *Meta {
 	if shards < 1 {
 		shards = 1
 	}
 	if opTime <= 0 {
-		opTime = 250 * sim.Microsecond
+		opTime = DefaultMetaOpTime
 	}
 	m := &Meta{k: k, shards: make([]*metaShard, shards), OpTime: opTime}
 	for i := range m.shards {

@@ -22,10 +22,9 @@ type NodeStats struct {
 // eviction, or a tier disable — they are shadow copies outside the
 // directory's jurisdiction, so they carry no dirty state, ever.
 type Node struct {
-	self    int
-	engine  *coherence.Engine
-	store   *cache.Cache
-	opDelay sim.Duration
+	self   int
+	engine *coherence.Engine
+	store  *cache.Cache
 
 	// epoch[key] counts invalidations of key; gen counts whole-store
 	// clears. A fill records both before issuing its coherence read and
@@ -46,24 +45,23 @@ type Node struct {
 // cause a spurious fill abort but never a stale install.
 const epochSweepAt = 8
 
-func newNode(self int, engine *coherence.Engine, blocks int, opDelay sim.Duration) *Node {
+func newNode(self int, engine *coherence.Engine, blocks int) *Node {
 	return &Node{
-		self:    self,
-		engine:  engine,
-		store:   cache.New(blocks),
-		opDelay: opDelay,
-		epoch:   make(map[cache.Key]uint64),
+		self:   self,
+		engine: engine,
+		store:  cache.New(blocks),
+		epoch:  make(map[cache.Key]uint64),
 	}
 }
 
-// Read serves one block read through the cache node. A hit costs one CPU
-// charge on this blade and returns the cached copy; a miss reads through
-// the coherence plane (which does its own CPU accounting) and installs
-// the result if no write or clear intervened.
+// Read serves one block read through the cache node. A hit costs the
+// blade engine's per-op CPU charge and returns the cached copy; a miss
+// reads through the coherence plane (which does its own CPU accounting)
+// and installs the result if no write or clear intervened.
 func (n *Node) Read(p *sim.Proc, key cache.Key, priority int) ([]byte, error) {
 	if ent, ok := n.store.Get(key); ok {
 		n.stats.Hits++
-		n.engine.Busy(p, n.opDelay)
+		n.engine.Busy(p, n.engine.OpDelay())
 		return append([]byte(nil), ent.Data...), nil
 	}
 	n.stats.Misses++

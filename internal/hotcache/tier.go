@@ -28,8 +28,6 @@ type Config struct {
 	// HeatHalfLife is the decay half-life of the per-key read counters
 	// (default 250ms). Shorter tracks a shifting hot set faster.
 	HeatHalfLife sim.Duration
-	// OpDelay is the CPU charge for a cache-node hit (default 10µs).
-	OpDelay sim.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -41,9 +39,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HeatHalfLife <= 0 {
 		c.HeatHalfLife = 250 * sim.Millisecond
-	}
-	if c.OpDelay <= 0 {
-		c.OpDelay = 10 * sim.Microsecond
 	}
 	return c
 }
@@ -119,7 +114,7 @@ func New(cfg Config, deps Deps) *Tier {
 	}
 	for i, e := range deps.Engines {
 		i, e := i, e
-		t.nodes[i] = newNode(i, e, cfg.BlocksPerNode, cfg.OpDelay)
+		t.nodes[i] = newNode(i, e, cfg.BlocksPerNode)
 		deps.Conns[i].Register("hc.invb", func(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 			req := args.(hcInvReq)
 			t.nodes[i].Invalidate(req.Keys)

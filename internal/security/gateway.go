@@ -25,8 +25,6 @@ type Gateway struct {
 	store BlockStore
 	// cryptors caches per-tenant encryption engines.
 	cryptors map[string]*Cryptor
-	// encThroughputBps models the blades' encryption engines (§8.1).
-	encThroughputBps int64
 	// encryptAtRest toggles §5.1 storage-level encryption.
 	encryptAtRest bool
 	// inbandDisabled lists control commands refused on the data path
@@ -39,24 +37,22 @@ type Gateway struct {
 
 // GatewayConfig assembles a Gateway.
 type GatewayConfig struct {
-	Authority        *Authority
-	Mask             *LUNMask
-	Store            BlockStore
-	EncryptAtRest    bool
-	EncThroughputBps int64
+	Authority     *Authority
+	Mask          *LUNMask
+	Store         BlockStore
+	EncryptAtRest bool
 }
 
 // NewGateway builds the enforcement point.
 func NewGateway(cfg GatewayConfig) *Gateway {
 	return &Gateway{
-		auth:             cfg.Authority,
-		mask:             cfg.Mask,
-		store:            cfg.Store,
-		cryptors:         make(map[string]*Cryptor),
-		encThroughputBps: cfg.EncThroughputBps,
-		encryptAtRest:    cfg.EncryptAtRest,
-		inbandDisabled:   make(map[string]bool),
-		lunVolume:        make(map[string]string),
+		auth:           cfg.Authority,
+		mask:           cfg.Mask,
+		store:          cfg.Store,
+		cryptors:       make(map[string]*Cryptor),
+		encryptAtRest:  cfg.EncryptAtRest,
+		inbandDisabled: make(map[string]bool),
+		lunVolume:      make(map[string]string),
 	}
 }
 
@@ -86,7 +82,9 @@ func (g *Gateway) cryptor(tenantID string) (*Cryptor, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewCryptor(t, g.encThroughputBps)
+	// The block gateway's engines charge no time: the per-blade encryption
+	// rate is modelled on the stream path (stripe.Config.EncBps, E9).
+	c, err := NewCryptor(t, 0)
 	if err != nil {
 		return nil, err
 	}

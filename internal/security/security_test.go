@@ -62,7 +62,7 @@ func newRig(t *testing.T, encrypt bool) *rig {
 	store := newMemStore("vol.a", "vol.b")
 	gw := NewGateway(GatewayConfig{
 		Authority: auth, Mask: mask, Store: store,
-		EncryptAtRest: encrypt, EncThroughputBps: 0,
+		EncryptAtRest: encrypt,
 	})
 	gw.ExportLUN("lunA", "vol.a")
 	gw.ExportLUN("lunB", "vol.b")

@@ -23,19 +23,20 @@ import (
 	"repro/internal/trace"
 )
 
+// The Figure-1 shape every stream has: two Fibre Channel ingest links per
+// blade (the paper's blades have two) and 256 KiB striping units, into one
+// 10 GbE egress port.
+const (
+	fcPerBlade = 2
+	chunkBytes = 256 << 10
+)
+
 // Config describes the Figure-1 topology.
 type Config struct {
 	// Blades is the number of controller blades striped over.
 	Blades int
-	// FCPerBlade is the number of Fibre Channel ingest links per blade
-	// (the paper's blades have two).
-	FCPerBlade int
 	// FCLink is each ingest link's spec (default simnet.FC2G).
 	FCLink simnet.LinkSpec
-	// PortLink is the high-speed egress (default simnet.GbE10).
-	PortLink simnet.LinkSpec
-	// ChunkBytes is the striping unit (default 256 KiB).
-	ChunkBytes int
 	// EncBps, when nonzero, inserts a per-blade encryption engine of this
 	// rate into the path (§5.1/§8.1). Zero = no encryption stage.
 	EncBps int64
@@ -81,20 +82,11 @@ func New(k *sim.Kernel, cfg Config) (*Streamer, error) {
 	if cfg.Blades <= 0 {
 		return nil, fmt.Errorf("stripe: need ≥1 blade")
 	}
-	if cfg.FCPerBlade <= 0 {
-		cfg.FCPerBlade = 2
-	}
 	if cfg.FCLink == (simnet.LinkSpec{}) {
 		cfg.FCLink = simnet.FC2G
 	}
-	if cfg.PortLink == (simnet.LinkSpec{}) {
-		cfg.PortLink = simnet.GbE10
-	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 256 << 10
-	}
 	s := &Streamer{k: k, cfg: cfg, net: simnet.New(k)}
-	s.net.Connect("switch", "port", cfg.PortLink)
+	s.net.Connect("switch", "port", simnet.GbE10)
 	for b := 0; b < cfg.Blades; b++ {
 		enc := simnet.Addr(fmt.Sprintf("blade%d.enc", b))
 		// One encryption engine per blade: both FC ports funnel through it.
@@ -102,7 +94,7 @@ func New(k *sim.Kernel, cfg Config) (*Streamer, error) {
 		if cfg.EncBps > 0 {
 			engineLink.BandwidthBps = cfg.EncBps
 		}
-		for l := 0; l < cfg.FCPerBlade; l++ {
+		for l := 0; l < fcPerBlade; l++ {
 			fc := simnet.Addr(fmt.Sprintf("blade%d.fc%d", b, l))
 			s.net.Connect("farm", fc, cfg.FCLink)
 			s.net.Connect(fc, enc, simnet.LinkSpec{Latency: sim.Microsecond})
@@ -125,7 +117,7 @@ func (s *Streamer) Stream(p *sim.Proc, totalBytes int64) (Result, error) {
 	if totalBytes <= 0 {
 		return Result{}, fmt.Errorf("stripe: nothing to stream")
 	}
-	chunk := int64(s.cfg.ChunkBytes)
+	chunk := int64(chunkBytes)
 	nChunks := int((totalBytes + chunk - 1) / chunk)
 	done := sim.NewFuture[sim.Time](s.k)
 	arrived := 0
@@ -232,7 +224,7 @@ func Table(counts []int, results []Result, fcBps int64, portBps int64) *metrics.
 	tab := metrics.NewTable("E1 — Figure 1: single-stream rate vs striped blades",
 		"blades", "disk-side Gb/s", "achieved Gb/s", "port limit Gb/s", "reorder depth")
 	for i, n := range counts {
-		diskSide := float64(n) * 2 * float64(fcBps) / 1e9
+		diskSide := float64(n) * fcPerBlade * float64(fcBps) / 1e9
 		tab.AddRow(n, diskSide, results[i].Gbps(), float64(portBps)/1e9, results[i].MaxReorder)
 	}
 	return tab
