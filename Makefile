@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race verify loc knobs knobs-gate orphans deadcode examples unrun bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
+.PHONY: all build vet test race verify loc knobs knobs-gate orphans deadcode maporder examples unrun bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
 
 all: verify
 
@@ -48,6 +48,13 @@ orphans:
 # inlining off), and fails if one is not named in scripts/deadcode.allow.
 deadcode:
 	bash scripts/deadcode.sh
+
+# maporder prints every range over a map in non-test internal/ code whose
+# body may depend on the visiting order (anything but an append the
+# function sorts afterwards or a commutative update), as file:line, and
+# fails if scripts/maporder.allow does not name the function with a reason.
+maporder:
+	$(GO) run ./scripts/maporder
 
 # examples builds every example, runs each twice, and fails on a non-zero
 # exit or when the two runs print different output.

@@ -122,8 +122,10 @@ type Controller struct {
 	lastMoved   map[cache.Key]sim.Time
 }
 
-// New builds a controller. It starts enabled; SetEnabled(false) parks it
-// (ticks still fire but evaluate nothing).
+// New builds a controller and switches on home heat in deps.Engines (see
+// coherence.Engine.TrackHeat), so attach it before the I/O it should see.
+// It starts enabled; SetEnabled(false) parks it (ticks still fire but
+// evaluate nothing).
 func New(cfg Config, deps Deps) *Controller {
 	cfg.CVMax, cfg.RatioMax = telemetry.SkewThresholds(cfg.CVMax, cfg.RatioMax)
 	if cfg.MaxMoves <= 0 {
@@ -131,6 +133,9 @@ func New(cfg Config, deps Deps) *Controller {
 	}
 	if cfg.MinMoveFrac <= 0 {
 		cfg.MinMoveFrac = 0.02
+	}
+	for _, e := range deps.Engines {
+		e.TrackHeat() // an engine counts home heat only for a balancer
 	}
 	return &Controller{k: deps.K, cfg: cfg, deps: deps, interval: deps.Scraper.Interval(),
 		enabled: true, lastMoved: make(map[cache.Key]sim.Time)}

@@ -19,6 +19,51 @@ type Key struct {
 
 func (k Key) String() string { return fmt.Sprintf("%s/%d", k.Vol, k.LBA) }
 
+// lbaBits is the width of the LBA field of an Index ID: 2^40 blocks, 4 PiB
+// of 4 KiB blocks per volume. The volume number takes the other 24 bits.
+const lbaBits = 40
+
+// Index numbers keys for the maps that are touched once per block. A map
+// keyed by Key hashes the volume name on every access; an Index numbers
+// each name once and remembers the last one, so a run of keys on one volume
+// costs one string compare per key, and the map beneath hashes a uint64.
+// An ID packs (volume number, LBA); it means something only to the Index
+// that made it, so each owner keeps its own Index and no ID leaves it.
+// The zero Index is ready to use.
+type Index struct {
+	vols map[string]uint64
+	last string
+	num  uint64 // last's number; 0 before the first key
+}
+
+// ID returns key's number in x. An LBA outside [0, 2^40) panics: it would
+// alias another volume's key.
+func (x *Index) ID(key Key) uint64 {
+	if uint64(key.LBA) >= 1<<lbaBits {
+		panic(fmt.Sprintf("cache: key %v: LBA outside [0, 2^%d)", key, lbaBits))
+	}
+	if x.num == 0 || key.Vol != x.last {
+		x.number(key.Vol)
+	}
+	return x.num<<lbaBits | uint64(key.LBA)
+}
+
+// number makes vol the last name, numbering it if it is new.
+func (x *Index) number(vol string) {
+	n, ok := x.vols[vol]
+	if !ok {
+		if x.vols == nil {
+			x.vols = make(map[string]uint64)
+		}
+		n = uint64(len(x.vols)) + 1
+		if n >= 1<<(64-lbaBits) {
+			panic(fmt.Sprintf("cache: volume %q: the Index is out of volume numbers", vol))
+		}
+		x.vols[vol] = n
+	}
+	x.last, x.num = vol, n
+}
+
 // State is the block's coherence state on this blade.
 type State uint8
 
@@ -83,7 +128,8 @@ type Stats struct {
 // all policy (writeback, coherence messaging) lives in the caller.
 type Cache struct {
 	capacity int
-	entries  map[Key]*Entry
+	ids      Index
+	entries  map[uint64]*Entry // by ids.ID(Entry.Key)
 	lanes    [NumPriorities]lane
 	clock    uint64   // source of Entry.age
 	dirty    []*Entry // every resident dirty entry, unordered
@@ -121,7 +167,7 @@ func (l *lane) remove(e *Entry) {
 
 // New returns a cache holding up to capacity blocks.
 func New(capacity int) *Cache {
-	return &Cache{capacity: capacity, entries: make(map[Key]*Entry)}
+	return &Cache{capacity: capacity, entries: make(map[uint64]*Entry)}
 }
 
 // Capacity returns the configured block capacity.
@@ -147,7 +193,7 @@ func (c *Cache) RegisterTelemetry(s telemetry.Scope) {
 // Get returns the entry for key and refreshes its recency; ok is false on
 // miss. Hit/miss counters update accordingly.
 func (c *Cache) Get(key Key) (*Entry, bool) {
-	e, ok := c.entries[key]
+	e, ok := c.entries[c.ids.ID(key)]
 	if !ok {
 		c.stats.Misses++
 		return nil, false
@@ -163,7 +209,7 @@ func (c *Cache) Get(key Key) (*Entry, bool) {
 
 // Peek returns the entry without touching recency or counters.
 func (c *Cache) Peek(key Key) (*Entry, bool) {
-	e, ok := c.entries[key]
+	e, ok := c.entries[c.ids.ID(key)]
 	return e, ok
 }
 
@@ -183,7 +229,8 @@ func (c *Cache) Put(key Key, data []byte, state State, dirty bool, priority int)
 	if priority >= NumPriorities {
 		priority = NumPriorities - 1
 	}
-	if e, ok := c.entries[key]; ok {
+	id := c.ids.ID(key)
+	if e, ok := c.entries[id]; ok {
 		c.lanes[e.lane].remove(e)
 		e.Data, e.State, e.Priority = data, state, priority
 		c.SetDirty(e, dirty)
@@ -201,7 +248,7 @@ func (c *Cache) Put(key Key, data []byte, state State, dirty bool, priority int)
 	e := &Entry{Key: key, Data: data, State: state, Priority: priority, resident: true, lane: priority, dirtyIdx: -1}
 	c.lanes[priority].pushBack(e)
 	c.touch(e)
-	c.entries[key] = e
+	c.entries[id] = e
 	c.SetDirty(e, dirty)
 	c.stats.Inserts++
 	return e
@@ -241,7 +288,7 @@ func (c *Cache) untrack(e *Entry) {
 func (c *Cache) drop(e *Entry) {
 	c.lanes[e.lane].remove(e)
 	e.resident = false
-	delete(c.entries, e.Key)
+	delete(c.entries, c.ids.ID(e.Key))
 	if e.dirtyIdx >= 0 {
 		c.untrack(e)
 	}
@@ -249,7 +296,7 @@ func (c *Cache) drop(e *Entry) {
 
 // Remove drops key from the cache (no writeback — caller's job).
 func (c *Cache) Remove(key Key) {
-	if e, ok := c.entries[key]; ok {
+	if e, ok := c.entries[c.ids.ID(key)]; ok {
 		c.drop(e)
 	}
 }
@@ -324,6 +371,6 @@ func (c *Cache) Clear() {
 		e.prev, e.next, e.resident, e.dirtyIdx = nil, nil, false, -1
 	}
 	c.dirty = nil
-	c.entries = make(map[Key]*Entry)
+	c.entries = make(map[uint64]*Entry)
 	c.lanes = [NumPriorities]lane{}
 }

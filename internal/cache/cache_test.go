@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -185,7 +186,7 @@ func TestDrainProperty(t *testing.T) {
 				}
 				c.Evict(v)
 			}
-			c.Put(key(k%16), nil, Shared, false, int(k)%NumPriorities)
+			c.Put(key(k&31), nil, Shared, false, int(k)%NumPriorities) // LBAs 0..31: an Index rejects negative ones
 		}
 		if c.Len() > 8 {
 			return false
@@ -303,7 +304,7 @@ func checkLanes(c *Cache) error {
 			if len(fwd) > 0 && e.age <= fwd[len(fwd)-1].age {
 				return fmt.Errorf("lane %d: %v (age %d) follows %v (age %d)", i, e.Key, e.age, fwd[len(fwd)-1].Key, fwd[len(fwd)-1].age)
 			}
-			if e.lane != i || !e.resident || c.entries[e.Key] != e {
+			if e.lane != i || !e.resident || c.entries[c.ids.ID(e.Key)] != e {
 				return fmt.Errorf("lane %d holds %v (lane %d, resident %v), not the map's entry", i, e.Key, e.lane, e.resident)
 			}
 			fwd = append(fwd, e)
@@ -392,5 +393,48 @@ func TestDirtyIndexMatchesFullScan(t *testing.T) {
 			}
 			check(op, i)
 		}
+	}
+}
+
+// TestIndexIDsDistinct: keys over three volumes, visited with their names
+// interleaved so the remembered last name keeps changing, at the lowest and
+// the highest LBA an ID holds, get pairwise distinct IDs, and the same key
+// gets the same ID whenever it comes back.
+func TestIndexIDsDistinct(t *testing.T) {
+	var x Index
+	vols := []string{"a", "bb", "a2", ""}
+	lbas := []int64{0, 1, 1<<lbaBits - 1}
+	seen := make(map[uint64]Key)
+	for round := 0; round < 2; round++ {
+		for _, lba := range lbas {
+			for _, vol := range vols {
+				k := Key{Vol: vol, LBA: lba}
+				id := x.ID(k)
+				if prev, ok := seen[id]; ok && prev != k {
+					t.Fatalf("%v and %v share ID %#x", prev, k, id)
+				}
+				seen[id] = k
+			}
+		}
+	}
+	if len(seen) != len(vols)*len(lbas) {
+		t.Fatalf("%d IDs for %d keys", len(seen), len(vols)*len(lbas))
+	}
+}
+
+// TestIndexRejectsOutOfRangeLBA: an LBA an ID cannot hold panics, naming
+// the key, instead of aliasing another volume's block.
+func TestIndexRejectsOutOfRangeLBA(t *testing.T) {
+	for _, k := range []Key{{Vol: "v", LBA: -1}, {Vol: "v", LBA: 1 << lbaBits}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, k.String()) {
+					t.Errorf("ID(%v): panic %q, want one naming the key", k, msg)
+				}
+			}()
+			var x Index
+			x.ID(k)
+		}()
 	}
 }

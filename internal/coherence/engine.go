@@ -247,16 +247,20 @@ type Engine struct {
 
 	alive []int // sorted live blade IDs; must agree across blades
 
-	dir      map[cache.Key]*dirEntry
-	invEpoch map[cache.Key]uint64
+	// ids numbers the keys of the per-block maps below (dir, invEpoch,
+	// homeOverride, forward, prefetching); an ID never leaves the engine.
+	ids      cache.Index
+	dir      map[uint64]*dirEntry
+	invEpoch map[uint64]uint64
 
 	// homeOverride maps migrated keys to their current home, consulted
 	// before the rendezvous hash. forward marks keys this blade used to
 	// home: requests that still arrive here bounce back with the new
 	// address, so a blade that missed the sethome broadcast converges
-	// instead of misrouting. heat feeds the rebalancer.
-	homeOverride map[cache.Key]int
-	forward      map[cache.Key]int
+	// instead of misrouting. heat feeds the rebalancer; it is nil, and
+	// nothing is counted, until a balancer calls TrackHeat.
+	homeOverride map[uint64]int
+	forward      map[uint64]int
 	heat         *HeatTracker
 
 	// onWriteThrough, when installed, runs synchronously on the WRITER
@@ -298,7 +302,7 @@ type Engine struct {
 	readAhead   int
 	lastSeq     map[string]int64
 	seqStreak   map[string]int
-	prefetching map[cache.Key]bool
+	prefetching map[uint64]bool
 }
 
 // Message and reply payloads. Wire sizes: control ~64 B, data adds the block.
@@ -432,11 +436,10 @@ func New(k *sim.Kernel, cfg Config) *Engine {
 		cpuq:         cfg.CPUQueue,
 		retry:        retry,
 		label:        fmt.Sprintf("blade%d", cfg.Self),
-		dir:          make(map[cache.Key]*dirEntry),
-		invEpoch:     make(map[cache.Key]uint64),
-		homeOverride: make(map[cache.Key]int),
-		forward:      make(map[cache.Key]int),
-		heat:         NewHeatTracker(k, HeatHalfLife),
+		dir:          make(map[uint64]*dirEntry),
+		invEpoch:     make(map[uint64]uint64),
+		homeOverride: make(map[uint64]int),
+		forward:      make(map[uint64]int),
 		replicate:    cfg.ReplicateDirty,
 		onClean:      cfg.OnClean,
 		unpinned:     make(map[*cache.Entry]*sim.Future[struct{}]),
@@ -444,7 +447,7 @@ func New(k *sim.Kernel, cfg Config) *Engine {
 		readAhead:    cfg.ReadAhead,
 		lastSeq:      make(map[string]int64),
 		seqStreak:    make(map[string]int),
-		prefetching:  make(map[cache.Key]bool),
+		prefetching:  make(map[uint64]bool),
 	}
 	for i := range cfg.Peers {
 		e.alive = append(e.alive, i)
@@ -487,7 +490,7 @@ func (e *Engine) home(key cache.Key) (int, error) {
 	if len(e.alive) == 0 {
 		return -1, ErrNoQuorum
 	}
-	if hid, ok := e.homeOverride[key]; ok {
+	if hid, ok := e.homeOverride[e.ids.ID(key)]; ok {
 		return hid, nil
 	}
 	return e.alive[keyHash(key)%uint64(len(e.alive))], nil
@@ -498,8 +501,18 @@ func (e *Engine) home(key cache.Key) (int, error) {
 // rebalancer to validate migration candidates.
 func (e *Engine) Home(key cache.Key) (int, error) { return e.home(key) }
 
+// TrackHeat switches on the per-key demand counters of the keys this blade
+// homes. The home-migration balancer, the one reader of HottestHomes, calls
+// it for the engines it is given; an engine nobody balances counts nothing.
+func (e *Engine) TrackHeat() {
+	if e.heat == nil {
+		e.heat = NewHeatTracker(e.k, HeatHalfLife)
+	}
+}
+
 // HottestHomes returns up to n of the hottest keys currently homed on this
-// blade, ordered by decayed demand (deterministic tie-break).
+// blade, ordered by decayed demand (deterministic tie-break); none until
+// TrackHeat.
 func (e *Engine) HottestHomes(n int) []KeyHeat {
 	ranked := e.heat.Hottest(n * 2)
 	out := make([]KeyHeat, 0, n)
@@ -595,10 +608,11 @@ func (e *Engine) RegisterTelemetry(s telemetry.Scope) {
 }
 
 func (e *Engine) entry(key cache.Key) *dirEntry {
-	ent, ok := e.dir[key]
+	id := e.ids.ID(key)
+	ent, ok := e.dir[id]
 	if !ok {
 		ent = &dirEntry{mu: sim.NewMutex(e.k)}
-		e.dir[key] = ent
+		e.dir[id] = ent
 	}
 	return ent
 }
@@ -679,7 +693,7 @@ func (e *Engine) readRun(p *sim.Proc, vol string, lba int64, priority int, dst [
 			resp, err := op.answer(q, e, home, pos)
 			if err == nil && resp.Redirect { // this key alone moved: follow it
 				e.stats.RedirectsFollowed++
-				e.homeOverride[key] = resp.NewHome
+				e.homeOverride[e.ids.ID(key)] = resp.NewHome
 				resp, err = e.ask(q, "coh.gets", key, epoch)
 			}
 			if op.fail(err); err == nil && e.settle(q, key, epoch, resp, priority, d) {
@@ -788,8 +802,10 @@ func (e *Engine) lookup(p *sim.Proc, key cache.Key, dst []byte) (epoch uint64, m
 		// Local hits at the home never reach the directory handler, so the
 		// demand they represent is counted here — otherwise affinity-routed
 		// hot reads would look cold to the rebalancer.
-		if h, err := e.home(key); err == nil && h == e.self {
-			e.heat.Touch(key)
+		if e.heat != nil {
+			if h, err := e.home(key); err == nil && h == e.self {
+				e.heat.Touch(key)
+			}
 		}
 		if ctx := tr.FromProc(p); ctx.Valid() {
 			// Instant span (Start == End): marks the block as served from
@@ -799,7 +815,7 @@ func (e *Engine) lookup(p *sim.Proc, key cache.Key, dst []byte) (epoch uint64, m
 		copy(dst, ent.Data)
 		return 0, false, nil
 	}
-	return e.invEpoch[key], true, nil
+	return e.invEpoch[e.ids.ID(key)], true, nil
 }
 
 // settle serves the home's answer into dst, installing a copy of a peer's
@@ -847,7 +863,7 @@ func (e *Engine) ask(p *sim.Proc, method string, key cache.Key, epoch uint64) (d
 			return resp, nil
 		}
 		e.stats.RedirectsFollowed++
-		e.homeOverride[key] = resp.NewHome
+		e.homeOverride[e.ids.ID(key)] = resp.NewHome
 		homeID = resp.NewHome
 		if hops > len(e.peers)+8 {
 			return dirResp{}, fmt.Errorf("coherence: %s for %v: redirect loop", method, key)
@@ -866,10 +882,11 @@ func (e *Engine) ask(p *sim.Proc, method string, key cache.Key, epoch uint64) (d
 // acknowledged write. A failed makeRoom (backing store refusing writebacks)
 // degrades to serving the read uncached rather than failing it.
 func (e *Engine) install(p *sim.Proc, key cache.Key, epoch uint64, src []byte, priority int, notes *[]evictNote) {
-	if e.invEpoch[key] != epoch || e.makeRoom(p, notes) != nil {
+	id := e.ids.ID(key)
+	if e.invEpoch[id] != epoch || e.makeRoom(p, notes) != nil {
 		return
 	}
-	if _, present := e.cache.Peek(key); present || e.invEpoch[key] != epoch {
+	if _, present := e.cache.Peek(key); present || e.invEpoch[id] != epoch {
 		return
 	}
 	buf := e.buffer()
@@ -1038,14 +1055,15 @@ func (e *Engine) WriteBlockR(p *sim.Proc, key cache.Key, data []byte, priority, 
 	}
 	e.stats.Writes++
 	e.busy(p, e.opDelay)
+	id := e.ids.ID(key)
 	for attempt := 0; ; attempt++ {
 		// Every attempt asks afresh: a migration can land between retries,
 		// and a Redirect answer teaches us the new address.
-		epoch := e.invEpoch[key]
+		epoch := e.invEpoch[id]
 		if _, err := e.ask(p, "coh.getx", key, epoch); err != nil {
 			return err
 		}
-		if e.invEpoch[key] != epoch {
+		if e.invEpoch[id] != epoch {
 			// Someone took ownership between our grant and install. Retry
 			// after a jittered backoff: two writers stealing ownership from
 			// each other before either installs would otherwise livelock.
@@ -1083,7 +1101,7 @@ func (e *Engine) installModified(p *sim.Proc, key cache.Key, epoch uint64, data 
 			// that cannot drain it.
 			return false, fmt.Errorf("coherence: write to %v: %w", key, err)
 		}
-		if e.invEpoch[key] != epoch {
+		if e.invEpoch[e.ids.ID(key)] != epoch {
 			e.stats.WriteRetries++
 			return true, nil
 		}
@@ -1149,7 +1167,7 @@ func (e *Engine) makeRoom(p *sim.Proc, notes *[]evictNote) error {
 		// the home matches it against the registration epoch so a notice
 		// that arrives after this blade re-registers cannot deregister
 		// the fresh copy.
-		note := evictNote{Key: v.Key, From: e.self, WasOwner: v.State == cache.Modified, Epoch: e.invEpoch[v.Key]}
+		note := evictNote{Key: v.Key, From: e.self, WasOwner: v.State == cache.Modified, Epoch: e.invEpoch[e.ids.ID(v.Key)]}
 		e.cache.Evict(v)
 		e.recycle(v)
 		// An eviction invalidates this blade's copy, so it must also age the
@@ -1157,7 +1175,7 @@ func (e *Engine) makeRoom(p *sim.Proc, notes *[]evictNote) error {
 		// its install (the evict-note may already have reset the home) would
 		// otherwise resurrect the key here while the directory forgets it —
 		// a dirty copy under an Invalid entry once the note lands.
-		e.invEpoch[v.Key]++
+		e.invEpoch[e.ids.ID(v.Key)]++
 		if notes != nil {
 			*notes = append(*notes, note)
 		} else {
@@ -1209,7 +1227,7 @@ func (e *Engine) noteRun(vol string, first, last int64, priority int) {
 	wanted := func(lba int64) bool {
 		k := cache.Key{Vol: vol, LBA: lba}
 		_, cached := e.cache.Peek(k)
-		return !cached && !e.prefetching[k]
+		return !cached && !e.prefetching[e.ids.ID(k)]
 	}
 	from, end := last+1, last+1+int64(e.readAhead)
 	for from < end && !wanted(from) {
@@ -1217,7 +1235,7 @@ func (e *Engine) noteRun(vol string, first, last int64, priority int) {
 	}
 	to := from
 	for to < end && wanted(to) {
-		e.prefetching[cache.Key{Vol: vol, LBA: to}] = true
+		e.prefetching[e.ids.ID(cache.Key{Vol: vol, LBA: to})] = true
 		to++
 	}
 	if from == to {
@@ -1229,7 +1247,7 @@ func (e *Engine) noteRun(vol string, first, last int64, priority int) {
 			e.readRun(q, vol, from, priority, make([]byte, int(to-from)*e.blockSize))
 		}
 		for lba := from; lba < to; lba++ {
-			delete(e.prefetching, cache.Key{Vol: vol, LBA: lba})
+			delete(e.prefetching, e.ids.ID(cache.Key{Vol: vol, LBA: lba}))
 		}
 	})
 }

@@ -160,12 +160,12 @@ func (e *Engine) StartFlusher(interval sim.Duration, batch int) (stop func()) {
 func (e *Engine) Recover(p *sim.Proc, alive []int) {
 	e.FlushOnce(p, 0)
 	e.cache.Clear()
-	e.dir = make(map[cache.Key]*dirEntry)
-	e.invEpoch = make(map[cache.Key]uint64)
+	e.dir = make(map[uint64]*dirEntry)
+	e.invEpoch = make(map[uint64]uint64)
 	// Migration state is membership-scoped: the new live set rehashes
 	// every home, so overrides, forwarders and heat all restart from zero.
-	e.homeOverride = make(map[cache.Key]int)
-	e.forward = make(map[cache.Key]int)
+	e.homeOverride = make(map[uint64]int)
+	e.forward = make(map[uint64]int)
 	e.heat.Reset()
 	e.alive = append([]int(nil), alive...)
 	sort.Ints(e.alive)

@@ -28,23 +28,27 @@ type KeyHeat struct {
 }
 
 type heatCell struct {
-	v float64  // decayed count as of t
-	t sim.Time // last decay instant
+	key cache.Key // kept for Hottest's Vol-then-LBA tie-break
+	v   float64   // decayed count as of t
+	t   sim.Time  // last decay instant
 }
 
 // HeatTracker keeps exponentially decayed per-key request counters in
 // virtual time, bit-identical across same-seed runs. The engine counts the
-// requests reaching each home; the hot-key cache tier counts client reads.
+// requests reaching each home once a balancer reads them (see TrackHeat);
+// the hot-key cache tier counts client reads. A nil tracker counts nothing:
+// Touch, Take, Seed and Reset do nothing, and Hottest is empty.
 type HeatTracker struct {
 	k        *sim.Kernel
 	halfLife sim.Duration
-	m        map[cache.Key]heatCell // by value: a new key allocates no cell
+	ids      cache.Index
+	m        map[uint64]heatCell // by ids.ID(key), by value: a new key allocates no cell
 	touches  int
 }
 
 // NewHeatTracker returns a tracker whose counts halve every halfLife.
 func NewHeatTracker(k *sim.Kernel, halfLife sim.Duration) *HeatTracker {
-	return &HeatTracker{k: k, halfLife: halfLife, m: make(map[cache.Key]heatCell)}
+	return &HeatTracker{k: k, halfLife: halfLife, m: make(map[uint64]heatCell)}
 }
 
 // decayTo folds the elapsed virtual time into the cell's counter.
@@ -57,14 +61,18 @@ func (h *HeatTracker) decayTo(c *heatCell, now sim.Time) {
 
 // Touch records one request for key now and returns its decayed count.
 func (h *HeatTracker) Touch(key cache.Key) float64 {
+	if h == nil {
+		return 0
+	}
 	now := h.k.Now()
-	c, ok := h.m[key]
+	id := h.ids.ID(key)
+	c, ok := h.m[id]
 	if !ok {
-		c.t = now
+		c.key, c.t = key, now
 	}
 	h.decayTo(&c, now)
 	c.v++
-	h.m[key] = c
+	h.m[id] = c
 	h.touches++
 	if h.touches >= heatSweepEvery {
 		h.touches = 0
@@ -74,12 +82,12 @@ func (h *HeatTracker) Touch(key cache.Key) float64 {
 }
 
 func (h *HeatTracker) sweep(now sim.Time) {
-	for k, c := range h.m {
+	for id, c := range h.m {
 		h.decayTo(&c, now)
 		if c.v < 0.5 {
-			delete(h.m, k)
+			delete(h.m, id)
 		} else {
-			h.m[k] = c
+			h.m[id] = c
 		}
 	}
 }
@@ -87,35 +95,42 @@ func (h *HeatTracker) sweep(now sim.Time) {
 // Take removes key's counter and returns its decayed value — used when a
 // home migrates so the heat travels with the directory entry.
 func (h *HeatTracker) Take(key cache.Key) float64 {
-	c, ok := h.m[key]
+	if h == nil {
+		return 0
+	}
+	id := h.ids.ID(key)
+	c, ok := h.m[id]
 	if !ok {
 		return 0
 	}
 	h.decayTo(&c, h.k.Now())
-	delete(h.m, key)
+	delete(h.m, id)
 	return c.v
 }
 
 // Seed installs (or restores) a counter for key at value v.
 func (h *HeatTracker) Seed(key cache.Key, v float64) {
-	if v <= 0 {
+	if h == nil || v <= 0 {
 		return
 	}
-	h.m[key] = heatCell{v: v, t: h.k.Now()}
+	h.m[h.ids.ID(key)] = heatCell{key: key, v: v, t: h.k.Now()}
 }
 
 // Hottest returns up to n keys ordered by decayed heat (hottest first; ties
 // broken by Vol then LBA so the ranking is deterministic).
 func (h *HeatTracker) Hottest(n int) []KeyHeat {
+	if h == nil {
+		return nil
+	}
 	now := h.k.Now()
 	out := make([]KeyHeat, 0, len(h.m))
-	for k, c := range h.m {
+	for id, c := range h.m {
 		h.decayTo(&c, now)
-		h.m[k] = c
+		h.m[id] = c
 		if c.v < 0.5 {
 			continue
 		}
-		out = append(out, KeyHeat{Key: k, Heat: c.v})
+		out = append(out, KeyHeat{Key: c.key, Heat: c.v})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -134,4 +149,8 @@ func (h *HeatTracker) Hottest(n int) []KeyHeat {
 }
 
 // Reset drops every counter (membership change: homes were rehashed).
-func (h *HeatTracker) Reset() { h.m = make(map[cache.Key]heatCell); h.touches = 0 }
+func (h *HeatTracker) Reset() {
+	if h != nil {
+		h.m, h.touches = make(map[uint64]heatCell), 0
+	}
+}

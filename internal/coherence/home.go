@@ -28,7 +28,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	var buf [8]int
 	probing := buf[:0] // keys whose directory state needs a sharer's fetch or the owner's downgrade
 	for i, req := range reqs {
-		ent, ok := e.dir[req.Key] // read without the mutex: it only schedules
+		ent, ok := e.dir[e.ids.ID(req.Key)] // read without the mutex: it only schedules
 		if len(reqs) > 1 && ok && (ent.state == dirModified || ent.state == dirShared && !e.noPeerFetch &&
 			slices.ContainsFunc(ent.sharers, func(s sharer) bool { return s.blade != requester })) {
 			probing = append(probing, i)
@@ -66,7 +66,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 
 // getS serves one read-share request of requester as the home blade.
 func (e *Engine) getS(p *sim.Proc, requester int, req dirReq) dirResp {
-	if to, ok := e.forward[req.Key]; ok {
+	if to, ok := e.forward[e.ids.ID(req.Key)]; ok {
 		e.stats.RedirectsServed++
 		return dirResp{Redirect: true, NewHome: to}
 	}
@@ -76,7 +76,7 @@ func (e *Engine) getS(p *sim.Proc, requester int, req dirReq) dirResp {
 	defer ent.mu.Unlock()
 	// The home may have migrated away while this request queued on the CPU
 	// or the entry mutex (the migration handler holds the same mutex).
-	if to, ok := e.forward[req.Key]; ok {
+	if to, ok := e.forward[e.ids.ID(req.Key)]; ok {
 		e.stats.RedirectsServed++
 		return dirResp{Redirect: true, NewHome: to}
 	}
@@ -167,7 +167,7 @@ func (e *Engine) getS(p *sim.Proc, requester int, req dirReq) dirResp {
 // The requester is about to overwrite the whole block, so no data flows.
 func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(dirReq)
-	if to, ok := e.forward[req.Key]; ok {
+	if to, ok := e.forward[e.ids.ID(req.Key)]; ok {
 		e.stats.RedirectsServed++
 		return dirResp{Redirect: true, NewHome: to}, ctrlSize
 	}
@@ -177,7 +177,7 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	ent := e.entry(req.Key)
 	ent.mu.Lock(p)
 	defer ent.mu.Unlock()
-	if to, ok := e.forward[req.Key]; ok {
+	if to, ok := e.forward[e.ids.ID(req.Key)]; ok {
 		e.stats.RedirectsServed++
 		return dirResp{Redirect: true, NewHome: to}, ctrlSize
 	}
@@ -226,7 +226,7 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 // means the backing store is current (invariant 3).
 func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(dirReq)
-	if to, ok := e.forward[req.Key]; ok {
+	if to, ok := e.forward[e.ids.ID(req.Key)]; ok {
 		e.stats.RedirectsServed++
 		return dirResp{Redirect: true, NewHome: to}, ctrlSize
 	}
@@ -239,7 +239,7 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	ent := e.entry(req.Key)
 	ent.mu.Lock(p)
 	defer ent.mu.Unlock()
-	if to, ok := e.forward[req.Key]; ok {
+	if to, ok := e.forward[e.ids.ID(req.Key)]; ok {
 		e.stats.RedirectsServed++
 		return dirResp{Redirect: true, NewHome: to}, ctrlSize
 	}
@@ -287,7 +287,7 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 func (e *Engine) handleInv(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(invReq)
 	e.stats.Invalidations++
-	e.invEpoch[req.Key]++
+	e.invEpoch[e.ids.ID(req.Key)]++
 	if ent, ok := e.cache.Peek(req.Key); ok {
 		e.cache.Remove(ent.Key)
 		e.recycle(ent)
@@ -317,7 +317,7 @@ func (e *Engine) handleInvM(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 // was no copy to give up.
 func (e *Engine) surrender(p *sim.Proc, key cache.Key) (gone bool) {
 	e.stats.Invalidations++
-	e.invEpoch[key]++
+	e.invEpoch[e.ids.ID(key)]++
 	ent, ok := e.cache.Peek(key)
 	if !ok {
 		return true
@@ -352,14 +352,14 @@ func (e *Engine) handleDowngrade(p *sim.Proc, from simnet.Addr, args any) (any, 
 	e.stats.Downgrades++
 	ent, ok := e.cache.Peek(req.Key)
 	if !ok {
-		e.invEpoch[req.Key]++
+		e.invEpoch[e.ids.ID(req.Key)]++
 		return downgradeResp{Gone: true}, ctrlSize
 	}
 	e.waitUnpinned(p, ent)
 	// The wait may have outlived ent: answer from whatever entry holds the
 	// key now (ent's buffer may be recycled, its Data nil).
 	if ent, ok = e.cache.Peek(req.Key); !ok {
-		e.invEpoch[req.Key]++
+		e.invEpoch[e.ids.ID(req.Key)]++
 		return downgradeResp{Gone: true}, ctrlSize
 	}
 	if ent.Dirty {
@@ -390,13 +390,13 @@ func (e *Engine) handleFetch(p *sim.Proc, from simnet.Addr, args any) (any, int)
 func (e *Engine) handleEvictNote(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	var relay []evictNote
 	for _, note := range args.([]evictNote) {
-		if _, ok := e.forward[note.Key]; ok {
+		if _, ok := e.forward[e.ids.ID(note.Key)]; ok {
 			// The key's home migrated away (home() now names the new one);
 			// relay the notice so the new home's sharer set does not go stale.
 			relay = append(relay, note)
 			continue
 		}
-		ent, ok := e.dir[note.Key]
+		ent, ok := e.dir[e.ids.ID(note.Key)]
 		if !ok {
 			continue
 		}

@@ -39,7 +39,7 @@ func TestHomeIndexTransparent(t *testing.T) {
 	h := newHarness(11, 4, 256)
 	e := h.engines[0]
 	oracle := func(key cache.Key) int {
-		if hm, ok := e.homeOverride[key]; ok {
+		if hm, ok := e.homeOverride[e.ids.ID(key)]; ok {
 			return hm
 		}
 		return e.alive[refHash(key)%uint64(len(e.alive))]
@@ -53,9 +53,9 @@ func TestHomeIndexTransparent(t *testing.T) {
 		key := keys[rng.Intn(len(keys))]
 		switch rng.Intn(10) {
 		case 0:
-			e.homeOverride[key] = rng.Intn(4)
+			e.homeOverride[e.ids.ID(key)] = rng.Intn(4)
 		case 1:
-			delete(e.homeOverride, key)
+			delete(e.homeOverride, e.ids.ID(key))
 		default:
 			got, err := e.home(key)
 			if err != nil {
@@ -63,7 +63,7 @@ func TestHomeIndexTransparent(t *testing.T) {
 			}
 			if want := oracle(key); got != want {
 				t.Fatalf("step %d: home(%+v) = %d, oracle %d (override=%v)",
-					step, key, got, want, e.homeOverride[key])
+					step, key, got, want, e.homeOverride[e.ids.ID(key)])
 			}
 		}
 	}

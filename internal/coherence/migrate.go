@@ -66,7 +66,8 @@ func (e *Engine) handleMigrate(p *sim.Proc, from simnet.Addr, args any) (any, in
 	defer ent.mu.Unlock()
 	// Quiesce point: holding the entry mutex means no GetS/GetX for this
 	// key is mid-protocol on this blade.
-	if _, ok := e.forward[req.Key]; ok {
+	id := e.ids.ID(req.Key)
+	if _, ok := e.forward[id]; ok {
 		return migrateResp{Err: "already migrated"}, ctrlSize
 	}
 	heat := e.heat.Take(req.Key)
@@ -96,9 +97,9 @@ func (e *Engine) handleMigrate(p *sim.Proc, from simnet.Addr, args any) (any, in
 		// Best-effort: a blade that misses this learns via Redirect.
 		e.call(p, b, "coh.sethome", setHomeReq{Key: req.Key, Home: req.To}, ctrlSize)
 	}
-	e.forward[req.Key] = req.To
-	e.homeOverride[req.Key] = req.To
-	delete(e.dir, req.Key)
+	e.forward[id] = req.To
+	e.homeOverride[id] = req.To
+	delete(e.dir, id)
 	e.stats.HomeMigrations++
 	return migrateResp{Moved: true}, ctrlSize
 }
@@ -107,8 +108,9 @@ func (e *Engine) handleMigrate(p *sim.Proc, from simnet.Addr, args any) (any, in
 func (e *Engine) handleAdopt(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(adoptReq)
 	e.busy(p, e.hdlDelay)
-	delete(e.forward, req.Key)
-	e.homeOverride[req.Key] = e.self
+	id := e.ids.ID(req.Key)
+	delete(e.forward, id)
+	e.homeOverride[id] = e.self
 	ent := e.entry(req.Key)
 	ent.state = dirState(req.State)
 	ent.owner = req.Owner
@@ -125,11 +127,12 @@ func (e *Engine) handleAdopt(p *sim.Proc, from simnet.Addr, args any) (any, int)
 // handleSetHome records a migrated key's new home address.
 func (e *Engine) handleSetHome(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(setHomeReq)
-	if _, ok := e.forward[req.Key]; ok {
+	id := e.ids.ID(req.Key)
+	if _, ok := e.forward[id]; ok {
 		// This blade is an even older ex-home: keep its forwarder pointing
 		// at the latest address so redirect chains stay one hop.
-		e.forward[req.Key] = req.Home
+		e.forward[id] = req.Home
 	}
-	e.homeOverride[req.Key] = req.Home
+	e.homeOverride[id] = req.Home
 	return setHomeResp{}, ctrlSize
 }

@@ -272,7 +272,7 @@ func TestLateBatchedEvictNoticeIgnored(t *testing.T) {
 			nt.at.handleEvictNote(p, nt.from, nt.args)
 		}
 	})
-	ent := home.dir[again]
+	ent := home.dir[home.ids.ID(again)]
 	if epoch, ok := ent.sharers.epoch(reader.self); ent.state != dirShared || !ok || epoch == 0 {
 		t.Fatalf("%v after the late notice: state %d, sharers %v; want the reader registered under its newer epoch", again, ent.state, ent.sharers)
 	}
@@ -281,7 +281,8 @@ func TestLateBatchedEvictNoticeIgnored(t *testing.T) {
 		if k == again {
 			continue
 		}
-		if ent := h.engines[homeOf(k, blades)].dir[k]; ent.state != dirInvalid {
+		e := h.engines[homeOf(k, blades)]
+		if ent := e.dir[e.ids.ID(k)]; ent.state != dirInvalid {
 			t.Errorf("%v still registered after its notice: state %d, sharers %v", k, ent.state, ent.sharers)
 		}
 	}

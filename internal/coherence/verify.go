@@ -51,7 +51,7 @@ func CheckInvariants(engines []*Engine, keys []cache.Key) error {
 			if e.self == home {
 				continue
 			}
-			if ent, ok := e.dir[key]; ok && ent.state != dirInvalid {
+			if ent, ok := e.dir[e.ids.ID(key)]; ok && ent.state != dirInvalid {
 				return fmt.Errorf("key %v: non-home blade%d holds active dir entry state=%d",
 					key, e.self, ent.state)
 			}
@@ -74,7 +74,8 @@ func CheckInvariants(engines []*Engine, keys []cache.Key) error {
 			return fmt.Errorf("key %v: %d Modified copies cluster-wide", key, len(mCopies))
 		}
 
-		dirEnt, hasDir := engines[home].dir[key]
+		he := engines[home]
+		dirEnt, hasDir := he.dir[he.ids.ID(key)]
 		state := dirInvalid
 		if hasDir {
 			state = dirEnt.state

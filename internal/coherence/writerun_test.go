@@ -97,7 +97,7 @@ func runWriteRunScript(t *testing.T) {
 					t.Fatalf("migrate key 5 from %d to %d: moved=%v err=%v", home, to, moved, err)
 				}
 				lost := h.engines[(home+2)%blades]
-				delete(lost.homeOverride, kb(5))
+				delete(lost.homeOverride, lost.ids.ID(kb(5)))
 				write(p, lost.self, 4, vals(4, 3))
 				if lost.Stats().RedirectsFollowed == 0 {
 					t.Fatalf("blade %d reached key 5's new home without a redirect", lost.self)
@@ -150,7 +150,7 @@ func runWriteRunScript(t *testing.T) {
 func runRedirectLoop(t *testing.T) {
 	h := newHarness(1, 3, 8)
 	for i, e := range h.engines {
-		e.forward[kb(5)] = (i + 1) % len(h.engines)
+		e.forward[e.ids.ID(kb(5))] = (i + 1) % len(h.engines)
 	}
 	h.run(func(p *sim.Proc) {
 		err := putRun(p, h.engines[0], 4, [][]byte{blk(1), blk(2)})

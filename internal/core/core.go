@@ -12,6 +12,8 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/controller"
@@ -376,10 +378,11 @@ func (g *GeoSystem) Site(name string) *georepl.Site {
 	return s
 }
 
-// Stop halts all background processes (flushers, shippers).
+// Stop halts all background processes (flushers, shippers), site by site
+// in name order.
 func (g *GeoSystem) Stop() {
-	for _, sys := range g.Systems {
-		sys.Stop()
+	for _, name := range slices.Sorted(maps.Keys(g.Systems)) {
+		g.Systems[name].Stop()
 	}
 	for _, name := range g.Fed.Sites() {
 		if s, err := g.Fed.Site(name); err == nil {

@@ -4,6 +4,8 @@ package raid
 // polynomial x⁸+x⁴+x³+x²+1 (0x11d) — the same field used by Linux md and
 // the RAID Advisory Board literature the paper cites.
 
+import "crypto/subtle"
+
 var gfExp [512]byte
 var gfLog [256]byte
 
@@ -55,12 +57,8 @@ func gfPow2(n int) byte { return gfExp[n%255] }
 // gfInv returns the multiplicative inverse of a.
 func gfInv(a byte) byte { return gfDiv(1, a) }
 
-// xorInto sets dst ^= src elementwise.
-func xorInto(dst, src []byte) {
-	for i := range src {
-		dst[i] ^= src[i]
-	}
-}
+// xorInto sets dst ^= src elementwise, a word or a vector at a time.
+func xorInto(dst, src []byte) { subtle.XORBytes(dst, dst, src) }
 
 // gfMulInto sets dst ^= c·src elementwise.
 func gfMulInto(dst, src []byte, c byte) {

@@ -1,6 +1,8 @@
 package raid
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -89,6 +91,28 @@ func TestXorIntoAndMulInto(t *testing.T) {
 	gfMulInto(dst, []byte{1, 1}, 0) // no-op
 	if dst[0] != gfMul(3, 2) {
 		t.Fatal("gfMulInto with c=0 modified dst")
+	}
+}
+
+// TestXorIntoMatchesByteLoop holds xorInto to the byte loop it replaced at
+// every length up to a 4 KiB block and one past it, on sub-slices that start
+// off any word boundary, and checks that no byte outside dst changes.
+func TestXorIntoMatchesByteLoop(t *testing.T) {
+	const maxLen = 4097
+	rng := rand.New(rand.NewSource(1))
+	dstBuf, srcBuf := make([]byte, maxLen+16), make([]byte, maxLen+16)
+	rng.Read(dstBuf)
+	rng.Read(srcBuf)
+	for n := 0; n <= maxLen; n++ {
+		doff, soff := n%8, 7-n%7
+		want := bytes.Clone(dstBuf)
+		for i := 0; i < n; i++ {
+			want[doff+i] ^= srcBuf[soff+i]
+		}
+		xorInto(dstBuf[doff:doff+n], srcBuf[soff:soff+n])
+		if !bytes.Equal(dstBuf, want) {
+			t.Fatalf("length %d, dst offset %d, src offset %d: xorInto differs from the byte loop", n, doff, soff)
+		}
 	}
 }
 
