@@ -89,6 +89,12 @@ func (c *Cluster) ReadBlocks(p *sim.Proc, vol string, lba int64, count int, prio
 	return c.Read(p, c.PickBlade(), vol, lba, count, priority)
 }
 
+// ReadBlocksInto is ReadBlocks into the caller's dst, a whole number of
+// blocks: pfs reads through it.
+func (c *Cluster) ReadBlocksInto(p *sim.Proc, vol string, lba int64, dst []byte, priority int) error {
+	return c.ReadInto(p, c.PickBlade(), vol, lba, dst, priority)
+}
+
 // WriteBlocks serves a block write through a load-balanced blade.
 func (c *Cluster) WriteBlocks(p *sim.Proc, vol string, lba int64, data []byte, priority, replFactor int) error {
 	return c.WriteR(p, c.PickBlade(), vol, lba, data, priority, replFactor)

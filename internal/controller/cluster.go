@@ -495,19 +495,23 @@ func (c *Cluster) op(p *sim.Proc, b *Blade, name, vol string, lba int64, bytes, 
 	return err
 }
 
-// Read reads count blocks of volume vol at lba through blade b as one
-// run-granular coherence op (see coherence.Engine.ReadRun).
+// Read reads count blocks of volume vol at lba through blade b into a new
+// slice (see ReadInto).
 func (c *Cluster) Read(p *sim.Proc, b *Blade, vol string, lba int64, count int, priority int) ([]byte, error) {
-	var buf []byte
-	bytes := count * c.BlockSize()
-	err := c.op(p, b, "read", vol, lba, bytes, priority, func() error {
-		buf = make([]byte, bytes)
-		return b.Engine.ReadRun(p, vol, lba, priority, buf)
-	})
-	if err != nil {
+	buf := make([]byte, count*c.BlockSize())
+	if err := c.ReadInto(p, b, vol, lba, buf, priority); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// ReadInto fills dst, a whole number of blocks, from volume vol at lba
+// through blade b as one run-granular coherence op (see
+// coherence.Engine.ReadRun).
+func (c *Cluster) ReadInto(p *sim.Proc, b *Blade, vol string, lba int64, dst []byte, priority int) error {
+	return c.op(p, b, "read", vol, lba, len(dst), priority, func() error {
+		return b.Engine.ReadRun(p, vol, lba, priority, dst)
+	})
 }
 
 // Write stores block-aligned data to volume vol at lba through blade b.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -210,5 +211,68 @@ func TestGeoSystem(t *testing.T) {
 	}
 	if gs.Site("west").Stats.RemoteReads == 0 {
 		t.Fatal("west read did not traverse the WAN")
+	}
+}
+
+// A warm aligned read lands in the caller's buffer: 256 KiB FS.ReadAts the
+// blade caches serve allocate far less than the bytes they return.
+func TestWarmAlignedReadAllocatesLittle(t *testing.T) {
+	spec := fastDisks()
+	spec.BlockSize = 4096
+	sys, err := NewSystem(Options{DiskSpec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Stop()
+	const size, files, reads = 256 << 10, 4, 64
+	data := make([]byte, files*size)
+	for i := range data {
+		data[i] = byte(i * 31)
+	}
+	buf := make([]byte, size)
+	read := func(p *sim.Proc, f int) error {
+		off := int64(f) * size
+		if _, err := sys.FS.ReadAt(p, "/f", off, buf); err != nil {
+			return err
+		}
+		if !bytes.Equal(buf, data[off:off+size]) {
+			return fmt.Errorf("read at %d: wrong bytes", off)
+		}
+		return nil
+	}
+	// Reads go to the blades round-robin: each part is read once by every
+	// blade before the count starts.
+	err = sys.Run(0, func(p *sim.Proc) error {
+		if err := sys.FS.WriteFile(p, "/f", data, pfs.Policy{}); err != nil {
+			return err
+		}
+		for f := 0; f < files; f++ {
+			for range sys.Cluster.Blades {
+				if err := read(p, f); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = sys.Run(0, func(p *sim.Proc) error {
+		for i := 0; i < reads; i++ {
+			if err := read(p, i%files); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per >= 64<<10 {
+		t.Fatalf("a warm 256 KiB read allocates %d KiB, want < 64", per>>10)
 	}
 }

@@ -110,9 +110,9 @@ func New(k *sim.Kernel, cfg Config) (*Gateway, error) {
 // after — admission tokens and governor SLO accounting land on the
 // tenant who owns the data, whoever issued the request.
 func withTenant(p *sim.Proc, owner string, lane int) func() {
-	prev := qos.FromProc(p)
+	prev := p.QoSCtx()
 	qos.SetCtx(p, qos.Ctx{Tenant: owner, Lane: lane})
-	return func() { qos.SetCtx(p, prev) }
+	return func() { p.SetQoSCtx(prev) }
 }
 
 // Authorize authenticates token and checks its access to bucket without

@@ -18,11 +18,21 @@ import (
 )
 
 // BlockIO is the data path beneath the file system — in the full system,
-// the blade cluster's coherent block interface.
+// the blade cluster's coherent block interface. WriteBlocks keeps no
+// reference to data once it returns: an aligned WriteAt hands it the
+// caller's bytes.
 type BlockIO interface {
 	BlockSize() int
 	ReadBlocks(p *sim.Proc, vol string, lba int64, count int, priority int) ([]byte, error)
 	WriteBlocks(p *sim.Proc, vol string, lba int64, data []byte, priority, replFactor int) error
+}
+
+// intoReader is the read a BlockIO may offer beside ReadBlocks: it fills
+// dst, a whole number of blocks, from vol at lba, so a read lands in the
+// caller's buffer (controller.Cluster has it). FS reads a BlockIO without
+// it through ReadBlocks and one copy.
+type intoReader interface {
+	ReadBlocksInto(p *sim.Proc, vol string, lba int64, dst []byte, priority int) error
 }
 
 // GeoMode selects how a file replicates between sites (§7.2).
@@ -134,6 +144,7 @@ const (
 type FS struct {
 	k        *sim.Kernel
 	io       BlockIO
+	into     intoReader // io's ReadBlocksInto; nil when io has none
 	classes  map[string]string
 	defClass string
 	root     *Inode
@@ -163,6 +174,7 @@ func New(k *sim.Kernel, cfg Config) (*FS, error) {
 		defClass: cfg.DefaultClass,
 		allocs:   make(map[string]*allocator),
 	}
+	fs.into, _ = cfg.IO.(intoReader)
 	fs.root = &Inode{Ino: 1, name: "/", Dir: true, children: make(map[string]*Inode), Ctime: k.Now()}
 	fs.nextIno = 2
 	for _, vol := range cfg.Classes {

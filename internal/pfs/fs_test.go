@@ -10,7 +10,8 @@ import (
 	"repro/internal/sim"
 )
 
-// fakeIO is an in-memory BlockIO recording per-write policy parameters.
+// fakeIO is an in-memory BlockIO recording per-write policy parameters and
+// every read it serves.
 type fakeIO struct {
 	bs   int
 	vols map[string]map[int64][]byte
@@ -19,6 +20,16 @@ type fakeIO struct {
 	lastRepl map[string]int
 	reads    int64
 	writes   int64
+	// calls lists the reads served, in order; dsts the buffer each filled.
+	calls []ioCall
+	dsts  [][]byte
+}
+
+// ioCall is one read the block path served: where, and how many blocks.
+type ioCall struct {
+	vol   string
+	lba   int64
+	count int
 }
 
 func newFakeIO(vols ...string) *fakeIO {
@@ -37,18 +48,30 @@ func newFakeIO(vols ...string) *fakeIO {
 func (f *fakeIO) BlockSize() int { return f.bs }
 
 func (f *fakeIO) ReadBlocks(p *sim.Proc, vol string, lba int64, count int, prio int) ([]byte, error) {
-	store, ok := f.vols[vol]
-	if !ok {
-		return nil, errors.New("fakeio: no volume " + vol)
-	}
-	f.reads++
 	buf := make([]byte, count*f.bs)
-	for i := 0; i < count; i++ {
-		if b, ok := store[lba+int64(i)]; ok {
-			copy(buf[i*f.bs:], b)
-		}
+	if err := f.ReadBlocksInto(p, vol, lba, buf, prio); err != nil {
+		return nil, err
 	}
 	return buf, nil
+}
+
+func (f *fakeIO) ReadBlocksInto(p *sim.Proc, vol string, lba int64, dst []byte, prio int) error {
+	store, ok := f.vols[vol]
+	if !ok {
+		return errors.New("fakeio: no volume " + vol)
+	}
+	f.reads++
+	f.calls = append(f.calls, ioCall{vol: vol, lba: lba, count: len(dst) / f.bs})
+	f.dsts = append(f.dsts, dst)
+	for i := 0; i < len(dst)/f.bs; i++ {
+		blk := dst[i*f.bs : (i+1)*f.bs]
+		if b, ok := store[lba+int64(i)]; ok {
+			copy(blk, b)
+		} else {
+			clear(blk)
+		}
+	}
+	return nil
 }
 
 func (f *fakeIO) WriteBlocks(p *sim.Proc, vol string, lba int64, data []byte, prio, repl int) error {

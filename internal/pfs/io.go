@@ -141,36 +141,25 @@ func (fs *FS) WriteAt(p *sim.Proc, path string, off int64, data []byte) (int, er
 	prio := ino.Policy.CachePriority
 	repl := ino.Policy.ReplicationN
 
-	// Assemble a block-aligned image of the affected range, reading any
-	// boundary block whose existing content is partially retained.
-	buf := make([]byte, (lastBlock-firstBlock+1)*bs)
-	needFirst := off%bs != 0
-	needLast := end%bs != 0
-	if firstBlock == lastBlock {
-		if (needFirst || needLast) && firstBlock*bs < ino.Size {
-			old, err := fs.readBlocks(p, ino, firstBlock, 1, prio)
-			if err != nil {
+	// A write of whole blocks goes down from data itself: the block path
+	// copies what it keeps before it returns. Otherwise assemble a
+	// block-aligned image of the affected range, reading any boundary block
+	// whose existing content is partially retained.
+	buf := data
+	if off%bs != 0 || end%bs != 0 {
+		buf = make([]byte, (lastBlock-firstBlock+1)*bs)
+		if (off%bs != 0 || firstBlock == lastBlock) && firstBlock*bs < ino.Size {
+			if err := fs.readBlocks(p, ino, firstBlock, buf[:bs], prio); err != nil {
 				return 0, err
 			}
-			copy(buf, old)
 		}
-	} else {
-		if needFirst && firstBlock*bs < ino.Size {
-			old, err := fs.readBlocks(p, ino, firstBlock, 1, prio)
-			if err != nil {
+		if end%bs != 0 && lastBlock != firstBlock && lastBlock*bs < ino.Size {
+			if err := fs.readBlocks(p, ino, lastBlock, buf[(lastBlock-firstBlock)*bs:], prio); err != nil {
 				return 0, err
 			}
-			copy(buf, old)
 		}
-		if needLast && lastBlock*bs < ino.Size {
-			old, err := fs.readBlocks(p, ino, lastBlock, 1, prio)
-			if err != nil {
-				return 0, err
-			}
-			copy(buf[(lastBlock-firstBlock)*bs:], old)
-		}
+		copy(buf[off-firstBlock*bs:], data)
 	}
-	copy(buf[off-firstBlock*bs:], data)
 
 	// Write runs in parallel across backing extents.
 	runs, err := ino.runs(firstBlock, lastBlock-firstBlock+1)
@@ -193,33 +182,40 @@ func (fs *FS) WriteAt(p *sim.Proc, path string, off int64, data []byte) (int, er
 	return len(data), nil
 }
 
-// readBlocks reads file blocks [start, start+count) into a byte slice.
-func (fs *FS) readBlocks(p *sim.Proc, ino *Inode, start, count int64, prio int) ([]byte, error) {
-	runs, err := ino.runs(start, count)
+// readRun fills dst, a whole number of blocks, from vol at lba: straight
+// through the block path's ReadBlocksInto or, for a BlockIO without it,
+// through ReadBlocks and one copy.
+func (fs *FS) readRun(p *sim.Proc, vol string, lba int64, dst []byte, prio int) error {
+	if fs.into != nil {
+		return fs.into.ReadBlocksInto(p, vol, lba, dst, prio)
+	}
+	d, err := fs.io.ReadBlocks(p, vol, lba, len(dst)/fs.io.BlockSize(), prio)
+	copy(dst, d)
+	return err
+}
+
+// readBlocks fills dst, a whole number of blocks, with the file's blocks
+// from start on: one readRun per backing run, the runs in parallel.
+func (fs *FS) readBlocks(p *sim.Proc, ino *Inode, start int64, dst []byte, prio int) error {
+	bs := int64(fs.io.BlockSize())
+	runs, err := ino.runs(start, int64(len(dst))/bs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(runs) == 1 {
-		// One backing run — every read inside an extent: the block path's
-		// own slice is the result, nothing to fan out or to assemble.
-		return fs.io.ReadBlocks(p, runs[0].vol, runs[0].lba, int(count), prio)
+		// Every read inside an extent: nothing to fan out.
+		return fs.readRun(p, runs[0].vol, runs[0].lba, dst, prio)
 	}
-	bs := int64(fs.io.BlockSize())
-	buf := make([]byte, count*bs)
-	err = sim.Fork(p, "pfs.read", len(runs), func(q *sim.Proc, i int) error {
+	return sim.Fork(p, "pfs.read", len(runs), func(q *sim.Proc, i int) error {
 		r := runs[i]
-		d, err := fs.io.ReadBlocks(q, r.vol, r.lba, int(r.blocks), prio)
-		copy(buf[(r.fileBlock-start)*bs:], d)
-		return err
+		o := (r.fileBlock - start) * bs
+		return fs.readRun(q, r.vol, r.lba, dst[o:o+r.blocks*bs], prio)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
 }
 
 // ReadAt reads up to len(buf) bytes from byte offset off, returning the
-// number read. Reads past EOF are truncated (n may be < len(buf)).
+// number read. Reads past EOF are truncated (n may be < len(buf)). A read
+// that fails may have filled part of buf.
 func (fs *FS) ReadAt(p *sim.Proc, path string, off int64, buf []byte) (int, error) {
 	ino, err := fs.lookup(path)
 	if err != nil {
@@ -243,12 +239,20 @@ func (fs *FS) ReadAt(p *sim.Proc, path string, off int64, buf []byte) (int, erro
 	}
 	bs := int64(fs.io.BlockSize())
 	firstBlock := off / bs
-	lastBlock := (off + n - 1) / bs
-	raw, err := fs.readBlocks(p, ino, firstBlock, lastBlock-firstBlock+1, ino.Policy.CachePriority)
-	if err != nil {
+	// Whole blocks land in buf itself; a range with a partial block is
+	// read whole into a scratch buffer and the bytes asked for copied out.
+	dst := buf[:n]
+	aligned := off%bs == 0 && n%bs == 0
+	if !aligned {
+		lastBlock := (off + n - 1) / bs
+		dst = make([]byte, (lastBlock-firstBlock+1)*bs)
+	}
+	if err := fs.readBlocks(p, ino, firstBlock, dst, ino.Policy.CachePriority); err != nil {
 		return 0, err
 	}
-	copy(buf[:n], raw[off-firstBlock*bs:])
+	if !aligned {
+		copy(buf[:n], dst[off-firstBlock*bs:])
+	}
 	fs.BytesRead += n
 	return int(n), nil
 }

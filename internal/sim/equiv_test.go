@@ -65,7 +65,7 @@ func (r *refKernel) Run() {
 
 func (r *refKernel) Go(name string, fn func(p *Proc)) {
 	p := r.k.Go(name, fn)
-	r.k.events = r.k.events[:0] // the start event belongs in the reference queue
+	r.k.nowq = fifo[event]{} // the start event belongs in the reference queue
 	r.At(r.k.now, func() { r.k.wake(p) })
 }
 

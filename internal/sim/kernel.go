@@ -159,8 +159,14 @@ func (s eventHeap) siftDown(i int, e event) {
 type Kernel struct {
 	now    Time
 	events eventHeap
-	seq    uint64
-	rng    *rand.Rand
+	// nowq holds the events scheduled for the instant they were scheduled
+	// at: most wake-ups are (a Go, a Mailbox send, a Future set), and a
+	// queue takes them without a sift. Its events were pushed in seq order
+	// at a clock that never goes back, so it is sorted by (at, seq) too, and
+	// run pops whichever of its front and the heap's top comes first.
+	nowq fifo[event]
+	seq  uint64
+	rng  *rand.Rand
 	// procs lists the live processes, each at its Proc.idx, for Close.
 	procs []*Proc
 	// idle is the LIFO free list of runners whose body has returned;
@@ -210,11 +216,13 @@ func (k *Kernel) schedule(e event) {
 	if k.closed {
 		return
 	}
-	if e.at < k.now {
-		e.at = k.now
-	}
 	k.seq++
 	e.seq = k.seq
+	if e.at <= k.now {
+		e.at = k.now
+		k.nowq.push(e)
+		return
+	}
 	k.events.push(e)
 	if len(k.events) >= k.sweepAt {
 		k.sweep()
@@ -256,7 +264,7 @@ func (k *Kernel) sweep() {
 func (k *Kernel) After(d Duration, fn func()) { k.At(k.now.Add(d), fn) }
 
 // Pending reports the number of queued events.
-func (k *Kernel) Pending() int { return len(k.events) }
+func (k *Kernel) Pending() int { return len(k.events) + k.nowq.len() }
 
 // Events reports how many events have been scheduled since the kernel was
 // created — the simulator's own unit of work.
@@ -272,12 +280,36 @@ func (k *Kernel) RunUntil(t Time) { k.run(t) }
 // RunFor executes events for d of virtual time from now.
 func (k *Kernel) RunFor(d Duration) { k.run(k.now.Add(d)) }
 
+// next returns the first queued event by (at, seq) and whether it is the
+// front of nowq rather than the heap's top, or nil when nothing is queued:
+// nowq's front comes first unless the heap holds an event for the same
+// instant that was scheduled earlier.
+func (k *Kernel) next() (*event, bool) {
+	if k.nowq.len() == 0 {
+		if len(k.events) == 0 {
+			return nil, false
+		}
+		return &k.events[0], false
+	}
+	front := &k.nowq.buf[k.nowq.head]
+	if len(k.events) > 0 && before(k.events[0].at, k.events[0].seq, front.at, front.seq) {
+		return &k.events[0], false
+	}
+	return front, true
+}
+
 func (k *Kernel) run(until Time) {
-	for len(k.events) > 0 {
-		if until != 0 && k.events[0].at > until {
+	for {
+		next, fromNow := k.next()
+		if next == nil || until != 0 && next.at > until {
 			break
 		}
-		e := k.events.pop()
+		var e event
+		if fromNow {
+			e = k.nowq.pop()
+		} else {
+			e = k.events.pop()
+		}
 		if e.at > k.now {
 			k.now = e.at
 		}
@@ -293,7 +325,7 @@ func (k *Kernel) run(until Time) {
 	if until > k.now {
 		k.now = until
 	}
-	if len(k.events) == 0 {
+	if k.Pending() == 0 {
 		// Quiescent: nothing starts until the caller schedules more. Keep
 		// no more idle runners than there are parked processes.
 		k.shed(2*len(k.idle) - k.runners)
@@ -311,6 +343,7 @@ func (k *Kernel) Close() {
 	}
 	k.closed = true
 	k.events = nil
+	k.nowq = fifo[event]{}
 	procs := k.procs
 	k.procs = nil // forget is a no-op from here on
 	for _, p := range procs {

@@ -101,6 +101,38 @@ func TestKernelRunUntil(t *testing.T) {
 	}
 }
 
+// An event for the current instant waits in the kernel's queue, not its
+// heap; one the heap holds for the same instant, scheduled earlier, still
+// fires first, and RunUntil stops at the bound across both.
+func TestKernelCurrentInstantQueueKeepsSeqOrder(t *testing.T) {
+	k := NewKernel(1)
+	var got []string
+	log := func(s string) func() { return func() { got = append(got, s) } }
+	k.At(0, log("now0")) // queued for the current instant
+	k.At(Time(Millisecond), func() {
+		got = append(got, "first")
+		k.At(k.Now(), log("now1"))
+		k.After(0, log("now2"))
+	})
+	k.At(Time(Millisecond), log("second"))
+	k.At(Time(2*Millisecond), log("late"))
+	if n := k.Pending(); n != 4 {
+		t.Fatalf("Pending = %d before the run, want 4", n)
+	}
+	k.RunUntil(Time(Millisecond))
+	want := []string{"now0", "first", "second", "now1", "now2"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v by 1ms, want %v", got, want)
+	}
+	if k.Now() != Time(Millisecond) || k.Pending() != 1 {
+		t.Fatalf("RunUntil(1ms) left now %v with %d queued, want 1ms with 1", k.Now(), k.Pending())
+	}
+	k.Run()
+	if got[len(got)-1] != "late" || k.Now() != Time(2*Millisecond) {
+		t.Fatalf("fired %v, ending at %v; want late last, at 2ms", got, k.Now())
+	}
+}
+
 func TestKernelRunForAdvancesIdleClock(t *testing.T) {
 	k := NewKernel(1)
 	k.RunFor(3 * Second)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -97,9 +96,10 @@ type rpcRequest struct {
 	// tctx carries the caller's trace context across the simulated wire,
 	// so handler-side work joins the caller's trace.
 	tctx trace.Ctx
-	// qctx carries the caller's QoS tag (tenant + lane) the same way, so
-	// remote handler CPU and disk time are charged to the right lane.
-	qctx qos.Ctx
+	// qctx carries the caller's QoS tag (a qos.Ctx: tenant + lane, clamped
+	// when it was set) the same way, as the process holds it, so remote
+	// handler CPU and disk time are charged to the right lane.
+	qctx any
 }
 
 type rpcReply struct {
@@ -238,8 +238,8 @@ func (c *Conn) dispatch(from Addr, payload any) {
 				// service, nested coherence calls) attribute correctly.
 				p.SetTraceCtx(m.tctx)
 			}
-			if m.qctx != (qos.Ctx{}) {
-				qos.SetCtx(p, m.qctx)
+			if m.qctx != nil {
+				p.SetQoSCtx(m.qctx)
 			}
 			result, size := reg.h(p, from, m.args)
 			c.send(from, rpcReply{id: m.id, result: result}, size)
@@ -269,7 +269,7 @@ func (c *Conn) CallTimeout(p *sim.Proc, dst Addr, method string, args any, argSi
 	sp := rpcSpan(p, method, dst)
 	f := sim.NewFuture[any](c.ep.Network().Kernel())
 	c.pending[id] = f
-	if !c.send(dst, rpcRequest{id: id, method: method, args: args, tctx: sp.Ctx(), qctx: qos.FromProc(p)}, argSize) {
+	if !c.send(dst, rpcRequest{id: id, method: method, args: args, tctx: sp.Ctx(), qctx: p.QoSCtx()}, argSize) {
 		delete(c.pending, id)
 		sp.Detail("unreachable").End()
 		return nil, ErrUnreachable
@@ -357,7 +357,7 @@ func (c *Conn) CallRetry(p *sim.Proc, dst Addr, method string, args any, argSize
 func (c *Conn) Cast(p *sim.Proc, dst Addr, method string, args any, argSize int) {
 	c.nextID++
 	sp := rpcSpan(p, method, dst)
-	if !c.send(dst, rpcRequest{id: c.nextID, method: method, args: args, tctx: sp.Ctx(), qctx: qos.FromProc(p)}, argSize) {
+	if !c.send(dst, rpcRequest{id: c.nextID, method: method, args: args, tctx: sp.Ctx(), qctx: p.QoSCtx()}, argSize) {
 		sp.Detail("unreachable")
 	}
 	sp.End()
