@@ -34,7 +34,7 @@ func BenchmarkLocalHit(b *testing.B) {
 	benchOps(b, func(h *harness, p *sim.Proc) {
 		h.engines[0].ReadBlock(p, kb(1), 0)
 	}, func(h *harness, p *sim.Proc, i int) {
-		h.engines[0].ReadBlockInto(p, kb(1), 0, dst)
+		h.engines[0].ReadRun(p, "v", 1, 0, dst)
 	})
 }
 

@@ -621,7 +621,7 @@ func TestLocalHitReadIntoAllocatesNoPayload(t *testing.T) {
 	dst := make([]byte, blockSize)
 	h.k.Go("reader", func(p *sim.Proc) {
 		for { // one hit per OpDelay (10 µs) after the first miss
-			if err := h.engines[0].ReadBlockInto(p, kb(1), 0, dst); err != nil {
+			if err := h.engines[0].ReadRun(p, "v", 1, 0, dst); err != nil {
 				t.Errorf("read: %v", err)
 				return
 			}

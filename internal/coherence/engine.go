@@ -292,6 +292,8 @@ type Engine struct {
 	// free holds block buffers that clean entries left behind (see buffer
 	// and recycle), never more than the cache has empty slots.
 	free [][]byte
+	// runs holds the states finished reads left (see runRead).
+	runs []*runRead
 
 	stats Stats
 	// down mirrors the cluster's view of this blade; a down engine
@@ -628,28 +630,14 @@ func (e *Engine) entry(key cache.Key) *dirEntry {
 // one coh.evict per home. A single block is the run of length one.
 
 // ReadBlock returns the content of key's block, serving from the local
-// cache when possible and running the coherence protocol otherwise.
+// cache when possible and running the coherence protocol otherwise: the run
+// of one.
 func (e *Engine) ReadBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, error) {
 	dst := make([]byte, e.blockSize)
-	if err := e.ReadBlockInto(p, key, priority, dst); err != nil {
+	if err := e.ReadRun(p, key.Vol, key.LBA, priority, dst); err != nil {
 		return nil, err
 	}
 	return dst, nil
-}
-
-// ReadBlockInto is ReadBlock filling the caller's block-sized dst, on the
-// caller's own process.
-func (e *Engine) ReadBlockInto(p *sim.Proc, key cache.Key, priority int, dst []byte) error {
-	e.noteRun(key.Vol, key.LBA, key.LBA, priority)
-	epoch, miss, err := e.lookup(p, key, dst)
-	if err != nil || !miss {
-		return err
-	}
-	resp, err := e.ask(p, "coh.gets", key, epoch)
-	if err == nil && e.settle(p, key, epoch, resp, priority, dst) {
-		err = e.fillRun(p, key, []gathered{{fill: true, epoch: epoch}}, priority, dst)
-	}
-	return err
 }
 
 // ReadRun reads the run of consecutive blocks of vol that starts at lba
@@ -669,43 +657,56 @@ func (e *Engine) ReadRun(p *sim.Proc, vol string, lba int64, priority int, dst [
 // readRun is ReadRun without the sequential detector, which the prefetcher
 // must not feed with its own reads.
 func (e *Engine) readRun(p *sim.Proc, vol string, lba int64, priority int, dst []byte) error {
-	bs := e.blockSize
-	count := len(dst) / bs
-	op := &runRead{left: count}
-	grp := sim.NewGroup(e.k) // not sim.Fork: its closure would add an allocation to every read
+	// The op's state is one a finished op left (see runRead), or a new one.
+	var op *runRead
+	if n := len(e.runs); n > 0 {
+		op, e.runs = e.runs[n-1], e.runs[:n-1]
+	} else {
+		op = &runRead{e: e, procs: *sim.NewGroup(e.k)}
+	}
+	count := len(dst) / e.blockSize
+	op.vol, op.lba, op.priority, op.dst, op.left = vol, lba, priority, dst, count
 	for i := 0; i < count; i++ {
-		grp.Add(1)
-		e.k.Go("read", func(q *sim.Proc) {
-			defer grp.Done()
-			key, d := cache.Key{Vol: vol, LBA: lba + int64(i)}, dst[i*bs:(i+1)*bs]
-			epoch, miss, err := e.lookup(q, key, d)
-			home, pos := -1, 0
-			if miss {
-				home, pos, err = op.request(e, key, epoch)
-			}
-			op.fail(err)
-			if op.left--; op.left == 0 && op.vecs != nil {
-				op.ready.Set(struct{}{}) // phase 1 is over: the vectors may go
-			}
-			if home < 0 {
-				return
-			}
-			resp, err := op.answer(q, e, home, pos)
-			if err == nil && resp.Redirect { // this key alone moved: follow it
-				e.stats.RedirectsFollowed++
-				e.homeOverride[e.ids.ID(key)] = resp.NewHome
-				resp, err = e.ask(q, "coh.gets", key, epoch)
-			}
-			if op.fail(err); err == nil && e.settle(q, key, epoch, resp, priority, d) {
-				op.gather(i, count, epoch)
-			}
-		})
+		op.procs.Add(1)
+		e.k.Go("read", func(q *sim.Proc) { op.block(q, i) })
 	}
-	grp.Wait(p)
-	if op.err != nil {
-		return op.err
+	op.procs.Wait(p)
+	err := op.err
+	if err == nil {
+		err = e.fillGathered(p, op.blocks, vol, lba, priority, dst)
 	}
-	return e.fillGathered(p, op.blocks, vol, lba, priority, dst)
+	*op = runRead{e: e, procs: op.procs}
+	e.runs = append(e.runs, op)
+	return err
+}
+
+// block is phase 1 of the op's block i, on a process of its own: the local
+// lookup, then on a miss the directory's answer, served or gathered.
+func (op *runRead) block(q *sim.Proc, i int) {
+	defer op.procs.Done()
+	e, bs := op.e, op.e.blockSize
+	key, d := cache.Key{Vol: op.vol, LBA: op.lba + int64(i)}, op.dst[i*bs:(i+1)*bs]
+	epoch, miss, err := e.lookup(q, key, d)
+	home, pos := -1, 0
+	if miss {
+		home, pos, err = op.request(e, key, epoch)
+	}
+	op.fail(err)
+	if op.left--; op.left == 0 && op.vecs != nil {
+		op.ready.Set(struct{}{}) // phase 1 is over: the vectors may go
+	}
+	if home < 0 {
+		return
+	}
+	resp, err := op.answer(q, e, home, pos)
+	if err == nil && resp.Redirect { // this key alone moved: follow it
+		e.stats.RedirectsFollowed++
+		e.homeOverride[e.ids.ID(key)] = resp.NewHome
+		resp, err = e.ask(q, "coh.gets", key, epoch)
+	}
+	if op.fail(err); err == nil && e.settle(q, key, epoch, resp, op.priority, d) {
+		op.gather(i, len(op.dst)/bs, epoch)
+	}
 }
 
 // gathered is one block's slot in an op's gather: whether the backing store
@@ -716,11 +717,20 @@ type gathered struct {
 	epoch uint64
 }
 
-// runRead is the state the blocks of one ReadRun share.
+// runRead is the state the blocks of one ReadRun share: the op, and what its
+// blocks find. The engine keeps the states of finished ops for the next
+// (Engine.runs): every block process of an op has returned before the op
+// does, and so a block process captures no more than the state and its index.
 type runRead struct {
-	err    error      // the first block to fail fails the op
-	blocks []gathered // nil until a block joins the gather
-	left   int        // blocks still in phase 1; ready is set when it reaches 0
+	e        *Engine
+	vol      string
+	lba      int64
+	priority int
+	dst      []byte
+	procs    sim.Group  // the op's block processes
+	err      error      // the first block to fail fails the op
+	blocks   []gathered // nil until a block joins the gather
+	left     int        // blocks still in phase 1; ready is set when it reaches 0
 	// The op's coh.gets by home blade, and how many are out; set at its first
 	// miss, and held by value so that an op allocates them once, with itself.
 	vecs     []vector
@@ -1018,7 +1028,7 @@ func (e *Engine) FetchBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, e
 
 // Writes are run-granular too. WriteRun is the one client entry point:
 // every block of the run takes the exclusive grant and installs on a
-// process of its own (WriteBlockR). A block's Modified copy is installed by
+// process of its own (writeBlockR). A block's Modified copy is installed by
 // installModified and nowhere else.
 
 // WriteRun stores data, a whole number of blocks, as the run of consecutive
@@ -1034,19 +1044,19 @@ func (e *Engine) WriteRun(p *sim.Proc, vol string, lba int64, data []byte, prior
 		return fmt.Errorf("coherence: write of %d bytes, block size %d", len(data), bs)
 	}
 	return sim.Fork(p, "write", len(data)/bs, func(q *sim.Proc, i int) error {
-		return e.WriteBlockR(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, data[i*bs:(i+1)*bs], priority, replFactor)
+		return e.writeBlockR(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, data[i*bs:(i+1)*bs], priority, replFactor)
 	})
 }
 
 // WriteBlock stores one full block on the caller's own process: the run of
 // one, at the default replication factor.
 func (e *Engine) WriteBlock(p *sim.Proc, key cache.Key, data []byte, priority int) error {
-	return e.WriteBlockR(p, key, data, priority, 0)
+	return e.writeBlockR(p, key, data, priority, 0)
 }
 
-// WriteBlockR is WriteBlock with an explicit replication factor: take the
+// writeBlockR is WriteBlock with an explicit replication factor: take the
 // exclusive grant, install.
-func (e *Engine) WriteBlockR(p *sim.Proc, key cache.Key, data []byte, priority, replFactor int) error {
+func (e *Engine) writeBlockR(p *sim.Proc, key cache.Key, data []byte, priority, replFactor int) error {
 	if e.down {
 		return fmt.Errorf("coherence: blade %d down", e.self)
 	}

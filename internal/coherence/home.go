@@ -64,11 +64,20 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	return resps, size
 }
 
+// redirect answers a request for key, whose home has moved away from this
+// blade, with the new home's address; moved is false while the home is here.
+func (e *Engine) redirect(key cache.Key) (r dirResp, moved bool) {
+	to, moved := e.forward[e.ids.ID(key)]
+	if moved {
+		e.stats.RedirectsServed++
+	}
+	return dirResp{Redirect: true, NewHome: to}, moved
+}
+
 // getS serves one read-share request of requester as the home blade.
 func (e *Engine) getS(p *sim.Proc, requester int, req dirReq) dirResp {
-	if to, ok := e.forward[e.ids.ID(req.Key)]; ok {
-		e.stats.RedirectsServed++
-		return dirResp{Redirect: true, NewHome: to}
+	if r, moved := e.redirect(req.Key); moved {
+		return r
 	}
 	e.stats.DirRequests++
 	ent := e.entry(req.Key)
@@ -76,9 +85,8 @@ func (e *Engine) getS(p *sim.Proc, requester int, req dirReq) dirResp {
 	defer ent.mu.Unlock()
 	// The home may have migrated away while this request queued on the CPU
 	// or the entry mutex (the migration handler holds the same mutex).
-	if to, ok := e.forward[e.ids.ID(req.Key)]; ok {
-		e.stats.RedirectsServed++
-		return dirResp{Redirect: true, NewHome: to}
+	if r, moved := e.redirect(req.Key); moved {
+		return r
 	}
 	e.heat.Touch(req.Key)
 
@@ -167,9 +175,8 @@ func (e *Engine) getS(p *sim.Proc, requester int, req dirReq) dirResp {
 // The requester is about to overwrite the whole block, so no data flows.
 func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(dirReq)
-	if to, ok := e.forward[e.ids.ID(req.Key)]; ok {
-		e.stats.RedirectsServed++
-		return dirResp{Redirect: true, NewHome: to}, ctrlSize
+	if r, moved := e.redirect(req.Key); moved {
+		return r, ctrlSize
 	}
 	requester := bladeID(e.peers, from)
 	e.stats.DirRequests++
@@ -177,9 +184,8 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	ent := e.entry(req.Key)
 	ent.mu.Lock(p)
 	defer ent.mu.Unlock()
-	if to, ok := e.forward[e.ids.ID(req.Key)]; ok {
-		e.stats.RedirectsServed++
-		return dirResp{Redirect: true, NewHome: to}, ctrlSize
+	if r, moved := e.redirect(req.Key); moved {
+		return r, ctrlSize
 	}
 	e.heat.Touch(req.Key)
 
@@ -226,9 +232,8 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 // means the backing store is current (invariant 3).
 func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(dirReq)
-	if to, ok := e.forward[e.ids.ID(req.Key)]; ok {
-		e.stats.RedirectsServed++
-		return dirResp{Redirect: true, NewHome: to}, ctrlSize
+	if r, moved := e.redirect(req.Key); moved {
+		return r, ctrlSize
 	}
 	e.stats.ValueFetches++
 	e.busy(p, e.hdlDelay)
@@ -239,9 +244,8 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	ent := e.entry(req.Key)
 	ent.mu.Lock(p)
 	defer ent.mu.Unlock()
-	if to, ok := e.forward[e.ids.ID(req.Key)]; ok {
-		e.stats.RedirectsServed++
-		return dirResp{Redirect: true, NewHome: to}, ctrlSize
+	if r, moved := e.redirect(req.Key); moved {
+		return r, ctrlSize
 	}
 	switch ent.state {
 	case dirModified:

@@ -32,6 +32,7 @@ func smallConfig() Config {
 func newTestCluster(t *testing.T, seed int64, mutate func(*Config)) (*Cluster, *sim.Kernel) {
 	t.Helper()
 	k := sim.NewKernel(seed)
+	t.Cleanup(k.Close)
 	cfg := smallConfig()
 	if mutate != nil {
 		mutate(&cfg)
@@ -323,6 +324,7 @@ func TestLoadSpreadsAcrossBlades(t *testing.T) {
 func TestNoLossUnderSingleFailureProperty(t *testing.T) {
 	f := func(seed int64, ops []uint16, failRaw uint8) bool {
 		k := sim.NewKernel(seed)
+		defer k.Close()
 		cfg := smallConfig()
 		cfg.ReplicationN = 2
 		cfg.FlushInterval = 10 * sim.Second // force reliance on replication
@@ -546,6 +548,7 @@ func TestDistributedClone(t *testing.T) {
 func TestDistributedCloneFasterWithMoreBlades(t *testing.T) {
 	elapsed := func(blades int) sim.Duration {
 		k := sim.NewKernel(1)
+		defer k.Close()
 		cfg := smallConfig()
 		cfg.Blades = blades
 		c, err := New(k, cfg)

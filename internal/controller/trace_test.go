@@ -13,6 +13,7 @@ import (
 func tracedRun(t *testing.T, seed int64) *trace.Tracer {
 	t.Helper()
 	k := sim.NewKernel(seed)
+	t.Cleanup(k.Close)
 	cfg := smallConfig()
 	// Tiny caches: ops must write back and miss to disk, so disk-phase
 	// spans appear inside the traced ops (a fully cached working set
@@ -122,6 +123,7 @@ func TestClusterTraceDeterministic(t *testing.T) {
 func TestTracingDoesNotPerturbTiming(t *testing.T) {
 	endTime := func(traced bool) sim.Time {
 		k := sim.NewKernel(9)
+		defer k.Close()
 		cfg := smallConfig()
 		if traced {
 			tr := trace.NewTracer(k)

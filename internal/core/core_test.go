@@ -15,6 +15,21 @@ import (
 )
 
 // fastDisks keeps unit-test systems small and quick.
+// newTestSystem is NewSystem for a test: the system stops and its kernel
+// closes when the test ends.
+func newTestSystem(t *testing.T, opts Options) *System {
+	t.Helper()
+	sys, err := NewSystem(opts)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	t.Cleanup(func() {
+		sys.Stop()
+		sys.K.Close()
+	})
+	return sys
+}
+
 func fastDisks() disk.Spec {
 	return disk.Spec{
 		BlockSize:   512,
@@ -26,13 +41,9 @@ func fastDisks() disk.Spec {
 }
 
 func TestSystemEndToEndFile(t *testing.T) {
-	sys, err := NewSystem(Options{DiskSpec: fastDisks()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Stop()
+	sys := newTestSystem(t, Options{DiskSpec: fastDisks()})
 	data := []byte("a single storage pool for the whole lab")
-	err = sys.Run(0, func(p *sim.Proc) error {
+	err := sys.Run(0, func(p *sim.Proc) error {
 		if err := sys.FS.MkdirAll("/projects/alpha"); err != nil {
 			return err
 		}
@@ -56,18 +67,14 @@ func TestSystemEndToEndFile(t *testing.T) {
 func TestSystemExtraClassesEndToEnd(t *testing.T) {
 	// §4 / F4: a file whose policy names the mirror class lands on RAID-1
 	// groups, end to end.
-	sys, err := NewSystem(Options{
+	sys := newTestSystem(t, Options{
 		DiskSpec: fastDisks(),
 		ExtraClasses: []Class{
 			{Name: "mirror", Level: raid.RAID1, Disks: 4, DisksPerGroup: 2},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Stop()
 	data := bytes.Repeat([]byte("precious"), 512)
-	err = sys.Run(0, func(p *sim.Proc) error {
+	err := sys.Run(0, func(p *sim.Proc) error {
 		if err := sys.FS.WriteFile(p, "/critical.db", data, pfs.Policy{Class: "mirror", ReplicationN: 3}); err != nil {
 			return err
 		}
@@ -97,7 +104,7 @@ func TestExtraClassDrivesJoinQoSAndTelemetry(t *testing.T) {
 	// An extra class's drives and groups are the cluster's like any other:
 	// each drive is registered and sits behind a QoS fair queue, and each
 	// group is registered.
-	sys, err := NewSystem(Options{
+	sys := newTestSystem(t, Options{
 		DiskSpec: fastDisks(),
 		Blades:   2,
 		QoS:      &qos.Config{},
@@ -105,10 +112,6 @@ func TestExtraClassDrivesJoinQoSAndTelemetry(t *testing.T) {
 			{Name: "mirror", Level: raid.RAID1, Disks: 4, DisksPerGroup: 2},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Stop()
 	c := sys.Cluster
 	if got, want := len(sys.Registry.Match("disk/*/queue_depth")), len(c.Farm.Disks); got != want {
 		t.Errorf("%d drives registered, want %d", got, want)
@@ -123,11 +126,7 @@ func TestExtraClassDrivesJoinQoSAndTelemetry(t *testing.T) {
 }
 
 func TestSystemSecurityIntegration(t *testing.T) {
-	sys, err := NewSystem(Options{DiskSpec: fastDisks(), EncryptAtRest: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Stop()
+	sys := newTestSystem(t, Options{DiskSpec: fastDisks(), EncryptAtRest: true})
 	if _, err := sys.Cluster.CreateDMSD("default", "tenant1-lun", 64); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestSystemSecurityIntegration(t *testing.T) {
 	tok, _ := sys.Auth.Issue("hep", 3600*sim.Second)
 	sys.Mask.Allow("lun1", "hep", 2) // ReadWrite
 	payload := bytes.Repeat([]byte{0xAA}, 512)
-	err = sys.Run(0, func(p *sim.Proc) error {
+	err := sys.Run(0, func(p *sim.Proc) error {
 		if err := sys.BlockGateway.Write(p, tok, "lun1", 0, payload, 0, 0); err != nil {
 			return err
 		}
@@ -155,16 +154,12 @@ func TestSystemSecurityIntegration(t *testing.T) {
 }
 
 func TestVolumeTarget(t *testing.T) {
-	sys, err := NewSystem(Options{DiskSpec: fastDisks()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Stop()
+	sys := newTestSystem(t, Options{DiskSpec: fastDisks()})
 	if _, err := sys.Cluster.CreateDMSD("default", "bench", 256); err != nil {
 		t.Fatal(err)
 	}
 	target := &VolumeTarget{Cluster: sys.Cluster, Vol: "bench"}
-	err = sys.Run(0, func(p *sim.Proc) error {
+	err := sys.Run(0, func(p *sim.Proc) error {
 		if err := target.Write(p, 0, 4); err != nil {
 			return err
 		}
@@ -186,6 +181,7 @@ func TestGeoSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer gs.K.Close()
 	defer gs.Stop()
 	data := bytes.Repeat([]byte("geo"), 700)
 	err = gs.Run(0, func(p *sim.Proc) error {
@@ -219,11 +215,7 @@ func TestGeoSystem(t *testing.T) {
 func TestWarmAlignedReadAllocatesLittle(t *testing.T) {
 	spec := fastDisks()
 	spec.BlockSize = 4096
-	sys, err := NewSystem(Options{DiskSpec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Stop()
+	sys := newTestSystem(t, Options{DiskSpec: spec})
 	const size, files, reads = 256 << 10, 4, 64
 	data := make([]byte, files*size)
 	for i := range data {
@@ -242,7 +234,7 @@ func TestWarmAlignedReadAllocatesLittle(t *testing.T) {
 	}
 	// Reads go to the blades round-robin: each part is read once by every
 	// blade before the count starts.
-	err = sys.Run(0, func(p *sim.Proc) error {
+	err := sys.Run(0, func(p *sim.Proc) error {
 		if err := sys.FS.WriteFile(p, "/f", data, pfs.Policy{}); err != nil {
 			return err
 		}

@@ -32,6 +32,7 @@ func ExampleNewSystem() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.K.Close()
 	defer sys.Stop()
 
 	err = sys.Run(0, func(p *sim.Proc) error {
@@ -62,6 +63,7 @@ func ExampleSystem_Run() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.K.Close()
 	defer sys.Stop()
 	err = sys.Run(0, func(p *sim.Proc) error {
 		if err := sys.FS.WriteFile(p, "/important", []byte("ack'd write"), pfs.Policy{}); err != nil {

@@ -16,7 +16,7 @@ import (
 // pfs → cluster), with the gateway's telemetry registered under the
 // cluster registry.
 func TestSystemObjectGateway(t *testing.T) {
-	sys, err := NewSystem(Options{
+	sys := newTestSystem(t, Options{
 		Seed:          7,
 		Blades:        2,
 		Disks:         8,
@@ -28,10 +28,6 @@ func TestSystemObjectGateway(t *testing.T) {
 		},
 		Gateway: &gateway.Config{MetaShards: 2},
 	})
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	defer sys.Stop()
 	if sys.Gateway == nil {
 		t.Fatalf("Options.Gateway set but System.Gateway nil")
 	}

@@ -15,13 +15,9 @@ import (
 // the PFS, a blade killed before any flush, and the data recovered from
 // cache replicas (§6.1 end to end).
 func TestFileSurvivesBladeFailure(t *testing.T) {
-	sys, err := NewSystem(Options{DiskSpec: fastDisks(), ReplicationN: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Stop()
+	sys := newTestSystem(t, Options{DiskSpec: fastDisks(), ReplicationN: 2})
 	data := bytes.Repeat([]byte("irreplaceable "), 200)
-	err = sys.Run(0, func(p *sim.Proc) error {
+	err := sys.Run(0, func(p *sim.Proc) error {
 		if err := sys.FS.WriteFile(p, "/results.dat", data, pfs.Policy{}); err != nil {
 			return err
 		}
@@ -49,13 +45,9 @@ func TestFileSurvivesBladeFailure(t *testing.T) {
 // TestFileSurvivesDiskFailureAndRebuild exercises PFS → virt → RAID
 // degraded reads and a distributed rebuild under the whole stack.
 func TestFileSurvivesDiskFailureAndRebuild(t *testing.T) {
-	sys, err := NewSystem(Options{DiskSpec: fastDisks()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Stop()
+	sys := newTestSystem(t, Options{DiskSpec: fastDisks()})
 	data := bytes.Repeat([]byte("raid"), 4096)
-	err = sys.Run(0, func(p *sim.Proc) error {
+	err := sys.Run(0, func(p *sim.Proc) error {
 		if err := sys.FS.WriteFile(p, "/big.bin", data, pfs.Policy{}); err != nil {
 			return err
 		}
@@ -90,14 +82,10 @@ func TestFileSurvivesDiskFailureAndRebuild(t *testing.T) {
 // TestManyFilesManyClients is a smoke-scale full-stack workout: concurrent
 // writers and readers over a shared directory tree.
 func TestManyFilesManyClients(t *testing.T) {
-	sys, err := NewSystem(Options{DiskSpec: fastDisks()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Stop()
+	sys := newTestSystem(t, Options{DiskSpec: fastDisks()})
 	const nClients = 8
 	const filesPer = 6
-	err = sys.Run(0, func(p *sim.Proc) error {
+	err := sys.Run(0, func(p *sim.Proc) error {
 		if err := sys.FS.MkdirAll("/work"); err != nil {
 			return err
 		}
@@ -156,6 +144,7 @@ func TestGeoSiteDisasterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer gs.K.Close()
 	defer gs.Stop()
 	key := bytes.Repeat([]byte("key"), 1000)
 	err = gs.Run(0, func(p *sim.Proc) error {
@@ -197,11 +186,7 @@ func TestGeoSiteDisasterEndToEnd(t *testing.T) {
 // identical virtual-time traces — the property every experiment rests on.
 func TestDeterminism(t *testing.T) {
 	runOnce := func() sim.Time {
-		sys, err := NewSystem(Options{Seed: 77, DiskSpec: fastDisks()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Stop()
+		sys := newTestSystem(t, Options{Seed: 77, DiskSpec: fastDisks()})
 		var end sim.Time
 		sys.Run(0, func(p *sim.Proc) error {
 			for i := 0; i < 10; i++ {
@@ -241,15 +226,11 @@ func TestStreamsOverTailFirstFilesStayInStep(t *testing.T) {
 	spec := disk.Spec{BlockSize: 4096, Blocks: 1 << 16,
 		Seek: 5 * sim.Millisecond, Rotation: 3 * sim.Millisecond, TransferBps: 400_000_000}
 	rate := func(seed int64) float64 {
-		sys, err := NewSystem(Options{Seed: seed, Blades: 8, Disks: 24, DisksPerGroup: 6,
+		sys := newTestSystem(t, Options{Seed: seed, Blades: 8, Disks: 24, DisksPerGroup: 6,
 			DiskSpec: spec, CacheBlocksPerBlade: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Stop()
 		path := func(f int) string { return fmt.Sprintf("/f%d", f) }
 		var elapsed sim.Duration
-		err = sys.Run(0, func(p *sim.Proc) error {
+		err := sys.Run(0, func(p *sim.Proc) error {
 			chunk := bytes.Repeat([]byte{0xA5}, 1<<20)
 			for f := 0; f < files; f++ {
 				if _, err := sys.FS.Create(path(f), pfs.Policy{}); err != nil {

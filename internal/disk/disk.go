@@ -241,31 +241,29 @@ func (d *Disk) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
 	return buf, nil
 }
 
-// ReadInto is Read filling dst, a whole number of blocks, straight out of
-// the sparse store: the one copy a block makes on its way up. dst may hold
-// anything; blocks the store does not have are zeroed.
-func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
+// ReadInto is Read filling dst straight out of the sparse store: the one
+// copy a block makes on its way up. dst may hold anything; blocks the store
+// does not have are zeroed. With no positions it reads len(dst)/BlockSize
+// blocks into dst in order. With positions it is one access over the len(pos)
+// blocks from lba on that scatters them over dst: block lba+i fills block
+// pos[i] of dst, a negative pos[i] reads past the block and discards it, and
+// the rest of dst is left alone. That is how a RAID member serves the rows of
+// a multi-stripe read in one I/O: its data blocks lie apart in the caller's
+// buffer and the parity rows between them belong nowhere.
+func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, pos ...int) error {
 	bs := d.spec.BlockSize
+	if pos != nil {
+		return d.read(p, lba, len(pos), func(i int) []byte {
+			if pos[i] < 0 {
+				return nil
+			}
+			return dst[pos[i]*bs : (pos[i]+1)*bs]
+		})
+	}
 	if len(dst)%bs != 0 {
 		return fmt.Errorf("disk %s: read of %d bytes is not block-aligned", d.id, len(dst))
 	}
 	return d.read(p, lba, len(dst)/bs, func(i int) []byte { return dst[i*bs : (i+1)*bs] })
-}
-
-// ReadScatter is one access over the len(pos) blocks from lba on that
-// scatters them over dst: block lba+i fills block pos[i] of dst, and a
-// negative pos[i] reads past the block and discards it. It is how a RAID
-// member serves the rows of a multi-stripe read in one I/O: its data blocks
-// lie apart in the caller's buffer and the parity rows between them belong
-// nowhere. The rest of dst is left alone.
-func (d *Disk) ReadScatter(p *sim.Proc, lba int64, dst []byte, pos []int) error {
-	bs := d.spec.BlockSize
-	return d.read(p, lba, len(pos), func(i int) []byte {
-		if pos[i] < 0 {
-			return nil
-		}
-		return dst[pos[i]*bs : (pos[i]+1)*bs]
-	})
 }
 
 // read is one read access of count blocks from lba on: block lba+i is

@@ -75,7 +75,7 @@ func TestReadIntoOverwritesStaleDestination(t *testing.T) {
 // spans — the ones it discards included — and one count in Stats. Stored
 // blocks overwrite their stale destinations, absent ones zero theirs, and
 // the blocks of dst no position names keep what they held.
-func TestReadScatterIsOneAccess(t *testing.T) {
+func TestScatteredReadIsOneAccess(t *testing.T) {
 	k := sim.NewKernel(1)
 	spec := testSpec()
 	d := New(k, "d0", spec)
@@ -92,8 +92,8 @@ func TestReadScatterIsOneAccess(t *testing.T) {
 		before, t0 := d.Stats(), p.Now()
 		// Blocks 30..34 into dst blocks 4, -, 0, 2, 5: 31 is read through.
 		dst := bytes.Repeat([]byte{0xFF}, 6*bs)
-		if err := d.ReadScatter(p, 30, dst, []int{4, -1, 0, 2, 5}); err != nil {
-			t.Errorf("ReadScatter: %v", err)
+		if err := d.ReadInto(p, 30, dst, 4, -1, 0, 2, 5); err != nil {
+			t.Errorf("scattered ReadInto: %v", err)
 		}
 		if took, want := p.Now().Sub(t0), spec.Seek+spec.Rotation+spec.TransferTime(5); took != want {
 			t.Errorf("scattered read of 5 blocks took %v, want one seek and 5 transfers = %v", took, want)
@@ -108,7 +108,7 @@ func TestReadScatterIsOneAccess(t *testing.T) {
 				t.Errorf("dst block %d holds %#x, want %#x throughout", i, dst[i*bs], want)
 			}
 		}
-		if err := d.ReadScatter(p, spec.Blocks-2, dst, []int{0, 1, 2}); !errors.Is(err, ErrOutOfRange) {
+		if err := d.ReadInto(p, spec.Blocks-2, dst, 0, 1, 2); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("scattered read past the end: %v, want ErrOutOfRange", err)
 		}
 	})

@@ -58,6 +58,7 @@ type geoRig struct {
 func newGeoRig(t *testing.T, oneWay sim.Duration, cfg Config) *geoRig {
 	t.Helper()
 	k := sim.NewKernel(1)
+	t.Cleanup(k.Close)
 	fed := NewFederation(k, cfg)
 	mkFS := func() *pfs.FS {
 		fs, err := pfs.New(k, pfs.Config{

@@ -3,7 +3,7 @@ package raid
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/disk"
 	"repro/internal/sim"
@@ -22,35 +22,40 @@ const (
 	RAID6
 )
 
+// levels describes each level by the shape of its stripe rows, the one
+// thing the row engine (writeStripe, rebuildParityRange, ScrubRange) needs
+// to know. Of a row's n members, data(n) hold the row's data blocks and the
+// rest hold parity: each of them P, the XOR of the data blocks, except the
+// last, which holds Q where the level has one. A mirror is a row of one data
+// block whose every other member holds P, which for one block is the block
+// itself; a RAID-0 row has no parity.
+var levels = [...]struct {
+	name     string
+	minDisks int
+	data     func(n int) int
+	q        bool
+}{
+	RAID0: {"RAID0", 1, func(n int) int { return n }, false},
+	RAID1: {"RAID1", 2, func(int) int { return 1 }, false},
+	RAID5: {"RAID5", 3, func(n int) int { return n - 1 }, false},
+	RAID6: {"RAID6", 4, func(n int) int { return n - 2 }, true},
+}
+
+func (l Level) known() bool { return l >= 0 && int(l) < len(levels) }
+
 func (l Level) String() string {
-	switch l {
-	case RAID0:
-		return "RAID0"
-	case RAID1:
-		return "RAID1"
-	case RAID5:
-		return "RAID5"
-	case RAID6:
-		return "RAID6"
-	default:
+	if !l.known() {
 		return fmt.Sprintf("RAID(%d)", int(l))
 	}
+	return levels[l].name
 }
 
 // MinDisks returns the minimum group size for the level.
 func (l Level) MinDisks() int {
-	switch l {
-	case RAID0:
-		return 1
-	case RAID1:
-		return 2
-	case RAID5:
-		return 3
-	case RAID6:
-		return 4
-	default:
+	if !l.known() {
 		return 0
 	}
+	return levels[l].minDisks
 }
 
 // ErrUnrecoverable is returned when the group has lost more disks than its
@@ -67,15 +72,19 @@ type Group struct {
 	disks     []*disk.Disk
 	blockSize int
 	stripes   int64
+	// dps is the number of data blocks a stripe row holds; rows[s%n] lists
+	// row s's members in role order (see members).
+	dps  int
+	rows [][]int
 	// rebuilding maps disk index → rebuild bookkeeping. A replaced disk
 	// serves I/O only for chunks already reconstructed.
 	rebuilding map[int]*rebuildState
-	// rowLocks holds the stripe rows of a RAID-5/6 group that a writer holds
-	// or waits for (see lockRows).
+	// rowLocks holds the stripe rows that a writer holds or waits for (see
+	// lockRows).
 	rowLocks map[int64]*rowLock
-	// rowWrites counts RAID-5/6 stripe-row writes by how parity was made:
-	// from new data alone, from the row completed by reads (every degraded
-	// row included), or by read-modify-write.
+	// rowWrites counts the writes of stripe rows that have parity by how it
+	// was made: from new data alone, from the row completed by reads (every
+	// degraded row included), or by read-modify-write.
 	rowWrites struct{ full, reconstruct, rmw int64 }
 }
 
@@ -94,15 +103,16 @@ type rowLock struct {
 }
 
 // lockRows blocks p until it is the only writer of every stripe row in
-// [lo, hi). Whoever writes parity derived from what it read of a row — a
-// small write's read-modify-write, a degraded write's reconstruction, a
-// scrub's repair, a rebuild's chunk — holds the row from that read to its
-// last write: two that overlapped would both start from the old parity, and
-// the later parity write would drop the other's change, leaving a row that
-// reads back fine until a degraded read or a rebuild needs its parity. Reads
-// take no lock. Rows lock in ascending order, and a record exists only while
-// its row is held or awaited, so the map does not grow with rows ever
-// written and an uncontended lock costs no simulated event.
+// [lo, hi). Every row write holds its row, from its first read of the old
+// content to its last write, and so do a scrub's repair and a rebuild's
+// chunk: two that overlapped would both start from the old parity, and the
+// later parity write would drop the other's change, leaving a row that
+// reads back fine until a degraded read or a rebuild needs its parity; and a
+// rebuild pass that read a row while a write to it was in flight would
+// reconstruct the replacement from a half-written row. Reads take no lock.
+// Rows lock in ascending order, and a record exists only while its row is
+// held or awaited, so the map does not grow with rows ever written and an
+// uncontended lock costs no simulated event.
 func (g *Group) lockRows(p *sim.Proc, lo, hi int64) {
 	for s := lo; s < hi; s++ {
 		l := g.rowLocks[s]
@@ -127,6 +137,9 @@ func (g *Group) unlockRows(lo, hi int64) {
 
 // NewGroup builds a RAID group over disks, which must share a spec.
 func NewGroup(k *sim.Kernel, level Level, disks []*disk.Disk) (*Group, error) {
+	if !level.known() {
+		return nil, fmt.Errorf("raid: unknown level %v", level)
+	}
 	if len(disks) < level.MinDisks() {
 		return nil, fmt.Errorf("raid: %v needs ≥%d disks, got %d", level, level.MinDisks(), len(disks))
 	}
@@ -140,9 +153,28 @@ func NewGroup(k *sim.Kernel, level Level, disks []*disk.Disk) (*Group, error) {
 			stripes = d.Spec().Blocks
 		}
 	}
+	// Parity rotates: row s's parity members are the n−dps consecutive
+	// members (mod n) from n−1−s%n on, P first, Q last; its data members
+	// are the others, ascending.
+	n, dps := len(disks), levels[level].data(len(disks))
+	rows := make([][]int, n)
+	for r := range rows {
+		first := n - 1 - r
+		parity := make([]int, 0, n-dps)
+		for j := 0; j < n-dps; j++ {
+			parity = append(parity, (first+j)%n)
+		}
+		for i := 0; i < n; i++ {
+			if !slices.Contains(parity, i) {
+				rows[r] = append(rows[r], i)
+			}
+		}
+		rows[r] = append(rows[r], parity...)
+	}
 	return &Group{
 		k: k, level: level, disks: disks,
 		blockSize: bs, stripes: stripes,
+		dps: dps, rows: rows,
 		rebuilding: make(map[int]*rebuildState),
 		rowLocks:   make(map[int64]*rowLock),
 	}, nil
@@ -158,65 +190,29 @@ func (g *Group) Disks() []*disk.Disk { return g.disks }
 func (g *Group) Stripes() int64 { return g.stripes }
 
 // dataPerStripe returns the logical blocks stored per stripe row.
-func (g *Group) dataPerStripe() int {
-	switch g.level {
-	case RAID0:
-		return len(g.disks)
-	case RAID1:
-		return 1
-	case RAID5:
-		return len(g.disks) - 1
-	case RAID6:
-		return len(g.disks) - 2
-	}
-	return 0
-}
+func (g *Group) dataPerStripe() int { return g.dps }
 
 // Capacity returns the logical capacity in blocks.
-func (g *Group) Capacity() int64 { return g.stripes * int64(g.dataPerStripe()) }
+func (g *Group) Capacity() int64 { return g.stripes * int64(g.dps) }
 
-// parityDisks returns the disk indices holding P and Q for stripe s.
-// q is -1 for levels without Q; p is -1 for levels without parity.
-func (g *Group) parityDisks(s int64) (p, q int) {
-	n := int64(len(g.disks))
-	switch g.level {
-	case RAID5:
-		return int(n - 1 - s%n), -1
-	case RAID6:
-		pd := int(n - 1 - s%n)
-		return pd, (pd + 1) % int(n)
-	default:
-		return -1, -1
-	}
-}
+// members returns the member disks of stripe row s in role order: its data
+// members in coefficient order, then its P members, then its Q member where
+// the level has one. The slice is the group's own: callers only read it.
+func (g *Group) members(s int64) []int { return g.rows[s%int64(len(g.disks))] }
 
 // dataDisks returns, in coefficient order, the disk indices holding data
 // blocks of stripe s.
-func (g *Group) dataDisks(s int64) []int {
-	p, q := g.parityDisks(s)
-	out := make([]int, 0, g.dataPerStripe())
-	for i := range g.disks {
-		if i != p && i != q {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+func (g *Group) dataDisks(s int64) []int { return g.members(s)[:g.dps] }
 
-// locate maps logical block l to its disk index and on-disk LBA.
-func (g *Group) locate(l int64) (diskIdx int, lba int64) {
-	switch g.level {
-	case RAID0:
-		return int(l % int64(len(g.disks))), l / int64(len(g.disks))
-	case RAID1:
-		return 0, l // primary copy; mirrors at same LBA on other disks
-	case RAID5, RAID6:
-		dps := int64(g.dataPerStripe())
-		s := l / dps
-		idx := int(l % dps)
-		return g.dataDisks(s)[idx], s
+// parity returns the disk indices holding stripe s's P blocks (none for
+// RAID-0, one for RAID-5/6, every other member for RAID-1) and the one
+// holding its Q (-1 for a level without Q).
+func (g *Group) parity(s int64) (P []int, q int) {
+	m := g.members(s)
+	if !levels[g.level].q {
+		return m[g.dps:len(m):len(m)], -1
 	}
-	panic("raid: bad level")
+	return m[g.dps : len(m)-1 : len(m)-1], m[len(m)-1]
 }
 
 // available reports whether disk i can serve stripe s: it must be healthy
@@ -229,7 +225,7 @@ func (g *Group) availableRange(i int, s, n int64) bool {
 		return false
 	}
 	if st, ok := g.rebuilding[i]; ok {
-		for c := s / st.chunk; c <= (s+n-1)/st.chunk; c++ {
+		for c := s / RebuildChunkStripes; c <= (s+n-1)/RebuildChunkStripes; c++ {
 			if !st.done[c] {
 				return false
 			}
@@ -245,34 +241,4 @@ func parallel(p *sim.Proc, fns ...func(q *sim.Proc) error) error {
 		return fns[0](p)
 	}
 	return sim.Fork(p, "par", len(fns), func(q *sim.Proc, i int) error { return fns[i](q) })
-}
-
-// extent is a contiguous run of blocks on one disk, used to coalesce I/O.
-type extent struct {
-	diskIdx int
-	lba     int64
-	// logical positions (offsets into the caller's buffer), one per block.
-	positions []int64
-}
-
-// coalesce groups (disk, lba)→bufferPos mappings into per-disk sequential
-// extents so member disks stream instead of seeking per block.
-func coalesce(items []extent) []extent {
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].diskIdx != items[j].diskIdx {
-			return items[i].diskIdx < items[j].diskIdx
-		}
-		return items[i].lba < items[j].lba
-	})
-	var out []extent
-	for _, it := range items {
-		n := len(out)
-		if n > 0 && out[n-1].diskIdx == it.diskIdx &&
-			out[n-1].lba+int64(len(out[n-1].positions)) == it.lba {
-			out[n-1].positions = append(out[n-1].positions, it.positions...)
-			continue
-		}
-		out = append(out, it)
-	}
-	return out
 }

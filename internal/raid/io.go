@@ -10,9 +10,10 @@ import (
 // anything, with one I/O per member disk wherever the disk's own cost model
 // allows it. A run of several stripe rows puts a disk's data blocks apart
 // both in dst and, where parity rotates onto the disk, on the disk itself;
-// the disk scatters the first kind straight into dst (disk.ReadScatter) and
-// reads through the second kind whenever that is cheaper than seeking over
-// it (disk.Spec.ReadThrough) and the disk can serve the rows in between.
+// the disk scatters the first kind straight into dst (disk.ReadInto with a
+// list of positions) and reads through the second kind whenever that is
+// cheaper than seeking over it (disk.Spec.ReadThrough) and the disk can serve
+// the rows in between.
 // Only a reconstructed stripe passes through a buffer of its own.
 func (g *Group) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 	bs := g.blockSize
@@ -50,8 +51,8 @@ func (g *Group) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 			case l < lba || l >= end:
 			case g.available(di, s):
 				pos[di*rows+r] = int(l - lba)
-			case g.level == RAID0:
-				return ErrUnrecoverable
+			case g.dps == len(g.disks):
+				return ErrUnrecoverable // no parity to rebuild the block from
 			default:
 				degraded = append(degraded, l)
 			}
@@ -80,7 +81,7 @@ func (g *Group) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 				b = next + 1
 			}
 			at, io := first+int64(a), cells[a:b]
-			fns = append(fns, func(q *sim.Proc) error { return d.ReadScatter(q, at, dst, io) })
+			fns = append(fns, func(q *sim.Proc) error { return d.ReadInto(q, at, dst, io...) })
 			a = b
 		}
 	}
@@ -133,7 +134,7 @@ func (g *Group) readMirrored(p *sim.Proc, lba int64, dst []byte) error {
 }
 
 // Write stores data (block-aligned) starting at logical block lba, keeping
-// parity/mirrors consistent, including degraded stripes.
+// parity consistent, including degraded stripes, stripe row by stripe row.
 func (g *Group) Write(p *sim.Proc, lba int64, data []byte) error {
 	if len(data)%g.blockSize != 0 {
 		return fmt.Errorf("raid: write of %d bytes not block-aligned", len(data))
@@ -145,63 +146,7 @@ func (g *Group) Write(p *sim.Proc, lba int64, data []byte) error {
 	if count == 0 {
 		return nil
 	}
-	switch g.level {
-	case RAID0:
-		return g.writeStriped(p, lba, count, data)
-	case RAID1:
-		return g.writeMirrored(p, lba, count, data)
-	default:
-		return g.writeParity(p, lba, count, data)
-	}
-}
-
-func (g *Group) writeStriped(p *sim.Proc, lba int64, count int, data []byte) error {
-	var items []extent
-	for i := 0; i < count; i++ {
-		diskIdx, dlba := g.locate(lba + int64(i))
-		if !g.available(diskIdx, dlba) {
-			return ErrUnrecoverable
-		}
-		items = append(items, extent{diskIdx: diskIdx, lba: dlba, positions: []int64{int64(i)}})
-	}
-	var fns []func(q *sim.Proc) error
-	for _, ext := range coalesce(items) {
-		ext := ext
-		fns = append(fns, func(q *sim.Proc) error {
-			out := make([]byte, len(ext.positions)*g.blockSize)
-			for j, pos := range ext.positions {
-				copy(out[j*g.blockSize:], data[pos*int64(g.blockSize):(pos+1)*int64(g.blockSize)])
-			}
-			return g.disks[ext.diskIdx].Write(q, ext.lba, out)
-		})
-	}
-	return parallel(p, fns...)
-}
-
-func (g *Group) writeMirrored(p *sim.Proc, lba int64, count int, data []byte) error {
-	var fns []func(q *sim.Proc) error
-	wrote := 0
-	for i := range g.disks {
-		i := i
-		if g.disks[i].Failed() {
-			continue
-		}
-		wrote++
-		fns = append(fns, func(q *sim.Proc) error {
-			err := g.disks[i].Write(q, lba, data)
-			g.markDirty(i, lba, int64(count))
-			return err
-		})
-	}
-	if wrote == 0 {
-		return ErrUnrecoverable
-	}
-	return parallel(p, fns...)
-}
-
-// writeParity handles RAID-5/6, stripe row by stripe row.
-func (g *Group) writeParity(p *sim.Proc, lba int64, count int, data []byte) error {
-	dps, bs := int64(g.dataPerStripe()), int64(g.blockSize)
+	dps, bs := int64(g.dps), int64(g.blockSize)
 	end := lba + int64(count)
 	var fns []func(q *sim.Proc) error
 	for s := lba / dps; s <= (end-1)/dps; s++ {
@@ -215,13 +160,24 @@ func (g *Group) writeParity(p *sim.Proc, lba int64, count int, data []byte) erro
 	return parallel(p, fns...)
 }
 
-// writeStripe updates one RAID-5/6 stripe row with newData, its data blocks
-// by stripe-local position (nil: unchanged), as the row's only writer from
-// its reads of the old content to its last write.
+// writeStripe updates stripe row s with newData, its data blocks by
+// stripe-local position (nil: unchanged), as the row's only writer from its
+// reads of the old content to its last write. A row without parity writes
+// its new blocks and reads nothing.
 func (g *Group) writeStripe(p *sim.Proc, s int64, newData [][]byte) error {
 	g.lockRows(p, s, s+1)
 	defer g.unlockRows(s, s+1)
-	dataDisks := g.dataDisks(s)
+	members := g.members(s)
+	dataDisks := members[:g.dps]
+	pm, qd := g.parity(s)
+	if len(pm) == 0 {
+		for i, di := range dataDisks {
+			if newData[i] != nil && !g.available(di, s) {
+				return ErrUnrecoverable // no parity to keep the block in
+			}
+		}
+		return g.writeRow(p, s, newData, nil, nil)
+	}
 	var keep []int // the data members whose blocks stay
 	for i, di := range dataDisks {
 		if newData[i] == nil {
@@ -229,13 +185,13 @@ func (g *Group) writeStripe(p *sim.Proc, s int64, newData [][]byte) error {
 		}
 	}
 	degraded := false
-	for i := range g.disks {
-		if !g.available(i, s) {
+	for _, di := range members {
+		if !g.available(di, s) {
 			degraded = true
 			break
 		}
 	}
-	parities := len(g.disks) - len(dataDisks)
+	parities := len(members) - len(dataDisks)
 	// row becomes the whole row in hand: what stays of the old content, then
 	// the new blocks over it.
 	row := make([][]byte, len(dataDisks))
@@ -272,32 +228,32 @@ func (g *Group) writeStripe(p *sim.Proc, s int64, newData [][]byte) error {
 		}
 	}
 	var q []byte
-	if g.level == RAID6 {
+	if qd >= 0 {
 		q = RSParity(row)
 	}
 	return g.writeRow(p, s, newData, XORParity(row), q)
 }
 
-// writeRow writes row s's new data blocks (nil: unchanged) and its parity
-// P and Q (nil without one), skipping a member that cannot take its block:
-// the parity encodes it, and a rebuild in progress of that member is told
-// its reconstruction is stale.
+// writeRow writes row s's new data blocks (nil: unchanged), P to each of its
+// P members and Q to its Q member, skipping a member that cannot take its
+// block: the parity encodes it, and a rebuild of that member reconstructs it
+// once the row is free.
 func (g *Group) writeRow(p *sim.Proc, s int64, newData [][]byte, P, Q []byte) error {
 	var fns []func(q *sim.Proc) error
 	put := func(di int, b []byte) {
-		if !g.available(di, s) {
-			g.markDirty(di, s, 1)
-			return
+		if g.available(di, s) {
+			fns = append(fns, func(q *sim.Proc) error { return g.disks[di].Write(q, s, b) })
 		}
-		fns = append(fns, func(q *sim.Proc) error { return g.disks[di].Write(q, s, b) })
 	}
 	for i, di := range g.dataDisks(s) {
 		if newData[i] != nil {
 			put(di, newData[i])
 		}
 	}
-	pd, qd := g.parityDisks(s)
-	put(pd, P)
+	pm, qd := g.parity(s)
+	for _, di := range pm {
+		put(di, P)
+	}
 	if qd >= 0 {
 		put(qd, Q)
 	}
@@ -310,7 +266,7 @@ func (g *Group) writeRow(p *sim.Proc, s int64, newData [][]byte, P, Q []byte) er
 // members it read. Those writes are unconditional: a member that failed
 // since the reads fails the row write.
 func (g *Group) rmwStripe(p *sim.Proc, s int64, newData [][]byte) error {
-	pd, qd := g.parityDisks(s)
+	pm, qd := g.parity(s)
 	dataDisks := g.dataDisks(s)
 	var members []int
 	for i, di := range dataDisks {
@@ -318,7 +274,7 @@ func (g *Group) rmwStripe(p *sim.Proc, s int64, newData [][]byte) error {
 			members = append(members, di)
 		}
 	}
-	members = append(members, pd)
+	members = append(members, pm...)
 	if qd >= 0 {
 		members = append(members, qd)
 	}
@@ -332,7 +288,9 @@ func (g *Group) rmwStripe(p *sim.Proc, s int64, newData [][]byte) error {
 		}
 		delta := rows[di] // the old block, read for this write alone
 		xorInto(delta, newData[i])
-		xorInto(rows[pd], delta)
+		for _, pd := range pm {
+			xorInto(rows[pd], delta)
+		}
 		if qd >= 0 {
 			gfMulInto(rows[qd], delta, gfPow2(i))
 		}
@@ -346,21 +304,13 @@ func (g *Group) rmwStripe(p *sim.Proc, s int64, newData [][]byte) error {
 }
 
 // stripeData returns the data blocks of stripe s: it reads the available
-// data members, and the available parity too when one of them is missing,
-// and solves the row.
+// data members, and as many of the available parity members as make up for
+// those missing, and solves the row.
 func (g *Group) stripeData(p *sim.Proc, s int64) ([][]byte, error) {
 	var disks []int
-	for _, di := range g.dataDisks(s) {
-		if g.available(di, s) {
+	for _, di := range g.members(s) {
+		if len(disks) < g.dps && g.available(di, s) {
 			disks = append(disks, di)
-		}
-	}
-	if len(disks) < g.dataPerStripe() {
-		pd, qd := g.parityDisks(s)
-		for _, di := range []int{pd, qd} {
-			if di >= 0 && g.available(di, s) {
-				disks = append(disks, di)
-			}
 		}
 	}
 	rows, err := g.readRows(p, s, 1, disks)
@@ -370,16 +320,18 @@ func (g *Group) stripeData(p *sim.Proc, s int64) ([][]byte, error) {
 	return g.solveRow(s, rows, 0)
 }
 
-// readRows reads rows [s, s+n) off each listed member disk at once and
-// returns them by disk index, nil for a disk not listed. The reads spawn in
-// the order given, which is the order same-time events break ties in; a
-// lone read runs on p.
+// readRows reads rows [s, s+n) off each listed member disk at once, into one
+// buffer, and returns them by disk index, nil for a disk not listed. The
+// reads spawn in the order given, which is the order same-time events break
+// ties in; a lone read runs on p.
 func (g *Group) readRows(p *sim.Proc, s int64, n int, disks []int) ([][]byte, error) {
 	rows := make([][]byte, len(g.disks))
-	read := func(q *sim.Proc, j int) (err error) {
-		rows[disks[j]], err = g.disks[disks[j]].Read(q, s, n)
-		return err
+	size := n * g.blockSize
+	buf := make([]byte, len(disks)*size)
+	for j, di := range disks {
+		rows[di] = buf[j*size : (j+1)*size : (j+1)*size]
 	}
+	read := func(q *sim.Proc, j int) error { return g.disks[disks[j]].ReadInto(q, s, rows[disks[j]]) }
 	if len(disks) == 1 {
 		return rows, read(p, 0)
 	}
@@ -389,7 +341,7 @@ func (g *Group) readRows(p *sim.Proc, s int64, n int, disks []int) ([][]byte, er
 // solveRow returns the data blocks of stripe s, the off-th row of the
 // member reads in rows (by disk index, as readRows returns them), and
 // rebuilds from parity the block of any data member whose rows are nil. A
-// nil parity member counts as lost.
+// parity member whose rows are nil counts as lost.
 func (g *Group) solveRow(s int64, rows [][]byte, off int) ([][]byte, error) {
 	block := func(di int) []byte {
 		if di < 0 || rows[di] == nil {
@@ -406,8 +358,14 @@ func (g *Group) solveRow(s int64, rows [][]byte, off int) ([][]byte, error) {
 		}
 	}
 	if len(missing) > 0 {
-		pd, qd := g.parityDisks(s)
-		if err := Reconstruct(data, block(pd), block(qd), missing); err != nil {
+		pm, qd := g.parity(s)
+		var P []byte
+		for _, pd := range pm {
+			if P = block(pd); P != nil {
+				break
+			}
+		}
+		if err := Reconstruct(data, P, block(qd), missing); err != nil {
 			return nil, err
 		}
 	}

@@ -15,27 +15,11 @@ import (
 // blade dies is simply reissued elsewhere.
 const RebuildChunkStripes int64 = 256
 
+// rebuildState is a replacement disk's rebuild: its total chunks and those
+// done, which the disk serves.
 type rebuildState struct {
-	chunk int64
 	total int64
 	done  map[int64]bool
-	// epoch counts degraded writes that raced a chunk's reconstruction;
-	// RebuildChunk retries until it completes without interference.
-	epoch map[int64]uint64
-}
-
-// markDirty records that a write touched stripes [s, s+count) while disk idx
-// was unavailable, so an in-flight reconstruction of those chunks is stale.
-func (g *Group) markDirty(idx int, s, count int64) {
-	st := g.rebuilding[idx]
-	if st == nil {
-		return
-	}
-	for c := s / st.chunk; c <= (s+count-1)/st.chunk; c++ {
-		if !st.done[c] {
-			st.epoch[c]++
-		}
-	}
 }
 
 // StartRebuild replaces the failed disk idx with a fresh drive and opens a
@@ -48,16 +32,14 @@ func (g *Group) StartRebuild(idx int) (chunks int64, err error) {
 	if !g.disks[idx].Failed() {
 		return 0, errors.New("raid: disk has not failed")
 	}
-	if g.level == RAID0 {
-		return 0, ErrUnrecoverable
+	if g.dps == len(g.disks) {
+		return 0, ErrUnrecoverable // no parity to rebuild it from
 	}
 	g.disks[idx].Replace()
 	st := &rebuildState{
-		chunk: RebuildChunkStripes,
+		total: (g.stripes + RebuildChunkStripes - 1) / RebuildChunkStripes,
 		done:  make(map[int64]bool),
-		epoch: make(map[int64]uint64),
 	}
-	st.total = (g.stripes + st.chunk - 1) / st.chunk
 	g.rebuilding[idx] = st
 	return st.total, nil
 }
@@ -79,67 +61,32 @@ func (g *Group) RebuildChunk(p *sim.Proc, idx int, c int64) error {
 	if st.done[c] {
 		return nil
 	}
-	lo := c * st.chunk
-	hi := lo + st.chunk
-	if hi > g.stripes {
-		hi = g.stripes
-	}
-	if g.level != RAID1 {
-		// No write to the chunk's rows between reading the survivors and
-		// marking the chunk done: a writer that waited finds the disk whole.
-		// (The epoch below then never moves; a mirror's writers take no lock.)
-		g.lockRows(p, lo, hi)
-		defer g.unlockRows(lo, hi)
-	}
-	for {
-		e := st.epoch[c]
-		var err error
-		if g.level == RAID1 {
-			err = g.rebuildMirrorRange(p, idx, lo, hi)
-		} else {
-			err = g.rebuildParityRange(p, idx, lo, hi)
-		}
-		if err != nil {
-			return err
-		}
-		if st.epoch[c] == e {
-			st.done[c] = true
-			if int64(len(st.done)) == st.total {
-				delete(g.rebuilding, idx)
-			}
-			return nil
-		}
-		// A degraded write raced us; reconstruct this chunk again.
-	}
-}
-
-func (g *Group) rebuildMirrorRange(p *sim.Proc, idx int, lo, hi int64) error {
-	src := -1
-	for i := range g.disks {
-		if i != idx && g.available(i, lo) {
-			src = i
-			break
-		}
-	}
-	if src < 0 {
-		return ErrUnrecoverable
-	}
-	data, err := g.disks[src].Read(p, lo, int(hi-lo))
-	if err != nil {
+	lo := c * RebuildChunkStripes
+	hi := min(lo+RebuildChunkStripes, g.stripes)
+	// No write to the chunk's rows between reading the survivors and
+	// marking the chunk done: a writer that waited finds the disk whole.
+	g.lockRows(p, lo, hi)
+	defer g.unlockRows(lo, hi)
+	if err := g.rebuildParityRange(p, idx, lo, hi); err != nil {
 		return err
 	}
-	return g.disks[idx].Write(p, lo, data)
+	st.done[c] = true
+	if int64(len(st.done)) == st.total {
+		delete(g.rebuilding, idx)
+	}
+	return nil
 }
 
 // rebuildParityRange reconstructs disk idx's blocks for stripes [lo,hi):
-// it streams the whole range from every surviving disk in parallel (one
-// sequential read each), reconstructs in memory, and writes the result as
-// one sequential write — the access pattern real rebuilds use.
+// it streams the whole range from as many surviving disks as a row has data
+// blocks, in parallel (one sequential read each), reconstructs in memory, and
+// writes the result as one sequential write — the access pattern real
+// rebuilds use. A mirror's survivor is the one copy it reads.
 func (g *Group) rebuildParityRange(p *sim.Proc, idx int, lo, hi int64) error {
 	n := int(hi - lo)
 	var survivors []int
 	for i := range g.disks {
-		if i != idx && g.available(i, lo) {
+		if i != idx && len(survivors) < g.dps && g.available(i, lo) {
 			survivors = append(survivors, i)
 		}
 	}
@@ -154,11 +101,11 @@ func (g *Group) rebuildParityRange(p *sim.Proc, idx int, lo, hi int64) error {
 			return err
 		}
 		var target []byte
-		switch pd, qd := g.parityDisks(s); idx {
-		case pd:
-			target = XORParity(data)
-		case qd:
+		switch pm, qd := g.parity(s); {
+		case idx == qd:
 			target = RSParity(data)
+		case slices.Contains(pm, idx):
+			target = XORParity(data)
 		default:
 			target = data[slices.Index(g.dataDisks(s), idx)]
 		}
@@ -170,22 +117,15 @@ func (g *Group) rebuildParityRange(p *sim.Proc, idx int, lo, hi int64) error {
 // ScrubRange verifies parity for stripes [lo, hi): every stripe's P (and
 // Q) is recomputed from data and compared with what the disks hold — the
 // §2.4 maintenance function that catches latent corruption before a disk
-// failure turns it into data loss. Inconsistent stripes are repaired by
-// rewriting parity from data, and their count is returned. The range is read
-// in one pass that takes no lock; a stripe that pass finds inconsistent is
-// read again, judged and repaired as its only writer, because a write in
-// flight may have changed it since.
+// failure turns it into data loss. For a mirror this compares every copy with
+// the row's data member. Inconsistent stripes are repaired by rewriting parity
+// from data, and their count is returned. The range is read in one pass that
+// takes no lock; a stripe that pass finds inconsistent is read again, judged
+// and repaired as its only writer, because a write in flight may have changed
+// it since. A group without parity has nothing to verify.
 func (g *Group) ScrubRange(p *sim.Proc, lo, hi int64) (bad int64, err error) {
-	if g.level != RAID5 && g.level != RAID6 {
-		return 0, nil // mirror scrub is a plain compare; not modeled
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > g.stripes {
-		hi = g.stripes
-	}
-	if hi <= lo {
+	lo, hi = max(lo, 0), min(hi, g.stripes)
+	if hi <= lo || g.dps == len(g.disks) {
 		return 0, nil
 	}
 	suspects, err := g.scrub(p, lo, hi, false)
@@ -205,8 +145,8 @@ func (g *Group) ScrubRange(p *sim.Proc, lo, hi int64) (bad int64, err error) {
 }
 
 // scrub reads stripes [lo, hi) off every member disk and returns those whose
-// P or Q does not match their data. With repair set it rewrites the parity of
-// each, which only the holder of those rows may ask for.
+// P or Q does not match their data. With repair set it rewrites each parity
+// block that does not, which only the holder of those rows may ask for.
 func (g *Group) scrub(p *sim.Proc, lo, hi int64, repair bool) (bad []int64, err error) {
 	members := make([]int, len(g.disks))
 	for i := range g.disks {
@@ -219,35 +159,39 @@ func (g *Group) scrub(p *sim.Proc, lo, hi int64, repair bool) (bad []int64, err 
 	if err != nil {
 		return nil, err
 	}
+	bs := g.blockSize
 	for s := lo; s < hi; s++ {
 		data, err := g.solveRow(s, rows, int(s-lo))
 		if err != nil {
 			return bad, err
 		}
-		off := int(s-lo) * g.blockSize
-		pd, qd := g.parityDisks(s)
-		wantP := XORParity(data)
-		okP := bytes.Equal(rows[pd][off:off+g.blockSize], wantP)
-		var wantQ []byte
-		okQ := true
+		off := int(s-lo) * bs
+		_, qd := g.parity(s)
+		wantP, wantQ := XORParity(data), []byte(nil)
 		if qd >= 0 {
 			wantQ = RSParity(data)
-			okQ = bytes.Equal(rows[qd][off:off+g.blockSize], wantQ)
 		}
-		if okP && okQ {
+		want := func(di int) []byte {
+			if di == qd {
+				return wantQ
+			}
+			return wantP
+		}
+		var wrong []int // the parity members whose block is not what the data makes
+		for _, di := range g.members(s)[g.dps:] {
+			if !bytes.Equal(rows[di][off:off+bs], want(di)) {
+				wrong = append(wrong, di)
+			}
+		}
+		if len(wrong) == 0 {
 			continue
 		}
 		bad = append(bad, s)
 		if !repair {
 			continue
 		}
-		if !okP {
-			if err := g.disks[pd].Write(p, s, wantP); err != nil {
-				return bad, err
-			}
-		}
-		if !okQ {
-			if err := g.disks[qd].Write(p, s, wantQ); err != nil {
+		for _, di := range wrong {
+			if err := g.disks[di].Write(p, s, want(di)); err != nil {
 				return bad, err
 			}
 		}
