@@ -7,6 +7,7 @@ package cache
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/telemetry"
 )
@@ -18,6 +19,32 @@ type Key struct {
 }
 
 func (k Key) String() string { return fmt.Sprintf("%s/%d", k.Vol, k.LBA) }
+
+// fnv1a64 constants (hash/fnv), inlined so Hash stays allocation-free.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// Hash is the 64-bit FNV-1a hash of the key's String form — exactly what
+// fnv.New64a fed fmt.Fprintf("%s/%d", Vol, LBA) sums to — without the writer
+// or the formatter, so it allocates nothing. A block's coherence home and its
+// replication buddies are both placed by it.
+func (k Key) Hash() uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(k.Vol); i++ {
+		h ^= uint64(k.Vol[i])
+		h *= fnvPrime64
+	}
+	h ^= '/'
+	h *= fnvPrime64
+	var buf [20]byte
+	for _, c := range strconv.AppendInt(buf[:0], k.LBA, 10) {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return h
+}
 
 // lbaBits is the width of the LBA field of an Index ID: 2^40 blocks, 4 PiB
 // of 4 KiB blocks per volume. The volume number takes the other 24 bits.
@@ -133,7 +160,10 @@ type Cache struct {
 	lanes    [NumPriorities]lane
 	clock    uint64   // source of Entry.age
 	dirty    []*Entry // every resident dirty entry, unordered
-	stats    Stats
+	// spare holds the released records of entries that left (see Release),
+	// never more than the cache has empty slots.
+	spare []*Entry
+	stats Stats
 }
 
 // lane is one retention lane: a doubly linked list of resident entries,
@@ -215,13 +245,8 @@ func (c *Cache) Peek(key Key) (*Entry, bool) {
 
 // Put inserts or replaces an entry. The caller must have made room first
 // (Put never evicts; see Victim). Data is stored by reference, neither
-// copied nor freed: whoever puts a buffer answers for who else holds it.
-// The coherence engine puts only buffers of its own free list, and recycles
-// one when its entry leaves (setting Data to nil) if nobody else can hold
-// it: readers copy out of Data before they yield, and a rewritten entry
-// (Version > 0) is never recycled, because a write's buffer is held by its
-// replicas too. A peer's reply is copied into a free-list buffer rather than
-// installed, so no buffer that came in a message reaches the free list.
+// copied nor freed: whoever puts a buffer answers for who else holds it. A
+// new entry takes the record Release handed back most recently, if any.
 func (c *Cache) Put(key Key, data []byte, state State, dirty bool, priority int) *Entry {
 	if priority < 0 {
 		priority = 0
@@ -245,7 +270,14 @@ func (c *Cache) Put(key Key, data []byte, state State, dirty bool, priority int)
 		c.stats.Replaces++
 		return e
 	}
-	e := &Entry{Key: key, Data: data, State: state, Priority: priority, resident: true, lane: priority, dirtyIdx: -1}
+	var e *Entry
+	if i := len(c.spare) - 1; i >= 0 {
+		e, c.spare[i] = c.spare[i], nil
+		c.spare = c.spare[:i]
+	} else {
+		e = new(Entry)
+	}
+	*e = Entry{Key: key, Data: data, State: state, Priority: priority, resident: true, lane: priority, dirtyIdx: -1}
 	c.lanes[priority].pushBack(e)
 	c.touch(e)
 	c.entries[id] = e
@@ -326,6 +358,19 @@ func (c *Cache) Victim() *Entry {
 		}
 	}
 	return nil
+}
+
+// Release hands back the record of e, which has left the cache and which
+// its caller knows nobody holds, for the next Put to reuse; until then e is
+// the non-resident record it was. A record beyond the cache's empty slots is
+// left to the collector, and a resident entry panics.
+func (c *Cache) Release(e *Entry) {
+	if e.resident {
+		panic(fmt.Sprintf("cache: Release of resident entry %v", e.Key))
+	}
+	if len(c.spare) < c.capacity-len(c.entries) {
+		c.spare = append(c.spare, e)
+	}
 }
 
 // Evict removes e and counts the eviction; an entry that has already left

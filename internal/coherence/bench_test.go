@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -159,4 +160,48 @@ func TestReadRunEvictingReusesBuffers(t *testing.T) {
 	if ev := h.engines[0].Cache().Stats().Evictions; ev < int64(blocks) {
 		t.Fatalf("%d evictions over %d missed blocks: the runs did not evict", ev, blocks)
 	}
+}
+
+// A missed block that evicts takes the evicted block's record as well as its
+// buffer: a warm 64-block run on a full cache installs every block in a
+// record that was already resident before it, so it allocates no
+// cache.Entry, and it allocates fewer objects than it has blocks.
+func TestReadRunEvictingReusesRecords(t *testing.T) {
+	const bs, run, keys = 4096, 64, 2 * 1024
+	h, read := evictingReader(bs)
+	defer h.k.Close()
+	c := h.engines[0].Cache()
+	resident := func() map[*cache.Entry]bool {
+		m := make(map[*cache.Entry]bool)
+		for lba := int64(0); lba < keys; lba++ {
+			if ent, ok := c.Peek(kb(lba)); ok {
+				m[ent] = true
+			}
+		}
+		return m
+	}
+	h.run(func(p *sim.Proc) {
+		for i := 0; i < keys/run; i++ { // fill the cache: the runs below evict
+			read(p, i)
+		}
+		before, evictions := resident(), c.Stats().Evictions
+		i := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := read(p, i); err != nil {
+				t.Error(err)
+			}
+			i++
+		})
+		if ev := c.Stats().Evictions - evictions; ev < 21*run {
+			t.Fatalf("%d evictions over %d missed blocks: the runs did not evict", ev, 21*run)
+		}
+		for ent := range resident() {
+			if !before[ent] {
+				t.Fatalf("block %v was installed in a new cache.Entry", ent.Key)
+			}
+		}
+		if allocs >= run {
+			t.Errorf("a warm %d-block miss run: %v allocs, want fewer than one per block", run, allocs)
+		}
+	})
 }

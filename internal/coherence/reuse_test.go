@@ -12,8 +12,10 @@ import (
 	"repro/internal/simnet"
 )
 
-// An evicted clean block's buffer is the one the next fill installs, and the
-// evicted entry lets go of it; a written block's buffer is never taken back.
+// A clean block that leaves the cache gives its buffer and its record to the
+// next fill: until a Put takes it, the entry is out of the cache with Data
+// nil, and then the next block is installed in that record and buffer. A
+// written block gives back neither.
 func TestEvictedCleanBufferIsReused(t *testing.T) {
 	h := newHarness(1, 2, 2)
 	defer h.k.Close()
@@ -26,44 +28,78 @@ func TestEvictedCleanBufferIsReused(t *testing.T) {
 			}
 			return err == nil
 		}
+		// takes reports whether lba's entry is old's record in old's buffer.
+		takes := func(lba int64, old *cache.Entry, buf *byte) {
+			ent, ok := e.cache.Peek(kb(lba))
+			switch {
+			case !ok:
+				t.Errorf("block %d not cached", lba)
+			case ent != old:
+				t.Errorf("block %d was installed in a new record", lba)
+			case &ent.Data[0] != buf:
+				t.Errorf("block %d was installed in a new buffer", lba)
+			}
+		}
 		if !read(0) || !read(1) {
 			return
 		}
+
+		// Blade 1's write invalidates block 0 here, and nothing fills the
+		// slot until block 2 does.
 		old, _ := e.cache.Peek(kb(0))
 		buf := &old.Data[0]
-		if !read(2) { // evicts block 0, the least recently used
+		if err := h.engines[1].WriteBlock(p, kb(0), blk(0), 0); err != nil {
+			t.Errorf("write at blade 1: %v", err)
 			return
 		}
 		if _, ok := e.cache.Peek(kb(0)); ok {
-			t.Errorf("block 0 still cached")
+			t.Errorf("block 0 still cached after its invalidation")
 			return
 		}
 		if old.Data != nil {
-			t.Errorf("evicted entry keeps its buffer")
+			t.Errorf("invalidated entry keeps its buffer")
 		}
-		if ent, _ := e.cache.Peek(kb(2)); &ent.Data[0] != buf {
-			t.Errorf("block 2 was installed in a new buffer, not block 0's")
+		if !read(2) {
+			return
 		}
+		takes(2, old, buf)
 
-		// Block 3 is written and destaged: clean, but its buffer went to the
-		// store, so evicting it gives nothing back.
-		if err := e.WriteBlock(p, kb(3), blk(3), 0); err != nil {
+		// Block 3's fill evicts block 1, the least recently used.
+		old, _ = e.cache.Peek(kb(1))
+		buf = &old.Data[0]
+		if !read(3) {
+			return
+		}
+		if _, ok := e.cache.Peek(kb(1)); ok {
+			t.Errorf("block 1 still cached")
+			return
+		}
+		takes(3, old, buf)
+
+		// Block 4 is written and destaged: clean, but its buffer went to the
+		// store, so evicting it gives back neither buffer nor record.
+		if err := e.WriteBlock(p, kb(4), blk(4), 0); err != nil {
 			t.Errorf("write: %v", err)
 			return
 		}
 		e.FlushOnce(p, 0)
-		w, _ := e.cache.Peek(kb(3))
+		w, _ := e.cache.Peek(kb(4))
 		if w.Dirty {
-			t.Errorf("block 3 still dirty after a flush")
+			t.Errorf("block 4 still dirty after a flush")
 		}
-		if !read(4) || !read(5) { // evict blocks 2 and 3
+		if !read(5) || !read(6) { // evict blocks 3 and 4
 			return
 		}
-		if _, ok := e.cache.Peek(kb(3)); ok {
-			t.Errorf("block 3 still cached")
+		if _, ok := e.cache.Peek(kb(4)); ok {
+			t.Errorf("block 4 still cached")
 		}
-		if !bytes.Equal(w.Data, blk(3)) {
+		if !bytes.Equal(w.Data, blk(4)) {
 			t.Errorf("a written block's buffer was recycled")
+		}
+		for _, lba := range []int64{5, 6} {
+			if ent, _ := e.cache.Peek(kb(lba)); ent == w {
+				t.Errorf("block %d was installed in a written block's record", lba)
+			}
 		}
 		if len(e.free) > e.cache.Capacity()-e.cache.Len() {
 			t.Errorf("free list holds %d buffers, the cache has %d empty slots", len(e.free), e.cache.Capacity()-e.cache.Len())

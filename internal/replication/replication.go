@@ -7,7 +7,7 @@ package replication
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 
 	"repro/internal/cache"
@@ -50,6 +50,8 @@ type Manager struct {
 	// included); n=1 disables replication.
 	n     int
 	alive []int
+	// others is alive without this blade: the candidates for its buddies.
+	others []int
 	// held maps (owner, key) → replica stored for that owner.
 	held map[int]map[cache.Key]Replica
 	// placed records where this blade last replicated each of its own
@@ -73,9 +75,11 @@ func New(_ *sim.Kernel, conn *simnet.Conn, peers []simnet.Addr, self, n int) *Ma
 		held:   make(map[int]map[cache.Key]Replica),
 		placed: make(map[cache.Key][]int),
 	}
-	for i := range peers {
-		m.alive = append(m.alive, i)
+	all := make([]int, len(peers))
+	for i := range all {
+		all[i] = i
 	}
+	m.SetAlive(all)
 	conn.Register("repl.put", m.handlePut)
 	conn.Register("repl.drop", m.handleDrop)
 	return m
@@ -84,6 +88,7 @@ func New(_ *sim.Kernel, conn *simnet.Conn, peers []simnet.Addr, self, n int) *Ma
 // SetAlive installs the live membership (must match the coherence layer).
 func (m *Manager) SetAlive(alive []int) {
 	m.alive = append([]int(nil), alive...)
+	m.others = slices.DeleteFunc(slices.Clone(alive), func(id int) bool { return id == m.self })
 }
 
 // RegisterTelemetry publishes the manager's counters under s: replica
@@ -96,37 +101,23 @@ func (m *Manager) RegisterTelemetry(s telemetry.Scope) {
 	s.Int("held_blocks", func() int64 { return int64(m.HeldBlocks()) })
 }
 
-// buddies returns the factor−1 blades (≠ self) that replicate key for
-// this blade, chosen deterministically so recovery can be audited.
+// buddies appends to dst the factor−1 blades (≠ self) that replicate key
+// for this blade, chosen deterministically so recovery can be audited.
 // factor ≤ 0 selects the manager default.
-func (m *Manager) buddies(key cache.Key, factor int) []int {
+func (m *Manager) buddies(dst []int, key cache.Key, factor int) []int {
 	if factor <= 0 {
 		factor = m.n
 	}
-	want := factor - 1
+	live := m.others
+	want := min(factor-1, len(live))
 	if want <= 0 {
-		return nil
+		return dst
 	}
-	live := make([]int, 0, len(m.alive))
-	for _, id := range m.alive {
-		if id != m.self {
-			live = append(live, id)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	if want > len(live) {
-		want = len(live)
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d", key.Vol, key.LBA)
-	start := int(h.Sum64() % uint64(len(live)))
-	out := make([]int, 0, want)
+	start := int(key.Hash() % uint64(len(live)))
 	for i := 0; i < want; i++ {
-		out = append(out, live[(start+i)%len(live)])
+		dst = append(dst, live[(start+i)%len(live)])
 	}
-	return out
+	return dst
 }
 
 // ReplicateDirty pushes the block to all buddies and blocks until every
@@ -134,8 +125,16 @@ func (m *Manager) buddies(key cache.Key, factor int) []int {
 // signature of coherence.Config.ReplicateDirty. factor overrides the
 // manager's default replication factor when positive (per-file policy §4).
 func (m *Manager) ReplicateDirty(p *sim.Proc, key cache.Key, data []byte, version uint64, factor int) error {
-	buddies := m.buddies(key, factor)
-	m.placed[key] = buddies
+	// The placement is recorded once and kept while it holds: most writes
+	// rewrite a block whose buddies have not changed. A recorded slice is
+	// never written to, so a fork still walking it is safe when a new
+	// placement replaces it.
+	var scratch [8]int
+	buddies, ok := m.placed[key]
+	if fresh := m.buddies(scratch[:0], key, factor); !ok || !slices.Equal(buddies, fresh) {
+		buddies = slices.Clone(fresh)
+		m.placed[key] = buddies
+	}
 	if len(buddies) == 0 {
 		return nil
 	}
@@ -176,7 +175,8 @@ func (m *Manager) ReplicateDirty(p *sim.Proc, key cache.Key, data []byte, versio
 func (m *Manager) OnClean(p *sim.Proc, key cache.Key, version uint64) {
 	targets, ok := m.placed[key]
 	if !ok {
-		targets = m.buddies(key, 0)
+		var scratch [8]int
+		targets = m.buddies(scratch[:0], key, 0)
 	}
 	for _, b := range targets {
 		m.conn.Cast(p, m.peers[b], "repl.drop",

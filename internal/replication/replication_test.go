@@ -78,8 +78,8 @@ func TestFactorOneIsNoOp(t *testing.T) {
 func TestBuddiesDeterministicAndDistinct(t *testing.T) {
 	r := newRig(6, 4)
 	for i := int64(0); i < 50; i++ {
-		b1 := r.mgrs[2].buddies(key(i), 0)
-		b2 := r.mgrs[2].buddies(key(i), 0)
+		b1 := r.mgrs[2].buddies(nil, key(i), 0)
+		b2 := r.mgrs[2].buddies(nil, key(i), 0)
 		if len(b1) != 3 {
 			t.Fatalf("buddies = %v, want 3", b1)
 		}
@@ -232,7 +232,7 @@ func TestSetAliveExcludesDeadBuddies(t *testing.T) {
 		m.SetAlive([]int{0, 2, 3}) // blade 1 dead
 	}
 	for i := int64(0); i < 20; i++ {
-		for _, b := range r.mgrs[0].buddies(key(i), 0) {
+		for _, b := range r.mgrs[0].buddies(nil, key(i), 0) {
 			if b == 1 {
 				t.Fatal("dead blade chosen as buddy")
 			}

@@ -169,6 +169,9 @@ type Kernel struct {
 	rng  *rand.Rand
 	// procs lists the live processes, each at its Proc.idx, for Close.
 	procs []*Proc
+	// spare is the LIFO free list of processes whose body has returned, for
+	// the next Go to reuse (see Go); shed trims it with the idle runners.
+	spare []*Proc
 	// idle is the LIFO free list of runners whose body has returned;
 	// runners counts all coroutines, idle or running a body. exits counts
 	// the process exits of the current shedding window and lowIdle is the
@@ -357,5 +360,5 @@ func (k *Kernel) Close() {
 	for _, r := range k.idle {
 		r.stop()
 	}
-	k.idle = nil
+	k.idle, k.spare = nil, nil
 }

@@ -565,3 +565,32 @@ func TestManyProcsStress(t *testing.T) {
 		t.Fatalf("only %d/200 procs completed", total)
 	}
 }
+
+// A reset Future is an unset one: the value and the waiters of its last use
+// are gone, a wait on it blocks until the next Set, and that Set does not
+// panic as a second one.
+func TestFutureResetForgetsLastUse(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	f := NewFuture[*int](k)
+	one, two := new(int), new(int)
+	var got []*int
+	k.Go("first", func(p *Proc) { got = append(got, f.Wait(p)) })
+	k.After(Millisecond, func() { f.Set(one) })
+	k.Run()
+	f.Reset()
+	if f.set || f.v != nil || len(f.waiters) != 0 {
+		t.Fatalf("after Reset: set %v, value %p, %d waiters", f.set, f.v, len(f.waiters))
+	}
+	k.Go("early", func(p *Proc) {
+		if v, ok := f.WaitTimeout(p, Millisecond); ok {
+			t.Errorf("a wait on the reset future returned %p at once", v)
+		}
+	})
+	k.Go("second", func(p *Proc) { got = append(got, f.Wait(p)) })
+	k.After(2*Millisecond, func() { f.Set(two) })
+	k.Run()
+	if len(got) != 2 || got[0] != one || got[1] != two {
+		t.Errorf("waits returned %v, want [%p %p]", got, one, two)
+	}
+}

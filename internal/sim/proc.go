@@ -43,8 +43,20 @@ func (kp killedPanic) String() string { return "sim: proc " + kp.name + " killed
 
 // Go spawns a process named name running fn. The process body starts at the
 // current virtual time, after already-queued events at this time.
+//
+// The Proc is the one a process that has exited left most recently (see
+// runner.run), or a new one. A reused Proc keeps its gen: a wake-up its last
+// life left queued names one of that life's blocking periods, and so stays
+// stale in this one.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, fn: fn, idx: len(k.procs), blocked: true}
+	var p *Proc
+	if n := len(k.spare); n > 0 {
+		p, k.spare[n-1] = k.spare[n-1], nil
+		k.spare = k.spare[:n-1]
+		p.name, p.fn, p.idx, p.blocked, p.done = name, fn, len(k.procs), true, false
+	} else {
+		p = &Proc{k: k, name: name, fn: fn, idx: len(k.procs), blocked: true}
+	}
 	if k.cur != nil {
 		// A process spawned from within another process inherits its trace
 		// context, so fan-out helpers (RAID stripes, replication pushes)
@@ -110,15 +122,21 @@ func (r *runner) loop(yield func(struct{}) bool) {
 // run executes p's body to its end: a return, the unwinding Kernel.Close
 // starts, or a panic of the body's own, which continues — carrying the
 // process name — out of the switch in Kernel.wake and so out of Kernel.Run.
+// A body that returned hands p to the kernel's spare list for the next Go;
+// a proc that Close killed is never reused.
 func (r *runner) run(p *Proc) {
 	defer func() {
 		p.done = true
-		p.r, p.fn = nil, nil
+		p.r, p.fn, p.tctx, p.qctx = nil, nil, nil, nil
 		r.k.forget(p)
 		if v := recover(); v != nil {
 			if _, killed := v.(killedPanic); !killed {
 				panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, v))
 			}
+			return
+		}
+		if !r.k.closed {
+			r.k.spare = append(r.k.spare, p)
 		}
 	}()
 	p.fn(p)
@@ -184,6 +202,12 @@ func (k *Kernel) shed(n int) {
 	k.idle = k.idle[:kept]
 	k.runners -= n
 	k.lowIdle = max(k.lowIdle-n, 0)
+	// The spare procs go with them: no more are kept than idle runners to
+	// start them on.
+	if len(k.spare) > kept {
+		clear(k.spare[kept:])
+		k.spare = k.spare[:kept]
+	}
 }
 
 // park blocks p until the kernel wakes it again.

@@ -171,7 +171,7 @@ func TestRunnersReusedAcrossFanOuts(t *testing.T) {
 }
 
 // Steady-state ceilings of the proc machinery, in allocations: a spawn on a
-// warm pool pays for its Proc and nothing else (a coroutine costs 11), and
+// warm pool allocates nothing (a coroutine costs 11, a Proc one), and
 // neither a sleep nor a mailbox hand-off allocates.
 func TestProcMachineryAllocations(t *testing.T) {
 	k := NewKernel(1)
@@ -185,8 +185,8 @@ func TestProcMachineryAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		k.Go("spawn", body)
 		k.Run()
-	}); n > 1 {
-		t.Errorf("warm Kernel.Go + exit: %v allocs, want ≤ 1 (the Proc)", n)
+	}); n != 0 {
+		t.Errorf("warm Kernel.Go + exit: %v allocs, want 0", n)
 	}
 
 	ping, pong := NewMailbox[int](k), NewMailbox[int](k)
@@ -205,6 +205,117 @@ func TestProcMachineryAllocations(t *testing.T) {
 	k.RunFor(100 * Microsecond)
 	if n := testing.AllocsPerRun(1000, func() { k.RunFor(Microsecond) }); n != 0 {
 		t.Errorf("Sleep + mailbox round trip: %v allocs, want 0", n)
+	}
+}
+
+// Fork allocates its join and the one method value its items run, however
+// many items there are: no closure and, on a warm pool, no Proc per item.
+func TestForkAllocationsDoNotGrowWithItems(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	// A ticker keeps the queue from draining, so no Run is quiescent and
+	// the runners a fork used stay for the next.
+	k.Go("ticker", func(p *Proc) {
+		for {
+			p.Sleep(Second)
+		}
+	})
+	req := NewMailbox[int](k)
+	items := 0
+	item := func(q *Proc, i int) error {
+		items++
+		return nil
+	}
+	k.Go("parent", func(p *Proc) {
+		for {
+			Fork(p, "item", req.Recv(p), item)
+		}
+	})
+	allocs := func(n int) float64 {
+		req.Send(n)
+		k.RunFor(Nanosecond) // warm: the runners and Procs for n items
+		return testing.AllocsPerRun(100, func() {
+			req.Send(n)
+			k.RunFor(Nanosecond)
+		})
+	}
+	one, many := allocs(1), allocs(64)
+	if one != many || many > 2 {
+		t.Errorf("Fork: %v allocs for 1 item, %v for 64; want the same, ≤ 2 (the join and its start func)", one, many)
+	}
+	if want := 102*1 + 102*64; items != want {
+		t.Fatalf("%d items ran, want %d", items, want)
+	}
+}
+
+// A reused Proc keeps its gen. Here a WaitTimeout's deadline is still queued
+// when its proc's body returns; the next Go reuses that Proc, and the next
+// life sleeps across the old deadline's instant. With gen reset on reuse the
+// deadline would name the new life's blocking period and wake it early.
+func TestReusedProcIgnoresLastLifesDeadline(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	f := NewFuture[int](k)
+	first := k.Go("waiter", func(p *Proc) {
+		if _, ok := f.WaitTimeout(p, 10*Millisecond); !ok {
+			t.Error("the future set at 1ms timed out")
+		}
+	})
+	k.After(Millisecond, func() { f.Set(1) })
+	k.RunUntil(Time(2 * Millisecond)) // the waiter has exited; its deadline is queued
+	var woke Time
+	second := k.Go("sleeper", func(p *Proc) {
+		p.Sleep(20 * Millisecond)
+		woke = p.Now()
+	})
+	if second != first {
+		t.Fatal("the second Go made a new Proc: the test exercises nothing")
+	}
+	k.Run()
+	if want := Time(22 * Millisecond); woke != want {
+		t.Errorf("the reused proc woke at %v, want %v", Duration(woke), Duration(want))
+	}
+}
+
+// A proc that Close killed is never reused, Close drops the spare list, and
+// a kernel closed with spare procs leaves no goroutine behind.
+func TestCloseWithSpareProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel(1)
+	mb := NewMailbox[int](k)
+	stuck := k.Go("stuck", func(p *Proc) { mb.Recv(p) })
+	for i := 0; i < 8; i++ {
+		k.Go("done", func(p *Proc) { p.Sleep(Microsecond) })
+	}
+	k.After(Second, func() {}) // not quiescent: nothing is shed
+	k.RunFor(Millisecond)
+	if len(k.spare) != 8 {
+		t.Fatalf("%d spare procs after 8 exits, want 8", len(k.spare))
+	}
+	k.Close()
+	if len(k.spare) != 0 {
+		t.Errorf("%d spare procs after Close", len(k.spare))
+	}
+	if p := k.Go("after", func(p *Proc) {}); p == stuck {
+		t.Error("Go after Close reused the proc Close killed")
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("goroutines %d → %d across Close", base, n)
+	}
+}
+
+// The spare procs go with the idle runners they would start on: once a
+// burst has drained and its runners are shed, so are its Procs.
+func TestSpareProcsShedWithRunners(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	k.Go("daemon", func(p *Proc) { NewMailbox[int](k).Recv(p) })
+	for i := 0; i < 1000; i++ {
+		k.Go("burst", func(p *Proc) { p.Sleep(Millisecond) })
+	}
+	k.Run()
+	if len(k.spare) > len(k.idle) {
+		t.Errorf("%d spare procs kept for %d idle runners", len(k.spare), len(k.idle))
 	}
 }
 

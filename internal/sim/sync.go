@@ -96,7 +96,18 @@ func (f *Future[T]) Set(v T) {
 	for _, w := range f.waiters {
 		f.k.wakeAt(f.k.now, w)
 	}
-	f.waiters = nil
+	clear(f.waiters)
+	f.waiters = f.waiters[:0]
+}
+
+// Reset makes f unset again, with neither the value nor a waiter of its last
+// use, so that its owner can use it for the next exchange. Only a future that
+// nothing can Set or Wait on any longer may be reset.
+func (f *Future[T]) Reset() {
+	var zero T
+	f.set, f.v = false, zero
+	clear(f.waiters)
+	f.waiters = f.waiters[:0]
 }
 
 // Wait blocks p until the future is set, then returns the value.
@@ -205,7 +216,8 @@ func (g *Group) Done() {
 		for _, w := range g.waiters {
 			g.k.wakeAt(g.k.now, w)
 		}
-		g.waiters = nil
+		clear(g.waiters)
+		g.waiters = g.waiters[:0]
 	}
 }
 
@@ -226,10 +238,14 @@ func (g *Group) Pending() int { return g.n }
 // index order at p's instant, so they start in that order after the events
 // already queued there. A lone item gets a process too: running it on p
 // would start it one event sooner and move every later event.
+//
+// Every item's process runs one method value, bound once per call: the
+// processes start in spawn order, so the one that starts i-th is item i.
 func Fork(p *Proc, name string, n int, fn func(q *Proc, i int) error) error {
 	j := &join{p: p, left: n, fn: fn}
-	for i := range n {
-		p.k.Go(name, func(q *Proc) { j.run(q, i) })
+	start := j.run
+	for range n {
+		p.k.Go(name, start)
 	}
 	for j.left > 0 {
 		p.park()
@@ -241,11 +257,14 @@ func Fork(p *Proc, name string, n int, fn func(q *Proc, i int) error) error {
 type join struct {
 	p    *Proc
 	left int
+	next int // the index of the next item to start
 	err  error
 	fn   func(q *Proc, i int) error
 }
 
-func (j *join) run(q *Proc, i int) {
+func (j *join) run(q *Proc) {
+	i := j.next
+	j.next++
 	if err := j.fn(q, i); err != nil && j.err == nil {
 		j.err = err
 	}
@@ -254,13 +273,15 @@ func (j *join) run(q *Proc, i int) {
 	}
 }
 
-// Mutex serializes processes over a critical section in FIFO order.
+// Mutex serializes processes over a critical section in FIFO order. It holds
+// its semaphore by value, so a mutex embedded in a larger record costs no
+// allocation of its own.
 type Mutex struct {
-	sem *Semaphore
+	sem Semaphore
 }
 
 // NewMutex returns an unlocked mutex bound to k.
-func NewMutex(k *Kernel) *Mutex { return &Mutex{sem: NewSemaphore(k, 1)} }
+func NewMutex(k *Kernel) *Mutex { return &Mutex{sem: Semaphore{k: k, avail: 1}} }
 
 // Lock blocks p until the mutex is acquired.
 func (m *Mutex) Lock(p *Proc) { m.sem.Acquire(p, 1) }

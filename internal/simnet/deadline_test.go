@@ -134,3 +134,67 @@ func BenchmarkCallDeadline(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(k.Pending())/float64(b.N), "pending/op")
 }
+
+// A call that timed out gives its reply future back, and the caller's next
+// call waits on it under a new id. The first call's reply, landing while the
+// second waits, must find nothing pending: the second returns its own reply.
+func TestLateReplyDoesNotReachReusedFuture(t *testing.T) {
+	k := sim.NewKernel(1)
+	defer k.Close()
+	_, cli, srv := rpcPair(k, LinkSpec{Latency: sim.Millisecond})
+	srv.Register("echo", func(p *sim.Proc, from Addr, args any) (any, int) {
+		p.Sleep(args.(sim.Duration))
+		return args, 0
+	})
+	var first, second error
+	var reply any
+	var at sim.Time
+	k.Go("caller", func(p *sim.Proc) {
+		// The reply to the first lands at 7 ms, while the second waits.
+		_, first = cli.CallTimeout(p, "s", "echo", 5*sim.Millisecond, 0, 3*sim.Millisecond)
+		reply, second = cli.CallTimeout(p, "s", "echo", 10*sim.Millisecond, 0, 50*sim.Millisecond)
+		at = p.Now()
+	})
+	k.Run()
+	if len(cli.replies) != 1 {
+		t.Fatalf("%d reply futures on the free list after two calls, want 1: the test exercises nothing", len(cli.replies))
+	}
+	if !errors.Is(first, ErrTimeout) {
+		t.Fatalf("first call: err = %v, want ErrTimeout", first)
+	}
+	if second != nil || reply != 10*sim.Millisecond || at != sim.Time(15*sim.Millisecond) {
+		t.Fatalf("second call: (%v, %v) at %v, want its own reply (10ms) at 15ms", reply, second, sim.Duration(at))
+	}
+}
+
+// A fault-free round trip on a warm kernel allocates what its two messages
+// carry, the request and the reply boxed for the wire, and nothing else: the
+// handler's Proc and start record, both deliveries and the reply future come
+// from free lists.
+func TestRPCRoundTripAllocations(t *testing.T) {
+	k := sim.NewKernel(1)
+	defer k.Close()
+	_, cli, srv := rpcPair(k, FC2G)
+	srv.Register("echo", func(*sim.Proc, Addr, any) (any, int) { return nil, 64 })
+	next := sim.NewMailbox[int](k)
+	k.Go("caller", func(p *sim.Proc) {
+		for {
+			next.Recv(p)
+			if _, err := cli.Call(p, "s", "echo", nil, 64); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	round := func() {
+		next.Send(1)
+		k.Run()
+	}
+	round()
+	if n := testing.AllocsPerRun(1000, round); n > 3 {
+		t.Errorf("warm fault-free round trip: %v allocs, want ≤ 3", n)
+	}
+	if st := cli.Stats(); st.Calls != 1002 || len(cli.pending) != 0 {
+		t.Errorf("stats = %+v, pending = %d, want 1002 calls and nothing pending", st, len(cli.pending))
+	}
+}

@@ -119,6 +119,8 @@ type Network struct {
 	// faultsActive caches whether any link carries a fault plan, so the
 	// fault-free fast path costs nothing.
 	faultsActive bool
+	// deliveries is the LIFO free list of delivery records (see delivery).
+	deliveries []*delivery
 }
 
 // New returns an empty network on k.
@@ -384,15 +386,39 @@ func (n *Network) extraDelay(fp FaultPlan) sim.Duration {
 	return sim.Duration(n.k.Rand().Int63n(int64(fp.MaxExtraDelay) + 1))
 }
 
+// delivery is a message in flight to dst: the kernel event of its arrival
+// runs fire, which is d.arrive bound once, when the record was made. The
+// record goes back to the network's free list as it fires, so the list
+// holds no more records than were ever in flight at once.
+type delivery struct {
+	n    *Network
+	dst  *Endpoint
+	msg  Message
+	fire func()
+}
+
 func (n *Network) scheduleDelivery(msg Message, t sim.Time) {
-	dst := n.Node(msg.To)
-	n.k.At(t, func() {
-		if n.down[msg.To] || n.down[msg.From] {
-			n.Dropped++
-			return
-		}
-		dst.deliver(msg)
-	})
+	var d *delivery
+	if i := len(n.deliveries) - 1; i >= 0 {
+		d, n.deliveries[i] = n.deliveries[i], nil
+		n.deliveries = n.deliveries[:i]
+	} else {
+		d = &delivery{n: n}
+		d.fire = d.arrive
+	}
+	d.dst, d.msg = n.Node(msg.To), msg
+	n.k.At(t, d.fire)
+}
+
+func (d *delivery) arrive() {
+	n, dst, msg := d.n, d.dst, d.msg
+	d.dst, d.msg = nil, Message{}
+	n.deliveries = append(n.deliveries, d)
+	if n.down[msg.To] || n.down[msg.From] {
+		n.Dropped++
+		return
+	}
+	dst.deliver(msg)
 }
 
 // Endpoint is a node's attachment point: incoming messages go to its

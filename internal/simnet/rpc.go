@@ -129,6 +129,10 @@ type Conn struct {
 	// previous one and the oldest ids age out.
 	seenCur  map[reqKey]struct{}
 	seenPrev map[reqKey]struct{}
+	// starts and replies are the free lists of handler-start records and
+	// reply futures (see serve and CallTimeout).
+	starts  []*handlerStart
+	replies []*sim.Future[any]
 
 	// Frame coalescing state (see batch.go). All zero when batching is off.
 	batching   bool
@@ -232,18 +236,16 @@ func (c *Conn) dispatch(from Addr, payload any) {
 			c.noteSeen(rk)
 		}
 		c.served++
-		k.Go(reg.proc, func(p *sim.Proc) {
-			if m.tctx.Valid() {
-				// Adopt the caller's trace so handler-side spans (disk
-				// service, nested coherence calls) attribute correctly.
-				p.SetTraceCtx(m.tctx)
-			}
-			if m.qctx != nil {
-				p.SetQoSCtx(m.qctx)
-			}
-			result, size := reg.h(p, from, m.args)
-			c.send(from, rpcReply{id: m.id, result: result}, size)
-		})
+		var s *handlerStart
+		if i := len(c.starts) - 1; i >= 0 {
+			s, c.starts[i] = c.starts[i], nil
+			c.starts = c.starts[:i]
+		} else {
+			s = &handlerStart{c: c}
+			s.start = s.serve
+		}
+		s.from, s.req, s.h = from, m, reg.h
+		k.Go(reg.proc, s.start)
 	case rpcReply:
 		if f, ok := c.pending[m.id]; ok {
 			delete(c.pending, m.id)
@@ -252,6 +254,33 @@ func (c *Conn) dispatch(from Addr, payload any) {
 	default:
 		panic(fmt.Sprintf("simnet: %s received non-RPC payload %T", c.Addr(), payload))
 	}
+}
+
+// handlerStart is a delivered request whose handler process has not started:
+// the process runs start, which is s.serve bound once, when the record was
+// made. The record goes back to the Conn's free list as the process starts.
+type handlerStart struct {
+	c     *Conn
+	from  Addr
+	req   rpcRequest
+	h     Handler
+	start func(p *sim.Proc)
+}
+
+func (s *handlerStart) serve(p *sim.Proc) {
+	c, from, m, h := s.c, s.from, s.req, s.h
+	s.req, s.h = rpcRequest{}, nil
+	c.starts = append(c.starts, s)
+	if m.tctx.Valid() {
+		// Adopt the caller's trace so handler-side spans (disk service,
+		// nested coherence calls) attribute correctly.
+		p.SetTraceCtx(m.tctx)
+	}
+	if m.qctx != nil {
+		p.SetQoSCtx(m.qctx)
+	}
+	result, size := h(p, from, m.args)
+	c.send(from, rpcReply{id: m.id, result: result}, size)
 }
 
 // Call invokes method on dst, blocking p until the reply arrives, the
@@ -267,21 +296,35 @@ func (c *Conn) CallTimeout(p *sim.Proc, dst Addr, method string, args any, argSi
 	id := c.nextID
 	c.stats.Calls++
 	sp := rpcSpan(p, method, dst)
-	f := sim.NewFuture[any](c.ep.Network().Kernel())
+	// The reply future is one an earlier call left, or a new one. A future
+	// goes back to the free list only once its pending entry is gone, so no
+	// reply, however late or duplicated, can reach it there or in its next
+	// call, which waits under another id.
+	var f *sim.Future[any]
+	if i := len(c.replies) - 1; i >= 0 {
+		f, c.replies[i] = c.replies[i], nil
+		c.replies = c.replies[:i]
+	} else {
+		f = sim.NewFuture[any](c.ep.Network().Kernel())
+	}
 	c.pending[id] = f
 	if !c.send(dst, rpcRequest{id: id, method: method, args: args, tctx: sp.Ctx(), qctx: p.QoSCtx()}, argSize) {
 		delete(c.pending, id)
+		c.replies = append(c.replies, f)
 		sp.Detail("unreachable").End()
 		return nil, ErrUnreachable
 	}
 	result, ok := f.WaitTimeout(p, timeout)
 	if !ok {
-		// A late reply now finds no pending call and is dropped. The
-		// deadline resumed p in the deadline event's own place; a reply
-		// resumes it through a wake-up scheduled on delivery, behind the
-		// events already queued for that instant. Yield once, so that a
-		// timeout gives way to them as well.
-		delete(c.pending, id)
+		delete(c.pending, id) // a late reply now finds no pending call and is dropped
+	}
+	f.Reset()
+	c.replies = append(c.replies, f)
+	if !ok {
+		// The deadline resumed p in the deadline event's own place; a
+		// reply resumes it through a wake-up scheduled on delivery, behind
+		// the events already queued for that instant. Yield once, so that
+		// a timeout gives way to them as well.
 		p.Yield()
 		c.stats.Timeouts++
 		sp.Detail("timeout").End()
