@@ -26,9 +26,8 @@ type session struct {
 	sys *core.System
 	// bal is the migration balancer, parked until `rebalance on`; nil when
 	// the system has no telemetry scraper to feed it.
-	bal     *balance.Controller
-	stopBal func()
-	out     io.Writer
+	bal *balance.Controller
+	out io.Writer
 	// echo prints each script line before its output and its error after.
 	echo bool
 	// p is the simulation process running the current script.
@@ -36,19 +35,17 @@ type session struct {
 }
 
 // newSession opens a session on sys. With a scraper it attaches the
-// migration balancer, parked.
+// migration balancer, parked. Closing sys.K ends the session: the
+// balancer, the scraper and the system's flushers all run on it.
 func newSession(sys *core.System, out io.Writer) *session {
-	s := &session{sys: sys, out: out, stopBal: func() {}}
+	s := &session{sys: sys, out: out}
 	if sys.Scraper != nil {
 		s.bal = sys.Cluster.NewBalancer(sys.Scraper, balance.Config{})
 		s.bal.SetEnabled(false)
-		s.stopBal = s.bal.Start()
+		s.bal.Start()
 	}
 	return s
 }
-
-// close stops the balancer and the system.
-func (s *session) close() { s.stopBal(); s.sys.Stop() }
 
 // run executes script lines in order from one simulation process, skipping
 // blank lines and '#' comments, and returns each executed line's error.

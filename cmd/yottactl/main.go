@@ -100,7 +100,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer s.close()
+	defer s.sys.K.Close()
 	if _, err := s.run(strings.Split(script, "\n")); err != nil {
 		log.Fatal(err)
 	}
@@ -272,12 +272,12 @@ func runTrace(argv []string) {
 	f.parse(argv)
 
 	sys, load := f.start(core.Options{Trace: true})
+	defer sys.K.Close()    // after the export: Close ends in-flight spans
 	load(sim.Second).Run() // warm caches untraced
 	sys.Tracer.SetEnabled(true)
 	r := load(f.length())
 	r.Run()
 	sys.Tracer.SetEnabled(false)
-	sys.Stop()
 
 	saveFlag(*out, sys.Tracer.WriteChrome)
 	saveFlag(*jsonl, sys.Tracer.WriteJSONL)
@@ -297,6 +297,7 @@ func runTop(argv []string) {
 
 	interval := sim.Duration(*refresh) * sim.Millisecond
 	sys, load := f.start(core.Options{Telemetry: interval, SLOReadP99: 50 * sim.Millisecond})
+	defer sys.K.Close() // after the report has read the scraper
 	load(f.length()).Start()
 	seen := 0
 	for n := int64(0); n < f.ms / *refresh; n++ {
@@ -304,7 +305,6 @@ func runTop(argv []string) {
 		seen = printTopFrame(os.Stdout, sys, seen)
 		fmt.Println()
 	}
-	sys.Stop()
 	fmt.Printf("%s\n", sys.Scraper.Report())
 }
 
@@ -319,9 +319,9 @@ func runTelemetry(argv []string) {
 	f.parse(argv, intervalMs)
 
 	sys, load := f.start(core.Options{Telemetry: sim.Duration(*intervalMs) * sim.Millisecond, SLOReadP99: 50 * sim.Millisecond})
+	defer sys.K.Close() // after the exports and the report have read the scraper
 	r := load(f.length())
 	r.Run()
-	sys.Stop()
 
 	saveFlag(*jsonl, sys.Scraper.WriteJSONL)
 	saveFlag(*events, sys.Scraper.WriteEventsJSONL)

@@ -29,9 +29,8 @@ func newScriptSession(t *testing.T, opts core.Options) *session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSession(sys, io.Discard)
-	t.Cleanup(s.close)
-	return s
+	t.Cleanup(sys.K.Close)
+	return newSession(sys, io.Discard)
 }
 
 // runScript executes command lines on s from one simulation process and
@@ -162,7 +161,7 @@ func TestDemoScriptsAreDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			errs, err := s.run(strings.Split(tc.script, "\n"))
-			s.close()
+			s.sys.K.Close()
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}

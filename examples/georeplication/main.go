@@ -28,7 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer gs.Stop()
+	defer gs.K.Close()
 
 	fmt.Println("== Figure 3: two sites, one data image (30 ms one-way WAN) ==")
 	err = gs.Run(0, func(p *sim.Proc) error {

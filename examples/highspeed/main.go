@@ -16,6 +16,7 @@ func main() {
 	const gib = int64(1) << 30
 	counts := []int{1, 2, 4, 8}
 	k := sim.NewKernel(1)
+	defer k.Close()
 	results, err := stripe.Sweep(k, stripe.Config{}, counts, gib)
 	if err != nil {
 		log.Fatal(err)
@@ -24,6 +25,7 @@ func main() {
 
 	fmt.Println("\nWith per-blade 2 Gb/s encryption engines (§8.1):")
 	k2 := sim.NewKernel(1)
+	defer k2.Close()
 	enc, err := stripe.Sweep(k2, stripe.Config{EncBps: 2_000_000_000}, counts, gib)
 	if err != nil {
 		log.Fatal(err)

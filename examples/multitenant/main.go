@@ -18,7 +18,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Stop()
+	defer sys.K.Close()
 
 	fmt.Println("== Figure 2: secure shared pool ==")
 

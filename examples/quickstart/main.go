@@ -21,7 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Stop()
+	defer sys.K.Close()
 
 	fmt.Println("== quickstart: one shared storage pool for the whole lab ==")
 	fmt.Printf("blades: %d, disks: %d, raw capacity: %s\n",

@@ -21,6 +21,7 @@ func TestBalancerArmsWithHotSpot(t *testing.T) {
 	const cvMax, ratioMax = 0.4, 1.8
 	const interval = 100 * sim.Millisecond
 	k := sim.NewKernel(1)
+	defer k.Close()
 	reg := telemetry.NewRegistry()
 	ops := make([]int64, 4)
 	for i := range ops {
@@ -87,6 +88,7 @@ func TestBalancerArmsWithHotSpot(t *testing.T) {
 func TestControllerRestartKeepsOneTickChain(t *testing.T) {
 	const interval = 100 * sim.Millisecond
 	k := sim.NewKernel(1)
+	defer k.Close()
 	scr := telemetry.NewScraper(k, telemetry.NewRegistry(), interval)
 	c := New(Config{}, Deps{K: k, Scraper: scr, Alive: func() []int { return nil }})
 	scr.ScrapeNow()

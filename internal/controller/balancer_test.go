@@ -16,7 +16,6 @@ import (
 // HottestHomes ranking as "vol/lba=heat", read at the end of the stream.
 func homeHeatAfterStream(t *testing.T, withBalancer bool) [][]string {
 	c, k := newTestCluster(t, 1, nil)
-	defer c.Stop()
 	if _, err := c.Pool.CreateDMSD("vol", 64); err != nil {
 		t.Fatal(err)
 	}

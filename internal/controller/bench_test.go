@@ -20,7 +20,6 @@ func BenchmarkRead64Miss(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.Stop()
 	const volBlocks = 16 << 10
 	vol, err := c.CreateVolume("", "v", volBlocks)
 	if err != nil {

@@ -149,7 +149,7 @@ type Blade struct {
 	// load-balance metric).
 	Ops int64
 
-	stopFlusher func()
+	stopFlusher func() // for Cluster.Stop: bench/ only; ROADMAP 1f deletes it
 }
 
 // Cluster is a single-site blade cluster over a shared disk pool.
@@ -381,6 +381,7 @@ func (c *Cluster) FabricTotals() BladeFabricStats {
 }
 
 // Stop halts background processes so the simulation's event queue drains.
+// bench/ only; ROADMAP 1f deletes it. Everything else closes the kernel.
 func (c *Cluster) Stop() {
 	for _, b := range c.Blades {
 		if b.stopFlusher != nil {

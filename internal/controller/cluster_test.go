@@ -69,7 +69,6 @@ func pattern(n int, seed byte) []byte {
 
 func TestClusterRoundTripThroughAnyBlade(t *testing.T) {
 	c, k := newTestCluster(t, 1, nil)
-	defer c.Stop()
 	if _, err := c.Pool.CreateDMSD("vol", 64); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +94,6 @@ func TestClusterRoundTripThroughAnyBlade(t *testing.T) {
 
 func TestPickBladeRoundRobin(t *testing.T) {
 	c, _ := newTestCluster(t, 1, nil)
-	defer c.Stop()
 	seen := make(map[int]int)
 	for i := 0; i < 8; i++ {
 		seen[c.PickBlade().ID]++
@@ -115,7 +113,6 @@ func TestPickBladeRoundRobin(t *testing.T) {
 
 func TestBladeFailureLosesNothingWithReplication(t *testing.T) {
 	c, k := newTestCluster(t, 1, func(cfg *Config) { cfg.ReplicationN = 2 })
-	defer c.Stop()
 	c.Pool.CreateDMSD("vol", 64)
 	data := pattern(512*4, 9)
 	run(k, func(p *sim.Proc) {
@@ -148,7 +145,6 @@ func TestStaleReplicaNotReplayedAfterOwnershipTransfer(t *testing.T) {
 		cfg.ReplicationN = 2
 		cfg.FlushInterval = 10 * sim.Second // only FlushAll destages
 	})
-	defer c.Stop()
 	c.Pool.CreateDMSD("vol", 64)
 	v1, v2 := pattern(512, 1), pattern(512, 2)
 	run(k, func(p *sim.Proc) {
@@ -190,7 +186,6 @@ func TestBladeFailureWithoutReplicationLosesDirtyData(t *testing.T) {
 		cfg.ReplicationN = 1
 		cfg.FlushInterval = 10 * sim.Second // effectively never
 	})
-	defer c.Stop()
 	c.Pool.CreateDMSD("vol", 64)
 	data := pattern(512, 3)
 	run(k, func(p *sim.Proc) {
@@ -209,7 +204,6 @@ func TestBladeFailureWithoutReplicationLosesDirtyData(t *testing.T) {
 
 func TestClusterContinuesAfterFailure(t *testing.T) {
 	c, k := newTestCluster(t, 1, nil)
-	defer c.Stop()
 	c.Pool.CreateDMSD("vol", 64)
 	run(k, func(p *sim.Proc) {
 		c.Write(p, c.Blade(2), "vol", 0, pattern(512*2, 1), 0)
@@ -232,7 +226,6 @@ func TestClusterContinuesAfterFailure(t *testing.T) {
 
 func TestReviveBladeRejoins(t *testing.T) {
 	c, k := newTestCluster(t, 1, nil)
-	defer c.Stop()
 	c.Pool.CreateDMSD("vol", 64)
 	run(k, func(p *sim.Proc) {
 		c.FailBlade(p, 1)
@@ -248,7 +241,6 @@ func TestReviveBladeRejoins(t *testing.T) {
 
 func TestDistributedRebuildRestoresRedundancy(t *testing.T) {
 	c, k := newTestCluster(t, 1, nil)
-	defer c.Stop()
 	c.Pool.CreateDMSD("vol", 128)
 	data := pattern(512*64, 17)
 	run(k, func(p *sim.Proc) {
@@ -281,7 +273,6 @@ func TestDistributedRebuildRestoresRedundancy(t *testing.T) {
 
 func TestDistributedRebuildSurvivesBladeDeath(t *testing.T) {
 	c, k := newTestCluster(t, 1, nil)
-	defer c.Stop()
 	c.Pool.CreateDMSD("vol", 128)
 	run(k, func(p *sim.Proc) {
 		c.Write(p, c.Blade(0), "vol", 0, pattern(512*64, 2), 0)
@@ -303,7 +294,6 @@ func TestDistributedRebuildSurvivesBladeDeath(t *testing.T) {
 
 func TestLoadSpreadsAcrossBlades(t *testing.T) {
 	c, k := newTestCluster(t, 1, nil)
-	defer c.Stop()
 	c.Pool.CreateDMSD("vol", 64)
 	run(k, func(p *sim.Proc) {
 		for i := 0; i < 32; i++ {
@@ -332,7 +322,6 @@ func TestNoLossUnderSingleFailureProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		defer c.Stop()
 		c.Pool.CreateDMSD("vol", 64)
 		shadow := make(map[int64]byte)
 		ok := true
@@ -434,7 +423,7 @@ func TestPropertyNoLossAcrossTransferFlushKill(t *testing.T) {
 				}
 			}
 		})
-		c.Stop()
+		k.Close()
 	}
 }
 
@@ -446,7 +435,6 @@ func TestCold64BlockReadIsOneIOPerMemberDisk(t *testing.T) {
 	c, k := newTestCluster(t, 1, func(cfg *Config) {
 		cfg.ExtentBlocks = 64
 	})
-	defer c.Stop()
 	vol, err := c.Pool.CreateDMSD("vol", 8)
 	if err != nil {
 		t.Fatal(err)
@@ -487,7 +475,6 @@ func TestRAID6ClusterConfig(t *testing.T) {
 	c, k := newTestCluster(t, 1, func(cfg *Config) {
 		cfg.RAIDLevel = raid.RAID6
 	})
-	defer c.Stop()
 	c.Pool.CreateDMSD("vol", 32)
 	data := pattern(512*8, 4)
 	run(k, func(p *sim.Proc) {
@@ -509,7 +496,6 @@ func TestRAID6ClusterConfig(t *testing.T) {
 
 func TestDistributedClone(t *testing.T) {
 	c, k := newTestCluster(t, 1, nil)
-	defer c.Stop()
 	c.Pool.CreateDMSD("src", 64)
 	data := pattern(512*64, 23)
 	run(k, func(p *sim.Proc) {
@@ -555,7 +541,6 @@ func TestDistributedCloneFasterWithMoreBlades(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Stop()
 		c.Pool.CreateDMSD("src", 128)
 		var dur sim.Duration
 		run(k, func(p *sim.Proc) {
@@ -588,7 +573,6 @@ func TestFaultPlanCountersSurface(t *testing.T) {
 		}
 		cfg.FabricFaults = &simnet.FaultPlan{DropProb: 0.05, MaxExtraDelay: sim.Millisecond}
 	})
-	defer c.Stop()
 	c.Pool.CreateDMSD("v", 1<<16)
 	if !c.Net.FaultsActive() {
 		t.Fatal("FabricFaults config did not activate fault injection")
@@ -641,7 +625,6 @@ func TestConcurrentDestageKeepsParity(t *testing.T) {
 		cfg.Blades = 8
 		cfg.FlushInterval = 10 * sim.Second // only the test destages
 	})
-	defer c.Stop()
 	vol, err := c.Pool.CreateDMSD("vol", 64)
 	if err != nil {
 		t.Fatal(err)
@@ -706,7 +689,6 @@ func TestConcurrentDestageKeepsParity(t *testing.T) {
 // leaves the blade's Ops and the latency histogram alone.
 func TestRejectedOpsCountOnceInClusterErrors(t *testing.T) {
 	c, k := newTestCluster(t, 1, nil)
-	defer c.Stop()
 	if _, err := c.Pool.CreateDMSD("vol", 64); err != nil {
 		t.Fatal(err)
 	}

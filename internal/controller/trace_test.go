@@ -26,7 +26,6 @@ func tracedRun(t *testing.T, seed int64) *trace.Tracer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Stop()
 	if _, err := c.Pool.CreateDMSD("vol", 64); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,6 @@ func TestTracingDoesNotPerturbTiming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Stop()
 		if _, err := c.Pool.CreateDMSD("vol", 64); err != nil {
 			t.Fatal(err)
 		}

@@ -12,8 +12,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"maps"
-	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/controller"
@@ -63,6 +61,7 @@ type Options struct {
 	// (hot-spot over per-blade ops, stall over disk queues). The cluster's
 	// named registry (System.Registry) exists either way; like tracing,
 	// scraping is deterministic per seed and moves no simulated events.
+	// The scraper runs until System.K is closed.
 	Telemetry sim.Duration
 	// SLOReadP99, with Telemetry, arms the SLO watchdog: a scrape window
 	// whose p99 op latency exceeds this emits an slo event, as do client
@@ -110,7 +109,7 @@ type System struct {
 	// Registry is the cluster's named-metric registry (always available).
 	Registry *telemetry.Registry
 	// Scraper is non-nil when Options.Telemetry was set; it is already
-	// started and is stopped by System.Stop.
+	// started and ends with the kernel.
 	Scraper *telemetry.Scraper
 	// QoS is non-nil when Options.QoS was set; it starts disabled.
 	QoS *qos.Manager
@@ -118,14 +117,15 @@ type System struct {
 	stopScrape func()
 }
 
-// NewSystem builds a system on its own kernel.
+// NewSystem builds a system on its own kernel, System.K. Closing K ends
+// the system: it kills every proc on it, flushers and scraper included.
 func NewSystem(opts Options) (*System, error) {
-	return NewSystemOn(sim.NewKernel(cmp.Or(opts.Seed, 1)), opts)
+	return newSystemOn(sim.NewKernel(cmp.Or(opts.Seed, 1)), opts)
 }
 
-// NewSystemOn builds a system on an existing kernel (multi-site setups
-// share one kernel).
-func NewSystemOn(k *sim.Kernel, opts Options) (*System, error) {
+// newSystemOn builds a system on an existing kernel (the sites of a
+// GeoSystem share one kernel).
+func newSystemOn(k *sim.Kernel, opts Options) (*System, error) {
 	cfg := controller.DefaultConfig()
 	cfg.Blades = cmp.Or(opts.Blades, cfg.Blades)
 	cfg.CacheBlocksPerBlade = cmp.Or(opts.CacheBlocksPerBlade, cfg.CacheBlocksPerBlade)
@@ -213,6 +213,7 @@ func NewSystemOn(k *sim.Kernel, opts Options) (*System, error) {
 }
 
 // Stop halts the system's background processes so the simulation drains.
+// bench/ only; ROADMAP 1f deletes it. Everything else closes System.K.
 func (s *System) Stop() {
 	if s.stopScrape != nil {
 		s.stopScrape()
@@ -344,7 +345,8 @@ type GeoSystem struct {
 }
 
 // NewGeoSystem builds len(opts.Sites) Systems on one kernel, connects them
-// in a full WAN mesh, and federates their file systems.
+// in a full WAN mesh, and federates their file systems. Closing
+// GeoSystem.K ends every site, its shipper included.
 func NewGeoSystem(seed int64, g GeoOptions) (*GeoSystem, error) {
 	if len(g.Sites) < 2 {
 		return nil, fmt.Errorf("core: federation needs ≥2 sites")
@@ -357,7 +359,7 @@ func NewGeoSystem(seed int64, g GeoOptions) (*GeoSystem, error) {
 		if g.SiteOptions != nil {
 			opts = g.SiteOptions(name)
 		}
-		sys, err := NewSystemOn(k, opts)
+		sys, err := newSystemOn(k, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -376,19 +378,6 @@ func NewGeoSystem(seed int64, g GeoOptions) (*GeoSystem, error) {
 func (g *GeoSystem) Site(name string) *georepl.Site {
 	s, _ := g.Fed.Site(name)
 	return s
-}
-
-// Stop halts all background processes (flushers, shippers), site by site
-// in name order.
-func (g *GeoSystem) Stop() {
-	for _, name := range slices.Sorted(maps.Keys(g.Systems)) {
-		g.Systems[name].Stop()
-	}
-	for _, name := range g.Fed.Sites() {
-		if s, err := g.Fed.Site(name); err == nil {
-			s.StopShipper()
-		}
-	}
 }
 
 // Run is System.Run for a federation.

@@ -14,22 +14,19 @@ import (
 	"repro/internal/sim"
 )
 
-// fastDisks keeps unit-test systems small and quick.
-// newTestSystem is NewSystem for a test: the system stops and its kernel
-// closes when the test ends.
+// newTestSystem is NewSystem for a test: its kernel closes when the test
+// ends.
 func newTestSystem(t *testing.T, opts Options) *System {
 	t.Helper()
 	sys, err := NewSystem(opts)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	t.Cleanup(func() {
-		sys.Stop()
-		sys.K.Close()
-	})
+	t.Cleanup(sys.K.Close)
 	return sys
 }
 
+// fastDisks keeps unit-test systems small and quick.
 func fastDisks() disk.Spec {
 	return disk.Spec{
 		BlockSize:   512,
@@ -182,7 +179,6 @@ func TestGeoSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gs.K.Close()
-	defer gs.Stop()
 	data := bytes.Repeat([]byte("geo"), 700)
 	err = gs.Run(0, func(p *sim.Proc) error {
 		east := gs.Site("east")

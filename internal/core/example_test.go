@@ -33,7 +33,6 @@ func ExampleNewSystem() {
 		log.Fatal(err)
 	}
 	defer sys.K.Close()
-	defer sys.Stop()
 
 	err = sys.Run(0, func(p *sim.Proc) error {
 		if err := sys.FS.MkdirAll("/lab"); err != nil {
@@ -64,7 +63,6 @@ func ExampleSystem_Run() {
 		log.Fatal(err)
 	}
 	defer sys.K.Close()
-	defer sys.Stop()
 	err = sys.Run(0, func(p *sim.Proc) error {
 		if err := sys.FS.WriteFile(p, "/important", []byte("ack'd write"), pfs.Policy{}); err != nil {
 			return err

@@ -145,7 +145,6 @@ func TestGeoSiteDisasterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gs.K.Close()
-	defer gs.Stop()
 	key := bytes.Repeat([]byte("key"), 1000)
 	err = gs.Run(0, func(p *sim.Proc) error {
 		east := gs.Site("east")

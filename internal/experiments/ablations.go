@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"repro/internal/georepl"
+	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/pfs"
 	"repro/internal/sim"
@@ -67,12 +68,12 @@ func A2PeerFetch(seed int64) *metrics.Table {
 	for _, off := range []bool{true, false} {
 		cfg := clusterConfig(4)
 		cfg.NoPeerFetch = off
-		l := newLab(seed, cfg, "hot", ws)
-		r := l.run(clients, dur, func(int) workload.Pattern {
+		l := lab.New(seed, cfg, "hot", ws)
+		r := l.Run(clients, dur, func(int) workload.Pattern {
 			return &workload.Zipf{Range: ws, S: 1.3, Blocks: 1}
 		})
 		var diskReads, peer int64
-		for _, b := range l.c.Blades {
+		for _, b := range l.C.Blades {
 			st := b.Engine.Stats()
 			diskReads += st.DiskReads
 			peer += st.PeerFetches
@@ -82,7 +83,7 @@ func A2PeerFetch(seed int64) *metrics.Table {
 			label = "off"
 		}
 		tab.AddRow(label, int64(float64(r.Ops)/dur.Seconds()), diskReads, peer, fmtDur(r.Latency.P99()))
-		l.close()
+		l.Close()
 	}
 	tab.AddNote("transfers let a block read from disk once serve all blades' caches")
 	return tab
@@ -96,9 +97,9 @@ func A3ReplicationCost(seed int64) *metrics.Table {
 	for _, n := range []int{1, 2, 3, 4, 5} {
 		cfg := clusterConfig(6)
 		cfg.ReplicationN = n
-		l := newLab(seed, cfg, "v", 0)
+		l := lab.New(seed, cfg, "v", 0)
 		hist := writeLatency(l, "A3", 200, 1)
-		l.close()
+		l.Close()
 		tab.AddRow(n, fmtDur(hist.Mean()), fmtDur(hist.P99()))
 	}
 	tab.AddNote("each extra copy adds one more parallel fabric push before the ack (§6.1)")
@@ -114,11 +115,11 @@ func A4ReadAhead(seed int64) *metrics.Table {
 	for _, ra := range []int{0, 16} {
 		cfg := clusterConfig(4)
 		cfg.ReadAhead = ra
-		l := newLab(seed, cfg, "seq", scanBlocks)
-		c := l.c
+		l := lab.New(seed, cfg, "seq", scanBlocks)
+		c := l.C
 		hist := metrics.NewHistogram()
 		var elapsed sim.Duration
-		l.do("A4 scan", func(p *sim.Proc) error {
+		l.Do("A4 scan", func(p *sim.Proc) error {
 			t0 := p.Now()
 			b := c.Blade(0)
 			for lba := int64(0); lba < scanBlocks; lba += 4 {
@@ -137,7 +138,7 @@ func A4ReadAhead(seed int64) *metrics.Table {
 		}
 		mbps := float64(scanBlocks*4096) / elapsed.Seconds() / 1e6
 		tab.AddRow(ra, fmtF(mbps), fmtDur(hist.Mean()), prefetches)
-		l.close()
+		l.Close()
 	}
 	tab.AddNote("prefetch overlaps disk time with the host's consumption of earlier blocks")
 	return tab

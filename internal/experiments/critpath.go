@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/critpath"
+	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -33,16 +34,16 @@ const (
 // traced — and returns the lab whose tracer holds the traced window's
 // span log. Deterministic per seed. The caller closes the lab once it has
 // read the tracer.
-func canonicalTraced(seed int64) *lab {
-	l := newLab(seed, clusterConfig(snapBlades), "snap", snapWS)
+func canonicalTraced(seed int64) *lab.Lab {
+	l := lab.New(seed, clusterConfig(snapBlades), "snap", snapWS)
 	pat := func(int) workload.Pattern {
 		return workload.Uniform{Range: snapWS, Blocks: 4, WriteFrac: 0.25}
 	}
 	// Warm untraced, then measure traced.
-	l.run(snapClients, 2*sim.Second, pat)
-	l.tr.SetEnabled(true)
-	l.run(snapClients, snapDur, pat)
-	l.tr.SetEnabled(false)
+	l.Run(snapClients, 2*sim.Second, pat)
+	l.Tr.SetEnabled(true)
+	l.Run(snapClients, snapDur, pat)
+	l.Tr.SetEnabled(false)
 	return l
 }
 
@@ -50,8 +51,8 @@ func canonicalTraced(seed int64) *lab {
 // Deterministic per seed.
 func runCritPath(seed int64) *critpath.Analysis {
 	l := canonicalTraced(seed)
-	defer l.close()
-	return critpath.FromTracer(l.tr)
+	defer l.Close()
+	return critpath.FromTracer(l.Tr)
 }
 
 // cpTable renders one analysis as its tail-diagnosis table with the

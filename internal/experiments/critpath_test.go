@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/critpath"
+	"repro/internal/lab"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -20,8 +21,8 @@ import (
 func TestCritPathReconciles(t *testing.T) {
 	skipIfShort(t)
 	l := canonicalTraced(3)
-	defer l.close()
-	tracer := l.tr
+	defer l.Close()
+	tracer := l.Tr
 	a := critpath.FromTracer(tracer)
 	if err := a.Check(); err != nil {
 		t.Fatal(err)
@@ -166,12 +167,12 @@ func TestCritPathScaleTraced(t *testing.T) {
 		ws      = 64 << 10
 		dur     = 60 * sim.Millisecond
 	)
-	l := newLab(8, clusterConfig(blades), "scale", 0)
-	defer l.close()
-	c, tracer := l.c, l.tr
+	l := lab.New(8, clusterConfig(blades), "scale", 0)
+	defer l.Close()
+	c, tracer := l.C, l.Tr
 	tracer.SetCap(1 << 12)
 	tracer.SetEnabled(true)
-	r := l.run(clients, dur, func(int) workload.Pattern {
+	r := l.Run(clients, dur, func(int) workload.Pattern {
 		return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0.25}
 	})
 	tracer.SetEnabled(false)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -48,9 +49,9 @@ func E11(seed int64) *metrics.Table {
 		DelayProb:     0.05,
 		MaxExtraDelay: 5 * sim.Millisecond,
 	}
-	l := newLab(seed, cfg, "v", ws)
-	defer l.close() // after the notes below have read the tracer and the registry
-	c := l.c
+	l := lab.New(seed, cfg, "v", ws)
+	defer l.Close() // after the notes below have read the tracer and the registry
+	c := l.C
 	pat := func(int) workload.Pattern {
 		return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0}
 	}
@@ -58,12 +59,12 @@ func E11(seed int64) *metrics.Table {
 	// fabric message costs a retry timeout; give it the same 8 s the
 	// post-recovery re-warm gets so the before/after rows compare
 	// like-for-like.
-	l.run(clients, 8*sim.Second, pat)
+	l.Run(clients, 8*sim.Second, pat)
 
 	// Tracked write burst, outside the read working set: every write the
 	// cluster acknowledges must survive the blade kills.
 	var acked []ack
-	l.do("E11 write burst", func(p *sim.Proc) error {
+	l.Do("E11 write burst", func(p *sim.Proc) error {
 		acked = writeAcks(p, c, "v", ws, nAck)
 		return nil
 	})
@@ -72,8 +73,8 @@ func E11(seed int64) *metrics.Table {
 	// p99 against a 100 ms objective, client-visible errors, degraded-mode
 	// duration) and stall watchdogs, sampling every 100 ms of virtual time.
 	// Watchdog events also land in the trace stream while the tracer is on.
-	scr := telemetry.NewScraper(l.k, c.Reg, 100*sim.Millisecond)
-	scr.Tracer = l.tr
+	scr := telemetry.NewScraper(l.K, c.Reg, 100*sim.Millisecond)
+	scr.Tracer = l.Tr
 	scr.AddWatchdog(&telemetry.HotSpot{Pattern: "blade/*/ops"})
 	scr.AddWatchdog(&telemetry.SLO{
 		Hist:     "cluster/op_latency",
@@ -83,13 +84,13 @@ func E11(seed int64) *metrics.Table {
 	})
 	scr.AddWatchdog(&telemetry.Stall{Queue: "disk/*/queue_depth", Throughput: "cluster/ops"})
 	stopScrape := scr.Start()
-	recoveryTook, series := l.failover("E11", tab, clients, pat, true)
+	recoveryTook, series := failover(l, "E11", tab, clients, pat, true)
 	stopScrape()
 
 	// Zero-lost-acknowledged-writes check: read back every acked write
 	// through the survivors, over the still-lossy fabric.
 	lost := 0
-	l.do("E11 read-back", func(p *sim.Proc) error {
+	l.Do("E11 read-back", func(p *sim.Proc) error {
 		lost = lostAcks(p, c, "v", acked, c.PickBlade)
 		return nil
 	})
@@ -105,7 +106,7 @@ func E11(seed int64) *metrics.Table {
 		tot.RPC.Timeouts, tot.RPC.Retries, tot.RPC.GaveUp, tot.DegradedOps)
 	tab.AddNote("%s", series.Spark("throughput over time"))
 	tab.AddNote("per-phase latency breakdown (measured windows, lossy fabric; coherence includes nested fabric time):\n%s",
-		l.tr.BreakdownTable("").String())
+		l.Tr.BreakdownTable("").String())
 	tab.AddNote("per-blade load over the telemetry window (blades 0–1 stop moving after the kill):\n%s",
 		scr.SkewTable("E11 — per-blade ops", "blade/*/ops").String())
 	tab.AddNote("%s", scr.Report().String())

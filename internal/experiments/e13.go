@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/qos"
 	"repro/internal/sim"
@@ -106,9 +107,9 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 			P99Target: 50 * sim.Millisecond,
 		},
 	}
-	l := newLab(seed, cfg, "v", sc.victimWS+sc.aggWS)
-	defer l.close()
-	k, c := l.k, l.c
+	l := lab.New(seed, cfg, "v", sc.victimWS+sc.aggWS)
+	defer l.Close()
+	k, c := l.K, l.C
 
 	var scr *telemetry.Scraper
 	if qosOn {
@@ -118,11 +119,11 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 		scr.Start()
 	}
 
-	l.target.Tenant, l.target.Priority = "victim", 3
+	l.Target.Tenant, l.Target.Priority = "victim", 3
 	victimPat := func(int) workload.Pattern { return workload.Uniform{Range: sc.victimWS, Blocks: 4} }
 	aggressor := &core.VolumeTarget{Cluster: c, Vol: "v", Tenant: "agg", Offset: sc.victimWS}
 	aggLoop := func(d sim.Duration) *workload.Runner {
-		r := l.loop(sc.aggressors, d, func(int) workload.Pattern {
+		r := l.Loop(sc.aggressors, d, func(int) workload.Pattern {
 			return workload.Uniform{Range: sc.aggWS, Blocks: 8, WriteFrac: 0.5}
 		})
 		r.Target = aggressor
@@ -130,7 +131,7 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 	}
 
 	// Warm-up: caches fill under the arm's contention mix (no rebuild yet).
-	l.run(sc.victims, sc.warm, victimPat)
+	l.Run(sc.victims, sc.warm, victimPat)
 	if contended {
 		aggLoop(sc.warm).Run()
 	}
@@ -142,7 +143,7 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 	if contended {
 		c.Groups[0].Disks()[1].Fail()
 	}
-	vr := l.loop(sc.victims, sc.dur, victimPat)
+	vr := l.Loop(sc.victims, sc.dur, victimPat)
 	var ar *workload.Runner
 	vr.Start()
 	if contended {
@@ -164,7 +165,7 @@ func e13Arm(seed int64, sc e13Scale, contended, qosOn bool) (E13Arm, []telemetry
 		ar.Bytes.CloseAt(k.Now())
 	}
 	// Clients have stopped; let a straggling rebuild drain.
-	l.await("E13 rebuild", rebuilt)
+	l.Await("E13 rebuild", rebuilt)
 
 	arm := E13Arm{
 		VictimOpsPerSec: float64(vr.Ops) / sc.dur.Seconds(),

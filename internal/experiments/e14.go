@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/controller"
 	"repro/internal/critpath"
+	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/qos"
 	"repro/internal/sim"
@@ -248,9 +249,9 @@ func e14Arm(seed int64, sc e14Scale, burst bool) E14Arm {
 			BGMax:     e14BGMax,
 		},
 	}
-	l := newLab(seed, cfg, "v", sc.victimWS)
-	defer l.close()
-	k, c := l.k, l.c
+	l := lab.New(seed, cfg, "v", sc.victimWS)
+	defer l.Close()
+	k, c := l.K, l.C
 	c.QoS.SetEnabled(true)
 	c.QoS.SetBackgroundWeight(e14BGMax) // every arm starts parked at the ceiling
 	scr := telemetry.NewScraper(k, c.Reg, e14Interval)
@@ -259,18 +260,18 @@ func e14Arm(seed int64, sc e14Scale, burst bool) E14Arm {
 	scr.AddWatchdog(rec)
 	scr.Start()
 
-	l.target.Tenant, l.target.Priority = "victim", 3
+	l.Target.Tenant, l.Target.Priority = "victim", 3
 	pat := func(int) workload.Pattern { return workload.Uniform{Range: sc.victimWS, Blocks: 4} }
 
 	// Pre phase: victim alone, governor parked at BGMax.
-	l.run(sc.victims, sc.pre, pat)
+	l.Run(sc.victims, sc.pre, pat)
 
 	// Onset: the aggressor switches on; the measured victim runner rides
 	// through the whole loaded phase.
 	onset := len(rec.wins)
-	l.tr.SetEnabled(sc.traced)
+	l.Tr.SetEnabled(sc.traced)
 	agg := &e14Aggressor{c: c}
-	vr := l.loop(sc.victims, sc.load, pat)
+	vr := l.Loop(sc.victims, sc.load, pat)
 	vr.Start()
 	agg.start(k, sc, burst)
 	half := sc.load / 2
@@ -279,11 +280,11 @@ func e14Arm(seed int64, sc e14Scale, burst bool) E14Arm {
 	k.RunFor(sc.load - half)
 	vr.Bytes.CloseAt(k.Now())
 	agg.stopped = true
-	l.tr.SetEnabled(false)
+	l.Tr.SetEnabled(false)
 	loadEnd := len(rec.wins)
 
 	// Post phase: aggressor off, weight free to recover.
-	l.run(sc.victims, sc.post, pat)
+	l.Run(sc.victims, sc.post, pat)
 
 	arm := E14Arm{
 		VictimP50:       vr.Latency.P50(),
@@ -294,7 +295,7 @@ func e14Arm(seed int64, sc e14Scale, burst bool) E14Arm {
 		ScrubChunks:     agg.Chunks,
 	}
 	if sc.traced {
-		arm.CritPath = critpath.FromTracer(l.tr)
+		arm.CritPath = critpath.FromTracer(l.Tr)
 	}
 	g := c.QoS.Governor()
 	arm.Narrows, arm.Widens = g.Narrows, g.Widens

@@ -6,6 +6,7 @@ import (
 	"repro/internal/balance"
 	"repro/internal/controller"
 	"repro/internal/hotcache"
+	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -160,9 +161,9 @@ func e15Arm(seed int64, sc e15Scale, wl e15Workload, scheme string, writeFrac fl
 	// balanced run — the dominant key's fair-share-plus (~15%) on one
 	// blade — fits with headroom, so throughput can actually recover.
 	cfg.CPUSlots = 6
-	l := newLab(seed, cfg, "v", sc.ws)
-	defer l.close()
-	c := l.c
+	l := lab.New(seed, cfg, "v", sc.ws)
+	defer l.Close()
+	c := l.C
 
 	// Single-block ops: one op == one block == one directory key, so the
 	// per-key heat the balancer plans with is exactly the per-blade load
@@ -182,12 +183,12 @@ func e15Arm(seed int64, sc e15Scale, wl e15Workload, scheme string, writeFrac fl
 		}
 	}
 
-	scr := telemetry.NewScraper(l.k, c.Reg, 100*sim.Millisecond)
+	scr := telemetry.NewScraper(l.K, c.Reg, 100*sim.Millisecond)
 	scr.AddWatchdog(&telemetry.HotSpot{Pattern: "blade/*/ops", CVMax: e12CVMax, RatioMax: e12RatioMax})
 	scr.Start()
 
 	// SAN hosts with static paths: each op goes to the blade that homes it.
-	l.target.Pick = func(lba int64) *controller.Blade { return c.HomeBlade("v", lba) }
+	l.Target.Pick = func(lba int64) *controller.Blade { return c.HomeBlade("v", lba) }
 	var bal *balance.Controller
 	var tier *hotcache.Tier
 	switch scheme {
@@ -211,7 +212,7 @@ func e15Arm(seed int64, sc e15Scale, wl e15Workload, scheme string, writeFrac fl
 		// head and leaves the queue-burst tail to the homes.
 		tier = c.NewHotCache(hotcache.Config{HeatHalfLife: 100 * sim.Millisecond})
 		tier.SetEnabled(true)
-		l.target.ReadVia = tier
+		l.Target.ReadVia = tier
 	}
 
 	// Every arm warms for the same duration. The warm length is sized for
@@ -219,7 +220,7 @@ func e15Arm(seed int64, sc e15Scale, wl e15Workload, scheme string, writeFrac fl
 	// but giving only that arm extra warm would confound the comparison:
 	// the measured window replays the same seeded sequence, so extra warm
 	// alone inflates an arm's cache hit rate regardless of scheme.
-	l.run(sc.clients, sc.warm, pat)
+	l.Run(sc.clients, sc.warm, pat)
 
 	snapshot := func() []float64 {
 		cur := make([]float64, sc.blades)
@@ -240,13 +241,13 @@ func e15Arm(seed int64, sc e15Scale, wl e15Workload, scheme string, writeFrac fl
 	// has completed since the last boundary.
 	const samplerTick = 5 * sim.Millisecond
 	var snaps [][]float64
-	l.k.Go("e15-sampler", func(p *sim.Proc) {
+	l.K.Go("e15-sampler", func(p *sim.Proc) {
 		for i := 0; i < int(sc.dur/samplerTick)-1; i++ {
 			p.Sleep(samplerTick)
 			snaps = append(snaps, snapshot())
 		}
 	})
-	r := l.run(sc.clients, sc.dur, pat)
+	r := l.Run(sc.clients, sc.dur, pat)
 	snaps = append(snaps, snapshot())
 
 	deltas := make([]float64, sc.blades)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/gateway"
+	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/security"
 	"repro/internal/sim"
@@ -168,7 +169,7 @@ func e16Arm(seed int64, sc e16Scale, shards int) []E16Point {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	if err := core.RunBody(sys.K, bodyHorizon, func(p *sim.Proc) error {
+	if err := core.RunBody(sys.K, lab.BodyHorizon, func(p *sim.Proc) error {
 		return sim.Fork(p, "e16-prefill", sc.buckets, func(q *sim.Proc, b int) error {
 			tok := tokens[b%len(tokens)]
 			opts := gateway.BucketOptions{

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stripe"
@@ -56,10 +57,10 @@ func E2(seed int64) *metrics.Table {
 	}
 
 	for _, blades := range []int{1, 2, 4, 8, 16} {
-		l := newLab(seed, clusterConfig(blades), "bench", wsBlocks)
-		l.run(clients, 2*sim.Second, pat) // warm caches
-		r := l.run(clients, dur, pat)
-		l.close()
+		l := lab.New(seed, clusterConfig(blades), "bench", wsBlocks)
+		l.Run(clients, 2*sim.Second, pat) // warm caches
+		r := l.Run(clients, dur, pat)
+		l.Close()
 		tab.AddRow("yotta", blades, fmtF(r.Bytes.MBps()), int64(float64(r.Ops)/dur.Seconds()),
 			fmtDur(r.Latency.Mean()), fmtDur(r.Latency.P99()))
 	}
@@ -70,7 +71,7 @@ func E2(seed int64) *metrics.Table {
 	arr.CreateVolume("v0", wsBlocks/2)
 	arr.CreateVolume("v1", wsBlocks/2)
 	tgt := &arrayTarget{a: arr, vols: []string{"v0", "v1"}, span: wsBlocks / 2}
-	if err := core.RunBody(k, bodyHorizon, func(p *sim.Proc) error { return seqFill(p, tgt, wsBlocks/2) }); err != nil {
+	if err := core.RunBody(k, lab.BodyHorizon, func(p *sim.Proc) error { return seqFill(p, tgt, wsBlocks/2) }); err != nil {
 		panic(err)
 	}
 	bpat := func(int) workload.Pattern {
@@ -162,21 +163,21 @@ func E3(seed int64) *metrics.Table {
 	}
 
 	// Cluster: 4 blades, one shared volume, any blade serves any block.
-	l := newLab(seed, clusterConfig(4), "hot", ws)
-	l.run(clients, 4*sim.Second, pat) // warm the pooled cache
-	r := l.run(clients, dur, pat)
-	hits, misses := l.c.CacheStats()
-	cv := metrics.Summarize(l.c.LoadPerBlade()).CV()
+	l := lab.New(seed, clusterConfig(4), "hot", ws)
+	l.Run(clients, 4*sim.Second, pat) // warm the pooled cache
+	r := l.Run(clients, dur, pat)
+	hits, misses := l.C.CacheStats()
+	cv := metrics.Summarize(l.C.LoadPerBlade()).CV()
 	tab.AddRow("yotta (4 blades)", int64(float64(r.Ops)/dur.Seconds()),
 		fmtDur(r.Latency.P99()), fmtF(cv), fmtF(100*float64(hits)/float64(hits+misses)))
-	l.close()
+	l.Close()
 
 	// Baseline: the hot data lives in one volume owned by controller 0.
 	k, arr := baselineArray(seed)
 	arr.CreateVolume("hot", ws)
 	arr.SetOwner("hot", 0)
 	tgt := &arrayTarget{a: arr, vols: []string{"hot"}, span: ws}
-	if err := core.RunBody(k, bodyHorizon, func(p *sim.Proc) error { return seqFill(p, tgt, ws) }); err != nil {
+	if err := core.RunBody(k, lab.BodyHorizon, func(p *sim.Proc) error { return seqFill(p, tgt, ws) }); err != nil {
 		panic(err)
 	}
 	r2 := &workload.Runner{K: k, Clients: clients, Pattern: pat, Target: tgt, Duration: dur}
@@ -203,22 +204,22 @@ func E4(seed int64) *metrics.Table {
 		return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0.1}
 	}
 	for _, blades := range []int{1, 2, 4, 8} {
-		l := newLab(seed, clusterConfig(blades), "data", ws)
+		l := lab.New(seed, clusterConfig(blades), "data", ws)
 		// Reference run without rebuild.
-		ref := l.run(clients, sim.Second, pat)
+		ref := l.Run(clients, sim.Second, pat)
 
 		// Fail a disk and rebuild while foreground load continues.
-		l.c.Groups[0].Disks()[1].Fail()
-		during := l.loop(clients, 120*sim.Second, pat) // outlives the rebuild
+		l.C.Groups[0].Disks()[1].Fail()
+		during := l.Loop(clients, 120*sim.Second, pat) // outlives the rebuild
 		during.Start()
 		var rebuildTime sim.Duration
-		l.do("E4 rebuild", func(p *sim.Proc) error {
+		l.Do("E4 rebuild", func(p *sim.Proc) error {
 			t0 := p.Now()
-			err := l.c.DistributedRebuild(p, 0, 1)
+			err := l.C.DistributedRebuild(p, 0, 1)
 			rebuildTime = p.Now().Sub(t0)
 			return err
 		})
-		l.close()
+		l.Close()
 		tab.AddRow(blades, fmtF(rebuildTime.Seconds()),
 			fmtDur(during.Latency.P99()), fmtDur(ref.Latency.P99()))
 	}
@@ -287,7 +288,7 @@ func E5(seed int64) *metrics.Table {
 			}
 		}
 	}
-	if err := core.RunBody(k, bodyHorizon, fill); err != nil {
+	if err := core.RunBody(k, lab.BodyHorizon, fill); err != nil {
 		panic(err)
 	}
 	usedThin := pool.AllocatedExtents()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/georepl"
+	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/pfs"
 	"repro/internal/sim"
@@ -32,11 +33,11 @@ func E6(seed int64) *metrics.Table {
 			cfg := clusterConfig(blades)
 			cfg.ReplicationN = n
 			cfg.FlushInterval = 60 * sim.Second // rely on replication alone
-			l := newLab(seed, cfg, "v", 0)
-			defer l.close()
-			c := l.c
+			l := lab.New(seed, cfg, "v", 0)
+			defer l.Close()
+			c := l.C
 			missing := 0
-			l.do("E6", func(p *sim.Proc) error {
+			l.Do("E6", func(p *sim.Proc) error {
 				acked := writeAcks(p, c, "v", 0, nWrites)
 				if len(acked) < nWrites {
 					return fmt.Errorf("%d of %d writes failed", nWrites-len(acked), nWrites)
@@ -62,13 +63,13 @@ func E6(seed int64) *metrics.Table {
 		// Measure write latency with this factor.
 		cfg := clusterConfig(blades)
 		cfg.ReplicationN = n
-		l := newLab(seed, cfg, "v", 0)
+		l := lab.New(seed, cfg, "v", 0)
 		hist := writeLatency(l, "E6 latency", nWrites, 5)
 		if n == 3 {
-			replSkew = telemetry.SkewTable(l.c.Reg, "E6 — per-blade client ops at N=3", "blade/*/ops").String() +
-				telemetry.SkewTable(l.c.Reg, "E6 — per-blade replica pushes held at N=3", "blade/*/repl/puts").String()
+			replSkew = telemetry.SkewTable(l.C.Reg, "E6 — per-blade client ops at N=3", "blade/*/ops").String() +
+				telemetry.SkewTable(l.C.Reg, "E6 — per-blade replica pushes held at N=3", "blade/*/repl/puts").String()
 		}
-		l.close()
+		l.Close()
 		tab.AddRow(n, fmtDur(hist.Mean()), lost(n-1), lost(n))
 	}
 	tab.AddNote("N-1 failures: zero loss (every dirty block still has a live copy); N failures can lose blocks whose entire copy set died")
@@ -78,13 +79,13 @@ func E6(seed int64) *metrics.Table {
 
 // writeLatency times count one-block writes on the arm's volume, write i
 // at block stride·i through blade i mod blades, one after another.
-func writeLatency(l *lab, name string, count int, stride int64) *metrics.Histogram {
+func writeLatency(l *lab.Lab, name string, count int, stride int64) *metrics.Histogram {
 	hist := metrics.NewHistogram()
-	l.do(name, func(p *sim.Proc) error {
-		blk := make([]byte, l.c.BlockSize())
+	l.Do(name, func(p *sim.Proc) error {
+		blk := make([]byte, l.C.BlockSize())
 		for i := 0; i < count; i++ {
 			t0 := p.Now()
-			if err := l.c.Write(p, l.c.Blade(i%len(l.c.Blades)), l.target.Vol, int64(i)*stride, blk, 0); err != nil {
+			if err := l.C.Write(p, l.C.Blade(i%len(l.C.Blades)), l.Target.Vol, int64(i)*stride, blk, 0); err != nil {
 				return err
 			}
 			hist.Observe(p.Now().Sub(t0))
@@ -287,19 +288,19 @@ func E10(seed int64) *metrics.Table {
 		// cache — that effect is §2.2's subject, shown in E2/E3).
 		ws = 4 << 10
 	)
-	l := newLab(seed, clusterConfig(blades), "v", ws)
-	defer l.close()
+	l := lab.New(seed, clusterConfig(blades), "v", ws)
+	defer l.Close()
 	// Read workload: E10 is about availability of data access through
 	// failures (write-durability under failures is E6's subject).
 	pat := func(int) workload.Pattern {
 		return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0}
 	}
-	l.run(clients, 2*sim.Second, pat) // warm caches
-	recoveryTook, series := l.failover("E10", tab, clients, pat, false)
+	l.Run(clients, 2*sim.Second, pat) // warm caches
+	recoveryTook, series := failover(l, "E10", tab, clients, pat, false)
 	tab.AddNote("both failures detected and recovered in %s ms of virtual time", fmtF(recoveryTook.Millis()))
 	tab.AddNote("%s", series.Spark("throughput over time"))
 
-	load := l.c.LoadPerBlade()[2:] // survivors only
+	load := l.C.LoadPerBlade()[2:] // survivors only
 	tab.AddNote("surviving blades' load CV after failures: %s (≈0 = evenly redistributed)",
 		fmtF(metrics.Summarize(load).CV()))
 	return tab
@@ -315,8 +316,8 @@ func E10(seed int64) *metrics.Table {
 // tracer records the three measured phases only, so the breakdown carries
 // no warm-up spans. It returns the recovery's duration and the throughput
 // series over the phases.
-func (l *lab) failover(name string, tab *metrics.Table, clients int, pat func(int) workload.Pattern, traced bool) (sim.Duration, *metrics.TimeSeries) {
-	k, c := l.k, l.c
+func failover(l *lab.Lab, name string, tab *metrics.Table, clients int, pat func(int) workload.Pattern, traced bool) (sim.Duration, *metrics.TimeSeries) {
+	k, c := l.K, l.C
 	series := metrics.NewTimeSeries(0, 250*sim.Millisecond)
 	row := func(phase string, r *workload.Runner, errs int64) {
 		tab.AddRow(phase, fmtF(r.Bytes.MBps()), int64(float64(r.Ops)/r.Duration.Seconds()),
@@ -324,16 +325,16 @@ func (l *lab) failover(name string, tab *metrics.Table, clients int, pat func(in
 	}
 	measure := func(phase string) {
 		errs := c.Errors
-		r := l.loop(clients, sim.Second, pat)
+		r := l.Loop(clients, sim.Second, pat)
 		r.Series = series
 		r.Run()
 		row(phase, r, errs)
 	}
 
-	l.tr.SetEnabled(traced)
+	l.Tr.SetEnabled(traced)
 	measure("before failures")
 	errs := c.Errors
-	during := l.loop(clients, sim.Second, pat)
+	during := l.Loop(clients, sim.Second, pat)
 	during.Series = series
 	during.Start()
 	// The killer is spawned from a timer, not from a body that sleeps
@@ -352,11 +353,11 @@ func (l *lab) failover(name string, tab *metrics.Table, clients int, pat func(in
 	})
 	k.RunFor(sim.Second)
 	row("failure window", during, errs)
-	l.await(name+" recovery", recovered)
-	l.tr.SetEnabled(false)
-	l.run(clients, 8*sim.Second, pat) // re-warm (unmeasured)
-	l.tr.SetEnabled(traced)
+	l.Await(name+" recovery", recovered)
+	l.Tr.SetEnabled(false)
+	l.Run(clients, 8*sim.Second, pat) // re-warm (unmeasured)
+	l.Tr.SetEnabled(traced)
 	measure("after recovery")
-	l.tr.SetEnabled(false)
+	l.Tr.SetEnabled(false)
 	return took, series
 }

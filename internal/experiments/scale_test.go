@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/lab"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -23,13 +24,13 @@ func TestScale64Blades(t *testing.T) {
 	cfg.Disks = 96
 	cfg.DisksPerGroup = 6
 	cfg.CacheBlocksPerBlade = 2048
-	l := newLab(64, cfg, "scale", 0)
-	defer l.close()
-	r := l.run(clients, dur, func(int) workload.Pattern {
+	l := lab.New(64, cfg, "scale", 0)
+	defer l.Close()
+	r := l.Run(clients, dur, func(int) workload.Pattern {
 		return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0.25}
 	})
-	if l.c.Errors != 0 {
-		t.Fatalf("cluster reported %d op errors", l.c.Errors)
+	if l.C.Errors != 0 {
+		t.Fatalf("cluster reported %d op errors", l.C.Errors)
 	}
 	// 10k closed-loop clients for 30 ms must land well over one op each
 	// on average; a collapsed fabric would stall far below this floor.

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/lab"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -21,17 +22,17 @@ func goldenTraceJSONL(seed int64) []byte {
 		clients = 8
 		ws      = 256
 	)
-	l := newLab(seed, clusterConfig(blades), "golden", ws)
-	defer l.close() // after the span log is written: Close ends the ops in flight
+	l := lab.New(seed, clusterConfig(blades), "golden", ws)
+	defer l.Close() // after the span log is written: Close ends the ops in flight
 	pat := func(int) workload.Pattern {
 		return workload.Uniform{Range: ws, Blocks: 4, WriteFrac: 0.25}
 	}
-	l.run(clients, 200*sim.Millisecond, pat)
-	l.tr.SetEnabled(true)
-	l.run(clients, 200*sim.Millisecond, pat)
-	l.tr.SetEnabled(false)
+	l.Run(clients, 200*sim.Millisecond, pat)
+	l.Tr.SetEnabled(true)
+	l.Run(clients, 200*sim.Millisecond, pat)
+	l.Tr.SetEnabled(false)
 	var buf bytes.Buffer
-	if err := l.tr.WriteJSONL(&buf); err != nil {
+	if err := l.Tr.WriteJSONL(&buf); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()

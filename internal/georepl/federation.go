@@ -125,9 +125,6 @@ func (f *Federation) Site(name string) (*Site, error) {
 	return s, nil
 }
 
-// Sites lists site names, sorted.
-func (f *Federation) Sites() []string { return slices.Sorted(maps.Keys(f.sites)) }
-
 // FailSite takes a site dark: its WAN port drops and its local state is
 // considered lost to the federation.
 func (f *Federation) FailSite(name string) error {

@@ -94,12 +94,6 @@ func (r *geoRig) run(body func(p *sim.Proc)) {
 	}
 }
 
-func (r *geoRig) stop() {
-	r.a.StopShipper()
-	r.b.StopShipper()
-	r.c.StopShipper()
-}
-
 func payload(n int, seed byte) []byte {
 	out := make([]byte, n)
 	for i := range out {
@@ -110,7 +104,6 @@ func payload(n int, seed byte) []byte {
 
 func TestLocalCreateAndRead(t *testing.T) {
 	r := newGeoRig(t, 20*sim.Millisecond, Config{})
-	defer r.stop()
 	data := payload(4096, 1)
 	r.run(func(p *sim.Proc) {
 		if err := r.a.Create(p, "/data/f", pfs.Policy{}); err != nil {
@@ -134,7 +127,6 @@ func TestLocalCreateAndRead(t *testing.T) {
 func TestRemoteFirstTouchThenPrefetch(t *testing.T) {
 	const oneWay = 40 * sim.Millisecond
 	r := newGeoRig(t, oneWay, Config{PrefetchBytes: 64 << 10, HotThreshold: 100})
-	defer r.stop()
 	data := payload(32<<10, 3)
 	var first, second sim.Duration
 	r.run(func(p *sim.Proc) {
@@ -175,7 +167,6 @@ func TestRemoteFirstTouchThenPrefetch(t *testing.T) {
 
 func TestHotFilePromotion(t *testing.T) {
 	r := newGeoRig(t, 10*sim.Millisecond, Config{PrefetchBytes: 1024, HotThreshold: 3})
-	defer r.stop()
 	data := payload(16<<10, 5)
 	r.run(func(p *sim.Proc) {
 		r.a.Create(p, "/hot", pfs.Policy{})
@@ -204,7 +195,6 @@ func TestHotFilePromotion(t *testing.T) {
 
 func TestWriteInvalidatesRemoteReplicas(t *testing.T) {
 	r := newGeoRig(t, 5*sim.Millisecond, Config{HotThreshold: 1, PrefetchBytes: 1 << 20})
-	defer r.stop()
 	r.run(func(p *sim.Proc) {
 		r.a.Create(p, "/f", pfs.Policy{})
 		r.a.WriteAt(p, "/f", 0, payload(2048, 1))
@@ -230,7 +220,6 @@ func TestWriteInvalidatesRemoteReplicas(t *testing.T) {
 
 func TestForwardedWrite(t *testing.T) {
 	r := newGeoRig(t, 15*sim.Millisecond, Config{})
-	defer r.stop()
 	data := payload(1024, 7)
 	var elapsed sim.Duration
 	r.run(func(p *sim.Proc) {
@@ -257,7 +246,6 @@ func TestForwardedWrite(t *testing.T) {
 func TestSyncReplicationLatencyAndDurability(t *testing.T) {
 	const oneWay = 25 * sim.Millisecond
 	r := newGeoRig(t, oneWay, Config{})
-	defer r.stop()
 	pol := pfs.Policy{Geo: pfs.GeoPolicy{Mode: pfs.GeoSync, Copies: 1, Sites: []string{"B"}}}
 	data := payload(2048, 2)
 	var elapsed sim.Duration
@@ -286,7 +274,6 @@ func TestSyncReplicationLatencyAndDurability(t *testing.T) {
 func TestAsyncReplicationLocalLatencyThenConvergence(t *testing.T) {
 	const oneWay = 25 * sim.Millisecond
 	r := newGeoRig(t, oneWay, Config{ShipInterval: sim.Millisecond})
-	defer r.stop()
 	pol := pfs.Policy{Geo: pfs.GeoPolicy{Mode: pfs.GeoAsync, Sites: []string{"C"}}}
 	data := payload(2048, 4)
 	var elapsed sim.Duration
@@ -317,7 +304,6 @@ func TestAsyncReplicationLocalLatencyThenConvergence(t *testing.T) {
 
 func TestAsyncShipmentsApplyInWriteOrder(t *testing.T) {
 	r := newGeoRig(t, 5*sim.Millisecond, Config{ShipInterval: sim.Millisecond})
-	defer r.stop()
 	pol := pfs.Policy{Geo: pfs.GeoPolicy{Mode: pfs.GeoAsync, Sites: []string{"B"}}}
 	r.run(func(p *sim.Proc) {
 		r.a.Create(p, "/seq", pol)
@@ -334,7 +320,6 @@ func TestAsyncShipmentsApplyInWriteOrder(t *testing.T) {
 
 func TestSiteDisasterSyncNoLoss(t *testing.T) {
 	r := newGeoRig(t, 20*sim.Millisecond, Config{})
-	defer r.stop()
 	pol := pfs.Policy{Geo: pfs.GeoPolicy{Mode: pfs.GeoSync, Sites: []string{"B"}}}
 	data := payload(4096, 6)
 	r.run(func(p *sim.Proc) {
@@ -357,7 +342,6 @@ func TestSiteDisasterSyncNoLoss(t *testing.T) {
 
 func TestSiteDisasterAsyncLossWindow(t *testing.T) {
 	r := newGeoRig(t, 20*sim.Millisecond, Config{ShipInterval: sim.Second}) // slow shipper
-	defer r.stop()
 	pol := pfs.Policy{Geo: pfs.GeoPolicy{Mode: pfs.GeoAsync, Sites: []string{"B"}}}
 	r.run(func(p *sim.Proc) {
 		r.a.Create(p, "/journal", pol)
@@ -389,7 +373,6 @@ func TestSiteDisasterAsyncLossWindow(t *testing.T) {
 
 func TestFailoverNoReplicaLosesFile(t *testing.T) {
 	r := newGeoRig(t, 10*sim.Millisecond, Config{})
-	defer r.stop()
 	r.run(func(p *sim.Proc) {
 		r.a.Create(p, "/unreplicated", pfs.Policy{}) // GeoNone
 		r.a.WriteAt(p, "/unreplicated", 0, payload(512, 1))
@@ -403,7 +386,6 @@ func TestFailoverNoReplicaLosesFile(t *testing.T) {
 
 func TestDownSiteRejectsIO(t *testing.T) {
 	r := newGeoRig(t, 10*sim.Millisecond, Config{})
-	defer r.stop()
 	r.run(func(p *sim.Proc) {
 		r.a.Create(p, "/f", pfs.Policy{})
 		r.fed.FailSite("B")
@@ -415,7 +397,6 @@ func TestDownSiteRejectsIO(t *testing.T) {
 
 func TestDuplicateCreateRejected(t *testing.T) {
 	r := newGeoRig(t, 10*sim.Millisecond, Config{})
-	defer r.stop()
 	r.run(func(p *sim.Proc) {
 		r.a.Create(p, "/f", pfs.Policy{})
 		if err := r.b.Create(p, "/f", pfs.Policy{}); !errors.Is(err, ErrFileExists) {
@@ -498,8 +479,7 @@ func (s *Site) JournalDepth(dst string) int {
 // the targets are resolved (they used to follow the site map's order).
 func TestDuraTargetsAreSortedByName(t *testing.T) {
 	r := newGeoRig(t, 10*sim.Millisecond, Config{})
-	defer r.stop()
-	defer r.fed.AddSite("D", nil).StopShipper()
+	r.fed.AddSite("D", nil)
 	for copies, want := range map[int]string{1: "B", 2: "B,C", 0: "B,C,D"} {
 		m := &fileMeta{home: "A", policy: pfs.Policy{Geo: pfs.GeoPolicy{Mode: pfs.GeoSync, Copies: copies}}}
 		for i := 0; i < 50; i++ {

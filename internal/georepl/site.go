@@ -46,8 +46,7 @@ type Site struct {
 	// promoting guards against duplicate in-flight promotion fetches.
 	promoting map[string]bool
 
-	stopShip func()
-	Stats    Stats
+	Stats Stats
 }
 
 // FS exposes the site's local file system (tests and tooling).
@@ -221,14 +220,12 @@ func (s *Site) writeAsHome(p *sim.Proc, path string, m *fileMeta, off int64, dat
 }
 
 // startShipper launches the background process draining async journals in
-// write order.
+// write order. It runs until the site goes down or the kernel is closed.
 func (s *Site) startShipper() {
-	stopped := false
-	s.stopShip = func() { stopped = true }
 	s.fed.k.Go("geo.shipper/"+s.Name, func(p *sim.Proc) {
 		for {
 			p.Sleep(s.fed.cfg.ShipInterval)
-			if stopped || s.Down {
+			if s.Down {
 				return
 			}
 			for _, dst := range slices.Sorted(maps.Keys(s.journals)) {
@@ -248,14 +245,6 @@ func (s *Site) startShipper() {
 			}
 		}
 	})
-}
-
-// StopShipper halts the background shipper (drains the event queue in
-// tests and benches).
-func (s *Site) StopShipper() {
-	if s.stopShip != nil {
-		s.stopShip()
-	}
 }
 
 // handleWrite serves a forwarded write as home.

@@ -95,6 +95,7 @@ type clusterRun struct {
 func runCluster(t *testing.T, seed int64, pinned, scrape bool) clusterRun {
 	t.Helper()
 	k := sim.NewKernel(seed)
+	defer k.Close()
 	c, err := controller.New(k, testConfig(3))
 	if err != nil {
 		t.Fatal(err)
@@ -103,12 +104,11 @@ func runCluster(t *testing.T, seed int64, pinned, scrape bool) clusterRun {
 		t.Fatal(err)
 	}
 	var s *telemetry.Scraper
-	var stop func()
 	if scrape {
 		s = telemetry.NewScraper(k, c.Reg, 50*sim.Millisecond)
 		s.AddWatchdog(&telemetry.HotSpot{Pattern: "blade/*/ops"})
 		s.AddWatchdog(&telemetry.Stall{Queue: "disk/*/queue_depth", Throughput: "cluster/ops"})
-		stop = s.Start()
+		s.Start()
 	}
 	var target workload.Target
 	if pinned {
@@ -132,7 +132,6 @@ func runCluster(t *testing.T, seed int64, pinned, scrape bool) clusterRun {
 	}
 	out.endOps, _ = c.Reg.Value("cluster/ops")
 	if s != nil {
-		stop()
 		var tl bytes.Buffer
 		if err := s.WriteJSONL(&tl); err != nil {
 			t.Fatal(err)
@@ -141,7 +140,6 @@ func runCluster(t *testing.T, seed int64, pinned, scrape bool) clusterRun {
 		out.events = s.Events()
 		out.scrapes = s.Scrapes()
 	}
-	c.Stop()
 	return out
 }
 

@@ -26,6 +26,7 @@ func tickingCounter(k *sim.Kernel) *Registry {
 
 func TestScraperSeriesAndDeltas(t *testing.T) {
 	k := sim.NewKernel(1)
+	defer k.Close()
 	reg := tickingCounter(k)
 	s := NewScraper(k, reg, 10*sim.Millisecond)
 	stop := s.Start()
@@ -61,6 +62,7 @@ func TestScraperSeriesAndDeltas(t *testing.T) {
 
 func TestScraperRingWrap(t *testing.T) {
 	k := sim.NewKernel(1)
+	defer k.Close()
 	reg := tickingCounter(k)
 	s := NewScraper(k, reg, 10*sim.Millisecond)
 	s.cap = 4
@@ -87,6 +89,7 @@ func TestScraperRingWrap(t *testing.T) {
 func TestScraperStopMovesNoEvents(t *testing.T) {
 	// A stopped scraper must let the kernel drain: its tick chain ends.
 	k := sim.NewKernel(1)
+	defer k.Close()
 	reg := NewRegistry()
 	reg.Int("zero", func() int64 { return 0 })
 	s := NewScraper(k, reg, 10*sim.Millisecond)
@@ -103,6 +106,7 @@ func TestScraperStopMovesNoEvents(t *testing.T) {
 // tick chain: the old chain's tick finds its own stop flag still set.
 func TestScraperRestartKeepsOneTickChain(t *testing.T) {
 	k := sim.NewKernel(1)
+	defer k.Close()
 	s := NewScraper(k, tickingCounter(k), 10*sim.Millisecond)
 	stop := s.Start()
 	k.RunFor(5 * sim.Millisecond)
@@ -118,6 +122,7 @@ func TestScraperRestartKeepsOneTickChain(t *testing.T) {
 // scrapeRun runs the same seeded scrape workload and returns its exports.
 func scrapeRun(seed int64) (timeline, events string, scrapes int64) {
 	k := sim.NewKernel(seed)
+	defer k.Close()
 	reg := tickingCounter(k)
 	// A second, seeded-random counter exercises value formatting.
 	var noisy int64
@@ -171,6 +176,7 @@ type watchdogHarness struct {
 func newWatchdogHarness(t *testing.T, w Watchdog, names ...string) *watchdogHarness {
 	t.Helper()
 	k := sim.NewKernel(1)
+	t.Cleanup(k.Close)
 	reg := NewRegistry()
 	h := &watchdogHarness{k: k, vals: make(map[string]*int64)}
 	for _, n := range names {
@@ -236,6 +242,7 @@ func TestHotSpotWatchdog(t *testing.T) {
 
 func TestSLOWatchdogLatency(t *testing.T) {
 	k := sim.NewKernel(1)
+	defer k.Close()
 	reg := NewRegistry()
 	lat := metrics.NewHistogram()
 	reg.Histogram("lat", lat)
@@ -339,6 +346,7 @@ func TestStallWatchdog(t *testing.T) {
 
 func TestScraperSkewTableAndReport(t *testing.T) {
 	k := sim.NewKernel(1)
+	defer k.Close()
 	reg := NewRegistry()
 	vals := map[string]*int64{}
 	for _, n := range []string{"blade/0/ops", "blade/1/ops"} {

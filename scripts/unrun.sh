@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
-# unrun.sh — print every function declared in a non-test internal/ file that
-# no run of the repository's binaries executes, as `file:line pkg.Name`.
-#   make unrun
+# unrun.sh [max] — print every function declared in a non-test internal/
+# file that no run of the repository's binaries executes, as
+# `file:line pkg.Name`, then their count. With max, exits 1 when the count
+# exceeds it.
+#   make unrun            the list and the count
+#   make unrun MAX=47     the same, failing above 47
+#   make unrun-gate       the same, failing above the Makefile's UNRUN_MAX
 #
 # Where `make deadcode` lists what no binary links, this lists what no run
 # reaches: each binary is built with coverage over every package and run as
@@ -9,11 +13,13 @@
 # four benchmark workloads at 2 s each with their per-layer drivers
 # (--trace 1), and the full benchrunner — and the functions left at 0 % are
 # printed. A listed function is reached only by tests, by a path no run
-# takes (an error branch, an unused option), or not at all. Report-only: it
+# takes (an error branch, an unused option), or not at all. Without max it
 # exits 0 whenever the runs succeed. Takes a few minutes; benchrunner
 # dominates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+max="${1:-}"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -44,4 +50,11 @@ go tool covdata func -i "$tmp/cov" |
 		sub(/^repro\//, "", $1); sub(/:$/, "", $1); sub(/^\*/, "", $2)
 		n = split($1, path, "/")
 		print $1, path[n - 1] "." $2
-	}' | sort -t: -k1,1 -k2,2n
+	}' | sort -t: -k1,1 -k2,2n > "$tmp/unrun.txt"
+cat "$tmp/unrun.txt"
+count=$(wc -l < "$tmp/unrun.txt")
+echo "unrun: $count functions"
+if [ -n "$max" ] && [ "$count" -gt "$max" ]; then
+	echo "unrun: $count functions no run executes, more than the bound of $max" >&2
+	exit 1
+fi
