@@ -89,14 +89,13 @@ func newHarness(seed int64, blades, cacheBlocks int) *harness {
 	for i := 0; i < blades; i++ {
 		conn := simnet.NewConn(net, peers[i])
 		h.engines = append(h.engines, New(k, Config{
-			Conn:         conn,
-			Peers:        peers,
-			Self:         i,
-			Cache:        cache.New(cacheBlocks),
-			Backing:      backing,
-			BlockSize:    blockSize,
-			OpDelay:      10 * sim.Microsecond,
-			HandlerDelay: 5 * sim.Microsecond,
+			Conn:        conn,
+			Peers:       peers,
+			Self:        i,
+			Cache:       cache.New(cacheBlocks),
+			Backing:     backing,
+			BlockSize:   blockSize,
+			BladeConfig: BladeConfig{OpDelay: 10 * sim.Microsecond}.WithDefaults(),
 		}))
 	}
 	return h

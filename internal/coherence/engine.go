@@ -53,13 +53,39 @@ var ErrNoQuorum = errors.New("coherence: no live blades")
 // the next operation retries from scratch.
 var ErrDegraded = errors.New("coherence: degraded: fabric retries exhausted")
 
-// Default fabric retry policy: a per-attempt deadline generous enough for
-// a destage-laden protocol exchange, three attempts, jittered backoff.
-const (
-	defaultRPCTimeout  = 2 * sim.Second
-	defaultRPCAttempts = 3
-	defaultRPCBackoff  = 500 * sim.Microsecond
-)
+// HandlerDelay is the CPU time a blade charges per coherence message
+// handled, and per key of a vector message.
+const HandlerDelay = 5 * sim.Microsecond
+
+// BladeConfig is a blade's engine settings. controller.Config embeds it and
+// hands every engine the value its WithDefaults returns.
+type BladeConfig struct {
+	// OpDelay is the CPU cost charged per client block operation.
+	OpDelay sim.Duration
+	// CPUSlots bounds a blade's concurrently executing operations
+	// (0 = 4).
+	CPUSlots int
+	// NoPeerFetch disables cache-to-cache transfers on read misses
+	// (ablation: every shared miss then reads the backing store).
+	NoPeerFetch bool
+	// ReadAhead, when positive, prefetches this many following blocks
+	// after a detected sequential read run (§4).
+	ReadAhead int
+	// Retry tunes the bounded retry loop a blade wraps around every
+	// protocol call (GetS/GetX/Inv/Downgrade/Fetch) and replica push.
+	// Zero fields select simnet.RetryPolicy.WithDefaults.
+	Retry simnet.RetryPolicy
+}
+
+// WithDefaults fills in the zero fields that have a default: the CPU slots
+// and the retry policy.
+func (b BladeConfig) WithDefaults() BladeConfig {
+	if b.CPUSlots <= 0 {
+		b.CPUSlots = 4
+	}
+	b.Retry = b.Retry.WithDefaults()
+	return b
+}
 
 // Config assembles an Engine.
 type Config struct {
@@ -75,12 +101,9 @@ type Config struct {
 	Backing Backing
 	// BlockSize is the coherence granularity in bytes.
 	BlockSize int
-	// OpDelay is the CPU cost charged per client operation.
-	OpDelay sim.Duration
-	// HandlerDelay is the CPU cost charged per protocol message handled.
-	HandlerDelay sim.Duration
-	// CPUSlots bounds concurrently executing operations on this blade.
-	CPUSlots int
+	// BladeConfig is the blade's settings, already defaulted: New takes
+	// them as given.
+	BladeConfig
 	// ReplicateDirty, if non-nil, runs after a write installs dirty data
 	// and before the write is acknowledged (N-way replication hook, §6.1).
 	// factor is the per-write replication factor (0 = manager default),
@@ -89,16 +112,6 @@ type Config struct {
 	// OnClean, if non-nil, runs when a dirty block reaches the backing
 	// store (replicas may be released).
 	OnClean func(p *sim.Proc, key cache.Key, version uint64)
-	// NoPeerFetch disables cache-to-cache transfers on read misses
-	// (ablation: every shared miss then reads the backing store).
-	NoPeerFetch bool
-	// ReadAhead, when positive, prefetches this many following blocks
-	// after a detected sequential read run (§4).
-	ReadAhead int
-	// Retry tunes the bounded retry loop wrapped around every protocol
-	// call (GetS/GetX/Inv/Downgrade/Fetch). Zero fields select defaults:
-	// 2 s per-attempt deadline, 3 attempts, 500 µs jittered backoff.
-	Retry simnet.RetryPolicy
 	// CPUQueue, if non-nil, replaces the FIFO CPU semaphore with a QoS
 	// weighted-fair queue of the same slot count, so background services
 	// (rebuild compute, destage) queue behind foreground ops per lane
@@ -242,7 +255,6 @@ type Engine struct {
 	backing   Backing
 	blockSize int
 	opDelay   sim.Duration
-	hdlDelay  sim.Duration
 	cpu       *sim.Semaphore
 	cpuq      *qos.FairQueue
 	retry     simnet.RetryPolicy
@@ -398,35 +410,14 @@ type setHomeReq struct {
 }
 type setHomeResp struct{}
 
-// NormalizeRetry fills pol's zero fields with the engine defaults — also
-// used by management-plane callers (the balance controller) so their
-// protocol RPCs retry exactly like blade-to-blade traffic.
-func NormalizeRetry(pol simnet.RetryPolicy) simnet.RetryPolicy {
-	if pol.Timeout <= 0 {
-		pol.Timeout = defaultRPCTimeout
-	}
-	if pol.Attempts < 1 {
-		pol.Attempts = defaultRPCAttempts
-	}
-	if pol.Backoff <= 0 {
-		pol.Backoff = defaultRPCBackoff
-	}
-	if pol.Jitter <= 0 {
-		pol.Jitter = pol.Backoff
-	}
-	return pol
-}
-
 // New builds an engine and registers its protocol handlers on cfg.Conn.
 func New(k *sim.Kernel, cfg Config) *Engine {
 	if cfg.BlockSize <= 0 {
 		panic("coherence: BlockSize required")
 	}
-	slots := cfg.CPUSlots
-	if slots <= 0 {
-		slots = 4
+	if cfg.CPUSlots <= 0 {
+		panic("coherence: CPUSlots required (BladeConfig.WithDefaults)")
 	}
-	retry := NormalizeRetry(cfg.Retry)
 	e := &Engine{
 		k:            k,
 		conn:         cfg.Conn,
@@ -436,10 +427,9 @@ func New(k *sim.Kernel, cfg Config) *Engine {
 		backing:      cfg.Backing,
 		blockSize:    cfg.BlockSize,
 		opDelay:      cfg.OpDelay,
-		hdlDelay:     cfg.HandlerDelay,
-		cpu:          sim.NewSemaphore(k, slots),
+		cpu:          sim.NewSemaphore(k, cfg.CPUSlots),
 		cpuq:         cfg.CPUQueue,
-		retry:        retry,
+		retry:        cfg.Retry,
 		label:        fmt.Sprintf("blade%d", cfg.Self),
 		dir:          make(map[uint64]*dirEntry),
 		invEpoch:     make(map[uint64]uint64),

@@ -53,15 +53,13 @@ func newHarnessSized(seed int64, blades, cacheBlocks, bs int, backing Backing, r
 	for i := 0; i < blades; i++ {
 		conn := simnet.NewConn(net, peers[i])
 		h.engines = append(h.engines, New(k, Config{
-			Conn:         conn,
-			Peers:        peers,
-			Self:         i,
-			Cache:        cache.New(cacheBlocks),
-			Backing:      backing,
-			BlockSize:    bs,
-			OpDelay:      10 * sim.Microsecond,
-			HandlerDelay: 5 * sim.Microsecond,
-			Retry:        retry,
+			Conn:        conn,
+			Peers:       peers,
+			Self:        i,
+			Cache:       cache.New(cacheBlocks),
+			Backing:     backing,
+			BlockSize:   bs,
+			BladeConfig: BladeConfig{OpDelay: 10 * sim.Microsecond, Retry: retry}.WithDefaults(),
 		}))
 	}
 	return h

@@ -24,7 +24,7 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	reqs := args.([]dirReq)
 	requester := bladeID(e.peers, from)
 	resps := make([]dirResp, len(reqs))
-	e.busy(p, sim.Duration(len(reqs))*e.hdlDelay)
+	e.busy(p, sim.Duration(len(reqs))*HandlerDelay)
 	var buf [8]int
 	probing := buf[:0] // keys whose directory state needs a sharer's fetch or the owner's downgrade
 	for i, req := range reqs {
@@ -180,7 +180,7 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	}
 	requester := bladeID(e.peers, from)
 	e.stats.DirRequests++
-	e.busy(p, e.hdlDelay)
+	e.busy(p, HandlerDelay)
 	ent := e.entry(req.Key)
 	ent.mu.Lock(p)
 	defer ent.mu.Unlock()
@@ -236,7 +236,7 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 		return r, ctrlSize
 	}
 	e.stats.ValueFetches++
-	e.busy(p, e.hdlDelay)
+	e.busy(p, HandlerDelay)
 	e.heat.Touch(req.Key)
 	if ent, ok := e.cache.Get(req.Key); ok && ent.State != cache.Invalid {
 		return dirResp{Data: append([]byte(nil), ent.Data...)}, ctrlSize + len(ent.Data)
@@ -386,7 +386,7 @@ func (e *Engine) handleFetch(p *sim.Proc, from simnet.Addr, args any) (any, int)
 	// Copy before the CPU charge yields: the entry may leave the cache
 	// meanwhile and its buffer go to another block.
 	data := append([]byte(nil), ent.Data...)
-	e.busy(p, e.hdlDelay)
+	e.busy(p, HandlerDelay)
 	return fetchResp{Data: data}, ctrlSize + len(data)
 }
 

@@ -44,7 +44,7 @@ func RequestMigrate(p *sim.Proc, conn *simnet.Conn, peer simnet.Addr, key cache.
 // skipped decision, not an error.
 func (e *Engine) handleMigrate(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(migrateReq)
-	e.busy(p, e.hdlDelay)
+	e.busy(p, HandlerDelay)
 	if req.To == e.self {
 		return migrateResp{Err: "target is the current home"}, ctrlSize
 	}
@@ -107,7 +107,7 @@ func (e *Engine) handleMigrate(p *sim.Proc, from simnet.Addr, args any) (any, in
 // handleAdopt installs a migrated directory entry as the new home.
 func (e *Engine) handleAdopt(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(adoptReq)
-	e.busy(p, e.hdlDelay)
+	e.busy(p, HandlerDelay)
 	id := e.ids.ID(req.Key)
 	delete(e.forward, id)
 	e.homeOverride[id] = e.self

@@ -67,7 +67,7 @@ func runMixedScheduleProperty(t *testing.T, seed int64) {
 	// Control-plane endpoint for migrations, wired like the balancer's.
 	h.net.Connect("ctl", "fabric", simnet.FC2G)
 	ctl := simnet.NewConn(h.net, "ctl")
-	retry := NormalizeRetry(simnet.RetryPolicy{})
+	retry := simnet.RetryPolicy{}.WithDefaults()
 
 	// expected[k] is the last acked write per key. The concurrent phase
 	// partitions keys across writers (key k belongs to writer k%writers),

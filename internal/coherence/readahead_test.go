@@ -26,8 +26,8 @@ func newReadAheadHarness(blades, cacheBlocks, readAhead int) *harness {
 		h.engines = append(h.engines, New(k, Config{
 			Conn: conn, Peers: peers, Self: i,
 			Cache: cache.New(cacheBlocks), Backing: backing,
-			BlockSize: blockSize, OpDelay: 10 * sim.Microsecond,
-			HandlerDelay: 5 * sim.Microsecond, ReadAhead: readAhead,
+			BlockSize:   blockSize,
+			BladeConfig: BladeConfig{OpDelay: 10 * sim.Microsecond, ReadAhead: readAhead}.WithDefaults(),
 		}))
 	}
 	return h

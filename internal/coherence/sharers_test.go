@@ -94,7 +94,7 @@ func TestAdoptKeepsSharerEpochs(t *testing.T) {
 		}
 		old := h.engines[from].dir[h.engines[from].ids.ID(key)]
 		old.sharers.add(a, 5) // as if a had evicted and re-registered four times
-		moved, err := RequestMigrate(p, ctl, h.engines[from].peers[from], key, to, NormalizeRetry(simnet.RetryPolicy{}))
+		moved, err := RequestMigrate(p, ctl, h.engines[from].peers[from], key, to, simnet.RetryPolicy{}.WithDefaults())
 		if err != nil || !moved {
 			t.Fatalf("migrate: moved=%v err=%v", moved, err)
 		}

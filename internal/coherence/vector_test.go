@@ -136,7 +136,7 @@ func TestVectorRedirectsOneKey(t *testing.T) {
 		return adopter.handleAdopt(p, from, args)
 	})
 	h.k.Go("migrate", func(p *sim.Proc) {
-		ok, err := RequestMigrate(p, ctl, h.engines[home].peers[home], moved, to, NormalizeRetry(simnet.RetryPolicy{}))
+		ok, err := RequestMigrate(p, ctl, h.engines[home].peers[home], moved, to, simnet.RetryPolicy{}.WithDefaults())
 		if err != nil || !ok {
 			t.Errorf("migrate %v from %d to %d: moved=%v err=%v", moved, home, to, ok, err)
 		}

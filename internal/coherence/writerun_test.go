@@ -92,7 +92,7 @@ func runWriteRunScript(t *testing.T) {
 				// missed it, and must follow the old home's Redirect.
 				home, _ := h.engines[0].Home(kb(5))
 				to := (home + 1) % blades
-				moved, err := RequestMigrate(p, ctl, simnet.Addr(fmt.Sprintf("blade%d", home)), kb(5), to, NormalizeRetry(simnet.RetryPolicy{}))
+				moved, err := RequestMigrate(p, ctl, simnet.Addr(fmt.Sprintf("blade%d", home)), kb(5), to, simnet.RetryPolicy{}.WithDefaults())
 				if err != nil || !moved {
 					t.Fatalf("migrate key 5 from %d to %d: moved=%v err=%v", home, to, moved, err)
 				}

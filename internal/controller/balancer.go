@@ -53,7 +53,7 @@ func (c *Cluster) NewBalancer(scr *telemetry.Scraper, cfg balance.Config) *balan
 		Conn:    conn,
 		Peers:   peers,
 		Tracer:  c.Cfg.Tracer,
-		Retry:   coherence.NormalizeRetry(c.Cfg.FabricRetry),
+		Retry:   c.Cfg.Retry,
 	})
 	ctl.RegisterTelemetry(c.Reg.Sub("balance"))
 	return ctl

@@ -47,20 +47,12 @@ type Config struct {
 	// ExtentBlocks is the virtualization extent size in blocks (0 = 256).
 	ExtentBlocks int64
 
-	// OpDelay is CPU time per block operation on a blade.
-	OpDelay sim.Duration
-	// CPUSlots bounds a blade's concurrent operations (0 = 4).
-	CPUSlots int
+	// BladeConfig is every blade's engine settings: OpDelay, CPUSlots,
+	// NoPeerFetch, ReadAhead and Retry, the policy of its protocol calls,
+	// replica pushes and management-plane calls.
+	coherence.BladeConfig
 	// FlushInterval drives the background destager (0 = 20 ms).
 	FlushInterval sim.Duration
-	// NoPeerFetch disables cache-to-cache transfers (ablation).
-	NoPeerFetch bool
-	// ReadAhead prefetches this many blocks after sequential read runs.
-	ReadAhead int
-	// FabricRetry tunes the timeout/retry/backoff loop every blade wraps
-	// around its protocol and replication RPCs. Zero fields select the
-	// coherence defaults (2 s deadline, 3 attempts, 500 µs backoff).
-	FabricRetry simnet.RetryPolicy
 	// FabricFaults, when non-nil, injects seeded drop/duplicate/delay
 	// faults on every fabric link at construction (see Cluster.SetFaultPlan
 	// for enabling at runtime).
@@ -75,10 +67,6 @@ type Config struct {
 	QoS *qos.Config
 }
 
-// HandlerDelay is the CPU time a blade charges per coherence message
-// handled, and per key of a vector message.
-const HandlerDelay = 5 * sim.Microsecond
-
 // DefaultConfig returns a mid-size lab configuration: 4 blades, RAID-5
 // groups of 5 over 20 disks.
 func DefaultConfig() Config {
@@ -89,12 +77,12 @@ func DefaultConfig() Config {
 		Disks:               20,
 		DisksPerGroup:       5,
 		RAIDLevel:           raid.RAID5,
-		OpDelay:             10 * sim.Microsecond,
+		BladeConfig:         coherence.BladeConfig{OpDelay: 10 * sim.Microsecond},
 	}.WithDefaults()
 }
 
 // WithDefaults fills in the zero fields that have a default: the drive
-// model, the destage interval, the extent size and the CPU slots.
+// model, the destage interval, the extent size and the blade settings.
 func (cfg Config) WithDefaults() Config {
 	if cfg.DiskSpec.BlockSize == 0 {
 		cfg.DiskSpec = disk.DefaultSpec()
@@ -105,9 +93,7 @@ func (cfg Config) WithDefaults() Config {
 	if cfg.ExtentBlocks == 0 {
 		cfg.ExtentBlocks = 256
 	}
-	if cfg.CPUSlots <= 0 {
-		cfg.CPUSlots = 4
-	}
+	cfg.BladeConfig = cfg.BladeConfig.WithDefaults()
 	return cfg
 }
 
@@ -239,20 +225,15 @@ func New(k *sim.Kernel, cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.Blades; i++ {
 		conn := simnet.NewConn(net, peers[i])
 		repl := replication.New(k, conn, peers, i, cfg.ReplicationN)
-		repl.Retry = cfg.FabricRetry
+		repl.Retry = cfg.Retry
 		engCfg := coherence.Config{
-			Conn:         conn,
-			Peers:        peers,
-			Self:         i,
-			Cache:        cache.New(cfg.CacheBlocksPerBlade),
-			Backing:      backing,
-			BlockSize:    cfg.DiskSpec.BlockSize,
-			OpDelay:      cfg.OpDelay,
-			HandlerDelay: HandlerDelay,
-			CPUSlots:     cfg.CPUSlots,
-			NoPeerFetch:  cfg.NoPeerFetch,
-			ReadAhead:    cfg.ReadAhead,
-			Retry:        cfg.FabricRetry,
+			Conn:        conn,
+			Peers:       peers,
+			Self:        i,
+			Cache:       cache.New(cfg.CacheBlocksPerBlade),
+			Backing:     backing,
+			BlockSize:   cfg.DiskSpec.BlockSize,
+			BladeConfig: cfg.BladeConfig,
 		}
 		if cfg.ReplicationN > 1 {
 			engCfg.ReplicateDirty = repl.ReplicateDirty
@@ -331,6 +312,23 @@ func (c *Cluster) registerTelemetry() {
 	c.Net.RegisterTelemetry(r.Sub("net"))
 	if c.QoS != nil {
 		c.QoS.RegisterTelemetry(r.Sub("qos"))
+	}
+}
+
+// Alarms returns the default watchdog set over the metrics a cluster
+// registers: hot spots across the blades' ops, disk queues that grow while
+// cluster ops stay flat, and the SLO on client ops (windowed p99 against
+// p99Max, 0 disabling that check; any client error; degraded-mode spans).
+func Alarms(p99Max sim.Duration) []telemetry.Watchdog {
+	return []telemetry.Watchdog{
+		&telemetry.HotSpot{Pattern: "blade/*/ops"},
+		&telemetry.Stall{Queue: "disk/*/queue_depth", Throughput: "cluster/ops"},
+		&telemetry.SLO{
+			Hist:     "cluster/op_latency",
+			P99Max:   p99Max,
+			Errors:   "cluster/errors",
+			Degraded: "cluster/degraded_ops",
+		},
 	}
 }
 

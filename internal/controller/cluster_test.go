@@ -562,9 +562,24 @@ func TestDistributedCloneFasterWithMoreBlades(t *testing.T) {
 	}
 }
 
+// A cluster built with a zero retry policy hands every blade's replication
+// manager the policy its coherence engine and management-plane calls use.
+func TestZeroRetryIsTheFabricDefaultEverywhere(t *testing.T) {
+	c, _ := newTestCluster(t, 1, nil)
+	want := simnet.RetryPolicy{}.WithDefaults()
+	if c.Cfg.Retry != want {
+		t.Fatalf("cluster policy %+v, want %+v", c.Cfg.Retry, want)
+	}
+	for _, b := range c.Blades {
+		if b.Repl.Retry != want {
+			t.Errorf("blade %d pushes replicas under %+v, want %+v", b.ID, b.Repl.Retry, want)
+		}
+	}
+}
+
 func TestFaultPlanCountersSurface(t *testing.T) {
 	c, k := newTestCluster(t, 1, func(cfg *Config) {
-		cfg.FabricRetry = simnet.RetryPolicy{
+		cfg.Retry = simnet.RetryPolicy{
 			Timeout:    20 * sim.Millisecond,
 			Attempts:   6,
 			Backoff:    sim.Millisecond,

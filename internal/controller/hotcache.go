@@ -29,7 +29,7 @@ func (c *Cluster) NewHotCache(cfg hotcache.Config) *hotcache.Tier {
 		Engines: engines,
 		Conns:   conns,
 		Peers:   peers,
-		Retry:   coherence.NormalizeRetry(c.Cfg.FabricRetry),
+		Retry:   c.Cfg.Retry,
 		Down:    func(blade int) bool { return c.Blades[blade].Down },
 	})
 	t.RegisterTelemetry(c.Reg.Sub("hotcache"))

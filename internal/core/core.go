@@ -189,14 +189,7 @@ func newSystemOn(k *sim.Kernel, opts Options) (*System, error) {
 	if opts.Telemetry > 0 {
 		sys.Scraper = telemetry.NewScraper(k, cluster.Reg, opts.Telemetry)
 		sys.Scraper.Tracer = tracer
-		sys.Scraper.AddWatchdog(&telemetry.HotSpot{Pattern: "blade/*/ops"})
-		sys.Scraper.AddWatchdog(&telemetry.Stall{Queue: "disk/*/queue_depth", Throughput: "cluster/ops"})
-		sys.Scraper.AddWatchdog(&telemetry.SLO{
-			Hist:     "cluster/op_latency",
-			P99Max:   opts.SLOReadP99,
-			Errors:   "cluster/errors",
-			Degraded: "cluster/degraded_ops",
-		})
+		sys.Scraper.AddWatchdog(controller.Alarms(opts.SLOReadP99)...)
 		if sys.QoS != nil {
 			// The governor defends the same objective the SLO watchdog
 			// enforces, regulating below the threshold so the watchdog

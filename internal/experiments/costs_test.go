@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/coherence"
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -46,8 +47,8 @@ func costRows() []string {
 	rows := [][4]string{
 		{"`OpDelay`", costDur(def.OpDelay), "per block, on a blade's CPU", "`controller.DefaultConfig`"},
 		{"lab `OpDelay`", costDur(clusterConfig(2).OpDelay), "per block, in every experiment lab and the E2/E3 array", "`experiments.clusterConfig`"},
-		{"`HandlerDelay`", costDur(controller.HandlerDelay), "per coherence message, and per key of a vector message", "`controller.HandlerDelay`"},
-		{"`CPUSlots`", fmt.Sprint(controller.Config{}.WithDefaults().CPUSlots), "charges at once per blade or array controller", "`controller.Config.WithDefaults`"},
+		{"`HandlerDelay`", costDur(coherence.HandlerDelay), "per coherence message, and per key of a vector message", "`coherence.HandlerDelay`"},
+		{"`CPUSlots`", fmt.Sprint(coherence.BladeConfig{}.WithDefaults().CPUSlots), "charges at once per blade or array controller", "`coherence.BladeConfig.WithDefaults`"},
 		{"drive seek", costDur(drive.Seek), "per non-sequential access", "`disk.DefaultSpec`"},
 		{"drive rotation", costDur(drive.Rotation), "per non-sequential access", "`disk.DefaultSpec`"},
 		{"drive media rate", costRate(drive.TransferBps), "per byte", "`disk.DefaultSpec`"},

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/controller"
 	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -36,7 +37,7 @@ func E11(seed int64) *metrics.Table {
 	// Per-attempt deadline far above the healthy fabric RTT but small
 	// enough that four attempts with backoff resolve inside the failure
 	// window; a dropped message costs one timeout, not a wedged client.
-	cfg.FabricRetry = simnet.RetryPolicy{
+	cfg.Retry = simnet.RetryPolicy{
 		Timeout:    50 * sim.Millisecond,
 		Attempts:   4,
 		Backoff:    sim.Millisecond,
@@ -69,20 +70,14 @@ func E11(seed int64) *metrics.Table {
 		return nil
 	})
 
-	// Telemetry scraper over the measured windows: hot-spot, SLO (windowed
-	// p99 against a 100 ms objective, client-visible errors, degraded-mode
-	// duration) and stall watchdogs, sampling every 100 ms of virtual time.
+	// Telemetry scraper over the measured windows: the cluster's alarms
+	// (hot-spot, stall, and SLO: windowed p99 against a 100 ms objective,
+	// client-visible errors, degraded-mode duration), sampling every 100 ms
+	// of virtual time.
 	// Watchdog events also land in the trace stream while the tracer is on.
 	scr := telemetry.NewScraper(l.K, c.Reg, 100*sim.Millisecond)
 	scr.Tracer = l.Tr
-	scr.AddWatchdog(&telemetry.HotSpot{Pattern: "blade/*/ops"})
-	scr.AddWatchdog(&telemetry.SLO{
-		Hist:     "cluster/op_latency",
-		P99Max:   100 * sim.Millisecond,
-		Errors:   "cluster/errors",
-		Degraded: "cluster/degraded_ops",
-	})
-	scr.AddWatchdog(&telemetry.Stall{Queue: "disk/*/queue_depth", Throughput: "cluster/ops"})
+	scr.AddWatchdog(controller.Alarms(100 * sim.Millisecond)...)
 	stopScrape := scr.Start()
 	recoveryTook, series := failover(l, "E11", tab, clients, pat, true)
 	stopScrape()

@@ -71,6 +71,28 @@ func TestE1Shape(t *testing.T) {
 	}
 }
 
+// E1's ingest-link note lists the eight FC links of its 4-blade stream,
+// each carrying an equal share, under its balance note.
+func TestE1IngestLinkTableHasEightRows(t *testing.T) {
+	out := E1(1).String()
+	_, links, ok := strings.Cut(out, "== E1 — FC ingest-link bytes ==")
+	if !ok {
+		t.Fatalf("E1 has no ingest-link table:\n%s", out)
+	}
+	rows := 0
+	for _, line := range strings.Split(links, "\n") {
+		if f := strings.Fields(line); len(f) == 3 && strings.HasPrefix(f[0], "net/link/farm-") {
+			rows++
+			if f[2] != "12.50" {
+				t.Errorf("link %s carries %s %% of the stream, want 12.50", f[0], f[2])
+			}
+		}
+	}
+	if rows != 8 {
+		t.Fatalf("ingest-link table has %d link rows, want 8:\n%s", rows, links)
+	}
+}
+
 func TestE2ScalesAndBeatsBaseline(t *testing.T) {
 	skipIfShort(t)
 	tab := E2(1)

@@ -90,8 +90,8 @@ func FuzzObjectLayout(f *testing.F) {
 			if len(lay.Parts) != 1 {
 				t.Fatalf("segment object with %d parts", len(lay.Parts))
 			}
-			if part.Off%norm.Align != 0 {
-				t.Fatalf("segment slice misaligned: %+v (align %d)", part, norm.Align)
+			if part.Off%segmentAlign != 0 {
+				t.Fatalf("segment slice misaligned: %+v (align %d)", part, segmentAlign)
 			}
 			if part.Off+part.Len > norm.SegmentBytes {
 				t.Fatalf("slice crosses segment capacity: %+v (cap %d)", part, norm.SegmentBytes)

@@ -202,7 +202,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestSegmentAggregationSharesFiles(t *testing.T) {
-	e := newEnv(t, Config{Layout: LayoutConfig{SegmentBytes: 64 << 10, SmallMax: 8 << 10, Align: 4096}})
+	e := newEnv(t, Config{Layout: LayoutConfig{SegmentBytes: 64 << 10, SmallMax: 8 << 10}})
 	tok := e.token(t, "alpha")
 	e.run(t, func(p *sim.Proc) error {
 		if err := e.gw.CreateBucket(p, tok, "tiny", BucketOptions{Priority: -1}); err != nil {

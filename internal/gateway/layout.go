@@ -9,6 +9,11 @@ import (
 // subtree or collide with the gateway's own path grammar.
 var ErrBadName = errors.New("gateway: invalid name")
 
+// segmentAlign rounds each segment slice's start offset, so slices stay
+// block-aligned and small writes avoid read-modify-write on their first
+// block.
+const segmentAlign = 4096
+
 // LayoutConfig shapes how object bytes map onto pfs files (yig's data
 // layer, SNIPPETS.md §1): large objects split into fixed-size parts so
 // their bandwidth stripes across blades, small objects aggregate into
@@ -23,10 +28,6 @@ type LayoutConfig struct {
 	// SmallMax is the aggregation threshold: objects at or under it pack
 	// into segment files, larger ones split into parts (default 64 KiB).
 	SmallMax int64
-	// Align rounds each segment slice's start offset, so slices stay
-	// block-aligned and small writes avoid read-modify-write on their
-	// first block (default 4096).
-	Align int64
 	// Classes lists the storage classes successive parts cycle through
 	// ("" = file-system default class). More than one class stripes a
 	// large object's parts across distinct backing volumes.
@@ -45,9 +46,6 @@ func (c LayoutConfig) withDefaults() LayoutConfig {
 	}
 	if c.SmallMax > c.SegmentBytes {
 		c.SmallMax = c.SegmentBytes
-	}
-	if c.Align <= 0 {
-		c.Align = 4096
 	}
 	if len(c.Classes) == 0 {
 		c.Classes = []string{""}
@@ -146,7 +144,7 @@ func PlanLayout(cfg LayoutConfig, tenant, bucket string, seq uint64, size int64,
 	if size <= cfg.SmallMax {
 		// Aggregate into the current shared segment file, aligned; roll
 		// to a fresh segment when the slice would cross its capacity.
-		off := (cur.Off + cfg.Align - 1) / cfg.Align * cfg.Align
+		off := (cur.Off + segmentAlign - 1) / segmentAlign * segmentAlign
 		seg := cur.Seg
 		if off+size > cfg.SegmentBytes {
 			seg, off = seg+1, 0

@@ -52,7 +52,7 @@ func TestPlanLayoutPartSplit(t *testing.T) {
 }
 
 func TestPlanLayoutSegmentAggregation(t *testing.T) {
-	cfg := LayoutConfig{SegmentBytes: 256 << 10, SmallMax: 64 << 10, Align: 4096}
+	cfg := LayoutConfig{SegmentBytes: 256 << 10, SmallMax: 64 << 10}
 	cur := SegCursor{}
 	var prevEnd int64
 	var prevSeg int64

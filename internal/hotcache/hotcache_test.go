@@ -70,14 +70,13 @@ func newHarness(seed int64, blades, cohBlocks int, cfg Config) *harness {
 		conn := simnet.NewConn(net, h.peers[i])
 		h.conns = append(h.conns, conn)
 		h.engines = append(h.engines, coherence.New(k, coherence.Config{
-			Conn:         conn,
-			Peers:        h.peers,
-			Self:         i,
-			Cache:        cache.New(cohBlocks),
-			Backing:      backing,
-			BlockSize:    blockSize,
-			OpDelay:      10 * sim.Microsecond,
-			HandlerDelay: 5 * sim.Microsecond,
+			Conn:        conn,
+			Peers:       h.peers,
+			Self:        i,
+			Cache:       cache.New(cohBlocks),
+			Backing:     backing,
+			BlockSize:   blockSize,
+			BladeConfig: coherence.BladeConfig{OpDelay: 10 * sim.Microsecond}.WithDefaults(),
 		}))
 	}
 	h.tier = New(cfg, Deps{
@@ -85,7 +84,7 @@ func newHarness(seed int64, blades, cohBlocks int, cfg Config) *harness {
 		Engines: h.engines,
 		Conns:   h.conns,
 		Peers:   h.peers,
-		Retry:   coherence.NormalizeRetry(simnet.RetryPolicy{}),
+		Retry:   simnet.RetryPolicy{}.WithDefaults(),
 	})
 	return h
 }

@@ -70,7 +70,7 @@ func runTierStalenessProperty(t *testing.T, seed int64) {
 	// Control-plane endpoint for migrations, wired like the balancer's.
 	h.net.Connect("ctl", "fabric", simnet.FC2G)
 	ctl := simnet.NewConn(h.net, "ctl")
-	retry := coherence.NormalizeRetry(simnet.RetryPolicy{})
+	retry := simnet.RetryPolicy{}.WithDefaults()
 
 	// acked[k] is the sequence number of the last ACKED write per key;
 	// expected[k] the data. Keys are partitioned across writers (key k

@@ -233,12 +233,3 @@ func (g *Group) availableRange(i int, s, n int64) bool {
 	}
 	return true
 }
-
-// parallel runs fns as concurrent simulation processes, blocking p until
-// all complete; the first non-nil error is returned. A lone fn runs on p.
-func parallel(p *sim.Proc, fns ...func(q *sim.Proc) error) error {
-	if len(fns) == 1 {
-		return fns[0](p)
-	}
-	return sim.Fork(p, "par", len(fns), func(q *sim.Proc, i int) error { return fns[i](q) })
-}

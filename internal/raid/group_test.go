@@ -20,20 +20,16 @@ func rebuild(p *sim.Proc, g *Group, idx int, workers int) error {
 		return errors.New("raid: disk not rebuilding (call StartRebuild)")
 	}
 	next := int64(0)
-	var fns []func(q *sim.Proc) error
-	for w := 0; w < workers; w++ {
-		fns = append(fns, func(q *sim.Proc) error {
-			for next < st.total {
-				c := next
-				next++
-				if err := g.RebuildChunk(q, idx, c); err != nil {
-					return err
-				}
+	return sim.Fan(p, "par", workers, func(q *sim.Proc, _ int) error {
+		for next < st.total {
+			c := next
+			next++
+			if err := g.RebuildChunk(q, idx, c); err != nil {
+				return err
 			}
-			return nil
-		})
-	}
-	return parallel(p, fns...)
+		}
+		return nil
+	})
 }
 
 // parityDisks returns the disks holding stripe s's P and Q (-1 without Q)

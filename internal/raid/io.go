@@ -59,7 +59,10 @@ func (g *Group) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 		}
 	}
 
-	var fns []func(q *sim.Proc) error
+	// One I/O per run of cells a member disk serves, in disk order, then one
+	// reconstruction per degraded stripe, in stripe order: the order the
+	// procs spawn in is the order they queue at the disks.
+	reads := make([]memberRead, 0, len(g.disks))
 	for di, d := range g.disks {
 		cells := pos[di*rows : (di+1)*rows]
 		for a := 0; a < rows; {
@@ -80,33 +83,42 @@ func (g *Group) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 				}
 				b = next + 1
 			}
-			at, io := first+int64(a), cells[a:b]
-			fns = append(fns, func(q *sim.Proc) error { return d.ReadInto(q, at, dst, io...) })
+			reads = append(reads, memberRead{disk: di, at: first + int64(a), pos: cells[a:b]})
 			a = b
 		}
 	}
-	// One reconstruction per degraded stripe, in stripe order: the order
-	// the procs spawn in is the order they queue at the surviving disks.
+	var fixes [][]int64 // runs of degraded, one stripe each
 	for a := 0; a < len(degraded); {
-		s := degraded[a] / dps
 		b := a + 1
-		for b < len(degraded) && degraded[b]/dps == s {
+		for b < len(degraded) && degraded[b]/dps == degraded[a]/dps {
 			b++
 		}
-		logicals := degraded[a:b]
-		fns = append(fns, func(q *sim.Proc) error {
-			stripe, err := g.stripeData(q, s)
-			if err != nil {
-				return err
-			}
-			for _, l := range logicals {
-				copy(dst[(l-lba)*int64(bs):], stripe[l%dps])
-			}
-			return nil
-		})
+		fixes = append(fixes, degraded[a:b])
 		a = b
 	}
-	return parallel(p, fns...)
+	return sim.Fan(p, "par", len(reads)+len(fixes), func(q *sim.Proc, i int) error {
+		if i < len(reads) {
+			r := reads[i]
+			return g.disks[r.disk].ReadInto(q, r.at, dst, r.pos...)
+		}
+		logicals := fixes[i-len(reads)]
+		stripe, err := g.stripeData(q, logicals[0]/dps)
+		if err != nil {
+			return err
+		}
+		for _, l := range logicals {
+			copy(dst[(l-lba)*int64(bs):], stripe[l%dps])
+		}
+		return nil
+	})
+}
+
+// memberRead is one I/O of a multi-row read: rows [at, at+len(pos)) of
+// member disk, scattered to the blocks of dst that pos names.
+type memberRead struct {
+	disk int
+	at   int64
+	pos  []int
 }
 
 // readMirrored serves a RAID-1 read from the least-recently-used mirror
@@ -147,17 +159,17 @@ func (g *Group) Write(p *sim.Proc, lba int64, data []byte) error {
 		return nil
 	}
 	dps, bs := int64(g.dps), int64(g.blockSize)
-	end := lba + int64(count)
-	var fns []func(q *sim.Proc) error
-	for s := lba / dps; s <= (end-1)/dps; s++ {
-		// newData[i] is the row's i-th data block where the write covers it.
+	first, end := lba/dps, lba+int64(count)
+	return sim.Fan(p, "par", int((end-1)/dps-first+1), func(q *sim.Proc, i int) error {
+		s := first + int64(i)
+		// newData holds the row's data blocks by stripe-local position,
+		// nil where the write does not cover one.
 		newData := make([][]byte, dps)
 		for l := max(s*dps, lba); l < min((s+1)*dps, end); l++ {
 			newData[l%dps] = data[(l-lba)*bs : (l-lba+1)*bs]
 		}
-		fns = append(fns, func(q *sim.Proc) error { return g.writeStripe(q, s, newData) })
-	}
-	return parallel(p, fns...)
+		return g.writeStripe(q, s, newData)
+	})
 }
 
 // writeStripe updates stripe row s with newData, its data blocks by
@@ -239,10 +251,14 @@ func (g *Group) writeStripe(p *sim.Proc, s int64, newData [][]byte) error {
 // block: the parity encodes it, and a rebuild of that member reconstructs it
 // once the row is free.
 func (g *Group) writeRow(p *sim.Proc, s int64, newData [][]byte, P, Q []byte) error {
-	var fns []func(q *sim.Proc) error
+	type write struct {
+		disk  int
+		block []byte
+	}
+	writes := make([]write, 0, len(g.disks))
 	put := func(di int, b []byte) {
 		if g.available(di, s) {
-			fns = append(fns, func(q *sim.Proc) error { return g.disks[di].Write(q, s, b) })
+			writes = append(writes, write{di, b})
 		}
 	}
 	for i, di := range g.dataDisks(s) {
@@ -257,7 +273,9 @@ func (g *Group) writeRow(p *sim.Proc, s int64, newData [][]byte, P, Q []byte) er
 	if qd >= 0 {
 		put(qd, Q)
 	}
-	return parallel(p, fns...)
+	return sim.Fan(p, "par", len(writes), func(q *sim.Proc, i int) error {
+		return g.disks[writes[i].disk].Write(q, s, writes[i].block)
+	})
 }
 
 // rmwStripe performs the classic small-write read-modify-write on a healthy
@@ -296,11 +314,9 @@ func (g *Group) rmwStripe(p *sim.Proc, s int64, newData [][]byte) error {
 		}
 		rows[di] = newData[i]
 	}
-	fns := make([]func(q *sim.Proc) error, len(members))
-	for j, di := range members {
-		fns[j] = func(q *sim.Proc) error { return g.disks[di].Write(q, s, rows[di]) }
-	}
-	return parallel(p, fns...)
+	return sim.Fan(p, "par", len(members), func(q *sim.Proc, j int) error {
+		return g.disks[members[j]].Write(q, s, rows[members[j]])
+	})
 }
 
 // stripeData returns the data blocks of stripe s: it reads the available
@@ -331,11 +347,9 @@ func (g *Group) readRows(p *sim.Proc, s int64, n int, disks []int) ([][]byte, er
 	for j, di := range disks {
 		rows[di] = buf[j*size : (j+1)*size : (j+1)*size]
 	}
-	read := func(q *sim.Proc, j int) error { return g.disks[disks[j]].ReadInto(q, s, rows[disks[j]]) }
-	if len(disks) == 1 {
-		return rows, read(p, 0)
-	}
-	return rows, sim.Fork(p, "par", len(disks), read)
+	return rows, sim.Fan(p, "par", len(disks), func(q *sim.Proc, j int) error {
+		return g.disks[disks[j]].ReadInto(q, s, rows[disks[j]])
+	})
 }
 
 // solveRow returns the data blocks of stripe s, the off-th row of the

@@ -59,8 +59,8 @@ type Manager struct {
 	// per-file factor differs from the default.
 	placed map[cache.Key][]int
 	// Retry bounds each replica push (per-attempt deadline, attempt
-	// budget, jittered backoff); the zero value falls back to a single
-	// 2 s-deadline attempt per buddy, the pre-retry behaviour.
+	// budget, jittered backoff). New sets the fabric's default policy;
+	// a cluster replaces it with its blades' defaulted one.
 	Retry simnet.RetryPolicy
 	// Stats
 	Puts, Drops, Recovered int64
@@ -74,6 +74,7 @@ func New(_ *sim.Kernel, conn *simnet.Conn, peers []simnet.Addr, self, n int) *Ma
 		conn: conn, peers: peers, self: self, n: n,
 		held:   make(map[int]map[cache.Key]Replica),
 		placed: make(map[cache.Key][]int),
+		Retry:  simnet.RetryPolicy{}.WithDefaults(),
 	}
 	all := make([]int, len(peers))
 	for i := range all {
@@ -138,15 +139,6 @@ func (m *Manager) ReplicateDirty(p *sim.Proc, key cache.Key, data []byte, versio
 	if len(buddies) == 0 {
 		return nil
 	}
-	pol := m.Retry
-	if pol.Timeout <= 0 {
-		pol.Timeout = 2 * sim.Second
-	}
-	if pol.Attempts < 1 {
-		// Match the coherence layer's default: a single dropped packet
-		// should not fail an acknowledged write.
-		pol.Attempts = 3
-	}
 	var sp *trace.Active
 	if ctx := trace.FromProc(p); ctx.Valid() {
 		sp = ctx.Child("replicate", trace.Repl, fmt.Sprintf("blade%d", m.self))
@@ -158,7 +150,7 @@ func (m *Manager) ReplicateDirty(p *sim.Proc, key cache.Key, data []byte, versio
 		b := buddies[i]
 		_, err := m.conn.CallRetry(q, m.peers[b], "repl.put",
 			putReq{Key: key, Owner: m.self, Version: version, Data: data},
-			ctrlSize+len(data), pol)
+			ctrlSize+len(data), m.Retry)
 		if err != nil {
 			return fmt.Errorf("replication: put to blade %d: %w", b, err)
 		}

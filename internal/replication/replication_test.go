@@ -239,3 +239,30 @@ func TestSetAliveExcludesDeadBuddies(t *testing.T) {
 		}
 	}
 }
+
+// A manager built without a policy retries a push the way a coherence call
+// does: three attempts under a 2 s deadline, with 500 µs then 1 ms of
+// backoff, each plus up to 500 µs of jitter, between them.
+func TestDefaultPushBacksOffLikeCoherence(t *testing.T) {
+	r := newRig(2, 2)
+	r.net.SetFaults("blade1", "fabric", simnet.FaultPlan{DropProb: 1})
+	var took sim.Duration
+	r.run(func(p *sim.Proc) {
+		start := p.Now()
+		if err := r.mgrs[0].ReplicateDirty(p, key(1), data(7), 1, 0); err == nil {
+			t.Error("push to an unreachable buddy succeeded")
+		}
+		took = p.Now().Sub(start)
+	})
+	pol := simnet.RetryPolicy{}.WithDefaults()
+	if r.mgrs[0].Retry != pol {
+		t.Errorf("policy %+v, want the fabric default %+v", r.mgrs[0].Retry, pol)
+	}
+	if st := r.mgrs[0].conn.Stats(); st.Retries != 2 || st.GaveUp != 1 {
+		t.Errorf("rpc stats %+v, want 2 retries and 1 gave-up call", st)
+	}
+	lo := 3*pol.Timeout + pol.Backoff + 2*pol.Backoff
+	if hi := lo + 2*pol.Jitter; took < lo || took >= hi {
+		t.Errorf("push gave up after %v, want within [%v, %v)", took, lo, hi)
+	}
+}

@@ -253,6 +253,16 @@ func Fork(p *Proc, name string, n int, fn func(q *Proc, i int) error) error {
 	return j.err
 }
 
+// Fan is Fork for the fan-outs below the cache (RAID member I/O, volume
+// extents), whose lone item runs on p itself: one I/O needs no process of
+// its own.
+func Fan(p *Proc, name string, n int, fn func(q *Proc, i int) error) error {
+	if n == 1 {
+		return fn(p, 0)
+	}
+	return Fork(p, name, n, fn)
+}
+
 // join is one Fork's state, shared by its items.
 type join struct {
 	p    *Proc

@@ -32,8 +32,7 @@ type LinkSpec struct {
 
 // Common link specifications from the paper's era.
 var (
-	// FC1G and FC2G are the 1 and 2 Gb/s Fibre Channel rates of §2.3.
-	FC1G = LinkSpec{BandwidthBps: 1_000_000_000, Latency: 5 * sim.Microsecond}
+	// FC2G is the 2 Gb/s Fibre Channel rate of §2.3.
 	FC2G = LinkSpec{BandwidthBps: 2_000_000_000, Latency: 5 * sim.Microsecond}
 	// GbE10 is the 10 Gigabit Ethernet port of Figure 1.
 	GbE10 = LinkSpec{BandwidthBps: 10_000_000_000, Latency: 10 * sim.Microsecond}

@@ -36,6 +36,26 @@ type RetryPolicy struct {
 	Jitter sim.Duration
 }
 
+// WithDefaults fills pol's zero fields with the fabric's retry policy, the
+// one every blade-to-blade call uses unless configured otherwise: a 2 s
+// per-attempt deadline, generous enough for a destage-laden protocol
+// exchange, three attempts, and a 500 µs backoff with as much jitter.
+func (pol RetryPolicy) WithDefaults() RetryPolicy {
+	if pol.Timeout <= 0 {
+		pol.Timeout = 2 * sim.Second
+	}
+	if pol.Attempts < 1 {
+		pol.Attempts = 3
+	}
+	if pol.Backoff <= 0 {
+		pol.Backoff = 500 * sim.Microsecond
+	}
+	if pol.Jitter <= 0 {
+		pol.Jitter = pol.Backoff
+	}
+	return pol
+}
+
 // RPCStats counts a connection's client-side fault handling.
 type RPCStats struct {
 	Calls    int64 // attempts issued (retries included)

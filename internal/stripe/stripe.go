@@ -23,9 +23,9 @@ import (
 	"repro/internal/trace"
 )
 
-// The Figure-1 shape every stream has: two Fibre Channel ingest links per
-// blade (the paper's blades have two) and 256 KiB striping units, into one
-// 10 GbE egress port.
+// The Figure-1 shape every stream has: two 2 Gb/s Fibre Channel ingest
+// links per blade (the paper's blades have two) and 256 KiB striping units,
+// into one 10 GbE egress port.
 const (
 	fcPerBlade = 2
 	chunkBytes = 256 << 10
@@ -35,8 +35,6 @@ const (
 type Config struct {
 	// Blades is the number of controller blades striped over.
 	Blades int
-	// FCLink is each ingest link's spec (default simnet.FC2G).
-	FCLink simnet.LinkSpec
 	// EncBps, when nonzero, inserts a per-blade encryption engine of this
 	// rate into the path (§5.1/§8.1). Zero = no encryption stage.
 	EncBps int64
@@ -82,9 +80,6 @@ func New(k *sim.Kernel, cfg Config) (*Streamer, error) {
 	if cfg.Blades <= 0 {
 		return nil, fmt.Errorf("stripe: need ≥1 blade")
 	}
-	if cfg.FCLink == (simnet.LinkSpec{}) {
-		cfg.FCLink = simnet.FC2G
-	}
 	s := &Streamer{k: k, cfg: cfg, net: simnet.New(k)}
 	s.net.Connect("switch", "port", simnet.GbE10)
 	for b := 0; b < cfg.Blades; b++ {
@@ -96,7 +91,7 @@ func New(k *sim.Kernel, cfg Config) (*Streamer, error) {
 		}
 		for l := 0; l < fcPerBlade; l++ {
 			fc := simnet.Addr(fmt.Sprintf("blade%d.fc%d", b, l))
-			s.net.Connect("farm", fc, cfg.FCLink)
+			s.net.Connect("farm", fc, simnet.FC2G)
 			s.net.Connect(fc, enc, simnet.LinkSpec{Latency: sim.Microsecond})
 			s.fcs = append(s.fcs, fc)
 		}

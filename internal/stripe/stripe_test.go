@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/simnet"
 )
 
 func stream(t *testing.T, cfg Config, bytes int64) Result {
@@ -92,14 +91,6 @@ func TestEncryptionEngineThrottles(t *testing.T) {
 	res8 := stream(t, Config{Blades: 8, EncBps: 1_000_000_000}, gib/2)
 	if g := res8.Gbps(); g < 7.0 {
 		t.Fatalf("encrypted 8-blade stream = %.2f Gb/s, want ~8 (wire speed by parallelism)", g)
-	}
-}
-
-func TestSlowFCVariant(t *testing.T) {
-	// With 1 Gb/s FC (the paper's older rate), one blade gives ~2 Gb/s.
-	res := stream(t, Config{Blades: 1, FCLink: simnet.FC1G}, gib/8)
-	if g := res.Gbps(); math.Abs(g-2.0) > 0.15 {
-		t.Fatalf("1 blade on FC1G = %.2f Gb/s, want ~2", g)
 	}
 }
 

@@ -17,6 +17,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"path"
 	"sort"
 	"strconv"
 	"strings"
@@ -133,9 +134,10 @@ func (r *Registry) Sample() (names []string, values []float64) {
 }
 
 // Match returns the registered names matching pattern, in natural order.
-// Pattern segments are matched literally except "*", which matches exactly
-// one path segment: "blade/*/ops" matches blade/0/ops but not
-// blade/0/cache/hits.
+// A pattern is a path.Match pattern: "*" matches any run of characters
+// within one path segment, so "blade/*/ops" matches blade/0/ops but not
+// blade/0/cache/hits, and "net/link/farm-*/bytes" matches every link out
+// of the farm.
 func (r *Registry) Match(pattern string) []string {
 	r.sortNames()
 	var out []string
@@ -148,17 +150,8 @@ func (r *Registry) Match(pattern string) []string {
 }
 
 func matchPattern(pattern, name string) bool {
-	ps := strings.Split(pattern, "/")
-	ns := strings.Split(name, "/")
-	if len(ps) != len(ns) {
-		return false
-	}
-	for i := range ps {
-		if ps[i] != "*" && ps[i] != ns[i] {
-			return false
-		}
-	}
-	return true
+	ok, _ := path.Match(pattern, name)
+	return ok
 }
 
 // naturalLess orders '/'-separated paths segment-wise, comparing all-digit

@@ -56,6 +56,9 @@ func TestRegistryMatch(t *testing.T) {
 		// matches a 4-segment name.
 		{"blade/*/*", []string{"blade/0/ops", "blade/1/ops"}},
 		{"nothing/*", nil},
+		// '*' also matches part of a segment.
+		{"blade/*/o*", []string{"blade/0/ops", "blade/1/ops"}},
+		{"d*/0/*", []string{"disk/0/queue_depth"}},
 	}
 	for _, c := range cases {
 		got := r.Match(c.pattern)
@@ -144,6 +147,11 @@ func TestSkewTableFree(t *testing.T) {
 	}
 	if !strings.Contains(out, "skew: CV") {
 		t.Fatalf("skew table missing CV note:\n%s", out)
+	}
+	// A pattern that matches nothing says so instead of claiming balance.
+	out = SkewTable(r, "skew", "disk/*/ops").String()
+	if !strings.Contains(out, `skew: no metric matches "disk/*/ops"`) || strings.Contains(out, "balanced") {
+		t.Fatalf("no-match skew table should say nothing matched:\n%s", out)
 	}
 }
 

@@ -56,8 +56,9 @@ func NewScraper(k *sim.Kernel, reg *Registry, interval sim.Duration) *Scraper {
 	return &Scraper{k: k, reg: reg, interval: interval, cap: DefaultScrapeCap}
 }
 
-// AddWatchdog attaches w; it is evaluated on every scrape, in attach order.
-func (s *Scraper) AddWatchdog(w Watchdog) { s.watchdogs = append(s.watchdogs, w) }
+// AddWatchdog attaches ws; they are evaluated on every scrape, in attach
+// order.
+func (s *Scraper) AddWatchdog(ws ...Watchdog) { s.watchdogs = append(s.watchdogs, ws...) }
 
 // Interval returns the scrape period.
 func (s *Scraper) Interval() sim.Duration { return s.interval }
@@ -269,7 +270,7 @@ func (s *Scraper) SkewTable(title, pattern string) *metrics.Table {
 		}
 		tab.AddRow(n, int64(totals[i]), share, metrics.Sparkline(s.DeltaSeries(n)))
 	}
-	addSkewNote(tab, totals)
+	addSkewNote(tab, pattern, totals)
 	return tab
 }
 
@@ -291,11 +292,18 @@ func SkewTable(reg *Registry, title, pattern string) *metrics.Table {
 		}
 		tab.AddRow(n, int64(vals[i]), share)
 	}
-	addSkewNote(tab, vals)
+	addSkewNote(tab, pattern, vals)
 	return tab
 }
 
-func addSkewNote(tab *metrics.Table, vals []float64) {
+// addSkewNote closes a skew table with the balance statistics of vals, or,
+// when pattern matched no metric, with a note that says so: an empty table
+// is evidence of nothing, not of balance.
+func addSkewNote(tab *metrics.Table, pattern string, vals []float64) {
+	if len(vals) == 0 {
+		tab.AddNote("skew: no metric matches %q", pattern)
+		return
+	}
 	st := metrics.Summarize(vals)
 	ratio := 0.0
 	if st.Mean > 0 {

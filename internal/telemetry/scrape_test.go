@@ -247,7 +247,7 @@ func TestSLOWatchdogLatency(t *testing.T) {
 	lat := metrics.NewHistogram()
 	reg.Histogram("lat", lat)
 	s := NewScraper(k, reg, 10*sim.Millisecond)
-	slo := &SLO{Hist: "lat", P99Max: 5 * sim.Millisecond, MinCount: 4}
+	slo := &SLO{Hist: "lat", P99Max: 5 * sim.Millisecond}
 	s.AddWatchdog(slo)
 
 	observe := func(d sim.Duration, n int) {
@@ -367,6 +367,9 @@ func TestScraperSkewTableAndReport(t *testing.T) {
 		if !contains(out, want) {
 			t.Fatalf("skew table missing %q:\n%s", want, out)
 		}
+	}
+	if out := s.SkewTable("load", "disk/*/ops").String(); !contains(out, `skew: no metric matches "disk/*/ops"`) || contains(out, "balanced") {
+		t.Fatalf("no-match skew table should say nothing matched:\n%s", out)
 	}
 	rep := s.Report()
 	if rep.Scrapes != 5 || len(rep.Events) != 0 {

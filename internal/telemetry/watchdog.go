@@ -93,7 +93,7 @@ type Watchdog interface {
 }
 
 // DefaultSkewFor is how many consecutive skewed intervals arm a hot-spot
-// response, the watchdog's alarm or the balancer's burst, by default.
+// response, the watchdog's alarm or the balancer's burst.
 const DefaultSkewFor = 2
 
 // SkewThresholds resolves skew thresholds: a zero or negative one takes
@@ -123,16 +123,13 @@ func Skewed(st metrics.Stats, cvMax, ratioMax float64) (idle, skewed bool) {
 // failure mode the paper's pooled cache is designed out of (§2.2) and the
 // one DistCache identifies as the killer of distributed caching tiers. It
 // summarizes the per-interval increments of the metrics matching Pattern
-// (e.g. "blade/*/ops") and fires when they are Skewed for For consecutive
-// judged intervals; an idle interval holds the streak.
+// (e.g. "blade/*/ops") and fires when they are Skewed for DefaultSkewFor
+// consecutive judged intervals; an idle interval holds the streak.
 type HotSpot struct {
 	// Pattern selects the load metric per group member.
 	Pattern string
 	// CVMax and RatioMax are the skew thresholds (see SkewThresholds).
 	CVMax, RatioMax float64
-	// For is how many consecutive skewed intervals arm the alarm
-	// (default DefaultSkewFor).
-	For int
 
 	streak int
 	firing bool
@@ -144,10 +141,6 @@ func (h *HotSpot) Rule() string { return "hot-spot" }
 // Check implements Watchdog.
 func (h *HotSpot) Check(v *View) []Event {
 	cvMax, ratioMax := SkewThresholds(h.CVMax, h.RatioMax)
-	arm := h.For
-	if arm <= 0 {
-		arm = DefaultSkewFor
-	}
 	if v.First {
 		return nil
 	}
@@ -172,7 +165,7 @@ func (h *HotSpot) Check(v *View) []Event {
 		return nil
 	}
 	h.streak++
-	if h.streak < arm || h.firing {
+	if h.streak < DefaultSkewFor || h.firing {
 		return nil
 	}
 	h.firing = true
@@ -188,6 +181,10 @@ func (h *HotSpot) Check(v *View) []Event {
 			h.Pattern, h.streak, st.CV(), cvMax, ratio, ratioMax, hottest)}}
 }
 
+// sloMinCount is the fewest samples a window needs for SLO to judge its
+// p99: two slow ops in an idle window are not a breach.
+const sloMinCount = 16
+
 // SLO monitors service-level objectives over each scrape interval: windowed
 // p99 latency from a registered histogram, client-visible errors
 // (acked-write loss shows up here), and degraded-mode duration.
@@ -195,11 +192,9 @@ type SLO struct {
 	// Hist names a histogram registered with Registry.Histogram (e.g.
 	// "cluster/op_latency"); its per-window p99 is compared to P99Max.
 	Hist string
-	// P99Max is the windowed-p99 latency objective (0 disables the check).
+	// P99Max is the windowed-p99 latency objective (0 disables the check),
+	// judged only in a window of at least sloMinCount samples.
 	P99Max sim.Duration
-	// MinCount is the fewest samples a window needs to be judged
-	// (default 16): two slow ops in an idle window are not a breach.
-	MinCount int64
 	// Errors, when set, names a counter whose increments are client-visible
 	// failures; any increment emits an event.
 	Errors string
@@ -221,22 +216,18 @@ func (s *SLO) Rule() string { return "slo" }
 // Check implements Watchdog.
 func (s *SLO) Check(v *View) []Event {
 	var out []Event
-	minCount := s.MinCount
-	if minCount <= 0 {
-		minCount = 16
-	}
 	if s.Hist != "" && s.P99Max > 0 {
 		if h := v.Reg.HistogramFor(s.Hist); h != nil {
 			if s.haveSnap && !v.First {
 				n := h.CountSince(s.prevSnap)
 				p99 := h.QuantileSince(s.prevSnap, 0.99)
 				switch {
-				case n >= minCount && p99 > s.P99Max && !s.latFiring:
+				case n >= sloMinCount && p99 > s.P99Max && !s.latFiring:
 					s.latFiring = true
 					out = append(out, Event{Rule: s.Rule(), Severity: "warn",
 						Detail: fmt.Sprintf("%s window p99 %.3fms exceeds SLO %.3fms (%d ops)",
 							s.Hist, p99.Millis(), s.P99Max.Millis(), n)})
-				case n >= minCount && p99 <= s.P99Max && s.latFiring:
+				case n >= sloMinCount && p99 <= s.P99Max && s.latFiring:
 					s.latFiring = false
 					out = append(out, Event{Rule: s.Rule(), Severity: "info",
 						Detail: fmt.Sprintf("%s window p99 %.3fms back within SLO %.3fms",
@@ -273,6 +264,9 @@ func (s *SLO) Check(v *View) []Event {
 	return out
 }
 
+// stallFor is how many consecutive stalled intervals arm the Stall alarm.
+const stallFor = 3
+
 // Stall alarms when queues grow while throughput stays flat — the signature
 // of a wedged pipeline (as opposed to one that is merely busy, where
 // throughput is nonzero, or idle, where queues drain).
@@ -282,9 +276,6 @@ type Stall struct {
 	Queue string
 	// Throughput names a cumulative work counter (e.g. "cluster/ops").
 	Throughput string
-	// For is how many consecutive stalled intervals arm the alarm
-	// (default 3).
-	For int
 
 	streak int
 	firing bool
@@ -295,10 +286,6 @@ func (s *Stall) Rule() string { return "stall" }
 
 // Check implements Watchdog.
 func (s *Stall) Check(v *View) []Event {
-	arm := s.For
-	if arm <= 0 {
-		arm = 3
-	}
 	if v.First {
 		return nil
 	}
@@ -310,7 +297,7 @@ func (s *Stall) Check(v *View) []Event {
 	tput := v.Delta(s.Throughput)
 	if qGrowth > 0 && tput <= 0 {
 		s.streak++
-		if s.streak >= arm && !s.firing {
+		if s.streak >= stallFor && !s.firing {
 			s.firing = true
 			return []Event{{Rule: s.Rule(), Severity: "warn",
 				Detail: fmt.Sprintf("%s grew %d over %d intervals while %s was flat",

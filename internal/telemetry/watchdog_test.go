@@ -35,7 +35,7 @@ var levelDeltas = []float64{100, 100, 100, 100}
 // wildly skewed snapshot must produce no events and must not advance the
 // arming streak.
 func TestHotSpotZeroScrapes(t *testing.T) {
-	h := &HotSpot{Pattern: "blade/*/ops", For: 1}
+	h := &HotSpot{Pattern: "blade/*/ops"}
 	v := deltaView(0, bladeNames, skewedDeltas)
 	v.First = true
 	for i := 0; i < 3; i++ {
@@ -43,17 +43,20 @@ func TestHotSpotZeroScrapes(t *testing.T) {
 			t.Fatalf("first-scrape check %d emitted %v, want nil", i, ev)
 		}
 	}
-	// The first real scrape after that must still need a full streak of its
-	// own: nothing leaked from the First views.
-	if ev := h.Check(deltaView(1, bladeNames, skewedDeltas)); len(ev) == 0 {
-		t.Fatalf("For=1 watchdog did not fire on first real skewed interval")
+	// The first real scrapes after that must still need a full streak of
+	// their own: nothing leaked from the First views.
+	if ev := h.Check(deltaView(1, bladeNames, skewedDeltas)); ev != nil {
+		t.Fatalf("first real skewed interval emitted %v, want nil (streak 1 of 2)", ev)
+	}
+	if ev := h.Check(deltaView(2, bladeNames, skewedDeltas)); len(ev) == 0 {
+		t.Fatalf("watchdog did not fire on the second real skewed interval")
 	}
 }
 
 // TestHotSpotSingleBlade: with fewer than two matching series the CV is
 // undefined, so the watchdog must stay silent no matter the load.
 func TestHotSpotSingleBlade(t *testing.T) {
-	h := &HotSpot{Pattern: "blade/*/ops", For: 1}
+	h := &HotSpot{Pattern: "blade/*/ops"}
 	one := []string{"blade/0/ops"}
 	for i := 1; i <= 4; i++ {
 		if ev := h.Check(deltaView(i, one, []float64{1e6})); ev != nil {
@@ -61,7 +64,7 @@ func TestHotSpotSingleBlade(t *testing.T) {
 		}
 	}
 	// Zero matching series (pattern matches nothing) is the same story.
-	h2 := &HotSpot{Pattern: "disk/*/ops", For: 1}
+	h2 := &HotSpot{Pattern: "disk/*/ops"}
 	if ev := h2.Check(deltaView(1, bladeNames, skewedDeltas)); ev != nil {
 		t.Fatalf("no-match pattern emitted %v, want nil", ev)
 	}
@@ -71,7 +74,7 @@ func TestHotSpotSingleBlade(t *testing.T) {
 // hovers exactly at max/mean == RatioMax must never arm, however long it
 // persists.
 func TestHotSpotExactRatioThreshold(t *testing.T) {
-	h := &HotSpot{Pattern: "blade/*/ops"} // defaults: CVMax 0.5, RatioMax 2, For 2
+	h := &HotSpot{Pattern: "blade/*/ops"} // defaults: CVMax 0.5, RatioMax 2
 	// mean 2, max 4 → ratio exactly 2.0; CV ≈ 0.94 is well past CVMax, so
 	// only the ratio leg is holding the alarm back.
 	hover := []float64{4, 2, 1, 1}
@@ -94,7 +97,7 @@ func TestHotSpotExactRatioThreshold(t *testing.T) {
 func TestHotSpotExactCVThreshold(t *testing.T) {
 	hover := []float64{3, 1, 2, 2}
 	st := metrics.Summarize(hover)
-	h := &HotSpot{Pattern: "blade/*/ops", CVMax: st.CV(), RatioMax: 1.01, For: 1}
+	h := &HotSpot{Pattern: "blade/*/ops", CVMax: st.CV(), RatioMax: 1.01}
 	if r := st.Max / st.Mean; r <= 1.01 {
 		t.Fatalf("test vector drifted: ratio %v should exceed RatioMax", r)
 	}
@@ -103,18 +106,21 @@ func TestHotSpotExactCVThreshold(t *testing.T) {
 			t.Fatalf("interval %d at exact CV threshold emitted %v, want nil", i, ev)
 		}
 	}
-	// One epsilon past the threshold fires immediately (For=1).
-	h2 := &HotSpot{Pattern: "blade/*/ops", CVMax: st.CV() * 0.999, RatioMax: 1.01, For: 1}
-	if ev := h2.Check(deltaView(1, bladeNames, hover)); len(ev) != 1 || ev[0].Severity != "warn" {
-		t.Fatalf("just past CV threshold: got %v, want one warn", ev)
+	// One epsilon past the threshold fires once the streak arms.
+	h2 := &HotSpot{Pattern: "blade/*/ops", CVMax: st.CV() * 0.999, RatioMax: 1.01}
+	if ev := h2.Check(deltaView(1, bladeNames, hover)); ev != nil {
+		t.Fatalf("just past CV threshold, streak 1 of 2: got %v, want nil", ev)
+	}
+	if ev := h2.Check(deltaView(2, bladeNames, hover)); len(ev) != 1 || ev[0].Severity != "warn" {
+		t.Fatalf("just past CV threshold, streak 2 of 2: got %v, want one warn", ev)
 	}
 }
 
 // TestHotSpotHoverNoFlap: load alternating between skewed and level every
-// interval never satisfies For=2 consecutive skewed intervals, so the alarm
-// must neither enter nor emit spurious clears.
+// interval never satisfies DefaultSkewFor = 2 consecutive skewed intervals,
+// so the alarm must neither enter nor emit spurious clears.
 func TestHotSpotHoverNoFlap(t *testing.T) {
-	h := &HotSpot{Pattern: "blade/*/ops", For: 2}
+	h := &HotSpot{Pattern: "blade/*/ops"}
 	for i := 1; i <= 12; i++ {
 		d := levelDeltas
 		if i%2 == 1 {
@@ -130,7 +136,7 @@ func TestHotSpotHoverNoFlap(t *testing.T) {
 // the streak arms, stays silent while still firing, then emits exactly one
 // info clear when balance returns — and can re-arm afterwards.
 func TestHotSpotSingleWarnThenClear(t *testing.T) {
-	h := &HotSpot{Pattern: "blade/*/ops", For: 2}
+	h := &HotSpot{Pattern: "blade/*/ops"}
 	var events []Event
 	tick := 0
 	feed := func(d []float64) []Event {
@@ -183,9 +189,9 @@ func TestHotSpotSingleWarnThenClear(t *testing.T) {
 
 // TestHotSpotIdleHoldsState: intervals below 1 of total load are evidence of
 // nothing — they must neither advance nor reset the streak, so
-// skewed, idle, skewed arms a For=2 alarm.
+// skewed, idle, skewed arms the alarm.
 func TestHotSpotIdleHoldsState(t *testing.T) {
-	h := &HotSpot{Pattern: "blade/*/ops", For: 2}
+	h := &HotSpot{Pattern: "blade/*/ops"}
 	if ev := h.Check(deltaView(1, bladeNames, skewedDeltas)); ev != nil {
 		t.Fatalf("streak 1 emitted %v", ev)
 	}

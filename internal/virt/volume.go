@@ -89,13 +89,6 @@ func (v *Volume) spans(lba int64, count int) []extSpan {
 	return out
 }
 
-func parDo(p *sim.Proc, fns ...func(q *sim.Proc) error) error {
-	if len(fns) == 1 {
-		return fns[0](p)
-	}
-	return sim.Fork(p, "vpar", len(fns), func(q *sim.Proc, i int) error { return fns[i](q) })
-}
-
 // Read returns count blocks from virtual address lba. Unmapped ranges read
 // as zeros without touching any device.
 func (v *Volume) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
@@ -134,7 +127,14 @@ func (v *Volume) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 		}
 		return v.pool.devices[e.dev].ReadInto(p, e.start+in, dst)
 	}
-	var fns []func(q *sim.Proc) error
+	// One read per mapped extent, resolved now: a write that lands while
+	// the reads queue must not redirect them.
+	type read struct {
+		dev  BlockDevice
+		lba  int64
+		part []byte
+	}
+	var reads []read
 	for _, sp := range v.spans(lba, count) {
 		part := dst[sp.bufStart*bs : (sp.bufStart+sp.blocks)*bs]
 		e, ok := v.mapping[sp.ext]
@@ -142,15 +142,14 @@ func (v *Volume) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 			clear(part)
 			continue
 		}
-		sp, e := sp, e
-		fns = append(fns, func(q *sim.Proc) error {
-			return v.pool.devices[e.dev].ReadInto(q, e.start+sp.inExt, part)
-		})
+		reads = append(reads, read{v.pool.devices[e.dev], e.start + sp.inExt, part})
 	}
-	if len(fns) == 0 {
+	if len(reads) == 0 {
 		return nil
 	}
-	return parDo(p, fns...)
+	return sim.Fan(p, "vpar", len(reads), func(q *sim.Proc, i int) error {
+		return reads[i].dev.ReadInto(q, reads[i].lba, reads[i].part)
+	})
 }
 
 // Write stores block-aligned data at virtual address lba, allocating
@@ -170,15 +169,11 @@ func (v *Volume) Write(p *sim.Proc, lba int64, data []byte) error {
 	if !v.inRange(lba, count) {
 		return fmt.Errorf("%w: lba=%d count=%d", ErrOutOfRange, lba, count)
 	}
-	var fns []func(q *sim.Proc) error
-	for _, sp := range v.spans(lba, count) {
-		sp := sp
-		chunk := data[sp.bufStart*bs : (sp.bufStart+sp.blocks)*bs]
-		fns = append(fns, func(q *sim.Proc) error {
-			return v.writeExtent(q, sp, chunk)
-		})
-	}
-	return parDo(p, fns...)
+	spans := v.spans(lba, count)
+	return sim.Fan(p, "vpar", len(spans), func(q *sim.Proc, i int) error {
+		sp := spans[i]
+		return v.writeExtent(q, sp, data[sp.bufStart*bs:(sp.bufStart+sp.blocks)*bs])
+	})
 }
 
 // writeExtent performs the write into a single virtual extent.

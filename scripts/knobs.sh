@@ -24,12 +24,13 @@ fi
 out=$(list | grep '\.go$' | grep -v '_test\.go$' | while read -r f; do
 	[ -n "$rev" ] || [ -f "$f" ] || continue # deleted in the working tree
 	# gofmt'd source: a struct's own fields sit one tab in, and a field line
-	# "A, B T" declares one name per comma plus one.
+	# "A, B T" declares one name per comma plus one; an embedded struct
+	# ("\tBladeConfig", "\tcoherence.BladeConfig") is one field.
 	show "$f" | awk -v pkg="$(dirname "$f")" '
 		/^type ([A-Z][A-Za-z0-9]*)?(Config|Options) struct \{$/ ||
 		/^type (HotSpot|SLO|Stall) struct \{$/ { typ = $2; n = 0; next }
 		typ != "" && /^}/ { print pkg, typ, n; typ = ""; next }
-		typ != "" && /^\t[A-Z]/ { k = 1; while ($k ~ /,$/) k++; n += k }
+		typ != "" && /^\t([a-z][a-z0-9]*\.)?[A-Z]/ { k = 1; while ($k ~ /,$/) k++; n += k }
 	'
 done | sort -k1,1 -k2,2 | awk '
 	function flush() { if (cur != "") printf "%7d  %s\n", sub_n, cur }
