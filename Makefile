@@ -45,7 +45,8 @@ orphans:
 
 # deadcode prints every function or method declared in a non-test internal/
 # file that no command, example or benchmark binary links (built with
-# inlining off), and fails if one is not named in scripts/deadcode.allow.
+# inlining off), and every package-level var or const there that no non-test
+# code names, and fails if one is not named in scripts/deadcode.allow.
 deadcode:
 	bash scripts/deadcode.sh
 

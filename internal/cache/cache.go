@@ -124,7 +124,11 @@ type Entry struct {
 	State State
 	// Dirty is read-only outside this package: the cache indexes its dirty
 	// entries, so every change goes through Put or SetDirty.
-	Dirty    bool
+	Dirty bool
+	// Lent marks a Data buffer that crossed the fabric: a peer may hold it,
+	// so nobody writes it (see coherence's freeze rule). A new entry starts
+	// without it.
+	Lent     bool
 	Priority int
 	// Pinned entries are immune to eviction (e.g. mid-writeback).
 	Pinned bool

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func key(i int64) Key { return Key{Vol: "v", LBA: i} }
@@ -235,6 +236,17 @@ func TestVictimLRUWithinLaneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The Lent flag sits in the padding beside State and Dirty: a record is
+// still 128 bytes on a 64-bit host, the size class it had without it.
+func TestEntryDoesNotGrow(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are those of a 64-bit host")
+	}
+	if n := unsafe.Sizeof(Entry{}); n > 128 {
+		t.Errorf("cache.Entry is %d bytes, want at most 128", n)
 	}
 }
 

@@ -305,7 +305,7 @@ type Engine struct {
 
 	// free holds block buffers that clean entries left behind (see buffer
 	// and recycle), never more than the cache has empty slots: a blade holds
-	// no more block memory than a full cache.
+	// no more block memory than a full cache. A frozen buffer is never on it.
 	free [][]byte
 	// runs holds the states finished reads left (see runRead).
 	runs []*runRead
@@ -829,11 +829,10 @@ func (e *Engine) lookup(p *sim.Proc, key cache.Key, dst []byte) (epoch uint64, m
 	return e.invEpoch[e.ids.ID(key)], true, nil
 }
 
-// settle serves the home's answer into dst, installing a copy of a peer's
-// data here (install copies it into a buffer of the free list, so the
-// reply's own buffer is never recycled). fill reports that there was no
-// data: this blade is a sharer under epoch, the backing store is current,
-// and the block is the caller's to read.
+// settle serves the home's answer into dst, installing a peer's data here:
+// the reply's own buffer, frozen, since it crossed the fabric. fill reports
+// that there was no data: this blade is a sharer under epoch, the backing
+// store is current, and the block is the caller's to read.
 func (e *Engine) settle(p *sim.Proc, key cache.Key, epoch uint64, resp dirResp, priority int, dst []byte) (fill bool) {
 	if resp.Data == nil {
 		e.stats.DiskReads++
@@ -841,7 +840,7 @@ func (e *Engine) settle(p *sim.Proc, key cache.Key, epoch uint64, resp dirResp, 
 	}
 	e.stats.PeerFetches++
 	if !resp.NoCache { // a dirty owner forwarded it: serve, do not install
-		e.install(p, key, epoch, resp.Data, priority, nil)
+		e.install(p, key, epoch, resp.Data, true, priority, nil)
 	}
 	copy(dst, resp.Data)
 	return false
@@ -882,17 +881,18 @@ func (e *Engine) ask(p *sim.Proc, method string, key cache.Key, epoch uint64) (d
 	}
 }
 
-// install caches a copy of src, in a buffer from the free list, as key's
-// Shared copy — unless the copy it would be is no longer this blade's to
-// hold. The entry must have seen no invalidation since the directory
-// answered (epoch), before and after makeRoom, which may block on a
-// writeback. It must also still be absent: a writer proc on this same blade
-// may have installed a Modified copy while the data was being fetched (GetX
-// does not invalidate the requester's own blade, so the epoch alone cannot
-// see it), and overwriting that dirty block with older data would lose an
+// install caches src as key's Shared copy — unless the copy it would be is
+// no longer this blade's to hold. A lent src, a peer's reply, is installed
+// itself and frozen; any other is copied into a buffer from the free list.
+// The entry must have seen no invalidation since the directory answered
+// (epoch), before and after makeRoom, which may block on a writeback. It
+// must also still be absent: a writer proc on this same blade may have
+// installed a Modified copy while the data was being fetched (GetX does not
+// invalidate the requester's own blade, so the epoch alone cannot see it),
+// and overwriting that dirty block with older data would lose an
 // acknowledged write. A failed makeRoom (backing store refusing writebacks)
 // degrades to serving the read uncached rather than failing it.
-func (e *Engine) install(p *sim.Proc, key cache.Key, epoch uint64, src []byte, priority int, notes *[]evictNote) {
+func (e *Engine) install(p *sim.Proc, key cache.Key, epoch uint64, src []byte, lent bool, priority int, notes *[]evictNote) {
 	id := e.ids.ID(key)
 	if e.invEpoch[id] != epoch || e.makeRoom(p, notes) != nil {
 		return
@@ -900,9 +900,18 @@ func (e *Engine) install(p *sim.Proc, key cache.Key, epoch uint64, src []byte, p
 	if _, present := e.cache.Peek(key); present || e.invEpoch[id] != epoch {
 		return
 	}
-	buf := e.buffer()
-	copy(buf, src)
-	e.cache.Put(key, buf, cache.Shared, false, priority)
+	if !lent {
+		buf := e.buffer()
+		copy(buf, src)
+		e.cache.Put(key, buf, cache.Shared, false, priority)
+		return
+	}
+	e.cache.Put(key, src, cache.Shared, false, priority).Lent = true
+	// The entry took an empty slot and no free buffer: keep the list's bound.
+	if n := len(e.free); n > max(0, e.cache.Capacity()-e.cache.Len()) {
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	}
 }
 
 // buffer returns a block buffer for a new cache entry: the one a clean
@@ -918,20 +927,36 @@ func (e *Engine) buffer() []byte {
 	return buf
 }
 
-// owned reports that nobody but the cache holds ent or its buffer (DESIGN
-// §22): ent is clean and unpinned, and its Version is 0, so install put it
-// in and nobody rewrote it.
+// owned reports that nobody but the cache holds ent's record (DESIGN §22):
+// ent is clean and unpinned, and its Version is 0, so install put it in and
+// nobody rewrote it.
 func owned(ent *cache.Entry) bool { return !ent.Dirty && !ent.Pinned && ent.Version == 0 }
 
-// recycle takes back the buffer and the record of ent, which has just left
-// the cache, if the cache owned them; the caller has read all it needs of
-// ent. Its Data becomes nil, so a stale *cache.Entry fails loudly instead of
-// reading another block's bytes.
+// frozen reports that ent's buffer may be held beyond this cache, so nobody
+// writes it and it never goes on the free list (DESIGN §15): a write made it
+// (Version > 0: the replicas keep it) or it crossed the fabric (Lent).
+func frozen(ent *cache.Entry) bool { return ent.Version > 0 || ent.Lent }
+
+// lend returns ent's bytes for a reader that may keep them: ent's own buffer
+// if it is frozen, now marked lent, or else a copy, since the cache reuses
+// that buffer. Either way the caller may yield before it reads them.
+func lend(ent *cache.Entry) []byte {
+	if !frozen(ent) {
+		return append([]byte(nil), ent.Data...)
+	}
+	ent.Lent = true
+	return ent.Data
+}
+
+// recycle takes back the record of ent, which has just left the cache, and
+// its buffer unless frozen, if the cache owned them; the caller has read all
+// it needs of ent. Its Data becomes nil, so a stale *cache.Entry fails loudly
+// instead of reading another block's bytes.
 func (e *Engine) recycle(ent *cache.Entry) {
 	if !owned(ent) {
 		return
 	}
-	if len(e.free) < e.cache.Capacity()-e.cache.Len() {
+	if !frozen(ent) && len(e.free) < e.cache.Capacity()-e.cache.Len() {
 		e.free = append(e.free, ent.Data)
 	}
 	ent.Data = nil
@@ -983,7 +1008,7 @@ func (e *Engine) fillRun(p *sim.Proc, key cache.Key, run []gathered, priority in
 	}
 	for i, g := range run {
 		k := cache.Key{Vol: key.Vol, LBA: key.LBA + int64(i)}
-		e.install(p, k, g.epoch, dst[i*bs:(i+1)*bs], priority, &notes)
+		e.install(p, k, g.epoch, dst[i*bs:(i+1)*bs], false, priority, &notes)
 	}
 	e.notify(p, notes)
 	return nil
@@ -1009,7 +1034,7 @@ func (e *Engine) FetchBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, e
 	// have removed it.
 	if ent, ok := e.cache.Get(key); ok && ent.State != cache.Invalid {
 		e.stats.LocalHits++
-		return append([]byte(nil), ent.Data...), nil
+		return lend(ent), nil
 	}
 	resp, err := e.ask(p, "coh.getv", key, 0)
 	if err != nil {
@@ -1100,9 +1125,8 @@ func (e *Engine) writeBlockR(p *sim.Proc, key cache.Key, data []byte, priority, 
 // blocked on a writeback and ownership moved on meanwhile (installing then
 // would create a second owner); the caller takes a fresh grant. The copy
 // goes into the buffer of the Shared copy it replaces, if the cache owns
-// that, or into one from the free list; either way the buffer is the
-// cache's no longer: the replicas keep it, and the bumped Version keeps
-// recycle off it.
+// that, or into one from the free list; either way the bumped Version
+// freezes the buffer: the replicas keep it.
 func (e *Engine) installModified(p *sim.Proc, key cache.Key, epoch uint64, data []byte, priority, replFactor int) (stolen bool, err error) {
 	entry, ok := e.cache.Peek(key)
 	if !ok {
@@ -1118,7 +1142,7 @@ func (e *Engine) installModified(p *sim.Proc, key cache.Key, epoch uint64, data 
 		}
 	}
 	var stored []byte
-	if ok && owned(entry) {
+	if ok && owned(entry) && !frozen(entry) {
 		stored = entry.Data
 	} else {
 		stored = e.buffer()

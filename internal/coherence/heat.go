@@ -12,7 +12,8 @@ import (
 // counters: a key that stops being requested loses half its heat every
 // half-life of virtual time, so the hottest-key ranking tracks *current*
 // demand, not lifetime popularity. The home-migration balancer converts
-// heat into per-interval load with it.
+// heat into per-interval load with it, and the hot-key cache tier's read
+// counters decay at it unless its Config says otherwise.
 const HeatHalfLife = 250 * sim.Millisecond
 
 // heatSweepEvery bounds the heat map's memory: every this many touches the

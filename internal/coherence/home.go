@@ -239,7 +239,7 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	e.busy(p, HandlerDelay)
 	e.heat.Touch(req.Key)
 	if ent, ok := e.cache.Get(req.Key); ok && ent.State != cache.Invalid {
-		return dirResp{Data: append([]byte(nil), ent.Data...)}, ctrlSize + len(ent.Data)
+		return dirResp{Data: lend(ent)}, ctrlSize + len(ent.Data)
 	}
 	ent := e.entry(req.Key)
 	ent.mu.Lock(p)
@@ -367,10 +367,10 @@ func (e *Engine) handleDowngrade(p *sim.Proc, from simnet.Addr, args any) (any, 
 		return downgradeResp{Gone: true}, ctrlSize
 	}
 	if ent.Dirty {
-		return downgradeResp{Data: append([]byte(nil), ent.Data...), StillDirty: true}, ctrlSize + len(ent.Data)
+		return downgradeResp{Data: lend(ent), StillDirty: true}, ctrlSize + len(ent.Data)
 	}
 	ent.State = cache.Shared
-	return downgradeResp{Data: append([]byte(nil), ent.Data...)}, ctrlSize + len(ent.Data)
+	return downgradeResp{Data: lend(ent)}, ctrlSize + len(ent.Data)
 }
 
 // handleFetch serves a peer-cache read of a Shared block. A Gone reply is
@@ -383,9 +383,9 @@ func (e *Engine) handleFetch(p *sim.Proc, from simnet.Addr, args any) (any, int)
 	if !ok || ent.State == cache.Invalid {
 		return fetchResp{Gone: true}, ctrlSize
 	}
-	// Copy before the CPU charge yields: the entry may leave the cache
-	// meanwhile and its buffer go to another block.
-	data := append([]byte(nil), ent.Data...)
+	// Lend before the CPU charge yields: the entry may leave the cache
+	// meanwhile and an unfrozen buffer go to another block.
+	data := lend(ent)
 	e.busy(p, HandlerDelay)
 	return fetchResp{Data: data}, ctrlSize + len(data)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cache"
@@ -107,6 +108,103 @@ func TestEvictedCleanBufferIsReused(t *testing.T) {
 	})
 }
 
+// A clean block that was never written is served to a peer as a copy, so it
+// stays the cache's own: the peer's copy is another buffer, and when the
+// block leaves, its buffer and record go to the next fill as usual.
+func TestServedCleanBufferIsStillReused(t *testing.T) {
+	h := newHarness(1, 2, 2)
+	defer h.k.Close()
+	owner, peer := h.engines[0], h.engines[1]
+	h.run(func(p *sim.Proc) {
+		if _, err := owner.ReadBlock(p, kb(0), 0); err != nil {
+			t.Errorf("read at the owner: %v", err)
+			return
+		}
+		old, _ := owner.cache.Peek(kb(0))
+		buf := &old.Data[0]
+		fetches := peer.Stats().PeerFetches
+		if _, err := peer.ReadBlock(p, kb(0), 0); err != nil {
+			t.Errorf("read at the peer: %v", err)
+			return
+		}
+		if peer.Stats().PeerFetches != fetches+1 {
+			t.Errorf("the peer's read was not served from the owner's cache")
+			return
+		}
+		if got, ok := peer.cache.Peek(kb(0)); !ok || &got.Data[0] == buf {
+			t.Errorf("the peer holds the owner's unfrozen buffer (cached %v)", ok)
+			return
+		}
+		if frozen(old) {
+			t.Errorf("serving a copy froze the owner's buffer")
+		}
+		for _, lba := range []int64{1, 2} { // block 2's fill evicts block 0
+			if _, err := owner.ReadBlock(p, kb(lba), 0); err != nil {
+				t.Errorf("read %d: %v", lba, err)
+				return
+			}
+		}
+		ent, ok := owner.cache.Peek(kb(2))
+		switch {
+		case !ok:
+			t.Errorf("block 2 not cached")
+		case ent != old:
+			t.Errorf("block 2 was installed in a new record")
+		case &ent.Data[0] != buf:
+			t.Errorf("block 2 was installed in a new buffer")
+		}
+	})
+}
+
+// A peer fetch of a written block lends the holder's buffer and the reader
+// installs that very buffer: the whole fetch, directory round trip and
+// install included, allocates less than one block. Blades 1 and 2 each hold
+// one written, destaged block; blade 0, with room for one, reads them in
+// turn, so every read is a peer fetch that evicts the other block.
+func TestPeerFetchOfWrittenBlockCopiesNothing(t *testing.T) {
+	const bs, runs = 4096, 50
+	h := newHarnessSized(1, 3, 1, bs, &failingBacking{delay: 2 * sim.Millisecond, allow: 2}, simnet.RetryPolicy{})
+	defer h.k.Close()
+	reader := h.engines[0]
+	dst := make([]byte, bs)
+	h.run(func(p *sim.Proc) {
+		for b := 1; b <= 2; b++ {
+			if err := h.engines[b].WriteBlock(p, kb(int64(b)), bytes.Repeat([]byte{byte(b)}, bs), 0); err != nil {
+				t.Errorf("write at blade %d: %v", b, err)
+				return
+			}
+			h.engines[b].FlushOnce(p, 0)
+		}
+		i := 0
+		read := func() {
+			b := 1 + i%2
+			i++
+			if err := reader.ReadRun(p, "v", int64(b), 0, dst); err != nil || dst[0] != byte(b) {
+				t.Errorf("read of block %d: %v, first byte %d", b, err, dst[0])
+				return
+			}
+			got, _ := reader.cache.Peek(kb(int64(b)))
+			held, _ := h.engines[b].cache.Peek(kb(int64(b)))
+			if got == nil || held == nil || &got.Data[0] != &held.Data[0] || !got.Lent {
+				t.Errorf("read %d: blade 0 did not install blade %d's lent buffer", i, b)
+			}
+		}
+		read()
+		read() // the evictions below are of lent blocks
+		fetches := reader.Stats().PeerFetches
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		allocs := testing.AllocsPerRun(runs, read)
+		runtime.ReadMemStats(&m1)
+		if n := reader.Stats().PeerFetches - fetches; n != runs+1 {
+			t.Fatalf("%d peer fetches in %d reads", n, runs+1)
+		}
+		if perRead := (m1.TotalAlloc - m0.TotalAlloc) / (runs + 1); perRead >= bs {
+			t.Errorf("a peer fetch of a written block allocates %d bytes in %v objects, want < %d: the block is copied", perRead, allocs, bs)
+		}
+	})
+}
+
 // payloadOf is block lba as write seq left it: every 8-byte word names both,
 // so a block read back says whose it is, and a torn block or another
 // block's buffer cannot pass for it. seq 0 is the store's initial content.
@@ -140,28 +238,30 @@ func checkPayload(b []byte, lba int64, maxSeq int) error {
 // write and invalidate one another's copies over a set five times a cache,
 // with a flusher destaging; every read must return its own block, every
 // resident entry must hold its own block in a buffer of its own, no buffer
-// may be both free and in use, and a replica of a write must keep its bytes.
+// may be both free and in use on any blade, a replica of a write must keep
+// its bytes, and so must every buffer once it is frozen, wherever it is.
 // Run over 12 seeds, on a clean fabric and under E11's drops, duplicates and
 // delays.
 func TestBufferReuseStress(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 7, 11, 42, 99, 1234, 2024, 31337, 98765}
 	for _, faulty := range []bool{false, true} {
-		reused := 0
+		reused, shared := 0, 0
 		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("faults=%v/seed=%d", faulty, seed), func(t *testing.T) {
-				reused += runReuseStress(t, seed, faulty)
+				r, s := runReuseStress(t, seed, faulty)
+				reused, shared = reused+r, shared+s
 			})
 		}
-		t.Logf("faults=%v: %d reuses seen", faulty, reused)
-		if !t.Failed() && reused == 0 {
-			t.Errorf("faults=%v: no buffer was seen under two blocks; the test is vacuous", faulty)
+		t.Logf("faults=%v: %d reuses, %d buffers held by two blades seen", faulty, reused, shared)
+		if !t.Failed() && (reused == 0 || shared == 0) {
+			t.Errorf("faults=%v: no buffer was seen under two blocks, or none on two blades; the test is vacuous", faulty)
 		}
 	}
 }
 
 // runReuseStress runs one schedule and returns how many times the checker
-// saw a buffer move to another block.
-func runReuseStress(t *testing.T, seed int64, faulty bool) (reused int) {
+// saw a buffer move to another block, and a buffer resident on two blades.
+func runReuseStress(t *testing.T, seed int64, faulty bool) (reused, shared int) {
 	const (
 		blades      = 3
 		cacheBlocks = 8
@@ -201,13 +301,15 @@ func runReuseStress(t *testing.T, seed int64, faulty bool) (reused int) {
 			t.Errorf(format, args...)
 		}
 	}
-	owner := make(map[*byte]cache.Key) // buffer → the block the checker last saw in it
+	owner := make(map[*byte]cache.Key)  // buffer → the block the checker last saw in it
+	frozenAt := make(map[*byte]replica) // a frozen buffer, and its bytes when the checker first saw it frozen
 	check := func() {
+		inUse := make(map[*byte]cache.Key) // on any blade
 		for _, e := range h.engines {
 			if len(e.free) > max(0, e.cache.Capacity()-e.cache.Len()) { // makeRoom may overfill the cache when every entry is pinned
 				fail("blade %d: %d free buffers, %d empty slots", e.self, len(e.free), e.cache.Capacity()-e.cache.Len())
 			}
-			inUse := make(map[*byte]cache.Key)
+			mine := make(map[*byte]cache.Key)
 			for k := int64(0); k < keys; k++ {
 				ent, ok := e.cache.Peek(kb(k))
 				if !ok {
@@ -218,24 +320,40 @@ func runReuseStress(t *testing.T, seed int64, faulty bool) (reused int) {
 					continue
 				}
 				buf := &ent.Data[0]
-				if other, ok := inUse[buf]; ok {
+				if other, ok := mine[buf]; ok {
 					fail("blade %d: blocks %v and %v share a buffer", e.self, other, kb(k))
 				}
-				inUse[buf] = kb(k)
+				if _, ok := inUse[buf]; ok {
+					shared++
+				}
+				mine[buf], inUse[buf] = kb(k), kb(k)
+				if _, ok := frozenAt[buf]; !ok && frozen(ent) {
+					frozenAt[buf] = replica{ent.Data, bytes.Clone(ent.Data)}
+				}
 				if prev, ok := owner[buf]; ok && prev != kb(k) {
 					reused++
 				}
 				owner[buf] = kb(k)
 			}
+		}
+		for _, e := range h.engines {
 			for _, b := range e.free {
 				if k, ok := inUse[&b[0]]; ok {
 					fail("blade %d: block %v's buffer is on the free list", e.self, k)
+				}
+				if _, ok := frozenAt[&b[0]]; ok {
+					fail("blade %d: a frozen buffer is on the free list", e.self)
 				}
 			}
 		}
 		for _, r := range replicas {
 			if !bytes.Equal(r.held, r.want) {
 				fail("a replica's buffer was rewritten")
+			}
+		}
+		for _, f := range frozenAt {
+			if !bytes.Equal(f.held, f.want) {
+				fail("a frozen buffer was rewritten")
 			}
 		}
 	}
@@ -338,5 +456,5 @@ func runReuseStress(t *testing.T, seed int64, faulty bool) (reused int) {
 			t.Error(err)
 		}
 	}
-	return reused
+	return reused, shared
 }

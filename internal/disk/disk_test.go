@@ -21,6 +21,32 @@ func testSpec() Spec {
 	}
 }
 
+// allZero against the byte loop it replaced: a single non-zero byte first,
+// last or in the middle, at lengths that are and are not multiples of 8.
+func TestAllZero(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 8, 9, 15, 17, 63, 4095, 4096, 4097} {
+		if !allZero(make([]byte, n)) {
+			t.Errorf("%d zero bytes: not all zero", n)
+		}
+		for _, at := range []int{0, n / 2, n - 1} {
+			if n == 0 {
+				continue
+			}
+			for _, v := range []byte{1, 0x80, 0xff} {
+				b := make([]byte, n)
+				b[at] = v
+				if allZero(b) {
+					t.Errorf("%d bytes, %#x at %d: all zero", n, v, at)
+				}
+			}
+		}
+	}
+	b := bytes.Repeat([]byte{7}, 64) // equal to itself shifted, but not zero
+	if allZero(b) {
+		t.Error("64 bytes of 7: all zero")
+	}
+}
+
 func TestReadUnwrittenIsZero(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := New(k, "d0", testSpec())

@@ -26,7 +26,8 @@ type Config struct {
 	// the small stores and pay invalidation RPCs for nothing.
 	HotMin float64
 	// HeatHalfLife is the decay half-life of the per-key read counters
-	// (default 250ms). Shorter tracks a shifting hot set faster.
+	// (default coherence.HeatHalfLife). Shorter tracks a shifting hot set
+	// faster.
 	HeatHalfLife sim.Duration
 }
 
@@ -38,7 +39,7 @@ func (c Config) withDefaults() Config {
 		c.HotMin = 8
 	}
 	if c.HeatHalfLife <= 0 {
-		c.HeatHalfLife = 250 * sim.Millisecond
+		c.HeatHalfLife = coherence.HeatHalfLife
 	}
 	return c
 }

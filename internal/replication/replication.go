@@ -40,6 +40,13 @@ type dropReq struct {
 }
 type dropResp struct{}
 
+// placement is where one dirty block was replicated: its buddies, a window
+// of the manager's ring, and the version pushed to them.
+type placement struct {
+	buddies []int
+	version uint64
+}
+
 // Manager runs replication for one blade: it pushes this blade's dirty
 // blocks to buddies and stores replicas for peers.
 type Manager struct {
@@ -50,14 +57,18 @@ type Manager struct {
 	// included); n=1 disables replication.
 	n     int
 	alive []int
-	// others is alive without this blade: the candidates for its buddies.
-	others []int
+	// ring is alive without this blade, twice over: the candidates for its
+	// buddies, so that a block's buddy list is a window of it. SetAlive makes
+	// a new one and nothing writes an old one, so a list outlives the
+	// membership it was chosen under.
+	ring []int
 	// held maps (owner, key) → replica stored for that owner.
 	held map[int]map[cache.Key]Replica
-	// placed records where this blade last replicated each of its own
-	// dirty blocks, so OnClean drops from the right buddies even when a
-	// per-file factor differs from the default.
-	placed map[cache.Key][]int
+	// placed records where this blade replicated each of its own dirty
+	// blocks, and for which version, so OnClean drops from the right buddies
+	// even when a per-file factor differs from the default. OnClean deletes
+	// a record once it cleans the recorded version.
+	placed map[cache.Key]placement
 	// Retry bounds each replica push (per-attempt deadline, attempt
 	// budget, jittered backoff). New sets the fabric's default policy;
 	// a cluster replaces it with its blades' defaulted one.
@@ -73,7 +84,7 @@ func New(_ *sim.Kernel, conn *simnet.Conn, peers []simnet.Addr, self, n int) *Ma
 	m := &Manager{
 		conn: conn, peers: peers, self: self, n: n,
 		held:   make(map[int]map[cache.Key]Replica),
-		placed: make(map[cache.Key][]int),
+		placed: make(map[cache.Key]placement),
 		Retry:  simnet.RetryPolicy{}.WithDefaults(),
 	}
 	all := make([]int, len(peers))
@@ -89,7 +100,8 @@ func New(_ *sim.Kernel, conn *simnet.Conn, peers []simnet.Addr, self, n int) *Ma
 // SetAlive installs the live membership (must match the coherence layer).
 func (m *Manager) SetAlive(alive []int) {
 	m.alive = append([]int(nil), alive...)
-	m.others = slices.DeleteFunc(slices.Clone(alive), func(id int) bool { return id == m.self })
+	others := slices.DeleteFunc(slices.Clone(alive), func(id int) bool { return id == m.self })
+	m.ring = append(others, others...)
 }
 
 // RegisterTelemetry publishes the manager's counters under s: replica
@@ -102,23 +114,21 @@ func (m *Manager) RegisterTelemetry(s telemetry.Scope) {
 	s.Int("held_blocks", func() int64 { return int64(m.HeldBlocks()) })
 }
 
-// buddies appends to dst the factor−1 blades (≠ self) that replicate key
-// for this blade, chosen deterministically so recovery can be audited.
-// factor ≤ 0 selects the manager default.
-func (m *Manager) buddies(dst []int, key cache.Key, factor int) []int {
+// buddies returns the factor−1 blades (≠ self) that replicate key for this
+// blade, chosen deterministically so recovery can be audited: a window of
+// the ring, which the caller must not write. factor ≤ 0 selects the manager
+// default.
+func (m *Manager) buddies(key cache.Key, factor int) []int {
 	if factor <= 0 {
 		factor = m.n
 	}
-	live := m.others
-	want := min(factor-1, len(live))
+	live := len(m.ring) / 2
+	want := min(factor-1, live)
 	if want <= 0 {
-		return dst
+		return nil
 	}
-	start := int(key.Hash() % uint64(len(live)))
-	for i := 0; i < want; i++ {
-		dst = append(dst, live[(start+i)%len(live)])
-	}
-	return dst
+	start := int(key.Hash() % uint64(live))
+	return m.ring[start : start+want : start+want]
 }
 
 // ReplicateDirty pushes the block to all buddies and blocks until every
@@ -126,16 +136,10 @@ func (m *Manager) buddies(dst []int, key cache.Key, factor int) []int {
 // signature of coherence.Config.ReplicateDirty. factor overrides the
 // manager's default replication factor when positive (per-file policy §4).
 func (m *Manager) ReplicateDirty(p *sim.Proc, key cache.Key, data []byte, version uint64, factor int) error {
-	// The placement is recorded once and kept while it holds: most writes
-	// rewrite a block whose buddies have not changed. A recorded slice is
-	// never written to, so a fork still walking it is safe when a new
-	// placement replaces it.
-	var scratch [8]int
-	buddies, ok := m.placed[key]
-	if fresh := m.buddies(scratch[:0], key, factor); !ok || !slices.Equal(buddies, fresh) {
-		buddies = slices.Clone(fresh)
-		m.placed[key] = buddies
-	}
+	// The placement is recorded by value: a buddy list is a window of the
+	// ring, so recording it allocates nothing.
+	buddies := m.buddies(key, factor)
+	m.placed[key] = placement{buddies, version}
 	if len(buddies) == 0 {
 		return nil
 	}
@@ -163,12 +167,15 @@ func (m *Manager) ReplicateDirty(p *sim.Proc, key cache.Key, data []byte, versio
 }
 
 // OnClean releases replicas after the owner destaged version. It has the
-// exact signature of coherence.Config.OnClean and is fire-and-forget.
+// exact signature of coherence.Config.OnClean and is fire-and-forget. The
+// block's placement record goes with them, unless a newer write made it.
 func (m *Manager) OnClean(p *sim.Proc, key cache.Key, version uint64) {
-	targets, ok := m.placed[key]
+	pl, ok := m.placed[key]
+	targets := pl.buddies
 	if !ok {
-		var scratch [8]int
-		targets = m.buddies(scratch[:0], key, 0)
+		targets = m.buddies(key, 0)
+	} else if version >= pl.version {
+		delete(m.placed, key)
 	}
 	for _, b := range targets {
 		m.conn.Cast(p, m.peers[b], "repl.drop",
@@ -184,8 +191,10 @@ func (m *Manager) handlePut(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 		byOwner = make(map[cache.Key]Replica)
 		m.held[req.Owner] = byOwner
 	}
+	// The pushed buffer is the owner's frozen cache buffer (coherence's
+	// freeze rule): nobody writes it, so the replica keeps it itself.
 	if old, exists := byOwner[req.Key]; !exists || req.Version >= old.Version {
-		byOwner[req.Key] = Replica{Owner: req.Owner, Version: req.Version, Data: append([]byte(nil), req.Data...)}
+		byOwner[req.Key] = Replica{Owner: req.Owner, Version: req.Version, Data: req.Data}
 	}
 	return putResp{}, ctrlSize
 }

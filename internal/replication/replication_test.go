@@ -78,8 +78,8 @@ func TestFactorOneIsNoOp(t *testing.T) {
 func TestBuddiesDeterministicAndDistinct(t *testing.T) {
 	r := newRig(6, 4)
 	for i := int64(0); i < 50; i++ {
-		b1 := r.mgrs[2].buddies(nil, key(i), 0)
-		b2 := r.mgrs[2].buddies(nil, key(i), 0)
+		b1 := r.mgrs[2].buddies(key(i), 0)
+		b2 := r.mgrs[2].buddies(key(i), 0)
 		if len(b1) != 3 {
 			t.Fatalf("buddies = %v, want 3", b1)
 		}
@@ -232,7 +232,7 @@ func TestSetAliveExcludesDeadBuddies(t *testing.T) {
 		m.SetAlive([]int{0, 2, 3}) // blade 1 dead
 	}
 	for i := int64(0); i < 20; i++ {
-		for _, b := range r.mgrs[0].buddies(nil, key(i), 0) {
+		for _, b := range r.mgrs[0].buddies(key(i), 0) {
 			if b == 1 {
 				t.Fatal("dead blade chosen as buddy")
 			}
@@ -264,5 +264,55 @@ func TestDefaultPushBacksOffLikeCoherence(t *testing.T) {
 	lo := 3*pol.Timeout + pol.Backoff + 2*pol.Backoff
 	if hi := lo + 2*pol.Jitter; took < lo || took >= hi {
 		t.Errorf("push gave up after %v, want within [%v, %v)", took, lo, hi)
+	}
+}
+
+// A replica is the pushed buffer itself, not a copy of it: the owner's
+// buffer is frozen once written, so nobody rewrites what the buddy holds.
+func TestPutKeepsPushedBuffer(t *testing.T) {
+	r := newRig(2, 2)
+	d := data(5)
+	r.run(func(p *sim.Proc) {
+		if err := r.mgrs[0].ReplicateDirty(p, key(1), d, 1, 0); err != nil {
+			t.Errorf("replicate: %v", err)
+		}
+	})
+	rep, ok := r.mgrs[1].held[0][key(1)]
+	if !ok {
+		t.Fatal("buddy holds no replica")
+	}
+	if &rep.Data[0] != &d[0] {
+		t.Error("the replica is a copy of the pushed buffer")
+	}
+}
+
+// The placement records are bounded by the dirty blocks: once every written
+// block has been destaged, none is left. A destage of an older version
+// keeps the record of a newer write, which may have its own factor.
+func TestPlacementsGoWhenBlocksAreClean(t *testing.T) {
+	r := newRig(5, 2)
+	m := r.mgrs[0]
+	r.run(func(p *sim.Proc) {
+		for i := int64(0); i < 20; i++ {
+			m.ReplicateDirty(p, key(i), data(byte(i)), 1, 0)
+		}
+		m.ReplicateDirty(p, key(3), data(33), 2, 4) // a newer write, factor 4
+		for i := int64(0); i < 20; i++ {
+			m.OnClean(p, key(i), 1)
+		}
+		pl, ok := m.placed[key(3)]
+		if len(m.placed) != 1 || !ok || pl.version != 2 || len(pl.buddies) != 3 {
+			t.Errorf("after the first destages: %d records, block 3's %+v, want block 3's version-2 record on 3 buddies", len(m.placed), pl)
+		}
+		m.OnClean(p, key(3), 2)
+		p.Sleep(sim.Millisecond) // let the drops land
+	})
+	if n := len(m.placed); n != 0 {
+		t.Errorf("%d placement records left after every block was destaged", n)
+	}
+	for i := 1; i < 5; i++ {
+		if n := r.mgrs[i].HeldBlocks(); n != 0 {
+			t.Errorf("blade %d still holds %d replicas", i, n)
+		}
 	}
 }

@@ -36,8 +36,6 @@ var (
 	FC2G = LinkSpec{BandwidthBps: 2_000_000_000, Latency: 5 * sim.Microsecond}
 	// GbE10 is the 10 Gigabit Ethernet port of Figure 1.
 	GbE10 = LinkSpec{BandwidthBps: 10_000_000_000, Latency: 10 * sim.Microsecond}
-	// PCIX is the shared PCI-X bus the striped controllers take turns on.
-	PCIX = LinkSpec{BandwidthBps: 8_500_000_000, Latency: 1 * sim.Microsecond}
 )
 
 // WAN returns a wide-area link with the given one-way latency and bandwidth.

@@ -1,16 +1,21 @@
 #!/usr/bin/env bash
-# deadcode.sh — print every function and method declared in a non-test
-# internal/ file that no command, example or benchmark binary contains and
-# scripts/deadcode.allow does not name, as `file:line pkg.Recv.Name`, and
-# exit 1 if there is one (or if the allow-list names one that is not dead).
+# deadcode.sh — print, as `file:line pkg.Recv.Name`, every function and
+# method declared in a non-test internal/ file that no command, example or
+# benchmark binary contains, and, as `file:line pkg.Name`, every
+# package-level var and const declared there that no non-test code names,
+# unless scripts/deadcode.allow names it; exit 1 if there is one (or if the
+# allow-list names one that is not dead).
 #   make deadcode
 #
 # The binaries are built with inlining off, so a function the linker kept is
 # a symbol of its own; the linker keeps anything it cannot prove
 # unreachable, so a listed function runs only in tests. The scan reads
 # `^func` lines, which is sound on gofmt'd source (CI checks gofmt).
-# An allow-list line is `pkg.Recv.Name reason`: a test instrument that
-# another package's tests call.
+# A var or const leaves no symbol of its own to look for (a const never
+# does), so those come from the source instead: `go run ./scripts/maporder
+# -unused` type-checks the module's non-test code and lists each one that
+# nothing names. An allow-list line is `pkg.Recv.Name reason`: a test
+# instrument that another package's tests call.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,8 +60,11 @@ find internal -name '*.go' ! -name '*_test.go' -print0 | sort -z |
 		print FILENAME ":" FNR, dir[n - 1] "." recv name
 	}' > "$tmp/declared"
 
-awk 'FILENAME == ARGV[1] { linked[$0] = 1; next } !($2 in linked)' \
-	"$tmp/linked" "$tmp/declared" | sort -t: -k1,1 -k2,2n > "$tmp/dead"
+{
+	awk 'FILENAME == ARGV[1] { linked[$0] = 1; next } !($2 in linked)' \
+		"$tmp/linked" "$tmp/declared"
+	go run ./scripts/maporder -unused
+} | sort -t: -k1,1 -k2,2n > "$tmp/dead"
 
 awk 'NF { print $1 }' scripts/deadcode.allow | sort -u > "$tmp/allowed"
 

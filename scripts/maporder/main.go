@@ -24,10 +24,20 @@
 // may have effects) is listed for a reader to judge, and an allow-list line
 // `pkg.Recv.Name reason` records the judgement. Types come from go/types,
 // with the standard library's source importer: no tool outside it.
+//
+// With -unused it answers another question on the same type-checked source,
+// for scripts/deadcode.sh: it prints, as `file:line pkg.Name`, every
+// package-level var or const declared in non-test internal/ code that no
+// non-test code of the module (internal/, cmd/, examples/, bench/) names,
+// and exits 0; the script judges the list against its allow-list.
+//
+//	go run ./scripts/maporder -unused   # part of make deadcode
 package main
 
 import (
 	"bufio"
+	"cmp"
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -44,9 +54,16 @@ import (
 const allowFile = "scripts/maporder.allow"
 
 func main() {
-	allowed, err := readAllow()
-	if err == nil {
-		err = scan(allowed)
+	unused := flag.Bool("unused", false, "list the package-level vars and consts of internal/ that no non-test code names")
+	flag.Parse()
+	var err error
+	if *unused {
+		err = listUnused()
+	} else {
+		var allowed map[string]bool
+		if allowed, err = readAllow(); err == nil {
+			err = scan(allowed)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "maporder:", err)
@@ -54,36 +71,114 @@ func main() {
 	}
 }
 
+// load type-checks the non-test files of every package under each root, as
+// the module's import path of its directory, and hands each package to visit.
+func load(fset *token.FileSet, visit func(bp *build.Package, files []*ast.File, info *types.Info), roots ...string) error {
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	gomod, err := os.ReadFile("go.mod")
+	if err != nil {
+		return err
+	}
+	var module string
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			module = f[1]
+		}
+	}
+	for _, root := range roots {
+		err := filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			bp, err := build.Default.ImportDir(dir, 0)
+			if _, none := err.(*build.NoGoError); none {
+				return nil
+			} else if err != nil {
+				return err
+			}
+			var files []*ast.File
+			for _, name := range bp.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+				if err != nil {
+					return err
+				}
+				files = append(files, f)
+			}
+			info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{},
+				Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+			if _, err := conf.Check(module+"/"+filepath.ToSlash(dir), fset, files, info); err != nil {
+				return err
+			}
+			visit(bp, files, info)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// listUnused prints every package-level var or const declared in non-test
+// internal/ code that no non-test code of the module names, sorted by file
+// and line. Objects are matched by package path and name: the source
+// importer checks an imported package anew, so the same declaration is a
+// different types.Object in each package that imports it.
+func listUnused() error {
+	fset := token.NewFileSet()
+	type decl struct {
+		pos  token.Position
+		name string
+	}
+	declared := make(map[string]decl) // by package path.Name
+	named := make(map[string]bool)
+	global := func(obj types.Object) bool {
+		switch obj.(type) {
+		case *types.Var, *types.Const:
+			return obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() && obj.Name() != "_"
+		}
+		return false
+	}
+	err := load(fset, func(bp *build.Package, _ []*ast.File, info *types.Info) {
+		for _, obj := range info.Uses {
+			if global(obj) {
+				named[obj.Pkg().Path()+"."+obj.Name()] = true
+			}
+		}
+		if !strings.HasPrefix(filepath.ToSlash(bp.Dir), "internal/") {
+			return
+		}
+		for id, obj := range info.Defs {
+			if obj != nil && global(obj) {
+				declared[obj.Pkg().Path()+"."+obj.Name()] = decl{fset.Position(id.Pos()), bp.Name + "." + obj.Name()}
+			}
+		}
+	}, "internal", "cmd", "examples", "bench")
+	if err != nil {
+		return err
+	}
+	var dead []decl
+	for key, d := range declared {
+		if !named[key] {
+			dead = append(dead, d)
+		}
+	}
+	slices.SortFunc(dead, func(a, b decl) int {
+		return cmp.Or(cmp.Compare(a.pos.Filename, b.pos.Filename), cmp.Compare(a.pos.Line, b.pos.Line))
+	})
+	for _, d := range dead {
+		fmt.Printf("%s:%d %s\n", d.pos.Filename, d.pos.Line, d.name)
+	}
+	return nil
+}
+
 // scan type-checks every package under internal/, prints each map range
 // that is not order-free and not allowed, then every stale allow-list line,
 // and exits 1 if it printed anything.
 func scan(allowed map[string]bool) error {
 	fset := token.NewFileSet()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	failed, used := false, make(map[string]bool)
-	err := filepath.WalkDir("internal", func(dir string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		bp, err := build.Default.ImportDir(dir, 0)
-		if _, none := err.(*build.NoGoError); none {
-			return nil
-		} else if err != nil {
-			return err
-		}
-		var files []*ast.File
-		for _, name := range bp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
-			if err != nil {
-				return err
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{},
-			Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-		if _, err := conf.Check(bp.ImportPath, fset, files, info); err != nil {
-			return err
-		}
+	err := load(fset, func(bp *build.Package, files []*ast.File, info *types.Info) {
 		for _, f := range files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -104,8 +199,7 @@ func scan(allowed map[string]bool) error {
 				})
 			}
 		}
-		return nil
-	})
+	}, "internal")
 	if err != nil {
 		return err
 	}
