@@ -161,7 +161,7 @@ func printTopFrame(w io.Writer, sys *core.System, seenEvents int) int {
 	p99, _ := sys.Registry.Value("cluster/op_latency/p99_ms")
 	fmt.Fprintf(w, "  yotta top — t=%.0fms  ops/s %.0f  p99 %.2f ms  blades %d/%d alive\n",
 		c.K.Now().Seconds()*1e3, last("cluster/ops")/secs, p99, len(c.Alive()), len(c.Blades))
-	fmt.Fprintf(w, "  %-5s %9s %6s %8s %9s  %s\n", "blade", "ops/s", "hit%", "retries", "degraded", "load")
+	fmt.Fprintf(w, "  %-5s %9s %6s %8s %9s %8s  %s\n", "blade", "ops/s", "hit%", "retries", "degraded", "records", "load")
 	for i := range c.Blades {
 		pre := fmt.Sprintf("blade/%d", i)
 		hits, misses := last(pre+"/cache/hits"), last(pre+"/cache/misses")
@@ -173,9 +173,10 @@ func printTopFrame(w io.Writer, sys *core.System, seenEvents int) int {
 		if len(load) > 30 { // keep the sparkline terminal-width friendly
 			load = load[len(load)-30:]
 		}
-		fmt.Fprintf(w, "  %-5d %9.0f %6.1f %8.0f %9.0f  %s\n",
+		records, _ := sys.Registry.Value(pre + "/coh/records") // live per-key records: a gauge
+		fmt.Fprintf(w, "  %-5d %9.0f %6.1f %8.0f %9.0f %8.0f  %s\n",
 			i, last(pre+"/ops")/secs, hitPct,
-			last(pre+"/rpc/retries"), last(pre+"/coh/degraded_ops"),
+			last(pre+"/rpc/retries"), last(pre+"/coh/degraded_ops"), records,
 			metrics.Sparkline(load))
 	}
 	for _, ev := range s.Events()[seenEvents:] {

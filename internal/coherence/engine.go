@@ -160,11 +160,16 @@ const (
 	dirModified
 )
 
-type dirEntry struct {
+// keyState is what an engine keeps about a key in use (see prune): the
+// install epoch of this blade's copy, the ops that hold it between lookup
+// and install, and at the key's home the directory entry.
+type keyState struct {
+	epoch uint64
+	holds int32
+	owner int16 // packed with holds and state: a record is 128 bytes
 	state dirState
-	owner int
 	// sharers holds, per registered sharer, the install epoch its copy
-	// lives under (the requester's invEpoch, carried in the GetS/GetX);
+	// lives under (the requester's epoch, carried in the GetS/GetX);
 	// ownerEpoch is the same for the Modified owner. Asynchronous evict
 	// notices carry the epoch the evicted copy lived under, and only a
 	// notice whose epoch is current may deregister: a blade can evict,
@@ -261,11 +266,13 @@ type Engine struct {
 
 	alive []int // sorted live blade IDs; must agree across blades
 
-	// ids numbers the keys of the per-block maps below (dir, invEpoch,
+	// ids numbers the keys of the per-block maps below (keys,
 	// homeOverride, forward, prefetching); an ID never leaves the engine.
-	ids      cache.Index
-	dir      map[uint64]*dirEntry
-	invEpoch map[uint64]uint64
+	// A key with no record in keys has epochBase for its epoch.
+	ids       cache.Index
+	keys      map[uint64]*keyState
+	spareKeys []*keyState
+	epochBase uint64
 
 	// homeOverride maps migrated keys to their current home, consulted
 	// before the rendezvous hash. forward marks keys this blade used to
@@ -308,7 +315,8 @@ type Engine struct {
 	// no more block memory than a full cache. A frozen buffer is never on it.
 	free [][]byte
 	// runs holds the states finished reads left (see runRead).
-	runs []*runRead
+	runs  []*runRead
+	homes []int // notify's scratch
 
 	stats Stats
 	// down mirrors the cluster's view of this blade; a down engine
@@ -327,15 +335,19 @@ const ctrlSize = 64
 
 // dirReq is a request to a key's home: coh.gets (read-share), coh.getx
 // (exclusive ownership) or coh.getv (a value read outside the coherence
-// domain, see handleGetV); a coh.gets carries a slice of them, answered in
-// order. Epoch is the requester's local install epoch for the key; gets and
-// getx record it with the registration so late evict notices (which carry
-// the epoch the evicted copy lived under) can be told apart from a
-// re-registration that happened after the eviction.
+// domain, see handleGetV); a coh.gets carries a getsVec of them. Epoch is
+// the requester's local install epoch for the key; gets and getx record it
+// with the registration so late evict notices (which carry the epoch the
+// evicted copy lived under) can be told apart from a re-registration that
+// happened after the eviction.
 type dirReq struct {
 	Key   cache.Key
 	Epoch uint64
 }
+
+// getsVec is a coh.gets: its requests to one home, answered in order. It is
+// sent by pointer, and nobody writes it once it is sent.
+type getsVec struct{ reqs []dirReq }
 
 // dirResp is the home's answer to a dirReq.
 type dirResp struct {
@@ -373,7 +385,7 @@ type evictNote struct {
 	From     int
 	WasOwner bool
 	// Epoch is the install epoch the evicted copy lived under (the value
-	// of the evictor's invEpoch before the eviction bumped it). The home
+	// of the evictor's epoch before the eviction bumped it). The home
 	// ignores the notice if the blade has since re-registered under a
 	// newer epoch.
 	Epoch uint64
@@ -431,8 +443,7 @@ func New(k *sim.Kernel, cfg Config) *Engine {
 		cpuq:         cfg.CPUQueue,
 		retry:        cfg.Retry,
 		label:        fmt.Sprintf("blade%d", cfg.Self),
-		dir:          make(map[uint64]*dirEntry),
-		invEpoch:     make(map[uint64]uint64),
+		keys:         make(map[uint64]*keyState),
 		homeOverride: make(map[uint64]int),
 		forward:      make(map[uint64]int),
 		replicate:    cfg.ReplicateDirty,
@@ -599,18 +610,77 @@ func (e *Engine) RegisterTelemetry(s telemetry.Scope) {
 	coh.Int("migrated_out", func() int64 { return e.stats.HomeMigrations })
 	coh.Int("migrated_in", func() int64 { return e.stats.HomeAdoptions })
 	coh.Int("redirects", func() int64 { return e.stats.RedirectsServed })
+	coh.Int("records", func() int64 { return int64(len(e.keys)) })
 	s.Int("cpu_free", func() int64 { return int64(e.cpu.Available()) })
 }
 
-func (e *Engine) entry(key cache.Key) *dirEntry {
+// record returns key's record, making one at the epoch base, from the spare
+// list if it can, if the key has none.
+func (e *Engine) record(key cache.Key) *keyState {
 	id := e.ids.ID(key)
-	ent, ok := e.dir[id]
-	if !ok {
-		ent = &dirEntry{mu: *sim.NewMutex(e.k)}
-		ent.sharers = ent.first[:0]
-		e.dir[id] = ent
+	ks, ok := e.keys[id]
+	if ok {
+		return ks
 	}
-	return ent
+	if n := len(e.spareKeys); n > 0 {
+		ks, e.spareKeys = e.spareKeys[n-1], e.spareKeys[:n-1]
+	} else {
+		ks = &keyState{mu: *sim.NewMutex(e.k)}
+		ks.sharers = ks.first[:0]
+	}
+	ks.epoch = e.epochBase
+	e.keys[id] = ks
+	return ks
+}
+
+// bump ages key's install epoch and returns the one it had.
+func (e *Engine) bump(key cache.Key) (was uint64) {
+	epoch := &e.epochBase // a key with no record has the base for its epoch
+	if ks, ok := e.keys[e.ids.ID(key)]; ok {
+		epoch = &ks.epoch
+	}
+	*epoch++
+	return *epoch - 1
+}
+
+// prune puts key's record on the spare list if nothing needs it: its
+// directory entry is Invalid, its mutex idle and nobody holds it. The base
+// rises above its epoch, so the key's epochs only grow (DESIGN §17).
+func (e *Engine) prune(key cache.Key) {
+	id := e.ids.ID(key)
+	if ks, ok := e.keys[id]; ok {
+		e.pruneAt(id, ks)
+	}
+}
+
+// pruneAt is prune of ks, the record under id.
+func (e *Engine) pruneAt(id uint64, ks *keyState) {
+	if ks.holds > 0 || ks.state != dirInvalid || !ks.mu.Idle() {
+		return
+	}
+	e.epochBase = max(e.epochBase, ks.epoch+1)
+	delete(e.keys, id)
+	ks.owner, ks.ownerEpoch = 0, 0
+	ks.sharers.reset()
+	e.spareKeys = append(e.spareKeys, ks)
+}
+
+// release ends a hold: an op's, between the lookup that read key's epoch and
+// the end of the install that epoch guards, which keeps the record.
+func (e *Engine) release(key cache.Key) {
+	id := e.ids.ID(key)
+	ks := e.keys[id]
+	ks.holds--
+	e.pruneAt(id, ks)
+}
+
+// unlock releases ks's directory mutex and prunes key's record, which a
+// Recover may have replaced, if the entry it left is Invalid.
+func (e *Engine) unlock(key cache.Key, ks *keyState) {
+	ks.mu.Unlock()
+	if ks.state == dirInvalid {
+		e.prune(key)
+	}
 }
 
 // Reads are run-granular. A read resolves in two phases. Phase 1 is per
@@ -670,8 +740,15 @@ func (e *Engine) readRun(p *sim.Proc, vol string, lba int64, priority int, dst [
 	if err == nil {
 		err = e.fillGathered(p, op.blocks, vol, lba, priority, dst)
 	}
+	for _, r := range op.pend {
+		e.release(r.req.Key)
+	}
 	op.ready.Reset()
-	*op = runRead{e: e, procs: op.procs, start: op.start, ready: op.ready, answered: op.answered}
+	clear(op.blocks)
+	clear(op.pend)
+	clear(op.vecs)
+	*op = runRead{e: e, procs: op.procs, start: op.start, ready: op.ready, answered: op.answered,
+		blocks: op.blocks[:0], pend: op.pend[:0], vecs: op.vecs}
 	e.runs = append(e.runs, op)
 	return err
 }
@@ -688,10 +765,13 @@ func (op *runRead) block(q *sim.Proc) {
 	epoch, miss, err := e.lookup(q, key, d)
 	home, pos := -1, 0
 	if miss {
-		home, pos, err = op.request(e, key, epoch)
+		if home, pos, err = op.request(e, key, epoch); err != nil {
+			e.release(key)
+		}
 	}
 	op.fail(err)
-	if op.left--; op.left == 0 && op.vecs != nil {
+	if op.left--; op.left == 0 && len(op.pend) > 0 {
+		op.carve()
 		op.ready.Set(struct{}{}) // phase 1 is over: the vectors may go
 	}
 	if home < 0 {
@@ -730,20 +810,28 @@ type runRead struct {
 	next     int        // the block the next block process to start reads
 	procs    sim.Group  // the op's block processes
 	err      error      // the first block to fail fails the op
-	blocks   []gathered // nil until a block joins the gather
+	blocks   []gathered // empty until a block joins the gather
 	left     int        // blocks still in phase 1; ready is set when it reaches 0
-	// The op's coh.gets by home blade, set at its first miss; ready is set
-	// when phase 1 is over, and answered counts the vectors still out (not
-	// processes, and every block waits on it: not a sim.Fork). The two are
-	// held by value and kept from op to op, waiter arrays and all.
+	// The op's coh.gets: its misses in the order asked, and a vector per
+	// home. ready is set when phase 1 is over, and answered counts the
+	// vectors still out (not processes, and every block waits on it: not a
+	// sim.Fork). All are kept from op to op, arrays and all.
+	pend     []pending
 	vecs     []vector
 	ready    sim.Future[struct{}]
 	answered sim.Group
 }
 
-// vector is an op's coh.gets to one home: its requests and answers, in order.
+type pending struct {
+	home int
+	req  dirReq
+}
+
+// vector is an op's coh.gets to one home: how many requests, then the
+// requests as sent and the answers, in order.
 type vector struct {
-	reqs  []dirReq
+	n     int
+	reqs  *getsVec
 	resps []dirResp
 }
 
@@ -762,11 +850,30 @@ func (op *runRead) request(e *Engine, key cache.Key, epoch uint64) (home, pos in
 		op.vecs = make([]vector, len(e.peers))
 	}
 	v := &op.vecs[home]
-	if len(v.reqs) == 0 {
+	if v.n == 0 {
 		op.answered.Add(1)
 	}
-	v.reqs = append(v.reqs, dirReq{Key: key, Epoch: epoch})
-	return home, len(v.reqs) - 1, nil
+	op.pend = append(op.pend, pending{home: home, req: dirReq{Key: key, Epoch: epoch}})
+	v.n++
+	return home, v.n - 1, nil
+}
+
+// carve ends phase 1: it copies the op's requests into one new array, each
+// home's together in the order asked, and gives every vector its slice.
+func (op *runRead) carve() {
+	reqs := make([]dirReq, len(op.pend))
+	sent := make([]getsVec, 0, op.answered.Pending()) // one per home: none is answered yet
+	at := 0
+	for h := range op.vecs {
+		if v := &op.vecs[h]; v.n > 0 {
+			sent = append(sent, getsVec{reqs: reqs[at : at : at+v.n]})
+			v.reqs, at = &sent[len(sent)-1], at+v.n
+		}
+	}
+	for _, r := range op.pend {
+		g := op.vecs[r.home].reqs
+		g.reqs = append(g.reqs, r.req)
+	}
 }
 
 // answer returns home's answer to request pos of its vector, or the op's
@@ -792,10 +899,10 @@ func (op *runRead) answer(q *sim.Proc, e *Engine, home, pos int) (dirResp, error
 }
 
 // gather records that block i of the op's count must come from the backing
-// store. An op that never misses allocates nothing here.
+// store, in an array kept from op to op.
 func (op *runRead) gather(i, count int, epoch uint64) {
-	if op.blocks == nil {
-		op.blocks = make([]gathered, count)
+	if len(op.blocks) == 0 {
+		op.blocks = slices.Grow(op.blocks, count)[:count]
 	}
 	op.blocks[i] = gathered{fill: true, epoch: epoch}
 }
@@ -826,7 +933,9 @@ func (e *Engine) lookup(p *sim.Proc, key cache.Key, dst []byte) (epoch uint64, m
 		copy(dst, ent.Data)
 		return 0, false, nil
 	}
-	return e.invEpoch[e.ids.ID(key)], true, nil
+	ks := e.record(key)
+	ks.holds++ // until the op ends: see release
+	return ks.epoch, true, nil
 }
 
 // settle serves the home's answer into dst, installing a peer's data here:
@@ -856,11 +965,11 @@ func (e *Engine) ask(p *sim.Proc, method string, key cache.Key, epoch uint64) (d
 	if err != nil {
 		return dirResp{}, err
 	}
+	var args any = dirReq{Key: key, Epoch: epoch}
+	if method == "coh.gets" {
+		args = &getsVec{reqs: []dirReq{{Key: key, Epoch: epoch}}}
+	}
 	for hops := 0; ; hops++ {
-		var args any = dirReq{Key: key, Epoch: epoch}
-		if method == "coh.gets" {
-			args = []dirReq{{Key: key, Epoch: epoch}}
-		}
 		raw, err := e.call(p, homeID, method, args, ctrlSize)
 		if err != nil {
 			return dirResp{}, fmt.Errorf("coherence: %s to blade %d: %w", method, homeID, err)
@@ -893,11 +1002,10 @@ func (e *Engine) ask(p *sim.Proc, method string, key cache.Key, epoch uint64) (d
 // acknowledged write. A failed makeRoom (backing store refusing writebacks)
 // degrades to serving the read uncached rather than failing it.
 func (e *Engine) install(p *sim.Proc, key cache.Key, epoch uint64, src []byte, lent bool, priority int, notes *[]evictNote) {
-	id := e.ids.ID(key)
-	if e.invEpoch[id] != epoch || e.makeRoom(p, notes) != nil {
+	if e.record(key).epoch != epoch || e.makeRoom(p, notes) != nil {
 		return
 	}
-	if _, present := e.cache.Peek(key); present || e.invEpoch[id] != epoch {
+	if _, present := e.cache.Peek(key); present || e.record(key).epoch != epoch {
 		return
 	}
 	if !lent {
@@ -1091,15 +1199,16 @@ func (e *Engine) writeBlockR(p *sim.Proc, key cache.Key, data []byte, priority, 
 	}
 	e.stats.Writes++
 	e.busy(p, e.opDelay)
-	id := e.ids.ID(key)
+	e.record(key).holds++
+	defer e.release(key)
 	for attempt := 0; ; attempt++ {
 		// Every attempt asks afresh: a migration can land between retries,
 		// and a Redirect answer teaches us the new address.
-		epoch := e.invEpoch[id]
+		epoch := e.record(key).epoch
 		if _, err := e.ask(p, "coh.getx", key, epoch); err != nil {
 			return err
 		}
-		if e.invEpoch[id] != epoch {
+		if e.record(key).epoch != epoch {
 			// Someone took ownership between our grant and install. Retry
 			// after a jittered backoff: two writers stealing ownership from
 			// each other before either installs would otherwise livelock.
@@ -1136,7 +1245,7 @@ func (e *Engine) installModified(p *sim.Proc, key cache.Key, epoch uint64, data 
 			// that cannot drain it.
 			return false, fmt.Errorf("coherence: write to %v: %w", key, err)
 		}
-		if e.invEpoch[e.ids.ID(key)] != epoch {
+		if e.record(key).epoch != epoch {
 			e.stats.WriteRetries++
 			return true, nil
 		}
@@ -1200,16 +1309,14 @@ func (e *Engine) makeRoom(p *sim.Proc, notes *[]evictNote) error {
 		}
 		// The notice carries the epoch the copy lived under (pre-bump):
 		// the home matches it against the registration epoch so a notice
-		// that arrives after this blade re-registers cannot deregister
-		// the fresh copy.
-		id := e.ids.ID(v.Key)
-		note := evictNote{Key: v.Key, From: e.self, WasOwner: v.State == cache.Modified, Epoch: e.invEpoch[id]}
-		// An eviction invalidates this blade's copy, so it must also age the
-		// local install epoch: a sibling proc between a directory grant and
-		// its install (the evict-note may already have reset the home) would
-		// otherwise resurrect the key here while the directory forgets it —
-		// a dirty copy under an Invalid entry once the note lands.
-		e.invEpoch[id]++
+		// that arrives after this blade re-registers cannot deregister the
+		// fresh copy. An eviction invalidates this blade's copy, so it must
+		// also age the local install epoch: a sibling proc between a
+		// directory grant and its install (the evict-note may already have
+		// reset the home) would otherwise resurrect the key here while the
+		// directory forgets it — a dirty copy under an Invalid entry once
+		// the note lands.
+		note := evictNote{Key: v.Key, From: e.self, WasOwner: v.State == cache.Modified, Epoch: e.bump(v.Key)}
 		e.cache.Evict(v)
 		e.recycle(v) // last: the next install may take v's record
 		if notes != nil {
@@ -1222,21 +1329,30 @@ func (e *Engine) makeRoom(p *sim.Proc, notes *[]evictNote) error {
 }
 
 // notify casts notes, fire and forget (staleness is tolerated), as one
-// coh.evict per home, grouped in place: the casts share notes' array.
+// coh.evict per home, grouped in place: the casts share notes' array, and
+// each note's home, found once into e.homes (notify does not yield), moves
+// with it.
 func (e *Engine) notify(p *sim.Proc, notes []evictNote) {
+	homes := e.homes[:0]
+	for _, note := range notes {
+		h, err := e.home(note.Key)
+		if err != nil { // no live blade homes anything
+			return
+		}
+		homes = append(homes, h)
+	}
+	e.homes = homes
 	for len(notes) > 0 {
-		home, err := e.home(notes[0].Key)
-		n := 1
+		home, n := homes[0], 1
 		for i := 1; i < len(notes); i++ {
-			if h, _ := e.home(notes[i].Key); h == home {
+			if homes[i] == home {
 				notes[n], notes[i] = notes[i], notes[n]
+				homes[n], homes[i] = homes[i], homes[n]
 				n++
 			}
 		}
-		if err == nil {
-			e.conn.Cast(p, e.peers[home], "coh.evict", notes[:n:n], ctrlSize)
-		}
-		notes = notes[n:]
+		e.conn.Cast(p, e.peers[home], "coh.evict", notes[:n:n], ctrlSize)
+		notes, homes = notes[n:], homes[n:]
 	}
 }
 

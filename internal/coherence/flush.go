@@ -160,8 +160,23 @@ func (e *Engine) StartFlusher(interval sim.Duration, batch int) (stop func()) {
 func (e *Engine) Recover(p *sim.Proc, alive []int) {
 	e.FlushOnce(p, 0)
 	e.cache.Clear()
-	e.dir = make(map[uint64]*dirEntry)
-	e.invEpoch = make(map[uint64]uint64)
+	// The directory shard and every install epoch go, as if no key had been
+	// used here, but for the epochs ops hold between lookup and install:
+	// each stays, in a new record. (A handler may still hold the old one.)
+	var held []uint64
+	for id, ks := range e.keys {
+		if ks.holds > 0 {
+			held = append(held, id)
+		}
+	}
+	slices.Sort(held)
+	old := e.keys
+	e.keys = make(map[uint64]*keyState, len(held))
+	for _, id := range held {
+		ks := &keyState{epoch: old[id].epoch, holds: old[id].holds, mu: *sim.NewMutex(e.k)}
+		ks.sharers = ks.first[:0]
+		e.keys[id] = ks
+	}
 	// Migration state is membership-scoped: the new live set rehashes
 	// every home, so overrides, forwarders and heat all restart from zero.
 	e.homeOverride = make(map[uint64]int)

@@ -21,14 +21,14 @@ func bladeID(peers []simnet.Addr, addr simnet.Addr) int {
 // CPU charge, HandlerDelay per key, then each key under its own mutex, in
 // order — but concurrently for the keys that need a peer, if more than one.
 func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) {
-	reqs := args.([]dirReq)
+	reqs := args.(*getsVec).reqs
 	requester := bladeID(e.peers, from)
 	resps := make([]dirResp, len(reqs))
 	e.busy(p, sim.Duration(len(reqs))*HandlerDelay)
 	var buf [8]int
 	probing := buf[:0] // keys whose directory state needs a sharer's fetch or the owner's downgrade
 	for i, req := range reqs {
-		ent, ok := e.dir[e.ids.ID(req.Key)] // read without the mutex: it only schedules
+		ent, ok := e.keys[e.ids.ID(req.Key)] // read without the mutex: it only schedules
 		if len(reqs) > 1 && ok && (ent.state == dirModified || ent.state == dirShared && !e.noPeerFetch &&
 			slices.ContainsFunc(ent.sharers, func(s sharer) bool { return s.blade != requester })) {
 			probing = append(probing, i)
@@ -80,9 +80,9 @@ func (e *Engine) getS(p *sim.Proc, requester int, req dirReq) dirResp {
 		return r
 	}
 	e.stats.DirRequests++
-	ent := e.entry(req.Key)
+	ent := e.record(req.Key)
 	ent.mu.Lock(p)
-	defer ent.mu.Unlock()
+	defer e.unlock(req.Key, ent)
 	// The home may have migrated away while this request queued on the CPU
 	// or the entry mutex (the migration handler holds the same mutex).
 	if r, moved := e.redirect(req.Key); moved {
@@ -131,7 +131,7 @@ func (e *Engine) getS(p *sim.Proc, requester int, req dirReq) dirResp {
 		return dirResp{Data: data}
 
 	default: // dirModified
-		owner := ent.owner
+		owner := int(ent.owner)
 		// Note: owner == requester is NOT short-circuited as "stale
 		// directory, owner must have evicted". The owner blade can be
 		// mid-write — GetX granted but the Modified copy not yet installed —
@@ -141,7 +141,7 @@ func (e *Engine) getS(p *sim.Proc, requester int, req dirReq) dirResp {
 		// backing fetch would then clobber the just-installed dirty block.
 		// The downgrade probe below tells the cases apart: a truly evicted
 		// owner answers Gone (invariant 3: backing is current), a mid-write
-		// owner answers Gone too but its bumped invEpoch makes both the
+		// owner answers Gone too but its bumped epoch makes both the
 		// reader skip its install and the writer re-acquire ownership.
 		raw, err := e.conn.CallRetry(p, e.peers[owner], "coh.downgrade", downgradeReq{Key: req.Key}, ctrlSize, e.retry)
 		if err == nil {
@@ -181,9 +181,9 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	requester := bladeID(e.peers, from)
 	e.stats.DirRequests++
 	e.busy(p, HandlerDelay)
-	ent := e.entry(req.Key)
+	ent := e.record(req.Key)
 	ent.mu.Lock(p)
-	defer ent.mu.Unlock()
+	defer e.unlock(req.Key, ent)
 	if r, moved := e.redirect(req.Key); moved {
 		return r, ctrlSize
 	}
@@ -206,12 +206,12 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 		})
 
 	case dirModified:
-		if ent.owner != requester {
+		if int(ent.owner) != requester {
 			e.conn.CallRetry(p, e.peers[ent.owner], "coh.invm", invMReq{Key: req.Key}, ctrlSize, e.retry)
 		}
 	}
 	ent.state = dirModified
-	ent.owner = requester
+	ent.owner = int16(requester)
 	ent.ownerEpoch = req.Epoch
 	ent.sharers.reset()
 	return dirResp{}, ctrlSize
@@ -241,9 +241,9 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	if ent, ok := e.cache.Get(req.Key); ok && ent.State != cache.Invalid {
 		return dirResp{Data: lend(ent)}, ctrlSize + len(ent.Data)
 	}
-	ent := e.entry(req.Key)
+	ent := e.record(req.Key)
 	ent.mu.Lock(p)
-	defer ent.mu.Unlock()
+	defer e.unlock(req.Key, ent)
 	if r, moved := e.redirect(req.Key); moved {
 		return r, ctrlSize
 	}
@@ -291,7 +291,7 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 func (e *Engine) handleInv(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(invReq)
 	e.stats.Invalidations++
-	e.invEpoch[e.ids.ID(req.Key)]++
+	e.bump(req.Key)
 	if ent, ok := e.cache.Peek(req.Key); ok {
 		e.cache.Remove(ent.Key)
 		e.recycle(ent)
@@ -321,7 +321,7 @@ func (e *Engine) handleInvM(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 // was no copy to give up.
 func (e *Engine) surrender(p *sim.Proc, key cache.Key) (gone bool) {
 	e.stats.Invalidations++
-	e.invEpoch[e.ids.ID(key)]++
+	e.bump(key)
 	ent, ok := e.cache.Peek(key)
 	if !ok {
 		return true
@@ -356,14 +356,14 @@ func (e *Engine) handleDowngrade(p *sim.Proc, from simnet.Addr, args any) (any, 
 	e.stats.Downgrades++
 	ent, ok := e.cache.Peek(req.Key)
 	if !ok {
-		e.invEpoch[e.ids.ID(req.Key)]++
+		e.bump(req.Key)
 		return downgradeResp{Gone: true}, ctrlSize
 	}
 	e.waitUnpinned(p, ent)
 	// The wait may have outlived ent: answer from whatever entry holds the
 	// key now (ent's buffer may be recycled, its Data nil).
 	if ent, ok = e.cache.Peek(req.Key); !ok {
-		e.invEpoch[e.ids.ID(req.Key)]++
+		e.bump(req.Key)
 		return downgradeResp{Gone: true}, ctrlSize
 	}
 	if ent.Dirty {
@@ -394,13 +394,14 @@ func (e *Engine) handleFetch(p *sim.Proc, from simnet.Addr, args any) (any, int)
 func (e *Engine) handleEvictNote(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	var relay []evictNote
 	for _, note := range args.([]evictNote) {
-		if _, ok := e.forward[e.ids.ID(note.Key)]; ok {
+		id := e.ids.ID(note.Key)
+		if _, ok := e.forward[id]; ok {
 			// The key's home migrated away (home() now names the new one);
 			// relay the notice so the new home's sharer set does not go stale.
 			relay = append(relay, note)
 			continue
 		}
-		ent, ok := e.dir[e.ids.ID(note.Key)]
+		ent, ok := e.keys[id]
 		if !ok {
 			continue
 		}
@@ -420,10 +421,11 @@ func (e *Engine) handleEvictNote(p *sim.Proc, from simnet.Addr, args any) (any, 
 				}
 			}
 		case dirModified:
-			if note.WasOwner && ent.owner == note.From && note.Epoch >= ent.ownerEpoch {
+			if note.WasOwner && int(ent.owner) == note.From && note.Epoch >= ent.ownerEpoch {
 				ent.state = dirInvalid // backing store current, invariant 3
 			}
 		}
+		e.pruneAt(id, ent)
 	}
 	e.notify(p, relay)
 	return nil, 0

@@ -61,9 +61,9 @@ func (e *Engine) handleMigrate(p *sim.Proc, from simnet.Addr, args any) (any, in
 	if h, err := e.home(req.Key); err != nil || h != e.self {
 		return migrateResp{Err: fmt.Sprintf("blade %d does not home %v", e.self, req.Key)}, ctrlSize
 	}
-	ent := e.entry(req.Key)
+	ent := e.record(req.Key)
 	ent.mu.Lock(p)
-	defer ent.mu.Unlock()
+	defer e.unlock(req.Key, ent)
 	// Quiesce point: holding the entry mutex means no GetS/GetX for this
 	// key is mid-protocol on this blade.
 	id := e.ids.ID(req.Key)
@@ -79,7 +79,7 @@ func (e *Engine) handleMigrate(p *sim.Proc, from simnet.Addr, args any) (any, in
 	areq := adoptReq{
 		Key:          req.Key,
 		State:        uint8(ent.state),
-		Owner:        ent.owner,
+		Owner:        int(ent.owner),
 		Sharers:      sharers,
 		SharerEpochs: epochs,
 		OwnerEpoch:   ent.ownerEpoch,
@@ -99,7 +99,8 @@ func (e *Engine) handleMigrate(p *sim.Proc, from simnet.Addr, args any) (any, in
 	}
 	e.forward[id] = req.To
 	e.homeOverride[id] = req.To
-	delete(e.dir, id)
+	ent.state, ent.owner, ent.ownerEpoch = dirInvalid, 0, 0 // the entry is the new home's now
+	ent.sharers.reset()
 	e.stats.HomeMigrations++
 	return migrateResp{Moved: true}, ctrlSize
 }
@@ -111,15 +112,16 @@ func (e *Engine) handleAdopt(p *sim.Proc, from simnet.Addr, args any) (any, int)
 	id := e.ids.ID(req.Key)
 	delete(e.forward, id)
 	e.homeOverride[id] = e.self
-	ent := e.entry(req.Key)
+	ent := e.record(req.Key)
 	ent.state = dirState(req.State)
-	ent.owner = req.Owner
+	ent.owner = int16(req.Owner)
 	ent.ownerEpoch = req.OwnerEpoch
 	ent.sharers.reset()
 	for i, s := range req.Sharers {
 		ent.sharers.add(s, req.SharerEpochs[i])
 	}
 	e.heat.Seed(req.Key, req.Heat)
+	e.prune(req.Key) // an Invalid entry needs no record
 	e.stats.HomeAdoptions++
 	return adoptResp{}, ctrlSize
 }

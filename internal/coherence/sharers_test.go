@@ -92,14 +92,14 @@ func TestAdoptKeepsSharerEpochs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		old := h.engines[from].dir[h.engines[from].ids.ID(key)]
+		old := h.engines[from].keys[h.engines[from].ids.ID(key)]
 		old.sharers.add(a, 5) // as if a had evicted and re-registered four times
 		moved, err := RequestMigrate(p, ctl, h.engines[from].peers[from], key, to, simnet.RetryPolicy{}.WithDefaults())
 		if err != nil || !moved {
 			t.Fatalf("migrate: moved=%v err=%v", moved, err)
 		}
 	})
-	ent := h.engines[to].dir[h.engines[to].ids.ID(key)]
+	ent := h.engines[to].keys[h.engines[to].ids.ID(key)]
 	if ent == nil || ent.state != dirShared || len(ent.sharers) != 2 {
 		t.Fatalf("adopted entry = %+v, want Shared with two sharers", ent)
 	}

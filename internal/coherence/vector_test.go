@@ -28,7 +28,7 @@ func countVectors(h *harness) *served {
 	for i, e := range h.engines {
 		e.conn.Register("coh.gets", func(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 			s.gets[i]++
-			s.keys[i] = append(s.keys[i], len(args.([]dirReq)))
+			s.keys[i] = append(s.keys[i], len(args.(*getsVec).reqs))
 			return e.handleGetS(p, from, args)
 		})
 		e.conn.Register("coh.evict", func(p *sim.Proc, from simnet.Addr, args any) (any, int) {
@@ -272,7 +272,7 @@ func TestLateBatchedEvictNoticeIgnored(t *testing.T) {
 			nt.at.handleEvictNote(p, nt.from, nt.args)
 		}
 	})
-	ent := home.dir[home.ids.ID(again)]
+	ent := home.keys[home.ids.ID(again)]
 	if epoch, ok := ent.sharers.epoch(reader.self); ent.state != dirShared || !ok || epoch == 0 {
 		t.Fatalf("%v after the late notice: state %d, sharers %v; want the reader registered under its newer epoch", again, ent.state, ent.sharers)
 	}
@@ -282,7 +282,7 @@ func TestLateBatchedEvictNoticeIgnored(t *testing.T) {
 			continue
 		}
 		e := h.engines[homeOf(k, blades)]
-		if ent := e.dir[e.ids.ID(k)]; ent.state != dirInvalid {
+		if ent, ok := e.keys[e.ids.ID(k)]; ok && ent.state != dirInvalid {
 			t.Errorf("%v still registered after its notice: state %d, sharers %v", k, ent.state, ent.sharers)
 		}
 	}

@@ -51,7 +51,7 @@ func CheckInvariants(engines []*Engine, keys []cache.Key) error {
 			if e.self == home {
 				continue
 			}
-			if ent, ok := e.dir[e.ids.ID(key)]; ok && ent.state != dirInvalid {
+			if ent, ok := e.keys[e.ids.ID(key)]; ok && ent.state != dirInvalid {
 				return fmt.Errorf("key %v: non-home blade%d holds active dir entry state=%d",
 					key, e.self, ent.state)
 			}
@@ -75,7 +75,7 @@ func CheckInvariants(engines []*Engine, keys []cache.Key) error {
 		}
 
 		he := engines[home]
-		dirEnt, hasDir := he.dir[he.ids.ID(key)]
+		dirEnt, hasDir := he.keys[he.ids.ID(key)]
 		state := dirInvalid
 		if hasDir {
 			state = dirEnt.state
@@ -83,7 +83,7 @@ func CheckInvariants(engines []*Engine, keys []cache.Key) error {
 		switch state {
 		case dirModified:
 			// b. Exactly the owner caches it, in M.
-			if len(copies) != 1 || copies[0].blade != dirEnt.owner || copies[0].ent.State != cache.Modified {
+			if len(copies) != 1 || copies[0].blade != int(dirEnt.owner) || copies[0].ent.State != cache.Modified {
 				return fmt.Errorf("key %v: dir Modified(owner %d) but copies %v", key, dirEnt.owner, describe(copies))
 			}
 		case dirShared:

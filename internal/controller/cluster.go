@@ -430,13 +430,17 @@ func (c *Cluster) Blade(id int) *Blade {
 // possibly sleeping for tokens, possibly shedding with qos.ErrThrottled.
 // Sheds are the contract working, so they bypass the Errors counter and
 // the latency histogram. Without a QoS config the stamp still happens
-// (the lane gauges are always live) and admission is free.
+// (the lane gauges are always live) and admission is free. A stamp that
+// changes nothing is skipped: setting it would box the context again.
 func (c *Cluster) admit(p *sim.Proc, priority, count int) error {
-	qctx := qos.FromProc(p)
+	cur := qos.FromProc(p)
+	qctx := cur
 	if qctx.Lane != qos.LaneBackground {
 		qctx.Lane = qos.ClampLane(priority)
 	}
-	qos.SetCtx(p, qctx)
+	if qctx != cur {
+		qos.SetCtx(p, qctx)
+	}
 	if c.QoS == nil {
 		return nil
 	}

@@ -739,3 +739,40 @@ func TestRejectedOpsCountOnceInClusterErrors(t *testing.T) {
 		t.Errorf("rejected ops left %d latency observations", n)
 	}
 }
+
+// A warm hit through the hot-key cache tier allocates the op's buffer and its
+// body and nothing else: the block is copied once, into that buffer, since
+// the node returns its cached copy itself, and admission keeps the op's QoS
+// context when the op's lane leaves it unchanged instead of boxing it again.
+func TestReadCachedWarmHitCopiesOnce(t *testing.T) {
+	c, k := newTestCluster(t, 1, nil)
+	if _, err := c.Pool.CreateDMSD("vol", 64); err != nil {
+		t.Fatal(err)
+	}
+	tier := c.NewHotCache(hotcache.Config{})
+	b := c.Blade(0)
+	run(k, func(p *sim.Proc) {
+		if err := c.Write(p, b, "vol", 0, bytes.Repeat([]byte{7}, 512), 0); err != nil {
+			t.Fatal(err)
+		}
+		for range 2 { // the fill, then a hit: warm
+			if _, err := c.ReadCached(p, tier, b, "vol", 0, 1, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hits := tier.Node(b.ID).Stats().Hits
+		var got []byte
+		allocs := testing.AllocsPerRun(100, func() {
+			got, _ = c.ReadCached(p, tier, b, "vol", 0, 1, 0)
+		})
+		if n := tier.Node(b.ID).Stats().Hits - hits; n != 101 {
+			t.Fatalf("%d node hits over 101 reads, want 101: the test exercises nothing", n)
+		}
+		if !bytes.Equal(got, bytes.Repeat([]byte{7}, 512)) {
+			t.Fatalf("warm hit read %v, want the written block", got[:8])
+		}
+		if allocs > 2 {
+			t.Errorf("warm ReadCached hit: %v allocs, want ≤ 2 (the op's buffer and its body)", allocs)
+		}
+	})
+}

@@ -57,12 +57,13 @@ func newNode(self int, engine *coherence.Engine, blocks int) *Node {
 // Read serves one block read through the cache node. A hit costs the
 // blade engine's per-op CPU charge and returns the cached copy; a miss
 // reads through the coherence plane (which does its own CPU accounting)
-// and installs the result if no write or clear intervened.
+// and installs the result if no write or clear intervened. Neither is a
+// copy: nobody writes FetchBlock's result (frozen, or fresh) or Read's.
 func (n *Node) Read(p *sim.Proc, key cache.Key, priority int) ([]byte, error) {
 	if ent, ok := n.store.Get(key); ok {
 		n.stats.Hits++
 		n.engine.Busy(p, n.engine.OpDelay())
-		return append([]byte(nil), ent.Data...), nil
+		return ent.Data, nil
 	}
 	n.stats.Misses++
 	gen, epoch := n.gen, n.epoch[key]
@@ -78,7 +79,7 @@ func (n *Node) Read(p *sim.Proc, key cache.Key, priority int) ([]byte, error) {
 	}
 	if n.gen == gen && n.epoch[key] == epoch {
 		n.makeRoom()
-		n.store.Put(key, append([]byte(nil), data...), cache.Shared, false, priority)
+		n.store.Put(key, data, cache.Shared, false, priority)
 		n.stats.Fills++
 	} else {
 		n.stats.FillAborts++

@@ -172,6 +172,8 @@ type Kernel struct {
 	// spare is the LIFO free list of processes whose body has returned, for
 	// the next Go to reuse (see Go); shed trims it with the idle runners.
 	spare []*Proc
+	// joins is the LIFO free list of Fork states (see Fork).
+	joins []*join
 	// idle is the LIFO free list of runners whose body has returned;
 	// runners counts all coroutines, idle or running a body. exits counts
 	// the process exits of the current shedding window and lowIdle is the
@@ -360,5 +362,5 @@ func (k *Kernel) Close() {
 	for _, r := range k.idle {
 		r.stop()
 	}
-	k.idle, k.spare = nil, nil
+	k.idle, k.spare, k.joins = nil, nil, nil
 }

@@ -208,8 +208,9 @@ func TestProcMachineryAllocations(t *testing.T) {
 	}
 }
 
-// Fork allocates its join and the one method value its items run, however
-// many items there are: no closure and, on a warm pool, no Proc per item.
+// A warm Fork allocates nothing, however many items there are: its join and
+// the method value its items run come from the kernel's spare list, and no
+// item needs a closure or, on a warm pool, a Proc.
 func TestForkAllocationsDoNotGrowWithItems(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Close()
@@ -240,8 +241,8 @@ func TestForkAllocationsDoNotGrowWithItems(t *testing.T) {
 		})
 	}
 	one, many := allocs(1), allocs(64)
-	if one != many || many > 2 {
-		t.Errorf("Fork: %v allocs for 1 item, %v for 64; want the same, ≤ 2 (the join and its start func)", one, many)
+	if one != 0 || many != 0 {
+		t.Errorf("Fork: %v allocs for 1 item, %v for 64; want 0", one, many)
 	}
 	if want := 102*1 + 102*64; items != want {
 		t.Fatalf("%d items ran, want %d", items, want)

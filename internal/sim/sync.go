@@ -239,18 +239,30 @@ func (g *Group) Pending() int { return g.n }
 // already queued there. A lone item gets a process too: running it on p
 // would start it one event sooner and move every later event.
 //
-// Every item's process runs one method value, bound once per call: the
-// processes start in spawn order, so the one that starts i-th is item i.
+// Every item's process runs the join's one method value, bound once when the
+// join was made: the processes start in spawn order, so the one that starts
+// i-th is item i. The join goes back on the kernel's spare list once the last
+// item has returned.
 func Fork(p *Proc, name string, n int, fn func(q *Proc, i int) error) error {
-	j := &join{p: p, left: n, fn: fn}
-	start := j.run
+	k := p.k
+	var j *join
+	if n := len(k.joins); n > 0 {
+		j, k.joins = k.joins[n-1], k.joins[:n-1]
+	} else {
+		j = &join{}
+		j.start = j.run
+	}
+	j.p, j.left, j.fn = p, n, fn
 	for range n {
-		p.k.Go(name, start)
+		k.Go(name, j.start)
 	}
 	for j.left > 0 {
 		p.park()
 	}
-	return j.err
+	err := j.err
+	*j = join{start: j.start}
+	k.joins = append(k.joins, j)
+	return err
 }
 
 // Fan is Fork for the fan-outs below the cache (RAID member I/O, volume
@@ -263,13 +275,14 @@ func Fan(p *Proc, name string, n int, fn func(q *Proc, i int) error) error {
 	return Fork(p, name, n, fn)
 }
 
-// join is one Fork's state, shared by its items.
+// join is one Fork's state, shared by its items; start is run bound once.
 type join struct {
-	p    *Proc
-	left int
-	next int // the index of the next item to start
-	err  error
-	fn   func(q *Proc, i int) error
+	p     *Proc
+	left  int
+	next  int // the index of the next item to start
+	err   error
+	fn    func(q *Proc, i int) error
+	start func(q *Proc)
 }
 
 func (j *join) run(q *Proc) {
@@ -298,3 +311,6 @@ func (m *Mutex) Lock(p *Proc) { m.sem.Acquire(p, 1) }
 
 // Unlock releases the mutex.
 func (m *Mutex) Unlock() { m.sem.Release(1) }
+
+// Idle reports that nobody holds the mutex or waits for it.
+func (m *Mutex) Idle() bool { return m.sem.avail == 1 && m.sem.waiters.len() == 0 }

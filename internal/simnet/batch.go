@@ -59,8 +59,8 @@ type BatchStats struct {
 const frameOverhead = 32
 
 type frameItem struct {
-	payload any
-	size    int
+	env  envelope
+	size int
 }
 
 // rpcFrame is the wire payload of one coalesced frame.
@@ -98,17 +98,18 @@ func (c *Conn) SetBatching(on bool, pol BatchPolicy) {
 	}
 }
 
-// send is the single egress point for every payload the Conn emits. With
-// batching off it is exactly Endpoint.Send; with batching on the payload
-// joins (or opens) the destination's pending frame.
-func (c *Conn) send(dst Addr, payload any, size int) bool {
+// send is the single egress point for every envelope the Conn emits. With
+// batching off it is one message that carries env by value; with batching on
+// env joins (or opens) the destination's pending frame.
+func (c *Conn) send(dst Addr, env *envelope, size int) bool {
 	if !c.batching {
-		return c.ep.Send(dst, payload, size)
+		_, ok := c.ep.net.send(&Message{From: c.ep.addr, To: dst, Size: size, rpc: *env})
+		return ok
 	}
-	return c.enqueue(dst, payload, size)
+	return c.enqueue(dst, env, size)
 }
 
-func (c *Conn) enqueue(dst Addr, payload any, size int) bool {
+func (c *Conn) enqueue(dst Addr, env *envelope, size int) bool {
 	net := c.ep.Network()
 	if !net.Reachable(c.Addr(), dst) {
 		// Match the unbatched fast-fail so callers still get
@@ -131,11 +132,11 @@ func (c *Conn) enqueue(dst Addr, payload any, size int) bool {
 				c.flush(dst, q)
 			}
 		})
-	} else if _, isReply := payload.(rpcReply); isReply {
+	} else if env.reply {
 		// The reply joins a frame already headed for the caller.
 		c.bstats.Piggybacked++
 	}
-	q.items = append(q.items, frameItem{payload: payload, size: size})
+	q.items = append(q.items, frameItem{env: *env, size: size})
 	q.bytes += size
 	if len(q.items) >= c.pol.MaxMsgs || q.bytes >= c.pol.MaxBytes {
 		c.flush(dst, q)

@@ -100,7 +100,7 @@ func TestDupSuppressionBounded(t *testing.T) {
 	n.SetFaultsAll(FaultPlan{DelayProb: 1e-12})
 	total := 3 * seenGenCap
 	for i := 0; i < total; i++ {
-		srv.dispatch("c", rpcRequest{id: uint64(i + 1), method: "noop"})
+		srv.dispatch("c", envelope{id: uint64(i + 1), method: "noop"})
 	}
 	k.Run()
 	if got := len(srv.seenCur) + len(srv.seenPrev); got > 2*seenGenCap {
@@ -110,13 +110,13 @@ func TestDupSuppressionBounded(t *testing.T) {
 		t.Fatalf("served = %d, want %d", srv.served, total)
 	}
 	// A duplicate of a recent id is still suppressed...
-	srv.dispatch("c", rpcRequest{id: uint64(total), method: "noop"})
+	srv.dispatch("c", envelope{id: uint64(total), method: "noop"})
 	if srv.served != int64(total) {
 		t.Fatal("recent duplicate executed twice")
 	}
 	// ...while one past the window has aged out and re-executes (bounded
 	// memory necessarily forgets ancient ids).
-	srv.dispatch("c", rpcRequest{id: 1, method: "noop"})
+	srv.dispatch("c", envelope{id: 1, method: "noop"})
 	if srv.served != int64(total)+1 {
 		t.Fatal("aged-out id should no longer be suppressed")
 	}
@@ -129,13 +129,13 @@ func TestDupSuppressedAfterFaultsClear(t *testing.T) {
 	n, _, srv := rpcPair(k, LinkSpec{})
 	srv.Register("noop", func(p *sim.Proc, from Addr, args any) (any, int) { return nil, 0 })
 	n.SetFaultsAll(FaultPlan{DelayProb: 1e-12})
-	srv.dispatch("c", rpcRequest{id: 7, method: "noop"})
+	srv.dispatch("c", envelope{id: 7, method: "noop"})
 	k.Run()
 	if srv.served != 1 {
 		t.Fatalf("served = %d, want 1", srv.served)
 	}
 	n.SetFaultsAll(FaultPlan{}) // plan cleared; the dup is already in flight
-	srv.dispatch("c", rpcRequest{id: 7, method: "noop"})
+	srv.dispatch("c", envelope{id: 7, method: "noop"})
 	k.Run()
 	if srv.served != 1 {
 		t.Fatalf("served = %d after late duplicate, want 1 (executed twice)", srv.served)

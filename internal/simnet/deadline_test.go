@@ -168,9 +168,9 @@ func TestLateReplyDoesNotReachReusedFuture(t *testing.T) {
 }
 
 // A fault-free round trip on a warm kernel allocates what its two messages
-// carry, the request and the reply boxed for the wire, and nothing else: the
-// handler's Proc and start record, both deliveries and the reply future come
-// from free lists.
+// carry, here nothing: the request and the reply travel by value in their
+// messages, and the handler's Proc and start record, both deliveries and the
+// reply future come from free lists.
 func TestRPCRoundTripAllocations(t *testing.T) {
 	k := sim.NewKernel(1)
 	defer k.Close()
@@ -191,8 +191,8 @@ func TestRPCRoundTripAllocations(t *testing.T) {
 		k.Run()
 	}
 	round()
-	if n := testing.AllocsPerRun(1000, round); n > 3 {
-		t.Errorf("warm fault-free round trip: %v allocs, want ≤ 3", n)
+	if n := testing.AllocsPerRun(1000, round); n != 0 {
+		t.Errorf("warm fault-free round trip: %v allocs, want 0", n)
 	}
 	if st := cli.Stats(); st.Calls != 1002 || len(cli.pending) != 0 {
 		t.Errorf("stats = %+v, pending = %d, want 1002 calls and nothing pending", st, len(cli.pending))

@@ -90,11 +90,13 @@ func (l *link) txTime(size int) sim.Duration {
 }
 
 // Message is a unit of delivery. Payload crosses the simulated network by
-// reference; Size is what occupies the wire.
+// reference; Size is what occupies the wire. A Conn's request or reply rides
+// in rpc instead, by value.
 type Message struct {
 	From, To Addr
 	Payload  any
 	Size     int
+	rpc      envelope
 }
 
 // Network is a graph of nodes and links on a single kernel.
@@ -321,7 +323,12 @@ func (n *Network) bfs(src Addr) map[Addr]Addr {
 // It returns the scheduled arrival time, or ok=false if the destination is
 // unreachable or an endpoint is down at send time. (A node that goes down
 // after send still swallows the message at arrival.)
-func (n *Network) Send(msg Message) (arrival sim.Time, ok bool) {
+func (n *Network) Send(msg Message) (arrival sim.Time, ok bool) { return n.send(&msg) }
+
+// send is Send of *msg, which it copies once, into the delivery record: a
+// Conn's message, which its envelope makes large, is not copied from frame to
+// frame of the sending process, whose stack would grow for it.
+func (n *Network) send(msg *Message) (arrival sim.Time, ok bool) {
 	if n.down[msg.From] || n.down[msg.To] {
 		n.Dropped++
 		return 0, false
@@ -394,7 +401,7 @@ type delivery struct {
 	fire func()
 }
 
-func (n *Network) scheduleDelivery(msg Message, t sim.Time) {
+func (n *Network) scheduleDelivery(msg *Message, t sim.Time) {
 	var d *delivery
 	if i := len(n.deliveries) - 1; i >= 0 {
 		d, n.deliveries[i] = n.deliveries[i], nil
@@ -403,7 +410,7 @@ func (n *Network) scheduleDelivery(msg Message, t sim.Time) {
 		d = &delivery{n: n}
 		d.fire = d.arrive
 	}
-	d.dst, d.msg = n.Node(msg.To), msg
+	d.dst, d.msg = n.Node(msg.To), *msg
 	n.k.At(t, d.fire)
 }
 

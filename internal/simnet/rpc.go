@@ -109,10 +109,14 @@ func (c *Conn) RegisterTelemetry(s telemetry.Scope) {
 // and the wire size of the reply.
 type Handler func(p *sim.Proc, from Addr, args any) (result any, size int)
 
-type rpcRequest struct {
+// envelope is one RPC request or reply as it crosses the fabric. It travels
+// by value in Message.rpc (or in a frame's item), so neither a call nor a
+// reply boxes it; only what it carries, body and qctx, is an interface.
+type envelope struct {
+	reply  bool
 	id     uint64
-	method string
-	args   any
+	method string // a request's
+	body   any    // a request's args or a reply's result
 	// tctx carries the caller's trace context across the simulated wire,
 	// so handler-side work joins the caller's trace.
 	tctx trace.Ctx
@@ -120,11 +124,6 @@ type rpcRequest struct {
 	// when it was set) the same way, as the process holds it, so remote
 	// handler CPU and disk time are charged to the right lane.
 	qctx any
-}
-
-type rpcReply struct {
-	id     uint64
-	result any
 }
 
 // Conn is an RPC endpoint: it can both serve registered methods and call
@@ -228,52 +227,48 @@ func (c *Conn) Register(method string, h Handler) {
 func (c *Conn) onMessage(msg Message) {
 	if fr, ok := msg.Payload.(rpcFrame); ok {
 		for _, it := range fr.items {
-			c.dispatch(msg.From, it.payload)
+			c.dispatch(msg.From, it.env)
 		}
 		return
 	}
-	c.dispatch(msg.From, msg.Payload)
+	c.dispatch(msg.From, msg.rpc)
 }
 
-func (c *Conn) dispatch(from Addr, payload any) {
-	k := c.ep.Network().Kernel()
-	switch m := payload.(type) {
-	case rpcRequest:
-		reg, ok := c.handlers[m.method]
-		if !ok {
-			panic(fmt.Sprintf("simnet: %s has no handler for %q", c.Addr(), m.method))
-		}
-		// Under fault injection the fabric may deliver a request twice;
-		// execute it once (the lost-reply case is covered by the caller's
-		// retry, which uses a fresh request id). The membership check is
-		// unconditional: a duplicate whose first copy arrived while faults
-		// were active must stay suppressed even after the plan clears.
-		rk := reqKey{from: from, id: m.id}
-		if c.dupSeen(rk) {
-			return
-		}
-		if c.ep.Network().FaultsActive() {
-			c.noteSeen(rk)
-		}
-		c.served++
-		var s *handlerStart
-		if i := len(c.starts) - 1; i >= 0 {
-			s, c.starts[i] = c.starts[i], nil
-			c.starts = c.starts[:i]
-		} else {
-			s = &handlerStart{c: c}
-			s.start = s.serve
-		}
-		s.from, s.req, s.h = from, m, reg.h
-		k.Go(reg.proc, s.start)
-	case rpcReply:
+func (c *Conn) dispatch(from Addr, m envelope) {
+	if m.reply {
 		if f, ok := c.pending[m.id]; ok {
 			delete(c.pending, m.id)
-			f.Set(m.result)
+			f.Set(m.body)
 		}
-	default:
-		panic(fmt.Sprintf("simnet: %s received non-RPC payload %T", c.Addr(), payload))
+		return
 	}
+	reg, ok := c.handlers[m.method]
+	if !ok {
+		panic(fmt.Sprintf("simnet: %s has no handler for %q", c.Addr(), m.method))
+	}
+	// Under fault injection the fabric may deliver a request twice;
+	// execute it once (the lost-reply case is covered by the caller's
+	// retry, which uses a fresh request id). The membership check is
+	// unconditional: a duplicate whose first copy arrived while faults
+	// were active must stay suppressed even after the plan clears.
+	rk := reqKey{from: from, id: m.id}
+	if c.dupSeen(rk) {
+		return
+	}
+	if c.ep.Network().FaultsActive() {
+		c.noteSeen(rk)
+	}
+	c.served++
+	var s *handlerStart
+	if i := len(c.starts) - 1; i >= 0 {
+		s, c.starts[i] = c.starts[i], nil
+		c.starts = c.starts[:i]
+	} else {
+		s = &handlerStart{c: c}
+		s.start = s.serve
+	}
+	s.from, s.req, s.h = from, m, reg.h
+	c.ep.Network().Kernel().Go(reg.proc, s.start)
 }
 
 // handlerStart is a delivered request whose handler process has not started:
@@ -282,14 +277,14 @@ func (c *Conn) dispatch(from Addr, payload any) {
 type handlerStart struct {
 	c     *Conn
 	from  Addr
-	req   rpcRequest
+	req   envelope
 	h     Handler
 	start func(p *sim.Proc)
 }
 
 func (s *handlerStart) serve(p *sim.Proc) {
 	c, from, m, h := s.c, s.from, s.req, s.h
-	s.req, s.h = rpcRequest{}, nil
+	s.req, s.h = envelope{}, nil
 	c.starts = append(c.starts, s)
 	if m.tctx.Valid() {
 		// Adopt the caller's trace so handler-side spans (disk service,
@@ -299,8 +294,8 @@ func (s *handlerStart) serve(p *sim.Proc) {
 	if m.qctx != nil {
 		p.SetQoSCtx(m.qctx)
 	}
-	result, size := h(p, from, m.args)
-	c.send(from, rpcReply{id: m.id, result: result}, size)
+	result, size := h(p, from, m.body)
+	c.send(from, &envelope{reply: true, id: m.id, body: result}, size)
 }
 
 // Call invokes method on dst, blocking p until the reply arrives, the
@@ -328,7 +323,7 @@ func (c *Conn) CallTimeout(p *sim.Proc, dst Addr, method string, args any, argSi
 		f = sim.NewFuture[any](c.ep.Network().Kernel())
 	}
 	c.pending[id] = f
-	if !c.send(dst, rpcRequest{id: id, method: method, args: args, tctx: sp.Ctx(), qctx: p.QoSCtx()}, argSize) {
+	if !c.send(dst, &envelope{id: id, method: method, body: args, tctx: sp.Ctx(), qctx: p.QoSCtx()}, argSize) {
 		delete(c.pending, id)
 		c.replies = append(c.replies, f)
 		sp.Detail("unreachable").End()
@@ -420,7 +415,7 @@ func (c *Conn) CallRetry(p *sim.Proc, dst Addr, method string, args any, argSize
 func (c *Conn) Cast(p *sim.Proc, dst Addr, method string, args any, argSize int) {
 	c.nextID++
 	sp := rpcSpan(p, method, dst)
-	if !c.send(dst, rpcRequest{id: c.nextID, method: method, args: args, tctx: sp.Ctx(), qctx: p.QoSCtx()}, argSize) {
+	if !c.send(dst, &envelope{id: c.nextID, method: method, body: args, tctx: sp.Ctx(), qctx: p.QoSCtx()}, argSize) {
 		sp.Detail("unreachable")
 	}
 	sp.End()
