@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race verify loc knobs knobs-gate orphans deadcode maporder examples unrun unrun-gate bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
+.PHONY: all build vet test race verify loc loc-gate knobs knobs-gate orphans deadcode maporder examples unrun unrun-gate bench-e2e bench-layers bench-pair experiments experiments-diff fuzz-smoke
 
 all: verify
 
@@ -23,7 +23,14 @@ verify: build vet test race
 # loc prints non-test Go lines per package and in total — the number ROADMAP
 # item 11 gates on — of the working tree, or of a revision with REV=<rev>.
 loc:
-	bash scripts/loc.sh $(REV)
+	bash scripts/loc.sh "$(REV)"
+
+# LOC_MAX is the product-line count (non-test Go outside scripts/) the
+# working tree may reach; CI runs loc-gate, so growing past it is a one-line
+# diff here.
+LOC_MAX = 23912
+loc-gate:
+	bash scripts/loc.sh "" $(LOC_MAX)
 
 # knobs prints the exported fields of every *Config/*Options struct (and of
 # telemetry's watchdogs) per struct, per package and in total — the values

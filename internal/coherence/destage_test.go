@@ -2,11 +2,13 @@ package coherence
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 // cleaned is one onClean call: the block whose replicas were released and
@@ -167,5 +169,41 @@ func TestRunsSplitAtVolumeAndGap(t *testing.T) {
 	}
 	if again := issue(); !slices.Equal(again, got) {
 		t.Errorf("same seed issued %v, then %v", got, again)
+	}
+}
+
+// A warm destage of a run of four adjacent blocks joins them in the engine's
+// staging buffer, which the last flush gave back: the flush allocates less
+// than one block, where joining the run in a new buffer took four.
+func TestRunDestageReusesStagingBuffer(t *testing.T) {
+	const bs, runs = 4096, 20
+	h := newHarnessSized(1, 2, 64, bs, &failingBacking{delay: 2 * sim.Millisecond, allow: 1 << 30}, simnet.RetryPolicy{})
+	defer h.k.Close()
+	e := h.engines[0]
+	var bytes uint64
+	h.run(func(p *sim.Proc) {
+		data := make([]byte, bs)
+		for i := range runs + 1 {
+			for b := range int64(4) {
+				if err := e.WriteBlock(p, kb(10+b), data, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if n := e.FlushOnce(p, 0); n != 4 {
+				t.Fatalf("flushed %d blocks, want 4", n)
+			}
+			runtime.ReadMemStats(&m1)
+			if i > 0 { // the first flush makes the staging buffer
+				bytes += m1.TotalAlloc - m0.TotalAlloc
+			}
+		}
+	})
+	if runs := e.Stats().WritebackRuns; runs != 21 {
+		t.Fatalf("%d backing writes for 21 flushes of one run", runs)
+	}
+	if per := bytes / runs; per >= bs {
+		t.Errorf("a warm 4-block destage allocates %d bytes, want < %d: the run is joined in a new buffer", per, bs)
 	}
 }

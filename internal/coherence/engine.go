@@ -40,7 +40,8 @@ type Backing interface {
 	// as zeros.
 	ReadBlockInto(p *sim.Proc, key cache.Key, dst []byte) error
 	// WriteBlocks stores data, a whole number of blocks, as the run of
-	// consecutive blocks that starts at key.
+	// consecutive blocks that starts at key. The store keeps no reference
+	// to data once it returns: the engine reuses the buffer.
 	WriteBlocks(p *sim.Proc, key cache.Key, data []byte) error
 }
 
@@ -315,8 +316,9 @@ type Engine struct {
 	// no more block memory than a full cache. A frozen buffer is never on it.
 	free [][]byte
 	// runs holds the states finished reads left (see runRead).
-	runs  []*runRead
-	homes []int // notify's scratch
+	runs    []*runRead
+	homes   []int  // notify's scratch
+	staging []byte // FlushOnce's buffer for joining runs, nil while one holds it
 
 	stats Stats
 	// down mirrors the cluster's view of this blade; a down engine
@@ -345,9 +347,24 @@ type dirReq struct {
 	Epoch uint64
 }
 
-// getsVec is a coh.gets: its requests to one home, answered in order. It is
-// sent by pointer, and nobody writes it once it is sent.
-type getsVec struct{ reqs []dirReq }
+// getsVec is a coh.gets: its requests to one home, each beside room for its
+// answer, sent by pointer. Its first delivery answers in place (handleGetS).
+type getsVec struct {
+	items []getsItem
+	taken bool // a delivery answers in items
+}
+
+// getsItem is one request of a coh.gets and its answer.
+type getsItem struct {
+	req  dirReq
+	resp dirResp
+}
+
+// getsOne is a coh.gets of one key in one object.
+type getsOne struct {
+	getsVec
+	item [1]getsItem
+}
 
 // dirResp is the home's answer to a dirReq.
 type dirResp struct {
@@ -359,7 +376,7 @@ type dirResp struct {
 	// Redirect reports that this blade no longer homes the key; the
 	// requester must retry at NewHome (and may cache the new address).
 	Redirect bool
-	NewHome  int
+	NewHome  int32 // with the flags beside it: a getsItem is 64 bytes
 }
 type invReq struct{ Key cache.Key }
 type invResp struct{}
@@ -379,6 +396,9 @@ type fetchResp struct {
 	Gone bool
 	Data []byte
 }
+
+// evictVec is a coh.evict: notices to one home, sent by pointer.
+type evictVec struct{ notes []evictNote }
 
 type evictNote struct {
 	Key      cache.Key
@@ -500,6 +520,16 @@ func (e *Engine) home(key cache.Key) (int, error) {
 		return hid, nil
 	}
 	return e.alive[key.Hash()%uint64(len(e.alive))], nil
+}
+
+// setHome learns that blade h homes key. The hash's own choice needs no
+// override, so the overrides are the keys homed away from their hash.
+func (e *Engine) setHome(key cache.Key, h int) {
+	id := e.ids.ID(key)
+	delete(e.homeOverride, id)
+	if hash, _ := e.home(key); hash != h {
+		e.homeOverride[id] = h
+	}
 }
 
 // Home exposes this blade's view of key's home blade — used by affinity
@@ -780,7 +810,7 @@ func (op *runRead) block(q *sim.Proc) {
 	resp, err := op.answer(q, e, home, pos)
 	if err == nil && resp.Redirect { // this key alone moved: follow it
 		e.stats.RedirectsFollowed++
-		e.homeOverride[e.ids.ID(key)] = resp.NewHome
+		e.setHome(key, int(resp.NewHome))
 		resp, err = e.ask(q, "coh.gets", key, epoch)
 	}
 	if op.fail(err); err == nil && e.settle(q, key, epoch, resp, op.priority, d) {
@@ -827,12 +857,12 @@ type pending struct {
 	req  dirReq
 }
 
-// vector is an op's coh.gets to one home: how many requests, then the
-// requests as sent and the answers, in order.
+// vector is an op's coh.gets to one home: how many requests, the vector as
+// sent, and the reply, whose items hold the answers in order.
 type vector struct {
-	n     int
-	reqs  *getsVec
-	resps []dirResp
+	n    int
+	sent *getsVec
+	got  *getsVec
 }
 
 func (op *runRead) fail(err error) {
@@ -858,21 +888,22 @@ func (op *runRead) request(e *Engine, key cache.Key, epoch uint64) (home, pos in
 	return home, v.n - 1, nil
 }
 
-// carve ends phase 1: it copies the op's requests into one new array, each
-// home's together in the order asked, and gives every vector its slice.
+// carve ends phase 1: it copies the op's requests into one new array, with
+// room for their answers, each home's together in the order asked, and gives
+// every vector its slice.
 func (op *runRead) carve() {
-	reqs := make([]dirReq, len(op.pend))
+	items := make([]getsItem, len(op.pend))
 	sent := make([]getsVec, 0, op.answered.Pending()) // one per home: none is answered yet
 	at := 0
 	for h := range op.vecs {
 		if v := &op.vecs[h]; v.n > 0 {
-			sent = append(sent, getsVec{reqs: reqs[at : at : at+v.n]})
-			v.reqs, at = &sent[len(sent)-1], at+v.n
+			sent = append(sent, getsVec{items: items[at : at : at+v.n]})
+			v.sent, at = &sent[len(sent)-1], at+v.n
 		}
 	}
 	for _, r := range op.pend {
-		g := op.vecs[r.home].reqs
-		g.reqs = append(g.reqs, r.req)
+		g := op.vecs[r.home].sent
+		g.items = append(g.items, getsItem{req: r.req})
 	}
 }
 
@@ -884,18 +915,18 @@ func (op *runRead) answer(q *sim.Proc, e *Engine, home, pos int) (dirResp, error
 	if pos == 0 {
 		op.ready.Wait(q)
 		if op.err == nil {
-			raw, err := e.call(q, home, "coh.gets", v.reqs, ctrlSize)
-			if v.resps, _ = raw.([]dirResp); err != nil {
+			raw, err := e.call(q, home, "coh.gets", v.sent, ctrlSize)
+			if v.got, _ = raw.(*getsVec); err != nil {
 				op.fail(fmt.Errorf("coherence: coh.gets to blade %d: %w", home, err))
 			}
 		}
 		op.answered.Done()
 	}
 	op.answered.Wait(q)
-	if v.resps == nil { // the op failed
+	if v.got == nil { // the op failed
 		return dirResp{}, op.err
 	}
-	return v.resps[pos], nil
+	return v.got.items[pos].resp, nil
 }
 
 // gather records that block i of the op's count must come from the backing
@@ -956,34 +987,38 @@ func (e *Engine) settle(p *sim.Proc, key cache.Key, epoch uint64, resp dirResp, 
 }
 
 // ask sends key's directory request (method is coh.gets, coh.getx or
-// coh.getv; a coh.gets vector of one) to the key's home and returns the
-// home's answer. A home that migrated while the request was in flight
-// answers with a Redirect: ask learns the new address and retries there.
-// Chained redirects are bounded by the blade count plus in-flight migrations.
+// coh.getv; a coh.gets vector of one per home asked) to the key's home and
+// returns the home's answer. A home that migrated while the request was in
+// flight answers with a Redirect: ask learns the new address and retries
+// there. Chained redirects are bounded by the blade count plus in-flight
+// migrations.
 func (e *Engine) ask(p *sim.Proc, method string, key cache.Key, epoch uint64) (dirResp, error) {
 	homeID, err := e.home(key)
 	if err != nil {
 		return dirResp{}, err
 	}
-	var args any = dirReq{Key: key, Epoch: epoch}
-	if method == "coh.gets" {
-		args = &getsVec{reqs: []dirReq{{Key: key, Epoch: epoch}}}
-	}
+	req := dirReq{Key: key, Epoch: epoch}
+	var args any = req
 	for hops := 0; ; hops++ {
+		if method == "coh.gets" {
+			one := &getsOne{item: [1]getsItem{{req: req}}}
+			one.items = one.item[:]
+			args = &one.getsVec
+		}
 		raw, err := e.call(p, homeID, method, args, ctrlSize)
 		if err != nil {
 			return dirResp{}, fmt.Errorf("coherence: %s to blade %d: %w", method, homeID, err)
 		}
 		resp, ok := raw.(dirResp)
 		if !ok {
-			resp = raw.([]dirResp)[0]
+			resp = raw.(*getsVec).items[0].resp
 		}
 		if !resp.Redirect {
 			return resp, nil
 		}
 		e.stats.RedirectsFollowed++
-		e.homeOverride[e.ids.ID(key)] = resp.NewHome
-		homeID = resp.NewHome
+		homeID = int(resp.NewHome)
+		e.setHome(key, homeID)
 		if hops > len(e.peers)+8 {
 			return dirResp{}, fmt.Errorf("coherence: %s for %v: redirect loop", method, key)
 		}
@@ -1331,17 +1366,21 @@ func (e *Engine) makeRoom(p *sim.Proc, notes *[]evictNote) error {
 // notify casts notes, fire and forget (staleness is tolerated), as one
 // coh.evict per home, grouped in place: the casts share notes' array, and
 // each note's home, found once into e.homes (notify does not yield), moves
-// with it.
+// with it. Each cast is a pointer into one array of vectors, one per home.
 func (e *Engine) notify(p *sim.Proc, notes []evictNote) {
-	homes := e.homes[:0]
+	homes, distinct := e.homes[:0], 0
 	for _, note := range notes {
 		h, err := e.home(note.Key)
 		if err != nil { // no live blade homes anything
 			return
 		}
+		if !slices.Contains(homes, h) {
+			distinct++
+		}
 		homes = append(homes, h)
 	}
 	e.homes = homes
+	vecs := make([]evictVec, 0, distinct)
 	for len(notes) > 0 {
 		home, n := homes[0], 1
 		for i := 1; i < len(notes); i++ {
@@ -1351,7 +1390,8 @@ func (e *Engine) notify(p *sim.Proc, notes []evictNote) {
 				n++
 			}
 		}
-		e.conn.Cast(p, e.peers[home], "coh.evict", notes[:n:n], ctrlSize)
+		vecs = append(vecs, evictVec{notes[:n:n]})
+		e.conn.Cast(p, e.peers[home], "coh.evict", &vecs[len(vecs)-1], ctrlSize)
 		notes, homes = notes[n:], homes[n:]
 	}
 }

@@ -50,13 +50,22 @@ func (e *Engine) FlushOnce(p *sim.Proc, max int) int {
 		}
 		runs = append(runs, batch[a:b])
 	}
+	// A run of several blocks is joined where it lies in the batch, in the
+	// last flush's buffer if it is long enough.
+	buf := e.staging
+	if e.staging = nil; cap(buf) < len(batch)*e.blockSize {
+		buf = make([]byte, len(batch)*e.blockSize)
+	}
 	inFlight := sim.NewSemaphore(e.k, 16)
 	sim.Fork(p, "destage", len(runs), func(q *sim.Proc, i int) error {
 		inFlight.Acquire(q, 1)
 		defer inFlight.Release(1)
-		e.writeback(q, runs[i])
+		e.writeback(q, runs[i], buf[(cap(batch)-cap(runs[i]))*e.blockSize:])
 		return nil
 	})
+	if cap(buf) > cap(e.staging) {
+		e.staging = buf
+	}
 	return len(batch)
 }
 
@@ -91,14 +100,15 @@ func (e *Engine) waitUnpinned(p *sim.Proc, ent *cache.Entry) {
 
 // writeback destages run — adjacent blocks of one volume, each pinned by the
 // caller when it sampled the entry's version — as one backing write, and
-// unpins them. An entry the store took and nobody rewrote meanwhile is marked
-// clean and its replicas released; clean reports that every entry was.
-func (e *Engine) writeback(p *sim.Proc, run []destage) (clean bool, err error) {
+// unpins them; a run of several blocks is joined in buf. An entry the store
+// took and nobody rewrote meanwhile is marked clean and its replicas
+// released; clean reports that every entry was.
+func (e *Engine) writeback(p *sim.Proc, run []destage, buf []byte) (clean bool, err error) {
 	data := run[0].ent.Data
 	if len(run) > 1 {
-		data = make([]byte, 0, len(run)*e.blockSize)
-		for _, d := range run {
-			data = append(data, d.ent.Data...)
+		data = buf[:len(run)*e.blockSize]
+		for i, d := range run {
+			copy(data[i*e.blockSize:], d.ent.Data)
 		}
 	}
 	err = e.backing.WriteBlocks(p, run[0].ent.Key, data)
@@ -125,7 +135,7 @@ func (e *Engine) writeback(p *sim.Proc, run []destage) (clean bool, err error) {
 // writebackOne pins ent and destages it alone, on the caller's critical path.
 func (e *Engine) writebackOne(p *sim.Proc, ent *cache.Entry) (clean bool, err error) {
 	e.pin(ent)
-	return e.writeback(p, []destage{{ent, ent.Version}})
+	return e.writeback(p, []destage{{ent, ent.Version}}, nil)
 }
 
 // StartFlusher launches the background write-back process: every interval

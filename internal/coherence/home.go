@@ -20,16 +20,22 @@ func bladeID(peers []simnet.Addr, addr simnet.Addr) int {
 // handleGetS serves a vector of read-share requests as the home blade: one
 // CPU charge, HandlerDelay per key, then each key under its own mutex, in
 // order — but concurrently for the keys that need a peer, if more than one.
+// The first delivery answers in the vector and returns it; a duplicated or
+// retried one answers in a copy: the requester may have read the first.
 func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) {
-	reqs := args.(*getsVec).reqs
+	v := args.(*getsVec)
+	if v.taken {
+		v = &getsVec{items: slices.Clone(v.items)}
+	}
+	v.taken = true
+	items := v.items
 	requester := bladeID(e.peers, from)
-	resps := make([]dirResp, len(reqs))
-	e.busy(p, sim.Duration(len(reqs))*HandlerDelay)
+	e.busy(p, sim.Duration(len(items))*HandlerDelay)
 	var buf [8]int
 	probing := buf[:0] // keys whose directory state needs a sharer's fetch or the owner's downgrade
-	for i, req := range reqs {
-		ent, ok := e.keys[e.ids.ID(req.Key)] // read without the mutex: it only schedules
-		if len(reqs) > 1 && ok && (ent.state == dirModified || ent.state == dirShared && !e.noPeerFetch &&
+	for i := range items {
+		ent, ok := e.keys[e.ids.ID(items[i].req.Key)] // read without the mutex: it only schedules
+		if len(items) > 1 && ok && (ent.state == dirModified || ent.state == dirShared && !e.noPeerFetch &&
 			slices.ContainsFunc(ent.sharers, func(s sharer) bool { return s.blade != requester })) {
 			probing = append(probing, i)
 		}
@@ -46,22 +52,22 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 		g.Add(1)
 		e.k.Go("gets", func(q *sim.Proc) {
 			defer g.Done()
-			resps[i] = e.getS(q, requester, reqs[i])
+			items[i].resp = e.getS(q, requester, items[i].req)
 		})
 	}
-	for i, req := range reqs {
+	for i := range items {
 		if !slices.Contains(probing, i) {
-			resps[i] = e.getS(p, requester, req)
+			items[i].resp = e.getS(p, requester, items[i].req)
 		}
 	}
 	if grp != nil {
 		grp.Wait(p)
 	}
 	size := ctrlSize
-	for _, r := range resps {
-		size += len(r.Data)
+	for i := range items {
+		size += len(items[i].resp.Data)
 	}
-	return resps, size
+	return v, size
 }
 
 // redirect answers a request for key, whose home has moved away from this
@@ -71,7 +77,7 @@ func (e *Engine) redirect(key cache.Key) (r dirResp, moved bool) {
 	if moved {
 		e.stats.RedirectsServed++
 	}
-	return dirResp{Redirect: true, NewHome: to}, moved
+	return dirResp{Redirect: true, NewHome: int32(to)}, moved
 }
 
 // getS serves one read-share request of requester as the home blade.
@@ -393,7 +399,7 @@ func (e *Engine) handleFetch(p *sim.Proc, from simnet.Addr, args any) (any, int)
 // handleEvictNote processes a vector of asynchronous eviction notices.
 func (e *Engine) handleEvictNote(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	var relay []evictNote
-	for _, note := range args.([]evictNote) {
+	for _, note := range args.(*evictVec).notes {
 		id := e.ids.ID(note.Key)
 		if _, ok := e.forward[id]; ok {
 			// The key's home migrated away (home() now names the new one);

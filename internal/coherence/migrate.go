@@ -98,7 +98,7 @@ func (e *Engine) handleMigrate(p *sim.Proc, from simnet.Addr, args any) (any, in
 		e.call(p, b, "coh.sethome", setHomeReq{Key: req.Key, Home: req.To}, ctrlSize)
 	}
 	e.forward[id] = req.To
-	e.homeOverride[id] = req.To
+	e.setHome(req.Key, req.To)
 	ent.state, ent.owner, ent.ownerEpoch = dirInvalid, 0, 0 // the entry is the new home's now
 	ent.sharers.reset()
 	e.stats.HomeMigrations++
@@ -111,7 +111,7 @@ func (e *Engine) handleAdopt(p *sim.Proc, from simnet.Addr, args any) (any, int)
 	e.busy(p, HandlerDelay)
 	id := e.ids.ID(req.Key)
 	delete(e.forward, id)
-	e.homeOverride[id] = e.self
+	e.setHome(req.Key, e.self)
 	ent := e.record(req.Key)
 	ent.state = dirState(req.State)
 	ent.owner = int16(req.Owner)
@@ -135,6 +135,6 @@ func (e *Engine) handleSetHome(p *sim.Proc, from simnet.Addr, args any) (any, in
 		// at the latest address so redirect chains stay one hop.
 		e.forward[id] = req.Home
 	}
-	e.homeOverride[id] = req.Home
+	e.setHome(req.Key, req.Home)
 	return setHomeResp{}, ctrlSize
 }

@@ -10,11 +10,12 @@ import (
 	"repro/internal/simnet"
 )
 
-// A warm 64-block miss run whose blocks are homed on all 8 blades costs, per
-// home, the home's answer and its box and the box of the evict notice sent
-// there, and, per op, four arrays at most: the op's requests carved into one
-// array with one slice header per home, and the evict notices. The requests
-// travel by pointer, and the envelopes of the calls and casts by value.
+// A warm 64-block miss run whose blocks are homed on all 8 blades costs
+// nothing per home, and four arrays per op: the op's requests, each beside
+// room for its answer, carved into one array with one vector per home, and
+// the evict notices with one vector per home. The vectors travel by pointer
+// and are answered in place, and the envelopes of the calls and casts go by
+// value.
 func TestReadRunAllocationsPerHome(t *testing.T) {
 	const bs, cacheBlocks, run, blades = 4096, 1024, 64, 8
 	h := newHarnessSized(1, blades, cacheBlocks, bs, &failingBacking{delay: 2 * sim.Millisecond}, simnet.RetryPolicy{})
@@ -47,7 +48,7 @@ func TestReadRunAllocationsPerHome(t *testing.T) {
 		if n := e.stats.DiskReads - misses; n != 21*run {
 			t.Fatalf("%d blocks read from the store over 21 runs of %d, want every one: the runs did not miss", n, run)
 		}
-		if want := 3*blades + 4; allocs > float64(want) {
+		if want := 4; allocs > float64(want) {
 			t.Errorf("a warm %d-block miss run at %d homes: %v allocs, want ≤ %d", run, blades, allocs, want)
 		}
 	})
@@ -176,4 +177,63 @@ func TestKeyStateDoesNotGrow(t *testing.T) {
 	if n := unsafe.Sizeof(keyState{}); n != 128 {
 		t.Errorf("keyState is %d bytes, want 128", n)
 	}
+}
+
+// Home overrides are the keys homed away from their hash, on every blade: a
+// key migrated away and back, or a redirect that names the hash home, leaves
+// no override behind. The ex-home keeps its forwarder, since a blade that
+// missed the sethome broadcast still asks there.
+func TestHomeOverridesAreKeysHomedAway(t *testing.T) {
+	const blades, keys = 4, 16
+	h := newHarness(1, blades, 64)
+	ctl := simnet.NewConn(h.net, "ctl")
+	h.net.Connect("ctl", "fabric", simnet.FC2G)
+	retry := simnet.RetryPolicy{}.WithDefaults()
+	migrate := func(p *sim.Proc, key cache.Key, from, to int) {
+		if moved, err := RequestMigrate(p, ctl, h.engines[from].peers[from], key, to, retry); err != nil || !moved {
+			t.Fatalf("migrate %v from %d to %d: moved=%v err=%v", key, from, to, moved, err)
+		}
+	}
+	overrides := func(want int) {
+		for _, e := range h.engines {
+			if n := len(e.homeOverride); n != want {
+				t.Errorf("blade %d holds %d home overrides, want %d: the keys homed away", e.self, n, want)
+			}
+		}
+	}
+	h.run(func(p *sim.Proc) {
+		for k := range int64(keys) {
+			if _, err := h.engines[0].ReadBlock(p, kb(k), 0); err != nil {
+				t.Fatal(err)
+			}
+			from := homeOf(kb(k), blades)
+			migrate(p, kb(k), from, (from+1)%blades)
+		}
+		overrides(keys)
+		for k := int64(0); k < keys; k += 2 { // half of them come back
+			from := homeOf(kb(k), blades)
+			migrate(p, kb(k), (from+1)%blades, from)
+		}
+		overrides(keys / 2)
+		// A blade that missed the broadcast asks the ex-home, which
+		// redirects it to the hash home: the override goes.
+		key := kb(0)
+		exHome := h.engines[(homeOf(key, blades)+1)%blades]
+		if _, ok := exHome.forward[exHome.ids.ID(key)]; !ok {
+			t.Fatalf("ex-home %d dropped its forwarder for %v", exHome.self, key)
+		}
+		reader := h.engines[(homeOf(key, blades)+2)%blades]
+		if reader.self == 0 { // blade 0 holds a copy: its read would hit
+			reader = h.engines[(homeOf(key, blades)+3)%blades]
+		}
+		reader.homeOverride[reader.ids.ID(key)] = exHome.self
+		if _, err := reader.ReadBlock(p, key, 0); err != nil {
+			t.Fatal(err)
+		}
+		if reader.Stats().RedirectsFollowed == 0 {
+			t.Fatal("the stale override was not redirected")
+		}
+		overrides(keys / 2)
+	})
+	checkDirectoryInvariants(t, h, keys)
 }

@@ -28,7 +28,7 @@ func countVectors(h *harness) *served {
 	for i, e := range h.engines {
 		e.conn.Register("coh.gets", func(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 			s.gets[i]++
-			s.keys[i] = append(s.keys[i], len(args.(*getsVec).reqs))
+			s.keys[i] = append(s.keys[i], len(args.(*getsVec).items))
 			return e.handleGetS(p, from, args)
 		})
 		e.conn.Register("coh.evict", func(p *sim.Proc, from simnet.Addr, args any) (any, int) {
@@ -263,7 +263,7 @@ func TestLateBatchedEvictNoticeIgnored(t *testing.T) {
 			t.Fatalf("re-read %v: %v", again, err)
 		}
 		for _, nt := range batch {
-			if len(nt.args.([]evictNote)) < 2 && nt.at == home {
+			if len(nt.args.(*evictVec).notes) < 2 && nt.at == home {
 				t.Fatalf("the notice to blade %d carries one key: not a batch", home.self)
 			}
 			nt.at.handleEvictNote(p, nt.from, nt.args)
@@ -293,6 +293,42 @@ func TestLateBatchedEvictNoticeIgnored(t *testing.T) {
 		}
 		if d, err := reader.ReadBlock(p, again, 0); err != nil || d[0] != 99 {
 			t.Fatalf("reader rereads %v as %d (%v) after the write, want 99", again, d[0], err)
+		}
+	})
+}
+
+// A coh.gets delivered twice — a duplicate on a lossy fabric, or a retry
+// after a lost reply — with the directory entry changed in between: the
+// first delivery answers in the requester's own items and returns them, and
+// the second answers in items of its own, so the answer the requester read
+// from the first stays as it was.
+func TestDuplicateGetsKeepsFirstAnswer(t *testing.T) {
+	const blades = 3
+	h := newHarness(1, blades, 8)
+	key := kb(1)
+	home := h.engines[homeOf(key, blades)]
+	requester := h.engines[(home.self+1)%blades]
+	writer := h.engines[(home.self+2)%blades]
+	v := &getsVec{items: []getsItem{{req: dirReq{Key: key}}}}
+	h.run(func(p *sim.Proc) {
+		raw, _ := home.handleGetS(p, requester.peers[requester.self], v)
+		first := raw.(*getsVec)
+		if first != v || first.items[0].resp.Data != nil {
+			t.Fatalf("first delivery answered %+v in %p, want no data in the requester's vector %p", first.items[0].resp, first, v)
+		}
+		if err := writer.WriteBlock(p, key, blk(9), 0); err != nil {
+			t.Fatal(err)
+		}
+		raw, _ = home.handleGetS(p, requester.peers[requester.self], v)
+		second := raw.(*getsVec)
+		if second == v {
+			t.Fatal("the second delivery answered in the requester's vector")
+		}
+		if r := second.items[0].resp; r.Data == nil || r.Data[0] != 9 || !r.NoCache {
+			t.Fatalf("second delivery answered %+v, want the dirty owner's block, uncacheable", r)
+		}
+		if r := v.items[0].resp; r.Data != nil || r.NoCache {
+			t.Fatalf("the answer the requester read changed to %+v after a second delivery", r)
 		}
 	})
 }

@@ -206,14 +206,19 @@ func splitPath(path string) ([]string, error) {
 	return parts, nil
 }
 
-// lookup resolves path to an inode.
+// lookup resolves path to an inode, walking its segments in place; a path
+// splitPath refuses fails with splitPath's error.
 func (fs *FS) lookup(path string) (*Inode, error) {
-	parts, err := splitPath(path)
-	if err != nil {
+	if !strings.HasPrefix(path, "/") || strings.Contains(path, "/../") || strings.HasSuffix(path, "/..") {
+		_, err := splitPath(path)
 		return nil, err
 	}
 	cur := fs.root
-	for _, seg := range parts {
+	for rest := path; rest != ""; {
+		var seg string
+		if seg, rest, _ = strings.Cut(rest, "/"); seg == "" || seg == "." {
+			continue
+		}
 		if !cur.Dir {
 			return nil, fmt.Errorf("%w: %q", ErrNotDir, path)
 		}

@@ -161,3 +161,42 @@ func TestSetPolicyRoundTrip(t *testing.T) {
 		t.Fatalf("Policy(missing) err = %v, want ErrNotFound", err)
 	}
 }
+
+// lookup walks a path in place and answers as splitPath and a walk over its
+// segments did, text included: a ".." anywhere outranks a missing or
+// non-directory segment before it. A lookup that finds its inode allocates
+// nothing.
+func TestLookupWalksInPlace(t *testing.T) {
+	fs := newPathFS(t)
+	if err := fs.MkdirAll("/a/b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Create("/a/f", Policy{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ path, want string }{
+		{"/", "/"},
+		{"//a/./b/", "b"},
+		{"/a/f", "f"},
+		{"a/b", `pfs: invalid path: "a/b" is not absolute`},
+		{"", `pfs: invalid path: "" is not absolute`},
+		{"/a/../b", `pfs: invalid path: "/a/../b" contains ..`},
+		{"/missing/..", `pfs: invalid path: "/missing/.." contains ..`},
+		{"/a/f/x/..", `pfs: invalid path: "/a/f/x/.." contains ..`},
+		{"/a/f/x", `pfs: not a directory: "/a/f/x"`},
+		{"/a/missing/b", `pfs: no such file or directory: "/a/missing/b"`},
+	} {
+		got := ""
+		if ino, err := fs.lookup(c.path); err != nil {
+			got = err.Error()
+		} else {
+			got = ino.name
+		}
+		if got != c.want {
+			t.Errorf("lookup(%q) = %s, want %s", c.path, got, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { fs.lookup("/a/b") }); n != 0 {
+		t.Errorf("a lookup that succeeds allocates %v objects, want 0", n)
+	}
+}

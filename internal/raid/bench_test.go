@@ -32,7 +32,7 @@ func BenchmarkRSParity(b *testing.B) {
 	b.SetBytes(5 * 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RSParity(data)
+		rsParity(nil, data)
 	}
 }
 
@@ -54,7 +54,7 @@ func BenchmarkReconstructSingle(b *testing.B) {
 func BenchmarkReconstructDouble(b *testing.B) {
 	data := benchStripe(6, 4096)
 	p := XORParity(data)
-	q := RSParity(data)
+	q := rsParity(nil, data)
 	b.SetBytes(2 * 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -84,7 +84,7 @@ func FuzzReconstruct(f *testing.F) {
 			}
 		}
 		p := XORParity(orig)
-		q := RSParity(orig)
+		q := rsParity(nil, orig)
 
 		// Failure plan: 0-2 missing data blocks, optionally lost parity.
 		missing := []int{}
@@ -143,7 +143,7 @@ func FuzzReconstruct(f *testing.F) {
 		}
 		// Regenerated parity over the restored stripe must match the
 		// original, or the stripe would scrub dirty after a rebuild.
-		if !bytes.Equal(XORParity(data), p) || !bytes.Equal(RSParity(data), q) {
+		if !bytes.Equal(XORParity(data), p) || !bytes.Equal(rsParity(nil, data), q) {
 			t.Fatalf("parity mismatch after reconstruct (missing %v)", missing)
 		}
 	})

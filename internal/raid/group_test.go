@@ -154,7 +154,7 @@ func TestParityConsistencyOnDisk(t *testing.T) {
 		if !bytes.Equal(g.disks[pd].Peek(s), XORParity(data)) {
 			t.Fatalf("stripe %d: P inconsistent (dps=%d)", s, dps)
 		}
-		if !bytes.Equal(g.disks[qd].Peek(s), RSParity(data)) {
+		if !bytes.Equal(g.disks[qd].Peek(s), rsParity(nil, data)) {
 			t.Fatalf("stripe %d: Q inconsistent", s)
 		}
 	}

@@ -175,7 +175,8 @@ func (g *Group) Write(p *sim.Proc, lba int64, data []byte) error {
 // writeStripe updates stripe row s with newData, its data blocks by
 // stripe-local position (nil: unchanged), as the row's only writer from its
 // reads of the old content to its last write. A row without parity writes
-// its new blocks and reads nothing.
+// its new blocks and reads nothing. The blocks it reads and its new parity
+// are scratch blocks, given back once its disk writes have returned.
 func (g *Group) writeStripe(p *sim.Proc, s int64, newData [][]byte) error {
 	g.lockRows(p, s, s+1)
 	defer g.unlockRows(s, s+1)
@@ -205,8 +206,10 @@ func (g *Group) writeStripe(p *sim.Proc, s int64, newData [][]byte) error {
 	}
 	parities := len(members) - len(dataDisks)
 	// row becomes the whole row in hand: what stays of the old content, then
-	// the new blocks over it.
+	// the new blocks over it. held is the row's scratch blocks by disk index.
 	row := make([][]byte, len(dataDisks))
+	held := make([][]byte, len(g.disks))
+	defer g.giveBack(held)
 	switch {
 	case degraded:
 		// Recover the full old stripe, merge, rewrite what we can.
@@ -222,28 +225,29 @@ func (g *Group) writeStripe(p *sim.Proc, s int64, newData [][]byte) error {
 		// Reconstruct-write: reading the data blocks that stay is fewer I/Os
 		// than read-modify-write's old targets and parity.
 		g.rowWrites.reconstruct++
-		rows, err := g.readRows(p, s, 1, keep)
-		if err != nil {
+		if err := g.readRow(p, s, keep, held); err != nil {
 			return err
 		}
 		for i, di := range dataDisks {
-			row[i] = rows[di]
+			row[i] = held[di]
 		}
 	default:
 		// Read-modify-write: read old target blocks and parity, apply deltas.
 		g.rowWrites.rmw++
-		return g.rmwStripe(p, s, newData)
+		return g.rmwStripe(p, s, newData, held)
 	}
 	for i, nd := range newData {
 		if nd != nil {
 			row[i] = nd
 		}
 	}
-	var q []byte
+	held[pm[0]] = xorParity(g.scratch(), row)
+	var Q []byte
 	if qd >= 0 {
-		q = RSParity(row)
+		Q = rsParity(g.scratch(), row)
+		held[qd] = Q
 	}
-	return g.writeRow(p, s, newData, XORParity(row), q)
+	return g.writeRow(p, s, newData, held[pm[0]], Q)
 }
 
 // writeRow writes row s's new data blocks (nil: unchanged), P to each of its
@@ -279,11 +283,11 @@ func (g *Group) writeRow(p *sim.Proc, s int64, newData [][]byte, P, Q []byte) er
 }
 
 // rmwStripe performs the classic small-write read-modify-write on a healthy
-// stripe: it reads the old blocks it replaces and the parity, XORs each
-// block's delta into the parity, and writes blocks and parity back to the
-// members it read. Those writes are unconditional: a member that failed
-// since the reads fails the row write.
-func (g *Group) rmwStripe(p *sim.Proc, s int64, newData [][]byte) error {
+// stripe: it reads the old blocks it replaces and the parity into scratch
+// blocks in rows, XORs each block's delta into the parity, and writes blocks
+// and parity back to the members it read. Those writes are unconditional: a
+// member that failed since the reads fails the row write.
+func (g *Group) rmwStripe(p *sim.Proc, s int64, newData, rows [][]byte) error {
 	pm, qd := g.parity(s)
 	dataDisks := g.dataDisks(s)
 	var members []int
@@ -296,8 +300,7 @@ func (g *Group) rmwStripe(p *sim.Proc, s int64, newData [][]byte) error {
 	if qd >= 0 {
 		members = append(members, qd)
 	}
-	rows, err := g.readRows(p, s, 1, members)
-	if err != nil {
+	if err := g.readRow(p, s, members, rows); err != nil {
 		return err
 	}
 	for i, di := range dataDisks {
@@ -312,7 +315,7 @@ func (g *Group) rmwStripe(p *sim.Proc, s int64, newData [][]byte) error {
 		if qd >= 0 {
 			gfMulInto(rows[qd], delta, gfPow2(i))
 		}
-		rows[di] = newData[i]
+		copy(delta, newData[i]) // rows holds scratch blocks only
 	}
 	return sim.Fan(p, "par", len(members), func(q *sim.Proc, j int) error {
 		return g.disks[members[j]].Write(q, s, rows[members[j]])
@@ -350,6 +353,38 @@ func (g *Group) readRows(p *sim.Proc, s int64, n int, disks []int) ([][]byte, er
 	return rows, sim.Fan(p, "par", len(disks), func(q *sim.Proc, j int) error {
 		return g.disks[disks[j]].ReadInto(q, s, rows[disks[j]])
 	})
+}
+
+// readRow reads row s off each listed member disk at once, each into a
+// scratch block that it puts in rows at the disk's index.
+func (g *Group) readRow(p *sim.Proc, s int64, disks []int, rows [][]byte) error {
+	for _, di := range disks {
+		rows[di] = g.scratch()
+	}
+	return sim.Fan(p, "par", len(disks), func(q *sim.Proc, j int) error {
+		return g.disks[disks[j]].ReadInto(q, s, rows[disks[j]])
+	})
+}
+
+// scratch returns a block, holding anything, from the group's spare list: the
+// one given back last, or a new one.
+func (g *Group) scratch() []byte {
+	if n := len(g.spare); n > 0 {
+		b := g.spare[n-1]
+		g.spare = g.spare[:n-1]
+		return b
+	}
+	return make([]byte, g.blockSize)
+}
+
+// giveBack puts the scratch blocks in rows, nil for none, back on the spare
+// list: a disk copies what it stores.
+func (g *Group) giveBack(rows [][]byte) {
+	for _, b := range rows {
+		if b != nil {
+			g.spare = append(g.spare, b)
+		}
+	}
 }
 
 // solveRow returns the data blocks of stripe s, the off-th row of the

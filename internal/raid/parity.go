@@ -14,23 +14,34 @@ import (
 var ErrTooManyFailures = errors.New("raid: too many failures to reconstruct")
 
 // XORParity computes the RAID-5 P block: the XOR of all data blocks.
-func XORParity(data [][]byte) []byte {
+func XORParity(data [][]byte) []byte { return xorParity(nil, data) }
+
+// xorParity is XORParity into p, which may hold anything, or into a new
+// block if p is nil.
+func xorParity(p []byte, data [][]byte) []byte {
 	if len(data) == 0 {
 		return nil
 	}
-	p := make([]byte, len(data[0]))
-	for _, d := range data {
+	if p == nil {
+		p = make([]byte, len(data[0]))
+	}
+	copy(p, data[0])
+	for _, d := range data[1:] {
 		xorInto(p, d)
 	}
 	return p
 }
 
-// RSParity computes the RAID-6 Q block: Σ gⁱ·dataᵢ over GF(2⁸).
-func RSParity(data [][]byte) []byte {
+// rsParity computes the RAID-6 Q block, Σ gⁱ·dataᵢ over GF(2⁸), into q,
+// which may hold anything, or into a new block if q is nil.
+func rsParity(q []byte, data [][]byte) []byte {
 	if len(data) == 0 {
 		return nil
 	}
-	q := make([]byte, len(data[0]))
+	if q == nil {
+		q = make([]byte, len(data[0]))
+	}
+	clear(q)
 	for i, d := range data {
 		gfMulInto(q, d, gfPow2(i))
 	}
@@ -79,7 +90,7 @@ func Reconstruct(data [][]byte, p, q []byte, missing []int) error {
 
 	switch len(missing) {
 	case 0:
-		return nil // only parity lost; caller regenerates via XORParity/RSParity
+		return nil // only parity lost; caller regenerates via xorParity/rsParity
 
 	case 1:
 		x := missing[0]

@@ -52,7 +52,7 @@ func TestReconstructSingleFromQ(t *testing.T) {
 		n := int(nRaw)%6 + 2
 		lost := int(lostRaw) % n
 		data := randStripe(rng, n, 64)
-		q := RSParity(data)
+		q := rsParity(nil, data)
 		work := cloneStripe(data)
 		work[lost] = nil
 		if err := Reconstruct(work, nil, q, []int{lost}); err != nil {
@@ -76,7 +76,7 @@ func TestReconstructDoubleFromPQ(t *testing.T) {
 		}
 		data := randStripe(rng, n, 64)
 		p := XORParity(data)
-		q := RSParity(data)
+		q := rsParity(nil, data)
 		work := cloneStripe(data)
 		work[a], work[b] = nil, nil
 		if err := Reconstruct(work, p, q, []int{a, b}); err != nil {
@@ -100,7 +100,7 @@ func TestReconstructTooManyFailures(t *testing.T) {
 		t.Fatal("expected failure with 2 losses and P only")
 	}
 	// Three losses: unrecoverable even with P+Q.
-	q := RSParity(data)
+	q := rsParity(nil, data)
 	work = cloneStripe(data)
 	work[0], work[1], work[2] = nil, nil, nil
 	if err := Reconstruct(work, p, q, []int{0, 1, 2}); err == nil {
@@ -114,7 +114,7 @@ func TestParityLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	data := randStripe(rng, 4, 32)
 	p := XORParity(data)
-	q := RSParity(data)
+	q := rsParity(nil, data)
 	idx := 2
 	newBlock := make([]byte, 32)
 	rng.Read(newBlock)
@@ -131,7 +131,7 @@ func TestParityLinearity(t *testing.T) {
 	if !bytes.Equal(newP, XORParity(data)) {
 		t.Fatal("P delta update != recomputed P")
 	}
-	if !bytes.Equal(newQ, RSParity(data)) {
+	if !bytes.Equal(newQ, rsParity(nil, data)) {
 		t.Fatal("Q delta update != recomputed Q")
 	}
 }
@@ -146,9 +146,22 @@ func TestZeroStripeParity(t *testing.T) {
 			t.Fatal("parity of zeros not zero")
 		}
 	}
-	for _, b := range RSParity(data) {
+	for _, b := range rsParity(nil, data) {
 		if b != 0 {
 			t.Fatal("Q of zeros not zero")
 		}
+	}
+}
+
+// Parity made into a block that holds anything, as a row write's scratch
+// block does, equals parity made into a new block.
+func TestParityIntoUsedBlock(t *testing.T) {
+	data := [][]byte{fillPattern(512, 1), fillPattern(512, 2), fillPattern(512, 3)}
+	used := func() []byte { return bytes.Repeat([]byte{0xa5}, 512) }
+	if !bytes.Equal(xorParity(used(), data), XORParity(data)) {
+		t.Error("P made into a used block differs from P made into a new one")
+	}
+	if !bytes.Equal(rsParity(used(), data), rsParity(nil, data)) {
+		t.Error("Q made into a used block differs from Q made into a new one")
 	}
 }

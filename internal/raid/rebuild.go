@@ -100,16 +100,15 @@ func (g *Group) rebuildParityRange(p *sim.Proc, idx int, lo, hi int64) error {
 		if err != nil {
 			return err
 		}
-		var target []byte
+		dst := out[int(s-lo)*g.blockSize:][:g.blockSize]
 		switch pm, qd := g.parity(s); {
 		case idx == qd:
-			target = RSParity(data)
+			rsParity(dst, data)
 		case slices.Contains(pm, idx):
-			target = XORParity(data)
+			xorParity(dst, data)
 		default:
-			target = data[slices.Index(g.dataDisks(s), idx)]
+			copy(dst, data[slices.Index(g.dataDisks(s), idx)])
 		}
-		copy(out[int(s-lo)*g.blockSize:], target)
 	}
 	return g.disks[idx].Write(p, lo, out)
 }
@@ -167,9 +166,9 @@ func (g *Group) scrub(p *sim.Proc, lo, hi int64, repair bool) (bad []int64, err 
 		}
 		off := int(s-lo) * bs
 		_, qd := g.parity(s)
-		wantP, wantQ := XORParity(data), []byte(nil)
+		wantP, wantQ := xorParity(nil, data), []byte(nil)
 		if qd >= 0 {
-			wantQ = RSParity(data)
+			wantQ = rsParity(nil, data)
 		}
 		want := func(di int) []byte {
 			if di == qd {

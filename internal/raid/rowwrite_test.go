@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/disk"
@@ -206,4 +207,54 @@ func TestInterleavedRunWritesKeepParityProperty(t *testing.T) {
 			})
 		}
 	}
+}
+
+// A warm one-block write to a healthy RAID-5 row is a read-modify-write
+// whose old block and parity are read into scratch blocks from the group's
+// spare list, and whose new parity is made there: it allocates less than one
+// block. The rows still read back as written and scrub clean.
+func TestRowWriteReusesScratchBlocks(t *testing.T) {
+	const rows, writes = 4, 40
+	k := sim.NewKernel(1)
+	defer k.Close()
+	g, err := NewGroup(k, RAID5, disk.NewFarm(k, "d", 5, disk.LabSpec()).Disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, dps := g.BlockSize(), int64(g.dataPerStripe())
+	shadow := fillPattern(rows*int(dps)*bs, 1)
+	run(k, func(p *sim.Proc) {
+		if err := g.Write(p, 0, shadow); err != nil { // every block and parity exists on disk
+			t.Fatal(err)
+		}
+		i := 0
+		write := func() {
+			lba := int64(i%rows)*dps + int64(i%int(dps))
+			data := shadow[lba*int64(bs) : (lba+1)*int64(bs)]
+			data[0]++
+			if err := g.Write(p, lba, data); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		write()
+		rmw := g.rowWrites.rmw
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		allocs := testing.AllocsPerRun(writes, write)
+		runtime.ReadMemStats(&m1)
+		if n := g.rowWrites.rmw - rmw; n != writes+1 {
+			t.Fatalf("%d read-modify-writes in %d one-block writes", n, writes+1)
+		}
+		if per := (m1.TotalAlloc - m0.TotalAlloc) / (writes + 1); per >= uint64(bs) {
+			t.Errorf("a warm one-block RAID-5 write allocates %d bytes in %v objects, want < %d: a block buffer is new", per, allocs, bs)
+		}
+		got, err := g.Read(p, 0, len(shadow)/bs)
+		if err != nil || !bytes.Equal(got, shadow) {
+			t.Fatalf("rows read back wrong (err %v)", err)
+		}
+		if bad, err := g.ScrubRange(p, 0, rows); err != nil || bad != 0 {
+			t.Fatalf("scrub: %d bad rows, err %v", bad, err)
+		}
+	})
 }
