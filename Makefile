@@ -28,7 +28,7 @@ loc:
 # LOC_MAX is the product-line count (non-test Go outside scripts/) the
 # working tree may reach; CI runs loc-gate, so growing past it is a one-line
 # diff here.
-LOC_MAX = 23912
+LOC_MAX = 23907
 loc-gate:
 	bash scripts/loc.sh "" $(LOC_MAX)
 
@@ -41,7 +41,7 @@ knobs:
 
 # KNOBS_MAX is the settable-value total the working tree may reach; CI runs
 # knobs-gate, so raising it is a one-line diff here.
-KNOBS_MAX = 93
+KNOBS_MAX = 86
 knobs-gate:
 	bash scripts/knobs.sh "" $(KNOBS_MAX)
 
@@ -78,7 +78,7 @@ unrun:
 
 # UNRUN_MAX is the unrun count the working tree may reach; CI runs
 # unrun-gate, so raising it is a one-line diff here.
-UNRUN_MAX = 47
+UNRUN_MAX = 19
 unrun-gate:
 	bash scripts/unrun.sh $(UNRUN_MAX)
 

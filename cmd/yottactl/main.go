@@ -50,12 +50,18 @@ tenant fusion
 export fusion-lun projects
 grant fusion-lun fusion rw
 mkdir /labs/fusion
+trace on
 put /labs/fusion/readme.txt shared storage for the whole lab
 policy /labs/fusion/readme.txt prio=3 repl=3
 get /labs/fusion/readme.txt
+trace status
+analyze
+critpath
+trace off
 snapshot projects projects@t0
 clone fs.default fs-mirror
 rebalance
+evacuate 3
 faildisk 0 1
 rebuild 0 1
 failblade 2

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -144,14 +145,21 @@ status
 
 // TestDemoScriptsAreDeterministic: the built-in demo and a migration
 // script run on the demo system without a line error and print the same
-// bytes on every same-seed run.
+// bytes on every same-seed run, and their commands did their work: each
+// evacuation moved an extent, and the demo's analyze read a traced op and
+// its critpath printed one op's path.
 func TestDemoScriptsAreDeterministic(t *testing.T) {
 	for _, tc := range []struct {
 		name, script string
 		runs         int
+		did          []string // each must match the output
 	}{
-		{"demo", defaultScript, 2},
-		{"evacuate", evacuateScript, 5},
+		{"demo", defaultScript, 2, []string{
+			`(?m)^  migrated [1-9]\d* extents off device 3$`,
+			`(?m)^  critpath: [1-9]\d* ops analyzed`,
+			`(?m)^  critical path — trace \d+: .*\n +t\+ms +ms +phase +span\n +0\.000 `,
+		}},
+		{"evacuate", evacuateScript, 5, []string{`(?m)^  migrated [1-9]\d* extents off device 0$`}},
 	} {
 		var first string
 		for run := 0; run < tc.runs; run++ {
@@ -172,6 +180,11 @@ func TestDemoScriptsAreDeterministic(t *testing.T) {
 			}
 			if run == 0 {
 				first = out.String()
+				for _, re := range tc.did {
+					if !regexp.MustCompile(re).MatchString(first) {
+						t.Errorf("%s: no output line matches %q:\n%s", tc.name, re, first)
+					}
+				}
 			} else if out.String() != first {
 				t.Fatalf("%s: run %d printed differently from run 0:\n%s\nvs\n%s", tc.name, run, out.String(), first)
 			}

@@ -1,6 +1,7 @@
 // Command georeplication demonstrates Figure 3: two data centers managed
 // as one image. A file written at site A is read at site B (first touch
-// over the WAN, the rest prefetched), key files replicate synchronously,
+// over the WAN, the rest prefetched), a write at either site reaches the
+// file's home and drops stale replicas, key files replicate synchronously,
 // bulk files asynchronously, and a site disaster fails over with the
 // expected loss windows.
 package main
@@ -63,6 +64,28 @@ func main() {
 		fmt.Printf("  berkeley stats: %d WAN fetch, %d prefetched, %d promotions\n",
 			b.Stats.RemoteReads, b.Stats.PrefetchHits, b.Stats.Promotions)
 
+		// The home rewrites the file after berkeley promoted its replica:
+		// the write drops that copy, so berkeley's next read, once the
+		// invalidation has crossed the WAN, fetches the new bytes.
+		header := bytes.Repeat([]byte{0xA5}, len(buf))
+		if err := a.WriteAt(p, "/runs/run42.h5", 0, header); err != nil {
+			return err
+		}
+		p.Sleep(100 * sim.Millisecond)
+		t0 := p.Now()
+		if _, err := b.ReadAt(p, "/runs/run42.h5", 0, buf); err != nil || !bytes.Equal(buf, header) {
+			return fmt.Errorf("berkeley re-read after the home's write: %v", err)
+		}
+		fmt.Printf("  argonne rewrite: %d replica invalidated; berkeley re-read %6.2f ms over the WAN\n",
+			a.Stats.Invalidations, p.Now().Sub(t0).Millis())
+
+		// A write at berkeley, which is not the file's home, is forwarded.
+		t0 = p.Now()
+		if err := b.WriteAt(p, "/runs/run42.h5", int64(len(data)), []byte("calibrated at berkeley")); err != nil {
+			return err
+		}
+		fmt.Printf("  berkeley write: %6.2f ms (forwarded to argonne, the file's home)\n", p.Now().Sub(t0).Millis())
+
 		// Per-file replication policy (§7.2): the key database log is
 		// synchronous; bulk output is asynchronous.
 		keyPol := pfs.Policy{Geo: pfs.GeoPolicy{Mode: pfs.GeoSync, Sites: []string{"berkeley"}}}
@@ -71,7 +94,7 @@ func main() {
 		a.Create(p, "/bulk/frames", bulkPol)
 
 		block := make([]byte, 4096)
-		t0 := p.Now()
+		t0 = p.Now()
 		a.WriteAt(p, "/db/wal", 0, block)
 		fmt.Printf("  sync write:  %6.2f ms (waits for the WAN round trip)\n", p.Now().Sub(t0).Millis())
 		t1 := p.Now()

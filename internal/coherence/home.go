@@ -220,8 +220,12 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	ent.owner = int16(requester)
 	ent.ownerEpoch = req.Epoch
 	ent.sharers.reset()
-	return dirResp{}, ctrlSize
+	return emptyResp, ctrlSize
 }
+
+// emptyResp is the reply that carries nothing, boxed once: a requester only
+// type-asserts and copies a reply, so every one may share it.
+var emptyResp any = dirResp{}
 
 // handleGetV serves a hot-key cache tier value fetch as the home blade:
 // the key's current bytes, with no sharer registration and no directory
@@ -267,10 +271,10 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 				return dirResp{Data: fr.Data}, ctrlSize + len(fr.Data)
 			}
 		}
-		return dirResp{}, ctrlSize
+		return emptyResp, ctrlSize
 	case dirShared:
 		if e.noPeerFetch {
-			return dirResp{}, ctrlSize
+			return emptyResp, ctrlSize
 		}
 		var buf [8]int
 		for _, s := range ent.sharers.blades(buf[:0]) {
@@ -287,9 +291,9 @@ func (e *Engine) handleGetV(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 			}
 			break
 		}
-		return dirResp{}, ctrlSize
+		return emptyResp, ctrlSize
 	default: // dirInvalid: no copies anywhere, backing store current
-		return dirResp{}, ctrlSize
+		return emptyResp, ctrlSize
 	}
 }
 

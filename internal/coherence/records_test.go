@@ -54,6 +54,35 @@ func TestReadRunAllocationsPerHome(t *testing.T) {
 	})
 }
 
+// A warm, uncontended coh.getx — the key's record exists and the requester
+// already owns it, so the home invalidates nobody — allocates nothing at the
+// home: every grant answers with the one boxed empty reply.
+func TestWarmGetXAllocatesNothing(t *testing.T) {
+	const blades = 2
+	h := newHarness(1, blades, 16)
+	defer h.k.Close()
+	key := kb(0)
+	home := h.engines[homeOf(key, blades)]
+	from := h.engines[1-home.self].conn.Addr()
+	var args any = dirReq{Key: key}
+	h.run(func(p *sim.Proc) {
+		home.handleGetX(p, from, args) // makes the record: Modified, owned by from
+		grants := home.stats.DirRequests
+		allocs := testing.AllocsPerRun(100, func() {
+			resp, _ := home.handleGetX(p, from, args)
+			if r := resp.(dirResp); r.Redirect || r.Data != nil {
+				t.Fatalf("grant answered %+v, want an empty reply", r)
+			}
+		})
+		if n := home.stats.DirRequests - grants; n != 101 {
+			t.Fatalf("%d grants over 101 calls: the test exercises nothing", n)
+		}
+		if allocs > 0 {
+			t.Errorf("a warm coh.getx grant: %v allocs, want 0", allocs)
+		}
+	})
+}
+
 // An evict notice from a life of a key's record that was pruned reaches the
 // home after the blade re-registered the key: it must not deregister the
 // fresh copy. The old life's epochs are below the new life's only because

@@ -12,9 +12,9 @@ import (
 // one cache node per blade over the blades' own RPC connections (the
 // write-through invalidations ride the same fabric and retry policy as
 // coherence traffic), with the exclusive-grant hook installed on every
-// engine. Counters register under hotcache/*. The tier starts disabled;
-// SetEnabled (or yottactl `rebalance on` with the hotcache scheme) arms
-// it.
+// engine. Counters register under hotcache/*. The tier routes hot reads
+// from the moment it is built; a caller sends them through it with
+// ReadCached (E15 does, through its workload target's ReadVia).
 func (c *Cluster) NewHotCache(cfg hotcache.Config) *hotcache.Tier {
 	engines := make([]*coherence.Engine, len(c.Blades))
 	conns := make([]*simnet.Conn, len(c.Blades))

@@ -206,12 +206,11 @@ func e15Arm(seed int64, sc e15Scale, wl e15Workload, scheme string, writeFrac fl
 		// Tuned for fast rotation: the half-life is below the default.
 		// With ~200ms hot phases, a 250ms half-life keeps last phase's
 		// keys "hot" (and their reads routed at a cache node that can
-		// only miss) for most of the next phase. HotMin stays at its
-		// default 8, so at this half-life a key must sustain a read rate
-		// of ~HotMin×7 ≈ 55/s to stay eligible: the tier takes the Zipf
-		// head and leaves the queue-burst tail to the homes.
+		// only miss) for most of the next phase. The tier's hot threshold
+		// is 8, so at this half-life a key must sustain a read rate of
+		// ~8×7 ≈ 55/s to stay eligible: the tier takes the Zipf head and
+		// leaves the queue-burst tail to the homes.
 		tier = c.NewHotCache(hotcache.Config{HeatHalfLife: 100 * sim.Millisecond})
-		tier.SetEnabled(true)
 		l.Target.ReadVia = tier
 	}
 

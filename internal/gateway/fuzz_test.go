@@ -29,7 +29,7 @@ func FuzzObjectLayout(f *testing.F) {
 	f.Add("Bad/Tenant", "data", "k", int64(100), int64(0), int64(0), int64(0), int64(0), int64(0))
 	f.Add("t", "b", "", int64(0), int64(0), int64(0), int64(1), int64(1), int64(1))
 	f.Fuzz(func(t *testing.T, tenant, bucket, key string, size, curSeg, curOff, partBytes, segBytes, smallMax int64) {
-		cfg := LayoutConfig{PartBytes: partBytes, SegmentBytes: segBytes, SmallMax: smallMax}
+		cfg := LayoutConfig{partBytes: partBytes, segmentBytes: segBytes, smallMax: smallMax}
 		// The key influences only the version sequence, as in the real
 		// metadata tier.
 		var seq uint64
@@ -83,8 +83,8 @@ func FuzzObjectLayout(f *testing.F) {
 		}
 
 		if lay.Segment {
-			if size == 0 || size > norm.SmallMax {
-				t.Fatalf("segment layout for size %d (SmallMax %d)", size, norm.SmallMax)
+			if size == 0 || size > norm.smallMax {
+				t.Fatalf("segment layout for size %d (smallMax %d)", size, norm.smallMax)
 			}
 			part := lay.Parts[0]
 			if len(lay.Parts) != 1 {
@@ -93,8 +93,8 @@ func FuzzObjectLayout(f *testing.F) {
 			if part.Off%segmentAlign != 0 {
 				t.Fatalf("segment slice misaligned: %+v (align %d)", part, segmentAlign)
 			}
-			if part.Off+part.Len > norm.SegmentBytes {
-				t.Fatalf("slice crosses segment capacity: %+v (cap %d)", part, norm.SegmentBytes)
+			if part.Off+part.Len > norm.segmentBytes {
+				t.Fatalf("slice crosses segment capacity: %+v (cap %d)", part, norm.segmentBytes)
 			}
 			// Cursor advances, never rewinds.
 			if next.Seg < cur.Seg || (next.Seg == cur.Seg && next.Off < cur.Off) {
@@ -120,10 +120,10 @@ func FuzzObjectLayout(f *testing.F) {
 				if part.Off != 0 {
 					t.Fatalf("part file slice at offset %d", part.Off)
 				}
-				if part.Len > norm.PartBytes {
-					t.Fatalf("part %d larger than split size: %d > %d", i, part.Len, norm.PartBytes)
+				if part.Len > norm.partBytes {
+					t.Fatalf("part %d larger than split size: %d > %d", i, part.Len, norm.partBytes)
 				}
-				if i < len(lay.Parts)-1 && part.Len != norm.PartBytes {
+				if i < len(lay.Parts)-1 && part.Len != norm.partBytes {
 					t.Fatalf("non-final part %d not full size: %d", i, part.Len)
 				}
 			}

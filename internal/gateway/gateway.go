@@ -42,8 +42,10 @@ type Config struct {
 	// MetaOpTime is the modeled service time per index op
 	// (default DefaultMetaOpTime).
 	MetaOpTime sim.Duration
-	// Layout shapes part splitting and segment aggregation.
-	Layout LayoutConfig
+
+	// layout shapes part splitting and segment aggregation; the zero value
+	// is the gateway's layout, and the package's tests shrink it.
+	layout LayoutConfig
 }
 
 // defaultPriority is the cache/QoS priority of bucket data when a bucket
@@ -94,7 +96,7 @@ func New(k *sim.Kernel, cfg Config) (*Gateway, error) {
 	if cfg.MetaShards < 1 {
 		cfg.MetaShards = 1
 	}
-	cfg.Layout = cfg.Layout.withDefaults()
+	cfg.layout = cfg.layout.withDefaults()
 	return &Gateway{
 		fs:   cfg.FS,
 		iam:  newIAM(cfg.Auth),
@@ -190,7 +192,7 @@ func (g *Gateway) PutObject(p *sim.Proc, token, bucket, key string, data []byte)
 			return err
 		}
 		seq := b.nextSeq
-		lay, cur, err := PlanLayout(g.cfg.Layout, b.owner, bucket, seq, size, b.seg)
+		lay, cur, err := PlanLayout(g.cfg.layout, b.owner, bucket, seq, size, b.seg)
 		if err != nil {
 			return err
 		}

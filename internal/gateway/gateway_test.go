@@ -138,7 +138,7 @@ func patternedData(n int) []byte {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	e := newEnv(t, Config{Layout: LayoutConfig{PartBytes: 64 << 10, SegmentBytes: 256 << 10, SmallMax: 16 << 10}})
+	e := newEnv(t, Config{layout: LayoutConfig{partBytes: 64 << 10, segmentBytes: 256 << 10, smallMax: 16 << 10}})
 	tok := e.token(t, "alpha")
 	e.run(t, func(p *sim.Proc) error {
 		if err := e.gw.CreateBucket(p, tok, "data", BucketOptions{Priority: -1}); err != nil {
@@ -202,7 +202,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestSegmentAggregationSharesFiles(t *testing.T) {
-	e := newEnv(t, Config{Layout: LayoutConfig{SegmentBytes: 64 << 10, SmallMax: 8 << 10}})
+	e := newEnv(t, Config{layout: LayoutConfig{segmentBytes: 64 << 10, smallMax: 8 << 10}})
 	tok := e.token(t, "alpha")
 	e.run(t, func(p *sim.Proc) error {
 		if err := e.gw.CreateBucket(p, tok, "tiny", BucketOptions{Priority: -1}); err != nil {
@@ -498,7 +498,7 @@ func TestBucketNamespaceAndStatus(t *testing.T) {
 // returned its bytes (or a mix) under the old version's header. The part
 // files must outlive their last reader — and not a moment longer.
 func TestGetSurvivesReplacingPuts(t *testing.T) {
-	e := newEnv(t, Config{Layout: LayoutConfig{PartBytes: 64 << 10, SegmentBytes: 256 << 10, SmallMax: 16 << 10}})
+	e := newEnv(t, Config{layout: LayoutConfig{partBytes: 64 << 10, segmentBytes: 256 << 10, smallMax: 16 << 10}})
 	tok := e.token(t, "alpha")
 	const size = 256 << 10
 	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, size) }
@@ -565,7 +565,7 @@ func TestGetSurvivesReplacingPuts(t *testing.T) {
 // written: no writer outlives it, and the part file made before the failure
 // is removed.
 func TestFailedPutLeavesNoWriterOrPartFile(t *testing.T) {
-	e := newEnv(t, Config{Layout: LayoutConfig{Classes: []string{"default", "nope"}}})
+	e := newEnv(t, Config{layout: LayoutConfig{classes: []string{"default", "nope"}}})
 	tok := e.token(t, "alpha")
 	e.run(t, func(p *sim.Proc) error {
 		if err := e.gw.CreateBucket(p, tok, "data", BucketOptions{Priority: -1}); err != nil {

@@ -14,41 +14,41 @@ var ErrBadName = errors.New("gateway: invalid name")
 // block.
 const segmentAlign = 4096
 
+// Objects of at most smallMax bytes pack into shared segment files of
+// segmentBytes each; larger ones split into parts of partBytes.
+const partBytes, segmentBytes, smallMax = 1 << 20, 4 << 20, 64 << 10
+
 // LayoutConfig shapes how object bytes map onto pfs files (yig's data
 // layer, SNIPPETS.md §1): large objects split into fixed-size parts so
 // their bandwidth stripes across blades, small objects aggregate into
 // shared segment files so a million tiny objects do not cost a million
-// inodes and single-block allocations.
+// inodes and single-block allocations. Its zero value is the layout every
+// gateway uses: the constants above, with every part in the file-system
+// default class. The package's tests shrink the sizes or name classes
+// through its fields.
 type LayoutConfig struct {
-	// PartBytes is the fixed split size for large objects (default 1 MiB).
-	PartBytes int64
-	// SegmentBytes is the capacity of one shared segment file
-	// (default 4 MiB).
-	SegmentBytes int64
-	// SmallMax is the aggregation threshold: objects at or under it pack
-	// into segment files, larger ones split into parts (default 64 KiB).
-	SmallMax int64
-	// Classes lists the storage classes successive parts cycle through
+	partBytes, segmentBytes, smallMax int64 // zero keeps the constant
+	// classes lists the storage classes successive parts cycle through
 	// ("" = file-system default class). More than one class stripes a
 	// large object's parts across distinct backing volumes.
-	Classes []string
+	classes []string
 }
 
 func (c LayoutConfig) withDefaults() LayoutConfig {
-	if c.PartBytes <= 0 {
-		c.PartBytes = 1 << 20
+	if c.partBytes <= 0 {
+		c.partBytes = partBytes
 	}
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = 4 << 20
+	if c.segmentBytes <= 0 {
+		c.segmentBytes = segmentBytes
 	}
-	if c.SmallMax <= 0 {
-		c.SmallMax = 64 << 10
+	if c.smallMax <= 0 {
+		c.smallMax = smallMax
 	}
-	if c.SmallMax > c.SegmentBytes {
-		c.SmallMax = c.SegmentBytes
+	if c.smallMax > c.segmentBytes {
+		c.smallMax = c.segmentBytes
 	}
-	if len(c.Classes) == 0 {
-		c.Classes = []string{""}
+	if len(c.classes) == 0 {
+		c.classes = []string{""}
 	}
 	return c
 }
@@ -141,26 +141,26 @@ func PlanLayout(cfg LayoutConfig, tenant, bucket string, seq uint64, size int64,
 		// Empty object: metadata-only, no data files.
 		return Layout{}, cur, nil
 	}
-	if size <= cfg.SmallMax {
+	if size <= cfg.smallMax {
 		// Aggregate into the current shared segment file, aligned; roll
 		// to a fresh segment when the slice would cross its capacity.
 		off := (cur.Off + segmentAlign - 1) / segmentAlign * segmentAlign
 		seg := cur.Seg
-		if off+size > cfg.SegmentBytes {
+		if off+size > cfg.segmentBytes {
 			seg, off = seg+1, 0
 		}
 		lay := Layout{
-			Parts:   []Part{{Path: fmt.Sprintf("%s/seg/%06d", root, seg), Off: off, Len: size, Class: cfg.Classes[0]}},
+			Parts:   []Part{{Path: fmt.Sprintf("%s/seg/%06d", root, seg), Off: off, Len: size, Class: cfg.classes[0]}},
 			Segment: true,
 		}
 		return lay, SegCursor{Seg: seg, Off: off + size}, nil
 	}
 	// Large object: fixed-size parts, classes cycling so consecutive
 	// parts stripe across volumes when extra classes are configured.
-	n := (size + cfg.PartBytes - 1) / cfg.PartBytes
+	n := (size + cfg.partBytes - 1) / cfg.partBytes
 	parts := make([]Part, 0, n)
 	for i, rem := int64(0), size; rem > 0; i++ {
-		l := cfg.PartBytes
+		l := cfg.partBytes
 		if rem < l {
 			l = rem
 		}
@@ -168,7 +168,7 @@ func PlanLayout(cfg LayoutConfig, tenant, bucket string, seq uint64, size int64,
 			Path:  fmt.Sprintf("%s/p/%08d.%04d", root, seq, i),
 			Off:   0,
 			Len:   l,
-			Class: cfg.Classes[int(i)%len(cfg.Classes)],
+			Class: cfg.classes[int(i)%len(cfg.classes)],
 		})
 		rem -= l
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPlanLayoutPartSplit(t *testing.T) {
-	cfg := LayoutConfig{PartBytes: 1 << 20, Classes: []string{"", "bulk"}}
+	cfg := LayoutConfig{partBytes: 1 << 20, classes: []string{"", "bulk"}}
 	lay, cur, err := PlanLayout(cfg, "alpha", "data", 7, (5<<20)+123, SegCursor{})
 	if err != nil {
 		t.Fatalf("PlanLayout: %v", err)
@@ -52,7 +52,7 @@ func TestPlanLayoutPartSplit(t *testing.T) {
 }
 
 func TestPlanLayoutSegmentAggregation(t *testing.T) {
-	cfg := LayoutConfig{SegmentBytes: 256 << 10, SmallMax: 64 << 10}
+	cfg := LayoutConfig{segmentBytes: 256 << 10, smallMax: 64 << 10}
 	cur := SegCursor{}
 	var prevEnd int64
 	var prevSeg int64

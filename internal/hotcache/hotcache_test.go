@@ -167,8 +167,7 @@ func TestCacheBladeStableAndInRange(t *testing.T) {
 }
 
 func TestRouteColdGoesHome(t *testing.T) {
-	h := newHarness(1, 4, 64, Config{HotMin: 100}) // nothing gets hot
-	h.tier.SetEnabled(true)
+	h := newHarness(1, 4, 64, Config{hotMin: 100}) // nothing gets hot
 	h.run(func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
 			if _, err := h.readVia(p, kb(7)); err != nil {
@@ -186,8 +185,7 @@ func TestRouteColdGoesHome(t *testing.T) {
 }
 
 func TestHotKeyFillsAndHits(t *testing.T) {
-	h := newHarness(1, 4, 64, Config{HotMin: 1})
-	h.tier.SetEnabled(true)
+	h := newHarness(1, 4, 64, Config{hotMin: 1})
 	key := kb(3)
 	h.backing.data[key] = blk(9)
 	cb := CacheBlade(key, 4)
@@ -213,8 +211,7 @@ func TestHotKeyFillsAndHits(t *testing.T) {
 }
 
 func TestWriteThroughInvalidates(t *testing.T) {
-	h := newHarness(1, 4, 64, Config{HotMin: 1})
-	h.tier.SetEnabled(true)
+	h := newHarness(1, 4, 64, Config{hotMin: 1})
 	key := kb(3)
 	h.backing.data[key] = blk(1)
 	cb := CacheBlade(key, 4)
@@ -249,8 +246,7 @@ func TestWriteThroughInvalidates(t *testing.T) {
 }
 
 func TestWriteToUncachedKeyCostsNoRPC(t *testing.T) {
-	h := newHarness(1, 4, 64, Config{HotMin: 1})
-	h.tier.SetEnabled(true)
+	h := newHarness(1, 4, 64, Config{hotMin: 1})
 	h.run(func(p *sim.Proc) {
 		// Never routed through the tier: no mark, so the exclusive-grant
 		// hook must skip the fan-out entirely.
@@ -265,42 +261,8 @@ func TestWriteToUncachedKeyCostsNoRPC(t *testing.T) {
 	}
 }
 
-func TestDisableClearsAndStopsRouting(t *testing.T) {
-	h := newHarness(1, 4, 16, Config{HotMin: 1})
-	h.tier.SetEnabled(true)
-	h.run(func(p *sim.Proc) {
-		for i := int64(0); i < 8; i++ {
-			for j := 0; j < 4; j++ {
-				h.readVia(p, kb(i))
-			}
-		}
-	})
-	cached := 0
-	for i := 0; i < 4; i++ {
-		cached += h.tier.Node(i).Len()
-	}
-	if cached == 0 {
-		t.Fatal("nothing cached while enabled")
-	}
-	h.tier.SetEnabled(false)
-	for i := 0; i < 4; i++ {
-		if n := h.tier.Node(i).Len(); n != 0 {
-			t.Fatalf("node%d still holds %d blocks after disable", i, n)
-		}
-	}
-	before := h.tier.Stats()
-	h.run(func(p *sim.Proc) {
-		h.readVia(p, kb(0))
-	})
-	after := h.tier.Stats()
-	if after.RoutedCache != before.RoutedCache || after.RoutedCold != before.RoutedCold {
-		t.Fatalf("disabled tier still routing: %+v -> %+v", before, after)
-	}
-}
-
 func TestNodeEvictionUnderPressure(t *testing.T) {
-	h := newHarness(1, 2, 64, Config{HotMin: 1, BlocksPerNode: 4})
-	h.tier.SetEnabled(true)
+	h := newHarness(1, 2, 64, Config{hotMin: 1, blocksPerNode: 4})
 	h.run(func(p *sim.Proc) {
 		for round := 0; round < 3; round++ {
 			for i := int64(0); i < 32; i++ {
@@ -319,17 +281,11 @@ func TestNodeEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-// TestRebalancerSurface checks what a caller arming the tier relies on: it
-// starts disabled, SetEnabled arms it, and every blade has an empty node.
+// TestRebalancerSurface checks what a caller of New relies on: the tier
+// routes from the start, with no switch to arm, and every blade has an
+// empty node and the tier zero stats until the first read.
 func TestRebalancerSurface(t *testing.T) {
-	h := newHarness(1, 4, 64, Config{})
-	if h.tier.enabled {
-		t.Fatal("tier must start disabled")
-	}
-	h.tier.SetEnabled(true)
-	if !h.tier.enabled {
-		t.Fatal("SetEnabled(true) did not arm")
-	}
+	h := newHarness(1, 4, 64, Config{hotMin: 1})
 	for i := 0; i < 4; i++ {
 		if n := h.tier.Node(i); n == nil || n.Len() != 0 || n.Occupancy() != 0 {
 			t.Fatalf("node%d is missing or not empty", i)
@@ -337,6 +293,16 @@ func TestRebalancerSurface(t *testing.T) {
 	}
 	if st := h.tier.Stats(); st != (TierStats{}) {
 		t.Fatalf("fresh tier has nonzero stats: %+v", st)
+	}
+	h.run(func(p *sim.Proc) {
+		for i := int64(0); i < 8; i++ {
+			if _, err := h.readVia(p, kb(i)); err != nil {
+				t.Fatalf("read: %v", err)
+			}
+		}
+	})
+	if st := h.tier.Stats(); st.RoutedCache == 0 {
+		t.Fatalf("a hot read on a new tier went home: %+v", st)
 	}
 }
 

@@ -18,22 +18,21 @@ type NodeStats struct {
 // Node is one blade's shard of the upper cache layer: a small LRU of
 // clean block copies for the hot keys this blade owns under
 // PartitionHash. Copies enter only through fills (reads through the
-// coherence plane) and leave through write-through invalidation,
-// eviction, or a tier disable — they are shadow copies outside the
-// directory's jurisdiction, so they carry no dirty state, ever.
+// coherence plane) and leave through write-through invalidation or
+// eviction — they are shadow copies outside the directory's jurisdiction,
+// so they carry no dirty state, ever.
 type Node struct {
 	self   int
 	engine *coherence.Engine
 	store  *cache.Cache
 
-	// epoch[key] counts invalidations of key; gen counts whole-store
-	// clears. A fill records both before issuing its coherence read and
-	// installs only if neither moved — the same install guard the
-	// coherence engine uses (engine.go readBlock), shrunk to this node's
-	// jurisdiction. There are no yields between the recheck and the
-	// install, so the guard cannot be raced by a concurrent event.
+	// epoch[key] counts invalidations of key. A fill records it before
+	// issuing its coherence read and installs only if it did not move —
+	// the same install guard the coherence engine uses (engine.go
+	// readBlock), shrunk to this node's jurisdiction. There are no yields
+	// between the recheck and the install, so the guard cannot be raced
+	// by a concurrent event.
 	epoch map[cache.Key]uint64
-	gen   uint64
 
 	stats NodeStats
 }
@@ -57,7 +56,7 @@ func newNode(self int, engine *coherence.Engine, blocks int) *Node {
 // Read serves one block read through the cache node. A hit costs the
 // blade engine's per-op CPU charge and returns the cached copy; a miss
 // reads through the coherence plane (which does its own CPU accounting)
-// and installs the result if no write or clear intervened. Neither is a
+// and installs the result if no write intervened. Neither is a
 // copy: nobody writes FetchBlock's result (frozen, or fresh) or Read's.
 func (n *Node) Read(p *sim.Proc, key cache.Key, priority int) ([]byte, error) {
 	if ent, ok := n.store.Get(key); ok {
@@ -66,7 +65,7 @@ func (n *Node) Read(p *sim.Proc, key cache.Key, priority int) ([]byte, error) {
 		return ent.Data, nil
 	}
 	n.stats.Misses++
-	gen, epoch := n.gen, n.epoch[key]
+	epoch := n.epoch[key]
 	// FetchBlock, not ReadBlock: the fill must stay outside the coherence
 	// domain. A ReadBlock fill would register this blade as a sharer and
 	// install a Shared coherence copy, making every later write to the
@@ -77,7 +76,7 @@ func (n *Node) Read(p *sim.Proc, key cache.Key, priority int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n.gen == gen && n.epoch[key] == epoch {
+	if n.epoch[key] == epoch {
 		n.makeRoom()
 		n.store.Put(key, data, cache.Shared, false, priority)
 		n.stats.Fills++
@@ -118,15 +117,6 @@ func (n *Node) Invalidate(keys []cache.Key) {
 			}
 		}
 	}
-}
-
-// clear empties the node on a tier disable: the generation bump aborts
-// every in-flight fill, so no copy filled under the old regime can land
-// after the stores are declared empty.
-func (n *Node) clear() {
-	n.gen++
-	n.store.Clear()
-	n.epoch = make(map[cache.Key]uint64)
 }
 
 // Stats returns a copy of the node's counters.

@@ -14,8 +14,8 @@ import (
 // Property test for the cache tier's staleness guarantee, in the style of
 // the coherence package's migration property test: after ANY fault-free
 // mixed schedule of tier-routed reads (GetS + cache fills), writes (GetX
-// + write-through invalidation), natural evictions (tiny cache nodes),
-// tier disable/enable cycles, and home migrations racing all of it, a
+// + write-through invalidation), natural evictions (tiny cache nodes)
+// and home migrations racing all of it, a
 // read must never return data older than the last write acknowledged
 // BEFORE the read began, and the directory invariants must hold with the
 // cache tier active. Schedules are random but seeded from a table, so
@@ -25,8 +25,7 @@ import (
 // acked write is preceded by a GetX handled at the key's current home,
 // and the home invalidates the tier's copy inside the grant — so a read
 // that starts after the ack cannot find the superseded copy, and an
-// in-flight fill racing the write is aborted by the epoch/generation
-// guard.
+// in-flight fill racing the write is aborted by the epoch guard.
 
 // wval builds a block whose first two bytes identify the write (key
 // index, per-key sequence number).
@@ -57,14 +56,12 @@ func runTierStalenessProperty(t *testing.T, seed int64) {
 		writerOps  = 50
 		readerOps  = 120
 		migrations = 12
-		toggles    = 3
 		tailOps    = 60
 	)
 	h := newHarness(seed, blades, cohBlocks, Config{
-		HotMin:        1, // everything is hot: maximum cache traffic
-		BlocksPerNode: nodeBlocks,
+		hotMin:        1, // everything is hot: maximum cache traffic
+		blocksPerNode: nodeBlocks,
 	})
-	h.tier.SetEnabled(true)
 	rng := rand.New(rand.NewSource(seed * 7919))
 
 	// Control-plane endpoint for migrations, wired like the balancer's.
@@ -156,20 +153,6 @@ func runTierStalenessProperty(t *testing.T, seed int64) {
 				// A stale candidate (home moved since we looked) is a
 				// declined migrate, not a failure.
 				coherence.RequestMigrate(p, ctl, h.peers[home], k, to, retry)
-			}
-		})
-
-		// Toggler: disable/enable the tier mid-schedule so in-flight
-		// fills hit the generation guard and the stores restart cold.
-		trng := rand.New(rand.NewSource(seed * 4000))
-		g.Add(1)
-		h.k.Go("toggler", func(p *sim.Proc) {
-			defer g.Done()
-			for i := 0; i < toggles; i++ {
-				p.Sleep(sim.Duration(1+trng.Intn(5)) * sim.Millisecond)
-				h.tier.SetEnabled(false)
-				p.Sleep(sim.Duration(1+trng.Intn(3)) * sim.Millisecond)
-				h.tier.SetEnabled(true)
 			}
 		})
 

@@ -16,27 +16,30 @@ const ctrlSize = 64
 
 func batchSize(n int) int { return ctrlSize + 16*n }
 
+// Each blade's cache node holds blocksPerNode blocks, and a key is hot —
+// routed to the tier — above a decayed read rate of hotMin. Cold keys go
+// home: caching the long tail would churn the small stores for nothing.
+const blocksPerNode, hotMin = 512, 8
+
 // Config tunes the cache tier.
 type Config struct {
-	// BlocksPerNode is each blade's cache-node capacity (default 512).
-	BlocksPerNode int
-	// HotMin is the decayed read rate above which a key is considered
-	// hot and eligible for cache routing (default 8). Cold keys go
-	// straight to their home: caching the long tail would just churn
-	// the small stores and pay invalidation RPCs for nothing.
-	HotMin float64
 	// HeatHalfLife is the decay half-life of the per-key read counters
 	// (default coherence.HeatHalfLife). Shorter tracks a shifting hot set
 	// faster.
 	HeatHalfLife sim.Duration
+
+	// blocksPerNode and hotMin override the constants of the same names
+	// (zero keeps them); the package's tests shrink the stores and heat.
+	blocksPerNode int
+	hotMin        float64
 }
 
 func (c Config) withDefaults() Config {
-	if c.BlocksPerNode <= 0 {
-		c.BlocksPerNode = 512
+	if c.blocksPerNode <= 0 {
+		c.blocksPerNode = blocksPerNode
 	}
-	if c.HotMin <= 0 {
-		c.HotMin = 8
+	if c.hotMin <= 0 {
+		c.hotMin = hotMin
 	}
 	if c.HeatHalfLife <= 0 {
 		c.HeatHalfLife = coherence.HeatHalfLife
@@ -80,21 +83,17 @@ type Tier struct {
 	cfg   Config
 	deps  Deps
 	nodes []*Node
-
-	enabled bool
-	heat    *coherence.HeatTracker
+	heat  *coherence.HeatTracker
 
 	// inflight[b] counts ops currently dispatched to blade b by this
 	// tier's clients — the load signal for the two-choice routing.
 	inflight []int
 
-	// mayCache marks keys that were ever routed toward a cache node
-	// while the tier was enabled. The exclusive-grant hook skips the
-	// invalidation fan-out for unmarked keys, so writes to never-cached
-	// keys stay free. Marks are set BEFORE Route returns (so no fill can
-	// start unmarked) and are only cleared wholesale on disable, after
-	// the generation bump has aborted every in-flight fill — clearing a
-	// single mark while enabled could race a concurrent re-mark.
+	// mayCache marks keys that were ever routed toward a cache node. The
+	// exclusive-grant hook skips the invalidation fan-out for unmarked
+	// keys, so writes to never-cached keys stay free. Marks are set BEFORE
+	// Route returns (so no fill can start unmarked) and never cleared:
+	// clearing a single mark could race a concurrent re-mark.
 	mayCache map[cache.Key]struct{}
 
 	stats TierStats
@@ -102,7 +101,7 @@ type Tier struct {
 
 // New builds the tier, registers the "hc.invb" handler on every blade's
 // connection, and installs the exclusive-grant hook on every engine. The
-// tier starts disabled; SetEnabled(true) arms the routing.
+// tier routes from the start: there is no off switch.
 func New(cfg Config, deps Deps) *Tier {
 	cfg = cfg.withDefaults()
 	t := &Tier{
@@ -115,7 +114,7 @@ func New(cfg Config, deps Deps) *Tier {
 	}
 	for i, e := range deps.Engines {
 		i, e := i, e
-		t.nodes[i] = newNode(i, e, cfg.BlocksPerNode)
+		t.nodes[i] = newNode(i, e, cfg.blocksPerNode)
 		deps.Conns[i].Register("hc.invb", func(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 			req := args.(hcInvReq)
 			t.nodes[i].Invalidate(req.Keys)
@@ -143,10 +142,7 @@ func (t *Tier) Stats() TierStats { return t.stats }
 // Route for reads — it feeds the heat tracker, and writes must always go
 // home anyway.
 func (t *Tier) Route(key cache.Key, home int) (blade int, viaCache bool) {
-	if !t.enabled {
-		return home, false
-	}
-	if t.heat.Touch(key) < t.cfg.HotMin {
+	if t.heat.Touch(key) < t.cfg.hotMin {
 		t.stats.RoutedCold++
 		return home, false
 	}
@@ -247,33 +243,9 @@ func (t *Tier) writeThrough(p *sim.Proc, self int, keys []cache.Key) {
 	})
 }
 
-// SetEnabled arms or disarms the tier. Disabling clears every node (the
-// generation bump aborts in-flight fills), drops the heat state, and
-// forgets the mark set — the cluster reverts to plain home routing with
-// write-through fan-out reduced to zero.
-func (t *Tier) SetEnabled(on bool) {
-	if t.enabled == on {
-		return
-	}
-	t.enabled = on
-	if !on {
-		for _, n := range t.nodes {
-			n.clear()
-		}
-		t.heat.Reset()
-		t.mayCache = make(map[cache.Key]struct{})
-	}
-}
-
 // RegisterTelemetry publishes the tier's gauges under s: per-layer
 // routing counters at the top and per-node hit/fill/occupancy below.
 func (t *Tier) RegisterTelemetry(s telemetry.Scope) {
-	s.Func("enabled", func() float64 {
-		if t.enabled {
-			return 1
-		}
-		return 0
-	})
 	s.Int("routed_cache", func() int64 { return t.stats.RoutedCache })
 	s.Int("routed_home", func() int64 { return t.stats.RoutedHome })
 	s.Int("routed_cold", func() int64 { return t.stats.RoutedCold })

@@ -109,12 +109,12 @@ func TestHistogramQuantileClamped(t *testing.T) {
 	}
 	for _, q := range []float64{0, 0.001, 0.25, 0.5, 0.75, 0.99, 1} {
 		got := h2.Quantile(q)
-		if got < h2.Min() || got > h2.max {
-			t.Fatalf("Quantile(%v) = %v outside [%v, %v]", q, got, h2.Min(), h2.max)
+		if got < h2.min || got > h2.max {
+			t.Fatalf("Quantile(%v) = %v outside [%v, %v]", q, got, h2.min, h2.max)
 		}
 	}
-	if h2.Quantile(0) != h2.Min() {
-		t.Fatalf("Quantile(0) = %v, want Min %v", h2.Quantile(0), h2.Min())
+	if h2.Quantile(0) != h2.min {
+		t.Fatalf("Quantile(0) = %v, want Min %v", h2.Quantile(0), h2.min)
 	}
 	if h2.Quantile(1) != h2.max {
 		t.Fatalf("Quantile(1) = %v, want Max %v", h2.Quantile(1), h2.max)
@@ -127,8 +127,8 @@ func TestHistogramQuantileClamped(t *testing.T) {
 	}
 	for q := 0.0; q <= 1.0; q += 0.05 {
 		got := h3.Quantile(q)
-		if got < h3.Min() || got > h3.max {
-			t.Fatalf("Quantile(%v) = %v outside [%v, %v]", q, got, h3.Min(), h3.max)
+		if got < h3.min || got > h3.max {
+			t.Fatalf("Quantile(%v) = %v outside [%v, %v]", q, got, h3.min, h3.max)
 		}
 	}
 }

@@ -135,14 +135,6 @@ func (h *Histogram) Mean() sim.Duration {
 	return sim.Duration(h.sum / float64(h.count))
 }
 
-// Min returns the smallest sample (0 if empty).
-func (h *Histogram) Min() sim.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Quantile returns an upper bound on the q-quantile (0 ≤ q ≤ 1), accurate to
 // the bucket width (~7%). Exact min/max are returned at the extremes.
 func (h *Histogram) Quantile(q float64) sim.Duration {
@@ -150,7 +142,7 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 		return 0
 	}
 	if q <= 0 {
-		return h.Min()
+		return h.min
 	}
 	if q >= 1 {
 		return h.max
@@ -169,7 +161,7 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 			// Clamp to the observed range: bucketUpper of the lowest
 			// occupied bucket can fall below the recorded minimum (the
 			// bucket's upper bound is only within ~7% of its samples),
-			// and a quantile below Min() misleads every consumer.
+			// and a quantile below the minimum misleads every consumer.
 			if u > h.max {
 				u = h.max
 			}

@@ -18,8 +18,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Count() != 100 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if h.Min() != sim.Millisecond {
-		t.Fatalf("min = %v", h.Min())
+	if h.Quantile(0) != sim.Millisecond {
+		t.Fatalf("min = %v", h.Quantile(0))
 	}
 	if h.max != 100*sim.Millisecond {
 		t.Fatalf("max = %v", h.max)
@@ -82,7 +82,7 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Min() != 0 {
+	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Quantile(0) != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 }

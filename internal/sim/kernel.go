@@ -278,11 +278,8 @@ func (k *Kernel) Events() uint64 { return k.seq }
 // Run executes events until the queue is empty.
 func (k *Kernel) Run() { k.run(0) }
 
-// RunUntil executes events with time ≤ t, then advances the clock to t.
-// Events scheduled after t remain queued for a later Run/RunUntil.
-func (k *Kernel) RunUntil(t Time) { k.run(t) }
-
-// RunFor executes events for d of virtual time from now.
+// RunFor executes events with time ≤ now+d, then advances the clock to
+// now+d. Events scheduled later remain queued for a later Run/RunFor.
 func (k *Kernel) RunFor(d Duration) { k.run(k.now.Add(d)) }
 
 // next returns the first queued event by (at, seq) and whether it is the

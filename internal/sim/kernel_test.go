@@ -82,18 +82,22 @@ func TestKernelNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestKernelRunUntil(t *testing.T) {
+func TestKernelRunFor(t *testing.T) {
 	k := NewKernel(1)
 	count := 0
 	for i := 1; i <= 10; i++ {
 		k.At(Time(i)*Time(Second), func() { count++ })
 	}
-	k.RunUntil(Time(5 * Second))
+	k.RunFor(5 * Second)
 	if count != 5 {
 		t.Fatalf("ran %d events by t=5s, want 5", count)
 	}
 	if k.Now() != Time(5*Second) {
 		t.Fatalf("now = %v, want 5s", k.Now())
+	}
+	k.RunFor(2 * Second) // the bound counts from now, not from zero
+	if count != 7 || k.Now() != Time(7*Second) {
+		t.Fatalf("ran %d events by now = %v, want 7 by 7s", count, k.Now())
 	}
 	k.Run()
 	if count != 10 {
@@ -103,7 +107,7 @@ func TestKernelRunUntil(t *testing.T) {
 
 // An event for the current instant waits in the kernel's queue, not its
 // heap; one the heap holds for the same instant, scheduled earlier, still
-// fires first, and RunUntil stops at the bound across both.
+// fires first, and RunFor stops at the bound across both.
 func TestKernelCurrentInstantQueueKeepsSeqOrder(t *testing.T) {
 	k := NewKernel(1)
 	var got []string
@@ -119,13 +123,13 @@ func TestKernelCurrentInstantQueueKeepsSeqOrder(t *testing.T) {
 	if n := k.Pending(); n != 4 {
 		t.Fatalf("Pending = %d before the run, want 4", n)
 	}
-	k.RunUntil(Time(Millisecond))
+	k.RunFor(Millisecond)
 	want := []string{"now0", "first", "second", "now1", "now2"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("fired %v by 1ms, want %v", got, want)
 	}
 	if k.Now() != Time(Millisecond) || k.Pending() != 1 {
-		t.Fatalf("RunUntil(1ms) left now %v with %d queued, want 1ms with 1", k.Now(), k.Pending())
+		t.Fatalf("RunFor(1ms) left now %v with %d queued, want 1ms with 1", k.Now(), k.Pending())
 	}
 	k.Run()
 	if got[len(got)-1] != "late" || k.Now() != Time(2*Millisecond) {

@@ -220,9 +220,6 @@ func (p *Proc) park() {
 	}
 }
 
-// Name returns the process name given at spawn.
-func (p *Proc) Name() string { return p.name }
-
 // TraceCtx returns the process's trace context (nil when untraced). The
 // value is opaque to sim; internal/trace owns its concrete type.
 func (p *Proc) TraceCtx() any { return p.tctx }

@@ -263,7 +263,7 @@ func TestReusedProcIgnoresLastLifesDeadline(t *testing.T) {
 		}
 	})
 	k.After(Millisecond, func() { f.Set(1) })
-	k.RunUntil(Time(2 * Millisecond)) // the waiter has exited; its deadline is queued
+	k.RunFor(2 * Millisecond) // the waiter has exited; its deadline is queued
 	var woke Time
 	second := k.Go("sleeper", func(p *Proc) {
 		p.Sleep(20 * Millisecond)

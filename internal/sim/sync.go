@@ -68,9 +68,6 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 	return m.q.pop()
 }
 
-// Len reports the number of queued values.
-func (m *Mailbox[T]) Len() int { return m.q.len() }
-
 // Future is a single-assignment value that processes can wait on.
 // The zero Future is not usable; construct with NewFuture.
 type Future[T any] struct {

@@ -156,7 +156,7 @@ func TestRetryCounterAccuracy(t *testing.T) {
 			Timeout: 10 * sim.Millisecond, Attempts: 3, Backoff: 5 * sim.Millisecond,
 		})
 	})
-	k.RunUntil(sim.Time(sim.Second))
+	k.RunFor(sim.Second)
 	st := cli.Stats()
 	if st.Timeouts != 3 || st.Retries != 2 || st.GaveUp != 1 || st.Calls != 3 {
 		t.Fatalf("stats = %+v, want Calls=3 Timeouts=3 Retries=2 GaveUp=1", st)
@@ -179,7 +179,7 @@ func TestRetryCounterKilledMidBackoff(t *testing.T) {
 	})
 	// First attempt times out at 10ms; the retry would fire at 110ms. Kill
 	// the caller in the middle of its backoff sleep.
-	k.RunUntil(sim.Time(50 * sim.Millisecond))
+	k.RunFor(50 * sim.Millisecond)
 	k.Close()
 	st := cli.Stats()
 	if st.Retries != 0 {

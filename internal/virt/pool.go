@@ -134,8 +134,6 @@ func (pl *Pool) alloc() (extentRef, error) {
 	return e, nil
 }
 
-func (pl *Pool) ref(e extentRef) { pl.refcount[e]++ }
-
 func (pl *Pool) unref(e extentRef) {
 	pl.refcount[e]--
 	if pl.refcount[e] < 0 {

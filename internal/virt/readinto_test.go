@@ -50,7 +50,7 @@ func TestReadIntoMatchesReadProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs := vol.BlockSize()
+		bs := vol.pool.blockSize
 		live := make([]byte, volBlocks*bs) // what vol must read; holes stay zero
 		write := func(p *sim.Proc, n int) {
 			for i := 0; i < n; i++ {
@@ -71,18 +71,18 @@ func TestReadIntoMatchesReadProperty(t *testing.T) {
 					lba := rng.Int63n(volBlocks - int64(count))
 					dst := bytes.Repeat([]byte{0xFF}, count*bs)
 					if err := v.ReadInto(p, lba, dst); err != nil {
-						t.Fatalf("seed %d: %s.ReadInto(%d, %d): %v", seed, v.Name(), lba, count, err)
+						t.Fatalf("seed %d: %s.ReadInto(%d, %d): %v", seed, v.name, lba, count, err)
 					}
 					got, err := v.Read(p, lba, count)
 					if err != nil {
-						t.Fatalf("seed %d: %s.Read(%d, %d): %v", seed, v.Name(), lba, count, err)
+						t.Fatalf("seed %d: %s.Read(%d, %d): %v", seed, v.name, lba, count, err)
 					}
 					exp := want[lba*int64(bs) : (lba+int64(count))*int64(bs)]
 					if !bytes.Equal(dst, exp) {
-						t.Fatalf("seed %d: %s.ReadInto(%d, %d) differs from what was written", seed, v.Name(), lba, count)
+						t.Fatalf("seed %d: %s.ReadInto(%d, %d) differs from what was written", seed, v.name, lba, count)
 					}
 					if !bytes.Equal(got, exp) {
-						t.Fatalf("seed %d: %s.Read(%d, %d) differs from what was written", seed, v.Name(), lba, count)
+						t.Fatalf("seed %d: %s.Read(%d, %d) differs from what was written", seed, v.name, lba, count)
 					}
 				}
 			}

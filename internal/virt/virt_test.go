@@ -411,7 +411,7 @@ func TestPoolAccountingProperty(t *testing.T) {
 				if i >= 16 {
 					break
 				}
-				lba := int64(w) % v.Capacity()
+				lba := int64(w) % (v.virtExtents * v.pool.extentBlocks)
 				val := byte(w>>8) | 1
 				if err := v.Write(p, lba, bytes.Repeat([]byte{val}, 512)); err != nil {
 					okRes = false
@@ -518,7 +518,7 @@ func TestDemandPlacementFollowsAddress(t *testing.T) {
 		t.Helper()
 		for i := int64(0); i < extents; i++ {
 			if got, want := v.ExtentDevice(i), (v.ExtentDevice(0)+int(i))%nDev; got != want {
-				t.Fatalf("%s: extent %d on device %d, want %d", v.Name(), i, got, want)
+				t.Fatalf("%s: extent %d on device %d, want %d", v.name, i, got, want)
 			}
 		}
 	}

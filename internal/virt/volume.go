@@ -26,18 +26,8 @@ type Volume struct {
 	striped bool
 }
 
-// Name returns the volume's name.
-func (v *Volume) Name() string { return v.name }
-
 // Kind returns the provisioning model.
 func (v *Volume) Kind() Kind { return v.kind }
-
-// BlockSize returns the logical block size.
-func (v *Volume) BlockSize() int { return v.pool.blockSize }
-
-// Capacity returns the virtual size in blocks. For yottabyte-scale DMSDs
-// this can overflow; see VirtExtents for the exact extent count.
-func (v *Volume) Capacity() int64 { return v.virtExtents * v.pool.extentBlocks }
 
 // VirtExtents returns the virtual size in extents.
 func (v *Volume) VirtExtents() int64 { return v.virtExtents }
@@ -309,7 +299,7 @@ func (v *Volume) SnapshotAs(name string) (*Volume, error) {
 	}
 	for ext, e := range v.mapping {
 		s.mapping[ext] = e
-		v.pool.ref(e)
+		v.pool.refcount[e]++
 	}
 	if v.cowMu == nil {
 		v.cowMu = sim.NewMutex(v.pool.k)

@@ -195,7 +195,7 @@ type Runner struct {
 }
 
 // Start spawns the client processes. The caller then advances the kernel
-// (RunFor/RunUntil); clients stop at the deadline.
+// (RunFor); clients stop at the deadline.
 func (r *Runner) Start() {
 	if r.Latency == nil {
 		r.Latency = metrics.NewHistogram()
