@@ -28,7 +28,7 @@ loc:
 # LOC_MAX is the product-line count (non-test Go outside scripts/) the
 # working tree may reach; CI runs loc-gate, so growing past it is a one-line
 # diff here.
-LOC_MAX = 23907
+LOC_MAX = 24154
 loc-gate:
 	bash scripts/loc.sh "" $(LOC_MAX)
 
@@ -78,7 +78,7 @@ unrun:
 
 # UNRUN_MAX is the unrun count the working tree may reach; CI runs
 # unrun-gate, so raising it is a one-line diff here.
-UNRUN_MAX = 19
+UNRUN_MAX = 18
 unrun-gate:
 	bash scripts/unrun.sh $(UNRUN_MAX)
 

@@ -185,6 +185,10 @@ func printTopFrame(w io.Writer, sys *core.System, seenEvents int) int {
 			last(pre+"/rpc/retries"), last(pre+"/coh/degraded_ops"), records,
 			metrics.Sparkline(load))
 	}
+	procs, _ := sys.Registry.Value("sim/procs")
+	runners, _ := sys.Registry.Value("sim/runners")
+	fmt.Fprintf(w, "  kernel: events/s %.0f  resumes/s %.0f  procs %.0f  runners %.0f\n",
+		last("sim/events")/secs, last("sim/resumes")/secs, procs, runners)
 	for _, ev := range s.Events()[seenEvents:] {
 		fmt.Fprintf(w, "  ! %s\n", ev)
 	}

@@ -736,7 +736,7 @@ func (e *Engine) ReadBlock(p *sim.Proc, key cache.Key, priority int) ([]byte, er
 
 // ReadRun reads the run of consecutive blocks of vol that starts at lba
 // into dst, a whole number of blocks: a client op. Phase 1 gives every
-// block a process of its own; phase 2 reads what the backing store must
+// block a step process of its own; phase 2 reads what the backing store must
 // supply in as few I/Os as the gathered blocks allow.
 func (e *Engine) ReadRun(p *sim.Proc, vol string, lba int64, priority int, dst []byte) error {
 	if len(dst)%e.blockSize != 0 {
@@ -757,13 +757,18 @@ func (e *Engine) readRun(p *sim.Proc, vol string, lba int64, priority int, dst [
 		op, e.runs = e.runs[n-1], e.runs[:n-1]
 	} else {
 		op = &runRead{e: e, procs: *sim.NewGroup(e.k), ready: *sim.NewFuture[struct{}](e.k), answered: *sim.NewGroup(e.k)}
-		op.start = op.block
 	}
 	count := len(dst) / e.blockSize
 	op.vol, op.lba, op.priority, op.dst, op.left = vol, lba, priority, dst, count
-	for range count {
+	for len(op.steps) < count {
+		b := &blockStep{op: op, i: len(op.steps)}
+		b.step, b.rest = b.run, b.finish
+		op.steps = append(op.steps, b)
+	}
+	for _, b := range op.steps[:count] {
+		b.at = atStart
 		op.procs.Add(1)
-		e.k.Go("read", op.start)
+		e.k.Step("read", b.step)
 	}
 	op.procs.Wait(p)
 	err := op.err
@@ -777,25 +782,127 @@ func (e *Engine) readRun(p *sim.Proc, vol string, lba int64, priority int, dst [
 	clear(op.blocks)
 	clear(op.pend)
 	clear(op.vecs)
-	*op = runRead{e: e, procs: op.procs, start: op.start, ready: op.ready, answered: op.answered,
-		blocks: op.blocks[:0], pend: op.pend[:0], vecs: op.vecs}
+	*op = runRead{e: e, procs: op.procs, ready: op.ready, answered: op.answered,
+		blocks: op.blocks[:0], pend: op.pend[:0], vecs: op.vecs, steps: op.steps}
 	e.runs = append(e.runs, op)
 	return err
 }
 
-// block is phase 1 of one block of the op, on a process of its own: the
-// local lookup, then on a miss the directory's answer, served or gathered.
-// The block processes start in spawn order, so the i-th to start is block i.
-func (op *runRead) block(q *sim.Proc) {
-	i := op.next
-	op.next++
-	defer op.procs.Done()
-	e, bs := op.e, op.e.blockSize
-	key, d := cache.Key{Vol: op.vol, LBA: op.lba + int64(i)}, op.dst[i*bs:(i+1)*bs]
-	epoch, miss, err := e.lookup(q, key, d)
-	home, pos := -1, 0
-	if miss {
-		if home, pos, err = op.request(e, key, epoch); err != nil {
+// blockStep is phase 1 of block i of an op, run as a step process (DESIGN
+// §15): the CPU charge, the local hit and the wait for the home's answer
+// take no coroutine. A block continues on one (finish) from the point where
+// it must block on more than that: to send its home's coh.gets vector, to
+// follow a redirect or to install a peer's copy; on the QoS lane's CPU
+// queue, from its first step. The op keeps its blocks' records, bound
+// methods and all.
+type blockStep struct {
+	op    *runRead
+	i     int
+	at    blockAt
+	epoch uint64 // a miss's install epoch
+	home  int    // a miss's home, or -1
+	pos   int    // a miss's place in its home's vector
+	qs    *tr.Active
+	step  func(q *sim.Proc) // run, bound once
+	rest  func(q *sim.Proc) // finish, bound once
+}
+
+// blockAt is where a block's next step starts.
+type blockAt uint8
+
+const (
+	atStart   blockAt = iota
+	atCPU             // queued for a CPU slot, its cpu-queue span open in qs
+	atCharged         // the CPU charge's sleep is over
+	atAnswer          // waiting for the op's directory answers
+)
+
+func (b *blockStep) key() cache.Key { return cache.Key{Vol: b.op.vol, LBA: b.op.lba + int64(b.i)} }
+
+func (b *blockStep) dst() []byte {
+	bs := b.op.e.blockSize
+	return b.op.dst[b.i*bs : (b.i+1)*bs]
+}
+
+// run is the block's step: busy's FIFO charge, then local and, on a miss,
+// the wait for its answer, each wait where a coroutine would block.
+func (b *blockStep) run(q *sim.Proc) {
+	op, e := b.op, b.op.e
+	switch b.at {
+	case atStart:
+		if e.down {
+			b.local(q, fmt.Errorf("coherence: blade %d down", e.self))
+			return
+		}
+		e.stats.Reads++
+		if e.cpuq != nil {
+			q.Continue(b.rest)
+			return
+		}
+		b.qs, b.at = tr.FromProc(q).Child("cpu-queue", tr.Queue, e.label), atCPU
+		fallthrough
+	case atCPU:
+		if !e.cpu.AcquireStep(q, 1) {
+			return
+		}
+		b.qs.End()
+		b.qs, b.at = nil, atCharged
+		q.SleepStep(e.opDelay)
+	case atCharged:
+		e.cpu.Release(1)
+		if !b.local(q, nil) {
+			return
+		}
+		if b.pos == 0 { // the vector's sender
+			q.Continue(b.rest)
+			return
+		}
+		b.at = atAnswer
+		fallthrough
+	case atAnswer:
+		if !op.answered.WaitStep(q) {
+			return
+		}
+		resp, err := op.reply(b.home, b.pos)
+		if err == nil && (resp.Redirect || resp.Data != nil && !resp.NoCache) {
+			q.Continue(b.rest) // its answer is in: finish takes it at once
+			return
+		}
+		b.settle(q, resp, err)
+	}
+}
+
+// finish is the rest of the block on a coroutine: from the CPU charge on the
+// QoS lane, else from its home's answer.
+func (b *blockStep) finish(q *sim.Proc) {
+	op, e, key := b.op, b.op.e, b.key()
+	if b.at == atStart {
+		e.busy(q, e.opDelay)
+		if !b.local(q, nil) {
+			return
+		}
+	}
+	resp, err := op.answer(q, e, b.home, b.pos)
+	if err == nil && resp.Redirect { // this key alone moved: follow it
+		e.stats.RedirectsFollowed++
+		e.setHome(key, int(resp.NewHome))
+		resp, err = e.ask(q, "coh.gets", key, b.epoch)
+	}
+	b.settle(q, resp, err)
+}
+
+// local is phase 1's local half once the CPU is charged (or err refused the
+// block): a hit into the op's buffer, or on a miss a request in its home's
+// vector under the key's epoch. It reports that the block waits for an
+// answer; if not, the block is over.
+func (b *blockStep) local(q *sim.Proc, err error) bool {
+	op, e, key := b.op, b.op.e, b.key()
+	b.home = -1
+	if err == nil && !e.hit(q, key, b.dst()) {
+		ks := e.record(key)
+		ks.holds++ // until the op ends: see release
+		b.epoch = ks.epoch
+		if b.home, b.pos, err = op.request(e, key, b.epoch); err != nil {
 			e.release(key)
 		}
 	}
@@ -804,18 +911,21 @@ func (op *runRead) block(q *sim.Proc) {
 		op.carve()
 		op.ready.Set(struct{}{}) // phase 1 is over: the vectors may go
 	}
-	if home < 0 {
-		return
+	if b.home < 0 {
+		op.procs.Done()
+		return false
 	}
-	resp, err := op.answer(q, e, home, pos)
-	if err == nil && resp.Redirect { // this key alone moved: follow it
-		e.stats.RedirectsFollowed++
-		e.setHome(key, int(resp.NewHome))
-		resp, err = e.ask(q, "coh.gets", key, epoch)
+	return true
+}
+
+// settle ends the block with its home's answer: served into the op's
+// buffer, or joined to its gather.
+func (b *blockStep) settle(q *sim.Proc, resp dirResp, err error) {
+	op := b.op
+	if op.fail(err); err == nil && op.e.settle(q, b.key(), b.epoch, resp, op.priority, b.dst()) {
+		op.gather(b.i, len(op.dst)/op.e.blockSize, b.epoch)
 	}
-	if op.fail(err); err == nil && e.settle(q, key, epoch, resp, op.priority, d) {
-		op.gather(i, len(op.dst)/bs, epoch)
-	}
+	op.procs.Done()
 }
 
 // gathered is one block's slot in an op's gather: whether the backing store
@@ -828,20 +938,18 @@ type gathered struct {
 
 // runRead is the state the blocks of one ReadRun share: the op, and what its
 // blocks find. The engine keeps the states of finished ops for the next
-// (Engine.runs): every block process of an op has returned before the op
-// does, and every one runs start, op.block bound once with the state.
+// (Engine.runs): every block of an op has ended before the op does.
 type runRead struct {
 	e        *Engine
 	vol      string
 	lba      int64
 	priority int
 	dst      []byte
-	start    func(q *sim.Proc)
-	next     int        // the block the next block process to start reads
-	procs    sim.Group  // the op's block processes
-	err      error      // the first block to fail fails the op
-	blocks   []gathered // empty until a block joins the gather
-	left     int        // blocks still in phase 1; ready is set when it reaches 0
+	steps    []*blockStep // the blocks' records, kept from op to op
+	procs    sim.Group    // the op's blocks
+	err      error        // the first block to fail fails the op
+	blocks   []gathered   // empty until a block joins the gather
+	left     int          // blocks still in phase 1; ready is set when it reaches 0
 	// The op's coh.gets: its misses in the order asked, and a vector per
 	// home. ready is set when phase 1 is over, and answered counts the
 	// vectors still out (not processes, and every block waits on it: not a
@@ -923,10 +1031,15 @@ func (op *runRead) answer(q *sim.Proc, e *Engine, home, pos int) (dirResp, error
 		op.answered.Done()
 	}
 	op.answered.Wait(q)
-	if v.got == nil { // the op failed
-		return dirResp{}, op.err
+	return op.reply(home, pos)
+}
+
+// reply is answer once every vector is answered.
+func (op *runRead) reply(home, pos int) (dirResp, error) {
+	if got := op.vecs[home].got; got != nil {
+		return got.items[pos].resp, nil
 	}
-	return v.got.items[pos].resp, nil
+	return dirResp{}, op.err // the op failed
 }
 
 // gather records that block i of the op's count must come from the backing
@@ -938,35 +1051,28 @@ func (op *runRead) gather(i, count int, epoch uint64) {
 	op.blocks[i] = gathered{fill: true, epoch: epoch}
 }
 
-// lookup is phase 1's local half for one block: the CPU charge and a local
-// hit into dst. On a miss the block's home must answer a request under epoch.
-func (e *Engine) lookup(p *sim.Proc, key cache.Key, dst []byte) (epoch uint64, miss bool, err error) {
-	if e.down {
-		return 0, false, fmt.Errorf("coherence: blade %d down", e.self)
+// hit serves key from the local cache into dst if the blade holds it.
+func (e *Engine) hit(p *sim.Proc, key cache.Key, dst []byte) bool {
+	ent, ok := e.cache.Get(key)
+	if !ok || ent.State == cache.Invalid {
+		return false
 	}
-	e.stats.Reads++
-	e.busy(p, e.opDelay)
-	if ent, ok := e.cache.Get(key); ok && ent.State != cache.Invalid {
-		e.stats.LocalHits++
-		// Local hits at the home never reach the directory handler, so the
-		// demand they represent is counted here — otherwise affinity-routed
-		// hot reads would look cold to the rebalancer.
-		if e.heat != nil {
-			if h, err := e.home(key); err == nil && h == e.self {
-				e.heat.Touch(key)
-			}
+	e.stats.LocalHits++
+	// Local hits at the home never reach the directory handler, so the
+	// demand they represent is counted here — otherwise affinity-routed
+	// hot reads would look cold to the rebalancer.
+	if e.heat != nil {
+		if h, err := e.home(key); err == nil && h == e.self {
+			e.heat.Touch(key)
 		}
-		if ctx := tr.FromProc(p); ctx.Valid() {
-			// Instant span (Start == End): marks the block as served from
-			// the local cache so breakdowns can count hit vs miss paths.
-			ctx.Child("hit", tr.CacheHit, e.label).End()
-		}
-		copy(dst, ent.Data)
-		return 0, false, nil
 	}
-	ks := e.record(key)
-	ks.holds++ // until the op ends: see release
-	return ks.epoch, true, nil
+	if ctx := tr.FromProc(p); ctx.Valid() {
+		// Instant span (Start == End): marks the block as served from
+		// the local cache so breakdowns can count hit vs miss paths.
+		ctx.Child("hit", tr.CacheHit, e.label).End()
+	}
+	copy(dst, ent.Data)
+	return true
 }
 
 // settle serves the home's answer into dst, installing a peer's data here:

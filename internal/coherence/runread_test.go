@@ -173,3 +173,30 @@ func TestRunReadBackingErrorInstallsNothingOfThatRun(t *testing.T) {
 		})
 	})
 }
+
+// A warm local-hit run takes no coroutine for its blocks: each one's CPU
+// charge and hit run as steps of a step process, so the op's one resume is
+// its caller's, woken when the last block ends. (With a coroutine per block,
+// every block was resumed at its start and again after its charge.)
+func TestWarmHitRunResumesNoCoroutine(t *testing.T) {
+	for _, n := range []int{4, 64} {
+		h := newHarness(1, 2, 128)
+		e := h.engines[0]
+		h.run(func(p *sim.Proc) {
+			if _, err := readRun(p, e, 0, n); err != nil { // warm: all n cached here
+				t.Fatalf("warm-up read: %v", err)
+			}
+			hits, resumes := e.Stats().LocalHits, h.k.Resumes()
+			if _, err := readRun(p, e, 0, n); err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			if got := e.Stats().LocalHits - hits; got != int64(n) {
+				t.Fatalf("%d of %d blocks hit", got, n)
+			}
+			if got := h.k.Resumes() - resumes; got != 1 {
+				t.Errorf("a warm %d-block hit resumed %d coroutines, want only its caller", n, got)
+			}
+		})
+		h.k.Close()
+	}
+}

@@ -280,8 +280,9 @@ func (c *Cluster) addFarm(prefix string, level raid.Level, n, width int) (*virt.
 }
 
 // registerTelemetry adds to the cluster's named registry the cluster-level
-// aggregates, every blade's engine/cache/rpc/replication counters and the
-// fabric's per-link byte counts (addFarm registers the drives and groups).
+// aggregates, every blade's engine/cache/rpc/replication counters, the
+// fabric's per-link byte counts and the kernel's own (addFarm registers the
+// drives and groups).
 func (c *Cluster) registerTelemetry() {
 	c.opLatency = metrics.NewHistogram()
 	r := c.Reg
@@ -310,6 +311,13 @@ func (c *Cluster) registerTelemetry() {
 		b.Repl.RegisterTelemetry(s.Sub("repl"))
 	}
 	c.Net.RegisterTelemetry(r.Sub("net"))
+	// The kernel's own work: events scheduled and coroutine resumes (both
+	// counters), live processes and coroutines (gauges).
+	k := r.Sub("sim")
+	k.Int("events", func() int64 { return int64(c.K.Events()) })
+	k.Int("resumes", func() int64 { return int64(c.K.Resumes()) })
+	k.Int("procs", func() int64 { return int64(c.K.Procs()) })
+	k.Int("runners", func() int64 { return int64(c.K.Runners()) })
 	if c.QoS != nil {
 		c.QoS.RegisterTelemetry(r.Sub("qos"))
 	}

@@ -218,6 +218,54 @@ func TestWriteInvalidatesRemoteReplicas(t *testing.T) {
 	})
 }
 
+// The home acknowledges a write only once every site with a cache replica
+// has dropped it: a re-read there right after the acknowledgement, with no
+// pause, sees the new bytes — whether the write came from another site or
+// from the caching site itself, forwarded to the home.
+func TestReplicaRereadRightAfterAckedWriteIsFresh(t *testing.T) {
+	r := newGeoRig(t, 5*sim.Millisecond, Config{HotThreshold: 1, PrefetchBytes: 1 << 20})
+	r.run(func(p *sim.Proc) {
+		r.a.Create(p, "/f", pfs.Policy{})
+		r.a.WriteAt(p, "/f", 0, payload(2048, 1))
+		buf := make([]byte, 2048)
+		for round, w := range []*Site{r.a, r.b} {
+			r.b.ReadAt(p, "/f", 0, buf) // B holds a replica (threshold 1)
+			if r.b.Stats.Promotions != int64(round+1) {
+				t.Fatalf("round %d: B not promoted", round)
+			}
+			newData := payload(2048, byte(9+round))
+			if err := w.WriteAt(p, "/f", 0, newData); err != nil {
+				t.Fatalf("round %d: write at %s: %v", round, w.Name, err)
+			}
+			if n, err := r.b.ReadAt(p, "/f", 0, buf); err != nil || n != 2048 {
+				t.Fatalf("round %d: re-read: n=%d err=%v", round, n, err)
+			}
+			if !bytes.Equal(buf, newData) {
+				t.Fatalf("round %d: B re-read stale bytes right after %s's acknowledged write", round, w.Name)
+			}
+		}
+	})
+}
+
+// A write to a file cached at a site that is down is still acknowledged:
+// the down site cannot serve its stale copy.
+func TestWriteAcknowledgedWithCachingSiteDown(t *testing.T) {
+	r := newGeoRig(t, 5*sim.Millisecond, Config{HotThreshold: 1, PrefetchBytes: 1 << 20})
+	r.run(func(p *sim.Proc) {
+		r.a.Create(p, "/f", pfs.Policy{})
+		r.a.WriteAt(p, "/f", 0, payload(2048, 1))
+		buf := make([]byte, 2048)
+		r.b.ReadAt(p, "/f", 0, buf)
+		r.fed.FailSite("B")
+		if err := r.a.WriteAt(p, "/f", 0, payload(2048, 2)); err != nil {
+			t.Fatalf("write with the caching site down: %v", err)
+		}
+		if _, err := r.b.ReadAt(p, "/f", 0, buf); !errors.Is(err, ErrSiteDown) {
+			t.Fatalf("the down site served a read: %v", err)
+		}
+	})
+}
+
 func TestForwardedWrite(t *testing.T) {
 	r := newGeoRig(t, 15*sim.Millisecond, Config{})
 	data := payload(1024, 7)

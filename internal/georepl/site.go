@@ -178,12 +178,17 @@ func (s *Site) writeAsHome(p *sim.Proc, path string, m *fileMeta, off int64, dat
 	if end := off + int64(len(data)); end > m.size {
 		m.size = end
 	}
-	// Cache replicas at other sites are now stale: invalidate them
-	// (fire-and-forget; the sites drop their copies).
-	for _, site := range slices.Sorted(maps.Keys(m.cacheReplicas)) {
-		s.conn.Cast(p, simnet.Addr(site), "geo.invalidate", invalidateReq{Path: path}, ctrlSize)
-		delete(m.cacheReplicas, site)
-		s.Stats.Invalidations++
+	// Cache replicas at other sites are now stale. Each site drops its copy
+	// before the write is acknowledged, so a read there right after the
+	// acknowledgement fetches the new bytes. A site that cannot be reached
+	// is down, and a down site serves nothing again (DESIGN §5).
+	if stale := slices.Sorted(maps.Keys(m.cacheReplicas)); len(stale) > 0 {
+		clear(m.cacheReplicas)
+		s.Stats.Invalidations += int64(len(stale))
+		sim.Fork(p, "geo.invalidate", len(stale), func(q *sim.Proc, i int) error {
+			s.conn.CallRetry(q, simnet.Addr(stale[i]), "geo.invalidate", invalidateReq{Path: path}, ctrlSize, simnet.RetryPolicy{}.WithDefaults())
+			return nil
+		})
 	}
 	// Durability replication per policy.
 	switch m.policy.Geo.Mode {

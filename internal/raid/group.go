@@ -82,7 +82,8 @@ type Group struct {
 	// rowLocks holds the stripe rows that a writer holds or waits for (see
 	// lockRows).
 	rowLocks map[int64]*rowLock
-	spare    [][]byte // row writes' scratch blocks (see writeStripe)
+	spare    [][]byte     // row writes' scratch blocks (see writeStripe)
+	writers  []*rowWriter // row writes' arrays (see writer)
 	// rowWrites counts the writes of stripe rows that have parity by how it
 	// was made: from new data alone, from the row completed by reads (every
 	// degraded row included), or by read-modify-write.

@@ -162,24 +162,54 @@ func (g *Group) Write(p *sim.Proc, lba int64, data []byte) error {
 	first, end := lba/dps, lba+int64(count)
 	return sim.Fan(p, "par", int((end-1)/dps-first+1), func(q *sim.Proc, i int) error {
 		s := first + int64(i)
-		// newData holds the row's data blocks by stripe-local position,
-		// nil where the write does not cover one.
-		newData := make([][]byte, dps)
+		w := g.writer()
+		defer g.putWriter(w)
 		for l := max(s*dps, lba); l < min((s+1)*dps, end); l++ {
-			newData[l%dps] = data[(l-lba)*bs : (l-lba+1)*bs]
+			w.newData[l%dps] = data[(l-lba)*bs : (l-lba+1)*bs]
 		}
-		return g.writeStripe(q, s, newData)
+		return g.writeStripe(q, s, w)
 	})
 }
 
-// writeStripe updates stripe row s with newData, its data blocks by
-// stripe-local position (nil: unchanged), as the row's only writer from its
-// reads of the old content to its last write. A row without parity writes
-// its new blocks and reads nothing. The blocks it reads and its new parity
-// are scratch blocks, given back once its disk writes have returned.
-func (g *Group) writeStripe(p *sim.Proc, s int64, newData [][]byte) error {
+// rowWriter is one row write's arrays, kept on the group's spare list from
+// row to row (DESIGN §22).
+type rowWriter struct {
+	newData [][]byte // the row's new data blocks by stripe-local position, nil where the write does not cover one
+	keep    []int    // the data members whose blocks stay
+	row     [][]byte // the whole row in hand, by stripe-local position
+	held    [][]byte // the row's scratch blocks by disk index
+}
+
+// writer returns a row writer, all of its arrays empty: the one given back
+// last, or a new one.
+func (g *Group) writer() *rowWriter {
+	if n := len(g.writers); n > 0 {
+		w := g.writers[n-1]
+		g.writers = g.writers[:n-1]
+		return w
+	}
+	return &rowWriter{newData: make([][]byte, g.dps), row: make([][]byte, g.dps), held: make([][]byte, len(g.disks))}
+}
+
+// putWriter empties w and puts it back on the spare list, once its row
+// write has returned.
+func (g *Group) putWriter(w *rowWriter) {
+	clear(w.newData)
+	clear(w.row)
+	clear(w.held)
+	w.keep = w.keep[:0]
+	g.writers = append(g.writers, w)
+}
+
+// writeStripe updates stripe row s with w's new data blocks (nil:
+// unchanged), as the row's only writer from its reads of the old content to
+// its last write. A row without parity writes its new blocks and reads
+// nothing. The blocks it reads and its new parity are scratch blocks, given
+// back once its disk writes have returned.
+func (g *Group) writeStripe(p *sim.Proc, s int64, w *rowWriter) error {
 	g.lockRows(p, s, s+1)
 	defer g.unlockRows(s, s+1)
+	newData := w.newData
 	members := g.members(s)
 	dataDisks := members[:g.dps]
 	pm, qd := g.parity(s)
@@ -191,12 +221,13 @@ func (g *Group) writeStripe(p *sim.Proc, s int64, newData [][]byte) error {
 		}
 		return g.writeRow(p, s, newData, nil, nil)
 	}
-	var keep []int // the data members whose blocks stay
+	keep := w.keep
 	for i, di := range dataDisks {
 		if newData[i] == nil {
 			keep = append(keep, di)
 		}
 	}
+	w.keep = keep
 	degraded := false
 	for _, di := range members {
 		if !g.available(di, s) {
@@ -206,9 +237,8 @@ func (g *Group) writeStripe(p *sim.Proc, s int64, newData [][]byte) error {
 	}
 	parities := len(members) - len(dataDisks)
 	// row becomes the whole row in hand: what stays of the old content, then
-	// the new blocks over it. held is the row's scratch blocks by disk index.
-	row := make([][]byte, len(dataDisks))
-	held := make([][]byte, len(g.disks))
+	// the new blocks over it.
+	row, held := w.row, w.held
 	defer g.giveBack(held)
 	switch {
 	case degraded:

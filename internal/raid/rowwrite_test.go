@@ -258,3 +258,41 @@ func TestRowWriteReusesScratchBlocks(t *testing.T) {
 		}
 	})
 }
+
+// A warm row write takes the arrays it works in — its new blocks, the
+// members that stay, the row in hand, its scratch blocks by disk — from a row
+// writer on the group's spare list. What it still allocates is per row: the
+// row's lock record and mutex, its list of disk writes and its fan-out's
+// closure (4), plus one fan-out closure per Write and, for a read-modify-
+// write, its member list and the fan-out of its reads.
+func TestRowWriteAllocatesNoRowArrays(t *testing.T) {
+	k := sim.NewKernel(1)
+	defer k.Close()
+	g, err := NewGroup(k, RAID5, disk.NewFarm(k, "d", 5, disk.LabSpec()).Disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, dps := g.BlockSize(), g.dataPerStripe()
+	const rows = 4
+	shadow := fillPattern(rows*dps*bs, 1)
+	run(k, func(p *sim.Proc) {
+		full := func() {
+			if err := g.Write(p, 0, shadow); err != nil {
+				t.Fatal(err)
+			}
+		}
+		one := func() {
+			if err := g.Write(p, 1, shadow[bs:2*bs]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		full()
+		one()
+		if n := testing.AllocsPerRun(20, full); n > 1+4*rows {
+			t.Errorf("a warm %d-row full-stripe write allocates %v objects, want ≤ %d", rows, n, 1+4*rows)
+		}
+		if n := testing.AllocsPerRun(20, one); n > 7 {
+			t.Errorf("a warm one-block read-modify-write allocates %v objects, want ≤ 7", n)
+		}
+	})
+}

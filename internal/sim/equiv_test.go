@@ -481,3 +481,129 @@ func TestSchedulerCoreAllocatesNothing(t *testing.T) {
 		t.Errorf("Proc.Sleep round trip: %v allocs, want 0", n)
 	}
 }
+
+// stepProg is one body of the step-process scenario: ops to run in order,
+// each an acquire of n of the semaphore's permits, a sleep of d and a
+// release in two halves — two kicks when the first half already serves the
+// queue's head. A body with cont continues into a coroutine before op
+// cont-1 (0: never). It runs either as an ordinary process (coroutine) or as
+// a step process (step); log records (time, events scheduled, body, op).
+type stepProg struct {
+	k    *Kernel
+	sem  *Semaphore
+	log  *[]string
+	name string
+	ops  []stepOp
+	cont int
+	j    int // the op in progress
+	at   int // a step's place in it: 0 before the acquire, 1 in it, 2 in the sleep
+}
+
+type stepOp struct {
+	n int
+	d Duration
+}
+
+func (b *stepProg) note(what string) {
+	*b.log = append(*b.log, fmt.Sprintf("t=%d seq=%d %s.%d %s", b.k.now, b.k.Events(), b.name, b.j, what))
+}
+
+func (b *stepProg) release(n int) {
+	b.sem.Release(n / 2)
+	b.sem.Release(n - n/2)
+}
+
+func (b *stepProg) coroutine(p *Proc) {
+	for ; b.j < len(b.ops); b.j++ {
+		op := b.ops[b.j]
+		b.sem.Acquire(p, op.n)
+		b.note("holds")
+		p.Sleep(op.d)
+		b.release(op.n)
+		b.note("done")
+	}
+}
+
+func (b *stepProg) step(p *Proc) {
+	for b.j < len(b.ops) {
+		op := b.ops[b.j]
+		switch b.at {
+		case 0:
+			if b.cont == b.j+1 {
+				p.Continue(b.coroutine)
+				return
+			}
+			b.at = 1
+			fallthrough
+		case 1:
+			if !b.sem.AcquireStep(p, op.n) {
+				return
+			}
+			b.note("holds")
+			b.at = 2
+			p.SleepStep(op.d)
+			return
+		case 2:
+			b.release(op.n)
+			b.note("done")
+			b.j, b.at = b.j+1, 0
+		}
+	}
+}
+
+// runStepScenario runs the seed's bodies, as step processes when steps is
+// set, on a 4-slot semaphore: half start at once, the rest from callbacks at
+// later instants. It returns the log and the coroutine resumes.
+func runStepScenario(seed int64, steps bool) ([]string, uint64) {
+	rng := rand.New(rand.NewSource(seed))
+	k := NewKernel(seed)
+	defer k.Close()
+	sem := NewSemaphore(k, 4)
+	var log []string
+	for i := range 12 {
+		b := &stepProg{k: k, sem: sem, log: &log, name: fmt.Sprintf("b%d", i)}
+		for range 1 + rng.Intn(4) {
+			b.ops = append(b.ops, stepOp{n: 1 + rng.Intn(4), d: Duration(rng.Intn(3)) * Microsecond})
+		}
+		if rng.Intn(3) == 0 {
+			b.cont = 1 + rng.Intn(len(b.ops))
+		}
+		spawn := func() {
+			if steps {
+				k.Step(b.name, b.step)
+			} else {
+				k.Go(b.name, b.coroutine)
+			}
+		}
+		if i%2 == 0 {
+			spawn()
+		} else {
+			k.At(Time(rng.Intn(4))*Time(Microsecond), spawn)
+		}
+	}
+	k.Run()
+	return log, k.Resumes()
+}
+
+// A step process is event for event the coroutine it stands for: bodies
+// that contend for a semaphore, are kicked twice at its head, sleep, release
+// and continue into coroutines mid-body log the same (time, events, body)
+// lines either way. A Continue that scheduled a start event, or a step woken
+// by the stale second kick of a pair, would move a line.
+func TestStepProcessesMatchCoroutines(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		want, coResumes := runStepScenario(seed, false)
+		got, stepResumes := runStepScenario(seed, true)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d log lines as steps, %d as coroutines", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: line %d is %q as steps, %q as coroutines", seed, i, got[i], want[i])
+			}
+		}
+		if stepResumes >= coResumes {
+			t.Fatalf("seed %d: %d coroutine resumes as steps, %d as coroutines", seed, stepResumes, coResumes)
+		}
+	}
+}

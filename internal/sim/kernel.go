@@ -175,13 +175,15 @@ type Kernel struct {
 	// joins is the LIFO free list of Fork states (see Fork).
 	joins []*join
 	// idle is the LIFO free list of runners whose body has returned;
-	// runners counts all coroutines, idle or running a body. exits counts
-	// the process exits of the current shedding window and lowIdle is the
-	// shortest the list has been within it (see wake).
+	// runners counts all coroutines, idle or running a body. binds counts
+	// the runners bound to a process in the current shedding window and
+	// lowIdle is the shortest the list has been within it (see resume).
+	// resumes counts the switches into a runner.
 	idle    []*runner
 	runners int
 	lowIdle int
-	exits   int
+	binds   int
+	resumes uint64
 	closed  bool
 	// stopAt, when nonzero, bounds Run: events after it stay queued.
 	stopAt Time
@@ -274,6 +276,16 @@ func (k *Kernel) Pending() int { return len(k.events) + k.nowq.len() }
 // Events reports how many events have been scheduled since the kernel was
 // created — the simulator's own unit of work.
 func (k *Kernel) Events() uint64 { return k.seq }
+
+// Resumes reports how many times the kernel has switched into a coroutine:
+// the wakes that a step process's body did not take on the kernel's stack.
+func (k *Kernel) Resumes() uint64 { return k.resumes }
+
+// Procs reports the number of live processes, started or not.
+func (k *Kernel) Procs() int { return len(k.procs) }
+
+// Runners reports the number of coroutines, idle or running a body.
+func (k *Kernel) Runners() int { return k.runners }
 
 // Run executes events until the queue is empty.
 func (k *Kernel) Run() { k.run(0) }

@@ -13,10 +13,17 @@ import (
 // and its next blocking call (Sleep, Mailbox.Recv, Future.Wait,
 // Semaphore.Acquire, ...). Methods on Proc must only be invoked from the
 // process's own body.
+//
+// A step process (Kernel.Step) has no runner until it asks for one: its
+// body is called on the kernel's own stack at every wake, and waits by
+// arranging its next wake and returning.
 type Proc struct {
 	k    *Kernel
 	name string
 	fn   func(p *Proc)
+	// step marks a step process that has not continued into a coroutine:
+	// the kernel calls fn at every wake instead of resuming a runner.
+	step bool
 	// r is the runner the body executes on: bound at the first wake, nil
 	// before it (a proc that never starts costs no coroutine) and after exit.
 	r *runner
@@ -53,7 +60,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	if n := len(k.spare); n > 0 {
 		p, k.spare[n-1] = k.spare[n-1], nil
 		k.spare = k.spare[:n-1]
-		p.name, p.fn, p.idx, p.blocked, p.done = name, fn, len(k.procs), true, false
+		p.name, p.fn, p.idx, p.blocked, p.done, p.step = name, fn, len(k.procs), true, false, false
 	} else {
 		p = &Proc{k: k, name: name, fn: fn, idx: len(k.procs), blocked: true}
 	}
@@ -71,6 +78,39 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
+// Step spawns a step process named name: fn is called on the kernel's own
+// stack at the process's start — the event Go would schedule — and at every
+// wake after it. A call waits by arranging the next wake (Proc.SleepStep,
+// Semaphore.AcquireStep, Group.WaitStep) and returning; one that returns
+// with nothing arranged ends the process. Continue turns it into an ordinary
+// process at once. So a step body that waits where a Go body would block
+// runs event for event as that body, without a coroutine.
+func (k *Kernel) Step(name string, fn func(p *Proc)) *Proc {
+	p := k.Go(name, fn)
+	p.step = true
+	return p
+}
+
+// Continue turns p, a step process inside its step, into an ordinary
+// process whose body is fn: it binds a runner and runs fn at once, with no
+// event between, until fn first blocks or returns. The step then returns
+// with nothing more arranged.
+func (p *Proc) Continue(fn func(p *Proc)) {
+	p.step, p.fn = false, fn
+	p.k.resume(p)
+}
+
+// await ends a step process's step: p is blocked until a wake that the
+// caller has arranged calls its body again.
+func (p *Proc) await() { p.blocked = true }
+
+// SleepStep is Sleep for a step process: it arranges p's wake d from now
+// (d ≤ 0: after the events already queued for now), and the step returns.
+func (p *Proc) SleepStep(d Duration) {
+	p.k.wakeAt(p.k.now.Add(max(d, 0)), p)
+	p.await()
+}
+
 // forget drops p from the kernel's list of live processes.
 func (k *Kernel) forget(p *Proc) {
 	if k.closed {
@@ -81,6 +121,18 @@ func (k *Kernel) forget(p *Proc) {
 	last.idx = p.idx
 	k.procs[len(k.procs)-1] = nil
 	k.procs = k.procs[:len(k.procs)-1]
+}
+
+// retire ends p, whose body has returned (reuse) or been unwound by Close:
+// it leaves the live list, and a returned one goes on the spare list for
+// the next Go.
+func (k *Kernel) retire(p *Proc, reuse bool) {
+	p.done = true
+	p.r, p.fn, p.tctx, p.qctx = nil, nil, nil, nil
+	k.forget(p)
+	if reuse && !k.closed {
+		k.spare = append(k.spare, p)
+	}
 }
 
 // runner is a coroutine that executes process bodies one after another: a
@@ -126,31 +178,45 @@ func (r *runner) loop(yield func(struct{}) bool) {
 // a proc that Close killed is never reused.
 func (r *runner) run(p *Proc) {
 	defer func() {
-		p.done = true
-		p.r, p.fn, p.tctx, p.qctx = nil, nil, nil, nil
-		r.k.forget(p)
-		if v := recover(); v != nil {
+		v := recover()
+		r.k.retire(p, v == nil)
+		if v != nil {
 			if _, killed := v.(killedPanic); !killed {
 				panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, v))
 			}
-			return
-		}
-		if !r.k.closed {
-			r.k.spare = append(r.k.spare, p)
 		}
 	}()
 	p.fn(p)
 }
 
-// wake transfers control to p and blocks the kernel until p parks or exits.
+// wake transfers control to p and blocks the kernel until p parks or exits:
+// a step process's body runs on the kernel's stack, any other on its runner.
 func (k *Kernel) wake(p *Proc) {
 	if p.done || !p.blocked {
 		return
 	}
 	p.blocked = false
+	prev := k.cur
+	k.cur = p
+	if p.step {
+		// A wake ends the blocking period, as park's return does.
+		p.gen++
+		p.fn(p)
+		if p.step && !p.blocked {
+			k.retire(p, true) // returned with no wake arranged: the body is over
+		}
+	} else {
+		k.resume(p)
+	}
+	k.cur = prev
+}
+
+// resume switches to p's runner, binding one first if p has none, until p
+// parks or exits.
+func (k *Kernel) resume(p *Proc) {
 	r := p.r
 	if r == nil {
-		// First wake: start the body on the most recently idled runner,
+		// First run: start the body on the most recently idled runner,
 		// whose stack is the likeliest to be grown and cache-warm.
 		if n := len(k.idle); n > 0 {
 			r, k.idle[n-1] = k.idle[n-1], nil
@@ -161,32 +227,29 @@ func (k *Kernel) wake(p *Proc) {
 			k.runners++
 		}
 		r.p, p.r = p, r
-	}
-	prev := k.cur
-	k.cur = p
-	r.next()
-	k.cur = prev
-	if p.done {
 		// The free list is a stack, so the lowIdle runners at its bottom
-		// started no process since the window opened; at its close they
-		// are surplus. A start-up burst's runners do not outlive it by
+		// were bound to no process since the window opened; at its close
+		// they are surplus. A start-up burst's runners do not outlive it by
 		// long, while a fan-out's survive to serve the next.
-		k.exits++
-		if k.exits >= shedWindow*k.runners {
+		k.binds++
+		if k.binds >= shedWindow*k.runners {
 			k.shed(k.lowIdle)
 			k.lowIdle = len(k.idle)
-			k.exits = 0
+			k.binds = 0
 		}
 	}
+	k.resumes++
+	r.next()
 }
 
 // shedWindow is the length of the window over which an idle runner must go
-// unused to be ended, in turnovers of the pool (process exits per runner).
+// unused to be ended, in turnovers of the pool (runner binds per runner).
 // One turnover sheds the runners of every fan-out whose period is longer
 // than the pool (4 % of starts on pfs-stream, 14 % on object-mixed pay for
 // a new coroutine); beyond four the share falls slowly (1 %, 4.4 %) and the
 // runners of object-mixed's 11 k-process set-up burst start to show in its
-// peak RSS.
+// peak RSS. The window counts binds, not process exits: a step process that
+// never continues into a coroutine neither needs a runner nor ages the pool.
 const shedWindow = 4
 
 // shed ends the n least recently used idle runners.
@@ -242,10 +305,7 @@ func (p *Proc) Now() Time { return p.k.Now() }
 // Sleep blocks the process for d of virtual time. Non-positive durations
 // yield to other events scheduled at the current time.
 func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.k.wakeAt(p.k.now.Add(d), p)
+	p.SleepStep(d)
 	p.park()
 }
 

@@ -170,6 +170,68 @@ func TestRunnersReusedAcrossFanOuts(t *testing.T) {
 	}
 }
 
+// Step processes that take their runner late must not churn the pool: a
+// fan-out of 64 step processes, of which 8 — and every fourth round 32 —
+// continue into coroutines, keeps the runners its largest round needs once
+// it is warm. (Judged by process exits, the pool's window closed every two
+// rounds, and the rounds of 8 shed the runners the next round of 32 needed.)
+func TestStepStreamReusesRunners(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	k.Go("ticker", func(p *Proc) {
+		for {
+			p.Sleep(Second)
+		}
+	})
+	var warm map[*runner]bool
+	fresh := 0 // runners first seen idle after warm-up
+	k.Go("parent", func(p *Proc) {
+		g := NewGroup(k)
+		for round := 0; ; round++ {
+			continuing := 8
+			if round%4 == 0 {
+				continuing = 32
+			}
+			for i := 0; i < 64; i++ {
+				g.Add(1)
+				k.Step("child", func(q *Proc) {
+					if i < continuing {
+						q.Continue(func(q *Proc) {
+							q.Sleep(Microsecond)
+							g.Done()
+						})
+						return
+					}
+					g.Done()
+				})
+			}
+			g.Wait(p)
+			switch {
+			case round == 100:
+				warm = make(map[*runner]bool)
+				for _, r := range k.idle {
+					warm[r] = true
+				}
+			case round > 100:
+				for _, r := range k.idle {
+					if !warm[r] {
+						warm[r] = true
+						fresh++
+					}
+				}
+			}
+			p.Sleep(Millisecond)
+		}
+	})
+	k.RunFor(Second)
+	if warm == nil {
+		t.Fatal("the stream never warmed up")
+	}
+	if fresh > 0 {
+		t.Errorf("a steady stream of step processes started %d new runners", fresh)
+	}
+}
+
 // Steady-state ceilings of the proc machinery, in allocations: a spawn on a
 // warm pool allocates nothing (a coroutine costs 11, a Proc one), and
 // neither a sleep nor a mailbox hand-off allocates.

@@ -158,20 +158,32 @@ func NewSemaphore(k *Kernel, n int) *Semaphore {
 
 // Acquire blocks p until n permits are available, then takes them.
 func (s *Semaphore) Acquire(p *Proc, n int) {
+	for !s.AcquireStep(p, n) {
+		p.park()
+	}
+}
+
+// AcquireStep is Acquire for a step process: it takes n permits and reports
+// true, or queues p (on its first call) and reports false, and the step
+// returns. The wake calls the step again, which calls AcquireStep again.
+func (s *Semaphore) AcquireStep(p *Proc, n int) bool {
+	if s.waiters.len() > 0 && s.waiters.front().p == p { // woken at the head
+		if s.avail < n {
+			p.await()
+			return false
+		}
+		s.waiters.pop()
+		s.avail -= n
+		s.kick()
+		return true
+	}
 	if s.waiters.len() == 0 && s.avail >= n {
 		s.avail -= n
-		return
+		return true
 	}
 	s.waiters.push(semWaiter{p, n})
-	for {
-		p.park()
-		if s.waiters.len() > 0 && s.waiters.front().p == p && s.avail >= n {
-			s.waiters.pop()
-			s.avail -= n
-			s.kick()
-			return
-		}
-	}
+	p.await()
+	return false
 }
 
 // Release returns n permits and wakes eligible waiters.
@@ -220,10 +232,20 @@ func (g *Group) Done() {
 
 // Wait blocks p until the counter reaches zero.
 func (g *Group) Wait(p *Proc) {
-	for g.n > 0 {
-		g.waiters = append(g.waiters, p)
+	for !g.WaitStep(p) {
 		p.park()
 	}
+}
+
+// WaitStep is Wait for a step process: it reports true when the counter is
+// zero, or queues p and reports false, and the step returns.
+func (g *Group) WaitStep(p *Proc) bool {
+	if g.n <= 0 {
+		return true
+	}
+	g.waiters = append(g.waiters, p)
+	p.await()
+	return false
 }
 
 // Pending reports the current counter value.
