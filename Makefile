@@ -28,7 +28,7 @@ loc:
 # LOC_MAX is the product-line count (non-test Go outside scripts/) the
 # working tree may reach; CI runs loc-gate, so growing past it is a one-line
 # diff here.
-LOC_MAX = 24154
+LOC_MAX = 24360
 loc-gate:
 	bash scripts/loc.sh "" $(LOC_MAX)
 

@@ -187,8 +187,8 @@ func printTopFrame(w io.Writer, sys *core.System, seenEvents int) int {
 	}
 	procs, _ := sys.Registry.Value("sim/procs")
 	runners, _ := sys.Registry.Value("sim/runners")
-	fmt.Fprintf(w, "  kernel: events/s %.0f  resumes/s %.0f  procs %.0f  runners %.0f\n",
-		last("sim/events")/secs, last("sim/resumes")/secs, procs, runners)
+	fmt.Fprintf(w, "  kernel: events/s %.0f  resumes/s %.0f  procs %.0f  runners %.0f  built/s %.0f\n",
+		last("sim/events")/secs, last("sim/resumes")/secs, procs, runners, last("sim/runners_built")/secs)
 	for _, ev := range s.Events()[seenEvents:] {
 		fmt.Fprintf(w, "  ! %s\n", ev)
 	}

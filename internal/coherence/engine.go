@@ -316,9 +316,11 @@ type Engine struct {
 	// no more block memory than a full cache. A frozen buffer is never on it.
 	free [][]byte
 	// runs holds the states finished reads left (see runRead).
-	runs    []*runRead
-	homes   []int  // notify's scratch
-	staging []byte // FlushOnce's buffer for joining runs, nil while one holds it
+	runs       []*runRead
+	homes      []int    // notify's scratch
+	fans       []*fan   // fan-out states, given back (see fan)
+	staging    []byte   // FlushOnce's buffer for joining runs, nil while one holds it
+	stagingUse sim.Peak // how much of it to keep (see FlushOnce)
 
 	stats Stats
 	// down mirrors the cluster's view of this blade; a down engine
@@ -399,6 +401,12 @@ type fetchResp struct {
 
 // evictVec is a coh.evict: notices to one home, sent by pointer.
 type evictVec struct{ notes []evictNote }
+
+// evictOne is a coh.evict of one notice in one object.
+type evictOne struct {
+	evictVec
+	note [1]evictNote
+}
 
 type evictNote struct {
 	Key      cache.Key
@@ -1318,9 +1326,65 @@ func (e *Engine) WriteRun(p *sim.Proc, vol string, lba int64, data []byte, prior
 	if len(data)%bs != 0 {
 		return fmt.Errorf("coherence: write of %d bytes, block size %d", len(data), bs)
 	}
-	return sim.Fork(p, "write", len(data)/bs, func(q *sim.Proc, i int) error {
-		return e.writeBlockR(q, cache.Key{Vol: vol, LBA: lba + int64(i)}, data[i*bs:(i+1)*bs], priority, replFactor)
-	})
+	f := e.fan()
+	f.key, f.data, f.priority, f.factor = cache.Key{Vol: vol, LBA: lba}, data, priority, replFactor
+	err := sim.Fork(p, "write", len(data)/bs, f.write)
+	e.putFan(f)
+	return err
+}
+
+// fan is one call's fan-out and its items, bound once, kept on Engine.fans
+// (DESIGN §22): a WriteRun's blocks, a grant's invalidations of the sharers
+// in list, or the probes of the items in list of a coh.gets vector.
+type fan struct {
+	e                *Engine
+	key              cache.Key // a run's first block, or the granted key
+	data             []byte
+	priority, factor int
+	v                *getsVec
+	requester        int
+	list             []int
+	next             int // the next probe to start
+	done             sim.Group
+	write, inv       func(q *sim.Proc, i int) error
+	probe            func(q *sim.Proc)
+}
+
+func (e *Engine) fan() *fan {
+	if n := len(e.fans); n > 0 {
+		f := e.fans[n-1]
+		e.fans = e.fans[:n-1]
+		return f
+	}
+	f := &fan{e: e, done: *sim.NewGroup(e.k)}
+	f.write, f.inv, f.probe = f.writeBlock, f.invalidate, f.getS
+	return f
+}
+
+// putFan puts f back, once its fan-out has returned.
+func (e *Engine) putFan(f *fan) {
+	*f = fan{e: e, list: f.list[:0], done: f.done, write: f.write, inv: f.inv, probe: f.probe}
+	e.fans = append(e.fans, f)
+}
+
+func (f *fan) writeBlock(q *sim.Proc, i int) error {
+	bs := f.e.blockSize
+	key := cache.Key{Vol: f.key.Vol, LBA: f.key.LBA + int64(i)}
+	return f.e.writeBlockR(q, key, f.data[i*bs:(i+1)*bs], f.priority, f.factor)
+}
+
+func (f *fan) invalidate(q *sim.Proc, i int) error {
+	f.e.conn.CallRetry(q, f.e.peers[f.list[i]], "coh.inv", invReq{Key: f.key}, ctrlSize, f.e.retry)
+	return nil
+}
+
+// getS is a probe process: the probes start in spawn order, so the one that
+// starts i-th serves the vector's item list[i].
+func (f *fan) getS(q *sim.Proc) {
+	it := &f.v.items[f.list[f.next]]
+	f.next++
+	it.resp = f.e.getS(q, f.requester, it.req)
+	f.done.Done()
 }
 
 // WriteBlock stores one full block on the caller's own process: the run of
@@ -1462,8 +1526,10 @@ func (e *Engine) makeRoom(p *sim.Proc, notes *[]evictNote) error {
 		e.recycle(v) // last: the next install may take v's record
 		if notes != nil {
 			*notes = append(*notes, note)
-		} else {
-			e.notify(p, []evictNote{note})
+		} else if h, err := e.home(note.Key); err == nil {
+			one := &evictOne{note: [1]evictNote{note}}
+			one.notes = one.note[:]
+			e.conn.Cast(p, e.peers[h], "coh.evict", &one.evictVec, ctrlSize)
 		}
 	}
 	return nil

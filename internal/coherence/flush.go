@@ -51,7 +51,11 @@ func (e *Engine) FlushOnce(p *sim.Proc, max int) int {
 		runs = append(runs, batch[a:b])
 	}
 	// A run of several blocks is joined where it lies in the batch, in the
-	// last flush's buffer if it is long enough.
+	// last flush's buffer if it is long enough and no longer than the
+	// batches of the recent windows (sim.Peak) need.
+	if keep := e.stagingUse.Use(len(batch)); keep >= 0 && cap(e.staging) > keep*e.blockSize {
+		e.staging = nil
+	}
 	buf := e.staging
 	if e.staging = nil; cap(buf) < len(batch)*e.blockSize {
 		buf = make([]byte, len(batch)*e.blockSize)

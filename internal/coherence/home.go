@@ -40,28 +40,25 @@ func (e *Engine) handleGetS(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 			probing = append(probing, i)
 		}
 	}
+	var f *fan // not sim.Fork: p serves the other keys while these run
 	if len(probing) < 2 {
 		probing = nil
-	}
-	var grp *sim.Group // not sim.Fork: p serves the other keys while these run; the procs capture g, so grp stays off the heap
-	for _, i := range probing {
-		if grp == nil {
-			grp = sim.NewGroup(e.k)
+	} else {
+		f = e.fan()
+		f.v, f.requester, f.list = v, requester, append(f.list, probing...)
+		f.done.Add(len(probing))
+		for range probing {
+			e.k.Go("gets", f.probe)
 		}
-		g := grp
-		g.Add(1)
-		e.k.Go("gets", func(q *sim.Proc) {
-			defer g.Done()
-			items[i].resp = e.getS(q, requester, items[i].req)
-		})
 	}
 	for i := range items {
 		if !slices.Contains(probing, i) {
 			items[i].resp = e.getS(p, requester, items[i].req)
 		}
 	}
-	if grp != nil {
-		grp.Wait(p)
+	if f != nil {
+		f.done.Wait(p)
+		e.putFan(f)
 	}
 	size := ctrlSize
 	for i := range items {
@@ -200,16 +197,15 @@ func (e *Engine) handleGetX(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 		// Invalidate every other sharer in parallel. A dropped Inv would
 		// leave a stale Shared copy serving old data, so each one retries
 		// under the engine policy before the sharer is written off as dead.
-		var others []int
+		f := e.fan()
+		f.key = req.Key
 		for _, sh := range ent.sharers {
 			if sh.blade != requester {
-				others = append(others, sh.blade)
+				f.list = append(f.list, sh.blade)
 			}
 		}
-		sim.Fork(p, "inv", len(others), func(q *sim.Proc, i int) error {
-			e.conn.CallRetry(q, e.peers[others[i]], "coh.inv", invReq{Key: req.Key}, ctrlSize, e.retry)
-			return nil
-		})
+		sim.Fork(p, "inv", len(f.list), f.inv)
+		e.putFan(f)
 
 	case dirModified:
 		if int(ent.owner) != requester {

@@ -3,9 +3,11 @@ package coherence
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -162,4 +164,52 @@ func runRedirectLoop(t *testing.T) {
 			t.Errorf("ReadRun over the ring: %v, want a redirect loop error", err)
 		}
 	})
+}
+
+// A warm WriteRun of 4 blocks, each replicated to one buddy under a grant
+// that invalidates two sharers, allocates per block only what a write must:
+// the new block buffer, which the replica keeps (DESIGN §15), and the
+// arguments of its calls, which travel boxed by value (DESIGN §22) — its
+// coh.getx, two coh.inv and a repl.put. The run's fan-out, the grant's and
+// the push's come from spare lists. (A map or list of the fabric grows now
+// and then: half an allocation per write is slack.)
+func TestWarmWriteRunAllocatesPayloadsAndArgumentsOnly(t *testing.T) {
+	const blades, run, writes = 3, 4, 20
+	h := newHarness(1, blades, 64)
+	defer h.k.Close()
+	for i, e := range h.engines {
+		m := replication.New(h.k, e.conn, e.peers, i, 2)
+		e.replicate, e.onClean = m.ReplicateDirty, m.OnClean
+	}
+	w := h.engines[0]
+	data := make([]byte, run*blockSize)
+	var allocs uint64
+	h.run(func(p *sim.Proc) {
+		for i := range writes + 1 {
+			w.FlushOnce(p, 0) // clean, so that the readers' copies become sharers
+			for _, r := range h.engines[1:] {
+				if _, err := readRun(p, r, 0, run); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.Sleep(sim.Millisecond) // the casts of the flush and the reads land
+			invs := h.engines[1].stats.Invalidations + h.engines[2].stats.Invalidations
+			data[0]++
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if err := w.WriteRun(p, "v", 0, data, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			if n := h.engines[1].stats.Invalidations + h.engines[2].stats.Invalidations - invs; n != 2*run {
+				t.Fatalf("write %d invalidated %d copies, want %d", i, n, 2*run)
+			}
+			if i > 0 {
+				allocs += m1.Mallocs - m0.Mallocs
+			}
+		}
+	})
+	if per, want := float64(allocs)/writes, 5*run+0.5; per > want {
+		t.Errorf("a warm %d-block WriteRun: %v allocs, want ≤ %v", run, per, want)
+	}
 }

@@ -311,13 +311,14 @@ func (c *Cluster) registerTelemetry() {
 		b.Repl.RegisterTelemetry(s.Sub("repl"))
 	}
 	c.Net.RegisterTelemetry(r.Sub("net"))
-	// The kernel's own work: events scheduled and coroutine resumes (both
-	// counters), live processes and coroutines (gauges).
+	// The kernel's own work: events scheduled, coroutine resumes and
+	// coroutines built (counters), live processes and coroutines (gauges).
 	k := r.Sub("sim")
 	k.Int("events", func() int64 { return int64(c.K.Events()) })
 	k.Int("resumes", func() int64 { return int64(c.K.Resumes()) })
 	k.Int("procs", func() int64 { return int64(c.K.Procs()) })
 	k.Int("runners", func() int64 { return int64(c.K.Runners()) })
+	k.Int("runners_built", func() int64 { return int64(c.K.RunnersBuilt()) })
 	if c.QoS != nil {
 		c.QoS.RegisterTelemetry(r.Sub("qos"))
 	}

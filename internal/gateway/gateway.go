@@ -70,6 +70,7 @@ type Gateway struct {
 	// reading tracks the object versions GETs are reading right now, so that
 	// a replaced version's part files outlive its last reader (see free).
 	reading map[verKey]*verReaders
+	tenants map[qos.Ctx]any // one boxed QoS context per tenant and lane
 
 	puts, gets, lists int64
 	bytesIn, bytesOut int64
@@ -104,17 +105,25 @@ func New(k *sim.Kernel, cfg Config) (*Gateway, error) {
 		cfg:  cfg,
 
 		reading: make(map[verKey]*verReaders),
+		tenants: make(map[qos.Ctx]any),
 	}, nil
 }
 
 // withTenant tags p with the bucket owner's QoS identity for the
-// duration of a data-path operation, restoring the previous context
-// after — admission tokens and governor SLO accounting land on the
-// tenant who owns the data, whoever issued the request.
-func withTenant(p *sim.Proc, owner string, lane int) func() {
-	prev := p.QoSCtx()
-	qos.SetCtx(p, qos.Ctx{Tenant: owner, Lane: lane})
-	return func() { p.SetQoSCtx(prev) }
+// duration of a data-path operation and returns the previous context, for
+// the caller to restore after — admission tokens and governor SLO
+// accounting land on the tenant who owns the data, whoever issued the
+// request. Each tenant and lane's context is boxed once.
+func (g *Gateway) withTenant(p *sim.Proc, owner string, lane int) (prev any) {
+	c := qos.Ctx{Tenant: owner, Lane: qos.ClampLane(lane)}
+	boxed, ok := g.tenants[c]
+	if !ok {
+		boxed = c
+		g.tenants[c] = boxed
+	}
+	prev = p.QoSCtx()
+	p.SetQoSCtx(boxed)
+	return prev
 }
 
 // Authorize authenticates token and checks its access to bucket without
@@ -240,8 +249,7 @@ func (g *Gateway) PutObject(p *sim.Proc, token, bucket, key string, data []byte)
 // is created before any part is written, so a failed create leaves no
 // writer running and removes the files it made.
 func (g *Gateway) writeParts(p *sim.Proc, owner string, prio int, lay Layout, data []byte) error {
-	restore := withTenant(p, owner, prio)
-	defer restore()
+	defer p.SetQoSCtx(g.withTenant(p, owner, prio))
 	var created []Part
 	for _, part := range lay.Parts {
 		if _, err := g.fs.Stat(part.Path); err == nil {
@@ -254,8 +262,7 @@ func (g *Gateway) writeParts(p *sim.Proc, owner string, prio int, lay Layout, da
 		created = append(created, part)
 	}
 	return sim.Fork(p, "gw.write", len(lay.Parts), func(q *sim.Proc, i int) error {
-		restoreQ := withTenant(q, owner, prio)
-		defer restoreQ()
+		defer q.SetQoSCtx(g.withTenant(q, owner, prio))
 		part, off := lay.Parts[i], lay.start(i)
 		_, err := g.fs.WriteAt(q, part.Path, part.Off, data[off:off+part.Len])
 		return err
@@ -264,12 +271,10 @@ func (g *Gateway) writeParts(p *sim.Proc, owner string, prio int, lay Layout, da
 
 // readVersion fetches one version's bytes, parts in parallel.
 func (g *Gateway) readVersion(p *sim.Proc, owner string, prio int, ver Version) ([]byte, error) {
-	restore := withTenant(p, owner, prio)
-	defer restore()
+	defer p.SetQoSCtx(g.withTenant(p, owner, prio))
 	buf := make([]byte, ver.Size)
 	err := sim.Fork(p, "gw.read", len(ver.Layout.Parts), func(q *sim.Proc, i int) error {
-		restoreQ := withTenant(q, owner, prio)
-		defer restoreQ()
+		defer q.SetQoSCtx(g.withTenant(q, owner, prio))
 		part, off := ver.Layout.Parts[i], ver.Layout.start(i)
 		_, err := g.fs.ReadAt(q, part.Path, part.Off, buf[off:off+part.Len])
 		return err

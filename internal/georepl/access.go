@@ -152,8 +152,9 @@ func (s *Site) maybePromote(p *sim.Proc, path string, m *fileMeta) {
 		if s.Down || m.cacheReplicas[s.Name] {
 			return
 		}
+		rs := s.rangesOf(path)
 		resp, err := s.fetch(q, path, m, 0, m.size)
-		if err != nil || s.install(q, path, m, s.rangesOf(path), 0, resp.Data) != nil {
+		if err != nil || s.ranges[path] != rs || s.install(q, path, m, rs, 0, resp.Data) != nil {
 			return
 		}
 		m.cacheReplicas[s.Name] = true
@@ -177,8 +178,14 @@ func (s *Site) fetch(p *sim.Proc, path string, m *fileMeta, off, n int64) (readR
 }
 
 // install writes fetched bytes at off into the local partial replica,
-// creating it if missing, and records the range in rs.
+// creating it if missing, and records the range in rs, the path's range set
+// when the fetch was sent. It installs nothing if that set is gone: the path
+// was invalidated while the fetch was in flight, and its bytes may predate
+// the write (the set is the reader's per-path generation).
 func (s *Site) install(p *sim.Proc, path string, m *fileMeta, rs *rangeSet, off int64, data []byte) error {
+	if s.ranges[path] != rs {
+		return nil
+	}
 	if _, err := s.fs.Stat(path); err != nil {
 		if err := createLocal(s.fs, path, m.policy); err != nil {
 			return err

@@ -41,6 +41,9 @@ type fileMeta struct {
 	// cacheReplicas are sites holding promoted read copies (invalidated
 	// on write).
 	cacheReplicas map[string]bool
+	// readers are the sites the home served a fetch since the last write:
+	// they may hold ranges of the file (invalidated on write too).
+	readers map[string]bool
 	// duraReplicas are policy-selected durability sites (kept updated on
 	// write, sync or async).
 	duraReplicas map[string]bool

@@ -247,6 +247,57 @@ func TestReplicaRereadRightAfterAckedWriteIsFresh(t *testing.T) {
 	})
 }
 
+// A site that fetched part of a file, without reading it often enough to be
+// promoted, is invalidated by the home's write like a promoted one: its
+// re-read right after the acknowledgement fetches the new bytes.
+func TestFetchedRangeRereadAfterAckedWriteIsFresh(t *testing.T) {
+	r := newGeoRig(t, 5*sim.Millisecond, Config{HotThreshold: 100, PrefetchBytes: 1 << 20})
+	r.run(func(p *sim.Proc) {
+		r.a.Create(p, "/f", pfs.Policy{})
+		r.a.WriteAt(p, "/f", 0, payload(2048, 1))
+		buf := make([]byte, 2048)
+		r.b.ReadAt(p, "/f", 0, buf)
+		newData := payload(2048, 2)
+		if err := r.a.WriteAt(p, "/f", 0, newData); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if n, err := r.b.ReadAt(p, "/f", 0, buf); err != nil || n != 2048 {
+			t.Fatalf("re-read: n=%d err=%v", n, err)
+		}
+		if !bytes.Equal(buf, newData) {
+			t.Fatalf("B re-read its fetched range stale (prefetch hits %d, invalidations %d)",
+				r.b.Stats.PrefetchHits, r.a.Stats.Invalidations)
+		}
+	})
+}
+
+// An async durability replica that also read the file is invalidated by the
+// next write, but keeps its file: that is the journaled copy, which the
+// journal then brings up to date.
+func TestAsyncReplicaThatReadKeepsItsCopy(t *testing.T) {
+	r := newGeoRig(t, 5*sim.Millisecond, Config{HotThreshold: 100, PrefetchBytes: 1 << 20, ShipInterval: sim.Millisecond})
+	pol := pfs.Policy{Geo: pfs.GeoPolicy{Mode: pfs.GeoAsync, Sites: []string{"B"}}}
+	r.run(func(p *sim.Proc) {
+		r.a.Create(p, "/f", pol)
+		r.a.WriteAt(p, "/f", 0, payload(2048, 1))
+		p.Sleep(100 * sim.Millisecond) // shipped
+		buf := make([]byte, 2048)
+		r.b.ReadAt(p, "/f", 0, buf)
+		newData := payload(2048, 2)
+		r.a.WriteAt(p, "/f", 0, newData)
+		if r.a.Stats.Invalidations != 1 {
+			t.Fatalf("%d invalidations, want B's", r.a.Stats.Invalidations)
+		}
+		if _, err := r.b.FS().Stat("/f"); err != nil {
+			t.Fatalf("the invalidation removed B's durability copy: %v", err)
+		}
+		p.Sleep(100 * sim.Millisecond)
+		if got, err := r.b.FS().ReadFile(p, "/f"); err != nil || !bytes.Equal(got, newData) {
+			t.Fatalf("B's durability copy did not converge: %v", err)
+		}
+	})
+}
+
 // A write to a file cached at a site that is down is still acknowledged:
 // the down site cannot serve its stale copy.
 func TestWriteAcknowledgedWithCachingSiteDown(t *testing.T) {

@@ -113,6 +113,7 @@ func (s *Site) Create(p *sim.Proc, path string, policy pfs.Policy) error {
 	s.fed.meta[path] = &fileMeta{
 		home:          s.Name,
 		cacheReplicas: make(map[string]bool),
+		readers:       make(map[string]bool),
 		duraReplicas:  make(map[string]bool),
 		policy:        policy,
 	}
@@ -178,12 +179,15 @@ func (s *Site) writeAsHome(p *sim.Proc, path string, m *fileMeta, off int64, dat
 	if end := off + int64(len(data)); end > m.size {
 		m.size = end
 	}
-	// Cache replicas at other sites are now stale. Each site drops its copy
-	// before the write is acknowledged, so a read there right after the
-	// acknowledgement fetches the new bytes. A site that cannot be reached
-	// is down, and a down site serves nothing again (DESIGN §5).
-	if stale := slices.Sorted(maps.Keys(m.cacheReplicas)); len(stale) > 0 {
+	// Cache replicas and fetched ranges at other sites are now stale. Each
+	// site drops its copy before the write is acknowledged, so a read there
+	// right after the acknowledgement fetches the new bytes. A site that
+	// cannot be reached is down, and a down site serves nothing again
+	// (DESIGN §5).
+	maps.Copy(m.readers, m.cacheReplicas)
+	if stale := slices.Sorted(maps.Keys(m.readers)); len(stale) > 0 {
 		clear(m.cacheReplicas)
+		clear(m.readers)
 		s.Stats.Invalidations += int64(len(stale))
 		sim.Fork(p, "geo.invalidate", len(stale), func(q *sim.Proc, i int) error {
 			s.conn.CallRetry(q, simnet.Addr(stale[i]), "geo.invalidate", invalidateReq{Path: path}, ctrlSize, simnet.RetryPolicy{}.WithDefaults())
@@ -296,14 +300,20 @@ func (s *Site) handleRead(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	if err != nil {
 		return readResp{Err: err.Error()}, ctrlSize
 	}
+	m.readers[string(from)] = true
 	return readResp{Data: buf[:n], Size: m.size}, ctrlSize + n
 }
 
-// handleInvalidate drops a stale cache replica.
+// handleInvalidate drops a stale cache replica or fetched ranges; a fetch
+// in flight installs nothing (see install). An async durability replica
+// keeps its file: that is its journaled copy, which the journal updates.
 func (s *Site) handleInvalidate(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(invalidateReq)
 	delete(s.ranges, req.Path)
 	delete(s.accesses, req.Path)
+	if m := s.fed.meta[req.Path]; m != nil && m.duraReplicas[s.Name] {
+		return invalidateResp{}, ctrlSize
+	}
 	if _, err := s.fs.Stat(req.Path); err == nil {
 		s.fs.Remove(req.Path)
 	}

@@ -80,10 +80,13 @@ type Group struct {
 	// serves I/O only for chunks already reconstructed.
 	rebuilding map[int]*rebuildState
 	// rowLocks holds the stripe rows that a writer holds or waits for (see
-	// lockRows).
-	rowLocks map[int64]*rowLock
-	spare    [][]byte     // row writes' scratch blocks (see writeStripe)
-	writers  []*rowWriter // row writes' arrays (see writer)
+	// lockRows); freeLocks keeps the records of rows since unlocked.
+	rowLocks  map[int64]*rowLock
+	freeLocks []*rowLock
+	spare     [][]byte     // row writes' scratch blocks (see writeStripe)
+	lent      int          // the scratch blocks row writes hold
+	spares    sim.Peak     // how many scratch blocks to keep (see scratch)
+	writers   []*rowWriter // row writes' arrays (see writer)
 	// rowWrites counts the writes of stripe rows that have parity by how it
 	// was made: from new data alone, from the row completed by reads (every
 	// degraded row included), or by read-modify-write.
@@ -100,7 +103,7 @@ func (g *Group) RegisterTelemetry(s telemetry.Scope) {
 // rowLock is one stripe row's writer lock; refs counts its holder and the
 // processes waiting for it.
 type rowLock struct {
-	mu   *sim.Mutex
+	mu   sim.Mutex
 	refs int
 }
 
@@ -114,12 +117,17 @@ type rowLock struct {
 // reconstruct the replacement from a half-written row. Reads take no lock.
 // Rows lock in ascending order, and a record exists only while its row is
 // held or awaited, so the map does not grow with rows ever written and an
-// uncontended lock costs no simulated event.
+// uncontended lock costs no simulated event. A record leaves the map for
+// the spare list with its mutex idle, and the next row locked takes it.
 func (g *Group) lockRows(p *sim.Proc, lo, hi int64) {
 	for s := lo; s < hi; s++ {
 		l := g.rowLocks[s]
 		if l == nil {
-			l = &rowLock{mu: sim.NewMutex(g.k)}
+			if n := len(g.freeLocks); n > 0 {
+				l, g.freeLocks = g.freeLocks[n-1], g.freeLocks[:n-1]
+			} else {
+				l = &rowLock{mu: *sim.NewMutex(g.k)}
+			}
 			g.rowLocks[s] = l
 		}
 		l.refs++
@@ -133,6 +141,7 @@ func (g *Group) unlockRows(lo, hi int64) {
 		l.mu.Unlock()
 		if l.refs--; l.refs == 0 {
 			delete(g.rowLocks, s)
+			g.freeLocks = append(g.freeLocks, l)
 		}
 	}
 }

@@ -158,26 +158,37 @@ func (g *Group) Write(p *sim.Proc, lba int64, data []byte) error {
 	if count == 0 {
 		return nil
 	}
-	dps, bs := int64(g.dps), int64(g.blockSize)
-	first, end := lba/dps, lba+int64(count)
-	return sim.Fan(p, "par", int((end-1)/dps-first+1), func(q *sim.Proc, i int) error {
-		s := first + int64(i)
-		w := g.writer()
-		defer g.putWriter(w)
-		for l := max(s*dps, lba); l < min((s+1)*dps, end); l++ {
-			w.newData[l%dps] = data[(l-lba)*bs : (l-lba+1)*bs]
-		}
-		return g.writeStripe(q, s, w)
-	})
+	dps := int64(g.dps)
+	w := g.writer()
+	w.lba, w.data = lba, data
+	err := sim.Fan(p, "par", int((lba+int64(count)-1)/dps-lba/dps+1), w.rowOf)
+	g.putWriter(w)
+	return err
 }
 
-// rowWriter is one row write's arrays, kept on the group's spare list from
-// row to row (DESIGN §22).
+// rowWriter is one row write's arrays, and its fan-outs' lists and items,
+// bound once: kept on the group's spare list from row to row (DESIGN §22).
+// The writer Write takes also holds the call, and writes its first row.
 type rowWriter struct {
+	g       *Group
+	s       int64    // the row
 	newData [][]byte // the row's new data blocks by stripe-local position, nil where the write does not cover one
 	keep    []int    // the data members whose blocks stay
 	row     [][]byte // the whole row in hand, by stripe-local position
 	held    [][]byte // the row's scratch blocks by disk index
+	members []int    // the members a read-modify-write reads and rewrites
+	reading []int    // the members readRow reads
+	writes  []memberWrite
+	lba     int64  // Write's first block
+	data    []byte // Write's data
+
+	read, write, rowOf func(q *sim.Proc, j int) error
+}
+
+// memberWrite is one member disk's block of a row write.
+type memberWrite struct {
+	disk  int
+	block []byte
 }
 
 // writer returns a row writer, all of its arrays empty: the one given back
@@ -188,7 +199,9 @@ func (g *Group) writer() *rowWriter {
 		g.writers = g.writers[:n-1]
 		return w
 	}
-	return &rowWriter{newData: make([][]byte, g.dps), row: make([][]byte, g.dps), held: make([][]byte, len(g.disks))}
+	w := &rowWriter{g: g, newData: make([][]byte, g.dps), row: make([][]byte, g.dps), held: make([][]byte, len(g.disks))}
+	w.read, w.write, w.rowOf = w.readMember, w.writeMember, w.writeRowOf
+	return w
 }
 
 // putWriter empties w and puts it back on the spare list, once its row
@@ -197,8 +210,35 @@ func (g *Group) putWriter(w *rowWriter) {
 	clear(w.newData)
 	clear(w.row)
 	clear(w.held)
-	w.keep = w.keep[:0]
+	clear(w.writes)
+	w.keep, w.members, w.writes = w.keep[:0], w.members[:0], w.writes[:0]
+	w.reading, w.data = nil, nil
 	g.writers = append(g.writers, w)
+}
+
+// writeRowOf is a Write's item i: the i-th row it covers, on the call's own
+// writer for the first and on a writer of its own for any other.
+func (w *rowWriter) writeRowOf(q *sim.Proc, i int) error {
+	g, rw := w.g, w
+	if i > 0 {
+		rw = g.writer()
+		defer g.putWriter(rw)
+	}
+	dps, bs, end := int64(g.dps), int64(g.blockSize), w.lba+int64(len(w.data)/g.blockSize)
+	s := w.lba/dps + int64(i)
+	for l := max(s*dps, w.lba); l < min((s+1)*dps, end); l++ {
+		rw.newData[l%dps] = w.data[(l-w.lba)*bs : (l-w.lba+1)*bs]
+	}
+	return g.writeStripe(q, s, rw)
+}
+
+func (w *rowWriter) readMember(q *sim.Proc, j int) error {
+	di := w.reading[j]
+	return w.g.disks[di].ReadInto(q, w.s, w.held[di])
+}
+
+func (w *rowWriter) writeMember(q *sim.Proc, j int) error {
+	return w.g.disks[w.writes[j].disk].Write(q, w.s, w.writes[j].block)
 }
 
 // writeStripe updates stripe row s with w's new data blocks (nil:
@@ -209,6 +249,7 @@ func (g *Group) putWriter(w *rowWriter) {
 func (g *Group) writeStripe(p *sim.Proc, s int64, w *rowWriter) error {
 	g.lockRows(p, s, s+1)
 	defer g.unlockRows(s, s+1)
+	w.s = s
 	newData := w.newData
 	members := g.members(s)
 	dataDisks := members[:g.dps]
@@ -219,7 +260,7 @@ func (g *Group) writeStripe(p *sim.Proc, s int64, w *rowWriter) error {
 				return ErrUnrecoverable // no parity to keep the block in
 			}
 		}
-		return g.writeRow(p, s, newData, nil, nil)
+		return g.writeRow(p, w, nil, nil)
 	}
 	keep := w.keep
 	for i, di := range dataDisks {
@@ -255,7 +296,7 @@ func (g *Group) writeStripe(p *sim.Proc, s int64, w *rowWriter) error {
 		// Reconstruct-write: reading the data blocks that stay is fewer I/Os
 		// than read-modify-write's old targets and parity.
 		g.rowWrites.reconstruct++
-		if err := g.readRow(p, s, keep, held); err != nil {
+		if err := g.readRow(p, w, keep); err != nil {
 			return err
 		}
 		for i, di := range dataDisks {
@@ -264,7 +305,7 @@ func (g *Group) writeStripe(p *sim.Proc, s int64, w *rowWriter) error {
 	default:
 		// Read-modify-write: read old target blocks and parity, apply deltas.
 		g.rowWrites.rmw++
-		return g.rmwStripe(p, s, newData, held)
+		return g.rmwStripe(p, w)
 	}
 	for i, nd := range newData {
 		if nd != nil {
@@ -277,27 +318,23 @@ func (g *Group) writeStripe(p *sim.Proc, s int64, w *rowWriter) error {
 		Q = rsParity(g.scratch(), row)
 		held[qd] = Q
 	}
-	return g.writeRow(p, s, newData, held[pm[0]], Q)
+	return g.writeRow(p, w, held[pm[0]], Q)
 }
 
-// writeRow writes row s's new data blocks (nil: unchanged), P to each of its
-// P members and Q to its Q member, skipping a member that cannot take its
+// writeRow writes w's row's new data blocks (nil: unchanged), P to each of
+// its P members and Q to its Q member, skipping a member that cannot take its
 // block: the parity encodes it, and a rebuild of that member reconstructs it
 // once the row is free.
-func (g *Group) writeRow(p *sim.Proc, s int64, newData [][]byte, P, Q []byte) error {
-	type write struct {
-		disk  int
-		block []byte
-	}
-	writes := make([]write, 0, len(g.disks))
+func (g *Group) writeRow(p *sim.Proc, w *rowWriter, P, Q []byte) error {
+	s := w.s
 	put := func(di int, b []byte) {
 		if g.available(di, s) {
-			writes = append(writes, write{di, b})
+			w.writes = append(w.writes, memberWrite{di, b})
 		}
 	}
 	for i, di := range g.dataDisks(s) {
-		if newData[i] != nil {
-			put(di, newData[i])
+		if w.newData[i] != nil {
+			put(di, w.newData[i])
 		}
 	}
 	pm, qd := g.parity(s)
@@ -307,20 +344,19 @@ func (g *Group) writeRow(p *sim.Proc, s int64, newData [][]byte, P, Q []byte) er
 	if qd >= 0 {
 		put(qd, Q)
 	}
-	return sim.Fan(p, "par", len(writes), func(q *sim.Proc, i int) error {
-		return g.disks[writes[i].disk].Write(q, s, writes[i].block)
-	})
+	return sim.Fan(p, "par", len(w.writes), w.write)
 }
 
-// rmwStripe performs the classic small-write read-modify-write on a healthy
-// stripe: it reads the old blocks it replaces and the parity into scratch
-// blocks in rows, XORs each block's delta into the parity, and writes blocks
-// and parity back to the members it read. Those writes are unconditional: a
-// member that failed since the reads fails the row write.
-func (g *Group) rmwStripe(p *sim.Proc, s int64, newData, rows [][]byte) error {
+// rmwStripe performs the classic small-write read-modify-write on w's
+// healthy row: it reads the old blocks it replaces and the parity into
+// scratch blocks in w.held, XORs each block's delta into the parity, and
+// writes blocks and parity back to the members it read. Those writes are
+// unconditional: a member that failed since the reads fails the row write.
+func (g *Group) rmwStripe(p *sim.Proc, w *rowWriter) error {
+	s, newData, rows := w.s, w.newData, w.held
 	pm, qd := g.parity(s)
 	dataDisks := g.dataDisks(s)
-	var members []int
+	members := w.members
 	for i, di := range dataDisks {
 		if newData[i] != nil {
 			members = append(members, di)
@@ -330,7 +366,8 @@ func (g *Group) rmwStripe(p *sim.Proc, s int64, newData, rows [][]byte) error {
 	if qd >= 0 {
 		members = append(members, qd)
 	}
-	if err := g.readRow(p, s, members, rows); err != nil {
+	w.members = members
+	if err := g.readRow(p, w, members); err != nil {
 		return err
 	}
 	for i, di := range dataDisks {
@@ -347,9 +384,10 @@ func (g *Group) rmwStripe(p *sim.Proc, s int64, newData, rows [][]byte) error {
 		}
 		copy(delta, newData[i]) // rows holds scratch blocks only
 	}
-	return sim.Fan(p, "par", len(members), func(q *sim.Proc, j int) error {
-		return g.disks[members[j]].Write(q, s, rows[members[j]])
-	})
+	for _, di := range members {
+		w.writes = append(w.writes, memberWrite{di, rows[di]})
+	}
+	return sim.Fan(p, "par", len(w.writes), w.write)
 }
 
 // stripeData returns the data blocks of stripe s: it reads the available
@@ -385,20 +423,25 @@ func (g *Group) readRows(p *sim.Proc, s int64, n int, disks []int) ([][]byte, er
 	})
 }
 
-// readRow reads row s off each listed member disk at once, each into a
-// scratch block that it puts in rows at the disk's index.
-func (g *Group) readRow(p *sim.Proc, s int64, disks []int, rows [][]byte) error {
+// readRow reads w's row off each listed member disk at once, each into a
+// scratch block that it puts in w.held at the disk's index.
+func (g *Group) readRow(p *sim.Proc, w *rowWriter, disks []int) error {
 	for _, di := range disks {
-		rows[di] = g.scratch()
+		w.held[di] = g.scratch()
 	}
-	return sim.Fan(p, "par", len(disks), func(q *sim.Proc, j int) error {
-		return g.disks[disks[j]].ReadInto(q, s, rows[disks[j]])
-	})
+	w.reading = disks
+	return sim.Fan(p, "par", len(disks), w.read)
 }
 
 // scratch returns a block, holding anything, from the group's spare list: the
-// one given back last, or a new one.
+// one given back last, or a new one. The list keeps no more blocks than the
+// row writes of its recent windows held at once (sim.Peak).
 func (g *Group) scratch() []byte {
+	g.lent++
+	if keep := g.spares.Use(g.lent) - g.lent; keep >= 0 && len(g.spare) > keep {
+		clear(g.spare[keep:])
+		g.spare = g.spare[:keep]
+	}
 	if n := len(g.spare); n > 0 {
 		b := g.spare[n-1]
 		g.spare = g.spare[:n-1]
@@ -413,6 +456,7 @@ func (g *Group) giveBack(rows [][]byte) {
 	for _, b := range rows {
 		if b != nil {
 			g.spare = append(g.spare, b)
+			g.lent--
 		}
 	}
 }

@@ -260,11 +260,10 @@ func TestRowWriteReusesScratchBlocks(t *testing.T) {
 }
 
 // A warm row write takes the arrays it works in — its new blocks, the
-// members that stay, the row in hand, its scratch blocks by disk — from a row
-// writer on the group's spare list. What it still allocates is per row: the
-// row's lock record and mutex, its list of disk writes and its fan-out's
-// closure (4), plus one fan-out closure per Write and, for a read-modify-
-// write, its member list and the fan-out of its reads.
+// members that stay, the row in hand, its scratch blocks by disk, its lists
+// of member reads and writes and its fan-outs' items — from a row writer on
+// the group's spare list, and its row lock from the group's spare locks: an
+// uncontended full-stripe write or read-modify-write allocates nothing.
 func TestRowWriteAllocatesNoRowArrays(t *testing.T) {
 	k := sim.NewKernel(1)
 	defer k.Close()
@@ -288,11 +287,11 @@ func TestRowWriteAllocatesNoRowArrays(t *testing.T) {
 		}
 		full()
 		one()
-		if n := testing.AllocsPerRun(20, full); n > 1+4*rows {
-			t.Errorf("a warm %d-row full-stripe write allocates %v objects, want ≤ %d", rows, n, 1+4*rows)
+		if n := testing.AllocsPerRun(20, full); n != 0 {
+			t.Errorf("a warm %d-row full-stripe write allocates %v objects, want 0", rows, n)
 		}
-		if n := testing.AllocsPerRun(20, one); n > 7 {
-			t.Errorf("a warm one-block read-modify-write allocates %v objects, want ≤ 7", n)
+		if n := testing.AllocsPerRun(20, one); n != 0 {
+			t.Errorf("a warm one-block read-modify-write allocates %v objects, want 0", n)
 		}
 	})
 }

@@ -69,6 +69,7 @@ type Manager struct {
 	// even when a per-file factor differs from the default. OnClean deletes
 	// a record once it cleans the recorded version.
 	placed map[cache.Key]placement
+	pushes []*push // push states, given back (see ReplicateDirty)
 	// Retry bounds each replica push (per-attempt deadline, attempt
 	// budget, jittered backoff). New sets the fabric's default policy;
 	// a cluster replaces it with its blades' defaulted one.
@@ -150,20 +151,38 @@ func (m *Manager) ReplicateDirty(p *sim.Proc, key cache.Key, data []byte, versio
 	// The per-buddy push processes must parent under the replicate span,
 	// not the op root, so its context is pushed around the fork.
 	pop := sp.Push(p)
-	err := sim.Fork(p, "repl.put", len(buddies), func(q *sim.Proc, i int) error {
-		b := buddies[i]
-		_, err := m.conn.CallRetry(q, m.peers[b], "repl.put",
-			putReq{Key: key, Owner: m.self, Version: version, Data: data},
-			ctrlSize+len(data), m.Retry)
-		if err != nil {
-			return fmt.Errorf("replication: put to blade %d: %w", b, err)
-		}
-		return nil
-	})
+	var ps *push
+	if n := len(m.pushes); n > 0 {
+		ps, m.pushes = m.pushes[n-1], m.pushes[:n-1]
+	} else {
+		ps = &push{m: m}
+		ps.put = ps.to
+	}
+	ps.buddies, ps.req = buddies, putReq{Key: key, Owner: m.self, Version: version, Data: data}
+	err := sim.Fork(p, "repl.put", len(buddies), ps.put)
+	*ps = push{m: m, put: ps.put}
+	m.pushes = append(m.pushes, ps)
 	pop()
 	sp.End()
 	m.Puts++
 	return err
+}
+
+// push is one ReplicateDirty's fan-out and its item, bound once, kept on
+// Manager.pushes (DESIGN §22). Each item sends its own copy of req.
+type push struct {
+	m       *Manager
+	buddies []int
+	req     putReq
+	put     func(q *sim.Proc, i int) error
+}
+
+func (ps *push) to(q *sim.Proc, i int) error {
+	b := ps.buddies[i]
+	if _, err := ps.m.conn.CallRetry(q, ps.m.peers[b], "repl.put", ps.req, ctrlSize+len(ps.req.Data), ps.m.Retry); err != nil {
+		return fmt.Errorf("replication: put to blade %d: %w", b, err)
+	}
+	return nil
 }
 
 // OnClean releases replicas after the owner destaged version. It has the

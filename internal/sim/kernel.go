@@ -175,15 +175,14 @@ type Kernel struct {
 	// joins is the LIFO free list of Fork states (see Fork).
 	joins []*join
 	// idle is the LIFO free list of runners whose body has returned;
-	// runners counts all coroutines, idle or running a body. binds counts
-	// the runners bound to a process in the current shedding window and
-	// lowIdle is the shortest the list has been within it (see resume).
-	// resumes counts the switches into a runner.
+	// runners counts all coroutines, idle or running a body, and pool
+	// judges how many to keep (see resume). resumes counts the switches
+	// into a runner and built the runners ever made.
 	idle    []*runner
 	runners int
-	lowIdle int
-	binds   int
+	pool    Peak
 	resumes uint64
+	built   uint64
 	closed  bool
 	// stopAt, when nonzero, bounds Run: events after it stay queued.
 	stopAt Time
@@ -286,6 +285,10 @@ func (k *Kernel) Procs() int { return len(k.procs) }
 
 // Runners reports the number of coroutines, idle or running a body.
 func (k *Kernel) Runners() int { return k.runners }
+
+// RunnersBuilt reports how many coroutines the kernel has made since it was
+// created: what Runners nets of the shed ones, the pool's churn.
+func (k *Kernel) RunnersBuilt() uint64 { return k.built }
 
 // Run executes events until the queue is empty.
 func (k *Kernel) Run() { k.run(0) }

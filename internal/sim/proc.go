@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"slices"
 )
 
 // Proc is a cooperatively scheduled simulation process.
@@ -221,36 +222,53 @@ func (k *Kernel) resume(p *Proc) {
 		if n := len(k.idle); n > 0 {
 			r, k.idle[n-1] = k.idle[n-1], nil
 			k.idle = k.idle[:n-1]
-			k.lowIdle = min(k.lowIdle, n-1)
 		} else {
 			r = k.newRunner()
 			k.runners++
+			k.built++
 		}
 		r.p, p.r = p, r
-		// The free list is a stack, so the lowIdle runners at its bottom
-		// were bound to no process since the window opened; at its close
-		// they are surplus. A start-up burst's runners do not outlive it by
-		// long, while a fan-out's survive to serve the next.
-		k.binds++
-		if k.binds >= shedWindow*k.runners {
-			k.shed(k.lowIdle)
-			k.lowIdle = len(k.idle)
-			k.binds = 0
+		// The free list is a stack: the runners shed are the least
+		// recently used.
+		if keep := k.pool.Use(k.runners - len(k.idle)); keep >= 0 {
+			k.shed(k.runners - keep)
 		}
 	}
 	k.resumes++
 	r.next()
 }
 
-// shedWindow is the length of the window over which an idle runner must go
-// unused to be ended, in turnovers of the pool (runner binds per runner).
-// One turnover sheds the runners of every fan-out whose period is longer
-// than the pool (4 % of starts on pfs-stream, 14 % on object-mixed pay for
-// a new coroutine); beyond four the share falls slowly (1 %, 4.4 %) and the
-// runners of object-mixed's 11 k-process set-up burst start to show in its
-// peak RSS. The window counts binds, not process exits: a step process that
-// never continues into a coroutine neither needs a runner nor ages the pool.
+// Peak is the rule by which the kernel keeps idle runners, for any spare
+// list: keep as many records as were in use at once in the busiest of the
+// last 32 windows, where a window closes after shedWindow times as many uses
+// as its predecessor's peak. So records that a recurring fan-out needs stay
+// on the list, while those of a burst that ended — object-mixed's 11 k-process
+// prefill — age out in 32 windows of the work done since, not of the records
+// the burst left behind. (A 4-turnover window of the whole pool made 1.16
+// starts per object-mixed op build a coroutine; a longer one held the
+// prefill's runners through the measure phase. This rule builds 0.1.)
+type Peak struct {
+	uses, windows, high int
+	peaks               [32]int
+}
+
+// shedWindow is a window's length in turnovers of its predecessor's peak.
 const shedWindow = 4
+
+// Use notes one use, after which n records are in use, and returns how many
+// records to keep, in use and spare, at the close of a window, or -1.
+func (pk *Peak) Use(n int) int {
+	pk.uses++
+	pk.high = max(pk.high, n)
+	w := len(pk.peaks)
+	if pk.uses < shedWindow*pk.peaks[(pk.windows+w-1)%w] {
+		return -1
+	}
+	pk.peaks[pk.windows%w] = pk.high
+	pk.windows++
+	pk.uses, pk.high = 0, n
+	return slices.Max(pk.peaks[:])
+}
 
 // shed ends the n least recently used idle runners.
 func (k *Kernel) shed(n int) {
@@ -264,7 +282,6 @@ func (k *Kernel) shed(n int) {
 	clear(k.idle[kept:])
 	k.idle = k.idle[:kept]
 	k.runners -= n
-	k.lowIdle = max(k.lowIdle-n, 0)
 	// The spare procs go with them: no more are kept than idle runners to
 	// start them on.
 	if len(k.spare) > kept {

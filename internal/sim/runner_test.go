@@ -170,6 +170,39 @@ func TestRunnersReusedAcrossFanOuts(t *testing.T) {
 	}
 }
 
+// A wide fork that comes round only after hundreds of lone processes keeps
+// its runners once warm, while a one-off burst gives its runners back: the
+// pool remembers the busiest of its recent windows, measured in the work
+// done since, not in the runners a burst left behind.
+func TestRecurringForkKeepsRunnersOneOffBurstIsShed(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	nap := func(q *Proc) { q.Sleep(Microsecond) }
+	k.Go("parent", func(p *Proc) {
+		for {
+			Fork(p, "wide", 64, func(q *Proc, i int) error { nap(q); return nil })
+			for range 300 {
+				k.Go("single", nap)
+				p.Sleep(Millisecond)
+			}
+		}
+	})
+	k.RunFor(Second) // warm-up: three forks
+	built := k.RunnersBuilt()
+	k.RunFor(10 * Second)
+	if n := k.RunnersBuilt() - built; n > 0 {
+		t.Errorf("a recurring fork of 64 built %d runners once warm", n)
+	}
+	steady := k.Runners()
+	for range 10_000 {
+		k.Go("burst", nap)
+	}
+	k.RunFor(60 * Second)
+	if n := k.Runners(); n > 2*steady {
+		t.Errorf("%d runners a minute after a one-off burst, steady peak %d", n, steady)
+	}
+}
+
 // Step processes that take their runner late must not churn the pool: a
 // fan-out of 64 step processes, of which 8 — and every fourth round 32 —
 // continue into coroutines, keeps the runners its largest round needs once

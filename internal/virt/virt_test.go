@@ -564,3 +564,27 @@ func TestDemandPlacementFallsBackWhenDeviceFull(t *testing.T) {
 		t.Fatalf("devices %d %d %d: want the first two together and the third spilled", d0, d2, d4)
 	}
 }
+
+// A warm write over two extents takes its extent list and its fan-out's item
+// from a record on the volume's spare list: it allocates nothing of its
+// own, only the test device's copies of the 8 blocks it stores.
+func TestWriteOverTwoExtentsAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel(1)
+	defer k.Close()
+	pl := newTestPool(t, k, 64, 2)
+	v, err := pl.CreateVolume("vol", 16) // 2 extents of 8 blocks
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pattern(8*512, 1)
+	run(k, func(p *sim.Proc) {
+		write := func() {
+			if err := v.Write(p, 4, data); err != nil { // blocks 4–11: both extents
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(20, write); n != 8 {
+			t.Errorf("a warm write over two extents: %v allocs, want the device's 8", n)
+		}
+	})
+}

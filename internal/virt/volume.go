@@ -24,6 +24,7 @@ type Volume struct {
 	// extent placed has fixed it (see place).
 	stripe  int
 	striped bool
+	writes  []*volWrite // Write's states, given back (see Write)
 }
 
 // Kind returns the provisioning model.
@@ -61,9 +62,9 @@ type extSpan struct {
 	bufStart int64 // offset (blocks) into the caller's buffer
 }
 
-func (v *Volume) spans(lba int64, count int) []extSpan {
+// spans appends the extents [lba, lba+count) meets to out.
+func (v *Volume) spans(out []extSpan, lba int64, count int) []extSpan {
 	eb := v.pool.extentBlocks
-	var out []extSpan
 	done := int64(0)
 	for done < int64(count) {
 		cur := lba + done
@@ -125,7 +126,7 @@ func (v *Volume) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 		part []byte
 	}
 	var reads []read
-	for _, sp := range v.spans(lba, count) {
+	for _, sp := range v.spans(nil, lba, count) {
 		part := dst[sp.bufStart*bs : (sp.bufStart+sp.blocks)*bs]
 		e, ok := v.mapping[sp.ext]
 		if !ok {
@@ -159,11 +160,32 @@ func (v *Volume) Write(p *sim.Proc, lba int64, data []byte) error {
 	if !v.inRange(lba, count) {
 		return fmt.Errorf("%w: lba=%d count=%d", ErrOutOfRange, lba, count)
 	}
-	spans := v.spans(lba, count)
-	return sim.Fan(p, "vpar", len(spans), func(q *sim.Proc, i int) error {
-		sp := spans[i]
-		return v.writeExtent(q, sp, data[sp.bufStart*bs:(sp.bufStart+sp.blocks)*bs])
-	})
+	var w *volWrite
+	if n := len(v.writes); n > 0 {
+		w, v.writes = v.writes[n-1], v.writes[:n-1]
+	} else {
+		w = &volWrite{v: v}
+		w.run = w.extent
+	}
+	w.spans, w.data = v.spans(w.spans[:0], lba, count), data
+	err := sim.Fan(p, "vpar", len(w.spans), w.run)
+	w.data = nil
+	v.writes = append(v.writes, w)
+	return err
+}
+
+// volWrite is one Write's extents and its fan-out's item, bound once, kept
+// on Volume.writes (DESIGN §22).
+type volWrite struct {
+	v     *Volume
+	spans []extSpan
+	data  []byte
+	run   func(q *sim.Proc, i int) error
+}
+
+func (w *volWrite) extent(q *sim.Proc, i int) error {
+	sp, bs := w.spans[i], int64(w.v.pool.blockSize)
+	return w.v.writeExtent(q, sp, w.data[sp.bufStart*bs:(sp.bufStart+sp.blocks)*bs])
 }
 
 // writeExtent performs the write into a single virtual extent.
