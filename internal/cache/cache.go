@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -166,7 +167,7 @@ type Cache struct {
 	dirty    []*Entry // every resident dirty entry, unordered
 	// spare holds the released records of entries that left (see Release),
 	// never more than the cache has empty slots.
-	spare []*Entry
+	spare sim.Spare[*Entry]
 	stats Stats
 }
 
@@ -274,11 +275,8 @@ func (c *Cache) Put(key Key, data []byte, state State, dirty bool, priority int)
 		c.stats.Replaces++
 		return e
 	}
-	var e *Entry
-	if i := len(c.spare) - 1; i >= 0 {
-		e, c.spare[i] = c.spare[i], nil
-		c.spare = c.spare[:i]
-	} else {
+	e, ok := c.spare.Get()
+	if !ok {
 		e = new(Entry)
 	}
 	*e = Entry{Key: key, Data: data, State: state, Priority: priority, resident: true, lane: priority, dirtyIdx: -1}
@@ -372,8 +370,8 @@ func (c *Cache) Release(e *Entry) {
 	if e.resident {
 		panic(fmt.Sprintf("cache: Release of resident entry %v", e.Key))
 	}
-	if len(c.spare) < c.capacity-len(c.entries) {
-		c.spare = append(c.spare, e)
+	if c.spare.Len() < c.capacity-len(c.entries) {
+		c.spare.Put(e)
 	}
 }
 

@@ -272,7 +272,7 @@ type Engine struct {
 	// A key with no record in keys has epochBase for its epoch.
 	ids       cache.Index
 	keys      map[uint64]*keyState
-	spareKeys []*keyState
+	spareKeys sim.Spare[*keyState]
 	epochBase uint64
 
 	// homeOverride maps migrated keys to their current home, consulted
@@ -314,13 +314,13 @@ type Engine struct {
 	// free holds block buffers that clean entries left behind (see buffer
 	// and recycle), never more than the cache has empty slots: a blade holds
 	// no more block memory than a full cache. A frozen buffer is never on it.
-	free [][]byte
+	free sim.Spare[[]byte]
 	// runs holds the states finished reads left (see runRead).
-	runs       []*runRead
-	homes      []int    // notify's scratch
-	fans       []*fan   // fan-out states, given back (see fan)
-	staging    []byte   // FlushOnce's buffer for joining runs, nil while one holds it
-	stagingUse sim.Peak // how much of it to keep (see FlushOnce)
+	runs       sim.Spare[*runRead]
+	homes      []int             // notify's scratch
+	fans       sim.Spare[*fan]   // fan-out states, given back (see fan)
+	staging    sim.Spare[[]byte] // FlushOnce's buffer for joining runs, empty while one holds it
+	stagingUse sim.Peak          // how much of it to keep (see FlushOnce)
 
 	stats Stats
 	// down mirrors the cluster's view of this blade; a down engine
@@ -660,9 +660,7 @@ func (e *Engine) record(key cache.Key) *keyState {
 	if ok {
 		return ks
 	}
-	if n := len(e.spareKeys); n > 0 {
-		ks, e.spareKeys = e.spareKeys[n-1], e.spareKeys[:n-1]
-	} else {
+	if ks, ok = e.spareKeys.Get(); !ok {
 		ks = &keyState{mu: *sim.NewMutex(e.k)}
 		ks.sharers = ks.first[:0]
 	}
@@ -700,7 +698,7 @@ func (e *Engine) pruneAt(id uint64, ks *keyState) {
 	delete(e.keys, id)
 	ks.owner, ks.ownerEpoch = 0, 0
 	ks.sharers.reset()
-	e.spareKeys = append(e.spareKeys, ks)
+	e.spareKeys.Put(ks)
 }
 
 // release ends a hold: an op's, between the lookup that read key's epoch and
@@ -760,10 +758,8 @@ func (e *Engine) ReadRun(p *sim.Proc, vol string, lba int64, priority int, dst [
 // must not feed with its own reads.
 func (e *Engine) readRun(p *sim.Proc, vol string, lba int64, priority int, dst []byte) error {
 	// The op's state is one a finished op left (see runRead), or a new one.
-	var op *runRead
-	if n := len(e.runs); n > 0 {
-		op, e.runs = e.runs[n-1], e.runs[:n-1]
-	} else {
+	op, ok := e.runs.Get()
+	if !ok {
 		op = &runRead{e: e, procs: *sim.NewGroup(e.k), ready: *sim.NewFuture[struct{}](e.k), answered: *sim.NewGroup(e.k)}
 	}
 	count := len(dst) / e.blockSize
@@ -792,7 +788,7 @@ func (e *Engine) readRun(p *sim.Proc, vol string, lba int64, priority int, dst [
 	clear(op.vecs)
 	*op = runRead{e: e, procs: op.procs, ready: op.ready, answered: op.answered,
 		blocks: op.blocks[:0], pend: op.pend[:0], vecs: op.vecs, steps: op.steps}
-	e.runs = append(e.runs, op)
+	e.runs.Put(op)
 	return err
 }
 
@@ -1165,23 +1161,16 @@ func (e *Engine) install(p *sim.Proc, key cache.Key, epoch uint64, src []byte, l
 	}
 	e.cache.Put(key, src, cache.Shared, false, priority).Lent = true
 	// The entry took an empty slot and no free buffer: keep the list's bound.
-	if n := len(e.free); n > max(0, e.cache.Capacity()-e.cache.Len()) {
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	}
+	e.free.Trim(e.cache.Capacity() - e.cache.Len())
 }
 
 // buffer returns a block buffer for a new cache entry: the one a clean
 // entry left most recently (see recycle), or a new one.
 func (e *Engine) buffer() []byte {
-	n := len(e.free)
-	if n == 0 {
-		return make([]byte, e.blockSize)
+	if buf, ok := e.free.Get(); ok {
+		return buf
 	}
-	buf := e.free[n-1]
-	e.free[n-1] = nil
-	e.free = e.free[:n-1]
-	return buf
+	return make([]byte, e.blockSize)
 }
 
 // owned reports that nobody but the cache holds ent's record (DESIGN §22):
@@ -1213,8 +1202,8 @@ func (e *Engine) recycle(ent *cache.Entry) {
 	if !owned(ent) {
 		return
 	}
-	if !frozen(ent) && len(e.free) < e.cache.Capacity()-e.cache.Len() {
-		e.free = append(e.free, ent.Data)
+	if !frozen(ent) && e.free.Len() < e.cache.Capacity()-e.cache.Len() {
+		e.free.Put(ent.Data)
 	}
 	ent.Data = nil
 	e.cache.Release(ent)
@@ -1351,9 +1340,7 @@ type fan struct {
 }
 
 func (e *Engine) fan() *fan {
-	if n := len(e.fans); n > 0 {
-		f := e.fans[n-1]
-		e.fans = e.fans[:n-1]
+	if f, ok := e.fans.Get(); ok {
 		return f
 	}
 	f := &fan{e: e, done: *sim.NewGroup(e.k)}
@@ -1364,7 +1351,7 @@ func (e *Engine) fan() *fan {
 // putFan puts f back, once its fan-out has returned.
 func (e *Engine) putFan(f *fan) {
 	*f = fan{e: e, list: f.list[:0], done: f.done, write: f.write, inv: f.inv, probe: f.probe}
-	e.fans = append(e.fans, f)
+	e.fans.Put(f)
 }
 
 func (f *fan) writeBlock(q *sim.Proc, i int) error {

@@ -53,11 +53,9 @@ func (e *Engine) FlushOnce(p *sim.Proc, max int) int {
 	// A run of several blocks is joined where it lies in the batch, in the
 	// last flush's buffer if it is long enough and no longer than the
 	// batches of the recent windows (sim.Peak) need.
-	if keep := e.stagingUse.Use(len(batch)); keep >= 0 && cap(e.staging) > keep*e.blockSize {
-		e.staging = nil
-	}
-	buf := e.staging
-	if e.staging = nil; cap(buf) < len(batch)*e.blockSize {
+	keep := e.stagingUse.Use(len(batch))
+	buf, _ := e.staging.Get()
+	if cap(buf) < len(batch)*e.blockSize || keep >= 0 && cap(buf) > keep*e.blockSize {
 		buf = make([]byte, len(batch)*e.blockSize)
 	}
 	inFlight := sim.NewSemaphore(e.k, 16)
@@ -67,8 +65,10 @@ func (e *Engine) FlushOnce(p *sim.Proc, max int) int {
 		e.writeback(q, runs[i], buf[(cap(batch)-cap(runs[i]))*e.blockSize:])
 		return nil
 	})
-	if cap(buf) > cap(e.staging) {
-		e.staging = buf
+	if held, ok := e.staging.Get(); ok && cap(held) >= cap(buf) {
+		e.staging.Put(held) // a flush that overlapped this one left one as large
+	} else {
+		e.staging.Put(buf)
 	}
 	return len(batch)
 }

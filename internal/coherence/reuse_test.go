@@ -102,8 +102,8 @@ func TestEvictedCleanBufferIsReused(t *testing.T) {
 				t.Errorf("block %d was installed in a written block's record", lba)
 			}
 		}
-		if len(e.free) > e.cache.Capacity()-e.cache.Len() {
-			t.Errorf("free list holds %d buffers, the cache has %d empty slots", len(e.free), e.cache.Capacity()-e.cache.Len())
+		if e.free.Len() > e.cache.Capacity()-e.cache.Len() {
+			t.Errorf("free list holds %d buffers, the cache has %d empty slots", e.free.Len(), e.cache.Capacity()-e.cache.Len())
 		}
 	})
 }
@@ -306,8 +306,8 @@ func runReuseStress(t *testing.T, seed int64, faulty bool) (reused, shared int) 
 	check := func() {
 		inUse := make(map[*byte]cache.Key) // on any blade
 		for _, e := range h.engines {
-			if len(e.free) > max(0, e.cache.Capacity()-e.cache.Len()) { // makeRoom may overfill the cache when every entry is pinned
-				fail("blade %d: %d free buffers, %d empty slots", e.self, len(e.free), e.cache.Capacity()-e.cache.Len())
+			if e.free.Len() > max(0, e.cache.Capacity()-e.cache.Len()) { // makeRoom may overfill the cache when every entry is pinned
+				fail("blade %d: %d free buffers, %d empty slots", e.self, e.free.Len(), e.cache.Capacity()-e.cache.Len())
 			}
 			mine := make(map[*byte]cache.Key)
 			for k := int64(0); k < keys; k++ {
@@ -337,7 +337,14 @@ func runReuseStress(t *testing.T, seed int64, faulty bool) (reused, shared int) 
 			}
 		}
 		for _, e := range h.engines {
-			for _, b := range e.free {
+			var free [][]byte // drained and put back in the order it had
+			for b, ok := e.free.Get(); ok; b, ok = e.free.Get() {
+				free = append(free, b)
+			}
+			for i := len(free) - 1; i >= 0; i-- {
+				e.free.Put(free[i])
+			}
+			for _, b := range free {
 				if k, ok := inUse[&b[0]]; ok {
 					fail("blade %d: block %v's buffer is on the free list", e.self, k)
 				}

@@ -82,11 +82,11 @@ type Group struct {
 	// rowLocks holds the stripe rows that a writer holds or waits for (see
 	// lockRows); freeLocks keeps the records of rows since unlocked.
 	rowLocks  map[int64]*rowLock
-	freeLocks []*rowLock
-	spare     [][]byte     // row writes' scratch blocks (see writeStripe)
-	lent      int          // the scratch blocks row writes hold
-	spares    sim.Peak     // how many scratch blocks to keep (see scratch)
-	writers   []*rowWriter // row writes' arrays (see writer)
+	freeLocks sim.Spare[*rowLock]
+	spare     sim.Spare[[]byte]     // row writes' scratch blocks (see writeStripe)
+	lent      int                   // the scratch blocks row writes hold
+	spares    sim.Peak              // how many scratch blocks to keep (see scratch)
+	writers   sim.Spare[*rowWriter] // row writes' arrays (see writer)
 	// rowWrites counts the writes of stripe rows that have parity by how it
 	// was made: from new data alone, from the row completed by reads (every
 	// degraded row included), or by read-modify-write.
@@ -123,9 +123,8 @@ func (g *Group) lockRows(p *sim.Proc, lo, hi int64) {
 	for s := lo; s < hi; s++ {
 		l := g.rowLocks[s]
 		if l == nil {
-			if n := len(g.freeLocks); n > 0 {
-				l, g.freeLocks = g.freeLocks[n-1], g.freeLocks[:n-1]
-			} else {
+			var ok bool
+			if l, ok = g.freeLocks.Get(); !ok {
 				l = &rowLock{mu: *sim.NewMutex(g.k)}
 			}
 			g.rowLocks[s] = l
@@ -141,7 +140,7 @@ func (g *Group) unlockRows(lo, hi int64) {
 		l.mu.Unlock()
 		if l.refs--; l.refs == 0 {
 			delete(g.rowLocks, s)
-			g.freeLocks = append(g.freeLocks, l)
+			g.freeLocks.Put(l)
 		}
 	}
 }

@@ -194,9 +194,7 @@ type memberWrite struct {
 // writer returns a row writer, all of its arrays empty: the one given back
 // last, or a new one.
 func (g *Group) writer() *rowWriter {
-	if n := len(g.writers); n > 0 {
-		w := g.writers[n-1]
-		g.writers = g.writers[:n-1]
+	if w, ok := g.writers.Get(); ok {
 		return w
 	}
 	w := &rowWriter{g: g, newData: make([][]byte, g.dps), row: make([][]byte, g.dps), held: make([][]byte, len(g.disks))}
@@ -213,7 +211,7 @@ func (g *Group) putWriter(w *rowWriter) {
 	clear(w.writes)
 	w.keep, w.members, w.writes = w.keep[:0], w.members[:0], w.writes[:0]
 	w.reading, w.data = nil, nil
-	g.writers = append(g.writers, w)
+	g.writers.Put(w)
 }
 
 // writeRowOf is a Write's item i: the i-th row it covers, on the call's own
@@ -438,13 +436,10 @@ func (g *Group) readRow(p *sim.Proc, w *rowWriter, disks []int) error {
 // row writes of its recent windows held at once (sim.Peak).
 func (g *Group) scratch() []byte {
 	g.lent++
-	if keep := g.spares.Use(g.lent) - g.lent; keep >= 0 && len(g.spare) > keep {
-		clear(g.spare[keep:])
-		g.spare = g.spare[:keep]
+	if keep := g.spares.Use(g.lent) - g.lent; keep >= 0 {
+		g.spare.Trim(keep)
 	}
-	if n := len(g.spare); n > 0 {
-		b := g.spare[n-1]
-		g.spare = g.spare[:n-1]
+	if b, ok := g.spare.Get(); ok {
 		return b
 	}
 	return make([]byte, g.blockSize)
@@ -455,7 +450,7 @@ func (g *Group) scratch() []byte {
 func (g *Group) giveBack(rows [][]byte) {
 	for _, b := range rows {
 		if b != nil {
-			g.spare = append(g.spare, b)
+			g.spare.Put(b)
 			g.lent--
 		}
 	}

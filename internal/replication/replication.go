@@ -69,7 +69,7 @@ type Manager struct {
 	// even when a per-file factor differs from the default. OnClean deletes
 	// a record once it cleans the recorded version.
 	placed map[cache.Key]placement
-	pushes []*push // push states, given back (see ReplicateDirty)
+	pushes sim.Spare[*push] // push states, given back (see ReplicateDirty)
 	// Retry bounds each replica push (per-attempt deadline, attempt
 	// budget, jittered backoff). New sets the fabric's default policy;
 	// a cluster replaces it with its blades' defaulted one.
@@ -151,17 +151,15 @@ func (m *Manager) ReplicateDirty(p *sim.Proc, key cache.Key, data []byte, versio
 	// The per-buddy push processes must parent under the replicate span,
 	// not the op root, so its context is pushed around the fork.
 	pop := sp.Push(p)
-	var ps *push
-	if n := len(m.pushes); n > 0 {
-		ps, m.pushes = m.pushes[n-1], m.pushes[:n-1]
-	} else {
+	ps, ok := m.pushes.Get()
+	if !ok {
 		ps = &push{m: m}
 		ps.put = ps.to
 	}
 	ps.buddies, ps.req = buddies, putReq{Key: key, Owner: m.self, Version: version, Data: data}
 	err := sim.Fork(p, "repl.put", len(buddies), ps.put)
 	*ps = push{m: m, put: ps.put}
-	m.pushes = append(m.pushes, ps)
+	m.pushes.Put(ps)
 	pop()
 	sp.End()
 	m.Puts++

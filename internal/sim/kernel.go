@@ -169,11 +169,11 @@ type Kernel struct {
 	rng  *rand.Rand
 	// procs lists the live processes, each at its Proc.idx, for Close.
 	procs []*Proc
-	// spare is the LIFO free list of processes whose body has returned, for
-	// the next Go to reuse (see Go); shed trims it with the idle runners.
-	spare []*Proc
-	// joins is the LIFO free list of Fork states (see Fork).
-	joins []*join
+	// spare holds the processes whose body has returned, for the next Go to
+	// reuse (see Go); shed trims it with the idle runners. joins holds the
+	// Fork states (see Fork).
+	spare Spare[*Proc]
+	joins Spare[*join]
 	// idle is the LIFO free list of runners whose body has returned;
 	// runners counts all coroutines, idle or running a body, and pool
 	// judges how many to keep (see resume). resumes counts the switches
@@ -374,5 +374,5 @@ func (k *Kernel) Close() {
 	for _, r := range k.idle {
 		r.stop()
 	}
-	k.idle, k.spare, k.joins = nil, nil, nil
+	k.idle, k.spare, k.joins = nil, Spare[*Proc]{}, Spare[*join]{}
 }

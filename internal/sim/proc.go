@@ -57,10 +57,8 @@ func (kp killedPanic) String() string { return "sim: proc " + kp.name + " killed
 // life left queued names one of that life's blocking periods, and so stays
 // stale in this one.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	var p *Proc
-	if n := len(k.spare); n > 0 {
-		p, k.spare[n-1] = k.spare[n-1], nil
-		k.spare = k.spare[:n-1]
+	p, reused := k.spare.Get()
+	if reused {
 		p.name, p.fn, p.idx, p.blocked, p.done, p.step = name, fn, len(k.procs), true, false, false
 	} else {
 		p = &Proc{k: k, name: name, fn: fn, idx: len(k.procs), blocked: true}
@@ -132,7 +130,7 @@ func (k *Kernel) retire(p *Proc, reuse bool) {
 	p.r, p.fn, p.tctx, p.qctx = nil, nil, nil, nil
 	k.forget(p)
 	if reuse && !k.closed {
-		k.spare = append(k.spare, p)
+		k.spare.Put(p)
 	}
 }
 
@@ -284,10 +282,7 @@ func (k *Kernel) shed(n int) {
 	k.runners -= n
 	// The spare procs go with them: no more are kept than idle runners to
 	// start them on.
-	if len(k.spare) > kept {
-		clear(k.spare[kept:])
-		k.spare = k.spare[:kept]
-	}
+	k.spare.Trim(kept)
 }
 
 // park blocks p until the kernel wakes it again.

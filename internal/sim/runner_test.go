@@ -385,12 +385,12 @@ func TestCloseWithSpareProcs(t *testing.T) {
 	}
 	k.After(Second, func() {}) // not quiescent: nothing is shed
 	k.RunFor(Millisecond)
-	if len(k.spare) != 8 {
-		t.Fatalf("%d spare procs after 8 exits, want 8", len(k.spare))
+	if k.spare.Len() != 8 {
+		t.Fatalf("%d spare procs after 8 exits, want 8", k.spare.Len())
 	}
 	k.Close()
-	if len(k.spare) != 0 {
-		t.Errorf("%d spare procs after Close", len(k.spare))
+	if k.spare.Len() != 0 {
+		t.Errorf("%d spare procs after Close", k.spare.Len())
 	}
 	if p := k.Go("after", func(p *Proc) {}); p == stuck {
 		t.Error("Go after Close reused the proc Close killed")
@@ -410,8 +410,8 @@ func TestSpareProcsShedWithRunners(t *testing.T) {
 		k.Go("burst", func(p *Proc) { p.Sleep(Millisecond) })
 	}
 	k.Run()
-	if len(k.spare) > len(k.idle) {
-		t.Errorf("%d spare procs kept for %d idle runners", len(k.spare), len(k.idle))
+	if k.spare.Len() > len(k.idle) {
+		t.Errorf("%d spare procs kept for %d idle runners", k.spare.Len(), len(k.idle))
 	}
 }
 

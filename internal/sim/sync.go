@@ -264,10 +264,8 @@ func (g *Group) Pending() int { return g.n }
 // item has returned.
 func Fork(p *Proc, name string, n int, fn func(q *Proc, i int) error) error {
 	k := p.k
-	var j *join
-	if n := len(k.joins); n > 0 {
-		j, k.joins = k.joins[n-1], k.joins[:n-1]
-	} else {
+	j, ok := k.joins.Get()
+	if !ok {
 		j = &join{}
 		j.start = j.run
 	}
@@ -280,7 +278,7 @@ func Fork(p *Proc, name string, n int, fn func(q *Proc, i int) error) error {
 	}
 	err := j.err
 	*j = join{start: j.start}
-	k.joins = append(k.joins, j)
+	k.joins.Put(j)
 	return err
 }
 

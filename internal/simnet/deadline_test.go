@@ -156,8 +156,8 @@ func TestLateReplyDoesNotReachReusedFuture(t *testing.T) {
 		at = p.Now()
 	})
 	k.Run()
-	if len(cli.replies) != 1 {
-		t.Fatalf("%d reply futures on the free list after two calls, want 1: the test exercises nothing", len(cli.replies))
+	if cli.replies.Len() != 1 {
+		t.Fatalf("%d reply futures on the free list after two calls, want 1: the test exercises nothing", cli.replies.Len())
 	}
 	if !errors.Is(first, ErrTimeout) {
 		t.Fatalf("first call: err = %v, want ErrTimeout", first)

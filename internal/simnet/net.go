@@ -118,8 +118,8 @@ type Network struct {
 	// faultsActive caches whether any link carries a fault plan, so the
 	// fault-free fast path costs nothing.
 	faultsActive bool
-	// deliveries is the LIFO free list of delivery records (see delivery).
-	deliveries []*delivery
+	// deliveries holds the delivery records that have fired (see delivery).
+	deliveries sim.Spare[*delivery]
 }
 
 // New returns an empty network on k.
@@ -402,11 +402,8 @@ type delivery struct {
 }
 
 func (n *Network) scheduleDelivery(msg *Message, t sim.Time) {
-	var d *delivery
-	if i := len(n.deliveries) - 1; i >= 0 {
-		d, n.deliveries[i] = n.deliveries[i], nil
-		n.deliveries = n.deliveries[:i]
-	} else {
+	d, ok := n.deliveries.Get()
+	if !ok {
 		d = &delivery{n: n}
 		d.fire = d.arrive
 	}
@@ -417,7 +414,7 @@ func (n *Network) scheduleDelivery(msg *Message, t sim.Time) {
 func (d *delivery) arrive() {
 	n, dst, msg := d.n, d.dst, d.msg
 	d.dst, d.msg = nil, Message{}
-	n.deliveries = append(n.deliveries, d)
+	n.deliveries.Put(d)
 	if n.down[msg.To] || n.down[msg.From] {
 		n.Dropped++
 		return

@@ -150,8 +150,8 @@ type Conn struct {
 	seenPrev map[reqKey]struct{}
 	// starts and replies are the free lists of handler-start records and
 	// reply futures (see serve and CallTimeout).
-	starts  []*handlerStart
-	replies []*sim.Future[any]
+	starts  sim.Spare[*handlerStart]
+	replies sim.Spare[*sim.Future[any]]
 
 	// Frame coalescing state (see batch.go). All zero when batching is off.
 	batching   bool
@@ -259,11 +259,8 @@ func (c *Conn) dispatch(from Addr, m envelope) {
 		c.noteSeen(rk)
 	}
 	c.served++
-	var s *handlerStart
-	if i := len(c.starts) - 1; i >= 0 {
-		s, c.starts[i] = c.starts[i], nil
-		c.starts = c.starts[:i]
-	} else {
+	s, ok := c.starts.Get()
+	if !ok {
 		s = &handlerStart{c: c}
 		s.start = s.serve
 	}
@@ -285,7 +282,7 @@ type handlerStart struct {
 func (s *handlerStart) serve(p *sim.Proc) {
 	c, from, m, h := s.c, s.from, s.req, s.h
 	s.req, s.h = envelope{}, nil
-	c.starts = append(c.starts, s)
+	c.starts.Put(s)
 	if m.tctx.Valid() {
 		// Adopt the caller's trace so handler-side spans (disk service,
 		// nested coherence calls) attribute correctly.
@@ -315,17 +312,14 @@ func (c *Conn) CallTimeout(p *sim.Proc, dst Addr, method string, args any, argSi
 	// goes back to the free list only once its pending entry is gone, so no
 	// reply, however late or duplicated, can reach it there or in its next
 	// call, which waits under another id.
-	var f *sim.Future[any]
-	if i := len(c.replies) - 1; i >= 0 {
-		f, c.replies[i] = c.replies[i], nil
-		c.replies = c.replies[:i]
-	} else {
+	f, ok := c.replies.Get()
+	if !ok {
 		f = sim.NewFuture[any](c.ep.Network().Kernel())
 	}
 	c.pending[id] = f
 	if !c.send(dst, &envelope{id: id, method: method, body: args, tctx: sp.Ctx(), qctx: p.QoSCtx()}, argSize) {
 		delete(c.pending, id)
-		c.replies = append(c.replies, f)
+		c.replies.Put(f)
 		sp.Detail("unreachable").End()
 		return nil, ErrUnreachable
 	}
@@ -334,7 +328,7 @@ func (c *Conn) CallTimeout(p *sim.Proc, dst Addr, method string, args any, argSi
 		delete(c.pending, id) // a late reply now finds no pending call and is dropped
 	}
 	f.Reset()
-	c.replies = append(c.replies, f)
+	c.replies.Put(f)
 	if !ok {
 		// The deadline resumed p in the deadline event's own place; a
 		// reply resumes it through a wake-up scheduled on delivery, behind

@@ -24,7 +24,7 @@ type Volume struct {
 	// extent placed has fixed it (see place).
 	stripe  int
 	striped bool
-	writes  []*volWrite // Write's states, given back (see Write)
+	writes  sim.Spare[*volWrite] // Write's states, given back (see Write)
 }
 
 // Kind returns the provisioning model.
@@ -160,17 +160,15 @@ func (v *Volume) Write(p *sim.Proc, lba int64, data []byte) error {
 	if !v.inRange(lba, count) {
 		return fmt.Errorf("%w: lba=%d count=%d", ErrOutOfRange, lba, count)
 	}
-	var w *volWrite
-	if n := len(v.writes); n > 0 {
-		w, v.writes = v.writes[n-1], v.writes[:n-1]
-	} else {
+	w, ok := v.writes.Get()
+	if !ok {
 		w = &volWrite{v: v}
 		w.run = w.extent
 	}
 	w.spans, w.data = v.spans(w.spans[:0], lba, count), data
 	err := sim.Fan(p, "vpar", len(w.spans), w.run)
 	w.data = nil
-	v.writes = append(v.writes, w)
+	v.writes.Put(w)
 	return err
 }
 
