@@ -186,6 +186,9 @@ func E7(seed int64) *metrics.Table {
 			}
 			tab.AddRow(i+1, off>>10, fmtDur(p.Now().Sub(t0)), served)
 		}
+		// The promotion the fourth read started fetches in the background;
+		// let it land before the stats are read.
+		p.Sleep(sim.Second)
 		return nil
 	})
 	if err != nil {

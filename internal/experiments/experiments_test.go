@@ -197,6 +197,10 @@ func TestE7FirstTouchThenLocal(t *testing.T) {
 			t.Fatalf("read %d latency %v ms not local-like\n%s", i+1, l, tab)
 		}
 	}
+	// The hot file is promoted to a full replica at B.
+	if !strings.Contains(strings.Join(tab.Notes, "\n"), ", 1 promotions") {
+		t.Fatalf("the hot file was not promoted\n%s", tab)
+	}
 }
 
 func TestE8SyncTracksDistanceAsyncDoesNot(t *testing.T) {

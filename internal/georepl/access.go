@@ -57,14 +57,28 @@ func (r *rangeSet) covered() int64 {
 	return n
 }
 
+// remoteCopy is a site's record of one file homed elsewhere: the ranges
+// it has fetched into its local file, how often it has read the file (for
+// hot promotion, §7.1: "the system would recognize files that are commonly
+// accessed at multiple locations and automatically replicate copies"), and
+// whether a whole-file fetch is in flight or has landed. An invalidation
+// deletes the record, and a fetch installs only into the record it was sent
+// under: the record is the copy's generation.
+type remoteCopy struct {
+	rangeSet
+	reads     int
+	promoting bool
+	promoted  bool
+}
+
 // servesLocally reports whether this site can serve path without the WAN:
-// it is home, holds a promoted cache replica, or holds a synchronously
-// maintained durability replica (async replicas may trail and do not serve).
-func (s *Site) servesLocally(m *fileMeta) bool {
+// it is home, holds a promoted replica, or holds a synchronously maintained
+// durability replica (async replicas may trail and do not serve).
+func (s *Site) servesLocally(path string, m *fileMeta) bool {
 	if m.home == s.Name {
 		return true
 	}
-	if m.cacheReplicas[s.Name] {
+	if c := s.copies[path]; c != nil && c.promoted {
 		return true
 	}
 	return m.duraReplicas[s.Name] && m.policy.Geo.Mode == pfs.GeoSync
@@ -81,7 +95,7 @@ func (s *Site) ReadAt(p *sim.Proc, path string, off int64, buf []byte) (int, err
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoFile, path)
 	}
-	if s.servesLocally(m) {
+	if s.servesLocally(path, m) {
 		s.Stats.LocalReads++
 		return s.fs.ReadAt(p, path, off, buf)
 	}
@@ -90,75 +104,72 @@ func (s *Site) ReadAt(p *sim.Proc, path string, off int64, buf []byte) (int, err
 	if off >= m.size {
 		return 0, nil
 	}
-	end := off + int64(len(buf))
-	if end > m.size {
-		end = m.size
+	end := min(off+int64(len(buf)), m.size)
+	c := s.copies[path]
+	if c == nil {
+		c = &remoteCopy{}
+		// An async durability site's file is the journal's copy, which may
+		// trail the home: its record is never kept, so it installs nothing.
+		if !m.duraReplicas[s.Name] {
+			s.copies[path] = c
+		}
 	}
-	s.accesses[path]++
-	rs := s.rangesOf(path)
-	if rs.contains(off, end) {
+	c.reads++
+	if c.contains(off, end) {
 		// Previously fetched/prefetched: local performance.
 		s.Stats.PrefetchHits++
 		s.Stats.LocalReads++
 		n, err := s.fs.ReadAt(p, path, off, buf[:end-off])
 		if err == nil {
-			s.maybePromote(p, path, m)
+			s.maybePromote(path, m)
 		}
 		return n, err
 	}
 
 	// Fetch the missing range plus the prefetch window from home.
-	fetchHi := end + s.fed.cfg.PrefetchBytes
-	if fetchHi > m.size {
-		fetchHi = m.size
-	}
+	fetchHi := min(end+s.fed.cfg.PrefetchBytes, m.size)
 	resp, err := s.fetch(p, path, m, off, fetchHi-off)
 	if err != nil {
 		return 0, err
 	}
 	s.Stats.RemoteReads++
 
-	if err := s.install(p, path, m, rs, off, resp.Data); err != nil {
+	if err := s.install(p, path, m, c, off, resp.Data); err != nil {
 		return 0, err
 	}
 	n := copy(buf, resp.Data)
 	if int64(n) > end-off {
 		n = int(end - off)
 	}
-	s.maybePromote(p, path, m)
+	s.maybePromote(path, m)
 	return n, nil
 }
 
 // maybePromote fetches a full replica once the file is hot at this site.
 // The fetch runs in the background — the read that crossed the threshold
 // is not delayed by the bulk transfer.
-func (s *Site) maybePromote(p *sim.Proc, path string, m *fileMeta) {
-	if s.accesses[path] < s.fed.cfg.HotThreshold || m.cacheReplicas[s.Name] || m.home == s.Name {
+func (s *Site) maybePromote(path string, m *fileMeta) {
+	c := s.copies[path]
+	if c == nil || c.reads < s.fed.cfg.HotThreshold || c.promoted || c.promoting {
 		return
 	}
-	rs := s.ranges[path]
-	if rs != nil && rs.covered() >= m.size {
+	if c.covered() >= m.size {
 		// Everything already fetched: promote in place.
-		m.cacheReplicas[s.Name] = true
+		c.promoted = true
 		s.Stats.Promotions++
 		return
 	}
-	if s.promoting[path] {
-		return
-	}
-	s.promoting[path] = true
+	c.promoting = true
 	s.fed.k.Go("geo.promote/"+s.Name, func(q *sim.Proc) {
-		defer delete(s.promoting, path)
-		if s.Down || m.cacheReplicas[s.Name] {
+		defer func() { c.promoting = false }()
+		if s.Down {
 			return
 		}
-		rs := s.rangesOf(path)
 		resp, err := s.fetch(q, path, m, 0, m.size)
-		if err != nil || s.ranges[path] != rs || s.install(q, path, m, rs, 0, resp.Data) != nil {
-			return
+		if err == nil && s.install(q, path, m, c, 0, resp.Data) == nil && s.copies[path] == c {
+			c.promoted = true
+			s.Stats.Promotions++
 		}
-		m.cacheReplicas[s.Name] = true
-		s.Stats.Promotions++
 	})
 }
 
@@ -177,13 +188,15 @@ func (s *Site) fetch(p *sim.Proc, path string, m *fileMeta, off, n int64) (readR
 	return resp, nil
 }
 
-// install writes fetched bytes at off into the local partial replica,
-// creating it if missing, and records the range in rs, the path's range set
-// when the fetch was sent. It installs nothing if that set is gone: the path
+// install writes fetched bytes at off into the local file, creating it if
+// missing, and records their range in c, the record the fetch was sent
+// under. It installs nothing if c is no longer the path's record: the path
 // was invalidated while the fetch was in flight, and its bytes may predate
-// the write (the set is the reader's per-path generation).
-func (s *Site) install(p *sim.Proc, path string, m *fileMeta, rs *rangeSet, off int64, data []byte) error {
-	if s.ranges[path] != rs {
+// the write.
+func (s *Site) install(p *sim.Proc, path string, m *fileMeta, c *remoteCopy, off int64, data []byte) error {
+	s.writes.Lock(p)
+	defer s.writes.Unlock()
+	if s.copies[path] != c {
 		return nil
 	}
 	if _, err := s.fs.Stat(path); err != nil {
@@ -197,16 +210,6 @@ func (s *Site) install(p *sim.Proc, path string, m *fileMeta, rs *rangeSet, off 
 	if _, err := s.fs.WriteAt(p, path, off, data); err != nil {
 		return err
 	}
-	rs.add(off, off+int64(len(data)))
+	c.add(off, off+int64(len(data)))
 	return nil
-}
-
-// rangesOf returns the set of locally present ranges of path, creating it.
-func (s *Site) rangesOf(path string) *rangeSet {
-	rs, ok := s.ranges[path]
-	if !ok {
-		rs = &rangeSet{}
-		s.ranges[path] = rs
-	}
-	return rs
 }

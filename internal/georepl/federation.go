@@ -38,12 +38,12 @@ const ctrlSize = 96
 // fileMeta is the metadata center's record for one file.
 type fileMeta struct {
 	home string
-	// cacheReplicas are sites holding promoted read copies (invalidated
-	// on write).
-	cacheReplicas map[string]bool
-	// readers are the sites the home served a fetch since the last write:
-	// they may hold ranges of the file (invalidated on write too).
-	readers map[string]bool
+	// holders are the sites that may hold fetched bytes of the file, each
+	// under the stamp of its latest fetch: the home registers a site before
+	// it reads for it, and a write drops the site once it has answered the
+	// write's invalidation without fetching again in the meantime.
+	holders map[string]uint64
+	fetches uint64 // the last stamp handed out
 	// duraReplicas are policy-selected durability sites (kept updated on
 	// write, sync or async).
 	duraReplicas map[string]bool
@@ -96,14 +96,13 @@ func NewFederation(k *sim.Kernel, cfg Config) *Federation {
 // cluster).
 func (f *Federation) AddSite(name string, fs *pfs.FS) *Site {
 	s := &Site{
-		Name:      name,
-		fed:       f,
-		fs:        fs,
-		conn:      simnet.NewConn(f.wan, simnet.Addr(name)),
-		ranges:    make(map[string]*rangeSet),
-		accesses:  make(map[string]int),
-		journals:  make(map[string]*journal),
-		promoting: make(map[string]bool),
+		Name:     name,
+		fed:      f,
+		fs:       fs,
+		conn:     simnet.NewConn(f.wan, simnet.Addr(name)),
+		writes:   sim.NewMutex(f.k),
+		copies:   make(map[string]*remoteCopy),
+		journals: make(map[string][]writeReq),
 	}
 	s.conn.Register("geo.read", s.handleRead)
 	s.conn.Register("geo.write", s.handleWrite)
@@ -162,6 +161,7 @@ func (f *Federation) Failover(dead string) (recovered, lost int) {
 			continue
 		}
 		delete(m.duraReplicas, promoted)
+		delete(m.holders, promoted)
 		m.home = promoted
 		// The new home's copy may trail async shipments; its current
 		// file size becomes authoritative.

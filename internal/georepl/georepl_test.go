@@ -54,15 +54,22 @@ type geoRig struct {
 }
 
 // newGeoRig builds three sites in a triangle with the given one-way WAN
-// latency.
+// latency, each over an instant memIO.
 func newGeoRig(t *testing.T, oneWay sim.Duration, cfg Config) *geoRig {
 	t.Helper()
 	k := sim.NewKernel(1)
 	t.Cleanup(k.Close)
+	return buildGeoRig(t, k, oneWay, cfg, func() pfs.BlockIO { return newMemIO() })
+}
+
+// buildGeoRig is newGeoRig on a given kernel, with each site's file system
+// over a BlockIO from mkIO. The caller closes k.
+func buildGeoRig(t testing.TB, k *sim.Kernel, oneWay sim.Duration, cfg Config, mkIO func() pfs.BlockIO) *geoRig {
+	t.Helper()
 	fed := NewFederation(k, cfg)
 	mkFS := func() *pfs.FS {
 		fs, err := pfs.New(k, pfs.Config{
-			IO:           newMemIO(),
+			IO:           mkIO(),
 			Classes:      map[string]string{"c": "v"},
 			DefaultClass: "c",
 		})
@@ -565,13 +572,7 @@ func (s *Site) ReadFile(p *sim.Proc, path string) ([]byte, error) {
 
 // JournalDepth returns the number of writes not yet shipped to dst — the
 // measurable RPO exposure of async mode.
-func (s *Site) JournalDepth(dst string) int {
-	j, ok := s.journals[dst]
-	if !ok {
-		return 0
-	}
-	return len(j.pending)
-}
+func (s *Site) JournalDepth(dst string) int { return len(s.journals[dst]) }
 
 // A policy that limits copies but names no sites picks them by name: the
 // same file must replicate to the same sites, in the same order, every time

@@ -33,18 +33,16 @@ type Site struct {
 	fs   *pfs.FS
 	conn *simnet.Conn
 
-	// ranges tracks which byte ranges of remote-homed files have been
-	// fetched locally (partial replicas built by prefetch).
-	ranges map[string]*rangeSet
-	// accesses counts reads per remote file, for hot promotion (§7.1:
-	// "the system would recognize files that are commonly accessed at
-	// multiple locations and automatically replicate copies").
-	accesses map[string]int
+	// writes admits one write to the site's file system at a time: pfs
+	// writes a partial block by reading and rewriting it whole, so two
+	// overlapping writes at once could lose one of them.
+	writes *sim.Mutex
+	// copies holds this site's record of each remote-homed file it has
+	// read (see remoteCopy).
+	copies map[string]*remoteCopy
 	// journals hold pending async shipments per destination site (§7.2:
 	// writes ship "in the order of the writes").
-	journals map[string]*journal
-	// promoting guards against duplicate in-flight promotion fetches.
-	promoting map[string]bool
+	journals map[string][]writeReq
 
 	Stats Stats
 }
@@ -52,17 +50,7 @@ type Site struct {
 // FS exposes the site's local file system (tests and tooling).
 func (s *Site) FS() *pfs.FS { return s.fs }
 
-type shipment struct {
-	path string
-	off  int64
-	data []byte
-}
-
-type journal struct {
-	pending []shipment
-}
-
-// Wire payloads.
+// Wire payloads. A writeReq is also a durability shipment.
 type readReq struct {
 	Path string
 	Off  int64
@@ -70,7 +58,6 @@ type readReq struct {
 }
 type readResp struct {
 	Data []byte
-	Size int64
 	Err  string
 }
 type writeReq struct {
@@ -79,12 +66,6 @@ type writeReq struct {
 	Data []byte
 }
 type writeResp struct{ Err string }
-type shipReq struct {
-	Path string
-	Off  int64
-	Data []byte
-}
-type shipResp struct{ Err string }
 type invalidateReq struct{ Path string }
 type invalidateResp struct{}
 
@@ -111,11 +92,10 @@ func (s *Site) Create(p *sim.Proc, path string, policy pfs.Policy) error {
 		return err
 	}
 	s.fed.meta[path] = &fileMeta{
-		home:          s.Name,
-		cacheReplicas: make(map[string]bool),
-		readers:       make(map[string]bool),
-		duraReplicas:  make(map[string]bool),
-		policy:        policy,
+		home:         s.Name,
+		holders:      make(map[string]uint64),
+		duraReplicas: make(map[string]bool),
+		policy:       policy,
 	}
 	return nil
 }
@@ -157,43 +137,38 @@ func (s *Site) WriteAt(p *sim.Proc, path string, off int64, data []byte) error {
 	}
 	if m.home != s.Name {
 		s.Stats.WritesProxy++
-		raw, err := s.conn.CallTimeout(p, simnet.Addr(m.home), "geo.write",
-			writeReq{Path: path, Off: off, Data: data}, ctrlSize+len(data), 30*sim.Second)
-		if err != nil {
-			return fmt.Errorf("georepl: forward to home %s: %w", m.home, err)
-		}
-		if resp := raw.(writeResp); resp.Err != "" {
-			return fmt.Errorf("georepl: %s", resp.Err)
-		}
-		return nil
+		return s.send(p, m.home, "geo.write", writeReq{Path: path, Off: off, Data: data})
 	}
 	return s.writeAsHome(p, path, m, off, data)
 }
 
-// writeAsHome applies the write locally and runs the §7.2 replication.
+// send delivers a write to dst — forwarded to a home, or shipped to a
+// durability copy — and waits for it to apply there.
+func (s *Site) send(p *sim.Proc, dst, method string, w writeReq) error {
+	raw, err := s.conn.CallTimeout(p, simnet.Addr(dst), method, w, ctrlSize+len(w.Data), 30*sim.Second)
+	if err != nil {
+		return fmt.Errorf("georepl: %s to %s: %w", method, dst, err)
+	}
+	if resp := raw.(writeResp); resp.Err != "" {
+		return fmt.Errorf("georepl: %s", resp.Err)
+	}
+	return nil
+}
+
+// writeAsHome applies the write locally, drops every other site's copy of
+// the file, and runs the §7.2 replication.
 func (s *Site) writeAsHome(p *sim.Proc, path string, m *fileMeta, off int64, data []byte) error {
 	s.Stats.WritesHome++
-	if _, err := s.fs.WriteAt(p, path, off, data); err != nil {
+	s.writes.Lock(p)
+	_, err := s.fs.WriteAt(p, path, off, data)
+	s.writes.Unlock()
+	if err != nil {
 		return err
 	}
 	if end := off + int64(len(data)); end > m.size {
 		m.size = end
 	}
-	// Cache replicas and fetched ranges at other sites are now stale. Each
-	// site drops its copy before the write is acknowledged, so a read there
-	// right after the acknowledgement fetches the new bytes. A site that
-	// cannot be reached is down, and a down site serves nothing again
-	// (DESIGN §5).
-	maps.Copy(m.readers, m.cacheReplicas)
-	if stale := slices.Sorted(maps.Keys(m.readers)); len(stale) > 0 {
-		clear(m.cacheReplicas)
-		clear(m.readers)
-		s.Stats.Invalidations += int64(len(stale))
-		sim.Fork(p, "geo.invalidate", len(stale), func(q *sim.Proc, i int) error {
-			s.conn.CallRetry(q, simnet.Addr(stale[i]), "geo.invalidate", invalidateReq{Path: path}, ctrlSize, simnet.RetryPolicy{}.WithDefaults())
-			return nil
-		})
-	}
+	err = s.invalidate(p, path, m)
 	// Durability replication per policy.
 	switch m.policy.Geo.Mode {
 	case pfs.GeoSync:
@@ -202,30 +177,46 @@ func (s *Site) writeAsHome(p *sim.Proc, path string, m *fileMeta, off int64, dat
 			m.duraReplicas[dst] = true
 			s.Stats.SyncShips++
 		}
-		return sim.Fork(p, "geo.sync", len(targets), func(q *sim.Proc, i int) error {
-			raw, err := s.conn.CallTimeout(q, simnet.Addr(targets[i]), "geo.ship",
-				shipReq{Path: path, Off: off, Data: data}, ctrlSize+len(data), 30*sim.Second)
-			if err != nil {
-				return err
-			}
-			if resp := raw.(shipResp); resp.Err != "" {
-				return fmt.Errorf("georepl: %s", resp.Err)
-			}
-			return nil
-		})
+		if e := sim.Fork(p, "geo.sync", len(targets), func(q *sim.Proc, i int) error {
+			return s.send(q, targets[i], "geo.ship", writeReq{Path: path, Off: off, Data: data})
+		}); err == nil {
+			err = e
+		}
 	case pfs.GeoAsync:
 		for _, dst := range s.duraTargets(m) {
 			m.duraReplicas[dst] = true
-			j, ok := s.journals[dst]
-			if !ok {
-				j = &journal{}
-				s.journals[dst] = j
-			}
-			j.pending = append(j.pending, shipment{path: path, off: off, data: append([]byte(nil), data...)})
+			s.journals[dst] = append(s.journals[dst], writeReq{Path: path, Off: off, Data: append([]byte(nil), data...)})
 			s.Stats.AsyncShips++
 		}
 	}
-	return nil
+	return err
+}
+
+// invalidate has every holder of path drop its copy, all at once, and
+// returns once each has answered: a read there after the write's
+// acknowledgement fetches the new bytes. A holder the federation has failed
+// is dropped unanswered, since a failed site serves nothing again. A live
+// holder that misses every retry fails the write and stays a holder, to be
+// invalidated again by the next write.
+func (s *Site) invalidate(p *sim.Proc, path string, m *fileMeta) error {
+	stale := slices.Sorted(maps.Keys(m.holders))
+	if len(stale) == 0 {
+		return nil
+	}
+	s.Stats.Invalidations += int64(len(stale))
+	return sim.Fork(p, "geo.invalidate", len(stale), func(q *sim.Proc, i int) error {
+		h, stamp := stale[i], m.holders[stale[i]]
+		_, err := s.conn.CallRetry(q, simnet.Addr(h), "geo.invalidate", invalidateReq{Path: path}, ctrlSize, simnet.RetryPolicy{}.WithDefaults())
+		if err != nil && !s.fed.sites[h].Down {
+			return fmt.Errorf("georepl: invalidate %s at %s: %w", path, h, err)
+		}
+		// A holder that fetched again after the invalidation was sent may
+		// hold the new bytes; it stays a holder until the next write.
+		if m.holders[h] == stamp || err != nil {
+			delete(m.holders, h)
+		}
+		return nil
+	})
 }
 
 // startShipper launches the background process draining async journals in
@@ -238,18 +229,11 @@ func (s *Site) startShipper() {
 				return
 			}
 			for _, dst := range slices.Sorted(maps.Keys(s.journals)) {
-				j := s.journals[dst]
-				for len(j.pending) > 0 {
-					sh := j.pending[0]
-					raw, err := s.conn.CallTimeout(p, simnet.Addr(dst), "geo.ship",
-						shipReq{Path: sh.path, Off: sh.off, Data: sh.data}, ctrlSize+len(sh.data), 30*sim.Second)
-					if err != nil {
+				for len(s.journals[dst]) > 0 {
+					if s.send(p, dst, "geo.ship", s.journals[dst][0]) != nil {
 						break // destination unreachable; retry next tick
 					}
-					if resp := raw.(shipResp); resp.Err != "" {
-						break
-					}
-					j.pending = j.pending[1:]
+					s.journals[dst] = s.journals[dst][1:]
 				}
 			}
 		}
@@ -271,51 +255,48 @@ func (s *Site) handleWrite(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 
 // handleShip applies a durability shipment into the local file system.
 func (s *Site) handleShip(p *sim.Proc, from simnet.Addr, args any) (any, int) {
-	req := args.(shipReq)
+	req := args.(writeReq)
+	s.writes.Lock(p)
+	defer s.writes.Unlock()
 	if _, err := s.fs.Stat(req.Path); err != nil {
-		m := s.fed.meta[req.Path]
-		pol := pfs.Policy{}
-		if m != nil {
-			pol = m.policy
-		}
-		if err := createLocal(s.fs, req.Path, pol); err != nil {
-			return shipResp{Err: err.Error()}, ctrlSize
+		if err := createLocal(s.fs, req.Path, s.fed.meta[req.Path].policy); err != nil {
+			return writeResp{Err: err.Error()}, ctrlSize
 		}
 	}
 	if _, err := s.fs.WriteAt(p, req.Path, req.Off, req.Data); err != nil {
-		return shipResp{Err: err.Error()}, ctrlSize
+		return writeResp{Err: err.Error()}, ctrlSize
 	}
-	return shipResp{}, ctrlSize
+	return writeResp{}, ctrlSize
 }
 
-// handleRead serves a remote site's fetch as home.
+// handleRead serves a remote site's fetch as home. It registers the site as
+// a holder before it reads: a write that lands during the read then
+// invalidates the site, and the site installs nothing from this fetch.
 func (s *Site) handleRead(p *sim.Proc, from simnet.Addr, args any) (any, int) {
 	req := args.(readReq)
 	m, ok := s.fed.meta[req.Path]
 	if !ok || m.home != s.Name {
 		return readResp{Err: "not home for " + req.Path}, ctrlSize
 	}
+	m.fetches++
+	m.holders[string(from)] = m.fetches
 	buf := make([]byte, req.N)
 	n, err := s.fs.ReadAt(p, req.Path, req.Off, buf)
 	if err != nil {
 		return readResp{Err: err.Error()}, ctrlSize
 	}
-	m.readers[string(from)] = true
-	return readResp{Data: buf[:n], Size: m.size}, ctrlSize + n
+	return readResp{Data: buf[:n]}, ctrlSize + n
 }
 
-// handleInvalidate drops a stale cache replica or fetched ranges; a fetch
-// in flight installs nothing (see install). An async durability replica
-// keeps its file: that is its journaled copy, which the journal updates.
+// handleInvalidate drops this site's record of a remote-homed file, so a
+// fetch in flight installs nothing (see install), and removes the local
+// file. An async durability replica keeps its file: that is its journaled
+// copy, which the journal updates.
 func (s *Site) handleInvalidate(p *sim.Proc, from simnet.Addr, args any) (any, int) {
-	req := args.(invalidateReq)
-	delete(s.ranges, req.Path)
-	delete(s.accesses, req.Path)
-	if m := s.fed.meta[req.Path]; m != nil && m.duraReplicas[s.Name] {
-		return invalidateResp{}, ctrlSize
-	}
-	if _, err := s.fs.Stat(req.Path); err == nil {
-		s.fs.Remove(req.Path)
+	path := args.(invalidateReq).Path
+	delete(s.copies, path)
+	if !s.fed.meta[path].duraReplicas[s.Name] {
+		s.fs.Remove(path) // not found when the site installed nothing
 	}
 	return invalidateResp{}, ctrlSize
 }
