@@ -321,6 +321,7 @@ type Engine struct {
 	fans       sim.Spare[*fan]   // fan-out states, given back (see fan)
 	staging    sim.Spare[[]byte] // FlushOnce's buffer for joining runs, empty while one holds it
 	stagingUse sim.Peak          // how much of it to keep (see FlushOnce)
+	joins      sim.Spare[[]byte] // surrender's buffers for joining runs, apart from FlushOnce's (DESIGN §19)
 
 	stats Stats
 	// down mirrors the cluster's view of this blade; a down engine
@@ -1487,7 +1488,8 @@ func (e *Engine) makeRoom(p *sim.Proc, notes *[]evictNote) error {
 			return nil
 		}
 		if v.Dirty {
-			clean, err := e.writebackOne(p, v)
+			e.pin(v)
+			clean, err := e.writeback(p, []destage{{v, v.Version}}, nil)
 			if err != nil {
 				failures++
 				if failures >= maxWritebackFailures {

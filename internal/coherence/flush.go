@@ -73,6 +73,9 @@ func (e *Engine) FlushOnce(p *sim.Proc, max int) int {
 	return len(batch)
 }
 
+// FlushBatch is the flusher's blocks per round and surrender's longest run.
+const FlushBatch = 64
+
 // pin marks ent as mid-writeback: the cache will not evict it, and a handler
 // that must not overlap the writeback parks in waitUnpinned. Every site that
 // pins goes through pin/unpin so that no waiter can be left behind.
@@ -134,12 +137,6 @@ func (e *Engine) writeback(p *sim.Proc, run []destage, buf []byte) (clean bool, 
 		}
 	}
 	return clean, err
-}
-
-// writebackOne pins ent and destages it alone, on the caller's critical path.
-func (e *Engine) writebackOne(p *sim.Proc, ent *cache.Entry) (clean bool, err error) {
-	e.pin(ent)
-	return e.writeback(p, []destage{{ent, ent.Version}}, nil)
 }
 
 // StartFlusher launches the background write-back process: every interval

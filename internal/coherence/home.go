@@ -319,12 +319,12 @@ func (e *Engine) handleInvM(p *sim.Proc, from simnet.Addr, args any) (any, int) 
 	return invMResp{Gone: e.surrender(p, req.Key)}, ctrlSize
 }
 
-// surrender gives up this blade's Modified copy of key.
-// A destage that succeeds releases the block's replicas exactly as the
-// flusher and makeRoom do: a replica left at the buddy would outlive the
-// copy it protects, and when this blade later died recovery would replay it
-// over whatever the new owner had destaged since. gone reports that there
-// was no copy to give up.
+// surrender gives up this blade's Modified copy of key, destaging a dirty
+// one in a run with the dirty blocks around it (DESIGN §19). A destage that
+// succeeds releases the blocks' replicas exactly as the flusher and makeRoom
+// do: a replica left at the buddy would outlive the copy it protects, and
+// when this blade later died recovery would replay it over whatever the new
+// owner had destaged since. gone reports that there was no copy to give up.
 func (e *Engine) surrender(p *sim.Proc, key cache.Key) (gone bool) {
 	e.stats.Invalidations++
 	e.bump(key)
@@ -339,10 +339,40 @@ func (e *Engine) surrender(p *sim.Proc, key cache.Key) (gone bool) {
 		// A store that refuses the destage (counted by writeback) leaves the
 		// pre-drop behavior and its staleness window; the write path stays
 		// available either way.
-		e.writebackOne(p, ent)
+		var arr [FlushBatch]destage
+		run := e.pinRun(ent, arr[:0])
+		buf, _ := e.joins.Get()
+		if cap(buf) < len(run)*e.blockSize {
+			buf = make([]byte, len(run)*e.blockSize)
+		}
+		e.writeback(p, run, buf)
+		e.joins.Put(buf)
 	}
 	e.cache.Remove(key)
 	return false
+}
+
+// pinRun pins ent and the blocks around it the flusher could pick now —
+// dirty, not mid-writeback — up to FlushBatch blocks in all, and appends
+// them to run in address order with the versions sampled at the pin.
+func (e *Engine) pinRun(ent *cache.Entry, run []destage) []destage {
+	vol, lo, hi := ent.Key.Vol, ent.Key.LBA, ent.Key.LBA
+	destageable := func(lba int64) bool {
+		n, ok := e.cache.Peek(cache.Key{Vol: vol, LBA: lba})
+		return hi-lo+1 < FlushBatch && ok && n.Dirty && !n.Pinned
+	}
+	for lo > 0 && destageable(lo-1) {
+		lo--
+	}
+	for destageable(hi + 1) {
+		hi++
+	}
+	for lba := lo; lba <= hi; lba++ {
+		n, _ := e.cache.Peek(cache.Key{Vol: vol, LBA: lba})
+		e.pin(n)
+		run = append(run, destage{n, n.Version})
+	}
+	return run
 }
 
 // handleDowngrade resolves a read of this blade's Modified copy. A clean

@@ -244,7 +244,7 @@ func New(k *sim.Kernel, cfg Config) (*Cluster, error) {
 		}
 		eng := coherence.New(k, engCfg)
 		b := &Blade{ID: i, Addr: peers[i], Conn: conn, Engine: eng, Repl: repl}
-		b.stopFlusher = eng.StartFlusher(cfg.FlushInterval, 64)
+		b.stopFlusher = eng.StartFlusher(cfg.FlushInterval, coherence.FlushBatch)
 		c.Blades = append(c.Blades, b)
 	}
 	if cfg.FabricFaults != nil {

@@ -136,6 +136,45 @@ func TestBladeFailureLosesNothingWithReplication(t *testing.T) {
 	})
 }
 
+// A surrender destages the old owner's whole dirty run, not only the block
+// asked for, and releases every block's replica with it: what stays held is
+// the replica of the new owner's write.
+func TestSurrenderRunReleasesItsReplicas(t *testing.T) {
+	c, k := newTestCluster(t, 1, func(cfg *Config) {
+		cfg.ReplicationN = 2
+		cfg.FlushInterval = 10 * sim.Second // no flusher round in the window
+	})
+	c.Pool.CreateDMSD("vol", 64)
+	held := func() (n int) {
+		for _, b := range c.Blades {
+			n += b.Repl.HeldBlocks()
+		}
+		return n
+	}
+	run(k, func(p *sim.Proc) {
+		if err := c.Write(p, c.Blade(0), "vol", 8, pattern(4*512, 1), 0); err != nil {
+			t.Errorf("write run: %v", err)
+			return
+		}
+		if n := held(); n != 4 {
+			t.Errorf("%d replicas held after a 4-block write, want 4", n)
+		}
+		before := c.Blade(0).Engine.Stats()
+		if err := c.Write(p, c.Blade(2), "vol", 9, pattern(512, 2), 0); err != nil {
+			t.Errorf("peer write: %v", err)
+			return
+		}
+		p.Sleep(sim.Millisecond) // replica drops are fire-and-forget
+		after := c.Blade(0).Engine.Stats()
+		if runs, wbs := after.WritebackRuns-before.WritebackRuns, after.Writebacks-before.Writebacks; runs != 1 || wbs != 4 {
+			t.Errorf("the surrender destaged %d blocks in %d runs, want 4 in 1", wbs, runs)
+		}
+		if n := held(); n != 1 {
+			t.Errorf("%d replicas held, want the new owner's 1", n)
+		}
+	})
+}
+
 // An ownership transfer destages the old owner's dirty block and drops it;
 // the replica protecting that block must go with it. Left at the buddy, it
 // is replayed by recovery when the old owner later dies — over the newer

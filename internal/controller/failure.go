@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/coherence"
 	"repro/internal/qos"
 	"repro/internal/sim"
 )
@@ -82,7 +83,7 @@ func (c *Cluster) ReviveBlade(p *sim.Proc, id int) error {
 	b.Down = false
 	b.Engine.SetDown(false)
 	c.Net.SetDown(b.Addr, false)
-	b.stopFlusher = b.Engine.StartFlusher(c.Cfg.FlushInterval, 64)
+	b.stopFlusher = b.Engine.StartFlusher(c.Cfg.FlushInterval, coherence.FlushBatch)
 	alive := c.Alive()
 	for _, id := range alive {
 		sb := c.Blades[id]

@@ -80,9 +80,9 @@ func e16QuickScale() e16Scale {
 
 // E16 workload constants. MetaOpTime sets the knee the experiment is
 // about: one shard serializes index ops, so its capacity is
-// 1/MetaOpTime = 2000 index ops/s, and with ~1.1 index ops per object
-// op (reads cost one, writes a prepare+commit pair) the single-shard
-// ceiling lands near 1800 ops/s — inside the sweep's offered range. The
+// 1/MetaOpTime = 2000 index ops/s, and with one index op per object op
+// (a read's lookup, a write's commit) the single-shard ceiling is 2000
+// ops/s — inside the sweep's offered range. The
 // think time keeps per-client demand low enough that the first sweep
 // doublings stay well under the knee (the linear region the tests
 // assert on).

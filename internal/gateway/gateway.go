@@ -70,10 +70,20 @@ type Gateway struct {
 	// reading tracks the object versions GETs are reading right now, so that
 	// a replaced version's part files outlive its last reader (see free).
 	reading map[verKey]*verReaders
-	tenants map[qos.Ctx]any // one boxed QoS context per tenant and lane
+	fronts  map[string]*front // per bucket, made beside its IAM entry
+	tenants map[qos.Ctx]any   // one boxed QoS context per tenant and lane
 
 	puts, gets, lists int64
 	bytesIn, bytesOut int64
+}
+
+// front is one bucket's front-end record, from which a PUT names and places
+// its version without an index op (DESIGN §14); a PUT that fails leaves its
+// number and segment slice unused.
+type front struct {
+	priority int // cache/QoS priority of the bucket's data (0..3)
+	nextSeq  uint64
+	seg      SegCursor
 }
 
 // verKey names one stored version: sequence numbers are unique per bucket.
@@ -104,6 +114,7 @@ func New(k *sim.Kernel, cfg Config) (*Gateway, error) {
 		meta: newMeta(k, cfg.MetaShards, cfg.MetaOpTime),
 		cfg:  cfg,
 
+		fronts:  make(map[string]*front),
 		reading: make(map[verKey]*verReaders),
 		tenants: make(map[qos.Ctx]any),
 	}, nil
@@ -152,9 +163,8 @@ func (g *Gateway) CreateBucket(p *sim.Proc, token, bucket string, opts BucketOpt
 			return fmt.Errorf("%w: %q", ErrBucketExists, bucket)
 		}
 		s.buckets[bucket] = &bucketMeta{
-			name: bucket, owner: tenant, priority: prio,
+			name: bucket, owner: tenant,
 			objects: make(map[string]Version),
-			nextSeq: 1,
 		}
 		return nil
 	})
@@ -168,6 +178,7 @@ func (g *Gateway) CreateBucket(p *sim.Proc, token, bucket string, opts BucketOpt
 	if err := g.fs.MkdirAll(root + "/seg"); err != nil {
 		return err
 	}
+	g.fronts[bucket] = &front{priority: prio, nextSeq: 1}
 	g.iam.put(bucket, tenant, opts.ACL)
 	g.cfg.Auth.Record(tenant, "gateway.mkbucket", bucket, true, "")
 	return nil
@@ -180,10 +191,10 @@ func validKey(key string) error {
 	return nil
 }
 
-// PutObject stores data as a new version of bucket/key: one index op to
-// assign the version and plan the layout, the data writes on the owner's
-// QoS identity, then one index op to commit the version, which replaces
-// (and frees) the previous version's part files.
+// PutObject stores data as a new version of bucket/key: the front end
+// names and places the version, the data writes run on the owner's QoS
+// identity, then one index op commits the version, which replaces (and
+// frees) the previous version's part files.
 func (g *Gateway) PutObject(p *sim.Proc, token, bucket, key string, data []byte) (Version, error) {
 	_, owner, err := g.iam.authorize(p, token, bucket, true, "put")
 	if err != nil {
@@ -193,28 +204,15 @@ func (g *Gateway) PutObject(p *sim.Proc, token, bucket, key string, data []byte)
 		return Version{}, err
 	}
 	size := int64(len(data))
-	var ver Version
-	var prio int
-	err = g.meta.do(p, bucket, 1, func(s *metaShard) error {
-		b, err := s.bucket(bucket)
-		if err != nil {
-			return err
-		}
-		seq := b.nextSeq
-		lay, cur, err := PlanLayout(g.cfg.layout, b.owner, bucket, seq, size, b.seg)
-		if err != nil {
-			return err
-		}
-		b.nextSeq++
-		b.seg = cur
-		prio = b.priority
-		ver = Version{Seq: seq, Size: size, Layout: lay, Mtime: p.Now()}
-		return nil
-	})
+	f := g.fronts[bucket]
+	lay, cur, err := PlanLayout(g.cfg.layout, owner, bucket, f.nextSeq, size, f.seg)
 	if err != nil {
 		return Version{}, err
 	}
-	if err := g.writeParts(p, owner, prio, ver.Layout, data); err != nil {
+	ver := Version{Seq: f.nextSeq, Size: size, Layout: lay, Mtime: p.Now()}
+	f.nextSeq++
+	f.seg = cur
+	if err := g.writeParts(p, owner, f.priority, ver.Layout, data); err != nil {
 		return Version{}, err
 	}
 	var replaced Version
@@ -343,7 +341,7 @@ func (g *Gateway) lookup(p *sim.Proc, bucket, key string) (ver Version, prio int
 		if !ok {
 			return fmt.Errorf("%w: %s/%s", ErrNoObject, bucket, key)
 		}
-		ver, prio = v, b.priority
+		ver, prio = v, g.fronts[bucket].priority
 		g.startReading(verKey{bucket, ver.Seq})
 		return nil
 	})
@@ -456,18 +454,14 @@ func (g *Gateway) RegisterTelemetry(s telemetry.Scope) {
 
 // Status is the one-line summary for yottactl `gateway status`.
 func (g *Gateway) Status() string {
-	st := g.Stats()
+	st, buckets := g.Stats(), g.Buckets()
 	var objs, bytes int64
-	n := 0
-	for _, s := range g.meta.shards {
-		for _, b := range s.buckets {
-			objs += b.objN
-			bytes += b.bytes
-			n++
-		}
+	for _, b := range buckets {
+		objs += b.Objects
+		bytes += b.Bytes
 	}
 	return fmt.Sprintf("gateway: %d buckets, %d objects, %d bytes | shards %d | ops put=%d get=%d list=%d | iam auths=%d denials=%d p99=%v",
-		n, objs, bytes, len(g.meta.shards), st.Puts, st.Gets, st.Lists, st.Auths, st.Denials, st.IAMHitP99)
+		len(buckets), objs, bytes, len(g.meta.shards), st.Puts, st.Gets, st.Lists, st.Auths, st.Denials, st.IAMHitP99)
 }
 
 // Report renders the full three-tier picture for yottactl `gateway

@@ -510,8 +510,8 @@ func TestGetSurvivesReplacingPuts(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// Reads now outlast two whole PUTs (each ~1 ms of index ops and
-		// 100 µs writes), so the GET below is mid-read through both.
+		// Reads now outlast two whole PUTs (each one index op and 100 µs
+		// writes), so the GET below is mid-read through both.
 		e.io.readDelay = 5 * sim.Millisecond
 		var got []byte
 		var gotVer Version
@@ -584,4 +584,176 @@ func TestFailedPutLeavesNoWriterOrPartFile(t *testing.T) {
 	if names, err := e.fs.List("/gateway/t/alpha/b/data/p"); err != nil || len(names) != 0 {
 		t.Errorf("part files after the failed PUT: %v (err %v), want none", names, err)
 	}
+}
+
+// A PUT costs one index op, its commit, and a GET one, its lookup, whatever
+// the object's layout.
+func TestOneIndexOpPerPutAndGet(t *testing.T) {
+	e := newEnv(t, Config{MetaShards: 4, layout: LayoutConfig{partBytes: 64 << 10, segmentBytes: 256 << 10, smallMax: 16 << 10}})
+	tok := e.token(t, "alpha")
+	ops := func() (n int64) {
+		for _, l := range e.gw.meta.ShardLoads() {
+			n += l
+		}
+		return n
+	}
+	e.run(t, func(p *sim.Proc) error {
+		if err := e.gw.CreateBucket(p, tok, "data", BucketOptions{Priority: -1}); err != nil {
+			return err
+		}
+		for _, size := range []int{0, 5000, 200 << 10} {
+			key := fmt.Sprintf("o%d", size)
+			before := ops()
+			if _, err := e.gw.PutObject(p, tok, "data", key, patternedData(size)); err != nil {
+				return err
+			}
+			if d := ops() - before; d != 1 {
+				return fmt.Errorf("a %d-byte PUT took %d index ops, want 1", size, d)
+			}
+			before = ops()
+			if _, _, err := e.gw.GetObject(p, tok, "data", key); err != nil {
+				return err
+			}
+			if d := ops() - before; d != 1 {
+				return fmt.Errorf("a %d-byte GET took %d index ops, want 1", size, d)
+			}
+		}
+		return nil
+	})
+}
+
+// PUTs to one bucket at once are named and placed by the front end without
+// an index op between them: each still gets its own sequence number, small
+// ones disjoint 4 KiB-aligned segment slices, large ones part files no other
+// version names, and every object reads back whole.
+func TestConcurrentPutsGetDisjointPlacements(t *testing.T) {
+	e := newEnv(t, Config{layout: LayoutConfig{partBytes: 64 << 10, segmentBytes: 64 << 10, smallMax: 16 << 10}})
+	tok := e.token(t, "alpha")
+	const n = 24
+	size := func(i int) int {
+		if i%3 == 0 {
+			return 100<<10 + i
+		}
+		return 1000 + 700*i
+	}
+	e.run(t, func(p *sim.Proc) error {
+		if err := e.gw.CreateBucket(p, tok, "data", BucketOptions{Priority: -1}); err != nil {
+			return err
+		}
+		vers := make([]Version, n)
+		err := sim.Fork(p, "puts", n, func(q *sim.Proc, i int) error {
+			var err error
+			vers[i], err = e.gw.PutObject(q, tok, "data", fmt.Sprintf("o%02d", i), patternedData(size(i)))
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		seqs := make(map[uint64]bool)
+		paths := make(map[string]bool)
+		var slices []Part
+		for i, v := range vers {
+			if seqs[v.Seq] {
+				return fmt.Errorf("sequence number %d handed out twice", v.Seq)
+			}
+			seqs[v.Seq] = true
+			for _, part := range v.Layout.Parts {
+				if !v.Layout.Segment {
+					if paths[part.Path] {
+						return fmt.Errorf("part file %s named by two versions", part.Path)
+					}
+					paths[part.Path] = true
+					continue
+				}
+				if part.Off%segmentAlign != 0 {
+					return fmt.Errorf("object o%02d: segment slice %+v not 4 KiB-aligned", i, part)
+				}
+				for _, o := range slices {
+					if o.Path == part.Path && o.Off < part.Off+part.Len && part.Off < o.Off+o.Len {
+						return fmt.Errorf("segment slices %+v and %+v overlap", o, part)
+					}
+				}
+				slices = append(slices, part)
+			}
+		}
+		for i := range n {
+			got, _, err := e.gw.GetObject(p, tok, "data", fmt.Sprintf("o%02d", i))
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, patternedData(size(i))) {
+				return fmt.Errorf("object o%02d corrupted", i)
+			}
+		}
+		return nil
+	})
+}
+
+// GETs racing a PUT that replaces an object see the old version or the new
+// one whole: the new version is committed only after its data has landed,
+// so no GET returns it early, torn or empty.
+func TestGetRacingPutNeverSeesUnlandedVersion(t *testing.T) {
+	e := newEnv(t, Config{layout: LayoutConfig{partBytes: 64 << 10, segmentBytes: 256 << 10, smallMax: 16 << 10}})
+	tok := e.token(t, "alpha")
+	const size = 256 << 10
+	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, size) }
+	e.run(t, func(p *sim.Proc) error {
+		if err := e.gw.CreateBucket(p, tok, "data", BucketOptions{Priority: -1}); err != nil {
+			return err
+		}
+		v1, err := e.gw.PutObject(p, tok, "data", "obj", fill(1))
+		if err != nil {
+			return err
+		}
+		var landed sim.Time // when the last data write of the second PUT returned
+		var v2 Version
+		var putErr error
+		grp := sim.NewGroup(e.k)
+		grp.Add(1)
+		e.k.Go("put", func(q *sim.Proc) {
+			defer grp.Done()
+			writes := e.io.writes
+			v2, putErr = e.gw.PutObject(q, tok, "data", "obj", fill(2))
+			if e.io.writes-writes != size/(64<<10) {
+				putErr = fmt.Errorf("the PUT made %d block writes, want %d", e.io.writes-writes, size/(64<<10))
+			}
+		})
+		type seen struct {
+			seq  uint64
+			data []byte
+			at   sim.Time
+		}
+		const gets = 16
+		got := make([]seen, gets)
+		err = sim.Fork(p, "gets", gets, func(q *sim.Proc, i int) error {
+			q.Sleep(sim.Duration(i) * 50 * sim.Microsecond)
+			data, ver, err := e.gw.GetObject(q, tok, "data", "obj")
+			got[i] = seen{ver.Seq, data, q.Now()}
+			return err
+		})
+		grp.Wait(p)
+		if err != nil || putErr != nil {
+			return errors.Join(err, putErr)
+		}
+		for _, part := range v2.Layout.Parts {
+			if m, err := e.fs.Stat(part.Path); err == nil && m.Mtime > landed {
+				landed = m.Mtime
+			}
+		}
+		old, fresh := 0, 0
+		for i, g := range got {
+			switch {
+			case g.seq == v1.Seq && bytes.Equal(g.data, fill(1)):
+				old++
+			case g.seq == v2.Seq && bytes.Equal(g.data, fill(2)) && g.at >= landed:
+				fresh++
+			default:
+				return fmt.Errorf("GET %d at %v returned seq %d (v1 %d, v2 %d, landed %v), first byte %d", i, g.at, g.seq, v1.Seq, v2.Seq, landed, g.data[0])
+			}
+		}
+		if old == 0 || fresh == 0 {
+			return fmt.Errorf("%d GETs saw v1 and %d saw v2: the schedule no longer overlaps the PUT", old, fresh)
+		}
+		return nil
+	})
 }

@@ -79,7 +79,7 @@ func (l Layout) start(i int) int64 {
 }
 
 // SegCursor is a bucket's small-object aggregation point: the next free
-// offset in its current segment file. It lives in the bucket's metadata
+// offset in its current segment file. It lives in the bucket's front-end
 // record and only ever advances.
 type SegCursor struct {
 	Seg int64
@@ -124,7 +124,7 @@ func bucketRoot(tenant, bucket string) string {
 // (part files are named by the bucket-unique version sequence seq), so
 // arbitrary S3 keys cannot escape the tenant subtree. cur is the bucket's
 // segment cursor; the advanced cursor is returned and must be stored back
-// by the caller (the metadata tier does this under the bucket's shard).
+// by the caller (the gateway's front end does this before it yields).
 func PlanLayout(cfg LayoutConfig, tenant, bucket string, seq uint64, size int64, cur SegCursor) (Layout, SegCursor, error) {
 	cfg = cfg.withDefaults()
 	if !validName(tenant) || !validName(bucket) {

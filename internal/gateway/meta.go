@@ -36,17 +36,14 @@ type BucketInfo struct {
 }
 
 type bucketMeta struct {
-	name     string
-	owner    string
-	priority int // cache/QoS priority of the bucket's data (0..3)
+	name  string
+	owner string
 
 	keys    []string // sorted; the ListObjects pagination index
 	objects map[string]Version
 
-	nextSeq uint64
-	seg     SegCursor
-	objN    int64
-	bytes   int64
+	objN  int64
+	bytes int64
 }
 
 // metaShard is one index server: a serial executor (semaphore of one)
@@ -62,9 +59,8 @@ type metaShard struct {
 }
 
 // Meta is the bucket-metadata index tier (yig tier 2): bucket records,
-// each key's version and segment cursors, sharded by bucket name.
+// each key's version, sharded by bucket name.
 type Meta struct {
-	k      *sim.Kernel
 	shards []*metaShard
 	// OpTime is the modeled service time of one index operation
 	// (default DefaultMetaOpTime).
@@ -82,7 +78,7 @@ func newMeta(k *sim.Kernel, shards int, opTime sim.Duration) *Meta {
 	if opTime <= 0 {
 		opTime = DefaultMetaOpTime
 	}
-	m := &Meta{k: k, shards: make([]*metaShard, shards), OpTime: opTime}
+	m := &Meta{shards: make([]*metaShard, shards), OpTime: opTime}
 	for i := range m.shards {
 		m.shards[i] = &metaShard{sem: sim.NewSemaphore(k, 1), buckets: make(map[string]*bucketMeta)}
 	}

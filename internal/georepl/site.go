@@ -33,9 +33,9 @@ type Site struct {
 	fs   *pfs.FS
 	conn *simnet.Conn
 
-	// writes admits one write to the site's file system at a time: pfs
-	// writes a partial block by reading and rewriting it whole, so two
-	// overlapping writes at once could lose one of them.
+	// writes admits one write to the site's file system at a time, in
+	// arrival order: a fetch's install must not land after a newer one's
+	// (pfs orders only writes that share a partially written block).
 	writes *sim.Mutex
 	// copies holds this site's record of each remote-homed file it has
 	// read (see remoteCopy).

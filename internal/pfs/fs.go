@@ -109,6 +109,7 @@ type Inode struct {
 
 	parent   *Inode
 	children map[string]*Inode
+	partials *partials // nil until the file's first partial-block write
 }
 
 // Errors returned by path operations.

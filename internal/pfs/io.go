@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -140,13 +141,34 @@ func (fs *FS) WriteAt(p *sim.Proc, path string, off int64, data []byte) (int, er
 	lastBlock := (end - 1) / bs
 	prio := ino.Policy.CachePriority
 	repl := ino.Policy.ReplicationN
+	// A partial write holds the file's partials.mu until its write-back lands,
+	// and lists its first and last block from its arrival; a write covering a
+	// listed block takes mu too (see partials), others take nothing.
+	partial := off%bs != 0 || end%bs != 0
+	if pw := ino.partials; partial || pw != nil && slices.ContainsFunc(pw.blocks, func(b int64) bool { return firstBlock <= b && b <= lastBlock }) {
+		if pw == nil {
+			pw = &partials{mu: *sim.NewMutex(fs.k)}
+			ino.partials = pw
+		}
+		if partial {
+			pw.blocks = append(pw.blocks, firstBlock, lastBlock)
+			defer func() {
+				for _, b := range [2]int64{firstBlock, lastBlock} {
+					i := slices.Index(pw.blocks, b)
+					pw.blocks = slices.Delete(pw.blocks, i, i+1)
+				}
+			}()
+		}
+		pw.mu.Lock(p)
+		defer pw.mu.Unlock()
+	}
 
 	// A write of whole blocks goes down from data itself: the block path
 	// copies what it keeps before it returns. Otherwise assemble a
 	// block-aligned image of the affected range, reading any boundary block
 	// whose existing content is partially retained.
 	buf := data
-	if off%bs != 0 || end%bs != 0 {
+	if partial {
 		buf = make([]byte, (lastBlock-firstBlock+1)*bs)
 		if (off%bs != 0 || firstBlock == lastBlock) && firstBlock*bs < ino.Size {
 			if err := fs.readBlocks(p, ino, firstBlock, buf[:bs], prio); err != nil {
@@ -180,6 +202,14 @@ func (fs *FS) WriteAt(p *sim.Proc, path string, off int64, data []byte) (int, er
 	ino.Mtime = fs.k.Now()
 	fs.BytesWritten += int64(len(data))
 	return len(data), nil
+}
+
+// partials orders a file's partial-block writes, which read a block, merge
+// and write it back whole: two at once could each read the old block, and
+// the second write-back undo the first.
+type partials struct {
+	mu     sim.Mutex
+	blocks []int64 // the first and last block of each partial write in flight
 }
 
 // readRun fills dst, a whole number of blocks, from vol at lba: straight
